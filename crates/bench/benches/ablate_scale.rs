@@ -1,22 +1,19 @@
-//! Scale sweep: 128/256/512 simulated ranks on the pooled DES engine.
+//! Scale sweep: 128/256/512 simulated ranks on the fiber-based DES engine.
 //!
-//! The pooled-execution refactor exists so rank count stops being an OS
-//! thread count: 512 simulated ranks run as fibers on a fixed worker
-//! pool. This harness is the payoff measurement. It sweeps 128/256/512
-//! ranks across four platform profiles — the two paper machines (Altix,
-//! blade cluster) plus the two extrapolated profiles (`objectstore`,
-//! `multisite`) — with the database synthesized per scale by the
+//! Ranks are fibers so that rank count stops being an OS thread count:
+//! 512 simulated ranks run on the run's one engine thread. This harness
+//! is the payoff measurement. It sweeps 128/256/512 ranks across four
+//! platform profiles — the two paper machines (Altix, blade cluster)
+//! plus the two extrapolated profiles (`objectstore`, `multisite`) —
+//! with the database synthesized per scale by the
 //! multi-volume size sweep (`MultiVolumeConfig::size_sweep`), so bigger
 //! clusters search proportionally bigger, more volume-skewed databases.
 //!
-//! Three contracts are asserted, not just reported:
+//! Two contracts are asserted, not just reported:
 //!
-//! * **pool invisibility** — at every scale, an Altix re-run at pool
-//!   width 1 must match the pool-4 run byte for byte: report, Chrome
-//!   trace export, and virtual wall clock;
 //! * **thread economy** — the 512-rank blade run samples
 //!   `/proc/self/status` `Threads:` from inside rank bodies; the peak
-//!   must be ≤ pool + 1 (workers + the parked main thread);
+//!   must be the count before the run plus one (the engine thread);
 //! * **rank-count invariance** — that same 512-rank blade report must
 //!   be byte-identical to a 16-rank run over the same fragments.
 //!
@@ -26,14 +23,14 @@
 //! A second, nucleotide-shaped sweep (`MultiVolumeConfig::dna_sweep`,
 //! blastn parameters, long records, few queries) runs at 128/256 ranks
 //! to exercise the bytes-per-operation regime the protein sweep does
-//! not, with its own pool-invisibility assertion.
+//! not.
 //!
 //! Results land in `BENCH_scale.json` at the workspace root.
 
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use blast_bench::runner::PHASE_PRECEDENCE;
+use blast_bench::runner::{os_thread_count, PHASE_PRECEDENCE};
 use blast_bench::workload::scaled_params;
 use blast_core::seq::SeqRecord;
 use mpiblast::setup::{stage_queries, stage_shared_db};
@@ -46,22 +43,11 @@ use simcluster::Sim;
 use tracelog::diff::{diff_profiles, profile_chrome, render_diff};
 
 const SCALES: [usize; 3] = [128, 256, 512];
-/// Fixed engine pool width for the sweep. Independent of the host's
-/// core count so the artifact is reproducible anywhere.
-const POOL: usize = 4;
 const SEED: u64 = 2005;
 
 /// Peak `Threads:` observed in `/proc/self/status`, sampled from inside
-/// rank bodies while the pool is live.
+/// rank bodies.
 static PEAK_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-fn os_thread_count() -> Option<usize> {
-    let status = std::fs::read_to_string("/proc/self/status").ok()?;
-    status
-        .lines()
-        .find_map(|l| l.strip_prefix("Threads:"))
-        .and_then(|v| v.trim().parse().ok())
-}
 
 fn sample_peak_threads() {
     if let Some(n) = os_thread_count() {
@@ -133,7 +119,6 @@ fn dna_workload(nranks: usize) -> ScaleWorkload {
 
 struct ScaleRun {
     elapsed_s: f64,
-    wall_ns: u64,
     share_input: f64,
     share_search: f64,
     share_output: f64,
@@ -141,18 +126,16 @@ struct ScaleRun {
     chrome: String,
 }
 
-/// One pioBLAST run at `nranks` ranks on a `pool`-wide engine. When
-/// `sample_threads` is set, every rank body samples the process's OS
-/// thread count on entry (the pool is fully live by then).
+/// One pioBLAST run at `nranks` ranks. When `sample_threads` is set,
+/// every rank body samples the process's OS thread count on entry.
 fn run_scale(
     platform: &Platform,
     w: &ScaleWorkload,
     nranks: usize,
     nfrags: usize,
-    pool: usize,
     sample_threads: bool,
 ) -> ScaleRun {
-    let sim = Sim::with_pool(nranks, pool);
+    let sim = Sim::new(nranks);
     let tracer = tracelog::Tracer::new(nranks);
     sim.set_tracer(tracer.clone());
     let env = ClusterEnv::new(&sim, platform);
@@ -201,7 +184,6 @@ fn run_scale(
     };
     ScaleRun {
         elapsed_s: outcome.elapsed.as_secs_f64(),
-        wall_ns: wall,
         share_input: share(phases::COPY) + share(phases::INPUT),
         share_search: share(phases::SEARCH),
         share_output: share(phases::OUTPUT),
@@ -211,20 +193,19 @@ fn run_scale(
 }
 
 fn main() {
+    let threads_before = os_thread_count();
     let platforms = [
         Platform::altix(),
         Platform::blade_cluster(),
         Platform::objectstore(),
         Platform::multisite(),
     ];
-    println!("== Scale sweep: 128/256/512 ranks, pool width {POOL}, four platforms ==");
+    println!("== Scale sweep: 128/256/512 ranks, four platforms ==");
     println!(
         "{:<35} {:>6} {:>7} {:>11} {:>8} {:>8} {:>8}",
         "platform", "ranks", "frags", "elapsed(s)", "input%", "search%", "output%"
     );
-    let mut json = String::from("{\n  \"bench\": \"ablate_scale\",\n");
-    let _ = writeln!(json, "  \"pool_threads\": {POOL},");
-    json.push_str("  \"scales\": [\n");
+    let mut json = String::from("{\n  \"bench\": \"ablate_scale\",\n  \"scales\": [\n");
 
     // Kept across the sweep for the cross-cutting assertions below.
     let mut altix_chrome: Vec<(usize, String)> = Vec::new();
@@ -245,7 +226,7 @@ fn main() {
         );
         for (pi, platform) in platforms.iter().enumerate() {
             let sample = nranks == 512 && platform.name == Platform::blade_cluster().name;
-            let r = run_scale(platform, &w, nranks, nfrags, POOL, sample);
+            let r = run_scale(platform, &w, nranks, nfrags, sample);
             println!(
                 "{:<35} {:>6} {:>7} {:>11.3} {:>7.1}% {:>7.1}% {:>7.1}%",
                 platform.name,
@@ -271,21 +252,6 @@ fn main() {
                 r.report.len()
             );
             if platform.name == Platform::altix().name {
-                // Pool invisibility, asserted at every scale: a pool-1
-                // re-run must reproduce every byte the pool-4 run made.
-                let solo = run_scale(platform, &w, nranks, nfrags, 1, false);
-                assert_eq!(
-                    solo.report, r.report,
-                    "{nranks} ranks: report bytes diverged between pool 1 and pool {POOL}"
-                );
-                assert_eq!(
-                    solo.chrome, r.chrome,
-                    "{nranks} ranks: trace export diverged between pool 1 and pool {POOL}"
-                );
-                assert_eq!(
-                    solo.wall_ns, r.wall_ns,
-                    "{nranks} ranks: wall clock diverged between pool 1 and pool {POOL}"
-                );
                 altix_chrome.push((nranks, r.chrome.clone()));
             }
             if sample {
@@ -293,7 +259,7 @@ fn main() {
                 blade_512 = Some(r);
             }
         }
-        json.push_str("\n    ], \"pool_identity\": \"ok\"}");
+        json.push_str("\n    ]}");
     }
     json.push_str("\n  ],\n");
 
@@ -322,7 +288,7 @@ fn main() {
             w.queries.len()
         );
         for (pi, platform) in dna_platforms.iter().enumerate() {
-            let r = run_scale(platform, &w, nranks, nfrags, POOL, false);
+            let r = run_scale(platform, &w, nranks, nfrags, false);
             println!(
                 "{:<35} {:>6} {:>7} {:>11.3} {:>7.1}% {:>7.1}% {:>7.1}%",
                 platform.name,
@@ -347,27 +313,21 @@ fn main() {
                 r.share_output,
                 r.report.len()
             );
-            if platform.name == Platform::altix().name {
-                // Pool invisibility holds for the nucleotide path too.
-                let solo = run_scale(platform, &w, nranks, nfrags, 1, false);
-                assert_eq!(
-                    solo.report, r.report,
-                    "dna {nranks} ranks: report bytes diverged between pool 1 and pool {POOL}"
-                );
-            }
         }
-        json.push_str("\n    ], \"pool_identity\": \"ok\"}");
+        json.push_str("\n    ]}");
     }
     json.push_str("\n  ],\n");
 
     // ---- 512-rank blade: thread economy + rank-count invariance ----
     let b512 = blade_512.expect("blade 512 run recorded");
     let peak = PEAK_THREADS.load(Ordering::Relaxed);
-    if peak > 0 {
-        assert!(
-            peak <= POOL + 1,
-            "512-rank blade run peaked at {peak} OS threads (pool {POOL} + main allows {})",
-            POOL + 1
+    if let Some(before) = threads_before {
+        assert_eq!(
+            peak,
+            before + 1,
+            "512-rank blade run peaked at {peak} OS threads; {before} before the run \
+             plus the engine thread allows {}",
+            before + 1
         );
     }
     let w512 = scale_workload(512);
@@ -376,7 +336,6 @@ fn main() {
         &w512,
         16,
         blade_512_frags,
-        POOL,
         false,
     );
     assert_eq!(
@@ -384,16 +343,12 @@ fn main() {
         "512-rank blade report diverged from the 16-rank run on the same fragments"
     );
     println!(
-        "512-rank blade: peak OS threads {peak} (≤ {}), report identical to 16 ranks \
-         on {blade_512_frags} fragments",
-        POOL + 1
+        "512-rank blade: peak OS threads {peak}, report identical to 16 ranks \
+         on {blade_512_frags} fragments"
     );
     let _ = writeln!(
         json,
-        "  \"blade_512\": {{\"peak_os_threads\": {}, \"pool_plus_one\": {}, \
-         \"report_matches_16_ranks\": true}},",
-        peak,
-        POOL + 1
+        "  \"blade_512\": {{\"peak_os_threads\": {peak}, \"report_matches_16_ranks\": true}},"
     );
 
     // ---- trace-diff across scales: where does the extra time go? ----

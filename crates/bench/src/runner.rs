@@ -111,6 +111,17 @@ fn summarize(
     }
 }
 
+/// The process's OS thread count (`Threads:` in `/proc/self/status`), or
+/// `None` where that file does not exist. Sampled from inside rank bodies
+/// it shows what a run costs in threads: one, the engine thread.
+pub fn os_thread_count() -> Option<usize> {
+    let status = std::fs::read_to_string("/proc/self/status").ok()?;
+    status
+        .lines()
+        .find_map(|l| l.strip_prefix("Threads:"))
+        .and_then(|v| v.trim().parse().ok())
+}
+
 /// pioBLAST ablation switches (the defaults are the paper's design).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PioOptions {
@@ -120,10 +131,6 @@ pub struct PioOptions {
     pub local_prune: bool,
     /// Intra-rank compute slots per worker (`--threads`).
     pub threads: usize,
-    /// DES engine worker-pool width (`--pool-threads`); `None` uses
-    /// [`simcluster::default_pool_threads`]. Applies to both programs —
-    /// it is an engine knob, invisible to every output and trace byte.
-    pub pool_threads: Option<usize>,
 }
 
 impl Default for PioOptions {
@@ -132,7 +139,6 @@ impl Default for PioOptions {
             collective_output: true,
             local_prune: false,
             threads: 1,
-            pool_threads: None,
         }
     }
 }
@@ -179,10 +185,7 @@ pub fn run_traced(
     workload: &Workload,
     pio_options: PioOptions,
 ) -> (RunSummary, Trace) {
-    let sim = match pio_options.pool_threads {
-        Some(pool) => Sim::with_pool(nprocs, pool),
-        None => Sim::new(nprocs),
-    };
+    let sim = Sim::new(nprocs);
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
     let env = ClusterEnv::new(&sim, platform);

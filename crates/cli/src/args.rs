@@ -1,6 +1,7 @@
 //! A small `--key value` argument parser (no external dependencies).
 
-use std::collections::BTreeMap;
+use std::cell::RefCell;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Parsed command line: a subcommand plus `--key value` / `--flag` options.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -9,6 +10,9 @@ pub struct ParsedArgs {
     pub command: String,
     options: BTreeMap<String, String>,
     flags: Vec<String>,
+    /// Names an accessor has found on the command line, so
+    /// [`ParsedArgs::reject_unused`] can name the ones nothing read.
+    used: RefCell<BTreeSet<String>>,
 }
 
 /// Errors from parsing or validating arguments.
@@ -29,6 +33,15 @@ pub enum ArgError {
     },
     /// A positional argument appeared after the subcommand.
     UnexpectedPositional(String),
+    /// An option or flag the executed subcommand never read: unknown,
+    /// misspelled, given in the wrong shape (`--flag value`, or an
+    /// option without its value), or inapplicable to the other arguments.
+    UnusedOption {
+        /// The subcommand that ran.
+        command: String,
+        /// Option name.
+        option: String,
+    },
 }
 
 impl std::fmt::Display for ArgError {
@@ -42,6 +55,11 @@ impl std::fmt::Display for ArgError {
                 expected,
             } => write!(f, "--{option} {value:?}: expected {expected}"),
             ArgError::UnexpectedPositional(p) => write!(f, "unexpected argument {p:?}"),
+            ArgError::UnusedOption { command, option } => write!(
+                f,
+                "--{option} is not used by `{command}` with these arguments \
+                 (unknown or misspelled option, or a flag/value mix-up)"
+            ),
         }
     }
 }
@@ -80,20 +98,39 @@ impl ParsedArgs {
 
     /// A required string option.
     pub fn require(&self, key: &str) -> Result<&str, ArgError> {
-        self.options
-            .get(key)
-            .map(String::as_str)
+        self.get(key)
             .ok_or_else(|| ArgError::MissingOption(key.to_string()))
     }
 
     /// An optional string option.
     pub fn get(&self, key: &str) -> Option<&str> {
-        self.options.get(key).map(String::as_str)
+        let value = self.options.get(key)?;
+        self.used.borrow_mut().insert(key.to_string());
+        Some(value)
     }
 
     /// Whether a boolean flag was passed.
     pub fn flag(&self, key: &str) -> bool {
-        self.flags.iter().any(|f| f == key)
+        let passed = self.flags.iter().any(|f| f == key);
+        if passed {
+            self.used.borrow_mut().insert(key.to_string());
+        }
+        passed
+    }
+
+    /// Fail on the first option (in name order), else the first flag (as
+    /// given), that no accessor has found so far. Call once the
+    /// subcommand has read everything it will read.
+    pub fn reject_unused(&self) -> Result<(), ArgError> {
+        let used = self.used.borrow();
+        let mut given = self.options.keys().chain(&self.flags);
+        match given.find(|k| !used.contains(*k)) {
+            None => Ok(()),
+            Some(option) => Err(ArgError::UnusedOption {
+                command: self.command.clone(),
+                option: option.clone(),
+            }),
+        }
     }
 
     /// A required integer option.
@@ -184,6 +221,31 @@ mod tests {
             parse(&["run", "stray"]).unwrap_err(),
             ArgError::UnexpectedPositional(_)
         ));
+    }
+
+    #[test]
+    fn unread_options_and_flags_are_named() {
+        let a = parse(&["run", "--procs", "4", "--io-asynch", "--dna"]).unwrap();
+        assert_eq!(a.require_u64("procs").unwrap(), 4);
+        assert!(a.flag("dna"));
+        assert!(!a.flag("io-async"));
+        assert_eq!(
+            a.reject_unused().unwrap_err(),
+            ArgError::UnusedOption {
+                command: "run".into(),
+                option: "io-asynch".into()
+            }
+        );
+        // A flag given a value, and an option given none, were never
+        // honored either: neither accessor finds them.
+        let a = parse(&["run", "--dna", "yes", "--frags"]).unwrap();
+        assert!(!a.flag("dna"));
+        assert_eq!(a.get("frags"), None);
+        assert!(a.reject_unused().unwrap_err().to_string().contains("--dna"));
+        // Everything read: nothing to reject.
+        let a = parse(&["run", "--procs", "4", "--dna"]).unwrap();
+        let _ = (a.get("procs"), a.flag("dna"));
+        assert_eq!(a.reject_unused(), Ok(()));
     }
 
     #[test]

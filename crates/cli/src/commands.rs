@@ -52,7 +52,7 @@ USAGE:
   pioblast-sim sample   --in db.fa --bytes N --out queries.fa [--seed S] [--dna]
   pioblast-sim run      --program pio|mpi --procs N --db-dir DIR --queries q.fa
                         --out report.txt [--platform PLATFORM] [--frags N]
-                        [--threads N] [--pool-threads N] [--batch N] [--measured] [--dna]
+                        [--threads N] [--batch N] [--measured] [--dna]
                         [--no-collective] [--dynamic] [--fault-detect] [--recover]
                         [--checkpoint] [--io-strategy independent|sieve|two-phase]
                         [--sieve-threshold N] [--io-async] [--burst-buffer]
@@ -61,7 +61,7 @@ USAGE:
   pioblast-sim serve    --procs N --db-dir DIR --queries q.fa --out report.txt
                         [--platform PLATFORM] [--users N] [--stream-batches N]
                         [--mean-gap-ms N] [--resident-mb N] [--affinity] [--frags N]
-                        [--threads N] [--pool-threads N] [--io-async] [--recover]
+                        [--threads N] [--io-async] [--recover]
                         [--checkpoint] [--burst-buffer] [--stripe-files N]
                         [--seed S] [--measured] [--dna] [--trace out.json]
                         [--trace-filter LANE[,...]]
@@ -79,10 +79,8 @@ objectstore (10 GbE + S3/Ceph-class store: huge aggregate bandwidth,
 HTTP-scale request overhead), multisite (two sites over a WAN: tens of
 milliseconds per message and per shared-fs operation).
 
---pool-threads N sets the DES engine's worker-pool width (default
-min(ncpus, 16)). Ranks run as resumable continuations on the pool, so
-a 512-rank run needs pool+1 OS threads, not 512 — and the width never
-changes a single output, clock, or trace byte.
+An option or flag the subcommand does not use (unknown, misspelled, or
+inapplicable to the other arguments) is an error, not ignored.
 
 serve replays a seeded query stream (--users users submitting
 --stream-batches batches, inter-arrival gaps averaging --mean-gap-ms)
@@ -121,9 +119,12 @@ always before the run ends, so reports stay byte-identical.
 a full buffer degrades that write to a direct one (typed backpressure).
 ";
 
-/// Dispatch a parsed command line.
+/// Dispatch a parsed command line. An option or flag the subcommand
+/// never read is an error; subcommands that write files or run a
+/// simulation also check before they do, so a typo costs no run and
+/// leaves no output.
 pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
-    match args.command.as_str() {
+    let out = match args.command.as_str() {
         "gen" => cmd_gen(args),
         "formatdb" => cmd_formatdb(args),
         "sample" => cmd_sample(args),
@@ -133,7 +134,9 @@ pub fn dispatch(args: &ParsedArgs) -> Result<String, CliError> {
         "trace-diff" => cmd_trace_diff(args),
         "help" | "--help" => Ok(USAGE.to_string()),
         other => Err(CliError(format!("unknown subcommand {other:?}\n\n{USAGE}"))),
-    }
+    }?;
+    args.reject_unused()?;
+    Ok(out)
 }
 
 fn molecule_of(args: &ParsedArgs) -> Molecule {
@@ -158,6 +161,7 @@ fn cmd_gen(args: &ParsedArgs) -> Result<String, CliError> {
         Molecule::Dna => generate_dna(&cfg),
     };
     let text = fasta::to_string(&records, 60);
+    args.reject_unused()?;
     fs::write(out, &text)?;
     Ok(format!(
         "wrote {} sequences, {} residues ({} bytes FASTA) to {}",
@@ -183,6 +187,7 @@ fn cmd_formatdb(args: &ParsedArgs) -> Result<String, CliError> {
         },
     )
     .map_err(|e| CliError(format!("parsing {input}: {e}")))?;
+    args.reject_unused()?;
     fs::create_dir_all(out_dir)?;
     let mut bytes = 0u64;
     let files = db.files();
@@ -215,6 +220,7 @@ fn cmd_sample(args: &ParsedArgs) -> Result<String, CliError> {
         return Err(CliError(format!("{input} holds no sequences")));
     }
     let queries = sample_queries(&records, bytes, seed);
+    args.reject_unused()?;
     fs::write(out, fasta::to_string(&queries, 60))?;
     Ok(format!("sampled {} queries to {}", queries.len(), out))
 }
@@ -259,15 +265,6 @@ fn parse_platform(args: &ParsedArgs) -> Result<Platform, CliError> {
         other => Err(CliError(format!(
             "unknown platform {other:?} (expected altix, blade, manycore, objectstore, or multisite)"
         ))),
-    }
-}
-
-/// Build the simulation, honoring `--pool-threads` when present.
-fn make_sim(args: &ParsedArgs, nprocs: usize) -> Result<Sim, CliError> {
-    match args.u64_opt("pool-threads")? {
-        None => Ok(Sim::new(nprocs)),
-        Some(0) => Err(CliError("--pool-threads must be at least 1".into())),
-        Some(p) => Ok(Sim::with_pool(nprocs, p as usize)),
     }
 }
 
@@ -374,6 +371,7 @@ fn cmd_trace_diff(args: &ParsedArgs) -> Result<String, CliError> {
         if let Some(out) = args.get("write-baseline") {
             let text = tracelog::diff::render_baseline(&profile);
             let rows = profile.cluster_totals().len();
+            args.reject_unused()?;
             fs::write(out, text)?;
             return Ok(format!(
                 "{input}: wrote baseline ({rows} lane/phase rows, {} rank(s)) to {out}",
@@ -437,7 +435,8 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     let nfrags = args.u64_opt("frags")?.map(|v| v as usize);
 
     let filter = trace_filter(args)?;
-    let sim = make_sim(args, nprocs)?;
+    let trace_path = args.get("trace");
+    let sim = Sim::new(nprocs);
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
     let env = ClusterEnv::new(&sim, &platform);
@@ -457,6 +456,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                 output_path: output_path.clone(),
                 fault_detection: args.flag("fault-detect"),
             };
+            args.reject_unused()?;
             let o = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
             for r in &o.outputs {
                 if let Err(e) = r {
@@ -499,6 +499,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                 io: io_options(args)?,
                 service: None,
             };
+            args.reject_unused()?;
             let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
             for r in &o.outputs {
                 if let Err(e) = r {
@@ -519,7 +520,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("no report produced: {e}")))?;
     fs::write(out, &report)?;
     let mut trace_note = String::new();
-    if let Some(path) = args.get("trace") {
+    if let Some(path) = trace_path {
         let trace = tracer.finish(elapsed.since(simcluster::SimTime::ZERO).0);
         let json = tracelog::chrome::export_chrome(&trace, filter.as_deref());
         fs::write(path, &json)?;
@@ -596,7 +597,8 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     );
 
     let filter = trace_filter(args)?;
-    let sim = make_sim(args, nprocs)?;
+    let trace_path = args.get("trace");
+    let sim = Sim::new(nprocs);
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
     let env = ClusterEnv::new(&sim, &platform);
@@ -633,6 +635,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
             affinity: args.flag("affinity"),
         }),
     };
+    args.reject_unused()?;
     let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &o.outputs {
         if let Err(e) = r {
@@ -651,7 +654,7 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let trace = tracer.finish(o.elapsed.since(simcluster::SimTime::ZERO).0);
     let metrics = pioblast::ServiceMetrics::from_trace(&trace);
     let mut trace_note = String::new();
-    if let Some(path) = args.get("trace") {
+    if let Some(path) = trace_path {
         let json = tracelog::chrome::export_chrome(&trace, filter.as_deref());
         fs::write(path, &json)?;
         trace_note = format!(", trace {} events -> {path}", trace.events.len());
@@ -851,8 +854,8 @@ mod tests {
     }
 
     #[test]
-    fn thread_flag_is_validated() {
-        let dir = tmpdir("threads");
+    fn run_flags_are_validated() {
+        let dir = tmpdir("runflags");
         let fa = dir.join("db.fa");
         let qfa = dir.join("q.fa");
         let dbdir = dir.join("db");
@@ -911,83 +914,33 @@ mod tests {
         // The platform ceiling itself is fine (blade HS20s expose four
         // hardware threads).
         run(&["--platform", "blade", "--threads", "4"]).unwrap();
-        let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn pool_threads_and_new_platforms() {
-        let dir = tmpdir("pool");
-        let fa = dir.join("db.fa");
-        let qfa = dir.join("q.fa");
-        let dbdir = dir.join("db");
-        dispatch(&args(&[
-            "gen",
-            "--residues",
-            "15k",
-            "--out",
-            fa.to_str().unwrap(),
-        ]))
-        .unwrap();
-        dispatch(&args(&[
-            "formatdb",
-            "--in",
-            fa.to_str().unwrap(),
-            "--title",
-            "p",
-            "--out-dir",
-            dbdir.to_str().unwrap(),
-        ]))
-        .unwrap();
-        dispatch(&args(&[
-            "sample",
-            "--in",
-            fa.to_str().unwrap(),
-            "--bytes",
-            "256",
-            "--out",
-            qfa.to_str().unwrap(),
-        ]))
-        .unwrap();
-        let run = |label: &str, extra: &[&str]| {
-            let out = dir.join(format!("{label}.txt"));
-            let mut v = vec![
-                "run",
-                "--program",
-                "pio",
-                "--procs",
-                "3",
-                "--db-dir",
-                dbdir.to_str().unwrap(),
-                "--queries",
-                qfa.to_str().unwrap(),
-                "--out",
-                out.to_str().unwrap(),
-            ];
-            v.extend_from_slice(extra);
-            dispatch(&args(&v)).map(|_| fs::read(&out).unwrap())
-        };
-        // The pool width never changes report bytes.
-        let narrow = run(
-            "pool1",
-            &["--platform", "objectstore", "--pool-threads", "1"],
-        )
-        .unwrap();
-        let wide = run(
-            "pool4",
-            &["--platform", "objectstore", "--pool-threads", "4"],
-        )
-        .unwrap();
-        assert_eq!(narrow, wide, "pool width leaked into the report");
-        // The new platforms both complete; their I/O regimes differ, so
-        // reports agree (same database, same queries) even though times
-        // do not.
-        let multi = run("multisite", &["--platform", "multisite"]).unwrap();
-        assert_eq!(multi, narrow);
-        // Bad values are typed errors.
-        let err = run("bad", &["--pool-threads", "0"]).unwrap_err();
-        assert!(err.0.contains("--pool-threads"), "{err}");
-        let err = run("badplat", &["--platform", "cloud9"]).unwrap_err();
+        // The post-2005 platforms both complete; their I/O regimes
+        // differ, so times do not agree but reports do.
+        run(&["--platform", "objectstore"]).unwrap();
+        let object = fs::read(&out).unwrap();
+        run(&["--platform", "multisite"]).unwrap();
+        assert_eq!(fs::read(&out).unwrap(), object);
+        let err = run(&["--platform", "cloud9"]).unwrap_err();
         assert!(err.0.contains("objectstore"), "{err}");
+        // An option nothing reads is a typed error naming it, raised
+        // before the simulation runs (no report appears): the removed
+        // engine knob, a misspelled flag, a pio-only flag under mpi.
+        fs::remove_file(&out).unwrap();
+        for (extra, named) in [
+            (&["--pool-threads", "4"][..], "--pool-threads"),
+            (&["--io-asynch"][..], "--io-asynch"),
+            (&["--program", "mpi", "--io-async"][..], "--io-async"),
+        ] {
+            let err = run(extra).unwrap_err();
+            assert!(err.0.contains(named), "{err}");
+            assert!(err.0.contains("not used by `run`"), "{err}");
+            assert!(!out.exists(), "{named} was rejected only after the run");
+        }
+        let err = dispatch(&args(&["help", "--verbose"])).unwrap_err();
+        assert!(err.0.contains("--verbose"), "{err}");
+        // A conditional pair keeps its own dependency error.
+        let err = run(&["--stripe-files", "2"]).unwrap_err();
+        assert!(err.0.contains("require --burst-buffer"), "{err}");
         let _ = fs::remove_dir_all(&dir);
     }
 

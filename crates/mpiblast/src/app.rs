@@ -427,7 +427,7 @@ fn run_worker(
 
         // Copy stage: shared storage -> private storage, whole files.
         let copy_start = now();
-        let mut copied: Vec<(String, Vec<u8>)> = Vec::new();
+        let mut copied: Vec<String> = Vec::new();
         for ext in ["idx", "seq", "hdr"] {
             let src = format!("{name}.{ext}");
             let data = shared.read_all(ctx, &src).expect("fragment file present");
@@ -435,7 +435,7 @@ fn run_worker(
             private
                 .write_all(ctx, &dst, &data)
                 .map_err(|e| ProtocolError::Storage(e.to_string()))?;
-            copied.push((dst, data));
+            copied.push(dst);
         }
         phases.add(phases::COPY, now() - copy_start);
 
@@ -445,9 +445,9 @@ fn run_worker(
         // is re-prepared every time — blastall-per-fragment behaviour,
         // and a real per-fragment cost mpiBLAST pays.
         let search_start = now();
-        let idx = private.read_all(ctx, &copied[0].0).expect("idx copy");
-        let seq = private.read_all(ctx, &copied[1].0).expect("seq copy");
-        let hdr = private.read_all(ctx, &copied[2].0).expect("hdr copy");
+        let idx = private.read_all(ctx, &copied[0]).expect("idx copy");
+        let seq = private.read_all(ctx, &copied[1]).expect("seq copy");
+        let hdr = private.read_all(ctx, &copied[2]).expect("hdr copy");
         let frag = FragmentData::from_file_bytes(&idx, seq, hdr).expect("valid fragment");
         let prepared = cfg.compute.run_prepare(ctx, total_q_residues, || {
             PreparedQueries::prepare(&cfg.params, bundle.queries.clone(), bundle.db_stats)

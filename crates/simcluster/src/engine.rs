@@ -1,17 +1,15 @@
 //! The discrete-event engine and rank runtime.
 //!
 //! Each simulated MPI rank runs as a *resumable continuation* — a
-//! stackful fiber ([`crate::fiber`]) pinned to one worker of a small
-//! thread pool (default [`default_pool_threads`], `min(ncpus, 16)`).
-//! The engine coschedules them so *exactly one* rank is ever running:
-//! the scheduler pops the earliest event, dispatches a resume to the
-//! target rank's worker, and waits for the rank to yield again (on a
-//! timer, a message receive, or a service-managed wake such as a
-//! file-system transfer). A yielding rank parks by switching stacks
-//! back to its worker, not by blocking an OS thread, so a 512-rank run
-//! needs `pool + 1` threads rather than 512. Virtual time advances only
-//! between events, and the pool width is invisible to results: any pool
-//! size produces bit-identical outputs, clocks, and traces.
+//! stackful fiber ([`crate::fiber`]). Every run spawns one *engine
+//! thread* that owns all of them: it pops the earliest event, resumes
+//! the target rank's fiber by a direct call, and gets control back when
+//! the rank yields again (on a timer, a message receive, or a
+//! service-managed wake such as a file-system transfer). So *exactly
+//! one* rank is ever running, a yielding rank parks by switching stacks
+//! back to the scheduler loop rather than by blocking an OS thread, and
+//! a run of any rank count uses one OS thread beyond its caller.
+//! Virtual time advances only between events.
 //!
 //! Because only one rank runs at a time, a rank can execute *real*
 //! computation (e.g. an actual BLAST fragment search) and charge its
@@ -28,14 +26,15 @@
 //! its kill time (destructors, and therefore open trace spans, close
 //! deterministically), and a rank panic or deadlock drains every other
 //! live fiber before [`Sim::try_run_faulty`] surfaces a typed
-//! [`SimError`] — nothing is left parked for a join to deadlock on.
+//! [`SimError`] — nothing is left parked when the engine thread is
+//! joined.
 
+use std::cell::RefCell;
 use std::collections::{BinaryHeap, HashMap};
 use std::panic::AssertUnwindSafe;
 use std::sync::Arc;
 
 use bytes::Bytes;
-use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::Mutex;
 
 use crate::fiber::{self, Fiber};
@@ -154,7 +153,7 @@ impl FaultPlan {
     }
 }
 
-/// A deferred service action run on the scheduler thread when its event
+/// A deferred service action run on the engine thread when its event
 /// fires (see [`SimHandle::schedule_callback`]).
 type Callback = Box<dyn FnOnce() + Send>;
 
@@ -245,22 +244,13 @@ const DONE_UNWOUND: usize = 2;
 /// Completion code: the body panicked; the message is stored.
 const DONE_PANICKED: usize = 3;
 
-/// The default worker-pool width: `min(ncpus, 16)`.
-pub fn default_pool_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|p| p.get())
-        .unwrap_or(1)
-        .min(16)
-}
-
 /// A fatal simulation failure, surfaced as a typed error by
 /// [`Sim::try_run_faulty`]. The panicking entry points ([`Sim::run`],
 /// [`Sim::run_faulty`]) panic with this error's `Display` string.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum SimError {
-    /// A rank body panicked. The engine drains the pool (force-unwinding
-    /// every other live rank) before reporting, so the scheduler never
-    /// deadlocks on a panicked run.
+    /// A rank body panicked. The engine force-unwinds every other live
+    /// rank before reporting, so a panicked run never hangs.
     RankPanic {
         /// The rank whose body panicked.
         rank: usize,
@@ -293,47 +283,25 @@ impl std::fmt::Display for SimError {
 
 impl std::error::Error for SimError {}
 
-/// Commands from the scheduler to a pool worker. Exactly one command is
-/// ever outstanding across the whole pool (the scheduler round-trips
-/// each one), which is what keeps any pool width deterministic.
-#[derive(Debug)]
-enum Cmd {
-    /// Resume this rank's fiber until it yields or completes.
-    Resume(usize),
-    /// Force-unwind this rank's fiber (kill teardown or drain).
-    Unwind(usize),
-    /// Shut the worker down; all its fibers must already be done.
-    Exit,
-}
-
-/// A worker's answer to one command (exactly one is outstanding, so
-/// replies need no rank id).
-enum Reply {
-    /// `Resume` result: the yield or completion code.
-    Yielded(usize),
-    /// `Unwind` result: `None` if there was nothing to unwind.
-    Unwound(Option<usize>),
-}
-
 struct Inner {
     state: Mutex<EngineState>,
+    /// Hand-off slot from [`Sim::set_tracer`] to the run, which clones
+    /// it once; nothing reads it while events are being dispatched.
     tracer: Mutex<Option<tracelog::Tracer>>,
 }
 
-impl Inner {
-    /// Record an engine-lifecycle instant on `rank`'s trace at `t`.
-    /// Called from the scheduler thread, never while holding `state`.
-    fn trace_engine(&self, rank: usize, t: u64, name: &'static str) {
-        if let Some(tr) = self.tracer.lock().as_ref() {
-            tr.record(
-                rank,
-                t,
-                tracelog::Lane::Engine,
-                tracelog::EventKind::Instant,
-                name.into(),
-                Vec::new(),
-            );
-        }
+/// Record an engine-lifecycle instant on `rank`'s trace at `t`. Called
+/// from the scheduler loop, never while holding the engine state lock.
+fn trace_engine(tracer: Option<&tracelog::Tracer>, rank: usize, t: u64, name: &'static str) {
+    if let Some(tr) = tracer {
+        tr.record(
+            rank,
+            t,
+            tracelog::Lane::Engine,
+            tracelog::EventKind::Instant,
+            name.into(),
+            Vec::new(),
+        );
     }
 }
 
@@ -341,7 +309,6 @@ impl Inner {
 pub struct Sim {
     inner: Arc<Inner>,
     nranks: usize,
-    pool: usize,
 }
 
 /// The result of a completed simulation.
@@ -370,19 +337,8 @@ pub struct FaultySimOutcome<R> {
 }
 
 impl Sim {
-    /// Create a simulation with `nranks` ranks and the default worker
-    /// pool ([`default_pool_threads`]).
+    /// Create a simulation with `nranks` ranks.
     pub fn new(nranks: usize) -> Sim {
-        Sim::with_pool(nranks, default_pool_threads())
-    }
-
-    /// Create a simulation whose rank continuations execute on a pool of
-    /// `pool_threads` workers (clamped to `1..=nranks` at run time).
-    /// The pool width affects only host-side parallelism of the *engine
-    /// machinery* — outputs, virtual clocks, statistics, and traces are
-    /// bit-identical for every width, because exactly one rank runs at
-    /// a time regardless.
-    pub fn with_pool(nranks: usize, pool_threads: usize) -> Sim {
         assert!(nranks > 0, "need at least one rank");
         let inner = Arc::new(Inner {
             state: Mutex::new(EngineState {
@@ -404,11 +360,15 @@ impl Sim {
             }),
             tracer: Mutex::new(None),
         });
-        Sim {
-            inner,
-            nranks,
-            pool: pool_threads.max(1),
-        }
+        Sim { inner, nranks }
+    }
+
+    /// Inert alias of [`Sim::new`], kept only because the frozen
+    /// `benchmark/` harness calls it: the engine once ran ranks on a
+    /// worker pool of this width, and now runs every rank on the one
+    /// engine thread, so the second argument is ignored.
+    pub fn with_pool(nranks: usize, _pool_threads: usize) -> Sim {
+        Sim::new(nranks)
     }
 
     /// Number of ranks.
@@ -416,15 +376,9 @@ impl Sim {
         self.nranks
     }
 
-    /// The effective worker-pool width a run will use:
-    /// `min(pool_threads, nranks)`.
-    pub fn pool_threads(&self) -> usize {
-        self.pool.min(self.nranks)
-    }
-
     /// Attach a [`tracelog::Tracer`] to this simulation. The engine
     /// builds one [`tracelog::RankHandle`] per rank (rank id +
-    /// virtual-clock closure) and swaps it into the worker's
+    /// virtual-clock closure) and swaps it into the engine thread's
     /// thread-local slot around every resumption, so instrumentation
     /// anywhere in the stack records without plumbing a handle through
     /// signatures; the scheduler itself records engine-lifecycle events
@@ -489,10 +443,9 @@ impl Sim {
 
     /// Run the simulation under an injected [`FaultPlan`], surfacing
     /// rank panics and deadlocks as typed [`SimError`]s instead of
-    /// panicking. On error the engine has already drained the worker
-    /// pool — every live rank continuation was force-unwound and every
-    /// worker joined — so the call returns cleanly with no leaked
-    /// threads or stacks.
+    /// panicking. On error the engine has already force-unwound every
+    /// live rank continuation and its thread has been joined, so the
+    /// call returns cleanly with no leaked threads or stacks.
     pub fn try_run_faulty<R, F>(
         self,
         plan: FaultPlan,
@@ -503,7 +456,6 @@ impl Sim {
         F: Fn(RankCtx) -> R + Sync,
     {
         let n = self.nranks;
-        let pool = self.pool.min(n);
         let inner = &self.inner;
         // Seed: every rank wakes at t = 0, and faults arm.
         {
@@ -522,271 +474,236 @@ impl Sim {
                 }
             }
         }
-        let outputs: Vec<Mutex<Option<R>>> = (0..n).map(|_| Mutex::new(None)).collect();
-        let panics: Vec<Mutex<Option<String>>> = (0..n).map(|_| Mutex::new(None)).collect();
         let tracer = inner.tracer.lock().clone();
-        let body = &body;
-        let outputs_ref = &outputs;
-        let panics_ref = &panics;
-        let tracer_ref = &tracer;
 
-        let mut killed: Vec<usize> = Vec::new();
-        let mut error: Option<SimError> = None;
-
-        // One command channel per worker (ranks pin to worker
-        // `rank % pool`), one shared reply channel. The scheduler
-        // round-trips a single command at a time, so replies are never
-        // interleaved.
-        let (reply_tx, reply_rx) = unbounded::<Reply>();
-        let mut cmd_txs: Vec<Sender<Cmd>> = Vec::with_capacity(pool);
-        let mut cmd_rxs: Vec<Receiver<Cmd>> = Vec::with_capacity(pool);
-        for _ in 0..pool {
-            let (tx, rx) = unbounded::<Cmd>();
-            cmd_txs.push(tx);
-            cmd_rxs.push(rx);
-        }
-
-        std::thread::scope(|scope| {
-            for (w, cmd_rx) in cmd_rxs.into_iter().enumerate() {
-                let reply_tx = reply_tx.clone();
-                let inner = Arc::clone(inner);
-                scope.spawn(move || {
-                    // Build this worker's rank continuations. A fiber is
-                    // only ever resumed from the thread that built it,
-                    // so thread-local state observed by rank code stays
-                    // consistent across resumptions.
-                    let mut lanes: HashMap<usize, (Fiber<'_>, Option<tracelog::RankHandle>)> =
-                        HashMap::new();
-                    for rank in (w..n).step_by(pool) {
-                        let ctx_inner = Arc::clone(&inner);
-                        let entry = move |_first: usize| -> usize {
-                            let ctx = RankCtx {
-                                inner: ctx_inner,
-                                rank,
-                                nranks: n,
-                            };
-                            let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
-                            match result {
-                                Ok(out) => {
-                                    *outputs_ref[rank].lock() = Some(out);
-                                    DONE_FINISHED
-                                }
-                                Err(payload) if payload.is::<fiber::ForcedUnwind>() => DONE_UNWOUND,
-                                Err(payload) => {
-                                    // `&*payload`: downcast the payload
-                                    // itself, not the Box.
-                                    *panics_ref[rank].lock() = Some(panic_message(&*payload));
-                                    DONE_PANICKED
-                                }
-                            }
-                        };
-                        let fib = Fiber::new(RANK_STACK_BYTES, entry);
-                        // The rank's tracer handle, swapped into the
-                        // thread-local slot per *resumption* (the clock
-                        // closure reads the engine clock, which is safe
-                        // from rank code because the state lock is never
-                        // held across a yield).
-                        let handle = tracer_ref.clone().map(|tr| {
-                            let clock_src = Arc::clone(&inner);
-                            tracelog::rank_handle(tr, rank, move || clock_src.state.lock().clock)
-                        });
-                        lanes.insert(rank, (fib, handle));
-                    }
-                    while let Ok(cmd) = cmd_rx.recv() {
-                        match cmd {
-                            Cmd::Resume(rank) => {
-                                let (fib, handle) =
-                                    lanes.get_mut(&rank).expect("rank pinned to this worker");
-                                if let Some(h) = handle.as_mut() {
-                                    h.swap();
-                                }
-                                let code = fib.resume(0);
-                                if let Some(h) = handle.as_mut() {
-                                    h.swap();
-                                }
-                                let _ = reply_tx.send(Reply::Yielded(code));
-                            }
-                            Cmd::Unwind(rank) => {
-                                let (fib, handle) =
-                                    lanes.get_mut(&rank).expect("rank pinned to this worker");
-                                // Swap the tracer in for the unwind too:
-                                // destructors close open spans, and those
-                                // events must land on the rank's buffer
-                                // at the (deterministic) current clock.
-                                if let Some(h) = handle.as_mut() {
-                                    h.swap();
-                                }
-                                let res = fib.unwind();
-                                if let Some(h) = handle.as_mut() {
-                                    h.swap();
-                                }
-                                let _ = reply_tx.send(Reply::Unwound(res));
-                            }
-                            Cmd::Exit => break,
-                        }
-                    }
-                });
-            }
-
-            // ---- scheduler (runs on the calling thread) ----
-            let roundtrip = |cmd: Cmd| -> Reply {
-                let worker = match &cmd {
-                    Cmd::Resume(r) | Cmd::Unwind(r) => r % pool,
-                    Cmd::Exit => unreachable!("Exit is broadcast, not round-tripped"),
-                };
-                cmd_txs[worker].send(cmd).expect("pool worker alive");
-                reply_rx.recv().expect("pool worker alive")
-            };
-            // Whether each rank's continuation still holds a live stack
-            // (running bodies and not-yet-started entries both count).
-            let mut alive = vec![true; n];
-            let mut finished = 0usize;
-
-            while finished < n && error.is_none() {
-                enum Next {
-                    Resume(usize, u64),
-                    Kill(usize, u64),
-                    Service(Callback),
-                    Deadlock(SimTime, Vec<usize>),
-                }
-                let next = {
-                    let mut st = inner.state.lock();
-                    loop {
-                        match st.heap.pop() {
-                            Some(std::cmp::Reverse((time, gen))) => {
-                                if let Some(rank) = st.kill_target.remove(&gen) {
-                                    if st.status[rank] == Status::Finished {
-                                        continue; // already finished or dead
-                                    }
-                                    st.stats.events += 1;
-                                    st.clock = st.clock.max(time);
-                                    st.mark_dead(rank);
-                                    break Next::Kill(rank, st.clock);
-                                }
-                                if let Some(rank) = st.wake_target.remove(&gen) {
-                                    if st.status[rank] == Status::Finished {
-                                        continue; // stale wake for a finished rank
-                                    }
-                                    st.stats.events += 1;
-                                    st.clock = st.clock.max(time);
-                                    st.status[rank] = Status::Running;
-                                    break Next::Resume(rank, st.clock);
-                                }
-                                if let Some(cb) = st.callback_target.remove(&gen) {
-                                    st.stats.events += 1;
-                                    st.clock = st.clock.max(time);
-                                    break Next::Service(cb);
-                                }
-                                // canceled wake
-                            }
-                            None => {
-                                let blocked: Vec<usize> = st
-                                    .status
-                                    .iter()
-                                    .enumerate()
-                                    .filter(|(_, s)| **s != Status::Finished)
-                                    .map(|(r, _)| r)
-                                    .collect();
-                                break Next::Deadlock(SimTime(st.clock), blocked);
-                            }
-                        }
-                    }
-                };
-                match next {
-                    Next::Resume(r, t) => {
-                        inner.trace_engine(r, t, "wake");
-                        match roundtrip(Cmd::Resume(r)) {
-                            Reply::Yielded(YIELD_BLOCKED) => {
-                                let t = {
-                                    let mut st = inner.state.lock();
-                                    st.status[r] = Status::Blocked;
-                                    st.clock
-                                };
-                                inner.trace_engine(r, t, "block");
-                            }
-                            Reply::Yielded(DONE_FINISHED) => {
-                                alive[r] = false;
-                                let t = {
-                                    let mut st = inner.state.lock();
-                                    st.status[r] = Status::Finished;
-                                    finished += 1;
-                                    st.clock
-                                };
-                                inner.trace_engine(r, t, "finish");
-                            }
-                            Reply::Yielded(DONE_PANICKED) => {
-                                alive[r] = false;
-                                let message = panics_ref[r].lock().take().unwrap_or_default();
-                                error = Some(SimError::RankPanic { rank: r, message });
-                            }
-                            _ => unreachable!("impossible resume reply"),
-                        }
-                    }
-                    Next::Kill(r, t) => {
-                        inner.trace_engine(r, t, "kill");
-                        // Unwind the continuation *now*: destructors (and
-                        // their trace events) run synchronously at the
-                        // kill time, and the rank never reports an
-                        // output (any stored one is discarded below).
-                        if alive[r] {
-                            if let Reply::Unwound(Some(DONE_PANICKED)) = roundtrip(Cmd::Unwind(r)) {
-                                let message = panics_ref[r].lock().take().unwrap_or_default();
-                                error = Some(SimError::RankPanic { rank: r, message });
-                            }
-                            alive[r] = false;
-                        }
-                        killed.push(r);
-                        finished += 1;
-                    }
-                    Next::Service(cb) => {
-                        // Run the service action on the scheduler thread
-                        // while every rank is parked; the callback may
-                        // schedule wakes, further callbacks, or posts.
-                        cb();
-                    }
-                    Next::Deadlock(at, blocked) => {
-                        error = Some(SimError::Deadlock { at, blocked });
-                    }
-                }
-            }
-
-            // Drain: force-unwind every remaining live continuation (in
-            // rank order, for deterministic teardown traces) so workers
-            // never join on a suspended stack. After a clean run this
-            // loop finds nothing.
-            for (r, live) in alive.iter_mut().enumerate() {
-                if *live {
-                    if let Reply::Unwound(Some(DONE_PANICKED)) = roundtrip(Cmd::Unwind(r)) {
-                        if error.is_none() {
-                            let message = panics_ref[r].lock().take().unwrap_or_default();
-                            error = Some(SimError::RankPanic { rank: r, message });
-                        }
-                    }
-                    *live = false;
-                }
-            }
-            for tx in &cmd_txs {
-                let _ = tx.send(Cmd::Exit);
-            }
-        });
-
-        if let Some(e) = error {
-            return Err(e);
-        }
-
-        killed.sort_unstable();
+        // The engine thread. It is a spawned thread, not the caller's,
+        // for two reasons: rank bodies then allocate from that thread's
+        // own malloc arena rather than the caller's (on glibc the main
+        // thread's brk-backed arena, measurably slower for this
+        // allocation pattern), and the thread-locals rank code sees (the
+        // tracer slot, the current-fiber pointer) belong to a thread
+        // nothing else runs on. A panic on it (a service callback's, or
+        // an engine assertion) is re-raised on the caller after the
+        // join, with its payload.
+        let (outputs, killed) = std::thread::scope(|scope| {
+            scope
+                .spawn(|| run_engine(inner, n, tracer.as_ref(), &body))
+                .join()
+        })
+        .unwrap_or_else(|payload| std::panic::resume_unwind(payload))?;
         let st = inner.state.lock();
-        let mut outs: Vec<Option<R>> = outputs.iter().map(|m| m.lock().take()).collect();
-        for &r in &killed {
-            outs[r] = None;
-        }
         Ok(FaultySimOutcome {
-            outputs: outs,
+            outputs,
             elapsed: SimTime(st.clock),
             stats: st.stats,
             killed,
         })
     }
+}
+
+/// One rank's continuation and its tracer handle.
+type Lane<'a> = (Fiber<'a>, Option<tracelog::RankHandle>);
+
+/// Call `f` on `lane`'s fiber with the rank's tracer handle swapped
+/// into the thread-local slot — per *resumption*, and for a forced
+/// unwind too: destructors close open spans, and those events must land
+/// on the rank's buffer at the (deterministic) current clock.
+fn enter<'a, T>(lane: &mut Lane<'a>, f: impl FnOnce(&mut Fiber<'a>) -> T) -> T {
+    let (fib, handle) = lane;
+    if let Some(h) = handle.as_mut() {
+        h.swap();
+    }
+    let out = f(fib);
+    if let Some(h) = handle.as_mut() {
+        h.swap();
+    }
+    out
+}
+
+/// The body of a run's engine thread: build every rank continuation,
+/// dispatch events until all ranks finish or the run fails, then drain.
+/// Returns the per-rank outputs (`None` for killed ranks) and the ranks
+/// killed, ascending.
+fn run_engine<R, F>(
+    inner: &Arc<Inner>,
+    n: usize,
+    tracer: Option<&tracelog::Tracer>,
+    body: &F,
+) -> Result<(Vec<Option<R>>, Vec<usize>), SimError>
+where
+    F: Fn(RankCtx) -> R,
+{
+    let outputs: Vec<RefCell<Option<R>>> = (0..n).map(|_| RefCell::new(None)).collect();
+    let outputs = &outputs;
+    // The message of a rank-body panic, from the fiber that caught it to
+    // the scheduler loop, which takes it as soon as that fiber returns.
+    let panic_text = RefCell::new(None::<String>);
+    let panic_text = &panic_text;
+    // Every fiber is built on, and only ever resumed from, this thread,
+    // so thread-local state observed by rank code stays consistent
+    // across resumptions.
+    let mut lanes: Vec<Lane<'_>> = (0..n)
+        .map(|rank| {
+            let ctx_inner = Arc::clone(inner);
+            let entry = move |_first: usize| -> usize {
+                let ctx = RankCtx {
+                    inner: ctx_inner,
+                    rank,
+                    nranks: n,
+                };
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| body(ctx)));
+                match result {
+                    Ok(out) => {
+                        *outputs[rank].borrow_mut() = Some(out);
+                        DONE_FINISHED
+                    }
+                    Err(payload) if payload.is::<fiber::ForcedUnwind>() => DONE_UNWOUND,
+                    Err(payload) => {
+                        // `&*payload`: downcast the payload itself, not
+                        // the Box.
+                        *panic_text.borrow_mut() = Some(panic_message(&*payload));
+                        DONE_PANICKED
+                    }
+                }
+            };
+            let fib = Fiber::new(RANK_STACK_BYTES, entry);
+            // The clock closure reads the engine clock, which is safe
+            // from rank code because the state lock is never held
+            // across a yield.
+            let handle = tracer.cloned().map(|tr| {
+                let clock_src = Arc::clone(inner);
+                tracelog::rank_handle(tr, rank, move || clock_src.state.lock().clock)
+            });
+            (fib, handle)
+        })
+        .collect();
+
+    let take_panic = |rank: usize| SimError::RankPanic {
+        rank,
+        message: panic_text.take().unwrap_or_default(),
+    };
+    let mut killed: Vec<usize> = Vec::new();
+    let mut error: Option<SimError> = None;
+    let mut finished = 0usize;
+
+    while finished < n && error.is_none() {
+        enum Next {
+            Resume(usize, u64),
+            Kill(usize, u64),
+            Service(Callback),
+            Deadlock(SimTime, Vec<usize>),
+        }
+        let next = {
+            let mut st = inner.state.lock();
+            loop {
+                match st.heap.pop() {
+                    Some(std::cmp::Reverse((time, gen))) => {
+                        if let Some(rank) = st.kill_target.remove(&gen) {
+                            if st.status[rank] == Status::Finished {
+                                continue; // already finished or dead
+                            }
+                            st.stats.events += 1;
+                            st.clock = st.clock.max(time);
+                            st.mark_dead(rank);
+                            break Next::Kill(rank, st.clock);
+                        }
+                        if let Some(rank) = st.wake_target.remove(&gen) {
+                            if st.status[rank] == Status::Finished {
+                                continue; // stale wake for a finished rank
+                            }
+                            st.stats.events += 1;
+                            st.clock = st.clock.max(time);
+                            st.status[rank] = Status::Running;
+                            break Next::Resume(rank, st.clock);
+                        }
+                        if let Some(cb) = st.callback_target.remove(&gen) {
+                            st.stats.events += 1;
+                            st.clock = st.clock.max(time);
+                            break Next::Service(cb);
+                        }
+                        // canceled wake
+                    }
+                    None => {
+                        let blocked: Vec<usize> = st
+                            .status
+                            .iter()
+                            .enumerate()
+                            .filter(|(_, s)| **s != Status::Finished)
+                            .map(|(r, _)| r)
+                            .collect();
+                        break Next::Deadlock(SimTime(st.clock), blocked);
+                    }
+                }
+            }
+        };
+        match next {
+            Next::Resume(r, t) => {
+                trace_engine(tracer, r, t, "wake");
+                match enter(&mut lanes[r], |fib| fib.resume(0)) {
+                    YIELD_BLOCKED => {
+                        let t = {
+                            let mut st = inner.state.lock();
+                            st.status[r] = Status::Blocked;
+                            st.clock
+                        };
+                        trace_engine(tracer, r, t, "block");
+                    }
+                    DONE_FINISHED => {
+                        let t = {
+                            let mut st = inner.state.lock();
+                            st.status[r] = Status::Finished;
+                            finished += 1;
+                            st.clock
+                        };
+                        trace_engine(tracer, r, t, "finish");
+                    }
+                    DONE_PANICKED => error = Some(take_panic(r)),
+                    code => unreachable!("impossible resume code {code}"),
+                }
+            }
+            Next::Kill(r, t) => {
+                trace_engine(tracer, r, t, "kill");
+                // Unwind the continuation *now*: destructors (and their
+                // trace events) run synchronously at the kill time, and
+                // the rank never reports an output.
+                if enter(&mut lanes[r], Fiber::unwind) == Some(DONE_PANICKED) {
+                    error = Some(take_panic(r));
+                }
+                killed.push(r);
+                finished += 1;
+            }
+            Next::Service(cb) => {
+                // Run the service action here, between resumptions,
+                // while every rank is parked; the callback may schedule
+                // wakes, further callbacks, or posts.
+                cb();
+            }
+            Next::Deadlock(at, blocked) => {
+                error = Some(SimError::Deadlock { at, blocked });
+            }
+        }
+    }
+
+    // Drain: force-unwind every continuation that still holds a live
+    // stack (in rank order, for deterministic teardown traces) so no
+    // suspended stack outlives the run. After a clean run this loop
+    // finds nothing.
+    for (r, lane) in lanes.iter_mut().enumerate() {
+        if !lane.0.is_done() && enter(lane, Fiber::unwind) == Some(DONE_PANICKED) && error.is_none()
+        {
+            error = Some(take_panic(r));
+        }
+    }
+    drop(lanes);
+    if let Some(e) = error {
+        return Err(e);
+    }
+    killed.sort_unstable();
+    let mut outs: Vec<Option<R>> = outputs.iter().map(RefCell::take).collect();
+    for &r in &killed {
+        outs[r] = None;
+    }
+    Ok((outs, killed))
 }
 
 fn panic_message(payload: &(dyn std::any::Any + Send)) -> String {
@@ -818,10 +735,10 @@ impl SimHandle {
         st.schedule(rank, t)
     }
 
-    /// Schedule `cb` to run on the scheduler thread at `time` (clamped to
+    /// Schedule `cb` to run on the engine thread at `time` (clamped to
     /// now). Callbacks are heap events like wakes, so deadlock detection
     /// stays sound: a run with a pending callback is never "stuck". The
-    /// callback runs with no engine lock held while every rank thread is
+    /// callback runs with no engine lock held while every rank is
     /// parked, and may itself schedule wakes, callbacks, or posts — this
     /// is how a service models an in-flight operation that completes
     /// while its owner rank keeps computing.
@@ -915,7 +832,7 @@ impl RankCtx {
     /// registered waiter), or the run will deadlock-panic.
     ///
     /// This is *the* engine yield point: it suspends the rank's
-    /// continuation, handing the OS thread back to the worker pool. If
+    /// continuation, handing the engine thread back to the scheduler. If
     /// the engine is tearing the rank down (kill, panic drain), the
     /// suspension resumes by unwinding ([`fiber::ForcedUnwind`]) so
     /// destructors on the rank stack run at the teardown time.
@@ -1506,8 +1423,8 @@ mod tests {
     #[test]
     fn kill_tears_down_compute_slots() {
         // A rank killed while charging slot-parallel compute yields no
-        // output: the slices already ran on the rank thread, and the
-        // trailing charge unwinds through the shutdown gate.
+        // output: the slices already ran on the rank's fiber, and the
+        // trailing charge unwinds through the forced teardown.
         let sim = Sim::new(2);
         let plan = FaultPlan::none().kill_at(1, SimTime(5_000));
         let out = sim.run_faulty(plan, |ctx| {
@@ -1672,62 +1589,11 @@ mod tests {
         assert!(b.killed.is_empty());
     }
 
-    /// An exchange-heavy body whose outputs, clocks, and stats all depend
-    /// on deterministic scheduling — any pool-width leak shows up here.
-    fn pool_probe_body(ctx: RankCtx) -> (u64, u64) {
-        let me = ctx.rank();
-        ctx.charge(SimDuration::from_micros((me * 31 % 7) as u64 + 1));
-        for dst in 0..ctx.nranks() {
-            if dst != me {
-                ctx.post(
-                    dst,
-                    1,
-                    Bytes::from(vec![me as u8]),
-                    SimDuration::from_micros(3 + (me + dst) as u64 % 5),
-                );
-            }
-        }
-        let mut sum = 0u64;
-        for _ in 0..ctx.nranks() - 1 {
-            let m = ctx.recv(None, Some(1));
-            sum = sum.wrapping_mul(31).wrapping_add(m.payload[0] as u64);
-        }
-        (sum, ctx.now().0)
-    }
-
-    #[test]
-    fn pool_width_is_invisible_to_outputs_and_traces() {
-        // nproc may be 1 in CI, so exercise explicit widths, including
-        // one wider than the rank count.
-        let run = |pool: usize| {
-            let sim = Sim::with_pool(9, pool);
-            let tracer = tracelog::Tracer::new(9);
-            sim.set_tracer(tracer.clone());
-            let out = sim.run(pool_probe_body);
-            let trace = tracer.finish(out.elapsed.0);
-            let events: Vec<String> = trace.events.iter().map(|e| format!("{e:?}")).collect();
-            (out.outputs, out.elapsed, out.stats, events)
-        };
-        let base = run(1);
-        for pool in [2, 3, 16] {
-            assert_eq!(run(pool), base, "pool={pool} diverged from pool=1");
-        }
-    }
-
-    #[test]
-    fn pool_threads_clamps_to_rank_count() {
-        assert_eq!(Sim::with_pool(4, 16).pool_threads(), 4);
-        assert_eq!(Sim::with_pool(32, 8).pool_threads(), 8);
-        assert_eq!(Sim::with_pool(4, 0).pool_threads(), 1, "zero is promoted");
-        let d = default_pool_threads();
-        assert!((1..=16).contains(&d));
-    }
-
     #[test]
     fn try_run_faulty_surfaces_rank_panic_as_typed_error() {
         // Every other rank is parked in a receive that will never
         // complete; the panic must drain them all and return, not hang.
-        let err = Sim::with_pool(8, 2)
+        let err = Sim::new(8)
             .try_run_faulty(FaultPlan::none(), |ctx| {
                 if ctx.rank() == 3 {
                     ctx.charge(SimDuration::from_micros(5));
@@ -1748,7 +1614,7 @@ mod tests {
 
     #[test]
     fn try_run_faulty_surfaces_deadlock_as_typed_error() {
-        let err = Sim::with_pool(3, 2)
+        let err = Sim::new(3)
             .try_run_faulty(FaultPlan::none(), |ctx| {
                 ctx.charge(SimDuration::from_micros(ctx.rank() as u64));
                 if ctx.rank() != 0 {
@@ -1766,7 +1632,7 @@ mod tests {
     }
 
     #[test]
-    fn rank_panic_drains_pool_and_runs_peer_destructors() {
+    fn rank_panic_drains_and_runs_peer_destructors() {
         // Peers hold guard values whose destructors record the unwind; a
         // leaked (never-unwound) fiber would leave its flag unset.
         struct DropFlag(Arc<Mutex<Vec<usize>>>, usize);
@@ -1777,7 +1643,7 @@ mod tests {
         }
         let dropped = Arc::new(Mutex::new(Vec::new()));
         let seen = Arc::clone(&dropped);
-        let err = Sim::with_pool(5, 2)
+        let err = Sim::new(5)
             .try_run_faulty(FaultPlan::none(), move |ctx| {
                 let _guard = DropFlag(Arc::clone(&seen), ctx.rank());
                 if ctx.rank() == 2 {
@@ -1799,7 +1665,7 @@ mod tests {
     fn panic_in_killed_rank_window_still_reports_other_ranks() {
         // A kill and a panic in one run: the kill tears down rank 1, the
         // panic on rank 2 ends the run, and rank 0's fiber still drains.
-        let err = Sim::with_pool(3, 2)
+        let err = Sim::new(3)
             .try_run_faulty(
                 FaultPlan::none().kill_at(1, SimTime(1_000)),
                 |ctx| match ctx.rank() {
@@ -1833,10 +1699,8 @@ mod tests {
             ctx.charge(SimDuration::from_micros(ctx.rank() as u64 + 1));
             ctx.now()
         };
-        let a = Sim::with_pool(4, 1)
-            .try_run_faulty(plan(), body)
-            .expect("no error");
-        let b = Sim::with_pool(4, 3).run_faulty(plan(), body);
+        let a = Sim::new(4).try_run_faulty(plan(), body).expect("no error");
+        let b = Sim::new(4).run_faulty(plan(), body);
         assert_eq!(a.outputs, b.outputs);
         assert_eq!(a.killed, b.killed);
         assert_eq!(a.elapsed, b.elapsed);

@@ -1,5 +1,4 @@
-//! Stackful fibers: the resumable continuations behind pooled rank
-//! execution.
+//! Stackful fibers: the resumable continuations behind rank execution.
 //!
 //! A [`Fiber`] owns a private call stack. [`Fiber::resume`] switches the
 //! current OS thread onto that stack and runs the fiber's entry function
@@ -25,14 +24,14 @@
 //!   fiber with a reserved argument that makes `suspend` raise
 //!   [`ForcedUnwind`], so destructors on the fiber stack run
 //!   *synchronously in the caller* — the engine uses this to tear down
-//!   killed ranks at their kill time and to drain the pool on a panic
+//!   killed ranks at their kill time and to drain the run on a panic
 //!   or deadlock. Dropping a suspended fiber force-unwinds it the same
 //!   way.
 //! - **Thread affinity.** A fiber must always be resumed from the same
-//!   OS thread (the engine pins rank `r` to pool worker `r % pool`):
-//!   code running inside the fiber may cache thread-locals of the
-//!   resuming thread, and migrating a live stack between threads would
-//!   invalidate them.
+//!   OS thread (the engine builds and resumes every rank on its one
+//!   engine thread): code running inside the fiber may cache
+//!   thread-locals of the resuming thread, and migrating a live stack
+//!   between threads would invalidate them.
 
 use std::alloc::{alloc, dealloc, Layout};
 use std::cell::Cell;
@@ -165,7 +164,7 @@ pio_fiber_boot:
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
 compile_error!(
-    "simcluster's pooled engine needs a fiber context switch for this \
+    "simcluster's engine needs a fiber context switch for this \
      architecture; x86_64 and aarch64 are provided in fiber.rs"
 );
 

@@ -5,9 +5,9 @@
 //! ran on.
 //!
 //! Every simulated MPI rank is a resumable continuation (a stackful
-//! [`fiber`]) executed by a small worker pool and coscheduled by the
-//! [`engine`] so exactly one rank runs at a time against a shared
-//! virtual clock — 512-rank runs need `pool + 1` OS threads, not 512.
+//! [`fiber`]); the [`engine`] runs them all on one thread per run, so
+//! exactly one rank runs at a time against a shared virtual clock and a
+//! 512-rank run needs one OS thread beyond its caller, not 512.
 //! Communication and I/O charge *modeled* time; computation can charge
 //! either modeled time ([`engine::RankCtx::charge`]) or the *measured*
 //! wall time of real code ([`engine::RankCtx::run_measured`]), which is
@@ -29,8 +29,8 @@ pub mod time;
 
 pub use device::{DeviceModel, DeviceTimeline};
 pub use engine::{
-    default_pool_threads, FaultPlan, FaultSpec, FaultTrigger, FaultySimOutcome, Message, RankCtx,
-    Sim, SimError, SimHandle, SimOutcome, WakeId,
+    FaultPlan, FaultSpec, FaultTrigger, FaultySimOutcome, Message, RankCtx, Sim, SimError,
+    SimHandle, SimOutcome, WakeId,
 };
 pub use metrics::PhaseTimes;
 pub use time::{SimDuration, SimTime};

@@ -16,10 +16,10 @@
 //! * **rank rows** only when both runs have the same rank count, so a
 //!   lane that diverged on one straggler is named precisely.
 //!
-//! Two byte-identical exports — the engine's pool-size invariance
-//! contract — produce an empty diff. The parser reuses the
-//! [`crate::check`] line readers and the same tolerance: one event
-//! object per line, fixed field order.
+//! Two byte-identical exports — what the deterministic engine gives
+//! for two runs of the same job — produce an empty diff. The parser
+//! reuses the [`crate::check`] line readers and the same tolerance: one
+//! event object per line, fixed field order.
 
 use std::collections::BTreeMap;
 

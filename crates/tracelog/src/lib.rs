@@ -4,7 +4,7 @@
 //! stamped with the discrete-event simulator's virtual clock.
 //!
 //! Simulated ranks run as resumable continuations on `simcluster`'s
-//! worker pool, so the plane hangs off a thread-local slot that the
+//! engine thread, so the plane hangs off a thread-local slot that the
 //! engine fills per *resumption*: each rank's [`RankHandle`] (rank id +
 //! virtual-clock closure) is swapped in before the rank runs and back
 //! out when it yields. Instrumented code anywhere in the stack calls

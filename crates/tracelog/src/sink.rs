@@ -1,12 +1,12 @@
 //! The trace sink: per-rank ring buffers behind a cloneable handle,
 //! plus the thread-local recording API instrumented code calls.
 //!
-//! `simcluster` executes ranks as resumable continuations on a small
-//! worker pool, coscheduled so exactly one runs at a time. The engine
-//! keeps one [`RankHandle`] per rank (rank id + virtual-clock closure)
-//! and swaps it into the worker's thread-local slot around every
-//! resumption, so the recording context follows the rank across
-//! threads; plain thread-per-task hosts can use [`install`] instead.
+//! `simcluster` executes every rank of a run as a resumable
+//! continuation on one engine thread, exactly one running at a time.
+//! The engine keeps one [`RankHandle`] per rank (rank id + virtual-clock
+//! closure) and swaps it into that thread's thread-local slot around
+//! every resumption, so the recording context follows the rank, not
+//! the thread; plain thread-per-task hosts can use [`install`] instead.
 //! The free functions here ([`span`], [`instant`], [`counter`],
 //! [`phase`]) look the slot up and record into the rank's buffer. When
 //! nothing is installed they are no-ops, so instrumentation can live
@@ -170,7 +170,7 @@ pub struct InstallGuard {
 }
 
 /// A detached per-rank tracer installation for engines that execute
-/// ranks as resumable continuations on a worker pool: the handle is
+/// many ranks as resumable continuations on one thread: the handle is
 /// built once per rank (boxing the clock closure exactly once) and then
 /// [`RankHandle::swap`]ped into the thread-local slot before each
 /// resumption and back out after the rank yields — so the recording
@@ -197,7 +197,7 @@ impl RankHandle {
     /// Exchange this handle's installation with the current thread's
     /// slot. Calling it twice (around a resumption) restores whatever
     /// was installed before — swaps therefore nest correctly even if a
-    /// pool worker briefly resumes nested continuations.
+    /// resumed continuation briefly resumes another.
     pub fn swap(&mut self) {
         CURRENT.with(|c| std::mem::swap(&mut *c.borrow_mut(), &mut self.slot));
     }

@@ -28,10 +28,11 @@ cargo test --release -q --test hybrid
 # to its one-shot run across affinity x io-async x threads x Recover
 # kills, and the resident store actually hits.
 cargo test --release -q --test service
-# Pooled rank execution: pool width must be invisible (byte-identical
-# reports, traces, clocks, stats across pool 1/2/ncpus), and a rank-body
-# panic must drain the pool into a typed error, never a deadlock.
-cargo test --release -q --test pool
+# The engine thread: rank bodies, service callbacks and teardown all
+# run on one spawned thread per run (one OS thread at 16 and at 512
+# ranks), Sim::with_pool is an inert alias, and a rank-body panic or a
+# deadlock drains every fiber into a typed error, never a hang.
+cargo test --release -q --test engine
 # Burst-buffer staging tier: bounded staging capacity must degrade to
 # direct writes byte-identically across stripe counts x io-async x
 # threads x batched epochs, and a worker killed with staged-but-
@@ -88,8 +89,8 @@ for b in $(seq 0 $((nq - 1))); do
     --out "$tracetmp/ref$b.txt"
   cmp "$tracetmp/svc.txt.q$b" "$tracetmp/ref$b.txt"
 done
-# Pooled-engine smoke at scale: 128 ranks run as fibers on the default
-# worker pool. The trace must validate, and the report must be
+# Engine smoke at scale: 128 ranks run as fibers on the run's one
+# engine thread. The trace must validate, and the report must be
 # byte-identical to a 16-rank run over the same 15 fragments — rank
 # count is a simulation parameter, not an OS resource.
 "$cli" run --program pio --procs 128 --frags 15 \
@@ -126,3 +127,12 @@ for t in trace trace-async trace-hybrid trace-serve trace-128 trace-burst; do
   "$cli" trace-diff --in "$tracetmp/$t.json" \
     --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
 done
+
+# The frozen benchmark harness (benchmark/, BENCHMARK.json) builds what
+# it measures from this checkout: it must compile against the change,
+# pass its own correctness checks (every report equal to the serial
+# oracle, traced = untraced, input fingerprints), and neither it nor its
+# lock file may have been rewritten.
+cargo build --release --offline --manifest-path benchmark/Cargo.toml
+cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+git diff --exit-code -- benchmark/ BENCHMARK.json
