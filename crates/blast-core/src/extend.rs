@@ -136,16 +136,27 @@ pub struct ExtendScratch {
     // Reversed prefixes for the leftward half-extension.
     q_rev: Vec<u8>,
     s_rev: Vec<u8>,
-    // Banded-Gotoh DP matrices (traceback path).
-    dp_m: Vec<i32>,
-    dp_e: Vec<i32>,
-    dp_f: Vec<i32>,
+    // Banded-Gotoh traceback: two rolling `[m, e, f]` score rows and one
+    // direction byte per in-band cell.
+    tb_prev: Vec<[i32; 3]>,
+    tb_cur: Vec<[i32; 3]>,
+    tb_dirs: Vec<u8>,
 }
 
 impl ExtendScratch {
     /// Fresh, empty scratch. Buffers grow on first use.
     pub fn new() -> ExtendScratch {
         ExtendScratch::default()
+    }
+
+    /// Heap bytes the buffers have grown to (their high-water mark).
+    pub fn heap_bytes(&self) -> usize {
+        use std::mem::size_of;
+        (self.prev.capacity() + self.cur.capacity()) * size_of::<[i32; 2]>()
+            + self.q_rev.capacity()
+            + self.s_rev.capacity()
+            + (self.tb_prev.capacity() + self.tb_cur.capacity()) * size_of::<[i32; 3]>()
+            + self.tb_dirs.capacity()
     }
 }
 
@@ -462,6 +473,17 @@ pub fn banded_global(
 
 /// [`banded_global`] with caller-owned DP buffers: formatting loops call
 /// this once per HSP and reuse one [`ExtendScratch`] across the batch.
+///
+/// Only the band is stored. Scores live in two rolling rows; what the
+/// traceback needs from each in-band cell — which state its diagonal
+/// predecessor was in, and whether its `E`/`F` value opened or extended
+/// a gap — is decided while the row is filled and kept as one direction
+/// byte at `row * width + (column - lo(row))`. Every decision is the
+/// comparison a traceback over full `M`/`E`/`F` matrices would make at
+/// that cell (ties prefer `M`, then `E`, then `F`), and a read outside
+/// a row's band sees `NEG` exactly as an unwritten matrix cell would, so
+/// scores and edit scripts are those of the dense formulation (kept as
+/// the reference in `tests/traceback.rs`).
 pub fn banded_global_into(
     matrix: &ScoreMatrix,
     gaps: GapPenalties,
@@ -471,76 +493,112 @@ pub fn banded_global_into(
     scratch: &mut ExtendScratch,
 ) -> Alignment {
     const NEG: i32 = i32::MIN / 4;
+    // One DP cell: `[m, e, f]` = best score ending in a residue pair, a
+    // gap in the query (horizontal), a gap in the subject (vertical).
+    const DEAD: [i32; 3] = [NEG; 3];
+    // Direction byte: bits 0-1 hold the state (`M`/`E`/`F`) the cell's
+    // `m` came from, `E_OPEN`/`F_OPEN` say its `e`/`f` opened its gap.
+    const M: u8 = 0;
+    const E: u8 = 1;
+    const F: u8 = 2;
+    const E_OPEN: u8 = 4;
+    const F_OPEN: u8 = 8;
+
     let n = query.len();
     let m = subject.len();
     assert!(n > 0 && m > 0, "banded_global needs non-empty ranges");
 
-    // Band half-width: diagonal drift plus padding.
-    let drift = n.abs_diff(m);
-    let half = drift + band_pad.max(1);
-
-    // For row i (0..=n), alive columns are j in [lo(i), hi(i)].
-    let lo = |i: usize| -> usize {
-        let center = i * m / n.max(1);
-        center.saturating_sub(half)
+    // Band half-width: diagonal drift plus padding. Row i (0..=n) keeps
+    // columns `lo(i)..=hi(i)`; both ends are non-decreasing in `i`.
+    let half = n.abs_diff(m).saturating_add(band_pad.max(1));
+    let band = |i: usize| -> (usize, usize) {
+        let center = i * m / n;
+        (
+            center.saturating_sub(half),
+            center.saturating_add(half).min(m),
+        )
     };
-    let hi = |i: usize| -> usize { ((i * m / n.max(1)) + half).min(m) };
+    let width = half.saturating_mul(2).saturating_add(1).min(m + 1);
+    let extend = gaps.extend;
+    let open_ext = gaps.open + gaps.extend;
 
-    let width = m + 1;
-    let cells = (n + 1) * width;
-    let dp_m = &mut scratch.dp_m;
-    let dp_e = &mut scratch.dp_e; // gap in query (horizontal)
-    let dp_f = &mut scratch.dp_f; // gap in subject (vertical)
-    reset_row(dp_m, cells, NEG);
-    reset_row(dp_e, cells, NEG);
-    reset_row(dp_f, cells, NEG);
-    let at = |i: usize, j: usize| i * width + j;
+    let ExtendScratch {
+        tb_prev: prev,
+        tb_cur: cur,
+        tb_dirs: dirs,
+        ..
+    } = scratch;
+    // The rows are indexed by absolute column and start all-dead; the
+    // direction bytes need no reset because the fill below writes every
+    // in-band cell and the traceback never leaves the band.
+    reset_row(prev, m + 1, DEAD);
+    reset_row(cur, m + 1, DEAD);
+    if dirs.len() < (n + 1) * width {
+        dirs.resize((n + 1) * width, 0);
+    }
 
-    dp_m[at(0, 0)] = 0;
-    for j in 1..=hi(0) {
-        dp_e[at(0, j)] = -gaps.cost(j as i32);
+    // Row 0: a leading gap in the query, opened at column 1.
+    prev[0] = [0, NEG, NEG];
+    for j in 1..=band(0).1 {
+        dirs[j] = if j == 1 { E_OPEN } else { 0 };
+        prev[j] = [NEG, -gaps.cost(j as i32), NEG];
     }
     for i in 1..=n {
-        if lo(i) == 0 {
-            dp_f[at(i, 0)] = -gaps.cost(i as i32);
+        let (lo, hi) = band(i);
+        let dir_row = &mut dirs[i * width..(i + 1) * width];
+        if lo == 0 {
+            // Column 0: a leading gap in the subject, opened at row 1.
+            dir_row[0] = if i == 1 { F_OPEN } else { 0 };
+            cur[0] = [NEG, NEG, -gaps.cost(i as i32)];
+        } else {
+            // The cell left of the band is out of band for this row and
+            // for the next one's diagonal; this buffer last held row
+            // i-2, whose band may have covered it.
+            cur[lo - 1] = DEAD;
         }
-        let row = matrix.row(query[i - 1]);
-        for j in lo(i).max(1)..=hi(i) {
-            let sc = row[subject[j - 1] as usize];
-            let prev_best = dp_m[at(i - 1, j - 1)]
-                .max(dp_e[at(i - 1, j - 1)])
-                .max(dp_f[at(i - 1, j - 1)]);
-            if prev_best > NEG {
-                dp_m[at(i, j)] = prev_best + sc;
-            }
-            let up = dp_m[at(i - 1, j)].max(dp_f[at(i - 1, j)] + gaps.open);
-            if up > NEG {
-                dp_f[at(i, j)] = up - gaps.open - gaps.extend;
-            }
-            let left = dp_m[at(i, j - 1)].max(dp_e[at(i, j - 1)] + gaps.open);
-            if left > NEG {
-                dp_e[at(i, j)] = left - gaps.open - gaps.extend;
-            }
+        let first = lo.max(1);
+        let qc = query[i - 1];
+        let (mut diag, mut left) = (prev[first - 1], cur[first - 1]);
+        // Every cell is computed unconditionally. A value derived from a
+        // dead cell stays within `n * max|score|` of `NEG`, so it loses
+        // every `max` against a reachable score and never equals one: it
+        // cannot decide a cell the traceback visits. Ties: `M`, then `E`,
+        // then `F` for the diagonal; opening a gap over extending one.
+        let cells = cur[first..=hi]
+            .iter_mut()
+            .zip(&prev[first..=hi])
+            .zip(&subject[first - 1..hi])
+            .zip(&mut dir_row[first - lo..=hi - lo]);
+        for (((cell, &up), &sc), dir) in cells {
+            let from = diag[0].max(diag[1]).max(diag[2]);
+            let mv = from + matrix.score(qc, sc);
+            let m_from = u8::from(from != diag[0]) + u8::from(from != diag[0] && from != diag[1]);
+            let (f_opened, f_extended) = (up[0] - open_ext, up[2] - extend);
+            let fv = f_opened.max(f_extended);
+            let f_open = if f_opened >= f_extended { F_OPEN } else { 0 };
+            let (e_opened, e_extended) = (left[0] - open_ext, left[1] - extend);
+            let ev = e_opened.max(e_extended);
+            let e_open = if e_opened >= e_extended { E_OPEN } else { 0 };
+            *dir = m_from | e_open | f_open;
+            *cell = [mv, ev, fv];
+            diag = up;
+            left = *cell;
         }
+        std::mem::swap(prev, cur);
     }
 
     // Traceback from (n, m), choosing the best of the three states.
+    let [end_m, end_e, end_f] = prev[m];
+    let score = end_m.max(end_e).max(end_f);
+    let mut state = if score == end_m {
+        M
+    } else if score == end_e {
+        E
+    } else {
+        F
+    };
     let mut i = n;
     let mut j = m;
-    let score = dp_m[at(n, m)].max(dp_e[at(n, m)]).max(dp_f[at(n, m)]);
-    #[derive(Clone, Copy, PartialEq)]
-    enum St {
-        M,
-        E,
-        F,
-    }
-    let mut state = if score == dp_m[at(n, m)] {
-        St::M
-    } else if score == dp_e[at(n, m)] {
-        St::E
-    } else {
-        St::F
-    };
     let mut rev_ops: Vec<EditOp> = Vec::new();
     let push = |ops: &mut Vec<EditOp>, op: EditOp| {
         // Merge with the previous run when the kind matches.
@@ -552,38 +610,26 @@ pub fn banded_global_into(
         }
     };
     while i > 0 || j > 0 {
+        let dir = dirs[i * width + (j - band(i).0)];
         match state {
-            St::M => {
+            M => {
                 debug_assert!(i > 0 && j > 0);
-                let sc = matrix.score(query[i - 1], subject[j - 1]);
-                let target = dp_m[at(i, j)] - sc;
                 push(&mut rev_ops, EditOp::Aligned(1));
                 i -= 1;
                 j -= 1;
-                state = if target == dp_m[at(i, j)] {
-                    St::M
-                } else if target == dp_e[at(i, j)] {
-                    St::E
-                } else {
-                    St::F
-                };
+                state = dir & 3;
             }
-            St::E => {
+            E => {
                 debug_assert!(j > 0);
-                let target = dp_e[at(i, j)];
                 push(&mut rev_ops, EditOp::GapInQuery(1));
-                // Came from M (open) or E (extend) at (i, j-1).
-                let from_open = dp_m[at(i, j - 1)] - gaps.open - gaps.extend;
                 j -= 1;
-                state = if target == from_open { St::M } else { St::E };
+                state = if dir & E_OPEN != 0 { M } else { E };
             }
-            St::F => {
+            _ => {
                 debug_assert!(i > 0);
-                let target = dp_f[at(i, j)];
                 push(&mut rev_ops, EditOp::GapInSubject(1));
-                let from_open = dp_m[at(i - 1, j)] - gaps.open - gaps.extend;
                 i -= 1;
-                state = if target == from_open { St::M } else { St::F };
+                state = if dir & F_OPEN != 0 { M } else { F };
             }
         }
     }

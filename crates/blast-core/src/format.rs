@@ -13,6 +13,8 @@
 //! therefore be computable worker-side, and identical input must format
 //! identically everywhere.
 
+use std::fmt::Write as _;
+
 use crate::alphabet::{decode_letter, Molecule};
 use crate::extend::{banded_global_into, Alignment, EditOp, ExtendScratch};
 use crate::hsp::Hsp;
@@ -225,33 +227,50 @@ pub fn alignment_record(
     subject: &[u8],
     hsps: &[Hsp],
 ) -> String {
+    alignment_record_into(
+        params,
+        cfg,
+        query,
+        subject_defline,
+        subject,
+        hsps,
+        &mut ExtendScratch::new(),
+    )
+}
+
+/// [`alignment_record`] with caller-owned traceback buffers: a formatting
+/// loop reuses one [`ExtendScratch`] across every record it renders.
+pub fn alignment_record_into(
+    params: &SearchParams,
+    cfg: &ReportConfig,
+    query: &[u8],
+    subject_defline: &str,
+    subject: &[u8],
+    hsps: &[Hsp],
+    scratch: &mut ExtendScratch,
+) -> String {
+    // `fmt::Write` for `String` cannot fail, so the results are dropped.
     let mut out = String::new();
-    out.push_str(&format!(
+    let _ = write!(
+        out,
         ">{}\n          Length = {}\n\n",
         subject_defline,
         subject.len()
-    ));
-    // One set of DP buffers serves every HSP's traceback.
-    let mut scratch = ExtendScratch::new();
+    );
     for h in hsps {
         let q_range = &query[h.q_start as usize..h.q_end as usize];
         let s_range = &subject[h.s_start as usize..h.s_end as usize];
-        let aln = banded_global_into(
-            &params.matrix,
-            params.gaps,
-            q_range,
-            s_range,
-            16,
-            &mut scratch,
-        );
+        let aln = banded_global_into(&params.matrix, params.gaps, q_range, s_range, 16, scratch);
         let counts = count_alignment(params, q_range, s_range, &aln);
-        out.push_str(&format!(
-            " Score = {:.1} bits ({}), Expect = {}\n",
+        let _ = writeln!(
+            out,
+            " Score = {:.1} bits ({}), Expect = {}",
             h.bit_score,
             h.score,
             format_evalue(h.evalue)
-        ));
-        out.push_str(&format!(
+        );
+        let _ = write!(
+            out,
             " Identities = {}/{} ({}%), Positives = {}/{} ({}%)",
             counts.identities,
             counts.length,
@@ -259,14 +278,15 @@ pub fn alignment_record(
             counts.positives,
             counts.length,
             pct(counts.positives, counts.length),
-        ));
+        );
         if counts.gaps > 0 {
-            out.push_str(&format!(
+            let _ = write!(
+                out,
                 ", Gaps = {}/{} ({}%)",
                 counts.gaps,
                 counts.length,
                 pct(counts.gaps, counts.length)
-            ));
+            );
         }
         out.push_str("\n\n");
         render_alignment_lines(
@@ -285,7 +305,7 @@ pub fn alignment_record(
 }
 
 /// Expand an edit script into three aligned ASCII rows and emit them in
-/// `width`-column blocks with 1-based coordinates.
+/// `width`-column blocks with 1-based coordinates, straight into `out`.
 #[allow(clippy::too_many_arguments)]
 fn render_alignment_lines(
     molecule: Molecule,
@@ -298,9 +318,13 @@ fn render_alignment_lines(
     aln: &Alignment,
     out: &mut String,
 ) {
-    let mut q_row = Vec::new();
-    let mut mid = Vec::new();
-    let mut s_row = Vec::new();
+    // The query, midline and subject rows, back to back in one buffer.
+    let total = aln.alignment_len() as usize;
+    let mut rows = vec![b' '; 3 * total];
+    let (q_row, rest) = rows.split_at_mut(total);
+    let (mid, s_row) = rest.split_at_mut(total);
+    let letter = |code: u8| decode_letter(molecule, code);
+    let mut col = 0usize;
     let mut qi = 0usize;
     let mut si = 0usize;
     for op in &aln.ops {
@@ -308,67 +332,53 @@ fn render_alignment_lines(
             EditOp::Aligned(n) => {
                 for _ in 0..n {
                     let (a, b) = (query[qi], subject[si]);
-                    q_row.push(decode_letter(molecule, a));
-                    s_row.push(decode_letter(molecule, b));
-                    mid.push(if a == b {
-                        decode_letter(molecule, a)
+                    q_row[col] = letter(a);
+                    s_row[col] = letter(b);
+                    if a == b {
+                        mid[col] = letter(a);
                     } else if matrix.score(a, b) > 0 {
-                        b'+'
-                    } else {
-                        b' '
-                    });
+                        mid[col] = b'+';
+                    }
+                    col += 1;
                     qi += 1;
                     si += 1;
                 }
             }
             EditOp::GapInSubject(n) => {
                 for _ in 0..n {
-                    q_row.push(decode_letter(molecule, query[qi]));
-                    s_row.push(b'-');
-                    mid.push(b' ');
+                    q_row[col] = letter(query[qi]);
+                    s_row[col] = b'-';
+                    col += 1;
                     qi += 1;
                 }
             }
             EditOp::GapInQuery(n) => {
                 for _ in 0..n {
-                    q_row.push(b'-');
-                    s_row.push(decode_letter(molecule, subject[si]));
-                    mid.push(b' ');
+                    q_row[col] = b'-';
+                    s_row[col] = letter(subject[si]);
+                    col += 1;
                     si += 1;
                 }
             }
         }
     }
 
-    let total = q_row.len();
     let mut q_pos = q_base;
     let mut s_pos = s_base;
     let mut start = 0usize;
     while start < total {
         let end = (start + width).min(total);
-        let q_chunk = &q_row[start..end];
-        let s_chunk = &s_row[start..end];
-        let m_chunk = &mid[start..end];
-        let q_res = q_chunk.iter().filter(|&&c| c != b'-').count() as u32;
-        let s_res = s_chunk.iter().filter(|&&c| c != b'-').count() as u32;
+        let [q_chunk, m_chunk, s_chunk] =
+            [&q_row[start..end], &mid[start..end], &s_row[start..end]]
+                .map(|row| std::str::from_utf8(row).expect("residue letters are ASCII"));
+        let q_res = q_chunk.bytes().filter(|&c| c != b'-').count() as u32;
+        let s_res = s_chunk.bytes().filter(|&c| c != b'-').count() as u32;
         let q_end_pos = q_pos + q_res.saturating_sub(1);
         let s_end_pos = s_pos + s_res.saturating_sub(1);
-        out.push_str(&format!(
-            "Query: {:<5} {} {}\n",
-            q_pos,
-            String::from_utf8_lossy(q_chunk),
-            q_end_pos
-        ));
-        out.push_str(&format!(
-            "             {}\n",
-            String::from_utf8_lossy(m_chunk)
-        ));
-        out.push_str(&format!(
-            "Sbjct: {:<5} {} {}\n\n",
-            s_pos,
-            String::from_utf8_lossy(s_chunk),
-            s_end_pos
-        ));
+        let _ = write!(
+            out,
+            "Query: {q_pos:<5} {q_chunk} {q_end_pos}\n             {m_chunk}\nSbjct: {s_pos:<5} {s_chunk} {s_end_pos}\n\n"
+        );
         q_pos += q_res;
         s_pos += s_res;
         start = end;

@@ -90,21 +90,16 @@ pub const INLINE_HITS: usize = 3;
 /// One dense backbone cell: a 16-byte record giving the common seed-scan
 /// case — a word with at most [`INLINE_HITS`] query positions — a single
 /// cache-line lookup with no second indirection.
-#[derive(Debug, Clone, Copy)]
-struct BackboneCell {
-    /// Number of query positions registered under this word.
-    len: u32,
-    /// The positions themselves when `len <= INLINE_HITS`; otherwise
-    /// `data[0]` is the bucket's start offset in the overflow array.
-    data: [u32; INLINE_HITS],
-}
-
-impl BackboneCell {
-    const EMPTY: BackboneCell = BackboneCell {
-        len: 0,
-        data: [0; INLINE_HITS],
-    };
-}
+///
+/// `cell[0]` is the number of query positions registered under the word;
+/// `cell[1..]` holds the positions themselves when there are at most
+/// [`INLINE_HITS`], otherwise `cell[1]` is the bucket's start offset in
+/// the overflow array. A plain integer array rather than a struct so
+/// that the all-zero empty cell lets `vec!` take the backbone from the
+/// allocator already zeroed: a sparse table (blastn: 4^11 cells, 67 MB,
+/// a few thousand of them occupied) then only ever touches the pages
+/// its occupied cells live on.
+type BackboneCell = [u32; 1 + INLINE_HITS];
 
 /// A thin-backbone lookup table: word index -> positions in the
 /// concatenated query set where a neighborhood word begins.
@@ -161,7 +156,7 @@ impl LookupTable {
 
         // Pass 1: collect (word, position) entries.
         let mut entries: Vec<(u32, u32)> = Vec::new(); // (word, concat_pos)
-        let mut scratch = Vec::with_capacity(word_len);
+        let mut suffix_max = vec![0i32; word_len + 1];
         for qi in 0..queries.len() {
             let (start, end) = queries.range(qi);
             let qlen = (end - start) as usize;
@@ -180,7 +175,7 @@ impl LookupTable {
                     word,
                     word_alphabet,
                     threshold,
-                    &mut scratch,
+                    &mut suffix_max,
                     &mut |w| entries.push((w, pos as u32)),
                 );
             }
@@ -211,17 +206,20 @@ impl LookupTable {
 
         // Pass 3: lay down the thin backbone. Small buckets inline their
         // positions; large ones spill to the compacted overflow array.
-        let mut backbone = vec![BackboneCell::EMPTY; n_words];
+        // Empty buckets keep the zeroed cell they were allocated with.
+        let mut backbone: Vec<BackboneCell> = vec![[0; 1 + INLINE_HITS]; n_words];
         let mut overflow = Vec::new();
         let mut start = 0u32;
-        for (w, cell) in backbone.iter_mut().enumerate() {
-            let end = offsets[w];
+        for (cell, &end) in backbone.iter_mut().zip(&offsets) {
+            if end == start {
+                continue;
+            }
             let bucket = &positions[start as usize..end as usize];
-            cell.len = bucket.len() as u32;
+            cell[0] = bucket.len() as u32;
             if bucket.len() <= INLINE_HITS {
-                cell.data[..bucket.len()].copy_from_slice(bucket);
+                cell[1..1 + bucket.len()].copy_from_slice(bucket);
             } else {
-                cell.data[0] = overflow.len() as u32;
+                cell[1] = overflow.len() as u32;
                 overflow.extend_from_slice(bucket);
             }
             start = end;
@@ -280,12 +278,12 @@ impl LookupTable {
     /// reads only the 16-byte backbone cell — one cache line.
     #[inline]
     pub fn hits(&self, word: u32) -> &[u32] {
-        let cell = &self.backbone[word as usize];
-        let len = cell.len as usize;
+        let [len, data @ ..] = &self.backbone[word as usize];
+        let len = *len as usize;
         if len <= INLINE_HITS {
-            &cell.data[..len]
+            &data[..len]
         } else {
-            let start = cell.data[0] as usize;
+            let start = data[0] as usize;
             &self.overflow[start..start + len]
         }
     }
@@ -300,26 +298,16 @@ fn enumerate_neighbors(
     word: &[u8],
     alphabet: usize,
     threshold: i32,
-    scratch: &mut Vec<u8>,
+    suffix_max: &mut [i32],
     emit: &mut impl FnMut(u32),
 ) {
-    // suffix_max[k] = max achievable score from word positions k.. .
-    let mut suffix_max = vec![0i32; word.len() + 1];
+    // suffix_max[k] = max achievable score from word positions k.. ; the
+    // caller's buffer (`word.len() + 1` cells) is refilled for each word.
+    suffix_max[word.len()] = 0;
     for k in (0..word.len()).rev() {
         suffix_max[k] = suffix_max[k + 1] + row_max[word[k] as usize];
     }
-    scratch.clear();
-    recurse(
-        matrix,
-        word,
-        alphabet,
-        threshold,
-        &suffix_max,
-        0,
-        0,
-        0,
-        emit,
-    );
+    recurse(matrix, word, alphabet, threshold, suffix_max, 0, 0, 0, emit);
 
     #[allow(clippy::too_many_arguments)]
     fn recurse(

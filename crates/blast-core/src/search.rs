@@ -12,6 +12,8 @@
 //! statistics stay identical because [`crate::stats::SearchSpace`] is
 //! always derived from whole-database statistics.
 
+use std::sync::{Arc, Mutex, Weak};
+
 use crate::alphabet::Molecule;
 use crate::extend::{gapped_xdrop, ungapped_xdrop, ExtendScratch, GappedHit, UngappedHit};
 use crate::filter::{mask_in_place, FilterParams};
@@ -145,40 +147,73 @@ pub struct PreparedQueries {
     cutoffs: Vec<i32>,
 }
 
-impl PreparedQueries {
-    /// Prepare `records` for search against a database with global
-    /// statistics `db`.
-    pub fn prepare(params: &SearchParams, records: Vec<SeqRecord>, db: DbStats) -> PreparedQueries {
+/// Everything besides the records that shapes a [`PreparedQueries`]:
+/// masking, the lookup table, the search spaces and the cutoffs. The
+/// build reads its settings from here and nowhere else, which is what
+/// lets [`PreparedQueries::prepare_shared`] use it as the memo key.
+#[derive(Clone, PartialEq)]
+struct PrepareInputs {
+    molecule: Molecule,
+    filter_query: bool,
+    matrix: ScoreMatrix,
+    word_len: usize,
+    word_alphabet: usize,
+    threshold: i32,
+    gapped: KarlinParams,
+    expect: f64,
+    db: DbStats,
+}
+
+/// Live results of [`PreparedQueries::prepare_shared`], by content. The
+/// entries are weak: the memo keeps nothing alive on its own.
+static SHARED: Mutex<Vec<(PrepareInputs, Weak<PreparedQueries>)>> = Mutex::new(Vec::new());
+
+impl PrepareInputs {
+    fn of(params: &SearchParams, db: DbStats) -> PrepareInputs {
+        PrepareInputs {
+            molecule: params.molecule,
+            filter_query: params.filter_query,
+            matrix: params.matrix.clone(),
+            word_len: params.word_len,
+            word_alphabet: params.word_alphabet,
+            threshold: params.threshold,
+            gapped: params.gapped,
+            expect: params.expect,
+            db,
+        }
+    }
+
+    fn prepare(&self, records: Vec<SeqRecord>) -> PreparedQueries {
         let masked: Vec<Vec<u8>> = records
             .iter()
             .map(|r| {
                 let mut q = r.residues.clone();
-                if params.filter_query {
+                if self.filter_query {
                     mask_in_place(
                         &mut q,
-                        params.molecule,
-                        FilterParams::for_molecule(params.molecule),
+                        self.molecule,
+                        FilterParams::for_molecule(self.molecule),
                     );
                 }
                 q
             })
             .collect();
-        let sentinel = (params.molecule.alphabet_size() - 1) as u8;
+        let sentinel = (self.molecule.alphabet_size() - 1) as u8;
         let set = QuerySet::new(&masked, sentinel);
         let lookup = LookupTable::build(
             &set,
-            &params.matrix,
-            params.word_len,
-            params.word_alphabet,
-            params.threshold,
+            &self.matrix,
+            self.word_len,
+            self.word_alphabet,
+            self.threshold,
         );
         let spaces: Vec<SearchSpace> = records
             .iter()
-            .map(|r| SearchSpace::new(params.gapped, r.len() as u64, db))
+            .map(|r| SearchSpace::new(self.gapped, r.len() as u64, self.db))
             .collect();
         let cutoffs = spaces
             .iter()
-            .map(|sp| sp.cutoff_score(params.expect))
+            .map(|sp| sp.cutoff_score(self.expect))
             .collect();
         PreparedQueries {
             records,
@@ -187,6 +222,47 @@ impl PreparedQueries {
             spaces,
             cutoffs,
         }
+    }
+}
+
+impl PreparedQueries {
+    /// Prepare `records` for search against a database with global
+    /// statistics `db`.
+    pub fn prepare(params: &SearchParams, records: Vec<SeqRecord>, db: DbStats) -> PreparedQueries {
+        PrepareInputs::of(params, db).prepare(records)
+    }
+
+    /// [`PreparedQueries::prepare`], built once per distinct input while
+    /// any holder is alive: a call whose records, database statistics
+    /// and preparation-shaping parameters all equal those of a result
+    /// some caller in this process still holds gets that result back.
+    /// The simulated ranks of one job prepare the same query set, so one
+    /// lookup table serves them all; when the last holder drops its
+    /// `Arc` the table is freed.
+    pub fn prepare_shared(
+        params: &SearchParams,
+        records: &[SeqRecord],
+        db: DbStats,
+    ) -> Arc<PreparedQueries> {
+        let inputs = PrepareInputs::of(params, db);
+        let memo = || SHARED.lock().expect("memo lock holders do not panic");
+        {
+            let mut live = memo();
+            live.retain(|(_, entry)| entry.strong_count() > 0);
+            let hit = live
+                .iter()
+                .filter(|(key, _)| *key == inputs)
+                .filter_map(|(_, entry)| entry.upgrade())
+                .find(|prepared| prepared.records == records);
+            if let Some(prepared) = hit {
+                return prepared;
+            }
+        }
+        // Built outside the lock: concurrent jobs do not wait on each
+        // other, and a duplicate entry is harmless.
+        let prepared = Arc::new(inputs.prepare(records.to_vec()));
+        memo().push((inputs, Arc::downgrade(&prepared)));
+        prepared
     }
 
     /// Number of queries.
@@ -970,6 +1046,102 @@ MKVLAAGHWRTEYFNDCQAAERTYPLKIHGFDSAEWCVNM\n";
             &mut SearchScratch::new(),
         );
         assert!(result.per_query.is_empty());
+    }
+
+    /// A query set no other test prepares, so parallel tests cannot keep
+    /// its memo entry alive.
+    fn memo_queries(tag: &str) -> Vec<SeqRecord> {
+        let seq =
+            format!("MKVLAAGHWRTEYFNDCQWHERTYPLKIHGFDSAEWCVNM{tag}AAAAAAAAAAAAAAAAAAAAAAAAAAAA");
+        vec![SeqRecord::from_ascii(Molecule::Protein, tag, seq.as_bytes()).unwrap()]
+    }
+
+    #[test]
+    fn shared_prepare_builds_once_per_distinct_input() {
+        let params = SearchParams::blastp();
+        let db = stats_for(&db_records());
+        let queries = memo_queries("WWHH");
+        let a = PreparedQueries::prepare_shared(&params, &queries, db);
+        let b = PreparedQueries::prepare_shared(&params, &queries, db);
+        assert!(Arc::ptr_eq(&a, &b), "equal inputs share one build");
+        // And the shared build is the one `prepare` makes.
+        let own = PreparedQueries::prepare(&params, queries.clone(), db);
+        assert_eq!(a.records, own.records);
+        assert_eq!(a.set.concat(), own.set.concat());
+        assert_eq!(a.lookup.num_entries(), own.lookup.num_entries());
+        assert_eq!(a.cutoffs, own.cutoffs);
+
+        // Another query set, or another database, is another build.
+        let other = PreparedQueries::prepare_shared(&params, &memo_queries("HHWW"), db);
+        assert!(!Arc::ptr_eq(&a, &other));
+        assert_ne!(a.records, other.records);
+        let bigger = DbStats {
+            total_residues: db.total_residues * 1000,
+            ..db
+        };
+        let rescaled = PreparedQueries::prepare_shared(&params, &queries, bigger);
+        assert!(!Arc::ptr_eq(&a, &rescaled));
+        assert_ne!(a.spaces[0].space(), rescaled.spaces[0].space());
+    }
+
+    #[test]
+    fn shared_prepare_never_aliases_across_search_params() {
+        let db = stats_for(&db_records());
+        let queries = memo_queries("YWYW");
+        let base = SearchParams::blastp();
+        let a = PreparedQueries::prepare_shared(&base, &queries, db);
+
+        let strict = SearchParams {
+            threshold: 13,
+            ..base.clone()
+        };
+        let b = PreparedQueries::prepare_shared(&strict, &queries, db);
+        assert!(!Arc::ptr_eq(&a, &b));
+        assert!(a.lookup.num_entries() > b.lookup.num_entries());
+
+        let unmasked = SearchParams {
+            filter_query: false,
+            ..base.clone()
+        };
+        let c = PreparedQueries::prepare_shared(&unmasked, &queries, db);
+        assert!(!Arc::ptr_eq(&a, &c));
+        assert_ne!(a.set.concat(), c.set.concat(), "the poly-A tail is masked");
+
+        let lenient = SearchParams {
+            expect: 1e-3,
+            ..base.clone()
+        };
+        let d = PreparedQueries::prepare_shared(&lenient, &queries, db);
+        assert!(!Arc::ptr_eq(&a, &d));
+        assert!(d.cutoffs[0] > a.cutoffs[0]);
+
+        // A parameter `prepare` never reads does not split the memo.
+        let same = SearchParams {
+            hitlist_size: 7,
+            ..base
+        };
+        let e = PreparedQueries::prepare_shared(&same, &queries, db);
+        assert!(Arc::ptr_eq(&a, &e));
+    }
+
+    #[test]
+    fn shared_prepare_holds_nothing_once_callers_let_go() {
+        let params = SearchParams::blastp();
+        let db = stats_for(&db_records());
+        let queries = memo_queries("FYFY");
+        let first = PreparedQueries::prepare_shared(&params, &queries, db);
+        let second = PreparedQueries::prepare_shared(&params, &queries, db);
+        let watch = Arc::downgrade(&first);
+        drop(first);
+        assert!(watch.upgrade().is_some(), "the other rank still holds it");
+        drop(second);
+        assert!(
+            watch.upgrade().is_none(),
+            "the memo keeps no strong reference"
+        );
+        // The next job builds afresh.
+        let again = PreparedQueries::prepare_shared(&params, &queries, db);
+        assert_eq!(Arc::strong_count(&again), 1);
     }
 
     #[test]

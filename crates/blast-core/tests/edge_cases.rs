@@ -3,7 +3,9 @@
 //! behave sensibly.
 
 use blast_core::alphabet::Molecule;
+use blast_core::extend::ExtendScratch;
 use blast_core::fasta;
+use blast_core::format::{alignment_record_into, ReportConfig};
 use blast_core::search::{BlastSearcher, PreparedQueries, SearchParams, SearchScratch, VecSource};
 use blast_core::seq::SeqRecord;
 use blast_core::stats::DbStats;
@@ -90,6 +92,31 @@ fn long_sequences_align_end_to_end() {
     let h = &hits[0].hsps[0];
     assert_eq!(h.q_end - h.q_start, long.len() as u32, "full-length HSP");
     assert!(h.evalue < 1e-100);
+
+    // Formatting it runs the banded traceback over the whole pair. The
+    // buffers must stay proportional to n x band (33 direction bytes per
+    // row at the formatter's pad of 16, plus two score rows) — three
+    // dense (n+1)^2 i32 matrices would be 1.7 GB here.
+    let params = SearchParams::blastp();
+    let cfg = ReportConfig::blastp("giant-db", stats_for(&db));
+    let mut scratch = ExtendScratch::new();
+    let record = alignment_record_into(
+        &params,
+        &cfg,
+        &db[0].residues,
+        "giant",
+        &db[0].residues,
+        &hits[0].hsps,
+        &mut scratch,
+    );
+    assert!(record.contains(&format!("Identities = {0}/{0} (100%)", long.len())));
+    assert_eq!(record.matches("Query: ").count(), long.len().div_ceil(60));
+    assert!(
+        scratch.heap_bytes() <= 64 * long.len(),
+        "traceback scratch grew to {} bytes for n = {}",
+        scratch.heap_bytes(),
+        long.len()
+    );
 }
 
 #[test]

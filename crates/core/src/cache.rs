@@ -10,6 +10,7 @@
 
 use std::collections::HashMap;
 
+use blast_core::extend::ExtendScratch;
 use blast_core::format::{self, ReportConfig};
 use blast_core::search::{PreparedQueries, SearchParams, SubjectHit};
 use mpiblast::wire::{MetaHit, MetaSubmission};
@@ -22,7 +23,13 @@ use crate::fault::PioError;
 pub struct ResultCache {
     records: HashMap<(u32, u32), String>,
     per_query: Vec<(u32, Vec<MetaHit>)>,
+    /// Traceback buffers, reused across every record this cache formats.
+    traceback: ExtendScratch,
 }
+
+/// One fragment's own metadata and `(query, oid, record)` bytes — the
+/// content of a fragment checkpoint blob.
+pub type FragmentPayload = (MetaSubmission, Vec<(u32, u32, String)>);
 
 impl ResultCache {
     /// Format and cache every hit of one searched fragment.
@@ -41,16 +48,16 @@ impl ResultCache {
         fragment: &FragmentData,
         per_query: Vec<Vec<SubjectHit>>,
     ) -> Result<u64, PioError> {
-        self.add_fragment_traced(params, report_cfg, prepared, fragment, per_query)
-            .map(|(bytes, _, _)| bytes)
+        self.add_fragment_traced(params, report_cfg, prepared, fragment, per_query, false)
+            .map(|(bytes, _)| bytes)
     }
 
-    /// [`ResultCache::add_fragment`], also returning this fragment's own
-    /// metadata and `(query, oid, record)` bytes — the content of a
-    /// fragment checkpoint blob. Both are deterministic in the fragment
-    /// and batch alone, which is what makes checkpoint rewrites during
-    /// retried recovery epochs idempotent.
-    #[allow(clippy::type_complexity)]
+    /// [`ResultCache::add_fragment`], also returning — when `checkpoint`
+    /// is set — a copy of this fragment's own [`FragmentPayload`]. It is
+    /// deterministic in the fragment and batch alone, which is what makes
+    /// checkpoint rewrites during retried recovery epochs idempotent.
+    /// Without a checkpoint to write, the cache stays the only owner of
+    /// each record and metadata list.
     pub fn add_fragment_traced(
         &mut self,
         params: &SearchParams,
@@ -58,10 +65,10 @@ impl ResultCache {
         prepared: &PreparedQueries,
         fragment: &FragmentData,
         per_query: Vec<Vec<SubjectHit>>,
-    ) -> Result<(u64, MetaSubmission, Vec<(u32, u32, String)>), PioError> {
+        checkpoint: bool,
+    ) -> Result<(u64, Option<FragmentPayload>), PioError> {
         let mut bytes = 0u64;
-        let mut frag_meta = Vec::new();
-        let mut frag_records = Vec::new();
+        let mut payload = checkpoint.then(FragmentPayload::default);
         for (q, hits) in per_query.into_iter().enumerate() {
             if hits.is_empty() {
                 continue;
@@ -84,13 +91,14 @@ impl ResultCache {
                     .residues_of(hit.oid)
                     .ok_or_else(|| outside("residues"))?;
                 let defline = String::from_utf8_lossy(defline_bytes).into_owned();
-                let record = format::alignment_record(
+                let record = format::alignment_record_into(
                     params,
                     report_cfg,
                     &query.residues,
                     &defline,
                     residues,
                     &hit.hsps,
+                    &mut self.traceback,
                 );
                 bytes += record.len() as u64;
                 metas.push(MetaHit {
@@ -100,10 +108,14 @@ impl ResultCache {
                     defline,
                     best: hit.hsps[0],
                 });
-                frag_records.push((q as u32, hit.oid, record.clone()));
+                if let Some((_, records)) = &mut payload {
+                    records.push((q as u32, hit.oid, record.clone()));
+                }
                 self.records.insert((q as u32, hit.oid), record);
             }
-            frag_meta.push((q as u32, metas.clone()));
+            if let Some((meta, _)) = &mut payload {
+                meta.per_query.push((q as u32, metas.clone()));
+            }
             // Merge into any existing list for this query (multiple
             // fragments per worker).
             match self.per_query.iter_mut().find(|(qi, _)| *qi == q as u32) {
@@ -111,13 +123,7 @@ impl ResultCache {
                 None => self.per_query.push((q as u32, metas)),
             }
         }
-        Ok((
-            bytes,
-            MetaSubmission {
-                per_query: frag_meta,
-            },
-            frag_records,
-        ))
+        Ok((bytes, payload))
     }
 
     /// The metadata submission for the master (sorted by query index).

@@ -11,6 +11,7 @@
 
 use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
+use std::sync::Arc;
 
 use blast_core::fasta;
 use blast_core::format::ReportConfig;
@@ -218,7 +219,7 @@ struct MasterIo<'a, 'b> {
     live0: Vec<bool>,
     liveness: Liveness,
     phase_times: PhaseTimes,
-    prepared_cache: Vec<Option<PreparedQueries>>,
+    prepared_cache: Vec<Option<Arc<PreparedQueries>>>,
     batch_offsets: Vec<u64>,
     ckpts: HashMap<(usize, usize), FragmentCheckpoint>,
     orphan_records: HashMap<(u32, u32), String>,
@@ -603,12 +604,12 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             return;
         }
         let t = self.ctx.now();
-        let records = self.batches[batch].clone();
-        let residues: u64 = records.iter().map(|q| q.len() as u64).sum();
-        let stats = self.report_cfg.db_stats;
-        let prepared = self.cfg.compute.run_prepare(self.ctx, residues, || {
-            PreparedQueries::prepare(&self.cfg.params, records, stats)
-        });
+        let prepared = self.cfg.compute.run_prepare(
+            self.ctx,
+            &self.cfg.params,
+            &self.batches[batch],
+            self.report_cfg.db_stats,
+        );
         self.prepared_cache[batch] = Some(prepared);
         self.phase_times.add(phases::OTHER, self.ctx.now() - t);
     }
@@ -958,7 +959,7 @@ struct WorkerIo<'a, 'b> {
     /// re-granted resident fragment skips its read entirely — the
     /// cross-query cache hit this mode exists for.
     store: FragmentStore,
-    prepared: Option<PreparedQueries>,
+    prepared: Option<Arc<PreparedQueries>>,
     cache: ResultCache,
     frags: Vec<(u32, FragmentData)>,
     pending: VecDeque<(u32, FragmentAssignment)>,
@@ -1220,16 +1221,20 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     self.ensure_batch_queries(batch)?;
                 }
                 let t = self.ctx.now();
-                let records = if self.policy.service {
-                    self.batch_store.remove(&batch).expect("ensured just above")
-                } else {
-                    self.batches[batch].clone()
+                let streamed = self
+                    .policy
+                    .service
+                    .then(|| self.batch_store.remove(&batch).expect("ensured just above"));
+                let records = match &streamed {
+                    Some(records) => records,
+                    None => &self.batches[batch],
                 };
-                let residues: u64 = records.iter().map(|q| q.len() as u64).sum();
-                let stats = self.report_cfg.db_stats;
-                let prepared = self.compute.run_prepare(self.ctx, residues, || {
-                    PreparedQueries::prepare(&self.cfg.params, records, stats)
-                });
+                let prepared = self.compute.run_prepare(
+                    self.ctx,
+                    &self.cfg.params,
+                    records,
+                    self.report_cfg.db_stats,
+                );
                 self.prepared = Some(prepared);
                 self.cache = ResultCache::default();
                 self.phase_times.add(phases::OTHER, self.ctx.now() - t);
@@ -1622,7 +1627,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             per_query
         };
         let cache = &mut self.cache;
-        let (_, meta, records) = self.compute.run_format(
+        let (_, payload) = self.compute.run_format(
             self.ctx,
             || {
                 cache.add_fragment_traced(
@@ -1631,11 +1636,12 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     prepared,
                     frag,
                     per_query,
+                    self.cfg.checkpoint,
                 )
             },
-            |r| r.as_ref().map(|(bytes, _, _)| *bytes).unwrap_or(0),
+            |r| r.as_ref().map(|(bytes, _)| *bytes).unwrap_or(0),
         )?;
-        if self.cfg.checkpoint {
+        if let Some((meta, records)) = payload {
             let blob = FragmentCheckpoint {
                 batch: batch as u32,
                 fragment: id,

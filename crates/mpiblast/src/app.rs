@@ -19,9 +19,10 @@
 
 use std::fmt;
 
+use blast_core::extend::ExtendScratch;
 use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
-use blast_core::search::{BlastSearcher, PreparedQueries, SearchScratch, SearchStats, SubjectHit};
+use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
 use bytes::Bytes;
 use mpiio::{FileView, IoOptions, IoPlane, IoStrategy, PlaneConfig};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
@@ -182,10 +183,9 @@ fn run_master(
         queries,
     };
     comm.bcast(MASTER, Bytes::from(bundle.encode()));
-    let total_q_residues: u64 = bundle.queries.iter().map(|q| q.len() as u64).sum();
-    let prepared = cfg.compute.run_prepare(ctx, total_q_residues, || {
-        PreparedQueries::prepare(&cfg.params, bundle.queries.clone(), bundle.db_stats)
-    });
+    let prepared = cfg
+        .compute
+        .run_prepare(ctx, &cfg.params, &bundle.queries, bundle.db_stats);
     let report_cfg =
         ReportConfig::for_molecule(bundle.molecule, bundle.db_title.clone(), bundle.db_stats);
     phases.add(phases::OTHER, now() - start);
@@ -271,6 +271,8 @@ fn run_master(
         },
     );
     let mut file_off = 0u64;
+    // Traceback buffers, reused across every record the master formats.
+    let mut traceback = ExtendScratch::new();
     for (q, merged_slot) in merged.iter_mut().enumerate() {
         let mut hits = std::mem::take(merged_slot);
         cfg.compute.run_merge(ctx, hits.len() as u64, || {
@@ -311,13 +313,14 @@ fn run_master(
                 cfg.compute.run_format(
                     ctx,
                     || {
-                        format::alignment_record(
+                        format::alignment_record_into(
                             &cfg.params,
                             &report_cfg,
                             &query.residues,
                             &String::from_utf8_lossy(&f.defline),
                             &f.residues,
                             &hit.hsps,
+                            &mut traceback,
                         )
                     },
                     |s| s.len() as u64,
@@ -385,7 +388,6 @@ fn run_worker(
     let bundle_bytes = comm.bcast(MASTER, Bytes::new());
     let bundle = QueryBundle::decode(&bundle_bytes)
         .map_err(|e| ProtocolError::Malformed(format!("query bundle: {e}")))?;
-    let total_q_residues: u64 = bundle.queries.iter().map(|q| q.len() as u64).sum();
     let mut stats_total = SearchStats::default();
 
     // Fragments this worker searched, kept in memory to serve fetches.
@@ -449,9 +451,9 @@ fn run_worker(
         let seq = private.read_all(ctx, &copied[1]).expect("seq copy");
         let hdr = private.read_all(ctx, &copied[2]).expect("hdr copy");
         let frag = FragmentData::from_file_bytes(&idx, seq, hdr).expect("valid fragment");
-        let prepared = cfg.compute.run_prepare(ctx, total_q_residues, || {
-            PreparedQueries::prepare(&cfg.params, bundle.queries.clone(), bundle.db_stats)
-        });
+        let prepared = cfg
+            .compute
+            .run_prepare(ctx, &cfg.params, &bundle.queries, bundle.db_stats);
         let searcher = BlastSearcher::new(&cfg.params, &prepared);
         let (per_query, stats) = cfg.compute.run_search(ctx, || {
             let r = searcher.search(&frag, &mut scratch);

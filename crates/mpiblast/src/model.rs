@@ -6,7 +6,10 @@
 //! be bit-stable across hosts). Both modes run the *actual* computation —
 //! only the virtual-time charge differs.
 
-use blast_core::search::SearchStats;
+use std::sync::Arc;
+
+use blast_core::search::{PreparedQueries, SearchParams, SearchStats};
+use blast_core::{DbStats, SeqRecord};
 use simcluster::{RankCtx, SimDuration};
 
 /// How compute segments are charged to the virtual clock.
@@ -201,15 +204,30 @@ impl ComputeModel {
         }
     }
 
-    /// Run query preparation (masking + lookup build) over `residues`
-    /// total query residues.
-    pub fn run_prepare<T>(&self, ctx: &RankCtx, residues: u64, f: impl FnOnce() -> T) -> T {
+    /// Run query preparation (masking + lookup build) for one rank.
+    ///
+    /// Every rank is charged for its own preparation. Under `Modeled`
+    /// the charge is a function of the residue count alone, so the ranks
+    /// of a job — which all prepare the same query set — share one
+    /// [`PreparedQueries`] on the host through
+    /// [`PreparedQueries::prepare_shared`] without the virtual clock
+    /// seeing it. Under `Measured` the host time of the build *is* the
+    /// charge, so every call builds.
+    pub fn run_prepare(
+        &self,
+        ctx: &RankCtx,
+        params: &SearchParams,
+        records: &[SeqRecord],
+        db: DbStats,
+    ) -> Arc<PreparedQueries> {
         match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
+            ComputeModel::Measured { scale } => ctx.run_measured(scale, || {
+                Arc::new(PreparedQueries::prepare(params, records.to_vec(), db))
+            }),
             ComputeModel::Modeled(p) => {
-                let out = f();
+                let out = PreparedQueries::prepare_shared(params, records, db);
                 ctx.charge(SimDuration::from_secs_f64(
-                    p.per_prepare_residue * residues as f64,
+                    p.per_prepare_residue * out.total_residues() as f64,
                 ));
                 out
             }

@@ -7,6 +7,7 @@
 //! section layout, and a full serial reference implementation used as the
 //! oracle in tests.
 
+use blast_core::extend::ExtendScratch;
 use blast_core::format::{self, ReportConfig};
 use blast_core::search::{
     BlastSearcher, PreparedQueries, SearchParams, SearchScratch, SubjectHit, SubjectSource,
@@ -165,6 +166,7 @@ pub fn serial_report(
     };
 
     let mut out = Vec::new();
+    let mut traceback = ExtendScratch::new();
     for (q, mut hits) in per_query.into_iter().enumerate() {
         order_hits(&mut hits);
         let query = &prepared.records[q];
@@ -186,13 +188,14 @@ pub fn serial_report(
             .take(opts.num_alignments)
             .map(|h| {
                 let (residues, defline) = subject_of(h.oid)?;
-                Ok(format::alignment_record(
+                Ok(format::alignment_record_into(
                     params,
                     &cfg,
                     &query.residues,
                     &String::from_utf8_lossy(defline),
                     residues,
                     &h.hsps,
+                    &mut traceback,
                 ))
             })
             .collect::<Result<_, ReportError>>()?;

@@ -38,6 +38,19 @@ cargo test --release -q --test engine
 # threads x batched epochs, and a worker killed with staged-but-
 # undrained data must recover to the unstaged bytes (fence-before-ack).
 cargo test --release -q --test burst
+# Band-only traceback and direct renderer: score, edit script and record
+# bytes must equal the dense reference kept in the test (indel homologs,
+# unrelated lengths, band_pad 0..=64, one-residue ranges, dirty scratch),
+# and formatting a 12 k-residue HSP must keep the scratch O(n x band).
+cargo test --release -q -p blast-core --test traceback
+cargo test --release -q -p blast-core --test edge_cases long_sequences_align_end_to_end
+# One prepare per query set per process: the memo never aliases two
+# query sets or two SearchParams, holds no strong reference, and every
+# rank is still charged — exactly the modeled cost under Modeled, its
+# own measured build under Measured, reports equal to serial_report.
+cargo test --release -q -p blast-core --lib shared_prepare
+cargo test --release -q --test cluster_behavior every_rank_is_charged_for_its_own_prepare
+cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree_on_results
 # Bench targets (paper exhibits + kernel perf gate, ablate_hybrid
 # included via --workspace) must at least compile.
 cargo bench --workspace --no-run

@@ -2,11 +2,13 @@
 //! accounting, file-system traffic, determinism, and the paper's headline
 //! performance orderings at test scale.
 
+use std::sync::Arc;
+
 use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
-use mpiblast::report::ReportOptions;
+use mpiblast::report::{serial_report, ReportOptions};
 use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, ComputeModel, MpiBlastConfig, Platform};
+use mpiblast::{phases, ClusterEnv, ComputeModel, ModelParams, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -177,8 +179,17 @@ fn virtual_time_is_host_independent() {
 #[test]
 fn measured_and_modeled_modes_agree_on_results() {
     // The compute mode only changes virtual-time charges; the report
-    // bytes must be identical.
+    // bytes must be identical — to each other and to the serial oracle,
+    // whether the ranks share one prepared query set (modeled) or each
+    // build their own (measured).
     let (db, queries) = workload(13);
+    let oracle = serial_report(
+        &SearchParams::blastp(),
+        queries.clone(),
+        &db,
+        ReportOptions::default(),
+    )
+    .expect("oracle report");
     let mut outputs = Vec::new();
     for compute in [ComputeModel::modeled(), ComputeModel::measured()] {
         let sim = Sim::new(4);
@@ -211,6 +222,49 @@ fn measured_and_modeled_modes_agree_on_results() {
         outputs.push(env.shared.peek("out.txt").unwrap());
     }
     assert_eq!(outputs[0], outputs[1]);
+    assert_eq!(outputs[0], oracle);
+}
+
+#[test]
+fn every_rank_is_charged_for_its_own_prepare() {
+    // Sharing the prepared query set is a host-side economy: each rank's
+    // virtual clock must still pay for a preparation of its own.
+    let (db, queries) = workload(17);
+    let params = SearchParams::blastp();
+    let residues: u64 = queries.iter().map(|q| q.len() as u64).sum();
+    let nranks = 6;
+    let prepare_on_every_rank = |model: ComputeModel| {
+        Sim::new(nranks)
+            .run(|ctx| {
+                let before = ctx.now();
+                let prepared = model.run_prepare(&ctx, &params, &queries, db.stats());
+                (ctx.now() - before, prepared)
+            })
+            .outputs
+    };
+
+    // Modeled: exactly the analytical charge on every rank, one build.
+    let per_residue = ModelParams::default().per_prepare_residue;
+    let charge = SimDuration::from_secs_f64(per_residue * residues as f64);
+    let modeled = prepare_on_every_rank(ComputeModel::modeled());
+    for (rank, (advance, prepared)) in modeled.iter().enumerate() {
+        assert_eq!(*advance, charge, "rank {rank}");
+        assert!(Arc::ptr_eq(prepared, &modeled[0].1), "rank {rank} shares");
+    }
+    // Once the job's ranks let go, nothing keeps the table alive.
+    let watch = Arc::downgrade(&modeled[0].1);
+    drop(modeled);
+    assert!(watch.upgrade().is_none());
+
+    // Measured: host time is the model, so every rank builds its own and
+    // is charged what its own build took.
+    let measured = prepare_on_every_rank(ComputeModel::measured());
+    for (rank, (advance, prepared)) in measured.iter().enumerate() {
+        assert!(*advance > SimDuration::ZERO, "rank {rank} charged nothing");
+        for (_, other) in &measured[..rank] {
+            assert!(!Arc::ptr_eq(prepared, other), "rank {rank} did not build");
+        }
+    }
 }
 
 #[test]
