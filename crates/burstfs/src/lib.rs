@@ -46,8 +46,9 @@ use tracelog::{ArgVal, Lane};
 
 pub use simcluster::DeviceModel;
 
-/// User-facing staging-tier knobs (the `--burst-buffer` /
-/// `--stripe-files` surface).
+/// Staging-tier knobs. The CLI's `--burst-buffer` turns the defaults on
+/// and `--burst-capacity` sets `capacity`; the stripe layout is not a
+/// user knob (`ablate_burst`'s sweep moves the output path by under 1 %).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct BurstOptions {
     /// Backing files each staged run stripes across (≥ 1).

@@ -54,15 +54,14 @@ USAGE:
                         --out report.txt [--platform PLATFORM] [--frags N]
                         [--threads N] [--batch N] [--measured] [--dna]
                         [--no-collective] [--dynamic] [--fault-detect] [--recover]
-                        [--checkpoint] [--io-strategy independent|sieve|two-phase]
-                        [--sieve-threshold N] [--io-async] [--burst-buffer]
-                        [--stripe-files N] [--burst-capacity BYTES]
+                        [--checkpoint] [--io-async] [--burst-buffer]
+                        [--burst-capacity BYTES]
                         [--trace out.json] [--trace-filter LANE[,LANE...]]
   pioblast-sim serve    --procs N --db-dir DIR --queries q.fa --out report.txt
                         [--platform PLATFORM] [--users N] [--stream-batches N]
                         [--mean-gap-ms N] [--resident-mb N] [--affinity] [--frags N]
                         [--threads N] [--io-async] [--recover]
-                        [--checkpoint] [--burst-buffer] [--stripe-files N]
+                        [--checkpoint] [--burst-buffer] [--burst-capacity BYTES]
                         [--seed S] [--measured] [--dna] [--trace out.json]
                         [--trace-filter LANE[,...]]
   pioblast-sim trace-check --in trace.json
@@ -97,9 +96,10 @@ blade 2, manycore 64).
 
 --trace writes a Chrome trace_event JSON (loadable in Perfetto or
 chrome://tracing): one process per rank, one thread per subsystem lane.
---trace-filter limits the export to the named lanes (phase, search, io,
-net, runtime, sched, engine). trace-check validates a trace file:
-monotonic timestamps per lane and balanced begin/end span pairs.
+--trace-filter (requires --trace) limits the export to the named lanes
+(phase, search, io, net, runtime, sched, engine). trace-check validates
+a trace file: monotonic timestamps per lane and balanced begin/end span
+pairs.
 trace-diff aligns two exported runs by (rank, lane, phase) and reports
 which lane/phase diverged and by how much (--top rows per section);
 runs at different rank counts compare cluster totals and per-rank
@@ -111,10 +111,10 @@ exits nonzero when any lane/phase (or the wall clock) grew more than
 (default 50k) — the CI perf-regression gate.
 
 --burst-buffer stages output and checkpoint writes in a per-node burst
-buffer (the platform's staging profile) striped across --stripe-files
-backing files (default 4), draining to the shared file system in the
-background; drains are fenced at epoch boundaries under --recover and
-always before the run ends, so reports stay byte-identical.
+buffer (the platform's staging profile, striped across four backing
+files), draining to the shared file system in the background; drains
+are fenced at epoch boundaries under --recover and always before the
+run ends, so reports stay byte-identical.
 --burst-capacity bounds staged-but-undrained bytes (default 256M);
 a full buffer degrades that write to a direct one (typed backpressure).
 ";
@@ -268,22 +268,11 @@ fn parse_platform(args: &ParsedArgs) -> Result<Platform, CliError> {
     }
 }
 
-/// Parse `--io-strategy` / `--sieve-threshold` / `--burst-buffer` /
-/// `--stripe-files` / `--burst-capacity` into plane options.
+/// Parse `--io-async` / `--burst-buffer` / `--burst-capacity` into
+/// plane options.
 fn io_options(args: &ParsedArgs) -> Result<pioblast::IoOptions, CliError> {
-    let defaults = pioblast::IoOptions::default();
-    let strategy = match args.get("io-strategy") {
-        None => defaults.strategy,
-        Some(text) => text
-            .parse::<pioblast::IoStrategy>()
-            .map_err(|e| CliError(e.to_string()))?,
-    };
     let burst = if args.flag("burst-buffer") {
         let d = pioblast::BurstOptions::default();
-        let stripe_files = args.u64_or("stripe-files", d.stripe_files as u64)? as usize;
-        if stripe_files == 0 {
-            return Err(CliError("--stripe-files must be at least 1".into()));
-        }
         let capacity = match args.get("burst-capacity") {
             None => d.capacity,
             Some(text) => parse_size(text)?,
@@ -291,22 +280,14 @@ fn io_options(args: &ParsedArgs) -> Result<pioblast::IoOptions, CliError> {
         if capacity == 0 {
             return Err(CliError("--burst-capacity must be positive".into()));
         }
-        Some(pioblast::BurstOptions {
-            stripe_files,
-            stripe_unit: d.stripe_unit,
-            capacity,
-        })
+        Some(pioblast::BurstOptions { capacity, ..d })
     } else {
-        if args.get("stripe-files").is_some() || args.get("burst-capacity").is_some() {
-            return Err(CliError(
-                "--stripe-files/--burst-capacity require --burst-buffer".into(),
-            ));
+        if args.get("burst-capacity").is_some() {
+            return Err(CliError("--burst-capacity requires --burst-buffer".into()));
         }
         None
     };
     Ok(pioblast::IoOptions {
-        strategy,
-        sieve_threshold: args.u64_or("sieve-threshold", defaults.sieve_threshold)?,
         io_async: args.flag("io-async"),
         burst,
     })
@@ -326,11 +307,16 @@ fn parse_size(text: &str) -> Result<u64, CliError> {
         .map_err(|_| CliError(format!("bad size {text:?} (expected e.g. 1048576 or 64M)")))
 }
 
-/// Parse `--trace-filter io,net` into lanes (`None` = all lanes).
+/// Parse `--trace-filter io,net` into lanes (`None` = all lanes). The
+/// filter shapes the `--trace` export, so without `--trace` it would be
+/// silently meaningless — a typed error instead.
 fn trace_filter(args: &ParsedArgs) -> Result<Option<Vec<tracelog::Lane>>, CliError> {
     let Some(spec) = args.get("trace-filter") else {
         return Ok(None);
     };
+    if args.get("trace").is_none() {
+        return Err(CliError("--trace-filter requires --trace".into()));
+    }
     let mut lanes = Vec::new();
     for part in spec.split(',') {
         let part = part.trim();
@@ -435,10 +421,14 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     let nfrags = args.u64_opt("frags")?.map(|v| v as usize);
 
     let filter = trace_filter(args)?;
-    let trace_path = args.get("trace");
     let sim = Sim::new(nprocs);
-    let tracer = tracelog::Tracer::new(nprocs);
-    sim.set_tracer(tracer.clone());
+    // Tracing is opt-in: an untraced run installs no tracer, so the
+    // engine and every `tracelog` call site take their no-op fast path.
+    let traced = args.get("trace").map(|path| {
+        let tracer = tracelog::Tracer::new(nprocs);
+        sim.set_tracer(tracer.clone());
+        (path, tracer)
+    });
     let env = ClusterEnv::new(&sim, &platform);
     let query_path = stage_queries(&env.shared, &queries);
     let output_path = "report.txt".to_string();
@@ -520,7 +510,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
         .map_err(|e| CliError(format!("no report produced: {e}")))?;
     fs::write(out, &report)?;
     let mut trace_note = String::new();
-    if let Some(path) = trace_path {
+    if let Some((path, tracer)) = traced {
         let trace = tracer.finish(elapsed.since(simcluster::SimTime::ZERO).0);
         let json = tracelog::chrome::export_chrome(&trace, filter.as_deref());
         fs::write(path, &json)?;
@@ -924,10 +914,18 @@ mod tests {
         assert!(err.0.contains("objectstore"), "{err}");
         // An option nothing reads is a typed error naming it, raised
         // before the simulation runs (no report appears): the removed
-        // engine knob, a misspelled flag, a pio-only flag under mpi.
+        // engine and I/O-plane knobs (with or without the flag they used
+        // to depend on), a misspelled flag, a pio-only flag under mpi.
         fs::remove_file(&out).unwrap();
         for (extra, named) in [
             (&["--pool-threads", "4"][..], "--pool-threads"),
+            (&["--io-strategy", "sieve"][..], "--io-strategy"),
+            (&["--sieve-threshold", "128k"][..], "--sieve-threshold"),
+            (&["--stripe-files", "2"][..], "--stripe-files"),
+            (
+                &["--burst-buffer", "--stripe-files", "2"][..],
+                "--stripe-files",
+            ),
             (&["--io-asynch"][..], "--io-asynch"),
             (&["--program", "mpi", "--io-async"][..], "--io-async"),
         ] {
@@ -938,9 +936,22 @@ mod tests {
         }
         let err = dispatch(&args(&["help", "--verbose"])).unwrap_err();
         assert!(err.0.contains("--verbose"), "{err}");
-        // A conditional pair keeps its own dependency error.
-        let err = run(&["--stripe-files", "2"]).unwrap_err();
-        assert!(err.0.contains("require --burst-buffer"), "{err}");
+        // Conditional pairs keep their own dependency errors.
+        let err = run(&["--burst-capacity", "1M"]).unwrap_err();
+        assert!(err.0.contains("requires --burst-buffer"), "{err}");
+        let err = run(&["--trace-filter", "io"]).unwrap_err();
+        assert!(err.0.contains("--trace-filter requires --trace"), "{err}");
+        assert!(!out.exists());
+        // Tracing observes a run without moving it: same report bytes,
+        // same virtual time and message count in the summary line.
+        let plain = run(&[]).unwrap();
+        let report = fs::read(&out).unwrap();
+        let trace = dir.join("t.json");
+        let traced = run(&["--trace", trace.to_str().unwrap()]).unwrap();
+        assert_eq!(fs::read(&out).unwrap(), report);
+        assert!(plain.contains("s virtual time, ") && plain.contains(" messages, "));
+        let note = traced.strip_prefix(plain.as_str()).expect(&traced);
+        assert!(note.starts_with(", trace "), "{traced}");
         let _ = fs::remove_dir_all(&dir);
     }
 
@@ -1034,6 +1045,29 @@ mod tests {
         let check = dispatch(&args(&["trace-check", "--in", trace.to_str().unwrap()])).unwrap();
         assert!(check.contains("valid Chrome trace"), "{check}");
 
+        // The retired I/O-plane knobs are rejected by name here too.
+        for named in ["--io-strategy", "--sieve-threshold", "--stripe-files"] {
+            let err = dispatch(&args(&[
+                "serve",
+                "--procs",
+                "4",
+                "--db-dir",
+                dbdir.to_str().unwrap(),
+                "--queries",
+                qfa.to_str().unwrap(),
+                "--stream-batches",
+                "3",
+                "--burst-buffer",
+                "--out",
+                dir.join("x.txt").to_str().unwrap(),
+                named,
+                "2",
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains(named), "{err}");
+            assert!(err.0.contains("not used by `serve`"), "{err}");
+        }
+
         // More batches than queries is a typed error, not a panic.
         let err = dispatch(&args(&[
             "serve",
@@ -1055,7 +1089,13 @@ mod tests {
 
     #[test]
     fn trace_filter_parses_and_rejects_unknown_lanes() {
-        let a = args(&["run", "--trace-filter", "io,net, search"]);
+        let a = args(&[
+            "run",
+            "--trace",
+            "t.json",
+            "--trace-filter",
+            "io,net, search",
+        ]);
         let lanes = trace_filter(&a).unwrap().unwrap();
         assert_eq!(
             lanes,
@@ -1065,7 +1105,14 @@ mod tests {
                 tracelog::Lane::Search
             ]
         );
-        assert!(trace_filter(&args(&["run", "--trace-filter", "gpu"])).is_err());
+        let bad = args(&["run", "--trace", "t.json", "--trace-filter", "gpu"]);
+        assert!(trace_filter(&bad)
+            .unwrap_err()
+            .0
+            .contains("unknown trace lane"));
+        // The filter shapes the export: without one it is an error.
+        let orphan = trace_filter(&args(&["run", "--trace-filter", "io"])).unwrap_err();
+        assert!(orphan.0.contains("requires --trace"), "{orphan}");
         assert_eq!(trace_filter(&args(&["run"])).unwrap(), None);
     }
 
@@ -1098,19 +1145,6 @@ mod tests {
         let db = load_db(dbdir.to_str().unwrap()).unwrap();
         assert!(db.volumes.len() >= 3, "{msg}");
         let _ = fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn io_strategy_flags_parse() {
-        let a = args(&["run", "--io-strategy", "sieve", "--sieve-threshold", "128k"]);
-        let io = io_options(&a).unwrap();
-        assert_eq!(io.strategy, pioblast::IoStrategy::Sieve);
-        assert_eq!(io.sieve_threshold, 128_000);
-
-        let defaults = io_options(&args(&["run"])).unwrap();
-        assert_eq!(defaults, pioblast::IoOptions::default());
-
-        assert!(io_options(&args(&["run", "--io-strategy", "mmap"])).is_err());
     }
 
     #[test]

@@ -114,10 +114,12 @@ pub struct PioBlastConfig {
     /// deterministically, so output bytes never change. Must be ≥ 1 and
     /// ≤ the platform's `cores_per_node`.
     pub threads: usize,
-    /// I/O-plane tuning: the physical access strategy (independent,
-    /// sieve, or the adaptive two-phase default) and the sieve-hole
-    /// threshold. Strategy is a pure performance knob — output bytes
-    /// never depend on it.
+    /// I/O-plane options: asynchronous servicing (`io_async`) and the
+    /// burst-buffer staging tier (`burst`). How noncontiguous requests
+    /// are physically serviced — independent, sieved, two-phase — is not
+    /// an option: each rank's plane resolves it from `collective_input`,
+    /// `collective_output`, `schedule`, `fault` and `service`. Output
+    /// bytes never depend on any of it.
     pub io: mpiio::IoOptions,
     /// Query-stream service mode (`pioblast serve`): the query set is
     /// split by a [`crate::service::QueryStreamPlan`] into per-user
@@ -283,6 +285,11 @@ mod tests {
     }
 
     fn run_opts(opts: Opts) -> (Vec<u8>, Vec<RankReport>) {
+        let (output, reports, _) = run_with_env(opts);
+        (output, reports)
+    }
+
+    fn run_with_env(opts: Opts) -> (Vec<u8>, Vec<RankReport>, ClusterEnv) {
         let db = small_db(opts.cap);
         let queries = sample_queries(&db, opts.n_queries);
         let sim = Sim::new(opts.nranks);
@@ -318,7 +325,7 @@ mod tests {
             .into_iter()
             .map(|r| r.expect("rank completed"))
             .collect();
-        (output, reports)
+        (output, reports, env)
     }
 
     fn run_once(
@@ -583,28 +590,59 @@ mod tests {
     }
 
     #[test]
-    fn io_strategies_are_byte_identical() {
-        // `--io-strategy` is a pure performance knob; pin that every
-        // strategy produces the reference bytes with aggregation
-        // requested on both paths, across two sieve thresholds.
-        let (reference, _) = run_opts(Opts::default());
-        for strategy in [
-            mpiio::IoStrategy::Independent,
-            mpiio::IoStrategy::Sieve,
-            mpiio::IoStrategy::TwoPhase,
-        ] {
-            for sieve_threshold in [0u64, 1 << 20] {
-                let (got, _) = run_opts(Opts {
-                    collective_input: true,
-                    io: mpiio::IoOptions {
-                        strategy,
-                        sieve_threshold,
-                        ..Default::default()
-                    },
-                    ..Opts::default()
-                });
-                assert_eq!(got, reference, "{strategy} threshold {sieve_threshold}");
-            }
+    fn access_class_is_resolved_from_context() {
+        // The plane picks the access class per request kind from
+        // (collective_input, collective_output, schedule, fault): every
+        // row must reproduce the serial report, and the shared file
+        // system's class tallies must show exactly the classes the
+        // context resolves to. The setup reads (alias, queries, volume
+        // indexes) are whole-file and always tally as independent.
+        use parafs::IoClass;
+        use FaultMode::{Detect, Off, Recover};
+        use FragmentSchedule::{Dynamic, Static};
+        let db = small_db(None);
+        let reference = serial_report(
+            &SearchParams::blastp(),
+            sample_queries(&db, 3),
+            &db,
+            ReportOptions::default(),
+        )
+        .expect("serial oracle");
+        // (collective_input, collective_output, schedule, fault) ->
+        // which of [sieved, two-phase] carry traffic.
+        let table = [
+            // Every rank posts in lockstep: two-phase on both paths.
+            (true, true, Static, Off, [false, true]),
+            // Grant-driven reads cannot synchronize; writes still can.
+            (true, true, Dynamic, Off, [true, true]),
+            (true, false, Dynamic, Off, [true, false]),
+            (false, true, Dynamic, Off, [false, true]),
+            (true, false, Static, Off, [false, true]),
+            // Point-to-point lowering: nothing synchronizes.
+            (true, true, Static, Detect, [true, false]),
+            (true, true, Dynamic, Recover, [true, false]),
+            // No aggregation asked for: independent only, in any mode.
+            (false, false, Static, Off, [false, false]),
+            (false, false, Dynamic, Recover, [false, false]),
+        ];
+        for (collective_input, collective_output, schedule, fault, want) in table {
+            let row =
+                format!("ci={collective_input} co={collective_output} {schedule:?} {fault:?}");
+            let (got, _, env) = run_with_env(Opts {
+                collective_input,
+                collective_output,
+                schedule,
+                fault,
+                ..Opts::default()
+            });
+            assert_eq!(got, reference, "{row}");
+            let used = |class| env.shared.class_tally(class).requests > 0;
+            assert!(used(IoClass::Independent), "{row}: setup reads");
+            assert_eq!(
+                [used(IoClass::Sieved), used(IoClass::TwoPhase)],
+                want,
+                "{row}: [sieved, two-phase]"
+            );
         }
     }
 

@@ -10,12 +10,12 @@
 //! (many noncontiguous ranges per worker) or the file system punishes
 //! small independent reads.
 //!
-//! Both modes are one function, [`read_fragments`]: the caller hands an
-//! [`IoPlane`] and the plane's strategy decides how the posted views are
-//! serviced. On a collective plane every rank must call this with the
-//! same volume list (the master joins with empty assignments); on a
-//! non-collective plane — dynamic grants, fault epochs — each rank reads
-//! only the volumes it was actually assigned, with no global sync.
+//! Both modes are one function, [`read_fragments`]: the caller hands the
+//! rank's [`IoPlane`] and the plane's input class decides how the posted
+//! views are serviced. Where reads are collective every rank must call
+//! this with the same volume list (the master joins with empty
+//! assignments); otherwise — dynamic grants, fault epochs — each rank
+//! reads only the volumes it was actually assigned, with no global sync.
 
 use blast_core::alphabet::Molecule;
 use mpiio::{FileView, IoHandle, IoPlane, IoRequest, IoResponse};
@@ -148,12 +148,12 @@ pub fn coalesce_spans(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 /// Read this rank's assigned fragment ranges of the shared database files
 /// through the I/O plane and materialize the fragments.
 ///
-/// On a collective plane ([`IoPlane::is_collective`]) every rank must call
-/// this with the same `volume_names`, in the same order — it posts one
-/// collective read per volume file, and ranks with nothing to read (the
-/// master) join with empty views. On a non-collective plane only the
-/// volumes with assignments are touched, so any subset of ranks can call
-/// at any time.
+/// Where reads are collective ([`IoPlane::collective_reads`]) every rank
+/// must call this with the same `volume_names`, in the same order — it
+/// posts one collective read per volume file, and ranks with nothing to
+/// read (the master) join with empty views. Otherwise only the volumes
+/// with assignments are touched, so any subset of ranks can call at any
+/// time.
 pub fn read_fragments(
     plane: &IoPlane,
     volume_names: &[String],
@@ -167,7 +167,7 @@ pub fn read_fragments(
             .iter()
             .filter(|a| a.volume_name == *vol)
             .collect();
-        if mine.is_empty() && !plane.is_collective() {
+        if mine.is_empty() && !plane.collective_reads() {
             // Nothing of ours in this volume, and nobody is waiting for
             // us in a collective — skip the file entirely.
             buffers.push(Default::default());
@@ -241,9 +241,10 @@ pub fn read_fragments(
 ///
 /// Produced by [`read_fragment_begin`], joined by [`read_fragment_end`]:
 /// the split that lets a worker read ahead the *next* granted fragment
-/// while the search kernel runs on the current one. Only meaningful on a
-/// non-collective plane — per-fragment begins cannot be matched across
-/// ranks, so callers must gate on [`IoPlane::is_collective`].
+/// while the search kernel runs on the current one. Only meaningful
+/// where reads are not collective — per-fragment begins cannot be
+/// matched across ranks, so callers must gate on
+/// [`IoPlane::collective_reads`].
 pub struct PendingFragment<'a, 'c> {
     assignment: FragmentAssignment,
     /// `(spans, handle)` for the idx, seq, and hdr files, in that order.
@@ -278,11 +279,11 @@ fn fragment_spans(a: &FragmentAssignment) -> [Vec<(u64, u64)>; 3] {
 /// computes; [`read_fragment_end`] joins them and materializes the
 /// fragment.
 pub fn read_fragment_begin<'a, 'c>(
-    plane: &IoPlane<'a, 'c>,
+    plane: &'a IoPlane<'_, 'c>,
     assignment: &FragmentAssignment,
 ) -> Result<PendingFragment<'a, 'c>, InputError> {
     debug_assert!(
-        !plane.is_collective(),
+        !plane.collective_reads(),
         "per-fragment begins cannot be matched across ranks"
     );
     let vol = &assignment.volume_name;
@@ -309,9 +310,9 @@ pub fn read_fragment_begin<'a, 'c>(
 /// Join a fragment's in-flight reads and materialize it. Only the
 /// transfer remainder not already overlapped with compute is exposed as
 /// blocking time.
-pub fn read_fragment_end<'a, 'c>(
-    plane: &IoPlane<'a, 'c>,
-    pend: PendingFragment<'a, 'c>,
+pub fn read_fragment_end<'c>(
+    plane: &IoPlane<'_, 'c>,
+    pend: PendingFragment<'_, 'c>,
     molecule: Molecule,
 ) -> Result<FragmentData, InputError> {
     let mut buffers = Vec::with_capacity(3);

@@ -50,4 +50,4 @@ pub use service::{FragmentStore, QueryStreamPlan, ServiceMetrics, ServiceOptions
 
 // Re-export the pieces callers need to assemble a run.
 pub use mpiblast::{phases, ClusterEnv, ComputeModel, Platform, RankReport, ReportOptions};
-pub use mpiio::{BurstError, BurstOptions, BurstStats, IoOptions, IoStrategy, StagingStore};
+pub use mpiio::{BurstError, BurstOptions, BurstStats, IoOptions, StagingStore};

@@ -9,7 +9,6 @@
 //! standalone recovery protocol did. Messages (and detected deaths) are
 //! translated back into events and fed to the machines.
 
-use std::cell::RefCell;
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
 
@@ -21,12 +20,10 @@ use bytes::Bytes;
 use mpiblast::phases;
 use mpiblast::wire::{FragmentCheckpoint, MetaHit, MetaSubmission, OffsetAssignment, QueryBundle};
 use mpiblast::{ComputeModel, RankReport, MASTER};
-use mpiio::{
-    CollectiveHints, FileView, IoHandle, IoOptions, IoPlane, IoRequest, IoStrategy, PlaneConfig,
-    StagingStore,
-};
+use mpiio::{CollectiveHints, FileView, IoHandle, IoPlane, IoRequest, PlaneConfig, StagingStore};
 use mpisim::sched::{default_sweep, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
+use parafs::IoClass;
 use seqfmt::{AliasFile, FragmentData, VolumeIndex};
 use simcluster::{DeviceModel, Message, PhaseTimes, RankCtx, SimDuration, SimTime};
 
@@ -62,101 +59,98 @@ fn policy_of(ctx: &RankCtx, cfg: &PioBlastConfig, nbatches: usize) -> RunPolicy 
     }
 }
 
-fn io_hints(cfg: &PioBlastConfig) -> CollectiveHints {
-    CollectiveHints {
-        aggregators: cfg.platform.aggregators,
-    }
-}
-
-/// The plane for database-fragment reads. Collective only when every
-/// rank is guaranteed to post the same read sequence synchronously:
-/// collective input requested, collective lowering (`FaultMode::Off`),
-/// static schedule. Under dynamic grants or point-to-point fault modes
-/// the plane still aggregates (sieves) each rank's posted views, with
-/// no global exchange — that is what lets `collective_input` compose
-/// with those modes.
-fn input_plane<'x, 'y>(
+/// This rank's I/O plane, built once: the access class of each request
+/// kind resolved from the run's context, plus the rank's burst-buffer
+/// staging store when `--burst-buffer` is on.
+///
+/// Two-phase needs every rank to post the same request sequence
+/// synchronously. Database reads have that only under the collective
+/// lowering (`FaultMode::Off`, no service stream) on the static
+/// schedule; report writes under the collective lowering. Where
+/// aggregation was asked for (`collective_input`/`collective_output`)
+/// but the ranks cannot synchronize — dynamic grants, point-to-point
+/// fault modes — the plane sieves each rank's posted views with no
+/// global exchange, which is what lets those knobs compose with every
+/// mode. Without the knob the path is independent.
+///
+/// The staging store absorbs output and checkpoint writes into the
+/// rank's staging volume (striped per `BurstOptions`) and drains them
+/// into the shared file system in the background; its drain engine is
+/// the staging device's sequential read port, modeled on the platform's
+/// staging profile.
+fn build_plane<'x, 'y>(
+    ctx: &RankCtx,
     comm: &'x Comm<'y>,
     cfg: &'x PioBlastConfig,
-    policy: &RunPolicy,
 ) -> IoPlane<'x, 'y> {
-    let sync = !policy.p2p() && policy.schedule == FragmentSchedule::Static;
-    IoPlane::new(
-        comm,
-        &cfg.env.shared,
-        PlaneConfig {
-            options: cfg.io,
-            hints: io_hints(cfg),
-            aggregate: cfg.collective_input,
-            collective: cfg.collective_input && sync,
-        },
-    )
-}
-
-/// The plane for report writes. Collective when collective output is
-/// requested and the run lowers onto collectives; the point-to-point
-/// fault modes cannot synchronize writers, so they aggregate per rank.
-fn output_plane<'x, 'y>(
-    comm: &'x Comm<'y>,
-    cfg: &'x PioBlastConfig,
-    policy: &RunPolicy,
-) -> IoPlane<'x, 'y> {
-    IoPlane::new(
-        comm,
-        &cfg.env.shared,
-        PlaneConfig {
-            options: cfg.io,
-            hints: io_hints(cfg),
-            aggregate: cfg.collective_output,
-            collective: cfg.collective_output && !policy.p2p(),
-        },
-    )
-}
-
-/// The plane for whole-file staging reads and checkpoint blobs: always
-/// independent — this traffic is contiguous per file and never part of
-/// a matched collective.
-fn independent_plane<'x, 'y>(comm: &'x Comm<'y>, cfg: &'x PioBlastConfig) -> IoPlane<'x, 'y> {
-    IoPlane::new(
-        comm,
-        &cfg.env.shared,
-        PlaneConfig {
-            options: IoOptions {
-                strategy: IoStrategy::Independent,
-                ..cfg.io
-            },
-            hints: io_hints(cfg),
-            aggregate: false,
-            collective: false,
-        },
-    )
-}
-
-/// This rank's burst-buffer staging store, when `--burst-buffer` is
-/// on: output and checkpoint writes absorb into the rank's staging
-/// volume (striped per `BurstOptions`) and drain into the shared file
-/// system in the background. The drain engine is the staging device's
-/// sequential read port, modeled on the platform's staging profile.
-fn build_burst(ctx: &RankCtx, cfg: &PioBlastConfig) -> Option<RefCell<StagingStore>> {
-    let opts = cfg.io.burst?;
-    let prof = &cfg.platform.staging;
-    let port = DeviceModel {
-        op_latency: prof.op_latency,
-        bandwidth: prof.aggregate_bw,
+    // `RunPolicy::p2p`, before the bundle (and so the policy) exists.
+    let p2p = cfg.fault != FaultMode::Off || cfg.service.is_some();
+    let resolve = |aggregate: bool, synchronized: bool| match (aggregate, synchronized) {
+        (true, true) => IoClass::TwoPhase,
+        (true, false) => IoClass::Sieved,
+        (false, _) => IoClass::Independent,
     };
-    Some(RefCell::new(StagingStore::new(
-        cfg.env.stagings[ctx.rank()].clone(),
-        cfg.env.shared.clone(),
-        opts,
-        port,
-    )))
+    let staging = cfg.io.burst.map(|opts| {
+        let prof = &cfg.platform.staging;
+        StagingStore::new(
+            cfg.env.stagings[ctx.rank()].clone(),
+            cfg.env.shared.clone(),
+            opts,
+            DeviceModel {
+                op_latency: prof.op_latency,
+                bandwidth: prof.aggregate_bw,
+            },
+        )
+    });
+    IoPlane::new(
+        comm,
+        &cfg.env.shared,
+        PlaneConfig {
+            options: cfg.io,
+            hints: CollectiveHints {
+                aggregators: cfg.platform.aggregators,
+            },
+            input: resolve(
+                cfg.collective_input,
+                !p2p && cfg.schedule == FragmentSchedule::Static,
+            ),
+            output: resolve(cfg.collective_output, !p2p),
+        },
+        staging,
+    )
+}
+
+/// Join every pending burst-buffer drain, charging the exposed wait to
+/// the output phase. A drain failure degrades into a trace event — the
+/// affected bytes are absent, exactly as a failed direct write would
+/// have left them. *When* this runs is the runtime's durability policy
+/// (see the call sites); an unstaged run has nothing to join or charge.
+fn fence_staging(
+    ctx: &RankCtx,
+    cfg: &PioBlastConfig,
+    io: &IoPlane<'_, '_>,
+    phase_times: &mut PhaseTimes,
+) {
+    if cfg.io.burst.is_none() {
+        return;
+    }
+    let t = ctx.now();
+    if let Err(e) = io.fence() {
+        tracelog::instant(
+            tracelog::Lane::Io,
+            "stage.drain_failed",
+            vec![("error", e.to_string().into())],
+        );
+    }
+    phase_times.add(phases::OUTPUT, ctx.now() - t);
 }
 
 /// The one output epilogue, shared by the master's section writes, the
 /// orphan rewrites, and every worker's assigned-record writes: build a
 /// file view from the scattered `(offset, text)` records and hand it to
-/// the plane. Always posts, even with nothing to write — on a
-/// collective plane the empty view still participates in the exchange.
+/// the plane. Always posts, even with nothing to write — on the
+/// two-phase class the empty view still participates in the exchange.
+/// A full file system surfaces as a typed error, not an abort.
 fn flush_output(
     plane: &IoPlane<'_, '_>,
     path: &str,
@@ -172,24 +166,9 @@ fn flush_output(
     }
     let view = FileView::new(0, regions)
         .map_err(|e| PioError::Protocol(format!("output layout is not writable: {e}")))?;
-    if plane.config().options.io_async {
-        // Fire-and-collect: every run of the view goes in flight at once,
-        // so per-operation latencies overlap instead of summing (on a
-        // collective plane this is the split collective — begin and wait
-        // are both posted by every rank). A full file system surfaces as
-        // a typed error, not an abort.
-        let handle = plane.submit_begin(IoRequest::OutputWrite {
-            path,
-            view: &view,
-            payload: &data,
-        });
-        plane.wait(handle).map_err(PioError::Output)?;
-    } else {
-        plane
-            .write_output(path, &view, &data)
-            .map_err(PioError::Output)?;
-    }
-    Ok(())
+    plane
+        .write_output(path, &view, &data)
+        .map_err(PioError::Output)
 }
 
 // ---------------------------------------------------------------------
@@ -202,14 +181,18 @@ pub(crate) fn run_master(
     comm: &Comm<'_>,
     cfg: &PioBlastConfig,
 ) -> Result<RankReport, PioError> {
-    let burst = build_burst(ctx, cfg);
-    MasterIo::new(ctx, comm, cfg, burst.as_ref())?.run()
+    let io = build_plane(ctx, comm, cfg);
+    MasterIo::new(ctx, comm, cfg, &io)?.run()
 }
 
 struct MasterIo<'a, 'b> {
     ctx: &'a RankCtx,
     comm: &'a Comm<'b>,
     cfg: &'a PioBlastConfig,
+    /// The rank's I/O plane: every file-system touch goes through it.
+    /// Its staging sink is fenced at batch seals under
+    /// `FaultMode::Recover` and unconditionally before the run returns.
+    io: &'a IoPlane<'a, 'b>,
     policy: RunPolicy,
     report_cfg: ReportConfig,
     molecule: blast_core::Molecule,
@@ -224,11 +207,6 @@ struct MasterIo<'a, 'b> {
     ckpts: HashMap<(usize, usize), FragmentCheckpoint>,
     orphan_records: HashMap<(u32, u32), String>,
     outcome: Option<MergeOutcome>,
-    /// The burst-buffer staging store (`--burst-buffer`): attached to
-    /// every output and checkpoint plane this side constructs, fenced
-    /// at batch seals under `FaultMode::Recover` and unconditionally
-    /// before the run returns.
-    burst: Option<&'a RefCell<StagingStore>>,
     input_mark: Option<SimTime>,
     out_mark: Option<SimTime>,
     /// Service mode: which stream batches' queries have been shipped
@@ -241,9 +219,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         ctx: &'a RankCtx,
         comm: &'a Comm<'b>,
         cfg: &'a PioBlastConfig,
-        burst: Option<&'a RefCell<StagingStore>>,
+        io: &'a IoPlane<'a, 'b>,
     ) -> Result<MasterIo<'a, 'b>, PioError> {
-        let staging = independent_plane(comm, cfg);
         let mut phase_times = PhaseTimes::new();
 
         // ---- startup: read and validate *every* setup file before the
@@ -256,17 +233,17 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         let bad = |what: String| PioError::Input(crate::input::InputError::Malformed(what));
         let setup =
             || -> Result<(AliasFile, Vec<SeqRecord>, Vec<VolumeIndex>, SimDuration), PioError> {
-                let alias_bytes = staging.read_whole(&cfg.db_alias).map_err(store_err)?;
+                let alias_bytes = io.read_whole(&cfg.db_alias).map_err(store_err)?;
                 let alias = AliasFile::decode(&alias_bytes)
                     .map_err(|e| bad(format!("alias {}: {e}", cfg.db_alias)))?;
-                let query_text = staging.read_whole(&cfg.query_path).map_err(store_err)?;
+                let query_text = io.read_whole(&cfg.query_path).map_err(store_err)?;
                 let queries = fasta::parse(alias.molecule, &query_text)
                     .map_err(|e| bad(format!("query FASTA {}: {e}", cfg.query_path)))?;
                 let idx_start = ctx.now();
                 let mut indexes: Vec<VolumeIndex> = Vec::new();
                 for vol in &alias.volumes {
                     let path = format!("db/{vol}.idx");
-                    let idx_bytes = staging.read_whole(&path).map_err(store_err)?;
+                    let idx_bytes = io.read_whole(&path).map_err(store_err)?;
                     indexes.push(
                         VolumeIndex::decode(&idx_bytes)
                             .map_err(|e| bad(format!("volume index {path}: {e}")))?,
@@ -375,6 +352,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             ctx,
             comm,
             cfg,
+            io,
             policy,
             report_cfg,
             molecule: bundle.molecule,
@@ -389,7 +367,6 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             ckpts: HashMap::new(),
             orphan_records: HashMap::new(),
             outcome: None,
-            burst,
             input_mark: Some(input_mark),
             out_mark: None,
             qbatch_sent: vec![false; nbatches],
@@ -498,10 +475,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         let mut checkpointed = Vec::new();
         if self.policy.checkpoint {
             let batch = sm.batch();
-            let plane = independent_plane(self.comm, self.cfg).with_burst(self.burst);
             for &w in &ranks {
                 for &f in sm.owned(w) {
-                    let Ok(blob) = plane.checkpoint_get(&ckpt_path(self.cfg, batch, f)) else {
+                    let Ok(blob) = self.io.checkpoint_get(&ckpt_path(self.cfg, batch, f)) else {
                         continue;
                     };
                     // A partial write (the victim died mid-checkpoint)
@@ -658,11 +634,10 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             MasterAction::Scatter { chunks } => {
                 let pieces: Vec<Bytes> = chunks.iter().map(|c| self.grant_payload(0, c)).collect();
                 self.comm.scatterv(MASTER, Some(pieces));
-                let plane = input_plane(self.comm, self.cfg, &self.policy);
-                if plane.is_collective() {
+                if self.io.collective_reads() {
                     // Collective reads involve every rank; the master
                     // joins each with an empty view.
-                    crate::input::read_fragments(&plane, &self.volumes, &[], self.molecule)?;
+                    crate::input::read_fragments(self.io, &self.volumes, &[], self.molecule)?;
                 }
                 Ok(vec![MasterEvent::ScatterDone])
             }
@@ -777,7 +752,6 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 // records (dead owners' checkpointed fragments) land in
                 // the master's own assignment slot.
                 let outcome = self.outcome.take().expect("merge precedes batch finish");
-                let plane = output_plane(self.comm, self.cfg, &self.policy).with_burst(self.burst);
                 let path = if self.policy.service {
                     stream_output_path(self.cfg, batch)
                 } else {
@@ -797,13 +771,13 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                             })
                     })
                     .collect::<Result<Vec<_>, _>>()?;
-                flush_output(&plane, &path, orphans)?;
+                flush_output(self.io, &path, orphans)?;
                 let sections = outcome
                     .master_sections
                     .iter()
                     .map(|(off, text)| (*off, text.as_str()))
                     .collect();
-                flush_output(&plane, &path, sections)?;
+                flush_output(self.io, &path, sections)?;
                 if let Some(mark) = self.out_mark.take() {
                     self.phase_times.add(phases::OUTPUT, self.ctx.now() - mark);
                 }
@@ -812,7 +786,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     // be durable before recovery can treat the batch as
                     // done — a later death must never expose a report
                     // whose bytes still sit in a staging volume.
-                    self.fence_burst();
+                    fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
                 }
                 if let Some(svc) = &self.cfg.service {
                     // The sealed report is the stream query's response:
@@ -875,15 +849,14 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     }
 
     fn write_master_sections(&self, outcome: &MergeOutcome) -> Result<(), PioError> {
-        let plane = output_plane(self.comm, self.cfg, &self.policy).with_burst(self.burst);
         let sections = outcome
             .master_sections
             .iter()
             .map(|(off, text)| (*off, text.as_str()))
             .collect();
-        flush_output(&plane, &self.cfg.output_path, sections)?;
-        if !plane.is_collective() {
-            // Two-phase ends in its own barrier; every other strategy
+        flush_output(self.io, &self.cfg.output_path, sections)?;
+        if !self.io.collective_writes() {
+            // Two-phase ends in its own barrier; every other class
             // needs the explicit fence before the batch is sealed.
             self.comm.barrier();
         }
@@ -900,32 +873,14 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         }
         // Final fence: nothing joins a staged drain after the rank body
         // returns, so every absorbed byte must land now.
-        self.fence_burst();
+        fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
         if self.policy.checkpoint {
-            let plane = independent_plane(self.comm, self.cfg).with_burst(self.burst);
             for b in 0..self.policy.nbatches {
                 for f in 0..self.policy.nfrags {
-                    let _ = plane.checkpoint_drop(&ckpt_path(self.cfg, b, f));
+                    let _ = self.io.checkpoint_drop(&ckpt_path(self.cfg, b, f));
                 }
             }
         }
-    }
-
-    /// Join every pending burst-buffer drain, charging the exposed wait
-    /// to the output phase. A drain failure degrades into a trace event
-    /// — the affected bytes are absent, exactly as a failed direct
-    /// write would have left them.
-    fn fence_burst(&mut self) {
-        let Some(cell) = self.burst else { return };
-        let t = self.ctx.now();
-        if let Err(e) = cell.borrow_mut().fence(self.ctx) {
-            tracelog::instant(
-                tracelog::Lane::Io,
-                "stage.drain_failed",
-                vec![("error", e.to_string().into())],
-            );
-        }
-        self.phase_times.add(phases::OUTPUT, self.ctx.now() - t);
     }
 }
 
@@ -939,14 +894,18 @@ pub(crate) fn run_worker(
     comm: &Comm<'_>,
     cfg: &PioBlastConfig,
 ) -> Result<RankReport, PioError> {
-    let burst = build_burst(ctx, cfg);
-    WorkerIo::new(ctx, comm, cfg, burst.as_ref())?.run()
+    let io = build_plane(ctx, comm, cfg);
+    WorkerIo::new(ctx, comm, cfg, &io)?.run()
 }
 
 struct WorkerIo<'a, 'b> {
     ctx: &'a RankCtx,
     comm: &'a Comm<'b>,
     cfg: &'a PioBlastConfig,
+    /// The rank's I/O plane: every file-system touch goes through it.
+    /// Its staging sink is fenced at the epoch boundary (beside the
+    /// checkpoint drain) and unconditionally before the run returns.
+    io: &'a IoPlane<'a, 'b>,
     policy: RunPolicy,
     compute: ComputeModel,
     report_cfg: ReportConfig,
@@ -975,11 +934,6 @@ struct WorkerIo<'a, 'b> {
     /// they stay in flight across searches and are fenced at the epoch
     /// boundary, before the batch's results are acknowledged.
     pending_ckpts: Vec<IoHandle<'a, 'b>>,
-    /// The burst-buffer staging store (`--burst-buffer`): attached to
-    /// every output and checkpoint plane this side constructs, fenced
-    /// at the epoch boundary (beside the checkpoint drain) and
-    /// unconditionally before the run returns.
-    burst: Option<&'a RefCell<StagingStore>>,
     phase_times: PhaseTimes,
     out_mark: Option<SimTime>,
 }
@@ -989,7 +943,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         ctx: &'a RankCtx,
         comm: &'a Comm<'b>,
         cfg: &'a PioBlastConfig,
-        burst: Option<&'a RefCell<StagingStore>>,
+        io: &'a IoPlane<'a, 'b>,
     ) -> Result<WorkerIo<'a, 'b>, PioError> {
         let mut phase_times = PhaseTimes::new();
         let start = ctx.now();
@@ -1026,6 +980,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             ctx,
             comm,
             cfg,
+            io,
             policy,
             compute: cfg.compute_for(ctx.rank()),
             report_cfg,
@@ -1044,7 +999,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 .map(|_| SearchScratch::new())
                 .collect(),
             pending_ckpts: Vec::new(),
-            burst,
             phase_times,
             out_mark: None,
         })
@@ -1062,7 +1016,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         }
         // Final fence: nothing joins a staged drain after the rank body
         // returns, so every absorbed byte must land now.
-        self.fence_burst();
+        fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
         Ok(RankReport {
             phases: self.phase_times,
             search_stats: self.stats_total,
@@ -1268,7 +1222,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     // out of this node's staging volume. Fault-free runs
                     // defer to the final fence and keep drains
                     // overlapping the next batch's searches.
-                    self.fence_burst();
+                    fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
                 }
                 let meta = self.cache.metadata().encode();
                 if self.policy.p2p() {
@@ -1284,8 +1238,8 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         }
     }
 
-    /// Read the granted fragments through the input plane (one posted
-    /// view set per file, whatever the strategy makes of it), then
+    /// Read the granted fragments through the plane (one posted view
+    /// set per file, whatever its input class makes of it), then
     /// search them if the schedule wants search-on-grant.
     fn ingest(&mut self, batch: usize, count: usize, search: bool) -> Result<(), PioError> {
         let mut granted = Vec::with_capacity(count);
@@ -1299,15 +1253,13 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         if self.policy.service {
             return self.ingest_service(batch, granted);
         }
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
-        if self.cfg.io.io_async && !plane.is_collective() {
+        if self.cfg.io.io_async && !self.io.collective_reads() {
             return self.ingest_readahead(batch, granted, search);
         }
         let specs: Vec<FragmentAssignment> = granted.iter().map(|(_, a)| a.clone()).collect();
         let input_start = self.ctx.now();
         let datas =
-            crate::input::read_fragments(&plane, &self.grant_volumes, &specs, self.molecule)?;
+            crate::input::read_fragments(self.io, &self.grant_volumes, &specs, self.molecule)?;
         self.phase_times
             .add(phases::INPUT, self.ctx.now() - input_start);
         for ((id, _), frag) in granted.into_iter().zip(datas) {
@@ -1321,7 +1273,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
 
     /// Service-mode ingest: a granted fragment already resident in the
     /// [`FragmentStore`] skips its read entirely — the cross-query cache
-    /// hit this mode exists for. Misses are read through the input plane
+    /// hit this mode exists for. Misses are read through the plane
     /// (one batched posted set, or pipelined ahead of the searches under
     /// `--io-async`), and every searched fragment is (re)admitted as
     /// most-recently-used.
@@ -1330,8 +1282,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         batch: usize,
         granted: Vec<(u32, FragmentAssignment)>,
     ) -> Result<(), PioError> {
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
         // Classify against the store up front so the misses' reads are
         // planned before any search runs.
         let miss_ids: Vec<u32> = granted
@@ -1339,7 +1289,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             .filter(|(id, _)| !self.store.contains(*id as usize))
             .map(|(id, _)| *id)
             .collect();
-        if self.cfg.io.io_async && !plane.is_collective() {
+        if self.cfg.io.io_async && !self.io.collective_reads() {
             return self.ingest_service_readahead(batch, granted, miss_ids);
         }
         let specs: Vec<FragmentAssignment> = granted
@@ -1351,7 +1301,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         let datas = if specs.is_empty() {
             Vec::new()
         } else {
-            crate::input::read_fragments(&plane, &self.grant_volumes, &specs, self.molecule)?
+            crate::input::read_fragments(self.io, &self.grant_volumes, &specs, self.molecule)?
         };
         self.phase_times
             .add(phases::INPUT, self.ctx.now() - input_start);
@@ -1372,7 +1322,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                         // out): read it now, alone.
                         let t = self.ctx.now();
                         let frag = crate::input::read_fragments(
-                            &plane,
+                            self.io,
                             &self.grant_volumes,
                             std::slice::from_ref(&a),
                             self.molecule,
@@ -1399,8 +1349,8 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         granted: Vec<(u32, FragmentAssignment)>,
         miss_ids: Vec<u32>,
     ) -> Result<(), PioError> {
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
+        // In-flight handles borrow the plane, not `self`, across the searches.
+        let plane = self.io;
         let misses: Vec<usize> = granted
             .iter()
             .enumerate()
@@ -1411,7 +1361,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         let mut pend = match misses.first() {
             Some(&p) => {
                 next_miss = 1;
-                Some((p, crate::input::read_fragment_begin(&plane, &granted[p].1)?))
+                Some((p, crate::input::read_fragment_begin(plane, &granted[p].1)?))
             }
             None => None,
         };
@@ -1425,7 +1375,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 if pend.as_ref().is_some_and(|(p, _)| *p == i) {
                     let (_, p) = pend.take().expect("just checked");
                     let wait_start = self.ctx.now();
-                    let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
+                    let frag = crate::input::read_fragment_end(plane, p, self.molecule)?;
                     self.phase_times
                         .add(phases::INPUT, self.ctx.now() - wait_start);
                     if next_miss < misses.len() {
@@ -1433,15 +1383,15 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                         next_miss += 1;
                         pend = Some((
                             np,
-                            crate::input::read_fragment_begin(&plane, &granted[np].1)?,
+                            crate::input::read_fragment_begin(plane, &granted[np].1)?,
                         ));
                     }
                     frag
                 } else {
                     // Evicted after classification: synchronous catch-up.
                     let wait_start = self.ctx.now();
-                    let p = crate::input::read_fragment_begin(&plane, a)?;
-                    let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
+                    let p = crate::input::read_fragment_begin(plane, a)?;
+                    let frag = crate::input::read_fragment_end(plane, p, self.molecule)?;
                     self.phase_times
                         .add(phases::INPUT, self.ctx.now() - wait_start);
                     frag
@@ -1485,16 +1435,16 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         granted: Vec<(u32, FragmentAssignment)>,
         search: bool,
     ) -> Result<(), PioError> {
-        let policy = self.policy;
-        let plane = input_plane(self.comm, self.cfg, &policy);
+        // In-flight handles borrow the plane, not `self`, across the searches.
+        let plane = self.io;
         let mut pend = match granted.first() {
-            Some((_, a)) => Some(crate::input::read_fragment_begin(&plane, a)?),
+            Some((_, a)) => Some(crate::input::read_fragment_begin(plane, a)?),
             None => None,
         };
         let mut next = 0usize;
         while let Some(p) = pend.take() {
             let wait_start = self.ctx.now();
-            let frag = crate::input::read_fragment_end(&plane, p, self.molecule)?;
+            let frag = crate::input::read_fragment_end(plane, p, self.molecule)?;
             self.phase_times
                 .add(phases::INPUT, self.ctx.now() - wait_start);
             let id = granted[next].0;
@@ -1502,7 +1452,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             // Read ahead before searching: the next fragment's bytes
             // move while this one is in the kernel.
             if let Some((_, a)) = granted.get(next) {
-                pend = Some(crate::input::read_fragment_begin(&plane, a)?);
+                pend = Some(crate::input::read_fragment_begin(plane, a)?);
             }
             if search {
                 self.search_one(batch, id, &frag)?;
@@ -1519,9 +1469,8 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         if self.pending_ckpts.is_empty() {
             return;
         }
-        let plane = independent_plane(self.comm, self.cfg).with_burst(self.burst);
         for h in std::mem::take(&mut self.pending_ckpts) {
-            if let Err(e) = plane.wait(h) {
+            if let Err(e) = self.io.wait(h) {
                 tracelog::instant(
                     tracelog::Lane::Io,
                     "ckpt.skipped",
@@ -1529,23 +1478,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 );
             }
         }
-    }
-
-    /// Join every pending burst-buffer drain, charging the exposed wait
-    /// to the output phase. A drain failure degrades into a trace event
-    /// — the affected bytes are absent, exactly as a failed direct
-    /// write would have left them.
-    fn fence_burst(&mut self) {
-        let Some(cell) = self.burst else { return };
-        let t = self.ctx.now();
-        if let Err(e) = cell.borrow_mut().fence(self.ctx) {
-            tracelog::instant(
-                tracelog::Lane::Io,
-                "stage.drain_failed",
-                vec![("error", e.to_string().into())],
-            );
-        }
-        self.phase_times.add(phases::OUTPUT, self.ctx.now() - t);
     }
 
     /// Search one fragment against the prepared batch, cache the
@@ -1650,17 +1582,16 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             }
             .encode();
             let path = ckpt_path(self.cfg, batch, id as usize);
-            let plane = independent_plane(self.comm, self.cfg).with_burst(self.burst);
             if self.cfg.io.io_async {
                 // Fire-and-collect: the blob write stays in flight while
                 // the worker searches on; drain_ckpts joins it at the
                 // epoch fence.
-                let handle = plane.submit_begin(IoRequest::CheckpointPut {
+                let handle = self.io.submit_begin(IoRequest::CheckpointPut {
                     path: &path,
                     payload: &blob,
                 });
                 self.pending_ckpts.push(handle);
-            } else if let Err(e) = plane.checkpoint_put(&path, &blob) {
+            } else if let Err(e) = self.io.checkpoint_put(&path, &blob) {
                 // A full file system degrades, not aborts: the blob is
                 // absent and recovery re-queues the fragment.
                 tracelog::instant(
@@ -1685,7 +1616,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             let bytes = self.comm.scatterv(MASTER, None);
             OffsetAssignment::decode(&bytes).map_err(decode_err)?
         };
-        let plane = output_plane(self.comm, self.cfg, &self.policy).with_burst(self.burst);
         let items = self
             .cache
             .assigned_records(&assignment.records)
@@ -1697,8 +1627,8 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         } else {
             self.cfg.output_path.clone()
         };
-        flush_output(&plane, &path, items)?;
-        if !self.policy.p2p() && !plane.is_collective() {
+        flush_output(self.io, &path, items)?;
+        if !self.policy.p2p() && !self.io.collective_writes() {
             self.comm.barrier();
         }
         let start = self.out_mark.take().unwrap_or(t);
@@ -1710,7 +1640,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 // not re-assign it after a death. Staged bytes are
                 // node-local and die with the rank, so they must drain
                 // before the ack leaves.
-                self.fence_burst();
+                fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
             }
             self.comm.send(MASTER, TAG_DONE, with_epoch(epoch, &[]));
         }

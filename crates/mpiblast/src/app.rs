@@ -24,7 +24,7 @@ use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
 use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
 use bytes::Bytes;
-use mpiio::{FileView, IoOptions, IoPlane, IoStrategy, PlaneConfig};
+use mpiio::{FileView, IoPlane, PlaneConfig};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
 use seqfmt::{FragmentData, VolumeIndex};
@@ -257,19 +257,9 @@ fn run_master(
     // ---- output epoch: merge, fetch serially, format, write serially ----
     let out_start = now();
     shared.create(ctx, &cfg.output_path);
-    // The baseline master writes alone: an independent, non-collective
-    // plane reproduces mpiBLAST's serial appends exactly.
-    let out_plane = IoPlane::new(
-        comm,
-        shared,
-        PlaneConfig {
-            options: IoOptions {
-                strategy: IoStrategy::Independent,
-                ..Default::default()
-            },
-            ..Default::default()
-        },
-    );
+    // The baseline master writes alone: the default plane (independent,
+    // synchronous, unstaged) reproduces mpiBLAST's serial appends exactly.
+    let out_plane = IoPlane::new(comm, shared, PlaneConfig::default(), None);
     let mut file_off = 0u64;
     // Traceback buffers, reused across every record the master formats.
     let mut traceback = ExtendScratch::new();

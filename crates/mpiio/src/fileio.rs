@@ -235,29 +235,41 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         );
         let tag = self.next_tag();
         let all_views = self.exchange_views(view)?;
-        let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
-            return Ok(PendingWriteAll { ops: Vec::new() });
+        let mut pend = PendingWriteAll {
+            ops: Vec::new(),
+            err: None,
         };
-        let mut ops = Vec::new();
+        let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
+            return Ok(pend);
+        };
         for (run_off, run_data) in self.gather_write_runs(tag, view, data, &all_views, &domains) {
             // A staged run carries no pending op: its drain belongs to
-            // the staging store and is joined at the next drain fence.
-            if try_stage(self.burst, self.comm.ctx(), &self.path, run_off, &run_data)? {
-                continue;
+            // the staging store and is joined at the next fence. A
+            // staging failure is this rank's alone, so it rides in the
+            // pending half and surfaces after the closing barrier —
+            // returning here would strand every other rank in it.
+            match try_stage(self.burst, self.comm.ctx(), &self.path, run_off, &run_data) {
+                Ok(true) => {}
+                Ok(false) => pend.ops.push(self.fs.write_at_begin(
+                    self.comm.ctx(),
+                    &self.path,
+                    run_off,
+                    run_data,
+                )),
+                Err(e) => {
+                    pend.err.get_or_insert(e);
+                }
             }
-            ops.push(
-                self.fs
-                    .write_at_begin(self.comm.ctx(), &self.path, run_off, run_data),
-            );
         }
-        Ok(PendingWriteAll { ops })
+        Ok(pend)
     }
 
     /// Join a split-collective write: wait for this rank's outstanding
-    /// run writes, then barrier. Errors (e.g. a full file system at
-    /// completion time) are reported after the barrier.
+    /// run writes, then barrier. Errors — a begin-time staging failure,
+    /// a full file system at completion time — are reported after the
+    /// barrier, so the collective stays aligned across ranks.
     pub fn write_at_all_end(&self, pend: PendingWriteAll) -> Result<(), StoreError> {
-        let mut err = None;
+        let mut err = pend.err;
         for op in pend.ops {
             if let Err(e) = self.fs.io_wait(self.comm.ctx(), op) {
                 err.get_or_insert(e);
@@ -418,16 +430,11 @@ impl<'a, 'c> MpiFile<'a, 'c> {
 /// [`MpiFile::write_at_all_begin`]).
 pub struct PendingWriteAll {
     ops: Vec<AsyncIo>,
+    /// The first run that failed at begin time, reported by `end`.
+    err: Option<StoreError>,
 }
 
 impl PendingWriteAll {
-    /// Whether every underlying transfer has already completed (the
-    /// `end` call would still barrier, but not block on the file
-    /// system).
-    pub fn is_done(&self) -> bool {
-        self.ops.iter().all(AsyncIo::is_done)
-    }
-
     /// Earliest issue time among the outstanding transfers, in virtual
     /// nanoseconds (`None` when this rank aggregates nothing).
     pub fn issued_ns(&self) -> Option<u64> {
@@ -446,11 +453,6 @@ pub struct PendingReadAll {
 }
 
 impl PendingReadAll {
-    /// Whether every underlying transfer has already completed.
-    pub fn is_done(&self) -> bool {
-        self.runs.iter().all(|(_, op)| op.is_done())
-    }
-
     /// Earliest issue time among the outstanding transfers, in virtual
     /// nanoseconds (`None` when this rank aggregates nothing).
     pub fn issued_ns(&self) -> Option<u64> {
@@ -842,6 +844,58 @@ mod tests {
                 assert_eq!(*b as u64, rec, "record {rec}");
             }
         }
+    }
+
+    #[test]
+    fn split_collective_write_stays_aligned_when_one_rank_cannot_stage() {
+        // Only rank 0's staging volume is too small for its run, so only
+        // rank 0's stage fails. Every rank must still come out of `end`
+        // (`Sim::run` panics on a deadlock): rank 0 with the typed
+        // error, the others clean and with their domain landed.
+        let sim = Sim::new(4);
+        let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
+        let fs2 = fs.clone();
+        let out = sim.run(move |ctx| {
+            let comm = Comm::new(&ctx, net());
+            let volume = SimFs::new(ctx.handle(), &format!("stage{}", ctx.rank()), fsprofile());
+            if ctx.rank() == 0 {
+                volume.set_capacity(4);
+            }
+            let store = RefCell::new(StagingStore::new(
+                volume,
+                fs2.clone(),
+                burstfs::BurstOptions::default(),
+                burstfs::DeviceModel {
+                    op_latency: 1e-5,
+                    bandwidth: 1e9,
+                },
+            ));
+            let file = MpiFile::open(&comm, &fs2, "out")
+                .with_hints(CollectiveHints { aggregators: 2 })
+                .with_burst(Some(&store));
+            let me = ctx.rank() as u64;
+            let view = FileView::contiguous(me * 10, 10);
+            // As the plane drives it: a failed begin has no end to post.
+            let result = file
+                .write_at_all_begin(&view, &[me as u8 + 1; 10])
+                .and_then(|pend| file.write_at_all_end(pend));
+            store.borrow_mut().fence(&ctx).unwrap();
+            result
+        });
+        assert!(
+            matches!(out.outputs[0], Err(StoreError::NoSpace { .. })),
+            "rank 0 aggregates the first domain: {:?}",
+            out.outputs[0]
+        );
+        assert!(
+            out.outputs[1..].iter().all(|r| r.is_ok()),
+            "{:?}",
+            out.outputs
+        );
+        // The second aggregator (rank 2) staged and drained its domain.
+        let written = fs.peek("out").unwrap();
+        assert_eq!(written[20..30], [3u8; 10]);
+        assert_eq!(written[30..40], [4u8; 10]);
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! scattered result records into one shared report file.
 //!
 //! Consumers do not call `MpiFile` directly: the [`plane::IoPlane`]
-//! fronts it with a typed request interface and owns the choice of
-//! physical access strategy (independent, data-sieved, or two-phase
-//! collective) per request.
+//! fronts it with a typed request interface and owns how the bytes move:
+//! the access class of each request kind (independent, data-sieved, or
+//! two-phase collective) and the rank's burst-buffer staging sink.
 
 #![warn(missing_docs)]
 
@@ -26,5 +26,7 @@ pub mod view;
 
 pub use burstfs::{BurstError, BurstOptions, BurstStats, StagingStore};
 pub use fileio::{CollectiveHints, MpiFile};
-pub use plane::{IoHandle, IoOptions, IoPlane, IoRequest, IoResponse, IoStrategy, PlaneConfig};
+pub use plane::{
+    IoHandle, IoOptions, IoPlane, IoRequest, IoResponse, PlaneConfig, SIEVE_HOLE_LIMIT,
+};
 pub use view::{FileView, ViewError};

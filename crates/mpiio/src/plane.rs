@@ -1,47 +1,54 @@
-//! The I/O plane: one typed access interface over [`MpiFile`], with the
-//! physical access strategy chosen per request.
+//! The I/O plane: one typed access interface over [`MpiFile`], built
+//! once per rank, that owns how the bytes move.
 //!
 //! Consumers describe *what* they touch — database regions, scattered
 //! output records, checkpoint blobs — as an [`IoRequest`]; the plane
-//! decides *how* the bytes move:
+//! services each request kind under one access class
+//! ([`parafs::IoClass`]), fixed when the plane is built:
 //!
-//! * [`IoStrategy::Independent`] issues one file-system operation per
-//!   view region (the paper's default input mode).
-//! * [`IoStrategy::Sieve`] applies data sieving (Thakur et al.,
-//!   *Optimizing Noncontiguous Accesses in MPI-IO*): on reads, regions
-//!   whose holes are at most [`IoOptions::sieve_threshold`] bytes are
-//!   serviced by one larger read spanning the holes; on writes, only
-//!   hole-free (strictly adjacent) regions are coalesced — the classic
-//!   read-modify-write across holes is deliberately omitted, because in
-//!   pioBLAST the holes of one rank's output view are exactly the
-//!   records other ranks are writing concurrently.
-//! * [`IoStrategy::TwoPhase`] uses the full two-phase collective path
+//! * `Independent` issues one file-system operation per view region
+//!   (the paper's default input mode).
+//! * `Sieved` applies data sieving (Thakur et al., *Optimizing
+//!   Noncontiguous Accesses in MPI-IO*): on reads, regions whose holes
+//!   are at most [`SIEVE_HOLE_LIMIT`] bytes are serviced by one larger
+//!   read spanning the holes; on writes, only hole-free (strictly
+//!   adjacent) regions are coalesced — the classic read-modify-write
+//!   across holes is deliberately omitted, because in pioBLAST the
+//!   holes of one rank's output view are exactly the records other
+//!   ranks are writing concurrently.
+//! * `TwoPhase` uses the full two-phase collective path
 //!   ([`MpiFile::write_at_all`]/[`MpiFile::read_at_all`]): view
 //!   exchange, file-domain partitioning across aggregators, and large
 //!   coalesced transfers.
 //!
-//! The default strategy, `TwoPhase`, is *adaptive*: it means "aggregate
-//! as hard as this request's context allows". Two-phase proper requires
-//! every rank of the communicator to post the request synchronously
-//! ([`PlaneConfig::collective`]). When aggregation was asked for
-//! ([`PlaneConfig::aggregate`]) but the context cannot synchronize —
-//! grant-driven dynamic schedules, point-to-point fault modes, recovery
-//! epochs — the plane degrades the request to `Sieve`: it coalesces
+//! The class is not a user knob. Whoever builds the plane resolves it
+//! from the run's context, once for database reads
+//! ([`PlaneConfig::input`]) and once for output writes
+//! ([`PlaneConfig::output`]): two-phase proper requires every rank of
+//! the communicator to post the request synchronously, so it is chosen
+//! only where aggregation was asked for *and* the schedule guarantees
+//! that; when aggregation was asked for but the context cannot
+//! synchronize — grant-driven dynamic schedules, point-to-point fault
+//! modes, recovery epochs — the request is sieved: the plane coalesces
 //! whatever views are actually posted, with no global exchange and so
-//! no deadlock. This degradation is what lets `collective_input`
-//! compose with dynamic scheduling and fault recovery. When aggregation
-//! was not requested at all, `TwoPhase` resolves to `Independent` — the
-//! paper's per-range individual I/O. Explicitly selecting `Independent`
-//! or `Sieve` pins the physical access pattern regardless of context
-//! (the `--io-strategy` ablation).
+//! no deadlock. That degradation is what lets `collective_input`
+//! compose with dynamic scheduling and fault recovery. Where no
+//! aggregation was requested the class is independent — the paper's
+//! per-range individual I/O. Checkpoint blobs and whole-file reads are
+//! contiguous per file and always independent.
 //!
-//! Every serviced request is attributed to a [`parafs::IoClass`] tally
-//! on the backing file system so benches can break traffic down by
-//! strategy.
+//! The plane also owns the rank's burst-buffer staging sink, when there
+//! is one: output and checkpoint writes are absorbed into it and drain
+//! in the background, and [`IoPlane::fence`] joins the drains. *When*
+//! to fence is the caller's durability policy; *what* a fence joins is
+//! the plane's business.
+//!
+//! Every serviced request is attributed to its class's tally on the
+//! backing file system so benches can break traffic down by class.
 
 use std::cell::RefCell;
 
-use burstfs::{BurstOptions, BurstStats, StagingStore};
+use burstfs::{BurstOptions, StagingStore};
 use parafs::{AsyncIo, IoClass, SimFs, StoreError};
 
 use mpisim::Comm;
@@ -50,109 +57,56 @@ use crate::fileio::{CollectiveHints, MpiFile, PendingReadAll, PendingWriteAll};
 use crate::stage::try_stage;
 use crate::view::FileView;
 
-/// How a plane services noncontiguous requests.
+/// Largest hole (bytes) a sieved read bridges to merge two regions into
+/// one transfer. One operation's latency buys about 120 KB of transfer
+/// on both modeled file systems (blade/NFS 2 ms × 60 MB/s, Altix/XFS
+/// 0.3 ms × 400 MB/s), so reading through a hole of up to half that is
+/// always cheaper than issuing a second operation.
+pub const SIEVE_HOLE_LIMIT: u64 = 64 * 1024;
+
+/// User-facing plane knobs (the `--io-async`/`--burst-buffer` surface).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum IoStrategy {
-    /// One file-system operation per view region.
-    Independent,
-    /// Data sieving: coalesce regions across holes up to the sieve
-    /// threshold (reads) or across zero-byte holes (writes).
-    Sieve,
-    /// Two-phase collective I/O where the plane is collective; degrades
-    /// to `Sieve` on an aggregating non-collective plane and to
-    /// `Independent` where no aggregation was requested (see the module
-    /// docs).
-    #[default]
-    TwoPhase,
-}
-
-impl IoStrategy {
-    /// The strategy's traffic-attribution class.
-    pub fn class(self) -> IoClass {
-        match self {
-            IoStrategy::Independent => IoClass::Independent,
-            IoStrategy::Sieve => IoClass::Sieved,
-            IoStrategy::TwoPhase => IoClass::TwoPhase,
-        }
-    }
-
-    /// A stable lowercase label (the inverse of the `FromStr` parse).
-    pub fn label(self) -> &'static str {
-        self.class().label()
-    }
-}
-
-impl std::str::FromStr for IoStrategy {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<IoStrategy, String> {
-        match s {
-            "independent" => Ok(IoStrategy::Independent),
-            "sieve" => Ok(IoStrategy::Sieve),
-            "two-phase" | "twophase" => Ok(IoStrategy::TwoPhase),
-            other => Err(format!(
-                "unknown I/O strategy {other:?} (expected independent, sieve, or two-phase)"
-            )),
-        }
-    }
-}
-
-impl std::fmt::Display for IoStrategy {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.write_str(self.label())
-    }
-}
-
-/// User-facing plane knobs (the `--io-strategy`/`--sieve-threshold`
-/// surface).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct IoOptions {
-    /// Preferred access strategy.
-    pub strategy: IoStrategy,
-    /// Largest hole (bytes) the sieve will read through to merge two
-    /// regions into one transfer. The default (64 KiB) sits near the
-    /// latency/bandwidth break-even of both modeled file systems.
-    pub sieve_threshold: u64,
     /// Service data requests asynchronously (the `--io-async` knob):
-    /// consumers post [`IoPlane::submit_begin`]/[`IoPlane::wait`] pairs
-    /// so transfers stay in flight while the rank computes — fragment
-    /// read-ahead on input, fire-and-collect on output. Off by default;
-    /// the synchronous [`IoPlane::submit`] path is the paper's baseline.
+    /// transfers stay in flight while the rank computes — fragment
+    /// read-ahead on input ([`IoPlane::submit_begin`]/[`IoPlane::wait`]
+    /// pairs), fire-and-collect on output. Off by default; the
+    /// synchronous [`IoPlane::submit`] path is the paper's baseline.
     pub io_async: bool,
-    /// Burst-buffer staging knobs (the `--burst-buffer`/`--stripe-files`
-    /// surface): when set, output and checkpoint writes are absorbed
-    /// into the node's staging volume and drained asynchronously. `None`
-    /// (the default) writes straight to the destination.
+    /// Burst-buffer staging knobs (the `--burst-buffer` surface): when
+    /// set, output and checkpoint writes are absorbed into the node's
+    /// staging volume and drained asynchronously. `None` (the default)
+    /// writes straight to the destination.
     pub burst: Option<BurstOptions>,
 }
 
-impl Default for IoOptions {
-    fn default() -> IoOptions {
-        IoOptions {
-            strategy: IoStrategy::TwoPhase,
-            sieve_threshold: 64 * 1024,
-            io_async: false,
-            burst: None,
-        }
-    }
-}
-
 /// Full configuration of one plane.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PlaneConfig {
-    /// Strategy and sieve knobs.
+    /// Async and staging knobs.
     pub options: IoOptions,
     /// Collective-I/O tuning (aggregator count).
     pub hints: CollectiveHints,
-    /// Whether the run asked for aggregated (collective-style) access on
-    /// this path — the `collective_input`/`collective_output` knobs.
-    /// Governs what the adaptive `TwoPhase` strategy resolves to.
-    pub aggregate: bool,
-    /// Whether every rank of the communicator posts this plane's
-    /// requests synchronously (required for two-phase proper). `false`
-    /// on grant-driven schedules and point-to-point fault modes.
-    /// Implies `aggregate`.
-    pub collective: bool,
+    /// The class [`IoRequest::DbRead`] is serviced under. `TwoPhase`
+    /// makes every database read a collective: all ranks of the
+    /// communicator must post it together.
+    pub input: IoClass,
+    /// The class [`IoRequest::OutputWrite`] is serviced under, with the
+    /// same collective contract for `TwoPhase`.
+    pub output: IoClass,
+}
+
+impl Default for PlaneConfig {
+    /// Synchronous, unstaged, independent on both paths: what a run
+    /// that asked for no aggregation resolves to.
+    fn default() -> PlaneConfig {
+        PlaneConfig {
+            options: IoOptions::default(),
+            hints: CollectiveHints::default(),
+            input: IoClass::Independent,
+            output: IoClass::Independent,
+        }
+    }
 }
 
 /// A typed I/O request against the plane.
@@ -245,19 +199,6 @@ enum HandleKind<'a, 'c> {
 }
 
 impl IoHandle<'_, '_> {
-    /// Whether every underlying transfer has already completed in
-    /// virtual time (a `wait` would still assemble — and, on the
-    /// collective path, barrier — but not block on the file system).
-    pub fn is_done(&self) -> bool {
-        match &self.kind {
-            HandleKind::Ready(_) => true,
-            HandleKind::Read { runs, .. } => runs.iter().all(|(_, op)| op.is_done()),
-            HandleKind::Write { ops } => ops.iter().all(AsyncIo::is_done),
-            HandleKind::CollRead { pend, .. } => pend.is_done(),
-            HandleKind::CollWrite { pend, .. } => pend.is_done(),
-        }
-    }
-
     /// Earliest issue time among the handle's transfers, in virtual
     /// nanoseconds.
     fn issued_ns(&self) -> Option<u64> {
@@ -276,83 +217,50 @@ pub struct IoPlane<'a, 'c> {
     comm: &'a Comm<'c>,
     fs: &'a SimFs,
     cfg: PlaneConfig,
-    burst: Option<&'a RefCell<StagingStore>>,
+    staging: Option<RefCell<StagingStore>>,
 }
 
 impl<'a, 'c> IoPlane<'a, 'c> {
-    /// Build a plane.
-    pub fn new(comm: &'a Comm<'c>, fs: &'a SimFs, cfg: PlaneConfig) -> IoPlane<'a, 'c> {
+    /// Build a plane. `staging` is the rank's burst-buffer staging
+    /// store, if it has one: output and checkpoint writes are absorbed
+    /// into it and drain to `fs` in the background, and a
+    /// [`BurstError::StagingFull`](burstfs::BurstError) push-back
+    /// transparently degrades the affected run to a direct write.
+    /// Database reads never stage.
+    pub fn new(
+        comm: &'a Comm<'c>,
+        fs: &'a SimFs,
+        cfg: PlaneConfig,
+        staging: Option<StagingStore>,
+    ) -> IoPlane<'a, 'c> {
         IoPlane {
             comm,
             fs,
             cfg,
-            burst: None,
+            staging: staging.map(RefCell::new),
         }
     }
 
-    /// Attach (or detach) a burst-buffer staging store. While attached,
-    /// output and checkpoint writes are absorbed into the staging
-    /// volume and drain to the destination in the background; a
-    /// [`BurstError::StagingFull`](burstfs::BurstError) push-back
-    /// transparently degrades the affected run to a direct write.
-    pub fn with_burst(mut self, burst: Option<&'a RefCell<StagingStore>>) -> Self {
-        self.burst = burst;
-        self
-    }
-
-    /// Whether a staging store is attached.
-    pub fn has_burst(&self) -> bool {
-        self.burst.is_some()
-    }
-
-    /// Nonblocking half of the split-collective drain: collect staged
-    /// drains that have already landed, freeing staging capacity. (The
-    /// "begin" half of every drain is implicit in the staged write
-    /// itself — drains are in flight from absorb time.)
-    pub fn drain_reap(&self) -> Result<(), StoreError> {
-        match self.burst {
-            Some(cell) => cell.borrow_mut().reap(self.comm.ctx()),
-            None => Ok(()),
-        }
-    }
-
-    /// Blocking half of the split-collective drain (the epoch fence):
-    /// join every pending staged drain, so every absorbed output and
-    /// checkpoint byte has landed at the destination when this returns.
-    pub fn drain_fence(&self) -> Result<(), StoreError> {
-        match self.burst {
+    /// The fence: join every pending staged drain, so every absorbed
+    /// output and checkpoint byte has landed at the destination when
+    /// this returns. Nothing to do on an unstaged plane.
+    pub fn fence(&self) -> Result<(), StoreError> {
+        match &self.staging {
             Some(cell) => cell.borrow_mut().fence(self.comm.ctx()),
             None => Ok(()),
         }
     }
 
-    /// Staging-tier counters, when a store is attached.
-    pub fn burst_stats(&self) -> Option<BurstStats> {
-        self.burst.map(|cell| cell.borrow().stats())
+    /// Whether database reads are true collectives (every rank must
+    /// then post them together, and they embed a barrier).
+    pub fn collective_reads(&self) -> bool {
+        self.cfg.input == IoClass::TwoPhase
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &PlaneConfig {
-        &self.cfg
-    }
-
-    /// The strategy requests will actually be serviced under. The
-    /// adaptive `TwoPhase` default resolves by context: two-phase proper
-    /// on a collective plane, sieving when aggregation was requested but
-    /// the ranks cannot synchronize, independent otherwise.
-    pub fn effective_strategy(&self) -> IoStrategy {
-        match self.cfg.options.strategy {
-            IoStrategy::TwoPhase if self.cfg.collective => IoStrategy::TwoPhase,
-            IoStrategy::TwoPhase if self.cfg.aggregate => IoStrategy::Sieve,
-            IoStrategy::TwoPhase => IoStrategy::Independent,
-            s => s,
-        }
-    }
-
-    /// Whether data requests are serviced as true collectives (every
-    /// rank must then post them together, and they embed a barrier).
-    pub fn is_collective(&self) -> bool {
-        self.effective_strategy() == IoStrategy::TwoPhase
+    /// Whether output writes are true collectives, with the same
+    /// contract.
+    pub fn collective_writes(&self) -> bool {
+        self.cfg.output == IoClass::TwoPhase
     }
 
     /// Service one typed request.
@@ -373,8 +281,8 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                     "plane.ckpt.put",
                     vec![("bytes", payload.len().into())],
                 );
-                self.note(IoStrategy::Independent, 1, payload.len() as u64);
-                if try_stage(self.burst, self.comm.ctx(), path, 0, payload)? {
+                self.note(IoClass::Independent, 1, payload.len() as u64);
+                if try_stage(self.staging.as_ref(), self.comm.ctx(), path, 0, payload)? {
                     return Ok(IoResponse::Done);
                 }
                 self.fs.create(self.comm.ctx(), path);
@@ -384,14 +292,14 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             IoRequest::CheckpointGet { path } => {
                 let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.get");
                 let data = self.fs.read_all(self.comm.ctx(), path)?;
-                self.note(IoStrategy::Independent, 1, data.len() as u64);
+                self.note(IoClass::Independent, 1, data.len() as u64);
                 Ok(IoResponse::Data(data))
             }
             IoRequest::CheckpointDrop { path } => {
                 let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.drop");
                 // A staged blob whose drain is still in flight would land
                 // *after* the delete and resurrect it; fence first.
-                self.drain_fence()?;
+                self.fence()?;
                 self.fs.delete(self.comm.ctx(), path)?;
                 Ok(IoResponse::Done)
             }
@@ -408,28 +316,37 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         }
     }
 
-    /// Read a whole file (staging: alias, queries, volume indexes).
+    /// Read a whole file (run setup: alias, queries, volume indexes).
     pub fn read_whole(&self, path: &str) -> Result<Vec<u8>, StoreError> {
         let data = self.fs.read_all(self.comm.ctx(), path)?;
-        self.note(IoStrategy::Independent, 1, data.len() as u64);
+        self.note(IoClass::Independent, 1, data.len() as u64);
         Ok(data)
     }
 
     /// Write scattered records ([`IoRequest::OutputWrite`]). Writes *do*
     /// fail — a full file system surfaces as
     /// [`StoreError::NoSpace`] — and the caller must degrade, not abort.
+    ///
+    /// Under [`IoOptions::io_async`] this is fire-and-collect: every run
+    /// of the view goes in flight at once, so per-operation latencies
+    /// overlap instead of summing (on the two-phase class it is the
+    /// split collective — begin and wait are both posted by every rank).
     pub fn write_output(
         &self,
         path: &str,
         view: &FileView,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        self.submit(IoRequest::OutputWrite {
+        let req = IoRequest::OutputWrite {
             path,
             view,
             payload,
-        })
-        .map(|_| ())
+        };
+        if self.cfg.options.io_async {
+            self.wait(self.submit_begin(req)).map(|_| ())
+        } else {
+            self.submit(req).map(|_| ())
+        }
     }
 
     /// Persist a checkpoint blob ([`IoRequest::CheckpointPut`]). Fails
@@ -458,33 +375,36 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// returning a handle to [`IoPlane::wait`] on. Reads and writes stay
     /// in flight — contending for bandwidth like any concurrent
     /// client — while the rank computes; `wait` exposes only the
-    /// remainder. Under the two-phase strategy this is a split
-    /// collective (every rank must post begin and wait together);
-    /// checkpoint gets/drops and begin-time failures resolve immediately
-    /// into a ready handle.
-    pub fn submit_begin(&self, req: IoRequest<'_>) -> IoHandle<'a, 'c> {
-        let strategy = self.effective_strategy();
-        let (op, bytes) = match &req {
-            IoRequest::DbRead { view, .. } => ("db_read", view.total_bytes()),
-            IoRequest::OutputWrite { payload, .. } => ("output_write", payload.len() as u64),
-            IoRequest::CheckpointPut { payload, .. } => ("ckpt_put", payload.len() as u64),
-            IoRequest::CheckpointGet { .. } => ("ckpt_get", 0),
-            IoRequest::CheckpointDrop { .. } => ("ckpt_drop", 0),
+    /// remainder. On the two-phase class this is a split collective
+    /// (every rank must post begin and wait together); checkpoint
+    /// gets/drops and begin-time failures resolve immediately into a
+    /// ready handle.
+    pub fn submit_begin<'p>(&'p self, req: IoRequest<'_>) -> IoHandle<'p, 'c> {
+        let (op, bytes, class) = match &req {
+            IoRequest::DbRead { view, .. } => ("db_read", view.total_bytes(), self.cfg.input),
+            IoRequest::OutputWrite { payload, .. } => {
+                ("output_write", payload.len() as u64, self.cfg.output)
+            }
+            IoRequest::CheckpointPut { payload, .. } => {
+                ("ckpt_put", payload.len() as u64, IoClass::Independent)
+            }
+            IoRequest::CheckpointGet { .. } => ("ckpt_get", 0, IoClass::Independent),
+            IoRequest::CheckpointDrop { .. } => ("ckpt_drop", 0, IoClass::Independent),
         };
         tracelog::instant(
             tracelog::Lane::Io,
             "plane.async.begin",
             vec![
                 ("op", op.into()),
-                ("strategy", strategy.label().into()),
+                ("strategy", class.label().into()),
                 ("bytes", bytes.into()),
             ],
         );
         let kind = match req {
             IoRequest::DbRead { path, view } => {
-                self.note(strategy, view.regions.len() as u64, view.total_bytes());
-                match strategy {
-                    IoStrategy::TwoPhase => {
+                self.note(class, view.regions.len() as u64, view.total_bytes());
+                match class {
+                    IoClass::TwoPhase => {
                         let file =
                             MpiFile::open(self.comm, self.fs, path).with_hints(self.cfg.hints);
                         match file.read_at_all_begin(view) {
@@ -494,15 +414,10 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                     }
                     _ => {
                         let regions: Vec<(u64, u64)> = view.absolute().collect();
-                        let run_ranges = if strategy == IoStrategy::Sieve {
-                            sieve_runs(&regions, self.cfg.options.sieve_threshold)
-                        } else {
-                            regions.clone()
-                        };
                         let begin_all = || -> Result<Vec<(u64, AsyncIo)>, StoreError> {
-                            run_ranges
-                                .iter()
-                                .map(|&(o, l)| {
+                            read_runs(&regions, class)
+                                .into_iter()
+                                .map(|(o, l)| {
                                     Ok((o, self.fs.read_at_begin(self.comm.ctx(), path, o, l)?))
                                 })
                                 .collect()
@@ -524,12 +439,12 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                     view.total_bytes(),
                     "payload must exactly fill the view"
                 );
-                self.note(strategy, view.regions.len() as u64, view.total_bytes());
-                match strategy {
-                    IoStrategy::TwoPhase => {
+                self.note(class, view.regions.len() as u64, view.total_bytes());
+                match class {
+                    IoClass::TwoPhase => {
                         let file = MpiFile::open(self.comm, self.fs, path)
                             .with_hints(self.cfg.hints)
-                            .with_burst(self.burst);
+                            .with_burst(self.staging.as_ref());
                         match file.write_at_all_begin(view, payload) {
                             Ok(pend) => HandleKind::CollWrite { file, pend },
                             Err(e) => HandleKind::Ready(Err(e)),
@@ -538,11 +453,11 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                     _ => {
                         let begin_all = || -> Result<Vec<AsyncIo>, StoreError> {
                             let mut ops = Vec::new();
-                            for (o, d) in write_runs(view, payload, strategy == IoStrategy::Sieve) {
+                            for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
                                 // Staged runs carry no handle: their drain
                                 // is tracked by the staging store and
                                 // joined at the next drain fence.
-                                if try_stage(self.burst, self.comm.ctx(), path, o, &d)? {
+                                if try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
                                     continue;
                                 }
                                 ops.push(self.fs.write_at_begin(self.comm.ctx(), path, o, d));
@@ -557,8 +472,8 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                 }
             }
             IoRequest::CheckpointPut { path, payload } => {
-                self.note(IoStrategy::Independent, 1, payload.len() as u64);
-                match try_stage(self.burst, self.comm.ctx(), path, 0, payload) {
+                self.note(IoClass::Independent, 1, payload.len() as u64);
+                match try_stage(self.staging.as_ref(), self.comm.ctx(), path, 0, payload) {
                     Ok(true) => HandleKind::Write { ops: Vec::new() },
                     Ok(false) => {
                         self.fs.create(self.comm.ctx(), path);
@@ -584,7 +499,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// exposed wait — everything this call blocks on — lands in a
     /// `plane.async.wait` span; the time the handle spent in flight
     /// before the join is reported as its `queued_ns` argument.
-    pub fn wait(&self, handle: IoHandle<'a, 'c>) -> Result<IoResponse, StoreError> {
+    pub fn wait(&self, handle: IoHandle<'_, 'c>) -> Result<IoResponse, StoreError> {
         let queued_ns = handle
             .issued_ns()
             .map_or(0, |t| self.comm.ctx().now().0.saturating_sub(t));
@@ -604,17 +519,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                 for (o, op) in runs {
                     run_data.push((o, self.fs.io_wait(self.comm.ctx(), op)?));
                 }
-                let total = regions.iter().map(|&(_, l)| l).sum::<u64>() as usize;
-                let mut out = Vec::with_capacity(total);
-                for (abs, len) in regions {
-                    let (o, d) = run_data
-                        .iter()
-                        .find(|(o, d)| abs >= *o && abs + len <= o + d.len() as u64)
-                        .expect("every region lies in a run");
-                    let start = (abs - o) as usize;
-                    out.extend_from_slice(&d[start..start + len as usize]);
-                }
-                Ok(IoResponse::Data(out))
+                Ok(IoResponse::Data(assemble(&regions, &run_data)))
             }
             HandleKind::Write { ops } => {
                 // Wait for every write even after a failure: the others
@@ -634,53 +539,34 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         }
     }
 
-    // ---- strategy execution ----
+    // ---- class execution ----
 
-    fn note(&self, strategy: IoStrategy, requests: u64, bytes: u64) {
-        self.fs.note_class(strategy.class(), requests, bytes);
+    fn note(&self, class: IoClass, requests: u64, bytes: u64) {
+        self.fs.note_class(class, requests, bytes);
     }
 
     fn read_view(&self, path: &str, view: &FileView) -> Result<Vec<u8>, StoreError> {
-        let strategy = self.effective_strategy();
+        let class = self.cfg.input;
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "plane.read",
             vec![
-                ("strategy", strategy.label().into()),
+                ("strategy", class.label().into()),
                 ("regions", view.regions.len().into()),
                 ("bytes", view.total_bytes().into()),
             ],
         );
-        self.note(strategy, view.regions.len() as u64, view.total_bytes());
-        match strategy {
-            IoStrategy::Independent => {
-                let mut out = Vec::with_capacity(view.total_bytes() as usize);
-                for (abs, len) in view.absolute() {
-                    out.extend_from_slice(&self.fs.read_at(self.comm.ctx(), path, abs, len)?);
-                }
-                Ok(out)
-            }
-            IoStrategy::Sieve => {
+        self.note(class, view.regions.len() as u64, view.total_bytes());
+        match class {
+            IoClass::Independent | IoClass::Sieved => {
                 let regions: Vec<(u64, u64)> = view.absolute().collect();
-                let runs = sieve_runs(&regions, self.cfg.options.sieve_threshold);
-                let mut out = Vec::with_capacity(view.total_bytes() as usize);
-                let mut run = runs.iter();
-                let mut cur: Option<(u64, Vec<u8>)> = None;
-                for (abs, len) in &regions {
-                    let covered = cur
-                        .as_ref()
-                        .is_some_and(|(o, d)| *abs >= *o && abs + len <= o + d.len() as u64);
-                    if !covered {
-                        let &(o, l) = run.next().expect("every region lies in a run");
-                        cur = Some((o, self.fs.read_at(self.comm.ctx(), path, o, l)?));
-                    }
-                    let (o, d) = cur.as_ref().expect("run just read");
-                    let start = (abs - o) as usize;
-                    out.extend_from_slice(&d[start..start + *len as usize]);
+                let mut run_data: Vec<(u64, Vec<u8>)> = Vec::new();
+                for (o, l) in read_runs(&regions, class) {
+                    run_data.push((o, self.fs.read_at(self.comm.ctx(), path, o, l)?));
                 }
-                Ok(out)
+                Ok(assemble(&regions, &run_data))
             }
-            IoStrategy::TwoPhase => {
+            IoClass::TwoPhase => {
                 let file = MpiFile::open(self.comm, self.fs, path).with_hints(self.cfg.hints);
                 file.read_at_all(view)
             }
@@ -693,35 +579,65 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             view.total_bytes(),
             "payload must exactly fill the view"
         );
-        let strategy = self.effective_strategy();
+        let class = self.cfg.output;
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "plane.write",
             vec![
-                ("strategy", strategy.label().into()),
+                ("strategy", class.label().into()),
                 ("regions", view.regions.len().into()),
                 ("bytes", view.total_bytes().into()),
             ],
         );
-        self.note(strategy, view.regions.len() as u64, view.total_bytes());
-        match strategy {
-            IoStrategy::Independent | IoStrategy::Sieve => {
-                for (o, d) in write_runs(view, payload, strategy == IoStrategy::Sieve) {
-                    if try_stage(self.burst, self.comm.ctx(), path, o, &d)? {
+        self.note(class, view.regions.len() as u64, view.total_bytes());
+        match class {
+            IoClass::Independent | IoClass::Sieved => {
+                for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
+                    if try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
                         continue;
                     }
                     self.fs.write_at(self.comm.ctx(), path, o, &d)?;
                 }
                 Ok(())
             }
-            IoStrategy::TwoPhase => {
+            IoClass::TwoPhase => {
                 let file = MpiFile::open(self.comm, self.fs, path)
                     .with_hints(self.cfg.hints)
-                    .with_burst(self.burst);
+                    .with_burst(self.staging.as_ref());
                 file.write_at_all(view, payload)
             }
         }
     }
+}
+
+/// The runs a view's regions are read as: the regions themselves, or —
+/// sieved — merged across holes of up to [`SIEVE_HOLE_LIMIT`] bytes.
+fn read_runs(regions: &[(u64, u64)], class: IoClass) -> Vec<(u64, u64)> {
+    if class == IoClass::Sieved {
+        sieve_runs(regions, SIEVE_HOLE_LIMIT)
+    } else {
+        regions.to_vec()
+    }
+}
+
+/// Slice every region out of the run that covers it, in view order.
+/// Regions and runs are both sorted, so one forward cursor finds them.
+fn assemble(regions: &[(u64, u64)], run_data: &[(u64, Vec<u8>)]) -> Vec<u8> {
+    let total = regions.iter().map(|&(_, l)| l).sum::<u64>() as usize;
+    let mut out = Vec::with_capacity(total);
+    let mut runs = run_data.iter().peekable();
+    for &(abs, len) in regions {
+        while runs
+            .peek()
+            .is_some_and(|(o, d)| abs + len > o + d.len() as u64)
+        {
+            runs.next();
+        }
+        let (o, d) = runs.peek().expect("every region lies in a run");
+        let start = (abs - o) as usize;
+        out.extend_from_slice(&d[start..start + len as usize]);
+    }
+    out
 }
 
 /// Merge sorted, disjoint absolute regions into read runs, bridging
@@ -777,18 +693,38 @@ mod tests {
         }
     }
 
-    fn plane_cfg(strategy: IoStrategy, threshold: u64, collective: bool) -> PlaneConfig {
+    /// A synchronous plane servicing both request kinds under `class`.
+    fn plane_cfg(class: IoClass) -> PlaneConfig {
         PlaneConfig {
-            options: IoOptions {
-                strategy,
-                sieve_threshold: threshold,
-                io_async: false,
-                burst: None,
-            },
+            options: IoOptions::default(),
             hints: CollectiveHints { aggregators: 2 },
-            aggregate: true,
-            collective,
+            input: class,
+            output: class,
         }
+    }
+
+    /// A staging store over a fresh per-rank staging volume; the volume
+    /// handle comes back too, so tests can read its counters.
+    fn staging_store(
+        ctx: &simcluster::RankCtx,
+        dest: &SimFs,
+        capacity: u64,
+    ) -> (SimFs, StagingStore) {
+        let volume = SimFs::new(ctx.handle(), &format!("stage{}", ctx.rank()), fsprofile());
+        let store = StagingStore::new(
+            volume.clone(),
+            dest.clone(),
+            BurstOptions {
+                stripe_files: 2,
+                stripe_unit: 8,
+                capacity,
+            },
+            burstfs::DeviceModel {
+                op_latency: 1e-5,
+                bandwidth: 1e9,
+            },
+        );
+        (volume, store)
     }
 
     #[test]
@@ -805,20 +741,16 @@ mod tests {
     }
 
     #[test]
-    fn all_strategies_read_the_same_bytes() {
+    fn all_classes_read_the_same_bytes() {
         let content: Vec<u8> = (0..500u32).map(|i| (i % 251) as u8).collect();
-        for strategy in [
-            IoStrategy::Independent,
-            IoStrategy::Sieve,
-            IoStrategy::TwoPhase,
-        ] {
+        for class in IoClass::ALL {
             let sim = Sim::new(3);
             let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
             fs.preload("db", content.clone());
             let fs2 = fs.clone();
             let out = sim.run(move |ctx| {
                 let comm = Comm::new(&ctx, net());
-                let plane = IoPlane::new(&comm, &fs2, plane_cfg(strategy, 16, true));
+                let plane = IoPlane::new(&comm, &fs2, plane_cfg(class), None);
                 let base = 100 * ctx.rank() as u64;
                 let view = FileView::new(base, vec![(0, 20), (30, 10), (90, 10)]).unwrap();
                 plane.db_read("db", &view).unwrap()
@@ -828,7 +760,7 @@ mod tests {
                 let mut want = content[base..base + 20].to_vec();
                 want.extend_from_slice(&content[base + 30..base + 40]);
                 want.extend_from_slice(&content[base + 90..base + 100]);
-                assert_eq!(got, &want, "{strategy} rank {r}");
+                assert_eq!(got, &want, "{} rank {r}", class.label());
             }
         }
     }
@@ -836,23 +768,28 @@ mod tests {
     #[test]
     fn sieved_reads_are_fewer_than_independent() {
         let content = vec![7u8; 4000];
-        let run = |strategy: IoStrategy| -> u64 {
+        let run = |cfg: PlaneConfig| -> (u64, u64) {
             let sim = Sim::new(1);
             let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
             fs.preload("db", content.clone());
             let fs2 = fs.clone();
             sim.run(move |ctx| {
                 let comm = Comm::new(&ctx, net());
-                let plane = IoPlane::new(&comm, &fs2, plane_cfg(strategy, 64, false));
+                let plane = IoPlane::new(&comm, &fs2, cfg, None);
                 // 16 regions with 8-byte holes: one sieved run.
                 let regions: Vec<(u64, u64)> = (0..16).map(|i| (i * 40, 32)).collect();
                 let view = FileView::new(0, regions).unwrap();
                 plane.db_read("db", &view).unwrap();
             });
-            fs.counters().data_ops
+            (
+                fs.counters().data_ops,
+                fs.class_tally(IoClass::Independent).requests,
+            )
         };
-        assert_eq!(run(IoStrategy::Independent), 16);
-        assert_eq!(run(IoStrategy::Sieve), 1);
+        assert_eq!(run(plane_cfg(IoClass::Sieved)), (1, 0));
+        // The default configuration is the no-aggregation resolution:
+        // one physical read per region, tallied as independent.
+        assert_eq!(run(PlaneConfig::default()), (16, 16));
     }
 
     #[test]
@@ -862,7 +799,7 @@ mod tests {
         let fs2 = fs.clone();
         sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoStrategy::Sieve, 1 << 20, false));
+            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoClass::Sieved), None);
             // Interleaved: rank r owns records r, r+2, r+4, ... of 10 bytes.
             let me = ctx.rank() as u64;
             let regions: Vec<(u64, u64)> = (0..4).map(|i| ((2 * i + me) * 10, 10)).collect();
@@ -887,38 +824,16 @@ mod tests {
     }
 
     #[test]
-    fn two_phase_without_an_aggregation_request_is_independent() {
-        let sim = Sim::new(1);
-        let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
-        fs.preload("db", vec![9u8; 100]);
-        let fs2 = fs.clone();
-        sim.run(move |ctx| {
-            let comm = Comm::new(&ctx, net());
-            let mut cfg = plane_cfg(IoStrategy::TwoPhase, 1 << 20, false);
-            cfg.aggregate = false;
-            let plane = IoPlane::new(&comm, &fs2, cfg);
-            assert_eq!(plane.effective_strategy(), IoStrategy::Independent);
-            let view = FileView::new(0, vec![(0, 8), (16, 8)]).unwrap();
-            assert_eq!(plane.db_read("db", &view).unwrap(), vec![9u8; 16]);
-        });
-        // One physical read per region: no hole bridging happened.
-        assert_eq!(fs.counters().data_ops, 2);
-        assert_eq!(fs.counters().bytes_read, 16);
-        assert_eq!(fs.class_tally(IoClass::Independent).requests, 2);
-    }
-
-    #[test]
-    fn two_phase_degrades_to_sieve_off_the_collective_path() {
+    fn sieved_requests_need_no_partner() {
         let sim = Sim::new(2);
         let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
         fs.preload("db", vec![3u8; 1000]);
         let fs2 = fs.clone();
         sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoStrategy::TwoPhase, 64, false));
-            assert_eq!(plane.effective_strategy(), IoStrategy::Sieve);
-            assert!(!plane.is_collective());
-            // Only rank 1 posts a request: on a collective plane this
+            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoClass::Sieved), None);
+            assert!(!plane.collective_reads() && !plane.collective_writes());
+            // Only rank 1 posts a request: on the two-phase class this
             // would deadlock in the view exchange.
             if ctx.rank() == 1 {
                 let view = FileView::new(0, vec![(0, 8), (16, 8)]).unwrap();
@@ -937,7 +852,8 @@ mod tests {
         let fs2 = fs.clone();
         sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoStrategy::TwoPhase, 64, true));
+            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoClass::TwoPhase), None);
+            assert!(plane.collective_reads() && plane.collective_writes());
             let me = ctx.rank() as u64;
             let view = FileView::new(0, vec![(me * 50, 50), (100 + me * 50, 50)]).unwrap();
             plane.write_output("out", &view, &[me as u8; 100]).unwrap();
@@ -960,18 +876,14 @@ mod tests {
     #[test]
     fn async_handles_return_the_same_bytes_as_sync() {
         let content: Vec<u8> = (0..500u32).map(|i| (i % 251) as u8).collect();
-        for strategy in [
-            IoStrategy::Independent,
-            IoStrategy::Sieve,
-            IoStrategy::TwoPhase,
-        ] {
+        for class in IoClass::ALL {
             let sim = Sim::new(3);
             let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
             fs.preload("db", content.clone());
             let fs2 = fs.clone();
             sim.run(move |ctx| {
                 let comm = Comm::new(&ctx, net());
-                let plane = IoPlane::new(&comm, &fs2, plane_cfg(strategy, 16, true));
+                let plane = IoPlane::new(&comm, &fs2, plane_cfg(class), None);
                 let base = 100 * ctx.rank() as u64;
                 let view = FileView::new(base, vec![(0, 20), (30, 10), (90, 10)]).unwrap();
                 let sync = plane.db_read("db", &view).unwrap();
@@ -980,27 +892,57 @@ mod tests {
                     view: &view,
                 });
                 match plane.wait(handle).unwrap() {
-                    IoResponse::Data(d) => assert_eq!(d, sync, "{strategy} read"),
+                    IoResponse::Data(d) => assert_eq!(d, sync, "{} read", class.label()),
                     IoResponse::Done => panic!("reads return data"),
                 }
-                // Scattered writes land the same bytes on both paths.
+                // Scattered writes land the same bytes on both paths:
+                // `write_output` is the sync path here and the
+                // begin/wait pair on an `io_async` plane.
                 let me = ctx.rank() as u64;
                 let wview = FileView::new(0, vec![(me * 30, 15), (90 + me * 30, 15)]).unwrap();
                 let payload = vec![me as u8 + 1; 30];
                 plane.write_output("out.sync", &wview, &payload).unwrap();
-                let handle = plane.submit_begin(IoRequest::OutputWrite {
-                    path: "out.async",
-                    view: &wview,
-                    payload: &payload,
-                });
-                assert_eq!(plane.wait(handle).unwrap(), IoResponse::Done);
+                let mut cfg = plane_cfg(class);
+                cfg.options.io_async = true;
+                IoPlane::new(&comm, &fs2, cfg, None)
+                    .write_output("out.async", &wview, &payload)
+                    .unwrap();
             });
             assert_eq!(
                 fs.peek("out.sync").unwrap(),
                 fs.peek("out.async").unwrap(),
-                "{strategy} write"
+                "{} write",
+                class.label()
             );
         }
+    }
+
+    #[test]
+    fn async_output_writes_overlap_their_latencies() {
+        // 32 scattered records on the independent class: the sync path
+        // charges 32 operation latencies back to back, `io_async` puts
+        // every run in flight at once.
+        let elapsed = |io_async: bool| -> u64 {
+            let sim = Sim::new(1);
+            let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
+            let out = sim.run(move |ctx| {
+                let comm = Comm::new(&ctx, net());
+                let mut cfg = plane_cfg(IoClass::Independent);
+                cfg.options.io_async = io_async;
+                let plane = IoPlane::new(&comm, &fs, cfg, None);
+                let view = FileView::new(0, (0..32).map(|i| (i * 20, 10)).collect()).unwrap();
+                let start = ctx.now();
+                plane.write_output("out", &view, &[1u8; 320]).unwrap();
+                (ctx.now() - start).0
+            });
+            out.outputs[0]
+        };
+        let (sync, overlapped) = (elapsed(false), elapsed(true));
+        assert!(sync >= 32 * 100_000, "32 serial 0.1 ms latencies: {sync}");
+        assert!(
+            overlapped < sync / 8,
+            "sync {sync} ns, async {overlapped} ns"
+        );
     }
 
     #[test]
@@ -1011,7 +953,7 @@ mod tests {
         let fs2 = fs.clone();
         let out = sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoStrategy::Sieve, 0, false));
+            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoClass::Sieved), None);
             let view = FileView::contiguous(0, 50_000_000);
             let start = ctx.now();
             let handle = plane.submit_begin(IoRequest::DbRead {
@@ -1040,7 +982,7 @@ mod tests {
         let fs2 = fs.clone();
         sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoStrategy::Independent, 0, false));
+            let plane = IoPlane::new(&comm, &fs2, PlaneConfig::default(), None);
             // Sync paths surface the late ENOSPC as a typed error.
             assert!(matches!(
                 plane.checkpoint_put("ckpt", &[0u8; 200]),
@@ -1064,58 +1006,40 @@ mod tests {
     }
 
     #[test]
-    fn staged_writes_land_identically_after_the_drain_fence() {
-        // Every strategy, with a staging store attached: scattered
+    fn staged_writes_land_identically_after_the_fence() {
+        // Every class, on a plane that owns a staging store: scattered
         // output and a checkpoint blob must land byte-identically to the
-        // unstaged run once the drain fence has been posted.
-        for strategy in [
-            IoStrategy::Independent,
-            IoStrategy::Sieve,
-            IoStrategy::TwoPhase,
-        ] {
+        // unstaged run once the fence has been posted.
+        for class in IoClass::ALL {
             let sim = Sim::new(3);
             let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
             let fs2 = fs.clone();
-            sim.run(move |ctx| {
+            let out = sim.run(move |ctx| {
                 let comm = Comm::new(&ctx, net());
-                let staging =
-                    SimFs::new(ctx.handle(), &format!("stage{}", ctx.rank()), fsprofile());
-                let store = RefCell::new(StagingStore::new(
-                    staging,
-                    fs2.clone(),
-                    BurstOptions {
-                        stripe_files: 2,
-                        stripe_unit: 8,
-                        capacity: 1 << 20,
-                    },
-                    burstfs::DeviceModel {
-                        op_latency: 1e-5,
-                        bandwidth: 1e9,
-                    },
-                ));
                 let me = ctx.rank() as u64;
                 let view = FileView::new(0, vec![(me * 30, 15), (90 + me * 30, 15)]).unwrap();
                 let payload = vec![me as u8 + 1; 30];
-                let direct = IoPlane::new(&comm, &fs2, plane_cfg(strategy, 16, true));
+                let direct = IoPlane::new(&comm, &fs2, plane_cfg(class), None);
                 direct.write_output("out.direct", &view, &payload).unwrap();
-                let staged = IoPlane::new(&comm, &fs2, plane_cfg(strategy, 16, true))
-                    .with_burst(Some(&store));
-                assert!(staged.has_burst());
+                let (volume, store) = staging_store(&ctx, &fs2, 1 << 20);
+                let staged = IoPlane::new(&comm, &fs2, plane_cfg(class), Some(store));
                 staged.write_output("out.staged", &view, &payload).unwrap();
                 let blob = vec![me as u8; 25];
                 staged.checkpoint_put(&format!("ck.{me}"), &blob).unwrap();
-                staged.drain_fence().unwrap();
+                staged.fence().unwrap();
                 // Checkpoints read back from the *destination*.
                 assert_eq!(staged.checkpoint_get(&format!("ck.{me}")).unwrap(), blob);
-                let stats = staged.burst_stats().unwrap();
-                assert_eq!(stats.drains, stats.puts);
-                assert_eq!(stats.backpressure, 0);
                 comm.barrier();
+                volume.counters().bytes_written
             });
+            // Nothing bounced: every output byte and every blob went
+            // through some rank's staging volume.
+            assert_eq!(out.outputs.iter().sum::<u64>(), 3 * (30 + 25));
             assert_eq!(
                 fs.peek("out.direct").unwrap(),
                 fs.peek("out.staged").unwrap(),
-                "{strategy} staged write"
+                "{} staged write",
+                class.label()
             );
         }
     }
@@ -1127,31 +1051,16 @@ mod tests {
         let sim = Sim::new(1);
         let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
         let fs2 = fs.clone();
-        sim.run(move |ctx| {
+        let out = sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let staging = SimFs::new(ctx.handle(), "stage0", fsprofile());
-            let store = RefCell::new(StagingStore::new(
-                staging,
-                fs2.clone(),
-                BurstOptions {
-                    stripe_files: 2,
-                    stripe_unit: 8,
-                    capacity: 10,
-                },
-                burstfs::DeviceModel {
-                    op_latency: 1e-5,
-                    bandwidth: 1e9,
-                },
-            ));
-            let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoStrategy::Independent, 0, false))
-                .with_burst(Some(&store));
+            let (volume, store) = staging_store(&ctx, &fs2, 10);
+            let plane = IoPlane::new(&comm, &fs2, PlaneConfig::default(), Some(store));
             let view = FileView::contiguous(0, 100);
             plane.write_output("out", &view, &[5u8; 100]).unwrap();
-            plane.drain_fence().unwrap();
-            let stats = plane.burst_stats().unwrap();
-            assert_eq!(stats.puts, 0);
-            assert!(stats.backpressure > 0);
+            plane.fence().unwrap();
+            volume.counters().bytes_written
         });
+        assert_eq!(out.outputs[0], 0, "nothing fit the staging volume");
         assert_eq!(fs.peek("out").unwrap(), vec![5u8; 100]);
     }
 
@@ -1162,7 +1071,7 @@ mod tests {
         let fs2 = fs.clone();
         sim.run(move |ctx| {
             let comm = Comm::new(&ctx, net());
-            let plane = IoPlane::new(&comm, &fs2, PlaneConfig::default());
+            let plane = IoPlane::new(&comm, &fs2, PlaneConfig::default(), None);
             assert!(matches!(
                 plane.checkpoint_get("absent"),
                 Err(StoreError::NotFound { .. })

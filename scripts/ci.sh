@@ -38,6 +38,15 @@ cargo test --release -q --test engine
 # threads x batched epochs, and a worker killed with staged-but-
 # undrained data must recover to the unstaged bytes (fence-before-ack).
 cargo test --release -q --test burst
+# The plane decides: the access class of reads and of writes is
+# resolved from (collective_input, collective_output, schedule, fault),
+# every row equal to the serial report with exactly the expected class
+# tallies. And a split-collective write stays aligned when one
+# aggregator's stage fails: a typed per-rank error after the closing
+# barrier, never a deadlock — in the file layer and end to end.
+cargo test --release -q -p pioblast --lib access_class_is_resolved_from_context
+cargo test --release -q -p mpiio --lib split_collective_write_stays_aligned_when_one_rank_cannot_stage
+cargo test --release -q --test burst staging_failure_inside_a_split_collective_is_typed_not_a_deadlock
 # Band-only traceback and direct renderer: score, edit script and record
 # bytes must equal the dense reference kept in the test (indel homologs,
 # unrelated lengths, band_pad 0..=64, one-residue ranges, dirty scratch),
@@ -115,10 +124,11 @@ done
   --out "$tracetmp/report-16ref.txt"
 cmp "$tracetmp/report-128.txt" "$tracetmp/report-16ref.txt"
 # Burst-buffer gate: staging output writes in the per-node burst buffer
-# striped across four backing files must export a well-formed trace
-# (stage.put/stage.drain spans validate with everything else) and the
-# merged report must stay byte-identical to the unstaged run.
-"$cli" run --program pio --procs 4 --burst-buffer --stripe-files 4 \
+# (striped across four backing files, the library default) must export
+# a well-formed trace (stage.put/stage.drain spans validate with
+# everything else) and the merged report must stay byte-identical to
+# the unstaged run.
+"$cli" run --program pio --procs 4 --burst-buffer \
   --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
   --out "$tracetmp/report-burst.txt" --trace "$tracetmp/trace-burst.json"
 "$cli" trace-check --in "$tracetmp/trace-burst.json"
@@ -149,3 +159,6 @@ done
 cargo build --release --offline --manifest-path benchmark/Cargo.toml
 cargo run --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
 git diff --exit-code -- benchmark/ BENCHMARK.json
+# The committed trace baselines are the definition of "same behaviour":
+# a change that had to regenerate one must say so, not slip it through.
+git diff --exit-code -- scripts/trace-baselines

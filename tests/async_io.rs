@@ -5,7 +5,7 @@
 //! overlaps input with search, checkpoint and output writes fire and
 //! collect at epoch fences — but must never change *what* lands in the
 //! report. The properties here drive arbitrary interleavings of
-//! begin/wait orderings (schedules, strategies, batching, skewed rank
+//! begin/wait orderings (schedules, access classes, batching, skewed rank
 //! speeds, worker kills with operations in flight) and pin the output
 //! to the synchronous plane's bytes.
 //!
@@ -52,7 +52,6 @@ struct Opts {
     nfrags: usize,
     platform: Platform,
     io_async: bool,
-    strategy: mpiio::IoStrategy,
     collective_input: bool,
     collective_output: bool,
     schedule: FragmentSchedule,
@@ -71,7 +70,6 @@ impl Default for Opts {
             nfrags: 9,
             platform: Platform::altix(),
             io_async: false,
-            strategy: mpiio::IoStrategy::TwoPhase,
             collective_input: false,
             collective_output: true,
             schedule: FragmentSchedule::Static,
@@ -112,7 +110,6 @@ fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
         rank_compute: opts.rank_compute.clone(),
         threads: opts.threads,
         io: mpiio::IoOptions {
-            strategy: opts.strategy,
             io_async: opts.io_async,
             ..Default::default()
         },
@@ -137,8 +134,9 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
     /// Any interleaving of begin/wait orderings the async plane can
-    /// produce — every strategy, both platforms, static and dynamic
-    /// schedules, batched epochs (handles fired during a batch's
+    /// produce — every access class (the `flags` bits draw every
+    /// context the plane resolves one from), both platforms, static and
+    /// dynamic schedules, batched epochs (handles fired during a batch's
     /// searches are collected at its fence), skewed per-rank compute
     /// speeds to shuffle which rank's operations are in flight when —
     /// yields bytes identical to the synchronous plane's.
@@ -146,16 +144,10 @@ proptest! {
     fn async_interleavings_are_byte_identical_to_sync(
         nranks in 3usize..=5,
         nfrags in 4usize..=10,
-        strategy_pick in 0usize..3,
         flags in 0u32..16,
         batch_pick in 0usize..=2,
         skew in prop::collection::vec(0.5f64..2.0, 5),
     ) {
-        let strategy = [
-            mpiio::IoStrategy::Independent,
-            mpiio::IoStrategy::Sieve,
-            mpiio::IoStrategy::TwoPhase,
-        ][strategy_pick];
         let (blade, dynamic) = (flags & 1 != 0, flags & 2 != 0);
         let (collective_input, collective_output) = (flags & 4 != 0, flags & 8 != 0);
         let query_batch = if batch_pick == 0 { None } else { Some(batch_pick) };
@@ -164,7 +156,6 @@ proptest! {
             nfrags,
             platform: if blade { Platform::blade_cluster() } else { Platform::altix() },
             io_async: true,
-            strategy,
             collective_input,
             collective_output,
             schedule: if dynamic { FragmentSchedule::Dynamic } else { FragmentSchedule::Static },
@@ -177,8 +168,8 @@ proptest! {
         prop_assert_eq!(
             &bytes[..],
             reference_bytes(),
-            "nranks={} nfrags={} strategy={} blade={} dynamic={} ci={} co={} batch={:?}",
-            nranks, nfrags, strategy, blade, dynamic,
+            "nranks={} nfrags={} blade={} dynamic={} ci={} co={} batch={:?}",
+            nranks, nfrags, blade, dynamic,
             collective_input, collective_output, query_batch
         );
     }

@@ -109,7 +109,6 @@ fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
         io: mpiio::IoOptions {
             io_async: opts.io_async,
             burst: opts.burst,
-            ..Default::default()
         },
         service: None,
     };
@@ -263,4 +262,89 @@ fn staged_checkpoints_survive_kill() {
     });
     assert!(killed.is_empty() || killed == vec![2]);
     assert_eq!(&bytes[..], reference_bytes());
+}
+
+/// A split-collective report write whose staging fails on *one*
+/// aggregator must stay aligned: the shared file system fills up just
+/// short of the second batch's last byte, so exactly the last
+/// aggregator's batch-1 drain fails — and `StagingStore::put` reports a
+/// completed drain's failure at the *next* put, inside batch 2's
+/// `write_at_all_begin`. That rank must come out of the collective with
+/// a typed output error while the others, whose stages succeeded, leave
+/// the closing barrier and finish; the engine must never see a
+/// deadlock. (Batch 2 is the last, so nobody waits on the failed rank
+/// afterwards.)
+#[test]
+fn staging_failure_inside_a_split_collective_is_typed_not_a_deadlock() {
+    use mpiblast::report::serial_report;
+    use pioblast::PioError;
+
+    let db = small_db();
+    let queries = sample_queries(&db, 3);
+    // The report is the queries' sections back to back, so batches 0
+    // and 1 (one query each) end where a two-query report ends.
+    let two_batches = serial_report(
+        &SearchParams::blastp(),
+        queries[..2].to_vec(),
+        &db,
+        ReportOptions::default(),
+    )
+    .expect("serial oracle")
+    .len() as u64;
+    let platform = Platform::blade_cluster();
+    let sim = Sim::new(4);
+    let env = ClusterEnv::new(&sim, &platform);
+    let db_alias = stage_shared_db(&env.shared, &db);
+    let query_path = stage_queries(&env.shared, &queries);
+    let staged: u64 = env
+        .shared
+        .peek_list("")
+        .iter()
+        .map(|p| env.shared.peek(p).expect("listed").len() as u64)
+        .sum();
+    env.shared.set_capacity(staged + two_batches - 1);
+    let cfg = PioBlastConfig {
+        platform,
+        env: env.clone(),
+        compute: ComputeModel::modeled(),
+        params: SearchParams::blastp(),
+        report: ReportOptions::default(),
+        db_alias,
+        query_path,
+        output_path: "results.txt".into(),
+        num_fragments: Some(9),
+        collective_output: true,
+        local_prune: false,
+        query_batch: Some(1),
+        collective_input: false,
+        schedule: FragmentSchedule::Static,
+        fault: FaultMode::Off,
+        checkpoint: false,
+        rank_compute: None,
+        threads: 1,
+        io: mpiio::IoOptions {
+            io_async: true,
+            burst: Some(BurstOptions::default()),
+        },
+        service: None,
+    };
+    let outcome = sim
+        .try_run_faulty(FaultPlan::none(), |ctx| pioblast::run_rank(&ctx, &cfg))
+        .expect("a staging failure must not strand the other ranks in the barrier");
+    let results: Vec<_> = outcome.outputs.into_iter().flatten().collect();
+    assert_eq!(results.len(), 4, "nobody was killed");
+    let failed = results
+        .iter()
+        .filter(|r| matches!(r, Err(PioError::Output(parafs::StoreError::NoSpace { .. }))))
+        .count();
+    let clean = results.iter().filter(|r| r.is_ok()).count();
+    assert!(
+        failed >= 1,
+        "the last aggregator must report NoSpace: {results:?}"
+    );
+    assert!(
+        clean >= 1,
+        "ranks that staged cleanly must finish: {results:?}"
+    );
+    assert_eq!(failed + clean, 4, "only typed output errors: {results:?}");
 }
