@@ -162,11 +162,6 @@ impl StagingStore {
         }
     }
 
-    /// The stripe layout staged runs use.
-    pub fn stripe_map(&self) -> StripeMap {
-        self.map
-    }
-
     /// Staged-but-undrained bytes.
     pub fn staged_bytes(&self) -> u64 {
         self.staged

@@ -231,27 +231,36 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         let start = ctx.now();
         let store_err = |e| PioError::Input(crate::input::InputError::Store(e));
         let bad = |what: String| PioError::Input(crate::input::InputError::Malformed(what));
-        let setup =
-            || -> Result<(AliasFile, Vec<SeqRecord>, Vec<VolumeIndex>, SimDuration), PioError> {
-                let alias_bytes = io.read_whole(&cfg.db_alias).map_err(store_err)?;
-                let alias = AliasFile::decode(&alias_bytes)
-                    .map_err(|e| bad(format!("alias {}: {e}", cfg.db_alias)))?;
-                let query_text = io.read_whole(&cfg.query_path).map_err(store_err)?;
-                let queries = fasta::parse(alias.molecule, &query_text)
-                    .map_err(|e| bad(format!("query FASTA {}: {e}", cfg.query_path)))?;
-                let idx_start = ctx.now();
-                let mut indexes: Vec<VolumeIndex> = Vec::new();
-                for vol in &alias.volumes {
-                    let path = format!("db/{vol}.idx");
-                    let idx_bytes = io.read_whole(&path).map_err(store_err)?;
-                    indexes.push(
-                        VolumeIndex::decode(&idx_bytes)
-                            .map_err(|e| bad(format!("volume index {path}: {e}")))?,
-                    );
-                }
-                Ok((alias, queries, indexes, ctx.now() - idx_start))
+        let setup = || {
+            let alias_bytes = io.read_whole(&cfg.db_alias).map_err(store_err)?;
+            let alias = AliasFile::decode(&alias_bytes)
+                .map_err(|e| bad(format!("alias {}: {e}", cfg.db_alias)))?;
+            let query_text = io.read_whole(&cfg.query_path).map_err(store_err)?;
+            let queries = fasta::parse(alias.molecule, &query_text)
+                .map_err(|e| bad(format!("query FASTA {}: {e}", cfg.query_path)))?;
+            let idx_start = ctx.now();
+            let mut indexes: Vec<VolumeIndex> = Vec::new();
+            for vol in &alias.volumes {
+                let path = format!("db/{vol}.idx");
+                let idx_bytes = io.read_whole(&path).map_err(store_err)?;
+                indexes.push(
+                    VolumeIndex::decode(&idx_bytes)
+                        .map_err(|e| bad(format!("volume index {path}: {e}")))?,
+                );
+            }
+            let idx_dur = ctx.now() - idx_start;
+            // Service mode partitions the query set into per-user stream
+            // batches and delivers each over its own TAG_QBATCH message at
+            // admission time; the bundle ships *empty* queries. A plan
+            // that does not cover the query set exactly degrades with
+            // the malformed setup files.
+            let service_batches = match &cfg.service {
+                Some(svc) => Some(svc.plan.partition(&queries)?),
+                None => None,
             };
-        let (alias, queries, indexes, idx_dur) = match setup() {
+            Ok::<_, PioError>((alias, queries, indexes, idx_dur, service_batches))
+        };
+        let (alias, queries, indexes, idx_dur, service_batches) = match setup() {
             Ok(v) => v,
             Err(e) => {
                 // Release the workers before bailing. Under the
@@ -268,28 +277,6 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 }
                 return Err(e);
             }
-        };
-        // Service mode partitions the query set into per-user stream
-        // batches and delivers each over its own TAG_QBATCH message at
-        // admission time; the bundle ships *empty* queries. Partition
-        // before the bundle goes out so a plan that does not cover the
-        // query set exactly degrades through the same release path as a
-        // malformed setup file.
-        let service_batches = match &cfg.service {
-            Some(svc) => match svc.plan.partition(&queries) {
-                Ok(b) => Some(b),
-                Err(e) => {
-                    if cfg.fault == FaultMode::Off {
-                        comm.bcast(MASTER, Bytes::new());
-                    } else {
-                        for w in 1..ctx.nranks() {
-                            let _ = comm.send_checked(w, TAG_ABORT, Bytes::new());
-                        }
-                    }
-                    return Err(e);
-                }
-            },
-            None => None,
         };
         let bundle = QueryBundle {
             db_title: alias.title.clone(),
@@ -502,7 +489,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 "worker_dead",
                 vec![("rank", w.into())],
             );
-            if self.policy.fault == FaultMode::Recover {
+            if self.policy.recovers() {
                 for &f in sm.owned(w) {
                     if !checkpointed.contains(&f) {
                         tracelog::instant(
@@ -740,7 +727,13 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                         .map(|a| Bytes::from(a.encode()))
                         .collect();
                     self.comm.scatterv(MASTER, Some(pieces));
-                    self.write_master_sections(&outcome)?;
+                    self.flush_master_sections(&self.cfg.output_path, &outcome)?;
+                    if !self.io.collective_writes() {
+                        // Two-phase ends in its own barrier; every other
+                        // class needs the explicit fence before the batch
+                        // is sealed.
+                        self.comm.barrier();
+                    }
                     if let Some(mark) = self.out_mark.take() {
                         self.phase_times.add(phases::OUTPUT, self.ctx.now() - mark);
                     }
@@ -772,16 +765,11 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 flush_output(self.io, &path, orphans)?;
-                let sections = outcome
-                    .master_sections
-                    .iter()
-                    .map(|(off, text)| (*off, text.as_str()))
-                    .collect();
-                flush_output(self.io, &path, sections)?;
+                self.flush_master_sections(&path, &outcome)?;
                 if let Some(mark) = self.out_mark.take() {
                     self.phase_times.add(phases::OUTPUT, self.ctx.now() - mark);
                 }
-                if self.policy.fault == FaultMode::Recover {
+                if self.policy.recovers() {
                     // Epoch fence: the sealed batch's staged output must
                     // be durable before recovery can treat the batch as
                     // done — a later death must never expose a report
@@ -848,19 +836,14 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         Ok(MetaSubmission { per_query })
     }
 
-    fn write_master_sections(&self, outcome: &MergeOutcome) -> Result<(), PioError> {
+    /// Write the master's own sections of a merged batch's report.
+    fn flush_master_sections(&self, path: &str, outcome: &MergeOutcome) -> Result<(), PioError> {
         let sections = outcome
             .master_sections
             .iter()
             .map(|(off, text)| (*off, text.as_str()))
             .collect();
-        flush_output(self.io, &self.cfg.output_path, sections)?;
-        if !self.io.collective_writes() {
-            // Two-phase ends in its own barrier; every other class
-            // needs the explicit fence before the batch is sealed.
-            self.comm.barrier();
-        }
-        Ok(())
+        flush_output(self.io, path, sections)
     }
 
     /// Seal the run: release the workers, join any staged drains, drop
@@ -1216,7 +1199,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 // searches must have landed (or degraded) before the
                 // results are acknowledged.
                 self.drain_ckpts();
-                if self.policy.fault == FaultMode::Recover || self.policy.checkpoint {
+                if self.policy.recovers() || self.policy.checkpoint {
                     // Same contract for the staging tier: anything the
                     // master is about to acknowledge must have drained
                     // out of this node's staging volume. Fault-free runs
@@ -1238,226 +1221,96 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         }
     }
 
-    /// Read the granted fragments through the plane (one posted view
-    /// set per file, whatever its input class makes of it), then
-    /// search them if the schedule wants search-on-grant.
+    /// Take `count` granted fragments in, one path for every mode. A
+    /// fragment comes from the resident [`FragmentStore`] when service
+    /// mode holds it — the cross-query cache hit that mode exists for —
+    /// and from the plane otherwise: one posted view set for all of the
+    /// grant's non-resident fragments, or, under `--io-async` on a
+    /// non-collective plane, one read per fragment with the next one in
+    /// flight behind the current search, so the exposed input time is
+    /// the first read plus whatever each search did not cover. It is then
+    /// searched if the schedule wants search-on-grant, and held. A
+    /// one-shot run is the case with nothing resident; a single-fragment
+    /// grant the case with nothing to read ahead.
     fn ingest(&mut self, batch: usize, count: usize, search: bool) -> Result<(), PioError> {
-        let mut granted = Vec::with_capacity(count);
-        for _ in 0..count {
-            granted.push(
-                self.pending
-                    .pop_front()
-                    .ok_or_else(|| PioError::Protocol("grant count exceeds stash".into()))?,
-            );
+        if self.policy.service && count != 1 {
+            // The master re-grants a stream batch one fragment at a time;
+            // the count arrives on the wire.
+            return Err(PioError::Protocol(format!(
+                "service-mode grant carries {count} fragments, not 1"
+            )));
         }
-        if self.policy.service {
-            return self.ingest_service(batch, granted);
+        if self.pending.len() < count {
+            return Err(PioError::Protocol("grant count exceeds stash".into()));
         }
-        if self.cfg.io.io_async && !self.io.collective_reads() {
-            return self.ingest_readahead(batch, granted, search);
-        }
-        let specs: Vec<FragmentAssignment> = granted.iter().map(|(_, a)| a.clone()).collect();
-        let input_start = self.ctx.now();
-        let datas =
-            crate::input::read_fragments(self.io, &self.grant_volumes, &specs, self.molecule)?;
-        self.phase_times
-            .add(phases::INPUT, self.ctx.now() - input_start);
-        for ((id, _), frag) in granted.into_iter().zip(datas) {
-            if search {
-                self.search_one(batch, id, &frag)?;
-            }
-            self.frags.push((id, frag));
-        }
-        Ok(())
-    }
-
-    /// Service-mode ingest: a granted fragment already resident in the
-    /// [`FragmentStore`] skips its read entirely — the cross-query cache
-    /// hit this mode exists for. Misses are read through the plane
-    /// (one batched posted set, or pipelined ahead of the searches under
-    /// `--io-async`), and every searched fragment is (re)admitted as
-    /// most-recently-used.
-    fn ingest_service(
-        &mut self,
-        batch: usize,
-        granted: Vec<(u32, FragmentAssignment)>,
-    ) -> Result<(), PioError> {
-        // Classify against the store up front so the misses' reads are
-        // planned before any search runs.
-        let miss_ids: Vec<u32> = granted
+        let granted: Vec<(u32, FragmentAssignment)> = self.pending.drain(..count).collect();
+        let absent: Vec<FragmentAssignment> = granted
             .iter()
             .filter(|(id, _)| !self.store.contains(*id as usize))
-            .map(|(id, _)| *id)
-            .collect();
-        if self.cfg.io.io_async && !self.io.collective_reads() {
-            return self.ingest_service_readahead(batch, granted, miss_ids);
-        }
-        let specs: Vec<FragmentAssignment> = granted
-            .iter()
-            .filter(|(id, _)| miss_ids.contains(id))
             .map(|(_, a)| a.clone())
             .collect();
-        let input_start = self.ctx.now();
-        let datas = if specs.is_empty() {
-            Vec::new()
-        } else {
-            crate::input::read_fragments(self.io, &self.grant_volumes, &specs, self.molecule)?
-        };
-        self.phase_times
-            .add(phases::INPUT, self.ctx.now() - input_start);
-        let mut reads = datas.into_iter();
-        for (id, a) in granted {
-            let frag = match self.store.take(id as usize) {
-                Some(frag) => {
-                    self.trace_residency(true, id, batch);
-                    frag
-                }
-                None => {
-                    self.trace_residency(false, id, batch);
-                    if miss_ids.contains(&id) {
-                        reads.next().expect("one read per classified miss")
-                    } else {
-                        // Evicted between classification and use (an
-                        // earlier insert in this very batch squeezed it
-                        // out): read it now, alone.
-                        let t = self.ctx.now();
-                        let frag = crate::input::read_fragments(
-                            self.io,
-                            &self.grant_volumes,
-                            std::slice::from_ref(&a),
-                            self.molecule,
-                        )?
-                        .pop()
-                        .expect("one spec, one fragment");
-                        self.phase_times.add(phases::INPUT, self.ctx.now() - t);
-                        frag
-                    }
-                }
-            };
-            self.search_one(batch, id, &frag)?;
-            self.admit_resident(id, frag);
-        }
-        Ok(())
-    }
-
-    /// The service-mode read-ahead pipeline (`--io-async`): the next
-    /// *miss*'s ranged reads go in flight before the current fragment is
-    /// searched; resident hits interleave without touching the plane.
-    fn ingest_service_readahead(
-        &mut self,
-        batch: usize,
-        granted: Vec<(u32, FragmentAssignment)>,
-        miss_ids: Vec<u32>,
-    ) -> Result<(), PioError> {
         // In-flight handles borrow the plane, not `self`, across the searches.
         let plane = self.io;
-        let misses: Vec<usize> = granted
-            .iter()
-            .enumerate()
-            .filter(|(_, (id, _))| miss_ids.contains(id))
-            .map(|(i, _)| i)
-            .collect();
-        let mut next_miss = 0usize;
-        let mut pend = match misses.first() {
-            Some(&p) => {
-                next_miss = 1;
-                Some((p, crate::input::read_fragment_begin(plane, &granted[p].1)?))
-            }
-            None => None,
+        let mut ahead = absent.iter();
+        let mut begin_next = || {
+            ahead
+                .next()
+                .map(|a| crate::input::read_fragment_begin(plane, a))
+                .transpose()
         };
-        for (i, (id, a)) in granted.iter().enumerate() {
-            let id = *id;
-            let frag = if let Some(frag) = self.store.take(id as usize) {
-                self.trace_residency(true, id, batch);
+        let mut in_flight = None;
+        let mut read = Vec::new().into_iter();
+        if self.cfg.io.io_async && !plane.collective_reads() {
+            in_flight = begin_next()?;
+        } else {
+            let t = self.ctx.now();
+            read =
+                crate::input::read_fragments(plane, &self.grant_volumes, &absent, self.molecule)?
+                    .into_iter();
+            self.phase_times.add(phases::INPUT, self.ctx.now() - t);
+        }
+        for (id, _) in granted {
+            let resident = self.store.take(id as usize);
+            if self.policy.service {
+                tracelog::instant(
+                    tracelog::Lane::Io,
+                    if resident.is_some() {
+                        "cache.hit"
+                    } else {
+                        "cache.miss"
+                    },
+                    vec![("fragment", u64::from(id).into()), ("batch", batch.into())],
+                );
+            }
+            let frag = if let Some(frag) = resident {
+                frag
+            } else if let Some(pend) = in_flight.take() {
+                let t = self.ctx.now();
+                let frag = crate::input::read_fragment_end(plane, pend, self.molecule)?;
+                self.phase_times.add(phases::INPUT, self.ctx.now() - t);
+                // Read ahead before searching: the next fragment's bytes
+                // move while this one is in the kernel.
+                in_flight = begin_next()?;
                 frag
             } else {
-                self.trace_residency(false, id, batch);
-                if pend.as_ref().is_some_and(|(p, _)| *p == i) {
-                    let (_, p) = pend.take().expect("just checked");
-                    let wait_start = self.ctx.now();
-                    let frag = crate::input::read_fragment_end(plane, p, self.molecule)?;
-                    self.phase_times
-                        .add(phases::INPUT, self.ctx.now() - wait_start);
-                    if next_miss < misses.len() {
-                        let np = misses[next_miss];
-                        next_miss += 1;
-                        pend = Some((
-                            np,
-                            crate::input::read_fragment_begin(plane, &granted[np].1)?,
-                        ));
-                    }
-                    frag
-                } else {
-                    // Evicted after classification: synchronous catch-up.
-                    let wait_start = self.ctx.now();
-                    let p = crate::input::read_fragment_begin(plane, a)?;
-                    let frag = crate::input::read_fragment_end(plane, p, self.molecule)?;
-                    self.phase_times
-                        .add(phases::INPUT, self.ctx.now() - wait_start);
-                    frag
-                }
+                read.next().expect("one read per non-resident fragment")
             };
-            self.search_one(batch, id, &frag)?;
-            self.admit_resident(id, frag);
-        }
-        Ok(())
-    }
-
-    /// Trace one service-mode residency outcome for a granted fragment.
-    fn trace_residency(&self, hit: bool, id: u32, batch: usize) {
-        tracelog::instant(
-            tracelog::Lane::Io,
-            if hit { "cache.hit" } else { "cache.miss" },
-            vec![("fragment", u64::from(id).into()), ("batch", batch.into())],
-        );
-    }
-
-    /// Admit a searched fragment into the resident store, tracing each
-    /// LRU eviction the insert forces.
-    fn admit_resident(&mut self, id: u32, frag: FragmentData) {
-        for evicted in self.store.insert(id as usize, frag) {
-            tracelog::instant(
-                tracelog::Lane::Io,
-                "store.evict",
-                vec![("fragment", (evicted as u64).into())],
-            );
-        }
-    }
-
-    /// The read-ahead pipeline (`--io-async`, non-collective planes):
-    /// the next granted fragment's ranged reads go in flight *before*
-    /// the search kernel runs on the current one, so the exposed input
-    /// time is the first fragment's read plus whatever remainder each
-    /// search did not cover.
-    fn ingest_readahead(
-        &mut self,
-        batch: usize,
-        granted: Vec<(u32, FragmentAssignment)>,
-        search: bool,
-    ) -> Result<(), PioError> {
-        // In-flight handles borrow the plane, not `self`, across the searches.
-        let plane = self.io;
-        let mut pend = match granted.first() {
-            Some((_, a)) => Some(crate::input::read_fragment_begin(plane, a)?),
-            None => None,
-        };
-        let mut next = 0usize;
-        while let Some(p) = pend.take() {
-            let wait_start = self.ctx.now();
-            let frag = crate::input::read_fragment_end(plane, p, self.molecule)?;
-            self.phase_times
-                .add(phases::INPUT, self.ctx.now() - wait_start);
-            let id = granted[next].0;
-            next += 1;
-            // Read ahead before searching: the next fragment's bytes
-            // move while this one is in the kernel.
-            if let Some((_, a)) = granted.get(next) {
-                pend = Some(crate::input::read_fragment_begin(plane, a)?);
-            }
             if search {
                 self.search_one(batch, id, &frag)?;
             }
-            self.frags.push((id, frag));
+            if self.policy.service {
+                // (Re)admit as most-recently-used, tracing each LRU
+                // eviction the insert forces.
+                for evicted in self.store.insert(id as usize, frag) {
+                    tracelog::instant(
+                        tracelog::Lane::Io,
+                        "store.evict",
+                        vec![("fragment", (evicted as u64).into())],
+                    );
+                }
+            } else {
+                self.frags.push((id, frag));
+            }
         }
         Ok(())
     }
@@ -1634,7 +1487,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         let start = self.out_mark.take().unwrap_or(t);
         self.phase_times.add(phases::OUTPUT, self.ctx.now() - start);
         if self.policy.p2p() {
-            if self.policy.fault == FaultMode::Recover {
+            if self.policy.recovers() {
                 // Fence-before-ack: TAG_DONE tells the master this
                 // worker's output section is durable, and recovery will
                 // not re-assign it after a death. Staged bytes are

@@ -799,6 +799,78 @@ mod tests {
         assert_eq!(frags, &[0], "recovered fragment granted before the backlog");
     }
 
+    /// Walk a service-mode machine through its whole stream, answering
+    /// every action the way the interpreter's traffic would (grant acks,
+    /// submissions, write acknowledgements) and killing worker 1 at the
+    /// first collection of stream batch 1. Returns every grant's size.
+    fn service_grant_sizes(fault: FaultMode, affinity: bool) -> Vec<usize> {
+        let mut p = policy(FragmentSchedule::Dynamic, fault, false, 5, 4);
+        p.nranks = 4;
+        p.service = true;
+        p.affinity = affinity;
+        let (mut sm, init) = MasterSm::new(p, vec![true; 4]);
+        assert!(init.is_empty(), "dynamic schedules are request-driven");
+        let mut live = vec![false, true, true, true];
+        let mut events: std::collections::VecDeque<MasterEvent> =
+            (1..4).map(|from| MasterEvent::Ready { from }).collect();
+        let mut sizes = Vec::new();
+        let mut killed = false;
+        while let Some(ev) = events.pop_front() {
+            for act in sm.handle(ev) {
+                match act {
+                    MasterAction::Grant { to, frags, .. } => {
+                        sizes.push(frags.len());
+                        events.push_back(MasterEvent::Ready { from: to });
+                    }
+                    MasterAction::Collect { batch: 1, .. } if !killed => {
+                        killed = true;
+                        live[1] = false;
+                        events.push_back(MasterEvent::Dead {
+                            ranks: vec![1],
+                            checkpointed: vec![],
+                        });
+                    }
+                    MasterAction::Collect { epoch, .. } => {
+                        for from in (1..4).filter(|&w| live[w]) {
+                            events.push_back(MasterEvent::Submission {
+                                from,
+                                epoch,
+                                sub: sub(),
+                            });
+                        }
+                    }
+                    MasterAction::Merge { epoch, .. } => {
+                        for from in (1..4).filter(|&w| live[w]) {
+                            events.push_back(MasterEvent::WriteDone { from, epoch });
+                        }
+                    }
+                    MasterAction::FinishBatch { .. } | MasterAction::Finish => {}
+                    other => panic!("service mode never emits {other:?}"),
+                }
+            }
+        }
+        assert_eq!(sm.phase(), MasterPhase::Finished);
+        sizes
+    }
+
+    #[test]
+    fn service_grants_carry_exactly_one_fragment() {
+        // The worker's ingest treats any other count as a protocol error,
+        // so pin the traffic: first grants, affinity re-grants and
+        // requeues after a death are all single-fragment.
+        for fault in [FaultMode::Off, FaultMode::Recover] {
+            for affinity in [false, true] {
+                let sizes = service_grant_sizes(fault, affinity);
+                // Four stream batches of five fragments, plus the requeues.
+                assert!(sizes.len() > 20, "{fault:?}/{affinity}: {sizes:?}");
+                assert!(
+                    sizes.iter().all(|&n| n == 1),
+                    "{fault:?}/{affinity}: {sizes:?}"
+                );
+            }
+        }
+    }
+
     #[test]
     fn losing_every_worker_fails_without_aborts() {
         let p = policy(FragmentSchedule::Dynamic, FaultMode::Recover, false, 2, 1);

@@ -168,19 +168,31 @@ fn run_master(
 
     // ---- startup: read the index and queries, broadcast the bundle ----
     let start = now();
-    let idx_bytes = shared
-        .read_all(ctx, &format!("{}.idx", cfg.fragment_names[0]))
-        .expect("fragment index present");
-    let index = VolumeIndex::decode(&idx_bytes).expect("valid fragment index");
-    let query_text = shared
-        .read_all(ctx, &cfg.query_path)
-        .expect("query file present");
-    let queries = fasta::parse(index.molecule, &query_text).expect("valid query FASTA");
-    let bundle = QueryBundle {
-        db_title: index.title.clone(),
-        db_stats: index.global_stats,
-        molecule: index.molecule,
-        queries,
+    let storage = |e: parafs::StoreError| ProtocolError::Storage(e.to_string());
+    let setup = || {
+        let idx_path = format!("{}.idx", cfg.fragment_names[0]);
+        let idx_bytes = shared.read_all(ctx, &idx_path).map_err(storage)?;
+        let index = VolumeIndex::decode(&idx_bytes)
+            .map_err(|e| ProtocolError::Malformed(format!("fragment index {idx_path}: {e}")))?;
+        let query_text = shared.read_all(ctx, &cfg.query_path).map_err(storage)?;
+        let queries = fasta::parse(index.molecule, &query_text).map_err(|e| {
+            ProtocolError::Malformed(format!("query FASTA {}: {e}", cfg.query_path))
+        })?;
+        Ok::<_, ProtocolError>(QueryBundle {
+            db_title: index.title,
+            db_stats: index.global_stats,
+            molecule: index.molecule,
+            queries,
+        })
+    };
+    let bundle = match setup() {
+        Ok(bundle) => bundle,
+        Err(e) => {
+            // The workers sit in the bundle broadcast: an empty bundle
+            // fails their decode into a typed error instead of a hang.
+            comm.bcast(MASTER, Bytes::new());
+            return Err(e);
+        }
     };
     comm.bcast(MASTER, Bytes::from(bundle.encode()));
     let prepared = cfg
@@ -230,7 +242,13 @@ fn run_master(
             },
             TAG_SUBMIT => {
                 let before = now();
-                let sub = ResultSubmission::decode(&m.payload).expect("valid submission");
+                let sub = match ResultSubmission::decode(&m.payload) {
+                    Ok(sub) => sub,
+                    Err(e) => {
+                        abort_workers(comm, &live);
+                        return Err(ProtocolError::Malformed(format!("submission: {e}")));
+                    }
+                };
                 let items: u64 = sub.per_query.iter().map(|(_, h)| h.len() as u64).sum();
                 cfg.compute.run_submission_handling(ctx, items, || {
                     for (q, hits) in sub.per_query {
@@ -288,10 +306,16 @@ fn run_master(
                     return Err(ProtocolError::WorkerDied { rank: dead[0] });
                 }
             };
-            let decoded = cfg.compute.run_fetch_handling(ctx, || {
-                FetchResponse::decode(&resp.payload).expect("valid fetch response")
-            });
-            fetched.push(decoded);
+            let decoded = cfg
+                .compute
+                .run_fetch_handling(ctx, || FetchResponse::decode(&resp.payload));
+            match decoded {
+                Ok(decoded) => fetched.push(decoded),
+                Err(e) => {
+                    abort_workers(comm, &live);
+                    return Err(ProtocolError::Malformed(format!("fetch response: {e}")));
+                }
+            }
         }
 
         // Format every selected record (the "NCBI output function" call).
@@ -677,6 +701,38 @@ mod tests {
         assert_eq!(out.outputs[0], None);
         for w in 1..3 {
             assert_eq!(out.outputs[w], Some(Err(ProtocolError::MasterDied)));
+        }
+    }
+
+    #[test]
+    fn bad_setup_inputs_are_typed_errors_on_every_rank() {
+        // A missing query file or a truncated fragment index must leave
+        // every rank with a typed error: the master neither panics nor
+        // strands the workers in the bundle broadcast.
+        for detect in [false, true] {
+            for truncate_idx in [false, true] {
+                let (sim, env, mut cfg) = faulty_cfg(4, 3);
+                cfg.fault_detection = detect;
+                if truncate_idx {
+                    let idx = format!("{}.idx", cfg.fragment_names[0]);
+                    let bytes = env.shared.peek(&idx).expect("staged index");
+                    env.shared.preload(&idx, bytes[..bytes.len() / 2].to_vec());
+                } else {
+                    cfg.query_path = "no-such-queries.fa".to_string();
+                }
+                let out = sim
+                    .try_run_faulty(simcluster::FaultPlan::none(), |ctx| run_rank(&ctx, &cfg))
+                    .expect("neither a rank panic nor a deadlock");
+                for (rank, result) in out.outputs.iter().enumerate() {
+                    assert!(
+                        matches!(
+                            result,
+                            Some(Err(ProtocolError::Storage(_) | ProtocolError::Malformed(_)))
+                        ),
+                        "detect={detect} truncate_idx={truncate_idx} rank {rank}: {result:?}"
+                    );
+                }
+            }
         }
     }
 

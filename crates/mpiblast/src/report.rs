@@ -9,9 +9,7 @@
 
 use blast_core::extend::ExtendScratch;
 use blast_core::format::{self, ReportConfig};
-use blast_core::search::{
-    BlastSearcher, PreparedQueries, SearchParams, SearchScratch, SubjectHit, SubjectSource,
-};
+use blast_core::search::{BlastSearcher, PreparedQueries, SearchParams, SearchScratch, SubjectHit};
 use blast_core::seq::SeqRecord;
 use seqfmt::FormattedDb;
 
@@ -215,17 +213,6 @@ pub fn serial_report(
         out.extend_from_slice(layout.footer.as_bytes());
     }
     Ok(out)
-}
-
-/// Convenience: search one [`SubjectSource`] and return per-query hits
-/// (used by both apps' workers).
-pub fn search_source<S: SubjectSource + ?Sized>(
-    searcher: &BlastSearcher<'_>,
-    source: &S,
-    scratch: &mut SearchScratch,
-) -> (Vec<Vec<SubjectHit>>, blast_core::search::SearchStats) {
-    let result = searcher.search(source, scratch);
-    (result.per_query, result.stats)
 }
 
 #[cfg(test)]

@@ -49,15 +49,6 @@ impl FragmentSpec {
     pub fn num_seqs(&self) -> u64 {
         self.last_seq - self.first_seq
     }
-
-    /// Total bytes a worker reads to load this fragment (seq + hdr + both
-    /// index slices) — the paper's parallel-input volume.
-    pub fn input_bytes(&self) -> u64 {
-        (self.seq_range.1 - self.seq_range.0)
-            + (self.hdr_range.1 - self.hdr_range.0)
-            + (self.idx_seq_range.1 - self.idx_seq_range.0)
-            + (self.idx_hdr_range.1 - self.idx_hdr_range.0)
-    }
 }
 
 /// Compute up to `n` virtual fragments over a set of volume indexes,

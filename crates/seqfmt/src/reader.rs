@@ -198,12 +198,6 @@ impl SubjectSource for FragmentData {
     }
 }
 
-/// Reconstruct a volume's full index from bytes (convenience re-export
-/// point for apps that read the whole `.idx` file).
-pub fn decode_index(idx_bytes: &[u8]) -> Result<VolumeIndex, CodecError> {
-    VolumeIndex::decode(idx_bytes)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

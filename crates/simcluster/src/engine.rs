@@ -57,13 +57,6 @@ pub struct Message {
     pub arrival: SimTime,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Status {
-    Blocked,
-    Running,
-    Finished,
-}
-
 #[derive(Debug, Clone)]
 struct QueuedMsg {
     src: usize,
@@ -157,54 +150,85 @@ impl FaultPlan {
 /// fires (see [`SimHandle::schedule_callback`]).
 type Callback = Box<dyn FnOnce() + Send>;
 
+/// What a heap event does when it fires.
+enum Target {
+    /// Resume this rank.
+    Wake(usize),
+    /// Crash-stop this rank.
+    Kill(usize),
+    /// Run a service callback on the engine thread.
+    Callback(Callback),
+}
+
 struct EngineState {
     clock: u64,
     heap: BinaryHeap<std::cmp::Reverse<(u64, u64)>>, // (time, gen)
-    wake_target: HashMap<u64, usize>,
-    /// Events that kill a rank instead of waking it.
-    kill_target: HashMap<u64, usize>,
-    /// Events that run a service callback instead of resuming a rank.
-    callback_target: HashMap<u64, Callback>,
-    status: Vec<Status>,
+    /// Every pending heap event's target, by gen; a canceled event has
+    /// no entry.
+    targets: HashMap<u64, Target>,
+    /// Ranks that returned or were killed.
+    finished: Vec<bool>,
     dead: Vec<bool>,
     mailboxes: Vec<Vec<QueuedMsg>>,
     recv_filter: Vec<Option<Filter>>,
     recv_wakes: Vec<Vec<u64>>,
     /// Sends remaining until an `AfterSends` fault arms, per doomed rank.
     sends_until_kill: HashMap<usize, u64>,
-    send_counts: Vec<u64>,
     next_gen: u64,
     next_seq: u64,
     stats: EngineStats,
 }
 
 impl EngineState {
-    fn schedule(&mut self, rank: usize, time: u64) -> WakeId {
+    fn schedule(&mut self, time: u64, target: Target) -> WakeId {
         let gen = self.next_gen;
         self.next_gen += 1;
         self.heap.push(std::cmp::Reverse((time, gen)));
-        self.wake_target.insert(gen, rank);
+        self.targets.insert(gen, target);
         WakeId(gen)
     }
 
-    fn schedule_kill(&mut self, rank: usize, time: u64) {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.heap.push(std::cmp::Reverse((time, gen)));
-        self.kill_target.insert(gen, rank);
-    }
-
-    fn schedule_callback(&mut self, time: u64, cb: Callback) -> WakeId {
-        let gen = self.next_gen;
-        self.next_gen += 1;
-        self.heap.push(std::cmp::Reverse((time, gen)));
-        self.callback_target.insert(gen, cb);
-        WakeId(gen)
+    /// Schedule a wake of `rank` that its current receive owns: delivery
+    /// or give-up cancels it.
+    fn schedule_recv_wake(&mut self, rank: usize, time: u64) {
+        let gen = self.schedule(time, Target::Wake(rank));
+        self.recv_wakes[rank].push(gen.0);
     }
 
     fn cancel(&mut self, id: WakeId) {
-        self.wake_target.remove(&id.0);
-        self.callback_target.remove(&id.0);
+        self.targets.remove(&id.0);
+    }
+
+    /// `rank`'s earliest message matching `filter`, by (arrival, seq): its
+    /// mailbox index and arrival time.
+    fn earliest(&self, rank: usize, filter: Filter) -> Option<(usize, u64)> {
+        self.mailboxes[rank]
+            .iter()
+            .enumerate()
+            .filter(|(_, m)| filter.matches(m))
+            .min_by_key(|(_, m)| (m.arrival, m.seq))
+            .map(|(i, m)| (i, m.arrival))
+    }
+
+    /// Leave `rank`'s receive: drop its filter and cancel the wakes the
+    /// receive armed (arrivals, the deadline, death notices).
+    fn end_recv(&mut self, rank: usize) {
+        self.recv_filter[rank] = None;
+        while let Some(gen) = self.recv_wakes[rank].pop() {
+            self.cancel(WakeId(gen));
+        }
+    }
+
+    /// Remove message `i` from `rank`'s mailbox and leave the receive.
+    fn deliver(&mut self, rank: usize, i: usize) -> Message {
+        let m = self.mailboxes[rank].remove(i);
+        self.end_recv(rank);
+        Message {
+            src: m.src,
+            tag: m.tag,
+            payload: m.payload,
+            arrival: SimTime(m.arrival),
+        }
     }
 
     /// Crash-stop `rank`: discard its mailbox and pending recv state, and
@@ -212,18 +236,13 @@ impl EngineState {
     /// deadline-aware receives can re-check liveness promptly.
     fn mark_dead(&mut self, rank: usize) {
         self.dead[rank] = true;
-        self.status[rank] = Status::Finished;
+        self.finished[rank] = true;
         self.mailboxes[rank].clear();
-        self.recv_filter[rank] = None;
-        let stale: Vec<u64> = self.recv_wakes[rank].drain(..).collect();
-        for gen in stale {
-            self.cancel(WakeId(gen));
-        }
+        self.end_recv(rank);
         let clock = self.clock;
-        for peer in 0..self.status.len() {
+        for peer in 0..self.dead.len() {
             if peer != rank && self.recv_filter[peer].is_some() {
-                let gen = self.schedule(peer, clock);
-                self.recv_wakes[peer].push(gen.0);
+                self.schedule_recv_wake(peer, clock);
             }
         }
     }
@@ -344,16 +363,13 @@ impl Sim {
             state: Mutex::new(EngineState {
                 clock: 0,
                 heap: BinaryHeap::new(),
-                wake_target: HashMap::new(),
-                kill_target: HashMap::new(),
-                callback_target: HashMap::new(),
-                status: vec![Status::Blocked; nranks],
+                targets: HashMap::new(),
+                finished: vec![false; nranks],
                 dead: vec![false; nranks],
                 mailboxes: vec![Vec::new(); nranks],
                 recv_filter: vec![None; nranks],
                 recv_wakes: vec![Vec::new(); nranks],
                 sends_until_kill: HashMap::new(),
-                send_counts: vec![0; nranks],
                 next_gen: 0,
                 next_seq: 0,
                 stats: EngineStats::default(),
@@ -461,17 +477,19 @@ impl Sim {
         {
             let mut st = inner.state.lock();
             for r in 0..n {
-                st.schedule(r, 0);
+                st.schedule(0, Target::Wake(r));
             }
             for f in &plan.faults {
                 assert!(f.rank < n, "fault targets rank {} of {n}", f.rank);
-                match f.trigger {
-                    FaultTrigger::AtTime(t) => st.schedule_kill(f.rank, t.0),
-                    FaultTrigger::AfterSends(0) => st.schedule_kill(f.rank, 0),
+                let time = match f.trigger {
+                    FaultTrigger::AtTime(t) => t.0,
+                    FaultTrigger::AfterSends(0) => 0,
                     FaultTrigger::AfterSends(k) => {
                         st.sends_until_kill.insert(f.rank, k);
+                        continue;
                     }
-                }
+                };
+                st.schedule(time, Target::Kill(f.rank));
             }
         }
         let tracer = inner.tracer.lock().clone();
@@ -587,81 +605,54 @@ where
     let mut finished = 0usize;
 
     while finished < n && error.is_none() {
-        enum Next {
-            Resume(usize, u64),
-            Kill(usize, u64),
-            Service(Callback),
-            Deadlock(SimTime, Vec<usize>),
-        }
+        // The earliest live event and the clock it fires at, or the
+        // deadlock an empty heap means.
         let next = {
             let mut st = inner.state.lock();
             loop {
-                match st.heap.pop() {
-                    Some(std::cmp::Reverse((time, gen))) => {
-                        if let Some(rank) = st.kill_target.remove(&gen) {
-                            if st.status[rank] == Status::Finished {
-                                continue; // already finished or dead
-                            }
-                            st.stats.events += 1;
-                            st.clock = st.clock.max(time);
-                            st.mark_dead(rank);
-                            break Next::Kill(rank, st.clock);
-                        }
-                        if let Some(rank) = st.wake_target.remove(&gen) {
-                            if st.status[rank] == Status::Finished {
-                                continue; // stale wake for a finished rank
-                            }
-                            st.stats.events += 1;
-                            st.clock = st.clock.max(time);
-                            st.status[rank] = Status::Running;
-                            break Next::Resume(rank, st.clock);
-                        }
-                        if let Some(cb) = st.callback_target.remove(&gen) {
-                            st.stats.events += 1;
-                            st.clock = st.clock.max(time);
-                            break Next::Service(cb);
-                        }
-                        // canceled wake
-                    }
-                    None => {
-                        let blocked: Vec<usize> = st
-                            .status
-                            .iter()
-                            .enumerate()
-                            .filter(|(_, s)| **s != Status::Finished)
-                            .map(|(r, _)| r)
-                            .collect();
-                        break Next::Deadlock(SimTime(st.clock), blocked);
-                    }
+                let Some(std::cmp::Reverse((time, gen))) = st.heap.pop() else {
+                    let blocked = (0..n).filter(|&r| !st.finished[r]).collect();
+                    break Err(SimError::Deadlock {
+                        at: SimTime(st.clock),
+                        blocked,
+                    });
+                };
+                let target = match st.targets.remove(&gen) {
+                    None => continue, // canceled
+                    // A wake or kill of a rank that already finished or died.
+                    Some(Target::Wake(r) | Target::Kill(r)) if st.finished[r] => continue,
+                    Some(target) => target,
+                };
+                st.stats.events += 1;
+                st.clock = st.clock.max(time);
+                if let Target::Kill(rank) = target {
+                    st.mark_dead(rank);
                 }
+                break Ok((target, st.clock));
             }
         };
         match next {
-            Next::Resume(r, t) => {
+            Ok((Target::Wake(r), t)) => {
                 trace_engine(tracer, r, t, "wake");
                 match enter(&mut lanes[r], |fib| fib.resume(0)) {
                     YIELD_BLOCKED => {
-                        let t = {
-                            let mut st = inner.state.lock();
-                            st.status[r] = Status::Blocked;
-                            st.clock
-                        };
+                        let t = inner.state.lock().clock;
                         trace_engine(tracer, r, t, "block");
                     }
                     DONE_FINISHED => {
                         let t = {
                             let mut st = inner.state.lock();
-                            st.status[r] = Status::Finished;
-                            finished += 1;
+                            st.finished[r] = true;
                             st.clock
                         };
+                        finished += 1;
                         trace_engine(tracer, r, t, "finish");
                     }
                     DONE_PANICKED => error = Some(take_panic(r)),
                     code => unreachable!("impossible resume code {code}"),
                 }
             }
-            Next::Kill(r, t) => {
+            Ok((Target::Kill(r), t)) => {
                 trace_engine(tracer, r, t, "kill");
                 // Unwind the continuation *now*: destructors (and their
                 // trace events) run synchronously at the kill time, and
@@ -672,15 +663,11 @@ where
                 killed.push(r);
                 finished += 1;
             }
-            Next::Service(cb) => {
-                // Run the service action here, between resumptions,
-                // while every rank is parked; the callback may schedule
-                // wakes, further callbacks, or posts.
-                cb();
-            }
-            Next::Deadlock(at, blocked) => {
-                error = Some(SimError::Deadlock { at, blocked });
-            }
+            // Run the service action here, between resumptions, while
+            // every rank is parked; the callback may schedule wakes,
+            // further callbacks, or posts.
+            Ok((Target::Callback(cb), _)) => cb(),
+            Err(deadlock) => error = Some(deadlock),
         }
     }
 
@@ -732,7 +719,7 @@ impl SimHandle {
     pub fn schedule_wake(&self, rank: usize, time: SimTime) -> WakeId {
         let mut st = self.inner.state.lock();
         let t = time.0.max(st.clock);
-        st.schedule(rank, t)
+        st.schedule(t, Target::Wake(rank))
     }
 
     /// Schedule `cb` to run on the engine thread at `time` (clamped to
@@ -745,7 +732,7 @@ impl SimHandle {
     pub fn schedule_callback(&self, time: SimTime, cb: impl FnOnce() + Send + 'static) -> WakeId {
         let mut st = self.inner.state.lock();
         let t = time.0.max(st.clock);
-        st.schedule_callback(t, Box::new(cb))
+        st.schedule(t, Target::Callback(Box::new(cb)))
     }
 
     /// Cancel a previously scheduled wake or callback (no-op if already
@@ -758,13 +745,12 @@ impl SimHandle {
     /// Messages to a dead rank are silently dropped (crash-stop model).
     pub fn post(&self, src: usize, dst: usize, tag: u64, payload: Bytes, delay: SimDuration) {
         let mut st = self.inner.state.lock();
-        st.send_counts[src] += 1;
         if let Some(remaining) = st.sends_until_kill.get_mut(&src) {
             *remaining = remaining.saturating_sub(1);
             if *remaining == 0 {
                 st.sends_until_kill.remove(&src);
                 let clock = st.clock;
-                st.schedule_kill(src, clock);
+                st.schedule(clock, Target::Kill(src));
             }
         }
         if st.dead[dst] {
@@ -786,8 +772,7 @@ impl SimHandle {
         let wake = matches!(&st.recv_filter[dst], Some(f) if f.matches(&msg));
         st.mailboxes[dst].push(msg);
         if wake {
-            let gen = st.schedule(dst, arrival);
-            st.recv_wakes[dst].push(gen.0);
+            st.schedule_recv_wake(dst, arrival);
         }
     }
 
@@ -848,7 +833,7 @@ impl RankCtx {
         let target = {
             let mut st = self.inner.state.lock();
             let t = st.clock + d.0;
-            st.schedule(self.rank, t);
+            st.schedule(t, Target::Wake(self.rank));
             t
         };
         loop {
@@ -858,7 +843,7 @@ impl RankCtx {
             }
             // Spurious wake: re-arm.
             let mut st = self.inner.state.lock();
-            st.schedule(self.rank, target);
+            st.schedule(target, Target::Wake(self.rank));
         }
     }
 
@@ -937,47 +922,11 @@ impl RankCtx {
     }
 
     /// Receive the earliest message matching the optional source and tag
-    /// filters, blocking in virtual time until one arrives.
+    /// filters, blocking in virtual time until one arrives. A dead source
+    /// does not end the wait: with nothing else pending the run deadlocks.
     pub fn recv(&self, src: Option<usize>, tag: Option<u64>) -> Message {
-        let filter = Filter { src, tag };
-        loop {
-            {
-                let mut st = self.inner.state.lock();
-                // Earliest matching message by (arrival, seq).
-                let best = st.mailboxes[self.rank]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| filter.matches(m))
-                    .min_by_key(|(_, m)| (m.arrival, m.seq))
-                    .map(|(i, m)| (i, m.arrival));
-                match best {
-                    Some((i, arrival)) if arrival <= st.clock => {
-                        let m = st.mailboxes[self.rank].remove(i);
-                        st.recv_filter[self.rank] = None;
-                        let stale: Vec<u64> = st.recv_wakes[self.rank].drain(..).collect();
-                        for gen in stale {
-                            st.cancel(WakeId(gen));
-                        }
-                        return Message {
-                            src: m.src,
-                            tag: m.tag,
-                            payload: m.payload,
-                            arrival: SimTime(m.arrival),
-                        };
-                    }
-                    Some((_, arrival)) => {
-                        // In flight: wake when it lands.
-                        let gen = st.schedule(self.rank, arrival);
-                        st.recv_wakes[self.rank].push(gen.0);
-                        st.recv_filter[self.rank] = Some(filter);
-                    }
-                    None => {
-                        st.recv_filter[self.rank] = Some(filter);
-                    }
-                }
-            }
-            self.wait_woken();
-        }
+        self.recv_deadline(src, tag, None)
+            .expect("a receive without a deadline never gives up")
     }
 
     /// Like [`RankCtx::recv`], but gives up at `deadline`: returns `None`
@@ -991,44 +940,34 @@ impl RankCtx {
         tag: Option<u64>,
         deadline: SimTime,
     ) -> Option<Message> {
+        self.recv_deadline(src, tag, Some(deadline))
+    }
+
+    /// The one blocking receive; no deadline is the case that never
+    /// gives up.
+    fn recv_deadline(
+        &self,
+        src: Option<usize>,
+        tag: Option<u64>,
+        deadline: Option<SimTime>,
+    ) -> Option<Message> {
         let filter = Filter { src, tag };
-        // Arm the deadline wake once; it rides in `recv_wakes`, so a
-        // successful receive cancels it along with any arrival wakes.
-        {
+        let rank = self.rank;
+        if let Some(deadline) = deadline {
+            // Arm the deadline wake once; it rides in `recv_wakes`, so a
+            // successful receive cancels it along with any arrival wakes.
             let mut st = self.inner.state.lock();
             let t = deadline.0.max(st.clock);
-            let gen = st.schedule(self.rank, t);
-            st.recv_wakes[self.rank].push(gen.0);
+            st.schedule_recv_wake(rank, t);
         }
         loop {
             {
                 let mut st = self.inner.state.lock();
-                let best = st.mailboxes[self.rank]
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, m)| filter.matches(m))
-                    .min_by_key(|(_, m)| (m.arrival, m.seq))
-                    .map(|(i, m)| (i, m.arrival));
-                match best {
-                    Some((i, arrival)) if arrival <= st.clock => {
-                        let m = st.mailboxes[self.rank].remove(i);
-                        st.recv_filter[self.rank] = None;
-                        let stale: Vec<u64> = st.recv_wakes[self.rank].drain(..).collect();
-                        for gen in stale {
-                            st.cancel(WakeId(gen));
-                        }
-                        return Some(Message {
-                            src: m.src,
-                            tag: m.tag,
-                            payload: m.payload,
-                            arrival: SimTime(m.arrival),
-                        });
-                    }
-                    Some((_, arrival)) if arrival <= deadline.0 => {
-                        // In flight and lands in time: wake at arrival.
-                        let gen = st.schedule(self.rank, arrival);
-                        st.recv_wakes[self.rank].push(gen.0);
-                        st.recv_filter[self.rank] = Some(filter);
+                match st.earliest(rank, filter) {
+                    Some((i, arrival)) if arrival <= st.clock => return Some(st.deliver(rank, i)),
+                    // In flight and lands in time: wake at arrival.
+                    Some((_, arrival)) if deadline.is_none_or(|d| arrival <= d.0) => {
+                        st.schedule_recv_wake(rank, arrival);
                     }
                     _ => {
                         // Give up at the deadline — or immediately if the
@@ -1036,17 +975,13 @@ impl RankCtx {
                         // queued or in flight (no message can ever come:
                         // in-flight sends are already in the mailbox).
                         let src_dead = src.is_some_and(|s| st.dead[s]);
-                        if st.clock >= deadline.0 || src_dead {
-                            st.recv_filter[self.rank] = None;
-                            let stale: Vec<u64> = st.recv_wakes[self.rank].drain(..).collect();
-                            for gen in stale {
-                                st.cancel(WakeId(gen));
-                            }
+                        if deadline.is_some_and(|d| st.clock >= d.0 || src_dead) {
+                            st.end_recv(rank);
                             return None;
                         }
-                        st.recv_filter[self.rank] = Some(filter);
                     }
                 }
+                st.recv_filter[rank] = Some(filter);
             }
             self.wait_woken();
         }
@@ -1060,24 +995,11 @@ impl RankCtx {
     /// Non-blocking receive: the earliest already-arrived matching
     /// message, if any.
     pub fn try_recv(&self, src: Option<usize>, tag: Option<u64>) -> Option<Message> {
-        let filter = Filter { src, tag };
         let mut st = self.inner.state.lock();
-        let clock = st.clock;
-        let best = st.mailboxes[self.rank]
-            .iter()
-            .enumerate()
-            .filter(|(_, m)| filter.matches(m) && m.arrival <= clock)
-            .min_by_key(|(_, m)| (m.arrival, m.seq))
-            .map(|(i, _)| i);
-        best.map(|i| {
-            let m = st.mailboxes[self.rank].remove(i);
-            Message {
-                src: m.src,
-                tag: m.tag,
-                payload: m.payload,
-                arrival: SimTime(m.arrival),
-            }
-        })
+        match st.earliest(self.rank, Filter { src, tag }) {
+            Some((i, arrival)) if arrival <= st.clock => Some(st.deliver(self.rank, i)),
+            _ => None,
+        }
     }
 }
 
@@ -1567,6 +1489,26 @@ mod tests {
         });
         assert_eq!(out.killed, vec![1]);
         assert_eq!(out.outputs[0], Some(SimTime(3_000)));
+    }
+
+    #[test]
+    fn plain_recv_from_a_dead_source_reblocks_and_deadlocks() {
+        // The one thing the shared receive loop must not share: with no
+        // deadline, the death wake is spurious — the survivor re-blocks
+        // instead of returning the way `recv_until` does.
+        let plan = FaultPlan::none().kill_at(1, SimTime(3_000));
+        let err = Sim::new(2)
+            .try_run_faulty(plan, |ctx| {
+                let _ = ctx.recv(Some(1 - ctx.rank()), None);
+            })
+            .expect_err("nobody ever sends");
+        assert_eq!(
+            err,
+            SimError::Deadlock {
+                at: SimTime(3_000),
+                blocked: vec![0],
+            }
+        );
     }
 
     #[test]

@@ -111,6 +111,18 @@ for b in $(seq 0 $((nq - 1))); do
     --out "$tracetmp/ref$b.txt"
   cmp "$tracetmp/svc.txt.q$b" "$tracetmp/ref$b.txt"
 done
+# The same stream on the nonblocking plane: each miss's read is begun
+# ahead of its search and resident hits never touch the plane — the
+# ingest path `serve --io-async` takes. Well-formed trace, and every
+# per-batch report byte-identical to the synchronous serve's.
+"$cli" serve --procs 16 --affinity --resident-mb 64 --io-async \
+  --users 2 --stream-batches "$nq" --seed 9 \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/svc-async.txt" --trace "$tracetmp/trace-serve-async.json"
+"$cli" trace-check --in "$tracetmp/trace-serve-async.json"
+for b in $(seq 0 $((nq - 1))); do
+  cmp "$tracetmp/svc.txt.q$b" "$tracetmp/svc-async.txt.q$b"
+done
 # Engine smoke at scale: 128 ranks run as fibers on the run's one
 # engine thread. The trace must validate, and the report must be
 # byte-identical to a 16-rank run over the same 15 fragments — rank
@@ -133,6 +145,15 @@ cmp "$tracetmp/report-128.txt" "$tracetmp/report-16ref.txt"
   --out "$tracetmp/report-burst.txt" --trace "$tracetmp/trace-burst.json"
 "$cli" trace-check --in "$tracetmp/trace-burst.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-burst.txt"
+# Recovery lowering gate: the point-to-point protocol with checkpoints,
+# read-ahead ingest, fire-and-collect checkpoint puts and the staging
+# fences (no kill: the CLI injects none) must export a well-formed
+# trace and the same report bytes as the collective run.
+"$cli" run --program pio --procs 4 --recover --checkpoint --io-async --burst-buffer \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-recover.txt" --trace "$tracetmp/trace-recover.json"
+"$cli" trace-check --in "$tracetmp/trace-recover.json"
+cmp "$tracetmp/report.txt" "$tracetmp/report-recover.txt"
 # And the trace-diff of two identical runs must be empty. (Via a file:
 # grep -q would close the pipe early and SIGPIPE the still-printing CLI.)
 "$cli" trace-diff --a "$tracetmp/trace-128.json" --b "$tracetmp/trace-128.json" \
@@ -146,7 +167,8 @@ grep -q "traces are equivalent" "$tracetmp/diff-self.txt"
 #   target/release/pioblast-sim trace-diff --in <trace.json> \
 #     --write-baseline scripts/trace-baselines/<name>.tsv
 # and commit the result.
-for t in trace trace-async trace-hybrid trace-serve trace-128 trace-burst; do
+for t in trace trace-async trace-hybrid trace-serve trace-serve-async trace-128 \
+  trace-burst trace-recover; do
   "$cli" trace-diff --in "$tracetmp/$t.json" \
     --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
 done
