@@ -31,108 +31,79 @@
 //!
 //! Results land in `BENCH_burst.json` at the workspace root.
 
-use std::fmt::Write as _;
-
-use blast_bench::runner::PHASE_PRECEDENCE;
-use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
+use blast_bench::report::{round4, save_bench, Value};
+use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
+use blast_bench::{run, Program, Run};
 use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, Platform};
-use pioblast::{BurstOptions, FaultMode, FragmentSchedule, IoOptions, PioBlastConfig};
-use simcluster::{FaultPlan, Sim};
+use mpiblast::Platform;
+use pioblast::{BurstOptions, FaultMode, FragmentSchedule};
+use simcluster::FaultPlan;
 
 const NPROCS: usize = 16;
 const BATCH: usize = 4;
 
-struct Run {
-    elapsed_s: f64,
-    /// Absolute critical-path time in the output phase, simulated secs.
-    output_path_s: f64,
-    share_output: f64,
-    /// `stage.put` / `stage.drain` instants observed in the trace.
-    stage_puts: u64,
-    stage_drains: u64,
-    report: Vec<u8>,
+/// A run with the `stage.put` / `stage.drain` instants observed in its
+/// trace. The summary's `output` is the absolute critical-path time in
+/// the output phase, simulated seconds.
+struct Staged {
+    run: Run,
+    puts: u64,
+    drains: u64,
 }
 
-fn run_one(platform: &Platform, burst: Option<BurstOptions>, kill: Option<(usize, u64)>) -> Run {
-    let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
-    let sim = Sim::new(NPROCS);
-    let tracer = tracelog::Tracer::new(NPROCS);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
-    let faulty = kill.is_some();
-    let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
-        compute: workload.compute,
-        params: SearchParams::blastp(),
-        report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: Some((NPROCS - 1) * 2),
-        collective_output: true,
-        local_prune: false,
-        query_batch: Some(BATCH),
-        collective_input: false,
-        schedule: if faulty {
-            FragmentSchedule::Dynamic
-        } else {
-            Default::default()
-        },
-        fault: if faulty {
-            FaultMode::Recover
-        } else {
-            Default::default()
-        },
-        checkpoint: faulty,
-        rank_compute: None,
-        threads: 1,
-        io: IoOptions {
-            burst,
-            ..Default::default()
-        },
-        service: None,
-    };
+impl Staged {
+    /// `elapsed_s`, `output_path_s`, `share_output`.
+    fn timing(&self) -> Vec<(&'static str, Value)> {
+        let s = &self.run.summary;
+        vec![
+            ("elapsed_s", s.total.into()),
+            ("output_path_s", s.output.into()),
+            ("share_output", s.shares()[2].into()),
+        ]
+    }
+}
+
+fn run_one(
+    platform: &Platform,
+    workload: &Workload,
+    burst: Option<BurstOptions>,
+    kill: Option<(usize, u64)>,
+) -> Staged {
     let plan = match kill {
         None => FaultPlan::none(),
         Some((rank, sends)) => FaultPlan::none().kill_after_sends(rank, sends),
     };
-    let outcome = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
-    assert!(
-        matches!(outcome.outputs[0], Some(Ok(_))),
-        "master completes"
-    );
-    if let Some((rank, _)) = kill {
-        assert_eq!(outcome.killed, vec![rank], "planned kill fires");
-    }
-    let wall = outcome.elapsed.since(simcluster::SimTime::ZERO).0;
-    let trace = tracer.finish(wall);
-    let path = tracelog::analyze::critical_path(&trace, &PHASE_PRECEDENCE);
-    let tick = if wall == 0 {
-        0.0
-    } else {
-        outcome.elapsed.as_secs_f64() / wall as f64
-    };
-    let count = |name: &str| trace.events.iter().filter(|e| e.name == name).count() as u64;
-    Run {
-        elapsed_s: outcome.elapsed.as_secs_f64(),
-        output_path_s: path.get(phases::OUTPUT) as f64 * tick,
-        share_output: if wall == 0 {
-            0.0
-        } else {
-            path.get(phases::OUTPUT) as f64 / wall as f64
+    let run = run(
+        Program::PioBlast,
+        NPROCS,
+        Some((NPROCS - 1) * 2),
+        platform,
+        workload,
+        plan,
+        |cfg| {
+            cfg.query_batch = Some(BATCH);
+            cfg.io.burst = burst;
+            if kill.is_some() {
+                cfg.schedule = FragmentSchedule::Dynamic;
+                cfg.fault = FaultMode::Recover;
+                cfg.checkpoint = true;
+            }
         },
-        stage_puts: count("stage.put"),
-        stage_drains: count("stage.drain"),
-        report: env.shared.peek("out.txt").expect("merged report").to_vec(),
+    );
+    let victims: Vec<usize> = kill.iter().map(|&(rank, _)| rank).collect();
+    assert_eq!(run.killed, victims, "exactly the planned kill fires");
+    assert!(!run.report.is_empty(), "merged report");
+    let count = |name: &str| run.trace.events.iter().filter(|e| e.name == name).count() as u64;
+    Staged {
+        puts: count("stage.put"),
+        drains: count("stage.drain"),
+        run,
     }
 }
 
 fn main() {
+    let mut workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
+    workload.params = SearchParams::blastp();
     println!(
         "== Ablation: burst-buffer staging, {NPROCS} processes, query batch {BATCH}, \
          blade + multisite =="
@@ -141,41 +112,40 @@ fn main() {
         "{:<35} {:>10} {:>11} {:>12} {:>8} {:>7} {:>7}",
         "platform", "staging", "elapsed(s)", "out path(s)", "out%", "puts", "drains"
     );
-    let mut json = String::from("{\n  \"bench\": \"ablate_burst\",\n");
-    let _ = writeln!(json, "  \"procs\": {NPROCS},\n  \"query_batch\": {BATCH},");
-    json.push_str("  \"platforms\": [\n");
 
+    let mut platforms = Vec::new();
     let mut blade_speedup = 0.0f64;
     for (pi, platform) in [Platform::blade_cluster(), Platform::multisite()]
         .into_iter()
         .enumerate()
     {
-        let off = run_one(&platform, None, None);
-        let on = run_one(&platform, Some(BurstOptions::default()), None);
+        let off = run_one(&platform, &workload, None, None);
+        let on = run_one(&platform, &workload, Some(BurstOptions::default()), None);
         for (label, r) in [("off", &off), ("stripe 4", &on)] {
+            let s = &r.run.summary;
             println!(
                 "{:<35} {:>10} {:>11.3} {:>12.4} {:>7.1}% {:>7} {:>7}",
                 platform.name,
                 label,
-                r.elapsed_s,
-                r.output_path_s,
-                r.share_output * 100.0,
-                r.stage_puts,
-                r.stage_drains
+                s.total,
+                s.output,
+                s.shares()[2] * 100.0,
+                r.puts,
+                r.drains
             );
         }
         assert_eq!(
-            on.report, off.report,
+            on.run.report, off.run.report,
             "{}: staged report must be byte-identical to unstaged",
             platform.name
         );
         assert!(
-            on.stage_puts > 0 && on.stage_drains > 0,
+            on.puts > 0 && on.drains > 0,
             "{}: staged run must actually stage and drain",
             platform.name
         );
-        assert_eq!(off.stage_puts, 0, "unstaged run must not stage");
-        let speedup = off.output_path_s / on.output_path_s.max(1e-12);
+        assert_eq!(off.puts, 0, "unstaged run must not stage");
+        let speedup = off.run.summary.output / on.run.summary.output.max(1e-12);
         println!(
             "{:<35} output-path speedup with staging: {:.2}x",
             platform.name, speedup
@@ -183,104 +153,96 @@ fn main() {
         if pi == 0 {
             blade_speedup = speedup;
         }
-        if pi > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"platform\": \"{}\", \
-             \"off\": {{\"elapsed_s\": {:.6}, \"output_path_s\": {:.6}, \"share_output\": {:.6}}}, \
-             \"on\": {{\"elapsed_s\": {:.6}, \"output_path_s\": {:.6}, \"share_output\": {:.6}, \
-             \"stage_puts\": {}, \"stage_drains\": {}}}, \
-             \"output_path_speedup\": {:.4}, \"bytes_identical\": true}}",
-            platform.name,
-            off.elapsed_s,
-            off.output_path_s,
-            off.share_output,
-            on.elapsed_s,
-            on.output_path_s,
-            on.share_output,
-            on.stage_puts,
-            on.stage_drains,
-            speedup
-        );
+        let mut staged = on.timing();
+        staged.push(("stage_puts", on.puts.into()));
+        staged.push(("stage_drains", on.drains.into()));
+        platforms.push(Value::object([
+            ("platform", platform.name.as_str().into()),
+            ("off", Value::object(off.timing())),
+            ("on", Value::object(staged)),
+            ("output_path_speedup", round4(speedup).into()),
+            ("bytes_identical", true.into()),
+        ]));
     }
-    json.push_str("\n  ],\n");
     assert!(
         blade_speedup >= 1.5,
         "blade/NFS at {NPROCS} ranks: staging must shrink output-phase critical path \
          by >= 1.5x, measured {blade_speedup:.2}x"
     );
-    let _ = writeln!(
-        json,
-        "  \"blade_output_path_speedup\": {blade_speedup:.4},\n  \"speedup_floor\": 1.5,"
-    );
 
     // ---- stripe-count sweep: how much is striping vs staging? ----
     println!("\n== Stripe-count sweep, blade/NFS ==");
     let blade = Platform::blade_cluster();
-    let baseline = run_one(&blade, None, None);
-    json.push_str("  \"stripe_sweep\": [");
-    let mut by_stripe: Vec<(usize, f64)> = Vec::new();
-    for (i, stripes) in [1usize, 2, 4, 8].into_iter().enumerate() {
-        let r = run_one(
-            &blade,
-            Some(BurstOptions {
-                stripe_files: stripes,
-                ..Default::default()
-            }),
-            None,
-        );
+    let baseline = run_one(&blade, &workload, None, None).run;
+    let mut sweep = Vec::new();
+    let mut by_stripe: Vec<f64> = Vec::new();
+    for stripes in [1usize, 2, 4, 8] {
+        let burst = BurstOptions {
+            stripe_files: stripes,
+            ..Default::default()
+        };
+        let r = run_one(&blade, &workload, Some(burst), None).run;
+        let s = r.summary;
         println!(
             "stripe_files {stripes}: elapsed {:.3}s, output path {:.4}s ({:.2}x vs unstaged)",
-            r.elapsed_s,
-            r.output_path_s,
-            baseline.output_path_s / r.output_path_s.max(1e-12)
+            s.total,
+            s.output,
+            baseline.summary.output / s.output.max(1e-12)
         );
         assert_eq!(
             r.report, baseline.report,
             "stripe_files {stripes}: report must stay byte-identical"
         );
-        if i > 0 {
-            json.push(',');
-        }
-        let _ = write!(
-            json,
-            "\n    {{\"stripe_files\": {stripes}, \"elapsed_s\": {:.6}, \
-             \"output_path_s\": {:.6}}}",
-            r.elapsed_s, r.output_path_s
-        );
-        by_stripe.push((stripes, r.output_path_s));
+        sweep.push(Value::object([
+            ("stripe_files", stripes.into()),
+            ("elapsed_s", s.total.into()),
+            ("output_path_s", s.output.into()),
+        ]));
+        by_stripe.push(s.output);
     }
-    json.push_str("\n  ],\n");
     assert!(
-        by_stripe[2].1 <= by_stripe[0].1,
+        by_stripe[2] <= by_stripe[0],
         "4-way striping must not lose to a single backing file \
          (stripe 4 {:.4}s vs stripe 1 {:.4}s)",
-        by_stripe[2].1,
-        by_stripe[0].1
+        by_stripe[2],
+        by_stripe[0]
     );
 
     // ---- recovery composition: kill one worker mid-distribution ----
     println!("\n== Recover kill with staging + checkpointing, blade/NFS ==");
-    let faulty = run_one(&blade, Some(BurstOptions::default()), Some((5, 3)));
+    let burst = Some(BurstOptions::default());
+    let faulty = run_one(&blade, &workload, burst, Some((5, 3)));
+    let elapsed_s = faulty.run.summary.total;
     println!(
-        "killed rank 5: elapsed {:.3}s, output path {:.4}s, puts {} drains {}",
-        faulty.elapsed_s, faulty.output_path_s, faulty.stage_puts, faulty.stage_drains
+        "killed rank 5: elapsed {elapsed_s:.3}s, output path {:.4}s, puts {} drains {}",
+        faulty.run.summary.output, faulty.puts, faulty.drains
     );
     assert_eq!(
-        faulty.report, baseline.report,
+        faulty.run.report, baseline.report,
         "staged Recover run must reproduce the unstaged fault-free bytes"
     );
-    let _ = writeln!(
-        json,
-        "  \"recover_kill\": {{\"victim\": 5, \"elapsed_s\": {:.6}, \
-         \"stage_puts\": {}, \"stage_drains\": {}, \"bytes_identical\": true}}\n}}",
-        faulty.elapsed_s, faulty.stage_puts, faulty.stage_drains
-    );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_burst.json");
-    std::fs::write(path, &json).expect("write BENCH_burst.json");
-    println!("\nwrote {path}");
+    save_bench(
+        "burst",
+        &Value::object([
+            ("bench", "ablate_burst".into()),
+            ("procs", NPROCS.into()),
+            ("query_batch", BATCH.into()),
+            ("platforms", Value::Array(platforms)),
+            ("blade_output_path_speedup", round4(blade_speedup).into()),
+            ("speedup_floor", 1.5.into()),
+            ("stripe_sweep", Value::Array(sweep)),
+            (
+                "recover_kill",
+                Value::object([
+                    ("victim", 5usize.into()),
+                    ("elapsed_s", elapsed_s.into()),
+                    ("stage_puts", faulty.puts.into()),
+                    ("stage_drains", faulty.drains.into()),
+                    ("bytes_identical", true.into()),
+                ]),
+            ),
+        ]),
+    );
     println!("staging absorbs output epochs locally; NFS sees only the overlapped drains");
 }

@@ -10,12 +10,10 @@
 
 use blast_bench::table::breakdown_table;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_with_options, PioOptions, Program};
+use blast_bench::{run, Program};
 use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform, ReportOptions};
-use pioblast::PioBlastConfig;
-use simcluster::Sim;
+use mpiblast::{phases, Platform};
+use simcluster::FaultPlan;
 
 fn main() {
     let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
@@ -23,19 +21,17 @@ fn main() {
         let mut rows = Vec::new();
         let mut labels = Vec::new();
         for collective in [true, false] {
-            let s = run_with_options(
+            let plan = FaultPlan::none();
+            let s = run(
                 Program::PioBlast,
                 32,
                 None,
                 &platform,
                 &workload,
-                PioOptions {
-                    collective_output: collective,
-                    local_prune: false,
-                    threads: 1,
-                    ..Default::default()
-                },
-            );
+                plan,
+                |cfg| cfg.collective_output = collective,
+            )
+            .summary;
             labels.push(if collective {
                 "collective"
             } else {
@@ -74,43 +70,25 @@ fn main() {
     for platform in [Platform::altix(), Platform::blade_cluster()] {
         let mut input_times = Vec::new();
         for collective_input in [false, true] {
-            let sim = Sim::new(32);
-            let env = ClusterEnv::new(&sim, &platform);
-            let db_alias = stage_shared_db(&env.shared, &workload.db);
-            let query_path = stage_queries(&env.shared, &workload.queries);
-            let cfg = PioBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
-                compute: workload.compute,
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "out.txt".into(),
-                num_fragments: Some(31 * 8),
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input,
-                schedule: Default::default(),
-                fault: Default::default(),
-                checkpoint: false,
-                rank_compute: None,
-                threads: 1,
-                io: Default::default(),
-                service: None,
-            };
-            let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            let input_max = outcome
-                .outputs
+            let nfrags = Some(31 * 8);
+            let plan = FaultPlan::none();
+            let r = run(
+                Program::PioBlast,
+                32,
+                nfrags,
+                &platform,
+                &workload,
+                plan,
+                |cfg| {
+                    cfg.params = SearchParams::blastp();
+                    cfg.collective_input = collective_input;
+                },
+            );
+            let input_max = r
+                .ranks
                 .iter()
-                .map(|r| {
-                    r.as_ref()
-                        .expect("rank completed")
-                        .phases
-                        .get(mpiblast::phases::INPUT)
-                        .as_secs_f64()
-                })
+                .flatten()
+                .map(|rank| rank.phases.get(phases::INPUT).as_secs_f64())
                 .fold(0.0, f64::max);
             input_times.push(input_max);
         }

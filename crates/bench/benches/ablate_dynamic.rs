@@ -8,14 +8,15 @@
 //! several granularities.
 
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
+use blast_bench::{run, Program};
 use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
-use pioblast::{FragmentSchedule, PioBlastConfig};
-use simcluster::Sim;
+use mpiblast::Platform;
+use pioblast::FragmentSchedule;
+use simcluster::FaultPlan;
 
 fn main() {
-    let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
+    let mut workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
+    workload.params = SearchParams::blastp();
     let platform = Platform::altix();
     let nprocs = 32usize;
     // Workers 8, 16, 24 are 4x slower (e.g. older nodes in the queue).
@@ -34,34 +35,20 @@ fn main() {
         let nfrags = (nprocs - 1) * per_worker;
         let mut totals = Vec::new();
         for schedule in [FragmentSchedule::Static, FragmentSchedule::Dynamic] {
-            let sim = Sim::new(nprocs);
-            let env = ClusterEnv::new(&sim, &platform);
-            let db_alias = stage_shared_db(&env.shared, &workload.db);
-            let query_path = stage_queries(&env.shared, &workload.queries);
-            let cfg = PioBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
-                compute: workload.compute,
-                params: SearchParams::blastp(),
-                report: workload.report,
-                db_alias,
-                query_path,
-                output_path: "out.txt".into(),
-                num_fragments: Some(nfrags),
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
-                schedule,
-                fault: Default::default(),
-                checkpoint: false,
-                rank_compute: Some(scales.clone()),
-                threads: 1,
-                io: Default::default(),
-                service: None,
-            };
-            let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            totals.push(outcome.elapsed.as_secs_f64());
+            let plan = FaultPlan::none();
+            let r = run(
+                Program::PioBlast,
+                nprocs,
+                Some(nfrags),
+                &platform,
+                &workload,
+                plan,
+                |cfg| {
+                    cfg.schedule = schedule;
+                    cfg.rank_compute = Some(scales.clone());
+                },
+            );
+            totals.push(r.summary.total);
         }
         println!(
             "{:<22} {:>16.3} {:>16.3} {:>8.2}x",

@@ -17,14 +17,13 @@
 //! headline claim: at 16 processes, checkpointing cuts the per-epoch
 //! recovery overhead by at least 2x.
 
-use std::fmt::Write as _;
-
-use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
+use blast_bench::report::{save_bench, Value};
+use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
+use blast_bench::{run, Program};
 use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
-use pioblast::{FaultMode, FragmentSchedule, PioBlastConfig};
-use simcluster::{FaultPlan, Sim};
+use mpiblast::Platform;
+use pioblast::{FaultMode, FragmentSchedule};
+use simcluster::FaultPlan;
 
 const NPROCS: usize = 16;
 
@@ -40,8 +39,7 @@ struct Run {
     overhead_s: f64,
 }
 
-fn run_mode(platform: &Platform, checkpoint: bool) -> Vec<Run> {
-    let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
+fn run_mode(platform: &Platform, workload: &Workload, checkpoint: bool) -> Vec<Run> {
     let nfrags = (NPROCS - 1) * 2;
     let mut runs = Vec::new();
     let mut baseline_elapsed = 0.0f64;
@@ -51,45 +49,31 @@ fn run_mode(platform: &Platform, checkpoint: bool) -> Vec<Run> {
         for &(rank, sends) in &VICTIMS[..failures] {
             plan = plan.kill_after_sends(rank, sends);
         }
-        let sim = Sim::new(NPROCS);
-        let env = ClusterEnv::new(&sim, platform);
-        let db_alias = stage_shared_db(&env.shared, &workload.db);
-        let query_path = stage_queries(&env.shared, &workload.queries);
-        let cfg = PioBlastConfig {
-            platform: platform.clone(),
-            env: env.clone(),
-            compute: workload.compute,
-            params: SearchParams::blastp(),
-            report: workload.report,
-            db_alias,
-            query_path,
-            output_path: "out.txt".into(),
-            num_fragments: Some(nfrags),
-            collective_output: false,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule: FragmentSchedule::Dynamic,
-            fault: FaultMode::Recover,
-            checkpoint,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
-        };
-        let outcome = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
-        assert_eq!(outcome.killed.len(), failures, "every planned kill fires");
-        assert!(
-            matches!(outcome.outputs[0], Some(Ok(_))),
-            "master completes despite {failures} failures"
+        let r = run(
+            Program::PioBlast,
+            NPROCS,
+            Some(nfrags),
+            platform,
+            workload,
+            plan,
+            |cfg| {
+                cfg.collective_output = false;
+                cfg.schedule = FragmentSchedule::Dynamic;
+                cfg.fault = FaultMode::Recover;
+                cfg.checkpoint = checkpoint;
+            },
         );
-        let bytes = env.shared.peek("out.txt").expect("output written");
-        let elapsed = outcome.elapsed.as_secs_f64();
+        assert_eq!(r.killed.len(), failures, "every planned kill fires");
+        assert!(!r.report.is_empty(), "output written");
+        let elapsed = r.summary.total;
         if failures == 0 {
             baseline_elapsed = elapsed;
-            baseline_bytes = bytes.clone();
+            baseline_bytes = r.report.clone();
         }
-        assert_eq!(bytes, baseline_bytes, "recovery must preserve output bytes");
+        assert_eq!(
+            r.report, baseline_bytes,
+            "recovery must preserve output bytes"
+        );
         runs.push(Run {
             failures,
             elapsed_s: elapsed,
@@ -110,6 +94,8 @@ fn per_epoch(runs: &[Run]) -> f64 {
 }
 
 fn main() {
+    let mut workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
+    workload.params = SearchParams::blastp();
     println!(
         "== Ablation: recovery overhead vs injected worker failures, {NPROCS} processes, \
          checkpointing off/on =="
@@ -118,17 +104,11 @@ fn main() {
         "{:<35} {:>5} {:>9} {:>12} {:>12} {:>12}",
         "platform", "ckpt", "failures", "total(s)", "overhead(s)", "per-epoch(s)"
     );
-    let mut json = String::from("{\n");
-    let _ = write!(
-        json,
-        "  \"bench\": \"ablate_faults\",\n  \"nprocs\": {NPROCS},\n  \"victims\": {},\n  \"modes\": [\n",
-        VICTIMS.len()
-    );
-    let mut first = true;
+    let mut modes = Vec::new();
     for platform in [Platform::altix(), Platform::blade_cluster()] {
         let mut epoch_cost = [0.0f64; 2];
         for (i, checkpoint) in [false, true].into_iter().enumerate() {
-            let runs = run_mode(&platform, checkpoint);
+            let runs = run_mode(&platform, &workload, checkpoint);
             let per = per_epoch(&runs);
             epoch_cost[i] = per;
             for r in &runs {
@@ -146,26 +126,21 @@ fn main() {
                     }
                 );
             }
-            if !first {
-                json.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(
-                json,
-                "    {{\"platform\": \"{}\", \"checkpoint\": {}, \"per_epoch_overhead_s\": {:.6}, \"runs\": [",
-                platform.name, checkpoint, per
-            );
-            for (j, r) in runs.iter().enumerate() {
-                if j > 0 {
-                    json.push_str(", ");
-                }
-                let _ = write!(
-                    json,
-                    "{{\"failures\": {}, \"elapsed_s\": {:.6}, \"overhead_s\": {:.6}}}",
-                    r.failures, r.elapsed_s, r.overhead_s
-                );
-            }
-            json.push_str("]}");
+            modes.push(Value::object([
+                ("platform", platform.name.as_str().into()),
+                ("checkpoint", checkpoint.into()),
+                ("per_epoch_overhead_s", per.into()),
+                (
+                    "runs",
+                    Value::array(runs.iter().map(|r| {
+                        Value::object([
+                            ("failures", r.failures.into()),
+                            ("elapsed_s", r.elapsed_s.into()),
+                            ("overhead_s", r.overhead_s.into()),
+                        ])
+                    })),
+                ),
+            ]));
         }
         let reduction = epoch_cost[0] / epoch_cost[1];
         println!(
@@ -178,9 +153,14 @@ fn main() {
             platform.name
         );
     }
-    json.push_str("\n  ]\n}\n");
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_faults.json");
-    std::fs::write(path, &json).expect("write BENCH_faults.json");
-    println!("wrote {path}");
+    save_bench(
+        "faults",
+        &Value::object([
+            ("bench", "ablate_faults".into()),
+            ("nprocs", NPROCS.into()),
+            ("victims", VICTIMS.len().into()),
+            ("modes", Value::Array(modes)),
+        ]),
+    );
     println!("recovery trades wall time for completion: failures never change the report bytes");
 }

@@ -9,8 +9,9 @@
 
 use blast_bench::table::breakdown_table;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_once, Program};
+use blast_bench::{run, Program};
 use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 fn main() {
     let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
@@ -18,13 +19,8 @@ fn main() {
     let workers = 31usize;
     let mut rows = Vec::new();
     for per_worker in [1usize, 2, 4, 8] {
-        rows.push(run_once(
-            Program::PioBlast,
-            32,
-            Some(workers * per_worker),
-            &platform,
-            &workload,
-        ));
+        let (pio, nfrags, none) = (Program::PioBlast, workers * per_worker, FaultPlan::none());
+        rows.push(run(pio, 32, Some(nfrags), &platform, &workload, none, |_| {}).summary);
     }
     println!(
         "{}",

@@ -22,87 +22,37 @@
 //!
 //! Results land in `BENCH_hybrid.json` at the workspace root.
 
-use std::fmt::Write as _;
-
-use blast_bench::runner::PHASE_PRECEDENCE;
+use blast_bench::report::{round4, save_bench, Value};
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, Platform};
-use pioblast::PioBlastConfig;
-use simcluster::Sim;
+use blast_bench::{run, Program, Run};
+use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 const RANKS: usize = 16;
 const SLOTS: [usize; 4] = [1, 2, 4, 8];
 
-struct Run {
-    slots: usize,
-    elapsed_s: f64,
-    /// SEARCH-phase share of the trace-derived critical path, seconds.
-    search_path_s: f64,
-    /// Final merged report bytes, for byte-identity assertions.
-    output: Vec<u8>,
-    trace: tracelog::Trace,
-}
-
 fn run_one(platform: &Platform, workload: &Workload, slots: usize) -> Run {
-    let sim = Sim::new(RANKS);
-    let tracer = tracelog::Tracer::new(RANKS);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
-    let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
-        compute: workload.compute,
-        params: workload.params.clone(),
-        report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: slots,
-        io: Default::default(),
-        service: None,
-    };
-    let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    for r in &outcome.outputs {
-        r.as_ref().expect("rank completed");
-    }
-    let wall = outcome.elapsed.since(simcluster::SimTime::ZERO).0;
-    let trace = tracer.finish(wall);
-    let path = tracelog::analyze::critical_path(&trace, &PHASE_PRECEDENCE);
-    assert_eq!(
-        path.total(),
-        trace.wall,
-        "critical path must partition the DES wall exactly"
+    let r = run(
+        Program::PioBlast,
+        RANKS,
+        None,
+        platform,
+        workload,
+        FaultPlan::none(),
+        |cfg| cfg.threads = slots,
     );
     // Slot-parallel compute must not corrupt the per-rank accounting:
     // every rank's flat phase timeline still tiles [0, wall] exactly.
     for rank in 0..RANKS {
         let mut cursor = 0;
-        for seg in tracelog::analyze::rank_phase_timeline(&trace, rank) {
+        for seg in tracelog::analyze::rank_phase_timeline(&r.trace, rank) {
             assert_eq!(seg.start, cursor, "rank {rank}: gap in phase timeline");
             cursor = seg.end;
         }
-        assert_eq!(cursor, trace.wall, "rank {rank}: span sums != DES wall");
+        assert_eq!(cursor, r.trace.wall, "rank {rank}: span sums != DES wall");
     }
-    let output = env.shared.peek("out.txt").expect("merged output present");
-    Run {
-        slots,
-        elapsed_s: outcome.elapsed.as_secs_f64(),
-        search_path_s: path.get(phases::SEARCH) as f64 / 1e9,
-        output,
-        trace,
-    }
+    assert!(!r.report.is_empty(), "merged output present");
+    r
 }
 
 fn main() {
@@ -115,95 +65,86 @@ fn main() {
         "{:<35} {:>5} {:>10} {:>12} {:>10}",
         "platform", "slots", "elapsed(s)", "search(s)", "vs 1 slot"
     );
-    let mut json =
-        String::from("{\n  \"bench\": \"ablate_hybrid\",\n  \"ranks\": 16,\n  \"platforms\": [\n");
-    let mut blade_shrink = 0.0f64;
-    let mut blade_trace_checked = false;
-    for (pi, platform) in [
+    let mut platforms = Vec::new();
+    let mut blade_shrink = None;
+    for platform in [
         Platform::altix(),
         Platform::blade_cluster(),
         Platform::manycore(),
-    ]
-    .iter()
-    .enumerate()
-    {
+    ] {
         for &skipped in SLOTS.iter().filter(|&&s| s > platform.cores_per_node) {
             println!(
                 "{:<35} {:>5} skipped: exceeds the profile's {} hardware threads",
                 platform.name, skipped, platform.cores_per_node
             );
         }
-        let mut runs: Vec<Run> = Vec::new();
+        // (slots, run); the summary's `search` is the SEARCH-phase part
+        // of the trace-derived critical path.
+        let mut runs: Vec<(usize, Run)> = Vec::new();
         for &slots in SLOTS.iter().filter(|&&s| s <= platform.cores_per_node) {
-            let r = run_one(platform, &workload, slots);
+            let r = run_one(&platform, &workload, slots);
+            let serial = runs
+                .first()
+                .map_or(r.summary.search, |(_, b)| b.summary.search);
             println!(
                 "{:<35} {:>5} {:>10.3} {:>12.3} {:>9.2}x",
                 platform.name,
-                r.slots,
-                r.elapsed_s,
-                r.search_path_s,
-                runs.first()
-                    .map_or(1.0, |b| b.search_path_s / r.search_path_s)
+                slots,
+                r.summary.total,
+                r.summary.search,
+                serial / r.summary.search
             );
-            runs.push(r);
+            runs.push((slots, r));
         }
         // Byte-identity: every slot count produces the serial report.
-        for r in &runs[1..] {
+        for (slots, r) in &runs[1..] {
             assert_eq!(
-                r.output, runs[0].output,
-                "{}: {} slots changed the merged report bytes",
-                platform.name, r.slots
+                r.report, runs[0].1.report,
+                "{}: {slots} slots changed the merged report bytes",
+                platform.name
             );
         }
         // Doubling the slots must strictly shrink the SEARCH critical
         // path — the residue scan is the parallel part and dominates.
         for w in runs.windows(2) {
+            let [(from, a), (to, b)] = w else {
+                unreachable!()
+            };
             assert!(
-                w[1].search_path_s < w[0].search_path_s,
-                "{}: SEARCH path must shrink going {} -> {} slots ({:.3}s -> {:.3}s)",
+                b.summary.search < a.summary.search,
+                "{}: SEARCH path must shrink going {from} -> {to} slots ({:.3}s -> {:.3}s)",
                 platform.name,
-                w[0].slots,
-                w[1].slots,
-                w[0].search_path_s,
-                w[1].search_path_s
+                a.summary.search,
+                b.summary.search
             );
         }
-        if pi > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"platform\": \"{}\", \"cores_per_node\": {}, \"runs\": [",
-            platform.name, platform.cores_per_node
-        );
-        for (i, r) in runs.iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            let _ = write!(
-                json,
-                "{{\"slots\": {}, \"elapsed_s\": {:.6}, \"search_path_s\": {:.6}, \
-                 \"output_bytes\": {}, \"bytes_identical\": true}}",
-                r.slots,
-                r.elapsed_s,
-                r.search_path_s,
-                r.output.len()
-            );
-        }
-        json.push_str("]}");
+        let rows = runs.iter().map(|(slots, r)| {
+            Value::object([
+                ("slots", (*slots).into()),
+                ("elapsed_s", r.summary.total.into()),
+                ("search_path_s", r.summary.search.into()),
+                ("output_bytes", r.report.len().into()),
+                ("bytes_identical", true.into()),
+            ])
+        });
+        platforms.push(Value::object([
+            ("platform", platform.name.as_str().into()),
+            ("cores_per_node", platform.cores_per_node.into()),
+            ("runs", Value::array(rows)),
+        ]));
 
         if platform.name.contains("Blade") {
-            let one = runs.iter().find(|r| r.slots == 1).expect("1-slot run");
-            let four = runs.iter().find(|r| r.slots == 4).expect("4-slot run");
-            blade_shrink = one.search_path_s / four.search_path_s.max(1e-12);
+            let at = |n| &runs.iter().find(|(slots, _)| *slots == n).expect("run").1;
+            let (one, four) = (at(1), at(4));
+            let shrink = one.summary.search / four.summary.search.max(1e-12);
             println!(
-                "{:<35} headline: 4 slots shrink SEARCH {:.2}x vs 1 slot",
-                platform.name, blade_shrink
+                "{:<35} headline: 4 slots shrink SEARCH {shrink:.2}x vs 1 slot",
+                platform.name
             );
             assert!(
-                blade_shrink >= 2.5,
+                shrink >= 2.5,
                 "{}: 4 slots must shrink the SEARCH critical path >= 2.5x \
-                 vs 1 slot (got {blade_shrink:.2}x)",
+                 vs 1 slot (got {shrink:.2}x)",
                 platform.name
             );
             // Validator coverage on the slot-parallel trace: the Chrome
@@ -212,25 +153,31 @@ fn main() {
             let chrome = tracelog::chrome::export_chrome(&four.trace, None);
             let stats = tracelog::check::validate_chrome(&chrome)
                 .expect("slot-parallel chrome export validates");
-            assert_eq!(stats.ranks, RANKS as usize);
+            assert_eq!(stats.ranks, RANKS);
             assert!(
                 chrome.contains("\"search slot 3\""),
                 "4-slot run must populate all four slot sub-lanes"
             );
-            blade_trace_checked = true;
+            blade_shrink = Some(shrink);
         }
     }
-    assert!(blade_trace_checked, "blade profile missing from the sweep");
-    json.push_str("\n  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"blade_headline\": {{\"slots\": 4, \"search_shrink_vs_serial\": {blade_shrink:.4}, \
-         \"bytes_identical\": true, \"trace_validated\": true}}"
+    let blade_shrink = blade_shrink.expect("blade profile missing from the sweep");
+    save_bench(
+        "hybrid",
+        &Value::object([
+            ("bench", "ablate_hybrid".into()),
+            ("ranks", RANKS.into()),
+            ("platforms", Value::Array(platforms)),
+            (
+                "blade_headline",
+                Value::object([
+                    ("slots", 4usize.into()),
+                    ("search_shrink_vs_serial", round4(blade_shrink).into()),
+                    ("bytes_identical", true.into()),
+                    ("trace_validated", true.into()),
+                ]),
+            ),
+        ]),
     );
-    json.push('}');
-    json.push('\n');
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_hybrid.json");
-    std::fs::write(path, &json).expect("write BENCH_hybrid.json");
-    println!("wrote {path}");
     println!("slot parallelism pays exactly where search still dominates the critical path");
 }

@@ -27,16 +27,13 @@
 //! asserts the headline: two-phase beats independent on blade/NFS at
 //! 16 processes.
 
-use std::fmt::Write as _;
-
-use blast_bench::runner::PHASE_PRECEDENCE;
-use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
+use blast_bench::report::{save_bench, Value};
+use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
+use blast_bench::{run, Program, Run};
 use blast_core::search::SearchParams;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
-use parafs::{FsCounters, IoClass};
-use pioblast::{IoOptions, PioBlastConfig};
-use simcluster::Sim;
+use mpiblast::Platform;
+use parafs::IoClass;
+use simcluster::FaultPlan;
 
 const PROCS: [usize; 3] = [4, 8, 16];
 
@@ -49,118 +46,162 @@ fn class_of(collective: bool) -> IoClass {
     }
 }
 
+/// One row of the per-class table: virtual time, the shared file
+/// system's physical counters (`[bytes_read, bytes_written, data_ops,
+/// meta_ops]`), the plane's logical tally for the class (`[requests,
+/// bytes]`), and the critical-path `[input, search, output]` shares.
+fn row(
+    procs: usize,
+    strategy: &str,
+    elapsed_s: f64,
+    fs: [u64; 4],
+    class: [u64; 2],
+    shares: [f64; 3],
+) -> Value {
+    Value::object([
+        ("procs", procs.into()),
+        ("strategy", strategy.into()),
+        ("elapsed_s", elapsed_s.into()),
+        ("bytes_read", fs[0].into()),
+        ("bytes_written", fs[1].into()),
+        ("data_ops", fs[2].into()),
+        ("meta_ops", fs[3].into()),
+        ("class_requests", class[0].into()),
+        ("class_bytes", class[1].into()),
+        ("share_input", shares[0].into()),
+        ("share_search", shares[1].into()),
+        ("share_output", shares[2].into()),
+    ])
+}
+
+/// The async comparison: per side `[elapsed_s, io_path_s, share_input,
+/// share_output]`.
+fn async_16(strategy: &str, sync: [f64; 4], asynch: [f64; 4]) -> Value {
+    let side = |[elapsed_s, io_path_s, share_input, share_output]: [f64; 4]| {
+        Value::object([
+            ("elapsed_s", elapsed_s.into()),
+            ("io_path_s", io_path_s.into()),
+            ("share_input", share_input.into()),
+            ("share_output", share_output.into()),
+        ])
+    };
+    Value::object([
+        ("platform", Platform::blade_cluster().name.as_str().into()),
+        ("procs", 16usize.into()),
+        ("strategy", strategy.into()),
+        ("sync", side(sync)),
+        ("async", side(asynch)),
+        ("bytes_identical", true.into()),
+    ])
+}
+
+fn platform_rows(platform: &Platform, runs: Vec<Value>) -> Value {
+    Value::object([
+        ("platform", platform.name.as_str().into()),
+        ("runs", Value::Array(runs)),
+    ])
+}
+
 /// The last measurements under a pinned `--io-strategy sieve` (static
 /// schedule, `FaultMode::Off`, aggregation requested), taken at the
 /// commit before the flag was retired. Not reproducible any more.
-const PINNED_STRATEGY_HISTORY: &str = r#"  "pinned_strategy_history": {
-    "note": "--io-strategy sieve pinned on the static fault-free schedule; not expressible since the plane resolves the class from context",
-    "platforms": [
-      {"platform": "ORNL SGI Altix (Ram)", "runs": [
-        {"procs": 4, "strategy": "sieve", "elapsed_s": 5.893030, "bytes_read": 16008770, "bytes_written": 3160647, "data_ops": 748, "meta_ops": 15, "class_requests": 1221, "class_bytes": 18609754, "share_input": 0.002569, "share_search": 0.963642, "share_output": 0.033255},
-        {"procs": 8, "strategy": "sieve", "elapsed_s": 2.603917, "bytes_read": 16008834, "bytes_written": 3160647, "data_ops": 991, "meta_ops": 31, "class_requests": 1237, "class_bytes": 18609818, "share_input": 0.002988, "share_search": 0.963453, "share_output": 0.032351},
-        {"procs": 16, "strategy": "sieve", "elapsed_s": 1.283490, "bytes_read": 16008962, "bytes_written": 3160647, "data_ops": 1155, "meta_ops": 63, "class_requests": 1269, "class_bytes": 18609946, "share_input": 0.005491, "share_search": 0.954156, "share_output": 0.037900}
-      ]},
-      {"platform": "NCSU IBM Blade Cluster", "runs": [
-        {"procs": 4, "strategy": "sieve", "elapsed_s": 6.514607, "bytes_read": 16008770, "bytes_written": 3160647, "data_ops": 748, "meta_ops": 15, "class_requests": 1221, "class_bytes": 18609754, "share_input": 0.028651, "share_search": 0.871705, "share_output": 0.098070},
-        {"procs": 8, "strategy": "sieve", "elapsed_s": 3.050249, "bytes_read": 16008834, "bytes_written": 3160647, "data_ops": 991, "meta_ops": 31, "class_requests": 1237, "class_bytes": 18609818, "share_input": 0.059173, "share_search": 0.821617, "share_output": 0.115829},
-        {"procs": 16, "strategy": "sieve", "elapsed_s": 1.614186, "bytes_read": 16008962, "bytes_written": 3160647, "data_ops": 1155, "meta_ops": 63, "class_requests": 1269, "class_bytes": 18609946, "share_input": 0.101651, "share_search": 0.766086, "share_output": 0.125848}
-      ]}
-    ],
-    "async_16": {"platform": "NCSU IBM Blade Cluster", "procs": 16, "strategy": "sieve", "sync": {"elapsed_s": 1.614186, "io_path_s": 0.367225, "share_input": 0.101651, "share_output": 0.125848}, "async": {"elapsed_s": 1.480626, "io_path_s": 0.245362, "share_input": 0.125698, "share_output": 0.040017}, "bytes_identical": true}
-  },
-"#;
+/// Per row: procs, elapsed_s, bytes read, data and meta ops, the class
+/// tally, the shares; every run wrote the same 3 160 647 report bytes.
+type Pinned = (usize, f64, u64, [u64; 2], [u64; 2], [f64; 3]);
+#[rustfmt::skip]
+const PINNED_ALTIX: [Pinned; 3] = [
+    (4, 5.893030, 16008770, [748, 15], [1221, 18609754], [0.002569, 0.963642, 0.033255]),
+    (8, 2.603917, 16008834, [991, 31], [1237, 18609818], [0.002988, 0.963453, 0.032351]),
+    (16, 1.283490, 16008962, [1155, 63], [1269, 18609946], [0.005491, 0.954156, 0.037900]),
+];
+#[rustfmt::skip]
+const PINNED_BLADE: [Pinned; 3] = [
+    (4, 6.514607, 16008770, [748, 15], [1221, 18609754], [0.028651, 0.871705, 0.098070]),
+    (8, 3.050249, 16008834, [991, 31], [1237, 18609818], [0.059173, 0.821617, 0.115829]),
+    (16, 1.614186, 16008962, [1155, 63], [1269, 18609946], [0.101651, 0.766086, 0.125848]),
+];
 
-struct Run {
-    procs: usize,
-    elapsed_s: f64,
-    counters: FsCounters,
-    class_requests: u64,
-    class_bytes: u64,
-    /// Trace-derived critical-path share of each phase (fractions of
-    /// elapsed time): input, search, output.
-    share_input: f64,
-    share_search: f64,
-    share_output: f64,
-    /// Absolute critical-path time spent in input + output, in
-    /// simulated seconds — the numerator of the shares, kept so the
-    /// async comparison can report the raw shrink too.
-    io_path_s: f64,
-    /// Final merged result bytes, for byte-identity assertions.
-    output: Vec<u8>,
+fn pinned_strategy_history() -> Value {
+    let platform = |platform: Platform, rows: &[Pinned]| {
+        let rows = rows
+            .iter()
+            .map(|&(procs, elapsed_s, read, ops, class, shares)| {
+                let fs = [read, 3_160_647, ops[0], ops[1]];
+                row(procs, "sieve", elapsed_s, fs, class, shares)
+            });
+        platform_rows(&platform, rows.collect())
+    };
+    let platforms = [
+        platform(Platform::altix(), &PINNED_ALTIX),
+        platform(Platform::blade_cluster(), &PINNED_BLADE),
+    ];
+    Value::object([
+        (
+            "note",
+            "--io-strategy sieve pinned on the static fault-free schedule; not expressible \
+             since the plane resolves the class from context"
+                .into(),
+        ),
+        ("platforms", Value::array(platforms)),
+        (
+            "async_16",
+            async_16(
+                "sieve",
+                [1.614186, 0.367225, 0.101651, 0.125848],
+                [1.480626, 0.245362, 0.125698, 0.040017],
+            ),
+        ),
+    ])
 }
 
-fn run_one(platform: &Platform, procs: usize, collective: bool, io_async: bool) -> Run {
-    let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
-    let sim = Sim::new(procs);
-    let tracer = tracelog::Tracer::new(procs);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
-    let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
-        compute: workload.compute,
-        params: SearchParams::blastp(),
-        report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        // Several fragments per worker: each rank's share of every volume
-        // file is a list of noncontiguous ranges, which is exactly the
-        // access shape the classes differ on.
-        num_fragments: Some((procs - 1) * 4),
-        collective_output: collective,
-        local_prune: false,
-        query_batch: None,
-        collective_input: collective,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: IoOptions {
-            io_async,
-            ..Default::default()
-        },
-        service: None,
+fn run_one(
+    platform: &Platform,
+    workload: &Workload,
+    procs: usize,
+    collective: bool,
+    io_async: bool,
+) -> Run {
+    // Several fragments per worker: each rank's share of every volume
+    // file is a list of noncontiguous ranges, which is exactly the
+    // access shape the classes differ on.
+    let nfrags = Some((procs - 1) * 4);
+    let plan = FaultPlan::none();
+    let tweak = |cfg: &mut pioblast::PioBlastConfig| {
+        cfg.collective_input = collective;
+        cfg.collective_output = collective;
+        cfg.io.io_async = io_async;
     };
-    let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    for r in &outcome.outputs {
-        r.as_ref().expect("rank completed");
-    }
-    let tally = env.shared.class_tally(class_of(collective));
-    let wall = outcome.elapsed.since(simcluster::SimTime::ZERO).0;
-    let trace = tracer.finish(wall);
-    let path = tracelog::analyze::critical_path(&trace, &PHASE_PRECEDENCE);
-    let share = |name: &str| {
-        if wall == 0 {
-            0.0
-        } else {
-            path.get(name) as f64 / wall as f64
-        }
-    };
-    let tick = if wall == 0 {
-        0.0
-    } else {
-        outcome.elapsed.as_secs_f64() / wall as f64
-    };
-    let output = env.shared.peek("out.txt").expect("merged output present");
-    Run {
+    let r = run(
+        Program::PioBlast,
         procs,
-        elapsed_s: outcome.elapsed.as_secs_f64(),
-        counters: env.shared.counters(),
-        class_requests: tally.requests,
-        class_bytes: tally.bytes,
-        share_input: share("input"),
-        share_search: share("search"),
-        share_output: share("output"),
-        io_path_s: (path.get("input") + path.get("output")) as f64 * tick,
-        output,
-    }
+        nfrags,
+        platform,
+        workload,
+        plan,
+        tweak,
+    );
+    assert!(!r.report.is_empty(), "merged output present");
+    r
+}
+
+/// `[input, search, output]` critical-path shares of the elapsed time.
+fn shares(r: &Run) -> [f64; 3] {
+    let s = &r.summary;
+    [s.copy_input, s.search, s.output].map(|part| part / s.total)
+}
+
+/// `[elapsed_s, io_path_s, share_input, share_output]`: the absolute
+/// input + output critical-path time is kept beside the shares so the
+/// async comparison can report the raw shrink too.
+fn async_side(r: &Run) -> [f64; 4] {
+    let [share_input, _, share_output] = shares(r);
+    let s = &r.summary;
+    [s.total, s.copy_input + s.output, share_input, share_output]
 }
 
 fn main() {
+    let mut workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
+    workload.params = SearchParams::blastp();
     println!("== Ablation: I/O plane access class, 4/8/16 processes, both profiles ==");
     println!(
         "{:<35} {:>5} {:>12} {:>10} {:>10} {:>9} {:>9} {:>9}",
@@ -173,64 +214,37 @@ fn main() {
         "class_rq",
         "MB_moved"
     );
-    let mut json = String::from("{\n  \"bench\": \"ablate_io\",\n  \"platforms\": [\n");
-    for (pi, platform) in [Platform::altix(), Platform::blade_cluster()]
-        .into_iter()
-        .enumerate()
-    {
-        if pi > 0 {
-            json.push_str(",\n");
-        }
-        let _ = writeln!(
-            json,
-            "    {{\"platform\": \"{}\", \"runs\": [",
-            platform.name
-        );
+    let mut platforms = Vec::new();
+    for platform in [Platform::altix(), Platform::blade_cluster()] {
+        let mut rows = Vec::new();
         let mut elapsed_at_16 = [0.0f64; 2];
-        for (i, procs) in PROCS.into_iter().enumerate() {
+        for procs in PROCS {
             for (j, collective) in [false, true].into_iter().enumerate() {
                 let label = class_of(collective).label();
-                let r = run_one(&platform, procs, collective, false);
-                let moved = (r.counters.bytes_read + r.counters.bytes_written) as f64 / 1e6;
+                let r = run_one(&platform, &workload, procs, collective, false);
+                let c = r.env.shared.counters();
+                let tally = r.env.shared.class_tally(class_of(collective));
+                let elapsed_s = r.summary.total;
                 println!(
                     "{:<35} {:>5} {:>12} {:>10.3} {:>10} {:>9} {:>9} {:>9.2}",
                     platform.name,
-                    r.procs,
+                    procs,
                     label,
-                    r.elapsed_s,
-                    r.counters.data_ops,
-                    r.counters.meta_ops,
-                    r.class_requests,
-                    moved
+                    elapsed_s,
+                    c.data_ops,
+                    c.meta_ops,
+                    tally.requests,
+                    (c.bytes_read + c.bytes_written) as f64 / 1e6
                 );
                 if procs == 16 {
-                    elapsed_at_16[j] = r.elapsed_s;
+                    elapsed_at_16[j] = elapsed_s;
                 }
-                if i + j > 0 {
-                    json.push_str(",\n");
-                }
-                let _ = write!(
-                    json,
-                    "      {{\"procs\": {}, \"strategy\": \"{}\", \"elapsed_s\": {:.6}, \
-                     \"bytes_read\": {}, \"bytes_written\": {}, \"data_ops\": {}, \
-                     \"meta_ops\": {}, \"class_requests\": {}, \"class_bytes\": {}, \
-                     \"share_input\": {:.6}, \"share_search\": {:.6}, \"share_output\": {:.6}}}",
-                    r.procs,
-                    label,
-                    r.elapsed_s,
-                    r.counters.bytes_read,
-                    r.counters.bytes_written,
-                    r.counters.data_ops,
-                    r.counters.meta_ops,
-                    r.class_requests,
-                    r.class_bytes,
-                    r.share_input,
-                    r.share_search,
-                    r.share_output
-                );
+                let fs = [c.bytes_read, c.bytes_written, c.data_ops, c.meta_ops];
+                let class = [tally.requests, tally.bytes];
+                rows.push(row(procs, label, elapsed_s, fs, class, shares(&r)));
             }
         }
-        json.push_str("\n    ]}");
+        platforms.push(platform_rows(&platform, rows));
         let speedup = elapsed_at_16[0] / elapsed_at_16[1].max(1e-12);
         println!(
             "{:<35} two-phase vs independent at 16 procs: {:.2}x\n",
@@ -246,68 +260,55 @@ fn main() {
             );
         }
     }
-    json.push_str("\n  ],\n");
-    json.push_str(PINNED_STRATEGY_HISTORY);
 
     // Nonblocking plane: the same workload on the blade cluster's NFS
     // at 16 processes, no aggregation requested (the independent
-    // class), with and without `--io-async`. Read-ahead overlaps the next fragment's transfer
-    // with the current fragment's search, and output/checkpoint writes
-    // fire all their runs concurrently instead of charging them
-    // serially — so the critical-path time attributed to input+output
-    // must strictly shrink while the merged bytes stay identical.
+    // class), with and without `--io-async`. A fragment's file reads
+    // overlap each other, and output writes fire all their runs
+    // concurrently instead of charging them serially — so the
+    // critical-path time attributed to input+output must strictly
+    // shrink while the merged bytes stay identical.
     println!("== Nonblocking plane: async vs sync, blade/NFS, 16 processes ==");
     let blade = Platform::blade_cluster();
-    let sync_r = run_one(&blade, 16, false, false);
-    let async_r = run_one(&blade, 16, false, true);
-    for (label, r) in [("sync", &sync_r), ("async", &async_r)] {
+    let sync_r = run_one(&blade, &workload, 16, false, false);
+    let async_r = run_one(&blade, &workload, 16, false, true);
+    let (sync, asynch) = (async_side(&sync_r), async_side(&async_r));
+    for (label, [elapsed_s, io_path_s, share_input, share_output]) in
+        [("sync", sync), ("async", asynch)]
+    {
         println!(
-            "{:<8} elapsed {:>8.3}s  input+output path {:>8.3}s  \
-             shares in/out {:.4}/{:.4}",
-            label, r.elapsed_s, r.io_path_s, r.share_input, r.share_output
+            "{label:<8} elapsed {elapsed_s:>8.3}s  input+output path {io_path_s:>8.3}s  \
+             shares in/out {share_input:.4}/{share_output:.4}"
         );
     }
     assert_eq!(
-        sync_r.output, async_r.output,
+        sync_r.report, async_r.report,
         "async plane must produce byte-identical merged output"
     );
-    let sync_share = sync_r.share_input + sync_r.share_output;
-    let async_share = async_r.share_input + async_r.share_output;
+    let (sync_share, async_share) = (sync[2] + sync[3], asynch[2] + asynch[3]);
     assert!(
         async_share < sync_share,
         "input+output critical-path share must shrink with --io-async \
          (sync {sync_share:.4}, async {async_share:.4})"
     );
     assert!(
-        async_r.io_path_s < sync_r.io_path_s,
+        asynch[1] < sync[1],
         "absolute input+output path time must shrink with --io-async \
          (sync {:.3}s, async {:.3}s)",
-        sync_r.io_path_s,
-        async_r.io_path_s
+        sync[1],
+        asynch[1]
     );
-    let _ = write!(
-        json,
-        "  \"async_16\": {{\"platform\": \"{}\", \"procs\": 16, \"strategy\": \"{}\", \
-         \"sync\": {{\"elapsed_s\": {:.6}, \"io_path_s\": {:.6}, \
-         \"share_input\": {:.6}, \"share_output\": {:.6}}}, \
-         \"async\": {{\"elapsed_s\": {:.6}, \"io_path_s\": {:.6}, \
-         \"share_input\": {:.6}, \"share_output\": {:.6}}}, \
-         \"bytes_identical\": true}}\n",
-        blade.name,
-        IoClass::Independent.label(),
-        sync_r.elapsed_s,
-        sync_r.io_path_s,
-        sync_r.share_input,
-        sync_r.share_output,
-        async_r.elapsed_s,
-        async_r.io_path_s,
-        async_r.share_input,
-        async_r.share_output
+    save_bench(
+        "io",
+        &Value::object([
+            ("bench", "ablate_io".into()),
+            ("platforms", Value::Array(platforms)),
+            ("pinned_strategy_history", pinned_strategy_history()),
+            (
+                "async_16",
+                async_16(IoClass::Independent.label(), sync, asynch),
+            ),
+        ]),
     );
-    json.push('}');
-    json.push('\n');
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_io.json");
-    std::fs::write(path, &json).expect("write BENCH_io.json");
-    println!("wrote {path}");
     println!("access-pattern surgery pays on NFS; on XFS the classes converge");
 }

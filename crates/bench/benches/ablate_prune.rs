@@ -11,8 +11,9 @@
 
 use blast_bench::table::breakdown_table;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_with_options, PioOptions, Program};
+use blast_bench::{run, Program};
 use mpiblast::{Platform, ReportOptions};
+use simcluster::FaultPlan;
 
 fn main() {
     let mut workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
@@ -24,19 +25,11 @@ fn main() {
     let platform = Platform::altix();
     let mut rows = Vec::new();
     for prune in [false, true] {
-        rows.push(run_with_options(
-            Program::PioBlast,
-            8,
-            None,
-            &platform,
-            &workload,
-            PioOptions {
-                collective_output: true,
-                local_prune: prune,
-                threads: 1,
-                ..Default::default()
-            },
-        ));
+        let (pio, none) = (Program::PioBlast, FaultPlan::none());
+        let r = run(pio, 8, None, &platform, &workload, none, |cfg| {
+            cfg.local_prune = prune
+        });
+        rows.push(r.summary);
     }
     println!(
         "{}",

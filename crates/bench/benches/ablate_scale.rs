@@ -11,11 +11,13 @@
 //!
 //! Two contracts are asserted, not just reported:
 //!
-//! * **thread economy** — the 512-rank blade run samples
-//!   `/proc/self/status` `Threads:` from inside rank bodies; the peak
-//!   must be the count before the run plus one (the engine thread);
-//! * **rank-count invariance** — that same 512-rank blade report must
-//!   be byte-identical to a 16-rank run over the same fragments.
+//! * **thread economy** — a second 512-rank blade run, whose rank
+//!   bodies sample `/proc/self/status` `Threads:` (the one recipe here
+//!   that is not `blast_bench::run`, which has no rank-body hook), must
+//!   peak at the count before the run plus one (the engine thread) and
+//!   reproduce the sweep's report;
+//! * **rank-count invariance** — the 512-rank blade report must be
+//!   byte-identical to a 16-rank run over the same fragments.
 //!
 //! The 128- vs 512-rank Altix traces are then fed through the
 //! `trace-diff` profiler, which must name the diverging lane/phase.
@@ -27,169 +29,162 @@
 //!
 //! Results land in `BENCH_scale.json` at the workspace root.
 
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use blast_bench::runner::{os_thread_count, PHASE_PRECEDENCE};
-use blast_bench::workload::scaled_params;
+use blast_bench::report::{save_bench, Value};
+use blast_bench::runner::{os_thread_count, OUTPUT_PATH};
+use blast_bench::workload::{scaled_params, Workload};
+use blast_bench::{run, Program, Run};
+use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
 use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, ComputeModel, Platform};
+use mpiblast::{ClusterEnv, ComputeModel, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::sampler::sample_queries;
 use seqfmt::synth::MultiVolumeConfig;
-use seqfmt::FormattedDb;
-use simcluster::Sim;
+use simcluster::{FaultPlan, Sim};
 use tracelog::diff::{diff_profiles, profile_chrome, render_diff};
 
 const SCALES: [usize; 3] = [128, 256, 512];
 const SEED: u64 = 2005;
 
-/// Peak `Threads:` observed in `/proc/self/status`, sampled from inside
-/// rank bodies.
-static PEAK_THREADS: AtomicUsize = AtomicUsize::new(0);
-
-fn sample_peak_threads() {
-    if let Some(n) = os_thread_count() {
-        PEAK_THREADS.fetch_max(n, Ordering::Relaxed);
-    }
-}
-
-/// The per-scale workload: a multi-volume database sized to the rank
-/// count, and queries sampled from it.
+/// A per-scale workload — a multi-volume database sized to the rank
+/// count, and queries sampled from it — with its volume count and size.
 struct ScaleWorkload {
-    db: FormattedDb,
-    queries: Vec<SeqRecord>,
-    params: blast_core::search::SearchParams,
+    workload: Workload,
     nvolumes: usize,
     residues: u64,
 }
 
-fn scale_workload(nranks: usize) -> ScaleWorkload {
-    // Database grows with the cluster: ~1200 residues per rank (a few
-    // records per natural fragment even at 512 ranks), split into more
-    // volumes (and therefore more length-distribution skew) at larger
-    // scales.
-    let residues = nranks as u64 * 1200;
-    let nvolumes = nranks / 64 + 2;
-    let mv = MultiVolumeConfig::size_sweep(SEED, nvolumes, residues);
+fn scale_workload(
+    mv: MultiVolumeConfig,
+    title: &str,
+    query_bytes: u64,
+    query_seed: u64,
+    params: SearchParams,
+) -> ScaleWorkload {
     let per_volume = mv.generate_volumes();
     let flat: Vec<SeqRecord> = per_volume.iter().flatten().cloned().collect();
-    let queries = sample_queries(&flat, 1024, SEED ^ 0x5eed);
     ScaleWorkload {
-        db: seqfmt::formatdb::format_volumes(
-            &per_volume,
-            &seqfmt::formatdb::FormatDbConfig::protein("nr-scale"),
-        ),
-        queries,
-        params: scaled_params().0,
-        nvolumes,
-        residues,
+        workload: Workload {
+            db: mv.format(title),
+            queries: sample_queries(&flat, query_bytes, query_seed),
+            params,
+            report: scaled_params().1,
+            compute: ComputeModel::modeled(),
+        },
+        nvolumes: mv.volumes.len(),
+        residues: mv.volumes.iter().map(|v| v.residues).sum(),
     }
+}
+
+/// The protein sweep: the database grows with the cluster, ~1200
+/// residues per rank (a few records per natural fragment even at 512
+/// ranks), split into more volumes (and therefore more
+/// length-distribution skew) at larger scales.
+fn protein_workload(nranks: usize) -> ScaleWorkload {
+    let mv = MultiVolumeConfig::size_sweep(SEED, nranks / 64 + 2, nranks as u64 * 1200);
+    scale_workload(mv, "nr-scale", 1024, SEED ^ 0x5eed, scaled_params().0)
 }
 
 /// The nt-shaped workload: a nucleotide multi-volume sweep
 /// (`MultiVolumeConfig::dna_sweep`) with long records and *few*
 /// queries — nucleotide databases put far more bytes behind each
 /// header, so this profile stresses bytes-per-operation where the
-/// protein sweep stresses operation count.
+/// protein sweep stresses operation count. ~4800 bases per rank: the
+/// same fragment count carries ~4x the protein sweep's bytes.
 fn dna_workload(nranks: usize) -> ScaleWorkload {
-    // ~4800 bases per rank: the same fragment count carries ~4x the
-    // protein sweep's bytes.
-    let bases = nranks as u64 * 4800;
-    let nvolumes = nranks / 64 + 2;
-    let mv = MultiVolumeConfig::dna_sweep(SEED ^ 0xd4a, nvolumes, bases);
-    let per_volume = mv.generate_volumes();
-    let flat: Vec<SeqRecord> = per_volume.iter().flatten().cloned().collect();
+    let mv = MultiVolumeConfig::dna_sweep(SEED ^ 0xd4a, nranks / 64 + 2, nranks as u64 * 4800);
     // Few, long queries: ~2 KiB of sampled bases is one or two records.
-    let queries = sample_queries(&flat, 2048, SEED ^ 0xd4a);
+    let w = scale_workload(mv, "nt-scale", 2048, SEED ^ 0xd4a, SearchParams::blastn());
+    let nqueries = w.workload.queries.len();
     assert!(
-        queries.len() <= 6,
-        "nt-shaped profile wants few queries, sampled {}",
-        queries.len()
+        nqueries <= 6,
+        "nt-shaped profile wants few queries, sampled {nqueries}"
     );
-    ScaleWorkload {
-        db: mv.format("nt-scale"),
-        queries,
-        params: blast_core::search::SearchParams::blastn(),
-        nvolumes,
-        residues: bases,
-    }
+    w
 }
 
-struct ScaleRun {
-    elapsed_s: f64,
-    share_input: f64,
-    share_search: f64,
-    share_output: f64,
-    report: Vec<u8>,
-    chrome: String,
+/// One pioBLAST run at `nranks` ranks: prints its table row and returns
+/// it with its JSON row.
+fn run_scale(platform: &Platform, w: &Workload, nranks: usize, nfrags: usize) -> (Run, Value) {
+    let r = run(
+        Program::PioBlast,
+        nranks,
+        Some(nfrags),
+        platform,
+        w,
+        FaultPlan::none(),
+        |_| {},
+    );
+    assert!(!r.report.is_empty(), "report");
+    let [input, search, output] = r.summary.shares();
+    println!(
+        "{:<35} {:>6} {:>7} {:>11.3} {:>7.1}% {:>7.1}% {:>7.1}%",
+        platform.name,
+        nranks,
+        nfrags,
+        r.summary.total,
+        input * 100.0,
+        search * 100.0,
+        output * 100.0
+    );
+    let row = Value::object([
+        ("platform", platform.name.as_str().into()),
+        ("elapsed_s", r.summary.total.into()),
+        ("share_input", input.into()),
+        ("share_search", search.into()),
+        ("share_output", output.into()),
+        ("output_bytes", r.report.len().into()),
+    ]);
+    (r, row)
 }
 
-/// One pioBLAST run at `nranks` ranks. When `sample_threads` is set,
-/// every rank body samples the process's OS thread count on entry.
-fn run_scale(
+/// The same job as [`run_scale`], untraced, with every rank body
+/// sampling the process's OS thread count on entry. Returns the peak
+/// and the report bytes.
+fn run_sampling_threads(
     platform: &Platform,
-    w: &ScaleWorkload,
+    w: &Workload,
     nranks: usize,
     nfrags: usize,
-    sample_threads: bool,
-) -> ScaleRun {
+) -> (usize, Vec<u8>) {
     let sim = Sim::new(nranks);
-    let tracer = tracelog::Tracer::new(nranks);
-    sim.set_tracer(tracer.clone());
     let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &w.db);
     let query_path = stage_queries(&env.shared, &w.queries);
+    let db_alias = stage_shared_db(&env.shared, &w.db);
     let cfg = PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
         params: w.params.clone(),
-        report: scaled_params().1,
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
+        report: w.report,
         num_fragments: Some(nfrags),
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::new(platform, &env, &db_alias, &query_path, OUTPUT_PATH)
     };
+    let peak = AtomicUsize::new(0);
     let outcome = sim.run(|ctx| {
-        if sample_threads {
-            sample_peak_threads();
+        if let Some(n) = os_thread_count() {
+            peak.fetch_max(n, Ordering::Relaxed);
         }
         pioblast::run_rank(&ctx, &cfg)
     });
     for r in &outcome.outputs {
         r.as_ref().expect("rank completed");
     }
-    let wall = outcome.elapsed.since(simcluster::SimTime::ZERO).0;
-    let trace = tracer.finish(wall);
-    let path = tracelog::analyze::critical_path(&trace, &PHASE_PRECEDENCE);
-    let share = |name: &str| {
-        if wall == 0 {
-            0.0
-        } else {
-            path.get(name) as f64 / wall as f64
-        }
-    };
-    ScaleRun {
-        elapsed_s: outcome.elapsed.as_secs_f64(),
-        share_input: share(phases::COPY) + share(phases::INPUT),
-        share_search: share(phases::SEARCH),
-        share_output: share(phases::OUTPUT),
-        report: env.shared.peek("results.txt").expect("report").to_vec(),
-        chrome: tracelog::chrome::export_chrome(&trace, None),
-    }
+    let report = env.shared.peek(OUTPUT_PATH).expect("report");
+    (peak.into_inner(), report)
+}
+
+fn print_header(title: &str) {
+    println!("{title}");
+    println!(
+        "{:<35} {:>6} {:>7} {:>11} {:>8} {:>8} {:>8}",
+        "platform", "ranks", "frags", "elapsed(s)", "input%", "search%", "output%"
+    );
+}
+
+/// Run `w` on each platform at `nranks` ranks over natural fragments.
+fn run_platforms(platforms: &[Platform], w: &Workload, nranks: usize) -> (Vec<Run>, Vec<Value>) {
+    let each = |platform| run_scale(platform, w, nranks, nranks - 1);
+    platforms.iter().map(each).unzip()
 }
 
 fn main() {
@@ -200,127 +195,42 @@ fn main() {
         Platform::objectstore(),
         Platform::multisite(),
     ];
-    println!("== Scale sweep: 128/256/512 ranks, four platforms ==");
-    println!(
-        "{:<35} {:>6} {:>7} {:>11} {:>8} {:>8} {:>8}",
-        "platform", "ranks", "frags", "elapsed(s)", "input%", "search%", "output%"
-    );
-    let mut json = String::from("{\n  \"bench\": \"ablate_scale\",\n  \"scales\": [\n");
-
-    // Kept across the sweep for the cross-cutting assertions below.
-    let mut altix_chrome: Vec<(usize, String)> = Vec::new();
-    let mut blade_512: Option<ScaleRun> = None;
-    let mut blade_512_frags = 0usize;
-
-    for (si, &nranks) in SCALES.iter().enumerate() {
-        let w = scale_workload(nranks);
-        let nfrags = nranks - 1;
-        if si > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"ranks\": {}, \"nfrags\": {}, \"db_residues\": {}, \"db_volumes\": {}, \
-             \"runs\": [",
-            nranks, nfrags, w.residues, w.nvolumes
-        );
-        for (pi, platform) in platforms.iter().enumerate() {
-            let sample = nranks == 512 && platform.name == Platform::blade_cluster().name;
-            let r = run_scale(platform, &w, nranks, nfrags, sample);
-            println!(
-                "{:<35} {:>6} {:>7} {:>11.3} {:>7.1}% {:>7.1}% {:>7.1}%",
-                platform.name,
-                nranks,
-                nfrags,
-                r.elapsed_s,
-                r.share_input * 100.0,
-                r.share_search * 100.0,
-                r.share_output * 100.0
-            );
-            if pi > 0 {
-                json.push(',');
-            }
-            let _ = write!(
-                json,
-                "\n      {{\"platform\": \"{}\", \"elapsed_s\": {:.6}, \"share_input\": {:.6}, \
-                 \"share_search\": {:.6}, \"share_output\": {:.6}, \"output_bytes\": {}}}",
-                platform.name,
-                r.elapsed_s,
-                r.share_input,
-                r.share_search,
-                r.share_output,
-                r.report.len()
-            );
-            if platform.name == Platform::altix().name {
-                altix_chrome.push((nranks, r.chrome.clone()));
-            }
-            if sample {
-                blade_512_frags = nfrags;
-                blade_512 = Some(r);
-            }
-        }
-        json.push_str("\n    ]}");
+    print_header("== Scale sweep: 128/256/512 ranks, four platforms ==");
+    // Every run is kept for the cross-cutting assertions below.
+    let (mut scales, mut runs) = (Vec::new(), Vec::new());
+    for nranks in SCALES {
+        let w = protein_workload(nranks);
+        let (at_scale, rows) = run_platforms(&platforms, &w.workload, nranks);
+        runs.push(at_scale);
+        scales.push(Value::object([
+            ("ranks", nranks.into()),
+            ("nfrags", (nranks - 1).into()),
+            ("db_residues", w.residues.into()),
+            ("db_volumes", w.nvolumes.into()),
+            ("runs", Value::Array(rows)),
+        ]));
     }
-    json.push_str("\n  ],\n");
 
     // ---- nt-shaped sweep: long sequences, few queries ----
-    println!("\n== DNA sweep: nucleotide-shaped volumes (long records, few queries) ==");
-    println!(
-        "{:<35} {:>6} {:>7} {:>11} {:>8} {:>8} {:>8}",
-        "platform", "ranks", "frags", "elapsed(s)", "input%", "search%", "output%"
-    );
-    json.push_str("  \"dna_sweep\": [\n");
-    let dna_platforms = [Platform::altix(), Platform::blade_cluster()];
-    for (si, &nranks) in [128usize, 256].iter().enumerate() {
+    print_header("\n== DNA sweep: nucleotide-shaped volumes (long records, few queries) ==");
+    let mut dna_sweep = Vec::new();
+    for nranks in [128usize, 256] {
         let w = dna_workload(nranks);
-        let nfrags = nranks - 1;
-        if si > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"ranks\": {}, \"nfrags\": {}, \"db_bases\": {}, \"db_volumes\": {}, \
-             \"queries\": {}, \"runs\": [",
-            nranks,
-            nfrags,
-            w.residues,
-            w.nvolumes,
-            w.queries.len()
-        );
-        for (pi, platform) in dna_platforms.iter().enumerate() {
-            let r = run_scale(platform, &w, nranks, nfrags, false);
-            println!(
-                "{:<35} {:>6} {:>7} {:>11.3} {:>7.1}% {:>7.1}% {:>7.1}%",
-                platform.name,
-                nranks,
-                nfrags,
-                r.elapsed_s,
-                r.share_input * 100.0,
-                r.share_search * 100.0,
-                r.share_output * 100.0
-            );
-            if pi > 0 {
-                json.push(',');
-            }
-            let _ = write!(
-                json,
-                "\n      {{\"platform\": \"{}\", \"elapsed_s\": {:.6}, \"share_input\": {:.6}, \
-                 \"share_search\": {:.6}, \"share_output\": {:.6}, \"output_bytes\": {}}}",
-                platform.name,
-                r.elapsed_s,
-                r.share_input,
-                r.share_search,
-                r.share_output,
-                r.report.len()
-            );
-        }
-        json.push_str("\n    ]}");
+        let (_, rows) = run_platforms(&platforms[..2], &w.workload, nranks);
+        dna_sweep.push(Value::object([
+            ("ranks", nranks.into()),
+            ("nfrags", (nranks - 1).into()),
+            ("db_bases", w.residues.into()),
+            ("db_volumes", w.nvolumes.into()),
+            ("queries", w.workload.queries.len().into()),
+            ("runs", Value::Array(rows)),
+        ]));
     }
-    json.push_str("\n  ],\n");
 
     // ---- 512-rank blade: thread economy + rank-count invariance ----
-    let b512 = blade_512.expect("blade 512 run recorded");
-    let peak = PEAK_THREADS.load(Ordering::Relaxed);
+    let (blade, b512) = (&platforms[1], &runs[2][1]);
+    let w512 = protein_workload(512).workload;
+    let (peak, sampled_report) = run_sampling_threads(blade, &w512, 512, 511);
     if let Some(before) = threads_before {
         assert_eq!(
             peak,
@@ -330,31 +240,27 @@ fn main() {
             before + 1
         );
     }
-    let w512 = scale_workload(512);
-    let ref16 = run_scale(
-        &Platform::blade_cluster(),
-        &w512,
-        16,
-        blade_512_frags,
-        false,
+    assert_eq!(
+        sampled_report, b512.report,
+        "the thread-sampling run diverged from the sweep's 512-rank blade report"
     );
+    print_header("\n== 16-rank reference over the 512-rank blade run's fragments ==");
+    let (ref16, _) = run_scale(blade, &w512, 16, 511);
     assert_eq!(
         b512.report, ref16.report,
         "512-rank blade report diverged from the 16-rank run on the same fragments"
     );
     println!(
         "512-rank blade: peak OS threads {peak}, report identical to 16 ranks \
-         on {blade_512_frags} fragments"
-    );
-    let _ = writeln!(
-        json,
-        "  \"blade_512\": {{\"peak_os_threads\": {peak}, \"report_matches_16_ranks\": true}},"
+         on 511 fragments"
     );
 
     // ---- trace-diff across scales: where does the extra time go? ----
-    let a = profile_chrome(&altix_chrome[0].1).expect("128-rank profile");
-    let b = profile_chrome(&altix_chrome[2].1).expect("512-rank profile");
-    let d = diff_profiles(&a, &b);
+    let altix_profile = |scale: usize| {
+        let chrome = tracelog::chrome::export_chrome(&runs[scale][0].trace, None);
+        profile_chrome(&chrome).expect("altix profile")
+    };
+    let d = diff_profiles(&altix_profile(0), &altix_profile(2));
     assert!(
         !d.cluster.is_empty(),
         "128 vs 512 ranks must diverge in at least one lane/phase"
@@ -364,14 +270,29 @@ fn main() {
     for line in render_diff(&d, 5).lines() {
         println!("  {line}");
     }
-    let _ = writeln!(
-        json,
-        "  \"trace_diff_128_vs_512\": {{\"top_lane\": \"{}\", \"top_phase\": \"{}\", \
-         \"a_ns\": {}, \"b_ns\": {}}}\n}}",
-        top.lane, top.name, top.a_ns, top.b_ns
-    );
 
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_scale.json");
-    std::fs::write(path, &json).expect("write BENCH_scale.json");
-    println!("\nwrote {path}");
+    save_bench(
+        "scale",
+        &Value::object([
+            ("bench", "ablate_scale".into()),
+            ("scales", Value::Array(scales)),
+            ("dna_sweep", Value::Array(dna_sweep)),
+            (
+                "blade_512",
+                Value::object([
+                    ("peak_os_threads", peak.into()),
+                    ("report_matches_16_ranks", true.into()),
+                ]),
+            ),
+            (
+                "trace_diff_128_vs_512",
+                Value::object([
+                    ("top_lane", top.lane.as_str().into()),
+                    ("top_phase", top.name.as_str().into()),
+                    ("a_ns", top.a_ns.into()),
+                    ("b_ns", top.b_ns.into()),
+                ]),
+            ),
+        ]),
+    );
 }

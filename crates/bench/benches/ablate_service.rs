@@ -17,67 +17,59 @@
 //!   change placement and data motion, never results;
 //! * affinity-on hit rate exceeds 50% on every profile (an 8-batch
 //!   stream with a capacious store misses only the cold batch);
-//! * headline: on the blade/NFS profile, affinity-on throughput is
-//!   >= 2x affinity-off — re-reading the database per batch is exactly
-//!   the NFS bottleneck the paper's staging amortizes, and residency
-//!   amortizes it across the stream;
+//! * headline: on the blade/NFS profile, affinity-on throughput is at
+//!   least 2x affinity-off — re-reading the database per batch is
+//!   exactly the NFS bottleneck the paper's staging amortizes, and
+//!   residency amortizes it across the stream;
 //! * the affinity-on blade trace passes the trace-check validator.
 //!
 //! Results land in `BENCH_service.json` at the workspace root.
 
-use std::fmt::Write as _;
-
+use blast_bench::report::{round4, save_bench, Value};
+use blast_bench::runner::OUTPUT_PATH;
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like, Workload};
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, Platform};
-use pioblast::{
-    FaultMode, FragmentSchedule, PioBlastConfig, QueryStreamPlan, ServiceMetrics, ServiceOptions,
-};
-use simcluster::Sim;
+use blast_bench::{run, Program, Run};
+use blast_core::seq::SeqRecord;
+use mpiblast::setup::stage_queries;
+use mpiblast::Platform;
+use pioblast::{FragmentSchedule, PioBlastConfig, QueryStreamPlan, ServiceMetrics, ServiceOptions};
+use simcluster::FaultPlan;
 
 const NBATCHES: usize = 8;
 const USERS: u32 = 4;
 const MEAN_GAP_NS: u64 = 1_000_000;
 const PLAN_SEED: u64 = 2005;
 
-fn base_cfg(
+/// One job on the shape the service runs and their one-shot references
+/// share: the dynamic schedule a service needs, independent output,
+/// four slots, one fragment per worker.
+fn run_shaped(
     platform: &Platform,
-    env: &ClusterEnv,
+    ranks: usize,
     workload: &Workload,
-    nfrags: usize,
-    db_alias: String,
-    query_path: String,
-    service: Option<ServiceOptions>,
-) -> PioBlastConfig {
-    PioBlastConfig {
-        platform: platform.clone(),
-        env: env.clone(),
-        compute: workload.compute,
-        params: workload.params.clone(),
-        report: workload.report,
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
-        num_fragments: Some(nfrags),
-        collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 4,
-        io: Default::default(),
-        service,
-    }
+    tweak: impl FnOnce(&mut PioBlastConfig),
+) -> Run {
+    run(
+        Program::PioBlast,
+        ranks,
+        Some(ranks - 1),
+        platform,
+        workload,
+        FaultPlan::none(),
+        |cfg| {
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.threads = 4;
+            tweak(cfg);
+        },
+    )
 }
 
 struct ServiceRun {
     affinity: bool,
     elapsed_s: f64,
     metrics: ServiceMetrics,
-    /// Per-stream-batch report bytes (`out.txt.q<b>`).
+    /// Per-stream-batch report bytes (`<OUTPUT_PATH>.q<b>`).
     batches: Vec<Vec<u8>>,
     trace: tracelog::Trace,
 }
@@ -89,13 +81,6 @@ fn run_service(
     plan: &QueryStreamPlan,
     affinity: bool,
 ) -> ServiceRun {
-    let sim = Sim::new(ranks);
-    let tracer = tracelog::Tracer::new(ranks);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, &workload.queries);
-    let nfrags = ranks - 1;
     let service = ServiceOptions {
         plan: plan.clone(),
         // Capacious on the affinity side (every worker's share fits);
@@ -103,34 +88,16 @@ fn run_service(
         resident_bytes: if affinity { 256 << 20 } else { 0 },
         affinity,
     };
-    let cfg = base_cfg(
-        platform,
-        &env,
-        workload,
-        nfrags,
-        db_alias,
-        query_path,
-        Some(service),
-    );
-    let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    for r in &outcome.outputs {
-        r.as_ref().expect("rank completed");
-    }
-    let wall = outcome.elapsed.since(simcluster::SimTime::ZERO).0;
-    let trace = tracer.finish(wall);
-    let batches = (0..plan.batches.len())
-        .map(|b| {
-            env.shared
-                .peek(&format!("out.txt.q{b}"))
-                .expect("per-batch report present")
-        })
-        .collect();
+    let r = run_shaped(platform, ranks, workload, |cfg| cfg.service = Some(service));
+    let batch = |b| r.env.shared.peek(&format!("{OUTPUT_PATH}.q{b}"));
     ServiceRun {
         affinity,
-        elapsed_s: outcome.elapsed.as_secs_f64(),
-        metrics: ServiceMetrics::from_trace(&trace),
-        batches,
-        trace,
+        elapsed_s: r.summary.total,
+        metrics: ServiceMetrics::from_trace(&r.trace),
+        batches: (0..plan.batches.len())
+            .map(|b| batch(b).expect("per-batch report present"))
+            .collect(),
+        trace: r.trace,
     }
 }
 
@@ -140,19 +107,14 @@ fn one_shot(
     platform: &Platform,
     ranks: usize,
     workload: &Workload,
-    queries: &[blast_core::seq::SeqRecord],
+    queries: &[SeqRecord],
 ) -> Vec<u8> {
-    let sim = Sim::new(ranks);
-    let env = ClusterEnv::new(&sim, platform);
-    let db_alias = stage_shared_db(&env.shared, &workload.db);
-    let query_path = stage_queries(&env.shared, queries);
-    let nfrags = ranks - 1;
-    let cfg = base_cfg(platform, &env, workload, nfrags, db_alias, query_path, None);
-    let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    for r in &outcome.outputs {
-        r.as_ref().expect("rank completed");
-    }
-    env.shared.peek("out.txt").expect("one-shot report present")
+    let r = run_shaped(platform, ranks, workload, |cfg| {
+        // Replace the staged query set with this batch's.
+        cfg.query_path = stage_queries(&cfg.env.shared, queries);
+    });
+    assert!(!r.report.is_empty(), "one-shot report present");
+    r.report
 }
 
 fn main() {
@@ -187,9 +149,7 @@ fn main() {
         "{:<35} {:>5} {:>8} {:>10} {:>9} {:>9} {:>8}",
         "platform", "ranks", "affinity", "queries/s", "p50(s)", "p99(s)", "hitrate"
     );
-    let mut json = String::from(
-        "{\n  \"bench\": \"ablate_service\",\n  \"users\": 4,\n  \"stream_batches\": 8,\n  \"platforms\": [\n",
-    );
+    let mut platforms = Vec::new();
     let mut blade_speedup = 0.0f64;
     let mut blade_trace_checked = false;
     let profiles = [
@@ -197,15 +157,15 @@ fn main() {
         (Platform::blade_cluster(), 16),
         (Platform::manycore(), 64),
     ];
-    for (pi, (platform, ranks)) in profiles.iter().enumerate() {
+    for (platform, ranks) in profiles {
         // Byte-identity references: each stream batch as its own job.
         let refs: Vec<Vec<u8>> = parts
             .iter()
-            .map(|batch| one_shot(platform, *ranks, &workload, batch))
+            .map(|batch| one_shot(&platform, ranks, &workload, batch))
             .collect();
         let mut runs: Vec<ServiceRun> = Vec::new();
         for affinity in [false, true] {
-            let r = run_service(platform, *ranks, &workload, &plan, affinity);
+            let r = run_service(&platform, ranks, &workload, &plan, affinity);
             println!(
                 "{:<35} {:>5} {:>8} {:>10.4} {:>9.3} {:>9.3} {:>7.1}%",
                 platform.name,
@@ -243,34 +203,27 @@ fn main() {
             speedup,
             100.0 * on.metrics.hit_rate()
         );
-        if pi > 0 {
-            json.push_str(",\n");
-        }
-        let _ = write!(
-            json,
-            "    {{\"platform\": \"{}\", \"ranks\": {}, \"affinity_speedup\": {:.4}, \"runs\": [",
-            platform.name, ranks, speedup
-        );
-        for (i, r) in runs.iter().enumerate() {
-            if i > 0 {
-                json.push_str(", ");
-            }
-            let _ = write!(
-                json,
-                "{{\"affinity\": {}, \"elapsed_s\": {:.6}, \"queries_per_sec\": {:.6}, \
-                 \"p50_latency_s\": {:.6}, \"p99_latency_s\": {:.6}, \"cache_hits\": {}, \
-                 \"cache_misses\": {}, \"hit_rate\": {:.4}, \"bytes_identical\": true}}",
-                r.affinity,
-                r.elapsed_s,
-                r.metrics.queries_per_sec,
-                r.metrics.p50_latency_s,
-                r.metrics.p99_latency_s,
-                r.metrics.cache_hits,
-                r.metrics.cache_misses,
-                r.metrics.hit_rate()
-            );
-        }
-        json.push_str("]}");
+        platforms.push(Value::object([
+            ("platform", platform.name.as_str().into()),
+            ("ranks", ranks.into()),
+            ("affinity_speedup", round4(speedup).into()),
+            (
+                "runs",
+                Value::array(runs.iter().map(|r| {
+                    Value::object([
+                        ("affinity", r.affinity.into()),
+                        ("elapsed_s", r.elapsed_s.into()),
+                        ("queries_per_sec", r.metrics.queries_per_sec.into()),
+                        ("p50_latency_s", r.metrics.p50_latency_s.into()),
+                        ("p99_latency_s", r.metrics.p99_latency_s.into()),
+                        ("cache_hits", r.metrics.cache_hits.into()),
+                        ("cache_misses", r.metrics.cache_misses.into()),
+                        ("hit_rate", round4(r.metrics.hit_rate()).into()),
+                        ("bytes_identical", true.into()),
+                    ])
+                })),
+            ),
+        ]));
         if platform.name.contains("Blade") {
             blade_speedup = speedup;
             assert!(
@@ -282,22 +235,28 @@ fn main() {
             let chrome = tracelog::chrome::export_chrome(&on.trace, None);
             let stats = tracelog::check::validate_chrome(&chrome)
                 .expect("affinity-on service trace validates");
-            assert_eq!(stats.ranks, *ranks);
+            assert_eq!(stats.ranks, ranks);
             assert!(stats.instants > 0, "cache/service instants present");
             blade_trace_checked = true;
         }
     }
     assert!(blade_trace_checked, "blade profile missing from the sweep");
-    json.push_str("\n  ],\n");
-    let _ = writeln!(
-        json,
-        "  \"blade_headline\": {{\"affinity_speedup\": {blade_speedup:.4}, \
-         \"bytes_identical\": true, \"trace_validated\": true}}"
+    save_bench(
+        "service",
+        &Value::object([
+            ("bench", "ablate_service".into()),
+            ("users", u64::from(USERS).into()),
+            ("stream_batches", NBATCHES.into()),
+            ("platforms", Value::Array(platforms)),
+            (
+                "blade_headline",
+                Value::object([
+                    ("affinity_speedup", round4(blade_speedup).into()),
+                    ("bytes_identical", true.into()),
+                    ("trace_validated", true.into()),
+                ]),
+            ),
+        ]),
     );
-    json.push('}');
-    json.push('\n');
-    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../BENCH_service.json");
-    std::fs::write(path, &json).expect("write BENCH_service.json");
-    println!("wrote {path}");
     println!("affinity pays exactly where per-batch re-reads were the stream's bottleneck");
 }

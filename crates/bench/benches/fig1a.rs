@@ -9,21 +9,17 @@
 
 use blast_bench::table::{save_json, split_series};
 use blast_bench::workload::{default_db_residues, default_query_bytes, nt_like};
-use blast_bench::{run_once, Program};
+use blast_bench::{run, Program};
 use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 fn main() {
     let workload = nt_like(default_db_residues(), default_query_bytes(), 2003);
     let platform = Platform::altix();
     let mut rows = Vec::new();
     for nprocs in [16usize, 32, 64] {
-        rows.push(run_once(
-            Program::MpiBlast,
-            nprocs,
-            None,
-            &platform,
-            &workload,
-        ));
+        let (mpi, none) = (Program::MpiBlast, FaultPlan::none());
+        rows.push(run(mpi, nprocs, None, &platform, &workload, none, |_| {}).summary);
     }
     println!(
         "{}",

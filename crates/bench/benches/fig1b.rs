@@ -12,21 +12,17 @@
 
 use blast_bench::table::{breakdown_table, save_json};
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_once, Program};
+use blast_bench::{run, Program};
 use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 fn main() {
     let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
     let platform = Platform::altix();
     let mut rows = Vec::new();
     for nfrags in [31usize, 61, 96, 167] {
-        rows.push(run_once(
-            Program::MpiBlast,
-            32,
-            Some(nfrags),
-            &platform,
-            &workload,
-        ));
+        let (mpi, none) = (Program::MpiBlast, FaultPlan::none());
+        rows.push(run(mpi, 32, Some(nfrags), &platform, &workload, none, |_| {}).summary);
     }
     println!(
         "{}",

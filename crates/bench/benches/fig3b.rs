@@ -9,8 +9,9 @@
 
 use blast_bench::table::{breakdown_table, save_json};
 use blast_bench::workload::{default_db_residues, nr_like};
-use blast_bench::{run_once, Program};
+use blast_bench::{run, Program};
 use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 fn main() {
     let db_residues = default_db_residues();
@@ -28,7 +29,16 @@ fn main() {
         let target = ((paper_bytes as f64 * scale) as u64).max(512);
         let workload = nr_like(db_residues, target, 2005);
         for program in [Program::MpiBlast, Program::PioBlast] {
-            let s = run_once(program, 62, None, &platform, &workload);
+            let r = run(
+                program,
+                62,
+                None,
+                &platform,
+                &workload,
+                FaultPlan::none(),
+                |_| {},
+            );
+            let s = r.summary;
             println!(
                 "ladder {name}: {}-62 output {} bytes, non-search {:.2}s",
                 s.program.label(),

@@ -9,8 +9,9 @@
 
 use blast_bench::table::{breakdown_table, save_json};
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_once, Program};
+use blast_bench::{run, Program};
 use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 fn main() {
     let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
@@ -18,7 +19,16 @@ fn main() {
     let mut rows = Vec::new();
     for nprocs in [4usize, 8, 16, 32] {
         for program in [Program::MpiBlast, Program::PioBlast] {
-            rows.push(run_once(program, nprocs, None, &platform, &workload));
+            let r = run(
+                program,
+                nprocs,
+                None,
+                &platform,
+                &workload,
+                FaultPlan::none(),
+                |_| {},
+            );
+            rows.push(r.summary);
         }
     }
     println!(

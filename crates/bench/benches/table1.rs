@@ -16,16 +16,25 @@
 
 use blast_bench::table::{breakdown_table, save_json};
 use blast_bench::workload::{default_db_residues, default_query_bytes, nr_like};
-use blast_bench::{run_once, Program};
+use blast_bench::{run, Program};
 use mpiblast::Platform;
+use simcluster::FaultPlan;
 
 fn main() {
     let workload = nr_like(default_db_residues(), default_query_bytes(), 2005);
     let platform = Platform::altix();
-    let rows = vec![
-        run_once(Program::MpiBlast, 32, None, &platform, &workload),
-        run_once(Program::PioBlast, 32, None, &platform, &workload),
-    ];
+    let rows = [Program::MpiBlast, Program::PioBlast].map(|program| {
+        run(
+            program,
+            32,
+            None,
+            &platform,
+            &workload,
+            FaultPlan::none(),
+            |_| {},
+        )
+        .summary
+    });
     println!(
         "{}",
         breakdown_table(

@@ -4,7 +4,7 @@
 use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
 use mpiblast::{phases, ClusterEnv, MpiBlastConfig, Platform, RankReport};
 use pioblast::PioBlastConfig;
-use simcluster::{Sim, SimDuration};
+use simcluster::{FaultPlan, Sim};
 use tracelog::Trace;
 
 use crate::workload::Workload;
@@ -65,6 +65,11 @@ impl RunSummary {
             self.search / self.total
         }
     }
+
+    /// `[copy/input, search, output]` as fractions of the total time.
+    pub fn shares(&self) -> [f64; 3] {
+        [self.copy_input, self.search, self.output].map(|part| part / self.total)
+    }
 }
 
 /// The phase precedence the paper's charts imply: an instant of wall
@@ -79,38 +84,6 @@ pub const PHASE_PRECEDENCE: [&str; 5] = [
     phases::OTHER,
 ];
 
-fn summarize(
-    program: Program,
-    nprocs: usize,
-    nfrags: usize,
-    trace: &Trace,
-    total: SimDuration,
-    output_bytes: u64,
-) -> RunSummary {
-    // The breakdown is the trace-derived critical path: every instant of
-    // the run's wall clock is attributed to the strongest phase active
-    // on any rank at that instant, so the parts partition `total`
-    // exactly — no per-rank maxima, no rescaling.
-    let path = tracelog::analyze::critical_path(trace, &PHASE_PRECEDENCE);
-    let secs = |name: &str| path.get(name) as f64 / 1e9;
-    let copy_input = secs(phases::COPY) + secs(phases::INPUT);
-    let search = secs(phases::SEARCH);
-    let output = secs(phases::OUTPUT);
-    let total = total.as_secs_f64();
-    let other = (total - copy_input - search - output).max(0.0);
-    RunSummary {
-        program,
-        nprocs,
-        nfrags,
-        copy_input,
-        search,
-        output,
-        other,
-        total,
-        output_bytes,
-    }
-}
-
 /// The process's OS thread count (`Threads:` in `/proc/self/status`), or
 /// `None` where that file does not exist. Sampled from inside rank bodies
 /// it shows what a run costs in threads: one, the engine thread.
@@ -122,156 +95,152 @@ pub fn os_thread_count() -> Option<usize> {
         .and_then(|v| v.trim().parse().ok())
 }
 
-/// pioBLAST ablation switches (the defaults are the paper's design).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct PioOptions {
-    /// Two-phase collective output vs. independent per-record writes.
-    pub collective_output: bool,
-    /// Worker-side local pruning before formatting (paper §5).
-    pub local_prune: bool,
-    /// Intra-rank compute slots per worker (`--threads`).
-    pub threads: usize,
+/// Path on the simulated shared file system every run writes its
+/// report to (service mode: `<OUTPUT_PATH>.q<batch>` per stream batch).
+pub const OUTPUT_PATH: &str = "results.txt";
+
+/// Everything one [`run`] hands back.
+pub struct Run {
+    /// The paper-style breakdown, derived from `trace`.
+    pub summary: RunSummary,
+    /// The run's merged trace.
+    pub trace: Trace,
+    /// Bytes at [`OUTPUT_PATH`]; empty when the job wrote none there
+    /// (service mode writes one report per stream batch instead).
+    pub report: Vec<u8>,
+    /// What each rank reported; `None` for a rank the plan killed.
+    pub ranks: Vec<Option<RankReport>>,
+    /// Ranks the fault plan killed, in kill order.
+    pub killed: Vec<usize>,
+    /// The run's file systems: counters, class tallies, per-batch reports.
+    pub env: ClusterEnv,
 }
 
-impl Default for PioOptions {
-    fn default() -> PioOptions {
-        PioOptions {
-            collective_output: true,
-            local_prune: false,
-            threads: 1,
-        }
-    }
-}
-
-/// Execute one run. `nfrags` is the physical fragment count for mpiBLAST
-/// or the virtual fragment count for pioBLAST; `None` selects natural
-/// partitioning (one fragment per worker).
-pub fn run_once(
+/// Execute one traced run: stage the workload on a fresh `nprocs`-rank
+/// cluster of `platform`, build the program's paper-design config over
+/// it, run under `plan`, and summarize from the trace.
+///
+/// `nfrags` is the physical fragment count for mpiBLAST or the virtual
+/// fragment count for pioBLAST; `None` selects natural partitioning (one
+/// fragment per worker). `tweak` changes whatever else a pioBLAST
+/// ablation varies (it may also restage files through `cfg.env`); it is
+/// not called for mpiBLAST. Every rank the plan did not kill must
+/// complete, or the run panics naming the rank and its typed error.
+pub fn run(
     program: Program,
     nprocs: usize,
     nfrags: Option<usize>,
     platform: &Platform,
     workload: &Workload,
-) -> RunSummary {
-    run_with_options(
-        program,
-        nprocs,
-        nfrags,
-        platform,
-        workload,
-        PioOptions::default(),
-    )
-}
-
-/// [`run_once`] with explicit pioBLAST ablation options.
-pub fn run_with_options(
-    program: Program,
-    nprocs: usize,
-    nfrags: Option<usize>,
-    platform: &Platform,
-    workload: &Workload,
-    pio_options: PioOptions,
-) -> RunSummary {
-    run_traced(program, nprocs, nfrags, platform, workload, pio_options).0
-}
-
-/// [`run_with_options`], additionally returning the run's merged trace
-/// (the summary's phase breakdown is derived from it).
-pub fn run_traced(
-    program: Program,
-    nprocs: usize,
-    nfrags: Option<usize>,
-    platform: &Platform,
-    workload: &Workload,
-    pio_options: PioOptions,
-) -> (RunSummary, Trace) {
+    plan: FaultPlan,
+    tweak: impl FnOnce(&mut PioBlastConfig),
+) -> Run {
     let sim = Sim::new(nprocs);
     let tracer = tracelog::Tracer::new(nprocs);
     sim.set_tracer(tracer.clone());
     let env = ClusterEnv::new(&sim, platform);
     let query_path = stage_queries(&env.shared, &workload.queries);
     let nworkers = nprocs - 1;
-    let output_path = "results.txt".to_string();
 
-    let (_reports, elapsed, actual_frags) = match program {
+    let (ranks, elapsed, killed, actual_frags) = match program {
         Program::MpiBlast => {
             let fragment_names =
                 stage_fragments(&env.shared, &workload.db, nfrags.unwrap_or(nworkers));
             let actual = fragment_names.len();
             let cfg = MpiBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
                 compute: workload.compute,
                 params: workload.params.clone(),
                 report: workload.report,
-                fragment_names,
-                query_path,
-                output_path: output_path.clone(),
-                fault_detection: false,
+                ..MpiBlastConfig::new(platform, &env, fragment_names, &query_path, OUTPUT_PATH)
             };
-            let outcome = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-            let reports = outcome
-                .outputs
-                .into_iter()
-                .map(|r| r.expect("fault-free run completes"))
-                .collect();
-            (reports, outcome.elapsed, actual)
+            let out = sim.run_faulty(plan, |ctx| mpiblast::run_rank(&ctx, &cfg));
+            (completed(out.outputs), out.elapsed, out.killed, actual)
         }
         Program::PioBlast => {
             let db_alias = stage_shared_db(&env.shared, &workload.db);
-            let cfg = PioBlastConfig {
-                platform: platform.clone(),
-                env: env.clone(),
+            let mut cfg = PioBlastConfig {
                 compute: workload.compute,
                 params: workload.params.clone(),
                 report: workload.report,
-                db_alias,
-                query_path,
-                output_path: output_path.clone(),
                 num_fragments: nfrags,
-                collective_output: pio_options.collective_output,
-                local_prune: pio_options.local_prune,
-                query_batch: None,
-                collective_input: false,
-                schedule: Default::default(),
-                fault: Default::default(),
-                checkpoint: false,
-                rank_compute: None,
-                threads: pio_options.threads,
-                io: Default::default(),
-                service: None,
+                ..PioBlastConfig::new(platform, &env, &db_alias, &query_path, OUTPUT_PATH)
             };
-            let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            let reports: Vec<RankReport> = outcome
-                .outputs
-                .into_iter()
-                .map(|r| r.expect("fault-free run completes"))
-                .collect();
-            (reports, outcome.elapsed, nfrags.unwrap_or(nworkers))
+            tweak(&mut cfg);
+            let out = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
+            let frags = cfg.num_fragments.unwrap_or(nworkers);
+            (completed(out.outputs), out.elapsed, out.killed, frags)
         }
     };
-    let output_bytes = env
-        .shared
-        .peek(&output_path)
-        .map(|b| b.len() as u64)
-        .unwrap_or(0);
+    let report = env.shared.peek(OUTPUT_PATH).unwrap_or_default();
+    // The breakdown is the trace-derived critical path: every instant of
+    // the run's wall clock is attributed to the strongest phase active
+    // on any rank at that instant, so the parts partition the total
+    // exactly — no per-rank maxima, no rescaling.
     let wall = elapsed.since(simcluster::SimTime::ZERO);
     let trace = tracer.finish(wall.0);
-    let summary = summarize(program, nprocs, actual_frags, &trace, wall, output_bytes);
-    (summary, trace)
+    let path = tracelog::analyze::critical_path(&trace, &PHASE_PRECEDENCE);
+    let secs = |name: &str| path.get(name) as f64 / 1e9;
+    let copy_input = secs(phases::COPY) + secs(phases::INPUT);
+    let search = secs(phases::SEARCH);
+    let output = secs(phases::OUTPUT);
+    let total = wall.as_secs_f64();
+    let summary = RunSummary {
+        program,
+        nprocs,
+        nfrags: actual_frags,
+        copy_input,
+        search,
+        output,
+        other: (total - copy_input - search - output).max(0.0),
+        total,
+        output_bytes: report.len() as u64,
+    };
+    Run {
+        summary,
+        trace,
+        report,
+        ranks,
+        killed,
+        env,
+    }
+}
+
+/// Unwrap every surviving rank's result (a killed rank has no output;
+/// that is the plan), panicking on the first typed error.
+fn completed<E: std::fmt::Display>(
+    outputs: Vec<Option<Result<RankReport, E>>>,
+) -> Vec<Option<RankReport>> {
+    let unwrap = |(rank, r): (usize, Option<Result<RankReport, E>>)| {
+        r.map(|r| r.unwrap_or_else(|e| panic!("rank {rank} failed: {e}")))
+    };
+    outputs.into_iter().enumerate().map(unwrap).collect()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::workload::nr_like;
+    use pioblast::{FaultMode, FragmentSchedule};
+
+    /// The paper-design run: natural partitioning, no faults, no tweak.
+    fn plain(program: Program, nprocs: usize, w: &Workload) -> Run {
+        let platform = Platform::altix();
+        run(
+            program,
+            nprocs,
+            None,
+            &platform,
+            w,
+            FaultPlan::none(),
+            |_| {},
+        )
+    }
 
     #[test]
     fn both_programs_run_and_produce_identical_output_sizes() {
         let w = nr_like(50_000, 1024, 11);
-        let platform = Platform::altix();
-        let mpi = run_once(Program::MpiBlast, 4, None, &platform, &w);
-        let pio = run_once(Program::PioBlast, 4, None, &platform, &w);
+        let mpi = plain(Program::MpiBlast, 4, &w).summary;
+        let pio = plain(Program::PioBlast, 4, &w).summary;
         assert_eq!(mpi.output_bytes, pio.output_bytes);
         assert!(mpi.output_bytes > 0);
         assert!(mpi.total > 0.0);
@@ -289,7 +258,7 @@ mod tests {
     #[test]
     fn summaries_account_for_all_time() {
         let w = nr_like(50_000, 1024, 13);
-        let s = run_once(Program::MpiBlast, 3, None, &Platform::altix(), &w);
+        let s = plain(Program::MpiBlast, 3, &w).summary;
         let sum = s.copy_input + s.search + s.output + s.other;
         assert!((sum - s.total).abs() < 1e-6);
         assert!(s.search_share() > 0.0 && s.search_share() <= 1.0);
@@ -299,14 +268,9 @@ mod tests {
     fn summary_phases_are_the_trace_critical_path() {
         let w = nr_like(50_000, 1024, 17);
         for program in [Program::MpiBlast, Program::PioBlast] {
-            let (s, trace) = run_traced(
-                program,
-                4,
-                None,
-                &Platform::altix(),
-                &w,
-                PioOptions::default(),
-            );
+            let Run {
+                summary: s, trace, ..
+            } = plain(program, 4, &w);
             // The critical path partitions the engine wall clock exactly
             // (integer nanoseconds): the old proportional-scaling fixup
             // must have nothing left to do.
@@ -319,5 +283,31 @@ mod tests {
             assert!((s.output - secs(phases::OUTPUT)).abs() < 1e-9);
             assert!((s.copy_input + s.search + s.output + s.other - s.total).abs() < 1e-9);
         }
+    }
+
+    #[test]
+    fn a_planned_kill_under_recover_returns_the_fault_free_bytes_and_the_victim() {
+        let w = nr_like(50_000, 1024, 19);
+        let platform = Platform::altix();
+        let recover = |plan: FaultPlan| {
+            run(Program::PioBlast, 4, Some(9), &platform, &w, plan, |cfg| {
+                cfg.collective_output = false;
+                cfg.schedule = FragmentSchedule::Dynamic;
+                cfg.fault = FaultMode::Recover;
+            })
+        };
+        let clean = recover(FaultPlan::none());
+        let faulty = recover(FaultPlan::none().kill_after_sends(2, 2));
+        assert!(clean.killed.is_empty());
+        assert_eq!(faulty.killed, vec![2]);
+        assert!(!clean.report.is_empty());
+        assert_eq!(faulty.report, clean.report);
+        assert_eq!(faulty.summary.nfrags, 9);
+        assert_eq!(faulty.summary.output_bytes, clean.report.len() as u64);
+        // The plain design writes the same bytes, and its file system
+        // counters come back through the environment.
+        let plain = plain(Program::PioBlast, 4, &w);
+        assert_eq!(plain.report, clean.report);
+        assert!(plain.env.shared.counters().bytes_written >= clean.report.len() as u64);
     }
 }

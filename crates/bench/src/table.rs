@@ -2,6 +2,7 @@
 
 use std::fmt::Write as _;
 
+use crate::report::Value;
 use crate::runner::RunSummary;
 
 /// Render a paper-style breakdown table from run summaries.
@@ -64,34 +65,31 @@ pub fn split_series(title: &str, rows: &[RunSummary]) -> String {
     out
 }
 
-/// Serialize summaries as a JSON array (hand-rolled; no extra deps).
-pub fn to_json(rows: &[RunSummary]) -> String {
-    let mut out = String::from("[\n");
-    for (i, r) in rows.iter().enumerate() {
-        let _ = write!(
-            out,
-            "  {{\"program\":\"{}\",\"nprocs\":{},\"nfrags\":{},\"copy_input\":{:.6},\"search\":{:.6},\"output\":{:.6},\"other\":{:.6},\"total\":{:.6},\"output_bytes\":{}}}",
-            r.program.label(),
-            r.nprocs,
-            r.nfrags,
-            r.copy_input,
-            r.search,
-            r.output,
-            r.other,
-            r.total,
-            r.output_bytes
-        );
-        out.push_str(if i + 1 < rows.len() { ",\n" } else { "\n" });
-    }
-    out.push_str("]\n");
-    out
+/// The summaries as a [`Value`] array, one object per run.
+fn rows_value(rows: &[RunSummary]) -> Value {
+    Value::array(rows.iter().map(|r| {
+        Value::object([
+            ("program", r.program.label().into()),
+            ("nprocs", r.nprocs.into()),
+            ("nfrags", r.nfrags.into()),
+            ("copy_input", r.copy_input.into()),
+            ("search", r.search.into()),
+            ("output", r.output.into()),
+            ("other", r.other.into()),
+            ("total", r.total.into()),
+            ("output_bytes", r.output_bytes.into()),
+        ])
+    }))
 }
 
 /// Write a result artifact under `target/paper-results/`.
 pub fn save_json(name: &str, rows: &[RunSummary]) {
     let dir = std::path::Path::new("target/paper-results");
+    let text = rows_value(rows)
+        .render()
+        .unwrap_or_else(|e| panic!("{name}.json: {e}"));
     if std::fs::create_dir_all(dir).is_ok() {
-        let _ = std::fs::write(dir.join(format!("{name}.json")), to_json(rows));
+        let _ = std::fs::write(dir.join(format!("{name}.json")), text);
     }
 }
 
@@ -124,10 +122,10 @@ mod tests {
     }
 
     #[test]
-    fn json_is_parsable_shape() {
-        let j = to_json(&[row()]);
-        assert!(j.starts_with("[\n"));
-        assert!(j.contains("\"program\":\"pio\""));
-        assert!(j.trim_end().ends_with(']'));
+    fn rows_render_one_object_per_run() {
+        let j = rows_value(&[row(), row()]).render().expect("finite");
+        assert!(j.starts_with("[\n  {\"program\": \"pio\", \"nprocs\": 32, "));
+        assert_eq!(j.matches("\"search\": 281.700000").count(), 2);
+        assert!(j.ends_with("\"output_bytes\": 100000000}\n]\n"));
     }
 }

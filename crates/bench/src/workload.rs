@@ -91,43 +91,39 @@ fn shuffle_records(records: &mut [SeqRecord], seed: u64) {
     records.shuffle(&mut rng);
 }
 
-/// Build the standard nr-like workload.
-pub fn nr_like(db_residues: u64, query_bytes: u64, seed: u64) -> Workload {
+fn build(db_residues: u64, query_bytes: u64, seed: u64, format: &FormatDbConfig) -> Workload {
     let mut records = generate(&synth_config(seed, db_residues));
     shuffle_records(&mut records, seed);
-    let db = format_records(&records, &FormatDbConfig::protein("nr-sim"));
-    let queries = sample_queries(&records, query_bytes, seed ^ 0x5eed);
     let (params, report) = scaled_params();
     Workload {
-        db,
-        queries,
+        db: format_records(&records, format),
+        queries: sample_queries(&records, query_bytes, seed ^ 0x5eed),
         params,
         report,
         compute: compute_model(),
     }
 }
 
+/// Build the standard nr-like workload.
+pub fn nr_like(db_residues: u64, query_bytes: u64, seed: u64) -> Workload {
+    build(
+        db_residues,
+        query_bytes,
+        seed,
+        &FormatDbConfig::protein("nr-sim"),
+    )
+}
+
 /// An nt-like workload: same generator, but formatted with a volume cap
 /// so the database splits into multiple volumes (the paper's 11 GB nt
 /// formats as multiple formatdb volumes).
 pub fn nt_like(db_residues: u64, query_bytes: u64, seed: u64) -> Workload {
-    let mut records = generate(&synth_config(seed, db_residues));
-    shuffle_records(&mut records, seed);
-    let cfg = FormatDbConfig {
+    let format = FormatDbConfig {
         title: "nt-sim".into(),
         molecule: blast_core::Molecule::Protein,
         volume_residue_cap: Some(db_residues / 3),
     };
-    let db = format_records(&records, &cfg);
-    let queries = sample_queries(&records, query_bytes, seed ^ 0x5eed);
-    let (params, report) = scaled_params();
-    Workload {
-        db,
-        queries,
-        params,
-        report,
-        compute: compute_model(),
-    }
+    build(db_residues, query_bytes, seed, &format)
 }
 
 #[cfg(test)]

@@ -406,49 +406,6 @@ pub fn no_hits_section() -> String {
     " ***** No hits found ******\n\n".to_string()
 }
 
-/// One line of tabular (`-m 8`-style) output for an HSP.
-pub fn tabular_line(
-    params: &SearchParams,
-    query_id: &str,
-    subject_id: &str,
-    query: &[u8],
-    subject: &[u8],
-    h: &Hsp,
-) -> String {
-    let q_range = &query[h.q_start as usize..h.q_end as usize];
-    let s_range = &subject[h.s_start as usize..h.s_end as usize];
-    let aln = banded_global_into(
-        &params.matrix,
-        params.gaps,
-        q_range,
-        s_range,
-        16,
-        &mut ExtendScratch::new(),
-    );
-    let counts = count_alignment(params, q_range, s_range, &aln);
-    let mismatches = counts.length - counts.identities - counts.gaps;
-    let gap_opens = aln
-        .ops
-        .iter()
-        .filter(|op| !matches!(op, EditOp::Aligned(_)))
-        .count();
-    format!(
-        "{}\t{}\t{:.2}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{}\t{:.1}\n",
-        query_id,
-        subject_id,
-        counts.identities as f64 * 100.0 / counts.length.max(1) as f64,
-        counts.length,
-        mismatches,
-        gap_opens,
-        h.q_start + 1,
-        h.q_end,
-        h.s_start + 1,
-        h.s_end,
-        format_evalue(h.evalue),
-        h.bit_score,
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -594,26 +551,6 @@ mod tests {
         let f = query_footer(&params, &space);
         assert!(f.contains("Lambda     K      H"));
         assert!(f.contains("0.267"));
-    }
-
-    #[test]
-    fn tabular_line_has_twelve_fields() {
-        let params = SearchParams::blastp();
-        let q = crate::alphabet::encode(Molecule::Protein, b"MKVLAAGHWRTEYFNDCQWH").unwrap();
-        let space = SearchSpace::new(params.gapped, q.len() as u64, cfg().db_stats);
-        let h = Hsp {
-            query_idx: 0,
-            oid: 0,
-            q_start: 0,
-            q_end: 20,
-            s_start: 0,
-            s_end: 20,
-            score: 100,
-            bit_score: space.bit_score(100),
-            evalue: space.evalue(100),
-        };
-        let line = tabular_line(&params, "q1", "s1", &q, &q, &h);
-        assert_eq!(line.trim_end().split('\t').count(), 12);
     }
 
     #[test]

@@ -97,19 +97,6 @@ pub fn cull_contained_sorted(hsps: &mut [Hsp]) -> usize {
     kept
 }
 
-/// Merge per-diagonal duplicates: two HSPs with identical coordinates.
-pub fn dedup_exact(hsps: &mut Vec<Hsp>) {
-    sort_canonical(hsps);
-    hsps.dedup_by(|a, b| {
-        a.query_idx == b.query_idx
-            && a.oid == b.oid
-            && a.q_start == b.q_start
-            && a.q_end == b.q_end
-            && a.s_start == b.s_start
-            && a.s_end == b.s_end
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -178,13 +165,5 @@ mod tests {
         sort_canonical(&mut b);
         assert_eq!(a, b);
         assert_eq!(a[0].score, 40);
-    }
-
-    #[test]
-    fn dedup_exact_removes_duplicates() {
-        let h = hsp(1, (0, 10), (0, 10), 30);
-        let mut v = vec![h, h, hsp(1, (0, 10), (0, 11), 30)];
-        dedup_exact(&mut v);
-        assert_eq!(v.len(), 2);
     }
 }

@@ -280,15 +280,6 @@ impl PreparedQueries {
         self.records.iter().map(|r| r.len() as u64).sum()
     }
 
-    /// Size of the serialized form (for communication cost accounting):
-    /// residues plus deflines.
-    pub fn wire_size(&self) -> u64 {
-        self.records
-            .iter()
-            .map(|r| (r.len() + r.defline.len() + 16) as u64)
-            .sum()
-    }
-
     /// The concatenated, masked query set.
     pub fn set(&self) -> &QuerySet {
         &self.set

@@ -6,7 +6,6 @@ use std::path::Path;
 use blast_core::alphabet::Molecule;
 use blast_core::fasta;
 use blast_core::search::SearchParams;
-use mpiblast::report::ReportOptions;
 use mpiblast::setup::{stage_fragments, stage_queries};
 use mpiblast::{ClusterEnv, ComputeModel, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
@@ -393,80 +392,168 @@ fn cmd_trace_diff(args: &ParsedArgs) -> Result<String, CliError> {
     Ok(tracelog::diff::render_diff(&d, top.max(1)))
 }
 
+/// Report path on the simulated shared file system.
+const OUTPUT_PATH: &str = "report.txt";
+
+/// What `run` and `serve` set up the same way: the shared options, the
+/// database and queries loaded from disk, and the queries staged on a
+/// fresh simulated cluster ([`Job::load`] returns its `Sim` alongside).
+struct Job<'a> {
+    nprocs: usize,
+    queries_path: &'a str,
+    out: &'a str,
+    platform: Platform,
+    threads: usize,
+    nfrags: Option<usize>,
+    params: SearchParams,
+    compute: ComputeModel,
+    db: FormattedDb,
+    nqueries: usize,
+    env: ClusterEnv,
+    query_path: String,
+    tracer: Option<tracelog::Tracer>,
+    trace_path: Option<&'a str>,
+    filter: Option<Vec<tracelog::Lane>>,
+}
+
+impl<'a> Job<'a> {
+    /// Tracing is opt-in: without `--trace` (and unless the caller reads
+    /// the trace itself, `always_traced`) no tracer is installed, so the
+    /// engine and every `tracelog` call site take their no-op fast path.
+    fn load(args: &'a ParsedArgs, always_traced: bool) -> Result<(Sim, Job<'a>), CliError> {
+        let nprocs = args.require_u64("procs")? as usize;
+        if nprocs < 2 {
+            return Err(CliError("--procs must be at least 2".into()));
+        }
+        let db_dir = args.require("db-dir")?;
+        let queries_path = args.require("queries")?;
+        let out = args.require("out")?;
+        let platform = parse_platform(args)?;
+        let threads = args.u64_or("threads", 1)? as usize;
+        let nfrags = args.u64_opt("frags")?.map(|v| v as usize);
+        let molecule = molecule_of(args);
+        let params = match molecule {
+            Molecule::Protein => SearchParams::blastp(),
+            Molecule::Dna => SearchParams::blastn(),
+        };
+        let compute = if args.flag("measured") {
+            ComputeModel::measured()
+        } else {
+            ComputeModel::modeled()
+        };
+        let db = load_db(db_dir)?;
+        let query_text = fs::read(queries_path)?;
+        let queries = fasta::parse(molecule, &query_text)
+            .map_err(|e| CliError(format!("parsing {queries_path}: {e}")))?;
+
+        let filter = trace_filter(args)?;
+        let trace_path = args.get("trace");
+        let sim = Sim::new(nprocs);
+        let tracer = (always_traced || trace_path.is_some()).then(|| {
+            let tracer = tracelog::Tracer::new(nprocs);
+            sim.set_tracer(tracer.clone());
+            tracer
+        });
+        let env = ClusterEnv::new(&sim, &platform);
+        let query_path = stage_queries(&env.shared, &queries);
+        let job = Job {
+            nprocs,
+            queries_path,
+            out,
+            platform,
+            threads,
+            nfrags,
+            params,
+            compute,
+            db,
+            nqueries: queries.len(),
+            env,
+            query_path,
+            tracer,
+            trace_path,
+            filter,
+        };
+        Ok((sim, job))
+    }
+
+    /// The paper-design pioBLAST config over this job with the options
+    /// `run` and `serve` share applied; the database is staged here.
+    fn pio_config(&self, args: &ParsedArgs) -> Result<PioBlastConfig, CliError> {
+        let db_alias = mpiblast::setup::stage_shared_db(&self.env.shared, &self.db);
+        Ok(PioBlastConfig {
+            compute: self.compute,
+            params: self.params.clone(),
+            num_fragments: self.nfrags,
+            checkpoint: args.flag("checkpoint"),
+            threads: self.threads,
+            io: io_options(args)?,
+            ..PioBlastConfig::new(
+                &self.platform,
+                &self.env,
+                &db_alias,
+                &self.query_path,
+                OUTPUT_PATH,
+            )
+        })
+    }
+
+    /// Finish the tracer, if any; with `--trace`, export it and return
+    /// the note for the summary line.
+    fn finish_trace(
+        &self,
+        elapsed: simcluster::SimTime,
+    ) -> Result<(Option<tracelog::Trace>, String), CliError> {
+        let Some(tracer) = &self.tracer else {
+            return Ok((None, String::new()));
+        };
+        let trace = tracer.finish(elapsed.since(simcluster::SimTime::ZERO).0);
+        let mut note = String::new();
+        if let Some(path) = self.trace_path {
+            let json = tracelog::chrome::export_chrome(&trace, self.filter.as_deref());
+            fs::write(path, &json)?;
+            note = format!(
+                ", trace {} events{} -> {path}",
+                trace.events.len(),
+                if trace.dropped > 0 {
+                    format!(" ({} dropped)", trace.dropped)
+                } else {
+                    String::new()
+                }
+            );
+        }
+        Ok((Some(trace), note))
+    }
+}
+
 fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     let program = args.require("program")?.to_string();
-    let nprocs = args.require_u64("procs")? as usize;
-    if nprocs < 2 {
-        return Err(CliError("--procs must be at least 2".into()));
-    }
-    let db_dir = args.require("db-dir")?;
-    let queries_path = args.require("queries")?;
-    let out = args.require("out")?;
-    let platform = parse_platform(args)?;
-    let threads = args.u64_or("threads", 1)? as usize;
-    let molecule = molecule_of(args);
-    let params = match molecule {
-        Molecule::Protein => SearchParams::blastp(),
-        Molecule::Dna => SearchParams::blastn(),
-    };
-    let compute = if args.flag("measured") {
-        ComputeModel::measured()
-    } else {
-        ComputeModel::modeled()
-    };
-    let db = load_db(db_dir)?;
-    let query_text = fs::read(queries_path)?;
-    let queries = fasta::parse(molecule, &query_text)
-        .map_err(|e| CliError(format!("parsing {queries_path}: {e}")))?;
-    let nfrags = args.u64_opt("frags")?.map(|v| v as usize);
-
-    let filter = trace_filter(args)?;
-    let sim = Sim::new(nprocs);
-    // Tracing is opt-in: an untraced run installs no tracer, so the
-    // engine and every `tracelog` call site take their no-op fast path.
-    let traced = args.get("trace").map(|path| {
-        let tracer = tracelog::Tracer::new(nprocs);
-        sim.set_tracer(tracer.clone());
-        (path, tracer)
-    });
-    let env = ClusterEnv::new(&sim, &platform);
-    let query_path = stage_queries(&env.shared, &queries);
-    let output_path = "report.txt".to_string();
+    let (sim, job) = Job::load(args, false)?;
+    let failed = |e: &dyn std::fmt::Display| CliError(format!("run failed: {e}"));
     let (elapsed, stats) = match program.as_str() {
         "mpi" => {
-            let fragment_names = stage_fragments(&env.shared, &db, nfrags.unwrap_or(nprocs - 1));
+            let nfrags = job.nfrags.unwrap_or(job.nprocs - 1);
+            let fragment_names = stage_fragments(&job.env.shared, &job.db, nfrags);
             let cfg = MpiBlastConfig {
-                platform,
-                env: env.clone(),
-                compute,
-                params,
-                report: ReportOptions::default(),
-                fragment_names,
-                query_path,
-                output_path: output_path.clone(),
+                compute: job.compute,
+                params: job.params.clone(),
                 fault_detection: args.flag("fault-detect"),
+                ..MpiBlastConfig::new(
+                    &job.platform,
+                    &job.env,
+                    fragment_names,
+                    &job.query_path,
+                    OUTPUT_PATH,
+                )
             };
             args.reject_unused()?;
             let o = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-            for r in &o.outputs {
-                if let Err(e) = r {
-                    return Err(CliError(format!("run failed: {e}")));
-                }
+            if let Some(e) = o.outputs.iter().find_map(|r| r.as_ref().err()) {
+                return Err(failed(e));
             }
             (o.elapsed, o.stats)
         }
         "pio" => {
-            let db_alias = mpiblast::setup::stage_shared_db(&env.shared, &db);
             let cfg = PioBlastConfig {
-                platform,
-                env: env.clone(),
-                compute,
-                params,
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: output_path.clone(),
-                num_fragments: nfrags,
                 collective_output: !args.flag("no-collective"),
                 local_prune: args.flag("prune"),
                 query_batch: args.u64_opt("batch")?.map(|v| v as usize),
@@ -483,18 +570,12 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                 } else {
                     pioblast::FaultMode::Off
                 },
-                checkpoint: args.flag("checkpoint"),
-                rank_compute: None,
-                threads,
-                io: io_options(args)?,
-                service: None,
+                ..job.pio_config(args)?
             };
             args.reject_unused()?;
             let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            for r in &o.outputs {
-                if let Err(e) = r {
-                    return Err(CliError(format!("run failed: {e}")));
-                }
+            if let Some(e) = o.outputs.iter().find_map(|r| r.as_ref().err()) {
+                return Err(failed(e));
             }
             (o.elapsed, o.stats)
         }
@@ -504,47 +585,27 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
             )))
         }
     };
-    let report = env
+    let report = job
+        .env
         .shared
-        .peek(&output_path)
+        .peek(OUTPUT_PATH)
         .map_err(|e| CliError(format!("no report produced: {e}")))?;
-    fs::write(out, &report)?;
-    let mut trace_note = String::new();
-    if let Some((path, tracer)) = traced {
-        let trace = tracer.finish(elapsed.since(simcluster::SimTime::ZERO).0);
-        let json = tracelog::chrome::export_chrome(&trace, filter.as_deref());
-        fs::write(path, &json)?;
-        trace_note = format!(
-            ", trace {} events{} -> {path}",
-            trace.events.len(),
-            if trace.dropped > 0 {
-                format!(" ({} dropped)", trace.dropped)
-            } else {
-                String::new()
-            }
-        );
-    }
+    fs::write(job.out, &report)?;
+    let (_, trace_note) = job.finish_trace(elapsed)?;
     Ok(format!(
-        "{program}BLAST, {nprocs} processes on {}: {:.3}s virtual time, {} messages, report {} bytes -> {}{trace_note}",
-        db.alias.title,
+        "{program}BLAST, {} processes on {}: {:.3}s virtual time, {} messages, report {} bytes -> {}{trace_note}",
+        job.nprocs,
+        job.db.alias.title,
         elapsed.as_secs_f64(),
         stats.messages,
         report.len(),
-        out
+        job.out
     ))
 }
 
 /// `serve`: replay a seeded query stream against a long-lived cluster,
 /// writing each stream batch's report to `<out>.q<batch>`.
 fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
-    let nprocs = args.require_u64("procs")? as usize;
-    if nprocs < 2 {
-        return Err(CliError("--procs must be at least 2".into()));
-    }
-    let db_dir = args.require("db-dir")?;
-    let queries_path = args.require("queries")?;
-    let out = args.require("out")?.to_string();
-    let platform = parse_platform(args)?;
     let users = args.u64_or("users", 4)? as u32;
     if users == 0 {
         return Err(CliError("--users must be at least 1".into()));
@@ -556,104 +617,60 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
     let mean_gap_ms = args.u64_or("mean-gap-ms", 1)?;
     let resident_mb = args.u64_or("resident-mb", 0)?;
     let seed = args.u64_or("seed", 42)?;
-    let threads = args.u64_or("threads", 1)? as usize;
-    let molecule = molecule_of(args);
-    let params = match molecule {
-        Molecule::Protein => SearchParams::blastp(),
-        Molecule::Dna => SearchParams::blastn(),
-    };
-    let compute = if args.flag("measured") {
-        ComputeModel::measured()
-    } else {
-        ComputeModel::modeled()
-    };
-    let db = load_db(db_dir)?;
-    let query_text = fs::read(queries_path)?;
-    let queries = fasta::parse(molecule, &query_text)
-        .map_err(|e| CliError(format!("parsing {queries_path}: {e}")))?;
-    if queries.len() < nbatches {
+    // The service metrics are read off the trace, so serve always traces.
+    let (sim, job) = Job::load(args, true)?;
+    if job.nqueries < nbatches {
         return Err(CliError(format!(
-            "--stream-batches {} needs at least that many queries ({queries_path} holds {})",
-            nbatches,
-            queries.len()
+            "--stream-batches {} needs at least that many queries ({} holds {})",
+            nbatches, job.queries_path, job.nqueries
         )));
     }
     let plan = pioblast::QueryStreamPlan::generate(
         users,
         nbatches,
-        queries.len(),
+        job.nqueries,
         mean_gap_ms * 1_000_000,
         seed,
     );
-
-    let filter = trace_filter(args)?;
-    let trace_path = args.get("trace");
-    let sim = Sim::new(nprocs);
-    let tracer = tracelog::Tracer::new(nprocs);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &platform);
-    let db_alias = mpiblast::setup::stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let output_path = "report.txt".to_string();
     let cfg = PioBlastConfig {
-        platform,
-        env: env.clone(),
-        compute,
-        params,
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: output_path.clone(),
-        num_fragments: args.u64_opt("frags")?.map(|v| v as usize),
         collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: pioblast::FragmentSchedule::Dynamic,
         fault: if args.flag("recover") {
             pioblast::FaultMode::Recover
         } else {
             pioblast::FaultMode::Off
         },
-        checkpoint: args.flag("checkpoint"),
-        rank_compute: None,
-        threads,
-        io: io_options(args)?,
         service: Some(pioblast::ServiceOptions {
             plan,
             resident_bytes: resident_mb << 20,
             affinity: args.flag("affinity"),
         }),
+        ..job.pio_config(args)?
     };
     args.reject_unused()?;
     let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    for r in &o.outputs {
-        if let Err(e) = r {
-            return Err(CliError(format!("serve failed: {e}")));
-        }
+    if let Some(e) = o.outputs.iter().find_map(|r| r.as_ref().err()) {
+        return Err(CliError(format!("serve failed: {e}")));
     }
+    let out = job.out;
     let mut bytes = 0usize;
     for b in 0..nbatches {
-        let report = env
+        let report = job
+            .env
             .shared
-            .peek(&format!("{output_path}.q{b}"))
+            .peek(&format!("{OUTPUT_PATH}.q{b}"))
             .map_err(|e| CliError(format!("stream batch {b} produced no report: {e}")))?;
         bytes += report.len();
         fs::write(format!("{out}.q{b}"), &report)?;
     }
-    let trace = tracer.finish(o.elapsed.since(simcluster::SimTime::ZERO).0);
-    let metrics = pioblast::ServiceMetrics::from_trace(&trace);
-    let mut trace_note = String::new();
-    if let Some(path) = trace_path {
-        let json = tracelog::chrome::export_chrome(&trace, filter.as_deref());
-        fs::write(path, &json)?;
-        trace_note = format!(", trace {} events -> {path}", trace.events.len());
-    }
+    let (trace, trace_note) = job.finish_trace(o.elapsed)?;
+    let metrics = pioblast::ServiceMetrics::from_trace(&trace.expect("serve always traces"));
     Ok(format!(
-        "pioBLAST service, {nprocs} processes on {}: {} users x {} batches in {:.3}s virtual time, \
+        "pioBLAST service, {} processes on {}: {} users x {} batches in {:.3}s virtual time, \
          {:.2} queries/s, p50 {:.3}s, p99 {:.3}s, hit rate {:.1}% ({}/{} grants), \
          {bytes} report bytes -> {out}.q0..q{}{trace_note}",
-        db.alias.title,
+        job.nprocs,
+        job.db.alias.title,
         users,
         nbatches,
         o.elapsed.as_secs_f64(),

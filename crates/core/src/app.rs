@@ -135,6 +135,43 @@ pub struct PioBlastConfig {
 }
 
 impl PioBlastConfig {
+    /// The paper's design over a staged environment: natural
+    /// partitioning, independent ranged input, collective output, no
+    /// pruning or batching, the static schedule, no fault tolerance,
+    /// homogeneous single-slot ranks, the synchronous I/O plane, one-shot
+    /// — with modeled compute, blastp parameters and the default report
+    /// limits. Callers change what they vary with struct-update syntax.
+    pub fn new(
+        platform: &Platform,
+        env: &ClusterEnv,
+        db_alias: &str,
+        query_path: &str,
+        output_path: &str,
+    ) -> PioBlastConfig {
+        PioBlastConfig {
+            platform: platform.clone(),
+            env: env.clone(),
+            compute: ComputeModel::modeled(),
+            params: blast_core::search::SearchParams::blastp(),
+            report: ReportOptions::default(),
+            db_alias: db_alias.to_string(),
+            query_path: query_path.to_string(),
+            output_path: output_path.to_string(),
+            num_fragments: None,
+            collective_output: true,
+            local_prune: false,
+            query_batch: None,
+            collective_input: false,
+            schedule: FragmentSchedule::Static,
+            fault: FaultMode::Off,
+            checkpoint: false,
+            rank_compute: None,
+            threads: 1,
+            io: mpiio::IoOptions::default(),
+            service: None,
+        }
+    }
+
     /// The compute model for one rank, with any heterogeneity applied.
     pub(crate) fn compute_for(&self, rank: usize) -> ComputeModel {
         match &self.rank_compute {
@@ -212,121 +249,11 @@ pub fn run_rank(ctx: &RankCtx, cfg: &PioBlastConfig) -> Result<RankReport, PioEr
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::testutil::{sample_queries, small_db, Job};
     use blast_core::search::SearchParams;
     use mpiblast::phases;
     use mpiblast::report::serial_report;
-    use mpiblast::setup::{stage_queries, stage_shared_db};
-    use seqfmt::formatdb::{format_records, FormatDbConfig};
-    use seqfmt::synth::{generate, SynthConfig};
-    use seqfmt::FragmentData;
     use simcluster::Sim;
-
-    fn small_db(cap: Option<u64>) -> seqfmt::FormattedDb {
-        let recs = generate(&SynthConfig::nr_like(21, 40_000));
-        let cfg = FormatDbConfig {
-            title: "nr-test".into(),
-            molecule: blast_core::Molecule::Protein,
-            volume_residue_cap: cap,
-        };
-        format_records(&recs, &cfg)
-    }
-
-    fn sample_queries(db: &seqfmt::FormattedDb, n: usize) -> Vec<SeqRecord> {
-        use blast_core::search::SubjectSource;
-        let frag = FragmentData::from_volume(&db.volumes[0]);
-        (0..n)
-            .map(|i| {
-                let s = frag.subject((i * 13) % frag.num_subjects());
-                SeqRecord {
-                    defline: format!("query_{i:05} sampled"),
-                    residues: s.residues.to_vec(),
-                    molecule: blast_core::Molecule::Protein,
-                }
-            })
-            .collect()
-    }
-
-    struct Opts {
-        nranks: usize,
-        nfrags: Option<usize>,
-        platform: Platform,
-        cap: Option<u64>,
-        collective_output: bool,
-        local_prune: bool,
-        query_batch: Option<usize>,
-        n_queries: usize,
-        collective_input: bool,
-        schedule: FragmentSchedule,
-        fault: FaultMode,
-        rank_compute: Option<Vec<f64>>,
-        threads: usize,
-        io: mpiio::IoOptions,
-    }
-
-    impl Default for Opts {
-        fn default() -> Opts {
-            Opts {
-                nranks: 4,
-                nfrags: None,
-                platform: Platform::altix(),
-                cap: None,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                n_queries: 3,
-                collective_input: false,
-                schedule: FragmentSchedule::Static,
-                fault: FaultMode::Off,
-                rank_compute: None,
-                threads: 1,
-                io: mpiio::IoOptions::default(),
-            }
-        }
-    }
-
-    fn run_opts(opts: Opts) -> (Vec<u8>, Vec<RankReport>) {
-        let (output, reports, _) = run_with_env(opts);
-        (output, reports)
-    }
-
-    fn run_with_env(opts: Opts) -> (Vec<u8>, Vec<RankReport>, ClusterEnv) {
-        let db = small_db(opts.cap);
-        let queries = sample_queries(&db, opts.n_queries);
-        let sim = Sim::new(opts.nranks);
-        let env = ClusterEnv::new(&sim, &opts.platform);
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        let cfg = PioBlastConfig {
-            platform: opts.platform,
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".to_string(),
-            num_fragments: opts.nfrags,
-            collective_output: opts.collective_output,
-            local_prune: opts.local_prune,
-            query_batch: opts.query_batch,
-            collective_input: opts.collective_input,
-            schedule: opts.schedule,
-            fault: opts.fault,
-            checkpoint: false,
-            rank_compute: opts.rank_compute.clone(),
-            threads: opts.threads,
-            io: opts.io,
-            service: None,
-        };
-        let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
-        let output = env.shared.peek("results.txt").unwrap_or_default();
-        let reports = outcome
-            .outputs
-            .into_iter()
-            .map(|r| r.expect("rank completed"))
-            .collect();
-        (output, reports, env)
-    }
 
     fn run_once(
         nranks: usize,
@@ -334,13 +261,65 @@ mod tests {
         platform: Platform,
         cap: Option<u64>,
     ) -> (Vec<u8>, Vec<RankReport>) {
-        run_opts(Opts {
+        let job = Job {
             nranks,
-            nfrags,
             platform,
             cap,
-            ..Opts::default()
-        })
+            ..Job::default()
+        };
+        let done = job.run(|cfg| cfg.num_fragments = nfrags);
+        (done.report.clone(), done.reports())
+    }
+
+    /// The default job with `tweak` applied; returns the report bytes.
+    fn run_with(tweak: impl FnOnce(&mut PioBlastConfig)) -> Vec<u8> {
+        Job::default().run(tweak).report
+    }
+
+    #[test]
+    fn constructors_return_the_paper_design() {
+        // Spelled out field by field, as `benchmark/src/job.rs` spells
+        // its `Mode::Pio` and `Mode::Mpi` literals: a changed default
+        // must fail here before it moves a benchmark number.
+        let platform = Platform::altix();
+        let sim = Sim::new(2);
+        let env = ClusterEnv::new(&sim, &platform);
+        let pio = PioBlastConfig::new(&platform, &env, "db/x.al", "queries.fa", "out.txt");
+        pio.validate()
+            .expect("the paper design is a supported config");
+        assert_eq!(pio.platform.name, platform.name);
+        assert_eq!(pio.compute, ComputeModel::modeled());
+        let blastp = format!("{:?}", SearchParams::blastp());
+        assert_eq!(format!("{:?}", pio.params), blastp);
+        assert_eq!(pio.report, ReportOptions::default());
+        assert_eq!(pio.db_alias, "db/x.al");
+        assert_eq!(pio.query_path, "queries.fa");
+        assert_eq!(pio.output_path, "out.txt");
+        assert_eq!(pio.num_fragments, None);
+        assert!(pio.collective_output);
+        assert!(!pio.local_prune);
+        assert_eq!(pio.query_batch, None);
+        assert!(!pio.collective_input);
+        assert_eq!(pio.schedule, FragmentSchedule::Static);
+        assert_eq!(pio.fault, FaultMode::Off);
+        assert!(!pio.checkpoint);
+        assert_eq!(pio.rank_compute, None);
+        assert_eq!(pio.threads, 1);
+        assert_eq!(pio.io, mpiio::IoOptions::default());
+        assert!(!pio.io.io_async && pio.io.burst.is_none());
+        assert!(pio.service.is_none());
+
+        let names = vec!["frags/x.000".to_string(), "frags/x.001".to_string()];
+        let mpi =
+            mpiblast::MpiBlastConfig::new(&platform, &env, names.clone(), "queries.fa", "out.txt");
+        assert_eq!(mpi.platform.name, platform.name);
+        assert_eq!(mpi.compute, ComputeModel::modeled());
+        assert_eq!(format!("{:?}", mpi.params), blastp);
+        assert_eq!(mpi.report, ReportOptions::default());
+        assert_eq!(mpi.fragment_names, names);
+        assert_eq!(mpi.query_path, "queries.fa");
+        assert_eq!(mpi.output_path, "out.txt");
+        assert!(!mpi.fault_detection);
     }
 
     #[test]
@@ -399,25 +378,19 @@ mod tests {
 
     #[test]
     fn independent_output_mode_is_byte_identical() {
-        let (a, _) = run_opts(Opts::default());
-        let (b, _) = run_opts(Opts {
-            collective_output: false,
-            ..Opts::default()
-        });
+        let a = run_with(|_| {});
+        let b = run_with(|cfg| cfg.collective_output = false);
         assert_eq!(a, b, "ablation must only change timing, not bytes");
     }
 
     #[test]
     fn local_prune_is_byte_identical() {
-        let (a, _) = run_opts(Opts {
+        let five = || Job {
             nranks: 5,
-            ..Opts::default()
-        });
-        let (b, _) = run_opts(Opts {
-            nranks: 5,
-            local_prune: true,
-            ..Opts::default()
-        });
+            ..Job::default()
+        };
+        let a = five().run(|_| {}).report;
+        let b = five().run(|cfg| cfg.local_prune = true).report;
         assert_eq!(a, b, "local pruning must never change the output");
     }
 
@@ -429,34 +402,31 @@ mod tests {
         assert_eq!(a, b);
     }
 
+    fn with_queries(n_queries: usize) -> Job {
+        Job {
+            n_queries,
+            ..Job::default()
+        }
+    }
+
     #[test]
     fn query_batching_is_byte_identical() {
         // Paper §5: batching bounds memory; it must not change the report.
-        let (reference, _) = run_opts(Opts {
-            n_queries: 5,
-            ..Opts::default()
-        });
+        let reference = with_queries(5).run(|_| {}).report;
         for batch in [1usize, 2, 3, 5, 100] {
-            let (batched, _) = run_opts(Opts {
-                n_queries: 5,
-                query_batch: Some(batch),
-                ..Opts::default()
-            });
+            let batched = with_queries(5)
+                .run(|cfg| cfg.query_batch = Some(batch))
+                .report;
             assert_eq!(batched, reference, "batch size {batch}");
         }
     }
 
     #[test]
     fn query_batching_searches_fragments_repeatedly() {
-        let (_, unbatched) = run_opts(Opts {
-            n_queries: 4,
-            ..Opts::default()
-        });
-        let (_, batched) = run_opts(Opts {
-            n_queries: 4,
-            query_batch: Some(1),
-            ..Opts::default()
-        });
+        let unbatched = with_queries(4).run(|_| {}).reports();
+        let batched = with_queries(4)
+            .run(|cfg| cfg.query_batch = Some(1))
+            .reports();
         // Four batches -> four search passes per fragment.
         let subjects =
             |rs: &[RankReport]| -> u64 { rs.iter().map(|r| r.search_stats.subjects).sum() };
@@ -468,15 +438,19 @@ mod tests {
         // Paper §4's deferred design alternative: reading the global
         // files with collective I/O must not change a single output byte,
         // for any volume layout or fragment granularity.
-        let (a, _) = run_opts(Opts::default());
+        let a = run_with(|_| {});
         for cap in [None, Some(15_000)] {
             for nfrags in [None, Some(9)] {
-                let (b, _) = run_opts(Opts {
+                let job = Job {
                     cap,
-                    nfrags,
-                    collective_input: true,
-                    ..Opts::default()
-                });
+                    ..Job::default()
+                };
+                let b = job
+                    .run(|cfg| {
+                        cfg.num_fragments = nfrags;
+                        cfg.collective_input = true;
+                    })
+                    .report;
                 assert_eq!(a, b, "cap {cap:?} nfrags {nfrags:?}");
             }
         }
@@ -484,12 +458,11 @@ mod tests {
 
     #[test]
     fn dynamic_schedule_is_byte_identical() {
-        let (a, _) = run_opts(Opts::default());
+        let a = run_with(|_| {});
         for nfrags in [None, Some(9)] {
-            let (b, _) = run_opts(Opts {
-                nfrags,
-                schedule: FragmentSchedule::Dynamic,
-                ..Opts::default()
+            let b = run_with(|cfg| {
+                cfg.num_fragments = nfrags;
+                cfg.schedule = FragmentSchedule::Dynamic;
             });
             assert_eq!(a, b, "dynamic scheduling must not change bytes");
         }
@@ -499,44 +472,19 @@ mod tests {
     fn dynamic_schedule_balances_heterogeneous_nodes() {
         // One worker 8x slower; with 4 fragments per worker, dynamic
         // scheduling should beat static placement.
-        let hetero = Some(vec![1.0, 8.0, 1.0, 1.0, 1.0]);
-        let base = Opts {
-            nranks: 5,
-            nfrags: Some(16),
-            n_queries: 4,
-            rank_compute: hetero.clone(),
-            ..Opts::default()
-        };
         let run_total = |schedule: FragmentSchedule| -> u64 {
-            let db = small_db(base.cap);
-            let queries = sample_queries(&db, base.n_queries);
-            let sim = Sim::new(base.nranks);
-            let env = ClusterEnv::new(&sim, &base.platform);
-            let db_alias = stage_shared_db(&env.shared, &db);
-            let query_path = stage_queries(&env.shared, &queries);
-            let cfg = PioBlastConfig {
-                platform: base.platform.clone(),
-                env: env.clone(),
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "results.txt".to_string(),
-                num_fragments: base.nfrags,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
-                schedule,
-                fault: FaultMode::Off,
-                checkpoint: false,
-                rank_compute: hetero.clone(),
-                threads: 1,
-                io: Default::default(),
-                service: None,
+            let job = Job {
+                nranks: 5,
+                n_queries: 4,
+                ..Job::default()
             };
-            sim.run(|ctx| run_rank(&ctx, &cfg)).elapsed.0
+            job.run(|cfg| {
+                cfg.num_fragments = Some(16);
+                cfg.schedule = schedule;
+                cfg.rank_compute = Some(vec![1.0, 8.0, 1.0, 1.0, 1.0]);
+            })
+            .elapsed
+            .0
         };
         let static_total = run_total(FragmentSchedule::Static);
         let dynamic_total = run_total(FragmentSchedule::Dynamic);
@@ -548,10 +496,7 @@ mod tests {
 
     #[test]
     fn empty_query_set_still_runs() {
-        let (output, _) = run_opts(Opts {
-            n_queries: 0,
-            ..Opts::default()
-        });
+        let output = with_queries(0).run(|_| {}).report;
         assert!(output.is_empty(), "no queries -> empty report file");
     }
 
@@ -571,7 +516,7 @@ mod tests {
         // rejections: collective input now composes with the dynamic
         // schedule and with both fault modes (the plane sieves the
         // granted views instead of synchronizing), byte-identically.
-        let (reference, _) = run_opts(Opts::default());
+        let reference = run_with(|_| {});
         let combos = [
             (FragmentSchedule::Dynamic, FaultMode::Off),
             (FragmentSchedule::Static, FaultMode::Detect),
@@ -579,11 +524,10 @@ mod tests {
             (FragmentSchedule::Dynamic, FaultMode::Recover),
         ];
         for (schedule, fault) in combos {
-            let (got, _) = run_opts(Opts {
-                collective_input: true,
-                schedule,
-                fault,
-                ..Opts::default()
+            let got = run_with(|cfg| {
+                cfg.collective_input = true;
+                cfg.schedule = schedule;
+                cfg.fault = fault;
             });
             assert_eq!(got, reference, "schedule {schedule:?} fault {fault:?}");
         }
@@ -628,15 +572,14 @@ mod tests {
         for (collective_input, collective_output, schedule, fault, want) in table {
             let row =
                 format!("ci={collective_input} co={collective_output} {schedule:?} {fault:?}");
-            let (got, _, env) = run_with_env(Opts {
-                collective_input,
-                collective_output,
-                schedule,
-                fault,
-                ..Opts::default()
+            let done = Job::default().run(|cfg| {
+                cfg.collective_input = collective_input;
+                cfg.collective_output = collective_output;
+                cfg.schedule = schedule;
+                cfg.fault = fault;
             });
-            assert_eq!(got, reference, "{row}");
-            let used = |class| env.shared.class_tally(class).requests > 0;
+            assert_eq!(done.report, reference, "{row}");
+            let used = |class| done.env.shared.class_tally(class).requests > 0;
             assert!(used(IoClass::Independent), "{row}: setup reads");
             assert_eq!(
                 [used(IoClass::Sieved), used(IoClass::TwoPhase)],
@@ -646,80 +589,37 @@ mod tests {
         }
     }
 
+    /// A config over an empty environment, for `validate()`-only checks.
+    fn unstaged(platform: Platform) -> PioBlastConfig {
+        let sim = Sim::new(2);
+        let env = ClusterEnv::new(&sim, &platform);
+        PioBlastConfig::new(&platform, &env, "db.pal", "queries.fa", "results.txt")
+    }
+
     #[test]
     fn unsupported_configs_fail_with_a_typed_error() {
         // Satellite: conflicting knob combinations must surface as
         // `PioError::UnsupportedConfig` on every rank, not as a panic or
         // a hang. Pin the exact conflicts the runtime rejects.
-        let cases: &[(Opts, &str)] = &[(
-            Opts {
-                schedule: FragmentSchedule::Static,
-                fault: FaultMode::Recover,
-                ..Opts::default()
-            },
-            "fault recovery requires the dynamic schedule",
-        )];
-        for (opts, want) in cases {
-            let db = small_db(opts.cap);
-            let queries = sample_queries(&db, opts.n_queries);
-            let sim = Sim::new(opts.nranks);
-            let env = ClusterEnv::new(&sim, &opts.platform);
-            let db_alias = stage_shared_db(&env.shared, &db);
-            let query_path = stage_queries(&env.shared, &queries);
-            let cfg = PioBlastConfig {
-                platform: opts.platform.clone(),
-                env: env.clone(),
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias,
-                query_path,
-                output_path: "results.txt".to_string(),
-                num_fragments: opts.nfrags,
-                collective_output: opts.collective_output,
-                local_prune: opts.local_prune,
-                query_batch: opts.query_batch,
-                collective_input: opts.collective_input,
-                schedule: opts.schedule,
-                fault: opts.fault,
-                checkpoint: false,
-                rank_compute: opts.rank_compute.clone(),
-                threads: opts.threads,
-                io: opts.io,
-                service: None,
-            };
-            let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
-            for r in outcome.outputs {
-                assert_eq!(
-                    r.expect_err("conflicting config must fail"),
-                    PioError::UnsupportedConfig(want.to_string())
-                );
-            }
+        let done = Job::default().run(|cfg| {
+            cfg.schedule = FragmentSchedule::Static;
+            cfg.fault = FaultMode::Recover;
+        });
+        for r in done.outputs {
+            assert_eq!(
+                r.expect("nobody was killed")
+                    .expect_err("conflicting config must fail"),
+                PioError::UnsupportedConfig(
+                    "fault recovery requires the dynamic schedule".to_string()
+                )
+            );
         }
         // Checkpointing without recovery is rejected by validate() alone.
-        let sim = Sim::new(2);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
         let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env,
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias: "db.pal".into(),
-            query_path: "queries.fa".into(),
-            output_path: "results.txt".into(),
-            num_fragments: None,
-            collective_output: true,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
             schedule: FragmentSchedule::Dynamic,
             fault: FaultMode::Detect,
             checkpoint: true,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+            ..unstaged(Platform::altix())
         };
         assert_eq!(
             cfg.validate().expect_err("checkpoint needs Recover"),
@@ -733,31 +633,9 @@ mod tests {
     fn thread_counts_are_validated_against_the_platform() {
         // Satellite: `--threads 0` and thread counts beyond the
         // platform's cores are typed errors, not panics or silent clamps.
-        let mk = |platform: Platform, threads: usize| {
-            let sim = Sim::new(2);
-            let env = ClusterEnv::new(&sim, &platform);
-            PioBlastConfig {
-                platform,
-                env,
-                compute: ComputeModel::modeled(),
-                params: SearchParams::blastp(),
-                report: ReportOptions::default(),
-                db_alias: "db.pal".into(),
-                query_path: "queries.fa".into(),
-                output_path: "results.txt".into(),
-                num_fragments: None,
-                collective_output: true,
-                local_prune: false,
-                query_batch: None,
-                collective_input: false,
-                schedule: FragmentSchedule::Static,
-                fault: FaultMode::Off,
-                checkpoint: false,
-                rank_compute: None,
-                threads,
-                io: Default::default(),
-                service: None,
-            }
+        let mk = |platform: Platform, threads: usize| PioBlastConfig {
+            threads,
+            ..unstaged(platform)
         };
         assert_eq!(
             mk(Platform::altix(), 0).validate().expect_err("zero slots"),

@@ -99,35 +99,10 @@ impl std::error::Error for PioError {}
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::app::{run_rank, FragmentSchedule, PioBlastConfig};
-    use blast_core::search::SearchParams;
-    use blast_core::seq::SeqRecord;
-    use mpiblast::platform::{ClusterEnv, Platform};
-    use mpiblast::setup::{stage_queries, stage_shared_db};
-    use mpiblast::{ComputeModel, RankReport, ReportOptions};
-    use seqfmt::formatdb::{format_records, FormatDbConfig};
-    use seqfmt::synth::{generate, SynthConfig};
-    use simcluster::{FaultPlan, Sim};
-
-    fn small_db() -> seqfmt::FormattedDb {
-        let recs = generate(&SynthConfig::nr_like(21, 40_000));
-        format_records(&recs, &FormatDbConfig::protein("nr-test"))
-    }
-
-    fn sample_queries(db: &seqfmt::FormattedDb, n: usize) -> Vec<SeqRecord> {
-        use blast_core::search::SubjectSource;
-        let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-        (0..n)
-            .map(|i| {
-                let s = frag.subject((i * 13) % frag.num_subjects());
-                SeqRecord {
-                    defline: format!("query_{i:05} sampled"),
-                    residues: s.residues.to_vec(),
-                    molecule: blast_core::Molecule::Protein,
-                }
-            })
-            .collect()
-    }
+    use crate::app::FragmentSchedule;
+    use crate::testutil::Job;
+    use mpiblast::RankReport;
+    use simcluster::FaultPlan;
 
     type FaultyOutputs = Vec<Option<Result<RankReport, PioError>>>;
 
@@ -149,37 +124,19 @@ mod tests {
         checkpoint: bool,
         plan: FaultPlan,
     ) -> (Vec<u8>, FaultyOutputs, Vec<usize>) {
-        let db = small_db();
-        let queries = sample_queries(&db, 3);
-        let sim = Sim::new(nranks);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".into(),
-            num_fragments: Some(nfrags),
-            collective_output: false,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule,
-            fault,
-            checkpoint,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
+        let job = Job {
+            nranks,
+            plan,
+            ..Job::default()
         };
-        let out = sim.run_faulty(plan, |ctx| run_rank(&ctx, &cfg));
-        let bytes = env.shared.peek("results.txt").unwrap_or_default();
-        (bytes, out.outputs, out.killed)
+        let done = job.run(|cfg| {
+            cfg.num_fragments = Some(nfrags);
+            cfg.collective_output = false;
+            cfg.schedule = schedule;
+            cfg.fault = fault;
+            cfg.checkpoint = checkpoint;
+        });
+        (done.report, done.outputs, done.killed)
     }
 
     fn reference_bytes() -> Vec<u8> {
@@ -325,47 +282,15 @@ mod tests {
 
     #[test]
     fn checkpoint_blobs_are_cleaned_up_after_a_run() {
-        let (_, outputs, _) = run_with_plan_ckpt(
-            4,
-            6,
-            FragmentSchedule::Dynamic,
-            FaultMode::Recover,
-            true,
-            FaultPlan::none(),
-        );
-        assert!(outputs.iter().all(|o| matches!(o, Some(Ok(_)))));
-        // run_with_plan_ckpt peeks the shared store after the run; make
-        // our own run here to inspect the blob paths directly.
-        let db = small_db();
-        let queries = sample_queries(&db, 3);
-        let sim = Sim::new(4);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".into(),
-            num_fragments: Some(6),
-            collective_output: false,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule: FragmentSchedule::Dynamic,
-            fault: FaultMode::Recover,
-            checkpoint: true,
-            rank_compute: None,
-            threads: 1,
-            io: Default::default(),
-            service: None,
-        };
-        sim.run(|ctx| run_rank(&ctx, &cfg));
-        let leftovers: Vec<String> = env.shared.peek_list("results.txt.ckpt.");
+        let done = Job::default().run(|cfg| {
+            cfg.num_fragments = Some(6);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+            cfg.checkpoint = true;
+        });
+        assert!(done.outputs.iter().all(|o| matches!(o, Some(Ok(_)))));
+        let leftovers: Vec<String> = done.env.shared.peek_list("results.txt.ckpt.");
         assert!(
             leftovers.is_empty(),
             "stale checkpoint blobs: {leftovers:?}"

@@ -40,6 +40,8 @@ pub mod merge;
 pub mod proto;
 pub mod runtime;
 pub mod service;
+#[cfg(test)]
+mod testutil;
 
 pub use app::{run_rank, FragmentSchedule, PioBlastConfig};
 pub use cache::ResultCache;

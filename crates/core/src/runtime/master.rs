@@ -810,7 +810,7 @@ mod tests {
         p.affinity = affinity;
         let (mut sm, init) = MasterSm::new(p, vec![true; 4]);
         assert!(init.is_empty(), "dynamic schedules are request-driven");
-        let mut live = vec![false, true, true, true];
+        let mut live = [false, true, true, true];
         let mut events: std::collections::VecDeque<MasterEvent> =
             (1..4).map(|from| MasterEvent::Ready { from }).collect();
         let mut sizes = Vec::new();

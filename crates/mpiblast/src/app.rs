@@ -124,6 +124,32 @@ pub struct MpiBlastConfig {
     pub fault_detection: bool,
 }
 
+impl MpiBlastConfig {
+    /// The stock mpiBLAST baseline over a staged environment: modeled
+    /// compute, blastp parameters, the default report limits, no fault
+    /// detection. Callers change what they vary with struct-update
+    /// syntax.
+    pub fn new(
+        platform: &Platform,
+        env: &ClusterEnv,
+        fragment_names: Vec<String>,
+        query_path: &str,
+        output_path: &str,
+    ) -> MpiBlastConfig {
+        MpiBlastConfig {
+            platform: platform.clone(),
+            env: env.clone(),
+            compute: ComputeModel::modeled(),
+            params: blast_core::search::SearchParams::blastp(),
+            report: ReportOptions::default(),
+            fragment_names,
+            query_path: query_path.to_string(),
+            output_path: output_path.to_string(),
+            fault_detection: false,
+        }
+    }
+}
+
 /// What each rank reports at the end of a run.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct RankReport {
@@ -570,17 +596,7 @@ mod tests {
         let env = ClusterEnv::new(&sim, &platform);
         let fragment_names = stage_fragments(&env.shared, &db, nfrags);
         let query_path = stage_queries(&env.shared, &queries);
-        let cfg = MpiBlastConfig {
-            platform,
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            fragment_names,
-            query_path,
-            output_path: "results.txt".to_string(),
-            fault_detection: false,
-        };
+        let cfg = MpiBlastConfig::new(&platform, &env, fragment_names, &query_path, "results.txt");
         let outcome = sim.run(|ctx| run_rank(&ctx, &cfg));
         let output = env.shared.peek("results.txt").expect("output written");
         let reports = outcome
@@ -654,15 +670,8 @@ mod tests {
         let fragment_names = stage_fragments(&env.shared, &db, nfrags);
         let query_path = stage_queries(&env.shared, &queries);
         let cfg = MpiBlastConfig {
-            platform,
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            fragment_names,
-            query_path,
-            output_path: "results.txt".to_string(),
             fault_detection: true,
+            ..MpiBlastConfig::new(&platform, &env, fragment_names, &query_path, "results.txt")
         };
         (sim, env, cfg)
     }

@@ -68,9 +68,10 @@ pub const SIEVE_HOLE_LIMIT: u64 = 64 * 1024;
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoOptions {
     /// Service data requests asynchronously (the `--io-async` knob):
-    /// transfers stay in flight while the rank computes — fragment
-    /// read-ahead on input ([`IoPlane::submit_begin`]/[`IoPlane::wait`]
-    /// pairs), fire-and-collect on output. Off by default; the
+    /// a request's runs are all in flight at once — a fragment's file
+    /// reads posted together on input ([`IoPlane::submit_begin`]/
+    /// [`IoPlane::wait`] pairs), fire-and-collect on output, checkpoint
+    /// puts in flight while the rank searches. Off by default; the
     /// synchronous [`IoPlane::submit`] path is the paper's baseline.
     pub io_async: bool,
     /// Burst-buffer staging knobs (the `--burst-buffer` surface): when

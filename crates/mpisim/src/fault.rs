@@ -1,5 +1,4 @@
-//! Fault-aware communication: typed errors, timed receives, and a
-//! retry/backoff helper.
+//! Fault-aware communication: typed errors and timed receives.
 //!
 //! The plain [`Comm`] operations assume every peer is alive
 //! and block forever otherwise — matching stock MPI, where a lost rank
@@ -117,41 +116,6 @@ impl Comm<'_> {
     ) -> Result<Message, RecvError> {
         self.recv_deadline(src, tag, self.ctx().now() + timeout)
     }
-
-    /// Run `op` up to `attempts` times, charging exponentially growing
-    /// virtual-time backoff (`base`, `2*base`, `4*base`, ...) between
-    /// failures. Returns the first success or the last error.
-    pub fn retry_with_backoff<T, E>(
-        &self,
-        attempts: u32,
-        base: SimDuration,
-        mut op: impl FnMut(u32) -> Result<T, E>,
-    ) -> Result<T, E> {
-        assert!(attempts > 0, "need at least one attempt");
-        let mut backoff = base;
-        let mut last = None;
-        for attempt in 0..attempts {
-            match op(attempt) {
-                Ok(v) => return Ok(v),
-                Err(e) => {
-                    last = Some(e);
-                    if attempt + 1 < attempts {
-                        tracelog::instant(
-                            tracelog::Lane::Sched,
-                            "backoff",
-                            vec![
-                                ("attempt", (attempt as u64).into()),
-                                ("ns", backoff.0.into()),
-                            ],
-                        );
-                        self.ctx().charge(backoff);
-                        backoff = backoff + backoff;
-                    }
-                }
-            }
-        }
-        Err(last.expect("at least one attempt ran"))
-    }
 }
 
 #[cfg(test)]
@@ -258,40 +222,5 @@ mod tests {
         });
         assert_eq!(out.outputs[0].as_deref(), Some(&b"will"[..]));
         assert_eq!(out.killed, vec![1]);
-    }
-
-    #[test]
-    fn retry_backoff_charges_virtual_time() {
-        let sim = Sim::new(1);
-        let out = sim.run(|ctx| {
-            let comm = Comm::new(&ctx, net());
-            let mut calls = 0u32;
-            let res: Result<u32, &str> =
-                comm.retry_with_backoff(4, SimDuration::from_millis(1), |attempt| {
-                    calls += 1;
-                    if attempt < 2 {
-                        Err("not yet")
-                    } else {
-                        Ok(attempt)
-                    }
-                });
-            assert_eq!(res, Ok(2));
-            assert_eq!(calls, 3);
-            // Backoffs: 1 ms + 2 ms.
-            ctx.now()
-        });
-        assert_eq!(out.outputs[0], SimTime(3_000_000));
-    }
-
-    #[test]
-    fn retry_exhaustion_returns_last_error() {
-        let sim = Sim::new(1);
-        let out = sim.run(|ctx| {
-            let comm = Comm::new(&ctx, net());
-            let res: Result<(), u32> =
-                comm.retry_with_backoff(3, SimDuration::from_micros(10), Err);
-            res.unwrap_err()
-        });
-        assert_eq!(out.outputs[0], 2);
     }
 }

@@ -140,11 +140,6 @@ impl FsProfile {
         debug_assert!(n > 0);
         self.per_client_bw.min(self.aggregate_bw / n as f64)
     }
-
-    /// Seconds to move `bytes` as the only active stream (plus latency).
-    pub fn solo_seconds(&self, bytes: u64) -> f64 {
-        self.op_latency + bytes as f64 / self.per_client_bw.min(self.aggregate_bw)
-    }
 }
 
 #[cfg(test)]
@@ -160,15 +155,5 @@ mod tests {
         // NFS is already aggregate-bound at 2 clients.
         assert!(nfs.stream_bw(2) < nfs.per_client_bw);
         assert!((nfs.stream_bw(30) - 3.0e6).abs() < 1.0);
-    }
-
-    #[test]
-    fn solo_seconds_includes_latency() {
-        let p = FsProfile {
-            per_client_bw: 100.0,
-            aggregate_bw: 1000.0,
-            op_latency: 0.5,
-        };
-        assert!((p.solo_seconds(100) - 1.5).abs() < 1e-12);
     }
 }

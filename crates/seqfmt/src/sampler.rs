@@ -38,22 +38,6 @@ pub fn sample_queries(records: &[SeqRecord], target_bytes: u64, seed: u64) -> Ve
     out
 }
 
-/// The paper's query-size ladder (Table 2), expressed as byte targets and
-/// scaled by `scale` (1.0 = the paper's sizes against the real nr; the
-/// default harness runs at a smaller scale with a proportionally smaller
-/// database).
-pub fn table2_query_sizes(scale: f64) -> Vec<(String, u64)> {
-    [
-        ("26KB", 26u64 * 1024),
-        ("77KB", 77 * 1024),
-        ("159KB", 159 * 1024),
-        ("289KB", 289 * 1024),
-    ]
-    .into_iter()
-    .map(|(name, bytes)| (name.to_string(), ((bytes as f64 * scale) as u64).max(256)))
-    .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -110,14 +94,5 @@ mod tests {
         ids.sort_unstable();
         ids.dedup();
         assert_eq!(ids.len(), n);
-    }
-
-    #[test]
-    fn table2_ladder_scales() {
-        let full = table2_query_sizes(1.0);
-        assert_eq!(full.len(), 4);
-        assert_eq!(full[2].1, 159 * 1024);
-        let small = table2_query_sizes(0.01);
-        assert_eq!(small[0].1, (26.0 * 1024.0 * 0.01) as u64);
     }
 }

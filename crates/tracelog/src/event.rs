@@ -18,7 +18,7 @@ pub enum Lane {
     Net,
     /// Master/worker protocol events (grants, submissions, epochs).
     Runtime,
-    /// Failure detection: liveness sweeps, timeouts, backoff.
+    /// Failure detection: liveness sweeps and timeouts.
     Sched,
     /// Engine-level process lifecycle: spawn, block, wake, kill, finish.
     Engine,

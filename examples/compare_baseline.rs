@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example compare_baseline`
 
-use blast_core::search::SearchParams;
 use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, MpiBlastConfig, Platform, ReportOptions};
+use mpiblast::{ClusterEnv, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -26,52 +25,22 @@ fn main() {
     );
 
     // --- mpiBLAST: needs pre-partitioned physical fragments ---
+    let platform = Platform::altix();
     let sim = Sim::new(nprocs);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
+    let env = ClusterEnv::new(&sim, &platform);
     let fragment_names = stage_fragments(&env.shared, &db, nprocs - 1);
     let query_path = stage_queries(&env.shared, &queries);
-    let mpi_cfg = MpiBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        fragment_names,
-        query_path,
-        output_path: "mpi.txt".into(),
-        fault_detection: false,
-    };
+    let mpi_cfg = MpiBlastConfig::new(&platform, &env, fragment_names, &query_path, "mpi.txt");
     let mpi = sim.run(|ctx| mpiblast::run_rank(&ctx, &mpi_cfg));
     let mpi_out = env.shared.peek("mpi.txt").unwrap();
     let mpi_time = mpi.elapsed.as_secs_f64();
 
     // --- pioBLAST: same shared database, no fragments ---
     let sim = Sim::new(nprocs);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
+    let env = ClusterEnv::new(&sim, &platform);
     let db_alias = stage_shared_db(&env.shared, &db);
     let query_path = stage_queries(&env.shared, &queries);
-    let pio_cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "pio.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
-    };
+    let pio_cfg = PioBlastConfig::new(&platform, &env, &db_alias, &query_path, "pio.txt");
     let pio = sim.run(|ctx| pioblast::run_rank(&ctx, &pio_cfg));
     let pio_out = env.shared.peek("pio.txt").unwrap();
     let pio_time = pio.elapsed.as_secs_f64();

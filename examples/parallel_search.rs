@@ -4,9 +4,8 @@
 //!
 //! Run with: `cargo run --release --example parallel_search`
 
-use blast_core::search::SearchParams;
 use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{phases, ClusterEnv, ComputeModel, Platform, ReportOptions};
+use mpiblast::{phases, ClusterEnv, ComputeModel, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -26,32 +25,17 @@ fn main() {
     );
 
     // A 16-rank simulated Altix (1 master + 15 workers).
+    let platform = Platform::altix();
     let sim = Sim::new(16);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
+    let env = ClusterEnv::new(&sim, &platform);
     let db_alias = stage_shared_db(&env.shared, &db);
     let query_path = stage_queries(&env.shared, &queries);
 
+    // The constructor is the paper's design (natural partitioning: one
+    // fragment per worker, collective output); name only what differs.
     let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
         compute: ComputeModel::measured(), // charge real kernel time
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".to_string(),
-        num_fragments: None, // natural partitioning: one fragment per worker
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..PioBlastConfig::new(&platform, &env, &db_alias, &query_path, "results.txt")
     };
     let outcome = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
 

@@ -60,10 +60,10 @@ cargo test --release -q -p blast-core --test edge_cases long_sequences_align_end
 cargo test --release -q -p blast-core --lib shared_prepare
 cargo test --release -q --test cluster_behavior every_rank_is_charged_for_its_own_prepare
 cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree_on_results
-# Bench targets (paper exhibits + kernel perf gate, ablate_hybrid
-# included via --workspace) must at least compile.
+# Bench targets (paper exhibits and ablations) must at least compile.
 cargo bench --workspace --no-run
-cargo clippy -- -D warnings
+# --all-targets: test, bench and example code is linted too.
+cargo clippy --workspace --all-targets -- -D warnings
 # The I/O plane is a public API layer: its docs must build clean.
 RUSTDOCFLAGS="-D warnings" cargo doc --workspace --no-deps
 
@@ -184,3 +184,12 @@ git diff --exit-code -- benchmark/ BENCHMARK.json
 # The committed trace baselines are the definition of "same behaviour":
 # a change that had to regenerate one must say so, not slip it through.
 git diff --exit-code -- scripts/trace-baselines
+
+# The committed BENCH_*.json files are virtual-clock results, so they
+# regenerate byte for byte: run the six harnesses that write them (each
+# also asserts its own headline) and fail on any difference. A change
+# that moves a number commits the regenerated file and says so.
+for bench in ablate_faults ablate_io ablate_burst ablate_service ablate_hybrid ablate_scale; do
+  cargo bench -q -p blast-bench --bench "$bench" >/dev/null
+done
+git diff --exit-code -- 'BENCH_*.json'

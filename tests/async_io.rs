@@ -13,117 +13,20 @@
 //! files (alias, query FASTA, volume index) and a full file system must
 //! surface as typed errors on every rank — no panic, no deadlock.
 
+mod common;
+
 use std::sync::OnceLock;
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{FaultMode, FragmentSchedule, InputError, PioBlastConfig, PioError};
+use common::{run_frags, run_opts, Opts};
+use mpiblast::Platform;
+use pioblast::{FaultMode, FragmentSchedule, InputError, PioError};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
-use simcluster::{FaultPlan, Sim};
-
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(21, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-async"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
-
-#[derive(Clone)]
-struct Opts {
-    nranks: usize,
-    nfrags: usize,
-    platform: Platform,
-    io_async: bool,
-    collective_input: bool,
-    collective_output: bool,
-    schedule: FragmentSchedule,
-    fault: FaultMode,
-    checkpoint: bool,
-    query_batch: Option<usize>,
-    rank_compute: Option<Vec<f64>>,
-    threads: usize,
-    plan: FaultPlan,
-}
-
-impl Default for Opts {
-    fn default() -> Opts {
-        Opts {
-            nranks: 4,
-            nfrags: 9,
-            platform: Platform::altix(),
-            io_async: false,
-            collective_input: false,
-            collective_output: true,
-            schedule: FragmentSchedule::Static,
-            fault: FaultMode::Off,
-            checkpoint: false,
-            query_batch: None,
-            rank_compute: None,
-            threads: 1,
-            plan: FaultPlan::none(),
-        }
-    }
-}
-
-fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
-    let sim = Sim::new(opts.nranks);
-    let env = ClusterEnv::new(&sim, &opts.platform);
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: opts.platform.clone(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(opts.nfrags),
-        collective_output: opts.collective_output,
-        local_prune: false,
-        query_batch: opts.query_batch,
-        collective_input: opts.collective_input,
-        schedule: opts.schedule,
-        fault: opts.fault,
-        checkpoint: opts.checkpoint,
-        rank_compute: opts.rank_compute.clone(),
-        threads: opts.threads,
-        io: mpiio::IoOptions {
-            io_async: opts.io_async,
-            ..Default::default()
-        },
-        service: None,
-    };
-    let out = sim.run_faulty(opts.plan.clone(), |ctx| pioblast::run_rank(&ctx, &cfg));
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
-    (bytes, out.killed)
-}
+use simcluster::FaultPlan;
 
 fn reference_bytes() -> &'static [u8] {
     static REF: OnceLock<Vec<u8>> = OnceLock::new();
     REF.get_or_init(|| {
-        let (bytes, killed) = run_opts(Opts::default());
+        let (bytes, killed) = run_frags(Opts::default(), 9, |_| {});
         assert!(killed.is_empty());
         assert!(!bytes.is_empty(), "reference run produced no output");
         bytes
@@ -153,17 +56,19 @@ proptest! {
         let query_batch = if batch_pick == 0 { None } else { Some(batch_pick) };
         let opts = Opts {
             nranks,
-            nfrags,
             platform: if blade { Platform::blade_cluster() } else { Platform::altix() },
-            io_async: true,
-            collective_input,
-            collective_output,
-            schedule: if dynamic { FragmentSchedule::Dynamic } else { FragmentSchedule::Static },
-            query_batch,
-            rank_compute: Some(skew[..nranks].to_vec()),
             ..Opts::default()
         };
-        let (bytes, killed) = run_opts(opts);
+        let (bytes, killed) = run_frags(opts, nfrags, |cfg| {
+            cfg.io.io_async = true;
+            cfg.collective_input = collective_input;
+            cfg.collective_output = collective_output;
+            if dynamic {
+                cfg.schedule = FragmentSchedule::Dynamic;
+            }
+            cfg.query_batch = query_batch;
+            cfg.rank_compute = Some(skew[..nranks].to_vec());
+        });
         prop_assert!(killed.is_empty());
         prop_assert_eq!(
             &bytes[..],
@@ -194,17 +99,17 @@ proptest! {
         let query_batch = if batch_pick == 0 { None } else { Some(batch_pick) };
         let opts = Opts {
             nranks,
-            nfrags,
-            io_async: true,
-            collective_output: false,
-            schedule: FragmentSchedule::Dynamic,
-            fault: FaultMode::Recover,
-            checkpoint,
-            query_batch,
             plan: FaultPlan::none().kill_after_sends(victim, kill_after),
             ..Opts::default()
         };
-        let (bytes, killed) = run_opts(opts);
+        let (bytes, killed) = run_frags(opts, nfrags, |cfg| {
+            cfg.io.io_async = true;
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+            cfg.checkpoint = checkpoint;
+            cfg.query_batch = query_batch;
+        });
         prop_assert!(killed.is_empty() || killed == vec![victim]);
         prop_assert_eq!(
             &bytes[..],
@@ -226,40 +131,19 @@ fn run_corrupted(
     fault: FaultMode,
     corrupt: impl Fn(&parafs::SimFs, &mut String),
 ) -> Vec<Result<mpiblast::RankReport, PioError>> {
-    let db = small_db();
-    let queries = sample_queries(&db, 2);
-    let sim = Sim::new(3);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let mut db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    corrupt(&env.shared, &mut db_alias);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: None,
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: if fault == FaultMode::Recover {
-            FragmentSchedule::Dynamic
-        } else {
-            FragmentSchedule::Static
-        },
-        fault,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+    let opts = Opts {
+        nranks: 3,
+        n_queries: 2,
+        ..Opts::default()
     };
-    sim.run(|ctx| pioblast::run_rank(&ctx, &cfg)).outputs
+    let done = run_opts(opts, |cfg| {
+        corrupt(&cfg.env.shared, &mut cfg.db_alias);
+        if fault == FaultMode::Recover {
+            cfg.schedule = FragmentSchedule::Dynamic;
+        }
+        cfg.fault = fault;
+    });
+    done.outputs.into_iter().flatten().collect()
 }
 
 fn assert_master_input_error(outputs: &[Result<mpiblast::RankReport, PioError>]) {
@@ -303,8 +187,9 @@ fn malformed_query_fasta_degrades_without_abort() {
 
 #[test]
 fn malformed_volume_index_degrades_without_abort() {
-    let db = small_db();
-    let vol = db.volumes[0].name.clone();
+    let vol = common::small_db(Opts::default().db_seed).volumes[0]
+        .name
+        .clone();
     for fault in [FaultMode::Off, FaultMode::Detect] {
         let outputs = run_corrupted(fault, |fs, _| {
             fs.preload(&format!("db/{vol}.idx"), vec![0xAB; 17]);
@@ -316,41 +201,18 @@ fn malformed_volume_index_degrades_without_abort() {
 #[test]
 fn full_file_system_degrades_output_to_typed_errors() {
     for io_async in [false, true] {
-        let db = small_db();
-        let queries = sample_queries(&db, 2);
-        let sim = Sim::new(3);
-        let env = ClusterEnv::new(&sim, &Platform::altix());
-        let db_alias = stage_shared_db(&env.shared, &db);
-        let query_path = stage_queries(&env.shared, &queries);
-        // Nothing written past this point fits: every report write
-        // must surface `StoreError::NoSpace` as `PioError::Output`.
-        env.shared.set_capacity(0);
-        let cfg = PioBlastConfig {
-            platform: Platform::altix(),
-            env: env.clone(),
-            compute: ComputeModel::modeled(),
-            params: SearchParams::blastp(),
-            report: ReportOptions::default(),
-            db_alias,
-            query_path,
-            output_path: "results.txt".into(),
-            num_fragments: None,
-            collective_output: true,
-            local_prune: false,
-            query_batch: None,
-            collective_input: false,
-            schedule: FragmentSchedule::Static,
-            fault: FaultMode::Off,
-            checkpoint: false,
-            rank_compute: None,
-            threads: 1,
-            io: mpiio::IoOptions {
-                io_async,
-                ..Default::default()
-            },
-            service: None,
+        let opts = Opts {
+            nranks: 3,
+            n_queries: 2,
+            ..Opts::default()
         };
-        let outputs = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg)).outputs;
+        let done = run_opts(opts, |cfg| {
+            // Nothing written past this point fits: every report write
+            // must surface `StoreError::NoSpace` as `PioError::Output`.
+            cfg.env.shared.set_capacity(0);
+            cfg.io.io_async = io_async;
+        });
+        let outputs: Vec<_> = done.outputs.into_iter().flatten().collect();
         let writers = outputs
             .iter()
             .filter(|r| matches!(r, Err(PioError::Output(parafs::StoreError::NoSpace { .. }))))

@@ -12,115 +12,39 @@
 //! worker kills. Every combination must reproduce the unstaged
 //! reference bytes.
 
+mod common;
+
 use std::sync::OnceLock;
 
 use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
+use common::{run_frags, run_opts, Opts};
+use mpiblast::{Platform, ReportOptions};
 use pioblast::{BurstOptions, FaultMode, FragmentSchedule, PioBlastConfig};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
-use simcluster::{FaultPlan, Sim};
+use simcluster::FaultPlan;
 
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(21, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-burst"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
-
-#[derive(Clone)]
-struct Opts {
-    nranks: usize,
-    nfrags: usize,
-    platform: Platform,
-    burst: Option<BurstOptions>,
-    io_async: bool,
-    collective_output: bool,
-    schedule: FragmentSchedule,
-    fault: FaultMode,
-    checkpoint: bool,
-    query_batch: Option<usize>,
-    threads: usize,
-    plan: FaultPlan,
-}
-
-impl Default for Opts {
-    fn default() -> Opts {
-        Opts {
-            nranks: 4,
-            nfrags: 9,
-            platform: Platform::blade_cluster(),
-            burst: None,
-            io_async: false,
-            collective_output: true,
-            schedule: FragmentSchedule::Static,
-            fault: FaultMode::Off,
-            checkpoint: false,
-            query_batch: None,
-            threads: 1,
-            plan: FaultPlan::none(),
-        }
+/// The staging tests' cluster: the blade profile, whose NFS is slow
+/// relative to its staging devices.
+fn blade(nranks: usize, plan: FaultPlan) -> Opts {
+    Opts {
+        nranks,
+        platform: Platform::blade_cluster(),
+        plan,
+        ..Opts::default()
     }
 }
 
-fn run_opts(opts: Opts) -> (Vec<u8>, Vec<usize>) {
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
-    let sim = Sim::new(opts.nranks);
-    let env = ClusterEnv::new(&sim, &opts.platform);
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: opts.platform.clone(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(opts.nfrags),
-        collective_output: opts.collective_output,
-        local_prune: false,
-        query_batch: opts.query_batch,
-        collective_input: false,
-        schedule: opts.schedule,
-        fault: opts.fault,
-        checkpoint: opts.checkpoint,
-        rank_compute: None,
-        threads: opts.threads,
-        io: mpiio::IoOptions {
-            io_async: opts.io_async,
-            burst: opts.burst,
-        },
-        service: None,
-    };
-    let out = sim.run_faulty(opts.plan.clone(), |ctx| pioblast::run_rank(&ctx, &cfg));
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
-    (bytes, out.killed)
+/// The checkpointless Recover shape the kill tests run under.
+fn recover(cfg: &mut PioBlastConfig) {
+    cfg.collective_output = false;
+    cfg.schedule = FragmentSchedule::Dynamic;
+    cfg.fault = FaultMode::Recover;
 }
 
 fn reference_bytes() -> &'static [u8] {
     static REF: OnceLock<Vec<u8>> = OnceLock::new();
     REF.get_or_init(|| {
-        let (bytes, killed) = run_opts(Opts::default());
+        let (bytes, killed) = run_frags(blade(4, FaultPlan::none()), 9, |_| {});
         assert!(killed.is_empty());
         assert!(!bytes.is_empty(), "reference run produced no output");
         bytes
@@ -155,22 +79,20 @@ proptest! {
     ) {
         let (io_async, dynamic, collective_output) =
             (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
-        let opts = Opts {
-            nranks,
-            nfrags,
-            burst: Some(BurstOptions {
+        let (bytes, killed) = run_frags(blade(nranks, FaultPlan::none()), nfrags, |cfg| {
+            cfg.io.burst = Some(BurstOptions {
                 stripe_files: [1, 2, 4][stripe_pick],
                 capacity: capacity_pick(capacity_i),
                 ..Default::default()
-            }),
-            io_async,
-            collective_output,
-            schedule: if dynamic { FragmentSchedule::Dynamic } else { FragmentSchedule::Static },
-            query_batch: if batch_pick == 0 { None } else { Some(batch_pick) },
-            threads,
-            ..Opts::default()
-        };
-        let (bytes, killed) = run_opts(opts);
+            });
+            cfg.io.io_async = io_async;
+            cfg.collective_output = collective_output;
+            if dynamic {
+                cfg.schedule = FragmentSchedule::Dynamic;
+            }
+            cfg.query_batch = if batch_pick == 0 { None } else { Some(batch_pick) };
+            cfg.threads = threads;
+        });
         prop_assert!(killed.is_empty());
         prop_assert_eq!(
             &bytes[..],
@@ -199,23 +121,17 @@ proptest! {
         batch_pick in 0usize..=2,
     ) {
         let victim = 1 + victim_seed % (nranks - 1);
-        let opts = Opts {
-            nranks,
-            nfrags,
-            burst: Some(BurstOptions {
+        let plan = FaultPlan::none().kill_after_sends(victim, kill_after);
+        let (bytes, killed) = run_frags(blade(nranks, plan), nfrags, |cfg| {
+            recover(cfg);
+            cfg.io.burst = Some(BurstOptions {
                 capacity: capacity_pick(capacity_i),
                 ..Default::default()
-            }),
-            io_async,
-            collective_output: false,
-            schedule: FragmentSchedule::Dynamic,
-            fault: FaultMode::Recover,
-            checkpoint,
-            query_batch: if batch_pick == 0 { None } else { Some(batch_pick) },
-            plan: FaultPlan::none().kill_after_sends(victim, kill_after),
-            ..Opts::default()
-        };
-        let (bytes, killed) = run_opts(opts);
+            });
+            cfg.io.io_async = io_async;
+            cfg.checkpoint = checkpoint;
+            cfg.query_batch = if batch_pick == 0 { None } else { Some(batch_pick) };
+        });
         prop_assert!(killed.is_empty() || killed == vec![victim]);
         prop_assert_eq!(
             &bytes[..],
@@ -232,13 +148,12 @@ proptest! {
 /// contract in its pure form.
 #[test]
 fn zero_capacity_degrades_to_direct_writes() {
-    let (bytes, killed) = run_opts(Opts {
-        burst: Some(BurstOptions {
+    let (bytes, killed) = run_frags(blade(4, FaultPlan::none()), 9, |cfg| {
+        cfg.io.burst = Some(BurstOptions {
             capacity: 0,
             ..Default::default()
-        }),
-        query_batch: Some(2),
-        ..Opts::default()
+        });
+        cfg.query_batch = Some(2);
     });
     assert!(killed.is_empty());
     assert_eq!(&bytes[..], reference_bytes());
@@ -250,15 +165,12 @@ fn zero_capacity_degrades_to_direct_writes() {
 /// about.
 #[test]
 fn staged_checkpoints_survive_kill() {
-    let (bytes, killed) = run_opts(Opts {
-        burst: Some(BurstOptions::default()),
-        collective_output: false,
-        schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Recover,
-        checkpoint: true,
-        query_batch: Some(2),
-        plan: FaultPlan::none().kill_after_sends(2, 4),
-        ..Opts::default()
+    let plan = FaultPlan::none().kill_after_sends(2, 4);
+    let (bytes, killed) = run_frags(blade(4, plan), 9, |cfg| {
+        recover(cfg);
+        cfg.io.burst = Some(BurstOptions::default());
+        cfg.checkpoint = true;
+        cfg.query_batch = Some(2);
     });
     assert!(killed.is_empty() || killed == vec![2]);
     assert_eq!(&bytes[..], reference_bytes());
@@ -279,8 +191,8 @@ fn staging_failure_inside_a_split_collective_is_typed_not_a_deadlock() {
     use mpiblast::report::serial_report;
     use pioblast::PioError;
 
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
+    let db = common::small_db(Opts::default().db_seed);
+    let queries = common::sample_queries(&db, 3);
     // The report is the queries' sections back to back, so batches 0
     // and 1 (one query each) end where a two-query report ends.
     let two_batches = serial_report(
@@ -291,47 +203,22 @@ fn staging_failure_inside_a_split_collective_is_typed_not_a_deadlock() {
     )
     .expect("serial oracle")
     .len() as u64;
-    let platform = Platform::blade_cluster();
-    let sim = Sim::new(4);
-    let env = ClusterEnv::new(&sim, &platform);
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let staged: u64 = env
-        .shared
-        .peek_list("")
-        .iter()
-        .map(|p| env.shared.peek(p).expect("listed").len() as u64)
-        .sum();
-    env.shared.set_capacity(staged + two_batches - 1);
-    let cfg = PioBlastConfig {
-        platform,
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(9),
-        collective_output: true,
-        local_prune: false,
-        query_batch: Some(1),
-        collective_input: false,
-        schedule: FragmentSchedule::Static,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: mpiio::IoOptions {
-            io_async: true,
-            burst: Some(BurstOptions::default()),
-        },
-        service: None,
-    };
-    let outcome = sim
-        .try_run_faulty(FaultPlan::none(), |ctx| pioblast::run_rank(&ctx, &cfg))
-        .expect("a staging failure must not strand the other ranks in the barrier");
-    let results: Vec<_> = outcome.outputs.into_iter().flatten().collect();
+    // `run_opts` panics on an engine deadlock: a staging failure must
+    // not strand the other ranks in the barrier.
+    let done = run_opts(blade(4, FaultPlan::none()), |cfg| {
+        let shared = &cfg.env.shared;
+        let staged: u64 = shared
+            .peek_list("")
+            .iter()
+            .map(|p| shared.peek(p).expect("listed").len() as u64)
+            .sum();
+        shared.set_capacity(staged + two_batches - 1);
+        cfg.num_fragments = Some(9);
+        cfg.query_batch = Some(1);
+        cfg.io.io_async = true;
+        cfg.io.burst = Some(BurstOptions::default());
+    });
+    let results: Vec<_> = done.outputs.into_iter().flatten().collect();
     assert_eq!(results.len(), 4, "nobody was killed");
     let failed = results
         .iter()

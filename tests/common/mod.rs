@@ -1,0 +1,131 @@
+//! Fixtures shared by the integration tests: one small database, one
+//! query sampler, and one staged pioBLAST run built on
+//! [`PioBlastConfig::new`] — a test names only what it changes.
+
+// Every test binary compiles this module and uses its own subset.
+#![allow(dead_code)]
+
+use blast_core::seq::SeqRecord;
+use mpiblast::setup::{stage_queries, stage_shared_db};
+use mpiblast::{ClusterEnv, Platform, RankReport};
+use pioblast::{PioBlastConfig, PioError};
+use seqfmt::formatdb::{format_records, FormatDbConfig};
+use seqfmt::synth::{generate, SynthConfig};
+use seqfmt::FormattedDb;
+use simcluster::{FaultPlan, Sim, SimTime};
+use tracelog::{Trace, Tracer};
+
+/// Path every staged run writes its report to.
+pub const OUTPUT: &str = "results.txt";
+
+/// A 40 k-residue nr-like protein database in one volume.
+pub fn small_db(seed: u64) -> FormattedDb {
+    let recs = generate(&SynthConfig::nr_like(seed, 40_000));
+    format_records(&recs, &FormatDbConfig::protein("nr-test"))
+}
+
+/// `n` queries copied from the database's own subjects, so each hits.
+pub fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
+    use blast_core::search::SubjectSource;
+    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
+    (0..n)
+        .map(|i| {
+            let s = frag.subject((i * 13) % frag.num_subjects());
+            SeqRecord {
+                defline: format!("query_{i:05} sampled"),
+                residues: s.residues.to_vec(),
+                molecule: blast_core::Molecule::Protein,
+            }
+        })
+        .collect()
+}
+
+/// Stage `db` and `queries` on a fresh environment over `sim` and
+/// return the paper-design config for it (report at [`OUTPUT`]).
+pub fn staged(
+    sim: &Sim,
+    platform: &Platform,
+    db: &FormattedDb,
+    queries: &[SeqRecord],
+) -> PioBlastConfig {
+    let env = ClusterEnv::new(sim, platform);
+    let db_alias = stage_shared_db(&env.shared, db);
+    let query_path = stage_queries(&env.shared, queries);
+    PioBlastConfig::new(platform, &env, &db_alias, &query_path, OUTPUT)
+}
+
+/// Cluster shape, workload and fault plan of one run over [`small_db`].
+/// Everything else is the constructor's config plus the test's closure.
+pub struct Opts {
+    pub nranks: usize,
+    pub platform: Platform,
+    pub db_seed: u64,
+    pub n_queries: usize,
+    pub plan: FaultPlan,
+    /// Install a tracer and hand the merged trace back.
+    pub traced: bool,
+}
+
+impl Default for Opts {
+    fn default() -> Opts {
+        Opts {
+            nranks: 4,
+            platform: Platform::altix(),
+            db_seed: 21,
+            n_queries: 3,
+            plan: FaultPlan::none(),
+            traced: false,
+        }
+    }
+}
+
+/// What a finished run hands back.
+pub struct Done {
+    /// Bytes at [`OUTPUT`]; empty when no report was written there.
+    pub report: Vec<u8>,
+    /// Per-rank results; `None` for a killed rank.
+    pub outputs: Vec<Option<Result<RankReport, PioError>>>,
+    pub killed: Vec<usize>,
+    pub elapsed: SimTime,
+    pub env: ClusterEnv,
+    /// The merged trace, when [`Opts::traced`].
+    pub trace: Option<Trace>,
+}
+
+/// [`run_opts`] over `nfrags` virtual fragments, for the byte-identity
+/// properties: returns the report bytes and the killed ranks.
+pub fn run_frags(
+    opts: Opts,
+    nfrags: usize,
+    tweak: impl FnOnce(&mut PioBlastConfig),
+) -> (Vec<u8>, Vec<usize>) {
+    let done = run_opts(opts, |cfg| {
+        cfg.num_fragments = Some(nfrags);
+        tweak(cfg);
+    });
+    (done.report, done.killed)
+}
+
+/// Stage the workload, let `tweak` change the paper-design config (it
+/// may also touch the staged files through `cfg.env`), and run it.
+pub fn run_opts(opts: Opts, tweak: impl FnOnce(&mut PioBlastConfig)) -> Done {
+    let db = small_db(opts.db_seed);
+    let queries = sample_queries(&db, opts.n_queries);
+    let sim = Sim::new(opts.nranks);
+    let tracer = opts.traced.then(|| {
+        let tracer = Tracer::new(opts.nranks);
+        sim.set_tracer(tracer.clone());
+        tracer
+    });
+    let mut cfg = staged(&sim, &opts.platform, &db, &queries);
+    tweak(&mut cfg);
+    let out = sim.run_faulty(opts.plan, |ctx| pioblast::run_rank(&ctx, &cfg));
+    Done {
+        report: cfg.env.shared.peek(OUTPUT).unwrap_or_default(),
+        outputs: out.outputs,
+        killed: out.killed,
+        elapsed: out.elapsed,
+        trace: tracer.map(|t| t.finish(out.elapsed.since(SimTime::ZERO).0)),
+        env: cfg.env,
+    }
+}

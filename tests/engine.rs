@@ -9,19 +9,16 @@
 //! error — from a bare engine run and from inside a real pioBLAST
 //! protocol — never a hang.
 
+mod common;
+
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Arc, Mutex, MutexGuard};
 use std::thread::{self, ThreadId};
 
 use blast_bench::runner::os_thread_count;
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{FaultMode, FragmentSchedule, PioBlastConfig};
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
+use common::{sample_queries, small_db, staged, OUTPUT};
+use mpiblast::Platform;
+use pioblast::{FragmentSchedule, PioBlastConfig};
 use simcluster::engine::EngineStats;
 use simcluster::{FaultPlan, Sim, SimDuration, SimError, SimTime};
 use tracelog::{chrome, Tracer};
@@ -33,72 +30,35 @@ fn serial() -> MutexGuard<'static, ()> {
     SERIAL.lock().unwrap_or_else(|e| e.into_inner())
 }
 
-fn small_db(seed: u64) -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(seed, 30_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-engine"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 17) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
-
-/// The pioBLAST configuration the full-run tests share.
+/// The pioBLAST configuration the full-run tests share, staged on `sim`.
 fn pio_config(
-    env: &ClusterEnv,
-    db: &FormattedDb,
-    queries: &[SeqRecord],
+    sim: &Sim,
+    db_seed: u64,
+    n_queries: usize,
     nfrags: usize,
     threads: usize,
 ) -> PioBlastConfig {
+    let db = small_db(db_seed);
+    let queries = sample_queries(&db, n_queries);
     PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias: stage_shared_db(&env.shared, db),
-        query_path: stage_queries(&env.shared, queries),
-        output_path: "results.txt".into(),
         num_fragments: Some(nfrags),
-        collective_output: true,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
         schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
         threads,
-        io: Default::default(),
-        service: None,
+        ..staged(sim, &Platform::altix(), &db, &queries)
     }
 }
 
 /// One full traced pioBLAST run on `sim`; returns the report bytes, the
 /// Chrome trace export, the virtual wall clock, and the engine stats.
 fn run_pio(sim: Sim, nfrags: usize, db_seed: u64) -> (Vec<u8>, String, u64, EngineStats) {
-    let db = small_db(db_seed);
-    let queries = sample_queries(&db, 2);
     let tracer = Tracer::new(sim.nranks());
     sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let cfg = pio_config(&env, &db, &queries, nfrags, 2);
+    let cfg = pio_config(&sim, db_seed, 2, nfrags, 2);
     let out = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
     for r in &out.outputs {
         r.as_ref().expect("rank failed");
     }
-    let report = env.shared.peek("results.txt").expect("report exists");
+    let report = cfg.env.shared.peek(OUTPUT).expect("report exists");
     let wall = out.elapsed.since(SimTime::ZERO).0;
     let trace = tracer.finish(wall);
     (
@@ -246,11 +206,8 @@ fn panic_mid_collective_surfaces_not_hangs() {
     // A panic inside a real pioBLAST worker body (mid-protocol, peers
     // blocked in engine receives) must surface as the typed error, with
     // the message format the panicking entry points print.
-    let db = small_db(50);
-    let queries = sample_queries(&db, 1);
     let sim = Sim::new(4);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let cfg = pio_config(&env, &db, &queries, 4, 1);
+    let cfg = pio_config(&sim, 50, 1, 4, 1);
     let err = sim
         .try_run_faulty(FaultPlan::none(), |ctx| {
             if ctx.rank() == 2 {

@@ -10,38 +10,14 @@
 //! the run then completes fault-free and must still match the
 //! reference, so both branches of the property are meaningful.
 
+mod common;
+
 use std::sync::OnceLock;
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{FaultMode, FragmentSchedule, PioBlastConfig};
+use common::{run_frags, Opts};
+use pioblast::{FaultMode, FragmentSchedule};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
-use simcluster::{FaultPlan, Sim};
-
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(21, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-ft"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+use simcluster::FaultPlan;
 
 fn run_recover_opts(
     nranks: usize,
@@ -51,37 +27,19 @@ fn run_recover_opts(
     collective_input: bool,
     plan: FaultPlan,
 ) -> (Vec<u8>, Vec<usize>) {
-    let db = small_db();
-    let queries = sample_queries(&db, 3);
-    let sim = Sim::new(nranks);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(nfrags),
-        collective_output: false,
-        local_prune: false,
-        query_batch,
-        collective_input,
-        schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Recover,
-        checkpoint,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+    let opts = Opts {
+        nranks,
+        plan,
+        ..Opts::default()
     };
-    let out = sim.run_faulty(plan, |ctx| pioblast::run_rank(&ctx, &cfg));
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
-    (bytes, out.killed)
+    run_frags(opts, nfrags, |cfg| {
+        cfg.collective_output = false;
+        cfg.query_batch = query_batch;
+        cfg.collective_input = collective_input;
+        cfg.schedule = FragmentSchedule::Dynamic;
+        cfg.fault = FaultMode::Recover;
+        cfg.checkpoint = checkpoint;
+    })
 }
 
 fn run_recover(nranks: usize, nfrags: usize, plan: FaultPlan) -> (Vec<u8>, Vec<usize>) {

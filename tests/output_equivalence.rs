@@ -3,12 +3,15 @@
 //! mpiBLAST, and pioBLAST produce **byte-identical** output — for any
 //! worker count, fragment count, platform, and volume layout.
 
+mod common;
+
 use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
 use blast_core::Molecule;
+use common::{staged, OUTPUT};
 use mpiblast::report::{serial_report, ReportOptions};
-use mpiblast::setup::{stage_fragments, stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, MpiBlastConfig, Platform};
+use mpiblast::setup::{stage_fragments, stage_queries};
+use mpiblast::{ClusterEnv, MpiBlastConfig, Platform};
 use pioblast::PioBlastConfig;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::sampler::sample_queries;
@@ -37,19 +40,9 @@ fn run_mpi(
     let env = ClusterEnv::new(&sim, &platform);
     let fragment_names = stage_fragments(&env.shared, db, nfrags);
     let query_path = stage_queries(&env.shared, queries);
-    let cfg = MpiBlastConfig {
-        platform,
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        fragment_names,
-        query_path,
-        output_path: "out.txt".into(),
-        fault_detection: false,
-    };
+    let cfg = MpiBlastConfig::new(&platform, &env, fragment_names, &query_path, OUTPUT);
     sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-    env.shared.peek("out.txt").expect("mpi output")
+    env.shared.peek(OUTPUT).expect("mpi output")
 }
 
 fn run_pio(
@@ -61,33 +54,13 @@ fn run_pio(
     collective: bool,
 ) -> Vec<u8> {
     let sim = Sim::new(nprocs);
-    let env = ClusterEnv::new(&sim, &platform);
-    let db_alias = stage_shared_db(&env.shared, db);
-    let query_path = stage_queries(&env.shared, queries);
     let cfg = PioBlastConfig {
-        platform,
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "out.txt".into(),
         num_fragments: nfrags,
         collective_output: collective,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: Default::default(),
-        fault: Default::default(),
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+        ..staged(&sim, &platform, db, queries)
     };
     sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    env.shared.peek("out.txt").expect("pio output")
+    cfg.env.shared.peek(OUTPUT).expect("pio output")
 }
 
 #[test]

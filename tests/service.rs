@@ -12,47 +12,22 @@
 //! hits (rate > 50% once the stream revisits fragments) and that a
 //! zero-capacity store never does.
 
+mod common;
+
 use std::sync::OnceLock;
 
-use blast_core::search::SearchParams;
 use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{
-    FaultMode, FragmentSchedule, IoOptions, PioBlastConfig, QueryStreamPlan, ServiceMetrics,
-    ServiceOptions,
-};
+use common::{run_opts, Opts, OUTPUT};
+use mpiblast::setup::stage_queries;
+use pioblast::{FaultMode, FragmentSchedule, QueryStreamPlan, ServiceMetrics, ServiceOptions};
 use proptest::prelude::*;
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
-use simcluster::{FaultPlan, Sim};
-use tracelog::Tracer;
+use simcluster::FaultPlan;
 
 /// Queries the whole stream consumes (kept tiny: every proptest case
 /// pays one one-shot reference run per stream batch).
 const N_QUERIES: usize = 5;
 const MEAN_GAP_NS: u64 = 2_000_000;
-
-fn small_db() -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(47, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-svc"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
+const DB_SEED: u64 = 47;
 
 struct ServiceRun {
     /// Per-stream-batch report bytes (`results.txt.q<b>`).
@@ -73,100 +48,66 @@ fn run_service(
     fault: FaultMode,
     fplan: FaultPlan,
 ) -> ServiceRun {
-    let db = small_db();
-    let queries = sample_queries(&db, plan.total_queries());
-    let sim = Sim::new(nranks);
-    let tracer = Tracer::new(nranks);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(nfrags),
-        collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: FragmentSchedule::Dynamic,
-        fault,
-        checkpoint: false,
-        rank_compute: None,
-        threads,
-        io: IoOptions {
-            io_async,
-            ..Default::default()
-        },
-        service: Some(ServiceOptions {
+    let opts = Opts {
+        nranks,
+        db_seed: DB_SEED,
+        n_queries: plan.total_queries(),
+        plan: fplan,
+        traced: true,
+        ..Opts::default()
+    };
+    let done = run_opts(opts, |cfg| {
+        cfg.num_fragments = Some(nfrags);
+        cfg.collective_output = false;
+        cfg.schedule = FragmentSchedule::Dynamic;
+        cfg.fault = fault;
+        cfg.threads = threads;
+        cfg.io.io_async = io_async;
+        cfg.service = Some(ServiceOptions {
             plan: plan.clone(),
             resident_bytes,
             affinity,
-        }),
-    };
-    let out = sim.run_faulty(fplan, |ctx| pioblast::run_rank(&ctx, &cfg));
-    let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
+        });
+    });
     let batches = (0..plan.batches.len())
         .map(|b| {
-            env.shared
-                .peek(&format!("results.txt.q{b}"))
+            done.env
+                .shared
+                .peek(&format!("{OUTPUT}.q{b}"))
                 .unwrap_or_default()
         })
         .collect();
     ServiceRun {
         batches,
-        killed: out.killed,
-        metrics: ServiceMetrics::from_trace(&trace),
+        killed: done.killed,
+        metrics: ServiceMetrics::from_trace(&done.trace.expect("traced")),
     }
 }
 
 /// Run one stream batch's queries as an ordinary fault-free one-shot
 /// job: the reference bytes its service-mode report must reproduce.
 fn one_shot(nranks: usize, nfrags: usize, queries: &[SeqRecord]) -> Vec<u8> {
-    let db = small_db();
-    let sim = Sim::new(nranks);
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, queries);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(nfrags),
-        collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
-        threads: 1,
-        io: Default::default(),
-        service: None,
+    let opts = Opts {
+        nranks,
+        db_seed: DB_SEED,
+        ..Opts::default()
     };
-    let out = sim.run_faulty(FaultPlan::none(), |ctx| pioblast::run_rank(&ctx, &cfg));
-    assert!(out.killed.is_empty());
-    let bytes = env.shared.peek("results.txt").unwrap_or_default();
-    assert!(!bytes.is_empty(), "reference run produced no output");
-    bytes
+    let done = run_opts(opts, |cfg| {
+        // Replace the staged query set with this batch's.
+        cfg.query_path = stage_queries(&cfg.env.shared, queries);
+        cfg.num_fragments = Some(nfrags);
+        cfg.collective_output = false;
+        cfg.schedule = FragmentSchedule::Dynamic;
+    });
+    assert!(done.killed.is_empty());
+    assert!(!done.report.is_empty(), "reference run produced no output");
+    done.report
 }
 
 /// Per-batch one-shot reference bytes for `plan` at this cluster shape.
 fn references(nranks: usize, nfrags: usize, plan: &QueryStreamPlan) -> Vec<Vec<u8>> {
-    let db = small_db();
-    let queries = sample_queries(&db, plan.total_queries());
+    let db = common::small_db(DB_SEED);
+    let queries = common::sample_queries(&db, plan.total_queries());
     let parts = plan.partition(&queries).expect("plan matches its queries");
     parts
         .iter()

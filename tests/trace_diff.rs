@@ -12,81 +12,37 @@
 //! * identical configurations: the diff is empty, byte-for-byte — the
 //!   determinism contract seen through the diff tool.
 
-use blast_core::search::SearchParams;
-use blast_core::seq::SeqRecord;
-use mpiblast::setup::{stage_queries, stage_shared_db};
-use mpiblast::{ClusterEnv, ComputeModel, Platform, ReportOptions};
-use pioblast::{FaultMode, FragmentSchedule, IoOptions, PioBlastConfig};
-use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::synth::{generate, SynthConfig};
-use seqfmt::FormattedDb;
-use simcluster::Sim;
+mod common;
+
+use common::{run_opts, Opts};
+use pioblast::FragmentSchedule;
+use tracelog::chrome;
 use tracelog::diff::{diff_profiles, profile_chrome, render_diff, TraceDiff};
-use tracelog::{chrome, Tracer};
-
-fn small_db(seed: u64) -> FormattedDb {
-    let recs = generate(&SynthConfig::nr_like(seed, 40_000));
-    format_records(&recs, &FormatDbConfig::protein("nr-diff"))
-}
-
-fn sample_queries(db: &FormattedDb, n: usize) -> Vec<SeqRecord> {
-    use blast_core::search::SubjectSource;
-    let frag = seqfmt::FragmentData::from_volume(&db.volumes[0]);
-    (0..n)
-        .map(|i| {
-            let s = frag.subject((i * 13) % frag.num_subjects());
-            SeqRecord {
-                defline: format!("query_{i:05} sampled"),
-                residues: s.residues.to_vec(),
-                molecule: blast_core::Molecule::Protein,
-            }
-        })
-        .collect()
-}
 
 /// Run a modeled pioBLAST job and return its Chrome export plus the
 /// report bytes.
 fn run_export(threads: usize, io_async: bool) -> (String, Vec<u8>) {
-    let db = small_db(33);
-    let queries = sample_queries(&db, 3);
-    let sim = Sim::new(4);
-    let tracer = Tracer::new(4);
-    sim.set_tracer(tracer.clone());
-    let env = ClusterEnv::new(&sim, &Platform::altix());
-    let db_alias = stage_shared_db(&env.shared, &db);
-    let query_path = stage_queries(&env.shared, &queries);
-    let cfg = PioBlastConfig {
-        platform: Platform::altix(),
-        env: env.clone(),
-        compute: ComputeModel::modeled(),
-        params: SearchParams::blastp(),
-        report: ReportOptions::default(),
-        db_alias,
-        query_path,
-        output_path: "results.txt".into(),
-        num_fragments: Some(6),
-        collective_output: false,
-        local_prune: false,
-        query_batch: None,
-        collective_input: false,
-        schedule: FragmentSchedule::Dynamic,
-        fault: FaultMode::Off,
-        checkpoint: false,
-        rank_compute: None,
-        threads,
-        io: IoOptions {
-            io_async,
-            ..Default::default()
-        },
-        service: None,
+    let opts = Opts {
+        db_seed: 33,
+        traced: true,
+        ..Opts::default()
     };
-    let out = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-    for r in &out.outputs {
-        r.as_ref().expect("rank failed");
+    let done = run_opts(opts, |cfg| {
+        cfg.num_fragments = Some(6);
+        cfg.collective_output = false;
+        cfg.schedule = FragmentSchedule::Dynamic;
+        cfg.threads = threads;
+        cfg.io.io_async = io_async;
+    });
+    for r in &done.outputs {
+        r.as_ref()
+            .expect("nobody killed")
+            .as_ref()
+            .expect("rank failed");
     }
-    let report = env.shared.peek("results.txt").expect("report exists");
-    let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
-    (chrome::export_chrome(&trace, None), report.to_vec())
+    assert!(!done.report.is_empty(), "report exists");
+    let trace = done.trace.expect("traced");
+    (chrome::export_chrome(&trace, None), done.report)
 }
 
 fn diff_of(a: &str, b: &str) -> TraceDiff {
