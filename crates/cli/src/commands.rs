@@ -88,6 +88,11 @@ against a long-lived cluster. Each stream batch's report is written to
 nothing); --affinity re-grants fragments to the workers that already
 hold them, so resident re-grants skip their reads entirely.
 
+--fault-detect (mpi only) sweeps for dead ranks and fails fast with a
+typed error instead of hanging. pioBLAST has no such switch: a one-shot
+run hangs on a death like MPI does unless --recover is given, and serve
+without --recover always fails fast.
+
 --threads N (pio only) shards each granted fragment's subjects across N
 intra-rank compute slots with a deterministic merge — output bytes never
 change. N must be between 1 and the platform's cores per node (altix 16,
@@ -565,8 +570,6 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                 },
                 fault: if args.flag("recover") {
                     pioblast::FaultMode::Recover
-                } else if args.flag("fault-detect") {
-                    pioblast::FaultMode::Detect
                 } else {
                     pioblast::FaultMode::Off
                 },
@@ -945,12 +948,16 @@ mod tests {
             ),
             (&["--io-asynch"][..], "--io-asynch"),
             (&["--program", "mpi", "--io-async"][..], "--io-async"),
+            // pioBLAST lost its detect-only mode; the flag is mpiBLAST's.
+            (&["--fault-detect"][..], "--fault-detect"),
         ] {
             let err = run(extra).unwrap_err();
             assert!(err.0.contains(named), "{err}");
             assert!(err.0.contains("not used by `run`"), "{err}");
             assert!(!out.exists(), "{named} was rejected only after the run");
         }
+        run(&["--program", "mpi", "--fault-detect"]).unwrap();
+        fs::remove_file(&out).unwrap();
         let err = dispatch(&args(&["help", "--verbose"])).unwrap_err();
         assert!(err.0.contains("--verbose"), "{err}");
         // Conditional pairs keep their own dependency errors.

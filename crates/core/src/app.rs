@@ -85,20 +85,21 @@ pub struct PioBlastConfig {
     pub query_batch: Option<usize>,
     /// Read the shared database files with aggregated reads instead of
     /// independent ranged reads (the paper's §4 alternative of "reading
-    /// multiple global files simultaneously"). On the static fault-free
-    /// schedule this is a true two-phase collective read; under the
-    /// dynamic schedule or a fault mode the I/O plane aggregates
-    /// (sieves) each rank's granted views instead — output bytes are
-    /// identical in every combination.
+    /// multiple global files simultaneously"). On the static schedule
+    /// this is a true two-phase collective read; under the dynamic
+    /// schedule (and so under recovery and service mode) the I/O plane
+    /// aggregates (sieves) each rank's granted views instead — output
+    /// bytes are identical in every combination.
     pub collective_input: bool,
     /// Fragment scheduling policy.
     pub schedule: FragmentSchedule,
-    /// Fault-tolerance mode (see [`crate::fault`]). `Off` lowers the
-    /// runtime onto collectives; `Detect` and `Recover` lower it onto a
-    /// point-to-point master-driven protocol that notices rank death.
-    /// Fault modes cannot synchronize ranks for two-phase collective
-    /// I/O, so `collective_input`/`collective_output` degrade to
-    /// per-rank sieved access through the I/O plane.
+    /// Fault-tolerance mode (see [`crate::fault`]). `Off` lowers a
+    /// one-shot run onto collectives; `Recover` (like service mode)
+    /// lowers it onto a point-to-point master-driven protocol that
+    /// notices rank death. That protocol cannot synchronize ranks for
+    /// two-phase collective I/O, so `collective_input`/
+    /// `collective_output` degrade to per-rank sieved access through the
+    /// I/O plane.
     pub fault: FaultMode,
     /// Persist each completed `(batch, fragment)` search result to the
     /// shared file system so a recovery epoch re-queues only the victim's
@@ -230,11 +231,11 @@ pub(crate) fn query_batches(queries: &[SeqRecord], batch: Option<usize>) -> Vec<
 /// Every mode runs the same [`crate::runtime`] state machines; the
 /// configuration only changes how their actions are lowered. With
 /// [`PioBlastConfig::fault`] at its default (`Off`) this cannot fail in a
-/// fault-free simulation; in `Detect`/`Recover` mode it returns a typed
-/// [`PioError`] when the run cannot complete (master death, all workers
-/// dead, detected death in `Detect` mode). Unsupported configuration
-/// combinations fail on every rank with
-/// [`PioError::UnsupportedConfig`].
+/// fault-free simulation; under the point-to-point lowering (`Recover`,
+/// service mode) it returns a typed [`PioError`] when the run cannot
+/// complete (master death, all workers dead, a worker death nobody asked
+/// to recover). Unsupported configuration combinations fail on every
+/// rank with [`PioError::UnsupportedConfig`].
 pub fn run_rank(ctx: &RankCtx, cfg: &PioBlastConfig) -> Result<RankReport, PioError> {
     assert!(ctx.nranks() >= 2, "pioBLAST needs a master and a worker");
     cfg.validate()?;
@@ -514,13 +515,11 @@ mod tests {
     fn collective_input_composes_with_dynamic_and_fault_modes() {
         // The I/O-plane refactor lifted the old `UnsupportedConfig`
         // rejections: collective input now composes with the dynamic
-        // schedule and with both fault modes (the plane sieves the
-        // granted views instead of synchronizing), byte-identically.
+        // schedule under both lowerings (the plane sieves the granted
+        // views instead of synchronizing), byte-identically.
         let reference = run_with(|_| {});
         let combos = [
             (FragmentSchedule::Dynamic, FaultMode::Off),
-            (FragmentSchedule::Static, FaultMode::Detect),
-            (FragmentSchedule::Dynamic, FaultMode::Detect),
             (FragmentSchedule::Dynamic, FaultMode::Recover),
         ];
         for (schedule, fault) in combos {
@@ -542,7 +541,7 @@ mod tests {
         // context resolves to. The setup reads (alias, queries, volume
         // indexes) are whole-file and always tally as independent.
         use parafs::IoClass;
-        use FaultMode::{Detect, Off, Recover};
+        use FaultMode::{Off, Recover};
         use FragmentSchedule::{Dynamic, Static};
         let db = small_db(None);
         let reference = serial_report(
@@ -563,7 +562,6 @@ mod tests {
             (false, true, Dynamic, Off, [false, true]),
             (true, false, Static, Off, [false, true]),
             // Point-to-point lowering: nothing synchronizes.
-            (true, true, Static, Detect, [true, false]),
             (true, true, Dynamic, Recover, [true, false]),
             // No aggregation asked for: independent only, in any mode.
             (false, false, Static, Off, [false, false]),
@@ -617,7 +615,7 @@ mod tests {
         // Checkpointing without recovery is rejected by validate() alone.
         let cfg = PioBlastConfig {
             schedule: FragmentSchedule::Dynamic,
-            fault: FaultMode::Detect,
+            fault: FaultMode::Off,
             checkpoint: true,
             ..unstaged(Platform::altix())
         };
@@ -626,6 +624,59 @@ mod tests {
             PioError::UnsupportedConfig(
                 "fragment checkpointing requires FaultMode::Recover".to_string()
             )
+        );
+    }
+
+    #[test]
+    fn every_accepted_config_runs_p2p_on_the_dynamic_schedule() {
+        // The runtime relies on it: the point-to-point lowering
+        // (`Recover` or service mode) grants one fragment per request,
+        // never the static scatter. Walk the whole
+        // (schedule, fault, service) table.
+        use FaultMode::{Off, Recover};
+        use FragmentSchedule::{Dynamic, Static};
+        let plan = crate::service::QueryStreamPlan::generate(1, 1, 1, 1_000, 7);
+        let mut accepted = Vec::new();
+        for schedule in [Static, Dynamic] {
+            for fault in [Off, Recover] {
+                for service in [false, true] {
+                    let cfg = PioBlastConfig {
+                        schedule,
+                        fault,
+                        service: service.then(|| crate::service::ServiceOptions {
+                            plan: plan.clone(),
+                            resident_bytes: 0,
+                            affinity: false,
+                        }),
+                        ..unstaged(Platform::altix())
+                    };
+                    if cfg.validate().is_ok() {
+                        let policy = crate::runtime::RunPolicy {
+                            schedule,
+                            fault,
+                            checkpoint: false,
+                            nranks: 2,
+                            nfrags: 1,
+                            nbatches: 1,
+                            service,
+                            affinity: false,
+                        };
+                        assert!(!policy.p2p() || policy.dynamic(), "{policy:?}");
+                        accepted.push((schedule, fault, service));
+                    }
+                }
+            }
+        }
+        // Three (schedule, fault) pairs survive; service rides on two.
+        assert_eq!(
+            accepted,
+            vec![
+                (Static, Off, false),
+                (Dynamic, Off, false),
+                (Dynamic, Off, true),
+                (Dynamic, Recover, false),
+                (Dynamic, Recover, true),
+            ]
         );
     }
 

@@ -2,18 +2,20 @@
 //!
 //! The protocol that *implements* these policies lives in
 //! [`crate::runtime`]: one event-driven master/worker state-machine pair
-//! shared by every mode. [`FaultMode`] only selects how the runtime's
-//! actions are lowered —
+//! shared by every mode. What a rank death *means* is decided by how the
+//! runtime's actions are lowered, not by a mode of its own —
 //!
-//! * `Off` uses collectives (broadcast, gather, scatter), whose binomial
-//!   trees deadlock the moment a rank dies (like real MPI without fault
-//!   tolerance);
-//! * `Detect` switches to point-to-point commands with liveness sweeps
-//!   and fails fast with a typed [`PioError`] on any death;
-//! * `Recover` (dynamic schedule only) re-queues a dead worker's
-//!   fragments to survivors and restarts the collection epoch, producing
-//!   byte-identical output. With [`checkpointing`](crate::runtime)
-//!   enabled, only the victim's *unfinished* fragments are re-queued.
+//! * the collective lowering (`Off`, one-shot) uses broadcast, gather and
+//!   scatter, whose binomial trees deadlock the moment a rank dies (like
+//!   real MPI without fault tolerance);
+//! * the point-to-point lowering (`Recover`, and every service-mode run)
+//!   sweeps worker liveness while it waits. Under `Recover` (dynamic
+//!   schedule only) a dead worker's fragments are re-queued to survivors
+//!   and the collection epoch restarts, producing byte-identical output;
+//!   with [`checkpointing`](crate::runtime) enabled, only the victim's
+//!   *unfinished* fragments are re-queued. Without it — `serve` with no
+//!   `--recover` — the master fails fast with
+//!   [`PioError::WorkerDied`] and aborts the survivors.
 //!
 //! **Why recovery is byte-identical.** Each epoch first completes
 //! distribution, so the collected submissions always cover the full
@@ -33,12 +35,12 @@ use std::fmt;
 /// Fault-tolerance mode of a pioBLAST run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultMode {
-    /// No detection: the plain collective protocol (a rank death hangs
-    /// the run, like real MPI without fault tolerance).
+    /// No recovery. A one-shot run uses the plain collective protocol (a
+    /// rank death hangs the run, like real MPI without fault tolerance);
+    /// a service-mode run, which is point-to-point, detects the death and
+    /// fails fast with a typed [`PioError`].
     #[default]
     Off,
-    /// Detect rank death and fail fast with a typed [`PioError`].
-    Detect,
     /// Detect worker death and reassign the dead worker's fragments to
     /// survivors; the output is byte-identical to a failure-free run.
     /// Requires the dynamic schedule.
@@ -48,7 +50,8 @@ pub enum FaultMode {
 /// Why a pioBLAST run could not complete.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum PioError {
-    /// A worker died (reported by the master in `Detect` mode).
+    /// A worker died and nobody asked to recover (reported by the master
+    /// under the point-to-point lowering without `Recover`).
     WorkerDied {
         /// The dead rank.
         rank: usize,
@@ -158,8 +161,6 @@ mod tests {
         for (schedule, fault, checkpoint) in [
             (FragmentSchedule::Dynamic, FaultMode::Recover, false),
             (FragmentSchedule::Dynamic, FaultMode::Recover, true),
-            (FragmentSchedule::Dynamic, FaultMode::Detect, false),
-            (FragmentSchedule::Static, FaultMode::Detect, false),
         ] {
             let (bytes, outputs, killed) =
                 run_with_plan_ckpt(4, 9, schedule, fault, checkpoint, FaultPlan::none());
@@ -216,38 +217,6 @@ mod tests {
             assert_eq!(bytes, reference, "ckpt={checkpoint}");
             assert!(matches!(outputs[0], Some(Ok(_))), "master survives");
             assert!(matches!(outputs[4], Some(Ok(_))), "last worker survives");
-        }
-    }
-
-    #[test]
-    fn static_detect_fails_fast_with_typed_error() {
-        let (_, outputs, killed) = run_with_plan(
-            4,
-            6,
-            FragmentSchedule::Static,
-            FaultMode::Detect,
-            FaultPlan::none().kill_after_sends(2, 1),
-        );
-        assert_eq!(killed, vec![2]);
-        assert_eq!(outputs[0], Some(Err(PioError::WorkerDied { rank: 2 })));
-        for w in [1, 3] {
-            assert_eq!(outputs[w], Some(Err(PioError::Aborted)), "worker {w}");
-        }
-    }
-
-    #[test]
-    fn dynamic_detect_fails_fast_with_typed_error() {
-        let (_, outputs, killed) = run_with_plan(
-            4,
-            9,
-            FragmentSchedule::Dynamic,
-            FaultMode::Detect,
-            FaultPlan::none().kill_after_sends(2, 2),
-        );
-        assert_eq!(killed, vec![2]);
-        assert_eq!(outputs[0], Some(Err(PioError::WorkerDied { rank: 2 })));
-        for w in [1, 3] {
-            assert_eq!(outputs[w], Some(Err(PioError::Aborted)), "worker {w}");
         }
     }
 

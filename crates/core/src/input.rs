@@ -15,10 +15,12 @@
 //! views are serviced. Where reads are collective every rank must call
 //! this with the same volume list (the master joins with empty
 //! assignments); otherwise — dynamic grants, fault epochs — each rank
-//! reads only the volumes it was actually assigned, with no global sync.
+//! reads only the volumes it was actually assigned, with no global sync,
+//! and on the nonblocking plane a volume's three file reads are in
+//! flight together.
 
 use blast_core::alphabet::Molecule;
-use mpiio::{FileView, IoHandle, IoPlane, IoRequest, IoResponse};
+use mpiio::{FileView, IoPlane, IoRequest, IoResponse};
 use parafs::StoreError;
 use seqfmt::FragmentData;
 
@@ -154,11 +156,17 @@ pub fn coalesce_spans(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 /// read (the master) join with empty views. Otherwise only the volumes
 /// with assignments are touched, so any subset of ranks can call at any
 /// time.
+///
+/// `posted` is the nonblocking plane's way (`--io-async`, reads not
+/// collective): each volume's three file reads are begun together and
+/// then joined, so their latencies overlap instead of summing. Otherwise
+/// they are serviced one after another.
 pub fn read_fragments(
     plane: &IoPlane,
     volume_names: &[String],
     assignments: &[FragmentAssignment],
     molecule: Molecule,
+    posted: bool,
 ) -> Result<Vec<FragmentData>, InputError> {
     // Per (volume index), the buffers of its three files.
     let mut buffers: Vec<[RangeBuffers; 3]> = Vec::with_capacity(volume_names.len());
@@ -191,17 +199,36 @@ pub fn read_fragments(
                 .map(|a| (a.spec.hdr_range.0, a.spec.hdr_range.1 - a.spec.hdr_range.0))
                 .collect(),
         );
-        let read = |ext: &str, spans: &[(u64, u64)]| -> Result<RangeBuffers, InputError> {
-            let view = FileView::new(0, spans.to_vec())
+        let mut files = Vec::with_capacity(3);
+        for (ext, spans) in [("idx", idx_spans), ("seq", seq_spans), ("hdr", hdr_spans)] {
+            let view = FileView::new(0, spans.clone())
                 .map_err(|e| InputError::Fragment(format!("bad span set: {e}")))?;
-            let data = plane.db_read(&format!("db/{vol}.{ext}"), &view)?;
-            Ok(RangeBuffers::new(spans.to_vec(), data))
+            files.push((format!("db/{vol}.{ext}"), view, spans));
+        }
+        let data: Vec<Vec<u8>> = if posted {
+            let handles: Vec<_> = files
+                .iter()
+                .map(|(path, view, _)| plane.submit_begin(IoRequest::DbRead { path, view }))
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| match plane.wait(h)? {
+                    IoResponse::Data(d) => Ok(d),
+                    IoResponse::Done => unreachable!("reads return data"),
+                })
+                .collect::<Result<_, InputError>>()?
+        } else {
+            files
+                .iter()
+                .map(|(path, view, _)| plane.db_read(path, view))
+                .collect::<Result<_, _>>()?
         };
-        buffers.push([
-            read("idx", &idx_spans)?,
-            read("seq", &seq_spans)?,
-            read("hdr", &hdr_spans)?,
-        ]);
+        let file_buffers: Vec<RangeBuffers> = files
+            .into_iter()
+            .zip(data)
+            .map(|((_, _, spans), d)| RangeBuffers::new(spans, d))
+            .collect();
+        buffers.push(file_buffers.try_into().expect("three files"));
     }
 
     // Materialize this rank's fragments from the buffered spans.
@@ -235,113 +262,6 @@ pub fn read_fragments(
             .map_err(|e| InputError::Fragment(e.to_string()))
         })
         .collect()
-}
-
-/// One fragment's three file reads, in flight.
-///
-/// Produced by [`read_fragment_begin`], joined by [`read_fragment_end`]:
-/// the split that lets a worker read ahead the *next* granted fragment
-/// while the search kernel runs on the current one. Only meaningful
-/// where reads are not collective — per-fragment begins cannot be
-/// matched across ranks, so callers must gate on
-/// [`IoPlane::collective_reads`].
-pub struct PendingFragment<'a, 'c> {
-    assignment: FragmentAssignment,
-    /// `(spans, handle)` for the idx, seq, and hdr files, in that order.
-    files: Vec<(Vec<(u64, u64)>, IoHandle<'a, 'c>)>,
-}
-
-/// The spans each of a fragment's three files needs, in
-/// `[idx, seq, hdr]` order.
-fn fragment_spans(a: &FragmentAssignment) -> [Vec<(u64, u64)>; 3] {
-    let spec = &a.spec;
-    [
-        coalesce_spans(
-            [spec.idx_seq_range, spec.idx_hdr_range]
-                .into_iter()
-                .map(|(lo, hi)| (lo, hi - lo))
-                .collect(),
-        ),
-        coalesce_spans(vec![(
-            spec.seq_range.0,
-            spec.seq_range.1 - spec.seq_range.0,
-        )]),
-        coalesce_spans(vec![(
-            spec.hdr_range.0,
-            spec.hdr_range.1 - spec.hdr_range.0,
-        )]),
-    ]
-}
-
-/// Begin reading one assigned fragment's ranges without blocking: posts
-/// an asynchronous ranged read per database file and returns the
-/// in-flight set. The transfers proceed in virtual time while the caller
-/// computes; [`read_fragment_end`] joins them and materializes the
-/// fragment.
-pub fn read_fragment_begin<'a, 'c>(
-    plane: &'a IoPlane<'_, 'c>,
-    assignment: &FragmentAssignment,
-) -> Result<PendingFragment<'a, 'c>, InputError> {
-    debug_assert!(
-        !plane.collective_reads(),
-        "per-fragment begins cannot be matched across ranks"
-    );
-    let vol = &assignment.volume_name;
-    let mut files = Vec::with_capacity(3);
-    for (ext, spans) in ["idx", "seq", "hdr"]
-        .into_iter()
-        .zip(fragment_spans(assignment))
-    {
-        let view = FileView::new(0, spans.clone())
-            .map_err(|e| InputError::Fragment(format!("bad span set: {e}")))?;
-        let path = format!("db/{vol}.{ext}");
-        let handle = plane.submit_begin(IoRequest::DbRead {
-            path: &path,
-            view: &view,
-        });
-        files.push((spans, handle));
-    }
-    Ok(PendingFragment {
-        assignment: assignment.clone(),
-        files,
-    })
-}
-
-/// Join a fragment's in-flight reads and materialize it. Only the
-/// transfer remainder not already overlapped with compute is exposed as
-/// blocking time.
-pub fn read_fragment_end<'c>(
-    plane: &IoPlane<'_, 'c>,
-    pend: PendingFragment<'_, 'c>,
-    molecule: Molecule,
-) -> Result<FragmentData, InputError> {
-    let mut buffers = Vec::with_capacity(3);
-    for (spans, handle) in pend.files {
-        let data = match plane.wait(handle)? {
-            IoResponse::Data(d) => d,
-            IoResponse::Done => unreachable!("reads return data"),
-        };
-        buffers.push(RangeBuffers::new(spans, data));
-    }
-    let [idx, seq, hdr] = <[RangeBuffers; 3]>::try_from(buffers).expect("three files");
-    let spec = &pend.assignment.spec;
-    FragmentData::from_ranges(
-        molecule,
-        spec.base_oid,
-        idx.slice(
-            spec.idx_seq_range.0,
-            spec.idx_seq_range.1 - spec.idx_seq_range.0,
-        )?,
-        idx.slice(
-            spec.idx_hdr_range.0,
-            spec.idx_hdr_range.1 - spec.idx_hdr_range.0,
-        )?,
-        seq.slice(spec.seq_range.0, spec.seq_range.1 - spec.seq_range.0)?
-            .to_vec(),
-        hdr.slice(spec.hdr_range.0, spec.hdr_range.1 - spec.hdr_range.0)?
-            .to_vec(),
-    )
-    .map_err(|e| InputError::Fragment(e.to_string()))
 }
 
 #[cfg(test)]

@@ -2,12 +2,13 @@
 //! wire and the file system.
 //!
 //! [`run_master`]/[`run_worker`] drive the pure state machines for every
-//! mode. Actions are lowered by policy: the collective policy (`Off`)
-//! maps them onto broadcast/scatter/gather and collective or independent
-//! writes; the point-to-point policies (`Detect`/`Recover`) map them
-//! onto epoch-framed commands with liveness sweeps, exactly as the old
-//! standalone recovery protocol did. Messages (and detected deaths) are
-//! translated back into events and fed to the machines.
+//! mode. Actions are lowered by policy: the collective lowering (a
+//! one-shot `Off` run) maps them onto broadcast/scatter/gather and
+//! collective or independent writes; the point-to-point lowering
+//! (`Recover`, service mode) maps them onto epoch-framed commands with
+//! liveness sweeps, exactly as the old standalone recovery protocol did.
+//! Messages (and detected deaths) are translated back into events and
+//! fed to the machines.
 
 use std::collections::{HashMap, VecDeque};
 use std::sync::Arc;
@@ -64,14 +65,14 @@ fn policy_of(ctx: &RankCtx, cfg: &PioBlastConfig, nbatches: usize) -> RunPolicy 
 /// staging store when `--burst-buffer` is on.
 ///
 /// Two-phase needs every rank to post the same request sequence
-/// synchronously. Database reads have that only under the collective
-/// lowering (`FaultMode::Off`, no service stream) on the static
-/// schedule; report writes under the collective lowering. Where
-/// aggregation was asked for (`collective_input`/`collective_output`)
-/// but the ranks cannot synchronize — dynamic grants, point-to-point
-/// fault modes — the plane sieves each rank's posted views with no
-/// global exchange, which is what lets those knobs compose with every
-/// mode. Without the knob the path is independent.
+/// synchronously. Database reads have that only on the static schedule
+/// (which the point-to-point lowering never runs); report writes under
+/// the collective lowering. Where aggregation was asked for
+/// (`collective_input`/`collective_output`) but the ranks cannot
+/// synchronize — dynamic grants, the point-to-point lowering — the plane
+/// sieves each rank's posted views with no global exchange, which is
+/// what lets those knobs compose with every mode. Without the knob the
+/// path is independent.
 ///
 /// The staging store absorbs output and checkpoint writes into the
 /// rank's staging volume (striped per `BurstOptions`) and drains them
@@ -83,8 +84,9 @@ fn build_plane<'x, 'y>(
     comm: &'x Comm<'y>,
     cfg: &'x PioBlastConfig,
 ) -> IoPlane<'x, 'y> {
-    // `RunPolicy::p2p`, before the bundle (and so the policy) exists.
-    let p2p = cfg.fault != FaultMode::Off || cfg.service.is_some();
+    // The lowering is settled by the configuration alone; the batch
+    // count, unknown until the bundle arrives, plays no part in it.
+    let p2p = policy_of(ctx, cfg, 0).p2p();
     let resolve = |aggregate: bool, synchronized: bool| match (aggregate, synchronized) {
         (true, true) => IoClass::TwoPhase,
         (true, false) => IoClass::Sieved,
@@ -112,7 +114,7 @@ fn build_plane<'x, 'y>(
             },
             input: resolve(
                 cfg.collective_input,
-                !p2p && cfg.schedule == FragmentSchedule::Static,
+                cfg.schedule == FragmentSchedule::Static,
             ),
             output: resolve(cfg.collective_output, !p2p),
         },
@@ -588,7 +590,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     /// Action -> side effects (+ any synchronous follow-up events).
     fn exec(&mut self, sm: &MasterSm, act: MasterAction) -> Result<Vec<MasterEvent>, PioError> {
         match act {
-            MasterAction::Grant { to, frags, batch } => {
+            MasterAction::Grant { to, frag, batch } => {
                 // Service mode: the batch's queries must precede its
                 // first grant (FIFO per pair keeps them ordered), and an
                 // already-arrived next batch rides along early.
@@ -600,10 +602,10 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     vec![
                         ("to", to.into()),
                         ("batch", batch.into()),
-                        ("nfrags", frags.len().into()),
+                        ("nfrags", 1usize.into()),
                     ],
                 );
-                let payload = self.grant_payload(batch, &frags);
+                let payload = self.grant_payload(batch, &[frag]);
                 if self.policy.p2p() {
                     // A failed send means the worker just died; the next
                     // sweep reports it.
@@ -624,7 +626,13 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 if self.io.collective_reads() {
                     // Collective reads involve every rank; the master
                     // joins each with an empty view.
-                    crate::input::read_fragments(self.io, &self.volumes, &[], self.molecule)?;
+                    crate::input::read_fragments(
+                        self.io,
+                        &self.volumes,
+                        &[],
+                        self.molecule,
+                        false,
+                    )?;
                 }
                 Ok(vec![MasterEvent::ScatterDone])
             }
@@ -1006,12 +1014,11 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         })
     }
 
-    /// The point-to-point command loop (fault modes): everything is
-    /// driven by the master; a dead master surfaces as a typed error.
+    /// The point-to-point command loop (`Recover`, service mode):
+    /// everything after the initial request is driven by the master; a
+    /// dead master surfaces as a typed error.
     fn run_p2p(&mut self, sm: &mut WorkerSm) -> Result<(), PioError> {
-        if self.policy.schedule == FragmentSchedule::Dynamic {
-            self.comm.send(MASTER, TAG_READY, Bytes::new());
-        }
+        self.comm.send(MASTER, TAG_READY, Bytes::new());
         loop {
             let m = self.recv_master()?;
             let event = match m.tag {
@@ -1054,7 +1061,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         }
     }
 
-    /// The collective choreography (fault mode `Off`): acquire fragments
+    /// The collective choreography (a one-shot `Off` run): acquire fragments
     /// (scatter or request loop), then one gather/scatter/write round
     /// per query batch. Same machine, synchronous lowering.
     fn run_collective(&mut self, sm: &mut WorkerSm) -> Result<(), PioError> {
@@ -1224,20 +1231,18 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
     /// Take `count` granted fragments in, one path for every mode. A
     /// fragment comes from the resident [`FragmentStore`] when service
     /// mode holds it — the cross-query cache hit that mode exists for —
-    /// and from the plane otherwise: one posted view set for all of the
-    /// grant's non-resident fragments, or, under `--io-async` on a
-    /// non-collective plane, one read per fragment with the next one in
-    /// flight behind the current search, so the exposed input time is
-    /// the first read plus whatever each search did not cover. It is then
-    /// searched if the schedule wants search-on-grant, and held. A
-    /// one-shot run is the case with nothing resident; a single-fragment
-    /// grant the case with nothing to read ahead.
+    /// and from the plane otherwise: one read set per non-resident
+    /// fragment with its three file reads in flight together under
+    /// `--io-async` on a non-collective plane, one coalesced set for the
+    /// whole grant otherwise. It is then searched if the schedule
+    /// searches on arrival, and held. A one-shot run is the case with
+    /// nothing resident.
     fn ingest(&mut self, batch: usize, count: usize, search: bool) -> Result<(), PioError> {
-        if self.policy.service && count != 1 {
-            // The master re-grants a stream batch one fragment at a time;
-            // the count arrives on the wire.
+        if search && count != 1 {
+            // Only the static scatter, which defers its searching, hands
+            // out whole shares; the count arrives on the wire.
             return Err(PioError::Protocol(format!(
-                "service-mode grant carries {count} fragments, not 1"
+                "grant searched on arrival carries {count} fragments, not 1"
             )));
         }
         if self.pending.len() < count {
@@ -1249,26 +1254,27 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             .filter(|(id, _)| !self.store.contains(*id as usize))
             .map(|(_, a)| a.clone())
             .collect();
-        // In-flight handles borrow the plane, not `self`, across the searches.
-        let plane = self.io;
-        let mut ahead = absent.iter();
-        let mut begin_next = || {
-            ahead
-                .next()
-                .map(|a| crate::input::read_fragment_begin(plane, a))
-                .transpose()
-        };
-        let mut in_flight = None;
-        let mut read = Vec::new().into_iter();
-        if self.cfg.io.io_async && !plane.collective_reads() {
-            in_flight = begin_next()?;
+        let posted = self.cfg.io.io_async && !self.io.collective_reads();
+        // The coalesced set is read even when empty: on the two-phase
+        // class a rank with nothing of its own still joins the collective.
+        let sets: Vec<&[FragmentAssignment]> = if posted {
+            absent.chunks(1).collect()
         } else {
+            vec![&absent]
+        };
+        let mut read = Vec::with_capacity(absent.len());
+        for set in sets {
             let t = self.ctx.now();
-            read =
-                crate::input::read_fragments(plane, &self.grant_volumes, &absent, self.molecule)?
-                    .into_iter();
+            read.extend(crate::input::read_fragments(
+                self.io,
+                &self.grant_volumes,
+                set,
+                self.molecule,
+                posted,
+            )?);
             self.phase_times.add(phases::INPUT, self.ctx.now() - t);
         }
+        let mut read = read.into_iter();
         for (id, _) in granted {
             let resident = self.store.take(id as usize);
             if self.policy.service {
@@ -1282,18 +1288,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     vec![("fragment", u64::from(id).into()), ("batch", batch.into())],
                 );
             }
-            let frag = if let Some(frag) = resident {
-                frag
-            } else if let Some(pend) = in_flight.take() {
-                let t = self.ctx.now();
-                let frag = crate::input::read_fragment_end(plane, pend, self.molecule)?;
-                self.phase_times.add(phases::INPUT, self.ctx.now() - t);
-                // Read ahead before searching: the next fragment's bytes
-                // move while this one is in the kernel.
-                in_flight = begin_next()?;
-                frag
-            } else {
-                read.next().expect("one read per non-resident fragment")
+            let frag = match resident {
+                Some(frag) => frag,
+                None => read.next().expect("one read per non-resident fragment"),
             };
             if search {
                 self.search_one(batch, id, &frag)?;
@@ -1342,8 +1339,8 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
     /// [`ComputeModel::run_search_sharded`] (the rank is charged the max
     /// over slot loads plus fork/join), and merged deterministically —
     /// byte-identical to the serial kernel for every slot count. This
-    /// composes with `--io-async` read-ahead and `FaultMode::Recover`
-    /// unchanged because both sit outside this call.
+    /// composes with `--io-async` and `FaultMode::Recover` unchanged
+    /// because both sit outside this call.
     fn search_one(&mut self, batch: usize, id: u32, frag: &FragmentData) -> Result<(), PioError> {
         use blast_core::search::SubjectSource;
         let prepared = self

@@ -5,19 +5,22 @@
 //! `Finished`:
 //!
 //! * **Distribute** — fragments flow from the grant queue to idle live
-//!   workers (all up front for the static schedule, one per request for
-//!   the dynamic one). Completion means the queue is drained and every
-//!   live worker has acknowledged its last grant.
+//!   workers: one scatter of whole shares up front for the static
+//!   schedule, one fragment per request for the dynamic one. Completion
+//!   means the queue is drained and every live worker is idle — it has
+//!   acknowledged its last grant, or the scatter gave it its share.
 //! * **Collect** — a new epoch is fenced and every live worker is asked
 //!   for its metadata submission. Stale-epoch submissions are discarded.
 //! * **WaitWrites** — offsets were assigned; the master waits for every
 //!   live worker's write acknowledgement before sealing the batch.
 //!
-//! A worker death is one event: in `Detect` policy it fails the run; in
-//! `Recover` policy the victim's unfinished fragments re-enter the queue
-//! (rewinding the phase to `Distribute`) while its checkpointed ones are
-//! adopted as orphans — if nothing needs re-searching, the machine only
-//! rewinds to `Collect` and re-merges with the orphans spliced in.
+//! A worker death is one event, and only the point-to-point lowering
+//! ever reports one (the collective lowering hangs, like MPI). Unless the
+//! policy recovers it fails the run; under `Recover` the victim's
+//! unfinished fragments re-enter the queue (rewinding the phase to
+//! `Distribute`) while its checkpointed ones are adopted as orphans — if
+//! nothing needs re-searching, the machine only rewinds to `Collect` and
+//! re-merges with the orphans spliced in.
 
 use mpiblast::wire::MetaSubmission;
 use mpisim::sched::{chunk_evenly, GrantQueue};
@@ -25,7 +28,7 @@ use mpisim::sched::{chunk_evenly, GrantQueue};
 use super::ledger::SubmissionLedger;
 use super::RunPolicy;
 use crate::app::FragmentSchedule;
-use crate::fault::{FaultMode, PioError};
+use crate::fault::PioError;
 
 /// What the interpreter reports to the master machine.
 #[derive(Debug, Clone)]
@@ -74,22 +77,23 @@ pub enum MasterEvent {
 /// What the interpreter must do next.
 #[derive(Debug, Clone)]
 pub enum MasterAction {
-    /// Send these fragments to a worker (point-to-point modes and the
-    /// fault-free dynamic schedule).
+    /// Send one fragment to a worker (the dynamic schedule, under either
+    /// lowering).
     Grant {
         /// Destination worker.
         to: usize,
-        /// Global fragment ids.
-        frags: Vec<usize>,
+        /// Global fragment id.
+        frag: usize,
         /// Batch the grant belongs to.
         batch: usize,
     },
-    /// Tell a worker the queue is empty (fault-free dynamic schedule).
+    /// Tell a worker the queue is empty (collective lowering of the
+    /// dynamic schedule: the worker leaves its request loop).
     Drain {
         /// Destination worker.
         to: usize,
     },
-    /// Scatter the rank-indexed fragment chunks (collective mode).
+    /// Scatter the rank-indexed fragment chunks (the static schedule).
     Scatter {
         /// `chunks[rank]`; `chunks[0]` is empty (the master).
         chunks: Vec<Vec<usize>>,
@@ -151,9 +155,10 @@ pub struct MasterSm {
     policy: RunPolicy,
     phase: MasterPhase,
     live: Vec<bool>,
+    /// Workers holding no unacknowledged grant: they asked for work (or
+    /// acknowledged their last fragment) and got nothing, or the static
+    /// scatter handed them their whole share.
     idle: Vec<bool>,
-    drained: Vec<bool>,
-    scatter_done: bool,
     queue: GrantQueue,
     ledger: SubmissionLedger,
     epoch: u64,
@@ -166,9 +171,10 @@ pub struct MasterSm {
 }
 
 impl MasterSm {
-    /// Build the machine and the initial actions (static grants or the
-    /// scatter; nothing for dynamic schedules, which are request-driven).
-    /// `live[w]` marks the workers that accepted the query bundle.
+    /// Build the machine and the initial actions (the scatter for the
+    /// static schedule; nothing for the dynamic one, which is
+    /// request-driven). `live[w]` marks the workers that accepted the
+    /// query bundle.
     pub fn new(policy: RunPolicy, live: Vec<bool>) -> (MasterSm, Vec<MasterAction>) {
         let nranks = policy.nranks;
         assert_eq!(live.len(), nranks);
@@ -177,8 +183,6 @@ impl MasterSm {
             phase: MasterPhase::Distribute,
             live,
             idle: vec![false; nranks],
-            drained: vec![false; nranks],
-            scatter_done: false,
             queue: GrantQueue::new(policy.nfrags, nranks),
             ledger: SubmissionLedger::new(policy.nfrags),
             epoch: 0,
@@ -197,35 +201,18 @@ impl MasterSm {
         }
         let mut acts = Vec::new();
         if sm.policy.schedule == FragmentSchedule::Static {
-            let workers: Vec<usize> = if sm.policy.p2p() {
-                sm.live_workers().collect()
-            } else {
-                (1..nranks).collect()
-            };
-            let sizes: Vec<usize> =
-                chunk_evenly((0..sm.policy.nfrags).collect::<Vec<_>>(), workers.len())
-                    .into_iter()
-                    .map(|c| c.len())
-                    .collect();
+            let sizes = chunk_evenly((0..sm.policy.nfrags).collect::<Vec<_>>(), nranks - 1)
+                .into_iter()
+                .map(|c| c.len());
             let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); nranks];
-            for (&w, n) in workers.iter().zip(sizes) {
+            for (w, n) in (1..nranks).zip(sizes) {
                 let frags = sm.queue.grant_chunk(w, n);
                 for &f in &frags {
                     sm.ledger.granted(f, w);
                 }
                 chunks[w] = frags;
             }
-            if sm.policy.p2p() {
-                for &w in &workers {
-                    acts.push(MasterAction::Grant {
-                        to: w,
-                        frags: std::mem::take(&mut chunks[w]),
-                        batch: 0,
-                    });
-                }
-            } else {
-                acts.push(MasterAction::Scatter { chunks });
-            }
+            acts.push(MasterAction::Scatter { chunks });
         }
         (sm, acts)
     }
@@ -274,20 +261,23 @@ impl MasterSm {
                 ranks,
                 checkpointed,
             } => self.on_dead(&ranks, &checkpointed),
-            MasterEvent::ScatterDone => self.on_scatter_done(),
+            MasterEvent::ScatterDone => {
+                // Every worker holds its whole share; the collective
+                // itself was the acknowledgement.
+                self.idle.fill(true);
+                self.redistribute()
+            }
             MasterEvent::GatherDone { subs } => self.on_gather_done(subs),
             MasterEvent::WriteAllDone => self.advance_batch(),
         }
     }
 
-    /// Grant queued fragments to idle live workers (point-to-point
-    /// modes; the fault-free dynamic schedule grants per-request in
-    /// [`Self::on_ready`] instead, preserving arrival order).
+    /// Grant queued fragments to idle live workers, one fragment each.
+    /// A request on a non-empty queue is served at once, so requests are
+    /// answered in arrival order; several workers are idle together only
+    /// when the queue refills (a requeue, the next stream batch).
     fn pump_grants(&mut self) -> Vec<MasterAction> {
         let mut acts = Vec::new();
-        if !self.policy.p2p() {
-            return acts;
-        }
         while !self.queue.is_drained() {
             let Some(w) = (1..self.policy.nranks).find(|&w| self.live[w] && self.idle[w]) else {
                 break;
@@ -306,7 +296,7 @@ impl MasterSm {
             self.idle[w] = false;
             acts.push(MasterAction::Grant {
                 to: w,
-                frags: vec![f],
+                frag: f,
                 batch: self.batch,
             });
         }
@@ -323,17 +313,7 @@ impl MasterSm {
     }
 
     fn distribution_complete(&self) -> bool {
-        if !self.queue.is_drained() {
-            return false;
-        }
-        if self.policy.p2p() {
-            self.live_workers().all(|w| self.idle[w])
-        } else {
-            match self.policy.schedule {
-                FragmentSchedule::Dynamic => (1..self.policy.nranks).all(|w| self.drained[w]),
-                FragmentSchedule::Static => self.scatter_done,
-            }
-        }
+        self.queue.is_drained() && self.live_workers().all(|w| self.idle[w])
     }
 
     /// Open a new fenced epoch and ask for submissions.
@@ -405,44 +385,25 @@ impl MasterSm {
     }
 
     fn on_ready(&mut self, from: usize) -> Vec<MasterAction> {
-        if self.policy.p2p() {
-            if !self.live[from] {
-                return Vec::new();
-            }
-            self.idle[from] = true;
-            self.ledger.acked(from);
-            if self.phase != MasterPhase::Distribute {
-                return Vec::new();
-            }
-            let mut acts = self.pump_grants();
-            if self.distribution_complete() {
-                acts.extend(self.start_collect());
-            }
-            acts
-        } else {
-            // Fault-free dynamic schedule: serve requests in arrival
-            // order, one fragment each; an empty queue drains the
-            // requester.
-            debug_assert_eq!(self.phase, MasterPhase::Distribute);
-            match self.queue.grant_to(from) {
-                Some(f) => {
-                    self.ledger.granted(f, from);
-                    vec![MasterAction::Grant {
-                        to: from,
-                        frags: vec![f],
-                        batch: self.batch,
-                    }]
-                }
-                None => {
-                    self.drained[from] = true;
-                    let mut acts = vec![MasterAction::Drain { to: from }];
-                    if self.distribution_complete() {
-                        acts.extend(self.start_collect());
-                    }
-                    acts
-                }
-            }
+        if !self.live[from] {
+            return Vec::new();
         }
+        self.idle[from] = true;
+        self.ledger.acked(from);
+        if self.phase != MasterPhase::Distribute {
+            return Vec::new();
+        }
+        let mut acts = self.pump_grants();
+        if self.idle[from] && !self.policy.p2p() {
+            // Nothing left for the requester. A point-to-point worker
+            // waits for its next command; a collective one must be told
+            // to leave its request loop for the gather.
+            acts.push(MasterAction::Drain { to: from });
+        }
+        if self.distribution_complete() {
+            acts.extend(self.start_collect());
+        }
+        acts
     }
 
     fn on_submission(&mut self, from: usize, epoch: u64, sub: MetaSubmission) -> Vec<MasterAction> {
@@ -482,7 +443,10 @@ impl MasterSm {
             self.subs[w] = None;
             self.done[w] = false;
         }
-        if self.policy.fault == FaultMode::Detect {
+        if !self.policy.recovers() {
+            // Nobody asked to recover, so nobody posted the fences that
+            // make a requeue safe (fence-before-ack, the epoch fence):
+            // fail fast.
             self.phase = MasterPhase::Failed;
             return vec![MasterAction::Fail {
                 error: PioError::WorkerDied { rank: ranks[0] },
@@ -552,15 +516,6 @@ impl MasterSm {
         }
     }
 
-    fn on_scatter_done(&mut self) -> Vec<MasterAction> {
-        self.scatter_done = true;
-        if self.distribution_complete() {
-            self.start_collect()
-        } else {
-            Vec::new()
-        }
-    }
-
     fn on_gather_done(&mut self, subs: Vec<MetaSubmission>) -> Vec<MasterAction> {
         debug_assert_eq!(self.phase, MasterPhase::Collect);
         self.phase = MasterPhase::WaitWrites;
@@ -576,6 +531,7 @@ impl MasterSm {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::FaultMode;
 
     fn policy(
         schedule: FragmentSchedule,
@@ -638,10 +594,10 @@ mod tests {
         assert!(acts.is_empty(), "dynamic schedules are request-driven");
         for (req, frag) in [(2usize, 0usize), (1, 1), (2, 2)] {
             let acts = sm.handle(MasterEvent::Ready { from: req });
-            let [MasterAction::Grant { to, frags, .. }] = &acts[..] else {
+            let [MasterAction::Grant { to, frag: got, .. }] = &acts[..] else {
                 panic!("expected a grant");
             };
-            assert_eq!((*to, frags.as_slice()), (req, &[frag][..]));
+            assert_eq!((*to, *got), (req, frag));
         }
         let acts = sm.handle(MasterEvent::Ready { from: 1 });
         assert!(matches!(&acts[..], [MasterAction::Drain { to: 1 }]));
@@ -671,10 +627,9 @@ mod tests {
         // yet; its ack pulls the requeued fragment.
         assert!(acts.is_empty());
         let acts = sm.handle(MasterEvent::Ready { from: 2 });
-        let [MasterAction::Grant { to: 2, frags, .. }] = &acts[..] else {
+        let [MasterAction::Grant { to: 2, frag: 2, .. }] = &acts[..] else {
             panic!("expected the requeued grant, got {acts:?}");
         };
-        assert_eq!(frags, &[2]);
         // Final ack completes distribution; the merge sees the orphan.
         let acts = sm.handle(MasterEvent::Ready { from: 2 });
         let [MasterAction::Collect { epoch, .. }] = &acts[..] else {
@@ -692,8 +647,12 @@ mod tests {
     }
 
     #[test]
-    fn detect_fails_fast_and_stale_epochs_are_discarded() {
-        let p = policy(FragmentSchedule::Dynamic, FaultMode::Detect, false, 2, 1);
+    fn unrecovered_death_fails_fast_and_stale_epochs_are_discarded() {
+        // Point-to-point without `Recover` — `serve` with no `--recover`:
+        // the one death the master hears of fails the run and aborts the
+        // survivors; nothing is requeued.
+        let mut p = policy(FragmentSchedule::Dynamic, FaultMode::Off, false, 2, 1);
+        p.service = true;
         let (mut sm, _) = MasterSm::new(p, vec![true; 3]);
         let _ = sm.handle(MasterEvent::Ready { from: 1 });
         let stale = sm.handle(MasterEvent::Submission {
@@ -714,6 +673,7 @@ mod tests {
             panic!("expected a fail action, got {acts:?}");
         };
         assert_eq!(sm.phase(), MasterPhase::Failed);
+        assert_eq!(sm.owned(1), &[0], "the victim's fragment is not requeued");
     }
 
     #[test]
@@ -749,29 +709,26 @@ mod tests {
         // re-grants one to each idle worker — the one it already holds.
         let [MasterAction::FinishBatch { batch: 0 }, MasterAction::Grant {
             to: 1,
-            frags: f1,
+            frag: 0,
             batch: 1,
         }, MasterAction::Grant {
             to: 2,
-            frags: f2,
+            frag: 1,
             batch: 1,
         }] = &acts[..]
         else {
             panic!("expected finish + affinity re-grants, got {acts:?}");
         };
-        assert_eq!((f1.as_slice(), f2.as_slice()), (&[0][..], &[1][..]));
         // The follow-up requests pull each worker's other resident
         // fragment, so batch 1 repeats batch 0's placement exactly.
         let acts = sm.handle(MasterEvent::Ready { from: 1 });
-        let [MasterAction::Grant { to: 1, frags, .. }] = &acts[..] else {
+        let [MasterAction::Grant { to: 1, frag: 2, .. }] = &acts[..] else {
             panic!("expected a grant, got {acts:?}");
         };
-        assert_eq!(frags, &[2]);
         let acts = sm.handle(MasterEvent::Ready { from: 2 });
-        let [MasterAction::Grant { to: 2, frags, .. }] = &acts[..] else {
+        let [MasterAction::Grant { to: 2, frag: 3, .. }] = &acts[..] else {
             panic!("expected a grant, got {acts:?}");
         };
-        assert_eq!(frags, &[3]);
         assert_eq!(sm.owned(1), &[0, 2]);
         assert_eq!(sm.owned(2), &[1, 3]);
     }
@@ -793,82 +750,10 @@ mod tests {
         });
         assert!(acts.is_empty(), "worker 2 is busy, nothing to grant yet");
         let acts = sm.handle(MasterEvent::Ready { from: 2 });
-        let [MasterAction::Grant { to: 2, frags, .. }] = &acts[..] else {
+        let [MasterAction::Grant { to: 2, frag, .. }] = &acts[..] else {
             panic!("expected a grant, got {acts:?}");
         };
-        assert_eq!(frags, &[0], "recovered fragment granted before the backlog");
-    }
-
-    /// Walk a service-mode machine through its whole stream, answering
-    /// every action the way the interpreter's traffic would (grant acks,
-    /// submissions, write acknowledgements) and killing worker 1 at the
-    /// first collection of stream batch 1. Returns every grant's size.
-    fn service_grant_sizes(fault: FaultMode, affinity: bool) -> Vec<usize> {
-        let mut p = policy(FragmentSchedule::Dynamic, fault, false, 5, 4);
-        p.nranks = 4;
-        p.service = true;
-        p.affinity = affinity;
-        let (mut sm, init) = MasterSm::new(p, vec![true; 4]);
-        assert!(init.is_empty(), "dynamic schedules are request-driven");
-        let mut live = [false, true, true, true];
-        let mut events: std::collections::VecDeque<MasterEvent> =
-            (1..4).map(|from| MasterEvent::Ready { from }).collect();
-        let mut sizes = Vec::new();
-        let mut killed = false;
-        while let Some(ev) = events.pop_front() {
-            for act in sm.handle(ev) {
-                match act {
-                    MasterAction::Grant { to, frags, .. } => {
-                        sizes.push(frags.len());
-                        events.push_back(MasterEvent::Ready { from: to });
-                    }
-                    MasterAction::Collect { batch: 1, .. } if !killed => {
-                        killed = true;
-                        live[1] = false;
-                        events.push_back(MasterEvent::Dead {
-                            ranks: vec![1],
-                            checkpointed: vec![],
-                        });
-                    }
-                    MasterAction::Collect { epoch, .. } => {
-                        for from in (1..4).filter(|&w| live[w]) {
-                            events.push_back(MasterEvent::Submission {
-                                from,
-                                epoch,
-                                sub: sub(),
-                            });
-                        }
-                    }
-                    MasterAction::Merge { epoch, .. } => {
-                        for from in (1..4).filter(|&w| live[w]) {
-                            events.push_back(MasterEvent::WriteDone { from, epoch });
-                        }
-                    }
-                    MasterAction::FinishBatch { .. } | MasterAction::Finish => {}
-                    other => panic!("service mode never emits {other:?}"),
-                }
-            }
-        }
-        assert_eq!(sm.phase(), MasterPhase::Finished);
-        sizes
-    }
-
-    #[test]
-    fn service_grants_carry_exactly_one_fragment() {
-        // The worker's ingest treats any other count as a protocol error,
-        // so pin the traffic: first grants, affinity re-grants and
-        // requeues after a death are all single-fragment.
-        for fault in [FaultMode::Off, FaultMode::Recover] {
-            for affinity in [false, true] {
-                let sizes = service_grant_sizes(fault, affinity);
-                // Four stream batches of five fragments, plus the requeues.
-                assert!(sizes.len() > 20, "{fault:?}/{affinity}: {sizes:?}");
-                assert!(
-                    sizes.iter().all(|&n| n == 1),
-                    "{fault:?}/{affinity}: {sizes:?}"
-                );
-            }
-        }
+        assert_eq!(*frag, 0, "recovered fragment granted before the backlog");
     }
 
     #[test]

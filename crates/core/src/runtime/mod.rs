@@ -15,11 +15,13 @@
 //!   events. All communication and I/O side effects live here.
 //!
 //! [`FaultMode`] is a *policy* on this one machine,
-//! not a separate protocol: `Off` lowers the same actions onto
-//! collectives (broadcast/scatter/gather/collective writes), while
-//! `Detect`/`Recover` lower them onto point-to-point commands with
-//! liveness sweeps and epoch fencing. Query batching runs through the
-//! same distribute → collect → write cycle in every mode.
+//! not a separate protocol: a one-shot `Off` run lowers the same actions
+//! onto collectives (broadcast/scatter/gather/collective writes), while
+//! `Recover` and service mode lower them onto point-to-point commands
+//! with liveness sweeps and epoch fencing — where a death is recovered
+//! if the policy [recovers](RunPolicy::recovers) and fails the run fast
+//! otherwise. Query batching runs through the same distribute → collect
+//! → write cycle in every mode.
 //!
 //! **Fragment checkpointing** (`Recover` + [`RunPolicy::checkpoint`]):
 //! workers persist each completed `(batch, fragment)` search — submission
@@ -76,7 +78,7 @@ pub(crate) const TAG_QBATCH: u64 = 18;
 
 /// How the runtime behaves, derived once from the run configuration.
 /// This is the knob set that turns the one state machine into the
-/// fault-free collective protocol, the fail-fast detector, or the
+/// fault-free collective protocol, the fail-fast service, or the
 /// recovering (optionally checkpointing) scheduler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct RunPolicy {
@@ -104,20 +106,20 @@ pub struct RunPolicy {
 impl RunPolicy {
     /// Point-to-point command protocol vs collectives. Service mode
     /// always uses the command protocol — admission and per-batch
-    /// re-grants cannot be expressed as matched collectives.
+    /// re-grants cannot be expressed as matched collectives. Implies
+    /// [`Self::dynamic`]: `PioBlastConfig::validate` rejects recovery and
+    /// service mode on the static schedule.
     pub fn p2p(&self) -> bool {
         self.fault != FaultMode::Off || self.service
     }
 
-    /// Do workers acknowledge grants with a `READY` message?
-    pub fn acks_grants(&self) -> bool {
-        self.p2p() || self.schedule == FragmentSchedule::Dynamic
-    }
-
-    /// Is a granted fragment searched immediately (pipelined with the
-    /// next grant), rather than deferred to the batch loop?
-    pub fn search_on_grant(&self) -> bool {
-        self.p2p() || self.schedule == FragmentSchedule::Dynamic
+    /// Request-driven distribution: every grant carries one fragment,
+    /// which the worker searches on arrival (pipelined with the next
+    /// grant) and acknowledges with the `READY` that requests another.
+    /// The static schedule scatters whole shares instead and defers the
+    /// searching to the batch loop.
+    pub fn dynamic(&self) -> bool {
+        self.schedule == FragmentSchedule::Dynamic
     }
 
     /// Does a worker death re-queue its fragments instead of aborting?
@@ -288,6 +290,66 @@ mod tests {
         }
         let (b, q) = decode_qbatch(&encode_qbatch(0, &[]), molecule).unwrap();
         assert_eq!((b, q.len()), (0, 0));
+    }
+
+    #[test]
+    fn a_dynamic_worker_rejects_a_multi_fragment_grant() {
+        // `MasterAction::Grant` carries one fragment, so the master
+        // machine cannot send this; the count still arrives on the wire.
+        // Play the master by hand and grant two fragments at once.
+        use crate::proto::FragmentAssignment;
+        use crate::testutil::{sample_queries, small_db, OUTPUT};
+        use mpiblast::setup::{stage_queries, stage_shared_db};
+        use mpiblast::{ClusterEnv, Platform, MASTER};
+        use mpisim::{Collectives, Comm};
+
+        let db = small_db(None);
+        let queries = sample_queries(&db, 1);
+        let platform = Platform::altix();
+        let sim = simcluster::Sim::new(2);
+        let env = ClusterEnv::new(&sim, &platform);
+        let db_alias = stage_shared_db(&env.shared, &db);
+        let query_path = stage_queries(&env.shared, &queries);
+        let cfg = PioBlastConfig {
+            schedule: FragmentSchedule::Dynamic,
+            ..PioBlastConfig::new(&platform, &env, &db_alias, &query_path, OUTPUT)
+        };
+        let part = PartitionMessage {
+            fragments: seqfmt::virtual_fragments(&[&db.volumes[0].index], 2)
+                .into_iter()
+                .map(|spec| FragmentAssignment {
+                    spec,
+                    volume_name: db.alias.volumes[0].clone(),
+                })
+                .collect(),
+            volumes: db.alias.volumes.clone(),
+        };
+        assert_eq!(part.fragments.len(), 2);
+        let bundle = mpiblast::wire::QueryBundle {
+            db_title: db.alias.title.clone(),
+            db_stats: db.alias.global_stats,
+            molecule: db.alias.molecule,
+            queries,
+        };
+        let out = sim
+            .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
+                let comm = Comm::new(&ctx, cfg.platform.net);
+                if ctx.rank() == MASTER {
+                    comm.bcast(MASTER, Bytes::from(bundle.encode()));
+                    comm.recv(Some(1), Some(TAG_READY));
+                    comm.send(1, TAG_GRANT, Bytes::from(encode_grant(0, &[0, 1], &part)));
+                    None
+                } else {
+                    Some(run_worker(&ctx, &comm, &cfg))
+                }
+            })
+            .expect("neither a rank panic nor a deadlock");
+        match &out.outputs[1] {
+            Some(Some(Err(PioError::Protocol(what)))) => {
+                assert!(what.contains("carries 2 fragments"), "{what}")
+            }
+            other => panic!("expected a protocol error, got {other:?}"),
+        }
     }
 
     #[test]

@@ -2,11 +2,11 @@
 //!
 //! The worker is driven entirely by the master. Its only real state is
 //! which query batch it has prepared and whether its held fragments have
-//! been searched against it. The policy decides *when* searching
-//! happens: search-on-grant modes (dynamic schedules and all fault
-//! modes) pipeline each granted fragment's input + search before the
-//! acknowledgement; the fault-free static schedule defers searching to
-//! the submission request, batch by batch.
+//! been searched against it. The schedule decides *when* searching
+//! happens: the dynamic one (which the point-to-point lowering implies)
+//! pipelines each granted fragment's input + search before the
+//! acknowledgement; the static one defers searching to the submission
+//! request, batch by batch.
 
 use super::RunPolicy;
 
@@ -20,7 +20,8 @@ pub enum WorkerEvent {
         /// How many fragments arrived.
         nfrags: usize,
     },
-    /// The master's queue is empty (fault-free dynamic schedule).
+    /// The master's queue is empty (collective lowering of the dynamic
+    /// schedule: leave the request loop).
     Drained,
     /// The master asked for this batch's submission under this epoch.
     SubmitReq {
@@ -94,12 +95,11 @@ pub struct WorkerSm {
 }
 
 impl WorkerSm {
-    /// Build the machine and the initial actions. Search-on-grant modes
-    /// prepare batch 0 up front (grants are searched as they arrive);
-    /// the fault-free static schedule prepares lazily on its first
-    /// grant.
+    /// Build the machine and the initial actions. The dynamic schedule
+    /// prepares batch 0 up front (grants are searched as they arrive);
+    /// the static one prepares lazily on its scatter chunk.
     pub fn new(policy: RunPolicy) -> (WorkerSm, Vec<WorkerAction>) {
-        if policy.search_on_grant() {
+        if policy.dynamic() {
             let sm = WorkerSm {
                 policy,
                 batch: Some(0),
@@ -134,8 +134,9 @@ impl WorkerSm {
     pub fn handle(&mut self, event: WorkerEvent) -> Vec<WorkerAction> {
         match event {
             WorkerEvent::Grant { batch, nfrags } => {
+                let dynamic = self.policy.dynamic();
                 let mut acts = self.advance(batch);
-                if self.policy.search_on_grant() && !self.searched {
+                if dynamic && !self.searched {
                     // New batch with fragments already in hand: bring
                     // them up to date before ingesting the new grant.
                     acts.push(WorkerAction::SearchHeld { batch });
@@ -144,9 +145,9 @@ impl WorkerSm {
                 acts.push(WorkerAction::Ingest {
                     batch,
                     count: nfrags,
-                    search: self.policy.search_on_grant(),
+                    search: dynamic,
                 });
-                if self.policy.acks_grants() {
+                if dynamic {
                     acts.push(WorkerAction::AckGrant);
                 }
                 acts
@@ -297,14 +298,14 @@ mod tests {
         assert_eq!(init, vec![WorkerAction::Prepare { batch: 0 }]);
         let acts = sm.handle(WorkerEvent::Grant {
             batch: 0,
-            nfrags: 2,
+            nfrags: 1,
         });
         assert_eq!(
             acts,
             vec![
                 WorkerAction::Ingest {
                     batch: 0,
-                    count: 2,
+                    count: 1,
                     search: true
                 },
                 WorkerAction::AckGrant,

@@ -47,6 +47,8 @@ const TAG_FETCH_RESP: u64 = 5;
 const TAG_DONE: u64 = 6;
 const TAG_FRAG_DONE: u64 = 7;
 const TAG_ABORT: u64 = 8;
+/// Worker -> master: this worker could not load a fragment and is gone.
+const TAG_FRAG_FAILED: u64 = 9;
 
 /// No-more-fragments sentinel.
 const FRAG_NONE: u32 = u32::MAX;
@@ -71,9 +73,18 @@ pub enum ProtocolError {
         /// The dead worker's rank.
         rank: usize,
     },
+    /// A worker could not load a fragment it was assigned (a missing or
+    /// inconsistent fragment file) and said so before giving up.
+    WorkerFailed {
+        /// The failed worker's rank.
+        rank: usize,
+        /// The worker's own error.
+        what: String,
+    },
     /// A worker detected that the master died.
     MasterDied,
-    /// A worker was told to abort by the master (another rank died).
+    /// A worker was told to abort by the master (another rank died or
+    /// failed).
     Aborted,
     /// Shared or private storage failed (e.g. a full file system); the
     /// run degrades to a typed error instead of aborting.
@@ -89,8 +100,11 @@ impl fmt::Display for ProtocolError {
                 write!(f, "{role} got unexpected tag {tag}")
             }
             ProtocolError::WorkerDied { rank } => write!(f, "worker rank {rank} died"),
+            ProtocolError::WorkerFailed { rank, what } => {
+                write!(f, "worker rank {rank} failed: {what}")
+            }
             ProtocolError::MasterDied => write!(f, "master rank died"),
-            ProtocolError::Aborted => write!(f, "aborted by master after a rank death"),
+            ProtocolError::Aborted => write!(f, "aborted by master: a rank died or failed"),
             ProtocolError::Storage(what) => write!(f, "storage failed: {what}"),
             ProtocolError::Malformed(what) => write!(f, "malformed frame: {what}"),
         }
@@ -98,6 +112,10 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+fn storage(e: parafs::StoreError) -> ProtocolError {
+    ProtocolError::Storage(e.to_string())
+}
 
 /// Configuration of one mpiBLAST run.
 pub struct MpiBlastConfig {
@@ -194,7 +212,6 @@ fn run_master(
 
     // ---- startup: read the index and queries, broadcast the bundle ----
     let start = now();
-    let storage = |e: parafs::StoreError| ProtocolError::Storage(e.to_string());
     let setup = || {
         let idx_path = format!("{}.idx", cfg.fragment_names[0]);
         let idx_bytes = shared.read_all(ctx, &idx_path).map_err(storage)?;
@@ -287,6 +304,13 @@ fn run_master(
             }
             TAG_FRAG_DONE => {
                 fragments_done += 1;
+            }
+            TAG_FRAG_FAILED => {
+                abort_workers(comm, &live);
+                return Err(ProtocolError::WorkerFailed {
+                    rank: m.src,
+                    what: String::from_utf8_lossy(&m.payload).into_owned(),
+                });
             }
             other => {
                 abort_workers(comm, &live);
@@ -399,7 +423,7 @@ fn run_master(
         let view = FileView::contiguous(file_off, section.len() as u64);
         out_plane
             .write_output(&cfg.output_path, &view, &section)
-            .map_err(|e| ProtocolError::Storage(e.to_string()))?;
+            .map_err(storage)?;
         file_off += section.len() as u64;
     }
     for w in live.live_workers() {
@@ -423,6 +447,13 @@ fn run_worker(
     let mut phases = PhaseTimes::new();
     let now = || ctx.now();
     let pump = Pump::new(comm, cfg.fault_detection, default_sweep());
+    // A fragment this worker cannot load fails the job: the master, who
+    // would otherwise wait for the fragment forever, is told and aborts
+    // the others.
+    let fail = |e: ProtocolError| {
+        comm.send(MASTER, TAG_FRAG_FAILED, Bytes::from(e.to_string()));
+        e
+    };
 
     // ---- startup ----
     let bundle_bytes = comm.bcast(MASTER, Bytes::new());
@@ -472,11 +503,11 @@ fn run_worker(
         let mut copied: Vec<String> = Vec::new();
         for ext in ["idx", "seq", "hdr"] {
             let src = format!("{name}.{ext}");
-            let data = shared.read_all(ctx, &src).expect("fragment file present");
+            let data = shared.read_all(ctx, &src).map_err(|e| fail(storage(e)))?;
             let dst = format!("{prefix}{src}");
             private
                 .write_all(ctx, &dst, &data)
-                .map_err(|e| ProtocolError::Storage(e.to_string()))?;
+                .map_err(|e| fail(storage(e)))?;
             copied.push(dst);
         }
         phases.add(phases::COPY, now() - copy_start);
@@ -487,10 +518,12 @@ fn run_worker(
         // is re-prepared every time — blastall-per-fragment behaviour,
         // and a real per-fragment cost mpiBLAST pays.
         let search_start = now();
-        let idx = private.read_all(ctx, &copied[0]).expect("idx copy");
-        let seq = private.read_all(ctx, &copied[1]).expect("seq copy");
-        let hdr = private.read_all(ctx, &copied[2]).expect("hdr copy");
-        let frag = FragmentData::from_file_bytes(&idx, seq, hdr).expect("valid fragment");
+        let read_back = |path: &String| private.read_all(ctx, path).map_err(|e| fail(storage(e)));
+        let idx = read_back(&copied[0])?;
+        let seq = read_back(&copied[1])?;
+        let hdr = read_back(&copied[2])?;
+        let frag = FragmentData::from_file_bytes(&idx, seq, hdr)
+            .map_err(|e| fail(ProtocolError::Malformed(format!("fragment {name}: {e}"))))?;
         let prepared = cfg
             .compute
             .run_prepare(ctx, &cfg.params, &bundle.queries, bundle.db_stats);
@@ -717,29 +750,62 @@ mod tests {
     fn bad_setup_inputs_are_typed_errors_on_every_rank() {
         // A missing query file or a truncated fragment index must leave
         // every rank with a typed error: the master neither panics nor
-        // strands the workers in the bundle broadcast.
+        // strands the workers in the bundle broadcast. So must a fragment
+        // only a worker touches — a truncated `.seq`, an absent `.hdr`:
+        // the worker that drew it reports its own error, the master names
+        // that worker, the others are aborted.
         for detect in [false, true] {
-            for truncate_idx in [false, true] {
+            for input in ["no queries", "short idx", "short seq", "no hdr"] {
                 let (sim, env, mut cfg) = faulty_cfg(4, 3);
                 cfg.fault_detection = detect;
-                if truncate_idx {
-                    let idx = format!("{}.idx", cfg.fragment_names[0]);
-                    let bytes = env.shared.peek(&idx).expect("staged index");
-                    env.shared.preload(&idx, bytes[..bytes.len() / 2].to_vec());
-                } else {
-                    cfg.query_path = "no-such-queries.fa".to_string();
+                let frag1 = cfg.fragment_names[1].clone();
+                let staged = |path: &str| env.shared.peek(path).expect("staged file");
+                match input {
+                    "no queries" => cfg.query_path = "no-such-queries.fa".to_string(),
+                    "short idx" => {
+                        let idx = format!("{}.idx", cfg.fragment_names[0]);
+                        let bytes = staged(&idx);
+                        env.shared.preload(&idx, bytes[..bytes.len() / 2].to_vec());
+                    }
+                    "short seq" => {
+                        let seq = format!("{frag1}.seq");
+                        let bytes = staged(&seq);
+                        env.shared.preload(&seq, bytes[..bytes.len() / 2].to_vec());
+                    }
+                    _ => {
+                        // The same fragment under a name with no `.hdr`.
+                        for ext in ["idx", "seq"] {
+                            env.shared.preload(
+                                &format!("ghost.{ext}"),
+                                staged(&format!("{frag1}.{ext}")),
+                            );
+                        }
+                        cfg.fragment_names[1] = "ghost".to_string();
+                    }
                 }
                 let out = sim
                     .try_run_faulty(simcluster::FaultPlan::none(), |ctx| run_rank(&ctx, &cfg))
                     .expect("neither a rank panic nor a deadlock");
-                for (rank, result) in out.outputs.iter().enumerate() {
-                    assert!(
-                        matches!(
-                            result,
-                            Some(Err(ProtocolError::Storage(_) | ProtocolError::Malformed(_)))
-                        ),
-                        "detect={detect} truncate_idx={truncate_idx} rank {rank}: {result:?}"
-                    );
+                let errs: Vec<&ProtocolError> = out
+                    .outputs
+                    .iter()
+                    .map(|r| r.as_ref().expect("nobody was killed").as_ref())
+                    .map(|r| r.expect_err("every rank fails"))
+                    .collect();
+                let own = |e: &ProtocolError| {
+                    matches!(e, ProtocolError::Storage(_) | ProtocolError::Malformed(_))
+                };
+                let what = format!("detect={detect} {input}: {errs:?}");
+                if matches!(input, "no queries" | "short idx") {
+                    assert!(errs.iter().all(|e| own(e)), "{what}");
+                    continue;
+                }
+                let ProtocolError::WorkerFailed { rank, .. } = errs[MASTER] else {
+                    panic!("{what}");
+                };
+                assert!(own(errs[*rank]), "{what}");
+                for (r, e) in errs.iter().enumerate().skip(1) {
+                    assert!(r == *rank || **e == ProtocolError::Aborted, "{what}");
                 }
             }
         }

@@ -1,4 +1,6 @@
-//! MPI-IO file handles: independent I/O and two-phase collective I/O.
+//! MPI-IO file handles: two-phase collective I/O. (Independent and
+//! sieved accesses need no handle; the plane issues them to the file
+//! system directly.)
 //!
 //! The collective path implements ROMIO's *two-phase* algorithm for real:
 //! ranks exchange their file views, the touched file extent is split into
@@ -74,22 +76,6 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     pub fn with_burst(mut self, burst: Option<&'a RefCell<StagingStore>>) -> Self {
         self.burst = burst;
         self
-    }
-
-    /// The file path.
-    pub fn path(&self) -> &str {
-        &self.path
-    }
-
-    /// Independent ranged read (`MPI_File_read_at`).
-    pub fn read_at(&self, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        self.fs.read_at(self.comm.ctx(), &self.path, offset, len)
-    }
-
-    /// Independent ranged write (`MPI_File_write_at`). Fails with
-    /// [`StoreError::NoSpace`] on a full file system.
-    pub fn write_at(&self, offset: u64, data: &[u8]) -> Result<(), StoreError> {
-        self.fs.write_at(self.comm.ctx(), &self.path, offset, data)
     }
 
     fn next_tag(&self) -> u64 {
@@ -367,63 +353,6 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         self.comm.barrier();
         Ok(out)
     }
-
-    /// Begin a split-collective read (`MPI_File_read_at_all_begin`): the
-    /// view exchange runs now and the aggregators' large coalesced reads
-    /// are issued asynchronously. Every rank must call this together and
-    /// later join with [`MpiFile::read_at_all_end`]; the caller may
-    /// compute in between while the transfers proceed in virtual time.
-    /// At most one split-collective operation may be outstanding per
-    /// file.
-    pub fn read_at_all_begin(&self, view: &FileView) -> Result<PendingReadAll, StoreError> {
-        let tag = self.next_tag();
-        let all_views = self.exchange_views(view)?;
-        let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
-            return Ok(PendingReadAll {
-                tag,
-                view: view.clone(),
-                domains: None,
-                wanted: Vec::new(),
-                runs: Vec::new(),
-            });
-        };
-        let wanted = self.wanted_chunks(&all_views, &domains);
-        let mut runs = Vec::new();
-        for (o, l) in coalesce_ranges(wanted.iter().map(|&(_, o, l)| (o, l)).collect()) {
-            runs.push((o, self.fs.read_at_begin(self.comm.ctx(), &self.path, o, l)?));
-        }
-        Ok(PendingReadAll {
-            tag,
-            view: view.clone(),
-            domains: Some(domains),
-            wanted,
-            runs,
-        })
-    }
-
-    /// Join a split-collective read: wait for this rank's outstanding
-    /// run reads, serve every rank's chunks, assemble my view's bytes,
-    /// and barrier.
-    pub fn read_at_all_end(&self, pend: PendingReadAll) -> Result<Vec<u8>, StoreError> {
-        let PendingReadAll {
-            tag,
-            view,
-            domains,
-            wanted,
-            runs,
-        } = pend;
-        let Some(domains) = domains else {
-            self.comm.barrier();
-            return Ok(Vec::new());
-        };
-        let mut run_data: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (o, op) in runs {
-            run_data.push((o, self.fs.io_wait(self.comm.ctx(), op)?));
-        }
-        let out = self.serve_and_assemble(tag, &view, &domains, wanted, run_data);
-        self.comm.barrier();
-        Ok(out)
-    }
 }
 
 /// This rank's outstanding half of a split-collective write (see
@@ -439,24 +368,6 @@ impl PendingWriteAll {
     /// nanoseconds (`None` when this rank aggregates nothing).
     pub fn issued_ns(&self) -> Option<u64> {
         self.ops.iter().map(|op| op.issued_at().0).min()
-    }
-}
-
-/// This rank's outstanding half of a split-collective read (see
-/// [`MpiFile::read_at_all_begin`]).
-pub struct PendingReadAll {
-    tag: u64,
-    view: FileView,
-    domains: Option<Domains>,
-    wanted: Vec<(usize, u64, u64)>,
-    runs: Vec<(u64, AsyncIo)>,
-}
-
-impl PendingReadAll {
-    /// Earliest issue time among the outstanding transfers, in virtual
-    /// nanoseconds (`None` when this rank aggregates nothing).
-    pub fn issued_ns(&self) -> Option<u64> {
-        self.runs.iter().map(|(_, op)| op.issued_at().0).min()
     }
 }
 
@@ -896,50 +807,5 @@ mod tests {
         let written = fs.peek("out").unwrap();
         assert_eq!(written[20..30], [3u8; 10]);
         assert_eq!(written[30..40], [4u8; 10]);
-    }
-
-    #[test]
-    fn split_collective_read_matches_blocking_collective() {
-        let sim = Sim::new(4);
-        let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
-        let content: Vec<u8> = (0..240u32).map(|i| (i % 251) as u8).collect();
-        fs.preload("db", content.clone());
-        let fs2 = fs.clone();
-        let out = sim.run(move |ctx| {
-            let comm = Comm::new(&ctx, net());
-            let file =
-                MpiFile::open(&comm, &fs2, "db").with_hints(CollectiveHints { aggregators: 2 });
-            let me = ctx.rank() as u64;
-            let view = FileView::new(60 * me, vec![(0, 20), (20, 10), (30, 30)]).unwrap();
-            let sync = file.read_at_all(&view).unwrap();
-            let pend = file.read_at_all_begin(&view).unwrap();
-            ctx.charge(SimDuration::from_millis(2)); // compute while runs are in flight
-            let split = file.read_at_all_end(pend).unwrap();
-            assert_eq!(split, sync);
-            split
-        });
-        for (r, got) in out.outputs.iter().enumerate() {
-            assert_eq!(&got[..], &content[60 * r..60 * (r + 1)], "rank {r}");
-        }
-    }
-
-    #[test]
-    fn independent_io_works() {
-        let sim = Sim::new(2);
-        let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
-        let fs2 = fs.clone();
-        let out = sim.run(move |ctx| {
-            let comm = Comm::new(&ctx, net());
-            let file = MpiFile::open(&comm, &fs2, "indep");
-            if ctx.rank() == 0 {
-                file.write_at(0, b"hello from zero").unwrap();
-                comm.send(1, 1, Bytes::new());
-                Vec::new()
-            } else {
-                comm.recv(Some(0), Some(1));
-                file.read_at(6, 9).unwrap()
-            }
-        });
-        assert_eq!(out.outputs[1], b"from zero");
     }
 }

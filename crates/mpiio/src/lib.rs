@@ -1,9 +1,8 @@
 //! # mpiio
 //!
 //! MPI-IO over the simulated cluster: [`view::FileView`]s (displacement +
-//! noncontiguous regions, as set by `MPI_File_set_view`), independent
-//! `read_at`/`write_at`, and a faithful *two-phase collective I/O*
-//! implementation ([`fileio::MpiFile::write_at_all`] /
+//! noncontiguous regions, as set by `MPI_File_set_view`) and a faithful
+//! *two-phase collective I/O* implementation ([`fileio::MpiFile::write_at_all`] /
 //! [`fileio::MpiFile::read_at_all`]): view exchange, file-domain
 //! partitioning across aggregator ranks, point-to-point data shuffling,
 //! and large coalesced file-system transfers.

@@ -53,7 +53,7 @@ use parafs::{AsyncIo, IoClass, SimFs, StoreError};
 
 use mpisim::Comm;
 
-use crate::fileio::{CollectiveHints, MpiFile, PendingReadAll, PendingWriteAll};
+use crate::fileio::{CollectiveHints, MpiFile, PendingWriteAll};
 use crate::stage::try_stage;
 use crate::view::FileView;
 
@@ -70,9 +70,10 @@ pub struct IoOptions {
     /// Service data requests asynchronously (the `--io-async` knob):
     /// a request's runs are all in flight at once — a fragment's file
     /// reads posted together on input ([`IoPlane::submit_begin`]/
-    /// [`IoPlane::wait`] pairs), fire-and-collect on output, checkpoint
-    /// puts in flight while the rank searches. Off by default; the
-    /// synchronous [`IoPlane::submit`] path is the paper's baseline.
+    /// [`IoPlane::wait`] pairs, where reads are not collective),
+    /// fire-and-collect on output, checkpoint puts in flight while the
+    /// rank searches. Off by default; the synchronous
+    /// [`IoPlane::submit`] path is the paper's baseline.
     pub io_async: bool,
     /// Burst-buffer staging knobs (the `--burst-buffer` surface): when
     /// set, output and checkpoint writes are absorbed into the node's
@@ -163,12 +164,14 @@ pub enum IoResponse {
 /// elapse whether or not the owning rank is computing — so only the
 /// *remainder* at `wait` is exposed as I/O wait.
 ///
-/// On the two-phase collective path the handle is the rank's half of a
+/// A two-phase output write's handle is the rank's half of a
 /// split-collective operation: `submit_begin` and `wait` are both
 /// collective calls, and at most one collective handle may be
-/// outstanding per plane. Independent and sieved handles are purely
-/// local; any number may be in flight (they contend for file-system
-/// bandwidth like concurrent clients).
+/// outstanding per plane. (A two-phase read is serviced synchronously
+/// at begin time — still a collective call — and its handle is ready.)
+/// Independent and sieved handles are purely local; any number may be
+/// in flight (they contend for file-system bandwidth like concurrent
+/// clients).
 #[must_use = "every submit_begin must be paired with exactly one wait"]
 pub struct IoHandle<'a, 'c> {
     op: &'static str,
@@ -187,11 +190,6 @@ enum HandleKind<'a, 'c> {
     },
     /// Independent/sieved/checkpoint write: in-flight run writes.
     Write { ops: Vec<AsyncIo> },
-    /// Split-collective read.
-    CollRead {
-        file: MpiFile<'a, 'c>,
-        pend: PendingReadAll,
-    },
     /// Split-collective write.
     CollWrite {
         file: MpiFile<'a, 'c>,
@@ -207,7 +205,6 @@ impl IoHandle<'_, '_> {
             HandleKind::Ready(_) => None,
             HandleKind::Read { runs, .. } => runs.iter().map(|(_, op)| op.issued_at().0).min(),
             HandleKind::Write { ops } => ops.iter().map(|op| op.issued_at().0).min(),
-            HandleKind::CollRead { pend, .. } => pend.issued_ns(),
             HandleKind::CollWrite { pend, .. } => pend.issued_ns(),
         }
     }
@@ -376,10 +373,10 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// returning a handle to [`IoPlane::wait`] on. Reads and writes stay
     /// in flight — contending for bandwidth like any concurrent
     /// client — while the rank computes; `wait` exposes only the
-    /// remainder. On the two-phase class this is a split collective
-    /// (every rank must post begin and wait together); checkpoint
-    /// gets/drops and begin-time failures resolve immediately into a
-    /// ready handle.
+    /// remainder. A two-phase output write is a split collective (every
+    /// rank must post begin and wait together); two-phase reads,
+    /// checkpoint gets/drops and begin-time failures resolve immediately
+    /// into a ready handle.
     pub fn submit_begin<'p>(&'p self, req: IoRequest<'_>) -> IoHandle<'p, 'c> {
         let (op, bytes, class) = match &req {
             IoRequest::DbRead { view, .. } => ("db_read", view.total_bytes(), self.cfg.input),
@@ -402,32 +399,18 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             ],
         );
         let kind = match req {
-            IoRequest::DbRead { path, view } => {
+            IoRequest::DbRead { path, view } if class != IoClass::TwoPhase => {
                 self.note(class, view.regions.len() as u64, view.total_bytes());
-                match class {
-                    IoClass::TwoPhase => {
-                        let file =
-                            MpiFile::open(self.comm, self.fs, path).with_hints(self.cfg.hints);
-                        match file.read_at_all_begin(view) {
-                            Ok(pend) => HandleKind::CollRead { file, pend },
-                            Err(e) => HandleKind::Ready(Err(e)),
-                        }
-                    }
-                    _ => {
-                        let regions: Vec<(u64, u64)> = view.absolute().collect();
-                        let begin_all = || -> Result<Vec<(u64, AsyncIo)>, StoreError> {
-                            read_runs(&regions, class)
-                                .into_iter()
-                                .map(|(o, l)| {
-                                    Ok((o, self.fs.read_at_begin(self.comm.ctx(), path, o, l)?))
-                                })
-                                .collect()
-                        };
-                        match begin_all() {
-                            Ok(runs) => HandleKind::Read { runs, regions },
-                            Err(e) => HandleKind::Ready(Err(e)),
-                        }
-                    }
+                let regions: Vec<(u64, u64)> = view.absolute().collect();
+                let begin_all = || -> Result<Vec<(u64, AsyncIo)>, StoreError> {
+                    read_runs(&regions, class)
+                        .into_iter()
+                        .map(|(o, l)| Ok((o, self.fs.read_at_begin(self.comm.ctx(), path, o, l)?)))
+                        .collect()
+                };
+                match begin_all() {
+                    Ok(runs) => HandleKind::Read { runs, regions },
+                    Err(e) => HandleKind::Ready(Err(e)),
                 }
             }
             IoRequest::OutputWrite {
@@ -487,10 +470,11 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                 }
             }
             // Gets and drops are latency-bound metadata round trips; the
-            // sync path already charges them faithfully.
-            req @ (IoRequest::CheckpointGet { .. } | IoRequest::CheckpointDrop { .. }) => {
-                HandleKind::Ready(self.submit(req))
-            }
+            // sync path already charges them faithfully. So it does the
+            // two-phase read, which no caller posts ahead of its use.
+            req @ (IoRequest::DbRead { .. }
+            | IoRequest::CheckpointGet { .. }
+            | IoRequest::CheckpointDrop { .. }) => HandleKind::Ready(self.submit(req)),
         };
         IoHandle { op, bytes, kind }
     }
@@ -533,7 +517,6 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                 }
                 err.map_or(Ok(IoResponse::Done), Err)
             }
-            HandleKind::CollRead { file, pend } => file.read_at_all_end(pend).map(IoResponse::Data),
             HandleKind::CollWrite { file, pend } => {
                 file.write_at_all_end(pend).map(|_| IoResponse::Done)
             }

@@ -252,17 +252,6 @@ pub fn instant(lane: Lane, name: impl Into<Cow<'static, str>>, args: Vec<(&'stat
     record_here(lane, EventKind::Instant, name.into(), args);
 }
 
-/// Record a point event on `lane` at an explicit virtual time `t`
-/// (for retroactive marks).
-pub fn instant_at(
-    t: u64,
-    lane: Lane,
-    name: impl Into<Cow<'static, str>>,
-    args: Vec<(&'static str, ArgVal)>,
-) {
-    record_here_at(t, lane, EventKind::Instant, name.into(), args);
-}
-
 /// Record a cumulative counter sample: the registry value of `name` is
 /// `value` as of now.
 pub fn counter(name: impl Into<Cow<'static, str>>, value: u64) {

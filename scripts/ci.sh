@@ -26,7 +26,10 @@ cargo test --release -q --test async_io
 cargo test --release -q --test hybrid
 # Query-stream service mode: every stream batch's report byte-identical
 # to its one-shot run across affinity x io-async x threads x Recover
-# kills, and the resident store actually hits.
+# kills, and the resident store actually hits. And the lowering decides
+# what a death means: without --recover (point-to-point, FaultMode::Off)
+# a killed worker fails the stream fast — WorkerDied on the master,
+# Aborted on the survivors — never Ok with wrong bytes.
 cargo test --release -q --test service
 # The engine thread: rank bodies, service callbacks and teardown all
 # run on one spawned thread per run (one OS thread at 16 and at 512
@@ -87,6 +90,22 @@ cli=target/release/pioblast-sim
   --out "$tracetmp/report-async.txt" --trace "$tracetmp/trace-async.json"
 "$cli" trace-check --in "$tracetmp/trace-async.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-async.txt"
+# The static scatter of three fragments per worker on the nonblocking
+# plane: each fragment's three file reads are posted together and
+# joined before the next fragment's are (31 plane.async.begin instants).
+"$cli" run --program pio --procs 4 --frags 9 --io-async \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-async-frags.txt" --trace "$tracetmp/trace-async-frags.json"
+"$cli" trace-check --in "$tracetmp/trace-async-frags.json"
+cmp "$tracetmp/report.txt" "$tracetmp/report-async-frags.txt"
+# The dynamic schedule under the collective lowering: the request /
+# grant / Drain loop (9 single-fragment grants, 111 messages), then the
+# same gather and collective write as the static run.
+"$cli" run --program pio --procs 4 --frags 9 --dynamic \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-dynamic.txt" --trace "$tracetmp/trace-dynamic.json"
+"$cli" trace-check --in "$tracetmp/trace-dynamic.json"
+cmp "$tracetmp/report.txt" "$tracetmp/report-dynamic.txt"
 # Slot-parallel run: four compute slots per worker must export a
 # well-formed trace (per-slot Search sub-lanes validate too) and the
 # report must stay byte-identical to the serial run.
@@ -111,9 +130,9 @@ for b in $(seq 0 $((nq - 1))); do
     --out "$tracetmp/ref$b.txt"
   cmp "$tracetmp/svc.txt.q$b" "$tracetmp/ref$b.txt"
 done
-# The same stream on the nonblocking plane: each miss's read is begun
-# ahead of its search and resident hits never touch the plane — the
-# ingest path `serve --io-async` takes. Well-formed trace, and every
+# The same stream on the nonblocking plane: each miss's three file
+# reads are in flight together and resident hits never touch the plane —
+# the ingest path `serve --io-async` takes. Well-formed trace, and every
 # per-batch report byte-identical to the synchronous serve's.
 "$cli" serve --procs 16 --affinity --resident-mb 64 --io-async \
   --users 2 --stream-batches "$nq" --seed 9 \
@@ -146,7 +165,7 @@ cmp "$tracetmp/report-128.txt" "$tracetmp/report-16ref.txt"
 "$cli" trace-check --in "$tracetmp/trace-burst.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-burst.txt"
 # Recovery lowering gate: the point-to-point protocol with checkpoints,
-# read-ahead ingest, fire-and-collect checkpoint puts and the staging
+# posted fragment reads, fire-and-collect checkpoint puts and the staging
 # fences (no kill: the CLI injects none) must export a well-formed
 # trace and the same report bytes as the collective run.
 "$cli" run --program pio --procs 4 --recover --checkpoint --io-async --burst-buffer \
@@ -167,8 +186,8 @@ grep -q "traces are equivalent" "$tracetmp/diff-self.txt"
 #   target/release/pioblast-sim trace-diff --in <trace.json> \
 #     --write-baseline scripts/trace-baselines/<name>.tsv
 # and commit the result.
-for t in trace trace-async trace-hybrid trace-serve trace-serve-async trace-128 \
-  trace-burst trace-recover; do
+for t in trace trace-async trace-async-frags trace-dynamic trace-hybrid trace-serve \
+  trace-serve-async trace-128 trace-burst trace-recover; do
   "$cli" trace-diff --in "$tracetmp/$t.json" \
     --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
 done

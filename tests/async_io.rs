@@ -1,8 +1,8 @@
 //! Property and degradation tests for the nonblocking I/O plane
 //! (`--io-async`).
 //!
-//! The async plane changes *when* bytes move — fragment read-ahead
-//! overlaps input with search, checkpoint and output writes fire and
+//! The async plane changes *when* bytes move — a fragment's three file
+//! reads are in flight together, checkpoint and output writes fire and
 //! collect at epoch fences — but must never change *what* lands in the
 //! report. The properties here drive arbitrary interleavings of
 //! begin/wait orderings (schedules, access classes, batching, skewed rank
@@ -80,7 +80,7 @@ proptest! {
     }
 
     /// A worker killed with asynchronous operations in flight —
-    /// read-ahead reads, fire-and-collect checkpoint blobs that may
+    /// posted fragment reads, fire-and-collect checkpoint blobs that may
     /// straddle the kill point — must not corrupt recovery:
     /// `FaultMode::Recover` still produces the fault-free bytes. The
     /// dead rank's in-flight writes are discarded, so a half-written
@@ -125,8 +125,9 @@ proptest! {
 // ---------------------------------------------------------------------
 
 /// Run with a post-staging corruption applied to the shared store; every
-/// rank must return an error (typed, no panic, no deadlock). The closure
-/// may also redirect the alias path (the missing-file case).
+/// rank must return an error (typed, no panic, no deadlock), under the
+/// collective lowering (`Off`) and the point-to-point one (`Recover`).
+/// The closure may also redirect the alias path (the missing-file case).
 fn run_corrupted(
     fault: FaultMode,
     corrupt: impl Fn(&parafs::SimFs, &mut String),
@@ -158,7 +159,7 @@ fn assert_master_input_error(outputs: &[Result<mpiblast::RankReport, PioError>])
 
 #[test]
 fn malformed_alias_degrades_without_abort() {
-    for fault in [FaultMode::Off, FaultMode::Detect] {
+    for fault in [FaultMode::Off, FaultMode::Recover] {
         let outputs = run_corrupted(fault, |fs, alias| {
             fs.preload(alias, b"this is not an alias file".to_vec());
         });
@@ -176,7 +177,7 @@ fn missing_alias_degrades_without_abort() {
 
 #[test]
 fn malformed_query_fasta_degrades_without_abort() {
-    for fault in [FaultMode::Off, FaultMode::Detect] {
+    for fault in [FaultMode::Off, FaultMode::Recover] {
         let outputs = run_corrupted(fault, |fs, _| {
             // Protein residues outside the alphabet fail the parse.
             fs.preload("queries.fa", b">q1\n@@##!!\n".to_vec());
@@ -190,7 +191,7 @@ fn malformed_volume_index_degrades_without_abort() {
     let vol = common::small_db(Opts::default().db_seed).volumes[0]
         .name
         .clone();
-    for fault in [FaultMode::Off, FaultMode::Detect] {
+    for fault in [FaultMode::Off, FaultMode::Recover] {
         let outputs = run_corrupted(fault, |fs, _| {
             fs.preload(&format!("db/{vol}.idx"), vec![0xAB; 17]);
         });

@@ -19,9 +19,12 @@ use std::sync::OnceLock;
 use blast_core::seq::SeqRecord;
 use common::{run_opts, Opts, OUTPUT};
 use mpiblast::setup::stage_queries;
-use pioblast::{FaultMode, FragmentSchedule, QueryStreamPlan, ServiceMetrics, ServiceOptions};
+use pioblast::{
+    BurstOptions, FaultMode, FragmentSchedule, PioError, QueryStreamPlan, ServiceMetrics,
+    ServiceOptions,
+};
 use proptest::prelude::*;
-use simcluster::FaultPlan;
+use simcluster::{FaultPlan, Sim};
 
 /// Queries the whole stream consumes (kept tiny: every proptest case
 /// pays one one-shot reference run per stream batch).
@@ -214,6 +217,41 @@ fn affinity_reuses_resident_fragments_across_the_stream() {
     assert!(on.metrics.queries_per_sec >= off.metrics.queries_per_sec);
     assert!(on.metrics.p50_latency_s > 0.0);
     assert!(on.metrics.p99_latency_s >= on.metrics.p50_latency_s);
+}
+
+/// `serve` without `--recover`: the stream runs point-to-point, so the
+/// master hears of a worker's death — and must fail the run, not requeue.
+/// Nobody posted the fences that make a requeue safe, and with staged
+/// output the silent requeue used to finish `Ok` on every rank with wrong
+/// bytes in a stream batch's report.
+#[test]
+fn worker_death_without_recover_fails_fast() {
+    let plan = fixed_plan();
+    let db = common::small_db(DB_SEED);
+    let queries = common::sample_queries(&db, plan.total_queries());
+    let sim = Sim::new(4);
+    let mut cfg = common::staged(&sim, &mpiblast::Platform::altix(), &db, &queries);
+    cfg.num_fragments = Some(9);
+    cfg.collective_output = false;
+    cfg.schedule = FragmentSchedule::Dynamic;
+    cfg.io.burst = Some(BurstOptions::default());
+    cfg.service = Some(ServiceOptions {
+        plan,
+        resident_bytes: 64 << 20,
+        affinity: true,
+    });
+    assert_eq!(cfg.fault, FaultMode::Off);
+    let out = sim
+        .try_run_faulty(FaultPlan::none().kill_after_sends(1, 6), |ctx| {
+            pioblast::run_rank(&ctx, &cfg)
+        })
+        .expect("neither a deadlock nor a rank panic");
+    assert_eq!(out.killed, vec![1]);
+    assert_eq!(out.outputs[0], Some(Err(PioError::WorkerDied { rank: 1 })));
+    assert_eq!(out.outputs[1], None, "the killed rank yields nothing");
+    for w in [2, 3] {
+        assert_eq!(out.outputs[w], Some(Err(PioError::Aborted)), "worker {w}");
+    }
 }
 
 proptest! {
