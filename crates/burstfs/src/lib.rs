@@ -39,7 +39,7 @@
 use std::borrow::Cow;
 use std::fmt;
 
-use parafs::stripe::{read_striped, write_striped_begin};
+use parafs::stripe::write_striped_begin;
 use parafs::{AsyncIo, SimFs, StoreError, StripeMap};
 use simcluster::{DeviceTimeline, RankCtx};
 use tracelog::{ArgVal, Lane};
@@ -252,19 +252,6 @@ impl StagingStore {
         Ok(())
     }
 
-    /// Read a previously staged range back from the staging volume,
-    /// reassembled in stripe-map order. This is a client read (fluid
-    /// contention model), not the drain port.
-    pub fn read_back(
-        &self,
-        ctx: &RankCtx,
-        path: &str,
-        offset: u64,
-        len: u64,
-    ) -> Result<Vec<u8>, StoreError> {
-        read_striped(&self.staging, ctx, path, &self.map, offset, len)
-    }
-
     /// Collect drains that have already completed, freeing their
     /// staging capacity. Surfaces the first drain error, if any.
     pub fn reap(&mut self, ctx: &RankCtx) -> Result<(), StoreError> {
@@ -344,7 +331,7 @@ mod tests {
     }
 
     #[test]
-    fn put_drains_to_destination_and_reads_back() {
+    fn put_drains_to_destination() {
         let report = run_one(|ctx, staging, dest| {
             let mut store = StagingStore::new(
                 staging.clone(),
@@ -358,10 +345,6 @@ mod tests {
             );
             let data: Vec<u8> = (0..200u8).collect();
             store.put(ctx, "out.txt", 40, &data).unwrap();
-            // Read-back reassembles from the stripes before any drain
-            // completes.
-            let back = store.read_back(ctx, "out.txt", 40, 200).unwrap();
-            assert_eq!(back, data);
             assert_eq!(store.pending_drains(), 1);
             store.fence(ctx).unwrap();
             assert_eq!(store.staged_bytes(), 0);

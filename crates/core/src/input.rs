@@ -16,11 +16,11 @@
 //! this with the same volume list (the master joins with empty
 //! assignments); otherwise — dynamic grants, fault epochs — each rank
 //! reads only the volumes it was actually assigned, with no global sync,
-//! and on the nonblocking plane a volume's three file reads are in
+//! and where the plane posts reads a volume's three file reads are in
 //! flight together.
 
 use blast_core::alphabet::Molecule;
-use mpiio::{FileView, IoPlane, IoRequest, IoResponse};
+use mpiio::{FileView, IoPlane};
 use parafs::StoreError;
 use seqfmt::FragmentData;
 
@@ -157,16 +157,14 @@ pub fn coalesce_spans(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 /// with assignments are touched, so any subset of ranks can call at any
 /// time.
 ///
-/// `posted` is the nonblocking plane's way (`--io-async`, reads not
-/// collective): each volume's three file reads are begun together and
-/// then joined, so their latencies overlap instead of summing. Otherwise
-/// they are serviced one after another.
+/// Each volume's three files go to the plane as one view set
+/// ([`IoPlane::read_views`]), so the plane decides whether their reads
+/// overlap or are serviced one after another.
 pub fn read_fragments(
     plane: &IoPlane,
     volume_names: &[String],
     assignments: &[FragmentAssignment],
     molecule: Molecule,
-    posted: bool,
 ) -> Result<Vec<FragmentData>, InputError> {
     // Per (volume index), the buffers of its three files.
     let mut buffers: Vec<[RangeBuffers; 3]> = Vec::with_capacity(volume_names.len());
@@ -205,24 +203,8 @@ pub fn read_fragments(
                 .map_err(|e| InputError::Fragment(format!("bad span set: {e}")))?;
             files.push((format!("db/{vol}.{ext}"), view, spans));
         }
-        let data: Vec<Vec<u8>> = if posted {
-            let handles: Vec<_> = files
-                .iter()
-                .map(|(path, view, _)| plane.submit_begin(IoRequest::DbRead { path, view }))
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| match plane.wait(h)? {
-                    IoResponse::Data(d) => Ok(d),
-                    IoResponse::Done => unreachable!("reads return data"),
-                })
-                .collect::<Result<_, InputError>>()?
-        } else {
-            files
-                .iter()
-                .map(|(path, view, _)| plane.db_read(path, view))
-                .collect::<Result<_, _>>()?
-        };
+        let views: Vec<(&str, &FileView)> = files.iter().map(|(p, v, _)| (p.as_str(), v)).collect();
+        let data = plane.read_views(&views)?;
         let file_buffers: Vec<RangeBuffers> = files
             .into_iter()
             .zip(data)

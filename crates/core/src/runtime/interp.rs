@@ -21,10 +21,10 @@ use bytes::Bytes;
 use mpiblast::phases;
 use mpiblast::wire::{FragmentCheckpoint, MetaHit, MetaSubmission, OffsetAssignment, QueryBundle};
 use mpiblast::{ComputeModel, RankReport, MASTER};
-use mpiio::{CollectiveHints, FileView, IoHandle, IoPlane, IoRequest, PlaneConfig, StagingStore};
+use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, StagingStore};
 use mpisim::sched::{default_sweep, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
-use parafs::IoClass;
+use parafs::{IoClass, StoreError};
 use seqfmt::{AliasFile, FragmentData, VolumeIndex};
 use simcluster::{DeviceModel, Message, PhaseTimes, RankCtx, SimDuration, SimTime};
 
@@ -145,6 +145,20 @@ fn fence_staging(
         );
     }
     phase_times.add(phases::OUTPUT, ctx.now() - t);
+}
+
+/// The outcome of a checkpoint put, at the put or at its join. A failure
+/// (a full file system) degrades, not aborts: the blob is simply absent,
+/// exactly as if the worker had died mid-checkpoint, and recovery
+/// re-queues the fragment.
+fn ckpt_landed(put: Result<(), StoreError>) {
+    if let Err(e) = put {
+        tracelog::instant(
+            tracelog::Lane::Io,
+            "ckpt.skipped",
+            vec![("error", e.to_string().into())],
+        );
+    }
 }
 
 /// The one output epilogue, shared by the master's section writes, the
@@ -626,13 +640,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 if self.io.collective_reads() {
                     // Collective reads involve every rank; the master
                     // joins each with an empty view.
-                    crate::input::read_fragments(
-                        self.io,
-                        &self.volumes,
-                        &[],
-                        self.molecule,
-                        false,
-                    )?;
+                    crate::input::read_fragments(self.io, &self.volumes, &[], self.molecule)?;
                 }
                 Ok(vec![MasterEvent::ScatterDone])
             }
@@ -921,10 +929,6 @@ struct WorkerIo<'a, 'b> {
     /// per-subject search path never allocates — serial runs use slot 0
     /// only.
     scratches: Vec<SearchScratch>,
-    /// Checkpoint writes fired and not yet collected (`--io-async`):
-    /// they stay in flight across searches and are fenced at the epoch
-    /// boundary, before the batch's results are acknowledged.
-    pending_ckpts: Vec<IoHandle<'a, 'b>>,
     phase_times: PhaseTimes,
     out_mark: Option<SimTime>,
 }
@@ -989,7 +993,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             scratches: (0..cfg.threads.max(1))
                 .map(|_| SearchScratch::new())
                 .collect(),
-            pending_ckpts: Vec::new(),
             phase_times,
             out_mark: None,
         })
@@ -1202,10 +1205,12 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 Ok(())
             }
             WorkerAction::Submit { batch: _, epoch } => {
-                // Epoch fence: checkpoints fired during this batch's
-                // searches must have landed (or degraded) before the
-                // results are acknowledged.
-                self.drain_ckpts();
+                // Epoch fence: checkpoint puts the plane still has in
+                // flight from this batch's searches must have landed (or
+                // degraded) before the results are acknowledged.
+                while let Some(joined) = self.io.checkpoint_join() {
+                    ckpt_landed(joined);
+                }
                 if self.policy.recovers() || self.policy.checkpoint {
                     // Same contract for the staging tier: anything the
                     // master is about to acknowledge must have drained
@@ -1232,9 +1237,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
     /// fragment comes from the resident [`FragmentStore`] when service
     /// mode holds it — the cross-query cache hit that mode exists for —
     /// and from the plane otherwise: one read set per non-resident
-    /// fragment with its three file reads in flight together under
-    /// `--io-async` on a non-collective plane, one coalesced set for the
-    /// whole grant otherwise. It is then searched if the schedule
+    /// fragment where the plane posts reads (its three file reads in
+    /// flight together), one coalesced set for the whole grant
+    /// otherwise. It is then searched if the schedule
     /// searches on arrival, and held. A one-shot run is the case with
     /// nothing resident.
     fn ingest(&mut self, batch: usize, count: usize, search: bool) -> Result<(), PioError> {
@@ -1254,10 +1259,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             .filter(|(id, _)| !self.store.contains(*id as usize))
             .map(|(_, a)| a.clone())
             .collect();
-        let posted = self.cfg.io.io_async && !self.io.collective_reads();
         // The coalesced set is read even when empty: on the two-phase
         // class a rank with nothing of its own still joins the collective.
-        let sets: Vec<&[FragmentAssignment]> = if posted {
+        let sets: Vec<&[FragmentAssignment]> = if self.io.posts_reads() {
             absent.chunks(1).collect()
         } else {
             vec![&absent]
@@ -1270,7 +1274,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 &self.grant_volumes,
                 set,
                 self.molecule,
-                posted,
             )?);
             self.phase_times.add(phases::INPUT, self.ctx.now() - t);
         }
@@ -1310,24 +1313,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             }
         }
         Ok(())
-    }
-
-    /// Join every in-flight checkpoint write. Failures degrade — the
-    /// blob is simply absent, exactly as if the worker had died
-    /// mid-checkpoint, and recovery re-queues the fragment.
-    fn drain_ckpts(&mut self) {
-        if self.pending_ckpts.is_empty() {
-            return;
-        }
-        for h in std::mem::take(&mut self.pending_ckpts) {
-            if let Err(e) = self.io.wait(h) {
-                tracelog::instant(
-                    tracelog::Lane::Io,
-                    "ckpt.skipped",
-                    vec![("error", e.to_string().into())],
-                );
-            }
-        }
     }
 
     /// Search one fragment against the prepared batch, cache the
@@ -1432,24 +1417,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             }
             .encode();
             let path = ckpt_path(self.cfg, batch, id as usize);
-            if self.cfg.io.io_async {
-                // Fire-and-collect: the blob write stays in flight while
-                // the worker searches on; drain_ckpts joins it at the
-                // epoch fence.
-                let handle = self.io.submit_begin(IoRequest::CheckpointPut {
-                    path: &path,
-                    payload: &blob,
-                });
-                self.pending_ckpts.push(handle);
-            } else if let Err(e) = self.io.checkpoint_put(&path, &blob) {
-                // A full file system degrades, not aborts: the blob is
-                // absent and recovery re-queues the fragment.
-                tracelog::instant(
-                    tracelog::Lane::Io,
-                    "ckpt.skipped",
-                    vec![("error", e.to_string().into())],
-                );
-            }
+            // Joined here on the serial plane; fired and parked in the
+            // plane under `--io-async`, where the epoch fence joins it.
+            ckpt_landed(self.io.checkpoint_put(&path, &blob));
         }
         self.phase_times
             .add(phases::OUTPUT, self.ctx.now() - cache_start);

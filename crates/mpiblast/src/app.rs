@@ -505,8 +505,9 @@ fn run_worker(
             let src = format!("{name}.{ext}");
             let data = shared.read_all(ctx, &src).map_err(|e| fail(storage(e)))?;
             let dst = format!("{prefix}{src}");
+            private.create(ctx, &dst);
             private
-                .write_all(ctx, &dst, &data)
+                .write_at_owned(ctx, &dst, 0, data)
                 .map_err(|e| fail(storage(e)))?;
             copied.push(dst);
         }
@@ -518,10 +519,10 @@ fn run_worker(
         // is re-prepared every time — blastall-per-fragment behaviour,
         // and a real per-fragment cost mpiBLAST pays.
         let search_start = now();
-        let read_back = |path: &String| private.read_all(ctx, path).map_err(|e| fail(storage(e)));
-        let idx = read_back(&copied[0])?;
-        let seq = read_back(&copied[1])?;
-        let hdr = read_back(&copied[2])?;
+        let reread = |path: &String| private.read_all(ctx, path).map_err(|e| fail(storage(e)));
+        let idx = reread(&copied[0])?;
+        let seq = reread(&copied[1])?;
+        let hdr = reread(&copied[2])?;
         let frag = FragmentData::from_file_bytes(&idx, seq, hdr)
             .map_err(|e| fail(ProtocolError::Malformed(format!("fragment {name}: {e}"))))?;
         let prepared = cfg
@@ -565,14 +566,23 @@ fn run_worker(
             TAG_DONE => break,
             TAG_ABORT => return Err(ProtocolError::Aborted),
             TAG_FETCH_REQ => {
-                let req = FetchRequest::decode(&m.payload).expect("valid fetch request");
-                let frag = kept
-                    .iter()
-                    .find(|f| f.residues_of(req.oid).is_some())
-                    .expect("fetched oid belongs to this worker");
-                let resp = FetchResponse {
-                    defline: frag.defline_of(req.oid).expect("defline").to_vec(),
-                    residues: frag.residues_of(req.oid).expect("residues").to_vec(),
+                // Wire bytes are untrusted. A request that does not
+                // decode, or names a subject this worker never searched,
+                // is answered with an empty response — the master's
+                // decode of it fails and aborts the job — and fails here.
+                let found = FetchRequest::decode(&m.payload).ok().and_then(|req| {
+                    kept.iter().find_map(|f| {
+                        Some(FetchResponse {
+                            defline: f.defline_of(req.oid)?.to_vec(),
+                            residues: f.residues_of(req.oid)?.to_vec(),
+                        })
+                    })
+                });
+                let Some(resp) = found else {
+                    comm.send(MASTER, TAG_FETCH_RESP, Bytes::new());
+                    return Err(ProtocolError::Malformed(
+                        "fetch request: undecodable, or a subject this worker does not hold".into(),
+                    ));
                 };
                 comm.send(MASTER, TAG_FETCH_RESP, Bytes::from(resp.encode()));
             }
@@ -806,6 +816,55 @@ mod tests {
                 assert!(own(errs[*rank]), "{what}");
                 for (r, e) in errs.iter().enumerate().skip(1) {
                     assert!(r == *rank || **e == ProtocolError::Aborted, "{what}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_worker_answers_a_bad_fetch_request_with_a_typed_error() {
+        // The master only fetches subjects a worker reported, so it
+        // cannot send these; the bytes still arrive on the wire. Play
+        // the master by hand: grant the one fragment, drain the worker,
+        // then ask for garbage and for a subject nobody searched.
+        let unowned = FetchRequest {
+            query_idx: 0,
+            oid: u32::MAX,
+        };
+        for request in [b"\x01\x02\x03".to_vec(), unowned.encode()] {
+            let (sim, _env, cfg) = faulty_cfg(2, 1);
+            let db = small_db();
+            let bundle = QueryBundle {
+                db_title: db.alias.title.clone(),
+                db_stats: db.alias.global_stats,
+                molecule: db.alias.molecule,
+                queries: sample_queries(&db, 3),
+            };
+            let out = sim
+                .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
+                    if ctx.rank() != MASTER {
+                        return run_rank(&ctx, &cfg);
+                    }
+                    let comm = Comm::new(&ctx, cfg.platform.net);
+                    comm.bcast(MASTER, Bytes::from(bundle.encode()));
+                    for fid in [0, FRAG_NONE] {
+                        while comm.recv(Some(1), None).tag != TAG_FRAG_REQ {}
+                        comm.send(1, TAG_FRAG_ASSIGN, Bytes::from(fid.to_le_bytes().to_vec()));
+                    }
+                    comm.send(1, TAG_FETCH_REQ, Bytes::from(request.clone()));
+                    let resp = comm.recv(Some(1), Some(TAG_FETCH_RESP));
+                    // What `run_master` makes of the response.
+                    FetchResponse::decode(&resp.payload)
+                        .map(|_| RankReport::default())
+                        .map_err(|e| ProtocolError::Malformed(format!("fetch response: {e}")))
+                })
+                .expect("neither a rank panic nor a deadlock");
+            for (rank, side) in [(MASTER, "fetch response"), (1, "fetch request")] {
+                match &out.outputs[rank] {
+                    Some(Err(ProtocolError::Malformed(what))) => {
+                        assert!(what.contains(side), "rank {rank}: {what}")
+                    }
+                    other => panic!("rank {rank}: expected a malformed frame, got {other:?}"),
                 }
             }
         }

@@ -166,40 +166,13 @@ impl<'a, 'c> MpiFile<'a, 'c> {
 
     /// Collective write: `data` holds the bytes of `view`'s regions, in
     /// order. All ranks must call this together (a rank with nothing to
-    /// write passes an empty view). A failed run write (e.g.
+    /// write passes an empty view). This is the split collective with
+    /// each run joined as it is issued; a failed run write (e.g.
     /// [`StoreError::NoSpace`]) is reported after the closing barrier so
     /// the collective stays aligned across ranks.
     pub fn write_at_all(&self, view: &FileView, data: &[u8]) -> Result<(), StoreError> {
-        assert_eq!(
-            data.len() as u64,
-            view.total_bytes(),
-            "data must exactly fill the view"
-        );
-        let tag = self.next_tag();
-        let all_views = self.exchange_views(view)?;
-        let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
-            self.comm.barrier();
-            return Ok(()); // nobody is writing anything
-        };
-        let mut err = None;
-        for (run_off, run_data) in self.gather_write_runs(tag, view, data, &all_views, &domains) {
-            match try_stage(self.burst, self.comm.ctx(), &self.path, run_off, &run_data) {
-                Ok(true) => continue,
-                Ok(false) => {}
-                Err(e) => {
-                    err.get_or_insert(e);
-                    continue;
-                }
-            }
-            if let Err(e) = self
-                .fs
-                .write_at(self.comm.ctx(), &self.path, run_off, &run_data)
-            {
-                err.get_or_insert(e);
-            }
-        }
-        self.comm.barrier();
-        err.map_or(Ok(()), Err)
+        let pend = self.issue_write_all(view, data, true)?;
+        self.write_at_all_end(pend)
     }
 
     /// Begin a split-collective write (`MPI_File_write_at_all_begin`):
@@ -214,6 +187,18 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         view: &FileView,
         data: &[u8],
     ) -> Result<PendingWriteAll, StoreError> {
+        self.issue_write_all(view, data, false)
+    }
+
+    /// Everything of a collective write up to its join: exchange, route,
+    /// coalesce, then stage or issue each of this aggregator's runs —
+    /// one after another when `joined`, all in flight otherwise.
+    fn issue_write_all(
+        &self,
+        view: &FileView,
+        data: &[u8],
+        joined: bool,
+    ) -> Result<PendingWriteAll, StoreError> {
         assert_eq!(
             data.len() as u64,
             view.total_bytes(),
@@ -226,25 +211,26 @@ impl<'a, 'c> MpiFile<'a, 'c> {
             err: None,
         };
         let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
-            return Ok(pend);
+            return Ok(pend); // nobody is writing anything
         };
+        let ctx = self.comm.ctx();
         for (run_off, run_data) in self.gather_write_runs(tag, view, data, &all_views, &domains) {
             // A staged run carries no pending op: its drain belongs to
             // the staging store and is joined at the next fence. A
-            // staging failure is this rank's alone, so it rides in the
-            // pending half and surfaces after the closing barrier —
-            // returning here would strand every other rank in it.
-            match try_stage(self.burst, self.comm.ctx(), &self.path, run_off, &run_data) {
-                Ok(true) => {}
-                Ok(false) => pend.ops.push(self.fs.write_at_begin(
-                    self.comm.ctx(),
-                    &self.path,
-                    run_off,
-                    run_data,
-                )),
-                Err(e) => {
-                    pend.err.get_or_insert(e);
+            // failure is this rank's alone, so it rides in the pending
+            // half and surfaces after the closing barrier — returning
+            // here would strand every other rank in it.
+            let issued = match try_stage(self.burst, ctx, &self.path, run_off, &run_data) {
+                Ok(false) if joined => self.fs.write_at_owned(ctx, &self.path, run_off, run_data),
+                Ok(false) => {
+                    let op = self.fs.write_at_begin(ctx, &self.path, run_off, run_data);
+                    pend.ops.push(op);
+                    Ok(())
                 }
+                staged => staged.map(drop),
+            };
+            if let Err(e) = issued {
+                pend.err.get_or_insert(e);
             }
         }
         Ok(pend)

@@ -12,9 +12,10 @@
 //! scattered result records into one shared report file.
 //!
 //! Consumers do not call `MpiFile` directly: the [`plane::IoPlane`]
-//! fronts it with a typed request interface and owns how the bytes move:
-//! the access class of each request kind (independent, data-sieved, or
-//! two-phase collective) and the rank's burst-buffer staging sink.
+//! fronts it with one typed verb per kind of data and owns how the bytes
+//! move: the access class of each kind (independent, data-sieved, or
+//! two-phase collective), the issue policy (`io_async`) and the rank's
+//! burst-buffer staging sink.
 
 #![warn(missing_docs)]
 
@@ -25,7 +26,5 @@ pub mod view;
 
 pub use burstfs::{BurstError, BurstOptions, BurstStats, StagingStore};
 pub use fileio::{CollectiveHints, MpiFile};
-pub use plane::{
-    IoHandle, IoOptions, IoPlane, IoRequest, IoResponse, PlaneConfig, SIEVE_HOLE_LIMIT,
-};
+pub use plane::{IoOptions, IoPlane, PlaneConfig, SIEVE_HOLE_LIMIT};
 pub use view::{FileView, ViewError};

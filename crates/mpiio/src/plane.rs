@@ -1,10 +1,13 @@
 //! The I/O plane: one typed access interface over [`MpiFile`], built
 //! once per rank, that owns how the bytes move.
 //!
-//! Consumers describe *what* they touch — database regions, scattered
-//! output records, checkpoint blobs — as an [`IoRequest`]; the plane
-//! services each request kind under one access class
-//! ([`parafs::IoClass`]), fixed when the plane is built:
+//! Consumers say *what* they touch through one verb per kind of data —
+//! database regions ([`IoPlane::read_views`]), whole setup files
+//! ([`IoPlane::read_whole`]), scattered output records
+//! ([`IoPlane::write_output`]), checkpoint blobs
+//! ([`IoPlane::checkpoint_put`] and friends); the plane services each
+//! kind under one access class ([`parafs::IoClass`]), fixed when the
+//! plane is built:
 //!
 //! * `Independent` issues one file-system operation per view region
 //!   (the paper's default input mode).
@@ -37,16 +40,23 @@
 //! per-range individual I/O. Checkpoint blobs and whole-file reads are
 //! contiguous per file and always independent.
 //!
-//! The plane also owns the rank's burst-buffer staging sink, when there
-//! is one: output and checkpoint writes are absorbed into it and drain
-//! in the background, and [`IoPlane::fence`] joins the drains. *When*
-//! to fence is the caller's durability policy; *what* a fence joins is
-//! the plane's business.
+//! The plane also owns the *issue policy* ([`IoOptions::io_async`]):
+//! whether a request's runs go to the file system one after another or
+//! all at once, and whether a checkpoint put is joined before the verb
+//! returns or parked until [`IoPlane::checkpoint_join`]. Either way a
+//! run is the same file-system operation; no caller branches on it.
+//!
+//! And it owns the rank's burst-buffer staging sink, when there is
+//! one: output and checkpoint writes are absorbed into it and drain in
+//! the background, and [`IoPlane::fence`] joins the drains. *When* to
+//! fence is the caller's durability policy; *what* a fence joins is the
+//! plane's business.
 //!
 //! Every serviced request is attributed to its class's tally on the
 //! backing file system so benches can break traffic down by class.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 
 use burstfs::{BurstOptions, StagingStore};
 use parafs::{AsyncIo, IoClass, SimFs, StoreError};
@@ -67,13 +77,12 @@ pub const SIEVE_HOLE_LIMIT: u64 = 64 * 1024;
 /// User-facing plane knobs (the `--io-async`/`--burst-buffer` surface).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct IoOptions {
-    /// Service data requests asynchronously (the `--io-async` knob):
-    /// a request's runs are all in flight at once — a fragment's file
-    /// reads posted together on input ([`IoPlane::submit_begin`]/
-    /// [`IoPlane::wait`] pairs, where reads are not collective),
-    /// fire-and-collect on output, checkpoint puts in flight while the
-    /// rank searches. Off by default; the synchronous
-    /// [`IoPlane::submit`] path is the paper's baseline.
+    /// Post data requests instead of servicing them in turn (the
+    /// `--io-async` knob): a request's runs are all in flight at once —
+    /// a fragment's file reads posted together on input (where reads
+    /// are not collective), fire-and-collect on output, checkpoint puts
+    /// in flight while the rank searches. Off by default: one run after
+    /// another is the paper's baseline.
     pub io_async: bool,
     /// Burst-buffer staging knobs (the `--burst-buffer` surface): when
     /// set, output and checkpoint writes are absorbed into the node's
@@ -89,11 +98,11 @@ pub struct PlaneConfig {
     pub options: IoOptions,
     /// Collective-I/O tuning (aggregator count).
     pub hints: CollectiveHints,
-    /// The class [`IoRequest::DbRead`] is serviced under. `TwoPhase`
+    /// The class [`IoPlane::read_views`] is serviced under. `TwoPhase`
     /// makes every database read a collective: all ranks of the
     /// communicator must post it together.
     pub input: IoClass,
-    /// The class [`IoRequest::OutputWrite`] is serviced under, with the
+    /// The class [`IoPlane::write_output`] is serviced under, with the
     /// same collective contract for `TwoPhase`.
     pub output: IoClass,
 }
@@ -111,77 +120,27 @@ impl Default for PlaneConfig {
     }
 }
 
-/// A typed I/O request against the plane.
-#[derive(Debug)]
-pub enum IoRequest<'r> {
-    /// Read the given regions of a shared database file.
-    DbRead {
-        /// File path on the shared file system.
-        path: &'r str,
-        /// Regions to read.
-        view: &'r FileView,
-    },
-    /// Write scattered output records at master-assigned offsets.
-    OutputWrite {
-        /// Report path on the shared file system.
-        path: &'r str,
-        /// Regions to write (`payload` fills them in order).
-        view: &'r FileView,
-        /// The regions' bytes, concatenated.
-        payload: &'r [u8],
-    },
-    /// Persist a checkpoint blob (whole file, created or replaced).
-    CheckpointPut {
-        /// Blob path.
-        path: &'r str,
-        /// Blob bytes.
-        payload: &'r [u8],
-    },
-    /// Fetch a checkpoint blob (whole file).
-    CheckpointGet {
-        /// Blob path.
-        path: &'r str,
-    },
-    /// Drop a checkpoint blob, if present.
-    CheckpointDrop {
-        /// Blob path.
-        path: &'r str,
-    },
-}
-
-/// What a serviced request returns.
-#[derive(Debug, PartialEq, Eq)]
-pub enum IoResponse {
-    /// The requested bytes, in view-region order.
-    Data(Vec<u8>),
-    /// A write/drop completed.
-    Done,
-}
-
-/// An in-flight request, returned by [`IoPlane::submit_begin`] and
-/// joined with [`IoPlane::wait`]. While a handle is outstanding its
-/// transfers proceed in virtual time — latency and contended bandwidth
-/// elapse whether or not the owning rank is computing — so only the
+/// A posted request, from one of the `begin_*` methods to
+/// [`IoPlane::wait`]. While a handle is outstanding its transfers
+/// proceed in virtual time — latency and contended bandwidth elapse
+/// whether or not the owning rank is computing — so only the
 /// *remainder* at `wait` is exposed as I/O wait.
 ///
 /// A two-phase output write's handle is the rank's half of a
-/// split-collective operation: `submit_begin` and `wait` are both
-/// collective calls, and at most one collective handle may be
-/// outstanding per plane. (A two-phase read is serviced synchronously
-/// at begin time — still a collective call — and its handle is ready.)
-/// Independent and sieved handles are purely local; any number may be
-/// in flight (they contend for file-system bandwidth like concurrent
-/// clients).
-#[must_use = "every submit_begin must be paired with exactly one wait"]
-pub struct IoHandle<'a, 'c> {
+/// split-collective operation: begin and wait are both collective
+/// calls. Independent and sieved handles are purely local; any number
+/// may be in flight (they contend for file-system bandwidth like
+/// concurrent clients).
+#[must_use = "every begin must be paired with exactly one wait"]
+struct IoHandle<'a, 'c> {
     op: &'static str,
     bytes: u64,
     kind: HandleKind<'a, 'c>,
 }
 
 enum HandleKind<'a, 'c> {
-    /// The request was serviced (or failed) synchronously at begin time.
-    Ready(Result<IoResponse, StoreError>),
+    /// The request failed at begin time.
+    Failed(StoreError),
     /// Independent/sieved read: in-flight run reads plus the region list
     /// for view-order assembly.
     Read {
@@ -202,12 +161,20 @@ impl IoHandle<'_, '_> {
     /// nanoseconds.
     fn issued_ns(&self) -> Option<u64> {
         match &self.kind {
-            HandleKind::Ready(_) => None,
+            HandleKind::Failed(_) => None,
             HandleKind::Read { runs, .. } => runs.iter().map(|(_, op)| op.issued_at().0).min(),
             HandleKind::Write { ops } => ops.iter().map(|op| op.issued_at().0).min(),
             HandleKind::CollWrite { pend, .. } => pend.issued_ns(),
         }
     }
+}
+
+/// A fired checkpoint put: the blob's size and its in-flight writes (or
+/// begin-time failure). Owned data — unlike an [`IoHandle`] it borrows
+/// nothing, so it can outlive the call that fired it.
+struct ParkedPut {
+    bytes: u64,
+    ops: Result<Vec<AsyncIo>, StoreError>,
 }
 
 /// The typed access plane over one communicator and file system.
@@ -216,6 +183,9 @@ pub struct IoPlane<'a, 'c> {
     fs: &'a SimFs,
     cfg: PlaneConfig,
     staging: Option<RefCell<StagingStore>>,
+    /// Checkpoint puts fired under `io_async` and not yet joined, oldest
+    /// first.
+    parked: RefCell<VecDeque<ParkedPut>>,
 }
 
 impl<'a, 'c> IoPlane<'a, 'c> {
@@ -236,6 +206,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             fs,
             cfg,
             staging: staging.map(RefCell::new),
+            parked: RefCell::default(),
         }
     }
 
@@ -261,58 +232,15 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         self.cfg.output == IoClass::TwoPhase
     }
 
-    /// Service one typed request.
-    pub fn submit(&self, req: IoRequest<'_>) -> Result<IoResponse, StoreError> {
-        match req {
-            IoRequest::DbRead { path, view } => self.read_view(path, view).map(IoResponse::Data),
-            IoRequest::OutputWrite {
-                path,
-                view,
-                payload,
-            } => {
-                self.write_view(path, view, payload)?;
-                Ok(IoResponse::Done)
-            }
-            IoRequest::CheckpointPut { path, payload } => {
-                let _span = tracelog::span_args(
-                    tracelog::Lane::Io,
-                    "plane.ckpt.put",
-                    vec![("bytes", payload.len().into())],
-                );
-                self.note(IoClass::Independent, 1, payload.len() as u64);
-                if try_stage(self.staging.as_ref(), self.comm.ctx(), path, 0, payload)? {
-                    return Ok(IoResponse::Done);
-                }
-                self.fs.create(self.comm.ctx(), path);
-                self.fs.write_at(self.comm.ctx(), path, 0, payload)?;
-                Ok(IoResponse::Done)
-            }
-            IoRequest::CheckpointGet { path } => {
-                let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.get");
-                let data = self.fs.read_all(self.comm.ctx(), path)?;
-                self.note(IoClass::Independent, 1, data.len() as u64);
-                Ok(IoResponse::Data(data))
-            }
-            IoRequest::CheckpointDrop { path } => {
-                let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.drop");
-                // A staged blob whose drain is still in flight would land
-                // *after* the delete and resurrect it; fence first.
-                self.fence()?;
-                self.fs.delete(self.comm.ctx(), path)?;
-                Ok(IoResponse::Done)
-            }
-        }
+    /// Whether [`IoPlane::read_views`] posts a set's reads together
+    /// (`io_async`, reads not collective) instead of servicing them in
+    /// turn. A caller that wants one fragment's reads to overlap, not a
+    /// whole grant's, sizes its sets by this.
+    pub fn posts_reads(&self) -> bool {
+        self.cfg.options.io_async && !self.collective_reads()
     }
 
-    // ---- convenience wrappers over `submit` ----
-
-    /// Read a view of a database file ([`IoRequest::DbRead`]).
-    pub fn db_read(&self, path: &str, view: &FileView) -> Result<Vec<u8>, StoreError> {
-        match self.submit(IoRequest::DbRead { path, view })? {
-            IoResponse::Data(d) => Ok(d),
-            IoResponse::Done => unreachable!("reads return data"),
-        }
-    }
+    // ---- the typed verbs ----
 
     /// Read a whole file (run setup: alias, queries, volume indexes).
     pub fn read_whole(&self, path: &str) -> Result<Vec<u8>, StoreError> {
@@ -321,9 +249,23 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         Ok(data)
     }
 
-    /// Write scattered records ([`IoRequest::OutputWrite`]). Writes *do*
-    /// fail — a full file system surfaces as
-    /// [`StoreError::NoSpace`] — and the caller must degrade, not abort.
+    /// Read views of shared database files, returning each view's bytes
+    /// in region order. Where the plane posts reads
+    /// ([`IoPlane::posts_reads`]) every view's runs are begun before
+    /// the first is joined, so their latencies overlap instead of
+    /// summing; otherwise the views are serviced one after another.
+    pub fn read_views(&self, files: &[(&str, &FileView)]) -> Result<Vec<Vec<u8>>, StoreError> {
+        if !self.posts_reads() {
+            return files.iter().map(|(p, v)| self.read_view(p, v)).collect();
+        }
+        let handles: Vec<_> = files.iter().map(|(p, v)| self.begin_read(p, v)).collect();
+        handles.into_iter().map(|h| self.wait(h)).collect()
+    }
+
+    /// Write scattered records at master-assigned offsets (`payload`
+    /// fills the view's regions in order). Writes *do* fail — a full
+    /// file system surfaces as [`StoreError::NoSpace`] — and the caller
+    /// must degrade, not abort.
     ///
     /// Under [`IoOptions::io_async`] this is fire-and-collect: every run
     /// of the view goes in flight at once, so per-operation latencies
@@ -335,156 +277,159 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         view: &FileView,
         payload: &[u8],
     ) -> Result<(), StoreError> {
-        let req = IoRequest::OutputWrite {
-            path,
-            view,
-            payload,
-        };
-        if self.cfg.options.io_async {
-            self.wait(self.submit_begin(req)).map(|_| ())
-        } else {
-            self.submit(req).map(|_| ())
-        }
-    }
-
-    /// Persist a checkpoint blob ([`IoRequest::CheckpointPut`]). Fails
-    /// with [`StoreError::NoSpace`] on a full file system.
-    pub fn checkpoint_put(&self, path: &str, payload: &[u8]) -> Result<(), StoreError> {
-        self.submit(IoRequest::CheckpointPut { path, payload })
-            .map(|_| ())
-    }
-
-    /// Fetch a checkpoint blob ([`IoRequest::CheckpointGet`]).
-    pub fn checkpoint_get(&self, path: &str) -> Result<Vec<u8>, StoreError> {
-        match self.submit(IoRequest::CheckpointGet { path })? {
-            IoResponse::Data(d) => Ok(d),
-            IoResponse::Done => unreachable!("gets return data"),
-        }
-    }
-
-    /// Drop a checkpoint blob ([`IoRequest::CheckpointDrop`]).
-    pub fn checkpoint_drop(&self, path: &str) -> Result<(), StoreError> {
-        self.submit(IoRequest::CheckpointDrop { path }).map(|_| ())
-    }
-
-    // ---- asynchronous submission ----
-
-    /// Begin servicing a request without blocking on the file system,
-    /// returning a handle to [`IoPlane::wait`] on. Reads and writes stay
-    /// in flight — contending for bandwidth like any concurrent
-    /// client — while the rank computes; `wait` exposes only the
-    /// remainder. A two-phase output write is a split collective (every
-    /// rank must post begin and wait together); two-phase reads,
-    /// checkpoint gets/drops and begin-time failures resolve immediately
-    /// into a ready handle.
-    pub fn submit_begin<'p>(&'p self, req: IoRequest<'_>) -> IoHandle<'p, 'c> {
-        let (op, bytes, class) = match &req {
-            IoRequest::DbRead { view, .. } => ("db_read", view.total_bytes(), self.cfg.input),
-            IoRequest::OutputWrite { payload, .. } => {
-                ("output_write", payload.len() as u64, self.cfg.output)
-            }
-            IoRequest::CheckpointPut { payload, .. } => {
-                ("ckpt_put", payload.len() as u64, IoClass::Independent)
-            }
-            IoRequest::CheckpointGet { .. } => ("ckpt_get", 0, IoClass::Independent),
-            IoRequest::CheckpointDrop { .. } => ("ckpt_drop", 0, IoClass::Independent),
-        };
-        tracelog::instant(
-            tracelog::Lane::Io,
-            "plane.async.begin",
-            vec![
-                ("op", op.into()),
-                ("strategy", class.label().into()),
-                ("bytes", bytes.into()),
-            ],
+        assert_eq!(
+            payload.len() as u64,
+            view.total_bytes(),
+            "payload must exactly fill the view"
         );
-        let kind = match req {
-            IoRequest::DbRead { path, view } if class != IoClass::TwoPhase => {
-                self.note(class, view.regions.len() as u64, view.total_bytes());
-                let regions: Vec<(u64, u64)> = view.absolute().collect();
-                let begin_all = || -> Result<Vec<(u64, AsyncIo)>, StoreError> {
-                    read_runs(&regions, class)
-                        .into_iter()
-                        .map(|(o, l)| Ok((o, self.fs.read_at_begin(self.comm.ctx(), path, o, l)?)))
-                        .collect()
-                };
-                match begin_all() {
-                    Ok(runs) => HandleKind::Read { runs, regions },
-                    Err(e) => HandleKind::Ready(Err(e)),
+        if self.cfg.options.io_async {
+            self.wait(self.begin_write(path, view, payload)).map(drop)
+        } else {
+            self.write_view(path, view, payload)
+        }
+    }
+
+    /// Persist a checkpoint blob (whole file, created or replaced).
+    /// Fails with [`StoreError::NoSpace`] on a full file system.
+    ///
+    /// Under [`IoOptions::io_async`] this is fire-and-collect too: the
+    /// blob's write stays in flight while the rank works on, the plane
+    /// parks it, and its outcome — failures included — comes back from
+    /// [`IoPlane::checkpoint_join`], never from this call.
+    pub fn checkpoint_put(&self, path: &str, payload: &[u8]) -> Result<(), StoreError> {
+        let ctx = self.comm.ctx();
+        if self.cfg.options.io_async {
+            let bytes = payload.len() as u64;
+            begin_instant("ckpt_put", IoClass::Independent, bytes);
+            let ops = self.stage_blob(path, payload).map(|staged| {
+                if staged {
+                    Vec::new()
+                } else {
+                    vec![self.fs.write_at_begin(ctx, path, 0, payload.to_vec())]
                 }
-            }
-            IoRequest::OutputWrite {
-                path,
-                view,
-                payload,
-            } => {
-                assert_eq!(
-                    payload.len() as u64,
-                    view.total_bytes(),
-                    "payload must exactly fill the view"
-                );
-                self.note(class, view.regions.len() as u64, view.total_bytes());
-                match class {
-                    IoClass::TwoPhase => {
-                        let file = MpiFile::open(self.comm, self.fs, path)
-                            .with_hints(self.cfg.hints)
-                            .with_burst(self.staging.as_ref());
-                        match file.write_at_all_begin(view, payload) {
-                            Ok(pend) => HandleKind::CollWrite { file, pend },
-                            Err(e) => HandleKind::Ready(Err(e)),
-                        }
-                    }
-                    _ => {
-                        let begin_all = || -> Result<Vec<AsyncIo>, StoreError> {
-                            let mut ops = Vec::new();
-                            for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
-                                // Staged runs carry no handle: their drain
-                                // is tracked by the staging store and
-                                // joined at the next drain fence.
-                                if try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
-                                    continue;
-                                }
-                                ops.push(self.fs.write_at_begin(self.comm.ctx(), path, o, d));
-                            }
-                            Ok(ops)
-                        };
-                        match begin_all() {
-                            Ok(ops) => HandleKind::Write { ops },
-                            Err(e) => HandleKind::Ready(Err(e)),
-                        }
-                    }
-                }
-            }
-            IoRequest::CheckpointPut { path, payload } => {
-                self.note(IoClass::Independent, 1, payload.len() as u64);
-                match try_stage(self.staging.as_ref(), self.comm.ctx(), path, 0, payload) {
-                    Ok(true) => HandleKind::Write { ops: Vec::new() },
-                    Ok(false) => {
-                        self.fs.create(self.comm.ctx(), path);
-                        let op = self
-                            .fs
-                            .write_at_begin(self.comm.ctx(), path, 0, payload.to_vec());
-                        HandleKind::Write { ops: vec![op] }
-                    }
-                    Err(e) => HandleKind::Ready(Err(e)),
-                }
-            }
-            // Gets and drops are latency-bound metadata round trips; the
-            // sync path already charges them faithfully. So it does the
-            // two-phase read, which no caller posts ahead of its use.
-            req @ (IoRequest::DbRead { .. }
-            | IoRequest::CheckpointGet { .. }
-            | IoRequest::CheckpointDrop { .. }) => HandleKind::Ready(self.submit(req)),
-        };
+            });
+            self.parked.borrow_mut().push_back(ParkedPut { bytes, ops });
+            return Ok(());
+        }
+        let _span = tracelog::span_args(
+            tracelog::Lane::Io,
+            "plane.ckpt.put",
+            vec![("bytes", payload.len().into())],
+        );
+        if !self.stage_blob(path, payload)? {
+            self.fs.write_at(ctx, path, 0, payload)?;
+        }
+        Ok(())
+    }
+
+    /// Join the oldest checkpoint put still parked — block until its
+    /// write has landed or failed — or return `None` when none is.
+    /// Callers loop on this where acknowledged results must not outrun
+    /// their checkpoints.
+    pub fn checkpoint_join(&self) -> Option<Result<(), StoreError>> {
+        let ParkedPut { bytes, ops } = self.parked.borrow_mut().pop_front()?;
+        let kind = ops.map_or_else(HandleKind::Failed, |ops| HandleKind::Write { ops });
+        let op = "ckpt_put";
+        Some(self.wait(IoHandle { op, bytes, kind }).map(drop))
+    }
+
+    /// Fetch a checkpoint blob (whole file).
+    pub fn checkpoint_get(&self, path: &str) -> Result<Vec<u8>, StoreError> {
+        let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.get");
+        let data = self.fs.read_all(self.comm.ctx(), path)?;
+        self.note(IoClass::Independent, 1, data.len() as u64);
+        Ok(data)
+    }
+
+    /// Drop a checkpoint blob, if present.
+    pub fn checkpoint_drop(&self, path: &str) -> Result<(), StoreError> {
+        let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.drop");
+        // A staged blob whose drain is still in flight would land
+        // *after* the delete and resurrect it; fence first.
+        self.fence()?;
+        self.fs.delete(self.comm.ctx(), path)
+    }
+
+    // ---- shared by both policies ----
+
+    fn note(&self, class: IoClass, requests: u64, bytes: u64) {
+        self.fs.note_class(class, requests, bytes);
+    }
+
+    /// The head of a checkpoint put on either policy: tally the blob and
+    /// offer it to the staging tier. `Ok(false)` means it was not
+    /// absorbed and its file now exists, empty, for a direct write.
+    fn stage_blob(&self, path: &str, payload: &[u8]) -> Result<bool, StoreError> {
+        self.note(IoClass::Independent, 1, payload.len() as u64);
+        let staged = try_stage(self.staging.as_ref(), self.comm.ctx(), path, 0, payload)?;
+        if !staged {
+            self.fs.create(self.comm.ctx(), path);
+        }
+        Ok(staged)
+    }
+
+    /// Open `path` for a collective write under this plane's hints and
+    /// staging sink.
+    fn open_collective(&self, path: &str) -> MpiFile<'_, 'c> {
+        MpiFile::open(self.comm, self.fs, path)
+            .with_hints(self.cfg.hints)
+            .with_burst(self.staging.as_ref())
+    }
+
+    // ---- the posted policy: begin every run, then join ----
+
+    /// Post a view's reads (independent or sieved class only): every
+    /// run in flight on return.
+    fn begin_read<'p>(&'p self, path: &str, view: &FileView) -> IoHandle<'p, 'c> {
+        let (op, bytes, class) = ("db_read", view.total_bytes(), self.cfg.input);
+        begin_instant(op, class, bytes);
+        self.note(class, view.regions.len() as u64, bytes);
+        let regions: Vec<(u64, u64)> = view.absolute().collect();
+        let runs: Result<Vec<(u64, AsyncIo)>, StoreError> = read_runs(&regions, class)
+            .into_iter()
+            .map(|(o, l)| Ok((o, self.fs.read_at_begin(self.comm.ctx(), path, o, l)?)))
+            .collect();
+        let kind = runs.map_or_else(HandleKind::Failed, |runs| HandleKind::Read {
+            runs,
+            regions,
+        });
         IoHandle { op, bytes, kind }
     }
 
-    /// Join an in-flight request: block until its transfers complete,
-    /// assemble the response, and (on the collective path) barrier. The
-    /// exposed wait — everything this call blocks on — lands in a
-    /// `plane.async.wait` span; the time the handle spent in flight
-    /// before the join is reported as its `queued_ns` argument.
-    pub fn wait(&self, handle: IoHandle<'_, 'c>) -> Result<IoResponse, StoreError> {
+    /// Post an output write: every run in flight (or staged) on return.
+    /// On the two-phase class this is the begin half of the split
+    /// collective, which every rank must post.
+    fn begin_write<'p>(&'p self, path: &str, view: &FileView, payload: &[u8]) -> IoHandle<'p, 'c> {
+        let (op, bytes, class) = ("output_write", payload.len() as u64, self.cfg.output);
+        begin_instant(op, class, bytes);
+        self.note(class, view.regions.len() as u64, bytes);
+        let issue = || -> Result<HandleKind<'p, 'c>, StoreError> {
+            if class == IoClass::TwoPhase {
+                let file = self.open_collective(path);
+                let pend = file.write_at_all_begin(view, payload)?;
+                return Ok(HandleKind::CollWrite { file, pend });
+            }
+            let mut ops = Vec::new();
+            for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
+                // Staged runs carry no handle: their drain is tracked by
+                // the staging store and joined at the next drain fence.
+                if !try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
+                    ops.push(self.fs.write_at_begin(self.comm.ctx(), path, o, d));
+                }
+            }
+            Ok(HandleKind::Write { ops })
+        };
+        let kind = issue().unwrap_or_else(HandleKind::Failed);
+        IoHandle { op, bytes, kind }
+    }
+
+    /// Join a posted request: block until its transfers complete,
+    /// assemble the read bytes (empty for a write), and (on the
+    /// collective path) barrier. The exposed wait — everything this
+    /// call blocks on — lands in a `plane.async.wait` span; the time the
+    /// handle spent in flight before the join is reported as its
+    /// `queued_ns` argument.
+    fn wait(&self, handle: IoHandle<'_, 'c>) -> Result<Vec<u8>, StoreError> {
         let queued_ns = handle
             .issued_ns()
             .map_or(0, |t| self.comm.ctx().now().0.saturating_sub(t));
@@ -498,13 +443,13 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             ],
         );
         match handle.kind {
-            HandleKind::Ready(result) => result,
+            HandleKind::Failed(e) => Err(e),
             HandleKind::Read { runs, regions } => {
                 let mut run_data: Vec<(u64, Vec<u8>)> = Vec::with_capacity(runs.len());
                 for (o, op) in runs {
                     run_data.push((o, self.fs.io_wait(self.comm.ctx(), op)?));
                 }
-                Ok(IoResponse::Data(assemble(&regions, &run_data)))
+                Ok(assemble(&regions, &run_data))
             }
             HandleKind::Write { ops } => {
                 // Wait for every write even after a failure: the others
@@ -515,19 +460,15 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                         err.get_or_insert(e);
                     }
                 }
-                err.map_or(Ok(IoResponse::Done), Err)
+                err.map_or(Ok(Vec::new()), Err)
             }
             HandleKind::CollWrite { file, pend } => {
-                file.write_at_all_end(pend).map(|_| IoResponse::Done)
+                file.write_at_all_end(pend).map(|()| Vec::new())
             }
         }
     }
 
-    // ---- class execution ----
-
-    fn note(&self, class: IoClass, requests: u64, bytes: u64) {
-        self.fs.note_class(class, requests, bytes);
-    }
+    // ---- the serial policy: one run after another ----
 
     fn read_view(&self, path: &str, view: &FileView) -> Result<Vec<u8>, StoreError> {
         let class = self.cfg.input;
@@ -558,11 +499,6 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     }
 
     fn write_view(&self, path: &str, view: &FileView, payload: &[u8]) -> Result<(), StoreError> {
-        assert_eq!(
-            payload.len() as u64,
-            view.total_bytes(),
-            "payload must exactly fill the view"
-        );
         let class = self.cfg.output;
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
@@ -577,21 +513,28 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         match class {
             IoClass::Independent | IoClass::Sieved => {
                 for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
-                    if try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
-                        continue;
+                    if !try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
+                        self.fs.write_at_owned(self.comm.ctx(), path, o, d)?;
                     }
-                    self.fs.write_at(self.comm.ctx(), path, o, &d)?;
                 }
                 Ok(())
             }
-            IoClass::TwoPhase => {
-                let file = MpiFile::open(self.comm, self.fs, path)
-                    .with_hints(self.cfg.hints)
-                    .with_burst(self.staging.as_ref());
-                file.write_at_all(view, payload)
-            }
+            IoClass::TwoPhase => self.open_collective(path).write_at_all(view, payload),
         }
     }
+}
+
+/// The `plane.async.begin` instant every posted request opens with.
+fn begin_instant(op: &'static str, class: IoClass, bytes: u64) {
+    tracelog::instant(
+        tracelog::Lane::Io,
+        "plane.async.begin",
+        vec![
+            ("op", op.into()),
+            ("strategy", class.label().into()),
+            ("bytes", bytes.into()),
+        ],
+    );
 }
 
 /// The runs a view's regions are read as: the regions themselves, or —
@@ -687,6 +630,17 @@ mod tests {
         }
     }
 
+    /// The same plane with `io_async` on.
+    fn posted_cfg(class: IoClass) -> PlaneConfig {
+        let mut cfg = plane_cfg(class);
+        cfg.options.io_async = true;
+        cfg
+    }
+
+    fn read_one(plane: &IoPlane, path: &str, view: &FileView) -> Vec<u8> {
+        plane.read_views(&[(path, view)]).unwrap().remove(0)
+    }
+
     /// A staging store over a fresh per-rank staging volume; the volume
     /// handle comes back too, so tests can read its counters.
     fn staging_store(
@@ -737,7 +691,7 @@ mod tests {
                 let plane = IoPlane::new(&comm, &fs2, plane_cfg(class), None);
                 let base = 100 * ctx.rank() as u64;
                 let view = FileView::new(base, vec![(0, 20), (30, 10), (90, 10)]).unwrap();
-                plane.db_read("db", &view).unwrap()
+                read_one(&plane, "db", &view)
             });
             for (r, got) in out.outputs.iter().enumerate() {
                 let base = 100 * r;
@@ -763,7 +717,7 @@ mod tests {
                 // 16 regions with 8-byte holes: one sieved run.
                 let regions: Vec<(u64, u64)> = (0..16).map(|i| (i * 40, 32)).collect();
                 let view = FileView::new(0, regions).unwrap();
-                plane.db_read("db", &view).unwrap();
+                read_one(&plane, "db", &view);
             });
             (
                 fs.counters().data_ops,
@@ -821,7 +775,7 @@ mod tests {
             // would deadlock in the view exchange.
             if ctx.rank() == 1 {
                 let view = FileView::new(0, vec![(0, 8), (16, 8)]).unwrap();
-                assert_eq!(plane.db_read("db", &view).unwrap(), vec![3u8; 16]);
+                assert_eq!(read_one(&plane, "db", &view), vec![3u8; 16]);
             }
         });
         assert_eq!(fs.class_tally(IoClass::Sieved).requests, 2);
@@ -867,30 +821,25 @@ mod tests {
             let fs2 = fs.clone();
             sim.run(move |ctx| {
                 let comm = Comm::new(&ctx, net());
+                // The same verbs on both planes: serviced in turn on
+                // one, posted and joined (the split collective on the
+                // two-phase write) on the other.
                 let plane = IoPlane::new(&comm, &fs2, plane_cfg(class), None);
+                let posted = IoPlane::new(&comm, &fs2, posted_cfg(class), None);
                 let base = 100 * ctx.rank() as u64;
                 let view = FileView::new(base, vec![(0, 20), (30, 10), (90, 10)]).unwrap();
-                let sync = plane.db_read("db", &view).unwrap();
-                let handle = plane.submit_begin(IoRequest::DbRead {
-                    path: "db",
-                    view: &view,
-                });
-                match plane.wait(handle).unwrap() {
-                    IoResponse::Data(d) => assert_eq!(d, sync, "{} read", class.label()),
-                    IoResponse::Done => panic!("reads return data"),
-                }
-                // Scattered writes land the same bytes on both paths:
-                // `write_output` is the sync path here and the
-                // begin/wait pair on an `io_async` plane.
+                let sync = read_one(&plane, "db", &view);
+                assert_eq!(
+                    read_one(&posted, "db", &view),
+                    sync,
+                    "{} read",
+                    class.label()
+                );
                 let me = ctx.rank() as u64;
                 let wview = FileView::new(0, vec![(me * 30, 15), (90 + me * 30, 15)]).unwrap();
                 let payload = vec![me as u8 + 1; 30];
                 plane.write_output("out.sync", &wview, &payload).unwrap();
-                let mut cfg = plane_cfg(class);
-                cfg.options.io_async = true;
-                IoPlane::new(&comm, &fs2, cfg, None)
-                    .write_output("out.async", &wview, &payload)
-                    .unwrap();
+                posted.write_output("out.async", &wview, &payload).unwrap();
             });
             assert_eq!(
                 fs.peek("out.sync").unwrap(),
@@ -898,6 +847,59 @@ mod tests {
                 "{} write",
                 class.label()
             );
+        }
+    }
+
+    #[test]
+    fn read_views_posts_the_set_only_where_the_plane_says() {
+        // Three views of one file: the same bytes on every class and
+        // policy, and on the independent class — where reads are posted —
+        // the nine reads' latencies overlap instead of summing.
+        let content: Vec<u8> = (0..900u32).map(|i| (i % 251) as u8).collect();
+        let run = |cfg: PlaneConfig| -> (Vec<Vec<Vec<u8>>>, u64) {
+            let sim = Sim::new(3);
+            let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
+            fs.preload("db", content.clone());
+            let out = sim.run(move |ctx| {
+                let comm = Comm::new(&ctx, net());
+                let plane = IoPlane::new(&comm, &fs, cfg, None);
+                assert_eq!(
+                    plane.posts_reads(),
+                    cfg.options.io_async && cfg.input != IoClass::TwoPhase
+                );
+                let base = 300 * ctx.rank() as u64;
+                let views: Vec<FileView> = (0..3)
+                    .map(|k| FileView::new(base + 100 * k, vec![(0, 20), (30, 10), (90, 10)]))
+                    .collect::<Result<_, _>>()
+                    .unwrap();
+                let files: Vec<(&str, &FileView)> = views.iter().map(|v| ("db", v)).collect();
+                let start = ctx.now();
+                let data = plane.read_views(&files).unwrap();
+                (data, (ctx.now() - start).0)
+            });
+            let (data, ns): (Vec<_>, Vec<_>) = out.outputs.into_iter().unzip();
+            (data, ns.into_iter().max().unwrap())
+        };
+        for class in IoClass::ALL {
+            let (serial, serial_ns) = run(plane_cfg(class));
+            let (posted, posted_ns) = run(posted_cfg(class));
+            assert_eq!(serial, posted, "{}", class.label());
+            for (r, views) in serial.iter().enumerate() {
+                for (k, got) in views.iter().enumerate() {
+                    let at = 300 * r + 100 * k;
+                    let mut want = content[at..at + 20].to_vec();
+                    want.extend_from_slice(&content[at + 30..at + 40]);
+                    want.extend_from_slice(&content[at + 90..at + 100]);
+                    assert_eq!(got, &want, "{} rank {r} view {k}", class.label());
+                }
+            }
+            if class == IoClass::Independent {
+                assert!(
+                    serial_ns >= 9 * 100_000,
+                    "nine serial latencies: {serial_ns}"
+                );
+                assert!(posted_ns < serial_ns / 4, "{posted_ns} vs {serial_ns} ns");
+            }
         }
     }
 
@@ -940,15 +942,9 @@ mod tests {
             let plane = IoPlane::new(&comm, &fs2, plane_cfg(IoClass::Sieved), None);
             let view = FileView::contiguous(0, 50_000_000);
             let start = ctx.now();
-            let handle = plane.submit_begin(IoRequest::DbRead {
-                path: "db",
-                view: &view,
-            });
+            let handle = plane.begin_read("db", &view);
             ctx.charge(SimDuration::from_millis(300));
-            match plane.wait(handle).unwrap() {
-                IoResponse::Data(d) => assert_eq!(d.len(), 50_000_000),
-                IoResponse::Done => panic!("reads return data"),
-            }
+            assert_eq!(plane.wait(handle).unwrap().len(), 50_000_000);
             (ctx.now() - start).0
         });
         // 50 MB at 100 MB/s is 0.5 s (plus 0.1 ms op latency); the
@@ -977,12 +973,14 @@ mod tests {
                 plane.write_output("out", &view, &[0u8; 150]),
                 Err(StoreError::NoSpace { .. })
             ));
-            // Async: the failure lands at wait time, not begin time.
-            let h = plane.submit_begin(IoRequest::CheckpointPut {
-                path: "ckpt2",
-                payload: &[0u8; 200],
-            });
-            assert!(matches!(plane.wait(h), Err(StoreError::NoSpace { .. })));
+            // Fire-and-collect: the failure lands at the join, not the put.
+            let posted = IoPlane::new(&comm, &fs2, posted_cfg(IoClass::Independent), None);
+            posted.checkpoint_put("ckpt2", &[0u8; 200]).unwrap();
+            assert!(matches!(
+                posted.checkpoint_join(),
+                Some(Err(StoreError::NoSpace { .. }))
+            ));
+            assert!(posted.checkpoint_join().is_none(), "nothing left parked");
             // A blob that fits still goes through.
             plane.checkpoint_put("small", &[7u8; 40]).unwrap();
         });

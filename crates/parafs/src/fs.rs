@@ -5,10 +5,15 @@
 //! instant, each of the `n` active streams proceeds at
 //! `min(per_client_bw, aggregate_bw / n)`. Whenever the active set changes
 //! — a stream starts or finishes — the model retimes every pending
-//! stream's completion and reschedules its owner's wake in the discrete-
-//! event engine. This is the standard fluid model of shared-storage
-//! contention, and it is what makes the XFS and NFS profiles reproduce
-//! the paper's Figure 3 vs Figure 4 contrast.
+//! stream's completion and reschedules its completion callback in the
+//! discrete-event engine. This is the standard fluid model of shared-
+//! storage contention, and it is what makes the XFS and NFS profiles
+//! reproduce the paper's Figure 3 vs Figure 4 contrast.
+//!
+//! There is one mechanism: an operation is *begun* (its latency and
+//! transfer then elapse through engine callbacks, whatever its owner
+//! does) and later *joined* with [`SimFs::io_wait`]. A blocking call is
+//! begin + wait with nothing in between.
 
 use std::sync::Arc;
 
@@ -31,20 +36,20 @@ pub struct FsCounters {
     pub meta_ops: u64,
 }
 
+/// One in-flight operation's transfer. Streams are owned by the engine,
+/// not by the issuing rank: a callback starts one, a callback completes
+/// it, so a rank killed mid-operation cannot strand its stream.
 struct Stream {
     rank: usize,
     remaining: f64,
     rate: f64,
+    /// The scheduled completion callback, re-armed by every retime.
     wake: Option<WakeId>,
-    /// Detached in-flight op this stream belongs to; `None` means the
-    /// owner rank is blocked in [`SimFs::transfer`] and its wake resumes
-    /// it directly.
-    async_op: Option<AsyncCell>,
+    shared: Arc<Mutex<AsyncState>>,
+    action: AsyncAction,
 }
 
-/// What an asynchronous operation does to the store when its transfer
-/// completes.
-#[derive(Clone)]
+/// What an operation does to the store when its transfer completes.
 enum AsyncAction {
     Read {
         path: String,
@@ -54,7 +59,7 @@ enum AsyncAction {
     Write {
         path: String,
         offset: u64,
-        data: Arc<Vec<u8>>,
+        data: Vec<u8>,
     },
 }
 
@@ -66,12 +71,6 @@ struct AsyncState {
     waiter: Option<usize>,
 }
 
-#[derive(Clone)]
-struct AsyncCell {
-    shared: Arc<Mutex<AsyncState>>,
-    action: AsyncAction,
-}
-
 /// An in-flight asynchronous file-system operation.
 ///
 /// Obtained from [`SimFs::read_at_begin`] / [`SimFs::write_at_begin`];
@@ -80,23 +79,18 @@ struct AsyncCell {
 /// an op cannot be waited twice). Ops are modeled as scheduled engine
 /// callbacks: the operation latency and the contended transfer both
 /// elapse in flight, and the store mutation (or read snapshot) lands at
-/// completion time — a killed owner's write therefore never lands,
-/// exactly like a rank killed mid-`transfer` on the synchronous path.
+/// completion time — a killed owner's write therefore never lands, and
+/// its stream leaves the bandwidth share when the transfer would have
+/// ended.
 pub struct AsyncIo {
     shared: Arc<Mutex<AsyncState>>,
     issued: SimTime,
-    bytes: u64,
 }
 
 impl AsyncIo {
     /// Virtual time the operation was issued.
     pub fn issued_at(&self) -> SimTime {
         self.issued
-    }
-
-    /// Bytes the operation transfers.
-    pub fn bytes(&self) -> u64 {
-        self.bytes
     }
 
     /// Whether the operation has already completed (its wait would not
@@ -282,33 +276,13 @@ impl SimFs {
         offset: u64,
         len: u64,
     ) -> Result<Vec<u8>, StoreError> {
-        // Validate before charging transfer time, like a real EOF error.
-        {
-            let mut st = self.state.lock();
-            st.counters.meta_ops += 1;
-            let size = st.store.len(path).ok_or_else(|| StoreError::NotFound {
-                path: path.to_string(),
-            })?;
-            if offset.checked_add(len).is_none_or(|e| e > size) {
-                return Err(StoreError::OutOfRange {
-                    path: path.to_string(),
-                    offset,
-                    len,
-                    size,
-                });
-            }
-        }
+        self.check_range(path, offset, len)?;
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "fs.read",
             vec![("bytes", len.into()), ("offset", offset.into())],
         );
-        ctx.charge(SimDuration::from_secs_f64(self.profile.op_latency));
-        self.transfer(ctx, len);
-        let mut st = self.state.lock();
-        st.counters.bytes_read += len;
-        st.counters.data_ops += 1;
-        st.store.read_at(path, offset, len)
+        self.io_wait(ctx, self.begin_read(ctx, path, offset, len))
     }
 
     /// Read a whole file.
@@ -333,14 +307,26 @@ impl SimFs {
         offset: u64,
         data: &[u8],
     ) -> Result<(), StoreError> {
+        self.write_at_owned(ctx, path, offset, data.to_vec())
+    }
+
+    /// [`SimFs::write_at`] for a caller that can give its buffer away:
+    /// the bytes move into the in-flight operation instead of being
+    /// copied for it.
+    pub fn write_at_owned(
+        &self,
+        ctx: &RankCtx,
+        path: &str,
+        offset: u64,
+        data: Vec<u8>,
+    ) -> Result<(), StoreError> {
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "fs.write",
             vec![("bytes", data.len().into()), ("offset", offset.into())],
         );
-        ctx.charge(SimDuration::from_secs_f64(self.profile.op_latency));
-        self.transfer(ctx, data.len() as u64);
-        self.state.lock().land_write(path, offset, data)
+        let op = self.begin_write(ctx, path, offset, data);
+        self.io_wait(ctx, op).map(drop)
     }
 
     /// Replace a file's contents.
@@ -349,7 +335,7 @@ impl SimFs {
         self.write_at(ctx, path, 0, data)
     }
 
-    // ---- asynchronous operations (in-flight while the rank computes) ----
+    // ---- split operations (in flight while the rank computes) ----
 
     /// Begin an asynchronous read: validate the range (one metadata op),
     /// then return immediately with the transfer in flight. The op's
@@ -362,35 +348,13 @@ impl SimFs {
         offset: u64,
         len: u64,
     ) -> Result<AsyncIo, StoreError> {
-        {
-            let mut st = self.state.lock();
-            st.counters.meta_ops += 1;
-            let size = st.store.len(path).ok_or_else(|| StoreError::NotFound {
-                path: path.to_string(),
-            })?;
-            if offset.checked_add(len).is_none_or(|e| e > size) {
-                return Err(StoreError::OutOfRange {
-                    path: path.to_string(),
-                    offset,
-                    len,
-                    size,
-                });
-            }
-        }
+        self.check_range(path, offset, len)?;
         tracelog::instant(
             tracelog::Lane::Io,
             "fs.read.begin",
             vec![("bytes", len.into()), ("offset", offset.into())],
         );
-        Ok(self.begin_async(
-            ctx.rank(),
-            len,
-            AsyncAction::Read {
-                path: path.to_string(),
-                offset,
-                len,
-            },
-        ))
+        Ok(self.begin_read(ctx, path, offset, len))
     }
 
     /// Begin an asynchronous write; join with [`SimFs::io_wait`]. The
@@ -403,16 +367,7 @@ impl SimFs {
             "fs.write.begin",
             vec![("bytes", data.len().into()), ("offset", offset.into())],
         );
-        let len = data.len() as u64;
-        self.begin_async(
-            ctx.rank(),
-            len,
-            AsyncAction::Write {
-                path: path.to_string(),
-                offset,
-                data: Arc::new(data),
-            },
-        )
+        self.begin_write(ctx, path, offset, data)
     }
 
     /// Block the calling rank until the op completes, returning the read
@@ -430,7 +385,36 @@ impl SimFs {
         }
     }
 
-    /// Issue the service-side machinery for one async op: a callback at
+    /// Validate a read's range before anything is charged for it, like
+    /// a real EOF error. One metadata op.
+    fn check_range(&self, path: &str, offset: u64, len: u64) -> Result<(), StoreError> {
+        let mut st = self.state.lock();
+        st.counters.meta_ops += 1;
+        let size = st.store.len(path).ok_or_else(|| StoreError::NotFound {
+            path: path.to_string(),
+        })?;
+        if offset.checked_add(len).is_none_or(|e| e > size) {
+            return Err(StoreError::OutOfRange {
+                path: path.to_string(),
+                offset,
+                len,
+                size,
+            });
+        }
+        Ok(())
+    }
+
+    fn begin_read(&self, ctx: &RankCtx, path: &str, offset: u64, len: u64) -> AsyncIo {
+        let path = path.to_string();
+        self.begin_async(ctx.rank(), len, AsyncAction::Read { path, offset, len })
+    }
+
+    fn begin_write(&self, ctx: &RankCtx, path: &str, offset: u64, data: Vec<u8>) -> AsyncIo {
+        let (path, bytes) = (path.to_string(), data.len() as u64);
+        self.begin_async(ctx.rank(), bytes, AsyncAction::Write { path, offset, data })
+    }
+
+    /// Issue the service-side machinery for one op: a callback at
     /// `now + op_latency` (the request reaching the server) activates
     /// the transfer stream; its completion callback lands the result.
     fn begin_async(&self, rank: usize, bytes: u64, action: AsyncAction) -> AsyncIo {
@@ -438,13 +422,9 @@ impl SimFs {
             result: None,
             waiter: None,
         }));
-        let cell = AsyncCell {
-            shared: Arc::clone(&shared),
-            action,
-        };
         let now = self.handle.now();
         let start = now + SimDuration::from_secs_f64(self.profile.op_latency);
-        let fs = self.clone();
+        let (fs, state) = (self.clone(), Arc::clone(&shared));
         self.handle.schedule_callback(start, move || {
             let mut st = fs.state.lock();
             let at = fs.handle.now();
@@ -454,30 +434,30 @@ impl SimFs {
                 remaining: bytes as f64,
                 rate: 0.0,
                 wake: None,
-                async_op: Some(cell),
+                shared: state,
+                action,
             });
             fs.retime(&mut st, at);
         });
         AsyncIo {
             shared,
             issued: now,
-            bytes,
         }
     }
 
-    /// Completion callback for a detached stream: remove it, land the
-    /// action (unless the owner died mid-flight — crash-stop semantics),
+    /// Completion callback for a stream: remove it, land the action
+    /// (unless the owner died mid-flight — crash-stop semantics),
     /// retime the survivors, and wake any joined waiter.
     fn finish_async(&self, shared: &Arc<Mutex<AsyncState>>) {
         let waiter = {
             let mut st = self.state.lock();
             let now = self.handle.now();
             self.settle(&mut st, now);
-            let Some(idx) = st.streams.iter().position(|s| {
-                s.async_op
-                    .as_ref()
-                    .is_some_and(|c| Arc::ptr_eq(&c.shared, shared))
-            }) else {
+            let Some(idx) = st
+                .streams
+                .iter()
+                .position(|s| Arc::ptr_eq(&s.shared, shared))
+            else {
                 return;
             };
             if st.streams[idx].remaining > 0.5 {
@@ -486,14 +466,12 @@ impl SimFs {
                 return;
             }
             let stream = st.streams.swap_remove(idx);
-            let cell = stream.async_op.expect("finish_async targets async streams");
             let result = if self.handle.is_dead(stream.rank) {
                 // The owner was killed with the op in flight: discard the
-                // effect, exactly as a rank killed inside `transfer`
-                // never reaches its store mutation.
+                // effect. A dead rank's write never lands.
                 Ok(Vec::new())
             } else {
-                match &cell.action {
+                match &stream.action {
                     AsyncAction::Read { path, offset, len } => {
                         let r = st.store.read_at(path, *offset, *len);
                         if r.is_ok() {
@@ -508,7 +486,7 @@ impl SimFs {
                 }
             };
             self.retime(&mut st, now);
-            let mut a = cell.shared.lock();
+            let mut a = stream.shared.lock();
             a.result = Some(result);
             a.waiter.take()
         };
@@ -523,55 +501,6 @@ impl SimFs {
         ctx.charge(SimDuration::from_secs_f64(self.profile.op_latency));
     }
 
-    /// Block the calling rank for the contended transfer of `bytes`.
-    fn transfer(&self, ctx: &RankCtx, bytes: u64) {
-        if bytes == 0 {
-            return;
-        }
-        let rank = ctx.rank();
-        {
-            let mut st = self.state.lock();
-            let now = self.handle.now();
-            debug_assert!(
-                st.streams
-                    .iter()
-                    .all(|s| s.rank != rank || s.async_op.is_some()),
-                "rank {rank} already blocked on a stream on {}",
-                self.name
-            );
-            self.settle(&mut st, now);
-            st.streams.push(Stream {
-                rank,
-                remaining: bytes as f64,
-                rate: 0.0,
-                wake: None,
-                async_op: None,
-            });
-            self.retime(&mut st, now);
-        }
-        loop {
-            ctx.wait_woken();
-            let mut st = self.state.lock();
-            let now = self.handle.now();
-            self.settle(&mut st, now);
-            let idx = st
-                .streams
-                .iter()
-                .position(|s| s.rank == rank && s.async_op.is_none())
-                .expect("stream vanished while owner was blocked");
-            if st.streams[idx].remaining <= 0.5 {
-                let done = st.streams.swap_remove(idx);
-                if let Some(w) = done.wake {
-                    self.handle.cancel_wake(w);
-                }
-                self.retime(&mut st, now);
-                return;
-            }
-            // Spurious wake: make sure our completion is still scheduled.
-            self.retime(&mut st, now);
-        }
-    }
-
     /// Advance every stream's remaining bytes to `now` at its current rate.
     fn settle(&self, st: &mut FsState, now: SimTime) {
         let dt = (now - st.last_update).as_secs_f64();
@@ -584,8 +513,7 @@ impl SimFs {
     }
 
     /// Recompute fair-share rates and reschedule every stream's
-    /// completion: a wake for a blocked owner, a completion callback for
-    /// a detached async stream.
+    /// completion callback.
     fn retime(&self, st: &mut FsState, now: SimTime) {
         let n = st.streams.len();
         if n == 0 {
@@ -598,15 +526,11 @@ impl SimFs {
                 self.handle.cancel_wake(w);
             }
             let finish = now + SimDuration::from_secs_f64(s.remaining / rate);
-            s.wake = Some(match &s.async_op {
-                None => self.handle.schedule_wake(s.rank, finish),
-                Some(cell) => {
-                    let fs = self.clone();
-                    let shared = Arc::clone(&cell.shared);
-                    self.handle
-                        .schedule_callback(finish, move || fs.finish_async(&shared))
-                }
-            });
+            let (fs, shared) = (self.clone(), Arc::clone(&s.shared));
+            s.wake = Some(
+                self.handle
+                    .schedule_callback(finish, move || fs.finish_async(&shared)),
+            );
         }
     }
 }
@@ -857,8 +781,7 @@ mod tests {
 
     #[test]
     fn async_and_sync_streams_coexist_for_one_rank() {
-        // An async write in flight must not trip the one-blocked-stream
-        // invariant when the same rank issues a sync read.
+        // A rank may block on a read while its own write is in flight.
         let sim = Sim::new(1);
         let fs = SimFs::new(sim.handle(), "t", test_profile());
         fs.preload("f", vec![0u8; 10_000_000]);
@@ -895,6 +818,64 @@ mod tests {
         assert_eq!(out.killed, vec![1]);
         assert!(fs.peek("doomed").is_err());
         assert_eq!(fs.counters().bytes_written, 0);
+    }
+
+    /// Rank 2 runs `doomed` — one blocking 100 MB transfer from t = 0 —
+    /// and, under `kill`, dies at 0.5 s inside it. Ranks 0 and 1 each
+    /// read 100 MB from t = 3 s; returns how long those reads took.
+    fn survivor_read_secs(kill: bool, doomed: fn(&SimFs, &RankCtx)) -> (SimFs, Vec<f64>) {
+        let mut plan = simcluster::FaultPlan::none();
+        if kill {
+            plan = plan.kill_at(2, SimTime(500_000_000));
+        }
+        let sim = Sim::new(3);
+        let fs = SimFs::new(sim.handle(), "t", test_profile());
+        fs.preload("f", vec![0u8; 100_000_000]);
+        let fsr = fs.clone();
+        let out = sim.run_faulty(plan, move |ctx| {
+            if ctx.rank() == 2 {
+                doomed(&fsr, &ctx);
+                return 0.0;
+            }
+            ctx.charge(SimDuration::from_secs(3));
+            let start = ctx.now();
+            fsr.read_at(&ctx, "f", 0, 100_000_000).unwrap();
+            (ctx.now() - start).as_secs_f64()
+        });
+        assert_eq!(out.killed.len(), usize::from(kill));
+        let secs = out.outputs[..2].iter().map(|t| t.unwrap()).collect();
+        (fs, secs)
+    }
+
+    #[test]
+    fn a_rank_killed_mid_read_frees_its_bandwidth_share() {
+        // Two survivors on a 200 MB/s aggregate get 100 MB/s each: 1 ms
+        // latency + 1 s. A stream left behind by the dead rank would
+        // make it a three-way share (1.501 s).
+        for kill in [false, true] {
+            let (_, secs) = survivor_read_secs(kill, |fs, ctx| {
+                fs.read_at(ctx, "f", 0, 100_000_000).unwrap();
+            });
+            for t in secs {
+                assert!((t - 1.001).abs() < 1e-6, "kill={kill}: t = {t}");
+            }
+        }
+    }
+
+    #[test]
+    fn a_rank_killed_mid_write_frees_its_share_and_never_lands() {
+        for kill in [false, true] {
+            let (fs, secs) = survivor_read_secs(kill, |fs, ctx| {
+                fs.write_at(ctx, "doomed", 0, &vec![5u8; 100_000_000])
+                    .unwrap();
+            });
+            for t in secs {
+                assert!((t - 1.001).abs() < 1e-6, "kill={kill}: t = {t}");
+            }
+            assert_eq!(fs.peek("doomed").is_err(), kill, "kill={kill}");
+            let landed = if kill { 0 } else { 100_000_000 };
+            assert_eq!(fs.counters().bytes_written, landed, "kill={kill}");
+        }
     }
 
     #[test]

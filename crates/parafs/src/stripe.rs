@@ -15,7 +15,6 @@
 //! deterministically by any party that knows the two parameters.
 
 use crate::fs::{AsyncIo, SimFs};
-use crate::store::StoreError;
 use simcluster::RankCtx;
 
 /// A round-robin stripe layout: `files` backing files, `unit`-byte
@@ -159,40 +158,6 @@ pub fn write_striped_begin(
             )
         })
         .collect()
-}
-
-/// Read the destination range `[offset, offset + len)` back from the
-/// stripe files of `base` and reassemble it. All extent reads are
-/// issued concurrently before any is waited on.
-pub fn read_striped(
-    fs: &SimFs,
-    ctx: &RankCtx,
-    base: &str,
-    map: &StripeMap,
-    offset: u64,
-    len: u64,
-) -> Result<Vec<u8>, StoreError> {
-    let extents = map.extents(offset, len);
-    let mut ops = Vec::with_capacity(extents.len());
-    for e in &extents {
-        ops.push(fs.read_at_begin(
-            ctx,
-            &StripeMap::stripe_path(base, e.file),
-            e.file_offset,
-            e.len,
-        )?);
-    }
-    let mut out = vec![0u8; len as usize];
-    for (e, op) in extents.iter().zip(ops) {
-        let bytes = fs.io_wait(ctx, op)?;
-        let mut at = 0usize;
-        for c in &e.chunks {
-            out[c.src_offset as usize..(c.src_offset + c.len) as usize]
-                .copy_from_slice(&bytes[at..at + c.len as usize]);
-            at += c.len as usize;
-        }
-    }
-    Ok(out)
 }
 
 #[cfg(test)]

@@ -50,6 +50,10 @@ cargo test --release -q --test burst
 cargo test --release -q -p pioblast --lib access_class_is_resolved_from_context
 cargo test --release -q -p mpiio --lib split_collective_write_stays_aligned_when_one_rank_cannot_stage
 cargo test --release -q --test burst staging_failure_inside_a_split_collective_is_typed_not_a_deadlock
+# One stream kind, owned by the engine: a rank killed inside a blocking
+# read or write must not leave its stream in the bandwidth share
+# (survivors' reads take 1.001 s, not 1.501 s), and its write never lands.
+cargo test --release -q -p parafs --lib killed
 # Band-only traceback and direct renderer: score, edit script and record
 # bytes must equal the dense reference kept in the test (indel homologs,
 # unrelated lengths, band_pad 0..=64, one-residue ranges, dirty scratch),
@@ -190,6 +194,11 @@ for t in trace trace-async trace-async-frags trace-dynamic trace-hybrid trace-se
   trace-serve-async trace-128 trace-burst trace-recover; do
   "$cli" trace-diff --in "$tracetmp/$t.json" \
     --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
+  # Shrinkage passes the growth gate, so a refactor that dropped a span
+  # would stay green. The DES is deterministic: the profile must
+  # reproduce the committed one byte for byte.
+  "$cli" trace-diff --in "$tracetmp/$t.json" --write-baseline "$tracetmp/$t.tsv"
+  cmp "$tracetmp/$t.tsv" "scripts/trace-baselines/$t.tsv"
 done
 
 # The frozen benchmark harness (benchmark/, BENCHMARK.json) builds what

@@ -230,3 +230,57 @@ fn full_file_system_degrades_output_to_typed_errors() {
         }
     }
 }
+
+/// A checkpoint put that fails must degrade, not abort — and under
+/// `--io-async` the failure crosses the plane boundary late: the put is
+/// fired, parked in the plane and joined at the epoch fence. Either way
+/// the worker logs `ckpt.skipped` and carries on, the master finds no
+/// blob to adopt when that worker dies after submitting, requeues its
+/// fragments, and the report is the reference's.
+#[test]
+fn a_failed_checkpoint_put_degrades_to_a_skip_and_a_requeue() {
+    for io_async in [false, true] {
+        let opts = Opts {
+            plan: FaultPlan::none().kill_after_sends(2, 5),
+            traced: true,
+            ..Opts::default()
+        };
+        let done = run_opts(opts, |cfg| {
+            cfg.num_fragments = Some(9);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+            cfg.checkpoint = true;
+            cfg.io.io_async = io_async;
+            // The report's bytes are allocated up front, so writing it
+            // needs no growth, and nothing else is free: every blob
+            // bounces off the full file system.
+            let shared = &cfg.env.shared;
+            shared.preload(common::OUTPUT, vec![0; reference_bytes().len()]);
+            shared.set_capacity(common::stored_bytes(shared));
+        });
+        assert_eq!(done.killed, vec![2], "io_async={io_async}");
+        assert_eq!(&done.report[..], reference_bytes(), "io_async={io_async}");
+        for (rank, r) in done.outputs.iter().enumerate() {
+            assert!(
+                rank == 2 || matches!(r, Some(Ok(_))),
+                "io_async={io_async} rank {rank}: {r:?}"
+            );
+        }
+        let trace = done.trace.expect("traced");
+        let count =
+            |rank: usize, name: &str| trace.rank_events(rank).filter(|e| e.name == name).count();
+        assert!(
+            (1..4).all(|w| count(w, "ckpt.skipped") > 0),
+            "io_async={io_async}"
+        );
+        assert!(
+            count(0, "requeue") > 0,
+            "io_async={io_async}: nothing to adopt"
+        );
+        if io_async {
+            // The failures came back through the join, not the put.
+            assert!(count(2, "plane.async.wait") > 0 && count(2, "plane.ckpt.put") == 0);
+        }
+    }
+}

@@ -207,12 +207,7 @@ fn staging_failure_inside_a_split_collective_is_typed_not_a_deadlock() {
     // not strand the other ranks in the barrier.
     let done = run_opts(blade(4, FaultPlan::none()), |cfg| {
         let shared = &cfg.env.shared;
-        let staged: u64 = shared
-            .peek_list("")
-            .iter()
-            .map(|p| shared.peek(p).expect("listed").len() as u64)
-            .sum();
-        shared.set_capacity(staged + two_batches - 1);
+        shared.set_capacity(common::stored_bytes(shared) + two_batches - 1);
         cfg.num_fragments = Some(9);
         cfg.query_batch = Some(1);
         cfg.io.io_async = true;

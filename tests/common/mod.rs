@@ -54,6 +54,13 @@ pub fn staged(
     PioBlastConfig::new(platform, &env, &db_alias, &query_path, OUTPUT)
 }
 
+/// Bytes `fs` holds right now — what a test caps it at
+/// (`SimFs::set_capacity`) to leave a run a known amount of free space.
+pub fn stored_bytes(fs: &parafs::SimFs) -> u64 {
+    let len = |p: &String| fs.peek(p).expect("listed").len() as u64;
+    fs.peek_list("").iter().map(len).sum()
+}
+
 /// Cluster shape, workload and fault plan of one run over [`small_db`].
 /// Everything else is the constructor's config plus the test's closure.
 pub struct Opts {
