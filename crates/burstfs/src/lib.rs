@@ -233,10 +233,9 @@ impl StagingStore {
         ctx.charge(done.since(ctx.now()));
         let mut run = vec![0u8; needed as usize];
         for c in self.map.chunks(offset, needed) {
-            let file = self.staging.peek(&StripeMap::stripe_path(path, c.file))?;
-            let (fo, len) = (c.file_offset as usize, c.len as usize);
-            run[c.src_offset as usize..c.src_offset as usize + len]
-                .copy_from_slice(&file[fo..fo + len]);
+            let stripe = StripeMap::stripe_path(path, c.file);
+            let chunk = self.staging.peek_at(&stripe, c.file_offset, c.len)?;
+            run[c.src_offset as usize..][..chunk.len()].copy_from_slice(&chunk);
         }
         debug_assert_eq!(run, data, "stripe reassembly must reproduce the staged run");
         tracelog::instant(
@@ -332,6 +331,10 @@ mod tests {
 
     #[test]
     fn put_drains_to_destination() {
+        // Reassembly reads each chunk's own range of its stripe file, so
+        // after one aligned-enough run the next two start mid-unit, span
+        // three and five 16-byte units over the three files, and land in
+        // stripe rows that already hold the first run's bytes.
         let report = run_one(|ctx, staging, dest| {
             let mut store = StagingStore::new(
                 staging.clone(),
@@ -346,11 +349,20 @@ mod tests {
             let data: Vec<u8> = (0..200u8).collect();
             store.put(ctx, "out.txt", 40, &data).unwrap();
             assert_eq!(store.pending_drains(), 1);
+            store.put(ctx, "out.txt", 7, &data[100..129]).unwrap();
+            store.put(ctx, "out.txt", 250, &data[100..170]).unwrap();
             store.fence(ctx).unwrap();
             assert_eq!(store.staged_bytes(), 0);
             dest.peek("out.txt").unwrap()
         });
-        assert_eq!(&report[40..240], &(0..200u8).collect::<Vec<u8>>()[..]);
+        let data: Vec<u8> = (0..200u8).collect();
+        assert_eq!(report.len(), 320);
+        assert_eq!(&report[40..240], &data[..]);
+        assert_eq!(&report[7..36], &data[100..129]);
+        assert_eq!(&report[250..320], &data[100..170]);
+        for hole in [0..7, 36..40, 240..250] {
+            assert!(report[hole].iter().all(|&b| b == 0), "holes stay holes");
+        }
     }
 
     #[test]

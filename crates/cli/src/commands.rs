@@ -596,11 +596,13 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     fs::write(job.out, &report)?;
     let (_, trace_note) = job.finish_trace(elapsed)?;
     Ok(format!(
-        "{program}BLAST, {} processes on {}: {:.3}s virtual time, {} messages, report {} bytes -> {}{trace_note}",
+        "{program}BLAST, {} processes on {}: {:.3}s virtual time, {} messages, {} events fired of {} scheduled, report {} bytes -> {}{trace_note}",
         job.nprocs,
         job.db.alias.title,
         elapsed.as_secs_f64(),
         stats.messages,
+        stats.events,
+        stats.scheduled,
         report.len(),
         job.out
     ))
@@ -967,13 +969,18 @@ mod tests {
         assert!(err.0.contains("--trace-filter requires --trace"), "{err}");
         assert!(!out.exists());
         // Tracing observes a run without moving it: same report bytes,
-        // same virtual time and message count in the summary line.
+        // same virtual time, message and event counts in the summary line.
         let plain = run(&[]).unwrap();
         let report = fs::read(&out).unwrap();
         let trace = dir.join("t.json");
         let traced = run(&["--trace", trace.to_str().unwrap()]).unwrap();
         assert_eq!(fs::read(&out).unwrap(), report);
-        assert!(plain.contains("s virtual time, ") && plain.contains(" messages, "));
+        assert!(plain.contains("s virtual time, "), "{plain}");
+        let (_, counts) = plain.split_once(" messages, ").expect(&plain);
+        let (fired, counts) = counts.split_once(" events fired of ").expect(&plain);
+        let (scheduled, _) = counts.split_once(" scheduled, report ").expect(&plain);
+        let (fired, scheduled): (u64, u64) = (fired.parse().unwrap(), scheduled.parse().unwrap());
+        assert!(fired <= scheduled && scheduled <= 2 * fired, "{plain}");
         let note = traced.strip_prefix(plain.as_str()).expect(&traced);
         assert!(note.starts_with(", trace "), "{traced}");
         let _ = fs::remove_dir_all(&dir);

@@ -932,6 +932,38 @@ mod tests {
     }
 
     #[test]
+    fn posted_output_costs_constant_engine_events_per_run() {
+        // A sieved `write_output` of holey regions on the posted plane
+        // puts every region in flight at once. `parafs` arms one
+        // completion per file system, so the engine schedules at most
+        // four events per run — one rank x 256 regions or 16 ranks x 64
+        // on the same file system alike — where a completion per stream
+        // would schedule on the order of (ranks x regions)².
+        for (ranks, regions) in [(1usize, 256u64), (16, 64)] {
+            let sim = Sim::new(ranks);
+            let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
+            let fs2 = fs.clone();
+            let out = sim.run(move |ctx| {
+                let comm = Comm::new(&ctx, net());
+                let plane = IoPlane::new(&comm, &fs2, posted_cfg(IoClass::Sieved), None);
+                let base = ctx.rank() as u64 * regions * 2048;
+                let holey = (0..regions).map(|i| (base + i * 2048, 1024)).collect();
+                let view = FileView::new(0, holey).unwrap();
+                let payload = vec![ctx.rank() as u8 + 1; (regions * 1024) as usize];
+                plane.write_output("out", &view, &payload).unwrap();
+            });
+            let runs = ranks as u64 * regions;
+            assert_eq!(fs.counters().data_ops, runs, "holes are not coalesced");
+            assert!(
+                out.stats.scheduled <= 4 * runs + 8 * ranks as u64,
+                "{ranks} ranks x {regions} regions scheduled {} events (fired {})",
+                out.stats.scheduled,
+                out.stats.events
+            );
+        }
+    }
+
+    #[test]
     fn async_reads_overlap_compute() {
         let sim = Sim::new(1);
         let fs = SimFs::new(sim.handle(), "xfs", fsprofile());

@@ -5,8 +5,9 @@
 //! instant, each of the `n` active streams proceeds at
 //! `min(per_client_bw, aggregate_bw / n)`. Whenever the active set changes
 //! — a stream starts or finishes — the model retimes every pending
-//! stream's completion and reschedules its completion callback in the
-//! discrete-event engine. This is the standard fluid model of shared-
+//! stream's completion and re-arms the file system's one completion
+//! callback in the discrete-event engine, for the stream that now
+//! finishes first. This is the standard fluid model of shared-
 //! storage contention, and it is what makes the XFS and NFS profiles
 //! reproduce the paper's Figure 3 vs Figure 4 contrast.
 //!
@@ -43,8 +44,6 @@ struct Stream {
     rank: usize,
     remaining: f64,
     rate: f64,
-    /// The scheduled completion callback, re-armed by every retime.
-    wake: Option<WakeId>,
     shared: Arc<Mutex<AsyncState>>,
     action: AsyncAction,
 }
@@ -103,6 +102,9 @@ impl AsyncIo {
 struct FsState {
     store: FileStore,
     streams: Vec<Stream>,
+    /// The one scheduled completion callback — for the stream that
+    /// finishes first — re-armed by every retime.
+    armed: Option<WakeId>,
     last_update: SimTime,
     counters: FsCounters,
     /// Optional total-bytes capacity; a write that would grow the store
@@ -157,6 +159,7 @@ impl SimFs {
             state: Arc::new(Mutex::new(FsState {
                 store: FileStore::new(),
                 streams: Vec::new(),
+                armed: None,
                 last_update: SimTime::ZERO,
                 counters: FsCounters::default(),
                 capacity: None,
@@ -233,6 +236,11 @@ impl SimFs {
     /// verification of outputs).
     pub fn peek(&self, path: &str) -> Result<Vec<u8>, StoreError> {
         self.state.lock().store.read_all(path)
+    }
+
+    /// Read `len` bytes at `offset` outside simulated time.
+    pub fn peek_at(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+        self.state.lock().store.read_at(path, offset, len)
     }
 
     /// List paths with a prefix outside simulated time.
@@ -433,7 +441,6 @@ impl SimFs {
                 rank,
                 remaining: bytes as f64,
                 rate: 0.0,
-                wake: None,
                 shared: state,
                 action,
             });
@@ -453,18 +460,18 @@ impl SimFs {
             let mut st = self.state.lock();
             let now = self.handle.now();
             self.settle(&mut st, now);
-            let Some(idx) = st
+            let done = st
                 .streams
                 .iter()
                 .position(|s| Arc::ptr_eq(&s.shared, shared))
-            else {
-                return;
-            };
-            if st.streams[idx].remaining > 0.5 {
-                // Stale completion (should have been canceled): retime.
+                .filter(|&i| st.streams[i].remaining <= 0.5);
+            let Some(idx) = done else {
+                // Stale completion, or one for a stream that is gone:
+                // nothing else is armed, so re-arm or every remaining
+                // stream stalls.
                 self.retime(&mut st, now);
                 return;
-            }
+            };
             let stream = st.streams.swap_remove(idx);
             let result = if self.handle.is_dead(stream.rank) {
                 // The owner was killed with the op in flight: discard the
@@ -512,26 +519,31 @@ impl SimFs {
         st.last_update = now;
     }
 
-    /// Recompute fair-share rates and reschedule every stream's
-    /// completion callback.
+    /// Recompute fair-share rates and every stream's completion instant
+    /// (n flops), then re-arm the one completion callback (one cancel,
+    /// one schedule) for the stream that finishes first: smallest
+    /// instant in integer ns, ties to the lowest index in `streams`.
     fn retime(&self, st: &mut FsState, now: SimTime) {
+        if let Some(w) = st.armed.take() {
+            self.handle.cancel_wake(w);
+        }
         let n = st.streams.len();
         if n == 0 {
             return;
         }
         let rate = self.profile.stream_bw(n);
-        for s in &mut st.streams {
+        // `min_by_key` keeps the first of equal minima: the lowest index.
+        let first = st.streams.iter_mut().map(|s| {
             s.rate = rate;
-            if let Some(w) = s.wake.take() {
-                self.handle.cancel_wake(w);
-            }
             let finish = now + SimDuration::from_secs_f64(s.remaining / rate);
-            let (fs, shared) = (self.clone(), Arc::clone(&s.shared));
-            s.wake = Some(
-                self.handle
-                    .schedule_callback(finish, move || fs.finish_async(&shared)),
-            );
-        }
+            (finish, &s.shared)
+        });
+        let (finish, shared) = first.min_by_key(|&(finish, _)| finish).expect("not empty");
+        let (fs, shared) = (self.clone(), Arc::clone(shared));
+        st.armed = Some(
+            self.handle
+                .schedule_callback(finish, move || fs.finish_async(&shared)),
+        );
     }
 }
 
@@ -875,6 +887,189 @@ mod tests {
             assert_eq!(fs.peek("doomed").is_err(), kill, "kill={kill}");
             let landed = if kill { 0 } else { 100_000_000 };
             assert_eq!(fs.counters().bytes_written, landed, "kill={kill}");
+        }
+    }
+
+    #[test]
+    fn in_flight_io_costs_constant_events_per_op() {
+        // One begin callback, one armed completion per start and per
+        // finish, one waiter wake: at most four heap events per op, however
+        // many are in flight. A completion re-armed per stream would
+        // schedule between N²/2 and N² — the same virtual clock, a host
+        // regression no clock-based gate can see.
+        for n in [64u64, 256, 1024] {
+            let sim = Sim::new(1);
+            let fs = SimFs::new(sim.handle(), "t", test_profile());
+            let fsw = fs.clone();
+            let out = sim.run(move |ctx| {
+                let ops: Vec<AsyncIo> = (0..n)
+                    .map(|i| fsw.write_at_begin(&ctx, "f", i * 1024, vec![1u8; 1024]))
+                    .collect();
+                for op in ops {
+                    fsw.io_wait(&ctx, op).unwrap();
+                }
+            });
+            assert_eq!(fs.counters().bytes_written, n * 1024);
+            assert!(
+                out.stats.scheduled <= 4 * n + 8,
+                "{n} posted ops scheduled {} events (fired {})",
+                out.stats.scheduled,
+                out.stats.events
+            );
+        }
+    }
+
+    #[test]
+    fn a_completion_for_no_stream_rearms_the_rest() {
+        // The armed completion is the only event that can end a stream,
+        // so a completion that finds nothing to finish must re-arm: play
+        // one that fires for a token no stream carries, in place of the
+        // armed one, while two writes are in flight.
+        let sim = Sim::new(1);
+        let fs = SimFs::new(sim.handle(), "t", test_profile());
+        let fsw = fs.clone();
+        let out = sim.run(move |ctx| {
+            let a = fsw.write_at_begin(&ctx, "a", 0, vec![1u8; 10_000_000]);
+            let b = fsw.write_at_begin(&ctx, "b", 0, vec![2u8; 20_000_000]);
+            let stray = fsw.clone();
+            ctx.handle()
+                .schedule_callback(SimTime(50_000_000), move || {
+                    let armed = stray
+                        .state
+                        .lock()
+                        .armed
+                        .take()
+                        .expect("two streams in flight");
+                    stray.handle.cancel_wake(armed);
+                    stray.finish_async(&Arc::new(Mutex::new(AsyncState {
+                        result: None,
+                        waiter: None,
+                    })));
+                });
+            fsw.io_wait(&ctx, a).unwrap();
+            fsw.io_wait(&ctx, b).unwrap();
+            ctx.now().as_secs_f64()
+        });
+        // 1 ms latency + 20 MB at 100 MB/s; a stall would be a Deadlock.
+        assert!((out.outputs[0] - 0.201).abs() < 1e-6, "{out:?}");
+        assert_eq!(fs.counters().bytes_written, 30_000_000);
+    }
+
+    #[test]
+    fn same_ns_completions_land_and_wake_in_stream_order() {
+        // Six equal writes, begun in the same ns by six ranks, all end in
+        // the same ns. Completions fire by (finish ns, index in `streams`)
+        // and `swap_remove` moves the last stream into the finished one's
+        // slot, so the order is 0, 5, 4, 3, 2, 1: the last write to land
+        // is rank 1's, and the waiters resume in that order.
+        let sim = Sim::new(6);
+        let fs = SimFs::new(sim.handle(), "t", test_profile());
+        let order = Arc::new(Mutex::new(Vec::new()));
+        let (fsw, log) = (fs.clone(), Arc::clone(&order));
+        let out = sim.run(move |ctx| {
+            let op = fsw.write_at_begin(&ctx, "f", 0, vec![ctx.rank() as u8; 1_000_000]);
+            fsw.io_wait(&ctx, op).unwrap();
+            log.lock().push(ctx.rank());
+            ctx.now().0
+        });
+        // 1 ms latency + 1 MB at 200/6 MB/s, rounded up a ns.
+        assert_eq!(out.outputs, vec![31_000_001; 6]);
+        assert_eq!(*order.lock(), vec![0, 5, 4, 3, 2, 1]);
+        assert_eq!(fs.peek("f").unwrap(), vec![1u8; 1_000_000]);
+    }
+
+    #[test]
+    fn eight_mixed_streams_with_late_joiners_finish_at_pinned_ns() {
+        // `late_joiner_slows_existing_stream` at eight streams: mixed
+        // sizes, rank r joining r x 50 ms late, 120 MB/s shared under a
+        // 100 MB/s per-client cap. Every start and finish re-rates every
+        // stream; the instants are the per-stream scheme's, to the ns.
+        let tight = FsProfile {
+            per_client_bw: 100.0e6,
+            aggregate_bw: 120.0e6,
+            op_latency: 0.001,
+        };
+        let sim = Sim::new(8);
+        let fs = SimFs::new(sim.handle(), "t", tight);
+        fs.preload("f", vec![0u8; 64_000_000]);
+        let out = sim.run(|ctx| {
+            let r = ctx.rank() as u64;
+            ctx.charge(SimDuration::from_millis(50 * r));
+            let len = [24, 3, 17, 8, 30, 1, 12, 5][ctx.rank()] * 1_000_000 + r * 1_013;
+            fs.read_at(&ctx, "f", r * 1_000_000, len).unwrap();
+            ctx.now().0
+        });
+        assert_eq!(
+            out.outputs,
+            [
+                644_904_061,
+                101_025_325,
+                669_954_711,
+                453_715_263,
+                868_318_435,
+                292_877_709,
+                715_826_032,
+                576_748_003
+            ]
+        );
+    }
+
+    #[test]
+    fn posted_writes_of_a_killed_rank_never_land_and_leave_the_share_on_time() {
+        // Rank 12 posts four 5 MB writes and is killed at 0.1 s with all
+        // four in flight among twelve survivors' writes of 2..13 MB. The
+        // dead rank's streams keep their share until they would have
+        // ended (a crashed client's requests are already at the server),
+        // then leave it, and nothing of theirs lands: the survivors'
+        // instants are the same with and without the kill.
+        for kill in [false, true] {
+            let mut plan = simcluster::FaultPlan::none();
+            if kill {
+                plan = plan.kill_at(12, SimTime(100_000_000));
+            }
+            let sim = Sim::new(13);
+            let fs = SimFs::new(sim.handle(), "t", test_profile());
+            let fsw = fs.clone();
+            let out = sim.run_faulty(plan, move |ctx| {
+                let ops: Vec<AsyncIo> = if ctx.rank() == 12 {
+                    (0..4u64)
+                        .map(|i| {
+                            fsw.write_at_begin(&ctx, "doomed", i * 5_000_000, vec![9u8; 5_000_000])
+                        })
+                        .collect()
+                } else {
+                    let len = (ctx.rank() + 2) * 1_000_000 + ctx.rank() * 977;
+                    vec![fsw.write_at_begin(&ctx, &format!("w{}", ctx.rank()), 0, vec![1u8; len])]
+                };
+                for op in ops {
+                    fsw.io_wait(&ctx, op).unwrap();
+                }
+                ctx.now().0
+            });
+            assert_eq!(out.killed.len(), usize::from(kill));
+            let survivors: Vec<u64> = out.outputs[..12].iter().map(|t| t.unwrap()).collect();
+            assert_eq!(
+                survivors,
+                [
+                    161_000_000,
+                    236_073_275,
+                    306_141_666,
+                    371_146_551,
+                    411_185_631,
+                    446_219_826,
+                    476_249_136,
+                    501_273_561,
+                    521_293_101,
+                    536_307_756,
+                    546_317_526,
+                    556_327_296
+                ],
+                "kill={kill}"
+            );
+            assert_eq!(fs.peek("doomed").is_err(), kill, "kill={kill}");
+            let landed: u64 = (0..12u64).map(|r| (r + 2) * 1_000_000 + r * 977).sum();
+            let doomed = if kill { 0 } else { 20_000_000 };
+            assert_eq!(fs.counters().bytes_written, landed + doomed, "kill={kill}");
         }
     }
 

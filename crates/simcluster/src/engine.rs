@@ -87,6 +87,9 @@ pub struct EngineStats {
     pub message_bytes: u64,
     /// Events processed by the scheduler.
     pub events: u64,
+    /// Events ever pushed on the heap: `events` plus every event that
+    /// was cancelled, or woke a rank that had already finished.
+    pub scheduled: u64,
     /// Messages dropped because the destination rank was dead.
     pub dropped_to_dead: u64,
 }
@@ -174,15 +177,15 @@ struct EngineState {
     recv_wakes: Vec<Vec<u64>>,
     /// Sends remaining until an `AfterSends` fault arms, per doomed rank.
     sends_until_kill: HashMap<usize, u64>,
-    next_gen: u64,
     next_seq: u64,
     stats: EngineStats,
 }
 
 impl EngineState {
     fn schedule(&mut self, time: u64, target: Target) -> WakeId {
-        let gen = self.next_gen;
-        self.next_gen += 1;
+        // An event's generation is its ordinal among all ever scheduled.
+        let gen = self.stats.scheduled;
+        self.stats.scheduled += 1;
         self.heap.push(std::cmp::Reverse((time, gen)));
         self.targets.insert(gen, target);
         WakeId(gen)
@@ -370,7 +373,6 @@ impl Sim {
                 recv_filter: vec![None; nranks],
                 recv_wakes: vec![Vec::new(); nranks],
                 sends_until_kill: HashMap::new(),
-                next_gen: 0,
                 next_seq: 0,
                 stats: EngineStats::default(),
             }),
@@ -1204,6 +1206,9 @@ mod tests {
         });
         assert_eq!(out.outputs[0], SimTime(5_000));
         assert!(!*fired.lock());
+        // Scheduled: the rank's start, the canceled callback, the wake;
+        // only the two that fired count as events.
+        assert_eq!((out.stats.scheduled, out.stats.events), (3, 2));
     }
 
     #[test]

@@ -54,6 +54,12 @@ cargo test --release -q --test burst staging_failure_inside_a_split_collective_i
 # read or write must not leave its stream in the bandwidth share
 # (survivors' reads take 1.001 s, not 1.501 s), and its write never lands.
 cargo test --release -q -p parafs --lib killed
+# One armed completion per file system: N posted ops in flight schedule
+# at most 4 N heap events, on one rank or spread over sixteen. A re-arm
+# per stream schedules ~N² — a 100x host regression at the same virtual
+# nanosecond, so no virtual-clock gate (baselines, BENCH_*.json) sees it.
+cargo test --release -q -p parafs --lib in_flight_io_costs_constant_events_per_op
+cargo test --release -q -p mpiio --lib posted_output_costs_constant_engine_events_per_run
 # Band-only traceback and direct renderer: score, edit script and record
 # bytes must equal the dense reference kept in the test (indel homologs,
 # unrelated lengths, band_pad 0..=64, one-residue ranges, dirty scratch),
