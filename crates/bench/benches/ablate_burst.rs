@@ -2,8 +2,8 @@
 //!
 //! With `--burst-buffer` on, aggregator output and checkpoint writes
 //! are absorbed into the node's fast staging volume (striped across
-//! `BurstOptions::stripe_files` backing files) and drained to the shared file
-//! system asynchronously, fenced only at epoch boundaries. On a
+//! four backing files) and drained to the shared file system
+//! asynchronously, fenced only at epoch boundaries. On a
 //! platform whose shared file system is slow relative to its staging
 //! devices — the blade cluster's NFS is the paper's motivating case —
 //! that converts the output phase's synchronous shared-FS writes into
@@ -18,16 +18,10 @@
 //! * **the headline**: on blade/NFS at 16 ranks, staging with 4-way
 //!   striping shrinks output-phase critical-path time by ≥ 1.5x;
 //! * **byte identity**: every staged run's merged report matches the
-//!   unstaged run's, on every platform and at every stripe count;
+//!   unstaged run's, on every platform;
 //! * **fault composition**: a single-worker `FaultMode::Recover` kill
 //!   with checkpointing and staging on still reproduces the unstaged
 //!   fault-free bytes (the fence-before-ack drain contract).
-//!
-//! A stripe-count sweep (1/2/4/8) on blade isolates how much of the
-//! win is striping versus staging itself. The answer — the output path
-//! moves by under 1 % across the sweep — is why the stripe count is a
-//! library default (4) and no longer a CLI flag; the sweep stays as the
-//! evidence.
 //!
 //! Results land in `BENCH_burst.json` at the workspace root.
 
@@ -170,46 +164,10 @@ fn main() {
          by >= 1.5x, measured {blade_speedup:.2}x"
     );
 
-    // ---- stripe-count sweep: how much is striping vs staging? ----
-    println!("\n== Stripe-count sweep, blade/NFS ==");
-    let blade = Platform::blade_cluster();
-    let baseline = run_one(&blade, &workload, None, None).run;
-    let mut sweep = Vec::new();
-    let mut by_stripe: Vec<f64> = Vec::new();
-    for stripes in [1usize, 2, 4, 8] {
-        let burst = BurstOptions {
-            stripe_files: stripes,
-            ..Default::default()
-        };
-        let r = run_one(&blade, &workload, Some(burst), None).run;
-        let s = r.summary;
-        println!(
-            "stripe_files {stripes}: elapsed {:.3}s, output path {:.4}s ({:.2}x vs unstaged)",
-            s.total,
-            s.output,
-            baseline.summary.output / s.output.max(1e-12)
-        );
-        assert_eq!(
-            r.report, baseline.report,
-            "stripe_files {stripes}: report must stay byte-identical"
-        );
-        sweep.push(Value::object([
-            ("stripe_files", stripes.into()),
-            ("elapsed_s", s.total.into()),
-            ("output_path_s", s.output.into()),
-        ]));
-        by_stripe.push(s.output);
-    }
-    assert!(
-        by_stripe[2] <= by_stripe[0],
-        "4-way striping must not lose to a single backing file \
-         (stripe 4 {:.4}s vs stripe 1 {:.4}s)",
-        by_stripe[2],
-        by_stripe[0]
-    );
-
     // ---- recovery composition: kill one worker mid-distribution ----
     println!("\n== Recover kill with staging + checkpointing, blade/NFS ==");
+    let blade = Platform::blade_cluster();
+    let baseline = run_one(&blade, &workload, None, None).run;
     let burst = Some(BurstOptions::default());
     let faulty = run_one(&blade, &workload, burst, Some((5, 3)));
     let elapsed_s = faulty.run.summary.total;
@@ -231,7 +189,6 @@ fn main() {
             ("platforms", Value::Array(platforms)),
             ("blade_output_path_speedup", round4(blade_speedup).into()),
             ("speedup_floor", 1.5.into()),
-            ("stripe_sweep", Value::Array(sweep)),
             (
                 "recover_kill",
                 Value::object([

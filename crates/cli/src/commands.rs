@@ -12,7 +12,7 @@ use pioblast::PioBlastConfig;
 use seqfmt::formatdb::FormatDbConfig;
 use seqfmt::sampler::sample_queries;
 use seqfmt::synth::{generate, generate_dna, SynthConfig};
-use seqfmt::{AliasFile, FormattedDb};
+use seqfmt::{AliasFile, FormattedDb, Wire};
 use simcluster::Sim;
 
 use crate::args::{ArgError, ParsedArgs};
@@ -1198,5 +1198,49 @@ mod tests {
         .is_err());
         let help = dispatch(&args(&["help"])).unwrap();
         assert!(help.contains("USAGE"));
+
+        // One flipped byte in a formatted database — byte 4 of the `.idx`
+        // offset count, which then claims 2^36 table entries — is a
+        // `CliError` under both programs, not an allocator abort.
+        let dir = tmpdir("flipped-idx");
+        let path = |name: &str| dir.join(name).to_str().unwrap().to_string();
+        let (fa, dbdir, qfa) = (path("db.fa"), path("db"), path("q.fa"));
+        dispatch(&args(&["gen", "--residues", "20k", "--out", &fa])).unwrap();
+        dispatch(&args(&[
+            "formatdb",
+            "--in",
+            &fa,
+            "--title",
+            "cidb",
+            "--out-dir",
+            &dbdir,
+        ]))
+        .unwrap();
+        dispatch(&args(&[
+            "sample", "--in", &fa, "--bytes", "500", "--out", &qfa,
+        ]))
+        .unwrap();
+        let idx_path = dir.join("db/cidb.idx");
+        let mut idx = fs::read(&idx_path).unwrap();
+        idx[64] = 0x10;
+        fs::write(&idx_path, idx).unwrap();
+        for program in ["pio", "mpi"] {
+            let err = dispatch(&args(&[
+                "run",
+                "--program",
+                program,
+                "--procs",
+                "4",
+                "--db-dir",
+                &dbdir,
+                "--queries",
+                &qfa,
+                "--out",
+                &path("report.txt"),
+            ]))
+            .unwrap_err();
+            assert!(err.0.contains("bad index cidb.idx"), "{program}: {err}");
+        }
+        let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -80,6 +80,13 @@ impl From<crate::input::InputError> for PioError {
     }
 }
 
+/// Bytes off the wire that do not decode are a protocol error.
+impl From<seqfmt::codec::CodecError> for PioError {
+    fn from(e: seqfmt::codec::CodecError) -> PioError {
+        PioError::Protocol(e.to_string())
+    }
+}
+
 impl fmt::Display for PioError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {

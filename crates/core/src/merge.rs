@@ -57,17 +57,7 @@ pub fn merge_and_layout(
     let mut section_start = start_offset;
     for (q, mut hits) in per_query.into_iter().enumerate() {
         out.merged_items += hits.len() as u64;
-        // order_meta's key, applied through the (hit, owner) pair.
-        {
-            let mut keyed: Vec<MetaHit> = hits.iter().map(|(h, _)| h.clone()).collect();
-            order_meta(&mut keyed);
-            // Sort the paired list with the same comparison.
-            hits.sort_by_key(|a| a.0.best.rank_key());
-            debug_assert!(keyed
-                .iter()
-                .zip(&hits)
-                .all(|(k, (h, _))| k.oid == h.oid && k.best == h.best));
-        }
+        order_meta(&mut hits);
         let n_desc = hits.len().min(opts.num_descriptions);
         let n_rec = hits.len().min(opts.num_alignments);
         let summaries: Vec<(String, f64, f64)> = hits

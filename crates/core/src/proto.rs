@@ -1,9 +1,7 @@
 //! pioBLAST-specific protocol payloads: partition assignments.
 
-use seqfmt::codec::{CodecError, Reader, Writer};
-use seqfmt::FragmentSpec;
-
-use mpiblast::wire::{decode_fragment_spec, encode_fragment_spec};
+use seqfmt::codec::{CodecError, Reader, Wire, Writer};
+use seqfmt::{wire_struct, FragmentSpec};
 
 /// One virtual fragment assigned to a worker: the byte ranges plus the
 /// volume base name whose files they index into.
@@ -27,44 +25,27 @@ pub struct PartitionMessage {
     pub volumes: Vec<String>,
 }
 
-impl PartitionMessage {
-    /// Serialize.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::new();
-        w.u32(self.fragments.len() as u32);
-        for f in &self.fragments {
-            let spec = encode_fragment_spec(&f.spec);
-            w.u32(spec.len() as u32);
-            w.bytes(&spec);
-            w.string(&f.volume_name);
-        }
-        w.u32(self.volumes.len() as u32);
-        for v in &self.volumes {
-            w.string(v);
-        }
-        w.finish()
+/// The spec travels as a length-prefixed frame of its own.
+impl Wire for FragmentAssignment {
+    const MIN_SIZE: usize = 4 + FragmentSpec::MIN_SIZE + 4;
+
+    fn put(&self, w: &mut Writer) {
+        self.spec.encode().put(w);
+        self.volume_name.put(w);
     }
 
-    /// Deserialize.
-    pub fn decode(buf: &[u8]) -> Result<PartitionMessage, CodecError> {
-        let mut r = Reader::new(buf);
-        let n = r.u32("fragment count")? as usize;
-        let mut fragments = Vec::with_capacity(n);
-        for _ in 0..n {
-            let len = r.u32("spec len")? as usize;
-            let spec_bytes = r.bytes(len, "spec")?;
-            let spec = decode_fragment_spec(spec_bytes)?;
-            let volume_name = r.string("volume name")?;
-            fragments.push(FragmentAssignment { spec, volume_name });
-        }
-        let nv = r.u32("volume count")? as usize;
-        let mut volumes = Vec::with_capacity(nv);
-        for _ in 0..nv {
-            volumes.push(r.string("volume")?);
-        }
-        Ok(PartitionMessage { fragments, volumes })
+    fn get(r: &mut Reader<'_>) -> Result<FragmentAssignment, CodecError> {
+        Ok(FragmentAssignment {
+            spec: Wire::decode(r.at("FragmentAssignment.spec").blob()?)?,
+            volume_name: Wire::get(r.at("FragmentAssignment.volume_name"))?,
+        })
     }
 }
+
+wire_struct!(PartitionMessage {
+    fragments: Vec<FragmentAssignment>,
+    volumes: Vec<String>,
+});
 
 // The even contiguous split now lives with the scheduler primitives in
 // `mpisim::sched` (the runtime and the mpiBLAST baseline both use it);
@@ -74,34 +55,6 @@ pub use mpisim::sched::chunk_evenly;
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    fn spec() -> FragmentSpec {
-        FragmentSpec {
-            volume: 0,
-            first_seq: 0,
-            last_seq: 5,
-            base_oid: 0,
-            seq_range: (0, 500),
-            hdr_range: (0, 80),
-            idx_seq_range: (64, 112),
-            idx_hdr_range: (112, 160),
-            residues: 500,
-        }
-    }
-
-    #[test]
-    fn partition_message_round_trips() {
-        let m = PartitionMessage {
-            fragments: vec![FragmentAssignment {
-                spec: spec(),
-                volume_name: "nr-sim".into(),
-            }],
-            volumes: vec!["nr-sim".into()],
-        };
-        assert_eq!(PartitionMessage::decode(&m.encode()).unwrap(), m);
-        let empty = PartitionMessage::default();
-        assert_eq!(PartitionMessage::decode(&empty.encode()).unwrap(), empty);
-    }
 
     #[test]
     fn chunk_evenly_partitions_in_order() {

@@ -19,21 +19,24 @@ use blast_core::search::{BlastSearcher, PreparedQueries, SearchScratch, SearchSt
 use blast_core::seq::SeqRecord;
 use bytes::Bytes;
 use mpiblast::phases;
-use mpiblast::wire::{FragmentCheckpoint, MetaHit, MetaSubmission, OffsetAssignment, QueryBundle};
+use mpiblast::wire::{
+    get_queries, put_queries, FragmentCheckpoint, MetaHit, MetaSubmission, OffsetAssignment,
+    QueryBundle,
+};
 use mpiblast::{ComputeModel, RankReport, MASTER};
 use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, StagingStore};
 use mpisim::sched::{default_sweep, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
 use parafs::{IoClass, StoreError};
-use seqfmt::{AliasFile, FragmentData, VolumeIndex};
+use seqfmt::codec::{decode_with, Writer};
+use seqfmt::{AliasFile, FragmentData, VolumeIndex, Wire};
 use simcluster::{DeviceModel, Message, PhaseTimes, RankCtx, SimDuration, SimTime};
 
 use super::master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
 use super::worker::{WorkerAction, WorkerEvent, WorkerSm};
 use super::{
-    ckpt_path, decode_grant, decode_qbatch, encode_grant, encode_qbatch, split_epoch,
-    stream_output_path, with_epoch, RunPolicy, TAG_ABORT, TAG_ASSIGN, TAG_BUNDLE, TAG_DONE,
-    TAG_FINISH, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT, TAG_SUBMIT_REQ,
+    ckpt_path, stream_output_path, Fenced, Grant, RunPolicy, TAG_ABORT, TAG_ASSIGN, TAG_BUNDLE,
+    TAG_DONE, TAG_FINISH, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT, TAG_SUBMIT_REQ,
 };
 use crate::app::{query_batches, FragmentSchedule, PioBlastConfig};
 use crate::cache::ResultCache;
@@ -41,10 +44,6 @@ use crate::fault::{FaultMode, PioError};
 use crate::merge::{merge_and_layout, MergeOutcome};
 use crate::proto::{FragmentAssignment, PartitionMessage};
 use crate::service::FragmentStore;
-
-fn decode_err(e: seqfmt::codec::CodecError) -> PioError {
-    PioError::Protocol(e.to_string())
-}
 
 /// Derive the runtime policy from a validated configuration.
 fn policy_of(ctx: &RankCtx, cfg: &PioBlastConfig, nbatches: usize) -> RunPolicy {
@@ -448,8 +447,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         match m.tag {
             TAG_READY => Ok(MasterEvent::Ready { from: m.src }),
             TAG_SUBMIT => {
-                let (epoch, body) = split_epoch(&m.payload)?;
-                let sub = MetaSubmission::decode(body).map_err(decode_err)?;
+                let (epoch, sub) = Fenced::<MetaSubmission>::decode(&m.payload)?;
                 tracelog::instant(
                     tracelog::Lane::Runtime,
                     "submission",
@@ -462,7 +460,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 })
             }
             TAG_DONE => {
-                let (epoch, _) = split_epoch(&m.payload)?;
+                let epoch = u64::decode(&m.payload)?;
                 Ok(MasterEvent::WriteDone { from: m.src, epoch })
             }
             other => Err(PioError::Protocol(format!(
@@ -555,7 +553,10 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 ("queries", nqueries.into()),
             ],
         );
-        let payload = Bytes::from(encode_qbatch(batch as u32, &self.batches[batch]));
+        let mut frame = Writer::default();
+        (batch as u32).put(&mut frame);
+        put_queries(&self.batches[batch], &mut frame);
+        let payload = Bytes::from(frame.finish());
         for w in self.liveness.live_workers() {
             let _ = self.comm.send_checked(w, TAG_QBATCH, payload.clone());
         }
@@ -594,11 +595,15 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     }
 
     fn grant_payload(&self, batch: usize, frags: &[usize]) -> Bytes {
-        let part = PartitionMessage {
-            fragments: frags.iter().map(|&f| self.assignments[f].clone()).collect(),
-            volumes: self.volumes.clone(),
+        let grant = Grant {
+            batch: batch as u32,
+            ids: frags.iter().map(|&f| f as u32).collect(),
+            part: PartitionMessage {
+                fragments: frags.iter().map(|&f| self.assignments[f].clone()).collect(),
+                volumes: self.volumes.clone(),
+            },
         };
-        Bytes::from(encode_grant(batch as u32, frags, &part))
+        Bytes::from(grant.encode())
     }
 
     /// Action -> side effects (+ any synchronous follow-up events).
@@ -657,11 +662,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 }
                 self.ensure_prepared(batch);
                 if self.policy.p2p() {
-                    let body = (batch as u32).to_le_bytes();
+                    let request = Bytes::from((epoch, batch as u32).encode());
                     for w in sm.live_workers() {
-                        let _ = self
-                            .comm
-                            .send_checked(w, TAG_SUBMIT_REQ, with_epoch(epoch, &body));
+                        let _ = self.comm.send_checked(w, TAG_SUBMIT_REQ, request.clone());
                     }
                     Ok(Vec::new())
                 } else {
@@ -675,7 +678,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     self.out_mark.get_or_insert(self.ctx.now());
                     let mut subs = Vec::with_capacity(subs_bytes.len());
                     for b in &subs_bytes {
-                        subs.push(MetaSubmission::decode(b).map_err(decode_err)?);
+                        subs.push(MetaSubmission::decode(b)?);
                     }
                     Ok(vec![MasterEvent::GatherDone { subs }])
                 }
@@ -728,11 +731,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 self.batch_offsets[batch + 1] = start_offset + outcome.total_bytes;
                 if self.policy.p2p() {
                     for w in sm.live_workers() {
-                        let _ = self.comm.send_checked(
-                            w,
-                            TAG_ASSIGN,
-                            with_epoch(epoch, &outcome.per_rank[w].encode()),
-                        );
+                        let assign = (epoch, outcome.per_rank[w].clone()).encode();
+                        let _ = self.comm.send_checked(w, TAG_ASSIGN, Bytes::from(assign));
                     }
                     self.outcome = Some(outcome);
                     Ok(Vec::new())
@@ -944,7 +944,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
         let start = ctx.now();
         let bundle = if cfg.fault == FaultMode::Off {
             let bytes = comm.bcast(MASTER, Bytes::new());
-            QueryBundle::decode(&bytes).map_err(decode_err)?
+            QueryBundle::decode(&bytes)?
         } else {
             let pump = Pump::new(comm, true, default_sweep());
             let m = pump
@@ -952,7 +952,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 .map_err(|_| PioError::MasterDied)?;
             match m.tag {
                 TAG_ABORT => return Err(PioError::Aborted),
-                TAG_BUNDLE => QueryBundle::decode(&m.payload).map_err(decode_err)?,
+                TAG_BUNDLE => QueryBundle::decode(&m.payload)?,
                 other => {
                     return Err(PioError::Protocol(format!(
                         "worker expected the query bundle, got tag {other}"
@@ -1033,19 +1033,15 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 }
                 TAG_GRANT => self.stash_grant(&m.payload)?,
                 TAG_SUBMIT_REQ => {
-                    let (epoch, body) = split_epoch(&m.payload)?;
-                    // A truncated body is a typed protocol error, never a
-                    // slice panic.
-                    let raw: [u8; 4] = body
-                        .get(..4)
-                        .and_then(|b| b.try_into().ok())
-                        .ok_or_else(|| PioError::Protocol("submit request lacks a batch".into()))?;
-                    let batch = u32::from_le_bytes(raw) as usize;
-                    WorkerEvent::SubmitReq { batch, epoch }
+                    let (epoch, batch) = Fenced::<u32>::decode(&m.payload)?;
+                    WorkerEvent::SubmitReq {
+                        batch: batch as usize,
+                        epoch,
+                    }
                 }
                 TAG_ASSIGN => {
-                    let (epoch, body) = split_epoch(&m.payload)?;
-                    self.assign = Some(OffsetAssignment::decode(body).map_err(decode_err)?);
+                    let (epoch, assign) = Fenced::<OffsetAssignment>::decode(&m.payload)?;
+                    self.assign = Some(assign);
                     WorkerEvent::Assign { epoch }
                 }
                 TAG_FINISH => WorkerEvent::Finish,
@@ -1117,7 +1113,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
 
     /// Stash a service-mode query batch delivered over the wire.
     fn stash_qbatch(&mut self, payload: &[u8]) -> Result<(), PioError> {
-        let (batch, queries) = decode_qbatch(payload, self.molecule)?;
+        let (batch, queries) = decode_with(payload, |r| {
+            Ok((u32::get(r)?, get_queries(r, self.molecule)?))
+        })?;
         self.batch_store.insert(batch as usize, queries);
         Ok(())
     }
@@ -1143,7 +1141,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
 
     /// Queue a grant's assignments and produce the matching event.
     fn stash_grant(&mut self, payload: &[u8]) -> Result<WorkerEvent, PioError> {
-        let (batch, ids, part) = decode_grant(payload)?;
+        let Grant { batch, ids, part } = Grant::decode(payload)?;
         if ids.len() != part.fragments.len() {
             return Err(PioError::Protocol(
                 "grant ids do not match fragments".into(),
@@ -1219,12 +1217,13 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     // overlapping the next batch's searches.
                     fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
                 }
-                let meta = self.cache.metadata().encode();
+                let meta = self.cache.metadata();
                 if self.policy.p2p() {
-                    self.comm.send(MASTER, TAG_SUBMIT, with_epoch(epoch, &meta));
+                    let submission = Bytes::from((epoch, meta).encode());
+                    self.comm.send(MASTER, TAG_SUBMIT, submission);
                 } else {
                     self.out_mark = Some(self.ctx.now());
-                    self.comm.gather(MASTER, Bytes::from(meta));
+                    self.comm.gather(MASTER, Bytes::from(meta.encode()));
                 }
                 Ok(())
             }
@@ -1434,7 +1433,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 .expect("assignment stashed with the event")
         } else {
             let bytes = self.comm.scatterv(MASTER, None);
-            OffsetAssignment::decode(&bytes).map_err(decode_err)?
+            OffsetAssignment::decode(&bytes)?
         };
         let items = self
             .cache
@@ -1462,7 +1461,8 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 // before the ack leaves.
                 fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
             }
-            self.comm.send(MASTER, TAG_DONE, with_epoch(epoch, &[]));
+            self.comm
+                .send(MASTER, TAG_DONE, Bytes::from(epoch.encode()));
         }
         Ok(())
     }

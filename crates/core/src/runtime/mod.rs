@@ -44,36 +44,37 @@ pub use worker::{WorkerAction, WorkerEvent, WorkerSm};
 
 pub(crate) use interp::{run_master, run_worker};
 
-use bytes::Bytes;
+use seqfmt::wire_struct;
 
 use crate::app::{FragmentSchedule, PioBlastConfig};
-use crate::fault::{FaultMode, PioError};
+use crate::fault::FaultMode;
 use crate::proto::PartitionMessage;
 
 // Unified protocol tags. `READY`/`GRANT` keep the fault-free dynamic
 // scheduler's historical values; the rest keep the recovery protocol's.
 /// Worker -> master: fragment request, doubling as the grant ack.
 pub(crate) const TAG_READY: u64 = 1;
-/// Master -> worker: `[batch u32][ids][PartitionMessage]` grant.
+/// Master -> worker: a [`Grant`].
 pub(crate) const TAG_GRANT: u64 = 2;
 /// Master -> worker: the query bundle (point-to-point modes).
 pub(crate) const TAG_BUNDLE: u64 = 10;
-/// Master -> worker: epoch-framed `[batch u32]` submission request.
+/// Master -> worker: [`Fenced`] batch (`u32`) submission request.
 pub(crate) const TAG_SUBMIT_REQ: u64 = 12;
-/// Worker -> master: epoch-framed [`MetaSubmission`] bytes.
+/// Worker -> master: [`Fenced`] `MetaSubmission`.
 pub(crate) const TAG_SUBMIT: u64 = 13;
-/// Master -> worker: epoch-framed [`OffsetAssignment`] bytes.
+/// Master -> worker: [`Fenced`] `OffsetAssignment`.
 pub(crate) const TAG_ASSIGN: u64 = 14;
-/// Worker -> master: epoch-framed write acknowledgement.
+/// Worker -> master: write acknowledgement, the bare epoch.
 pub(crate) const TAG_DONE: u64 = 15;
 /// Master -> worker: the run is complete.
 pub(crate) const TAG_FINISH: u64 = 16;
 /// Master -> worker: abandon the run.
 pub(crate) const TAG_ABORT: u64 = 17;
-/// Master -> worker: one stream batch's queries (`[batch u32][queries]`,
-/// service mode). Sent ahead of the batch's first grant — FIFO ordering
-/// per peer pair guarantees the queries precede every command that
-/// needs them — and prefetched behind the previous batch's search.
+/// Master -> worker: one stream batch's queries (service mode): the
+/// batch (`u32`), then the list `mpiblast::wire::put_queries` writes.
+/// Sent ahead of the batch's first grant — FIFO ordering per peer pair
+/// guarantees the queries precede every command that needs them — and
+/// prefetched behind the previous batch's search.
 pub(crate) const TAG_QBATCH: u64 = 18;
 
 /// How the runtime behaves, derived once from the run configuration.
@@ -128,65 +129,27 @@ impl RunPolicy {
     }
 }
 
-/// Prefix `body` with an 8-byte little-endian epoch.
-pub(crate) fn with_epoch(epoch: u64, body: &[u8]) -> Bytes {
-    let mut buf = Vec::with_capacity(8 + body.len());
-    buf.extend_from_slice(&epoch.to_le_bytes());
-    buf.extend_from_slice(body);
-    Bytes::from(buf)
+/// An epoch-fenced frame, `[epoch u64][body]`: `SUBMIT_REQ` (body: the
+/// batch, `u32`), `SUBMIT`, `ASSIGN` and `DONE` (no body) all carry the
+/// epoch they belong to, and a receiver discards a stale one.
+pub type Fenced<T> = (u64, T);
+
+/// A `TAG_GRANT` payload.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Grant {
+    /// The query batch the fragments are to be searched against.
+    pub batch: u32,
+    /// Global fragment ids (checkpoint keys), one per assignment.
+    pub ids: Vec<u32>,
+    /// The byte-range assignments themselves.
+    pub part: PartitionMessage,
 }
 
-/// Split an epoch-prefixed payload.
-pub(crate) fn split_epoch(payload: &[u8]) -> Result<(u64, &[u8]), PioError> {
-    if payload.len() < 8 {
-        return Err(PioError::Protocol("epoch frame too short".into()));
-    }
-    let mut e = [0u8; 8];
-    e.copy_from_slice(&payload[..8]);
-    Ok((u64::from_le_bytes(e), &payload[8..]))
-}
-
-/// A grant payload: the batch it belongs to, the global fragment ids
-/// (checkpoint keys), and the byte-range assignments themselves.
-pub(crate) fn encode_grant(batch: u32, ids: &[usize], part: &PartitionMessage) -> Vec<u8> {
-    let mut buf = Vec::new();
-    buf.extend_from_slice(&batch.to_le_bytes());
-    buf.extend_from_slice(&(ids.len() as u32).to_le_bytes());
-    for &f in ids {
-        buf.extend_from_slice(&(f as u32).to_le_bytes());
-    }
-    buf.extend_from_slice(&part.encode());
-    buf
-}
-
-/// Read a little-endian `u32` at `at`, or fail with a typed protocol
-/// error naming the field. Received frames must never be able to panic a
-/// rank, however truncated or garbled.
-fn read_u32(buf: &[u8], at: usize, what: &str) -> Result<u32, PioError> {
-    buf.get(at..at + 4)
-        .and_then(|b| b.try_into().ok())
-        .map(u32::from_le_bytes)
-        .ok_or_else(|| PioError::Protocol(format!("grant frame truncated at {what}")))
-}
-
-/// Inverse of [`encode_grant`].
-pub(crate) fn decode_grant(buf: &[u8]) -> Result<(u32, Vec<u32>, PartitionMessage), PioError> {
-    let batch = read_u32(buf, 0, "batch")?;
-    let n = read_u32(buf, 4, "id count")? as usize;
-    // Bound the count by the frame itself before sizing anything: a
-    // garbage length can't trigger a huge allocation or an overflowing
-    // offset.
-    let ids_end = 8usize.saturating_add(n.saturating_mul(4));
-    if buf.len() < ids_end {
-        return Err(PioError::Protocol("grant id list truncated".into()));
-    }
-    let ids = (0..n)
-        .map(|i| read_u32(buf, 8 + 4 * i, "fragment id"))
-        .collect::<Result<Vec<u32>, PioError>>()?;
-    let part =
-        PartitionMessage::decode(&buf[ids_end..]).map_err(|e| PioError::Protocol(e.to_string()))?;
-    Ok((batch, ids, part))
-}
+wire_struct!(Grant {
+    batch: u32,
+    ids: Vec<u32>,
+    part: PartitionMessage,
+});
 
 /// Shared-file-system path of one `(batch, fragment)` checkpoint blob.
 pub(crate) fn ckpt_path(cfg: &PioBlastConfig, batch: usize, fragment: usize) -> String {
@@ -200,97 +163,12 @@ pub(crate) fn stream_output_path(cfg: &PioBlastConfig, batch: usize) -> String {
     format!("{}.q{batch}", cfg.output_path)
 }
 
-/// A `TAG_QBATCH` payload: the stream batch id plus its query records
-/// (service mode; the molecule travels in the startup bundle).
-pub(crate) fn encode_qbatch(batch: u32, queries: &[blast_core::seq::SeqRecord]) -> Vec<u8> {
-    let mut w = seqfmt::codec::Writer::new();
-    w.u32(batch);
-    w.u32(queries.len() as u32);
-    for q in queries {
-        w.string(&q.defline);
-        w.u32(q.residues.len() as u32);
-        w.bytes(&q.residues);
-    }
-    w.finish()
-}
-
-/// Inverse of [`encode_qbatch`]. Truncated or garbled frames are typed
-/// protocol errors, never panics.
-pub(crate) fn decode_qbatch(
-    buf: &[u8],
-    molecule: blast_core::Molecule,
-) -> Result<(u32, Vec<blast_core::seq::SeqRecord>), PioError> {
-    let err = |e: seqfmt::codec::CodecError| PioError::Protocol(format!("query batch: {e}"));
-    let mut r = seqfmt::codec::Reader::new(buf);
-    let batch = r.u32("stream batch").map_err(err)?;
-    let n = r.u32("query count").map_err(err)? as usize;
-    let mut queries = Vec::new();
-    for _ in 0..n {
-        let defline = r.string("query defline").map_err(err)?;
-        let len = r.u32("query len").map_err(err)? as usize;
-        let residues = r.bytes(len, "query residues").map_err(err)?.to_vec();
-        queries.push(blast_core::seq::SeqRecord {
-            defline,
-            residues,
-            molecule,
-        });
-    }
-    Ok((batch, queries))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn epoch_framing_round_trips() {
-        let framed = with_epoch(7, b"payload");
-        let (e, body) = split_epoch(&framed).unwrap();
-        assert_eq!(e, 7);
-        assert_eq!(body, b"payload");
-        assert!(split_epoch(b"short").is_err());
-    }
-
-    #[test]
-    fn grant_framing_round_trips() {
-        let part = PartitionMessage::default();
-        let buf = encode_grant(3, &[5, 9], &part);
-        let (batch, ids, got) = decode_grant(&buf).unwrap();
-        assert_eq!(batch, 3);
-        assert_eq!(ids, vec![5, 9]);
-        assert_eq!(got, part);
-        assert!(decode_grant(&buf[..6]).is_err());
-    }
-
-    #[test]
-    fn qbatch_framing_round_trips_and_rejects_truncation() {
-        let molecule = blast_core::Molecule::Protein;
-        let queries = vec![
-            blast_core::seq::SeqRecord {
-                defline: "q0 first".into(),
-                residues: b"MKV".to_vec(),
-                molecule,
-            },
-            blast_core::seq::SeqRecord {
-                defline: "q1 second".into(),
-                residues: b"ACDEFG".to_vec(),
-                molecule,
-            },
-        ];
-        let buf = encode_qbatch(5, &queries);
-        let (batch, got) = decode_qbatch(&buf, molecule).unwrap();
-        assert_eq!(batch, 5);
-        assert_eq!(got, queries);
-        for cut in 0..buf.len() {
-            if let Ok((b, q)) = decode_qbatch(&buf[..cut], molecule) {
-                // Only a coherent prefix (fewer whole queries) may
-                // decode; the count field forbids even that.
-                panic!("prefix {cut} decoded: ({b}, {} queries)", q.len());
-            }
-        }
-        let (b, q) = decode_qbatch(&encode_qbatch(0, &[]), molecule).unwrap();
-        assert_eq!((b, q.len()), (0, 0));
-    }
+    use crate::fault::PioError;
+    use bytes::Bytes;
+    use seqfmt::Wire;
 
     #[test]
     fn a_dynamic_worker_rejects_a_multi_fragment_grant() {
@@ -337,7 +215,12 @@ mod tests {
                 if ctx.rank() == MASTER {
                     comm.bcast(MASTER, Bytes::from(bundle.encode()));
                     comm.recv(Some(1), Some(TAG_READY));
-                    comm.send(1, TAG_GRANT, Bytes::from(encode_grant(0, &[0, 1], &part)));
+                    let grant = Grant {
+                        batch: 0,
+                        ids: vec![0, 1],
+                        part: part.clone(),
+                    };
+                    comm.send(1, TAG_GRANT, Bytes::from(grant.encode()));
                     None
                 } else {
                     Some(run_worker(&ctx, &comm, &cfg))
@@ -354,31 +237,30 @@ mod tests {
 
     #[test]
     fn malformed_grants_are_typed_errors_not_panics() {
-        // Satellite: every truncation point and garbage frame must fail
-        // with `PioError::Protocol`, never a slice or allocation panic.
-        let part = PartitionMessage::default();
-        let good = encode_grant(1, &[2, 3, 4], &part);
-        // Every proper prefix of a valid frame.
+        // Every truncation point and garbage frame must fail with a
+        // codec error — `PioError::Protocol` once it reaches the run —
+        // never a slice or allocation panic.
+        let typed = |frame: &[u8]| match Grant::decode(frame).map_err(PioError::from) {
+            Err(PioError::Protocol(_)) => {}
+            // A prefix may only decode if it is itself coherent — which
+            // the strict-length decode rejects.
+            other => panic!("{frame:02x?} decoded to {other:?}"),
+        };
+        let good = Grant {
+            batch: 1,
+            ids: vec![2, 3, 4],
+            part: PartitionMessage::default(),
+        }
+        .encode();
         for cut in 0..good.len() {
-            match decode_grant(&good[..cut]) {
-                Ok((batch, ids, p)) => {
-                    // A prefix may only decode if it is itself coherent —
-                    // which a strict-length PartitionMessage rejects.
-                    panic!("prefix {cut} decoded: ({batch}, {ids:?}, {p:?})")
-                }
-                Err(PioError::Protocol(_)) => {}
-                Err(other) => panic!("prefix {cut}: wrong error kind {other:?}"),
-            }
+            typed(&good[..cut]);
         }
         // A length field claiming far more ids than the frame holds must
         // not allocate or scan past the buffer.
-        let mut lying = Vec::new();
-        lying.extend_from_slice(&0u32.to_le_bytes());
-        lying.extend_from_slice(&u32::MAX.to_le_bytes());
-        assert!(matches!(decode_grant(&lying), Err(PioError::Protocol(_))));
+        typed(&(0u32, u32::MAX).encode());
         // Pure garbage.
         for garbage in [&b""[..], &b"\xff"[..], &[0xAAu8; 37][..]] {
-            assert!(matches!(decode_grant(garbage), Err(PioError::Protocol(_))));
+            typed(garbage);
         }
     }
 }

@@ -27,7 +27,7 @@ use bytes::Bytes;
 use mpiio::{FileView, IoPlane, PlaneConfig};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
-use seqfmt::{FragmentData, VolumeIndex};
+use seqfmt::{FragmentData, VolumeIndex, Wire};
 use simcluster::{PhaseTimes, RankCtx};
 
 use crate::model::ComputeModel;
@@ -112,6 +112,12 @@ impl fmt::Display for ProtocolError {
 }
 
 impl std::error::Error for ProtocolError {}
+
+impl From<seqfmt::codec::CodecError> for ProtocolError {
+    fn from(e: seqfmt::codec::CodecError) -> ProtocolError {
+        ProtocolError::Malformed(e.to_string())
+    }
+}
 
 fn storage(e: parafs::StoreError) -> ProtocolError {
     ProtocolError::Storage(e.to_string())
@@ -268,18 +274,10 @@ fn run_master(
         match m.tag {
             TAG_FRAG_REQ => match grants.grant_to(m.src) {
                 Some(f) => {
-                    comm.send(
-                        m.src,
-                        TAG_FRAG_ASSIGN,
-                        Bytes::from((f as u32).to_le_bytes().to_vec()),
-                    );
+                    comm.send(m.src, TAG_FRAG_ASSIGN, Bytes::from((f as u32).encode()));
                 }
                 None => {
-                    comm.send(
-                        m.src,
-                        TAG_FRAG_ASSIGN,
-                        Bytes::from(FRAG_NONE.to_le_bytes().to_vec()),
-                    );
+                    comm.send(m.src, TAG_FRAG_ASSIGN, Bytes::from(FRAG_NONE.encode()));
                     drained_workers += 1;
                 }
             },
@@ -289,7 +287,7 @@ fn run_master(
                     Ok(sub) => sub,
                     Err(e) => {
                         abort_workers(comm, &live);
-                        return Err(ProtocolError::Malformed(format!("submission: {e}")));
+                        return Err(e.into());
                     }
                 };
                 let items: u64 = sub.per_query.iter().map(|(_, h)| h.len() as u64).sum();
@@ -363,7 +361,7 @@ fn run_master(
                 Ok(decoded) => fetched.push(decoded),
                 Err(e) => {
                     abort_workers(comm, &live);
-                    return Err(ProtocolError::Malformed(format!("fetch response: {e}")));
+                    return Err(e.into());
                 }
             }
         }
@@ -457,8 +455,7 @@ fn run_worker(
 
     // ---- startup ----
     let bundle_bytes = comm.bcast(MASTER, Bytes::new());
-    let bundle = QueryBundle::decode(&bundle_bytes)
-        .map_err(|e| ProtocolError::Malformed(format!("query bundle: {e}")))?;
+    let bundle = QueryBundle::decode(&bundle_bytes)?;
     let mut stats_total = SearchStats::default();
 
     // Fragments this worker searched, kept in memory to serve fetches.
@@ -475,16 +472,7 @@ fn run_worker(
             .recv_from(MASTER, None)
             .map_err(|_| ProtocolError::MasterDied)?;
         let fid = match m.tag {
-            TAG_FRAG_ASSIGN => {
-                let raw: [u8; 4] = m
-                    .payload
-                    .get(..4)
-                    .and_then(|b| b.try_into().ok())
-                    .ok_or_else(|| {
-                        ProtocolError::Malformed("fragment assignment lacks an id".into())
-                    })?;
-                u32::from_le_bytes(raw)
-            }
+            TAG_FRAG_ASSIGN => u32::decode(&m.payload)?,
             TAG_ABORT => return Err(ProtocolError::Aborted),
             other => {
                 return Err(ProtocolError::UnexpectedTag {
@@ -549,11 +537,7 @@ fn run_worker(
             };
             comm.send(MASTER, TAG_SUBMIT, Bytes::from(sub.encode()));
         }
-        comm.send(
-            MASTER,
-            TAG_FRAG_DONE,
-            Bytes::from(fid.to_le_bytes().to_vec()),
-        );
+        comm.send(MASTER, TAG_FRAG_DONE, Bytes::from(fid.encode()));
         kept.push(frag);
     }
 
@@ -758,14 +742,21 @@ mod tests {
 
     #[test]
     fn bad_setup_inputs_are_typed_errors_on_every_rank() {
-        // A missing query file or a truncated fragment index must leave
-        // every rank with a typed error: the master neither panics nor
-        // strands the workers in the bundle broadcast. So must a fragment
-        // only a worker touches — a truncated `.seq`, an absent `.hdr`:
-        // the worker that drew it reports its own error, the master names
-        // that worker, the others are aborted.
+        // A missing query file, or a fragment index that is truncated or
+        // lies about its table sizes, must leave every rank with a typed
+        // error: the master neither panics nor strands the workers in the
+        // bundle broadcast. So must a fragment only a worker touches — a
+        // truncated `.seq`, an absent `.hdr`: the worker that drew it
+        // reports its own error, the master names that worker, the others
+        // are aborted.
         for detect in [false, true] {
-            for input in ["no queries", "short idx", "short seq", "no hdr"] {
+            for input in [
+                "no queries",
+                "short idx",
+                "lying idx",
+                "short seq",
+                "no hdr",
+            ] {
                 let (sim, env, mut cfg) = faulty_cfg(4, 3);
                 cfg.fault_detection = detect;
                 let frag1 = cfg.fragment_names[1].clone();
@@ -776,6 +767,17 @@ mod tests {
                         let idx = format!("{}.idx", cfg.fragment_names[0]);
                         let bytes = staged(&idx);
                         env.shared.preload(&idx, bytes[..bytes.len() / 2].to_vec());
+                    }
+                    "lying idx" => {
+                        // Byte 4 of the offset count: 2^36 table entries.
+                        let idx = format!("{}.idx", cfg.fragment_names[0]);
+                        let mut bytes = staged(&idx);
+                        let count_at = VolumeIndex::decode(&bytes)
+                            .expect("staged index")
+                            .seq_table_start() as usize
+                            - 8;
+                        bytes[count_at + 4] = 0x10;
+                        env.shared.preload(&idx, bytes);
                     }
                     "short seq" => {
                         let seq = format!("{frag1}.seq");
@@ -806,7 +808,7 @@ mod tests {
                     matches!(e, ProtocolError::Storage(_) | ProtocolError::Malformed(_))
                 };
                 let what = format!("detect={detect} {input}: {errs:?}");
-                if matches!(input, "no queries" | "short idx") {
+                if matches!(input, "no queries" | "short idx" | "lying idx") {
                     assert!(errs.iter().all(|e| own(e)), "{what}");
                     continue;
                 }
@@ -849,17 +851,16 @@ mod tests {
                     comm.bcast(MASTER, Bytes::from(bundle.encode()));
                     for fid in [0, FRAG_NONE] {
                         while comm.recv(Some(1), None).tag != TAG_FRAG_REQ {}
-                        comm.send(1, TAG_FRAG_ASSIGN, Bytes::from(fid.to_le_bytes().to_vec()));
+                        comm.send(1, TAG_FRAG_ASSIGN, Bytes::from(fid.encode()));
                     }
                     comm.send(1, TAG_FETCH_REQ, Bytes::from(request.clone()));
                     let resp = comm.recv(Some(1), Some(TAG_FETCH_RESP));
                     // What `run_master` makes of the response.
-                    FetchResponse::decode(&resp.payload)
-                        .map(|_| RankReport::default())
-                        .map_err(|e| ProtocolError::Malformed(format!("fetch response: {e}")))
+                    FetchResponse::decode(&resp.payload)?;
+                    Ok(RankReport::default())
                 })
                 .expect("neither a rank panic nor a deadlock");
-            for (rank, side) in [(MASTER, "fetch response"), (1, "fetch request")] {
+            for (rank, side) in [(MASTER, "FetchResponse"), (1, "fetch request")] {
                 match &out.outputs[rank] {
                     Some(Err(ProtocolError::Malformed(what))) => {
                         assert!(what.contains(side), "rank {rank}: {what}")

@@ -59,9 +59,10 @@ pub fn order_hits(hits: &mut [SubjectHit]) {
     hits.sort_by(|a, b| a.hsps[0].rank_key().cmp(&b.hsps[0].rank_key()));
 }
 
-/// The same ordering over metadata-only hits.
-pub fn order_meta(hits: &mut [MetaHit]) {
-    hits.sort_by_key(|a| a.best.rank_key());
+/// The same ordering over metadata-only hits, each paired with the rank
+/// that owns its record.
+pub fn order_meta(hits: &mut [(MetaHit, usize)]) {
+    hits.sort_by_key(|(hit, _)| hit.best.rank_key());
 }
 
 /// One query's fully determined output layout.
@@ -342,7 +343,7 @@ mod tests {
                 hsps: vec![mk(90, 1)],
             },
         ];
-        let mut meta: Vec<MetaHit> = hits
+        let mut meta: Vec<(MetaHit, usize)> = hits
             .iter()
             .map(|h| MetaHit {
                 oid: h.oid,
@@ -351,11 +352,12 @@ mod tests {
                 defline: String::new(),
                 best: h.hsps[0],
             })
+            .zip(1..)
             .collect();
         order_hits(&mut hits);
         order_meta(&mut meta);
         let a: Vec<u32> = hits.iter().map(|h| h.oid).collect();
-        let b: Vec<u32> = meta.iter().map(|h| h.oid).collect();
+        let b: Vec<u32> = meta.iter().map(|(h, _)| h.oid).collect();
         assert_eq!(a, b);
         assert_eq!(a, vec![1, 2]);
     }

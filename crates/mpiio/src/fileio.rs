@@ -108,7 +108,11 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// chunks to its domain's aggregator (or stash it locally if that is
     /// me), then — if I aggregate a domain — receive every expected
     /// chunk in rank order and coalesce into maximal runs. Returns the
-    /// runs this rank must write (empty for non-aggregators).
+    /// runs this rank must write (empty for non-aggregators), and the
+    /// first peer frame that disagreed with the exchanged views: the
+    /// chunk is left out and every later one still received, so the
+    /// collective stays aligned and the caller reports the error after
+    /// the closing barrier.
     fn gather_write_runs(
         &self,
         tag: u64,
@@ -116,7 +120,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         data: &[u8],
         all_views: &[FileView],
         domains: &Domains,
-    ) -> Vec<(u64, Vec<u8>)> {
+    ) -> (Vec<(u64, Vec<u8>)>, Option<StoreError>) {
         let me = self.comm.rank();
         let mut local_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
         let mut cursor = 0usize;
@@ -137,7 +141,8 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         }
         debug_assert_eq!(cursor, data.len());
 
-        if let Some(my_domain) = domains.domain_of(me) {
+        let mut corrupt = None;
+        let runs = if let Some(my_domain) = domains.domain_of(me) {
             let mut chunks: Vec<(u64, Vec<u8>)> = Vec::new();
             for (src, view) in all_views.iter().enumerate() {
                 for (abs, len) in view.absolute() {
@@ -149,10 +154,12 @@ impl<'a, 'c> MpiFile<'a, 'c> {
                             continue; // already stashed
                         }
                         let m = self.comm.recv(Some(src), Some(tag));
-                        let got_off = u64::from_le_bytes(m.payload[..8].try_into().unwrap());
-                        debug_assert_eq!(got_off, off);
-                        debug_assert_eq!(m.payload.len() as u64 - 8, piece_len);
-                        chunks.push((got_off, m.payload[8..].to_vec()));
+                        match decode_chunk(&m.payload, src, off, piece_len) {
+                            Ok(bytes) => chunks.push((off, bytes.to_vec())),
+                            Err(e) => {
+                                corrupt.get_or_insert(e);
+                            }
+                        }
                     }
                 }
             }
@@ -161,7 +168,8 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         } else {
             debug_assert!(local_chunks.is_empty());
             Vec::new()
-        }
+        };
+        (runs, corrupt)
     }
 
     /// Collective write: `data` holds the bytes of `view`'s regions, in
@@ -214,7 +222,9 @@ impl<'a, 'c> MpiFile<'a, 'c> {
             return Ok(pend); // nobody is writing anything
         };
         let ctx = self.comm.ctx();
-        for (run_off, run_data) in self.gather_write_runs(tag, view, data, &all_views, &domains) {
+        let (runs, corrupt) = self.gather_write_runs(tag, view, data, &all_views, &domains);
+        pend.err = corrupt;
+        for (run_off, run_data) in runs {
             // A staged run carries no pending op: its drain belongs to
             // the staging store and is joined at the next fence. A
             // failure is this rank's alone, so it rides in the pending
@@ -345,7 +355,8 @@ impl<'a, 'c> MpiFile<'a, 'c> {
 /// [`MpiFile::write_at_all_begin`]).
 pub struct PendingWriteAll {
     ops: Vec<AsyncIo>,
-    /// The first run that failed at begin time, reported by `end`.
+    /// The first corrupt peer frame or run that failed at begin time,
+    /// reported by `end`.
     err: Option<StoreError>,
 }
 
@@ -365,34 +376,51 @@ impl PendingWriteAll {
 /// than aborting the whole run.
 fn decode_view_bundle(buf: &[u8]) -> Result<Vec<FileView>, StoreError> {
     let corrupt = |what: String| StoreError::Corrupt { what };
-    let header = buf
-        .get(..4)
-        .ok_or_else(|| corrupt("view bundle: truncated count header".into()))?;
-    let n = u32::from_le_bytes(header.try_into().unwrap()) as usize;
+    let (n, mut rest) =
+        split_u32(buf).ok_or_else(|| corrupt("view bundle: truncated count header".into()))?;
     let mut out = Vec::new();
-    let mut pos = 4usize;
     for i in 0..n {
-        let frame_len = buf
-            .get(pos..pos + 4)
+        let (len, after) = split_u32(rest)
             .ok_or_else(|| corrupt(format!("view bundle: truncated length of frame {i}")))?;
-        let len = u32::from_le_bytes(frame_len.try_into().unwrap()) as usize;
-        pos += 4;
-        let body = buf
-            .get(pos..pos + len)
+        let (body, after) = after
+            .split_at_checked(len as usize)
             .ok_or_else(|| corrupt(format!("view bundle: frame {i} overruns the bundle")))?;
         out.push(
             FileView::decode(body)
                 .ok_or_else(|| corrupt(format!("view bundle: frame {i} is not a file view")))?,
         );
-        pos += len;
+        rest = after;
     }
-    if pos != buf.len() {
+    if !rest.is_empty() {
         return Err(corrupt(format!(
             "view bundle: {} trailing bytes after {n} frames",
-            buf.len() - pos
+            rest.len()
         )));
     }
     Ok(out)
+}
+
+/// Split a little-endian `u32` off the front of `buf`.
+fn split_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
+    let (head, rest) = buf.split_first_chunk::<4>()?;
+    Some((u32::from_le_bytes(*head), rest))
+}
+
+/// The bytes of a peer's chunk frame, `[offset u64][bytes]`. The
+/// exchanged views fix what `src` must send — `len` bytes for file
+/// offset `off` — and a frame that says otherwise is corrupt.
+fn decode_chunk(payload: &[u8], src: usize, off: u64, len: u64) -> Result<&[u8], StoreError> {
+    match payload.split_first_chunk::<8>() {
+        Some((head, bytes)) if u64::from_le_bytes(*head) == off && bytes.len() as u64 == len => {
+            Ok(bytes)
+        }
+        _ => Err(StoreError::Corrupt {
+            what: format!(
+                "collective write: rank {src}'s {}-byte chunk frame is not {len} bytes at offset {off}",
+                payload.len()
+            ),
+        }),
+    }
 }
 
 /// The file-domain partition of one collective operation.
@@ -671,6 +699,27 @@ mod tests {
             "expected coalesced writes, saw {} data ops",
             c.data_ops
         );
+    }
+
+    #[test]
+    fn a_chunk_frame_that_disagrees_with_the_views_is_corrupt() {
+        let mut frame = 40u64.to_le_bytes().to_vec();
+        frame.extend_from_slice(b"abc");
+        assert_eq!(decode_chunk(&frame, 1, 40, 3), Ok(&b"abc"[..]));
+        for (payload, off, len) in [
+            (&frame[..], 41, 3),  // another offset
+            (&frame[..], 40, 4),  // another length
+            (&frame[..7], 40, 3), // shorter than its own header
+            (&b""[..], 0, 0),     // empty
+        ] {
+            assert!(
+                matches!(
+                    decode_chunk(payload, 1, off, len),
+                    Err(StoreError::Corrupt { .. })
+                ),
+                "{payload:?} as {len} bytes at {off}"
+            );
+        }
     }
 
     #[test]

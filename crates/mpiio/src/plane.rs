@@ -653,7 +653,6 @@ mod tests {
             volume.clone(),
             dest.clone(),
             BurstOptions {
-                stripe_files: 2,
                 stripe_unit: 8,
                 capacity,
             },

@@ -107,22 +107,17 @@ impl FileView {
 
     /// Inverse of [`FileView::encode`].
     pub fn decode(buf: &[u8]) -> Option<FileView> {
-        if buf.len() < 12 {
+        let u64_at = |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?));
+        let (head, body) = buf.split_first_chunk::<12>()?;
+        let n = u32::from_le_bytes(head[8..].try_into().ok()?) as usize;
+        if body.len() != n.checked_mul(16)? {
             return None;
         }
-        let displacement = u64::from_le_bytes(buf[0..8].try_into().ok()?);
-        let n = u32::from_le_bytes(buf[8..12].try_into().ok()?) as usize;
-        if buf.len() != 12 + 16 * n {
-            return None;
-        }
-        let mut regions = Vec::with_capacity(n);
-        for i in 0..n {
-            let base = 12 + 16 * i;
-            let o = u64::from_le_bytes(buf[base..base + 8].try_into().ok()?);
-            let l = u64::from_le_bytes(buf[base + 8..base + 16].try_into().ok()?);
-            regions.push((o, l));
-        }
-        FileView::new(displacement, regions).ok()
+        let regions = body
+            .chunks_exact(16)
+            .map(|c| Some((u64_at(&c[..8])?, u64_at(&c[8..])?)))
+            .collect::<Option<Vec<_>>>()?;
+        FileView::new(u64_at(&head[..8])?, regions).ok()
     }
 }
 

@@ -241,4 +241,29 @@ mod tests {
             );
         }
     }
+
+    #[test]
+    fn four_stripe_files_absorb_a_run_twice_as_fast_as_one() {
+        // Same 8 MiB run on the burst device: four concurrent streams
+        // share its aggregate bandwidth where one is held to a single
+        // stream's — why the staging tier stripes four wide.
+        let elapsed = |files: usize| {
+            let sim = simcluster::Sim::new(1);
+            let fs = SimFs::new(sim.handle(), "stage0", crate::FsProfile::burst_buffer());
+            let mut out = sim.run(move |ctx| {
+                let t0 = ctx.now();
+                let map = StripeMap::new(files, 64 * 1024);
+                for op in write_striped_begin(&fs, &ctx, "big", &map, 0, &vec![3u8; 8 << 20]) {
+                    fs.io_wait(&ctx, op).unwrap();
+                }
+                ctx.now().since(t0).0
+            });
+            out.outputs.remove(0)
+        };
+        let (solo, striped) = (elapsed(1), elapsed(4));
+        assert!(
+            (striped as f64) < (solo as f64) * 0.5,
+            "striping 4-wide should at least halve the absorb: {striped} vs {solo}"
+        );
+    }
 }

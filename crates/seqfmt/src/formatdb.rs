@@ -11,6 +11,7 @@ use blast_core::fasta::{self, FastaError};
 use blast_core::seq::SeqRecord;
 use blast_core::stats::DbStats;
 
+use crate::codec::Wire;
 use crate::volume::{AliasFile, EncodedVolume, VolumeIndex, EXT_ALIAS};
 
 /// Configuration for a formatting run.

@@ -13,6 +13,7 @@
 
 use blast_core::stats::DbStats;
 
+use crate::codec::Wire;
 use crate::formatdb::FormattedDb;
 use crate::volume::{EncodedVolume, VolumeIndex};
 
@@ -43,6 +44,18 @@ pub struct FragmentSpec {
     /// Residues in this fragment.
     pub residues: u64,
 }
+
+crate::wire_struct!(FragmentSpec {
+    volume: usize,
+    first_seq: u64,
+    last_seq: u64,
+    base_oid: u64,
+    seq_range: (u64, u64),
+    hdr_range: (u64, u64),
+    idx_seq_range: (u64, u64),
+    idx_hdr_range: (u64, u64),
+    residues: u64,
+});
 
 impl FragmentSpec {
     /// Number of sequences in the fragment.

@@ -20,6 +20,8 @@
 //! system, or in memory, identically.
 
 #![warn(missing_docs)]
+// Every parser here reads bytes a file or a peer supplied.
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod codec;
 pub mod formatdb;
@@ -29,6 +31,7 @@ pub mod sampler;
 pub mod synth;
 pub mod volume;
 
+pub use codec::Wire;
 pub use formatdb::{format_fasta, format_records, FormatDbConfig, FormattedDb};
 pub use frag::{physical_fragments, virtual_fragments, FragmentSpec};
 pub use reader::FragmentData;

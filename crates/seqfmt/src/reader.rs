@@ -5,7 +5,7 @@ use blast_core::alphabet::Molecule;
 use blast_core::search::SubjectSource;
 use blast_core::seq::SubjectView;
 
-use crate::codec::CodecError;
+use crate::codec::{CodecError, Reader, Wire};
 use crate::frag::FragmentSpec;
 use crate::volume::{EncodedVolume, VolumeIndex};
 
@@ -169,19 +169,16 @@ impl FragmentData {
 /// Decode a slice of the fixed-stride offset table, rebasing so the first
 /// entry is zero.
 fn decode_rebased_table(bytes: &[u8], what: &'static str) -> Result<Vec<u64>, CodecError> {
-    if !bytes.len().is_multiple_of(8) || bytes.is_empty() {
-        return Err(CodecError::BadValue { what });
+    let bad = || CodecError::BadValue { what };
+    if !bytes.len().is_multiple_of(8) {
+        return Err(bad());
     }
-    let base = u64::from_le_bytes(bytes[..8].try_into().expect("checked length"));
-    let mut out = Vec::with_capacity(bytes.len() / 8);
-    for chunk in bytes.chunks_exact(8) {
-        let v = u64::from_le_bytes(chunk.try_into().expect("exact chunks"));
-        if v < base {
-            return Err(CodecError::BadValue { what });
-        }
-        out.push(v - base);
+    let mut table: Vec<u64> = Reader::new(bytes).at(what).list((bytes.len() / 8) as u64)?;
+    let base = *table.first().ok_or_else(bad)?;
+    for v in &mut table {
+        *v = v.checked_sub(base).ok_or_else(bad)?;
     }
-    Ok(out)
+    Ok(table)
 }
 
 impl SubjectSource for FragmentData {

@@ -20,7 +20,7 @@
 use blast_core::alphabet::Molecule;
 use blast_core::stats::DbStats;
 
-use crate::codec::{CodecError, Reader, Writer};
+use crate::codec::{CodecError, Reader, Wire, Writer};
 
 /// Magic bytes opening every `.idx` file.
 pub const IDX_MAGIC: &[u8; 8] = b"PIOBDB1\0";
@@ -67,70 +67,6 @@ impl VolumeIndex {
         self.seq_offsets[i + 1] - self.seq_offsets[i]
     }
 
-    /// Serialize to `.idx` bytes.
-    pub fn encode(&self) -> Vec<u8> {
-        let mut w = Writer::with_capacity(64 + 16 * self.seq_offsets.len());
-        w.bytes(IDX_MAGIC);
-        w.u8(self.molecule.tag());
-        w.bytes(&[0u8; 3]); // pad to a 4-byte boundary
-        w.string(&self.title);
-        w.u64(self.base_oid);
-        w.u64(self.volume_stats.num_sequences);
-        w.u64(self.volume_stats.total_residues);
-        w.u64(self.global_stats.num_sequences);
-        w.u64(self.global_stats.total_residues);
-        w.u64(self.seq_offsets.len() as u64);
-        for &o in &self.seq_offsets {
-            w.u64(o);
-        }
-        for &o in &self.hdr_offsets {
-            w.u64(o);
-        }
-        w.finish()
-    }
-
-    /// Parse `.idx` bytes.
-    pub fn decode(buf: &[u8]) -> Result<VolumeIndex, CodecError> {
-        let mut r = Reader::new(buf);
-        let magic = r.bytes(8, "idx magic")?;
-        if magic != IDX_MAGIC {
-            return Err(CodecError::BadValue { what: "idx magic" });
-        }
-        let tag = r.u8("molecule tag")?;
-        let molecule = Molecule::from_tag(tag).ok_or(CodecError::BadValue {
-            what: "molecule tag",
-        })?;
-        r.bytes(3, "pad")?;
-        let title = r.string("title")?;
-        let base_oid = r.u64("base oid")?;
-        let volume_stats = DbStats {
-            num_sequences: r.u64("volume num_seqs")?,
-            total_residues: r.u64("volume residues")?,
-        };
-        let global_stats = DbStats {
-            num_sequences: r.u64("global num_seqs")?,
-            total_residues: r.u64("global residues")?,
-        };
-        let n = r.u64("offset count")? as usize;
-        let mut seq_offsets = Vec::with_capacity(n);
-        for _ in 0..n {
-            seq_offsets.push(r.u64("seq offset")?);
-        }
-        let mut hdr_offsets = Vec::with_capacity(n);
-        for _ in 0..n {
-            hdr_offsets.push(r.u64("hdr offset")?);
-        }
-        Ok(VolumeIndex {
-            molecule,
-            title,
-            base_oid,
-            volume_stats,
-            global_stats,
-            seq_offsets,
-            hdr_offsets,
-        })
-    }
-
     /// Byte offset, within the `.idx` file, where the sequence-offset
     /// table begins. Entries are 8 bytes each, so entry `i` lives at
     /// `seq_table_start() + 8*i`. This is what lets a worker read just its
@@ -144,6 +80,48 @@ impl VolumeIndex {
     /// Byte offset of the header-offset table.
     pub fn hdr_table_start(&self) -> u64 {
         self.seq_table_start() + 8 * self.seq_offsets.len() as u64
+    }
+}
+
+/// The `.idx` layout: magic, molecule tag padded to four bytes, title,
+/// base oid, volume and global statistics, then one `u64` count shared
+/// by the two offset tables that close the file.
+impl Wire for VolumeIndex {
+    const MIN_SIZE: usize = 8 + 4 + 4 + 6 * 8;
+
+    fn put(&self, w: &mut Writer) {
+        w.bytes(IDX_MAGIC);
+        self.molecule.put(w);
+        w.bytes(&[0u8; 3]);
+        self.title.put(w);
+        self.base_oid.put(w);
+        self.volume_stats.put(w);
+        self.global_stats.put(w);
+        (self.seq_offsets.len() as u64).put(w);
+        u64::put_all(&self.seq_offsets, w);
+        u64::put_all(&self.hdr_offsets, w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<VolumeIndex, CodecError> {
+        if r.at("idx magic").bytes(8)? != IDX_MAGIC {
+            return Err(r.bad_value());
+        }
+        let molecule = Wire::get(r.at("molecule tag"))?;
+        r.at("pad").bytes(3)?;
+        let title = Wire::get(r.at("title"))?;
+        let base_oid = Wire::get(r.at("base oid"))?;
+        let volume_stats = Wire::get(r)?;
+        let global_stats = Wire::get(r)?;
+        let n = u64::get(r.at("offset count"))?;
+        Ok(VolumeIndex {
+            molecule,
+            title,
+            base_oid,
+            volume_stats,
+            global_stats,
+            seq_offsets: r.at("seq offset").list(n)?,
+            hdr_offsets: r.at("hdr offset").list(n)?,
+        })
     }
 }
 
@@ -278,14 +256,6 @@ mod tests {
     }
 
     #[test]
-    fn index_round_trips() {
-        let idx = sample_index();
-        let bytes = idx.encode();
-        let back = VolumeIndex::decode(&bytes).unwrap();
-        assert_eq!(idx, back);
-    }
-
-    #[test]
     fn table_starts_are_correct() {
         let idx = sample_index();
         let bytes = idx.encode();
@@ -307,12 +277,6 @@ mod tests {
         let mut bytes = sample_index().encode();
         bytes[0] = b'X';
         assert!(VolumeIndex::decode(&bytes).is_err());
-    }
-
-    #[test]
-    fn truncated_index_is_rejected() {
-        let bytes = sample_index().encode();
-        assert!(VolumeIndex::decode(&bytes[..bytes.len() - 4]).is_err());
     }
 
     #[test]

@@ -37,8 +37,8 @@ cargo test --release -q --test service
 # deadlock drains every fiber into a typed error, never a hang.
 cargo test --release -q --test engine
 # Burst-buffer staging tier: bounded staging capacity must degrade to
-# direct writes byte-identically across stripe counts x io-async x
-# threads x batched epochs, and a worker killed with staged-but-
+# direct writes byte-identically across io-async x threads x batched
+# epochs, and a worker killed with staged-but-
 # undrained data must recover to the unstaged bytes (fence-before-ack).
 cargo test --release -q --test burst
 # The plane decides: the access class of reads and of writes is
@@ -73,8 +73,23 @@ cargo test --release -q -p blast-core --test edge_cases long_sequences_align_end
 cargo test --release -q -p blast-core --lib shared_prepare
 cargo test --release -q --test cluster_behavior every_rank_is_charged_for_its_own_prepare
 cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree_on_results
+# One door for untrusted bytes: every `seqfmt::codec::Wire` type round-
+# trips, rejects every strict prefix and one-byte extension, survives
+# hostile bytes within an allocation budget, and encodes its fixture to
+# the hex recorded from the parent of the PR that introduced the trait
+# (tests/common/wire_golden.txt); the `ff ff ff ff` count, the 28-byte
+# checkpoint and the flipped `.idx` byte are typed errors, not aborts.
+cargo test --release -q --test codec
 # Bench targets (paper exhibits and ablations) must at least compile.
 cargo bench --workspace --no-run
+# The paper's exhibits are claims: run the six that hold (~1.5 min
+# together; each asserts its own shape). `fig3a` stays compile-only —
+# its last assertion, "mpiBLAST must stop improving past ~31 workers",
+# is red (1.51 s at 32 -> 1.40 s at 62 processes) until the model is
+# calibrated: ROADMAP item 3.
+for exhibit in fig1a fig1b fig3b fig4 table1 table2; do
+  cargo bench -q -p blast-bench --bench "$exhibit" >/dev/null
+done
 # --all-targets: test, bench and example code is linted too.
 cargo clippy --workspace --all-targets -- -D warnings
 # The I/O plane is a public API layer: its docs must build clean.

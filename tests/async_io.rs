@@ -188,14 +188,18 @@ fn malformed_query_fasta_degrades_without_abort() {
 
 #[test]
 fn malformed_volume_index_degrades_without_abort() {
-    let vol = common::small_db(Opts::default().db_seed).volumes[0]
-        .name
-        .clone();
-    for fault in [FaultMode::Off, FaultMode::Recover] {
-        let outputs = run_corrupted(fault, |fs, _| {
-            fs.preload(&format!("db/{vol}.idx"), vec![0xAB; 17]);
-        });
-        assert_master_input_error(&outputs);
+    let vol = &common::small_db(Opts::default().db_seed).volumes[0];
+    let path = format!("db/{}.idx", vol.name);
+    // Garbage, and a valid index with one flipped byte: byte 4 of the
+    // offset count, which then claims 2^36 table entries (an allocator
+    // abort before the count was bounded by the bytes that follow it).
+    let mut flipped = vol.idx.clone();
+    flipped[vol.index.seq_table_start() as usize - 4] = 0x10;
+    for idx in [vec![0xAB; 17], flipped] {
+        for fault in [FaultMode::Off, FaultMode::Recover] {
+            let outputs = run_corrupted(fault, |fs, _| fs.preload(&path, idx.clone()));
+            assert_master_input_error(&outputs);
+        }
     }
 }
 

@@ -7,7 +7,7 @@
 //! sweep staging capacity from zero (every put backpressures and the
 //! plane degrades to direct writes) through bounded (bursty grant
 //! traffic hits `StagingFull` mid-run) to effectively unbounded, and
-//! compose that with stripe counts, `--io-async`, intra-rank compute
+//! compose that with `--io-async`, intra-rank compute
 //! slots (`--threads`), query batching, and `FaultMode::Recover`
 //! worker kills. Every combination must reproduce the unstaged
 //! reference bytes.
@@ -64,15 +64,14 @@ proptest! {
 
     /// Bounded staging under bursty grant traffic degrades gracefully:
     /// whatever mix of absorbed and refused puts a capacity bound
-    /// produces — across stripe counts, the async plane, intra-rank
-    /// compute slots, and batched epochs — the merged report is
+    /// produces — across the async plane, intra-rank compute slots,
+    /// and batched epochs — the merged report is
     /// byte-identical to the unstaged run's.
     #[test]
     fn bounded_staging_degrades_byte_identically(
         nranks in 3usize..=5,
         nfrags in 4usize..=10,
         capacity_i in 0usize..4,
-        stripe_pick in 0usize..3,
         flags in 0u32..8,
         batch_pick in 0usize..=2,
         threads in 1usize..=2,
@@ -81,7 +80,6 @@ proptest! {
             (flags & 1 != 0, flags & 2 != 0, flags & 4 != 0);
         let (bytes, killed) = run_frags(blade(nranks, FaultPlan::none()), nfrags, |cfg| {
             cfg.io.burst = Some(BurstOptions {
-                stripe_files: [1, 2, 4][stripe_pick],
                 capacity: capacity_pick(capacity_i),
                 ..Default::default()
             });
@@ -97,8 +95,8 @@ proptest! {
         prop_assert_eq!(
             &bytes[..],
             reference_bytes(),
-            "nranks={} nfrags={} cap={} stripes={} async={} dyn={} co={} batch={} threads={}",
-            nranks, nfrags, capacity_pick(capacity_i), [1, 2, 4][stripe_pick],
+            "nranks={} nfrags={} cap={} async={} dyn={} co={} batch={} threads={}",
+            nranks, nfrags, capacity_pick(capacity_i),
             io_async, dynamic, collective_output, batch_pick, threads
         );
     }

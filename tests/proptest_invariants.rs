@@ -4,7 +4,7 @@ use blast_core::alphabet::Molecule;
 use blast_core::seq::SeqRecord;
 use proptest::prelude::*;
 use seqfmt::formatdb::{format_records, FormatDbConfig};
-use seqfmt::{virtual_fragments, FragmentData, VolumeIndex};
+use seqfmt::{virtual_fragments, FragmentData, VolumeIndex, Wire};
 
 /// Arbitrary small protein records (encoded residues 0..20).
 fn arb_records() -> impl Strategy<Value = Vec<SeqRecord>> {
