@@ -9,8 +9,8 @@
 //! sets sized as fractions of the database.
 //!
 //! Environment knobs read by the bench mains (all optional):
-//! * `PIOBLAST_DB_RESIDUES` — database size in residues (default 1.5 M);
-//! * `PIOBLAST_QUERY_BYTES` — base query-set FASTA size (default 8 KiB);
+//! * `PIOBLAST_DB_RESIDUES` — database size in residues (default 12 M);
+//! * `PIOBLAST_QUERY_BYTES` — base query-set FASTA size (default 4 KiB);
 //! * `PIOBLAST_MEASURED` — set to `1` to charge measured host compute
 //!   time instead of the deterministic analytical model.
 
@@ -43,12 +43,12 @@ fn env_u64(name: &str, default: u64) -> u64 {
         .unwrap_or(default)
 }
 
-/// Database size in residues, from `PIOBLAST_DB_RESIDUES` (default 1.5 M).
+/// Database size in residues, from `PIOBLAST_DB_RESIDUES` (default 12 M).
 pub fn default_db_residues() -> u64 {
     env_u64("PIOBLAST_DB_RESIDUES", 12_000_000)
 }
 
-/// Query-set FASTA size, from `PIOBLAST_QUERY_BYTES` (default 8 KiB).
+/// Query-set FASTA size, from `PIOBLAST_QUERY_BYTES` (default 4 KiB).
 pub fn default_query_bytes() -> u64 {
     env_u64("PIOBLAST_QUERY_BYTES", 4 * 1024)
 }

@@ -706,6 +706,44 @@ mod tests {
     }
 
     #[test]
+    fn trace_check_refuses_a_trace_whose_tracer_dropped_events() {
+        // Room for two events per rank, five recorded: the export says
+        // three were lost, and `trace-check` fails naming the count —
+        // `main` turns the error into a non-zero exit.
+        use tracelog::{EventKind, Lane, Tracer};
+        let dir = tmpdir("dropped");
+        let export = |cap: usize| {
+            let tracer = Tracer::with_capacity(1, cap);
+            for t in 0..5 {
+                tracer.record(
+                    0,
+                    t,
+                    Lane::Io,
+                    EventKind::Instant,
+                    "tick".into(),
+                    Vec::new(),
+                );
+            }
+            let path = dir.join(format!("cap{cap}.json"));
+            fs::write(
+                &path,
+                tracelog::chrome::export_chrome(&tracer.finish(10), None),
+            )
+            .unwrap();
+            path
+        };
+        let lossy = export(2);
+        let err = dispatch(&args(&["trace-check", "--in", lossy.to_str().unwrap()])).unwrap_err();
+        assert!(err.0.contains("dropped 3 event(s)"), "{}", err.0);
+        let whole = export(5);
+        let ok = dispatch(&args(&["trace-check", "--in", whole.to_str().unwrap()])).unwrap();
+        assert!(ok.contains("5 instants"), "{ok}");
+        // The profile reader skips the line: a lossy trace still diffs.
+        let lossy = lossy.to_str().unwrap();
+        dispatch(&args(&["trace-diff", "--a", lossy, "--b", lossy])).unwrap();
+    }
+
+    #[test]
     fn gen_formatdb_sample_run_pipeline() {
         let dir = tmpdir("pipeline");
         let fa = dir.join("db.fa");

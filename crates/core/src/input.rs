@@ -20,7 +20,7 @@
 //! flight together.
 
 use blast_core::alphabet::Molecule;
-use mpiio::{FileView, IoPlane};
+use mpiio::{merge, Cover, FileView, IoPlane};
 use parafs::StoreError;
 use seqfmt::FragmentData;
 
@@ -31,7 +31,7 @@ use crate::proto::FragmentAssignment;
 /// Why the input stage failed.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum InputError {
-    /// The requested file range is not covered by the buffered spans.
+    /// The requested file range is not covered by the runs read.
     Uncovered {
         /// Requested absolute file offset.
         offset: u64,
@@ -70,81 +70,29 @@ impl From<StoreError> for InputError {
     }
 }
 
-/// The bytes of a set of disjoint file spans, addressable by absolute
-/// file offset.
-#[derive(Debug, Clone, Default)]
-pub struct RangeBuffers {
-    /// Disjoint, sorted `(offset, len)` spans.
-    spans: Vec<(u64, u64)>,
-    /// Concatenated span bytes, in span order.
-    data: Vec<u8>,
-}
-
-impl RangeBuffers {
-    /// Build from the spans a ranged read used and the bytes it returned
-    /// (concatenated in span order).
-    pub fn new(spans: Vec<(u64, u64)>, data: Vec<u8>) -> RangeBuffers {
-        debug_assert_eq!(
-            spans.iter().map(|&(_, l)| l).sum::<u64>(),
-            data.len() as u64
-        );
-        RangeBuffers { spans, data }
+/// A fragment's four byte ranges as `(file, offset, len)` — `file` 0, 1
+/// or 2 for the volume's `.idx`, `.seq` or `.hdr` — in the order
+/// `FragmentData::from_ranges` takes them. The `(lo, hi)` pairs arrived
+/// in a grant: an inverted one is a typed error, not an underflow.
+fn file_ranges(a: &FragmentAssignment) -> Result<[(usize, u64, u64); 4], InputError> {
+    let s = &a.spec;
+    let mut out = [(0, 0, 0); 4];
+    let named = [
+        (0, "idx_seq", s.idx_seq_range),
+        (0, "idx_hdr", s.idx_hdr_range),
+        (1, "seq", s.seq_range),
+        (2, "hdr", s.hdr_range),
+    ];
+    for (slot, (file, name, (lo, hi))) in out.iter_mut().zip(named) {
+        let len = hi.checked_sub(lo).ok_or_else(|| {
+            InputError::Fragment(format!(
+                "sequences [{}, {}) of {}: {name}_range ({lo}, {hi}) is inverted",
+                s.first_seq, s.last_seq, a.volume_name
+            ))
+        })?;
+        *slot = (file, lo, len);
     }
-
-    /// The bytes at absolute file range `[offset, offset + len)`.
-    ///
-    /// The range may straddle several spans as long as they are
-    /// contiguous in the file: the bytes of adjacent spans are also
-    /// adjacent in the backing buffer, so the view stays a single slice.
-    pub fn slice(&self, offset: u64, len: u64) -> Result<&[u8], InputError> {
-        let err = || InputError::Uncovered { offset, len };
-        let end = offset.checked_add(len).ok_or_else(err)?;
-        let mut base = 0u64;
-        for (i, &(span_off, span_len)) in self.spans.iter().enumerate() {
-            if offset >= span_off && offset < span_off + span_len {
-                // Walk forward over file-contiguous spans until the range
-                // is covered (or a gap in the file breaks the run).
-                let mut covered_to = span_off + span_len;
-                for &(next_off, next_len) in &self.spans[i + 1..] {
-                    if covered_to >= end || next_off != covered_to {
-                        break;
-                    }
-                    covered_to += next_len;
-                }
-                if covered_to < end {
-                    return Err(err());
-                }
-                let start = (base + offset - span_off) as usize;
-                return Ok(&self.data[start..start + len as usize]);
-            }
-            base += span_len;
-        }
-        if len == 0 {
-            return Ok(&[]);
-        }
-        Err(err())
-    }
-}
-
-/// Merge sorted-or-not, possibly overlapping/adjacent ranges into disjoint
-/// sorted spans. All arithmetic is checked: a span whose `offset + len`
-/// would overflow `u64` is clamped to end at `u64::MAX` instead of
-/// wrapping (and silently swallowing every later span).
-pub fn coalesce_spans(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    ranges.retain(|&(_, l)| l > 0);
-    ranges.sort_unstable();
-    let span_end = |o: u64, l: u64| o.saturating_add(l);
-    let mut out: Vec<(u64, u64)> = Vec::with_capacity(ranges.len());
-    for (o, l) in ranges {
-        match out.last_mut() {
-            Some((ro, rl)) if span_end(*ro, *rl) >= o => {
-                let end = span_end(o, l).max(span_end(*ro, *rl));
-                *rl = end - *ro;
-            }
-            _ => out.push((o, l.min(u64::MAX - o))),
-        }
-    }
-    out
+    Ok(out)
 }
 
 /// Read this rank's assigned fragment ranges of the shared database files
@@ -159,91 +107,74 @@ pub fn coalesce_spans(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
 ///
 /// Each volume's three files go to the plane as one view set
 /// ([`IoPlane::read_views`]), so the plane decides whether their reads
-/// overlap or are serviced one after another.
+/// overlap or are serviced one after another, and the fragments are
+/// sliced out of the covers it hands back.
 pub fn read_fragments(
     plane: &IoPlane,
     volume_names: &[String],
     assignments: &[FragmentAssignment],
     molecule: Molecule,
 ) -> Result<Vec<FragmentData>, InputError> {
-    // Per (volume index), the buffers of its three files.
-    let mut buffers: Vec<[RangeBuffers; 3]> = Vec::with_capacity(volume_names.len());
+    let ranges: Vec<_> = assignments
+        .iter()
+        .map(file_ranges)
+        .collect::<Result<_, _>>()?;
+    // Per volume, the covers of its three files.
+    let mut covers: Vec<Vec<Cover>> = Vec::with_capacity(volume_names.len());
     for vol in volume_names {
-        let mine: Vec<&FragmentAssignment> = assignments
-            .iter()
-            .filter(|a| a.volume_name == *vol)
-            .collect();
-        if mine.is_empty() && !plane.collective_reads() {
-            // Nothing of ours in this volume, and nobody is waiting for
-            // us in a collective — skip the file entirely.
-            buffers.push(Default::default());
+        let mut spans: [Vec<(u64, u64)>; 3] = Default::default();
+        for (a, ranges) in assignments.iter().zip(&ranges) {
+            if a.volume_name == *vol {
+                for &(file, lo, len) in ranges {
+                    spans[file].push((lo, len));
+                }
+            }
+        }
+        if spans[0].is_empty() && !plane.collective_reads() {
+            // Nothing of ours in this volume (every fragment has index
+            // ranges), and nobody is waiting for us in a collective —
+            // skip its files entirely.
+            covers.push(Vec::new());
             continue;
         }
-        // Index file: both table slices of every fragment (adjacent
-        // fragments share a boundary entry, so spans must be coalesced).
-        let idx_spans = coalesce_spans(
-            mine.iter()
-                .flat_map(|a| [a.spec.idx_seq_range, a.spec.idx_hdr_range])
-                .map(|(lo, hi)| (lo, hi - lo))
-                .collect(),
-        );
-        let seq_spans = coalesce_spans(
-            mine.iter()
-                .map(|a| (a.spec.seq_range.0, a.spec.seq_range.1 - a.spec.seq_range.0))
-                .collect(),
-        );
-        let hdr_spans = coalesce_spans(
-            mine.iter()
-                .map(|a| (a.spec.hdr_range.0, a.spec.hdr_range.1 - a.spec.hdr_range.0))
-                .collect(),
-        );
         let mut files = Vec::with_capacity(3);
-        for (ext, spans) in [("idx", idx_spans), ("seq", seq_spans), ("hdr", hdr_spans)] {
-            let view = FileView::new(0, spans.clone())
+        for (ext, spans) in ["idx", "seq", "hdr"].iter().zip(spans) {
+            // Adjacent fragments share a boundary entry of the index
+            // tables, so the ranges of one file may overlap: merge.
+            let view = FileView::new(0, merge(spans, 0))
                 .map_err(|e| InputError::Fragment(format!("bad span set: {e}")))?;
-            files.push((format!("db/{vol}.{ext}"), view, spans));
+            files.push((format!("db/{vol}.{ext}"), view));
         }
-        let views: Vec<(&str, &FileView)> = files.iter().map(|(p, v, _)| (p.as_str(), v)).collect();
-        let data = plane.read_views(&views)?;
-        let file_buffers: Vec<RangeBuffers> = files
-            .into_iter()
-            .zip(data)
-            .map(|((_, _, spans), d)| RangeBuffers::new(spans, d))
-            .collect();
-        buffers.push(file_buffers.try_into().expect("three files"));
+        let views: Vec<(&str, &FileView)> = files.iter().map(|(p, v)| (p.as_str(), v)).collect();
+        covers.push(plane.read_views(&views)?);
     }
 
-    // Materialize this rank's fragments from the buffered spans.
-    assignments
-        .iter()
-        .map(|a| {
-            let vi = volume_names
-                .iter()
-                .position(|v| *v == a.volume_name)
-                .ok_or_else(|| {
-                    InputError::Fragment(format!("volume {} not in the alias", a.volume_name))
-                })?;
-            let [idx, seq, hdr] = &buffers[vi];
-            let spec = &a.spec;
-            FragmentData::from_ranges(
-                molecule,
-                spec.base_oid,
-                idx.slice(
-                    spec.idx_seq_range.0,
-                    spec.idx_seq_range.1 - spec.idx_seq_range.0,
-                )?,
-                idx.slice(
-                    spec.idx_hdr_range.0,
-                    spec.idx_hdr_range.1 - spec.idx_hdr_range.0,
-                )?,
-                seq.slice(spec.seq_range.0, spec.seq_range.1 - spec.seq_range.0)?
-                    .to_vec(),
-                hdr.slice(spec.hdr_range.0, spec.hdr_range.1 - spec.hdr_range.0)?
-                    .to_vec(),
-            )
-            .map_err(|e| InputError::Fragment(e.to_string()))
-        })
-        .collect()
+    // Materialize this rank's fragments from the covers.
+    let fragment = |(a, ranges): (&FragmentAssignment, &[(usize, u64, u64); 4])| {
+        let vi = volume_names
+            .iter()
+            .position(|v| *v == a.volume_name)
+            .ok_or_else(|| {
+                InputError::Fragment(format!("volume {} not in the alias", a.volume_name))
+            })?;
+        let held = |&(file, offset, len): &(usize, u64, u64)| {
+            let cover = covers[vi].get(file);
+            cover
+                .and_then(|c| c.slice(offset, len))
+                .ok_or(InputError::Uncovered { offset, len })
+        };
+        let [idx_seq, idx_hdr, seq, hdr] = ranges;
+        FragmentData::from_ranges(
+            molecule,
+            a.spec.base_oid,
+            held(idx_seq)?,
+            held(idx_hdr)?,
+            held(seq)?.to_vec(),
+            held(hdr)?.to_vec(),
+        )
+        .map_err(|e| InputError::Fragment(e.to_string()))
+    };
+    assignments.iter().zip(&ranges).map(fragment).collect()
 }
 
 #[cfg(test)]
@@ -251,76 +182,48 @@ mod tests {
     use super::*;
 
     #[test]
-    fn coalesce_merges_overlaps_and_adjacency() {
-        assert_eq!(
-            coalesce_spans(vec![(10, 5), (0, 5), (5, 5), (30, 2)]),
-            vec![(0, 15), (30, 2)]
-        );
-        // Overlapping boundary entries (the shared index-table entry).
-        assert_eq!(coalesce_spans(vec![(0, 16), (8, 16)]), vec![(0, 24)]);
-        assert_eq!(coalesce_spans(vec![(4, 0), (2, 1)]), vec![(2, 1)]);
-        assert!(coalesce_spans(vec![]).is_empty());
-    }
-
-    #[test]
-    fn coalesce_clamps_overflowing_spans() {
-        // `offset + len` past u64::MAX must not wrap (which would make the
-        // span swallow every later one); it clamps to end at u64::MAX.
-        assert_eq!(
-            coalesce_spans(vec![(u64::MAX - 4, 10), (0, 1)]),
-            vec![(0, 1), (u64::MAX - 4, 4)]
-        );
-        assert_eq!(
-            coalesce_spans(vec![(u64::MAX - 8, 4), (u64::MAX - 4, 10)]),
-            vec![(u64::MAX - 8, 8)]
-        );
-    }
-
-    #[test]
-    fn range_buffers_slice_by_absolute_offset() {
-        let spans = vec![(10u64, 4u64), (20, 6)];
-        let data = vec![1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
-        let rb = RangeBuffers::new(spans, data);
-        assert_eq!(rb.slice(10, 4).unwrap(), &[1, 2, 3, 4]);
-        assert_eq!(rb.slice(11, 2).unwrap(), &[2, 3]);
-        assert_eq!(rb.slice(20, 6).unwrap(), &[5, 6, 7, 8, 9, 10]);
-        assert_eq!(rb.slice(23, 1).unwrap(), &[8]);
-    }
-
-    #[test]
-    fn slice_straddles_file_contiguous_spans() {
-        // Spans (0,4) and (4,6) touch in the file, so their bytes are
-        // adjacent in the buffer and a straddling range is one slice.
-        let rb = RangeBuffers::new(
-            vec![(0, 4), (4, 6), (20, 2)],
-            vec![0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11],
-        );
-        assert_eq!(rb.slice(2, 5).unwrap(), &[2, 3, 4, 5, 6]);
-        assert_eq!(rb.slice(0, 10).unwrap(), &[0, 1, 2, 3, 4, 5, 6, 7, 8, 9]);
-        // A gap in the file breaks the run even though the buffer bytes
-        // happen to be adjacent.
-        assert_eq!(
-            rb.slice(8, 14),
-            Err(InputError::Uncovered { offset: 8, len: 14 })
-        );
-    }
-
-    #[test]
-    fn uncovered_slice_is_a_typed_error() {
-        let rb = RangeBuffers::new(vec![(0, 4)], vec![0, 1, 2, 3]);
-        assert_eq!(
-            rb.slice(2, 5),
-            Err(InputError::Uncovered { offset: 2, len: 5 })
-        );
-        assert_eq!(
-            rb.slice(10, 1),
-            Err(InputError::Uncovered { offset: 10, len: 1 })
-        );
-        assert!(rb
-            .slice(u64::MAX, 2)
-            .unwrap_err()
-            .to_string()
-            .contains("not covered"));
+    fn an_inverted_range_in_an_assignment_is_a_typed_error() {
+        // The ranges arrive in a grant. `seq_range = (10, 5)` used to be
+        // `5 - 10`: a debug-build panic, a ~2^64-byte read in release.
+        let sim = simcluster::Sim::new(1);
+        let fs = parafs::SimFs::new(sim.handle(), "xfs", parafs::FsProfile::altix_xfs());
+        let fs2 = fs.clone();
+        let out = sim.run(move |ctx| {
+            let net = mpisim::NetProfile {
+                latency: 5e-6,
+                bandwidth: 1e9,
+            };
+            let comm = mpisim::Comm::new(&ctx, net);
+            let plane = IoPlane::new(&comm, &fs2, Default::default(), None);
+            let spec = seqfmt::FragmentSpec {
+                volume: 0,
+                first_seq: 3,
+                last_seq: 4,
+                base_oid: 3,
+                seq_range: (10, 5),
+                hdr_range: (0, 8),
+                idx_seq_range: (0, 16),
+                idx_hdr_range: (16, 32),
+                residues: 0,
+            };
+            let volume_name = "vol".to_string();
+            let assignment = FragmentAssignment { spec, volume_name };
+            read_fragments(
+                &plane,
+                &["vol".to_string()],
+                &[assignment],
+                Molecule::Protein,
+            )
+        });
+        match &out.outputs[0] {
+            Err(InputError::Fragment(what)) => {
+                for part in ["[3, 4)", "vol", "seq_range (10, 5)"] {
+                    assert!(what.contains(part), "{what}");
+                }
+            }
+            other => panic!("expected a fragment error, got {other:?}"),
+        }
+        assert_eq!(fs.counters().data_ops, 0, "nothing was read for it");
     }
 
     #[test]
@@ -330,5 +233,7 @@ mod tests {
         }
         .into();
         assert!(e.to_string().contains("database read failed"));
+        let e = InputError::Uncovered { offset: 8, len: 14 };
+        assert!(e.to_string().contains("not covered"));
     }
 }

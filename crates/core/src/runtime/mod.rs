@@ -170,11 +170,14 @@ mod tests {
     use bytes::Bytes;
     use seqfmt::Wire;
 
-    #[test]
-    fn a_dynamic_worker_rejects_a_multi_fragment_grant() {
-        // `MasterAction::Grant` carries one fragment, so the master
-        // machine cannot send this; the count still arrives on the wire.
-        // Play the master by hand and grant two fragments at once.
+    /// Play the master by hand against one real dynamic worker: grant it
+    /// the first `ids.len()` of two virtual fragments, `tweak`ed, and
+    /// return what the worker made of it. Neither a rank panic nor a
+    /// deadlock is acceptable, whatever the grant says.
+    fn worker_outcome_of_grant(
+        ids: Vec<u32>,
+        tweak: impl Fn(&mut PartitionMessage),
+    ) -> Result<mpiblast::RankReport, PioError> {
         use crate::proto::FragmentAssignment;
         use crate::testutil::{sample_queries, small_db, OUTPUT};
         use mpiblast::setup::{stage_queries, stage_shared_db};
@@ -192,9 +195,10 @@ mod tests {
             schedule: FragmentSchedule::Dynamic,
             ..PioBlastConfig::new(&platform, &env, &db_alias, &query_path, OUTPUT)
         };
-        let part = PartitionMessage {
+        let mut part = PartitionMessage {
             fragments: seqfmt::virtual_fragments(&[&db.volumes[0].index], 2)
                 .into_iter()
+                .take(ids.len())
                 .map(|spec| FragmentAssignment {
                     spec,
                     volume_name: db.alias.volumes[0].clone(),
@@ -202,14 +206,15 @@ mod tests {
                 .collect(),
             volumes: db.alias.volumes.clone(),
         };
-        assert_eq!(part.fragments.len(), 2);
+        assert_eq!(part.fragments.len(), ids.len());
+        tweak(&mut part);
         let bundle = mpiblast::wire::QueryBundle {
             db_title: db.alias.title.clone(),
             db_stats: db.alias.global_stats,
             molecule: db.alias.molecule,
             queries,
         };
-        let out = sim
+        let mut out = sim
             .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
                 let comm = Comm::new(&ctx, cfg.platform.net);
                 if ctx.rank() == MASTER {
@@ -217,7 +222,7 @@ mod tests {
                     comm.recv(Some(1), Some(TAG_READY));
                     let grant = Grant {
                         batch: 0,
-                        ids: vec![0, 1],
+                        ids: ids.clone(),
                         part: part.clone(),
                     };
                     comm.send(1, TAG_GRANT, Bytes::from(grant.encode()));
@@ -227,11 +232,34 @@ mod tests {
                 }
             })
             .expect("neither a rank panic nor a deadlock");
-        match &out.outputs[1] {
-            Some(Some(Err(PioError::Protocol(what)))) => {
+        out.outputs
+            .remove(1)
+            .flatten()
+            .expect("the worker returned")
+    }
+
+    #[test]
+    fn a_dynamic_worker_rejects_a_multi_fragment_grant() {
+        // `MasterAction::Grant` carries one fragment, so the master
+        // machine cannot send this; the count still arrives on the wire.
+        match worker_outcome_of_grant(vec![0, 1], |_| {}) {
+            Err(PioError::Protocol(what)) => {
                 assert!(what.contains("carries 2 fragments"), "{what}")
             }
             other => panic!("expected a protocol error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_dynamic_worker_rejects_a_grant_with_an_inverted_range() {
+        // A well-formed frame whose `seq_range` runs backwards: a typed
+        // input error naming the range, not `5 - 10` in `read_fragments`.
+        let invert = |part: &mut PartitionMessage| part.fragments[0].spec.seq_range = (10, 5);
+        match worker_outcome_of_grant(vec![0], invert) {
+            Err(PioError::Input(crate::input::InputError::Fragment(what))) => {
+                assert!(what.contains("seq_range (10, 5) is inverted"), "{what}")
+            }
+            other => panic!("expected an input error, got {other:?}"),
         }
     }
 

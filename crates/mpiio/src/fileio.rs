@@ -16,9 +16,10 @@ use std::cell::RefCell;
 use burstfs::StagingStore;
 use bytes::Bytes;
 use mpisim::{Collectives, Comm};
-use parafs::{AsyncIo, SimFs, StoreError};
+use parafs::{SimFs, StoreError};
 
-use crate::stage::try_stage;
+use crate::runs::{merge, merge_bytes, Cover};
+use crate::stage::{Pending, Sink};
 use crate::view::FileView;
 
 /// Collective-I/O tuning knobs (a tiny subset of ROMIO hints).
@@ -41,10 +42,10 @@ const IO_TAG_BASE: u64 = 1 << 40;
 /// An open file on a simulated file system, bound to a communicator.
 pub struct MpiFile<'a, 'c> {
     comm: &'a Comm<'c>,
-    fs: &'a SimFs,
+    /// The file system, behind this rank's staging store if attached.
+    sink: Sink<'a>,
     path: String,
     hints: CollectiveHints,
-    burst: Option<&'a RefCell<StagingStore>>,
     op_seq: std::cell::Cell<u64>,
 }
 
@@ -52,13 +53,13 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// Open (or create) a file collectively. Every rank charges one
     /// metadata operation, like `MPI_File_open` hitting the file system.
     pub fn open(comm: &'a Comm<'c>, fs: &'a SimFs, path: &str) -> MpiFile<'a, 'c> {
-        let _ = fs.stat(comm.ctx(), path);
+        let (burst, ctx) = (None, comm.ctx());
+        let _ = fs.stat(ctx, path);
         MpiFile {
             comm,
-            fs,
+            sink: Sink { burst, fs, ctx },
             path: path.to_string(),
             hints: CollectiveHints::default(),
-            burst: None,
             op_seq: std::cell::Cell::new(0),
         }
     }
@@ -74,7 +75,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// fall-through to direct writes on push-back) instead of hitting
     /// the destination synchronously.
     pub fn with_burst(mut self, burst: Option<&'a RefCell<StagingStore>>) -> Self {
-        self.burst = burst;
+        self.sink.burst = burst;
         self
     }
 
@@ -87,89 +88,17 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// Exchange every rank's view (gather at 0, broadcast the bundle).
     fn exchange_views(&self, view: &FileView) -> Result<Vec<FileView>, StoreError> {
         let mine = Bytes::from(view.encode());
-        let gathered = self.comm.gather(0, mine);
-        let bundle = if self.comm.rank() == 0 {
-            let views = gathered.expect("root gathers");
-            let mut buf = Vec::new();
+        // Only the root gathers anything to bundle.
+        let mut buf = Vec::new();
+        if let Some(views) = self.comm.gather(0, mine) {
             buf.extend_from_slice(&(views.len() as u32).to_le_bytes());
             for v in &views {
                 buf.extend_from_slice(&(v.len() as u32).to_le_bytes());
                 buf.extend_from_slice(v);
             }
-            Bytes::from(buf)
-        } else {
-            Bytes::new()
-        };
-        let bundle = self.comm.bcast(0, bundle);
-        decode_view_bundle(&bundle)
-    }
-
-    /// Exchange + receive phases of a collective write: route each of my
-    /// chunks to its domain's aggregator (or stash it locally if that is
-    /// me), then — if I aggregate a domain — receive every expected
-    /// chunk in rank order and coalesce into maximal runs. Returns the
-    /// runs this rank must write (empty for non-aggregators), and the
-    /// first peer frame that disagreed with the exchanged views: the
-    /// chunk is left out and every later one still received, so the
-    /// collective stays aligned and the caller reports the error after
-    /// the closing barrier.
-    fn gather_write_runs(
-        &self,
-        tag: u64,
-        view: &FileView,
-        data: &[u8],
-        all_views: &[FileView],
-        domains: &Domains,
-    ) -> (Vec<(u64, Vec<u8>)>, Option<StoreError>) {
-        let me = self.comm.rank();
-        let mut local_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
-        let mut cursor = 0usize;
-        for (abs, len) in view.absolute() {
-            for (d, off, piece_len) in domains.split(abs, len) {
-                let slice = &data[cursor..cursor + piece_len as usize];
-                cursor += piece_len as usize;
-                let dst = domains.agg_rank(d);
-                if dst == me {
-                    local_chunks.push((off, slice.to_vec()));
-                } else {
-                    let mut payload = Vec::with_capacity(8 + slice.len());
-                    payload.extend_from_slice(&off.to_le_bytes());
-                    payload.extend_from_slice(slice);
-                    self.comm.send(dst, tag, Bytes::from(payload));
-                }
-            }
         }
-        debug_assert_eq!(cursor, data.len());
-
-        let mut corrupt = None;
-        let runs = if let Some(my_domain) = domains.domain_of(me) {
-            let mut chunks: Vec<(u64, Vec<u8>)> = Vec::new();
-            for (src, view) in all_views.iter().enumerate() {
-                for (abs, len) in view.absolute() {
-                    for (d, off, piece_len) in domains.split(abs, len) {
-                        if d != my_domain {
-                            continue;
-                        }
-                        if src == me {
-                            continue; // already stashed
-                        }
-                        let m = self.comm.recv(Some(src), Some(tag));
-                        match decode_chunk(&m.payload, src, off, piece_len) {
-                            Ok(bytes) => chunks.push((off, bytes.to_vec())),
-                            Err(e) => {
-                                corrupt.get_or_insert(e);
-                            }
-                        }
-                    }
-                }
-            }
-            chunks.extend(local_chunks);
-            coalesce(chunks)
-        } else {
-            debug_assert!(local_chunks.is_empty());
-            Vec::new()
-        };
-        (runs, corrupt)
+        let bundle = self.comm.bcast(0, Bytes::from(buf));
+        decode_view_bundle(&bundle)
     }
 
     /// Collective write: `data` holds the bytes of `view`'s regions, in
@@ -199,9 +128,9 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     }
 
     /// Everything of a collective write up to its join: exchange, route,
-    /// coalesce, then stage or issue each of this aggregator's runs —
-    /// one after another when `joined`, all in flight otherwise.
-    fn issue_write_all(
+    /// receive, merge, then stage or issue each of this aggregator's
+    /// runs — one after another when `joined`, all in flight otherwise.
+    pub(crate) fn issue_write_all(
         &self,
         view: &FileView,
         data: &[u8],
@@ -214,51 +143,69 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         );
         let tag = self.next_tag();
         let all_views = self.exchange_views(view)?;
-        let mut pend = PendingWriteAll {
-            ops: Vec::new(),
-            err: None,
-        };
         let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
-            return Ok(pend); // nobody is writing anything
+            return Ok(Pending::default()); // nobody is writing anything
         };
-        let ctx = self.comm.ctx();
-        let (runs, corrupt) = self.gather_write_runs(tag, view, data, &all_views, &domains);
-        pend.err = corrupt;
-        for (run_off, run_data) in runs {
-            // A staged run carries no pending op: its drain belongs to
-            // the staging store and is joined at the next fence. A
-            // failure is this rank's alone, so it rides in the pending
-            // half and surfaces after the closing barrier — returning
-            // here would strand every other rank in it.
-            let issued = match try_stage(self.burst, ctx, &self.path, run_off, &run_data) {
-                Ok(false) if joined => self.fs.write_at_owned(ctx, &self.path, run_off, run_data),
-                Ok(false) => {
-                    let op = self.fs.write_at_begin(ctx, &self.path, run_off, run_data);
-                    pend.ops.push(op);
-                    Ok(())
+        let me = self.comm.rank();
+
+        // Route each of my chunks to its domain's aggregator, or stash
+        // it if that is me.
+        let mut local_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut cursor = 0usize;
+        for (abs, len) in view.absolute() {
+            for (d, off, piece_len) in domains.split(abs, len) {
+                let slice = &data[cursor..cursor + piece_len as usize];
+                cursor += piece_len as usize;
+                let dst = domains.agg_rank(d);
+                if dst == me {
+                    local_chunks.push((off, slice.to_vec()));
+                } else {
+                    let mut payload = Vec::with_capacity(8 + slice.len());
+                    payload.extend_from_slice(&off.to_le_bytes());
+                    payload.extend_from_slice(slice);
+                    self.comm.send(dst, tag, Bytes::from(payload));
                 }
-                staged => staged.map(drop),
-            };
-            if let Err(e) = issued {
-                pend.err.get_or_insert(e);
             }
         }
+        debug_assert_eq!(cursor, data.len());
+
+        // Receive, in rank order, every chunk of the domain I aggregate.
+        // A peer frame that disagrees with the exchanged views is left
+        // out and every later one still received.
+        let (mut chunks, mut corrupt) = (Vec::new(), None);
+        for (src, off, piece_len) in self.wanted_chunks(&all_views, &domains) {
+            if src == me {
+                continue; // already stashed
+            }
+            let m = self.comm.recv(Some(src), Some(tag));
+            match check_chunk("write", frame_bytes(&m.payload, off), src, off, piece_len) {
+                Ok(bytes) => chunks.push((off, bytes.to_vec())),
+                Err(e) => {
+                    corrupt.get_or_insert(e);
+                }
+            }
+        }
+        chunks.extend(local_chunks);
+
+        // A failed run is this rank's alone, so like a corrupt frame it
+        // rides in the pending half and surfaces after the closing
+        // barrier — returning here would strand every other rank in it.
+        let mut pend = self
+            .sink
+            .issue(&self.path, merge_bytes(chunks), joined, false);
+        pend.err = corrupt.or(pend.err);
         Ok(pend)
     }
 
     /// Join a split-collective write: wait for this rank's outstanding
-    /// run writes, then barrier. Errors — a begin-time staging failure,
-    /// a full file system at completion time — are reported after the
-    /// barrier, so the collective stays aligned across ranks.
+    /// run writes, then barrier. Errors — a corrupt peer frame, a
+    /// begin-time staging failure, a full file system at completion
+    /// time — are reported after the barrier, so the collective stays
+    /// aligned across ranks.
     pub fn write_at_all_end(&self, pend: PendingWriteAll) -> Result<(), StoreError> {
-        let mut err = pend.err;
-        for op in pend.ops {
-            if let Err(e) = self.fs.io_wait(self.comm.ctx(), op) {
-                err.get_or_insert(e);
-            }
-        }
+        let joined = self.sink.join(pend);
         self.comm.barrier();
-        err.map_or(Ok(()), Err)
+        joined
     }
 
     /// Every chunk of my aggregation domain across all ranks, as
@@ -281,54 +228,10 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         wanted
     }
 
-    /// Serve + assembly phases of a collective read: slice each wanted
-    /// chunk out of the aggregator's run data and send it to its rank
-    /// (or stash locally), then collect my own chunks in view order.
-    fn serve_and_assemble(
-        &self,
-        tag: u64,
-        view: &FileView,
-        domains: &Domains,
-        wanted: Vec<(usize, u64, u64)>,
-        run_data: Vec<(u64, Vec<u8>)>,
-    ) -> Vec<u8> {
-        let me = self.comm.rank();
-        let mut served: Vec<(usize, u64, Vec<u8>)> = Vec::new(); // (dst, off, data) for me
-        let fetch = |off: u64, len: u64| -> Vec<u8> {
-            let (ro, rd) = run_data
-                .iter()
-                .find(|(ro, rd)| off >= *ro && off + len <= *ro + rd.len() as u64)
-                .expect("chunk lies in a coalesced run");
-            rd[(off - ro) as usize..(off - ro + len) as usize].to_vec()
-        };
-        for (dst, off, len) in wanted {
-            let piece = fetch(off, len);
-            if dst == me {
-                served.push((me, off, piece));
-            } else {
-                self.comm.send(dst, tag, Bytes::from(piece));
-            }
-        }
-
-        let mut out = Vec::with_capacity(view.total_bytes() as usize);
-        let mut local_iter = served.into_iter();
-        for (abs, len) in view.absolute() {
-            for (d, _off, piece_len) in domains.split(abs, len) {
-                let agg = domains.agg_rank(d);
-                if agg == me {
-                    let (_, _, piece) = local_iter.next().expect("local chunk available");
-                    out.extend_from_slice(&piece);
-                } else {
-                    let m = self.comm.recv(Some(agg), Some(tag));
-                    debug_assert_eq!(m.payload.len() as u64, piece_len);
-                    out.extend_from_slice(&m.payload);
-                }
-            }
-        }
-        out
-    }
-
     /// Collective read: returns the bytes of `view`'s regions, in order.
+    /// A chunk an aggregator serves short or long is reported — as
+    /// [`StoreError::Corrupt`] — after the closing barrier, with every
+    /// later chunk still received, so the collective stays aligned.
     pub fn read_at_all(&self, view: &FileView) -> Result<Vec<u8>, StoreError> {
         let tag = self.next_tag();
         let all_views = self.exchange_views(view)?;
@@ -336,37 +239,51 @@ impl<'a, 'c> MpiFile<'a, 'c> {
             self.comm.barrier();
             return Ok(Vec::new());
         };
+        let me = self.comm.rank();
 
-        // I/O phase: aggregators read coalesced runs of their domain and
-        // serve every rank's chunks in deterministic order.
+        // I/O phase: aggregators read the merged runs of their domain
+        // and serve every other rank's chunks in deterministic order.
         let wanted = self.wanted_chunks(&all_views, &domains);
-        let runs = coalesce_ranges(wanted.iter().map(|&(_, o, l)| (o, l)).collect());
-        let mut run_data: Vec<(u64, Vec<u8>)> = Vec::new();
-        for (o, l) in runs {
-            run_data.push((o, self.fs.read_at(self.comm.ctx(), &self.path, o, l)?));
+        let mut held = Vec::new();
+        for (o, l) in merge(wanted.iter().map(|&(_, o, l)| (o, l)).collect(), 0) {
+            held.push((o, self.sink.fs.read_at(self.sink.ctx, &self.path, o, l)?));
         }
-        let out = self.serve_and_assemble(tag, view, &domains, wanted, run_data);
+        let cover = Cover::new(held);
+        for (dst, off, len) in wanted {
+            if dst != me {
+                let piece = cover.slice(off, len).unwrap_or_default();
+                self.comm.send(dst, tag, Bytes::copy_from_slice(piece));
+            }
+        }
+
+        // Assembly: my own chunks, in view order.
+        let mut out = Vec::with_capacity(view.total_bytes() as usize);
+        let mut corrupt = None;
+        for (abs, len) in view.absolute() {
+            for (d, off, piece_len) in domains.split(abs, len) {
+                let agg = domains.agg_rank(d);
+                let remote = (agg != me).then(|| self.comm.recv(Some(agg), Some(tag)));
+                let served = match &remote {
+                    Some(m) => Some(&m.payload[..]),
+                    None => cover.slice(off, piece_len),
+                };
+                match check_chunk("read", served, agg, off, piece_len) {
+                    Ok(bytes) => out.extend_from_slice(bytes),
+                    Err(e) => {
+                        corrupt.get_or_insert(e);
+                    }
+                }
+            }
+        }
         self.comm.barrier();
-        Ok(out)
+        corrupt.map_or(Ok(out), Err)
     }
 }
 
 /// This rank's outstanding half of a split-collective write (see
-/// [`MpiFile::write_at_all_begin`]).
-pub struct PendingWriteAll {
-    ops: Vec<AsyncIo>,
-    /// The first corrupt peer frame or run that failed at begin time,
-    /// reported by `end`.
-    err: Option<StoreError>,
-}
-
-impl PendingWriteAll {
-    /// Earliest issue time among the outstanding transfers, in virtual
-    /// nanoseconds (`None` when this rank aggregates nothing).
-    pub fn issued_ns(&self) -> Option<u64> {
-        self.ops.iter().map(|op| op.issued_at().0).min()
-    }
-}
+/// [`MpiFile::write_at_all_begin`]): its aggregator runs in flight and
+/// the first corrupt peer frame or failed run, reported by `end`.
+pub type PendingWriteAll = Pending;
 
 /// Decode the gathered-and-broadcast bundle of every rank's view.
 ///
@@ -406,21 +323,33 @@ fn split_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
     Some((u32::from_le_bytes(*head), rest))
 }
 
-/// The bytes of a peer's chunk frame, `[offset u64][bytes]`. The
-/// exchanged views fix what `src` must send — `len` bytes for file
-/// offset `off` — and a frame that says otherwise is corrupt.
-fn decode_chunk(payload: &[u8], src: usize, off: u64, len: u64) -> Result<&[u8], StoreError> {
-    match payload.split_first_chunk::<8>() {
-        Some((head, bytes)) if u64::from_le_bytes(*head) == off && bytes.len() as u64 == len => {
-            Ok(bytes)
-        }
-        _ => Err(StoreError::Corrupt {
-            what: format!(
-                "collective write: rank {src}'s {}-byte chunk frame is not {len} bytes at offset {off}",
-                payload.len()
+/// The bytes of a peer's write-chunk frame, `[offset u64][bytes]`, if
+/// it has a header and that names file offset `off`.
+fn frame_bytes(payload: &[u8], off: u64) -> Option<&[u8]> {
+    let (head, bytes) = payload.split_first_chunk::<8>()?;
+    (u64::from_le_bytes(*head) == off).then_some(bytes)
+}
+
+/// What rank `src` sent (or, being this rank, held) for the `len`-byte
+/// chunk at file offset `off` — `None` if nothing for that offset. The
+/// exchanged views fix the length; anything else is corrupt.
+fn check_chunk<'a>(
+    op: &str,
+    sent: Option<&'a [u8]>,
+    src: usize,
+    off: u64,
+    len: u64,
+) -> Result<&'a [u8], StoreError> {
+    let exact = sent.filter(|bytes| bytes.len() as u64 == len);
+    exact.ok_or_else(|| StoreError::Corrupt {
+        what: match sent {
+            Some(b) => format!(
+                "collective {op}: rank {src} sent {} bytes for the {len}-byte chunk at offset {off}",
+                b.len()
             ),
-        }),
-    }
+            None => format!("collective {op}: rank {src} sent no {len}-byte chunk for offset {off}"),
+        },
+    })
 }
 
 /// The file-domain partition of one collective operation.
@@ -434,11 +363,7 @@ struct Domains {
 impl Domains {
     fn compute(all_views: &[FileView], size: usize, hints: CollectiveHints) -> Option<Domains> {
         let lo = all_views.iter().filter_map(|v| v.min_offset()).min()?;
-        let hi = all_views
-            .iter()
-            .filter_map(|v| v.max_offset())
-            .max()
-            .expect("min implies max");
+        let hi = all_views.iter().filter_map(|v| v.max_offset()).max()?;
         let span = hi - lo;
         let count = hints.aggregators.clamp(1, size);
         Some(Domains {
@@ -502,35 +427,6 @@ impl Domains {
     }
 }
 
-/// Merge `(offset, data)` chunks into maximal contiguous runs.
-fn coalesce(mut chunks: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
-    chunks.sort_by_key(|&(o, _)| o);
-    let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-    for (o, d) in chunks {
-        match out.last_mut() {
-            Some((ro, rd)) if *ro + rd.len() as u64 == o => rd.extend_from_slice(&d),
-            _ => out.push((o, d)),
-        }
-    }
-    out
-}
-
-/// Merge `(offset, len)` ranges into maximal contiguous runs.
-fn coalesce_ranges(mut ranges: Vec<(u64, u64)>) -> Vec<(u64, u64)> {
-    ranges.sort_unstable();
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for (o, l) in ranges {
-        match out.last_mut() {
-            Some((ro, rl)) if *ro + *rl >= o => {
-                let end = (o + l).max(*ro + *rl);
-                *rl = end - *ro;
-            }
-            _ => out.push((o, l)),
-        }
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -551,16 +447,6 @@ mod tests {
             aggregate_bw: 400e6,
             op_latency: 1e-4,
         }
-    }
-
-    #[test]
-    fn coalesce_merges_adjacent() {
-        let runs = coalesce(vec![(10, vec![3, 4]), (0, vec![1, 2]), (2, vec![9])]);
-        assert_eq!(runs, vec![(0, vec![1, 2, 9]), (10, vec![3, 4])]);
-        assert_eq!(
-            coalesce_ranges(vec![(5, 5), (0, 5), (12, 1)]),
-            vec![(0, 10), (12, 1)]
-        );
     }
 
     #[test]
@@ -703,12 +589,21 @@ mod tests {
 
     #[test]
     fn a_chunk_frame_that_disagrees_with_the_views_is_corrupt() {
+        fn decode_chunk(
+            payload: &[u8],
+            src: usize,
+            off: u64,
+            len: u64,
+        ) -> Result<&[u8], StoreError> {
+            check_chunk("write", frame_bytes(payload, off), src, off, len)
+        }
         let mut frame = 40u64.to_le_bytes().to_vec();
         frame.extend_from_slice(b"abc");
-        assert_eq!(decode_chunk(&frame, 1, 40, 3), Ok(&b"abc"[..]));
+        let frame = frame.as_slice();
+        assert_eq!(decode_chunk(frame, 1, 40, 3), Ok(&b"abc"[..]));
         for (payload, off, len) in [
-            (&frame[..], 41, 3),  // another offset
-            (&frame[..], 40, 4),  // another length
+            (frame, 41, 3),       // another offset
+            (frame, 40, 4),       // another length
             (&frame[..7], 40, 3), // shorter than its own header
             (&b""[..], 0, 0),     // empty
         ] {
@@ -719,6 +614,63 @@ mod tests {
                 ),
                 "{payload:?} as {len} bytes at {off}"
             );
+        }
+    }
+
+    #[test]
+    fn a_served_chunk_that_disagrees_with_the_views_is_corrupt() {
+        assert_eq!(check_chunk("read", Some(b"abc"), 2, 40, 3), Ok(&b"abc"[..]));
+        assert_eq!(check_chunk("read", Some(b""), 2, 40, 0), Ok(&b""[..]));
+        for served in [Some(&b"ab"[..]), Some(b"abcd"), Some(b""), None] {
+            match check_chunk("read", served, 2, 40, 3) {
+                Err(StoreError::Corrupt { what }) => {
+                    for part in ["rank 2", "3-byte", "offset 40"] {
+                        assert!(what.contains(part), "{what}");
+                    }
+                }
+                other => panic!("{served:?} as 3 bytes at 40: {other:?}"),
+            }
+        }
+    }
+
+    #[test]
+    fn a_short_chunk_from_a_peer_aggregator_is_a_typed_error_after_the_barrier() {
+        // Rank 0 aggregates the only domain and is played by hand: an
+        // honest view exchange, then 7 of the 10 bytes rank 1 asked for.
+        // Rank 1 must come back with the typed error — not a panic, not
+        // 7 bytes — having still posted the closing barrier (`Sim::run`
+        // panics on a deadlock).
+        let sim = Sim::new(2);
+        let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
+        fs.preload("db", vec![9u8; 100]);
+        let out = sim.run(move |ctx| {
+            let comm = Comm::new(&ctx, net());
+            let view = FileView::contiguous(20, 10);
+            if ctx.rank() == 1 {
+                let file =
+                    MpiFile::open(&comm, &fs, "db").with_hints(CollectiveHints { aggregators: 1 });
+                return Some(file.read_at_all(&view));
+            }
+            let views = comm
+                .gather(0, Bytes::from(FileView::default().encode()))
+                .unwrap();
+            let mut bundle = (views.len() as u32).to_le_bytes().to_vec();
+            for v in &views {
+                bundle.extend_from_slice(&(v.len() as u32).to_le_bytes());
+                bundle.extend_from_slice(v);
+            }
+            comm.bcast(0, Bytes::from(bundle));
+            comm.send(1, IO_TAG_BASE, Bytes::from(vec![9u8; 7]));
+            comm.barrier();
+            None
+        });
+        match &out.outputs[1] {
+            Some(Err(StoreError::Corrupt { what })) => {
+                for part in ["rank 0", "7 bytes", "10-byte", "offset 20"] {
+                    assert!(what.contains(part), "{what}");
+                }
+            }
+            other => panic!("expected a corrupt-chunk error, got {other:?}"),
         }
     }
 

@@ -15,16 +15,20 @@
 //! fronts it with one typed verb per kind of data and owns how the bytes
 //! move: the access class of each kind (independent, data-sieved, or
 //! two-phase collective), the issue policy (`io_async`) and the rank's
-//! burst-buffer staging sink.
+//! burst-buffer staging sink. Whoever turns regions into file-system
+//! operations does its offset–length list arithmetic in [`runs`].
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fileio;
 pub mod plane;
+pub mod runs;
 mod stage;
 pub mod view;
 
 pub use burstfs::{BurstError, BurstOptions, BurstStats, StagingStore};
 pub use fileio::{CollectiveHints, MpiFile};
 pub use plane::{IoOptions, IoPlane, PlaneConfig, SIEVE_HOLE_LIMIT};
+pub use runs::{merge, merge_bytes, pieces, Cover};
 pub use view::{FileView, ViewError};

@@ -63,8 +63,9 @@ use parafs::{AsyncIo, IoClass, SimFs, StoreError};
 
 use mpisim::Comm;
 
-use crate::fileio::{CollectiveHints, MpiFile, PendingWriteAll};
-use crate::stage::try_stage;
+use crate::fileio::{CollectiveHints, MpiFile};
+use crate::runs::{merge, merge_bytes, pieces, Cover};
+use crate::stage::{Pending, Sink};
 use crate::view::FileView;
 
 /// Largest hole (bytes) a sieved read bridges to merge two regions into
@@ -120,7 +121,7 @@ impl Default for PlaneConfig {
     }
 }
 
-/// A posted request, from one of the `begin_*` methods to
+/// A posted request, from the verb that issued its runs to
 /// [`IoPlane::wait`]. While a handle is outstanding its transfers
 /// proceed in virtual time — latency and contended bandwidth elapse
 /// whether or not the owning rank is computing — so only the
@@ -141,40 +142,15 @@ struct IoHandle<'a, 'c> {
 enum HandleKind<'a, 'c> {
     /// The request failed at begin time.
     Failed(StoreError),
-    /// Independent/sieved read: in-flight run reads plus the region list
-    /// for view-order assembly.
-    Read {
-        runs: Vec<(u64, AsyncIo)>,
-        regions: Vec<(u64, u64)>,
-    },
-    /// Independent/sieved/checkpoint write: in-flight run writes.
-    Write { ops: Vec<AsyncIo> },
+    /// Independent/sieved read: in-flight run reads, by offset.
+    Read(Vec<(u64, AsyncIo)>),
+    /// Independent/sieved/checkpoint write: its issued runs.
+    Write(Pending),
     /// Split-collective write.
     CollWrite {
         file: MpiFile<'a, 'c>,
-        pend: PendingWriteAll,
+        pend: Pending,
     },
-}
-
-impl IoHandle<'_, '_> {
-    /// Earliest issue time among the handle's transfers, in virtual
-    /// nanoseconds.
-    fn issued_ns(&self) -> Option<u64> {
-        match &self.kind {
-            HandleKind::Failed(_) => None,
-            HandleKind::Read { runs, .. } => runs.iter().map(|(_, op)| op.issued_at().0).min(),
-            HandleKind::Write { ops } => ops.iter().map(|op| op.issued_at().0).min(),
-            HandleKind::CollWrite { pend, .. } => pend.issued_ns(),
-        }
-    }
-}
-
-/// A fired checkpoint put: the blob's size and its in-flight writes (or
-/// begin-time failure). Owned data — unlike an [`IoHandle`] it borrows
-/// nothing, so it can outlive the call that fired it.
-struct ParkedPut {
-    bytes: u64,
-    ops: Result<Vec<AsyncIo>, StoreError>,
 }
 
 /// The typed access plane over one communicator and file system.
@@ -184,8 +160,8 @@ pub struct IoPlane<'a, 'c> {
     cfg: PlaneConfig,
     staging: Option<RefCell<StagingStore>>,
     /// Checkpoint puts fired under `io_async` and not yet joined, oldest
-    /// first.
-    parked: RefCell<VecDeque<ParkedPut>>,
+    /// first: each blob's size and its issued write.
+    parked: RefCell<VecDeque<(u64, Pending)>>,
 }
 
 impl<'a, 'c> IoPlane<'a, 'c> {
@@ -245,16 +221,18 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// Read a whole file (run setup: alias, queries, volume indexes).
     pub fn read_whole(&self, path: &str) -> Result<Vec<u8>, StoreError> {
         let data = self.fs.read_all(self.comm.ctx(), path)?;
-        self.note(IoClass::Independent, 1, data.len() as u64);
+        self.fs
+            .note_class(IoClass::Independent, 1, data.len() as u64);
         Ok(data)
     }
 
-    /// Read views of shared database files, returning each view's bytes
-    /// in region order. Where the plane posts reads
-    /// ([`IoPlane::posts_reads`]) every view's runs are begun before
-    /// the first is joined, so their latencies overlap instead of
-    /// summing; otherwise the views are serviced one after another.
-    pub fn read_views(&self, files: &[(&str, &FileView)]) -> Result<Vec<Vec<u8>>, StoreError> {
+    /// Read views of shared database files, returning for each view a
+    /// [`Cover`] that holds every one of its regions. Where the plane
+    /// posts reads ([`IoPlane::posts_reads`]) every view's runs are
+    /// begun before the first is joined, so their latencies overlap
+    /// instead of summing; otherwise the views are serviced one after
+    /// another.
+    pub fn read_views(&self, files: &[(&str, &FileView)]) -> Result<Vec<Cover>, StoreError> {
         if !self.posts_reads() {
             return files.iter().map(|(p, v)| self.read_view(p, v)).collect();
         }
@@ -271,6 +249,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// of the view goes in flight at once, so per-operation latencies
     /// overlap instead of summing (on the two-phase class it is the
     /// split collective — begin and wait are both posted by every rank).
+    /// Otherwise each run is joined as it is issued.
     pub fn write_output(
         &self,
         path: &str,
@@ -282,10 +261,31 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             view.total_bytes(),
             "payload must exactly fill the view"
         );
-        if self.cfg.options.io_async {
-            self.wait(self.begin_write(path, view, payload)).map(drop)
+        let posted = self.cfg.options.io_async;
+        let (op, bytes, class) = ("output_write", payload.len() as u64, self.cfg.output);
+        let _span = self.open(posted, "plane.write", op, class, view);
+        let kind = if class == IoClass::TwoPhase {
+            let file = MpiFile::open(self.comm, self.fs, path)
+                .with_hints(self.cfg.hints)
+                .with_burst(self.staging.as_ref());
+            match file.issue_write_all(view, payload, !posted) {
+                Ok(pend) => HandleKind::CollWrite { file, pend },
+                Err(e) => HandleKind::Failed(e),
+            }
         } else {
-            self.write_view(path, view, payload)
+            // One run per region, or — sieved — one per stretch of
+            // strictly adjacent regions: writing *through* a hole would
+            // clobber bytes other ranks own, so holes always split runs.
+            let mut runs = pieces(view.absolute(), payload);
+            if class == IoClass::Sieved {
+                runs = merge_bytes(runs);
+            }
+            HandleKind::Write(self.sink().issue(path, runs, !posted, false))
+        };
+        if posted {
+            self.wait(IoHandle { op, bytes, kind }).map(drop)
+        } else {
+            self.join(kind).map(drop)
         }
     }
 
@@ -297,18 +297,15 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// parks it, and its outcome — failures included — comes back from
     /// [`IoPlane::checkpoint_join`], never from this call.
     pub fn checkpoint_put(&self, path: &str, payload: &[u8]) -> Result<(), StoreError> {
-        let ctx = self.comm.ctx();
+        let bytes = payload.len() as u64;
+        let put = |joined: bool| {
+            self.fs.note_class(IoClass::Independent, 1, bytes);
+            let blob = vec![(0, payload.to_vec())];
+            self.sink().issue(path, blob, joined, true)
+        };
         if self.cfg.options.io_async {
-            let bytes = payload.len() as u64;
             begin_instant("ckpt_put", IoClass::Independent, bytes);
-            let ops = self.stage_blob(path, payload).map(|staged| {
-                if staged {
-                    Vec::new()
-                } else {
-                    vec![self.fs.write_at_begin(ctx, path, 0, payload.to_vec())]
-                }
-            });
-            self.parked.borrow_mut().push_back(ParkedPut { bytes, ops });
+            self.parked.borrow_mut().push_back((bytes, put(false)));
             return Ok(());
         }
         let _span = tracelog::span_args(
@@ -316,10 +313,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             "plane.ckpt.put",
             vec![("bytes", payload.len().into())],
         );
-        if !self.stage_blob(path, payload)? {
-            self.fs.write_at(ctx, path, 0, payload)?;
-        }
-        Ok(())
+        self.sink().join(put(true))
     }
 
     /// Join the oldest checkpoint put still parked — block until its
@@ -327,18 +321,15 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// Callers loop on this where acknowledged results must not outrun
     /// their checkpoints.
     pub fn checkpoint_join(&self) -> Option<Result<(), StoreError>> {
-        let ParkedPut { bytes, ops } = self.parked.borrow_mut().pop_front()?;
-        let kind = ops.map_or_else(HandleKind::Failed, |ops| HandleKind::Write { ops });
-        let op = "ckpt_put";
+        let (bytes, pend) = self.parked.borrow_mut().pop_front()?;
+        let (op, kind) = ("ckpt_put", HandleKind::Write(pend));
         Some(self.wait(IoHandle { op, bytes, kind }).map(drop))
     }
 
     /// Fetch a checkpoint blob (whole file).
     pub fn checkpoint_get(&self, path: &str) -> Result<Vec<u8>, StoreError> {
         let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.get");
-        let data = self.fs.read_all(self.comm.ctx(), path)?;
-        self.note(IoClass::Independent, 1, data.len() as u64);
-        Ok(data)
+        self.read_whole(path)
     }
 
     /// Drop a checkpoint blob, if present.
@@ -352,87 +343,99 @@ impl<'a, 'c> IoPlane<'a, 'c> {
 
     // ---- shared by both policies ----
 
-    fn note(&self, class: IoClass, requests: u64, bytes: u64) {
-        self.fs.note_class(class, requests, bytes);
+    /// Open a view request and tally it under its class: the posted
+    /// policy marks it with a `plane.async.begin` instant, the serial
+    /// one wraps it in the returned `span`.
+    fn open(
+        &self,
+        posted: bool,
+        span: &'static str,
+        op: &'static str,
+        class: IoClass,
+        view: &FileView,
+    ) -> Option<tracelog::Span> {
+        let (regions, bytes) = (view.regions.len(), view.total_bytes());
+        let span = if posted {
+            begin_instant(op, class, bytes);
+            None
+        } else {
+            let strategy = class.label();
+            let args = vec![
+                ("strategy", strategy.into()),
+                ("regions", regions.into()),
+                ("bytes", bytes.into()),
+            ];
+            Some(tracelog::span_args(tracelog::Lane::Io, span, args))
+        };
+        self.fs.note_class(class, regions as u64, bytes);
+        span
     }
 
-    /// The head of a checkpoint put on either policy: tally the blob and
-    /// offer it to the staging tier. `Ok(false)` means it was not
-    /// absorbed and its file now exists, empty, for a direct write.
-    fn stage_blob(&self, path: &str, payload: &[u8]) -> Result<bool, StoreError> {
-        self.note(IoClass::Independent, 1, payload.len() as u64);
-        let staged = try_stage(self.staging.as_ref(), self.comm.ctx(), path, 0, payload)?;
-        if !staged {
-            self.fs.create(self.comm.ctx(), path);
+    /// Where this rank's writes go: the staging sink, if any, in front
+    /// of the file system.
+    fn sink(&self) -> Sink<'_> {
+        Sink {
+            burst: self.staging.as_ref(),
+            fs: self.fs,
+            ctx: self.comm.ctx(),
         }
-        Ok(staged)
     }
 
-    /// Open `path` for a collective write under this plane's hints and
-    /// staging sink.
-    fn open_collective(&self, path: &str) -> MpiFile<'_, 'c> {
-        MpiFile::open(self.comm, self.fs, path)
-            .with_hints(self.cfg.hints)
-            .with_burst(self.staging.as_ref())
+    /// The runs `view` is read as on the independent and sieved
+    /// classes: its regions, or — sieved — those merged across holes of
+    /// up to [`SIEVE_HOLE_LIMIT`] bytes.
+    fn input_runs(&self, view: &FileView) -> Vec<(u64, u64)> {
+        let regions = view.absolute().collect();
+        if self.cfg.input == IoClass::Sieved {
+            merge(regions, SIEVE_HOLE_LIMIT)
+        } else {
+            regions
+        }
     }
-
-    // ---- the posted policy: begin every run, then join ----
 
     /// Post a view's reads (independent or sieved class only): every
     /// run in flight on return.
     fn begin_read<'p>(&'p self, path: &str, view: &FileView) -> IoHandle<'p, 'c> {
-        let (op, bytes, class) = ("db_read", view.total_bytes(), self.cfg.input);
-        begin_instant(op, class, bytes);
-        self.note(class, view.regions.len() as u64, bytes);
-        let regions: Vec<(u64, u64)> = view.absolute().collect();
-        let runs: Result<Vec<(u64, AsyncIo)>, StoreError> = read_runs(&regions, class)
+        let (op, bytes) = ("db_read", view.total_bytes());
+        self.open(true, "plane.read", op, self.cfg.input, view);
+        let runs: Result<Vec<(u64, AsyncIo)>, StoreError> = self
+            .input_runs(view)
             .into_iter()
             .map(|(o, l)| Ok((o, self.fs.read_at_begin(self.comm.ctx(), path, o, l)?)))
             .collect();
-        let kind = runs.map_or_else(HandleKind::Failed, |runs| HandleKind::Read {
-            runs,
-            regions,
-        });
+        let kind = runs.map_or_else(HandleKind::Failed, HandleKind::Read);
         IoHandle { op, bytes, kind }
     }
 
-    /// Post an output write: every run in flight (or staged) on return.
-    /// On the two-phase class this is the begin half of the split
-    /// collective, which every rank must post.
-    fn begin_write<'p>(&'p self, path: &str, view: &FileView, payload: &[u8]) -> IoHandle<'p, 'c> {
-        let (op, bytes, class) = ("output_write", payload.len() as u64, self.cfg.output);
-        begin_instant(op, class, bytes);
-        self.note(class, view.regions.len() as u64, bytes);
-        let issue = || -> Result<HandleKind<'p, 'c>, StoreError> {
-            if class == IoClass::TwoPhase {
-                let file = self.open_collective(path);
-                let pend = file.write_at_all_begin(view, payload)?;
-                return Ok(HandleKind::CollWrite { file, pend });
-            }
-            let mut ops = Vec::new();
-            for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
-                // Staged runs carry no handle: their drain is tracked by
-                // the staging store and joined at the next drain fence.
-                if !try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
-                    ops.push(self.fs.write_at_begin(self.comm.ctx(), path, o, d));
-                }
-            }
-            Ok(HandleKind::Write { ops })
+    /// Service a view's reads one run after another (on the two-phase
+    /// class, as the collective read every rank must post).
+    fn read_view(&self, path: &str, view: &FileView) -> Result<Cover, StoreError> {
+        let class = self.cfg.input;
+        let _span = self.open(false, "plane.read", "db_read", class, view);
+        if class == IoClass::TwoPhase {
+            let file = MpiFile::open(self.comm, self.fs, path).with_hints(self.cfg.hints);
+            let bytes = file.read_at_all(view)?;
+            return Ok(Cover::new(pieces(view.absolute(), &bytes)));
+        }
+        let mut held = Vec::new();
+        for (o, l) in self.input_runs(view) {
+            held.push((o, self.fs.read_at(self.comm.ctx(), path, o, l)?));
+        }
+        Ok(Cover::new(held))
+    }
+
+    /// Join a posted request under a `plane.async.wait` span: the
+    /// exposed wait — everything this call blocks on — lands in it, and
+    /// the time the handle spent in flight before the join is reported
+    /// as its `queued_ns` argument.
+    fn wait(&self, handle: IoHandle<'_, 'c>) -> Result<Cover, StoreError> {
+        // Earliest issue time among the handle's transfers.
+        let issued_ns = match &handle.kind {
+            HandleKind::Failed(_) => None,
+            HandleKind::Read(runs) => runs.iter().map(|(_, op)| op.issued_at().0).min(),
+            HandleKind::Write(pend) | HandleKind::CollWrite { pend, .. } => pend.issued_ns(),
         };
-        let kind = issue().unwrap_or_else(HandleKind::Failed);
-        IoHandle { op, bytes, kind }
-    }
-
-    /// Join a posted request: block until its transfers complete,
-    /// assemble the read bytes (empty for a write), and (on the
-    /// collective path) barrier. The exposed wait — everything this
-    /// call blocks on — lands in a `plane.async.wait` span; the time the
-    /// handle spent in flight before the join is reported as its
-    /// `queued_ns` argument.
-    fn wait(&self, handle: IoHandle<'_, 'c>) -> Result<Vec<u8>, StoreError> {
-        let queued_ns = handle
-            .issued_ns()
-            .map_or(0, |t| self.comm.ctx().now().0.saturating_sub(t));
+        let queued_ns = issued_ns.map_or(0, |t| self.comm.ctx().now().0.saturating_sub(t));
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "plane.async.wait",
@@ -442,84 +445,26 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                 ("queued_ns", queued_ns.into()),
             ],
         );
-        match handle.kind {
+        self.join(handle.kind)
+    }
+
+    /// Block until a request's transfers complete, gather the read runs
+    /// into their [`Cover`] (empty for a write), and (on the collective
+    /// path) barrier.
+    fn join(&self, kind: HandleKind<'_, 'c>) -> Result<Cover, StoreError> {
+        match kind {
             HandleKind::Failed(e) => Err(e),
-            HandleKind::Read { runs, regions } => {
-                let mut run_data: Vec<(u64, Vec<u8>)> = Vec::with_capacity(runs.len());
+            HandleKind::Read(runs) => {
+                let mut held = Vec::with_capacity(runs.len());
                 for (o, op) in runs {
-                    run_data.push((o, self.fs.io_wait(self.comm.ctx(), op)?));
+                    held.push((o, self.fs.io_wait(self.comm.ctx(), op)?));
                 }
-                Ok(assemble(&regions, &run_data))
+                Ok(Cover::new(held))
             }
-            HandleKind::Write { ops } => {
-                // Wait for every write even after a failure: the others
-                // are still in flight and still land.
-                let mut err = None;
-                for op in ops {
-                    if let Err(e) = self.fs.io_wait(self.comm.ctx(), op) {
-                        err.get_or_insert(e);
-                    }
-                }
-                err.map_or(Ok(Vec::new()), Err)
-            }
+            HandleKind::Write(pend) => self.sink().join(pend).map(|()| Cover::default()),
             HandleKind::CollWrite { file, pend } => {
-                file.write_at_all_end(pend).map(|()| Vec::new())
+                file.write_at_all_end(pend).map(|()| Cover::default())
             }
-        }
-    }
-
-    // ---- the serial policy: one run after another ----
-
-    fn read_view(&self, path: &str, view: &FileView) -> Result<Vec<u8>, StoreError> {
-        let class = self.cfg.input;
-        let _span = tracelog::span_args(
-            tracelog::Lane::Io,
-            "plane.read",
-            vec![
-                ("strategy", class.label().into()),
-                ("regions", view.regions.len().into()),
-                ("bytes", view.total_bytes().into()),
-            ],
-        );
-        self.note(class, view.regions.len() as u64, view.total_bytes());
-        match class {
-            IoClass::Independent | IoClass::Sieved => {
-                let regions: Vec<(u64, u64)> = view.absolute().collect();
-                let mut run_data: Vec<(u64, Vec<u8>)> = Vec::new();
-                for (o, l) in read_runs(&regions, class) {
-                    run_data.push((o, self.fs.read_at(self.comm.ctx(), path, o, l)?));
-                }
-                Ok(assemble(&regions, &run_data))
-            }
-            IoClass::TwoPhase => {
-                let file = MpiFile::open(self.comm, self.fs, path).with_hints(self.cfg.hints);
-                file.read_at_all(view)
-            }
-        }
-    }
-
-    fn write_view(&self, path: &str, view: &FileView, payload: &[u8]) -> Result<(), StoreError> {
-        let class = self.cfg.output;
-        let _span = tracelog::span_args(
-            tracelog::Lane::Io,
-            "plane.write",
-            vec![
-                ("strategy", class.label().into()),
-                ("regions", view.regions.len().into()),
-                ("bytes", view.total_bytes().into()),
-            ],
-        );
-        self.note(class, view.regions.len() as u64, view.total_bytes());
-        match class {
-            IoClass::Independent | IoClass::Sieved => {
-                for (o, d) in write_runs(view, payload, class == IoClass::Sieved) {
-                    if !try_stage(self.staging.as_ref(), self.comm.ctx(), path, o, &d)? {
-                        self.fs.write_at_owned(self.comm.ctx(), path, o, d)?;
-                    }
-                }
-                Ok(())
-            }
-            IoClass::TwoPhase => self.open_collective(path).write_at_all(view, payload),
         }
     }
 }
@@ -535,67 +480,6 @@ fn begin_instant(op: &'static str, class: IoClass, bytes: u64) {
             ("bytes", bytes.into()),
         ],
     );
-}
-
-/// The runs a view's regions are read as: the regions themselves, or —
-/// sieved — merged across holes of up to [`SIEVE_HOLE_LIMIT`] bytes.
-fn read_runs(regions: &[(u64, u64)], class: IoClass) -> Vec<(u64, u64)> {
-    if class == IoClass::Sieved {
-        sieve_runs(regions, SIEVE_HOLE_LIMIT)
-    } else {
-        regions.to_vec()
-    }
-}
-
-/// Slice every region out of the run that covers it, in view order.
-/// Regions and runs are both sorted, so one forward cursor finds them.
-fn assemble(regions: &[(u64, u64)], run_data: &[(u64, Vec<u8>)]) -> Vec<u8> {
-    let total = regions.iter().map(|&(_, l)| l).sum::<u64>() as usize;
-    let mut out = Vec::with_capacity(total);
-    let mut runs = run_data.iter().peekable();
-    for &(abs, len) in regions {
-        while runs
-            .peek()
-            .is_some_and(|(o, d)| abs + len > o + d.len() as u64)
-        {
-            runs.next();
-        }
-        let (o, d) = runs.peek().expect("every region lies in a run");
-        let start = (abs - o) as usize;
-        out.extend_from_slice(&d[start..start + len as usize]);
-    }
-    out
-}
-
-/// Merge sorted, disjoint absolute regions into read runs, bridging
-/// holes of at most `threshold` bytes.
-fn sieve_runs(regions: &[(u64, u64)], threshold: u64) -> Vec<(u64, u64)> {
-    let mut out: Vec<(u64, u64)> = Vec::new();
-    for &(o, l) in regions {
-        match out.last_mut() {
-            Some((ro, rl)) if o - (*ro + *rl) <= threshold => *rl = o + l - *ro,
-            _ => out.push((o, l)),
-        }
-    }
-    out
-}
-
-/// Materialize a view's write runs: one `(offset, bytes)` per region,
-/// or — when `coalesce` (the sieve write path) — merging only strictly
-/// adjacent regions. Writing *through* a hole would clobber bytes other
-/// ranks own, so holes always split runs.
-fn write_runs(view: &FileView, payload: &[u8], coalesce: bool) -> Vec<(u64, Vec<u8>)> {
-    let mut out: Vec<(u64, Vec<u8>)> = Vec::new();
-    let mut cursor = 0usize;
-    for (abs, len) in view.absolute() {
-        let piece = &payload[cursor..cursor + len as usize];
-        cursor += len as usize;
-        match out.last_mut() {
-            Some((o, d)) if coalesce && *o + d.len() as u64 == abs => d.extend_from_slice(piece),
-            _ => out.push((abs, piece.to_vec())),
-        }
-    }
-    out
 }
 
 #[cfg(test)]
@@ -637,8 +521,15 @@ mod tests {
         cfg
     }
 
+    /// The bytes of `view`'s regions, in order, out of the cover a read
+    /// of it returned.
+    fn view_bytes(cover: &Cover, view: &FileView) -> Vec<u8> {
+        let held = |(o, l)| cover.slice(o, l).expect("a read covers its view");
+        view.absolute().flat_map(held).copied().collect()
+    }
+
     fn read_one(plane: &IoPlane, path: &str, view: &FileView) -> Vec<u8> {
-        plane.read_views(&[(path, view)]).unwrap().remove(0)
+        view_bytes(&plane.read_views(&[(path, view)]).unwrap()[0], view)
     }
 
     /// A staging store over a fresh per-rank staging volume; the volume
@@ -662,19 +553,6 @@ mod tests {
             },
         );
         (volume, store)
-    }
-
-    #[test]
-    fn sieve_runs_bridge_small_holes_only() {
-        let regions = vec![(0u64, 10u64), (12, 8), (100, 5), (105, 5)];
-        assert_eq!(sieve_runs(&regions, 2), vec![(0, 20), (100, 10)]);
-        assert_eq!(
-            sieve_runs(&regions, 0),
-            vec![(0, 10), (12, 8), (100, 10)],
-            "threshold 0 still merges adjacency"
-        );
-        assert_eq!(sieve_runs(&regions, 1 << 30), vec![(0, 110)]);
-        assert!(sieve_runs(&[], 4).is_empty());
     }
 
     #[test]
@@ -873,7 +751,12 @@ mod tests {
                     .unwrap();
                 let files: Vec<(&str, &FileView)> = views.iter().map(|v| ("db", v)).collect();
                 let start = ctx.now();
-                let data = plane.read_views(&files).unwrap();
+                let covers = plane.read_views(&files).unwrap();
+                let data: Vec<Vec<u8>> = covers
+                    .iter()
+                    .zip(&views)
+                    .map(|(c, v)| view_bytes(c, v))
+                    .collect();
                 (data, (ctx.now() - start).0)
             });
             let (data, ns): (Vec<_>, Vec<_>) = out.outputs.into_iter().unzip();
@@ -975,7 +858,11 @@ mod tests {
             let start = ctx.now();
             let handle = plane.begin_read("db", &view);
             ctx.charge(SimDuration::from_millis(300));
-            assert_eq!(plane.wait(handle).unwrap().len(), 50_000_000);
+            let cover = plane.wait(handle).unwrap();
+            assert_eq!(
+                cover.slice(0, 50_000_000).map(<[u8]>::len),
+                Some(50_000_000)
+            );
             (ctx.now() - start).0
         });
         // 50 MB at 100 MB/s is 0.5 s (plus 0.1 ms op latency); the

@@ -11,7 +11,7 @@
 //! * begin/end pairs balance per `(pid, tid)` — depth never goes
 //!   negative and ends at zero.
 
-use std::collections::BTreeMap;
+use std::collections::{BTreeMap, BTreeSet};
 
 /// Summary of a validated trace file.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -56,62 +56,94 @@ pub(crate) fn field_num(line: &str, key: &str) -> Option<f64> {
     rest[..end].parse().ok()
 }
 
-/// Parse a `ts` in microseconds into integer nanoseconds.
-pub(crate) fn ts_ns(line: &str) -> Option<u64> {
-    let us = field_num(line, "ts")?;
-    if us < 0.0 {
-        return None;
-    }
-    Some((us * 1000.0).round() as u64)
+/// `name` of the metadata line the exporter writes when the tracer
+/// dropped events to ring-buffer overflow; its `args` carry the `count`.
+pub(crate) const DROPPED_META: &str = "dropped_events";
+
+/// One event object of an exported trace, its fixed fields extracted.
+pub(crate) struct EventLine<'a> {
+    /// 1-based line number, for error messages.
+    pub lineno: usize,
+    /// The whole object, for the fields only some events carry.
+    pub line: &'a str,
+    pub ph: &'a str,
+    pub pid: u64,
+    pub tid: u64,
+    pub name: &'a str,
+    /// Virtual nanoseconds; metadata (`M`) lines carry none and read 0.
+    pub ts: u64,
 }
 
-/// Validate exported Chrome trace JSON. Returns summary statistics or
-/// a message naming the first offending line.
-pub fn validate_chrome(text: &str) -> Result<CheckStats, String> {
+/// Every event object of an exported Chrome trace, in file order — one
+/// per line, the exporter's layout — each parsed or a message naming
+/// the offending line. Fails up front if `text` is not a JSON array.
+pub(crate) fn event_lines(
+    text: &str,
+) -> Result<impl Iterator<Item = Result<EventLine<'_>, String>>, String> {
     let trimmed = text.trim();
     if !trimmed.starts_with('[') || !trimmed.ends_with(']') {
         return Err("trace is not a JSON array".into());
     }
-    let mut stats = CheckStats::default();
-    let mut depth: BTreeMap<(u64, u64), i64> = BTreeMap::new();
-    let mut last_ts: BTreeMap<(u64, u64), u64> = BTreeMap::new();
-    let mut pids: BTreeMap<u64, ()> = BTreeMap::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
+    let objects = text.lines().enumerate().filter_map(|(idx, raw)| {
         let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
-            continue;
-        }
+        (!line.is_empty() && line != "[" && line != "]").then_some((idx + 1, line))
+    });
+    Ok(objects.map(|(lineno, line)| {
         if !line.starts_with('{') || !line.ends_with('}') {
             return Err(format!("line {lineno}: not an event object"));
         }
-        let ph = field_str(line, "ph").ok_or(format!("line {lineno}: missing ph"))?;
-        let pid = field_num(line, "pid").ok_or(format!("line {lineno}: missing pid"))? as u64;
-        let tid = field_num(line, "tid").ok_or(format!("line {lineno}: missing tid"))? as u64;
-        if field_str(line, "name").is_none() {
-            return Err(format!("line {lineno}: missing name"));
-        }
-        if ph == "M" {
-            continue;
-        }
-        pids.insert(pid, ());
-        let ts = ts_ns(line).ok_or(format!("line {lineno}: missing or negative ts"))?;
-        let key = (pid, tid);
-        if let Some(&prev) = last_ts.get(&key) {
-            if ts < prev {
+        let missing = |what: &str| format!("line {lineno}: missing {what}");
+        let ph = field_str(line, "ph").ok_or_else(|| missing("ph"))?;
+        // Microseconds with three decimals; metadata carries none.
+        let ts_us = match ph {
+            "M" => Some(0.0),
+            _ => field_num(line, "ts"),
+        };
+        let ts_us = ts_us.filter(|us| *us >= 0.0);
+        Ok(EventLine {
+            lineno,
+            line,
+            ph,
+            pid: field_num(line, "pid").ok_or_else(|| missing("pid"))? as u64,
+            tid: field_num(line, "tid").ok_or_else(|| missing("tid"))? as u64,
+            name: field_str(line, "name").ok_or_else(|| missing("name"))?,
+            ts: (ts_us.ok_or_else(|| missing("or negative ts"))? * 1000.0).round() as u64,
+        })
+    }))
+}
+
+/// Validate exported Chrome trace JSON. Returns summary statistics or
+/// a message naming the first offending line. A trace whose tracer
+/// dropped events is incomplete, and fails with the count.
+pub fn validate_chrome(text: &str) -> Result<CheckStats, String> {
+    let mut stats = CheckStats::default();
+    // Per `(pid, tid)`: open span depth and latest timestamp.
+    let mut lanes: BTreeMap<(u64, u64), (i64, u64)> = BTreeMap::new();
+    for event in event_lines(text)? {
+        let ev = event?;
+        let (lineno, pid, tid, ts) = (ev.lineno, ev.pid, ev.tid, ev.ts);
+        if ev.ph == "M" {
+            if ev.name == DROPPED_META {
+                let count = field_num(ev.line, "count").unwrap_or(f64::NAN);
                 return Err(format!(
-                    "line {lineno}: ts regressed on pid {pid} tid {tid} ({ts} ns after {prev} ns)"
+                    "line {lineno}: the tracer dropped {count} event(s) to ring-buffer overflow"
                 ));
             }
+            continue;
         }
-        last_ts.insert(key, ts);
+        let (depth, last_ts) = lanes.entry((pid, tid)).or_insert((0, 0));
+        if ts < *last_ts {
+            return Err(format!(
+                "line {lineno}: ts regressed on pid {pid} tid {tid} ({ts} ns after {last_ts} ns)"
+            ));
+        }
+        *last_ts = ts;
         stats.events += 1;
-        match ph {
-            "B" => *depth.entry(key).or_insert(0) += 1,
+        match ev.ph {
+            "B" => *depth += 1,
             "E" => {
-                let d = depth.entry(key).or_insert(0);
-                *d -= 1;
-                if *d < 0 {
+                *depth -= 1;
+                if *depth < 0 {
                     return Err(format!(
                         "line {lineno}: unmatched end on pid {pid} tid {tid}"
                     ));
@@ -123,13 +155,12 @@ pub fn validate_chrome(text: &str) -> Result<CheckStats, String> {
             other => return Err(format!("line {lineno}: unknown ph {other:?}")),
         }
     }
-    for ((pid, tid), d) in depth {
-        if d != 0 {
-            return Err(format!(
-                "pid {pid} tid {tid}: {d} begin event(s) never closed"
-            ));
-        }
+    if let Some(((pid, tid), (d, _))) = lanes.iter().find(|(_, (d, _))| *d != 0) {
+        return Err(format!(
+            "pid {pid} tid {tid}: {d} begin event(s) never closed"
+        ));
     }
+    let pids: BTreeSet<u64> = lanes.keys().map(|&(pid, _)| pid).collect();
     stats.ranks = pids.len();
     Ok(stats)
 }
@@ -187,6 +218,29 @@ mod tests {
         assert!(stats.spans >= 2);
         assert_eq!(stats.instants, 1);
         assert_eq!(stats.counters, 1);
+    }
+
+    #[test]
+    fn a_dropped_event_count_is_exported_only_when_non_zero_and_fails_the_check() {
+        let export = |cap: usize| {
+            let tracer = Tracer::with_capacity(2, cap);
+            for t in 0..4 {
+                tracer.record(1, t, Lane::Io, EventKind::Instant, "x".into(), Vec::new());
+            }
+            let trace = tracer.finish(10);
+            assert_eq!(trace.dropped, 4u64.saturating_sub(cap as u64));
+            export_chrome(&trace, None)
+        };
+        let (whole, lossy) = (export(4), export(1));
+        assert!(
+            !whole.contains(DROPPED_META),
+            "a healthy export is unchanged"
+        );
+        assert_eq!(validate_chrome(&whole).unwrap().instants, 4);
+        let meta = "{\"name\":\"dropped_events\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{\"count\":3}},";
+        assert_eq!(lossy.lines().nth(1), Some(meta));
+        let err = validate_chrome(&lossy).unwrap_err();
+        assert!(err.contains("dropped 3 event(s)"), "{err}");
     }
 
     #[test]

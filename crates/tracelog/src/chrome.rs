@@ -32,6 +32,7 @@ use std::collections::{BTreeSet, HashMap};
 use std::fmt::Write as _;
 
 use crate::analyze;
+use crate::check::DROPPED_META;
 use crate::event::{ArgVal, EventKind, Lane};
 use crate::sink::Trace;
 
@@ -132,6 +133,14 @@ fn meta_line(kind: &str, pid: usize, tid: u64, label: &str, out: &mut Vec<String
 pub fn export_chrome(trace: &Trace, filter: Option<&[Lane]>) -> String {
     let included = |lane: Lane| filter.is_none_or(|f| f.contains(&lane));
     let mut lines: Vec<String> = Vec::new();
+    // An overflowed tracer's trace is incomplete: say so up front, where
+    // `trace-check` refuses it. A healthy export carries no such line.
+    if trace.dropped > 0 {
+        lines.push(format!(
+            "{{\"name\":\"{DROPPED_META}\",\"ph\":\"M\",\"pid\":0,\"tid\":0,\"args\":{{\"count\":{}}}}}",
+            trace.dropped
+        ));
+    }
 
     // Which (rank, slot) sub-lanes does this trace use? Collected up
     // front so their thread names sit with the other metadata.

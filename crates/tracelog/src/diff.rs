@@ -23,7 +23,7 @@
 
 use std::collections::BTreeMap;
 
-use crate::check::{field_num, field_str, ts_ns};
+use crate::check::{event_lines, field_str};
 
 /// Busy-time totals for one run, keyed by `(rank, lane label, name)`.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -230,67 +230,37 @@ fn pct_growth(was: u64, now: u64) -> f64 {
 /// time. Returns a message naming the first offending line on malformed
 /// input.
 pub fn profile_chrome(text: &str) -> Result<RunProfile, String> {
-    let trimmed = text.trim();
-    if !trimmed.starts_with('[') || !trimmed.ends_with(']') {
-        return Err("trace is not a JSON array".into());
-    }
-    // Pass 1: lane labels from thread_name metadata. The exporter emits
+    // Lane labels come from thread_name metadata. The exporter emits
     // all metadata before any event, but a hand-edited trace may not —
-    // collecting labels up front keeps the profile order-insensitive.
-    let mut labels: BTreeMap<(usize, u64), String> = BTreeMap::new();
-    for raw in text.lines() {
-        let line = raw.trim().trim_end_matches(',');
-        if field_str(line, "ph") == Some("M") && field_str(line, "name") == Some("thread_name") {
-            let (Some(pid), Some(tid)) = (field_num(line, "pid"), field_num(line, "tid")) else {
-                continue;
-            };
+    // busy time is keyed by `tid` until every line has been seen.
+    let mut labels: BTreeMap<(u64, u64), &str> = BTreeMap::new();
+    let mut busy: BTreeMap<(u64, u64, String), u64> = BTreeMap::new();
+    let mut profile = RunProfile::default();
+    let mut open: BTreeMap<(u64, u64), Vec<(u64, &str)>> = BTreeMap::new();
+    let mut ranks: BTreeMap<u64, ()> = BTreeMap::new();
+    for event in event_lines(text)? {
+        let ev = event?;
+        let (lineno, pid, tid, ts) = (ev.lineno, ev.pid, ev.tid, ev.ts);
+        if ev.ph == "M" {
             // The label lives in args: {"name":"io"} — the *second*
             // "name" field on the line.
-            let tail = &line[line.find("\"args\"").unwrap_or(0)..];
-            if let Some(label) = field_str(tail, "name") {
-                labels.insert((pid as usize, tid as u64), label.to_string());
+            let tail = &ev.line[ev.line.find("\"args\"").unwrap_or(0)..];
+            if let ("thread_name", Some(label)) = (ev.name, field_str(tail, "name")) {
+                labels.insert((pid, tid), label);
             }
-        }
-    }
-
-    let mut profile = RunProfile::default();
-    let mut open: BTreeMap<(usize, u64), Vec<(u64, String)>> = BTreeMap::new();
-    let mut ranks: BTreeMap<usize, ()> = BTreeMap::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim().trim_end_matches(',');
-        if line.is_empty() || line == "[" || line == "]" {
             continue;
         }
-        if !line.starts_with('{') || !line.ends_with('}') {
-            return Err(format!("line {lineno}: not an event object"));
-        }
-        let ph = field_str(line, "ph").ok_or(format!("line {lineno}: missing ph"))?;
-        if ph == "M" {
-            continue;
-        }
-        let pid = field_num(line, "pid").ok_or(format!("line {lineno}: missing pid"))? as usize;
-        let tid = field_num(line, "tid").ok_or(format!("line {lineno}: missing tid"))? as u64;
-        let name = field_str(line, "name").ok_or(format!("line {lineno}: missing name"))?;
-        let ts = ts_ns(line).ok_or(format!("line {lineno}: missing or negative ts"))?;
         ranks.insert(pid, ());
         profile.wall_ns = profile.wall_ns.max(ts);
-        match ph {
-            "B" => open
-                .entry((pid, tid))
-                .or_default()
-                .push((ts, name.to_string())),
+        match ev.ph {
+            "B" => open.entry((pid, tid)).or_default().push((ts, ev.name)),
             "E" => {
                 let Some((start, begin_name)) = open.entry((pid, tid)).or_default().pop() else {
                     return Err(format!(
                         "line {lineno}: unmatched end on pid {pid} tid {tid}"
                     ));
                 };
-                let lane = labels
-                    .get(&(pid, tid))
-                    .cloned()
-                    .unwrap_or_else(|| format!("tid {tid}"));
-                *profile.totals.entry((pid, lane, begin_name)).or_insert(0) +=
+                *busy.entry((pid, tid, begin_name.to_string())).or_insert(0) +=
                     ts.saturating_sub(start);
             }
             // Instants and counters carry no duration; they advance the
@@ -299,8 +269,45 @@ pub fn profile_chrome(text: &str) -> Result<RunProfile, String> {
             other => return Err(format!("line {lineno}: unknown ph {other:?}")),
         }
     }
+    for ((pid, tid, name), ns) in busy {
+        let label = labels.get(&(pid, tid));
+        let lane = label.map_or_else(|| format!("tid {tid}"), |l| l.to_string());
+        *profile
+            .totals
+            .entry((pid as usize, lane, name))
+            .or_insert(0) += ns;
+    }
     profile.ranks = ranks.len();
     Ok(profile)
+}
+
+/// One row per key whose busy time differs between `a` and `b` (an
+/// absent key is 0 ns), largest |delta| first; `split` names the row's
+/// `(rank, lane, name)`.
+fn diverging<K: Ord + Clone>(
+    a: &BTreeMap<K, u64>,
+    b: &BTreeMap<K, u64>,
+    split: impl Fn(K) -> (Option<usize>, String, String),
+) -> Vec<DiffRow> {
+    let keys: std::collections::BTreeSet<&K> = a.keys().chain(b.keys()).collect();
+    let ns = |of: &BTreeMap<K, u64>, key: &K| of.get(key).copied().unwrap_or(0);
+    let row = |key: &K| {
+        let ((rank, lane, name), a_ns, b_ns) = (split(key.clone()), ns(a, key), ns(b, key));
+        let row = DiffRow {
+            rank,
+            lane,
+            name,
+            a_ns,
+            b_ns,
+        };
+        (a_ns != b_ns).then_some(row)
+    };
+    let mut rows: Vec<DiffRow> = keys.into_iter().filter_map(row).collect();
+    rows.sort_by_cached_key(|r| {
+        let magnitude = std::cmp::Reverse(r.delta_ns().unsigned_abs());
+        (magnitude, r.lane.clone(), r.name.clone(), r.rank)
+    });
+    rows
 }
 
 /// Align two profiles by `(rank, lane, name)` and collect every key
@@ -308,54 +315,13 @@ pub fn profile_chrome(text: &str) -> Result<RunProfile, String> {
 pub fn diff_profiles(a: &RunProfile, b: &RunProfile) -> TraceDiff {
     // Cluster aggregates: totals per (lane, name) across all ranks.
     let (agg_a, agg_b) = (a.cluster_totals(), b.cluster_totals());
-    let mut cluster = Vec::new();
-    let keys: std::collections::BTreeSet<_> = agg_a.keys().chain(agg_b.keys()).cloned().collect();
-    for (lane, name) in keys {
-        let a_ns = *agg_a.get(&(lane.clone(), name.clone())).unwrap_or(&0);
-        let b_ns = *agg_b.get(&(lane.clone(), name.clone())).unwrap_or(&0);
-        if a_ns != b_ns {
-            cluster.push(DiffRow {
-                rank: None,
-                lane,
-                name,
-                a_ns,
-                b_ns,
-            });
-        }
-    }
-
+    let cluster = diverging(&agg_a, &agg_b, |(l, n)| (None, l, n));
     // Per-rank rows only when the rank spaces are the same — across
     // scales a rank-by-rank pairing would be meaningless.
     let mut per_rank = Vec::new();
     if a.ranks == b.ranks {
-        let keys: std::collections::BTreeSet<_> =
-            a.totals.keys().chain(b.totals.keys()).cloned().collect();
-        for key in keys {
-            let a_ns = *a.totals.get(&key).unwrap_or(&0);
-            let b_ns = *b.totals.get(&key).unwrap_or(&0);
-            if a_ns != b_ns {
-                let (rank, lane, name) = key;
-                per_rank.push(DiffRow {
-                    rank: Some(rank),
-                    lane,
-                    name,
-                    a_ns,
-                    b_ns,
-                });
-            }
-        }
+        per_rank = diverging(&a.totals, &b.totals, |(r, l, n)| (Some(r), l, n));
     }
-    let magnitude = |r: &DiffRow| std::cmp::Reverse(r.delta_ns().unsigned_abs());
-    cluster.sort_by(|x, y| {
-        magnitude(x)
-            .cmp(&magnitude(y))
-            .then_with(|| (&x.lane, &x.name).cmp(&(&y.lane, &y.name)))
-    });
-    per_rank.sort_by(|x, y| {
-        magnitude(x)
-            .cmp(&magnitude(y))
-            .then_with(|| (&x.lane, &x.name, x.rank).cmp(&(&y.lane, &y.name, y.rank)))
-    });
     TraceDiff {
         a_ranks: a.ranks,
         b_ranks: b.ranks,

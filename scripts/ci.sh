@@ -80,6 +80,31 @@ cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree
 # (tests/common/wire_golden.txt); the `ff ff ff ff` count, the 28-byte
 # checkpoint and the flipped `.idx` byte are typed errors, not aborts.
 cargo test --release -q --test codec
+# One run list: `mpiio::runs` is the only place the stack merges, cuts
+# and slices offset-length lists. Against brute force on a small
+# universe: `merge` equals the bitmap for every max_hole (unsorted,
+# overlapping, empty and near-u64::MAX ranges), `merge_bytes` the
+# serially written file, `Cover::slice` the naive lookup — `None` for
+# every uncovered or straddling range.
+cargo test --release -q -p mpiio --test properties
+# ...and every run list still comes out as the parent's binary issued
+# it: the fs.* operations of a holey and an adjacent view, per class x
+# issue policy at 4 ranks, are literal lists recorded from that binary.
+# A failed run stops nothing: serial and posted both attempt every run
+# and report the same first error.
+cargo test --release -q -p mpiio --test run_lists
+# A peer aggregator that serves a short chunk in a collective read is a
+# typed error after the closing barrier — release builds have no
+# debug_assert, so there it used to be wrong-length bytes.
+cargo test --release -q -p mpiio --lib a_short_chunk_from_a_peer_aggregator_is_a_typed_error_after_the_barrier
+# A grant whose byte range runs backwards is InputError::Fragment in
+# both profiles (release used to wrap it into a ~2^64-byte read), at the
+# read_fragments level and through a real dynamic worker.
+cargo test --release -q -p pioblast --lib inverted_range
+# A trace whose tracer dropped events says so in its export, and
+# trace-check refuses it with the count; a healthy export has no such
+# line, so every trace below stays byte-identical.
+cargo test --release -q -p pioblast-cli --lib trace_check_refuses_a_trace_whose_tracer_dropped_events
 # Bench targets (paper exhibits and ablations) must at least compile.
 cargo bench --workspace --no-run
 # The paper's exhibits are claims: run the six that hold (~1.5 min
