@@ -35,6 +35,7 @@
 //! unobservable either way.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 use std::borrow::Cow;
 use std::fmt;

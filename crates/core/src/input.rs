@@ -108,7 +108,8 @@ fn file_ranges(a: &FragmentAssignment) -> Result<[(usize, u64, u64); 4], InputEr
 /// Each volume's three files go to the plane as one view set
 /// ([`IoPlane::read_views`]), so the plane decides whether their reads
 /// overlap or are serviced one after another, and the fragments are
-/// sliced out of the covers it hands back.
+/// sliced out of the covers it hands back: each fragment's residues and
+/// deflines are views of the bytes the file system returned, not copies.
 pub fn read_fragments(
     plane: &IoPlane,
     volume_names: &[String],
@@ -167,10 +168,10 @@ pub fn read_fragments(
         FragmentData::from_ranges(
             molecule,
             a.spec.base_oid,
-            held(idx_seq)?,
-            held(idx_hdr)?,
-            held(seq)?.to_vec(),
-            held(hdr)?.to_vec(),
+            &held(idx_seq)?,
+            &held(idx_hdr)?,
+            held(seq)?,
+            held(hdr)?,
         )
         .map_err(|e| InputError::Fragment(e.to_string()))
     };

@@ -182,7 +182,7 @@ fn flush_output(
     let view = FileView::new(0, regions)
         .map_err(|e| PioError::Protocol(format!("output layout is not writable: {e}")))?;
     plane
-        .write_output(path, &view, &data)
+        .write_output(path, &view, data)
         .map_err(PioError::Output)
 }
 
@@ -429,7 +429,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             };
             let pump = Pump::new(self.comm, self.policy.p2p(), default_sweep());
             let event = match pump.poll(&mut self.liveness, None, Some(tag)) {
-                Polled::Msg(m) => match self.translate(m) {
+                Polled::Msg(m) => match self.translate(&sm, m) {
                     Ok(ev) => ev,
                     Err(e) => {
                         self.abort_live();
@@ -443,11 +443,16 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     }
 
     /// Message -> event.
-    fn translate(&self, m: Message) -> Result<MasterEvent, PioError> {
+    fn translate(&self, sm: &MasterSm, m: Message) -> Result<MasterEvent, PioError> {
         match m.tag {
             TAG_READY => Ok(MasterEvent::Ready { from: m.src }),
             TAG_SUBMIT => {
                 let (epoch, sub) = Fenced::<MetaSubmission>::decode(&m.payload)?;
+                // A stale epoch's submission is discarded by the machine
+                // unread; the current one is the current batch's.
+                if epoch == sm.epoch() {
+                    self.check_queries(sm.batch(), m.src, &sub)?;
+                }
                 tracelog::instant(
                     tracelog::Lane::Runtime,
                     "submission",
@@ -482,11 +487,13 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                         continue;
                     };
                     // A partial write (the victim died mid-checkpoint)
-                    // decodes as garbage and counts as absent.
+                    // decodes as garbage and counts as absent; so does a
+                    // blob naming a query outside the batch.
                     let Ok(ck) = FragmentCheckpoint::decode(&blob) else {
                         continue;
                     };
-                    if ck.batch as usize == batch && ck.fragment as usize == f {
+                    let fits = self.check_queries(batch, w, &ck.meta).is_ok();
+                    if fits && ck.batch as usize == batch && ck.fragment as usize == f {
                         self.ckpts.insert((batch, f), ck);
                         checkpointed.push(f);
                     }
@@ -518,6 +525,24 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         MasterEvent::Dead {
             ranks,
             checkpointed,
+        }
+    }
+
+    /// The query indexes of a submission arrive on the wire: one outside
+    /// `batch`'s query set is a protocol error naming the sender, not an
+    /// out-of-bounds index in the merge.
+    fn check_queries(
+        &self,
+        batch: usize,
+        from: usize,
+        sub: &MetaSubmission,
+    ) -> Result<(), PioError> {
+        let n = self.batches[batch].len();
+        match sub.per_query.iter().find(|(q, _)| *q as usize >= n) {
+            Some((q, _)) => Err(PioError::Protocol(format!(
+                "submission from rank {from}: query {q} of a {n}-query batch"
+            ))),
+            None => Ok(()),
         }
     }
 
@@ -676,11 +701,22 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                         .gather(MASTER, Bytes::from(MetaSubmission::default().encode()))
                         .expect("master gathers");
                     self.out_mark.get_or_insert(self.ctx.now());
-                    let mut subs = Vec::with_capacity(subs_bytes.len());
-                    for b in &subs_bytes {
-                        subs.push(MetaSubmission::decode(b)?);
+                    let decode = |(rank, b): (usize, &Bytes)| {
+                        let sub = MetaSubmission::decode(b)?;
+                        self.check_queries(batch, rank, &sub)?;
+                        Ok(sub)
+                    };
+                    match subs_bytes.iter().enumerate().map(decode).collect() {
+                        Ok(subs) => Ok(vec![MasterEvent::GatherDone { subs }]),
+                        Err(e) => {
+                            // The workers wait in the assignment scatter:
+                            // empty pieces fail their decode into a typed
+                            // error instead of a hang.
+                            let empty = vec![Bytes::new(); self.ctx.nranks()];
+                            self.comm.scatterv(MASTER, Some(empty));
+                            Err(e)
+                        }
                     }
-                    Ok(vec![MasterEvent::GatherDone { subs }])
                 }
             }
             MasterAction::Merge {
@@ -1418,7 +1454,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             let path = ckpt_path(self.cfg, batch, id as usize);
             // Joined here on the serial plane; fired and parked in the
             // plane under `--io-async`, where the epoch fence joins it.
-            ckpt_landed(self.io.checkpoint_put(&path, &blob));
+            ckpt_landed(self.io.checkpoint_put(&path, blob));
         }
         self.phase_times
             .add(phases::OUTPUT, self.ctx.now() - cache_start);

@@ -264,6 +264,97 @@ mod tests {
     }
 
     #[test]
+    fn a_master_rejects_a_submission_for_a_query_outside_the_batch() {
+        // Play one worker by hand against a real master, on both
+        // lowerings: a well-formed submission whose hit names query 7 of
+        // a one-query batch. It used to index `per_query[7]` in
+        // `merge_and_layout`; now the master fails with a protocol error
+        // naming the sender and the index, and still releases the worker
+        // — from the assignment scatter, or with an abort.
+        use crate::testutil::{sample_queries, small_db, OUTPUT};
+        use blast_core::hsp::Hsp;
+        use mpiblast::setup::{stage_queries, stage_shared_db};
+        use mpiblast::wire::{MetaHit, MetaSubmission};
+        use mpiblast::{ClusterEnv, Platform, MASTER};
+        use mpisim::{Collectives, Comm};
+
+        let best = Hsp {
+            query_idx: 7,
+            oid: 0,
+            q_start: 0,
+            q_end: 10,
+            s_start: 0,
+            s_end: 10,
+            score: 50,
+            bit_score: 50.0,
+            evalue: 1e-9,
+        };
+        let hit = MetaHit {
+            oid: 0,
+            subject_len: 10,
+            record_size: 100,
+            defline: "forged".into(),
+            best,
+        };
+        let forged = MetaSubmission {
+            per_query: vec![(7, vec![hit])],
+        };
+        for p2p in [false, true] {
+            let db = small_db(None);
+            let platform = Platform::altix();
+            let sim = simcluster::Sim::new(2);
+            let env = ClusterEnv::new(&sim, &platform);
+            let db_alias = stage_shared_db(&env.shared, &db);
+            let query_path = stage_queries(&env.shared, &sample_queries(&db, 1));
+            let mut cfg = PioBlastConfig::new(&platform, &env, &db_alias, &query_path, OUTPUT);
+            if p2p {
+                cfg.schedule = FragmentSchedule::Dynamic;
+                cfg.fault = FaultMode::Recover;
+            }
+            let out = sim
+                .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
+                    let comm = Comm::new(&ctx, cfg.platform.net);
+                    if ctx.rank() == MASTER {
+                        return Some(run_master(&ctx, &comm, &cfg));
+                    }
+                    if !p2p {
+                        comm.bcast(MASTER, Bytes::new());
+                        comm.scatterv(MASTER, None);
+                        comm.gather(MASTER, Bytes::from(forged.encode()));
+                        assert!(comm.scatterv(MASTER, None).is_empty(), "released");
+                        return None;
+                    }
+                    assert_eq!(comm.recv(Some(MASTER), None).tag, TAG_BUNDLE);
+                    comm.send(MASTER, TAG_READY, Bytes::new());
+                    loop {
+                        let m = comm.recv(Some(MASTER), None);
+                        match m.tag {
+                            TAG_GRANT => comm.send(MASTER, TAG_READY, Bytes::new()),
+                            TAG_SUBMIT_REQ => {
+                                let (epoch, _) = Fenced::<u32>::decode(&m.payload).unwrap();
+                                let sub = (epoch, forged.clone()).encode();
+                                comm.send(MASTER, TAG_SUBMIT, Bytes::from(sub));
+                            }
+                            tag => {
+                                assert_eq!(tag, TAG_ABORT, "released");
+                                return None;
+                            }
+                        }
+                    }
+                })
+                .expect("neither a rank panic nor a deadlock");
+            match &out.outputs[MASTER] {
+                Some(Some(Err(PioError::Protocol(what)))) => {
+                    for part in ["rank 1", "query 7", "1-query batch"] {
+                        assert!(what.contains(part), "p2p={p2p}: {what}");
+                    }
+                }
+                other => panic!("p2p={p2p}: expected a protocol error, got {other:?}"),
+            }
+        }
+    }
+
+    #[test]
     fn malformed_grants_are_typed_errors_not_panics() {
         // Every truncation point and garbage frame must fail with a
         // codec error — `PioError::Protocol` once it reaches the run —

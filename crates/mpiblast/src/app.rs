@@ -290,6 +290,20 @@ fn run_master(
                         return Err(e.into());
                     }
                 };
+                // Query indexes arrive on the wire: one past the query
+                // set is a malformed frame, not an out-of-bounds index.
+                if let Some((q, _)) = sub
+                    .per_query
+                    .iter()
+                    .find(|(q, _)| *q as usize >= merged.len())
+                {
+                    abort_workers(comm, &live);
+                    return Err(ProtocolError::Malformed(format!(
+                        "result submission from rank {}: query {q} of a {}-query set",
+                        m.src,
+                        merged.len()
+                    )));
+                }
                 let items: u64 = sub.per_query.iter().map(|(_, h)| h.len() as u64).sum();
                 cfg.compute.run_submission_handling(ctx, items, || {
                     for (q, hits) in sub.per_query {
@@ -419,10 +433,10 @@ fn run_master(
         }
         section.extend_from_slice(layout.footer.as_bytes());
         let view = FileView::contiguous(file_off, section.len() as u64);
-        out_plane
-            .write_output(&cfg.output_path, &view, &section)
-            .map_err(storage)?;
         file_off += section.len() as u64;
+        out_plane
+            .write_output(&cfg.output_path, &view, section)
+            .map_err(storage)?;
     }
     for w in live.live_workers() {
         comm.send(w, TAG_DONE, Bytes::new());
@@ -484,9 +498,16 @@ fn run_worker(
         if fid == FRAG_NONE {
             break;
         }
-        let name = &cfg.fragment_names[fid as usize];
+        let Some(name) = cfg.fragment_names.get(fid as usize) else {
+            return Err(fail(ProtocolError::Malformed(format!(
+                "fragment assignment from rank {}: fragment {fid} of {}",
+                m.src,
+                cfg.fragment_names.len()
+            ))));
+        };
 
-        // Copy stage: shared storage -> private storage, whole files.
+        // Copy stage: shared storage -> private storage, whole files. The
+        // private store keeps the very buffer the read returned.
         let copy_start = now();
         let mut copied: Vec<String> = Vec::new();
         for ext in ["idx", "seq", "hdr"] {
@@ -495,7 +516,7 @@ fn run_worker(
             let dst = format!("{prefix}{src}");
             private.create(ctx, &dst);
             private
-                .write_at_owned(ctx, &dst, 0, data)
+                .write_at(ctx, &dst, 0, data)
                 .map_err(|e| fail(storage(e)))?;
             copied.push(dst);
         }
@@ -835,13 +856,7 @@ mod tests {
         };
         for request in [b"\x01\x02\x03".to_vec(), unowned.encode()] {
             let (sim, _env, cfg) = faulty_cfg(2, 1);
-            let db = small_db();
-            let bundle = QueryBundle {
-                db_title: db.alias.title.clone(),
-                db_stats: db.alias.global_stats,
-                molecule: db.alias.molecule,
-                queries: sample_queries(&db, 3),
-            };
+            let bundle = bundle_of(&small_db());
             let out = sim
                 .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
                     if ctx.rank() != MASTER {
@@ -869,6 +884,98 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The query bundle `run_master` would broadcast for `faulty_cfg`.
+    fn bundle_of(db: &seqfmt::FormattedDb) -> QueryBundle {
+        QueryBundle {
+            db_title: db.alias.title.clone(),
+            db_stats: db.alias.global_stats,
+            molecule: db.alias.molecule,
+            queries: sample_queries(db, 3),
+        }
+    }
+
+    #[test]
+    fn a_master_rejects_a_result_for_a_query_outside_the_set() {
+        // Play the worker by hand: take the one fragment, then submit a
+        // hit for query 9 of three. It used to index `merged[9]`.
+        let (sim, _env, cfg) = faulty_cfg(2, 1);
+        let hsp = blast_core::hsp::Hsp {
+            query_idx: 9,
+            oid: 0,
+            q_start: 0,
+            q_end: 10,
+            s_start: 0,
+            s_end: 10,
+            score: 50,
+            bit_score: 50.0,
+            evalue: 1e-9,
+        };
+        let forged = ResultSubmission {
+            fragment: 0,
+            per_query: vec![(
+                9,
+                vec![SubjectHit {
+                    oid: 0,
+                    subject_len: 10,
+                    hsps: vec![hsp],
+                }],
+            )],
+        };
+        let out = sim
+            .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
+                if ctx.rank() == MASTER {
+                    return run_rank(&ctx, &cfg);
+                }
+                let comm = Comm::new(&ctx, cfg.platform.net);
+                comm.bcast(MASTER, Bytes::new());
+                comm.send(MASTER, TAG_FRAG_REQ, Bytes::new());
+                assert_eq!(comm.recv(Some(MASTER), None).tag, TAG_FRAG_ASSIGN);
+                comm.send(MASTER, TAG_SUBMIT, Bytes::from(forged.encode()));
+                assert_eq!(comm.recv(Some(MASTER), None).tag, TAG_ABORT);
+                Err(ProtocolError::Aborted)
+            })
+            .expect("neither a rank panic nor a deadlock");
+        match &out.outputs[MASTER] {
+            Some(Err(ProtocolError::Malformed(what))) => {
+                for part in ["rank 1", "query 9", "3-query set"] {
+                    assert!(what.contains(part), "{what}");
+                }
+            }
+            other => panic!("expected a malformed frame, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn a_worker_rejects_an_assignment_of_a_fragment_outside_the_set() {
+        // Play the master by hand: assign fragment 5 of one. It used to
+        // index `fragment_names[5]`; now the worker tells the master it
+        // failed, and returns the typed error.
+        let (sim, env, cfg) = faulty_cfg(2, 1);
+        let bundle = bundle_of(&small_db());
+        let out = sim
+            .try_run_faulty(simcluster::FaultPlan::none(), |ctx| {
+                if ctx.rank() != MASTER {
+                    return run_rank(&ctx, &cfg);
+                }
+                let comm = Comm::new(&ctx, cfg.platform.net);
+                comm.bcast(MASTER, Bytes::from(bundle.encode()));
+                assert_eq!(comm.recv(Some(1), None).tag, TAG_FRAG_REQ);
+                comm.send(1, TAG_FRAG_ASSIGN, Bytes::from(5u32.encode()));
+                assert_eq!(comm.recv(Some(1), None).tag, TAG_FRAG_FAILED);
+                Ok(RankReport::default())
+            })
+            .expect("neither a rank panic nor a deadlock");
+        match &out.outputs[1] {
+            Some(Err(ProtocolError::Malformed(what))) => {
+                for part in ["rank 0", "fragment 5 of 1"] {
+                    assert!(what.contains(part), "{what}");
+                }
+            }
+            other => panic!("expected a malformed frame, got {other:?}"),
+        }
+        assert_eq!(env.shared.counters().data_ops, 0, "nothing was copied");
     }
 
     #[test]

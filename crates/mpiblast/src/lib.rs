@@ -19,6 +19,7 @@
 //!   master-only output that the paper shows dominating execution time.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod app;
 pub mod model;

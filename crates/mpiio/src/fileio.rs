@@ -150,7 +150,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
 
         // Route each of my chunks to its domain's aggregator, or stash
         // it if that is me.
-        let mut local_chunks: Vec<(u64, Vec<u8>)> = Vec::new();
+        let mut local_chunks: Vec<(u64, Bytes)> = Vec::new();
         let mut cursor = 0usize;
         for (abs, len) in view.absolute() {
             for (d, off, piece_len) in domains.split(abs, len) {
@@ -158,7 +158,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
                 cursor += piece_len as usize;
                 let dst = domains.agg_rank(d);
                 if dst == me {
-                    local_chunks.push((off, slice.to_vec()));
+                    local_chunks.push((off, Bytes::copy_from_slice(slice)));
                 } else {
                     let mut payload = Vec::with_capacity(8 + slice.len());
                     payload.extend_from_slice(&off.to_le_bytes());
@@ -179,7 +179,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
             }
             let m = self.comm.recv(Some(src), Some(tag));
             match check_chunk("write", frame_bytes(&m.payload, off), src, off, piece_len) {
-                Ok(bytes) => chunks.push((off, bytes.to_vec())),
+                Ok(bytes) => chunks.push((off, bytes)),
                 Err(e) => {
                     corrupt.get_or_insert(e);
                 }
@@ -252,7 +252,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         for (dst, off, len) in wanted {
             if dst != me {
                 let piece = cover.slice(off, len).unwrap_or_default();
-                self.comm.send(dst, tag, Bytes::copy_from_slice(piece));
+                self.comm.send(dst, tag, piece);
             }
         }
 
@@ -262,13 +262,13 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         for (abs, len) in view.absolute() {
             for (d, off, piece_len) in domains.split(abs, len) {
                 let agg = domains.agg_rank(d);
-                let remote = (agg != me).then(|| self.comm.recv(Some(agg), Some(tag)));
-                let served = match &remote {
-                    Some(m) => Some(&m.payload[..]),
-                    None => cover.slice(off, piece_len),
+                let served = if agg == me {
+                    cover.slice(off, piece_len)
+                } else {
+                    Some(self.comm.recv(Some(agg), Some(tag)).payload)
                 };
                 match check_chunk("read", served, agg, off, piece_len) {
-                    Ok(bytes) => out.extend_from_slice(bytes),
+                    Ok(bytes) => out.extend_from_slice(&bytes),
                     Err(e) => {
                         corrupt.get_or_insert(e);
                     }
@@ -324,32 +324,32 @@ fn split_u32(buf: &[u8]) -> Option<(u32, &[u8])> {
 }
 
 /// The bytes of a peer's write-chunk frame, `[offset u64][bytes]`, if
-/// it has a header and that names file offset `off`.
-fn frame_bytes(payload: &[u8], off: u64) -> Option<&[u8]> {
-    let (head, bytes) = payload.split_first_chunk::<8>()?;
-    (u64::from_le_bytes(*head) == off).then_some(bytes)
+/// it has a header and that names file offset `off` — a view of the
+/// frame.
+fn frame_bytes(payload: &Bytes, off: u64) -> Option<Bytes> {
+    let (head, _) = payload.split_first_chunk::<8>()?;
+    (u64::from_le_bytes(*head) == off).then(|| payload.slice(8..))
 }
 
 /// What rank `src` sent (or, being this rank, held) for the `len`-byte
 /// chunk at file offset `off` — `None` if nothing for that offset. The
 /// exchanged views fix the length; anything else is corrupt.
-fn check_chunk<'a>(
+fn check_chunk(
     op: &str,
-    sent: Option<&'a [u8]>,
+    sent: Option<Bytes>,
     src: usize,
     off: u64,
     len: u64,
-) -> Result<&'a [u8], StoreError> {
-    let exact = sent.filter(|bytes| bytes.len() as u64 == len);
-    exact.ok_or_else(|| StoreError::Corrupt {
-        what: match sent {
-            Some(b) => format!(
-                "collective {op}: rank {src} sent {} bytes for the {len}-byte chunk at offset {off}",
-                b.len()
-            ),
-            None => format!("collective {op}: rank {src} sent no {len}-byte chunk for offset {off}"),
-        },
-    })
+) -> Result<Bytes, StoreError> {
+    let what = match sent {
+        Some(bytes) if bytes.len() as u64 == len => return Ok(bytes),
+        Some(b) => format!(
+            "collective {op}: rank {src} sent {} bytes for the {len}-byte chunk at offset {off}",
+            b.len()
+        ),
+        None => format!("collective {op}: rank {src} sent no {len}-byte chunk for offset {off}"),
+    };
+    Err(StoreError::Corrupt { what })
 }
 
 /// The file-domain partition of one collective operation.
@@ -590,26 +590,29 @@ mod tests {
     #[test]
     fn a_chunk_frame_that_disagrees_with_the_views_is_corrupt() {
         fn decode_chunk(
-            payload: &[u8],
+            payload: &Bytes,
             src: usize,
             off: u64,
             len: u64,
-        ) -> Result<&[u8], StoreError> {
+        ) -> Result<Bytes, StoreError> {
             check_chunk("write", frame_bytes(payload, off), src, off, len)
         }
         let mut frame = 40u64.to_le_bytes().to_vec();
         frame.extend_from_slice(b"abc");
-        let frame = frame.as_slice();
-        assert_eq!(decode_chunk(frame, 1, 40, 3), Ok(&b"abc"[..]));
+        let frame = Bytes::from(frame);
+        assert_eq!(
+            decode_chunk(&frame, 1, 40, 3),
+            Ok(Bytes::from_static(b"abc"))
+        );
         for (payload, off, len) in [
-            (frame, 41, 3),       // another offset
-            (frame, 40, 4),       // another length
-            (&frame[..7], 40, 3), // shorter than its own header
-            (&b""[..], 0, 0),     // empty
+            (frame.clone(), 41, 3),    // another offset
+            (frame.clone(), 40, 4),    // another length
+            (frame.slice(..7), 40, 3), // shorter than its own header
+            (Bytes::new(), 0, 0),      // empty
         ] {
             assert!(
                 matches!(
-                    decode_chunk(payload, 1, off, len),
+                    decode_chunk(&payload, 1, off, len),
                     Err(StoreError::Corrupt { .. })
                 ),
                 "{payload:?} as {len} bytes at {off}"
@@ -619,10 +622,12 @@ mod tests {
 
     #[test]
     fn a_served_chunk_that_disagrees_with_the_views_is_corrupt() {
-        assert_eq!(check_chunk("read", Some(b"abc"), 2, 40, 3), Ok(&b"abc"[..]));
-        assert_eq!(check_chunk("read", Some(b""), 2, 40, 0), Ok(&b""[..]));
-        for served in [Some(&b"ab"[..]), Some(b"abcd"), Some(b""), None] {
-            match check_chunk("read", served, 2, 40, 3) {
+        let served = |b: &'static [u8]| Some(Bytes::from_static(b));
+        let abc = Bytes::from_static(b"abc");
+        assert_eq!(check_chunk("read", served(b"abc"), 2, 40, 3), Ok(abc));
+        assert_eq!(check_chunk("read", served(b""), 2, 40, 0), Ok(Bytes::new()));
+        for served in [served(b"ab"), served(b"abcd"), served(b""), None] {
+            match check_chunk("read", served.clone(), 2, 40, 3) {
                 Err(StoreError::Corrupt { what }) => {
                     for part in ["rank 2", "3-byte", "offset 40"] {
                         assert!(what.contains(part), "{what}");

@@ -59,6 +59,7 @@ use std::cell::RefCell;
 use std::collections::VecDeque;
 
 use burstfs::{BurstOptions, StagingStore};
+use bytes::Bytes;
 use parafs::{AsyncIo, IoClass, SimFs, StoreError};
 
 use mpisim::Comm;
@@ -219,7 +220,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     // ---- the typed verbs ----
 
     /// Read a whole file (run setup: alias, queries, volume indexes).
-    pub fn read_whole(&self, path: &str) -> Result<Vec<u8>, StoreError> {
+    pub fn read_whole(&self, path: &str) -> Result<Bytes, StoreError> {
         let data = self.fs.read_all(self.comm.ctx(), path)?;
         self.fs
             .note_class(IoClass::Independent, 1, data.len() as u64);
@@ -227,8 +228,9 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     }
 
     /// Read views of shared database files, returning for each view a
-    /// [`Cover`] that holds every one of its regions. Where the plane
-    /// posts reads ([`IoPlane::posts_reads`]) every view's runs are
+    /// [`Cover`] that holds every one of its regions — as views of what
+    /// the file system holds, wherever one write holds a run. Where the
+    /// plane posts reads ([`IoPlane::posts_reads`]) every view's runs are
     /// begun before the first is joined, so their latencies overlap
     /// instead of summing; otherwise the views are serviced one after
     /// another.
@@ -241,9 +243,10 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     }
 
     /// Write scattered records at master-assigned offsets (`payload`
-    /// fills the view's regions in order). Writes *do* fail — a full
-    /// file system surfaces as [`StoreError::NoSpace`] — and the caller
-    /// must degrade, not abort.
+    /// fills the view's regions in order; each region's run is a view of
+    /// it, so a buffer handed over is written without a copy). Writes
+    /// *do* fail — a full file system surfaces as
+    /// [`StoreError::NoSpace`] — and the caller must degrade, not abort.
     ///
     /// Under [`IoOptions::io_async`] this is fire-and-collect: every run
     /// of the view goes in flight at once, so per-operation latencies
@@ -254,8 +257,9 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         &self,
         path: &str,
         view: &FileView,
-        payload: &[u8],
+        payload: impl Into<Bytes>,
     ) -> Result<(), StoreError> {
+        let payload = payload.into();
         assert_eq!(
             payload.len() as u64,
             view.total_bytes(),
@@ -268,7 +272,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             let file = MpiFile::open(self.comm, self.fs, path)
                 .with_hints(self.cfg.hints)
                 .with_burst(self.staging.as_ref());
-            match file.issue_write_all(view, payload, !posted) {
+            match file.issue_write_all(view, &payload, !posted) {
                 Ok(pend) => HandleKind::CollWrite { file, pend },
                 Err(e) => HandleKind::Failed(e),
             }
@@ -276,7 +280,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             // One run per region, or — sieved — one per stretch of
             // strictly adjacent regions: writing *through* a hole would
             // clobber bytes other ranks own, so holes always split runs.
-            let mut runs = pieces(view.absolute(), payload);
+            let mut runs = pieces(view.absolute(), &payload);
             if class == IoClass::Sieved {
                 runs = merge_bytes(runs);
             }
@@ -296,12 +300,12 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// blob's write stays in flight while the rank works on, the plane
     /// parks it, and its outcome — failures included — comes back from
     /// [`IoPlane::checkpoint_join`], never from this call.
-    pub fn checkpoint_put(&self, path: &str, payload: &[u8]) -> Result<(), StoreError> {
+    pub fn checkpoint_put(&self, path: &str, payload: impl Into<Bytes>) -> Result<(), StoreError> {
+        let payload = payload.into();
         let bytes = payload.len() as u64;
-        let put = |joined: bool| {
+        let put = move |joined: bool| {
             self.fs.note_class(IoClass::Independent, 1, bytes);
-            let blob = vec![(0, payload.to_vec())];
-            self.sink().issue(path, blob, joined, true)
+            self.sink().issue(path, vec![(0, payload)], joined, true)
         };
         if self.cfg.options.io_async {
             begin_instant("ckpt_put", IoClass::Independent, bytes);
@@ -311,7 +315,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "plane.ckpt.put",
-            vec![("bytes", payload.len().into())],
+            vec![("bytes", bytes.into())],
         );
         self.sink().join(put(true))
     }
@@ -327,7 +331,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     }
 
     /// Fetch a checkpoint blob (whole file).
-    pub fn checkpoint_get(&self, path: &str) -> Result<Vec<u8>, StoreError> {
+    pub fn checkpoint_get(&self, path: &str) -> Result<Bytes, StoreError> {
         let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.get");
         self.read_whole(path)
     }
@@ -414,7 +418,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         let _span = self.open(false, "plane.read", "db_read", class, view);
         if class == IoClass::TwoPhase {
             let file = MpiFile::open(self.comm, self.fs, path).with_hints(self.cfg.hints);
-            let bytes = file.read_at_all(view)?;
+            let bytes = Bytes::from(file.read_at_all(view)?);
             return Ok(Cover::new(pieces(view.absolute(), &bytes)));
         }
         let mut held = Vec::new();
@@ -525,7 +529,7 @@ mod tests {
     /// of it returned.
     fn view_bytes(cover: &Cover, view: &FileView) -> Vec<u8> {
         let held = |(o, l)| cover.slice(o, l).expect("a read covers its view");
-        view.absolute().flat_map(held).copied().collect()
+        view.absolute().flat_map(|r| held(r).to_vec()).collect()
     }
 
     fn read_one(plane: &IoPlane, path: &str, view: &FileView) -> Vec<u8> {
@@ -620,7 +624,7 @@ mod tests {
             let regions: Vec<(u64, u64)> = (0..4).map(|i| ((2 * i + me) * 10, 10)).collect();
             let view = FileView::new(0, regions).unwrap();
             let data = vec![me as u8 + 1; 40];
-            plane.write_output("out", &view, &data).unwrap();
+            plane.write_output("out", &view, data).unwrap();
         });
         let written = fs.peek("out").unwrap();
         assert_eq!(written.len(), 80);
@@ -671,11 +675,13 @@ mod tests {
             assert!(plane.collective_reads() && plane.collective_writes());
             let me = ctx.rank() as u64;
             let view = FileView::new(0, vec![(me * 50, 50), (100 + me * 50, 50)]).unwrap();
-            plane.write_output("out", &view, &[me as u8; 100]).unwrap();
+            plane
+                .write_output("out", &view, vec![me as u8; 100])
+                .unwrap();
             // Checkpoint round trip rides the independent class.
             let blob = vec![me as u8; 30];
             let path = format!("ckpt.{me}");
-            plane.checkpoint_put(&path, &blob).unwrap();
+            plane.checkpoint_put(&path, blob.clone()).unwrap();
             assert_eq!(plane.checkpoint_get(&path).unwrap(), blob);
             plane.checkpoint_drop(&path).unwrap();
         });
@@ -715,8 +721,10 @@ mod tests {
                 let me = ctx.rank() as u64;
                 let wview = FileView::new(0, vec![(me * 30, 15), (90 + me * 30, 15)]).unwrap();
                 let payload = vec![me as u8 + 1; 30];
-                plane.write_output("out.sync", &wview, &payload).unwrap();
-                posted.write_output("out.async", &wview, &payload).unwrap();
+                plane
+                    .write_output("out.sync", &wview, payload.clone())
+                    .unwrap();
+                posted.write_output("out.async", &wview, payload).unwrap();
             });
             assert_eq!(
                 fs.peek("out.sync").unwrap(),
@@ -800,7 +808,7 @@ mod tests {
                 let plane = IoPlane::new(&comm, &fs, cfg, None);
                 let view = FileView::new(0, (0..32).map(|i| (i * 20, 10)).collect()).unwrap();
                 let start = ctx.now();
-                plane.write_output("out", &view, &[1u8; 320]).unwrap();
+                plane.write_output("out", &view, vec![1u8; 320]).unwrap();
                 (ctx.now() - start).0
             });
             out.outputs[0]
@@ -832,7 +840,7 @@ mod tests {
                 let holey = (0..regions).map(|i| (base + i * 2048, 1024)).collect();
                 let view = FileView::new(0, holey).unwrap();
                 let payload = vec![ctx.rank() as u8 + 1; (regions * 1024) as usize];
-                plane.write_output("out", &view, &payload).unwrap();
+                plane.write_output("out", &view, payload).unwrap();
             });
             let runs = ranks as u64 * regions;
             assert_eq!(fs.counters().data_ops, runs, "holes are not coalesced");
@@ -860,7 +868,7 @@ mod tests {
             ctx.charge(SimDuration::from_millis(300));
             let cover = plane.wait(handle).unwrap();
             assert_eq!(
-                cover.slice(0, 50_000_000).map(<[u8]>::len),
+                cover.slice(0, 50_000_000).map(|b| b.len()),
                 Some(50_000_000)
             );
             (ctx.now() - start).0
@@ -883,24 +891,24 @@ mod tests {
             let plane = IoPlane::new(&comm, &fs2, PlaneConfig::default(), None);
             // Sync paths surface the late ENOSPC as a typed error.
             assert!(matches!(
-                plane.checkpoint_put("ckpt", &[0u8; 200]),
+                plane.checkpoint_put("ckpt", vec![0u8; 200]),
                 Err(StoreError::NoSpace { .. })
             ));
             let view = FileView::contiguous(0, 150);
             assert!(matches!(
-                plane.write_output("out", &view, &[0u8; 150]),
+                plane.write_output("out", &view, vec![0u8; 150]),
                 Err(StoreError::NoSpace { .. })
             ));
             // Fire-and-collect: the failure lands at the join, not the put.
             let posted = IoPlane::new(&comm, &fs2, posted_cfg(IoClass::Independent), None);
-            posted.checkpoint_put("ckpt2", &[0u8; 200]).unwrap();
+            posted.checkpoint_put("ckpt2", vec![0u8; 200]).unwrap();
             assert!(matches!(
                 posted.checkpoint_join(),
                 Some(Err(StoreError::NoSpace { .. }))
             ));
             assert!(posted.checkpoint_join().is_none(), "nothing left parked");
             // A blob that fits still goes through.
-            plane.checkpoint_put("small", &[7u8; 40]).unwrap();
+            plane.checkpoint_put("small", vec![7u8; 40]).unwrap();
         });
         assert_eq!(fs.peek("small").unwrap(), vec![7u8; 40]);
     }
@@ -920,12 +928,16 @@ mod tests {
                 let view = FileView::new(0, vec![(me * 30, 15), (90 + me * 30, 15)]).unwrap();
                 let payload = vec![me as u8 + 1; 30];
                 let direct = IoPlane::new(&comm, &fs2, plane_cfg(class), None);
-                direct.write_output("out.direct", &view, &payload).unwrap();
+                direct
+                    .write_output("out.direct", &view, payload.clone())
+                    .unwrap();
                 let (volume, store) = staging_store(&ctx, &fs2, 1 << 20);
                 let staged = IoPlane::new(&comm, &fs2, plane_cfg(class), Some(store));
-                staged.write_output("out.staged", &view, &payload).unwrap();
+                staged.write_output("out.staged", &view, payload).unwrap();
                 let blob = vec![me as u8; 25];
-                staged.checkpoint_put(&format!("ck.{me}"), &blob).unwrap();
+                staged
+                    .checkpoint_put(&format!("ck.{me}"), blob.clone())
+                    .unwrap();
                 staged.fence().unwrap();
                 // Checkpoints read back from the *destination*.
                 assert_eq!(staged.checkpoint_get(&format!("ck.{me}")).unwrap(), blob);
@@ -956,7 +968,7 @@ mod tests {
             let (volume, store) = staging_store(&ctx, &fs2, 10);
             let plane = IoPlane::new(&comm, &fs2, PlaneConfig::default(), Some(store));
             let view = FileView::contiguous(0, 100);
-            plane.write_output("out", &view, &[5u8; 100]).unwrap();
+            plane.write_output("out", &view, vec![5u8; 100]).unwrap();
             plane.fence().unwrap();
             volume.counters().bytes_written
         });

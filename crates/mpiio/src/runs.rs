@@ -2,6 +2,12 @@
 //! build data sieving and two-phase I/O on. Every layer that turns
 //! regions into file-system operations merges, cuts and slices its
 //! list here, so a run list comes out the same whoever asked for it.
+//!
+//! Bytes ride as shared [`Bytes`] views: cutting a payload into pieces,
+//! holding a read's runs and handing a range out of them copy nothing;
+//! only joining several pieces into one run assembles a buffer.
+
+use bytes::Bytes;
 
 /// Merge `(offset, len)` ranges — in any order, overlapping, empty —
 /// into sorted, disjoint runs: overlapping and adjacent ranges join,
@@ -18,15 +24,48 @@ pub fn merge(mut ranges: Vec<(u64, u64)>, max_hole: u64) -> Vec<(u64, u64)> {
 /// [`merge`] with `max_hole = 0` over pieces that carry their bytes (a
 /// hole has none to bridge it with). Where pieces overlap, the one that
 /// starts later wins — of two that start together, the later in the
-/// input — as it would had they been written in offset order.
-pub fn merge_bytes(pieces: Vec<(u64, Vec<u8>)>) -> Vec<(u64, Vec<u8>)> {
-    let overlay = |run: &mut Vec<u8>, at: u64, piece: Vec<u8>| {
-        let at = at as usize;
-        let shared = run.len().min(at + piece.len()) - at;
-        run[at..at + shared].copy_from_slice(&piece[..shared]);
-        run.extend_from_slice(&piece[shared..]);
+/// input — as it would had they been written in offset order. A run of
+/// one piece is that piece; a run of several is assembled once.
+pub fn merge_bytes(pieces: Vec<(u64, Bytes)>) -> Vec<(u64, Bytes)> {
+    let pieces = pieces.into_iter().map(|(o, d)| (o, Run::from(d))).collect();
+    let join = |run: &mut Run, at: u64, piece: Run| {
+        run.len = run.len.max(at + piece.len);
+        run.parts
+            .extend(piece.parts.into_iter().map(|(o, d)| (o + at, d)));
     };
-    merge_by(pieces, 0, |d| d.len() as u64, overlay)
+    let runs = merge_by(pieces, 0, |r| r.len, join);
+    runs.into_iter().map(|(o, run)| (o, run.bytes())).collect()
+}
+
+/// A run being joined: its length and its pieces at their offsets into
+/// it, in the order they are to be laid down.
+struct Run {
+    len: u64,
+    parts: Vec<(u64, Bytes)>,
+}
+
+impl From<Bytes> for Run {
+    fn from(d: Bytes) -> Run {
+        Run {
+            len: d.len() as u64,
+            parts: vec![(0, d)],
+        }
+    }
+}
+
+impl Run {
+    /// The run's bytes: its one piece as is, or every piece laid down in
+    /// order into one buffer (they tile it, so no byte is left unset).
+    fn bytes(mut self) -> Bytes {
+        if self.parts.len() == 1 {
+            return self.parts.swap_remove(0).1;
+        }
+        let mut buf = vec![0u8; self.len as usize];
+        for (at, d) in &self.parts {
+            buf[*at as usize..][..d.len()].copy_from_slice(d);
+        }
+        Bytes::from(buf)
+    }
 }
 
 /// The one walk: sort by offset, then fold each piece into the run
@@ -54,16 +93,16 @@ fn merge_by<T>(
 }
 
 /// Cut `payload` — the bytes of `regions`, concatenated in order — into
-/// one `(offset, bytes)` piece per region. A payload that runs out
-/// early leaves the last pieces short rather than panicking.
-pub fn pieces(
-    regions: impl IntoIterator<Item = (u64, u64)>,
-    mut payload: &[u8],
-) -> Vec<(u64, Vec<u8>)> {
+/// one `(offset, bytes)` piece per region, each a view of `payload`. A
+/// payload that runs out early leaves the last pieces short rather than
+/// panicking.
+pub fn pieces(regions: impl IntoIterator<Item = (u64, u64)>, payload: &Bytes) -> Vec<(u64, Bytes)> {
+    let mut at = 0usize;
     let cut = |(o, l): (u64, u64)| {
-        let (piece, rest) = payload.split_at(payload.len().min(l as usize));
-        payload = rest;
-        (o, piece.to_vec())
+        let end = payload.len().min(at.saturating_add(l as usize));
+        let piece = payload.slice(at..end);
+        at = end;
+        (o, piece)
     };
     regions.into_iter().map(cut).collect()
 }
@@ -72,28 +111,30 @@ pub fn pieces(
 /// file offset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Cover {
-    runs: Vec<(u64, Vec<u8>)>,
+    runs: Vec<(u64, Bytes)>,
 }
 
 impl Cover {
     /// Wrap `runs`, which must be sorted by offset and disjoint — what
     /// [`merge`]d reads, [`merge_bytes`] and a view's [`pieces`] are.
-    pub fn new(runs: Vec<(u64, Vec<u8>)>) -> Cover {
+    pub fn new(runs: Vec<(u64, Bytes)>) -> Cover {
         debug_assert!(runs
             .windows(2)
             .all(|w| w[0].0 + w[0].1.len() as u64 <= w[1].0));
         Cover { runs }
     }
 
-    /// The bytes at `[offset, offset + len)`, or `None` unless one run
-    /// holds all of them (an empty range is held anywhere).
-    pub fn slice(&self, offset: u64, len: u64) -> Option<&[u8]> {
+    /// The bytes at `[offset, offset + len)` as a view sharing the run's
+    /// buffer, or `None` unless one run holds all of them (an empty range
+    /// is held anywhere).
+    pub fn slice(&self, offset: u64, len: u64) -> Option<Bytes> {
         if len == 0 {
-            return Some(&[]);
+            return Some(Bytes::new());
         }
         let at = self.runs.partition_point(|(o, _)| *o <= offset);
         let (o, bytes) = self.runs.get(at.checked_sub(1)?)?;
         let start = usize::try_from(offset - o).ok()?;
-        bytes.get(start..start.checked_add(usize::try_from(len).ok()?)?)
+        let end = start.checked_add(usize::try_from(len).ok()?)?;
+        (end <= bytes.len()).then(|| bytes.slice(start..end))
     }
 }

@@ -6,6 +6,7 @@
 use std::cell::RefCell;
 
 use burstfs::{BurstError, StagingStore};
+use bytes::Bytes;
 use parafs::{AsyncIo, SimFs, StoreError};
 use simcluster::RankCtx;
 
@@ -63,7 +64,7 @@ impl Sink<'_> {
     pub fn issue(
         &self,
         path: &str,
-        runs: Vec<(u64, Vec<u8>)>,
+        runs: Vec<(u64, Bytes)>,
         joined: bool,
         replace: bool,
     ) -> Pending {
@@ -77,7 +78,7 @@ impl Sink<'_> {
                     self.fs.create(self.ctx, path);
                 }
                 if joined {
-                    return self.fs.write_at_owned(self.ctx, path, offset, data);
+                    return self.fs.write_at(self.ctx, path, offset, data);
                 }
                 let op = self.fs.write_at_begin(self.ctx, path, offset, data);
                 pend.ops.push(op);

@@ -2,6 +2,7 @@
 //! and of the run-list module (`mpiio::runs`) against brute force on a
 //! small universe.
 
+use bytes::Bytes;
 use mpiio::{merge, merge_bytes, pieces, Cover, FileView, ViewError};
 use proptest::prelude::*;
 
@@ -51,12 +52,12 @@ fn runs_of(base: u64, touched: &[bool], max_hole: u64) -> Vec<(u64, u64)> {
 
 /// Random byte-carrying pieces over the universe (anchored at 0), each
 /// byte distinct so a misplaced one shows.
-fn arb_pieces() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
+fn arb_pieces() -> impl Strategy<Value = Vec<(u64, Bytes)>> {
     prop::collection::vec((0..SPAN, 0..REACH as usize), 0..10).prop_map(|ranges| {
         let mut next = 0u8;
         let fill = |(o, l): (u64, usize)| {
             let bytes = (0..l).map(|_| (next, next = next.wrapping_add(1)).0);
-            (o, bytes.collect())
+            (o, Bytes::from(bytes.collect::<Vec<u8>>()))
         };
         ranges.into_iter().map(fill).collect()
     })
@@ -65,7 +66,7 @@ fn arb_pieces() -> impl Strategy<Value = Vec<(u64, Vec<u8>)>> {
 /// The file a serial writer leaves behind, writing the pieces in offset
 /// order (input order among equals) — the order an aggregator issues
 /// them in.
-fn paint(pieces: &[(u64, Vec<u8>)]) -> Vec<Option<u8>> {
+fn paint(pieces: &[(u64, Bytes)]) -> Vec<Option<u8>> {
     let mut file = vec![None; (SPAN + REACH) as usize];
     let mut pieces = pieces.to_vec();
     pieces.sort_by_key(|&(o, _)| o);
@@ -97,7 +98,8 @@ proptest! {
 
     /// `merge_bytes` leaves exactly the runs and bytes a serial writer
     /// of the same pieces would: hole-free stretches joined, the piece
-    /// that starts later winning an overlap, nothing bridged.
+    /// that starts later winning an overlap, nothing bridged — and a run
+    /// of one piece is that piece, not a copy of it.
     #[test]
     fn merge_bytes_reproduces_the_serially_written_file(pieces in arb_pieces()) {
         let file = paint(&pieces);
@@ -109,6 +111,13 @@ proptest! {
             let want: Vec<Option<u8>> = file[*o as usize..*o as usize + bytes.len()].to_vec();
             let got: Vec<Option<u8>> = bytes.iter().copied().map(Some).collect();
             prop_assert_eq!(got, want, "run at {}", o);
+            let alone = pieces.iter().find(|(po, d)| po == o && d.len() == bytes.len());
+            let overlapped = pieces.iter().filter(|(po, d)| {
+                !d.is_empty() && *po < o + bytes.len() as u64 && o < &(po + d.len() as u64)
+            });
+            if let (Some((_, d)), 1) = (alone, overlapped.count()) {
+                prop_assert_eq!(d.as_ptr(), bytes.as_ptr(), "run at {} was copied", o);
+            }
         }
     }
 
@@ -122,8 +131,8 @@ proptest! {
         let mut runs = merge_bytes(pieces);
         if !joined {
             runs = runs.into_iter().flat_map(|(o, d)| {
-                let (a, b) = d.split_at(d.len() / 2);
-                [(o, a.to_vec()), (o + a.len() as u64, b.to_vec())]
+                let half = d.len() / 2;
+                [(o, d.slice(..half)), (o + half as u64, d.slice(half..))]
             }).filter(|(_, d)| !d.is_empty()).collect();
         }
         let cover = Cover::new(runs.clone());
@@ -134,7 +143,12 @@ proptest! {
                     inside.then(|| &d[(offset - o) as usize..(offset - o + len) as usize])
                 });
                 let want = if len == 0 { Some(&[][..]) } else { naive };
-                prop_assert_eq!(cover.slice(offset, len), want, "[{}, +{})", offset, len);
+                let got = cover.slice(offset, len);
+                prop_assert_eq!(got.as_deref(), want, "[{}, +{})", offset, len);
+                // A held range is a view of its run, not a copy.
+                if let (Some(got), Some(want)) = (&got, want) {
+                    prop_assert!(len == 0 || got.as_ptr() == want.as_ptr());
+                }
             }
         }
         prop_assert_eq!(cover.slice(u64::MAX, 2), None);
@@ -146,17 +160,19 @@ proptest! {
     #[test]
     fn pieces_invert_concatenation(regions in arb_valid_regions(0)) {
         let total: u64 = regions.iter().map(|&(_, l)| l).sum();
-        let payload: Vec<u8> = (0..total).map(|i| (i % 251) as u8).collect();
+        let payload = Bytes::from((0..total).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
         let cut = pieces(regions.iter().copied(), &payload);
-        prop_assert_eq!(cut.concat_bytes(), payload.clone());
+        prop_assert_eq!(cut.concat_bytes(), payload.to_vec());
         let cover = Cover::new(cut);
         let mut at = 0usize;
         for &(o, l) in &regions {
-            prop_assert_eq!(cover.slice(o, l), Some(&payload[at..at + l as usize]));
+            let got = cover.slice(o, l);
+            prop_assert_eq!(got.as_deref(), Some(&payload[at..at + l as usize]));
+            prop_assert_eq!(got.map(|b| b.as_ptr()), Some(payload[at..].as_ptr()));
             at += l as usize;
         }
         // A payload that runs out early shortens pieces, never panics.
-        let short = pieces(regions.iter().copied(), &payload[..payload.len() / 2]);
+        let short = pieces(regions.iter().copied(), &payload.slice(..payload.len() / 2));
         prop_assert_eq!(short.concat_bytes(), payload[..payload.len() / 2].to_vec());
     }
 }
@@ -166,7 +182,7 @@ trait ConcatBytes {
     fn concat_bytes(&self) -> Vec<u8>;
 }
 
-impl ConcatBytes for Vec<(u64, Vec<u8>)> {
+impl ConcatBytes for Vec<(u64, Bytes)> {
     fn concat_bytes(&self) -> Vec<u8> {
         self.iter().flat_map(|(_, d)| d.iter().copied()).collect()
     }
@@ -190,8 +206,9 @@ fn the_replaced_copies_cases_still_hold() {
     assert_eq!(merge(regions, 1 << 30), vec![(0, 110)]);
     assert!(merge(vec![], 4).is_empty());
     // fileio.rs::{coalesce, coalesce_ranges}
-    let runs = merge_bytes(vec![(10, vec![3, 4]), (0, vec![1, 2]), (2, vec![9])]);
-    assert_eq!(runs, vec![(0, vec![1, 2, 9]), (10, vec![3, 4])]);
+    let piece = |o: u64, d: &'static [u8]| (o, Bytes::from_static(d));
+    let runs = merge_bytes(vec![piece(10, &[3, 4]), piece(0, &[1, 2]), piece(2, &[9])]);
+    assert_eq!(runs, vec![piece(0, &[1, 2, 9]), piece(10, &[3, 4])]);
     assert_eq!(
         merge(vec![(5, 5), (0, 5), (12, 1)], 0),
         vec![(0, 10), (12, 1)]
@@ -214,18 +231,19 @@ fn the_replaced_copies_cases_still_hold() {
         vec![(u64::MAX - 8, 8)]
     );
     // input.rs::RangeBuffers::slice
-    let data = [1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10];
+    let data = Bytes::from_static(&[1u8, 2, 3, 4, 5, 6, 7, 8, 9, 10]);
     let cover = Cover::new(pieces([(10, 4), (20, 6)], &data));
-    assert_eq!(cover.slice(10, 4), Some(&[1u8, 2, 3, 4][..]));
-    assert_eq!(cover.slice(11, 2), Some(&[2u8, 3][..]));
-    assert_eq!(cover.slice(20, 6), Some(&[5u8, 6, 7, 8, 9, 10][..]));
-    assert_eq!(cover.slice(23, 1), Some(&[8u8][..]));
+    let held = |offset, len| cover.slice(offset, len).map(|b| b.to_vec());
+    assert_eq!(held(10, 4), Some(vec![1u8, 2, 3, 4]));
+    assert_eq!(held(11, 2), Some(vec![2u8, 3]));
+    assert_eq!(held(20, 6), Some(vec![5u8, 6, 7, 8, 9, 10]));
+    assert_eq!(held(23, 1), Some(vec![8u8]));
     // Spans that touch in the file are one run once merged, so a
     // straddling range is one slice; a gap in the file breaks it.
-    let data: Vec<u8> = (0..12).collect();
+    let data = Bytes::from((0..12).collect::<Vec<u8>>());
     let cover = Cover::new(merge_bytes(pieces([(0, 4), (4, 6), (20, 2)], &data)));
-    assert_eq!(cover.slice(2, 5), Some(&[2u8, 3, 4, 5, 6][..]));
-    assert_eq!(cover.slice(0, 10), Some(&data[..10]));
+    assert_eq!(cover.slice(2, 5), Some(Bytes::from(vec![2u8, 3, 4, 5, 6])));
+    assert_eq!(cover.slice(0, 10), Some(data.slice(..10)));
     assert_eq!(cover.slice(8, 14), None);
     assert_eq!(cover.slice(2, 9), None);
     assert_eq!(cover.slice(30, 1), None);

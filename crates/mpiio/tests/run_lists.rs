@@ -85,7 +85,7 @@ fn observe(
         let view = FileView::new(ctx.rank() as u64 * STRIDE, regions.clone()).unwrap();
         if write {
             let payload = vec![ctx.rank() as u8 + 1; view.total_bytes() as usize];
-            plane.write_output("out", &view, &payload)
+            plane.write_output("out", &view, payload)
         } else {
             plane.read_views(&[("db", &view)]).map(drop)
         }

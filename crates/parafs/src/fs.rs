@@ -15,9 +15,15 @@
 //! transfer then elapse through engine callbacks, whatever its owner
 //! does) and later *joined* with [`SimFs::io_wait`]. A blocking call is
 //! begin + wait with nothing in between.
+//!
+//! Bytes move as shared, immutable [`Bytes`]: a write hands its buffer to
+//! the store, which keeps that very buffer, and a read returns a view of
+//! what the store holds — taken when the transfer completes, and never
+//! changed by a later write (see [`crate::store`]).
 
 use std::sync::Arc;
 
+use bytes::Bytes;
 use parking_lot::Mutex;
 use simcluster::{RankCtx, SimDuration, SimHandle, SimTime, WakeId};
 
@@ -58,14 +64,14 @@ enum AsyncAction {
     Write {
         path: String,
         offset: u64,
-        data: Vec<u8>,
+        data: Bytes,
     },
 }
 
 /// The completion state shared between an [`AsyncIo`] token and the
 /// stream/callbacks driving it.
 struct AsyncState {
-    result: Option<Result<Vec<u8>, StoreError>>,
+    result: Option<Result<Bytes, StoreError>>,
     /// Rank blocked in [`SimFs::io_wait`], woken on completion.
     waiter: Option<usize>,
 }
@@ -118,7 +124,7 @@ struct FsState {
 
 impl FsState {
     /// Land a write into the store, honoring the capacity limit.
-    fn land_write(&mut self, path: &str, offset: u64, data: &[u8]) -> Result<(), StoreError> {
+    fn land_write(&mut self, path: &str, offset: u64, data: Bytes) -> Result<(), StoreError> {
         if let Some(cap) = self.capacity {
             let end = offset + data.len() as u64;
             let growth = end.saturating_sub(self.store.len(path).unwrap_or(0));
@@ -232,15 +238,17 @@ impl SimFs {
         self.state.lock().store.put(path, data);
     }
 
-    /// Read a file's bytes outside simulated time (for post-run
-    /// verification of outputs).
+    /// A copy of a file's bytes, taken outside simulated time (for
+    /// post-run verification of outputs): one copy, however it was
+    /// written.
     pub fn peek(&self, path: &str) -> Result<Vec<u8>, StoreError> {
-        self.state.lock().store.read_all(path)
+        let st = self.state.lock();
+        st.store.copy_at(path, 0, st.store.len(path).unwrap_or(0))
     }
 
-    /// Read `len` bytes at `offset` outside simulated time.
+    /// A copy of `len` bytes at `offset`, taken outside simulated time.
     pub fn peek_at(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        self.state.lock().store.read_at(path, offset, len)
+        self.state.lock().store.copy_at(path, offset, len)
     }
 
     /// List paths with a prefix outside simulated time.
@@ -276,14 +284,15 @@ impl SimFs {
     }
 
     /// Read `len` bytes at `offset`, charging latency plus contended
-    /// transfer time.
+    /// transfer time. The bytes are a view of the stored buffer where
+    /// one write holds them all.
     pub fn read_at(
         &self,
         ctx: &RankCtx,
         path: &str,
         offset: u64,
         len: u64,
-    ) -> Result<Vec<u8>, StoreError> {
+    ) -> Result<Bytes, StoreError> {
         self.check_range(path, offset, len)?;
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
@@ -294,7 +303,7 @@ impl SimFs {
     }
 
     /// Read a whole file.
-    pub fn read_all(&self, ctx: &RankCtx, path: &str) -> Result<Vec<u8>, StoreError> {
+    pub fn read_all(&self, ctx: &RankCtx, path: &str) -> Result<Bytes, StoreError> {
         let size = {
             let st = self.state.lock();
             st.store.len(path).ok_or_else(|| StoreError::NotFound {
@@ -307,27 +316,17 @@ impl SimFs {
     /// Write `data` at `offset`, charging latency plus contended transfer
     /// time. Creates/extends the file as needed. Fails with
     /// [`StoreError::NoSpace`] — after the transfer, like a real late
-    /// `ENOSPC` — when a capacity is set and would be exceeded.
+    /// `ENOSPC` — when a capacity is set and would be exceeded. The
+    /// buffer moves into the operation and, once landed, is the stored
+    /// copy.
     pub fn write_at(
         &self,
         ctx: &RankCtx,
         path: &str,
         offset: u64,
-        data: &[u8],
+        data: impl Into<Bytes>,
     ) -> Result<(), StoreError> {
-        self.write_at_owned(ctx, path, offset, data.to_vec())
-    }
-
-    /// [`SimFs::write_at`] for a caller that can give its buffer away:
-    /// the bytes move into the in-flight operation instead of being
-    /// copied for it.
-    pub fn write_at_owned(
-        &self,
-        ctx: &RankCtx,
-        path: &str,
-        offset: u64,
-        data: Vec<u8>,
-    ) -> Result<(), StoreError> {
+        let data = data.into();
         let _span = tracelog::span_args(
             tracelog::Lane::Io,
             "fs.write",
@@ -338,7 +337,12 @@ impl SimFs {
     }
 
     /// Replace a file's contents.
-    pub fn write_all(&self, ctx: &RankCtx, path: &str, data: &[u8]) -> Result<(), StoreError> {
+    pub fn write_all(
+        &self,
+        ctx: &RankCtx,
+        path: &str,
+        data: impl Into<Bytes>,
+    ) -> Result<(), StoreError> {
         self.create(ctx, path);
         self.write_at(ctx, path, 0, data)
     }
@@ -369,7 +373,14 @@ impl SimFs {
     /// store mutation lands at completion time, so a killed owner's
     /// write never lands and capacity is checked against the store as it
     /// is then.
-    pub fn write_at_begin(&self, ctx: &RankCtx, path: &str, offset: u64, data: Vec<u8>) -> AsyncIo {
+    pub fn write_at_begin(
+        &self,
+        ctx: &RankCtx,
+        path: &str,
+        offset: u64,
+        data: impl Into<Bytes>,
+    ) -> AsyncIo {
+        let data = data.into();
         tracelog::instant(
             tracelog::Lane::Io,
             "fs.write.begin",
@@ -380,7 +391,7 @@ impl SimFs {
 
     /// Block the calling rank until the op completes, returning the read
     /// bytes (empty for writes) or the completion error.
-    pub fn io_wait(&self, ctx: &RankCtx, op: AsyncIo) -> Result<Vec<u8>, StoreError> {
+    pub fn io_wait(&self, ctx: &RankCtx, op: AsyncIo) -> Result<Bytes, StoreError> {
         loop {
             {
                 let mut a = op.shared.lock();
@@ -417,7 +428,7 @@ impl SimFs {
         self.begin_async(ctx.rank(), len, AsyncAction::Read { path, offset, len })
     }
 
-    fn begin_write(&self, ctx: &RankCtx, path: &str, offset: u64, data: Vec<u8>) -> AsyncIo {
+    fn begin_write(&self, ctx: &RankCtx, path: &str, offset: u64, data: Bytes) -> AsyncIo {
         let (path, bytes) = (path.to_string(), data.len() as u64);
         self.begin_async(ctx.rank(), bytes, AsyncAction::Write { path, offset, data })
     }
@@ -472,15 +483,20 @@ impl SimFs {
                 self.retime(&mut st, now);
                 return;
             };
-            let stream = st.streams.swap_remove(idx);
-            let result = if self.handle.is_dead(stream.rank) {
+            let Stream {
+                rank,
+                shared,
+                action,
+                ..
+            } = st.streams.swap_remove(idx);
+            let result = if self.handle.is_dead(rank) {
                 // The owner was killed with the op in flight: discard the
                 // effect. A dead rank's write never lands.
-                Ok(Vec::new())
+                Ok(Bytes::new())
             } else {
-                match &stream.action {
+                match action {
                     AsyncAction::Read { path, offset, len } => {
-                        let r = st.store.read_at(path, *offset, *len);
+                        let r = st.store.read_at(&path, offset, len);
                         if r.is_ok() {
                             st.counters.bytes_read += len;
                             st.counters.data_ops += 1;
@@ -488,12 +504,12 @@ impl SimFs {
                         r
                     }
                     AsyncAction::Write { path, offset, data } => {
-                        st.land_write(path, *offset, data).map(|()| Vec::new())
+                        st.land_write(&path, offset, data).map(|()| Bytes::new())
                     }
                 }
             };
             self.retime(&mut st, now);
-            let mut a = stream.shared.lock();
+            let mut a = shared.lock();
             a.result = Some(result);
             a.waiter.take()
         };
@@ -527,18 +543,16 @@ impl SimFs {
         if let Some(w) = st.armed.take() {
             self.handle.cancel_wake(w);
         }
-        let n = st.streams.len();
-        if n == 0 {
-            return;
-        }
-        let rate = self.profile.stream_bw(n);
-        // `min_by_key` keeps the first of equal minima: the lowest index.
+        let rate = self.profile.stream_bw(st.streams.len().max(1));
         let first = st.streams.iter_mut().map(|s| {
             s.rate = rate;
             let finish = now + SimDuration::from_secs_f64(s.remaining / rate);
             (finish, &s.shared)
         });
-        let (finish, shared) = first.min_by_key(|&(finish, _)| finish).expect("not empty");
+        // `min_by_key` keeps the first of equal minima: the lowest index.
+        let Some((finish, shared)) = first.min_by_key(|&(finish, _)| finish) else {
+            return; // nothing in flight, nothing to arm
+        };
         let (fs, shared) = (self.clone(), Arc::clone(shared));
         st.armed = Some(
             self.handle
@@ -651,13 +665,13 @@ mod tests {
         let fs = SimFs::new(sim.handle(), "t", test_profile());
         let out = sim.run(|ctx| {
             if ctx.rank() == 0 {
-                fs.write_at(&ctx, "shared", 0, b"rank0 data").unwrap();
+                fs.write_at(&ctx, "shared", 0, &b"rank0 data"[..]).unwrap();
                 ctx.post(1, 1, bytes::Bytes::new(), SimDuration::ZERO);
                 true
             } else {
                 ctx.recv(Some(0), Some(1));
                 let data = fs.read_all(&ctx, "shared").unwrap();
-                data == b"rank0 data"
+                data == b"rank0 data"[..]
             }
         });
         assert!(out.outputs[1]);
@@ -878,7 +892,7 @@ mod tests {
     fn a_rank_killed_mid_write_frees_its_share_and_never_lands() {
         for kill in [false, true] {
             let (fs, secs) = survivor_read_secs(kill, |fs, ctx| {
-                fs.write_at(ctx, "doomed", 0, &vec![5u8; 100_000_000])
+                fs.write_at(ctx, "doomed", 0, vec![5u8; 100_000_000])
                     .unwrap();
             });
             for t in secs {
@@ -1079,10 +1093,10 @@ mod tests {
         let fs = SimFs::new(sim.handle(), "t", test_profile());
         fs.set_capacity(1_000);
         let out = sim.run(|ctx| {
-            fs.write_at(&ctx, "a", 0, &[1u8; 600]).unwrap();
+            fs.write_at(&ctx, "a", 0, vec![1u8; 600]).unwrap();
             // Overwriting in place needs no growth.
-            fs.write_at(&ctx, "a", 0, &[2u8; 600]).unwrap();
-            let err = fs.write_at(&ctx, "b", 0, &[3u8; 600]).unwrap_err();
+            fs.write_at(&ctx, "a", 0, vec![2u8; 600]).unwrap();
+            let err = fs.write_at(&ctx, "b", 0, vec![3u8; 600]).unwrap_err();
             assert!(
                 matches!(
                     err,
@@ -1098,7 +1112,7 @@ mod tests {
             let op = fs.write_at_begin(&ctx, "c", 0, vec![4u8; 500]);
             let err2 = fs.io_wait(&ctx, op).unwrap_err();
             assert!(matches!(err2, StoreError::NoSpace { .. }));
-            fs.write_at(&ctx, "d", 0, &[5u8; 400]).unwrap()
+            fs.write_at(&ctx, "d", 0, vec![5u8; 400]).unwrap()
         });
         let _ = out;
         assert!(fs.peek("b").is_err());

@@ -10,6 +10,7 @@
 //! the `local_disk` profile.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod fs;
 pub mod profile;

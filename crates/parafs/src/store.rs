@@ -1,12 +1,32 @@
 //! The in-memory object store backing a simulated file system.
+//!
+//! A file is its logical length plus sorted, disjoint extents of
+//! immutable [`Bytes`]: a write inserts its own buffer as an extent and
+//! trims the extents it overlaps by slicing them, so no buffer a reader
+//! holds is ever mutated and nothing is zero-padded. A read inside one
+//! extent is a view of it; a read across extents or holes assembles one
+//! buffer, with zeros where nothing was written. Lengths and totals count
+//! the logical length, holes included — what a capacity limit sees.
 
 use std::collections::BTreeMap;
+
+use bytes::Bytes;
 
 /// A flat namespace of files (paths are plain strings; `/`-separated
 /// prefixes act as directories for listing purposes).
 #[derive(Debug, Default, Clone)]
 pub struct FileStore {
-    files: BTreeMap<String, Vec<u8>>,
+    files: BTreeMap<String, File>,
+    /// Sum of every file's logical length.
+    total: u64,
+}
+
+/// One file: its logical length and what was written, keyed by offset.
+#[derive(Debug, Default, Clone)]
+struct File {
+    len: u64,
+    /// Non-empty, disjoint extents; a byte in no extent reads as zero.
+    extents: BTreeMap<u64, Bytes>,
 }
 
 /// Errors from store operations.
@@ -71,6 +91,72 @@ impl std::fmt::Display for StoreError {
 
 impl std::error::Error for StoreError {}
 
+impl File {
+    /// The extents overlapping `[offset, end)`, in offset order.
+    fn overlapping(&self, offset: u64, end: u64) -> impl Iterator<Item = (u64, &Bytes)> + '_ {
+        // The one extent that may start before `offset` and reach into it.
+        let before = self
+            .extents
+            .range(..offset)
+            .next_back()
+            .filter(|(&o, b)| o + b.len() as u64 > offset);
+        let inside = self.extents.range(offset..end);
+        before.into_iter().chain(inside).map(|(&o, b)| (o, b))
+    }
+
+    /// `[offset, offset + len)`, which must lie inside the file: a view
+    /// when one extent holds it all, else one assembled buffer.
+    fn read(&self, offset: u64, len: u64) -> Bytes {
+        let end = offset + len;
+        if let Some((o, b)) = self.overlapping(offset, end).next() {
+            if o <= offset && end <= o + b.len() as u64 {
+                return b.slice((offset - o) as usize..(end - o) as usize);
+            }
+        }
+        Bytes::from(self.assemble(offset, len))
+    }
+
+    /// `[offset, offset + len)` copied once into a fresh buffer, zeros
+    /// for the holes.
+    fn assemble(&self, offset: u64, len: u64) -> Vec<u8> {
+        let end = offset + len;
+        let mut out = Vec::with_capacity(len as usize);
+        for (o, b) in self.overlapping(offset, end) {
+            let lo = o.max(offset);
+            let hi = (o + b.len() as u64).min(end);
+            out.resize((lo - offset) as usize, 0);
+            out.extend_from_slice(&b[(lo - o) as usize..(hi - o) as usize]);
+        }
+        out.resize(len as usize, 0);
+        out
+    }
+
+    /// Land `data` at `offset`: trim what it covers out of the extents
+    /// it overlaps (by slicing — their buffers are untouched), insert it,
+    /// and extend the logical length to its end.
+    fn write(&mut self, offset: u64, data: Bytes) {
+        let end = offset + data.len() as u64;
+        if !data.is_empty() {
+            let hit: Vec<(u64, Bytes)> = self
+                .overlapping(offset, end)
+                .map(|(o, b)| (o, b.clone()))
+                .collect();
+            for (o, b) in hit {
+                self.extents.remove(&o);
+                let b_end = o + b.len() as u64;
+                if o < offset {
+                    self.extents.insert(o, b.slice(..(offset - o) as usize));
+                }
+                if end < b_end {
+                    self.extents.insert(end, b.slice((end - o) as usize..));
+                }
+            }
+            self.extents.insert(offset, data);
+        }
+        self.len = self.len.max(end);
+    }
+}
+
 impl FileStore {
     /// An empty store.
     pub fn new() -> FileStore {
@@ -79,12 +165,21 @@ impl FileStore {
 
     /// Create or truncate a file.
     pub fn create(&mut self, path: &str) {
-        self.files.insert(path.to_string(), Vec::new());
+        self.replace(path, File::default());
     }
 
     /// Replace a file's entire contents.
-    pub fn put(&mut self, path: &str, data: Vec<u8>) {
-        self.files.insert(path.to_string(), data);
+    pub fn put(&mut self, path: &str, data: impl Into<Bytes>) {
+        let mut file = File::default();
+        file.write(0, data.into());
+        self.replace(path, file);
+    }
+
+    fn replace(&mut self, path: &str, file: File) {
+        self.total += file.len;
+        if let Some(old) = self.files.insert(path.to_string(), file) {
+            self.total -= old.len;
+        }
     }
 
     /// Whether the file exists.
@@ -94,7 +189,7 @@ impl FileStore {
 
     /// File size, if it exists.
     pub fn len(&self, path: &str) -> Option<u64> {
-        self.files.get(path).map(|d| d.len() as u64)
+        self.files.get(path).map(|f| f.len)
     }
 
     /// Whether the store holds no files.
@@ -102,52 +197,60 @@ impl FileStore {
         self.files.is_empty()
     }
 
-    /// Read `len` bytes at `offset`.
-    pub fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        let data = self.files.get(path).ok_or_else(|| StoreError::NotFound {
+    /// The file at `path`, if `[offset, offset + len)` lies inside it.
+    fn range(&self, path: &str, offset: u64, len: u64) -> Result<&File, StoreError> {
+        let file = self.files.get(path).ok_or_else(|| StoreError::NotFound {
             path: path.to_string(),
         })?;
-        let end = offset
-            .checked_add(len)
-            .filter(|&e| e <= data.len() as u64)
-            .ok_or_else(|| StoreError::OutOfRange {
+        if offset.checked_add(len).is_none_or(|e| e > file.len) {
+            return Err(StoreError::OutOfRange {
                 path: path.to_string(),
                 offset,
                 len,
-                size: data.len() as u64,
-            })?;
-        Ok(data[offset as usize..end as usize].to_vec())
+                size: file.len,
+            });
+        }
+        Ok(file)
+    }
+
+    /// Read `len` bytes at `offset`: a view of the stored buffer when
+    /// one write holds them all, else one assembled copy.
+    pub fn read_at(&self, path: &str, offset: u64, len: u64) -> Result<Bytes, StoreError> {
+        Ok(self.range(path, offset, len)?.read(offset, len))
     }
 
     /// Read a whole file.
-    pub fn read_all(&self, path: &str) -> Result<Vec<u8>, StoreError> {
-        self.files
-            .get(path)
-            .cloned()
-            .ok_or_else(|| StoreError::NotFound {
-                path: path.to_string(),
-            })
+    pub fn read_all(&self, path: &str) -> Result<Bytes, StoreError> {
+        let len = self.len(path).unwrap_or(0);
+        self.read_at(path, 0, len)
     }
 
-    /// Write at `offset`, zero-padding any gap and extending as needed.
-    /// Creates the file if absent (like O_CREAT).
-    pub fn write_at(&mut self, path: &str, offset: u64, data: &[u8]) {
+    /// [`FileStore::read_at`] into a fresh buffer of the caller's own:
+    /// one copy, whatever the extents.
+    pub fn copy_at(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
+        Ok(self.range(path, offset, len)?.assemble(offset, len))
+    }
+
+    /// Write at `offset`, extending the file as needed; bytes between
+    /// the old end and `offset` are a hole that reads as zeros. Creates
+    /// the file if absent (like O_CREAT). The store keeps `data` itself.
+    pub fn write_at(&mut self, path: &str, offset: u64, data: impl Into<Bytes>) {
         let file = self.files.entry(path.to_string()).or_default();
-        let end = offset as usize + data.len();
-        if file.len() < end {
-            file.resize(end, 0);
-        }
-        file[offset as usize..end].copy_from_slice(data);
+        let before = file.len;
+        file.write(offset, data.into());
+        self.total += file.len - before;
     }
 
     /// Delete a file.
     pub fn delete(&mut self, path: &str) -> Result<(), StoreError> {
-        self.files
+        let file = self
+            .files
             .remove(path)
-            .map(|_| ())
             .ok_or_else(|| StoreError::NotFound {
                 path: path.to_string(),
-            })
+            })?;
+        self.total -= file.len;
+        Ok(())
     }
 
     /// Paths starting with `prefix`, in lexicographic order.
@@ -159,9 +262,9 @@ impl FileStore {
             .collect()
     }
 
-    /// Total bytes stored.
+    /// Total logical bytes stored, holes included.
     pub fn total_bytes(&self) -> u64 {
-        self.files.values().map(|d| d.len() as u64).sum()
+        self.total
     }
 }
 
@@ -173,8 +276,8 @@ mod tests {
     fn put_read_round_trip() {
         let mut s = FileStore::new();
         s.put("a/b.txt", b"hello world".to_vec());
-        assert_eq!(s.read_all("a/b.txt").unwrap(), b"hello world");
-        assert_eq!(s.read_at("a/b.txt", 6, 5).unwrap(), b"world");
+        assert_eq!(s.read_all("a/b.txt").unwrap(), b"hello world"[..]);
+        assert_eq!(s.read_at("a/b.txt", 6, 5).unwrap(), b"world"[..]);
         assert_eq!(s.len("a/b.txt"), Some(11));
     }
 
@@ -201,13 +304,30 @@ mod tests {
     }
 
     #[test]
-    fn write_at_extends_and_pads() {
+    fn write_at_extends_and_reads_holes_as_zeros() {
         let mut s = FileStore::new();
-        s.write_at("f", 4, b"abc");
+        s.write_at("f", 4, b"abc".to_vec());
         assert_eq!(s.read_all("f").unwrap(), vec![0, 0, 0, 0, b'a', b'b', b'c']);
-        s.write_at("f", 0, b"zz");
-        assert_eq!(s.read_at("f", 0, 2).unwrap(), b"zz");
+        s.write_at("f", 0, b"zz".to_vec());
+        assert_eq!(s.read_at("f", 0, 2).unwrap(), b"zz"[..]);
         assert_eq!(s.len("f"), Some(7));
+        assert_eq!(s.copy_at("f", 1, 5).unwrap(), vec![b'z', 0, 0, b'a', b'b']);
+        // A zero-length write past the end still extends the file.
+        s.write_at("f", 10, Vec::new());
+        assert_eq!(s.len("f"), Some(10));
+        assert_eq!(s.total_bytes(), 10);
+    }
+
+    #[test]
+    fn an_overwrite_trims_by_slicing_and_leaves_held_views_alone() {
+        let mut s = FileStore::new();
+        s.put("f", (0u8..10).collect::<Vec<u8>>());
+        let held = s.read_at("f", 2, 6).unwrap();
+        s.write_at("f", 3, vec![9u8; 3]);
+        assert_eq!(held, vec![2, 3, 4, 5, 6, 7]);
+        assert_eq!(s.read_all("f").unwrap(), vec![0, 1, 2, 9, 9, 9, 6, 7, 8, 9]);
+        // The untouched tail is still a view of the first write.
+        assert_eq!(s.read_at("f", 6, 4).unwrap().as_ptr(), held[4..].as_ptr());
     }
 
     #[test]
@@ -235,5 +355,11 @@ mod tests {
         s.put("a", vec![0; 10]);
         s.put("b", vec![0; 5]);
         assert_eq!(s.total_bytes(), 15);
+        s.write_at("b", 20, vec![1; 4]);
+        s.put("a", vec![0; 3]);
+        assert_eq!(s.total_bytes(), 27);
+        s.delete("b").unwrap();
+        s.create("a");
+        assert_eq!(s.total_bytes(), 0);
     }
 }

@@ -76,7 +76,7 @@ proptest! {
             let mut mirror: Vec<u8> = Vec::new();
             for (i, &(off, len)) in chunks2.iter().enumerate() {
                 let data = vec![(i % 251) as u8; len];
-                fs2.write_at(&ctx, "f", off, &data).unwrap();
+                fs2.write_at(&ctx, "f", off, data.clone()).unwrap();
                 let end = off as usize + len;
                 if mirror.len() < end {
                     mirror.resize(end, 0);

@@ -1,6 +1,10 @@
 //! Fragment readers: turning raw file bytes (or ranges of them) into a
 //! searchable [`SubjectSource`].
 
+use std::fmt;
+use std::ops::Deref;
+use std::sync::Arc;
+
 use blast_core::alphabet::Molecule;
 use blast_core::search::SubjectSource;
 use blast_core::seq::SubjectView;
@@ -14,7 +18,9 @@ use crate::volume::{EncodedVolume, VolumeIndex};
 /// pioBLAST workers build this from four ranged reads of the shared files
 /// ([`FragmentData::from_ranges`] — the paper's parallel input stage);
 /// mpiBLAST workers build it from whole fragment files they copied
-/// ([`FragmentData::from_volume`]).
+/// ([`FragmentData::from_file_bytes`]). The residue and defline buffers
+/// are taken as given — any owner of bytes, such as a view of what a
+/// file system read returned — and shared, never copied.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FragmentData {
     /// Molecule type.
@@ -27,9 +33,42 @@ pub struct FragmentData {
     /// Defline offsets rebased to `hdr`.
     hdr_offsets: Vec<u64>,
     /// Concatenated encoded residues.
-    seq: Vec<u8>,
+    seq: Shared,
     /// Concatenated defline bytes.
-    hdr: Vec<u8>,
+    hdr: Shared,
+}
+
+/// Bytes kept alive by whatever owns them (a `Vec`, a shared view of a
+/// file system's buffer), behind a std `Arc` so clones share them.
+#[derive(Clone)]
+struct Shared(Arc<dyn AsRef<[u8]> + Send + Sync>);
+
+impl Shared {
+    fn new(owner: impl AsRef<[u8]> + Send + Sync + 'static) -> Shared {
+        Shared(Arc::new(owner))
+    }
+}
+
+impl Deref for Shared {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        (*self.0).as_ref()
+    }
+}
+
+impl PartialEq for Shared {
+    fn eq(&self, other: &Shared) -> bool {
+        **self == **other
+    }
+}
+
+impl Eq for Shared {}
+
+impl fmt::Debug for Shared {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(f, "{} bytes", self.len())
+    }
 }
 
 impl FragmentData {
@@ -37,15 +76,17 @@ impl FragmentData {
     /// slices of the `.idx` offset tables plus the `.seq`/`.hdr` ranges.
     ///
     /// This is the pioBLAST input path: each buffer is exactly what one
-    /// `read_at` of the shared files returns; nothing else is needed.
+    /// `read_at` of the shared files returns; nothing else is needed, and
+    /// `seq`/`hdr` are kept as they are.
     pub fn from_ranges(
         molecule: Molecule,
         base_oid: u64,
         idx_seq_table: &[u8],
         idx_hdr_table: &[u8],
-        seq: Vec<u8>,
-        hdr: Vec<u8>,
+        seq: impl AsRef<[u8]> + Send + Sync + 'static,
+        hdr: impl AsRef<[u8]> + Send + Sync + 'static,
     ) -> Result<FragmentData, CodecError> {
+        let (seq, hdr) = (Shared::new(seq), Shared::new(hdr));
         let seq_offsets = decode_rebased_table(idx_seq_table, "seq offset table")?;
         let hdr_offsets = decode_rebased_table(idx_hdr_table, "hdr offset table")?;
         if seq_offsets.len() != hdr_offsets.len() {
@@ -75,9 +116,10 @@ impl FragmentData {
     /// local storage and are now loaded for searching).
     pub fn from_file_bytes(
         idx: &[u8],
-        seq: Vec<u8>,
-        hdr: Vec<u8>,
+        seq: impl AsRef<[u8]> + Send + Sync + 'static,
+        hdr: impl AsRef<[u8]> + Send + Sync + 'static,
     ) -> Result<FragmentData, CodecError> {
+        let (seq, hdr) = (Shared::new(seq), Shared::new(hdr));
         let index = VolumeIndex::decode(idx)?;
         if index.seq_offsets.last().copied().unwrap_or(0) != seq.len() as u64
             || index.hdr_offsets.last().copied().unwrap_or(0) != hdr.len() as u64
@@ -104,8 +146,8 @@ impl FragmentData {
             base_oid: vol.index.base_oid,
             seq_offsets: vol.index.seq_offsets.clone(),
             hdr_offsets: vol.index.hdr_offsets.clone(),
-            seq: vol.seq.clone(),
-            hdr: vol.hdr.clone(),
+            seq: Shared::new(vol.seq.clone()),
+            hdr: Shared::new(vol.hdr.clone()),
         }
     }
 
@@ -126,8 +168,12 @@ impl FragmentData {
                 .iter()
                 .map(|&o| o - spec.hdr_range.0)
                 .collect(),
-            seq: vol.seq[spec.seq_range.0 as usize..spec.seq_range.1 as usize].to_vec(),
-            hdr: vol.hdr[spec.hdr_range.0 as usize..spec.hdr_range.1 as usize].to_vec(),
+            seq: Shared::new(
+                vol.seq[spec.seq_range.0 as usize..spec.seq_range.1 as usize].to_vec(),
+            ),
+            hdr: Shared::new(
+                vol.hdr[spec.hdr_range.0 as usize..spec.hdr_range.1 as usize].to_vec(),
+            ),
         }
     }
 
@@ -141,8 +187,9 @@ impl FragmentData {
         self.seq.len() as u64
     }
 
-    /// Total bytes of all buffers (memory footprint; equals the bytes read
-    /// from the file system to build it, minus the index slices).
+    /// Total bytes of all buffers (equals the bytes read from the file
+    /// system to build it, minus the index slices; a view counts its own
+    /// length, whoever else shares its allocation).
     pub fn data_bytes(&self) -> u64 {
         (self.seq.len() + self.hdr.len() + 16 * self.seq_offsets.len()) as u64
     }

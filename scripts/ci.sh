@@ -101,6 +101,21 @@ cargo test --release -q -p mpiio --lib a_short_chunk_from_a_peer_aggregator_is_a
 # both profiles (release used to wrap it into a ~2^64-byte read), at the
 # read_fragments level and through a real dynamic worker.
 cargo test --release -q -p pioblast --lib inverted_range
+# A query or fragment index off the wire is checked where it is decoded:
+# a forged submission (pio master, both lowerings; mpiBLAST master) or
+# assignment (mpiBLAST worker) is a typed error naming the sender and the
+# index, every rank released — it used to panic the receiving rank.
+cargo test --release -q -p pioblast --lib a_master_rejects_a_submission_for_a_query_outside_the_batch
+cargo test --release -q -p mpiblast --lib outside_the_set
+# One store representation: random operation sequences and the four
+# workload write patterns give the extent store the same bytes, lengths,
+# totals and errors as the dense store it replaced (kept verbatim in the
+# test), and no read changes under a later write.
+cargo test --release -q -p parafs --test store_model
+# One copy of every byte: a read of a preloaded file and every fragment
+# read_fragments builds point into the store's own buffers, and a read
+# taken before an overwrite keeps the old bytes.
+cargo test --release -q --test zero_copy
 # A trace whose tracer dropped events says so in its export, and
 # trace-check refuses it with the count; a healthy export has no such
 # line, so every trace below stays byte-identical.
