@@ -96,7 +96,7 @@ without --recover always fails fast.
 --threads N (pio only) shards each granted fragment's subjects across N
 intra-rank compute slots with a deterministic merge — output bytes never
 change. N must be between 1 and the platform's cores per node (altix 16,
-blade 2, manycore 64).
+blade 4, manycore 64).
 
 --trace writes a Chrome trace_event JSON (loadable in Perfetto or
 chrome://tracing): one process per rank, one thread per subsystem lane.
@@ -533,8 +533,8 @@ impl<'a> Job<'a> {
 fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     let program = args.require("program")?.to_string();
     let (sim, job) = Job::load(args, false)?;
-    let failed = |e: &dyn std::fmt::Display| CliError(format!("run failed: {e}"));
-    let (elapsed, stats) = match program.as_str() {
+    // Both programs report failure as one `PioError` per rank.
+    let o = match program.as_str() {
         "mpi" => {
             let nfrags = job.nfrags.unwrap_or(job.nprocs - 1);
             let fragment_names = stage_fragments(&job.env.shared, &job.db, nfrags);
@@ -551,11 +551,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                 )
             };
             args.reject_unused()?;
-            let o = sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg));
-            if let Some(e) = o.outputs.iter().find_map(|r| r.as_ref().err()) {
-                return Err(failed(e));
-            }
-            (o.elapsed, o.stats)
+            sim.run(|ctx| mpiblast::run_rank(&ctx, &cfg))
         }
         "pio" => {
             let cfg = PioBlastConfig {
@@ -576,11 +572,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
                 ..job.pio_config(args)?
             };
             args.reject_unused()?;
-            let o = sim.run(|ctx| pioblast::run_rank(&ctx, &cfg));
-            if let Some(e) = o.outputs.iter().find_map(|r| r.as_ref().err()) {
-                return Err(failed(e));
-            }
-            (o.elapsed, o.stats)
+            sim.run(|ctx| pioblast::run_rank(&ctx, &cfg))
         }
         other => {
             return Err(CliError(format!(
@@ -588,21 +580,24 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
             )))
         }
     };
+    if let Some(e) = o.outputs.iter().find_map(|r| r.as_ref().err()) {
+        return Err(CliError(format!("run failed: {e}")));
+    }
     let report = job
         .env
         .shared
         .peek(OUTPUT_PATH)
         .map_err(|e| CliError(format!("no report produced: {e}")))?;
     fs::write(job.out, &report)?;
-    let (_, trace_note) = job.finish_trace(elapsed)?;
+    let (_, trace_note) = job.finish_trace(o.elapsed)?;
     Ok(format!(
         "{program}BLAST, {} processes on {}: {:.3}s virtual time, {} messages, {} events fired of {} scheduled, report {} bytes -> {}{trace_note}",
         job.nprocs,
         job.db.alias.title,
-        elapsed.as_secs_f64(),
-        stats.messages,
-        stats.events,
-        stats.scheduled,
+        o.elapsed.as_secs_f64(),
+        o.stats.messages,
+        o.stats.events,
+        o.stats.scheduled,
         report.len(),
         job.out
     ))

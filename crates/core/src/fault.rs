@@ -1,4 +1,5 @@
-//! Fault-tolerance policy and error types for the pioBLAST run.
+//! Fault-tolerance policy of the pioBLAST run, and the error type it
+//! shares with mpiBLAST (re-exported from the `mpiblast` substrate).
 //!
 //! The protocol that *implements* these policies lives in
 //! [`crate::runtime`]: one event-driven master/worker state-machine pair
@@ -9,7 +10,9 @@
 //!   scatter, whose binomial trees deadlock the moment a rank dies (like
 //!   real MPI without fault tolerance);
 //! * the point-to-point lowering (`Recover`, and every service-mode run)
-//!   sweeps worker liveness while it waits. Under `Recover` (dynamic
+//!   sweeps worker liveness while it waits, and a worker that returned
+//!   its own error has left the run as surely as a killed one. Under
+//!   `Recover` (dynamic
 //!   schedule only) a dead worker's fragments are re-queued to survivors
 //!   and the collection epoch restarts, producing byte-identical output;
 //!   with [`checkpointing`](crate::runtime) enabled, only the victim's
@@ -30,8 +33,6 @@
 //! prefix on `SUBMIT_REQ`/`SUBMIT`/`ASSIGN`/`DONE` payloads; mismatching
 //! epochs are discarded.
 
-use std::fmt;
-
 /// Fault-tolerance mode of a pioBLAST run.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum FaultMode {
@@ -47,64 +48,9 @@ pub enum FaultMode {
     Recover,
 }
 
-/// Why a pioBLAST run could not complete.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum PioError {
-    /// A worker died and nobody asked to recover (reported by the master
-    /// under the point-to-point lowering without `Recover`).
-    WorkerDied {
-        /// The dead rank.
-        rank: usize,
-    },
-    /// Every worker died; recovery has nobody left to reassign to.
-    AllWorkersDied,
-    /// The master died (reported by surviving workers).
-    MasterDied,
-    /// The master told this worker to abandon the run.
-    Aborted,
-    /// A malformed or out-of-place message.
-    Protocol(String),
-    /// The input stage failed to read or materialize a fragment.
-    Input(crate::input::InputError),
-    /// The output stage could not land its bytes (e.g. a full file
-    /// system): the run degrades to a typed error instead of aborting.
-    Output(parafs::StoreError),
-    /// The configuration combines knobs the runtime does not support
-    /// (rejected up front by `PioBlastConfig::validate`, on every rank).
-    UnsupportedConfig(String),
-}
-
-impl From<crate::input::InputError> for PioError {
-    fn from(e: crate::input::InputError) -> PioError {
-        PioError::Input(e)
-    }
-}
-
-/// Bytes off the wire that do not decode are a protocol error.
-impl From<seqfmt::codec::CodecError> for PioError {
-    fn from(e: seqfmt::codec::CodecError) -> PioError {
-        PioError::Protocol(e.to_string())
-    }
-}
-
-impl fmt::Display for PioError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            PioError::WorkerDied { rank } => write!(f, "worker rank {rank} died"),
-            PioError::AllWorkersDied => write!(f, "every worker died"),
-            PioError::MasterDied => write!(f, "master died"),
-            PioError::Aborted => write!(f, "run aborted by the master"),
-            PioError::Protocol(what) => write!(f, "protocol error: {what}"),
-            PioError::Input(e) => write!(f, "input stage failed: {e}"),
-            PioError::Output(e) => write!(f, "output stage failed: {e}"),
-            PioError::UnsupportedConfig(what) => {
-                write!(f, "unsupported configuration: {what}")
-            }
-        }
-    }
-}
-
-impl std::error::Error for PioError {}
+// Why a run could not complete: one vocabulary for both programs,
+// defined beside `RankReport` in the shared substrate.
+pub use mpiblast::PioError;
 
 #[cfg(test)]
 mod tests {

@@ -21,54 +21,13 @@
 
 use blast_core::alphabet::Molecule;
 use mpiio::{merge, Cover, FileView, IoPlane};
-use parafs::StoreError;
 use seqfmt::FragmentData;
-
-use std::fmt;
 
 use crate::proto::FragmentAssignment;
 
-/// Why the input stage failed.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum InputError {
-    /// The requested file range is not covered by the runs read.
-    Uncovered {
-        /// Requested absolute file offset.
-        offset: u64,
-        /// Requested length in bytes.
-        len: u64,
-    },
-    /// A database file could not be read.
-    Store(StoreError),
-    /// The read bytes do not form a consistent fragment.
-    Fragment(String),
-    /// A setup file (alias, query FASTA, volume index) failed to decode.
-    Malformed(String),
-}
-
-impl fmt::Display for InputError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            InputError::Uncovered { offset, len } => {
-                write!(
-                    f,
-                    "range [{offset}, {offset}+{len}) not covered by read spans"
-                )
-            }
-            InputError::Store(e) => write!(f, "database read failed: {e}"),
-            InputError::Fragment(msg) => write!(f, "inconsistent fragment: {msg}"),
-            InputError::Malformed(msg) => write!(f, "malformed input: {msg}"),
-        }
-    }
-}
-
-impl std::error::Error for InputError {}
-
-impl From<StoreError> for InputError {
-    fn from(e: StoreError) -> InputError {
-        InputError::Store(e)
-    }
-}
+// Why the input stage failed: defined beside `PioError` in the shared
+// substrate, which mpiBLAST's setup reports through too.
+pub use mpiblast::InputError;
 
 /// A fragment's four byte ranges as `(file, offset, len)` — `file` 0, 1
 /// or 2 for the volume's `.idx`, `.seq` or `.hdr` — in the order
@@ -225,16 +184,5 @@ mod tests {
             other => panic!("expected a fragment error, got {other:?}"),
         }
         assert_eq!(fs.counters().data_ops, 0, "nothing was read for it");
-    }
-
-    #[test]
-    fn store_errors_convert_into_input_errors() {
-        let e: InputError = StoreError::NotFound {
-            path: "db/x.idx".into(),
-        }
-        .into();
-        assert!(e.to_string().contains("database read failed"));
-        let e = InputError::Uncovered { offset: 8, len: 14 };
-        assert!(e.to_string().contains("not covered"));
     }
 }

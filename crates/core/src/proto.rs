@@ -46,23 +46,3 @@ wire_struct!(PartitionMessage {
     fragments: Vec<FragmentAssignment>,
     volumes: Vec<String>,
 });
-
-// The even contiguous split now lives with the scheduler primitives in
-// `mpisim::sched` (the runtime and the mpiBLAST baseline both use it);
-// re-exported here for compatibility.
-pub use mpisim::sched::chunk_evenly;
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn chunk_evenly_partitions_in_order() {
-        let chunks = chunk_evenly((0..10).collect(), 3);
-        assert_eq!(chunks, vec![vec![0, 1, 2], vec![3, 4, 5], vec![6, 7, 8, 9]]);
-        let chunks = chunk_evenly(Vec::<u8>::new(), 2);
-        assert_eq!(chunks, vec![vec![], vec![]]);
-        let chunks = chunk_evenly(vec![1], 3);
-        assert_eq!(chunks.iter().flatten().count(), 1);
-    }
-}

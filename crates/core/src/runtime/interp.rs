@@ -1245,7 +1245,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 while let Some(joined) = self.io.checkpoint_join() {
                     ckpt_landed(joined);
                 }
-                if self.policy.recovers() || self.policy.checkpoint {
+                if self.policy.recovers() {
                     // Same contract for the staging tier: anything the
                     // master is about to acknowledge must have drained
                     // out of this node's staging volume. Fault-free runs

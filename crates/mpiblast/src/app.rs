@@ -17,8 +17,6 @@
 //! paper quantifies (Table 1: 1007 s of output time against pioBLAST's
 //! 15.4 s); it is reproduced here structurally, not hard-coded.
 
-use std::fmt;
-
 use blast_core::extend::ExtendScratch;
 use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
@@ -27,9 +25,11 @@ use bytes::Bytes;
 use mpiio::{FileView, IoPlane, PlaneConfig};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
+use parafs::StoreError;
 use seqfmt::{FragmentData, VolumeIndex, Wire};
-use simcluster::{PhaseTimes, RankCtx};
+use simcluster::{Message, PhaseTimes, RankCtx};
 
+use crate::error::{InputError, PioError};
 use crate::model::ComputeModel;
 use crate::phases;
 use crate::platform::{ClusterEnv, Platform};
@@ -53,76 +53,6 @@ const TAG_FRAG_FAILED: u64 = 9;
 /// No-more-fragments sentinel.
 const FRAG_NONE: u32 = u32::MAX;
 
-/// Why an mpiBLAST run failed instead of completing.
-///
-/// Stock mpiBLAST deadlocks when a rank disappears; with
-/// [`MpiBlastConfig::fault_detection`] enabled the job fails fast with one
-/// of these instead. Malformed protocol traffic (an unexpected tag) is
-/// always reported this way rather than panicking.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum ProtocolError {
-    /// A rank received a message tag its protocol state cannot accept.
-    UnexpectedTag {
-        /// Which role received it ("master" or "worker").
-        role: &'static str,
-        /// The offending tag.
-        tag: u64,
-    },
-    /// The master detected a dead worker and aborted the job.
-    WorkerDied {
-        /// The dead worker's rank.
-        rank: usize,
-    },
-    /// A worker could not load a fragment it was assigned (a missing or
-    /// inconsistent fragment file) and said so before giving up.
-    WorkerFailed {
-        /// The failed worker's rank.
-        rank: usize,
-        /// The worker's own error.
-        what: String,
-    },
-    /// A worker detected that the master died.
-    MasterDied,
-    /// A worker was told to abort by the master (another rank died or
-    /// failed).
-    Aborted,
-    /// Shared or private storage failed (e.g. a full file system); the
-    /// run degrades to a typed error instead of aborting.
-    Storage(String),
-    /// A received frame was truncated or otherwise undecodable.
-    Malformed(String),
-}
-
-impl fmt::Display for ProtocolError {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        match self {
-            ProtocolError::UnexpectedTag { role, tag } => {
-                write!(f, "{role} got unexpected tag {tag}")
-            }
-            ProtocolError::WorkerDied { rank } => write!(f, "worker rank {rank} died"),
-            ProtocolError::WorkerFailed { rank, what } => {
-                write!(f, "worker rank {rank} failed: {what}")
-            }
-            ProtocolError::MasterDied => write!(f, "master rank died"),
-            ProtocolError::Aborted => write!(f, "aborted by master: a rank died or failed"),
-            ProtocolError::Storage(what) => write!(f, "storage failed: {what}"),
-            ProtocolError::Malformed(what) => write!(f, "malformed frame: {what}"),
-        }
-    }
-}
-
-impl std::error::Error for ProtocolError {}
-
-impl From<seqfmt::codec::CodecError> for ProtocolError {
-    fn from(e: seqfmt::codec::CodecError) -> ProtocolError {
-        ProtocolError::Malformed(e.to_string())
-    }
-}
-
-fn storage(e: parafs::StoreError) -> ProtocolError {
-    ProtocolError::Storage(e.to_string())
-}
-
 /// Configuration of one mpiBLAST run.
 pub struct MpiBlastConfig {
     /// Machine description.
@@ -141,7 +71,7 @@ pub struct MpiBlastConfig {
     pub query_path: String,
     /// Output report path on the shared file system.
     pub output_path: String,
-    /// Detect dead ranks and fail fast with a typed [`ProtocolError`]
+    /// Detect dead ranks and fail fast with a typed [`PioError`]
     /// instead of deadlocking (stock MPI behaviour). Detection covers the
     /// scheduling and output epochs; it does not change fault-free timing
     /// or output bytes.
@@ -185,7 +115,7 @@ pub struct RankReport {
 
 /// The per-rank body of an mpiBLAST run; call from every rank of a
 /// simulation.
-pub fn run_rank(ctx: &RankCtx, cfg: &MpiBlastConfig) -> Result<RankReport, ProtocolError> {
+pub fn run_rank(ctx: &RankCtx, cfg: &MpiBlastConfig) -> Result<RankReport, PioError> {
     assert!(ctx.nranks() >= 2, "mpiBLAST needs a master and a worker");
     let comm = Comm::new(ctx, cfg.platform.net);
     if ctx.rank() == MASTER {
@@ -203,11 +133,29 @@ fn abort_workers(comm: &Comm, live: &Liveness) {
     }
 }
 
-fn run_master(
-    ctx: &RankCtx,
-    comm: &Comm,
-    cfg: &MpiBlastConfig,
-) -> Result<RankReport, ProtocolError> {
+/// The failure a worker reported in its `TAG_FRAG_FAILED`.
+fn frag_failed(m: Message) -> PioError {
+    PioError::WorkerFailed {
+        rank: m.src,
+        what: String::from_utf8_lossy(&m.payload).into_owned(),
+    }
+}
+
+/// Why the sweep found worker `rank` gone. One that failed a fragment
+/// sent `TAG_FRAG_FAILED` before returning, so that message is already
+/// queued (perhaps still in flight) and names the failure, even when
+/// the master swept before reading it; a killed worker is a death.
+fn departed(comm: &Comm, rank: usize) -> PioError {
+    let report = if comm.ctx().is_dead(rank) {
+        None
+    } else {
+        comm.recv_timeout(Some(rank), Some(TAG_FRAG_FAILED), default_sweep())
+            .ok()
+    };
+    report.map_or(PioError::WorkerDied { rank }, frag_failed)
+}
+
+fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankReport, PioError> {
     let shared = &cfg.env.shared;
     let mut phases = PhaseTimes::new();
     let now = || ctx.now();
@@ -220,14 +168,15 @@ fn run_master(
     let start = now();
     let setup = || {
         let idx_path = format!("{}.idx", cfg.fragment_names[0]);
-        let idx_bytes = shared.read_all(ctx, &idx_path).map_err(storage)?;
+        let idx_bytes = shared.read_all(ctx, &idx_path).map_err(InputError::Store)?;
         let index = VolumeIndex::decode(&idx_bytes)
-            .map_err(|e| ProtocolError::Malformed(format!("fragment index {idx_path}: {e}")))?;
-        let query_text = shared.read_all(ctx, &cfg.query_path).map_err(storage)?;
-        let queries = fasta::parse(index.molecule, &query_text).map_err(|e| {
-            ProtocolError::Malformed(format!("query FASTA {}: {e}", cfg.query_path))
-        })?;
-        Ok::<_, ProtocolError>(QueryBundle {
+            .map_err(|e| InputError::Malformed(format!("fragment index {idx_path}: {e}")))?;
+        let query_text = shared
+            .read_all(ctx, &cfg.query_path)
+            .map_err(InputError::Store)?;
+        let queries = fasta::parse(index.molecule, &query_text)
+            .map_err(|e| InputError::Malformed(format!("query FASTA {}: {e}", cfg.query_path)))?;
+        Ok::<_, PioError>(QueryBundle {
             db_title: index.title,
             db_stats: index.global_stats,
             molecule: index.molecule,
@@ -268,7 +217,7 @@ fn run_master(
             Polled::Msg(m) => m,
             Polled::Dead(dead) => {
                 abort_workers(comm, &live);
-                return Err(ProtocolError::WorkerDied { rank: dead[0] });
+                return Err(departed(comm, dead[0]));
             }
         };
         match m.tag {
@@ -298,7 +247,7 @@ fn run_master(
                     .find(|(q, _)| *q as usize >= merged.len())
                 {
                     abort_workers(comm, &live);
-                    return Err(ProtocolError::Malformed(format!(
+                    return Err(PioError::Protocol(format!(
                         "result submission from rank {}: query {q} of a {}-query set",
                         m.src,
                         merged.len()
@@ -319,17 +268,13 @@ fn run_master(
             }
             TAG_FRAG_FAILED => {
                 abort_workers(comm, &live);
-                return Err(ProtocolError::WorkerFailed {
-                    rank: m.src,
-                    what: String::from_utf8_lossy(&m.payload).into_owned(),
-                });
+                return Err(frag_failed(m));
             }
             other => {
                 abort_workers(comm, &live);
-                return Err(ProtocolError::UnexpectedTag {
-                    role: "master",
-                    tag: other,
-                });
+                return Err(PioError::Protocol(format!(
+                    "master got unexpected tag {other}"
+                )));
             }
         }
     }
@@ -365,7 +310,7 @@ fn run_master(
                 Polled::Msg(m) => m,
                 Polled::Dead(dead) => {
                     abort_workers(comm, &live);
-                    return Err(ProtocolError::WorkerDied { rank: dead[0] });
+                    return Err(departed(comm, dead[0]));
                 }
             };
             let decoded = cfg
@@ -436,7 +381,7 @@ fn run_master(
         file_off += section.len() as u64;
         out_plane
             .write_output(&cfg.output_path, &view, section)
-            .map_err(storage)?;
+            .map_err(PioError::Output)?;
     }
     for w in live.live_workers() {
         comm.send(w, TAG_DONE, Bytes::new());
@@ -449,11 +394,7 @@ fn run_master(
     })
 }
 
-fn run_worker(
-    ctx: &RankCtx,
-    comm: &Comm,
-    cfg: &MpiBlastConfig,
-) -> Result<RankReport, ProtocolError> {
+fn run_worker(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankReport, PioError> {
     let shared = &cfg.env.shared;
     let (private, prefix) = cfg.env.private_store(ctx.rank());
     let mut phases = PhaseTimes::new();
@@ -462,10 +403,12 @@ fn run_worker(
     // A fragment this worker cannot load fails the job: the master, who
     // would otherwise wait for the fragment forever, is told and aborts
     // the others.
-    let fail = |e: ProtocolError| {
+    let fail = |e: PioError| {
         comm.send(MASTER, TAG_FRAG_FAILED, Bytes::from(e.to_string()));
         e
     };
+    // A fragment file it cannot copy or read back is an input error.
+    let unreadable = |e: StoreError| fail(InputError::Store(e).into());
 
     // ---- startup ----
     let bundle_bytes = comm.bcast(MASTER, Bytes::new());
@@ -484,22 +427,21 @@ fn run_worker(
         comm.send(MASTER, TAG_FRAG_REQ, Bytes::new());
         let m = pump
             .recv_from(MASTER, None)
-            .map_err(|_| ProtocolError::MasterDied)?;
+            .map_err(|_| PioError::MasterDied)?;
         let fid = match m.tag {
             TAG_FRAG_ASSIGN => u32::decode(&m.payload)?,
-            TAG_ABORT => return Err(ProtocolError::Aborted),
+            TAG_ABORT => return Err(PioError::Aborted),
             other => {
-                return Err(ProtocolError::UnexpectedTag {
-                    role: "worker",
-                    tag: other,
-                })
+                return Err(PioError::Protocol(format!(
+                    "worker got unexpected tag {other}"
+                )))
             }
         };
         if fid == FRAG_NONE {
             break;
         }
         let Some(name) = cfg.fragment_names.get(fid as usize) else {
-            return Err(fail(ProtocolError::Malformed(format!(
+            return Err(fail(PioError::Protocol(format!(
                 "fragment assignment from rank {}: fragment {fid} of {}",
                 m.src,
                 cfg.fragment_names.len()
@@ -512,12 +454,10 @@ fn run_worker(
         let mut copied: Vec<String> = Vec::new();
         for ext in ["idx", "seq", "hdr"] {
             let src = format!("{name}.{ext}");
-            let data = shared.read_all(ctx, &src).map_err(|e| fail(storage(e)))?;
+            let data = shared.read_all(ctx, &src).map_err(unreadable)?;
             let dst = format!("{prefix}{src}");
             private.create(ctx, &dst);
-            private
-                .write_at(ctx, &dst, 0, data)
-                .map_err(|e| fail(storage(e)))?;
+            private.write_at(ctx, &dst, 0, data).map_err(unreadable)?;
             copied.push(dst);
         }
         phases.add(phases::COPY, now() - copy_start);
@@ -528,12 +468,12 @@ fn run_worker(
         // is re-prepared every time — blastall-per-fragment behaviour,
         // and a real per-fragment cost mpiBLAST pays.
         let search_start = now();
-        let reread = |path: &String| private.read_all(ctx, path).map_err(|e| fail(storage(e)));
+        let reread = |path: &String| private.read_all(ctx, path).map_err(unreadable);
         let idx = reread(&copied[0])?;
         let seq = reread(&copied[1])?;
         let hdr = reread(&copied[2])?;
         let frag = FragmentData::from_file_bytes(&idx, seq, hdr)
-            .map_err(|e| fail(ProtocolError::Malformed(format!("fragment {name}: {e}"))))?;
+            .map_err(|e| fail(InputError::Fragment(format!("fragment {name}: {e}")).into()))?;
         let prepared = cfg
             .compute
             .run_prepare(ctx, &cfg.params, &bundle.queries, bundle.db_stats);
@@ -566,10 +506,10 @@ fn run_worker(
     loop {
         let m = pump
             .recv_from(MASTER, None)
-            .map_err(|_| ProtocolError::MasterDied)?;
+            .map_err(|_| PioError::MasterDied)?;
         match m.tag {
             TAG_DONE => break,
-            TAG_ABORT => return Err(ProtocolError::Aborted),
+            TAG_ABORT => return Err(PioError::Aborted),
             TAG_FETCH_REQ => {
                 // Wire bytes are untrusted. A request that does not
                 // decode, or names a subject this worker never searched,
@@ -585,17 +525,16 @@ fn run_worker(
                 });
                 let Some(resp) = found else {
                     comm.send(MASTER, TAG_FETCH_RESP, Bytes::new());
-                    return Err(ProtocolError::Malformed(
+                    return Err(PioError::Protocol(
                         "fetch request: undecodable, or a subject this worker does not hold".into(),
                     ));
                 };
                 comm.send(MASTER, TAG_FETCH_RESP, Bytes::from(resp.encode()));
             }
             other => {
-                return Err(ProtocolError::UnexpectedTag {
-                    role: "worker",
-                    tag: other,
-                })
+                return Err(PioError::Protocol(format!(
+                    "worker got unexpected tag {other}"
+                )))
             }
         }
     }
@@ -734,14 +673,11 @@ mod tests {
         let out = sim.run_faulty(plan, |ctx| run_rank(&ctx, &cfg));
         assert_eq!(out.killed, vec![2]);
         assert_eq!(out.outputs[2], None, "killed rank yields nothing");
-        assert_eq!(
-            out.outputs[0],
-            Some(Err(ProtocolError::WorkerDied { rank: 2 }))
-        );
+        assert_eq!(out.outputs[0], Some(Err(PioError::WorkerDied { rank: 2 })));
         for w in [1usize, 3] {
             assert_eq!(
                 out.outputs[w],
-                Some(Err(ProtocolError::Aborted)),
+                Some(Err(PioError::Aborted)),
                 "survivor {w} must be told to abort"
             );
         }
@@ -757,7 +693,7 @@ mod tests {
         assert_eq!(out.killed, vec![0]);
         assert_eq!(out.outputs[0], None);
         for w in 1..3 {
-            assert_eq!(out.outputs[w], Some(Err(ProtocolError::MasterDied)));
+            assert_eq!(out.outputs[w], Some(Err(PioError::MasterDied)));
         }
     }
 
@@ -765,11 +701,12 @@ mod tests {
     fn bad_setup_inputs_are_typed_errors_on_every_rank() {
         // A missing query file, or a fragment index that is truncated or
         // lies about its table sizes, must leave every rank with a typed
-        // error: the master neither panics nor strands the workers in the
-        // bundle broadcast. So must a fragment only a worker touches — a
-        // truncated `.seq`, an absent `.hdr`: the worker that drew it
-        // reports its own error, the master names that worker, the others
-        // are aborted.
+        // error: the master reports the input error pioBLAST's setup
+        // reports (`tests/async_io.rs`), and neither panics nor strands the
+        // workers in the bundle broadcast. So must a fragment only a
+        // worker touches — a truncated `.seq`, an absent `.hdr`: the worker
+        // that drew it reports its own input error, the master names that
+        // worker, the others are aborted.
         for detect in [false, true] {
             for input in [
                 "no queries",
@@ -819,29 +756,84 @@ mod tests {
                 let out = sim
                     .try_run_faulty(simcluster::FaultPlan::none(), |ctx| run_rank(&ctx, &cfg))
                     .expect("neither a rank panic nor a deadlock");
-                let errs: Vec<&ProtocolError> = out
+                let errs: Vec<&PioError> = out
                     .outputs
                     .iter()
                     .map(|r| r.as_ref().expect("nobody was killed").as_ref())
                     .map(|r| r.expect_err("every rank fails"))
                     .collect();
-                let own = |e: &ProtocolError| {
-                    matches!(e, ProtocolError::Storage(_) | ProtocolError::Malformed(_))
-                };
                 let what = format!("detect={detect} {input}: {errs:?}");
-                if matches!(input, "no queries" | "short idx" | "lying idx") {
-                    assert!(errs.iter().all(|e| own(e)), "{what}");
-                    continue;
+                // A master setup failure broadcasts an empty bundle, which
+                // every worker rejects as a malformed frame.
+                let workers_released = || {
+                    for e in &errs[1..] {
+                        assert!(matches!(e, PioError::Protocol(_)), "{what}");
+                    }
+                };
+                match input {
+                    "no queries" => {
+                        let missing = StoreError::NotFound {
+                            path: "no-such-queries.fa".into(),
+                        };
+                        assert_eq!(*errs[MASTER], InputError::Store(missing).into(), "{what}");
+                        workers_released();
+                        continue;
+                    }
+                    "short idx" | "lying idx" => {
+                        let index = format!("fragment index {}.idx:", cfg.fragment_names[0]);
+                        let malformed = match errs[MASTER] {
+                            PioError::Input(InputError::Malformed(m)) => m.starts_with(&index),
+                            _ => false,
+                        };
+                        assert!(malformed, "{what}");
+                        workers_released();
+                        continue;
+                    }
+                    _ => {}
                 }
-                let ProtocolError::WorkerFailed { rank, .. } = errs[MASTER] else {
+                let PioError::WorkerFailed { rank, .. } = errs[MASTER] else {
                     panic!("{what}");
                 };
-                assert!(own(errs[*rank]), "{what}");
+                let own = match errs[*rank] {
+                    PioError::Input(InputError::Fragment(_)) => input == "short seq",
+                    PioError::Input(InputError::Store(StoreError::NotFound { path })) => {
+                        input == "no hdr" && path.ends_with("ghost.hdr")
+                    }
+                    _ => false,
+                };
+                assert!(own, "{what}");
                 for (r, e) in errs.iter().enumerate().skip(1) {
-                    assert!(r == *rank || **e == ProtocolError::Aborted, "{what}");
+                    assert!(r == *rank || **e == PioError::Aborted, "{what}");
                 }
             }
         }
+    }
+
+    #[test]
+    fn a_worker_that_fails_while_the_master_is_busy_is_still_named() {
+        // The worker that draws the last of eight fragments finds its
+        // `.seq` cut short, reports the failure and returns while the
+        // master is still handling a submission, so the master's next
+        // sweep finds the worker gone before it has read the report. The
+        // report is queued all the same: the master names the failure,
+        // not a death.
+        let (sim, env, mut cfg) = faulty_cfg(8, 8);
+        cfg.query_path = stage_queries(&env.shared, &sample_queries(&small_db(), 1));
+        let seq = format!("{}.seq", cfg.fragment_names[7]);
+        let bytes = env.shared.peek(&seq).expect("staged file");
+        env.shared.preload(&seq, bytes[..bytes.len() / 2].to_vec());
+        let out = sim
+            .try_run_faulty(simcluster::FaultPlan::none(), |ctx| run_rank(&ctx, &cfg))
+            .expect("neither a rank panic nor a deadlock");
+        let Some(Err(PioError::WorkerFailed { rank, what })) = &out.outputs[MASTER] else {
+            panic!("master: {:?}", out.outputs[MASTER]);
+        };
+        assert!(what.contains("inconsistent fragment"), "{what}");
+        let own = &out.outputs[*rank];
+        assert!(
+            matches!(own, Some(Err(PioError::Input(InputError::Fragment(_))))),
+            "worker {rank}: {own:?}"
+        );
     }
 
     #[test]
@@ -877,10 +869,10 @@ mod tests {
                 .expect("neither a rank panic nor a deadlock");
             for (rank, side) in [(MASTER, "FetchResponse"), (1, "fetch request")] {
                 match &out.outputs[rank] {
-                    Some(Err(ProtocolError::Malformed(what))) => {
+                    Some(Err(PioError::Protocol(what))) => {
                         assert!(what.contains(side), "rank {rank}: {what}")
                     }
-                    other => panic!("rank {rank}: expected a malformed frame, got {other:?}"),
+                    other => panic!("rank {rank}: expected a protocol error, got {other:?}"),
                 }
             }
         }
@@ -934,16 +926,16 @@ mod tests {
                 assert_eq!(comm.recv(Some(MASTER), None).tag, TAG_FRAG_ASSIGN);
                 comm.send(MASTER, TAG_SUBMIT, Bytes::from(forged.encode()));
                 assert_eq!(comm.recv(Some(MASTER), None).tag, TAG_ABORT);
-                Err(ProtocolError::Aborted)
+                Err(PioError::Aborted)
             })
             .expect("neither a rank panic nor a deadlock");
         match &out.outputs[MASTER] {
-            Some(Err(ProtocolError::Malformed(what))) => {
+            Some(Err(PioError::Protocol(what))) => {
                 for part in ["rank 1", "query 9", "3-query set"] {
                     assert!(what.contains(part), "{what}");
                 }
             }
-            other => panic!("expected a malformed frame, got {other:?}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
     }
 
@@ -968,12 +960,12 @@ mod tests {
             })
             .expect("neither a rank panic nor a deadlock");
         match &out.outputs[1] {
-            Some(Err(ProtocolError::Malformed(what))) => {
+            Some(Err(PioError::Protocol(what))) => {
                 for part in ["rank 0", "fragment 5 of 1"] {
                     assert!(what.contains(part), "{what}");
                 }
             }
-            other => panic!("expected a malformed frame, got {other:?}"),
+            other => panic!("expected a protocol error, got {other:?}"),
         }
         assert_eq!(env.shared.counters().data_ops, 0, "nothing was copied");
     }

@@ -14,6 +14,7 @@
 //!   byte-for-byte;
 //! * [`setup`] — staging databases/fragments/queries on the shared file
 //!   system;
+//! * [`error`] — the one failure vocabulary both programs report in;
 //! * [`app`] — the mpiBLAST run itself: static fragments, greedy
 //!   assignment, the copy stage, and the serialized result merging and
 //!   master-only output that the paper shows dominating execution time.
@@ -22,13 +23,15 @@
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod app;
+pub mod error;
 pub mod model;
 pub mod platform;
 pub mod report;
 pub mod setup;
 pub mod wire;
 
-pub use app::{run_rank, MpiBlastConfig, ProtocolError, RankReport, MASTER};
+pub use app::{run_rank, MpiBlastConfig, RankReport, MASTER};
+pub use error::{InputError, PioError};
 pub use model::{ComputeModel, ModelParams};
 pub use platform::{ClusterEnv, Platform};
 pub use report::{ReportError, ReportOptions};

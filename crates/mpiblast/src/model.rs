@@ -76,10 +76,6 @@ impl Default for ModelParams {
     }
 }
 
-/// Per-shard fork/join seconds charged in `Measured` mode (where there
-/// are no model coefficients to draw from), before the wall-time scale.
-const MEASURED_FORK_JOIN: f64 = 5e-6;
-
 impl ComputeModel {
     /// Deterministic test default.
     pub fn modeled() -> ComputeModel {
@@ -115,6 +111,25 @@ impl ComputeModel {
         ComputeModel::Measured { scale: 1.0 }
     }
 
+    /// The one split between the modes: charge `f`'s measured host time
+    /// × scale, or run it and charge the modeled seconds `secs` gives
+    /// for its result.
+    fn charge<T>(
+        &self,
+        ctx: &RankCtx,
+        f: impl FnOnce() -> T,
+        secs: impl FnOnce(&ModelParams, &T) -> f64,
+    ) -> T {
+        match self {
+            ComputeModel::Measured { scale } => ctx.run_measured(*scale, f),
+            ComputeModel::Modeled(p) => {
+                let out = f();
+                ctx.charge(SimDuration::from_secs_f64(secs(p, &out)));
+                out
+            }
+        }
+    }
+
     /// Run a fragment search, charging by mode. `f` must return the
     /// search's stats along with its result.
     pub fn run_search<T>(
@@ -122,19 +137,13 @@ impl ComputeModel {
         ctx: &RankCtx,
         f: impl FnOnce() -> (T, SearchStats),
     ) -> (T, SearchStats) {
-        match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
-            ComputeModel::Modeled(p) => {
-                let (out, stats) = f();
-                let secs = p.per_fragment
-                    + p.per_residue * stats.residues as f64
-                    + p.per_seed * stats.seed_hits as f64
-                    + p.per_ungapped * stats.ungapped_extensions as f64
-                    + p.per_gapped * stats.gapped_extensions as f64;
-                ctx.charge(SimDuration::from_secs_f64(secs));
-                (out, stats)
-            }
-        }
+        self.charge(ctx, f, |p, (_, stats)| {
+            p.per_fragment
+                + p.per_residue * stats.residues as f64
+                + p.per_seed * stats.seed_hits as f64
+                + p.per_ungapped * stats.ungapped_extensions as f64
+                + p.per_gapped * stats.gapped_extensions as f64
+        })
     }
 
     /// Run a fragment search sharded across `slots` intra-rank compute
@@ -142,11 +151,11 @@ impl ComputeModel {
     /// returns its value plus that shard's own [`SearchStats`]; the
     /// engine packs the shards onto slots and charges the *maximum* slot
     /// load plus per-shard fork/join overhead
-    /// ([`ModelParams::per_fork_join`], or a fixed `MEASURED_FORK_JOIN`
-    /// constant of the same magnitude in `Measured` mode). In `Modeled` mode the fragment's fixed setup
-    /// cost (`per_fragment`) is charged once, serially, before the fork —
-    /// kernel init does not replicate per shard. Returns the shard values
-    /// in shard order and the merged stats.
+    /// ([`ModelParams::per_fork_join`]; the default model's in `Measured`
+    /// mode, scaled like the host time). In `Modeled` mode the fragment's
+    /// fixed setup cost (`per_fragment`) is charged once, serially, before
+    /// the fork — kernel init does not replicate per shard. Returns the
+    /// shard values in shard order and the merged stats.
     pub fn run_search_sharded<T>(
         &self,
         ctx: &RankCtx,
@@ -156,7 +165,8 @@ impl ComputeModel {
     ) -> (Vec<T>, SearchStats) {
         let outs = match *self {
             ComputeModel::Measured { scale } => {
-                let fork_join = SimDuration::from_secs_f64(MEASURED_FORK_JOIN * scale);
+                let per_fork_join = ModelParams::default().per_fork_join;
+                let fork_join = SimDuration::from_secs_f64(per_fork_join * scale);
                 ctx.compute_parallel(slots, fork_join, nshards, |i| {
                     let start = std::time::Instant::now();
                     let (v, stats) = shard(i);
@@ -193,15 +203,7 @@ impl ComputeModel {
         f: impl FnOnce() -> T,
         bytes: impl Fn(&T) -> u64,
     ) -> T {
-        match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
-            ComputeModel::Modeled(p) => {
-                let out = f();
-                let secs = p.per_output_byte * bytes(&out) as f64;
-                ctx.charge(SimDuration::from_secs_f64(secs));
-                out
-            }
-        }
+        self.charge(ctx, f, |p, out| p.per_output_byte * bytes(out) as f64)
     }
 
     /// Run query preparation (masking + lookup build) for one rank.
@@ -241,41 +243,20 @@ impl ComputeModel {
         items: u64,
         f: impl FnOnce() -> T,
     ) -> T {
-        match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
-            ComputeModel::Modeled(p) => {
-                let out = f();
-                ctx.charge(SimDuration::from_secs_f64(
-                    p.per_submission + p.per_merge_item * items as f64,
-                ));
-                out
-            }
-        }
+        self.charge(ctx, f, |p, _| {
+            p.per_submission + p.per_merge_item * items as f64
+        })
     }
 
     /// Run the master-side handling of one fetched alignment's sequence
     /// data (mpiBLAST's serialized result retrieval).
     pub fn run_fetch_handling<T>(&self, ctx: &RankCtx, f: impl FnOnce() -> T) -> T {
-        match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
-            ComputeModel::Modeled(p) => {
-                let out = f();
-                ctx.charge(SimDuration::from_secs_f64(p.per_fetch));
-                out
-            }
-        }
+        self.charge(ctx, f, |p, _| p.per_fetch)
     }
 
     /// Run a merge/sort step over `items` items.
     pub fn run_merge<T>(&self, ctx: &RankCtx, items: u64, f: impl FnOnce() -> T) -> T {
-        match *self {
-            ComputeModel::Measured { scale } => ctx.run_measured(scale, f),
-            ComputeModel::Modeled(p) => {
-                let out = f();
-                ctx.charge(SimDuration::from_secs_f64(p.per_merge_item * items as f64));
-                out
-            }
-        }
+        self.charge(ctx, f, |p, _| p.per_merge_item * items as f64)
     }
 }
 

@@ -24,9 +24,6 @@ pub struct Platform {
     pub staging: FsProfile,
     /// Collective-I/O aggregator count.
     pub aggregators: usize,
-    /// Wall-time scale factor for measured compute (1.0 = charge host
-    /// time as-is).
-    pub compute_scale: f64,
     /// CPU cores available to one rank's node — the ceiling on intra-rank
     /// compute slots (`--threads`).
     pub cores_per_node: usize,
@@ -42,7 +39,6 @@ impl Platform {
             local_disk: None,
             staging: FsProfile::burst_buffer(),
             aggregators: 8,
-            compute_scale: 1.0,
             // The 256-way Itanium2 SMP: at the paper's 16-way runs each
             // rank can fan out across 16 CPUs of the shared machine.
             cores_per_node: 16,
@@ -58,7 +54,6 @@ impl Platform {
             local_disk: Some(FsProfile::local_disk()),
             staging: FsProfile::burst_buffer(),
             aggregators: 4,
-            compute_scale: 1.0,
             // HS20 blades: dual-socket single-core Xeons with
             // HyperThreading — four schedulable hardware threads.
             cores_per_node: 4,
@@ -79,7 +74,6 @@ impl Platform {
             local_disk: Some(FsProfile::local_disk()),
             staging: FsProfile::burst_buffer(),
             aggregators: 8,
-            compute_scale: 1.0,
             cores_per_node: 32,
         }
     }
@@ -96,7 +90,6 @@ impl Platform {
             local_disk: Some(FsProfile::local_disk()),
             staging: FsProfile::burst_buffer(),
             aggregators: 2,
-            compute_scale: 1.0,
             cores_per_node: 8,
         }
     }
@@ -112,7 +105,6 @@ impl Platform {
             local_disk: Some(FsProfile::local_disk()),
             staging: FsProfile::burst_buffer(),
             aggregators: 4,
-            compute_scale: 1.0,
             cores_per_node: 64,
         }
     }

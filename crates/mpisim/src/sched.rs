@@ -36,9 +36,11 @@ pub fn chunk_evenly<T>(mut items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Per-rank liveness, maintained by sweeping the simulator's crash-stop
-/// ground truth. Rank 0 (the master) is tracked but never swept — master
-/// death is surfaced to workers through receive errors instead.
+/// Per-rank liveness, maintained by sweeping the simulator's ground
+/// truth: a worker is gone once it has left the run, killed or returned
+/// (a worker that returned its own error will never answer either).
+/// Rank 0 (the master) is tracked but never swept — master death is
+/// surfaced to workers through receive errors instead.
 #[derive(Debug, Clone)]
 pub struct Liveness {
     live: Vec<bool>,
@@ -89,12 +91,12 @@ impl Liveness {
     }
 
     /// Compare the table against the simulator's ground truth and return
-    /// the worker ranks that died since the last sweep (now marked dead),
-    /// ascending. Costs no virtual time.
+    /// the worker ranks that left the run since the last sweep (now
+    /// marked dead), ascending. Costs no virtual time.
     pub fn sweep(&mut self, ctx: &RankCtx) -> Vec<usize> {
         let mut newly = Vec::new();
         for r in 1..self.live.len() {
-            if self.live[r] && ctx.is_dead(r) {
+            if self.live[r] && ctx.has_left(r) {
                 self.live[r] = false;
                 tracelog::instant(
                     tracelog::Lane::Sched,
@@ -368,29 +370,34 @@ mod tests {
     }
 
     #[test]
-    fn liveness_sweep_reports_each_death_once() {
+    fn liveness_sweep_reports_each_departure_once() {
         use simcluster::{FaultPlan, Sim, SimTime};
-        let sim = Sim::new(3);
+        let sim = Sim::new(4);
         let plan = FaultPlan::none().kill_at(2, SimTime(1_000));
         let out = sim.run_faulty(plan, |ctx| {
-            if ctx.rank() == 0 {
-                let mut live = Liveness::all(3);
-                ctx.charge(SimDuration::from_micros(10));
-                let first = live.sweep(&ctx);
-                let second = live.sweep(&ctx);
-                assert!(live.is_live(1));
-                assert!(!live.is_live(2));
-                (first, second)
-            } else {
-                // Rank 2 blocks forever and is killed; rank 1 idles.
-                if ctx.rank() == 2 {
-                    let _ = ctx.recv(Some(0), None);
+            match ctx.rank() {
+                0 => {
+                    let mut live = Liveness::all(4);
+                    ctx.charge(SimDuration::from_micros(10));
+                    let first = live.sweep(&ctx);
+                    let second = live.sweep(&ctx);
+                    assert!(!live.is_live(1) && !live.is_live(2));
+                    assert!(live.is_live(3));
+                    ctx.post(3, 0, bytes::Bytes::new(), SimDuration::ZERO);
+                    (first, second)
                 }
-                (Vec::new(), Vec::new())
+                // Rank 1 returns at once: it has left the run too.
+                1 => (Vec::new(), Vec::new()),
+                // Rank 2 blocks forever and is killed; rank 3 waits for
+                // the master's word and is still live at the sweeps.
+                _ => {
+                    let _ = ctx.recv(Some(0), None);
+                    (Vec::new(), Vec::new())
+                }
             }
         });
         let (first, second) = out.outputs[0].clone().unwrap();
-        assert_eq!(first, vec![2]);
+        assert_eq!(first, vec![1, 2]);
         assert_eq!(second, Vec::<usize>::new());
     }
 }

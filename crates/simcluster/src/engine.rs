@@ -117,7 +117,8 @@ pub struct FaultSpec {
 /// A set of injected failures for one run (crash-stop model: a killed
 /// rank silently stops executing, its queued and in-flight messages are
 /// discarded, and later messages to it vanish — peers observe the death
-/// only through [`RankCtx::is_dead`] or timed-out receives).
+/// only through [`RankCtx::is_dead`], [`RankCtx::has_left`] or timed-out
+/// receives).
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FaultPlan {
     /// The injected failures.
@@ -994,6 +995,12 @@ impl RankCtx {
         self.inner.state.lock().dead[rank]
     }
 
+    /// Whether `rank` has left the run: its body returned, or it was
+    /// killed. Either way it will never send or receive again.
+    pub fn has_left(&self, rank: usize) -> bool {
+        self.inner.state.lock().finished[rank]
+    }
+
     /// Non-blocking receive: the earliest already-arrived matching
     /// message, if any.
     pub fn try_recv(&self, src: Option<usize>, tag: Option<u64>) -> Option<Message> {
@@ -1405,6 +1412,8 @@ mod tests {
                 ctx.post(2, 1, Bytes::from_static(b"late"), SimDuration::ZERO);
                 assert!(ctx.is_dead(2));
                 assert!(!ctx.is_dead(1));
+                // Rank 1 returned at once: gone, but not dead.
+                assert!(ctx.has_left(1) && ctx.has_left(2) && !ctx.has_left(0));
             }
             if ctx.rank() == 2 {
                 // Stay busy past the kill time so the fault lands.

@@ -22,7 +22,6 @@ fn custom(name: &str, shared: FsProfile, net: NetProfile) -> Platform {
         local_disk: Some(FsProfile::local_disk()),
         staging: FsProfile::burst_buffer(),
         aggregators: 4,
-        compute_scale: 1.0,
         cores_per_node: 8,
     }
 }

@@ -120,6 +120,23 @@ cargo test --release -q --test zero_copy
 # trace-check refuses it with the count; a healthy export has no such
 # line, so every trace below stays byte-identical.
 cargo test --release -q -p pioblast-cli --lib trace_check_refuses_a_trace_whose_tracer_dropped_events
+# A worker that returns its own error has left the run like a killed one:
+# the liveness sweep reports both, so under the point-to-point lowering a
+# truncated `.seq` or a full file system ends in typed errors on every
+# rank (AllWorkersDied under Recover, WorkerDied + Aborted in a stream
+# without it) instead of a sweep that never ends. Each run arms a kill of
+# the master at t = 1000 s, so a regression fails rather than hangs.
+cargo test --release -q -p mpisim --lib liveness_sweep_reports_each_departure_once
+cargo test --release -q --test fault_recovery recovery_ends_when_every_worker_returns
+cargo test --release -q --test service a_worker_that_returns_an_error_without_recover_fails_the_stream
+# One failure vocabulary: mpiBLAST's setup failures are the PioError
+# variants pioBLAST's are (Input(Store) for a missing query file,
+# Input(Malformed) for a short or lying fragment index), every worker
+# returns an error, with and without --fault-detect.
+cargo test --release -q -p mpiblast --lib bad_setup_inputs_are_typed_errors_on_every_rank
+# ...and a worker that fails a fragment and returns while the master is
+# busy is named by the report it queued (WorkerFailed), not presumed dead.
+cargo test --release -q -p mpiblast --lib a_worker_that_fails_while_the_master_is_busy_is_still_named
 # Bench targets (paper exhibits and ablations) must at least compile.
 cargo bench --workspace --no-run
 # The paper's exhibits are claims: run the six that hold (~1.5 min
@@ -238,6 +255,20 @@ cmp "$tracetmp/report.txt" "$tracetmp/report-burst.txt"
   --out "$tracetmp/report-recover.txt" --trace "$tracetmp/trace-recover.json"
 "$cli" trace-check --in "$tracetmp/trace-recover.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-recover.txt"
+# The mpiBLAST baseline, without and with --fault-detect: copy stage,
+# serialized fetches and master-only writes must export a well-formed
+# trace, and its report must be pioBLAST's byte for byte. Detection only
+# chops the master's waits into sweeps; no message or report byte moves.
+"$cli" run --program mpi --procs 4 \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-mpi.txt" --trace "$tracetmp/trace-mpi.json"
+"$cli" trace-check --in "$tracetmp/trace-mpi.json"
+cmp "$tracetmp/report.txt" "$tracetmp/report-mpi.txt"
+"$cli" run --program mpi --procs 4 --fault-detect \
+  --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
+  --out "$tracetmp/report-mpi-detect.txt" --trace "$tracetmp/trace-mpi-detect.json"
+"$cli" trace-check --in "$tracetmp/trace-mpi-detect.json"
+cmp "$tracetmp/report.txt" "$tracetmp/report-mpi-detect.txt"
 # And the trace-diff of two identical runs must be empty. (Via a file:
 # grep -q would close the pipe early and SIGPIPE the still-printing CLI.)
 "$cli" trace-diff --a "$tracetmp/trace-128.json" --b "$tracetmp/trace-128.json" \
@@ -252,7 +283,7 @@ grep -q "traces are equivalent" "$tracetmp/diff-self.txt"
 #     --write-baseline scripts/trace-baselines/<name>.tsv
 # and commit the result.
 for t in trace trace-async trace-async-frags trace-dynamic trace-hybrid trace-serve \
-  trace-serve-async trace-128 trace-burst trace-recover; do
+  trace-serve-async trace-128 trace-burst trace-recover trace-mpi trace-mpi-detect; do
   "$cli" trace-diff --in "$tracetmp/$t.json" \
     --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
   # Shrinkage passes the growth gate, so a refactor that dropped a span

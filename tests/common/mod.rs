@@ -12,7 +12,7 @@ use pioblast::{PioBlastConfig, PioError};
 use seqfmt::formatdb::{format_records, FormatDbConfig};
 use seqfmt::synth::{generate, SynthConfig};
 use seqfmt::FormattedDb;
-use simcluster::{FaultPlan, Sim, SimTime};
+use simcluster::{FaultPlan, Sim, SimDuration, SimTime};
 use tracelog::{Trace, Tracer};
 
 /// Path every staged run writes its report to.
@@ -52,6 +52,13 @@ pub fn staged(
     let db_alias = stage_shared_db(&env.shared, db);
     let query_path = stage_queries(&env.shared, queries);
     PioBlastConfig::new(platform, &env, &db_alias, &query_path, OUTPUT)
+}
+
+/// Kills the master at t = 1000 s, far past any run of these fixtures:
+/// a run that would hang ends there instead, with no output from rank 0,
+/// so the test fails rather than hangs.
+pub fn watchdog() -> FaultPlan {
+    FaultPlan::none().kill_at(0, SimTime::ZERO + SimDuration::from_secs(1_000))
 }
 
 /// Bytes `fs` holds right now — what a test caps it at

@@ -9,15 +9,21 @@
 //! exchange. Triggers past the victim's last send simply never fire;
 //! the run then completes fault-free and must still match the
 //! reference, so both branches of the property are meaningful.
+//!
+//! A worker that *returns* an error has left the run as surely as a
+//! killed one: the master's liveness sweep must report it, so a run
+//! whose every worker fails ends in a typed error instead of sweeping
+//! forever.
 
 mod common;
 
 use std::sync::OnceLock;
 
-use common::{run_frags, Opts};
-use pioblast::{FaultMode, FragmentSchedule};
+use common::{run_frags, run_opts, Done, Opts};
+use parafs::StoreError;
+use pioblast::{FaultMode, FragmentSchedule, InputError, PioError};
 use proptest::prelude::*;
-use simcluster::FaultPlan;
+use simcluster::{FaultPlan, SimTime};
 
 fn run_recover_opts(
     nranks: usize,
@@ -54,6 +60,65 @@ fn reference_bytes() -> &'static [u8] {
         assert!(!bytes.is_empty(), "reference run produced no output");
         bytes
     })
+}
+
+/// A `--recover` run of the common 4-rank job, after `corrupt` damaged
+/// the staged shared file system.
+fn recover_with(corrupt: impl FnOnce(&parafs::SimFs)) -> Done {
+    let opts = Opts {
+        plan: common::watchdog(),
+        ..Opts::default()
+    };
+    run_opts(opts, |cfg| {
+        corrupt(&cfg.env.shared);
+        cfg.schedule = FragmentSchedule::Dynamic;
+        cfg.fault = FaultMode::Recover;
+    })
+}
+
+/// Every worker returned `expected`; the master, left with no worker,
+/// returned `AllWorkersDied` long before the watchdog.
+fn assert_every_worker_returned(done: &Done, expected: impl Fn(&PioError) -> bool) {
+    assert!(
+        done.killed.is_empty(),
+        "the watchdog fired: {:?}",
+        done.outputs
+    );
+    assert!(
+        done.elapsed < SimTime(1_000_000_000),
+        "ended at {}",
+        done.elapsed
+    );
+    assert_eq!(done.outputs[0], Some(Err(PioError::AllWorkersDied)));
+    for (w, out) in done.outputs.iter().enumerate().skip(1) {
+        match out {
+            Some(Err(e)) if expected(e) => {}
+            other => panic!("worker {w}: {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn recovery_ends_when_every_worker_returns_an_input_error() {
+    let done = recover_with(|fs| {
+        let seq = "db/nr-test.seq";
+        let bytes = fs.peek(seq).expect("staged");
+        fs.preload(seq, bytes[..bytes.len() / 2].to_vec());
+    });
+    assert_every_worker_returned(&done, |e| {
+        matches!(
+            e,
+            PioError::Input(InputError::Store(StoreError::OutOfRange { .. }))
+        )
+    });
+}
+
+#[test]
+fn recovery_ends_when_every_worker_returns_an_output_error() {
+    let done = recover_with(|fs| fs.set_capacity(0));
+    assert_every_worker_returned(&done, |e| {
+        matches!(e, PioError::Output(StoreError::NoSpace { .. }))
+    });
 }
 
 proptest! {

@@ -20,8 +20,8 @@ use blast_core::seq::SeqRecord;
 use common::{run_opts, Opts, OUTPUT};
 use mpiblast::setup::stage_queries;
 use pioblast::{
-    BurstOptions, FaultMode, FragmentSchedule, PioError, QueryStreamPlan, ServiceMetrics,
-    ServiceOptions,
+    BurstOptions, FaultMode, FragmentSchedule, InputError, PioError, QueryStreamPlan,
+    ServiceMetrics, ServiceOptions,
 };
 use proptest::prelude::*;
 use simcluster::{FaultPlan, Sim};
@@ -251,6 +251,57 @@ fn worker_death_without_recover_fails_fast() {
     assert_eq!(out.outputs[1], None, "the killed rank yields nothing");
     for w in [2, 3] {
         assert_eq!(out.outputs[w], Some(Err(PioError::Aborted)), "worker {w}");
+    }
+}
+
+/// The same contract when the worker leaves by *returning* its own error
+/// instead of being killed: the `.seq` lost its last byte, so the one
+/// worker granted the last fragment reads past its end. The master's
+/// sweep reports a rank that returned like one that died. It used to see
+/// only kills, and swept forever; the watchdog turns that hang into a
+/// failure.
+#[test]
+fn a_worker_that_returns_an_error_without_recover_fails_the_stream() {
+    let done = run_opts(
+        Opts {
+            db_seed: DB_SEED,
+            n_queries: N_QUERIES,
+            plan: common::watchdog(),
+            ..Opts::default()
+        },
+        |cfg| {
+            let seq = "db/nr-test.seq";
+            let bytes = cfg.env.shared.peek(seq).expect("staged");
+            cfg.env
+                .shared
+                .preload(seq, bytes[..bytes.len() - 1].to_vec());
+            cfg.num_fragments = Some(9);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.service = Some(ServiceOptions {
+                plan: fixed_plan(),
+                resident_bytes: 64 << 20,
+                affinity: true,
+            });
+        },
+    );
+    assert!(
+        done.killed.is_empty(),
+        "the watchdog fired: {:?}",
+        done.outputs
+    );
+    let Some(Err(PioError::WorkerDied { rank })) = done.outputs[0] else {
+        panic!("master: {:?}", done.outputs[0]);
+    };
+    for (w, out) in done.outputs.iter().enumerate().skip(1) {
+        let own = matches!(
+            out,
+            Some(Err(PioError::Input(InputError::Store(
+                parafs::StoreError::OutOfRange { .. }
+            ))))
+        );
+        let aborted = *out == Some(Err(PioError::Aborted));
+        assert!(if w == rank { own } else { aborted }, "worker {w}: {out:?}");
     }
 }
 
