@@ -121,11 +121,14 @@ pub fn ungapped_xdrop(
 ///
 /// Gapped X-drop extension and banded traceback both run affine-gap DPs
 /// whose rows the seed kernel used to allocate afresh on every call. One
-/// `ExtendScratch`, owned by the caller (a worker keeps it inside its
-/// [`crate::search::SearchScratch`] for the whole run), removes every
-/// heap allocation from those paths: buffers grow to the high-water mark
-/// and are re-initialised, never re-allocated. Reuse is invisible in the
-/// results — each routine fully re-initialises the region it reads.
+/// `ExtendScratch`, reused by the caller, removes every heap allocation
+/// from those paths: buffers grow to the high-water mark and are
+/// re-initialised, never re-allocated. Reuse is invisible in the
+/// results — each routine fully re-initialises the region it reads. The
+/// runtime's search and formatting both use the one embedded in the
+/// thread's [`crate::search::SearchScratch`]
+/// ([`crate::search::SearchScratch::with_local`]), so the simulated ranks
+/// of a job share one set of DP rows.
 #[derive(Debug, Default)]
 pub struct ExtendScratch {
     // Gapped X-drop half-extension rows. Each cell interleaves the

@@ -40,7 +40,8 @@
 //! let params = SearchParams::blastp();
 //! let prepared = PreparedQueries::prepare(&params, queries, stats);
 //! let searcher = BlastSearcher::new(&params, &prepared);
-//! // One scratch per worker: reused across every partition it searches.
+//! // One scratch, reused across every partition searched (the runtime
+//! // borrows its thread's through `SearchScratch::with_local`).
 //! let mut scratch = SearchScratch::new();
 //! let result = searcher.search(&VecSource::from_records(&db), &mut scratch);
 //! assert_eq!(result.per_query[0][0].oid, 0);

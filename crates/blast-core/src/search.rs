@@ -12,6 +12,7 @@
 //! statistics stay identical because [`crate::stats::SearchSpace`] is
 //! always derived from whole-database statistics.
 
+use std::cell::RefCell;
 use std::sync::{Arc, Mutex, Weak};
 
 use crate::alphabet::Molecule;
@@ -358,7 +359,7 @@ impl SearchStats {
 }
 
 /// The search kernel. Create once per (params, queries) pair; call
-/// [`BlastSearcher::search`] once per partition, threading one
+/// [`BlastSearcher::search`] once per partition, threading a reused
 /// [`SearchScratch`] through every call.
 pub struct BlastSearcher<'a> {
     params: &'a SearchParams,
@@ -375,9 +376,17 @@ pub struct BlastSearcher<'a> {
 /// `SearchScratch`: diagonal state is stamped rather than cleared,
 /// candidate and HSP vectors are recycled at their high-water marks, and
 /// the gapped-extension DP rows live in the embedded
-/// [`ExtendScratch`]. A worker owns exactly one scratch and reuses it
-/// across all subjects of all fragments of a run; reuse never changes
-/// results (see the `scratch_reuse_is_invisible` property test).
+/// [`ExtendScratch`]. Reuse never changes results (see the
+/// `scratch_reuse_is_invisible` property test), so any caller may hand
+/// the kernel any scratch.
+///
+/// Ownership follows the OS thread, not the caller: the runtime borrows
+/// the calling thread's one scratch through [`SearchScratch::with_local`]
+/// for the length of each compute call. The simulator runs every rank
+/// of a job on one engine thread, one rank at a time, and no compute
+/// call yields to another rank before it returns — so one scratch per
+/// thread serves every simulated rank, and a rank holds no kernel
+/// memory between calls.
 #[derive(Default)]
 pub struct SearchScratch {
     diag: DiagState,
@@ -396,10 +405,35 @@ pub struct SearchScratch {
     ext: ExtendScratch,
 }
 
+thread_local! {
+    static LOCAL: RefCell<SearchScratch> = RefCell::new(SearchScratch::new());
+}
+
 impl SearchScratch {
     /// Fresh scratch; buffers grow to their high-water marks on use.
     pub fn new() -> SearchScratch {
         SearchScratch::default()
+    }
+
+    /// Run `f` with this thread's scratch, lent for the length of the
+    /// call. A nested call — `f` itself asking for the thread's scratch —
+    /// gets a fresh one instead of a panic; results are the same either
+    /// way, only the inner call's buffers are not reused.
+    ///
+    /// `f` must not yield to other code that borrows the scratch (in the
+    /// simulator: it must not block in virtual time). Every compute
+    /// charge runs its closure to completion before it yields.
+    pub fn with_local<T>(f: impl FnOnce(&mut SearchScratch) -> T) -> T {
+        LOCAL.with(|cell| match cell.try_borrow_mut() {
+            Ok(mut scratch) => f(&mut scratch),
+            Err(_) => f(&mut SearchScratch::new()),
+        })
+    }
+
+    /// The embedded extension buffers, for traceback and formatting
+    /// ([`crate::format::alignment_record_into`]).
+    pub fn extend_scratch(&mut self) -> &mut ExtendScratch {
+        &mut self.ext
     }
 }
 
@@ -525,8 +559,9 @@ impl<'a> BlastSearcher<'a> {
     /// *unranked* per-query hits (subject-scan order, no hitlist cut).
     ///
     /// This is the shardable half of [`BlastSearcher::search`]: disjoint
-    /// ranges covering `0..num_subjects` can be scanned with independent
-    /// scratches (one per compute slot) and recombined with
+    /// ranges covering `0..num_subjects` can be scanned with any scratch
+    /// (the runtime's compute slots take the thread's one in turn) and
+    /// recombined with
     /// [`BlastSearcher::merge_sharded`] — the merged result is
     /// byte-identical to the serial search for every shard count, because
     /// ranking keys are computed per subject and each subject appears in
@@ -1013,6 +1048,34 @@ MKVLAAGHWRTEYFNDCQAAERTYPLKIHGFDSAEWCVNM\n";
             assert_eq!(merged.per_query, serial.per_query, "shards={shards}");
             assert_eq!(merged.stats, serial.stats, "shards={shards}");
         }
+    }
+
+    #[test]
+    fn nested_local_scratch_gives_the_outer_results() {
+        let params = SearchParams::blastp();
+        let records = db_records();
+        let queries = vec![SeqRecord::from_ascii(
+            Molecule::Protein,
+            "q1",
+            b"MKVLAAGHWRTEYFNDCQWHERTYPLKIHGFDSAEWCVNM",
+        )
+        .unwrap()];
+        let prepared = PreparedQueries::prepare(&params, queries, stats_for(&records));
+        let searcher = BlastSearcher::new(&params, &prepared);
+        let source = VecSource::from_records(&records);
+        let (outer, inner) = SearchScratch::with_local(|outer| {
+            // The thread's scratch is lent out: the nested call gets a
+            // fresh one instead of a panic.
+            let inner = SearchScratch::with_local(|inner| searcher.search(&source, inner));
+            (searcher.search(&source, outer), inner)
+        });
+        assert!(!outer.per_query[0].is_empty());
+        assert_eq!(outer.per_query, inner.per_query);
+        assert_eq!(outer.stats, inner.stats);
+        // The borrow ended with the call: the thread's scratch, now
+        // dirty, is lent again and agrees too.
+        let again = SearchScratch::with_local(|s| searcher.search(&source, s));
+        assert_eq!(again.per_query, outer.per_query);
     }
 
     #[test]

@@ -110,10 +110,11 @@ pub struct PioBlastConfig {
     /// heterogeneous clusters; `None` = homogeneous.
     pub rank_compute: Option<Vec<f64>>,
     /// Intra-rank compute slots per worker (`--threads`): each granted
-    /// fragment's subjects are sharded across this many slots (one
-    /// `SearchScratch` per slot) and the per-shard hit lists are merged
-    /// deterministically, so output bytes never change. Must be ≥ 1 and
-    /// ≤ the platform's `cores_per_node`.
+    /// fragment's subjects are sharded across this many slots and the
+    /// per-shard hit lists are merged deterministically, so output bytes
+    /// never change. The slots' shards run one after another on the
+    /// host, so they take the engine thread's one `SearchScratch` in
+    /// turn. Must be ≥ 1 and ≤ the platform's `cores_per_node`.
     pub threads: usize,
     /// I/O-plane options: asynchronous servicing (`io_async`) and the
     /// burst-buffer staging tier (`burst`). How noncontiguous requests

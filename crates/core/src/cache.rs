@@ -10,9 +10,8 @@
 
 use std::collections::HashMap;
 
-use blast_core::extend::ExtendScratch;
 use blast_core::format::{self, ReportConfig};
-use blast_core::search::{PreparedQueries, SearchParams, SubjectHit};
+use blast_core::search::{PreparedQueries, SearchParams, SearchScratch, SubjectHit};
 use mpiblast::wire::{MetaHit, MetaSubmission};
 use seqfmt::FragmentData;
 
@@ -23,8 +22,6 @@ use crate::fault::PioError;
 pub struct ResultCache {
     records: HashMap<(u32, u32), String>,
     per_query: Vec<(u32, Vec<MetaHit>)>,
-    /// Traceback buffers, reused across every record this cache formats.
-    traceback: ExtendScratch,
 }
 
 /// One fragment's own metadata and `(query, oid, record)` bytes — the
@@ -91,15 +88,19 @@ impl ResultCache {
                     .residues_of(hit.oid)
                     .ok_or_else(|| outside("residues"))?;
                 let defline = String::from_utf8_lossy(defline_bytes).into_owned();
-                let record = format::alignment_record_into(
-                    params,
-                    report_cfg,
-                    &query.residues,
-                    &defline,
-                    residues,
-                    &hit.hsps,
-                    &mut self.traceback,
-                );
+                // Traceback runs in the thread's kernel scratch: between
+                // calls the cache holds records and metadata only.
+                let record = SearchScratch::with_local(|scratch| {
+                    format::alignment_record_into(
+                        params,
+                        report_cfg,
+                        &query.residues,
+                        &defline,
+                        residues,
+                        &hit.hsps,
+                        scratch.extend_scratch(),
+                    )
+                });
                 bytes += record.len() as u64;
                 metas.push(MetaHit {
                     oid: hit.oid,

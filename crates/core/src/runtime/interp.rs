@@ -699,7 +699,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     let subs_bytes = self
                         .comm
                         .gather(MASTER, Bytes::from(MetaSubmission::default().encode()))
-                        .expect("master gathers");
+                        .ok_or_else(|| {
+                            PioError::Protocol("the gather's root received no submissions".into())
+                        })?;
                     self.out_mark.get_or_insert(self.ctx.now());
                     let decode = |(rank, b): (usize, &Bytes)| {
                         let sub = MetaSubmission::decode(b)?;
@@ -739,7 +741,11 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     subs[MASTER] = self.adopt_orphans(batch, &orphans)?;
                 }
                 self.ensure_prepared(batch);
-                let prepared = self.prepared_cache[batch].as_ref().expect("just prepared");
+                let prepared = self.prepared_cache[batch].as_ref().ok_or_else(|| {
+                    PioError::Protocol(format!(
+                        "batch {batch} merged before its queries were prepared"
+                    ))
+                })?;
                 // Service mode writes each stream batch to its own file,
                 // so every report starts at offset zero.
                 let start_offset = if self.policy.service {
@@ -796,7 +802,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 // Point-to-point only: all live workers wrote. Orphan
                 // records (dead owners' checkpointed fragments) land in
                 // the master's own assignment slot.
-                let outcome = self.outcome.take().expect("merge precedes batch finish");
+                let outcome = self.outcome.take().ok_or_else(|| {
+                    PioError::Protocol(format!("batch {batch} finished before it was merged"))
+                })?;
                 let path = if self.policy.service {
                     stream_output_path(self.cfg, batch)
                 } else {
@@ -960,11 +968,6 @@ struct WorkerIo<'a, 'b> {
     grant_volumes: Vec<String>,
     assign: Option<OffsetAssignment>,
     stats_total: SearchStats,
-    /// Kernel working memory, one scratch per compute slot
-    /// (`cfg.threads`), reused across all fragments of the run so the
-    /// per-subject search path never allocates — serial runs use slot 0
-    /// only.
-    scratches: Vec<SearchScratch>,
     phase_times: PhaseTimes,
     out_mark: Option<SimTime>,
 }
@@ -1026,9 +1029,6 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             grant_volumes: Vec::new(),
             assign: None,
             stats_total: SearchStats::default(),
-            scratches: (0..cfg.threads.max(1))
-                .map(|_| SearchScratch::new())
-                .collect(),
             phase_times,
             out_mark: None,
         })
@@ -1202,10 +1202,14 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     self.ensure_batch_queries(batch)?;
                 }
                 let t = self.ctx.now();
-                let streamed = self
-                    .policy
-                    .service
-                    .then(|| self.batch_store.remove(&batch).expect("ensured just above"));
+                let streamed = if self.policy.service {
+                    let queries = self.batch_store.remove(&batch).ok_or_else(|| {
+                        PioError::Protocol(format!("stream batch {batch} has no queries"))
+                    })?;
+                    Some(queries)
+                } else {
+                    None
+                };
                 let records = match &streamed {
                     Some(records) => records,
                     None => &self.batches[batch],
@@ -1326,10 +1330,11 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                     vec![("fragment", u64::from(id).into()), ("batch", batch.into())],
                 );
             }
-            let frag = match resident {
-                Some(frag) => frag,
-                None => read.next().expect("one read per non-resident fragment"),
-            };
+            let frag = resident.or_else(|| read.next()).ok_or_else(|| {
+                PioError::Protocol(format!(
+                    "fragment {id} of batch {batch} is neither resident nor read"
+                ))
+            })?;
             if search {
                 self.search_one(batch, id, &frag)?;
             }
@@ -1355,26 +1360,28 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
     /// fragment's results before anything is acknowledged.
     ///
     /// With `cfg.threads > 1` the fragment's subjects are sharded into
-    /// contiguous ranges, scanned on per-slot scratches through
-    /// [`ComputeModel::run_search_sharded`] (the rank is charged the max
-    /// over slot loads plus fork/join), and merged deterministically —
-    /// byte-identical to the serial kernel for every slot count. This
-    /// composes with `--io-async` and `FaultMode::Recover` unchanged
-    /// because both sit outside this call.
+    /// contiguous ranges, scanned one after another on the thread's
+    /// scratch through [`ComputeModel::run_search_sharded`] (the rank is
+    /// charged the max over slot loads plus fork/join), and merged
+    /// deterministically — byte-identical to the serial kernel for every
+    /// slot count. This composes with `--io-async` and
+    /// `FaultMode::Recover` unchanged because both sit outside this call.
     fn search_one(&mut self, batch: usize, id: u32, frag: &FragmentData) -> Result<(), PioError> {
         use blast_core::search::SubjectSource;
-        let prepared = self
-            .prepared
-            .as_ref()
-            .expect("batch prepared before search");
+        let prepared = self.prepared.as_ref().ok_or_else(|| {
+            PioError::Protocol(format!(
+                "fragment {id} of batch {batch} granted before its queries were prepared"
+            ))
+        })?;
         let searcher = BlastSearcher::new(&self.cfg.params, prepared);
-        let scratches = &mut self.scratches;
         let slots = self.cfg.threads.max(1);
         let search_start = self.ctx.now();
+        // Every kernel call borrows the thread's scratch for its own
+        // length only: the compute charge that yields to other ranks
+        // comes after the closure returns.
         let (per_query, stats) = if slots == 1 {
-            let scratch = &mut scratches[0];
             self.compute.run_search(self.ctx, || {
-                let r = searcher.search(frag, scratch);
+                let r = SearchScratch::with_local(|scratch| searcher.search(frag, scratch));
                 (r.per_query, r.stats)
             })
         } else {
@@ -1386,11 +1393,14 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 .run_search_sharded(self.ctx, slots, nshards, |i| {
                     let lo = (i * per).min(n);
                     let hi = ((i + 1) * per).min(n);
-                    let r = searcher.search_subject_range(frag, lo..hi, &mut scratches[i]);
+                    let r = SearchScratch::with_local(|scratch| {
+                        searcher.search_subject_range(frag, lo..hi, scratch)
+                    });
                     let stats = r.stats;
                     (r, stats)
                 });
-            let merged = searcher.merge_sharded(parts, &mut scratches[0]);
+            let merged =
+                SearchScratch::with_local(|scratch| searcher.merge_sharded(parts, scratch));
             (merged.per_query, merged.stats)
         };
         self.stats_total.merge(&stats);
@@ -1464,9 +1474,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
     fn write_assigned(&mut self, batch: usize, epoch: u64) -> Result<(), PioError> {
         let t = self.ctx.now();
         let assignment = if self.policy.p2p() {
-            self.assign
-                .take()
-                .expect("assignment stashed with the event")
+            self.assign.take().ok_or_else(|| {
+                PioError::Protocol(format!("batch {batch} written with no assignment"))
+            })?
         } else {
             let bytes = self.comm.scatterv(MASTER, None);
             OffsetAssignment::decode(&bytes)?

@@ -17,7 +17,6 @@
 //! paper quantifies (Table 1: 1007 s of output time against pioBLAST's
 //! 15.4 s); it is reproduced here structurally, not hard-coded.
 
-use blast_core::extend::ExtendScratch;
 use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
 use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
@@ -286,8 +285,6 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
     // synchronous, unstaged) reproduces mpiBLAST's serial appends exactly.
     let out_plane = IoPlane::new(comm, shared, PlaneConfig::default(), None);
     let mut file_off = 0u64;
-    // Traceback buffers, reused across every record the master formats.
-    let mut traceback = ExtendScratch::new();
     for (q, merged_slot) in merged.iter_mut().enumerate() {
         let mut hits = std::mem::take(merged_slot);
         cfg.compute.run_merge(ctx, hits.len() as u64, || {
@@ -334,15 +331,17 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
                 cfg.compute.run_format(
                     ctx,
                     || {
-                        format::alignment_record_into(
-                            &cfg.params,
-                            &report_cfg,
-                            &query.residues,
-                            &String::from_utf8_lossy(&f.defline),
-                            &f.residues,
-                            &hit.hsps,
-                            &mut traceback,
-                        )
+                        SearchScratch::with_local(|scratch| {
+                            format::alignment_record_into(
+                                &cfg.params,
+                                &report_cfg,
+                                &query.residues,
+                                &String::from_utf8_lossy(&f.defline),
+                                &f.residues,
+                                &hit.hsps,
+                                scratch.extend_scratch(),
+                            )
+                        })
                     },
                     |s| s.len() as u64,
                 )
@@ -417,10 +416,6 @@ fn run_worker(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
 
     // Fragments this worker searched, kept in memory to serve fetches.
     let mut kept: Vec<FragmentData> = Vec::new();
-    // Kernel working memory, reused across every fragment this worker
-    // searches (the query set is re-prepared per fragment, mpiBLAST's
-    // blastall-per-fragment behaviour; the scratch is query-agnostic).
-    let mut scratch = SearchScratch::new();
 
     // ---- fragment loop ----
     loop {
@@ -478,8 +473,10 @@ fn run_worker(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
             .compute
             .run_prepare(ctx, &cfg.params, &bundle.queries, bundle.db_stats);
         let searcher = BlastSearcher::new(&cfg.params, &prepared);
+        // The thread's kernel scratch is query-agnostic, so it serves
+        // the query set re-prepared per fragment too.
         let (per_query, stats) = cfg.compute.run_search(ctx, || {
-            let r = searcher.search(&frag, &mut scratch);
+            let r = SearchScratch::with_local(|scratch| searcher.search(&frag, scratch));
             (r.per_query, r.stats)
         });
         stats_total.merge(&stats);

@@ -231,7 +231,10 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// Collective read: returns the bytes of `view`'s regions, in order.
     /// A chunk an aggregator serves short or long is reported — as
     /// [`StoreError::Corrupt`] — after the closing barrier, with every
-    /// later chunk still received, so the collective stays aligned.
+    /// later chunk still received, so the collective stays aligned. So is
+    /// an aggregator's own failed read: it still serves its peers (empty
+    /// pieces, which they report as corrupt) and joins the barrier, then
+    /// returns the file system's error.
     pub fn read_at_all(&self, view: &FileView) -> Result<Vec<u8>, StoreError> {
         let tag = self.next_tag();
         let all_views = self.exchange_views(view)?;
@@ -242,13 +245,21 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         let me = self.comm.rank();
 
         // I/O phase: aggregators read the merged runs of their domain
-        // and serve every other rank's chunks in deterministic order.
+        // and serve every other rank's chunks in deterministic order. The
+        // first failed run ends the reading; returning there would strand
+        // every peer waiting on this domain.
         let wanted = self.wanted_chunks(&all_views, &domains);
-        let mut held = Vec::new();
-        for (o, l) in merge(wanted.iter().map(|&(_, o, l)| (o, l)).collect(), 0) {
-            held.push((o, self.sink.fs.read_at(self.sink.ctx, &self.path, o, l)?));
-        }
-        let cover = Cover::new(held);
+        let held: Result<Vec<_>, _> = merge(wanted.iter().map(|&(_, o, l)| (o, l)).collect(), 0)
+            .into_iter()
+            .map(|(o, l)| {
+                let bytes = self.sink.fs.read_at(self.sink.ctx, &self.path, o, l);
+                bytes.map(|b| (o, b))
+            })
+            .collect();
+        let (cover, failed) = match held {
+            Ok(held) => (Cover::new(held), None),
+            Err(e) => (Cover::new(Vec::new()), Some(e)),
+        };
         for (dst, off, len) in wanted {
             if dst != me {
                 let piece = cover.slice(off, len).unwrap_or_default();
@@ -276,7 +287,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
             }
         }
         self.comm.barrier();
-        corrupt.map_or(Ok(out), Err)
+        failed.or(corrupt).map_or(Ok(out), Err)
     }
 }
 

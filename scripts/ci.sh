@@ -71,6 +71,12 @@ cargo test --release -q -p blast-core --test edge_cases long_sequences_align_end
 # rank is still charged — exactly the modeled cost under Modeled, its
 # own measured build under Measured, reports equal to serial_report.
 cargo test --release -q -p blast-core --lib shared_prepare
+# One kernel scratch per engine thread, lent for one compute call: a
+# nested borrow gets a fresh scratch with identical results, and a job's
+# peak live heap grows by at most 16 KiB per added rank from 16 to 128
+# ranks (37 KiB with a scratch per rank, 5 KiB with one per thread).
+cargo test --release -q -p blast-core --lib nested_local_scratch_gives_the_outer_results
+cargo test --release -q --test memory_scaling
 cargo test --release -q --test cluster_behavior every_rank_is_charged_for_its_own_prepare
 cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree_on_results
 # One door for untrusted bytes: every `seqfmt::codec::Wire` type round-
@@ -97,6 +103,11 @@ cargo test --release -q -p mpiio --test run_lists
 # typed error after the closing barrier — release builds have no
 # debug_assert, so there it used to be wrong-length bytes.
 cargo test --release -q -p mpiio --lib a_short_chunk_from_a_peer_aggregator_is_a_typed_error_after_the_barrier
+# ...and an aggregator whose own read fails (a view past EOF) still
+# serves its peers and joins the barrier: its error, their corrupt
+# chunks, the other domain's bytes — it used to return early and
+# deadlock every rank waiting on it.
+cargo test --release -q -p mpiio --test collective_read
 # A grant whose byte range runs backwards is InputError::Fragment in
 # both profiles (release used to wrap it into a ~2^64-byte read), at the
 # read_fragments level and through a real dynamic worker.
