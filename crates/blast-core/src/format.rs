@@ -249,8 +249,24 @@ pub fn alignment_record_into(
     hsps: &[Hsp],
     scratch: &mut ExtendScratch,
 ) -> String {
-    // `fmt::Write` for `String` cannot fail, so the results are dropped.
     let mut out = String::new();
+    let record = (subject_defline, subject, hsps);
+    append_alignment_record(params, cfg, query, record, scratch, &mut out);
+    out
+}
+
+/// [`alignment_record_into`] appended to `out`, for a writer that formats
+/// records back to back into one buffer. `record` is the subject's
+/// defline, its residues and the HSPs to render.
+pub fn append_alignment_record(
+    params: &SearchParams,
+    cfg: &ReportConfig,
+    query: &[u8],
+    (subject_defline, subject, hsps): (&str, &[u8], &[Hsp]),
+    scratch: &mut ExtendScratch,
+    out: &mut String,
+) {
+    // `fmt::Write` for `String` cannot fail, so the results are dropped.
     let _ = write!(
         out,
         ">{}\n          Length = {}\n\n",
@@ -298,10 +314,9 @@ pub fn alignment_record_into(
             h.q_start + 1,
             h.s_start + 1,
             &aln,
-            &mut out,
+            out,
         );
     }
-    out
 }
 
 /// Expand an edit script into three aligned ASCII rows and emit them in

@@ -10,10 +10,13 @@
 //! runs at the device's aggregate bandwidth rather than one stream's.
 //! Each absorbed run immediately begins its *drain*: the staged bytes
 //! are read back through the device's FIFO read port
-//! ([`simcluster::DeviceTimeline`]), reassembled in stripe-map order,
-//! and issued as one nonblocking write to the destination. Pending
-//! drains complete in the background of whatever the rank does next;
-//! [`StagingStore::fence`] joins them all.
+//! ([`simcluster::DeviceTimeline`]), reassembled in stripe-map order as
+//! views of what the staging volume holds, and issued as one
+//! nonblocking multi-piece write ([`parafs::Run`]) to the destination.
+//! No byte is copied on the way: the stripe files and the destination
+//! keep the buffers the caller staged. Pending drains complete in the
+//! background of whatever the rank does next; [`StagingStore::fence`]
+//! joins them all.
 //!
 //! Capacity is bounded: a put that would exceed the configured staging
 //! capacity fails with typed backpressure
@@ -41,7 +44,7 @@ use std::borrow::Cow;
 use std::fmt;
 
 use parafs::stripe::write_striped_begin;
-use parafs::{AsyncIo, SimFs, StoreError, StripeMap};
+use parafs::{AsyncIo, Run, SimFs, StoreError, StripeMap};
 use simcluster::{DeviceTimeline, RankCtx};
 use tracelog::{ArgVal, Lane};
 
@@ -179,10 +182,7 @@ impl StagingStore {
         self.stats
     }
 
-    /// Absorb `data` destined for `path` at `offset`: stripe it across
-    /// the staging volume, then begin its background drain to the
-    /// destination. Returns [`BurstError::StagingFull`] — absorbing
-    /// nothing — when the run does not fit the remaining capacity.
+    /// [`StagingStore::put_run`] of a copy of `data`.
     pub fn put(
         &mut self,
         ctx: &RankCtx,
@@ -190,9 +190,23 @@ impl StagingStore {
         offset: u64,
         data: &[u8],
     ) -> Result<(), BurstError> {
+        self.put_run(ctx, path, offset, Run::from(data.to_vec()))
+    }
+
+    /// Absorb `data` destined for `path` at `offset`: stripe it across
+    /// the staging volume, then begin its background drain to the
+    /// destination. Returns [`BurstError::StagingFull`] — absorbing
+    /// nothing — when the run does not fit the remaining capacity.
+    pub fn put_run(
+        &mut self,
+        ctx: &RankCtx,
+        path: &str,
+        offset: u64,
+        data: Run,
+    ) -> Result<(), BurstError> {
         // Completed drains free capacity before we judge this put.
         self.reap(ctx)?;
-        let needed = data.len() as u64;
+        let needed = data.len();
         let free = self.capacity.saturating_sub(self.staged);
         if needed > free {
             self.stats.backpressure += 1;
@@ -215,7 +229,7 @@ impl StagingStore {
                 ("path", ArgVal::Str(Cow::Owned(path.to_string()))),
             ],
         );
-        let ops = write_striped_begin(&self.staging, ctx, path, &self.map, offset, data);
+        let ops = write_striped_begin(&self.staging, ctx, path, &self.map, offset, &data);
         for op in ops {
             self.staging.io_wait(ctx, op)?;
         }
@@ -230,16 +244,20 @@ impl StagingStore {
         // back in (bursty puts queue behind each other here), then one
         // nonblocking destination write carries the reassembled run.
         // The byte path really goes through the staging files — the
-        // reassembly below reads what the absorb just wrote.
+        // reassembly below takes views of what the absorb just wrote.
         let done = self.port.issue(ctx.now(), needed);
         ctx.charge(done.since(ctx.now()));
-        let mut run = vec![0u8; needed as usize];
+        let mut run = Run::default();
         for c in self.map.chunks(offset, needed) {
             let stripe = StripeMap::stripe_path(path, c.file);
-            let chunk = self.staging.peek_at(&stripe, c.file_offset, c.len)?;
-            run[c.src_offset as usize..][..chunk.len()].copy_from_slice(&chunk);
+            let chunk = self.staging.peek_run(&stripe, c.file_offset, c.len)?;
+            debug_assert_eq!(
+                chunk.to_vec(),
+                data.slice(c.src_offset, c.len).to_vec(),
+                "stripe reassembly must reproduce the staged run"
+            );
+            run.join(c.src_offset, chunk);
         }
-        debug_assert_eq!(run, data, "stripe reassembly must reproduce the staged run");
         tracelog::instant(
             Lane::Io,
             "stage.drain",

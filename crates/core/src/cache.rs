@@ -7,11 +7,18 @@
 //! This is the paper's §3.2: it eliminates the mpiBLAST master's
 //! per-alignment sequence-data fetch entirely, and it is what makes the
 //! later collective write possible (record sizes are known up front).
+//!
+//! Each record is formatted once, into a `String` that becomes a shared
+//! [`Bytes`] without a copy. That buffer is the one the output write
+//! hands to the file system, the one a checkpoint payload carries, and,
+//! once the master assigns offsets, the cache lets go of every record it
+//! was not asked to write.
 
 use std::collections::HashMap;
 
 use blast_core::format::{self, ReportConfig};
 use blast_core::search::{PreparedQueries, SearchParams, SearchScratch, SubjectHit};
+use bytes::Bytes;
 use mpiblast::wire::{MetaHit, MetaSubmission};
 use seqfmt::FragmentData;
 
@@ -20,13 +27,13 @@ use crate::fault::PioError;
 /// A worker's formatted-record cache plus the metadata to submit.
 #[derive(Debug, Default)]
 pub struct ResultCache {
-    records: HashMap<(u32, u32), String>,
+    records: HashMap<(u32, u32), Bytes>,
     per_query: Vec<(u32, Vec<MetaHit>)>,
 }
 
 /// One fragment's own metadata and `(query, oid, record)` bytes — the
 /// content of a fragment checkpoint blob.
-pub type FragmentPayload = (MetaSubmission, Vec<(u32, u32, String)>);
+pub type FragmentPayload = (MetaSubmission, Vec<(u32, u32, Bytes)>);
 
 impl ResultCache {
     /// Format and cache every hit of one searched fragment.
@@ -50,7 +57,8 @@ impl ResultCache {
     }
 
     /// [`ResultCache::add_fragment`], also returning — when `checkpoint`
-    /// is set — a copy of this fragment's own [`FragmentPayload`]. It is
+    /// is set — this fragment's own [`FragmentPayload`], its records
+    /// sharing the cache's buffers. It is
     /// deterministic in the fragment and batch alone, which is what makes
     /// checkpoint rewrites during retried recovery epochs idempotent.
     /// Without a checkpoint to write, the cache stays the only owner of
@@ -90,7 +98,7 @@ impl ResultCache {
                 let defline = String::from_utf8_lossy(defline_bytes).into_owned();
                 // Traceback runs in the thread's kernel scratch: between
                 // calls the cache holds records and metadata only.
-                let record = SearchScratch::with_local(|scratch| {
+                let record = Bytes::from(SearchScratch::with_local(|scratch| {
                     format::alignment_record_into(
                         params,
                         report_cfg,
@@ -100,7 +108,7 @@ impl ResultCache {
                         &hit.hsps,
                         scratch.extend_scratch(),
                     )
-                });
+                }));
                 bytes += record.len() as u64;
                 metas.push(MetaHit {
                     oid: hit.oid,
@@ -135,21 +143,23 @@ impl ResultCache {
     }
 
     /// A cached record's bytes.
-    pub fn record(&self, query_idx: u32, oid: u32) -> Option<&str> {
-        self.records.get(&(query_idx, oid)).map(|s| s.as_str())
+    pub fn record(&self, query_idx: u32, oid: u32) -> Option<&Bytes> {
+        self.records.get(&(query_idx, oid))
     }
 
-    /// Look up every master-assigned `(query, oid, offset)` record for an
-    /// output flush, or report the first `(query, oid)` that is missing
-    /// from the cache.
+    /// Every master-assigned `(query, oid, offset)` record for an output
+    /// flush, sharing the cache's buffers, or the first `(query, oid)`
+    /// that is missing from the cache.
     pub fn assigned_records(
         &self,
         assignments: &[(u32, u32, u64)],
-    ) -> Result<Vec<(u64, &str)>, (u32, u32)> {
-        assignments
-            .iter()
-            .map(|&(q, oid, off)| self.record(q, oid).map(|r| (off, r)).ok_or((q, oid)))
-            .collect()
+    ) -> Result<Vec<(u64, Bytes)>, (u32, u32)> {
+        let record = |&(q, oid, off): &(u32, u32, u64)| {
+            self.record(q, oid)
+                .map(|r| (off, r.clone()))
+                .ok_or((q, oid))
+        };
+        assignments.iter().map(record).collect()
     }
 
     /// Number of cached records.
@@ -211,6 +221,7 @@ mod tests {
             for h in hits {
                 let rec = cache.record(*q, h.oid).expect("cached record");
                 assert_eq!(rec.len() as u64, h.record_size);
+                let rec = std::str::from_utf8(rec).expect("records are text");
                 assert!(rec.starts_with('>'), "record starts with defline");
                 assert!(rec.contains("Score ="));
             }

@@ -24,7 +24,7 @@ use mpiblast::wire::{
     QueryBundle,
 };
 use mpiblast::{ComputeModel, RankReport, MASTER};
-use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, StagingStore};
+use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, Run, StagingStore};
 use mpisim::sched::{default_sweep, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
 use parafs::{IoClass, StoreError};
@@ -163,26 +163,27 @@ fn ckpt_landed(put: Result<(), StoreError>) {
 /// The one output epilogue, shared by the master's section writes, the
 /// orphan rewrites, and every worker's assigned-record writes: build a
 /// file view from the scattered `(offset, text)` records and hand it to
-/// the plane. Always posts, even with nothing to write — on the
+/// the plane, each record's buffer one piece of the payload — nothing is
+/// concatenated. Always posts, even with nothing to write — on the
 /// two-phase class the empty view still participates in the exchange.
 /// A full file system surfaces as a typed error, not an abort.
 fn flush_output(
     plane: &IoPlane<'_, '_>,
     path: &str,
-    mut items: Vec<(u64, &str)>,
+    mut items: Vec<(u64, Bytes)>,
 ) -> Result<(), PioError> {
     items.retain(|(_, text)| !text.is_empty());
     items.sort_unstable_by_key(|&(off, _)| off);
     let mut regions = Vec::with_capacity(items.len());
-    let mut data = Vec::new();
-    for (off, text) in &items {
-        regions.push((*off, text.len() as u64));
-        data.extend_from_slice(text.as_bytes());
+    let mut payload = Run::default();
+    for (off, text) in items {
+        regions.push((off, text.len() as u64));
+        payload.push(payload.len(), text);
     }
     let view = FileView::new(0, regions)
         .map_err(|e| PioError::Protocol(format!("output layout is not writable: {e}")))?;
     plane
-        .write_output(path, &view, data)
+        .write_output(path, &view, payload)
         .map_err(PioError::Output)
 }
 
@@ -220,7 +221,7 @@ struct MasterIo<'a, 'b> {
     prepared_cache: Vec<Option<Arc<PreparedQueries>>>,
     batch_offsets: Vec<u64>,
     ckpts: HashMap<(usize, usize), FragmentCheckpoint>,
-    orphan_records: HashMap<(u32, u32), String>,
+    orphan_records: HashMap<(u32, u32), Bytes>,
     outcome: Option<MergeOutcome>,
     input_mark: Option<SimTime>,
     out_mark: Option<SimTime>,
@@ -753,7 +754,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 } else {
                     self.batch_offsets[batch]
                 };
-                let outcome = self.cfg.compute.run_format(
+                let mut outcome = self.cfg.compute.run_format(
                     self.ctx,
                     || {
                         merge_and_layout(
@@ -785,7 +786,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                         .map(|a| Bytes::from(a.encode()))
                         .collect();
                     self.comm.scatterv(MASTER, Some(pieces));
-                    self.flush_master_sections(&self.cfg.output_path, &outcome)?;
+                    self.flush_master_sections(&self.cfg.output_path, &mut outcome)?;
                     if !self.io.collective_writes() {
                         // Two-phase ends in its own barrier; every other
                         // class needs the explicit fence before the batch
@@ -802,7 +803,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 // Point-to-point only: all live workers wrote. Orphan
                 // records (dead owners' checkpointed fragments) land in
                 // the master's own assignment slot.
-                let outcome = self.outcome.take().ok_or_else(|| {
+                let mut outcome = self.outcome.take().ok_or_else(|| {
                     PioError::Protocol(format!("batch {batch} finished before it was merged"))
                 })?;
                 let path = if self.policy.service {
@@ -816,7 +817,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     .map(|&(q, oid, off)| {
                         self.orphan_records
                             .get(&(q, oid))
-                            .map(|rec| (off, rec.as_str()))
+                            .map(|rec| (off, rec.clone()))
                             .ok_or_else(|| {
                                 PioError::Protocol(format!(
                                     "orphan record ({q}, {oid}) has no checkpoint"
@@ -825,7 +826,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     })
                     .collect::<Result<Vec<_>, _>>()?;
                 flush_output(self.io, &path, orphans)?;
-                self.flush_master_sections(&path, &outcome)?;
+                self.flush_master_sections(&path, &mut outcome)?;
                 if let Some(mark) = self.out_mark.take() {
                     self.phase_times.add(phases::OUTPUT, self.ctx.now() - mark);
                 }
@@ -896,12 +897,16 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         Ok(MetaSubmission { per_query })
     }
 
-    /// Write the master's own sections of a merged batch's report.
-    fn flush_master_sections(&self, path: &str, outcome: &MergeOutcome) -> Result<(), PioError> {
-        let sections = outcome
-            .master_sections
-            .iter()
-            .map(|(off, text)| (*off, text.as_str()))
+    /// Write the master's own sections of a merged batch's report,
+    /// handing each section's buffer over to the file system.
+    fn flush_master_sections(
+        &self,
+        path: &str,
+        outcome: &mut MergeOutcome,
+    ) -> Result<(), PioError> {
+        let sections = std::mem::take(&mut outcome.master_sections)
+            .into_iter()
+            .map(|(off, text)| (off, Bytes::from(text)))
             .collect();
         flush_output(self.io, path, sections)
     }
@@ -1487,6 +1492,15 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
             .map_err(|(q, oid)| {
                 PioError::Protocol(format!("assigned record ({q}, {oid}) not cached"))
             })?;
+        if !self.policy.recovers() {
+            // The batch is written once: the records nobody assigned can
+            // never reach the report, and the assigned ones now live in
+            // `items` until the file system holds them. Under `Recover` a
+            // death may rewind the batch to another merge, whose
+            // assignment can name any cached record, so the cache stays
+            // until the next batch's prepare resets it.
+            self.cache = ResultCache::default();
+        }
         let path = if self.policy.service {
             stream_output_path(self.cfg, batch)
         } else {

@@ -21,7 +21,7 @@ use blast_core::fasta;
 use blast_core::format::{self, ReportConfig};
 use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
 use bytes::Bytes;
-use mpiio::{FileView, IoPlane, PlaneConfig};
+use mpiio::{FileView, IoPlane, PlaneConfig, Run};
 use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
 use mpisim::{Collectives, Comm};
 use parafs::StoreError;
@@ -322,28 +322,34 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
             }
         }
 
-        // Format every selected record (the "NCBI output function" call).
+        // Format every selected record (the "NCBI output function" call)
+        // straight into the query's output buffer: NCBI's formatter is
+        // stream-buffered, so the records are one piece of the section.
         let query = &prepared.records[q];
-        let records: Vec<String> = (0..n_rec)
+        let mut records = String::new();
+        let record_sizes: Vec<u64> = (0..n_rec)
             .map(|i| {
                 let (hit, _) = &hits[i];
                 let f = &fetched[i];
                 cfg.compute.run_format(
                     ctx,
                     || {
+                        let start = records.len();
+                        let defline = String::from_utf8_lossy(&f.defline);
+                        let record = (&*defline, &f.residues[..], &hit.hsps[..]);
                         SearchScratch::with_local(|scratch| {
-                            format::alignment_record_into(
+                            format::append_alignment_record(
                                 &cfg.params,
                                 &report_cfg,
                                 &query.residues,
-                                &String::from_utf8_lossy(&f.defline),
-                                &f.residues,
-                                &hit.hsps,
+                                record,
                                 scratch.extend_scratch(),
+                                &mut records,
                             )
-                        })
+                        });
+                        (records.len() - start) as u64
                     },
-                    |s| s.len() as u64,
+                    |&bytes| bytes,
                 )
             })
             .collect();
@@ -363,21 +369,18 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
             query,
             &prepared.spaces[q],
             &summaries,
-            records.iter().map(|r| r.len() as u64).collect(),
+            record_sizes,
         );
 
-        // The master assembles the query's whole section in its output
-        // buffer and writes it with one serial call (NCBI's formatter is
-        // stream-buffered).
-        let mut section = Vec::with_capacity((layout.header.len() + layout.summary.len()) * 2);
-        section.extend_from_slice(layout.header.as_bytes());
-        section.extend_from_slice(layout.summary.as_bytes());
-        for r in &records {
-            section.extend_from_slice(r.as_bytes());
+        // The master writes the query's whole section with one serial
+        // call: header, summary, records and footer, each buffer a piece
+        // of the one run.
+        let mut section = Run::default();
+        for text in [layout.header, layout.summary, records, layout.footer] {
+            section.push(section.len(), Bytes::from(text));
         }
-        section.extend_from_slice(layout.footer.as_bytes());
-        let view = FileView::contiguous(file_off, section.len() as u64);
-        file_off += section.len() as u64;
+        let view = FileView::contiguous(file_off, section.len());
+        file_off += section.len();
         out_plane
             .write_output(&cfg.output_path, &view, section)
             .map_err(PioError::Output)?;

@@ -10,6 +10,7 @@ use blast_core::hsp::Hsp;
 use blast_core::search::SubjectHit;
 use blast_core::seq::SeqRecord;
 use blast_core::stats::DbStats;
+use bytes::Bytes;
 use seqfmt::codec::{CodecError, Reader, Wire, Writer};
 use seqfmt::wire_struct;
 
@@ -188,12 +189,16 @@ pub struct FragmentCheckpoint {
     /// The fragment's metadata contribution, shaped like a submission.
     pub meta: MetaSubmission,
     /// `(query_idx, oid, formatted record)` for every metadata entry.
-    pub records: Vec<(u32, u32, String)>,
+    /// A record is UTF-8 text held as shared bytes: the worker's result
+    /// cache, this payload and the master's orphan table hold one buffer
+    /// between them.
+    pub records: Vec<(u32, u32, Bytes)>,
 }
 
 /// The guard header, then the fields, `meta` as a length-prefixed frame
-/// of its own. Any mismatch — bad magic, truncation, trailing garbage —
-/// is an error; callers treat that as "not checkpointed".
+/// of its own; each record travels as a `String` does. Any mismatch —
+/// bad magic, truncation, record text that is not UTF-8, trailing
+/// garbage — is an error; callers treat that as "not checkpointed".
 impl Wire for FragmentCheckpoint {
     const MIN_SIZE: usize = 4 + 4 + 4 + 4 + MetaSubmission::MIN_SIZE + 4;
 
@@ -202,7 +207,13 @@ impl Wire for FragmentCheckpoint {
         self.batch.put(w);
         self.fragment.put(w);
         self.meta.encode().put(w);
-        self.records.put(w);
+        (self.records.len() as u32).put(w);
+        for (q, oid, text) in &self.records {
+            q.put(w);
+            oid.put(w);
+            (text.len() as u32).put(w);
+            w.bytes(text);
+        }
     }
 
     fn get(r: &mut Reader<'_>) -> Result<FragmentCheckpoint, CodecError> {
@@ -213,7 +224,15 @@ impl Wire for FragmentCheckpoint {
             batch: Wire::get(r.at("FragmentCheckpoint.batch"))?,
             fragment: Wire::get(r.at("FragmentCheckpoint.fragment"))?,
             meta: Wire::decode(r.at("FragmentCheckpoint.meta").blob()?)?,
-            records: Wire::get(r.at("FragmentCheckpoint.records"))?,
+            records: {
+                let n = u32::get(r.at("FragmentCheckpoint.records"))?;
+                r.list_of(u64::from(n), <(u32, u32, String)>::MIN_SIZE, |r| {
+                    let (q, oid) = (u32::get(r)?, u32::get(r)?);
+                    let text = r.blob()?;
+                    std::str::from_utf8(text).map_err(|_| r.bad_value())?;
+                    Ok((q, oid, Bytes::copy_from_slice(text)))
+                })?
+            },
         })
     }
 }

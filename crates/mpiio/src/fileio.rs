@@ -18,9 +18,9 @@ use bytes::Bytes;
 use mpisim::{Collectives, Comm};
 use parafs::{SimFs, StoreError};
 
-use crate::runs::{merge, merge_bytes, Cover};
+use crate::runs::{cut, merge, merge_bytes, Cover, Run};
 use crate::stage::{Pending, Sink};
-use crate::view::FileView;
+use crate::view::{FileView, ViewFrame};
 
 /// Collective-I/O tuning knobs (a tiny subset of ROMIO hints).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -86,7 +86,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     }
 
     /// Exchange every rank's view (gather at 0, broadcast the bundle).
-    fn exchange_views(&self, view: &FileView) -> Result<Vec<FileView>, StoreError> {
+    fn exchange_views(&self, view: &FileView) -> Result<ViewBundle, StoreError> {
         let mine = Bytes::from(view.encode());
         // Only the root gathers anything to bundle.
         let mut buf = Vec::new();
@@ -97,8 +97,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
                 buf.extend_from_slice(v);
             }
         }
-        let bundle = self.comm.bcast(0, Bytes::from(buf));
-        decode_view_bundle(&bundle)
+        ViewBundle::parse(self.comm.bcast(0, Bytes::from(buf)))
     }
 
     /// Collective write: `data` holds the bytes of `view`'s regions, in
@@ -108,7 +107,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// [`StoreError::NoSpace`]) is reported after the closing barrier so
     /// the collective stays aligned across ranks.
     pub fn write_at_all(&self, view: &FileView, data: &[u8]) -> Result<(), StoreError> {
-        let pend = self.issue_write_all(view, data, true)?;
+        let pend = self.issue_write_all(view, &Run::from(data.to_vec()), true)?;
         self.write_at_all_end(pend)
     }
 
@@ -122,64 +121,66 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     pub fn write_at_all_begin(
         &self,
         view: &FileView,
-        data: &[u8],
+        data: impl Into<Run>,
     ) -> Result<PendingWriteAll, StoreError> {
-        self.issue_write_all(view, data, false)
+        self.issue_write_all(view, &data.into(), false)
     }
 
     /// Everything of a collective write up to its join: exchange, route,
     /// receive, merge, then stage or issue each of this aggregator's
     /// runs — one after another when `joined`, all in flight otherwise.
+    ///
+    /// A chunk this rank aggregates itself stays views of `data`'s
+    /// pieces all the way to the store; a chunk bound for a peer is
+    /// copied once, into the frame that models it on the wire, and the
+    /// aggregator stores that frame's bytes as views.
     pub(crate) fn issue_write_all(
         &self,
         view: &FileView,
-        data: &[u8],
+        data: &Run,
         joined: bool,
     ) -> Result<PendingWriteAll, StoreError> {
         assert_eq!(
-            data.len() as u64,
+            data.len(),
             view.total_bytes(),
             "data must exactly fill the view"
         );
         let tag = self.next_tag();
-        let all_views = self.exchange_views(view)?;
-        let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
+        let bundle = self.exchange_views(view)?;
+        let Some(domains) = Domains::compute(&bundle, self.comm.size(), self.hints) else {
             return Ok(Pending::default()); // nobody is writing anything
         };
         let me = self.comm.rank();
 
         // Route each of my chunks to its domain's aggregator, or stash
         // it if that is me.
-        let mut local_chunks: Vec<(u64, Bytes)> = Vec::new();
-        let mut cursor = 0usize;
-        for (abs, len) in view.absolute() {
-            for (d, off, piece_len) in domains.split(abs, len) {
-                let slice = &data[cursor..cursor + piece_len as usize];
-                cursor += piece_len as usize;
+        let mut local_chunks: Vec<(u64, Run)> = Vec::new();
+        for (abs, region) in cut(view.absolute(), data) {
+            for (d, off, piece_len) in domains.split(abs, region.len()) {
+                let chunk = region.slice(off - abs, piece_len);
                 let dst = domains.agg_rank(d);
                 if dst == me {
-                    local_chunks.push((off, Bytes::copy_from_slice(slice)));
+                    local_chunks.push((off, chunk));
                 } else {
-                    let mut payload = Vec::with_capacity(8 + slice.len());
-                    payload.extend_from_slice(&off.to_le_bytes());
-                    payload.extend_from_slice(slice);
-                    self.comm.send(dst, tag, Bytes::from(payload));
+                    let mut frame = vec![0u8; 8 + chunk.len() as usize];
+                    frame[..8].copy_from_slice(&off.to_le_bytes());
+                    chunk.copy_to(&mut frame[8..]);
+                    self.comm.send(dst, tag, Bytes::from(frame));
                 }
             }
         }
-        debug_assert_eq!(cursor, data.len());
 
         // Receive, in rank order, every chunk of the domain I aggregate.
         // A peer frame that disagrees with the exchanged views is left
         // out and every later one still received.
         let (mut chunks, mut corrupt) = (Vec::new(), None);
-        for (src, off, piece_len) in self.wanted_chunks(&all_views, &domains) {
+        for (src, off, piece_len) in self.wanted_chunks(&bundle, &domains) {
             if src == me {
                 continue; // already stashed
             }
             let m = self.comm.recv(Some(src), Some(tag));
             match check_chunk("write", frame_bytes(&m.payload, off), src, off, piece_len) {
-                Ok(bytes) => chunks.push((off, bytes)),
+                Ok(bytes) => chunks.push((off, Run::from(bytes))),
                 Err(e) => {
                     corrupt.get_or_insert(e);
                 }
@@ -210,20 +211,16 @@ impl<'a, 'c> MpiFile<'a, 'c> {
 
     /// Every chunk of my aggregation domain across all ranks, as
     /// `(src, off, len)` in deterministic rank order (empty if I
-    /// aggregate no domain).
-    fn wanted_chunks(&self, all_views: &[FileView], domains: &Domains) -> Vec<(usize, u64, u64)> {
+    /// aggregate no domain). Only an aggregator reads other ranks'
+    /// regions, and only those that reach into its own domain.
+    fn wanted_chunks(&self, bundle: &ViewBundle, domains: &Domains) -> Vec<(usize, u64, u64)> {
         let Some(my_domain) = domains.domain_of(self.comm.rank()) else {
             return Vec::new();
         };
+        let (lo, hi) = domains.range(my_domain);
         let mut wanted = Vec::new();
-        for (src, view) in all_views.iter().enumerate() {
-            for (abs, len) in view.absolute() {
-                for (d, off, piece_len) in domains.split(abs, len) {
-                    if d == my_domain {
-                        wanted.push((src, off, piece_len));
-                    }
-                }
-            }
+        for (src, view) in bundle.views().enumerate() {
+            wanted.extend(view.clipped(lo, hi).map(|(off, len)| (src, off, len)));
         }
         wanted
     }
@@ -237,8 +234,8 @@ impl<'a, 'c> MpiFile<'a, 'c> {
     /// returns the file system's error.
     pub fn read_at_all(&self, view: &FileView) -> Result<Vec<u8>, StoreError> {
         let tag = self.next_tag();
-        let all_views = self.exchange_views(view)?;
-        let Some(domains) = Domains::compute(&all_views, self.comm.size(), self.hints) else {
+        let bundle = self.exchange_views(view)?;
+        let Some(domains) = Domains::compute(&bundle, self.comm.size(), self.hints) else {
             self.comm.barrier();
             return Ok(Vec::new());
         };
@@ -248,7 +245,7 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         // and serve every other rank's chunks in deterministic order. The
         // first failed run ends the reading; returning there would strand
         // every peer waiting on this domain.
-        let wanted = self.wanted_chunks(&all_views, &domains);
+        let wanted = self.wanted_chunks(&bundle, &domains);
         let held: Result<Vec<_>, _> = merge(wanted.iter().map(|&(_, o, l)| (o, l)).collect(), 0)
             .into_iter()
             .map(|(o, l)| {
@@ -296,36 +293,56 @@ impl<'a, 'c> MpiFile<'a, 'c> {
 /// the first corrupt peer frame or failed run, reported by `end`.
 pub type PendingWriteAll = Pending;
 
-/// Decode the gathered-and-broadcast bundle of every rank's view.
-///
-/// Wire bytes are untrusted: every length is validated before slicing,
-/// and malformed input comes back as [`StoreError::Corrupt`] instead of
-/// a panic, so one corrupted broadcast degrades the collective rather
-/// than aborting the whole run.
-fn decode_view_bundle(buf: &[u8]) -> Result<Vec<FileView>, StoreError> {
-    let corrupt = |what: String| StoreError::Corrupt { what };
-    let (n, mut rest) =
-        split_u32(buf).ok_or_else(|| corrupt("view bundle: truncated count header".into()))?;
-    let mut out = Vec::new();
-    for i in 0..n {
-        let (len, after) = split_u32(rest)
-            .ok_or_else(|| corrupt(format!("view bundle: truncated length of frame {i}")))?;
-        let (body, after) = after
-            .split_at_checked(len as usize)
-            .ok_or_else(|| corrupt(format!("view bundle: frame {i} overruns the bundle")))?;
-        out.push(
-            FileView::decode(body)
-                .ok_or_else(|| corrupt(format!("view bundle: frame {i} is not a file view")))?,
-        );
-        rest = after;
+/// Every rank's view as the exchange broadcast it — `[count u32]`, then
+/// per rank `[len u32][encoded view]` — validated once and then read in
+/// place. Each rank keeps the one shared buffer, not a decoded copy of
+/// every rank's view: P such copies on each of P ranks would make the
+/// collective's memory O(P²).
+struct ViewBundle(Bytes);
+
+impl ViewBundle {
+    /// Validate the bundle: every count and length checked before it is
+    /// used, every frame a whole [`FileView`] encoding, nothing left
+    /// over.
+    ///
+    /// Wire bytes are untrusted: malformed input comes back as
+    /// [`StoreError::Corrupt`] instead of a panic, so one corrupted
+    /// broadcast degrades the collective rather than aborting the whole
+    /// run.
+    fn parse(buf: Bytes) -> Result<ViewBundle, StoreError> {
+        let corrupt = |what: String| StoreError::Corrupt { what };
+        let (n, mut rest) =
+            split_u32(&buf).ok_or_else(|| corrupt("view bundle: truncated count header".into()))?;
+        for i in 0..n {
+            let (len, after) = split_u32(rest)
+                .ok_or_else(|| corrupt(format!("view bundle: truncated length of frame {i}")))?;
+            let (body, after) = after
+                .split_at_checked(len as usize)
+                .ok_or_else(|| corrupt(format!("view bundle: frame {i} overruns the bundle")))?;
+            ViewFrame::parse(body)
+                .ok_or_else(|| corrupt(format!("view bundle: frame {i} is not a file view")))?;
+            rest = after;
+        }
+        if !rest.is_empty() {
+            return Err(corrupt(format!(
+                "view bundle: {} trailing bytes after {n} frames",
+                rest.len()
+            )));
+        }
+        Ok(ViewBundle(buf))
     }
-    if !rest.is_empty() {
-        return Err(corrupt(format!(
-            "view bundle: {} trailing bytes after {n} frames",
-            rest.len()
-        )));
+
+    /// Each rank's view, in rank order: a walk over the frame headers,
+    /// every region read where it lies.
+    fn views(&self) -> impl Iterator<Item = ViewFrame<'_>> {
+        let (n, mut rest) = split_u32(&self.0).unwrap_or_default();
+        (0..n).map_while(move |_| {
+            let (len, after) = split_u32(rest)?;
+            let (body, after) = after.split_at_checked(len as usize)?;
+            rest = after;
+            ViewFrame::read(body)
+        })
     }
-    Ok(out)
 }
 
 /// Split a little-endian `u32` off the front of `buf`.
@@ -372,9 +389,11 @@ struct Domains {
 }
 
 impl Domains {
-    fn compute(all_views: &[FileView], size: usize, hints: CollectiveHints) -> Option<Domains> {
-        let lo = all_views.iter().filter_map(|v| v.min_offset()).min()?;
-        let hi = all_views.iter().filter_map(|v| v.max_offset()).max()?;
+    /// The partition of the extent every rank's view touches, read off
+    /// each view's first and last region.
+    fn compute(bundle: &ViewBundle, size: usize, hints: CollectiveHints) -> Option<Domains> {
+        let lo = bundle.views().filter_map(|v| v.min_offset()).min()?;
+        let hi = bundle.views().filter_map(|v| v.max_offset()).max()?;
         let span = hi - lo;
         let count = hints.aggregators.clamp(1, size);
         Some(Domains {
@@ -417,24 +436,33 @@ impl Domains {
         d
     }
 
+    /// Where domain `d` ends: the next one's start, or never for the last.
+    fn end(&self, d: usize) -> u64 {
+        if d + 1 == self.count {
+            u64::MAX
+        } else {
+            self.bound(d + 1)
+        }
+    }
+
+    /// Domain `d`'s file range, `[start, end)`: the offsets
+    /// [`Domains::domain_containing`] maps to `d`.
+    fn range(&self, d: usize) -> (u64, u64) {
+        (self.bound(d), self.end(d))
+    }
+
     /// Split `(abs, len)` at domain boundaries, yielding
     /// `(domain, offset, len)` pieces in order.
-    fn split(&self, abs: u64, len: u64) -> Vec<(usize, u64, u64)> {
-        let mut out = Vec::new();
-        let mut off = abs;
-        let end = abs + len;
-        while off < end {
-            let d = self.domain_containing(off);
-            let d_end = if d + 1 == self.count {
-                u64::MAX
-            } else {
-                self.bound(d + 1)
-            };
-            let piece_end = end.min(d_end);
-            out.push((d, off, piece_end - off));
-            off = piece_end;
-        }
-        out
+    fn split(&self, abs: u64, len: u64) -> impl Iterator<Item = (usize, u64, u64)> + '_ {
+        let (mut off, end) = (abs, abs + len);
+        std::iter::from_fn(move || {
+            (off < end).then(|| {
+                let d = self.domain_containing(off);
+                let piece = (d, off, end.min(self.end(d)) - off);
+                off += piece.2;
+                piece
+            })
+        })
     }
 }
 
@@ -692,46 +720,91 @@ mod tests {
 
     #[test]
     fn malformed_view_bundles_error_instead_of_panicking() {
+        let parse = |buf: &[u8]| ViewBundle::parse(Bytes::copy_from_slice(buf));
         // Truncated count header.
-        assert!(matches!(
-            decode_view_bundle(&[1, 0]),
-            Err(StoreError::Corrupt { .. })
-        ));
+        assert!(matches!(parse(&[1, 0]), Err(StoreError::Corrupt { .. })));
         // Count promises more frames than the bundle holds.
         assert!(matches!(
-            decode_view_bundle(&2u32.to_le_bytes()),
+            parse(&2u32.to_le_bytes()),
             Err(StoreError::Corrupt { .. })
         ));
         // Frame length overruns the bundle.
         let mut buf = 1u32.to_le_bytes().to_vec();
         buf.extend_from_slice(&100u32.to_le_bytes());
         buf.extend_from_slice(&[0u8; 10]);
-        assert!(matches!(
-            decode_view_bundle(&buf),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // Frame bytes that do not decode as a view.
+        assert!(matches!(parse(&buf), Err(StoreError::Corrupt { .. })));
+        // Frame bytes that do not decode as a view — nor do regions that
+        // overlap, however well-formed the frame.
         let mut buf = 1u32.to_le_bytes().to_vec();
         buf.extend_from_slice(&3u32.to_le_bytes());
         buf.extend_from_slice(&[9, 9, 9]);
-        assert!(matches!(
-            decode_view_bundle(&buf),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // Trailing garbage after the last frame.
-        let v = FileView::contiguous(0, 10);
-        let enc = v.encode();
+        assert!(matches!(parse(&buf), Err(StoreError::Corrupt { .. })));
+        let overlapping = FileView {
+            displacement: 0,
+            regions: vec![(0, 10), (5, 10)],
+        };
+        let enc = overlapping.encode();
         let mut buf = 1u32.to_le_bytes().to_vec();
         buf.extend_from_slice(&(enc.len() as u32).to_le_bytes());
         buf.extend_from_slice(&enc);
+        assert!(matches!(parse(&buf), Err(StoreError::Corrupt { .. })));
+        // Trailing garbage after the last frame.
+        let views = [
+            FileView::new(7, vec![(0, 10), (30, 5)]).unwrap(),
+            FileView::default(),
+        ];
+        let mut buf = (views.len() as u32).to_le_bytes().to_vec();
+        for v in &views {
+            let enc = v.encode();
+            buf.extend_from_slice(&(enc.len() as u32).to_le_bytes());
+            buf.extend_from_slice(&enc);
+        }
         buf.push(0);
-        assert!(matches!(
-            decode_view_bundle(&buf),
-            Err(StoreError::Corrupt { .. })
-        ));
-        // The same bundle without the stray byte round-trips.
+        assert!(matches!(parse(&buf), Err(StoreError::Corrupt { .. })));
+        // The same bundle without the stray byte reads every view in
+        // place, and a domain's clip of them.
         buf.pop();
-        assert_eq!(decode_view_bundle(&buf).unwrap(), vec![v]);
+        let bundle = parse(&buf).unwrap();
+        let read: Vec<Vec<(u64, u64)>> = bundle
+            .views()
+            .map(|f| f.clipped(0, u64::MAX).collect())
+            .collect();
+        let want: Vec<Vec<(u64, u64)>> = views.iter().map(|v| v.absolute().collect()).collect();
+        assert_eq!(read, want);
+        let first = bundle.views().next().unwrap();
+        assert_eq!(
+            (first.min_offset(), first.max_offset()),
+            (Some(7), Some(42))
+        );
+        assert_eq!(
+            first.clipped(10, 40).collect::<Vec<_>>(),
+            vec![(10, 7), (37, 3)]
+        );
+        assert_eq!(first.clipped(17, 37).count(), 0);
+    }
+
+    #[test]
+    fn domain_ranges_are_what_split_assigns() {
+        // Every byte of an extent lands, through `split`, in the domain
+        // whose `range` holds it — empty domains included (a span
+        // shorter than the aggregator count).
+        for (lo, span, count) in [(0u64, 1000u64, 3usize), (5, 7, 4), (100, 2, 8), (0, 1, 1)] {
+            let d = Domains {
+                lo,
+                span,
+                count,
+                size: 8,
+            };
+            let pieces: Vec<_> = d.split(lo, span + 3).collect();
+            assert_eq!(pieces.iter().map(|p| p.2).sum::<u64>(), span + 3);
+            for (dom, off, len) in pieces {
+                let (a, b) = d.range(dom);
+                assert!(
+                    a <= off && off + len <= b,
+                    "{off}+{len} outside domain {dom}"
+                );
+            }
+        }
     }
 
     #[test]
@@ -747,7 +820,7 @@ mod tests {
             let regions: Vec<(u64, u64)> = (0..5).map(|i| ((i * 6 + me) * 10, 10)).collect();
             let view = FileView::new(0, regions).unwrap();
             let data: Vec<u8> = (0..5).flat_map(|i| vec![(i * 6 + me) as u8; 10]).collect();
-            let pend = file.write_at_all_begin(&view, &data).unwrap();
+            let pend = file.write_at_all_begin(&view, data).unwrap();
             ctx.charge(SimDuration::from_millis(5)); // compute while runs are in flight
             file.write_at_all_end(pend).unwrap();
         });
@@ -791,7 +864,7 @@ mod tests {
             let view = FileView::contiguous(me * 10, 10);
             // As the plane drives it: a failed begin has no end to post.
             let result = file
-                .write_at_all_begin(&view, &[me as u8 + 1; 10])
+                .write_at_all_begin(&view, vec![me as u8 + 1; 10])
                 .and_then(|pend| file.write_at_all_end(pend));
             store.borrow_mut().fence(&ctx).unwrap();
             result

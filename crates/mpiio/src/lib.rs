@@ -30,5 +30,5 @@ pub mod view;
 pub use burstfs::{BurstError, BurstOptions, BurstStats, StagingStore};
 pub use fileio::{CollectiveHints, MpiFile};
 pub use plane::{IoOptions, IoPlane, PlaneConfig, SIEVE_HOLE_LIMIT};
-pub use runs::{merge, merge_bytes, pieces, Cover};
+pub use runs::{cut, merge, merge_bytes, pieces, Cover, Run};
 pub use view::{FileView, ViewError};

@@ -65,7 +65,7 @@ use parafs::{AsyncIo, IoClass, SimFs, StoreError};
 use mpisim::Comm;
 
 use crate::fileio::{CollectiveHints, MpiFile};
-use crate::runs::{merge, merge_bytes, pieces, Cover};
+use crate::runs::{cut, merge, merge_bytes, pieces, Cover, Run};
 use crate::stage::{Pending, Sink};
 use crate::view::FileView;
 
@@ -243,10 +243,11 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     }
 
     /// Write scattered records at master-assigned offsets (`payload`
-    /// fills the view's regions in order; each region's run is a view of
-    /// it, so a buffer handed over is written without a copy). Writes
-    /// *do* fail — a full file system surfaces as
-    /// [`StoreError::NoSpace`] — and the caller must degrade, not abort.
+    /// fills the view's regions in order; each region's run is views of
+    /// its pieces, so the buffers handed over — the records themselves,
+    /// one piece each — are what the file system stores). Writes *do*
+    /// fail — a full file system surfaces as [`StoreError::NoSpace`] —
+    /// and the caller must degrade, not abort.
     ///
     /// Under [`IoOptions::io_async`] this is fire-and-collect: every run
     /// of the view goes in flight at once, so per-operation latencies
@@ -257,16 +258,16 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         &self,
         path: &str,
         view: &FileView,
-        payload: impl Into<Bytes>,
+        payload: impl Into<Run>,
     ) -> Result<(), StoreError> {
         let payload = payload.into();
         assert_eq!(
-            payload.len() as u64,
+            payload.len(),
             view.total_bytes(),
             "payload must exactly fill the view"
         );
         let posted = self.cfg.options.io_async;
-        let (op, bytes, class) = ("output_write", payload.len() as u64, self.cfg.output);
+        let (op, bytes, class) = ("output_write", payload.len(), self.cfg.output);
         let _span = self.open(posted, "plane.write", op, class, view);
         let kind = if class == IoClass::TwoPhase {
             let file = MpiFile::open(self.comm, self.fs, path)
@@ -280,7 +281,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             // One run per region, or — sieved — one per stretch of
             // strictly adjacent regions: writing *through* a hole would
             // clobber bytes other ranks own, so holes always split runs.
-            let mut runs = pieces(view.absolute(), &payload);
+            let mut runs = cut(view.absolute(), &payload);
             if class == IoClass::Sieved {
                 runs = merge_bytes(runs);
             }
@@ -305,7 +306,8 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         let bytes = payload.len() as u64;
         let put = move |joined: bool| {
             self.fs.note_class(IoClass::Independent, 1, bytes);
-            self.sink().issue(path, vec![(0, payload)], joined, true)
+            self.sink()
+                .issue(path, vec![(0, Run::from(payload))], joined, true)
         };
         if self.cfg.options.io_async {
             begin_instant("ckpt_put", IoClass::Independent, bytes);

@@ -4,10 +4,11 @@
 //! list here, so a run list comes out the same whoever asked for it.
 //!
 //! Bytes ride as shared [`Bytes`] views: cutting a payload into pieces,
-//! holding a read's runs and handing a range out of them copy nothing;
-//! only joining several pieces into one run assembles a buffer.
+//! joining pieces into a write's [`Run`], holding a read's runs and
+//! handing a range out of them copy nothing.
 
 use bytes::Bytes;
+pub use parafs::Run;
 
 /// Merge `(offset, len)` ranges — in any order, overlapping, empty —
 /// into sorted, disjoint runs: overlapping and adjacent ranges join,
@@ -24,48 +25,14 @@ pub fn merge(mut ranges: Vec<(u64, u64)>, max_hole: u64) -> Vec<(u64, u64)> {
 /// [`merge`] with `max_hole = 0` over pieces that carry their bytes (a
 /// hole has none to bridge it with). Where pieces overlap, the one that
 /// starts later wins — of two that start together, the later in the
-/// input — as it would had they been written in offset order. A run of
-/// one piece is that piece; a run of several is assembled once.
-pub fn merge_bytes(pieces: Vec<(u64, Bytes)>) -> Vec<(u64, Bytes)> {
-    let pieces = pieces.into_iter().map(|(o, d)| (o, Run::from(d))).collect();
-    let join = |run: &mut Run, at: u64, piece: Run| {
-        run.len = run.len.max(at + piece.len);
-        run.parts
-            .extend(piece.parts.into_iter().map(|(o, d)| (o + at, d)));
-    };
-    let runs = merge_by(pieces, 0, |r| r.len, join);
-    runs.into_iter().map(|(o, run)| (o, run.bytes())).collect()
-}
-
-/// A run being joined: its length and its pieces at their offsets into
-/// it, in the order they are to be laid down.
-struct Run {
-    len: u64,
-    parts: Vec<(u64, Bytes)>,
-}
-
-impl From<Bytes> for Run {
-    fn from(d: Bytes) -> Run {
-        Run {
-            len: d.len() as u64,
-            parts: vec![(0, d)],
-        }
-    }
-}
-
-impl Run {
-    /// The run's bytes: its one piece as is, or every piece laid down in
-    /// order into one buffer (they tile it, so no byte is left unset).
-    fn bytes(mut self) -> Bytes {
-        if self.parts.len() == 1 {
-            return self.parts.swap_remove(0).1;
-        }
-        let mut buf = vec![0u8; self.len as usize];
-        for (at, d) in &self.parts {
-            buf[*at as usize..][..d.len()].copy_from_slice(d);
-        }
-        Bytes::from(buf)
-    }
+/// input — as it would had they been written in offset order. A run
+/// keeps its pieces as they are: joining them copies nothing, and the
+/// file system lays them down in that order.
+pub fn merge_bytes<P: Into<Run>>(pieces: Vec<(u64, P)>) -> Vec<(u64, Run)> {
+    let pieces = pieces.into_iter().map(|(o, d)| (o, d.into())).collect();
+    merge_by(pieces, 0, Run::len, |run: &mut Run, at, piece| {
+        run.join(at, piece)
+    })
 }
 
 /// The one walk: sort by offset, then fold each piece into the run
@@ -107,6 +74,18 @@ pub fn pieces(regions: impl IntoIterator<Item = (u64, u64)>, payload: &Bytes) ->
     regions.into_iter().map(cut).collect()
 }
 
+/// [`pieces`] for a write's payload, which may itself be several
+/// pieces: one run per region, each views of the payload's pieces.
+pub fn cut(regions: impl IntoIterator<Item = (u64, u64)>, payload: &Run) -> Vec<(u64, Run)> {
+    let mut at = 0u64;
+    let cut = |(o, l): (u64, u64)| {
+        let run = payload.slice(at, l);
+        at += run.len();
+        (o, run)
+    };
+    regions.into_iter().map(cut).collect()
+}
+
 /// The bytes of a sorted, disjoint run list, addressable by absolute
 /// file offset.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -116,7 +95,7 @@ pub struct Cover {
 
 impl Cover {
     /// Wrap `runs`, which must be sorted by offset and disjoint — what
-    /// [`merge`]d reads, [`merge_bytes`] and a view's [`pieces`] are.
+    /// [`merge`]d reads and a view's [`pieces`] are.
     pub fn new(runs: Vec<(u64, Bytes)>) -> Cover {
         debug_assert!(runs
             .windows(2)

@@ -6,8 +6,7 @@
 use std::cell::RefCell;
 
 use burstfs::{BurstError, StagingStore};
-use bytes::Bytes;
-use parafs::{AsyncIo, SimFs, StoreError};
+use parafs::{AsyncIo, Run, SimFs, StoreError};
 use simcluster::RankCtx;
 
 /// Where a rank's writes go: its staging store, if it has one, in front
@@ -42,11 +41,14 @@ impl Sink<'_> {
     /// means no store is attached, or the tier pushed back
     /// ([`burstfs::BurstError::StagingFull`]); the run must go to the
     /// destination directly. `Err` is a real storage failure.
-    fn try_stage(&self, path: &str, offset: u64, data: &[u8]) -> Result<bool, StoreError> {
+    fn try_stage(&self, path: &str, offset: u64, data: &Run) -> Result<bool, StoreError> {
         let Some(cell) = self.burst else {
             return Ok(false);
         };
-        match cell.borrow_mut().put(self.ctx, path, offset, data) {
+        match cell
+            .borrow_mut()
+            .put_run(self.ctx, path, offset, data.clone())
+        {
             Ok(()) => Ok(true),
             Err(BurstError::StagingFull { .. }) => Ok(false),
             Err(BurstError::Storage(e)) => Err(e),
@@ -61,13 +63,7 @@ impl Sink<'_> {
     /// its drain belongs to the store and is joined at the next fence.
     /// Every run is attempted whatever became of the ones before it,
     /// and the first failure is kept for [`Sink::join`] to report.
-    pub fn issue(
-        &self,
-        path: &str,
-        runs: Vec<(u64, Bytes)>,
-        joined: bool,
-        replace: bool,
-    ) -> Pending {
+    pub fn issue(&self, path: &str, runs: Vec<(u64, Run)>, joined: bool, replace: bool) -> Pending {
         let mut pend = Pending::default();
         for (offset, data) in runs {
             let issued = self.try_stage(path, offset, &data).and_then(|staged| {

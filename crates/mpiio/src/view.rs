@@ -51,20 +51,7 @@ impl FileView {
 
     /// Build and validate a view.
     pub fn new(displacement: u64, regions: Vec<(u64, u64)>) -> Result<FileView, ViewError> {
-        let mut prev_end = 0u64;
-        let mut first = true;
-        for &(off, len) in &regions {
-            if len == 0 {
-                return Err(ViewError::EmptyRegion);
-            }
-            let end = off.checked_add(len).ok_or(ViewError::Overflow)?;
-            displacement.checked_add(end).ok_or(ViewError::Overflow)?;
-            if !first && off < prev_end {
-                return Err(ViewError::Unsorted);
-            }
-            prev_end = end;
-            first = false;
-        }
+        check(displacement, regions.iter().copied())?;
         Ok(FileView {
             displacement,
             regions,
@@ -107,17 +94,103 @@ impl FileView {
 
     /// Inverse of [`FileView::encode`].
     pub fn decode(buf: &[u8]) -> Option<FileView> {
-        let u64_at = |b: &[u8]| Some(u64::from_le_bytes(b.try_into().ok()?));
-        let (head, body) = buf.split_first_chunk::<12>()?;
-        let n = u32::from_le_bytes(head[8..].try_into().ok()?) as usize;
-        if body.len() != n.checked_mul(16)? {
-            return None;
+        let frame = ViewFrame::parse(buf)?;
+        Some(FileView {
+            displacement: frame.displacement,
+            regions: frame.regions.iter().map(region).collect(),
+        })
+    }
+}
+
+/// What [`FileView::new`] requires of `regions`: each non-empty, sorted
+/// and disjoint, and no end overflowing once displaced.
+fn check(displacement: u64, regions: impl Iterator<Item = (u64, u64)>) -> Result<(), ViewError> {
+    let mut prev_end = None;
+    for (off, len) in regions {
+        if len == 0 {
+            return Err(ViewError::EmptyRegion);
         }
-        let regions = body
-            .chunks_exact(16)
-            .map(|c| Some((u64_at(&c[..8])?, u64_at(&c[8..])?)))
-            .collect::<Option<Vec<_>>>()?;
-        FileView::new(u64_at(&head[..8])?, regions).ok()
+        let end = off.checked_add(len).ok_or(ViewError::Overflow)?;
+        displacement.checked_add(end).ok_or(ViewError::Overflow)?;
+        if prev_end.is_some_and(|prev| off < prev) {
+            return Err(ViewError::Unsorted);
+        }
+        prev_end = Some(end);
+    }
+    Ok(())
+}
+
+/// An encoded region, `[offset u64][len u64]`.
+fn region(r: &[u8; 16]) -> (u64, u64) {
+    let word = |at: usize| u64::from_le_bytes(std::array::from_fn(|j| r[at + j]));
+    (word(0), word(8))
+}
+
+/// A [`FileView`] read in place from its [`FileView::encode`]d bytes —
+/// `[displacement u64][count u32]` then `count` regions — validated as
+/// [`FileView::new`] validates, without decoding the regions into a
+/// list. Regions are fixed-width, so any one of them is read directly.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ViewFrame<'a> {
+    displacement: u64,
+    regions: &'a [[u8; 16]],
+}
+
+impl<'a> ViewFrame<'a> {
+    /// `buf` as an encoded view, if it is exactly one valid encoding.
+    pub(crate) fn parse(buf: &'a [u8]) -> Option<ViewFrame<'a>> {
+        let frame = ViewFrame::read(buf)?;
+        check(frame.displacement, frame.regions.iter().map(region)).ok()?;
+        Some(frame)
+    }
+
+    /// `buf` as an encoded view if its length is what its count says —
+    /// no region looked at, so only for bytes [`ViewFrame::parse`] has
+    /// already accepted.
+    pub(crate) fn read(buf: &'a [u8]) -> Option<ViewFrame<'a>> {
+        let (head, body) = buf.split_first_chunk::<12>()?;
+        let (displacement, count) = head.split_first_chunk::<8>()?;
+        let count = u32::from_le_bytes(count.try_into().ok()?) as usize;
+        let (regions, rest) = body.as_chunks::<16>();
+        (regions.len() == count && rest.is_empty()).then(|| ViewFrame {
+            displacement: u64::from_le_bytes(*displacement),
+            regions,
+        })
+    }
+
+    /// A region at its absolute file offset.
+    fn displaced(&self, r: &[u8; 16]) -> (u64, u64) {
+        let (o, l) = region(r);
+        (self.displacement + o, l)
+    }
+
+    /// Lowest absolute offset touched (`None` for an empty view).
+    pub(crate) fn min_offset(&self) -> Option<u64> {
+        self.regions.first().map(|r| self.displaced(r).0)
+    }
+
+    /// One past the highest absolute offset touched.
+    pub(crate) fn max_offset(&self) -> Option<u64> {
+        let (o, l) = self.displaced(self.regions.last()?);
+        Some(o + l)
+    }
+
+    /// The regions that reach into `[lo, hi)`, clipped to it, in order:
+    /// a binary search for the first, then a walk while they start
+    /// below `hi`.
+    pub(crate) fn clipped(&self, lo: u64, hi: u64) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let first = self.regions.partition_point(|r| {
+            let (o, l) = self.displaced(r);
+            o + l <= lo
+        });
+        self.regions[first..]
+            .iter()
+            .map(|r| self.displaced(r))
+            .take_while(move |&(o, _)| o < hi)
+            .map(move |(o, l)| {
+                let (from, to) = (o.max(lo), (o + l).min(hi));
+                (from, to - from)
+            })
     }
 }
 

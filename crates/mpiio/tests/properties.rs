@@ -3,7 +3,7 @@
 //! small universe.
 
 use bytes::Bytes;
-use mpiio::{merge, merge_bytes, pieces, Cover, FileView, ViewError};
+use mpiio::{cut, merge, merge_bytes, pieces, Cover, FileView, Run, ViewError};
 use proptest::prelude::*;
 
 /// The run-list universe: ranges start within `SPAN` addresses of
@@ -98,25 +98,24 @@ proptest! {
 
     /// `merge_bytes` leaves exactly the runs and bytes a serial writer
     /// of the same pieces would: hole-free stretches joined, the piece
-    /// that starts later winning an overlap, nothing bridged — and a run
-    /// of one piece is that piece, not a copy of it.
+    /// that starts later winning an overlap, nothing bridged — and every
+    /// part of a run is one of the pieces itself, not a copy of it.
     #[test]
     fn merge_bytes_reproduces_the_serially_written_file(pieces in arb_pieces()) {
         let file = paint(&pieces);
         let merged = merge_bytes(pieces.clone());
         let ranges: Vec<(u64, u64)> = pieces.iter().map(|(o, d)| (*o, d.len() as u64)).collect();
-        let shape: Vec<(u64, u64)> = merged.iter().map(|(o, d)| (*o, d.len() as u64)).collect();
+        let shape: Vec<(u64, u64)> = merged.iter().map(|(o, r)| (*o, r.len())).collect();
         prop_assert_eq!(shape, merge(ranges, 0));
-        for (o, bytes) in &merged {
-            let want: Vec<Option<u8>> = file[*o as usize..*o as usize + bytes.len()].to_vec();
-            let got: Vec<Option<u8>> = bytes.iter().copied().map(Some).collect();
+        for (o, run) in &merged {
+            let want: Vec<Option<u8>> = file[*o as usize..(o + run.len()) as usize].to_vec();
+            let got: Vec<Option<u8>> = run.to_vec().into_iter().map(Some).collect();
             prop_assert_eq!(got, want, "run at {}", o);
-            let alone = pieces.iter().find(|(po, d)| po == o && d.len() == bytes.len());
-            let overlapped = pieces.iter().filter(|(po, d)| {
-                !d.is_empty() && *po < o + bytes.len() as u64 && o < &(po + d.len() as u64)
-            });
-            if let (Some((_, d)), 1) = (alone, overlapped.count()) {
-                prop_assert_eq!(d.as_ptr(), bytes.as_ptr(), "run at {} was copied", o);
+            for (at, part) in run.parts() {
+                let input = pieces.iter().any(|(po, d)| {
+                    *po == o + at && d.len() == part.len() && d.as_ptr() == part.as_ptr()
+                });
+                prop_assert!(input, "run at {} copied its piece at {}", o, at);
             }
         }
     }
@@ -128,7 +127,7 @@ proptest! {
     #[test]
     fn slice_equals_the_naive_lookup(pieces in arb_pieces(), joined in any::<bool>()) {
         // Disjoint runs either way; unjoined, some are adjacent.
-        let mut runs = merge_bytes(pieces);
+        let mut runs = contiguous(merge_bytes(pieces));
         if !joined {
             runs = runs.into_iter().flat_map(|(o, d)| {
                 let half = d.len() / 2;
@@ -175,6 +174,42 @@ proptest! {
         let short = pieces(regions.iter().copied(), &payload.slice(..payload.len() / 2));
         prop_assert_eq!(short.concat_bytes(), payload[..payload.len() / 2].to_vec());
     }
+
+    /// `cut` does for a payload of several pieces what `pieces` does for
+    /// one: each region gets its bytes, as views of the pieces that hold
+    /// them.
+    #[test]
+    fn cut_inverts_concatenation_of_pieces(
+        regions in arb_valid_regions(0),
+        splits in prop::collection::vec(0usize..4000, 0..8),
+    ) {
+        let total: u64 = regions.iter().map(|&(_, l)| l).sum();
+        let bytes = Bytes::from((0..total).map(|i| (i % 251) as u8).collect::<Vec<u8>>());
+        let mut bounds: Vec<usize> = splits.iter().map(|&k| k % (bytes.len() + 1)).collect();
+        bounds.extend([0, bytes.len()]);
+        bounds.sort_unstable();
+        let mut payload = Run::default();
+        for w in bounds.windows(2) {
+            payload.push(w[0] as u64, bytes.slice(w[0]..w[1]));
+        }
+        prop_assert_eq!(payload.len(), total);
+        let mut at = 0usize;
+        for ((o, run), &(ro, l)) in cut(regions.iter().copied(), &payload).iter().zip(&regions) {
+            prop_assert_eq!(*o, ro);
+            prop_assert_eq!(run.to_vec(), bytes[at..at + l as usize].to_vec());
+            for (part_at, part) in run.parts() {
+                prop_assert_eq!(part.as_ptr(), bytes[at + *part_at as usize..].as_ptr());
+            }
+            at += l as usize;
+        }
+    }
+}
+
+/// Test-only: merged runs as one buffer each, for a `Cover`.
+fn contiguous(runs: Vec<(u64, Run)>) -> Vec<(u64, Bytes)> {
+    runs.into_iter()
+        .map(|(o, r)| (o, Bytes::from(r.to_vec())))
+        .collect()
 }
 
 /// Test-only: the bytes of a piece list, concatenated.
@@ -208,7 +243,10 @@ fn the_replaced_copies_cases_still_hold() {
     // fileio.rs::{coalesce, coalesce_ranges}
     let piece = |o: u64, d: &'static [u8]| (o, Bytes::from_static(d));
     let runs = merge_bytes(vec![piece(10, &[3, 4]), piece(0, &[1, 2]), piece(2, &[9])]);
-    assert_eq!(runs, vec![piece(0, &[1, 2, 9]), piece(10, &[3, 4])]);
+    assert_eq!(
+        contiguous(runs),
+        vec![piece(0, &[1, 2, 9]), piece(10, &[3, 4])]
+    );
     assert_eq!(
         merge(vec![(5, 5), (0, 5), (12, 1)], 0),
         vec![(0, 10), (12, 1)]
@@ -241,7 +279,10 @@ fn the_replaced_copies_cases_still_hold() {
     // Spans that touch in the file are one run once merged, so a
     // straddling range is one slice; a gap in the file breaks it.
     let data = Bytes::from((0..12).collect::<Vec<u8>>());
-    let cover = Cover::new(merge_bytes(pieces([(0, 4), (4, 6), (20, 2)], &data)));
+    let cover = Cover::new(contiguous(merge_bytes(pieces(
+        [(0, 4), (4, 6), (20, 2)],
+        &data,
+    ))));
     assert_eq!(cover.slice(2, 5), Some(Bytes::from(vec![2u8, 3, 4, 5, 6])));
     assert_eq!(cover.slice(0, 10), Some(data.slice(..10)));
     assert_eq!(cover.slice(8, 14), None);

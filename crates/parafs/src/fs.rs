@@ -16,10 +16,10 @@
 //! does) and later *joined* with [`SimFs::io_wait`]. A blocking call is
 //! begin + wait with nothing in between.
 //!
-//! Bytes move as shared, immutable [`Bytes`]: a write hands its buffer to
-//! the store, which keeps that very buffer, and a read returns a view of
-//! what the store holds — taken when the transfer completes, and never
-//! changed by a later write (see [`crate::store`]).
+//! Bytes move as shared, immutable [`Bytes`]: a write hands its [`Run`]'s
+//! buffers to the store, which keeps those very buffers, and a read
+//! returns a view of what the store holds — taken when the transfer
+//! completes, and never changed by a later write (see [`crate::store`]).
 
 use std::sync::Arc;
 
@@ -28,6 +28,7 @@ use parking_lot::Mutex;
 use simcluster::{RankCtx, SimDuration, SimHandle, SimTime, WakeId};
 
 use crate::profile::{ClassTally, FsProfile, IoClass};
+use crate::run::Run;
 use crate::store::{FileStore, StoreError};
 
 /// Byte-level counters for one file system.
@@ -64,7 +65,7 @@ enum AsyncAction {
     Write {
         path: String,
         offset: u64,
-        data: Bytes,
+        data: Run,
     },
 }
 
@@ -124,9 +125,9 @@ struct FsState {
 
 impl FsState {
     /// Land a write into the store, honoring the capacity limit.
-    fn land_write(&mut self, path: &str, offset: u64, data: Bytes) -> Result<(), StoreError> {
+    fn land_write(&mut self, path: &str, offset: u64, data: Run) -> Result<(), StoreError> {
         if let Some(cap) = self.capacity {
-            let end = offset + data.len() as u64;
+            let end = offset + data.len();
             let growth = end.saturating_sub(self.store.len(path).unwrap_or(0));
             let used = self.store.total_bytes();
             if used + growth > cap {
@@ -137,7 +138,7 @@ impl FsState {
                 });
             }
         }
-        self.counters.bytes_written += data.len() as u64;
+        self.counters.bytes_written += data.len();
         self.counters.data_ops += 1;
         self.store.write_at(path, offset, data);
         Ok(())
@@ -246,9 +247,10 @@ impl SimFs {
         st.store.copy_at(path, 0, st.store.len(path).unwrap_or(0))
     }
 
-    /// A copy of `len` bytes at `offset`, taken outside simulated time.
-    pub fn peek_at(&self, path: &str, offset: u64, len: u64) -> Result<Vec<u8>, StoreError> {
-        self.state.lock().store.copy_at(path, offset, len)
+    /// `len` bytes at `offset`, taken outside simulated time, as views of
+    /// what the store holds (see [`FileStore::read_run_at`]).
+    pub fn peek_run(&self, path: &str, offset: u64, len: u64) -> Result<Run, StoreError> {
+        self.state.lock().store.read_run_at(path, offset, len)
     }
 
     /// List paths with a prefix outside simulated time.
@@ -317,14 +319,14 @@ impl SimFs {
     /// time. Creates/extends the file as needed. Fails with
     /// [`StoreError::NoSpace`] — after the transfer, like a real late
     /// `ENOSPC` — when a capacity is set and would be exceeded. The
-    /// buffer moves into the operation and, once landed, is the stored
-    /// copy.
+    /// run's buffers move into the operation and, once landed, are the
+    /// stored copy: one operation, however many pieces.
     pub fn write_at(
         &self,
         ctx: &RankCtx,
         path: &str,
         offset: u64,
-        data: impl Into<Bytes>,
+        data: impl Into<Run>,
     ) -> Result<(), StoreError> {
         let data = data.into();
         let _span = tracelog::span_args(
@@ -341,7 +343,7 @@ impl SimFs {
         &self,
         ctx: &RankCtx,
         path: &str,
-        data: impl Into<Bytes>,
+        data: impl Into<Run>,
     ) -> Result<(), StoreError> {
         self.create(ctx, path);
         self.write_at(ctx, path, 0, data)
@@ -378,7 +380,7 @@ impl SimFs {
         ctx: &RankCtx,
         path: &str,
         offset: u64,
-        data: impl Into<Bytes>,
+        data: impl Into<Run>,
     ) -> AsyncIo {
         let data = data.into();
         tracelog::instant(
@@ -428,8 +430,8 @@ impl SimFs {
         self.begin_async(ctx.rank(), len, AsyncAction::Read { path, offset, len })
     }
 
-    fn begin_write(&self, ctx: &RankCtx, path: &str, offset: u64, data: Bytes) -> AsyncIo {
-        let (path, bytes) = (path.to_string(), data.len() as u64);
+    fn begin_write(&self, ctx: &RankCtx, path: &str, offset: u64, data: Run) -> AsyncIo {
+        let (path, bytes) = (path.to_string(), data.len());
         self.begin_async(ctx.rank(), bytes, AsyncAction::Write { path, offset, data })
     }
 

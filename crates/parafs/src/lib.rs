@@ -14,10 +14,12 @@
 
 pub mod fs;
 pub mod profile;
+pub mod run;
 pub mod store;
 pub mod stripe;
 
 pub use fs::{AsyncIo, FsCounters, SimFs};
 pub use profile::{ClassTally, FsProfile, IoClass};
+pub use run::Run;
 pub use store::{FileStore, StoreError};
 pub use stripe::{StripeChunk, StripeMap};

@@ -1,16 +1,19 @@
 //! The in-memory object store backing a simulated file system.
 //!
 //! A file is its logical length plus sorted, disjoint extents of
-//! immutable [`Bytes`]: a write inserts its own buffer as an extent and
-//! trims the extents it overlaps by slicing them, so no buffer a reader
-//! holds is ever mutated and nothing is zero-padded. A read inside one
-//! extent is a view of it; a read across extents or holes assembles one
-//! buffer, with zeros where nothing was written. Lengths and totals count
-//! the logical length, holes included — what a capacity limit sees.
+//! immutable [`Bytes`]: a write inserts each piece of its [`Run`] as an
+//! extent and trims the extents it overlaps by slicing them, so no
+//! buffer a reader holds is ever mutated and nothing is zero-padded. A
+//! read inside one extent is a view of it; a read across extents or
+//! holes assembles one buffer, with zeros where nothing was written.
+//! Lengths and totals count the logical length, holes included — what a
+//! capacity limit sees.
 
 use std::collections::BTreeMap;
 
 use bytes::Bytes;
+
+use crate::run::Run;
 
 /// A flat namespace of files (paths are plain strings; `/`-separated
 /// prefixes act as directories for listing purposes).
@@ -104,6 +107,15 @@ impl File {
         before.into_iter().chain(inside).map(|(&o, b)| (o, b))
     }
 
+    /// The extents' bytes inside `[offset, end)`, as views clipped to
+    /// it, each at its absolute offset, in offset order.
+    fn clipped(&self, offset: u64, end: u64) -> impl Iterator<Item = (u64, Bytes)> + '_ {
+        self.overlapping(offset, end).map(move |(o, b)| {
+            let (lo, hi) = (o.max(offset), (o + b.len() as u64).min(end));
+            (lo, b.slice((lo - o) as usize..(hi - o) as usize))
+        })
+    }
+
     /// `[offset, offset + len)`, which must lie inside the file: a view
     /// when one extent holds it all, else one assembled buffer.
     fn read(&self, offset: u64, len: u64) -> Bytes {
@@ -119,41 +131,64 @@ impl File {
     /// `[offset, offset + len)` copied once into a fresh buffer, zeros
     /// for the holes.
     fn assemble(&self, offset: u64, len: u64) -> Vec<u8> {
-        let end = offset + len;
-        let mut out = Vec::with_capacity(len as usize);
-        for (o, b) in self.overlapping(offset, end) {
-            let lo = o.max(offset);
-            let hi = (o + b.len() as u64).min(end);
-            out.resize((lo - offset) as usize, 0);
-            out.extend_from_slice(&b[(lo - o) as usize..(hi - o) as usize]);
+        let mut out = vec![0u8; len as usize];
+        for (o, b) in self.clipped(offset, offset + len) {
+            out[(o - offset) as usize..][..b.len()].copy_from_slice(&b);
         }
-        out.resize(len as usize, 0);
         out
     }
 
-    /// Land `data` at `offset`: trim what it covers out of the extents
-    /// it overlaps (by slicing — their buffers are untouched), insert it,
-    /// and extend the logical length to its end.
-    fn write(&mut self, offset: u64, data: Bytes) {
-        let end = offset + data.len() as u64;
-        if !data.is_empty() {
-            let hit: Vec<(u64, Bytes)> = self
-                .overlapping(offset, end)
-                .map(|(o, b)| (o, b.clone()))
-                .collect();
-            for (o, b) in hit {
-                self.extents.remove(&o);
-                let b_end = o + b.len() as u64;
-                if o < offset {
-                    self.extents.insert(o, b.slice(..(offset - o) as usize));
-                }
-                if end < b_end {
-                    self.extents.insert(end, b.slice((end - o) as usize..));
-                }
+    /// `[offset, offset + len)`, which must lie inside the file, as a run
+    /// of views of the extents that hold it — a zero-filled piece for
+    /// each hole.
+    fn read_run(&self, offset: u64, len: u64) -> Run {
+        let mut run = Run::default();
+        for (o, b) in self.clipped(offset, offset + len) {
+            if o - offset > run.len() {
+                let hole = (o - offset - run.len()) as usize;
+                run.push(run.len(), Bytes::from(vec![0u8; hole]));
             }
-            self.extents.insert(offset, data);
+            run.push(o - offset, b);
+        }
+        if run.len() < len {
+            run.push(
+                run.len(),
+                Bytes::from(vec![0u8; (len - run.len()) as usize]),
+            );
+        }
+        run
+    }
+
+    /// Land `run` at `offset`: each piece, in order, trims what it covers
+    /// out of the extents it overlaps (by slicing — their buffers are
+    /// untouched) and becomes an extent itself; the logical length
+    /// extends to the run's end.
+    fn write(&mut self, offset: u64, run: Run) {
+        let end = offset + run.len();
+        for (at, piece) in run.into_parts() {
+            self.put_extent(offset + at, piece);
         }
         self.len = self.len.max(end);
+    }
+
+    /// Insert one non-empty extent over whatever it overlaps.
+    fn put_extent(&mut self, offset: u64, data: Bytes) {
+        let end = offset + data.len() as u64;
+        let hit: Vec<(u64, Bytes)> = self
+            .overlapping(offset, end)
+            .map(|(o, b)| (o, b.clone()))
+            .collect();
+        for (o, b) in hit {
+            self.extents.remove(&o);
+            let b_end = o + b.len() as u64;
+            if o < offset {
+                self.extents.insert(o, b.slice(..(offset - o) as usize));
+            }
+            if end < b_end {
+                self.extents.insert(end, b.slice((end - o) as usize..));
+            }
+        }
+        self.extents.insert(offset, data);
     }
 }
 
@@ -169,7 +204,7 @@ impl FileStore {
     }
 
     /// Replace a file's entire contents.
-    pub fn put(&mut self, path: &str, data: impl Into<Bytes>) {
+    pub fn put(&mut self, path: &str, data: impl Into<Run>) {
         let mut file = File::default();
         file.write(0, data.into());
         self.replace(path, file);
@@ -231,10 +266,18 @@ impl FileStore {
         Ok(self.range(path, offset, len)?.assemble(offset, len))
     }
 
+    /// Read `len` bytes at `offset` as a run of views of the extents
+    /// that hold them — no copy, however many writes they came from
+    /// (a hole is a zero-filled piece).
+    pub fn read_run_at(&self, path: &str, offset: u64, len: u64) -> Result<Run, StoreError> {
+        Ok(self.range(path, offset, len)?.read_run(offset, len))
+    }
+
     /// Write at `offset`, extending the file as needed; bytes between
     /// the old end and `offset` are a hole that reads as zeros. Creates
-    /// the file if absent (like O_CREAT). The store keeps `data` itself.
-    pub fn write_at(&mut self, path: &str, offset: u64, data: impl Into<Bytes>) {
+    /// the file if absent (like O_CREAT). The store keeps each piece of
+    /// `data` itself, as its own extent.
+    pub fn write_at(&mut self, path: &str, offset: u64, data: impl Into<Run>) {
         let file = self.files.entry(path.to_string()).or_default();
         let before = file.len;
         file.write(offset, data.into());

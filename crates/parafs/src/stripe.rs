@@ -15,6 +15,7 @@
 //! deterministically by any party that knows the two parameters.
 
 use crate::fs::{AsyncIo, SimFs};
+use crate::run::Run;
 use simcluster::RankCtx;
 
 /// A round-robin stripe layout: `files` backing files, `unit`-byte
@@ -131,31 +132,26 @@ impl StripeMap {
 /// Begin writing `data` at destination offset `offset` across the
 /// stripe files of `base` on `fs`: one nonblocking operation per
 /// backing-file extent, issued concurrently so the extents share the
-/// device's aggregate bandwidth. The caller must [`SimFs::io_wait`]
-/// every returned operation.
+/// device's aggregate bandwidth. Each extent's run is views of `data`'s
+/// pieces, so the stripe files hold the very buffers the caller staged.
+/// The caller must [`SimFs::io_wait`] every returned operation.
 pub fn write_striped_begin(
     fs: &SimFs,
     ctx: &RankCtx,
     base: &str,
     map: &StripeMap,
     offset: u64,
-    data: &[u8],
+    data: &Run,
 ) -> Vec<AsyncIo> {
-    map.extents(offset, data.len() as u64)
+    map.extents(offset, data.len())
         .into_iter()
         .map(|e| {
-            let mut buf = Vec::with_capacity(e.len as usize);
+            let mut run = Run::default();
             for c in &e.chunks {
-                buf.extend_from_slice(
-                    &data[c.src_offset as usize..(c.src_offset + c.len) as usize],
-                );
+                run.join(run.len(), data.slice(c.src_offset, c.len));
             }
-            fs.write_at_begin(
-                ctx,
-                &StripeMap::stripe_path(base, e.file),
-                e.file_offset,
-                buf,
-            )
+            let path = StripeMap::stripe_path(base, e.file);
+            fs.write_at_begin(ctx, &path, e.file_offset, run)
         })
         .collect()
 }
@@ -253,7 +249,8 @@ mod tests {
             let mut out = sim.run(move |ctx| {
                 let t0 = ctx.now();
                 let map = StripeMap::new(files, 64 * 1024);
-                for op in write_striped_begin(&fs, &ctx, "big", &map, 0, &vec![3u8; 8 << 20]) {
+                let data = Run::from(vec![3u8; 8 << 20]);
+                for op in write_striped_begin(&fs, &ctx, "big", &map, 0, &data) {
                     fs.io_wait(&ctx, op).unwrap();
                 }
                 ctx.now().since(t0).0

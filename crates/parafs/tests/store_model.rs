@@ -6,7 +6,7 @@
 //! every read taken earlier must still hold what it read.
 
 use bytes::Bytes;
-use parafs::{FileStore, StripeMap};
+use parafs::{FileStore, Run, StripeMap};
 use proptest::prelude::*;
 
 // The parent commit's dense store, verbatim: every file one `Vec<u8>`,
@@ -246,6 +246,21 @@ impl Pair {
         self.sparse.write_at(path, offset, data);
     }
 
+    /// One write of several pieces: each `(back, len, src)` piece starts
+    /// `back` bytes before the end of the ones before it (overlapping
+    /// them when `back > 0`), so the run has no hole. The dense store
+    /// writes the pieces one by one, in order.
+    fn write_run(&mut self, path: &str, offset: u64, pieces: &[(u64, u64, usize)]) {
+        let mut run = Run::default();
+        for &(back, len, src) in pieces {
+            let at = run.len().saturating_sub(back);
+            let data = self.data(src, len);
+            self.dense.write_at(path, offset + at, &data);
+            run.push(at, data);
+        }
+        self.sparse.write_at(path, offset, run);
+    }
+
     fn put(&mut self, path: &str, data: Bytes) {
         self.dense.put(path, data.to_vec());
         self.sparse.put(path, data);
@@ -261,6 +276,9 @@ impl Pair {
             .read_at(path, offset, len)
             .map_err(|e| format!("{e:?}"));
         prop_assert_eq!(got.clone().map(|b| b.to_vec()), want.clone());
+        // The same range as a run of views: the drain's read.
+        let run = self.sparse.read_run_at(path, offset, len);
+        prop_assert_eq!(run.map(|r| r.to_vec()).ok(), want.clone().ok());
         if let (Ok(got), Ok(want)) = (got, want) {
             self.held.push((got, want));
         }
@@ -416,6 +434,32 @@ proptest! {
         }
     }
 
+    /// Multi-piece runs — scattered records handed over as one payload,
+    /// an aggregator's domain of several ranks' chunks, a drain of
+    /// stripe chunks — overlapping, adjacent and zero-length pieces
+    /// included, between random single-buffer operations: the same
+    /// bytes as writing the pieces one by one.
+    #[test]
+    fn multi_piece_runs_match_the_dense_store(
+        steps in prop::collection::vec(
+            (
+                arb_op(),
+                (0usize..PATHS.len(), 0u64..160),
+                prop::collection::vec((0u64..24, 0u64..24, 0usize..64), 1..6),
+            ),
+            1..24,
+        ),
+    ) {
+        let mut pair = Pair::new();
+        for (op, (p, offset), pieces) in &steps {
+            pair.apply(op)?;
+            pair.write_run(PATHS[*p], *offset, pieces);
+            pair.check()?;
+            let len = pieces.iter().map(|&(_, l, _)| l).sum::<u64>().min(40);
+            pair.read_at(PATHS[*p], *offset, len)?;
+        }
+    }
+
     /// Whole-blob checkpoint puts: `put`, and the plane's create-then-
     /// write of a blob, replacing longer and shorter blobs.
     #[test]
@@ -457,5 +501,14 @@ fn the_named_write_cases_match() {
     ];
     for op in &ops {
         pair.apply(op).unwrap_or_else(|e| panic!("{op:?}: {e:?}"));
+    }
+    // Runs: adjacent pieces; a later piece over an earlier one; a piece
+    // over two; a zero-length piece; one past EOF, leaving a hole.
+    pair.write_run(PATHS[0], 4, &[(0, 6, 0), (0, 6, 100), (3, 2, 200)]);
+    pair.write_run(PATHS[0], 30, &[(0, 8, 7), (0, 0, 9), (8, 12, 300)]);
+    pair.write_run(PATHS[2], 60, &[(0, 5, 1)]);
+    pair.check().unwrap();
+    for (p, offset, len) in [(0, 0, 50), (0, 8, 6), (2, 50, 15)] {
+        pair.read_at(PATHS[p], offset, len).unwrap();
     }
 }

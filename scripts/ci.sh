@@ -77,6 +77,11 @@ cargo test --release -q -p blast-core --lib shared_prepare
 # ranks (37 KiB with a scratch per rank, 5 KiB with one per thread).
 cargo test --release -q -p blast-core --lib nested_local_scratch_gives_the_outer_results
 cargo test --release -q --test memory_scaling
+# ...and the collective output write keeps no decoded copy of every rank's
+# view on every rank: a job's peak live heap grows by at most 32 KiB per
+# added rank from 16 to 128 ranks (61 KiB with the O(P²) decoded views,
+# 17 KiB with the bundle read in place).
+cargo test --release -q --test output_memory
 cargo test --release -q --test cluster_behavior every_rank_is_charged_for_its_own_prepare
 cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree_on_results
 # One door for untrusted bytes: every `seqfmt::codec::Wire` type round-
@@ -90,8 +95,9 @@ cargo test --release -q --test codec
 # and slices offset-length lists. Against brute force on a small
 # universe: `merge` equals the bitmap for every max_hole (unsorted,
 # overlapping, empty and near-u64::MAX ranges), `merge_bytes` the
-# serially written file, `Cover::slice` the naive lookup — `None` for
-# every uncovered or straddling range.
+# serially written file with every run part one of the input pieces,
+# `cut` the payload's regions as views, `Cover::slice` the naive lookup —
+# `None` for every uncovered or straddling range.
 cargo test --release -q -p mpiio --test properties
 # ...and every run list still comes out as the parent's binary issued
 # it: the fs.* operations of a holey and an adjacent view, per class x
@@ -118,14 +124,17 @@ cargo test --release -q -p pioblast --lib inverted_range
 # index, every rank released — it used to panic the receiving rank.
 cargo test --release -q -p pioblast --lib a_master_rejects_a_submission_for_a_query_outside_the_batch
 cargo test --release -q -p mpiblast --lib outside_the_set
-# One store representation: random operation sequences and the four
-# workload write patterns give the extent store the same bytes, lengths,
-# totals and errors as the dense store it replaced (kept verbatim in the
-# test), and no read changes under a later write.
+# One store representation: random operation sequences, multi-piece
+# runs (overlapping pieces included) and the four workload write
+# patterns give the extent store the same bytes, lengths, totals and
+# errors as the dense store it replaced (kept verbatim in the test), and
+# no read changes under a later write.
 cargo test --release -q -p parafs --test store_model
 # One copy of every byte: a read of a preloaded file and every fragment
-# read_fragments builds point into the store's own buffers, and a read
-# taken before an overwrite keeps the old bytes.
+# read_fragments builds point into the store's own buffers, a read taken
+# before an overwrite keeps the old bytes, and an output record written
+# through the plane — independent or two-phase, serial or posted — is
+# stored as the very buffer it was handed over in.
 cargo test --release -q --test zero_copy
 # A trace whose tracer dropped events says so in its export, and
 # trace-check refuses it with the count; a healthy export has no such

@@ -522,6 +522,31 @@ fn a_28_byte_checkpoint_with_a_lying_record_count_is_truncated_input() {
 }
 
 #[test]
+fn checkpoint_record_text_that_is_not_utf8_is_a_bad_value() {
+    // Records are shared bytes in memory but `String`s on the wire: a
+    // blob whose record text does not decode as UTF-8 is rejected, as it
+    // was when the field was a `String`, and a valid one decodes to the
+    // very text that was put.
+    let ck = FragmentCheckpoint {
+        batch: 1,
+        fragment: 7,
+        meta: meta(),
+        records: vec![(1, 4, ">record text\n".into())],
+    };
+    let blob = ck.encode();
+    assert_eq!(FragmentCheckpoint::decode(&blob), Ok(ck));
+    let mut bad = blob.clone();
+    let last = bad.len() - 1;
+    bad[last] = 0xff;
+    assert_eq!(
+        FragmentCheckpoint::decode(&bad),
+        Err(CodecError::BadValue {
+            what: "FragmentCheckpoint.records"
+        })
+    );
+}
+
+#[test]
 fn a_flipped_count_byte_in_an_idx_file_is_truncated_input() {
     // `printf '\x10' | dd of=db/cidb.idx bs=1 seek=64 conv=notrunc`: byte
     // 4 of the offset count, which then claims 2^36 entries.

@@ -1,15 +1,17 @@
 //! One copy of every byte: the file systems hand reads out as views of
-//! what they store, the input stage keeps those views, and a view never
-//! changes under a later write. Pointer equality is the check — a copy
-//! anywhere on the path shows as a different address.
+//! what they store, the input stage keeps those views, a view never
+//! changes under a later write, and an output record handed to the plane
+//! is stored as the very buffer it came in. Pointer equality is the
+//! check — a copy anywhere on the path shows as a different address.
 
 mod common;
 
 use blast_core::Molecule;
+use bytes::Bytes;
 use mpiblast::setup::stage_shared_db;
 use mpiblast::{ClusterEnv, Platform};
-use mpiio::{IoOptions, IoPlane, PlaneConfig};
-use mpisim::Comm;
+use mpiio::{CollectiveHints, FileView, IoOptions, IoPlane, PlaneConfig, Run};
+use mpisim::{Collectives, Comm};
 use parafs::{FsProfile, IoClass, SimFs};
 use pioblast::input::read_fragments;
 use pioblast::proto::FragmentAssignment;
@@ -117,4 +119,64 @@ fn a_read_taken_before_an_overwrite_keeps_the_old_bytes() {
     assert_eq!(&after[..300_000], &[2u8; 300_000][..]);
     assert_eq!(&after[300_000..], &[3u8; 700_000][..]);
     assert_eq!(fs.peek("f").unwrap(), *after);
+}
+
+#[test]
+fn a_written_record_is_stored_as_the_buffer_it_was_handed_over_in() {
+    // Each rank hands the plane two records as the pieces of one
+    // payload. On the independent class every record is its own run; on
+    // the two-phase class each rank aggregates the domain its records
+    // fall in, so they are local chunks that never cross the wire.
+    // Either way, and on both issue policies, a read of a record's range
+    // afterwards is a view of that record's own buffer.
+    let platform = Platform::altix();
+    for class in [IoClass::Independent, IoClass::TwoPhase] {
+        for io_async in [false, true] {
+            let sim = Sim::new(2);
+            let fs = SimFs::new(sim.handle(), "xfs", FsProfile::altix_xfs());
+            let out = sim.run(|ctx| {
+                let comm = Comm::new(&ctx, platform.net);
+                let cfg = PlaneConfig {
+                    options: IoOptions {
+                        io_async,
+                        burst: None,
+                    },
+                    hints: CollectiveHints { aggregators: 2 },
+                    output: class,
+                    ..PlaneConfig::default()
+                };
+                let plane = IoPlane::new(&comm, &fs, cfg, None);
+                let me = ctx.rank() as u64;
+                let regions = vec![(1000 * me, 100), (1000 * me + 300, 101)];
+                let records: Vec<Bytes> = regions
+                    .iter()
+                    .map(|&(_, len)| Bytes::from(vec![me as u8 + 1; len as usize]))
+                    .collect();
+                let mut payload = Run::default();
+                for record in &records {
+                    payload.push(payload.len(), record.clone());
+                }
+                let view = FileView::new(0, regions.clone()).unwrap();
+                plane.write_output("out", &view, payload).unwrap();
+                comm.barrier();
+                let stored = |(&(off, len), record): (&(u64, u64), &Bytes)| {
+                    let read = fs.read_at(&ctx, "out", off, len).unwrap();
+                    read == *record && read.as_ptr() == record.as_ptr()
+                };
+                regions
+                    .iter()
+                    .zip(&records)
+                    .map(stored)
+                    .collect::<Vec<bool>>()
+            });
+            for (rank, views) in out.outputs.iter().enumerate() {
+                assert_eq!(
+                    views,
+                    &[true, true],
+                    "{} io_async={io_async}: rank {rank}'s records were copied",
+                    class.label()
+                );
+            }
+        }
+    }
 }
