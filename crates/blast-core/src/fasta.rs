@@ -156,8 +156,10 @@ pub fn write<W: Write>(out: &mut W, records: &[SeqRecord], width: usize) -> io::
 /// Render records to an in-memory FASTA string.
 pub fn to_string(records: &[SeqRecord], width: usize) -> String {
     let mut buf = Vec::new();
-    write(&mut buf, records, width).expect("writing to Vec cannot fail");
-    String::from_utf8(buf).expect("FASTA output is ASCII")
+    // Writing to a `Vec` cannot fail, and deflines are `String`s and
+    // decoded residues ASCII, so the lossy branch never runs.
+    let _ = write(&mut buf, records, width);
+    String::from_utf8(buf).unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned())
 }
 
 #[cfg(test)]

@@ -383,9 +383,10 @@ fn render_alignment_lines(
     let mut start = 0usize;
     while start < total {
         let end = (start + width).min(total);
+        // The rows are alphabet letters, `+`, `-` and spaces: ASCII, so
+        // every chunk is borrowed, never replaced.
         let [q_chunk, m_chunk, s_chunk] =
-            [&q_row[start..end], &mid[start..end], &s_row[start..end]]
-                .map(|row| std::str::from_utf8(row).expect("residue letters are ASCII"));
+            [&q_row[start..end], &mid[start..end], &s_row[start..end]].map(String::from_utf8_lossy);
         let q_res = q_chunk.bytes().filter(|&c| c != b'-').count() as u32;
         let s_res = s_chunk.bytes().filter(|&c| c != b'-').count() as u32;
         let q_end_pos = q_pos + q_res.saturating_sub(1);

@@ -136,9 +136,8 @@ impl LookupTable {
         threshold: i32,
     ) -> LookupTable {
         assert!(word_len >= 1, "word_len must be positive");
-        let n_words = word_alphabet
-            .checked_pow(word_len as u32)
-            .expect("word space must fit in usize");
+        // Saturation keeps an overflowing word space above the cap.
+        let n_words = word_alphabet.saturating_pow(word_len as u32);
         assert!(n_words <= 1 << 24, "word space too large for a dense table");
         let concat = queries.concat();
 
@@ -278,15 +277,45 @@ impl LookupTable {
     /// reads only the 16-byte backbone cell — one cache line.
     #[inline]
     pub fn hits(&self, word: u32) -> &[u32] {
-        let [len, data @ ..] = &self.backbone[word as usize];
-        let len = *len as usize;
-        if len <= INLINE_HITS {
-            &data[..len]
-        } else {
-            let start = data[0] as usize;
-            &self.overflow[start..start + len]
+        match self.bucket(word) {
+            Bucket::Inline { len, slots } => &slots[..len],
+            Bucket::Spilled(positions) => positions,
         }
     }
+
+    /// Number of query positions registered under bucket `word`: one
+    /// load from the backbone cell, no overflow access.
+    #[inline]
+    pub(crate) fn bucket_len(&self, word: u32) -> u32 {
+        self.backbone[word as usize][0]
+    }
+
+    /// Bucket `word` as the seed scan walks it: the whole inline block,
+    /// padding included, or the spilled run.
+    #[inline]
+    pub(crate) fn bucket(&self, word: u32) -> Bucket<'_> {
+        let [len, slots @ ..] = &self.backbone[word as usize];
+        let len = *len as usize;
+        if len <= INLINE_HITS {
+            Bucket::Inline { len, slots }
+        } else {
+            let start = slots[0] as usize;
+            Bucket::Spilled(&self.overflow[start..start + len])
+        }
+    }
+}
+
+/// One bucket of a [`LookupTable`], as [`LookupTable::bucket`] hands it
+/// out.
+pub(crate) enum Bucket<'a> {
+    /// At most [`INLINE_HITS`] positions, stored in the backbone cell:
+    /// the first `len` slots hold them, the rest are padding.
+    Inline {
+        len: usize,
+        slots: &'a [u32; INLINE_HITS],
+    },
+    /// More than [`INLINE_HITS`] positions, a run of the overflow array.
+    Spilled(&'a [u32]),
 }
 
 /// Enumerate all words over `0..alphabet` scoring at least `threshold`

@@ -129,7 +129,7 @@ impl ScoreMatrix {
                 continue;
             }
             let mut tokens = line.split_ascii_whitespace();
-            if columns.is_none() {
+            let Some(cols) = &columns else {
                 // Header row: residue letters naming the columns.
                 let mut cols = Vec::new();
                 for tok in tokens {
@@ -144,8 +144,7 @@ impl ScoreMatrix {
                 }
                 columns = Some(cols);
                 continue;
-            }
-            let cols = columns.as_ref().expect("set above");
+            };
             let row_letter = tokens.next().ok_or(MatrixParseError::Malformed {
                 line: lineno + 1,
                 reason: "missing row label".into(),
@@ -178,6 +177,9 @@ impl ScoreMatrix {
     }
 
     /// The canonical BLOSUM62 matrix over the protein alphabet.
+    // `BLOSUM62_TEXT` is a constant that parses (the unit tests below
+    // build it).
+    #[allow(clippy::expect_used)]
     pub fn blosum62() -> ScoreMatrix {
         let mut m = ScoreMatrix::parse_ncbi("BLOSUM62", Molecule::Protein, BLOSUM62_TEXT)
             .expect("embedded BLOSUM62 must parse");

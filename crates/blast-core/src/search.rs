@@ -13,14 +13,14 @@
 //! always derived from whole-database statistics.
 
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Mutex, PoisonError, Weak};
 
 use crate::alphabet::Molecule;
 use crate::extend::{gapped_xdrop, ungapped_xdrop, ExtendScratch, GappedHit, UngappedHit};
 use crate::filter::{mask_in_place, FilterParams};
 use crate::hsp::{cull_contained_sorted, Hsp, RankKey};
 use crate::karlin::{gapped_params, solve_ungapped, Background, GapPenalties, KarlinParams};
-use crate::lookup::{LookupTable, QuerySet};
+use crate::lookup::{Bucket, LookupTable, QuerySet};
 use crate::matrix::ScoreMatrix;
 use crate::seq::{SeqRecord, SubjectView};
 use crate::stats::{DbStats, SearchSpace};
@@ -73,6 +73,9 @@ pub struct SearchParams {
 impl SearchParams {
     /// blastp defaults: BLOSUM62, gaps 11/1, word 3, T=11, two-hit A=40,
     /// X-drops 7/15 bits, gap trigger 22 bits, E=10, hitlist 500.
+    // The embedded BLOSUM62 and its 11/1 gapped-table entry are constants
+    // with valid statistics (`karlin`'s unit tests solve both).
+    #[allow(clippy::expect_used)]
     pub fn blastp() -> SearchParams {
         let matrix = ScoreMatrix::blosum62();
         let ungapped = solve_ungapped(&matrix, &Background::protein())
@@ -100,6 +103,9 @@ impl SearchParams {
     }
 
     /// blastn-like defaults: +1/−3, word 11 exact, single-hit seeding.
+    // The +1/−3 matrix is a constant with valid statistics (`karlin`'s
+    // unit tests solve it).
+    #[allow(clippy::expect_used)]
     pub fn blastn() -> SearchParams {
         let matrix = ScoreMatrix::dna(1, -3);
         let ungapped = solve_ungapped(&matrix, &Background::dna()).expect("DNA matrix statistics");
@@ -246,7 +252,9 @@ impl PreparedQueries {
         db: DbStats,
     ) -> Arc<PreparedQueries> {
         let inputs = PrepareInputs::of(params, db);
-        let memo = || SHARED.lock().expect("memo lock holders do not panic");
+        // The memo holds only weak references: a holder that panicked left
+        // nothing half-written worth refusing.
+        let memo = || SHARED.lock().unwrap_or_else(PoisonError::into_inner);
         {
             let mut live = memo();
             live.retain(|(_, entry)| entry.strong_count() > 0);
@@ -373,9 +381,9 @@ pub struct BlastSearcher<'a> {
 ///
 /// The kernel's steady state — scan a subject, extend its seeds, collect
 /// its HSPs — performs **zero heap allocations** when driven through one
-/// `SearchScratch`: diagonal state is stamped rather than cleared,
-/// candidate and HSP vectors are recycled at their high-water marks, and
-/// the gapped-extension DP rows live in the embedded
+/// `SearchScratch`: diagonal state is offset-biased rather than cleared,
+/// the word buffer, candidate and HSP vectors are recycled at their
+/// high-water marks, and the gapped-extension DP rows live in the embedded
 /// [`ExtendScratch`]. Reuse never changes results (see the
 /// `scratch_reuse_is_invisible` property test), so any caller may hand
 /// the kernel any scratch.
@@ -390,6 +398,10 @@ pub struct BlastSearcher<'a> {
 #[derive(Default)]
 pub struct SearchScratch {
     diag: DiagState,
+    /// The scan's first pass: `(subject position, word)` of every window
+    /// whose lookup bucket is non-empty, in subject order. Sized to the
+    /// longest subject's window count, never more.
+    words: Vec<(u32, u32)>,
     /// Gapped alignment envelopes found on the current subject.
     gapped_hits: Vec<(u32, GappedHit)>,
     /// Ungapped-only HSP candidates on the current subject.
@@ -437,39 +449,58 @@ impl SearchScratch {
     }
 }
 
-/// One diagonal's scan state. Kept as a single 16-byte cell so each seed
-/// hit touches one cache line; the seed kernel's four parallel arrays
-/// cost up to four lines per hit, and the seed-hit loop is the kernel's
-/// hottest path.
+/// One diagonal's scan state: the last seed hit and the end of the last
+/// ungapped extension, each stored as subject position + the table's
+/// per-subject bias. Eight bytes, so a cache line holds eight diagonals
+/// and the table stays out of the lookup backbone's way in L1.
 #[derive(Clone, Copy, Default)]
 struct DiagCell {
-    stamp: u32,
     last_hit: u32,
-    ext_stamp: u32,
     last_ext_end: u32,
 }
 
-/// Per-diagonal scan state, stamped to avoid clearing between subjects.
+/// Per-diagonal scan state, offset-biased to avoid clearing between
+/// subjects (NCBI's `diag_offset`).
+///
+/// Each subject's positions are stored as `pos + bias`, and each subject
+/// starts its bias more than the two-hit window past every value an
+/// earlier subject stored. A cell left from an older subject therefore
+/// reads as a hit beyond the window and an extension ending before the
+/// subject's first word — what a cell never touched reads as — with no
+/// stamp to compare.
 #[derive(Default)]
 struct DiagState {
     cells: Vec<DiagCell>,
-    current: u32,
+    /// Added to every position stored for the current subject.
+    bias: u32,
+    /// The largest value the current subject can store: `bias + s_len`.
+    end: u32,
 }
 
 impl DiagState {
-    fn begin_subject(&mut self, diagonals: usize) {
+    /// Start a subject of `s_len` residues over `diagonals` cells.
+    fn begin_subject(&mut self, diagonals: usize, s_len: u32, word_len: u32, window: u32) {
         if self.cells.len() < diagonals {
             self.cells.resize(diagonals, DiagCell::default());
         }
-        self.current = self.current.wrapping_add(1);
-        if self.current == 0 {
-            // Stamp wrapped: hard reset.
-            for cell in &mut self.cells {
-                cell.stamp = 0;
-                cell.ext_stamp = 0;
+        // A stored hit at most `end` is then more than `window` and at
+        // least `word_len` behind every new position, and a stored
+        // extension end is below every new `pos + word_len`.
+        let step = window.saturating_add(word_len).saturating_add(1);
+        match self
+            .end
+            .checked_add(step)
+            .filter(|bias| bias.checked_add(s_len).is_some())
+        {
+            Some(bias) => self.bias = bias,
+            None => {
+                // The bias would overflow: zeroed cells read as stale
+                // against any bias of at least `step`.
+                self.cells.fill(DiagCell::default());
+                self.bias = step;
             }
-            self.current = 1;
         }
+        self.end = self.bias.saturating_add(s_len);
     }
 
     /// Combined per-seed-hit update: a single cell load decides whether the
@@ -487,43 +518,45 @@ impl DiagState {
     /// window replaces it. A hit masked by a previous extension leaves the
     /// stored pair state untouched.
     /// The body is written branch-free (selects over the loaded cell):
-    /// the masked/fresh/overlap outcomes depend on just-loaded data and
+    /// the masked/overlap outcomes depend on just-loaded data and
     /// mispredict heavily in a branchy formulation, serialising the scan
     /// on the cell load latency. Only the loop-invariant `window == 0`
-    /// test remains a branch. Stale cells (stamp from an older subject)
-    /// make `dist` garbage, so it uses wrapping arithmetic; `fresh` then
-    /// forces the update and vetoes the pair, exactly as the stamped
-    /// branchy logic did.
+    /// test remains a branch. Both sides of every comparison carry the
+    /// same bias, so within a subject it cancels; a stale cell is beyond
+    /// the window and masks nothing (see [`DiagState`]).
     #[inline]
     fn admit_hit(&mut self, d: usize, new_pos: u32, word_len: u32, window: u32) -> bool {
-        let current = self.current;
+        let pos = new_pos + self.bias;
         let cell = &mut self.cells[d];
-        let masked = cell.ext_stamp == current && new_pos + word_len <= cell.last_ext_end;
+        let masked = pos + word_len <= cell.last_ext_end;
         if window == 0 {
-            // Single-hit seeding: every unmasked hit extends.
-            cell.stamp = if masked { cell.stamp } else { current };
-            cell.last_hit = if masked { cell.last_hit } else { new_pos };
+            // Single-hit seeding: every unmasked hit extends, and the
+            // stored hit is never read.
             return !masked;
         }
-        let fresh = cell.stamp != current;
-        let dist = new_pos.wrapping_sub(cell.last_hit);
+        let dist = pos.wrapping_sub(cell.last_hit);
         let overlap = dist < word_len;
-        // Two-hit pair: stored hit present, non-overlapping, within the
-        // window. Overlapping hits keep the stored position (so a later
-        // hit can still pair with the original); beyond-window hits
-        // restart the pair, completed pairs reset it.
-        let pair = !fresh & !overlap & (dist <= window);
-        let update = !masked & (fresh | !overlap);
-        cell.stamp = if masked { cell.stamp } else { current };
-        cell.last_hit = if update { new_pos } else { cell.last_hit };
+        // Two-hit pair: non-overlapping, within the window. Overlapping
+        // hits keep the stored position (so a later hit can still pair
+        // with the original); beyond-window hits restart the pair,
+        // completed pairs reset it.
+        let pair = !overlap & (dist <= window);
+        let update = !masked & !overlap;
+        cell.last_hit = if update { pos } else { cell.last_hit };
         !masked & pair
     }
 
     #[inline]
     fn set_extension_end(&mut self, d: usize, end: u32) {
-        let cell = &mut self.cells[d];
-        cell.ext_stamp = self.current;
-        cell.last_ext_end = end;
+        self.cells[d].last_ext_end = end + self.bias;
+    }
+
+    /// Pretend earlier subjects stored values up to `end`, so the bias
+    /// overflow is reached within a few subjects.
+    #[cfg(test)]
+    fn skip_bias_to(&mut self, end: u32) {
+        assert!(end >= self.end, "stored values must stay at most `end`");
+        self.end = end;
     }
 }
 
@@ -642,51 +675,95 @@ impl<'a> BlastSearcher<'a> {
         if subject.residues.len() < w {
             return;
         }
+        let s = subject.residues;
+        let s_len = s.len();
+        let (word_len, window) = (w as u32, params.two_hit_window);
+        // Diagonal `qp + s_len - sp` lies below `concat_len + s_len`; the
+        // one cell past them takes the padding slots' admissions.
+        let spare = concat_len + s_len;
         scratch
             .diag
-            .begin_subject(concat_len + subject.residues.len() + 1);
+            .begin_subject(spare + 1, s_len as u32, word_len, window);
         scratch.gapped_hits.clear();
         scratch.ungapped_keep.clear();
 
+        // Pass 1 finds the windows that have hits; pass 2 admits them in
+        // subject order, extending as it goes — the one-pass order.
+        let mut words = std::mem::take(&mut scratch.words);
+        let found = self.nonempty_words(s, &mut words);
         let concat = self.queries.set.concat();
-        let s = subject.residues;
-        let s_len = s.len();
-        let alpha = params.word_alphabet as u32;
-        let word_span = alpha.pow(w as u32 - 1);
+        let mut seed_hits = 0u64;
+        for &(sp, word) in &words[..found] {
+            match self.queries.lookup.bucket(word) {
+                Bucket::Inline { len, slots } => {
+                    // Exactly INLINE_HITS admissions, whatever `len`: a
+                    // fixed trip count the branch predictor never misses.
+                    seed_hits += len as u64;
+                    for (i, &qp) in slots.iter().enumerate() {
+                        let live = i < len;
+                        let d = if live {
+                            (qp as usize + s_len) - sp as usize
+                        } else {
+                            spare
+                        };
+                        if scratch.diag.admit_hit(d, sp, word_len, window) & live {
+                            self.extend_seed(subject, concat, qp, sp, d, scratch, result);
+                        }
+                    }
+                }
+                Bucket::Spilled(positions) => {
+                    seed_hits += positions.len() as u64;
+                    for &qp in positions {
+                        let d = (qp as usize + s_len) - sp as usize;
+                        if scratch.diag.admit_hit(d, sp, word_len, window) {
+                            self.extend_seed(subject, concat, qp, sp, d, scratch, result);
+                        }
+                    }
+                }
+            }
+        }
+        scratch.words = words;
+        result.stats.seed_hits += seed_hits;
 
-        // Rolling word index over the subject.
+        self.collect_subject_hits(subject, scratch, result);
+    }
+
+    /// The scan's first pass: roll the word index over `s` and write
+    /// `(word start, word)` for every window whose lookup bucket is
+    /// non-empty to the front of `words`, in subject order; return how
+    /// many. Every window is written, and the cursor advances past it
+    /// only when its bucket has a hit — no branch on the bucket.
+    fn nonempty_words(&self, s: &[u8], words: &mut Vec<(u32, u32)>) -> usize {
+        let w = self.params.word_len;
+        let alpha = self.params.word_alphabet as u32;
+        let word_span = alpha.pow(w as u32 - 1);
+        let lookup = &self.queries.lookup;
+        let windows = s.len() + 1 - w;
+        if words.len() < windows {
+            words.reserve_exact(windows - words.len());
+            words.resize(windows, (0, 0));
+        }
+        let mut found = 0;
         let mut idx = 0u32;
         let mut run = 0usize;
-        for (sp_end, &c) in s.iter().enumerate().take(s_len) {
+        for (sp_end, &c) in s.iter().enumerate() {
             if (c as u32) >= alpha {
                 run = 0;
                 idx = 0;
                 continue;
             }
-            idx = (idx % word_span) * alpha + c as u32;
+            // Drop the residue leaving a full window by subtraction: a
+            // division here sits on the loop's only dependency chain.
+            let out = if run >= w { s[sp_end - w] as u32 } else { 0 };
+            idx = (idx - out * word_span) * alpha + c as u32;
             run += 1;
             if run < w {
                 continue;
             }
-            let sp = (sp_end + 1 - w) as u32; // word start in subject
-            let bucket = self.queries.lookup.hits(idx);
-            if bucket.is_empty() {
-                continue;
-            }
-            result.stats.seed_hits += bucket.len() as u64;
-            for &qp in bucket {
-                let d = (qp as usize + s_len) - sp as usize;
-                if !scratch
-                    .diag
-                    .admit_hit(d, sp, w as u32, params.two_hit_window)
-                {
-                    continue;
-                }
-                self.extend_seed(subject, concat, qp, sp, d, scratch, result);
-            }
+            words[found] = ((sp_end + 1 - w) as u32, idx);
+            found += (lookup.bucket_len(idx) != 0) as usize;
         }
-
-        self.collect_subject_hits(subject, scratch, result);
+        found
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -1234,5 +1311,109 @@ MKVLAAGHWRTEYFNDCQAAERTYPLKIHGFDSAEWCVNM\n";
             &mut SearchScratch::new(),
         );
         assert_eq!(result.per_query[0].len(), 1);
+    }
+
+    #[test]
+    fn word_buffer_is_sized_to_the_longest_subject() {
+        let params = SearchParams::blastp();
+        let subjects: Vec<SeqRecord> = [50usize, 200, 120]
+            .iter()
+            .map(|&len| SeqRecord {
+                defline: format!("s{len}"),
+                residues: (0..len).map(|i| (i * 7 % 20) as u8).collect(),
+                molecule: Molecule::Protein,
+            })
+            .collect();
+        let prepared = PreparedQueries::prepare(&params, db_records(), stats_for(&subjects));
+        let searcher = BlastSearcher::new(&params, &prepared);
+        let mut scratch = SearchScratch::new();
+        searcher.search(&VecSource::from_records(&subjects), &mut scratch);
+        assert!(scratch.words.capacity() <= 200, "8 B x the longest subject");
+        assert_eq!(scratch.words.len(), 200 - params.word_len + 1);
+    }
+
+    /// The stamped 16-byte diagonal table the biased cell replaced.
+    mod stamped {
+        include!("../tests/reference/stamped_diag.rs");
+    }
+
+    use proptest::prelude::*;
+
+    /// Diagonals per subject in [`traffic`]: few, so hits collide.
+    const DIAGONALS: usize = 6;
+
+    /// One subject's diagonal-table traffic: its length beyond the word,
+    /// word length, two-hit window, and events — a seed hit (`false`) or
+    /// an extension end (`true`) on a diagonal, at a position drawn from
+    /// the seed.
+    type Subject = (u32, u32, u32, Vec<(bool, usize, u32)>);
+
+    fn traffic() -> impl Strategy<Value = Vec<Subject>> {
+        let window = (0u32..60).prop_map(|w| w.saturating_sub(15));
+        let event = ((0u8..4).prop_map(|k| k == 0), 0..DIAGONALS, any::<u32>());
+        prop::collection::vec(
+            (
+                0u32..80,
+                1u32..12,
+                window,
+                prop::collection::vec(event, 0..40),
+            ),
+            1..12,
+        )
+    }
+
+    /// Replay `subjects` through the stamped and the biased table, the
+    /// biased one first told that earlier subjects reached `start`;
+    /// every admission must agree. Returns the biased table.
+    fn replay(subjects: &[Subject], start: u32) -> Result<DiagState, TestCaseError> {
+        let mut reference = stamped::DiagState::default();
+        let mut biased = DiagState::default();
+        biased.skip_bias_to(start);
+        for (si, &(extra, word_len, window, ref events)) in subjects.iter().enumerate() {
+            let s_len = word_len + extra;
+            reference.begin_subject(DIAGONALS);
+            biased.begin_subject(DIAGONALS, s_len, word_len, window);
+            for (ei, &(extension, d, seed)) in events.iter().enumerate() {
+                if extension {
+                    let end = seed % (s_len + 1);
+                    reference.set_extension_end(d, end);
+                    biased.set_extension_end(d, end);
+                } else {
+                    let pos = seed % (extra + 1);
+                    prop_assert_eq!(
+                        biased.admit_hit(d, pos, word_len, window),
+                        reference.admit_hit(d, pos, word_len, window),
+                        "subject {}, event {}",
+                        si,
+                        ei
+                    );
+                }
+            }
+        }
+        Ok(biased)
+    }
+
+    proptest! {
+        /// The biased 8-byte cell admits exactly as the stamped 16-byte
+        /// one did — pairs, overlaps, windows, masks, single-hit seeding
+        /// and stale cells from any earlier subject — and so does a table
+        /// whose bias overflows: the reset is invisible.
+        #[test]
+        fn biased_cells_admit_as_stamped_cells(
+            subjects in traffic(),
+            near_max in prop::option::of(0u32..600),
+        ) {
+            let start = near_max.map_or(0, |k| u32::MAX - k);
+            let biased = replay(&subjects, start)?;
+            let advance: u64 = subjects
+                .iter()
+                .map(|&(extra, w, window, _)| u64::from(window + 2 * w + 1 + extra))
+                .sum();
+            if u64::from(start) + advance > u64::from(u32::MAX) {
+                prop_assert!(biased.end < start, "the bias reset");
+            } else {
+                prop_assert_eq!(u64::from(biased.end), u64::from(start) + advance);
+            }
+        }
     }
 }

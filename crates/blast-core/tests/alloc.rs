@@ -130,6 +130,78 @@ fn steady_state_subject_scan_is_allocation_free() {
 }
 
 #[test]
+fn growing_subjects_allocate_only_at_the_high_water_mark() {
+    // The buffers a subject's length sizes — the scan's word buffer and
+    // the diagonal table — grow only when a subject is longer than every
+    // one before it; a subject no longer than that, and every subject of
+    // a second pass, costs only the per-call result vector.
+    let mut params = SearchParams::blastp();
+    params.expect = 1e-6;
+    let lengths = [40, 40, 80, 60, 160, 120, 320, 320, 200, 640, 30];
+    let subjects: Vec<SeqRecord> = lengths
+        .iter()
+        .enumerate()
+        .map(|(i, &len)| SeqRecord {
+            defline: format!("s{i}"),
+            residues: noise(i, len),
+            molecule: Molecule::Protein,
+        })
+        .collect();
+    let db = DbStats {
+        num_sequences: subjects.len() as u64,
+        total_residues: subjects.iter().map(|r| r.len() as u64).sum(),
+    };
+    let queries = vec![SeqRecord {
+        defline: "q".into(),
+        residues: noise(97, 80),
+        molecule: Molecule::Protein,
+    }];
+    let prepared = PreparedQueries::prepare(&params, queries, db);
+    let searcher = BlastSearcher::new(&params, &prepared);
+    let sources: Vec<VecSource> = subjects
+        .iter()
+        .map(|s| VecSource::from_records(std::slice::from_ref(s)))
+        .collect();
+
+    // Warm everything a subject's length does not size, on a subject
+    // shorter than all of them.
+    let mut scratch = SearchScratch::new();
+    let tiny = VecSource::from_records(&[SeqRecord {
+        defline: "t".into(),
+        residues: noise(99, 10),
+        molecule: Molecule::Protein,
+    }]);
+    searcher.search(&tiny, &mut scratch);
+    let cost_of = |source: &VecSource, scratch: &mut SearchScratch| {
+        let before = allocs();
+        let result = searcher.search(source, scratch);
+        let cost = allocs() - before;
+        assert_eq!(result.stats.subjects, 1);
+        cost
+    };
+    let base = cost_of(&tiny, &mut scratch);
+    assert!(base <= 1, "the per-query result vector, got {base}");
+
+    let mut longest = 0;
+    for (source, &len) in sources.iter().zip(&lengths) {
+        let cost = cost_of(source, &mut scratch);
+        if len > longest {
+            assert!(cost <= base + 2, "len {len}: {cost} allocations");
+            longest = len;
+        } else {
+            assert_eq!(cost, base, "len {len} is within the high-water mark");
+        }
+    }
+    for (source, &len) in sources.iter().zip(&lengths) {
+        assert_eq!(
+            cost_of(source, &mut scratch),
+            base,
+            "steady state, len {len}"
+        );
+    }
+}
+
+#[test]
 fn sharded_scan_with_per_slot_scratches_stays_allocation_free() {
     // The intra-rank threaded path: each slot scans its subject range
     // through its *own* scratch (no aliasing between slots), then the

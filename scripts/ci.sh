@@ -66,6 +66,14 @@ cargo test --release -q -p mpiio --lib posted_output_costs_constant_engine_event
 # and formatting a 12 k-residue HSP must keep the scratch O(n x band).
 cargo test --release -q -p blast-core --test traceback
 cargo test --release -q -p blast-core --test edge_cases long_sequences_align_end_to_end
+# Two-pass seed scan over 8-byte offset-biased diagonal cells: every
+# admission equals the stamped 16-byte cell's (kept verbatim in
+# tests/reference/), across subjects and through a bias overflow, and
+# every search equals the one-pass scan kept verbatim in the test (1-12
+# queries, spilled buckets, ambiguity codes, sub-word subjects, blastp
+# and blastn, fresh and dirty scratch).
+cargo test --release -q -p blast-core --lib biased_cells_admit_as_stamped_cells
+cargo test --release -q -p blast-core --test seed_scan two_pass_scan_equals_the_one_pass_reference
 # One prepare per query set per process: the memo never aliases two
 # query sets or two SearchParams, holds no strong reference, and every
 # rank is still charged — exactly the modeled cost under Modeled, its
@@ -91,6 +99,9 @@ cargo test --release -q --test cluster_behavior measured_and_modeled_modes_agree
 # (tests/common/wire_golden.txt); the `ff ff ff ff` count, the 28-byte
 # checkpoint and the flipped `.idx` byte are typed errors, not aborts.
 cargo test --release -q --test codec
+# ...and FASTA, read from every query and database file: noise and
+# damaged valid FASTA parse or are a FastaError, never a panic.
+cargo test --release -q --test codec fasta_parser_survives_hostile_bytes
 # One run list: `mpiio::runs` is the only place the stack merges, cuts
 # and slices offset-length lists. Against brute force on a small
 # universe: `merge` equals the bitmap for every max_hole (unsorted,

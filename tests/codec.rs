@@ -15,6 +15,7 @@ use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 use std::fmt::Debug;
 
+use blast_core::fasta;
 use blast_core::hsp::Hsp;
 use blast_core::search::SubjectHit;
 use blast_core::seq::SeqRecord;
@@ -434,6 +435,34 @@ fn file_parsers_survive_hostile_bytes() {
     }
     for input in hostile_inputs(&alias, &mut noise) {
         survives("AliasFile", &input, AliasFile::decode);
+    }
+}
+
+#[test]
+fn fasta_parser_survives_hostile_bytes() {
+    // FASTA arrives from files: `formatdb`'s input and every query file.
+    // Noise, FASTA-shaped noise and damaged valid FASTA must parse or be
+    // a `FastaError`, never a panic — and what parses writes back to the
+    // same records.
+    let mut noise = Noise(0x5EED_FA57_A000_0001);
+    let shaped = b">>\n\r \t|ACGTNXBZJUOacgtnx*-1";
+    let protein: &[u8] = b">q1 first\nMKVLAAGHWR\nTEYFNDCQ*X\n\n>q2\r\nbzjuo\n>\nmkv\n";
+    let dna: &[u8] = b">n1 dna\nACGTNacgtn\r\nGG CC\n>n2\n";
+    for (molecule, valid) in [(Molecule::Protein, protein), (Molecule::Dna, dna)] {
+        assert!(fasta::parse(molecule, valid).is_ok());
+        let mut inputs = hostile_inputs(valid, &mut noise);
+        inputs.extend((0..256).map(|i| {
+            (0..i % 64)
+                .map(|_| shaped[noise.next() as usize % shaped.len()])
+                .collect()
+        }));
+        for input in inputs {
+            if let Ok(records) = fasta::parse(molecule, &input) {
+                let written = fasta::to_string(&records, 7);
+                let again = fasta::parse(molecule, written.as_bytes());
+                assert_eq!(again.ok(), Some(records), "{input:02x?}");
+            }
+        }
     }
 }
 
