@@ -51,6 +51,83 @@ fn rescore(
     score
 }
 
+/// `q` walked with one `(kind, residue)` op per step: a substitution, an
+/// inserted residue, a deletion, or a copy; the rest of `q` is copied.
+fn homolog(q: &[u8], ops: &[(u8, u8)]) -> Vec<u8> {
+    let mut s = Vec::new();
+    let mut i = 0;
+    for &(kind, residue) in ops {
+        if i >= q.len() {
+            break;
+        }
+        match kind {
+            0..25 => {
+                s.push(residue);
+                i += 1;
+            }
+            25..30 => s.push(residue),
+            30..35 => i += 1,
+            _ => {
+                s.push(q[i]);
+                i += 1;
+            }
+        }
+    }
+    s.extend_from_slice(&q[i..]);
+    if s.is_empty() {
+        s.push(0);
+    }
+    s
+}
+
+/// The gapped X-drop score from `(q_seed, s_seed)`, and the best global
+/// score of the rectangle it returns.
+fn gapped_and_rectangle_optimum(
+    q: &[u8],
+    s: &[u8],
+    q_seed: u32,
+    s_seed: u32,
+    x_drop: i32,
+) -> (i32, i32) {
+    let matrix = ScoreMatrix::blosum62();
+    let gaps = blast_core::karlin::GapPenalties::BLOSUM62_DEFAULT;
+    let hit = gapped_xdrop(
+        &matrix,
+        gaps,
+        q,
+        s,
+        q_seed,
+        s_seed,
+        x_drop,
+        &mut Default::default(),
+    );
+    let q_rect = &q[hit.q_start as usize..hit.q_end as usize];
+    let s_rect = &s[hit.s_start as usize..hit.s_end as usize];
+    let dense = banded_global(&matrix, gaps, q_rect, s_rect, q_rect.len() + s_rect.len());
+    (hit.score, dense.score)
+}
+
+#[test]
+fn gapped_xdrop_reads_no_out_of_band_cell_left_from_two_rows_earlier() {
+    // n = 83, m = 87, seed (5, 5), x = 38: with rows that read the two
+    // cells beside their predecessor's band unwritten, this extension
+    // scored 15 over the rectangle q 5..80, s 5..76, whose best global
+    // alignment scores 9.
+    let q = encode(
+        Molecule::Protein,
+        b"RKGNGEPNCIGMSWQWILVCRYKGYDNLKFLFLRFTVGVANLSRTLNFMSKEMTSWYGAARYRWLYVFSIWFWWMSPEEVMTH",
+    )
+    .unwrap();
+    let s = encode(
+        Molecule::Protein,
+        b"FKRGFIDDVSMSIGPNRPVNYYRPAYHLTLFGLWEEDQGMCDYLRTSWGGAAGHSSCRRSLYNFYIWKLIHSDEEVFMCEYLDNGCD",
+    )
+    .unwrap();
+    assert_eq!((q.len(), s.len()), (83, 87));
+    let (score, optimum) = gapped_and_rectangle_optimum(&q, &s, 5, 5, 38);
+    assert!(score <= optimum, "gapped {score} > optimum {optimum}");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
@@ -114,6 +191,24 @@ proptest! {
         let g = gapped_xdrop(&matrix, gaps, &q, &s, pos, pos, 40, &mut Default::default());
         prop_assert!(g.score >= matrix.score(q[pos as usize], s[pos as usize]));
         prop_assert!(g.q_start <= pos && g.q_end > pos);
+    }
+
+    /// A gapped X-drop extension is a global alignment of the rectangle
+    /// it returns, so it never scores above that rectangle's optimum (the
+    /// dense, unbanded `banded_global`). A DP row that reads a cell its
+    /// predecessor never wrote reports scores no alignment has.
+    #[test]
+    fn gapped_score_is_at_most_the_rectangle_optimum(
+        q in arb_protein(1..120),
+        ops in prop::collection::vec((0u8..100, 0u8..20), 0..140),
+        seed in (any::<u16>(), any::<u16>()),
+        x_drop in 10i32..=40,
+    ) {
+        let s = homolog(&q, &ops);
+        let q_seed = u32::from(seed.0) % q.len() as u32;
+        let s_seed = u32::from(seed.1) % s.len() as u32;
+        let (score, optimum) = gapped_and_rectangle_optimum(&q, &s, q_seed, s_seed, x_drop);
+        prop_assert!(score <= optimum, "gapped {} > optimum {}", score, optimum);
     }
 
     /// Culling never drops the best HSP of a (query, subject) pair and
