@@ -48,6 +48,7 @@
 //! ```
 
 #![warn(missing_docs)]
+#![deny(unsafe_code)]
 #![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod alphabet;
@@ -57,6 +58,7 @@ pub mod filter;
 pub mod format;
 pub mod hsp;
 pub mod karlin;
+mod lanes;
 pub mod lookup;
 pub mod matrix;
 pub mod search;

@@ -15,9 +15,10 @@ pub const UNDEFINED_SCORE: i32 = -4;
 /// Row stride of the padded score table. A power of two, strictly larger
 /// than every alphabet, so [`ScoreMatrix::score`] can index with masked
 /// coordinates — the compiler proves the index in bounds and the lookup
-/// compiles to a single unchecked load. The extension DP inner loops call
-/// `score` once per cell, so this is the kernel's hottest load.
-const STRIDE: usize = 32;
+/// compiles to a single unchecked load. Ungapped extension calls `score`
+/// once per residue pair, and the gapped DPs gather rows of the table the
+/// same way.
+pub(crate) const STRIDE: usize = 32;
 
 /// A dense residue-pair scoring matrix over one molecule's full alphabet.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -30,6 +31,11 @@ pub struct ScoreMatrix {
     /// `STRIDE`-strided table; cells outside the `size × size` valid
     /// region hold [`UNDEFINED_SCORE`] and are never read via `score`.
     scores: Box<[i32; STRIDE * STRIDE]>,
+    /// `scores` saturated to `i16`, one row per residue: the extension
+    /// DPs' 16-bit lanes gather from it. Built once, with the table.
+    scores16: Box<[[i16; STRIDE]; STRIDE]>,
+    /// The largest magnitude in `scores`, padding included.
+    max_abs: i32,
 }
 
 fn empty_table() -> Box<[i32; STRIDE * STRIDE]> {
@@ -37,6 +43,29 @@ fn empty_table() -> Box<[i32; STRIDE * STRIDE]> {
 }
 
 impl ScoreMatrix {
+    /// The matrix over a finished table, with the narrowed copy the
+    /// extension kernels read.
+    fn with_table(
+        name: String,
+        molecule: Molecule,
+        scores: Box<[i32; STRIDE * STRIDE]>,
+    ) -> ScoreMatrix {
+        let scores16 = Box::new(std::array::from_fn(|a| {
+            std::array::from_fn(|b| {
+                scores[a * STRIDE + b].clamp(i16::MIN.into(), i16::MAX.into()) as i16
+            })
+        }));
+        let max_abs = scores.iter().map(|s| s.saturating_abs()).max().unwrap_or(0);
+        ScoreMatrix {
+            name,
+            molecule,
+            size: molecule.alphabet_size(),
+            scores,
+            scores16,
+            max_abs,
+        }
+    }
+
     /// Build a matrix from a full `size × size` score table.
     ///
     /// # Panics
@@ -57,12 +86,7 @@ impl ScoreMatrix {
         for a in 0..size {
             table[a * STRIDE..a * STRIDE + size].copy_from_slice(&scores[a * size..(a + 1) * size]);
         }
-        ScoreMatrix {
-            name: name.into(),
-            molecule,
-            size,
-            scores: table,
-        }
+        ScoreMatrix::with_table(name.into(), molecule, table)
     }
 
     /// Score for the encoded residue pair `(a, b)`.
@@ -85,6 +109,22 @@ impl ScoreMatrix {
     #[inline]
     pub fn size(&self) -> usize {
         self.size
+    }
+
+    /// The table as rows of `i16` (saturated), for the 16-bit lanes.
+    pub(crate) fn lane_rows16(&self) -> &[[i16; STRIDE]] {
+        &self.scores16[..]
+    }
+
+    /// The table as rows of `i32`, for the 32-bit lanes.
+    pub(crate) fn lane_rows32(&self) -> &[[i32; STRIDE]] {
+        self.scores.as_chunks().0
+    }
+
+    /// The largest score magnitude in the table: the most one aligned
+    /// pair can move a DP score.
+    pub(crate) fn max_abs_score(&self) -> i32 {
+        self.max_abs
     }
 
     /// Highest score anywhere in the matrix.
@@ -120,7 +160,6 @@ impl ScoreMatrix {
         molecule: Molecule,
         text: &str,
     ) -> Result<ScoreMatrix, MatrixParseError> {
-        let size = molecule.alphabet_size();
         let mut scores = empty_table();
         let mut columns: Option<Vec<u8>> = None;
         for (lineno, line) in text.lines().enumerate() {
@@ -168,12 +207,7 @@ impl ScoreMatrix {
                 reason: "no column header found".into(),
             });
         }
-        Ok(ScoreMatrix {
-            name: name.into(),
-            molecule,
-            size,
-            scores,
-        })
+        Ok(ScoreMatrix::with_table(name.into(), molecule, scores))
     }
 
     /// The canonical BLOSUM62 matrix over the protein alphabet.
@@ -181,10 +215,11 @@ impl ScoreMatrix {
     // build it).
     #[allow(clippy::expect_used)]
     pub fn blosum62() -> ScoreMatrix {
-        let mut m = ScoreMatrix::parse_ncbi("BLOSUM62", Molecule::Protein, BLOSUM62_TEXT)
+        let m = ScoreMatrix::parse_ncbi("BLOSUM62", Molecule::Protein, BLOSUM62_TEXT)
             .expect("embedded BLOSUM62 must parse");
-        m.extend_uncovered_protein_codes();
-        m
+        let mut scores = m.scores;
+        extend_uncovered_protein_codes(&mut scores, m.size);
+        ScoreMatrix::with_table(m.name, m.molecule, scores)
     }
 
     /// A DNA matrix with `reward` on the diagonal and `penalty` elsewhere
@@ -207,33 +242,26 @@ impl ScoreMatrix {
             scores[n * STRIDE + other] = penalty;
             scores[other * STRIDE + n] = penalty;
         }
-        ScoreMatrix {
-            name: format!("DNA(+{reward}/{penalty})"),
-            molecule: Molecule::Dna,
-            size,
-            scores,
-        }
+        ScoreMatrix::with_table(format!("DNA(+{reward}/{penalty})"), Molecule::Dna, scores)
     }
+}
 
-    /// Map protein codes beyond the 24-letter BLOSUM coverage (`U`, `O`,
-    /// `J`, gap) onto the `X` ambiguity row/column, as NCBI tools do.
-    fn extend_uncovered_protein_codes(&mut self) {
-        debug_assert_eq!(self.molecule, Molecule::Protein);
-        let size = self.size;
-        let x = crate::alphabet::PROTEIN_X as usize;
-        for extra in 24..PROTEIN_ALPHABET_SIZE {
-            for other in 0..size {
-                self.scores[extra * STRIDE + other] = self.scores[x * STRIDE + other];
-                self.scores[other * STRIDE + extra] = self.scores[other * STRIDE + x];
-            }
-            self.scores[extra * STRIDE + extra] = self.scores[x * STRIDE + x];
-        }
-        // Gap placeholder pairs stay strongly negative.
-        let gap = size - 1;
+/// Map protein codes beyond the 24-letter BLOSUM coverage (`U`, `O`,
+/// `J`, gap) onto the `X` ambiguity row/column, as NCBI tools do.
+fn extend_uncovered_protein_codes(scores: &mut [i32; STRIDE * STRIDE], size: usize) {
+    let x = crate::alphabet::PROTEIN_X as usize;
+    for extra in 24..PROTEIN_ALPHABET_SIZE {
         for other in 0..size {
-            self.scores[gap * STRIDE + other] = UNDEFINED_SCORE;
-            self.scores[other * STRIDE + gap] = UNDEFINED_SCORE;
+            scores[extra * STRIDE + other] = scores[x * STRIDE + other];
+            scores[other * STRIDE + extra] = scores[other * STRIDE + x];
         }
+        scores[extra * STRIDE + extra] = scores[x * STRIDE + x];
+    }
+    // Gap placeholder pairs stay strongly negative.
+    let gap = size - 1;
+    for other in 0..size {
+        scores[gap * STRIDE + other] = UNDEFINED_SCORE;
+        scores[other * STRIDE + gap] = UNDEFINED_SCORE;
     }
 }
 
@@ -362,6 +390,21 @@ mod tests {
         let row = m.row(a);
         for b in 0..m.size() as u8 {
             assert_eq!(row[b as usize], m.score(a, b));
+        }
+    }
+
+    #[test]
+    fn lane_rows_hold_every_score() {
+        for m in [ScoreMatrix::blosum62(), ScoreMatrix::dna(1, -3)] {
+            for a in 0..m.size() as u8 {
+                for b in 0..m.size() as u8 {
+                    let (a_at, b_at) = (usize::from(a), usize::from(b));
+                    assert_eq!(i32::from(m.lane_rows16()[a_at][b_at]), m.score(a, b));
+                    assert_eq!(m.lane_rows32()[a_at][b_at], m.score(a, b));
+                }
+            }
+            // The bound covers the padding cells too.
+            assert!(m.max_abs_score() >= m.max_score().max(-m.min_score()));
         }
     }
 

@@ -66,6 +66,18 @@ cargo test --release -q -p mpiio --lib posted_output_costs_constant_engine_event
 # and formatting a 12 k-residue HSP must keep the scratch O(n x band).
 cargo test --release -q -p blast-core --test traceback
 cargo test --release -q -p blast-core --test edge_cases long_sequences_align_end_to_end
+# Eight-lane extension DPs: a gapped X-drop score never exceeds the best
+# global alignment of its own rectangle (and the pair whose rows once read
+# cells left from two rows earlier stays pinned); both lane kernels equal
+# the scalar kernels kept verbatim in tests/reference/ (homologs,
+# unrelated and one-residue pairs, x_drop 0..=60, band_pad 0..=64, both
+# scoring systems, 32-bit lanes, fresh and dirty scratch); and the SSE2,
+# [i16; 8] and [i32; 8] lanes agree op by op and kernel by kernel.
+cargo test --release -q -p blast-core --test properties gapped_score_is_at_most_the_rectangle_optimum
+cargo test --release -q -p blast-core --test properties gapped_xdrop_reads_no_out_of_band_cell_left_from_two_rows_earlier
+cargo test --release -q -p blast-core --test extend_lanes
+cargo test --release -q -p blast-core --lib sse2_and_array_lanes_give_equal_extensions
+cargo test --release -q -p blast-core --lib i16_backends_agree_on_every_operation
 # Two-pass seed scan over 8-byte offset-biased diagonal cells: every
 # admission equals the stamped 16-byte cell's (kept verbatim in
 # tests/reference/), across subjects and through a bias overflow, and
