@@ -31,6 +31,7 @@
 //! `examples/` directory at the workspace root.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod app;
 pub mod cache;

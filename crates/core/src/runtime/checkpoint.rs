@@ -1,0 +1,160 @@
+//! Fragment checkpointing (`Recover` + [`RunPolicy::checkpoint`]):
+//! workers persist each searched `(batch, fragment)` — submission
+//! metadata plus the formatted record bytes — before acknowledging the
+//! grant. When a worker dies, the master re-queues only its unfinished
+//! fragments and adopts the checkpointed ones as orphans: their metadata
+//! is spliced into the merge and the master writes their records. A blob
+//! is deterministic in its key, so rewrites in retried epochs are
+//! idempotent. The run drops every blob at the end.
+//!
+//! [`RunPolicy::checkpoint`]: super::RunPolicy::checkpoint
+
+use std::collections::HashMap;
+
+use bytes::Bytes;
+use mpiblast::wire::{FragmentCheckpoint, MetaHit, MetaSubmission};
+use mpiio::IoPlane;
+use parafs::StoreError;
+use seqfmt::Wire;
+
+use crate::app::PioBlastConfig;
+use crate::cache::FragmentPayload;
+use crate::fault::PioError;
+
+/// Shared-file-system path of one `(batch, fragment)` checkpoint blob.
+fn path(cfg: &PioBlastConfig, batch: usize, fragment: usize) -> String {
+    format!("{}.ckpt.b{batch}.f{fragment}", cfg.output_path)
+}
+
+/// The outcome of a checkpoint put, at the put or at its join. A failure
+/// (a full file system) degrades, not aborts: the blob is simply absent,
+/// exactly as if the worker had died mid-checkpoint, and recovery
+/// re-queues the fragment.
+fn landed(put: Result<(), StoreError>) {
+    if let Err(e) = put {
+        tracelog::instant(
+            tracelog::Lane::Io,
+            "ckpt.skipped",
+            vec![("error", e.to_string().into())],
+        );
+    }
+}
+
+/// Persist one searched fragment. Joined here on the serial plane;
+/// fired and parked in the plane under `--io-async`, where the epoch
+/// fence ([`join_all`]) joins it.
+pub(super) fn put(
+    io: &IoPlane<'_, '_>,
+    cfg: &PioBlastConfig,
+    batch: usize,
+    fragment: u32,
+    (meta, records): FragmentPayload,
+) {
+    let blob = FragmentCheckpoint {
+        batch: batch as u32,
+        fragment,
+        meta,
+        records,
+    }
+    .encode();
+    landed(io.checkpoint_put(&path(cfg, batch, fragment as usize), blob));
+}
+
+/// Join every checkpoint put the plane still has in flight.
+pub(super) fn join_all(io: &IoPlane<'_, '_>) {
+    while let Some(joined) = io.checkpoint_join() {
+        landed(joined);
+    }
+}
+
+/// Drop every blob the run may have written.
+pub(super) fn drop_all(io: &IoPlane<'_, '_>, cfg: &PioBlastConfig, nbatches: usize, nfrags: usize) {
+    for b in 0..nbatches {
+        for f in 0..nfrags {
+            let _ = io.checkpoint_drop(&path(cfg, b, f));
+        }
+    }
+}
+
+/// The master's side: the valid blobs found at deaths, and the records
+/// of the fragments adopted from them.
+#[derive(Default)]
+pub(super) struct Orphans {
+    blobs: HashMap<(usize, usize), FragmentCheckpoint>,
+    records: HashMap<(u32, u32), Bytes>,
+}
+
+impl Orphans {
+    /// Which of the dead `(owner, fragment)` pairs have a valid blob for
+    /// `batch`; each is cached for the merge. A partial write (the owner
+    /// died mid-checkpoint) decodes as garbage and counts as absent; so
+    /// does a blob whose metadata does not `fit` the batch.
+    pub(super) fn find(
+        &mut self,
+        io: &IoPlane<'_, '_>,
+        cfg: &PioBlastConfig,
+        batch: usize,
+        owned: impl Iterator<Item = (usize, usize)>,
+        fits: impl Fn(usize, &MetaSubmission) -> bool,
+    ) -> Vec<usize> {
+        let mut found = Vec::new();
+        for (w, f) in owned {
+            let Ok(blob) = io.checkpoint_get(&path(cfg, batch, f)) else {
+                continue;
+            };
+            let Ok(ck) = FragmentCheckpoint::decode(&blob) else {
+                continue;
+            };
+            if fits(w, &ck.meta) && ck.batch as usize == batch && ck.fragment as usize == f {
+                self.blobs.insert((batch, f), ck);
+                found.push(f);
+            }
+        }
+        found
+    }
+
+    /// Build the orphan pseudo-submission from the cached blobs
+    /// (ascending fragment order) and keep their records for the
+    /// master's write.
+    pub(super) fn adopt(
+        &mut self,
+        batch: usize,
+        orphans: &[usize],
+    ) -> Result<MetaSubmission, PioError> {
+        self.records.clear();
+        let mut per_query: Vec<(u32, Vec<MetaHit>)> = Vec::new();
+        for &f in orphans {
+            let ck = self.blobs.get(&(batch, f)).ok_or_else(|| {
+                PioError::Protocol(format!("fragment {f} orphaned without a checkpoint"))
+            })?;
+            for (q, hits) in &ck.meta.per_query {
+                match per_query.iter_mut().find(|(qi, _)| qi == q) {
+                    Some((_, list)) => list.extend(hits.iter().cloned()),
+                    None => per_query.push((*q, hits.clone())),
+                }
+            }
+            for (q, oid, rec) in &ck.records {
+                self.records.insert((*q, *oid), rec.clone());
+            }
+        }
+        per_query.sort_by_key(|(q, _)| *q);
+        Ok(MetaSubmission { per_query })
+    }
+
+    /// The adopted records the merge assigned to the master, at their
+    /// offsets.
+    pub(super) fn assigned(
+        &self,
+        records: &[(u32, u32, u64)],
+    ) -> Result<Vec<(u64, Bytes)>, PioError> {
+        let record = |&(q, oid, off): &(u32, u32, u64)| {
+            let missing =
+                || PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"));
+            self.records
+                .get(&(q, oid))
+                .map(|rec| (off, rec.clone()))
+                .ok_or_else(missing)
+        };
+        records.iter().map(record).collect()
+    }
+}
