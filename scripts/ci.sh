@@ -147,6 +147,17 @@ cargo test --release -q -p pioblast --lib inverted_range
 # index, every rank released — it used to panic the receiving rank.
 cargo test --release -q -p pioblast --lib a_master_rejects_a_submission_for_a_query_outside_the_batch
 cargo test --release -q -p mpiblast --lib outside_the_set
+# ...and a hostile master against a real worker, under both lowerings: a
+# first message that is not the bundle, an abort first, an unknown tag, a
+# truncated fenced request, an uncached or empty assignment, a grant for
+# a batch the bundle lacks, a non-QBATCH where stream queries are due, a
+# dead master — each the worker's typed error, never a panic or a
+# deadlock. And the master machine walks one fault-free dynamic cycle
+# alike under Off and Recover; only Drain tells the lowerings apart.
+cargo test --release -q -p pioblast --lib a_hostile_master_gets_a_typed_error_from_a_real_worker
+cargo test --release -q -p pioblast --lib off_and_recover_lower_one_dynamic_cycle
+# The runtime is split by concern: no module over 600 lines above its tests.
+awk 'FNR==1{n=0} /^#\[cfg\(test\)\]/{nextfile} ++n>600{print FILENAME ": over 600 lines above #[cfg(test)]"; bad=1; nextfile} END{exit bad}' crates/core/src/runtime/*.rs
 # One store representation: random operation sequences, multi-piece
 # runs (overlapping pieces included) and the four workload write
 # patterns give the extent store the same bytes, lengths, totals and

@@ -73,7 +73,7 @@ fn allocation_budget(len: usize) -> usize {
     32 * len + 512
 }
 
-/// The `TAG_QBATCH` frame as `runtime::interp` composes it (the molecule
+/// The `TAG_QBATCH` frame as the pioBLAST master composes it (the molecule
 /// travels in the bundle; protein here).
 #[derive(Debug, PartialEq)]
 struct QBatch(u32, Vec<SeqRecord>);
