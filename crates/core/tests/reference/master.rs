@@ -1,0 +1,806 @@
+//! The master's protocol state machine — pure transitions, no I/O.
+//!
+//! One machine drives every mode. The cycle per query batch is
+//! `Distribute -> Collect -> WaitWrites`, then either the next batch or
+//! `Finished`:
+//!
+//! * **Distribute** — fragments flow from the grant queue to idle live
+//!   workers: one scatter of whole shares up front for the static
+//!   schedule, one fragment per request for the dynamic one. Completion
+//!   means the queue is drained and every live worker is idle — it has
+//!   acknowledged its last grant, or the scatter gave it its share.
+//! * **Collect** — a new epoch is fenced and every live worker is asked
+//!   for its metadata submission. Stale-epoch submissions are discarded.
+//! * **WaitWrites** — offsets were assigned; the master waits for every
+//!   live worker's write acknowledgement before sealing the batch.
+//!
+//! A worker death is one event, and only the point-to-point lowering
+//! ever reports one (the collective lowering hangs, like MPI). Unless the
+//! policy recovers it fails the run; under `Recover` the victim's
+//! unfinished fragments re-enter the queue (rewinding the phase to
+//! `Distribute`) while its checkpointed ones are adopted as orphans — if
+//! nothing needs re-searching, the machine only rewinds to `Collect` and
+//! re-merges with the orphans spliced in.
+
+use mpiblast::wire::MetaSubmission;
+use mpisim::sched::chunk_evenly;
+use pioblast::runtime::RunPolicy;
+use pioblast::{FragmentSchedule, PioError};
+
+use super::ledger::SubmissionLedger;
+use super::sched::GrantQueue;
+
+/// What the master's run loop reports to the machine.
+#[derive(Debug, Clone)]
+pub enum MasterEvent {
+    /// A worker requested a fragment / acknowledged its last grant.
+    Ready {
+        /// Sender.
+        from: usize,
+    },
+    /// A worker's epoch-fenced metadata submission.
+    Submission {
+        /// Sender.
+        from: usize,
+        /// Epoch the submission answers.
+        epoch: u64,
+        /// The metadata.
+        sub: MetaSubmission,
+    },
+    /// A worker finished writing its assigned records.
+    WriteDone {
+        /// Sender.
+        from: usize,
+        /// Epoch the acknowledgement answers.
+        epoch: u64,
+    },
+    /// Workers were found dead. `checkpointed` is the subset of their
+    /// owned fragments with a valid checkpoint blob on the shared FS.
+    Dead {
+        /// The newly dead ranks.
+        ranks: Vec<usize>,
+        /// Their checkpoint-covered fragments.
+        checkpointed: Vec<usize>,
+    },
+    /// The static scatter completed: every worker holds its share.
+    ScatterDone,
+}
+
+/// What the run loop must do next.
+#[derive(Debug, Clone)]
+pub enum MasterAction {
+    /// Send one fragment to a worker (the dynamic schedule, under either
+    /// lowering).
+    Grant {
+        /// Destination worker.
+        to: usize,
+        /// Global fragment id.
+        frag: usize,
+        /// Batch the grant belongs to.
+        batch: usize,
+    },
+    /// Tell a worker the queue is empty (collective lowering of the
+    /// dynamic schedule: the worker leaves its request loop).
+    Drain {
+        /// Destination worker.
+        to: usize,
+    },
+    /// Scatter the rank-indexed fragment chunks (the static schedule).
+    Scatter {
+        /// `chunks[rank]`; `chunks[0]` is empty (the master).
+        chunks: Vec<Vec<usize>>,
+    },
+    /// Ask every live worker for its batch submission under this epoch.
+    Collect {
+        /// Batch to collect.
+        batch: usize,
+        /// Fencing epoch.
+        epoch: u64,
+    },
+    /// Merge the submissions, assign offsets, start the writes.
+    Merge {
+        /// Batch being merged.
+        batch: usize,
+        /// Fencing epoch.
+        epoch: u64,
+        /// Rank-indexed submissions (dead ranks empty).
+        subs: Vec<MetaSubmission>,
+        /// Checkpoint-adopted fragments to splice into the merge.
+        orphans: Vec<usize>,
+    },
+    /// All live workers wrote: write the master's own sections (and any
+    /// orphan records) for this batch.
+    FinishBatch {
+        /// The sealed batch.
+        batch: usize,
+    },
+    /// The run is complete: release the workers, clean up.
+    Finish,
+    /// The run cannot complete.
+    Fail {
+        /// Why.
+        error: PioError,
+        /// Whether surviving workers must be told to abort.
+        abort_workers: bool,
+    },
+}
+
+/// The master's protocol phase.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MasterPhase {
+    /// Granting fragments.
+    Distribute,
+    /// Collecting epoch-fenced submissions.
+    Collect,
+    /// Waiting for write acknowledgements.
+    WaitWrites,
+    /// Finished successfully.
+    Finished,
+    /// Failed with a reported error.
+    Failed,
+}
+
+/// The master state machine. Feed it events via [`MasterSm::handle`];
+/// perform the returned actions in order.
+#[derive(Debug)]
+pub struct MasterSm {
+    policy: RunPolicy,
+    phase: MasterPhase,
+    live: Vec<bool>,
+    /// Workers holding no unacknowledged grant: they asked for work (or
+    /// acknowledged their last fragment) and got nothing, or the static
+    /// scatter handed them their whole share.
+    idle: Vec<bool>,
+    queue: GrantQueue,
+    ledger: SubmissionLedger,
+    epoch: u64,
+    batch: usize,
+    subs: Vec<Option<MetaSubmission>>,
+    done: Vec<bool>,
+    /// Service mode: which fragments each rank is believed to hold
+    /// resident (last grant wins). Steers re-grants back to the data.
+    affinity_hint: Vec<Vec<usize>>,
+}
+
+impl MasterSm {
+    /// Build the machine and the initial actions (the scatter for the
+    /// static schedule; nothing for the dynamic one, which is
+    /// request-driven). `live[w]` marks the workers that accepted the
+    /// query bundle.
+    pub fn new(policy: RunPolicy, live: Vec<bool>) -> (MasterSm, Vec<MasterAction>) {
+        let nranks = policy.nranks;
+        assert_eq!(live.len(), nranks);
+        let mut sm = MasterSm {
+            policy,
+            phase: MasterPhase::Distribute,
+            live,
+            idle: vec![false; nranks],
+            queue: GrantQueue::new(policy.nfrags, nranks),
+            ledger: SubmissionLedger::new(policy.nfrags),
+            epoch: 0,
+            batch: 0,
+            subs: vec![None; nranks],
+            done: vec![false; nranks],
+            affinity_hint: vec![Vec::new(); nranks],
+        };
+        if sm.policy.p2p() && !sm.any_worker_live() {
+            sm.phase = MasterPhase::Failed;
+            let fail = MasterAction::Fail {
+                error: PioError::AllWorkersDied,
+                abort_workers: false,
+            };
+            return (sm, vec![fail]);
+        }
+        let mut acts = Vec::new();
+        if sm.policy.schedule == FragmentSchedule::Static {
+            let sizes = chunk_evenly((0..sm.policy.nfrags).collect::<Vec<_>>(), nranks - 1)
+                .into_iter()
+                .map(|c| c.len());
+            let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); nranks];
+            for (w, n) in (1..nranks).zip(sizes) {
+                let frags = sm.queue.grant_chunk(w, n);
+                for &f in &frags {
+                    sm.ledger.granted(f, w);
+                }
+                chunks[w] = frags;
+            }
+            acts.push(MasterAction::Scatter { chunks });
+        }
+        (sm, acts)
+    }
+
+    /// Current phase.
+    pub fn phase(&self) -> MasterPhase {
+        self.phase
+    }
+
+    /// Current query batch.
+    pub fn batch(&self) -> usize {
+        self.batch
+    }
+
+    /// Current fencing epoch.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
+    }
+
+    /// Fragments currently owned by `rank`.
+    pub fn owned(&self, rank: usize) -> &[usize] {
+        self.queue.owned(rank)
+    }
+
+    /// The per-fragment ledger.
+    pub fn ledger(&self) -> &SubmissionLedger {
+        &self.ledger
+    }
+
+    /// Still-live worker ranks, ascending.
+    pub fn live_workers(&self) -> impl Iterator<Item = usize> + '_ {
+        (1..self.policy.nranks).filter(|&w| self.live[w])
+    }
+
+    fn any_worker_live(&self) -> bool {
+        self.live_workers().next().is_some()
+    }
+
+    /// Apply one event; returns the actions to perform, in order.
+    pub fn handle(&mut self, event: MasterEvent) -> Vec<MasterAction> {
+        match event {
+            MasterEvent::Ready { from } => self.on_ready(from),
+            MasterEvent::Submission { from, epoch, sub } => self.on_submission(from, epoch, sub),
+            MasterEvent::WriteDone { from, epoch } => self.on_write_done(from, epoch),
+            MasterEvent::Dead {
+                ranks,
+                checkpointed,
+            } => self.on_dead(&ranks, &checkpointed),
+            MasterEvent::ScatterDone => {
+                // Every worker holds its whole share; the collective
+                // itself was the acknowledgement.
+                self.idle.fill(true);
+                self.redistribute()
+            }
+        }
+    }
+
+    /// Grant queued fragments to idle live workers, one fragment each.
+    /// A request on a non-empty queue is served at once, so requests are
+    /// answered in arrival order; several workers are idle together only
+    /// when the queue refills (a requeue, the next stream batch).
+    fn pump_grants(&mut self) -> Vec<MasterAction> {
+        let mut acts = Vec::new();
+        while let Some(w) = (1..self.policy.nranks).find(|&w| self.live[w] && self.idle[w]) {
+            let granted = if self.policy.affinity {
+                self.queue.grant_to_preferring(w, &self.affinity_hint[w])
+            } else {
+                self.queue.grant_to(w)
+            };
+            let Some(f) = granted else {
+                break; // the queue is drained
+            };
+            if self.policy.service {
+                self.note_residency(f, w);
+            }
+            self.ledger.granted(f, w);
+            self.idle[w] = false;
+            acts.push(MasterAction::Grant {
+                to: w,
+                frag: f,
+                batch: self.batch,
+            });
+        }
+        acts
+    }
+
+    /// Record that `frag`'s bytes now live at `rank` (service mode): the
+    /// re-grant of the next stream batch should go back to the data.
+    fn note_residency(&mut self, frag: usize, rank: usize) {
+        for hint in &mut self.affinity_hint {
+            hint.retain(|&f| f != frag);
+        }
+        self.affinity_hint[rank].push(frag);
+    }
+
+    fn distribution_complete(&self) -> bool {
+        self.queue.is_drained() && self.live_workers().all(|w| self.idle[w])
+    }
+
+    /// Open a new fenced epoch and ask for submissions.
+    fn start_collect(&mut self) -> Vec<MasterAction> {
+        self.epoch += 1;
+        self.subs = vec![None; self.policy.nranks];
+        self.done = vec![false; self.policy.nranks];
+        self.phase = MasterPhase::Collect;
+        vec![MasterAction::Collect {
+            batch: self.batch,
+            epoch: self.epoch,
+        }]
+    }
+
+    fn collection_complete(&self) -> bool {
+        self.live_workers().all(|w| self.subs[w].is_some())
+    }
+
+    fn merge_actions(&mut self) -> Vec<MasterAction> {
+        self.phase = MasterPhase::WaitWrites;
+        let subs = self
+            .subs
+            .iter_mut()
+            .map(|s| s.take().unwrap_or_default())
+            .collect();
+        vec![MasterAction::Merge {
+            batch: self.batch,
+            epoch: self.epoch,
+            subs,
+            orphans: self.ledger.orphans(),
+        }]
+    }
+
+    /// Resume distribution (after a requeue or at a batch boundary) and
+    /// fall through to collection if there is nothing left to grant.
+    fn redistribute(&mut self) -> Vec<MasterAction> {
+        self.phase = MasterPhase::Distribute;
+        let mut acts = self.pump_grants();
+        if self.distribution_complete() {
+            acts.extend(self.start_collect());
+        }
+        acts
+    }
+
+    /// Seal the batch: either the run is over, or orphans re-enter the
+    /// queue and the next batch's cycle starts.
+    fn advance_batch(&mut self) -> Vec<MasterAction> {
+        if self.batch + 1 == self.policy.nbatches {
+            self.phase = MasterPhase::Finished;
+            return vec![MasterAction::Finish];
+        }
+        self.batch += 1;
+        for f in self.ledger.advance_batch() {
+            self.queue.push(f);
+        }
+        if self.policy.service {
+            // A stream batch searches the whole database again: every
+            // fragment re-enters circulation. Workers keep the *bytes*
+            // resident, and the affinity hints steer each fragment's
+            // re-grant back to its last holder so the read is skipped.
+            for w in 1..self.policy.nranks {
+                let (requeued, _) = self.queue.release(w, |_| true);
+                for &f in &requeued {
+                    self.ledger.requeued(f);
+                }
+            }
+        }
+        self.redistribute()
+    }
+
+    fn on_ready(&mut self, from: usize) -> Vec<MasterAction> {
+        if !self.live[from] {
+            return Vec::new();
+        }
+        self.idle[from] = true;
+        self.ledger.acked(from);
+        if self.phase != MasterPhase::Distribute {
+            return Vec::new();
+        }
+        let mut acts = self.pump_grants();
+        if self.idle[from] && !self.policy.p2p() {
+            // Nothing left for the requester. A point-to-point worker
+            // waits for its next command; a collective one must be told
+            // to leave its request loop for the gather.
+            acts.push(MasterAction::Drain { to: from });
+        }
+        if self.distribution_complete() {
+            acts.extend(self.start_collect());
+        }
+        acts
+    }
+
+    fn on_submission(&mut self, from: usize, epoch: u64, sub: MetaSubmission) -> Vec<MasterAction> {
+        if self.phase != MasterPhase::Collect || epoch != self.epoch || !self.live[from] {
+            return Vec::new(); // stale epoch or stale sender: discard
+        }
+        self.subs[from] = Some(sub);
+        self.ledger.acked(from);
+        if self.collection_complete() {
+            self.merge_actions()
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn on_write_done(&mut self, from: usize, epoch: u64) -> Vec<MasterAction> {
+        if self.phase != MasterPhase::WaitWrites || epoch != self.epoch || !self.live[from] {
+            return Vec::new();
+        }
+        self.done[from] = true;
+        if self.live_workers().all(|w| self.done[w]) {
+            let mut acts = vec![MasterAction::FinishBatch { batch: self.batch }];
+            acts.extend(self.advance_batch());
+            acts
+        } else {
+            Vec::new()
+        }
+    }
+
+    fn on_dead(&mut self, ranks: &[usize], checkpointed: &[usize]) -> Vec<MasterAction> {
+        if matches!(self.phase, MasterPhase::Finished | MasterPhase::Failed) {
+            return Vec::new();
+        }
+        for &w in ranks {
+            self.live[w] = false;
+            self.idle[w] = false;
+            self.subs[w] = None;
+            self.done[w] = false;
+        }
+        if !self.policy.recovers() {
+            // Nobody asked to recover, so nobody posted the fences that
+            // make a requeue safe (fence-before-ack, the epoch fence):
+            // fail fast.
+            self.phase = MasterPhase::Failed;
+            return vec![MasterAction::Fail {
+                error: PioError::WorkerDied { rank: ranks[0] },
+                abort_workers: true,
+            }];
+        }
+        // Recover: requeue the victims' unfinished fragments; adopt the
+        // checkpointed ones as orphans.
+        let ck: std::collections::BTreeSet<usize> = checkpointed.iter().copied().collect();
+        let mut requeued_any = false;
+        for &w in ranks {
+            // Service mode requeues a victim's fragments at the *front*:
+            // a stream of batches keeps refilling the queue's tail, and a
+            // tail requeue would starve recovered fragments behind work
+            // that arrived after the death.
+            let (requeued, orphaned) = if self.policy.service {
+                self.queue.release_front(w, |f| !ck.contains(&f))
+            } else {
+                self.queue.release(w, |f| !ck.contains(&f))
+            };
+            self.affinity_hint[w].clear();
+            for &f in &requeued {
+                self.ledger.requeued(f);
+            }
+            for &f in &orphaned {
+                self.ledger.orphaned(f);
+            }
+            requeued_any |= !requeued.is_empty();
+        }
+        if !self.any_worker_live() {
+            self.phase = MasterPhase::Failed;
+            return vec![MasterAction::Fail {
+                error: PioError::AllWorkersDied,
+                abort_workers: false,
+            }];
+        }
+        match self.phase {
+            MasterPhase::Distribute => self.redistribute(),
+            MasterPhase::Collect => {
+                if requeued_any {
+                    self.redistribute()
+                } else if self.collection_complete() {
+                    // The victim's fragments are all orphaned; the
+                    // survivors' submissions plus the orphan blobs still
+                    // cover every fragment.
+                    self.merge_actions()
+                } else {
+                    Vec::new()
+                }
+            }
+            MasterPhase::WaitWrites => {
+                if requeued_any {
+                    self.redistribute()
+                } else {
+                    // Nothing to re-search: rewind only to collection so
+                    // the merge re-runs with the orphans spliced in.
+                    self.start_collect()
+                }
+            }
+            MasterPhase::Finished | MasterPhase::Failed => unreachable!(),
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use pioblast::FaultMode;
+
+    fn policy(
+        schedule: FragmentSchedule,
+        fault: FaultMode,
+        checkpoint: bool,
+        nfrags: usize,
+        nbatches: usize,
+    ) -> RunPolicy {
+        RunPolicy {
+            schedule,
+            fault,
+            checkpoint,
+            nranks: 3,
+            nfrags,
+            nbatches,
+            service: false,
+            affinity: false,
+        }
+    }
+
+    fn sub() -> MetaSubmission {
+        MetaSubmission::default()
+    }
+
+    /// Every live worker's submission for the current epoch, then every
+    /// live worker's write acknowledgement: the actions of each event.
+    fn answer_batch(sm: &mut MasterSm, workers: &[usize]) -> Vec<Vec<MasterAction>> {
+        let epoch = sm.epoch();
+        let mut acts = Vec::new();
+        for &from in workers {
+            let sub = sub();
+            acts.push(sm.handle(MasterEvent::Submission { from, epoch, sub }));
+        }
+        for &from in workers {
+            acts.push(sm.handle(MasterEvent::WriteDone { from, epoch }));
+        }
+        acts
+    }
+
+    #[test]
+    fn collective_static_walks_the_batch_cycle() {
+        let p = policy(FragmentSchedule::Static, FaultMode::Off, false, 4, 2);
+        let (mut sm, acts) = MasterSm::new(p, vec![true; 3]);
+        let [MasterAction::Scatter { chunks }] = &acts[..] else {
+            panic!("expected a scatter, got {acts:?}");
+        };
+        assert_eq!(chunks[0], Vec::<usize>::new());
+        assert_eq!(chunks.iter().flatten().count(), 4);
+        let acts = sm.handle(MasterEvent::ScatterDone);
+        assert!(matches!(
+            &acts[..],
+            [MasterAction::Collect { batch: 0, .. }]
+        ));
+        // The gather yields one submission per worker and the assignment
+        // scatter one write acknowledgement per worker; `FinishBatch`
+        // seals each batch before the next one's `Collect`, or `Finish`.
+        let acts = answer_batch(&mut sm, &[1, 2]);
+        assert!(acts[0].is_empty() && acts[2].is_empty(), "{acts:?}");
+        assert!(matches!(
+            &acts[1][..],
+            [MasterAction::Merge { batch: 0, .. }]
+        ));
+        assert!(matches!(
+            &acts[3][..],
+            [
+                MasterAction::FinishBatch { batch: 0 },
+                MasterAction::Collect { batch: 1, .. }
+            ]
+        ));
+        let acts = answer_batch(&mut sm, &[1, 2]);
+        assert!(matches!(
+            &acts[1][..],
+            [MasterAction::Merge { batch: 1, .. }]
+        ));
+        assert!(matches!(
+            &acts[3][..],
+            [MasterAction::FinishBatch { batch: 1 }, MasterAction::Finish]
+        ));
+        assert_eq!(sm.phase(), MasterPhase::Finished);
+    }
+
+    #[test]
+    fn off_and_recover_lower_one_dynamic_cycle() {
+        // The same fault-free dynamic `Ready` order: both policies grant,
+        // collect, merge and seal alike; only the collective lowering
+        // tells a worker that asked on an empty queue to leave its
+        // request loop.
+        let run = |fault| {
+            let p = policy(FragmentSchedule::Dynamic, fault, false, 3, 2);
+            let (mut sm, init) = MasterSm::new(p, vec![true; 3]);
+            let mut acts = init;
+            for from in [1, 2, 1, 2, 1] {
+                acts.extend(sm.handle(MasterEvent::Ready { from }));
+            }
+            // Batch 1 searches the held fragments again: no grants.
+            for _ in 0..2 {
+                acts.extend(answer_batch(&mut sm, &[1, 2]).into_iter().flatten());
+            }
+            assert_eq!(sm.phase(), MasterPhase::Finished, "{fault:?}: {acts:?}");
+            acts.iter().map(|a| format!("{a:?}")).collect::<Vec<_>>()
+        };
+        let off = run(FaultMode::Off);
+        let recover = run(FaultMode::Recover);
+        let not_drain = |a: &&String| !a.starts_with("Drain");
+        let drains = off.iter().filter(|a| !not_drain(a)).count();
+        assert_eq!(drains, 2, "one per worker: {off:?}");
+        assert_eq!(
+            off.iter().filter(not_drain).collect::<Vec<_>>(),
+            recover.iter().collect::<Vec<_>>()
+        );
+        assert!(recover
+            .iter()
+            .any(|a| a.starts_with("FinishBatch { batch: 1 }")));
+    }
+
+    #[test]
+    fn dynamic_requests_are_served_in_arrival_order() {
+        let p = policy(FragmentSchedule::Dynamic, FaultMode::Off, false, 3, 1);
+        let (mut sm, acts) = MasterSm::new(p, vec![true; 3]);
+        assert!(acts.is_empty(), "dynamic schedules are request-driven");
+        for (req, frag) in [(2usize, 0usize), (1, 1), (2, 2)] {
+            let acts = sm.handle(MasterEvent::Ready { from: req });
+            let [MasterAction::Grant { to, frag: got, .. }] = &acts[..] else {
+                panic!("expected a grant");
+            };
+            assert_eq!((*to, *got), (req, frag));
+        }
+        let acts = sm.handle(MasterEvent::Ready { from: 1 });
+        assert!(matches!(&acts[..], [MasterAction::Drain { to: 1 }]));
+        let acts = sm.handle(MasterEvent::Ready { from: 2 });
+        assert!(matches!(
+            &acts[..],
+            [MasterAction::Drain { to: 2 }, MasterAction::Collect { .. }]
+        ));
+    }
+
+    #[test]
+    fn recover_requeues_unfinished_and_adopts_checkpointed() {
+        let p = policy(FragmentSchedule::Dynamic, FaultMode::Recover, true, 3, 1);
+        let (mut sm, _) = MasterSm::new(p, vec![true; 3]);
+        // Worker 1 takes two fragments (acking the first), worker 2 one.
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        let _ = sm.handle(MasterEvent::Ready { from: 2 });
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        assert_eq!(sm.owned(1), &[0, 2]);
+        // Worker 1 dies; fragment 0 is checkpointed, fragment 2 is not.
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![1],
+            checkpointed: vec![0],
+        });
+        assert_eq!(sm.ledger().orphans(), vec![0]);
+        // Fragment 2 must be re-granted — worker 2 is busy, so no grant
+        // yet; its ack pulls the requeued fragment.
+        assert!(acts.is_empty());
+        let acts = sm.handle(MasterEvent::Ready { from: 2 });
+        let [MasterAction::Grant { to: 2, frag: 2, .. }] = &acts[..] else {
+            panic!("expected the requeued grant, got {acts:?}");
+        };
+        // Final ack completes distribution; the merge sees the orphan.
+        let acts = sm.handle(MasterEvent::Ready { from: 2 });
+        let [MasterAction::Collect { epoch, .. }] = &acts[..] else {
+            panic!("expected collection, got {acts:?}");
+        };
+        let acts = sm.handle(MasterEvent::Submission {
+            from: 2,
+            epoch: *epoch,
+            sub: sub(),
+        });
+        let [MasterAction::Merge { orphans, .. }] = &acts[..] else {
+            panic!("expected the merge, got {acts:?}");
+        };
+        assert_eq!(orphans, &[0]);
+    }
+
+    #[test]
+    fn unrecovered_death_fails_fast_and_stale_epochs_are_discarded() {
+        // Point-to-point without `Recover` — `serve` with no `--recover`:
+        // the one death the master hears of fails the run and aborts the
+        // survivors; nothing is requeued.
+        let mut p = policy(FragmentSchedule::Dynamic, FaultMode::Off, false, 2, 1);
+        p.service = true;
+        let (mut sm, _) = MasterSm::new(p, vec![true; 3]);
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        let stale = sm.handle(MasterEvent::Submission {
+            from: 1,
+            epoch: 99,
+            sub: sub(),
+        });
+        assert!(stale.is_empty(), "wrong phase/epoch must be discarded");
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![1],
+            checkpointed: vec![],
+        });
+        let [MasterAction::Fail {
+            error: PioError::WorkerDied { rank: 1 },
+            abort_workers: true,
+        }] = &acts[..]
+        else {
+            panic!("expected a fail action, got {acts:?}");
+        };
+        assert_eq!(sm.phase(), MasterPhase::Failed);
+        assert_eq!(sm.owned(1), &[0], "the victim's fragment is not requeued");
+    }
+
+    #[test]
+    fn service_regrants_every_fragment_to_its_resident_holder() {
+        let mut p = policy(FragmentSchedule::Dynamic, FaultMode::Off, false, 4, 2);
+        p.service = true;
+        p.affinity = true;
+        let (mut sm, acts) = MasterSm::new(p, vec![true; 3]);
+        assert!(acts.is_empty());
+        // Batch 0: requests alternate, so worker 1 ends up holding
+        // fragments {0, 2} and worker 2 holds {1, 3}.
+        for w in [1, 2, 1, 2] {
+            let _ = sm.handle(MasterEvent::Ready { from: w });
+        }
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        let acts = sm.handle(MasterEvent::Ready { from: 2 });
+        let [MasterAction::Collect { epoch, .. }] = &acts[..] else {
+            panic!("expected collection, got {acts:?}");
+        };
+        assert_eq!(sm.owned(1), &[0, 2]);
+        assert_eq!(sm.owned(2), &[1, 3]);
+        let epoch = *epoch;
+        for w in [1, 2] {
+            let _ = sm.handle(MasterEvent::Submission {
+                from: w,
+                epoch,
+                sub: sub(),
+            });
+        }
+        let _ = sm.handle(MasterEvent::WriteDone { from: 1, epoch });
+        let acts = sm.handle(MasterEvent::WriteDone { from: 2, epoch });
+        // Sealing the batch re-queues all four fragments and immediately
+        // re-grants one to each idle worker — the one it already holds.
+        let [MasterAction::FinishBatch { batch: 0 }, MasterAction::Grant {
+            to: 1,
+            frag: 0,
+            batch: 1,
+        }, MasterAction::Grant {
+            to: 2,
+            frag: 1,
+            batch: 1,
+        }] = &acts[..]
+        else {
+            panic!("expected finish + affinity re-grants, got {acts:?}");
+        };
+        // The follow-up requests pull each worker's other resident
+        // fragment, so batch 1 repeats batch 0's placement exactly.
+        let acts = sm.handle(MasterEvent::Ready { from: 1 });
+        let [MasterAction::Grant { to: 1, frag: 2, .. }] = &acts[..] else {
+            panic!("expected a grant, got {acts:?}");
+        };
+        let acts = sm.handle(MasterEvent::Ready { from: 2 });
+        let [MasterAction::Grant { to: 2, frag: 3, .. }] = &acts[..] else {
+            panic!("expected a grant, got {acts:?}");
+        };
+        assert_eq!(sm.owned(1), &[0, 2]);
+        assert_eq!(sm.owned(2), &[1, 3]);
+    }
+
+    #[test]
+    fn service_death_requeues_recovered_fragments_at_the_front() {
+        let mut p = policy(FragmentSchedule::Dynamic, FaultMode::Recover, false, 4, 1);
+        p.service = true;
+        let (mut sm, _) = MasterSm::new(p, vec![true; 3]);
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        let _ = sm.handle(MasterEvent::Ready { from: 2 });
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        assert_eq!(sm.owned(1), &[0, 2]);
+        // Worker 1 dies holding {0, 2}; fragment 3 is still queued. The
+        // recovered fragments must jump *ahead* of it, not behind.
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![1],
+            checkpointed: vec![],
+        });
+        assert!(acts.is_empty(), "worker 2 is busy, nothing to grant yet");
+        let acts = sm.handle(MasterEvent::Ready { from: 2 });
+        let [MasterAction::Grant { to: 2, frag, .. }] = &acts[..] else {
+            panic!("expected a grant, got {acts:?}");
+        };
+        assert_eq!(*frag, 0, "recovered fragment granted before the backlog");
+    }
+
+    #[test]
+    fn losing_every_worker_fails_without_aborts() {
+        let p = policy(FragmentSchedule::Dynamic, FaultMode::Recover, false, 2, 1);
+        let (mut sm, _) = MasterSm::new(p, vec![true, true, false]);
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![1],
+            checkpointed: vec![],
+        });
+        assert!(matches!(
+            &acts[..],
+            [MasterAction::Fail {
+                error: PioError::AllWorkersDied,
+                abort_workers: false,
+            }]
+        ));
+    }
+}
