@@ -1,4 +1,4 @@
-//! The worker-side result cache.
+//! The result cache: formatted records and the metadata to merge.
 //!
 //! As local results are discovered, a pioBLAST worker formats each
 //! alignment record into a memory buffer immediately — while the subject's
@@ -13,6 +13,12 @@
 //! hands to the file system, the one a checkpoint payload carries, and,
 //! once the master assigns offsets, the cache lets go of every record it
 //! was not asked to write.
+//!
+//! Formatting a fragment yields its [`FragmentPayload`], and
+//! [`ResultCache::adopt`] is the one way in: a worker adopts what it
+//! formats (and checkpoints a copy under `Recover`), and the master adopts
+//! the payloads of a dead worker's checkpointed fragments, whose records
+//! it then writes itself.
 
 use std::collections::HashMap;
 
@@ -24,26 +30,92 @@ use seqfmt::FragmentData;
 
 use crate::fault::PioError;
 
-/// A worker's formatted-record cache plus the metadata to submit.
+/// A rank's formatted-record cache plus the metadata to submit: a
+/// worker's own searched fragments, or the master's checkpointed orphans.
 #[derive(Debug, Default)]
 pub struct ResultCache {
     records: HashMap<(u32, u32), Bytes>,
     per_query: Vec<(u32, Vec<MetaHit>)>,
 }
 
-/// One fragment's own metadata and `(query, oid, record)` bytes — the
-/// content of a fragment checkpoint blob.
+/// One fragment's own metadata and `(query, oid, record)` bytes — what a
+/// [`ResultCache`] adopts, and the content of a fragment checkpoint blob.
 pub type FragmentPayload = (MetaSubmission, Vec<(u32, u32, Bytes)>);
 
+/// Format every hit of one searched fragment into its payload, returned
+/// with the number of record bytes formatted (for cost accounting).
+///
+/// `per_query[q]` holds query `q`'s subjects found in `fragment`. The
+/// payload is deterministic in the fragment and batch alone, which is
+/// what makes checkpoint rewrites during retried recovery epochs
+/// idempotent. A hit whose oid falls outside `fragment` is a protocol
+/// violation (the search produced it from *some* fragment, so a mismatch
+/// means grant bookkeeping went wrong) and fails with a typed error
+/// rather than panicking the rank.
+pub(crate) fn format_fragment(
+    params: &SearchParams,
+    report_cfg: &ReportConfig,
+    prepared: &PreparedQueries,
+    fragment: &FragmentData,
+    per_query: Vec<Vec<SubjectHit>>,
+) -> Result<(u64, FragmentPayload), PioError> {
+    let mut bytes = 0u64;
+    let (mut meta, mut records) = FragmentPayload::default();
+    for (q, hits) in per_query.into_iter().enumerate() {
+        if hits.is_empty() {
+            continue;
+        }
+        let query = &prepared.records[q];
+        let mut metas = Vec::with_capacity(hits.len());
+        for hit in hits {
+            let outside = |what: &str| {
+                PioError::Protocol(format!(
+                    "hit subject oid {} has no {what} in the searched fragment \
+                     ({} sequences)",
+                    hit.oid,
+                    fragment.num_seqs()
+                ))
+            };
+            let defline_bytes = fragment
+                .defline_of(hit.oid)
+                .ok_or_else(|| outside("defline"))?;
+            let residues = fragment
+                .residues_of(hit.oid)
+                .ok_or_else(|| outside("residues"))?;
+            let defline = String::from_utf8_lossy(defline_bytes).into_owned();
+            // Traceback runs in the thread's kernel scratch: between
+            // calls the cache holds records and metadata only.
+            let record = Bytes::from(SearchScratch::with_local(|scratch| {
+                format::alignment_record_into(
+                    params,
+                    report_cfg,
+                    &query.residues,
+                    &defline,
+                    residues,
+                    &hit.hsps,
+                    scratch.extend_scratch(),
+                )
+            }));
+            bytes += record.len() as u64;
+            metas.push(MetaHit {
+                oid: hit.oid,
+                subject_len: hit.subject_len,
+                record_size: record.len() as u64,
+                defline,
+                best: hit.hsps[0],
+            });
+            records.push((q as u32, hit.oid, record));
+        }
+        meta.per_query.push((q as u32, metas));
+    }
+    Ok((bytes, (meta, records)))
+}
+
 impl ResultCache {
-    /// Format and cache every hit of one searched fragment.
-    ///
-    /// `per_query[q]` holds query `q`'s subjects found in `fragment`.
-    /// Returns the number of record bytes formatted (for cost accounting).
-    /// A hit whose oid falls outside `fragment` is a protocol violation
-    /// (the search produced it from *some* fragment, so a mismatch means
-    /// grant bookkeeping went wrong) and fails with a typed error rather
-    /// than panicking the rank.
+    /// Format every hit of one searched fragment into its payload and
+    /// [adopt](ResultCache::adopt) it. Returns the number of record bytes
+    /// formatted. A hit whose oid falls outside `fragment` fails with a
+    /// typed error, and nothing is cached.
     pub fn add_fragment(
         &mut self,
         params: &SearchParams,
@@ -52,87 +124,24 @@ impl ResultCache {
         fragment: &FragmentData,
         per_query: Vec<Vec<SubjectHit>>,
     ) -> Result<u64, PioError> {
-        self.add_fragment_traced(params, report_cfg, prepared, fragment, per_query, false)
-            .map(|(bytes, _)| bytes)
+        let (bytes, payload) = format_fragment(params, report_cfg, prepared, fragment, per_query)?;
+        self.adopt(payload);
+        Ok(bytes)
     }
 
-    /// [`ResultCache::add_fragment`], also returning — when `checkpoint`
-    /// is set — this fragment's own [`FragmentPayload`], its records
-    /// sharing the cache's buffers. It is
-    /// deterministic in the fragment and batch alone, which is what makes
-    /// checkpoint rewrites during retried recovery epochs idempotent.
-    /// Without a checkpoint to write, the cache stays the only owner of
-    /// each record and metadata list.
-    pub fn add_fragment_traced(
-        &mut self,
-        params: &SearchParams,
-        report_cfg: &ReportConfig,
-        prepared: &PreparedQueries,
-        fragment: &FragmentData,
-        per_query: Vec<Vec<SubjectHit>>,
-        checkpoint: bool,
-    ) -> Result<(u64, Option<FragmentPayload>), PioError> {
-        let mut bytes = 0u64;
-        let mut payload = checkpoint.then(FragmentPayload::default);
-        for (q, hits) in per_query.into_iter().enumerate() {
-            if hits.is_empty() {
-                continue;
-            }
-            let query = &prepared.records[q];
-            let mut metas = Vec::with_capacity(hits.len());
-            for hit in hits {
-                let outside = |what: &str| {
-                    PioError::Protocol(format!(
-                        "hit subject oid {} has no {what} in the searched fragment \
-                         ({} sequences)",
-                        hit.oid,
-                        fragment.num_seqs()
-                    ))
-                };
-                let defline_bytes = fragment
-                    .defline_of(hit.oid)
-                    .ok_or_else(|| outside("defline"))?;
-                let residues = fragment
-                    .residues_of(hit.oid)
-                    .ok_or_else(|| outside("residues"))?;
-                let defline = String::from_utf8_lossy(defline_bytes).into_owned();
-                // Traceback runs in the thread's kernel scratch: between
-                // calls the cache holds records and metadata only.
-                let record = Bytes::from(SearchScratch::with_local(|scratch| {
-                    format::alignment_record_into(
-                        params,
-                        report_cfg,
-                        &query.residues,
-                        &defline,
-                        residues,
-                        &hit.hsps,
-                        scratch.extend_scratch(),
-                    )
-                }));
-                bytes += record.len() as u64;
-                metas.push(MetaHit {
-                    oid: hit.oid,
-                    subject_len: hit.subject_len,
-                    record_size: record.len() as u64,
-                    defline,
-                    best: hit.hsps[0],
-                });
-                if let Some((_, records)) = &mut payload {
-                    records.push((q as u32, hit.oid, record.clone()));
-                }
-                self.records.insert((q as u32, hit.oid), record);
-            }
-            if let Some((meta, _)) = &mut payload {
-                meta.per_query.push((q as u32, metas.clone()));
-            }
-            // Merge into any existing list for this query (multiple
-            // fragments per worker).
-            match self.per_query.iter_mut().find(|(qi, _)| *qi == q as u32) {
+    /// Take one fragment's payload in: its records join the cache, and
+    /// its per-query metadata is appended to any list the cache already
+    /// holds for that query (several fragments per rank).
+    pub fn adopt(&mut self, (meta, records): FragmentPayload) {
+        for (q, oid, record) in records {
+            self.records.insert((q, oid), record);
+        }
+        for (q, metas) in meta.per_query {
+            match self.per_query.iter_mut().find(|(qi, _)| *qi == q) {
                 Some((_, list)) => list.extend(metas),
-                None => self.per_query.push((q as u32, metas)),
+                None => self.per_query.push((q, metas)),
             }
         }
-        Ok((bytes, payload))
     }
 
     /// The metadata submission for the master (sorted by query index).
@@ -246,6 +255,47 @@ mod tests {
             .max()
             .unwrap();
         assert_eq!(max_meta, best_score);
+    }
+
+    #[test]
+    fn an_adopted_checkpoint_payload_equals_formatting_the_fragment() {
+        use mpiblast::wire::FragmentCheckpoint;
+        use seqfmt::Wire;
+        let (params, cfg, prepared, frag) = setup();
+        let searcher = BlastSearcher::new(&params, &prepared);
+        let result = searcher.search(&frag, &mut SearchScratch::new());
+        let mut direct = ResultCache::default();
+        direct
+            .add_fragment(&params, &cfg, &prepared, &frag, result.per_query.clone())
+            .expect("hits resolve in their own fragment");
+        // The master's path: the worker's payload, through a checkpoint
+        // blob's bytes, adopted into a fresh cache.
+        let (_, (meta, records)) =
+            format_fragment(&params, &cfg, &prepared, &frag, result.per_query)
+                .expect("hits resolve in their own fragment");
+        let blob = FragmentCheckpoint {
+            batch: 1,
+            fragment: 3,
+            meta,
+            records,
+        }
+        .encode();
+        let ck = FragmentCheckpoint::decode(&blob).expect("a whole blob decodes");
+        let mut adopted = ResultCache::default();
+        adopted.adopt((ck.meta, ck.records));
+        assert_eq!(adopted.metadata(), direct.metadata());
+        let assignments: Vec<(u32, u32, u64)> = direct
+            .metadata()
+            .per_query
+            .iter()
+            .flat_map(|(q, hits)| hits.iter().map(|h| (*q, h.oid, h.record_size * 7)))
+            .collect();
+        assert!(assignments.len() > 1, "{assignments:?}");
+        assert_eq!(
+            adopted.assigned_records(&assignments),
+            direct.assigned_records(&assignments)
+        );
+        assert_eq!(adopted.total_bytes(), direct.total_bytes());
     }
 
     #[test]

@@ -1,24 +1,26 @@
 //! Fragment checkpointing (`Recover` + [`RunPolicy::checkpoint`]):
 //! workers persist each searched `(batch, fragment)` — submission
 //! metadata plus the formatted record bytes — before acknowledging the
-//! grant. When a worker dies, the master re-queues only its unfinished
-//! fragments and adopts the checkpointed ones as orphans: their metadata
-//! is spliced into the merge and the master writes their records. A blob
-//! is deterministic in its key, so rewrites in retried epochs are
-//! idempotent. The run drops every blob at the end.
+//! grant. When a worker dies, the master re-queues only the fragments no
+//! valid blob covers and adopts the checkpointed ones as orphans into its
+//! own [`ResultCache`]: their metadata is spliced into the merge and the
+//! master writes their records. A blob is deterministic in its key, so
+//! rewrites in retried epochs are idempotent. The master lets go of a
+//! batch's blobs when the batch seals; the run drops every file at the
+//! end.
 //!
 //! [`RunPolicy::checkpoint`]: super::RunPolicy::checkpoint
 
 use std::collections::HashMap;
 
 use bytes::Bytes;
-use mpiblast::wire::{FragmentCheckpoint, MetaHit, MetaSubmission};
+use mpiblast::wire::{FragmentCheckpoint, MetaSubmission};
 use mpiio::IoPlane;
 use parafs::StoreError;
 use seqfmt::Wire;
 
 use crate::app::PioBlastConfig;
-use crate::cache::FragmentPayload;
+use crate::cache::{FragmentPayload, ResultCache};
 use crate::fault::PioError;
 
 /// Shared-file-system path of one `(batch, fragment)` checkpoint blob.
@@ -76,17 +78,17 @@ pub(super) fn drop_all(io: &IoPlane<'_, '_>, cfg: &PioBlastConfig, nbatches: usi
     }
 }
 
-/// The master's side: the valid blobs found at deaths, and the records
-/// of the fragments adopted from them.
+/// The master's side: the valid blobs found at deaths in the current
+/// batch, and the cache their orphans' payloads are adopted into.
 #[derive(Default)]
 pub(super) struct Orphans {
-    blobs: HashMap<(usize, usize), FragmentCheckpoint>,
-    records: HashMap<(u32, u32), Bytes>,
+    blobs: HashMap<usize, FragmentPayload>,
+    cache: ResultCache,
 }
 
 impl Orphans {
     /// Which of the dead `(owner, fragment)` pairs have a valid blob for
-    /// `batch`; each is cached for the merge. A partial write (the owner
+    /// `batch`; each is kept for the merge. A partial write (the owner
     /// died mid-checkpoint) decodes as garbage and counts as absent; so
     /// does a blob whose metadata does not `fit` the batch.
     pub(super) fn find(
@@ -106,39 +108,25 @@ impl Orphans {
                 continue;
             };
             if fits(w, &ck.meta) && ck.batch as usize == batch && ck.fragment as usize == f {
-                self.blobs.insert((batch, f), ck);
+                self.blobs.insert(f, (ck.meta, ck.records));
                 found.push(f);
             }
         }
         found
     }
 
-    /// Build the orphan pseudo-submission from the cached blobs
-    /// (ascending fragment order) and keep their records for the
-    /// master's write.
-    pub(super) fn adopt(
-        &mut self,
-        batch: usize,
-        orphans: &[usize],
-    ) -> Result<MetaSubmission, PioError> {
-        self.records.clear();
-        let mut per_query: Vec<(u32, Vec<MetaHit>)> = Vec::new();
+    /// Adopt the orphans' payloads (ascending fragment order) into a
+    /// fresh cache for the master's write, and return its metadata: the
+    /// orphan pseudo-submission.
+    pub(super) fn adopt(&mut self, orphans: &[usize]) -> Result<MetaSubmission, PioError> {
+        self.cache = ResultCache::default();
         for &f in orphans {
-            let ck = self.blobs.get(&(batch, f)).ok_or_else(|| {
+            let payload = self.blobs.get(&f).ok_or_else(|| {
                 PioError::Protocol(format!("fragment {f} orphaned without a checkpoint"))
             })?;
-            for (q, hits) in &ck.meta.per_query {
-                match per_query.iter_mut().find(|(qi, _)| qi == q) {
-                    Some((_, list)) => list.extend(hits.iter().cloned()),
-                    None => per_query.push((*q, hits.clone())),
-                }
-            }
-            for (q, oid, rec) in &ck.records {
-                self.records.insert((*q, *oid), rec.clone());
-            }
+            self.cache.adopt(payload.clone());
         }
-        per_query.sort_by_key(|(q, _)| *q);
-        Ok(MetaSubmission { per_query })
+        Ok(self.cache.metadata())
     }
 
     /// The adopted records the merge assigned to the master, at their
@@ -147,14 +135,8 @@ impl Orphans {
         &self,
         records: &[(u32, u32, u64)],
     ) -> Result<Vec<(u64, Bytes)>, PioError> {
-        let record = |&(q, oid, off): &(u32, u32, u64)| {
-            let missing =
-                || PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"));
-            self.records
-                .get(&(q, oid))
-                .map(|rec| (off, rec.clone()))
-                .ok_or_else(missing)
-        };
-        records.iter().map(record).collect()
+        self.cache.assigned_records(records).map_err(|(q, oid)| {
+            PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
+        })
     }
 }

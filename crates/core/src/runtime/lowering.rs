@@ -130,7 +130,7 @@ impl Lowering {
             return Vec::new();
         }
         let pieces = per_rank.iter().map(|a| Bytes::from(a.encode())).collect();
-        comm.scatterv(MASTER, Some(pieces));
+        comm.scatterv(MASTER, pieces);
         live.into_iter()
             .map(|from| MasterEvent::WriteDone { from, epoch })
             .collect()
@@ -232,7 +232,7 @@ impl WorkerIo<'_, '_> {
             },
             Step::Scatter => {
                 self.step = Step::Submit(0);
-                self.stash_grant(Grant::decode(&self.comm.scatterv(MASTER, None))?)?
+                self.stash_grant(Grant::decode(&self.comm.scatterv(MASTER, Vec::new()))?)?
             }
             Step::Grants => {
                 let m = self.comm.recv(Some(MASTER), Some(TAG_GRANT));
@@ -250,7 +250,7 @@ impl WorkerIo<'_, '_> {
             }
             Step::Assign(batch) => {
                 self.step = Step::Submit(batch + 1);
-                let assign = OffsetAssignment::decode(&self.comm.scatterv(MASTER, None))?;
+                let assign = OffsetAssignment::decode(&self.comm.scatterv(MASTER, Vec::new()))?;
                 self.assign = Some(assign);
                 WorkerEvent::Assign {
                     epoch: epoch(batch),
@@ -318,7 +318,7 @@ impl MasterIo<'_, '_> {
             .inspect_err(|_| {
                 // The workers wait in the assignment scatter: empty pieces
                 // fail their decode into a typed error instead of a hang.
-                comm.scatterv(MASTER, Some(vec![Bytes::new(); comm.size()]));
+                comm.scatterv(MASTER, vec![Bytes::new(); comm.size()]);
             })
     }
 

@@ -14,18 +14,26 @@
 //! * **WaitWrites** — offsets were assigned; the master waits for every
 //!   live worker's write acknowledgement before sealing the batch.
 //!
+//! Where each fragment stands is recorded once: the grant queue holds
+//! every fragment's owner (and last holder, which steers service-mode
+//! re-grants back to the data), and the machine keeps only the set of
+//! orphans beside it.
+//!
 //! A worker death is one event, and only the point-to-point lowering
 //! ever reports one (the collective lowering hangs, like MPI). Unless the
-//! policy recovers it fails the run; under `Recover` the victim's
-//! unfinished fragments re-enter the queue (rewinding the phase to
-//! `Distribute`) while its checkpointed ones are adopted as orphans — if
-//! nothing needs re-searching, the machine only rewinds to `Collect` and
-//! re-merges with the orphans spliced in.
+//! policy recovers it fails the run; under `Recover` every fragment the
+//! victim owned that no valid checkpoint covers re-enters the queue,
+//! searched and acknowledged or not — its results lived only in the
+//! victim's cache — rewinding the phase to `Distribute`, while the
+//! checkpointed ones become orphans. If nothing needs re-searching, the
+//! machine only rewinds to `Collect` and re-merges with the orphans
+//! spliced in.
+
+use std::collections::BTreeSet;
 
 use mpiblast::wire::MetaSubmission;
 use mpisim::sched::{chunk_evenly, GrantQueue};
 
-use super::ledger::SubmissionLedger;
 use super::RunPolicy;
 use crate::app::FragmentSchedule;
 use crate::fault::PioError;
@@ -152,14 +160,14 @@ pub struct MasterSm {
     /// scatter handed them their whole share.
     idle: Vec<bool>,
     queue: GrantQueue,
-    ledger: SubmissionLedger,
+    /// Fragments of the current batch whose dead owner left a valid
+    /// checkpoint: the merge adopts their blobs, and they re-enter the
+    /// queue when the batch is sealed.
+    orphans: BTreeSet<usize>,
     epoch: u64,
     batch: usize,
     subs: Vec<Option<MetaSubmission>>,
     done: Vec<bool>,
-    /// Service mode: which fragments each rank is believed to hold
-    /// resident (last grant wins). Steers re-grants back to the data.
-    affinity_hint: Vec<Vec<usize>>,
 }
 
 impl MasterSm {
@@ -176,12 +184,11 @@ impl MasterSm {
             live,
             idle: vec![false; nranks],
             queue: GrantQueue::new(policy.nfrags, nranks),
-            ledger: SubmissionLedger::new(policy.nfrags),
+            orphans: BTreeSet::new(),
             epoch: 0,
             batch: 0,
             subs: vec![None; nranks],
             done: vec![false; nranks],
-            affinity_hint: vec![Vec::new(); nranks],
         };
         if sm.policy.p2p() && !sm.any_worker_live() {
             sm.phase = MasterPhase::Failed;
@@ -198,11 +205,7 @@ impl MasterSm {
                 .map(|c| c.len());
             let mut chunks: Vec<Vec<usize>> = vec![Vec::new(); nranks];
             for (w, n) in (1..nranks).zip(sizes) {
-                let frags = sm.queue.grant_chunk(w, n);
-                for &f in &frags {
-                    sm.ledger.granted(f, w);
-                }
-                chunks[w] = frags;
+                chunks[w] = sm.queue.grant_chunk(w, n);
             }
             acts.push(MasterAction::Scatter { chunks });
         }
@@ -229,9 +232,9 @@ impl MasterSm {
         self.queue.owned(rank)
     }
 
-    /// The per-fragment ledger.
-    pub fn ledger(&self) -> &SubmissionLedger {
-        &self.ledger
+    /// The current batch's orphans: fragments a dead owner checkpointed.
+    pub fn orphans(&self) -> &BTreeSet<usize> {
+        &self.orphans
     }
 
     /// Still-live worker ranks, ascending.
@@ -270,17 +273,13 @@ impl MasterSm {
         let mut acts = Vec::new();
         while let Some(w) = (1..self.policy.nranks).find(|&w| self.live[w] && self.idle[w]) {
             let granted = if self.policy.affinity {
-                self.queue.grant_to_preferring(w, &self.affinity_hint[w])
+                self.queue.grant_to_preferring(w)
             } else {
                 self.queue.grant_to(w)
             };
             let Some(f) = granted else {
                 break; // the queue is drained
             };
-            if self.policy.service {
-                self.note_residency(f, w);
-            }
-            self.ledger.granted(f, w);
             self.idle[w] = false;
             acts.push(MasterAction::Grant {
                 to: w,
@@ -289,15 +288,6 @@ impl MasterSm {
             });
         }
         acts
-    }
-
-    /// Record that `frag`'s bytes now live at `rank` (service mode): the
-    /// re-grant of the next stream batch should go back to the data.
-    fn note_residency(&mut self, frag: usize, rank: usize) {
-        for hint in &mut self.affinity_hint {
-            hint.retain(|&f| f != frag);
-        }
-        self.affinity_hint[rank].push(frag);
     }
 
     fn distribution_complete(&self) -> bool {
@@ -331,7 +321,7 @@ impl MasterSm {
             batch: self.batch,
             epoch: self.epoch,
             subs,
-            orphans: self.ledger.orphans(),
+            orphans: self.orphans.iter().copied().collect(),
         }]
     }
 
@@ -354,19 +344,17 @@ impl MasterSm {
             return vec![MasterAction::Finish];
         }
         self.batch += 1;
-        for f in self.ledger.advance_batch() {
+        // The orphans' blobs covered the sealed batch only.
+        for f in std::mem::take(&mut self.orphans) {
             self.queue.push(f);
         }
         if self.policy.service {
             // A stream batch searches the whole database again: every
             // fragment re-enters circulation. Workers keep the *bytes*
-            // resident, and the affinity hints steer each fragment's
-            // re-grant back to its last holder so the read is skipped.
+            // resident, and under affinity each fragment's re-grant goes
+            // back to its last holder so the read is skipped.
             for w in 1..self.policy.nranks {
-                let (requeued, _) = self.queue.release(w, |_| true);
-                for &f in &requeued {
-                    self.ledger.requeued(f);
-                }
+                let _ = self.queue.release(w, false, |_| true);
             }
         }
         self.redistribute()
@@ -377,7 +365,6 @@ impl MasterSm {
             return Vec::new();
         }
         self.idle[from] = true;
-        self.ledger.acked(from);
         if self.phase != MasterPhase::Distribute {
             return Vec::new();
         }
@@ -399,7 +386,6 @@ impl MasterSm {
             return Vec::new(); // stale epoch or stale sender: discard
         }
         self.subs[from] = Some(sub);
-        self.ledger.acked(from);
         if self.collection_complete() {
             self.merge_actions()
         } else {
@@ -441,27 +427,18 @@ impl MasterSm {
                 abort_workers: true,
             }];
         }
-        // Recover: requeue the victims' unfinished fragments; adopt the
-        // checkpointed ones as orphans.
-        let ck: std::collections::BTreeSet<usize> = checkpointed.iter().copied().collect();
+        // Recover: requeue every fragment of the victims' that no
+        // checkpoint covers; the checkpointed ones become orphans.
         let mut requeued_any = false;
         for &w in ranks {
             // Service mode requeues a victim's fragments at the *front*:
             // a stream of batches keeps refilling the queue's tail, and a
             // tail requeue would starve recovered fragments behind work
             // that arrived after the death.
-            let (requeued, orphaned) = if self.policy.service {
-                self.queue.release_front(w, |f| !ck.contains(&f))
-            } else {
-                self.queue.release(w, |f| !ck.contains(&f))
-            };
-            self.affinity_hint[w].clear();
-            for &f in &requeued {
-                self.ledger.requeued(f);
-            }
-            for &f in &orphaned {
-                self.ledger.orphaned(f);
-            }
+            let (requeued, orphaned) = self
+                .queue
+                .release(w, self.policy.service, |f| !checkpointed.contains(f));
+            self.orphans.extend(orphaned);
             requeued_any |= !requeued.is_empty();
         }
         if !self.any_worker_live() {
@@ -653,7 +630,7 @@ mod tests {
             ranks: vec![1],
             checkpointed: vec![0],
         });
-        assert_eq!(sm.ledger().orphans(), vec![0]);
+        assert_eq!(*sm.orphans(), BTreeSet::from([0]));
         // Fragment 2 must be re-granted — worker 2 is busy, so no grant
         // yet; its ack pulls the requeued fragment.
         assert!(acts.is_empty());

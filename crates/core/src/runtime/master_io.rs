@@ -156,9 +156,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         // The partitioner cannot split below record granularity, so a
         // coarse database (few long sequences, many requested
         // fragments) yields fewer fragments than asked for. The grant
-        // queue and ledger must be sized to what actually exists —
-        // only the master schedules by fragment id, workers learn
-        // their sets from the grant payloads.
+        // queue must be sized to what actually exists — only the
+        // master schedules by fragment id, workers learn their sets
+        // from the grant payloads.
         policy.nfrags = assignments.len();
 
         let nbatches = batches.len();
@@ -413,7 +413,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
 
     fn scatter(&mut self, chunks: &[Vec<usize>]) -> Result<Vec<MasterEvent>, PioError> {
         let pieces: Vec<Bytes> = chunks.iter().map(|c| self.grant_payload(0, c)).collect();
-        self.comm.scatterv(MASTER, Some(pieces));
+        self.comm.scatterv(MASTER, pieces);
         if self.io.collective_reads() {
             // Collective reads involve every rank; the master joins each
             // with an empty view.
@@ -461,7 +461,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             ],
         );
         if !orphans.is_empty() {
-            subs[MASTER] = self.orphans.adopt(batch, orphans)?;
+            subs[MASTER] = self.orphans.adopt(orphans)?;
         }
         let prepared = self.prepared(batch);
         // Service mode writes each stream batch to its own file, so
@@ -500,6 +500,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     /// Every live worker wrote: write the master's share, then seal.
     fn finish_batch(&mut self, batch: usize) -> Result<Vec<MasterEvent>, PioError> {
         self.write_master_share(batch)?;
+        // The sealed batch's blobs and adopted records are done with.
+        self.orphans = Orphans::default();
         if self.policy.recovers() {
             // Epoch fence: the sealed batch's staged output must be
             // durable before recovery can treat the batch as done — a

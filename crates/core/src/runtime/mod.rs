@@ -2,15 +2,17 @@
 //! every mode.
 //!
 //! * [`MasterSm`] and [`WorkerSm`] are pure `event -> (state', actions)`
-//!   machines: the fragment queue, liveness, epoch fencing and the
-//!   [`SubmissionLedger`]; the worker's batch/search lifecycle.
+//!   machines: the fragment queue (each fragment's owner and last
+//!   holder), the orphan set, liveness and epoch fencing; the worker's
+//!   batch/search lifecycle.
 //! * `lowering` is the one place that picks a transport: collectives for
 //!   a one-shot fault-free run, epoch-fenced point-to-point commands with
 //!   liveness sweeps for `Recover` and service mode.
 //! * `master_io` and `worker_io` are each side's setup and its one loop
 //!   between its machine and the lowering; `search` ingests and searches
 //!   fragments, `output` writes the report, `checkpoint` persists
-//!   searched fragments and adopts a dead worker's as orphans.
+//!   searched fragments and finds a dead worker's for the master, whose
+//!   [`ResultCache`](crate::cache::ResultCache) adopts them as orphans.
 //!
 //! [`FaultMode`] is a policy on the one machine, not a protocol: a death
 //! the point-to-point lowering hears of is recovered if the policy
@@ -19,7 +21,6 @@
 //! decisions.
 
 mod checkpoint;
-mod ledger;
 mod lowering;
 mod master;
 mod master_io;
@@ -28,7 +29,6 @@ mod search;
 mod worker;
 mod worker_io;
 
-pub use ledger::{FragmentState, SubmissionLedger};
 pub use master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
 pub use worker::{WorkerAction, WorkerEvent, WorkerSm};
 
@@ -326,7 +326,7 @@ mod tests {
         fn collected(comm: &Comm<'_>, s: &Script) {
             comm.bcast(0, s.bundle.clone());
             let empty = Bytes::from(Grant::default().encode());
-            comm.scatterv(0, Some(vec![empty.clone(), empty]));
+            comm.scatterv(0, vec![empty.clone(), empty]);
             comm.gather(0, Bytes::new());
         }
         let cases: Vec<(&str, Lowering, FragmentSchedule, Master, &str)> = vec![
@@ -389,7 +389,7 @@ mod tests {
                 |comm, s| {
                     collected(comm, s);
                     let piece = Bytes::from(uncached().encode());
-                    comm.scatterv(0, Some(vec![piece.clone(), piece]));
+                    comm.scatterv(0, vec![piece.clone(), piece]);
                 },
                 "Err(Protocol(\"assigned record (0, 5) not cached\"))",
             ),
@@ -399,7 +399,7 @@ mod tests {
                 Static,
                 |comm, s| {
                     collected(comm, s);
-                    comm.scatterv(0, Some(vec![Bytes::new(), Bytes::new()]));
+                    comm.scatterv(0, vec![Bytes::new(), Bytes::new()]);
                 },
                 "Err(Protocol(\"truncated input while reading",
             ),
@@ -525,9 +525,9 @@ mod tests {
                     }
                     if !p2p {
                         comm.bcast(MASTER, Bytes::new());
-                        comm.scatterv(MASTER, None);
+                        comm.scatterv(MASTER, Vec::new());
                         comm.gather(MASTER, Bytes::from(forged.encode()));
-                        assert!(comm.scatterv(MASTER, None).is_empty(), "released");
+                        assert!(comm.scatterv(MASTER, Vec::new()).is_empty(), "released");
                         return None;
                     }
                     assert_eq!(comm.recv(Some(MASTER), None).tag, TAG_BUNDLE);

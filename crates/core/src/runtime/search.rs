@@ -8,6 +8,7 @@ use seqfmt::FragmentData;
 
 use super::checkpoint;
 use super::worker_io::WorkerIo;
+use crate::cache::format_fragment;
 use crate::fault::PioError;
 use crate::proto::FragmentAssignment;
 
@@ -188,24 +189,23 @@ impl WorkerIo<'_, '_> {
         } else {
             per_query
         };
-        let cache = &mut self.cache;
         let (_, payload) = self.compute.run_format(
             self.ctx,
             || {
-                cache.add_fragment_traced(
+                format_fragment(
                     &self.cfg.params,
                     &self.report_cfg,
                     prepared,
                     frag,
                     per_query,
-                    self.cfg.checkpoint,
                 )
             },
             |r| r.as_ref().map(|(bytes, _)| *bytes).unwrap_or(0),
         )?;
-        if let Some(payload) = payload {
-            checkpoint::put(self.io, self.cfg, batch, id, payload);
+        if self.cfg.checkpoint {
+            checkpoint::put(self.io, self.cfg, batch, id, payload.clone());
         }
+        self.cache.adopt(payload);
         self.phase_times
             .add(phases::OUTPUT, self.ctx.now() - cache_start);
         Ok(())

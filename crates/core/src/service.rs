@@ -11,7 +11,7 @@
 //! * workers keep a bounded resident [`FragmentStore`] (LRU by bytes),
 //!   so a re-granted fragment whose data is already resident skips the
 //!   parafs read entirely and records a `cache.hit` trace instant;
-//! * the master's grant queue prefers fragments a worker already holds
+//! * the master's grant queue prefers the fragments a worker held last
 //!   (`GrantQueue::grant_to_preferring`), falling back to front-of-queue
 //!   work stealing so load balance and Recover-mode requeues still win
 //!   over affinity;

@@ -31,8 +31,9 @@ pub trait Collectives {
     /// on the root, `None` elsewhere.
     fn gather(&self, root: usize, data: Bytes) -> Option<Vec<Bytes>>;
     /// Scatter `pieces[i]` from `root` to rank `i`; each rank returns its
-    /// piece. Only the root's `pieces` argument is read.
-    fn scatterv(&self, root: usize, pieces: Option<Vec<Bytes>>) -> Bytes;
+    /// piece. Only the root's `pieces` argument is read: other ranks pass
+    /// an empty one.
+    fn scatterv(&self, root: usize, pieces: Vec<Bytes>) -> Bytes;
 }
 
 impl Collectives for Comm<'_> {
@@ -133,24 +134,20 @@ impl Collectives for Comm<'_> {
         let me = self.rank();
         let n = self.size();
         if me == root {
-            let mut out: Vec<Option<Bytes>> = vec![None; n];
-            out[root] = Some(data);
+            let mut out = vec![Bytes::new(); n];
+            out[root] = data;
             for _ in 0..n - 1 {
                 let m = self.recv(None, Some(tag));
-                out[m.src] = Some(m.payload);
+                out[m.src] = m.payload;
             }
-            Some(
-                out.into_iter()
-                    .map(|o| o.expect("all ranks sent"))
-                    .collect(),
-            )
+            Some(out)
         } else {
             self.send_internal(root, tag, data);
             None
         }
     }
 
-    fn scatterv(&self, root: usize, pieces: Option<Vec<Bytes>>) -> Bytes {
+    fn scatterv(&self, root: usize, pieces: Vec<Bytes>) -> Bytes {
         let seq = self.next_coll_seq();
         let _span = tracelog::span_args(
             tracelog::Lane::Net,
@@ -161,7 +158,6 @@ impl Collectives for Comm<'_> {
         let me = self.rank();
         let n = self.size();
         if me == root {
-            let pieces = pieces.expect("root must supply pieces");
             assert_eq!(pieces.len(), n, "need one piece per rank");
             let mut mine = Bytes::new();
             for (dst, piece) in pieces.into_iter().enumerate() {
@@ -264,11 +260,10 @@ mod tests {
     #[test]
     fn scatterv_distributes_pieces() {
         let got = with_ranks(5, |comm| {
-            let pieces = (comm.rank() == 1).then(|| {
-                (0..5u8)
-                    .map(|i| Bytes::from(vec![i, i + 10]))
-                    .collect::<Vec<_>>()
-            });
+            let pieces = match comm.rank() {
+                1 => (0..5u8).map(|i| Bytes::from(vec![i, i + 10])).collect(),
+                _ => Vec::new(),
+            };
             let mine = comm.scatterv(1, pieces);
             (mine[0], mine[1])
         });

@@ -11,6 +11,7 @@
 //! gigabit Ethernet).
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod coll;
 pub mod comm;

@@ -3,10 +3,13 @@
 //! Both the pioBLAST runtime (`crates/core/src/runtime/`) and the
 //! mpiBLAST baseline master loop are event pumps over the same three
 //! primitives: a liveness table swept against the simulator's ground
-//! truth, a fragment grant queue with per-worker ownership, and a
-//! message pump that folds failure detection into receive. Keeping them
-//! here means fault detection behaves identically — same sweep cadence,
-//! same death-reporting order — in every protocol built on top.
+//! truth, a fragment grant queue that records each fragment's owner and
+//! last holder, and a message pump that folds failure detection into
+//! receive. Keeping them here means fault detection behaves identically
+//! — same sweep cadence, same death-reporting order — in every protocol
+//! built on top. The grant queue is the pioBLAST master's only record of
+//! where a fragment stands; beside it the master keeps just the set of
+//! checkpointed orphans.
 
 use simcluster::{Message, RankCtx, SimDuration};
 
@@ -183,11 +186,13 @@ impl<'a, 'b> Pump<'a, 'b> {
 /// A fragment grant queue with per-worker ownership tracking.
 ///
 /// Fragments are identified by index. Grants record ownership so a
-/// worker's death can requeue (or orphan) exactly what it held.
+/// worker's death can requeue (or orphan) exactly what it held, and each
+/// fragment's last holder so a re-grant can go back to its data.
 #[derive(Debug, Clone)]
 pub struct GrantQueue {
     pending: std::collections::VecDeque<usize>,
     owned: Vec<Vec<usize>>,
+    last_holder: Vec<Option<usize>>,
 }
 
 impl GrantQueue {
@@ -196,6 +201,7 @@ impl GrantQueue {
         GrantQueue {
             pending: (0..nfrags).collect(),
             owned: vec![Vec::new(); nranks],
+            last_holder: vec![None; nfrags],
         }
     }
 
@@ -211,27 +217,29 @@ impl GrantQueue {
 
     /// Grant the front fragment to `rank`, recording ownership.
     pub fn grant_to(&mut self, rank: usize) -> Option<usize> {
-        let f = self.pending.pop_front()?;
-        self.owned[rank].push(f);
-        Some(f)
+        self.grant_at(0, rank)
     }
 
-    /// Affinity-aware grant: prefer the frontmost pending fragment that
-    /// `rank` already holds resident, falling back to the plain
-    /// front-of-queue grant (work stealing) when none of its resident
-    /// fragments are pending. Load balance is preserved — a rank never
+    /// Affinity-aware grant: prefer the frontmost pending fragment whose
+    /// last holder is `rank` (its bytes may still be resident there),
+    /// falling back to the plain front-of-queue grant (work stealing)
+    /// when none is pending. Load balance is preserved — a rank never
     /// idles waiting for "its" fragment — and requeued (recovered)
     /// fragments at the queue front still win over affinity whenever the
-    /// rank holds nothing pending.
-    pub fn grant_to_preferring(&mut self, rank: usize, resident: &[usize]) -> Option<usize> {
-        match self.pending.iter().position(|f| resident.contains(f)) {
-            Some(pos) => {
-                let f = self.pending.remove(pos).expect("position just found");
-                self.owned[rank].push(f);
-                Some(f)
-            }
-            None => self.grant_to(rank),
-        }
+    /// rank last held nothing pending.
+    pub fn grant_to_preferring(&mut self, rank: usize) -> Option<usize> {
+        let pos = self
+            .pending
+            .iter()
+            .position(|&f| self.last_holder[f] == Some(rank));
+        self.grant_at(pos.unwrap_or(0), rank)
+    }
+
+    fn grant_at(&mut self, pos: usize, rank: usize) -> Option<usize> {
+        let f = self.pending.remove(pos)?;
+        self.owned[rank].push(f);
+        self.last_holder[f] = Some(rank);
+        Some(f)
     }
 
     /// Grant the front `n` fragments to `rank` as one chunk.
@@ -252,51 +260,29 @@ impl GrantQueue {
     }
 
     /// Strip `rank` of its fragments, pushing those matching `requeue`
-    /// back onto the queue (in grant order) and dropping the rest.
-    /// Returns `(requeued, dropped)` fragment lists.
+    /// back onto the queue in grant order — at the *front* with `front`
+    /// set, else at the tail — and dropping the rest. Returns
+    /// `(requeued, dropped)` fragment lists. Under a long stream backlog
+    /// a tail requeue starves a dead worker's recovered fragments behind
+    /// every pending batch; service mode requeues at the front so
+    /// recovery work is granted next.
     pub fn release(
         &mut self,
         rank: usize,
-        mut requeue: impl FnMut(usize) -> bool,
+        front: bool,
+        requeue: impl FnMut(&usize) -> bool,
     ) -> (Vec<usize>, Vec<usize>) {
-        let held = std::mem::take(&mut self.owned[rank]);
-        let mut requeued = Vec::new();
-        let mut dropped = Vec::new();
-        for f in held {
-            if requeue(f) {
-                self.pending.push_back(f);
-                requeued.push(f);
-            } else {
-                dropped.push(f);
+        let (requeued, dropped): (Vec<usize>, Vec<usize>) = std::mem::take(&mut self.owned[rank])
+            .into_iter()
+            .partition(requeue);
+        if front {
+            // Reverse push_front keeps the requeued block in grant order
+            // at the head of the queue.
+            for &f in requeued.iter().rev() {
+                self.pending.push_front(f);
             }
-        }
-        (requeued, dropped)
-    }
-
-    /// [`GrantQueue::release`], but requeue at the queue *front* (still
-    /// in grant order). Under a long stream backlog, tail requeueing
-    /// starves a dead worker's recovered fragments behind every pending
-    /// batch; service mode uses this variant so recovery work is granted
-    /// next.
-    pub fn release_front(
-        &mut self,
-        rank: usize,
-        mut requeue: impl FnMut(usize) -> bool,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let held = std::mem::take(&mut self.owned[rank]);
-        let mut requeued = Vec::new();
-        let mut dropped = Vec::new();
-        for f in held {
-            if requeue(f) {
-                requeued.push(f);
-            } else {
-                dropped.push(f);
-            }
-        }
-        // Reverse push_front keeps the requeued block in grant order at
-        // the head of the queue.
-        for &f in requeued.iter().rev() {
-            self.pending.push_front(f);
+        } else {
+            self.pending.extend(&requeued);
         }
         (requeued, dropped)
     }
@@ -327,7 +313,7 @@ mod tests {
         assert_eq!(q.grant_to(1), Some(0));
         assert_eq!(q.grant_chunk(2, 2), vec![1, 2]);
         assert_eq!(q.owned(2), &[1, 2]);
-        let (requeued, dropped) = q.release(2, |f| f != 1);
+        let (requeued, dropped) = q.release(2, false, |&f| f != 1);
         assert_eq!(requeued, vec![2]);
         assert_eq!(dropped, vec![1]);
         assert_eq!(q.owned(2), &[] as &[usize]);
@@ -336,36 +322,57 @@ mod tests {
     }
 
     #[test]
-    fn preferring_grants_pick_resident_fragments_first() {
+    fn preferring_grants_pick_last_held_fragments_first() {
         let mut q = GrantQueue::new(5, 3);
-        // Rank 1 holds 3 and 1 resident: affinity pulls 1 (frontmost
-        // resident match), then 3, skipping over 0 and 2.
-        assert_eq!(q.grant_to_preferring(1, &[3, 1]), Some(1));
-        assert_eq!(q.grant_to_preferring(1, &[3, 1]), Some(3));
-        // Nothing resident pending: falls back to front-of-queue.
-        assert_eq!(q.grant_to_preferring(1, &[7, 9]), Some(0));
-        assert_eq!(q.grant_to_preferring(2, &[]), Some(2));
-        assert_eq!(q.owned(1), &[1, 3, 0]);
-        assert_eq!(q.pending().collect::<Vec<_>>(), vec![4]);
-        assert_eq!(q.grant_to_preferring(2, &[4]), Some(4));
-        assert_eq!(q.grant_to_preferring(2, &[4]), None);
+        // Nothing was held before: plain front-of-queue grants.
+        assert_eq!(q.grant_to_preferring(1), Some(0));
+        assert_eq!(q.grant_to(2), Some(1));
+        assert_eq!(q.grant_to_preferring(1), Some(2));
+        let _ = q.release(1, false, |_| true);
+        let _ = q.release(2, false, |_| true);
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![3, 4, 0, 2, 1]);
+        // Rank 1 last held 0 and 2: affinity pulls them (frontmost
+        // first), skipping over 3 and 4; then it steals from the front.
+        assert_eq!(q.grant_to_preferring(1), Some(0));
+        assert_eq!(q.grant_to_preferring(1), Some(2));
+        assert_eq!(q.grant_to_preferring(1), Some(3));
+        assert_eq!(q.grant_to_preferring(2), Some(1));
+        assert_eq!(q.grant_to_preferring(2), Some(4));
+        assert_eq!(q.grant_to_preferring(2), None);
+        assert_eq!(q.owned(1), &[0, 2, 3]);
     }
 
     #[test]
-    fn release_front_requeues_ahead_of_the_backlog() {
+    fn the_last_grant_decides_which_rank_a_fragment_prefers() {
+        let mut q = GrantQueue::new(3, 4);
+        assert_eq!(q.grant_to(1), Some(0));
+        let _ = q.release(1, false, |_| true);
+        // Fragment 0 goes to rank 1, then to rank 2; 1 and 2 to rank 3.
+        assert_eq!(q.grant_chunk(3, 2), vec![1, 2]);
+        assert_eq!(q.grant_to(2), Some(0));
+        let _ = q.release(3, false, |_| true);
+        let _ = q.release(2, false, |_| true);
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![1, 2, 0]);
+        // Rank 1 no longer draws fragment 0 past the front; rank 2 does.
+        assert_eq!(q.clone().grant_to_preferring(1), Some(1));
+        assert_eq!(q.grant_to_preferring(2), Some(0));
+    }
+
+    #[test]
+    fn front_release_requeues_ahead_of_the_backlog() {
         let mut q = GrantQueue::new(6, 3);
         assert_eq!(q.grant_chunk(1, 3), vec![0, 1, 2]);
         // Backlog 3,4,5 is pending when rank 1 dies holding 0,1,2 with
         // fragment 1 checkpointed (dropped). The recovered fragments must
         // come out *before* the backlog, in grant order.
-        let (requeued, dropped) = q.release_front(1, |f| f != 1);
+        let (requeued, dropped) = q.release(1, true, |&f| f != 1);
         assert_eq!(requeued, vec![0, 2]);
         assert_eq!(dropped, vec![1]);
         assert_eq!(q.pending().collect::<Vec<_>>(), vec![0, 2, 3, 4, 5]);
         // Tail release, by contrast, starves them behind the backlog.
         let mut tail = GrantQueue::new(6, 3);
         assert_eq!(tail.grant_chunk(1, 3), vec![0, 1, 2]);
-        let _ = tail.release(1, |f| f != 1);
+        let _ = tail.release(1, false, |&f| f != 1);
         assert_eq!(tail.pending().collect::<Vec<_>>(), vec![3, 4, 5, 0, 2]);
     }
 

@@ -61,14 +61,14 @@ proptest! {
             let gathered = comm.gather(root, mine);
             // Root validates and builds scatter pieces; others check their
             // piece.
-            let pieces = gathered.map(|g| {
+            let pieces = gathered.map_or_else(Vec::new, |g| {
                 for (r, b) in g.iter().enumerate() {
                     assert_eq!(b.len(), lens2[r]);
                     assert!(b.iter().all(|&x| x == r as u8));
                 }
                 (0..ctx.nranks())
                     .map(|r| Bytes::from(vec![(r * 2) as u8; lens2[r]]))
-                    .collect::<Vec<_>>()
+                    .collect()
             });
             let piece = comm.scatterv(root, pieces);
             piece.len() == lens2[me] && piece.iter().all(|&x| x == (me * 2) as u8)
