@@ -156,6 +156,16 @@ cargo test --release -q -p mpiblast --lib outside_the_set
 # alike under Off and Recover; only Drain tells the lowerings apart.
 cargo test --release -q -p pioblast --lib a_hostile_master_gets_a_typed_error_from_a_real_worker
 cargo test --release -q -p pioblast --lib off_and_recover_lower_one_dynamic_cycle
+# One record per fragment on the master: with the grant queue (owner and
+# last holder) and one orphan set as its only fragment state, the master
+# machine acts and moves exactly as the ledger-and-hints machine kept in
+# crates/core/tests/reference/ does, on random event streams under every
+# policy the configuration accepts. A fragment is preferred by its last
+# holder only, and a checkpoint payload adopted into a ResultCache gives
+# the metadata and records of formatting the fragment directly.
+cargo test --release -q -p pioblast --test master_equivalence
+cargo test --release -q -p mpisim --lib the_last_grant_decides_which_rank_a_fragment_prefers
+cargo test --release -q -p pioblast --lib an_adopted_checkpoint_payload_equals_formatting_the_fragment
 # The runtime is split by concern: no module over 600 lines above its tests.
 awk 'FNR==1{n=0} /^#\[cfg\(test\)\]/{nextfile} ++n>600{print FILENAME ": over 600 lines above #[cfg(test)]"; bad=1; nextfile} END{exit bad}' crates/core/src/runtime/*.rs
 # One store representation: random operation sequences, multi-piece
