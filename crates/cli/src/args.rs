@@ -82,12 +82,11 @@ impl ParsedArgs {
             if let Some(key) = tok.strip_prefix("--") {
                 // A value follows unless the next token is another option
                 // or the end (then it's a boolean flag).
-                match iter.peek() {
-                    Some(next) if !next.starts_with("--") => {
-                        let value = iter.next().expect("peeked");
+                match iter.next_if(|next| !next.starts_with("--")) {
+                    Some(value) => {
                         out.options.insert(key.to_string(), value);
                     }
-                    _ => out.flags.push(key.to_string()),
+                    None => out.flags.push(key.to_string()),
                 }
             } else {
                 return Err(ArgError::UnexpectedPositional(tok));

@@ -67,7 +67,6 @@ USAGE:
   pioblast-sim trace-diff  --a run1.json --b run2.json [--top N]
   pioblast-sim trace-diff  --in trace.json --write-baseline profile.tsv
   pioblast-sim trace-diff  --in trace.json --baseline profile.tsv
-                           [--max-growth-pct N] [--min-delta-ns N]
 
 Integer options accept k/M/G suffixes (e.g. --residues 12M).
 
@@ -109,10 +108,9 @@ which lane/phase diverged and by how much (--top rows per section);
 runs at different rank counts compare cluster totals and per-rank
 means, identical runs report an empty diff. With --in it profiles one
 trace instead: --write-baseline commits the cluster busy-ns profile to
-a file, --baseline gates the trace against a committed profile and
-exits nonzero when any lane/phase (or the wall clock) grew more than
---max-growth-pct percent (default 25) and more than --min-delta-ns
-(default 50k) — the CI perf-regression gate.
+a file, --baseline checks the trace against a committed profile and
+exits nonzero, listing the differing rows, unless the profile renders
+to that file exactly — the CI regression gate.
 
 --burst-buffer stages output and checkpoint writes in a per-node burst
 buffer (the platform's staging profile, striped across four backing
@@ -352,9 +350,9 @@ fn cmd_trace_diff(args: &ParsedArgs) -> Result<String, CliError> {
             .map_err(|e| CliError(format!("{path}: invalid trace: {e}")))
     };
     // Baseline modes: profile one trace and either commit its cluster
-    // busy-ns profile (--write-baseline) or gate it against a committed
-    // one (--baseline), failing with a nonzero exit when any lane/phase
-    // grew past --max-growth-pct.
+    // busy-ns profile (--write-baseline) or check it against a committed
+    // one (--baseline), failing with a nonzero exit unless the profile
+    // renders to the committed file exactly.
     if let Some(input) = args.get("in") {
         let input = input.to_string();
         let profile = load(&input)?;
@@ -369,23 +367,15 @@ fn cmd_trace_diff(args: &ParsedArgs) -> Result<String, CliError> {
             ));
         }
         let base_path = args.require("baseline")?;
-        let base = tracelog::diff::parse_baseline(&fs::read_to_string(base_path)?)
-            .map_err(|e| CliError(format!("{base_path}: invalid baseline: {e}")))?;
-        let pct = args.u64_or("max-growth-pct", 25)? as f64;
-        let min_delta = match args.get("min-delta-ns") {
-            None => 50_000,
-            Some(text) => parse_size(text)?,
-        };
-        let failures = tracelog::diff::check_baseline(&base, &profile, pct, min_delta);
+        let failures = tracelog::diff::check_baseline(&fs::read_to_string(base_path)?, &profile);
         return if failures.is_empty() {
             Ok(format!(
-                "{input}: within {pct}% of baseline {base_path} ({} lane/phase rows checked)",
+                "{input}: matches baseline {base_path} ({} lane/phase rows)",
                 profile.cluster_totals().len()
             ))
         } else {
             Err(CliError(format!(
-                "{input}: {} regression(s) vs baseline {base_path} (max growth {pct}%):\n  {}",
-                failures.len(),
+                "{input}: differs from baseline {base_path} (- baseline, + run):\n  {}",
                 failures.join("\n  ")
             )))
         };
@@ -664,7 +654,8 @@ fn cmd_serve(args: &ParsedArgs) -> Result<String, CliError> {
         fs::write(format!("{out}.q{b}"), &report)?;
     }
     let (trace, trace_note) = job.finish_trace(o.elapsed)?;
-    let metrics = pioblast::ServiceMetrics::from_trace(&trace.expect("serve always traces"));
+    let trace = trace.ok_or_else(|| CliError("serve ran without its tracer".into()))?;
+    let metrics = pioblast::ServiceMetrics::from_trace(&trace);
     Ok(format!(
         "pioBLAST service, {} processes on {}: {} users x {} batches in {:.3}s virtual time, \
          {:.2} queries/s, p50 {:.3}s, p99 {:.3}s, hit rate {:.1}% ({}/{} grants), \
@@ -839,8 +830,8 @@ mod tests {
         assert!(diff.contains("cluster totals"), "{diff}");
 
         // Baseline gate: a committed profile of the pio trace admits
-        // the identical trace and rejects a run that moved (the mpi
-        // trace, at zero tolerance).
+        // the identical trace and rejects the mpi trace, naming the rows
+        // on both sides.
         let baseline = dir.join("baseline.tsv");
         let wrote = dispatch(&args(&[
             "trace-diff",
@@ -859,20 +850,20 @@ mod tests {
             baseline.to_str().unwrap(),
         ]))
         .unwrap();
-        assert!(ok.contains("within"), "{ok}");
+        assert!(ok.contains("matches baseline"), "{ok}");
         let gate = dispatch(&args(&[
             "trace-diff",
             "--in",
             mpi_trace.to_str().unwrap(),
             "--baseline",
             baseline.to_str().unwrap(),
-            "--max-growth-pct",
-            "0",
-            "--min-delta-ns",
-            "0",
         ]))
         .unwrap_err();
-        assert!(gate.0.contains("regression"), "{}", gate.0);
+        assert!(gate.0.contains("differs from baseline"), "{}", gate.0);
+        assert!(gate.0.contains("\n  -wall_ns\t"), "{}", gate.0);
+        assert!(gate.0.contains("\n  +wall_ns\t"), "{}", gate.0);
+        // mpiBLAST's copy stage is a phase pioBLAST never enters.
+        assert!(gate.0.contains("\n  +phase\tcopy\t"), "{}", gate.0);
 
         // --threads shards the scan across compute slots without changing
         // a single output byte.

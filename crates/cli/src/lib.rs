@@ -6,6 +6,7 @@
 //! mpiBLAST/pioBLAST jobs against host-filesystem inputs.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod args;
 pub mod commands;

@@ -14,12 +14,12 @@ use bytes::Bytes;
 use mpiblast::wire::{MetaSubmission, OffsetAssignment, QueryBundle};
 use mpiblast::MASTER;
 use mpiio::IoPlane;
-use mpisim::sched::{default_sweep, Pump};
+use mpisim::sched::Pump;
 use mpisim::{Collectives, Comm};
 use seqfmt::Wire;
 use simcluster::{Message, SimTime};
 
-use super::master::{MasterEvent, MasterSm};
+use super::master::MasterEvent;
 use super::master_io::{check_queries, MasterIo};
 use super::worker::WorkerEvent;
 use super::worker_io::WorkerIo;
@@ -70,7 +70,7 @@ impl Lowering {
     /// The master's wait for messages: deaths surface as events under
     /// point-to-point; a collective run hangs on one, like MPI.
     pub(super) fn pump<'a, 'b>(&self, comm: &'a Comm<'b>) -> Pump<'a, 'b> {
-        Pump::new(comm, self.p2p, default_sweep())
+        Pump::new(comm, self.p2p)
     }
 
     /// Release the workers from a master whose setup failed. Waiting in
@@ -285,14 +285,13 @@ impl MasterIo<'_, '_> {
     /// the answers arrive.
     pub(super) fn request_submissions(
         &self,
-        sm: &MasterSm,
         batch: usize,
         epoch: u64,
     ) -> Result<Vec<MasterEvent>, PioError> {
         let comm = self.comm;
         if self.lowering.p2p {
             let request = Bytes::from((epoch, batch as u32).encode());
-            for w in sm.live_workers() {
+            for w in self.sm.live_workers() {
                 let _ = comm.send_checked(w, TAG_SUBMIT_REQ, request.clone());
             }
             return Ok(Vec::new());
@@ -323,7 +322,7 @@ impl MasterIo<'_, '_> {
     }
 
     /// A point-to-point message to the master, as an event.
-    pub(super) fn translate(&self, sm: &MasterSm, m: Message) -> Result<MasterEvent, PioError> {
+    pub(super) fn translate(&self, m: Message) -> Result<MasterEvent, PioError> {
         let from = m.src;
         match m.tag {
             TAG_READY => Ok(MasterEvent::Ready { from }),
@@ -331,8 +330,8 @@ impl MasterIo<'_, '_> {
                 let (epoch, sub) = Fenced::<MetaSubmission>::decode(&m.payload)?;
                 // A stale epoch's submission is discarded by the machine
                 // unread; the current one is the current batch's.
-                if epoch == sm.epoch() {
-                    check_queries(&self.batches[sm.batch()], from, &sub)?;
+                if epoch == self.sm.epoch() {
+                    check_queries(&self.batches[self.sm.batch()], from, &sub)?;
                 }
                 tracelog::instant(
                     tracelog::Lane::Runtime,
@@ -355,7 +354,7 @@ impl MasterIo<'_, '_> {
 /// A worker's point-to-point receive from the master: its death and an
 /// abort are typed errors.
 fn recv_master(comm: &Comm<'_>) -> Result<Message, PioError> {
-    let m = Pump::new(comm, true, default_sweep())
+    let m = Pump::new(comm, true)
         .recv_from(MASTER, None)
         .map_err(|_| PioError::MasterDied)?;
     if m.tag == TAG_ABORT {

@@ -237,6 +237,11 @@ impl MasterSm {
         &self.orphans
     }
 
+    /// Is `rank` still presumed live?
+    pub fn is_live(&self, rank: usize) -> bool {
+        self.live[rank]
+    }
+
     /// Still-live worker ranks, ascending.
     pub fn live_workers(&self) -> impl Iterator<Item = usize> + '_ {
         (1..self.policy.nranks).filter(|&w| self.live[w])

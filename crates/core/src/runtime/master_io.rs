@@ -14,7 +14,7 @@ use mpiblast::phases;
 use mpiblast::wire::{put_queries, MetaSubmission, QueryBundle};
 use mpiblast::{RankReport, MASTER};
 use mpiio::IoPlane;
-use mpisim::sched::{Liveness, Polled};
+use mpisim::sched::Polled;
 use mpisim::{Collectives, Comm};
 use seqfmt::codec::Writer;
 use seqfmt::{AliasFile, VolumeIndex, Wire};
@@ -40,7 +40,8 @@ pub(crate) fn run_master(
 ) -> Result<RankReport, PioError> {
     let lowering = Lowering::of(&policy_of(ctx, cfg, 0));
     let io = build_plane(ctx, comm, cfg, lowering);
-    MasterIo::new(ctx, comm, cfg, &io, lowering)?.run()
+    let (master, init) = MasterIo::new(ctx, comm, cfg, &io, lowering)?;
+    master.run(init)
 }
 
 pub(super) struct MasterIo<'a, 'b> {
@@ -58,7 +59,9 @@ pub(super) struct MasterIo<'a, 'b> {
     pub(super) batches: Vec<Vec<SeqRecord>>,
     volumes: Vec<String>,
     assignments: Vec<FragmentAssignment>,
-    liveness: Liveness,
+    /// The machine whose actions this performs: the master's only
+    /// record of fragments and of which workers are live.
+    pub(super) sm: MasterSm,
     pub(super) phase_times: PhaseTimes,
     prepared_cache: Vec<Option<Arc<PreparedQueries>>>,
     batch_offsets: Vec<u64>,
@@ -78,7 +81,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         cfg: &'a PioBlastConfig,
         io: &'a IoPlane<'a, 'b>,
         lowering: Lowering,
-    ) -> Result<MasterIo<'a, 'b>, PioError> {
+    ) -> Result<(MasterIo<'a, 'b>, Vec<MasterAction>), PioError> {
         let mut phase_times = PhaseTimes::new();
 
         // ---- startup: read and validate *every* setup file before the
@@ -162,7 +165,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         policy.nfrags = assignments.len();
 
         let nbatches = batches.len();
-        Ok(MasterIo {
+        let (sm, init) = MasterSm::new(policy, live0);
+        let master = MasterIo {
             ctx,
             comm,
             cfg,
@@ -174,7 +178,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             batches,
             volumes: alias.volumes,
             assignments,
-            liveness: Liveness::from_flags(live0),
+            sm,
             phase_times,
             prepared_cache: (0..nbatches).map(|_| None).collect(),
             batch_offsets: vec![0; nbatches + 1],
@@ -183,15 +187,15 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             input_mark: Some(input_mark),
             out_mark: None,
             qbatch_sent: vec![false; nbatches],
-        })
+        };
+        Ok((master, init))
     }
 
-    fn run(mut self) -> Result<RankReport, PioError> {
+    fn run(mut self, init: Vec<MasterAction>) -> Result<RankReport, PioError> {
         // Service mode: the first stream batch's queries go out before
         // the grant loop, so workers prepare them ahead of their first
         // grant.
         self.ensure_qbatch(0);
-        let (mut sm, init) = MasterSm::new(self.policy, self.liveness.flags().to_vec());
         let mut actions: VecDeque<MasterAction> = init.into();
         loop {
             while let Some(act) = actions.pop_front() {
@@ -199,7 +203,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 // events).
                 let events = match act {
                     MasterAction::Finish => {
-                        self.finish(&sm);
+                        self.finish();
                         return Ok(RankReport {
                             phases: self.phase_times,
                             search_stats: SearchStats::default(),
@@ -220,24 +224,24 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                         Ok(Vec::new())
                     }
                     MasterAction::Scatter { chunks } => self.scatter(&chunks),
-                    MasterAction::Collect { batch, epoch } => self.collect(&sm, batch, epoch),
+                    MasterAction::Collect { batch, epoch } => self.collect(batch, epoch),
                     MasterAction::Merge {
                         batch,
                         epoch,
                         subs,
                         orphans,
-                    } => self.merge(&sm, batch, epoch, subs, &orphans),
+                    } => self.merge(batch, epoch, subs, &orphans),
                     MasterAction::FinishBatch { batch } => self.finish_batch(batch),
                 };
                 // Tell survivors to stop before bailing so nobody waits
                 // on a master that returned.
                 for ev in events.inspect_err(|_| self.abort_live())? {
-                    actions.extend(sm.handle(ev));
+                    actions.extend(self.sm.handle(ev));
                 }
             }
             // Quiescent: wait for the next message for this phase (the
             // pump folds death detection into the wait).
-            let tag = match sm.phase() {
+            let tag = match self.sm.phase() {
                 MasterPhase::Distribute => TAG_READY,
                 MasterPhase::Collect => TAG_SUBMIT,
                 MasterPhase::WaitWrites => TAG_DONE,
@@ -246,19 +250,20 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 }
             };
             let pump = self.lowering.pump(self.comm);
-            let event = match pump.poll(&mut self.liveness, None, Some(tag)) {
-                Polled::Msg(m) => self.translate(&sm, m).inspect_err(|_| self.abort_live())?,
-                Polled::Dead(ranks) => self.dead_event(&sm, ranks),
+            let event = match pump.poll(|w| self.sm.is_live(w), None, Some(tag)) {
+                Polled::Msg(m) => self.translate(m).inspect_err(|_| self.abort_live())?,
+                Polled::Dead(ranks) => self.dead_event(ranks),
             };
-            actions.extend(sm.handle(event));
+            actions.extend(self.sm.handle(event));
         }
     }
 
     /// Deaths -> event, classifying each owned fragment of each victim
     /// as checkpointed (a valid blob exists for the current batch) or
     /// not.
-    fn dead_event(&mut self, sm: &MasterSm, ranks: Vec<usize>) -> MasterEvent {
+    fn dead_event(&mut self, ranks: Vec<usize>) -> MasterEvent {
         let mut checkpointed = Vec::new();
+        let sm = &self.sm;
         if self.policy.checkpoint {
             let batch = sm.batch();
             let owned = ranks
@@ -297,7 +302,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     }
 
     fn abort_live(&self) {
-        for w in self.liveness.live_workers() {
+        for w in self.sm.live_workers() {
             let _ = self.comm.send_checked(w, TAG_ABORT, Bytes::new());
         }
     }
@@ -332,7 +337,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         (batch as u32).put(&mut frame);
         put_queries(&self.batches[batch], &mut frame);
         let payload = Bytes::from(frame.finish());
-        for w in self.liveness.live_workers() {
+        for w in self.sm.live_workers() {
             let _ = self.comm.send_checked(w, TAG_QBATCH, payload.clone());
         }
     }
@@ -422,12 +427,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         Ok(vec![MasterEvent::ScatterDone])
     }
 
-    fn collect(
-        &mut self,
-        sm: &MasterSm,
-        batch: usize,
-        epoch: u64,
-    ) -> Result<Vec<MasterEvent>, PioError> {
+    fn collect(&mut self, batch: usize, epoch: u64) -> Result<Vec<MasterEvent>, PioError> {
         self.ensure_qbatch(batch);
         self.prefetch_qbatch(batch + 1);
         tracelog::instant(
@@ -439,12 +439,11 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             self.phase_times.add(phases::INPUT, self.ctx.now() - mark);
         }
         self.prepared(batch);
-        self.request_submissions(sm, batch, epoch)
+        self.request_submissions(batch, epoch)
     }
 
     fn merge(
         &mut self,
-        sm: &MasterSm,
         batch: usize,
         epoch: u64,
         mut subs: Vec<MetaSubmission>,
@@ -489,7 +488,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             .compute
             .run_merge(self.ctx, outcome.merged_items, || ());
         self.batch_offsets[batch + 1] = start_offset + outcome.total_bytes;
-        let live = sm.live_workers().collect();
+        let live = self.sm.live_workers().collect();
         let events = self
             .lowering
             .assign(self.comm, live, epoch, &outcome.per_rank);
@@ -539,8 +538,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
 
     /// Seal the run: release the workers, join any staged drains, drop
     /// any checkpoint blobs.
-    fn finish(&mut self, sm: &MasterSm) {
-        self.lowering.finish(self.comm, sm.live_workers());
+    fn finish(&mut self) {
+        self.lowering.finish(self.comm, self.sm.live_workers());
         // Final fence: nothing joins a staged drain after the rank body
         // returns, so every absorbed byte must land now.
         fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);

@@ -3,11 +3,11 @@
 //!
 //! * [`MasterSm`] and [`WorkerSm`] are pure `event -> (state', actions)`
 //!   machines: the fragment queue (each fragment's owner and last
-//!   holder), the orphan set, liveness and epoch fencing; the worker's
-//!   batch/search lifecycle.
+//!   holder), the orphan set, the master's only liveness table and epoch
+//!   fencing; the worker's batch/search lifecycle.
 //! * `lowering` is the one place that picks a transport: collectives for
 //!   a one-shot fault-free run, epoch-fenced point-to-point commands with
-//!   liveness sweeps for `Recover` and service mode.
+//!   sweeps of the machine's live workers for `Recover` and service mode.
 //! * `master_io` and `worker_io` are each side's setup and its one loop
 //!   between its machine and the lowering; `search` ingests and searches
 //!   fragments, `output` writes the report, `checkpoint` persists

@@ -22,7 +22,7 @@ use blast_core::format::{self, ReportConfig};
 use blast_core::search::{BlastSearcher, SearchScratch, SearchStats, SubjectHit};
 use bytes::Bytes;
 use mpiio::{FileView, IoPlane, PlaneConfig, Run};
-use mpisim::sched::{default_sweep, GrantQueue, Liveness, Polled, Pump};
+use mpisim::sched::{default_sweep, GrantQueue, Polled, Pump};
 use mpisim::{Collectives, Comm};
 use parafs::StoreError;
 use seqfmt::{FragmentData, VolumeIndex, Wire};
@@ -124,10 +124,11 @@ pub fn run_rank(ctx: &RankCtx, cfg: &MpiBlastConfig) -> Result<RankReport, PioEr
     }
 }
 
-/// Tell every still-live worker to abort (best effort; sends to dead
-/// ranks are dropped).
-fn abort_workers(comm: &Comm, live: &Liveness) {
-    for w in live.live_workers() {
+/// Tell every worker but the `dead` ones to abort (best effort; sends
+/// to dead ranks are dropped). The master's first detected death ends
+/// the run, so every other worker is still live.
+fn abort_workers(comm: &Comm, dead: &[usize]) {
+    for w in (1..comm.size()).filter(|w| !dead.contains(w)) {
         let _ = comm.send_checked(w, TAG_ABORT, Bytes::new());
     }
 }
@@ -160,8 +161,7 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
     let now = || ctx.now();
     let nworkers = ctx.nranks() - 1;
     let nfrag = cfg.fragment_names.len();
-    let mut live = Liveness::all(ctx.nranks());
-    let pump = Pump::new(comm, cfg.fault_detection, default_sweep());
+    let pump = Pump::new(comm, cfg.fault_detection);
 
     // ---- startup: read the index and queries, broadcast the bundle ----
     let start = now();
@@ -212,10 +212,10 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
         // Without detection the pump degenerates to a blocking receive;
         // with it, a lost worker's unfinished fragment surfaces as a
         // death instead of hanging the job.
-        let m = match pump.poll(&mut live, None, None) {
+        let m = match pump.poll(|_| true, None, None) {
             Polled::Msg(m) => m,
             Polled::Dead(dead) => {
-                abort_workers(comm, &live);
+                abort_workers(comm, &dead);
                 return Err(departed(comm, dead[0]));
             }
         };
@@ -234,7 +234,7 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
                 let sub = match ResultSubmission::decode(&m.payload) {
                     Ok(sub) => sub,
                     Err(e) => {
-                        abort_workers(comm, &live);
+                        abort_workers(comm, &[]);
                         return Err(e.into());
                     }
                 };
@@ -245,7 +245,7 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
                     .iter()
                     .find(|(q, _)| *q as usize >= merged.len())
                 {
-                    abort_workers(comm, &live);
+                    abort_workers(comm, &[]);
                     return Err(PioError::Protocol(format!(
                         "result submission from rank {}: query {q} of a {}-query set",
                         m.src,
@@ -266,11 +266,11 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
                 fragments_done += 1;
             }
             TAG_FRAG_FAILED => {
-                abort_workers(comm, &live);
+                abort_workers(comm, &[]);
                 return Err(frag_failed(m));
             }
             other => {
-                abort_workers(comm, &live);
+                abort_workers(comm, &[]);
                 return Err(PioError::Protocol(format!(
                     "master got unexpected tag {other}"
                 )));
@@ -303,10 +303,10 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
                 oid: hit.oid,
             };
             comm.send(*owner, TAG_FETCH_REQ, Bytes::from(req.encode()));
-            let resp = match pump.poll(&mut live, Some(*owner), Some(TAG_FETCH_RESP)) {
+            let resp = match pump.poll(|_| true, Some(*owner), Some(TAG_FETCH_RESP)) {
                 Polled::Msg(m) => m,
                 Polled::Dead(dead) => {
-                    abort_workers(comm, &live);
+                    abort_workers(comm, &dead);
                     return Err(departed(comm, dead[0]));
                 }
             };
@@ -316,7 +316,7 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
             match decoded {
                 Ok(decoded) => fetched.push(decoded),
                 Err(e) => {
-                    abort_workers(comm, &live);
+                    abort_workers(comm, &[]);
                     return Err(e.into());
                 }
             }
@@ -385,7 +385,7 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
             .write_output(&cfg.output_path, &view, section)
             .map_err(PioError::Output)?;
     }
-    for w in live.live_workers() {
+    for w in 1..ctx.nranks() {
         comm.send(w, TAG_DONE, Bytes::new());
     }
     phases.add(phases::OUTPUT, now() - out_start);
@@ -401,7 +401,7 @@ fn run_worker(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
     let (private, prefix) = cfg.env.private_store(ctx.rank());
     let mut phases = PhaseTimes::new();
     let now = || ctx.now();
-    let pump = Pump::new(comm, cfg.fault_detection, default_sweep());
+    let pump = Pump::new(comm, cfg.fault_detection);
     // A fragment this worker cannot load fails the job: the master, who
     // would otherwise wait for the fragment forever, is told and aborts
     // the others.
@@ -681,6 +681,27 @@ mod tests {
                 "survivor {w} must be told to abort"
             );
         }
+    }
+
+    #[test]
+    fn a_detected_death_is_swept_once_and_ends_the_run() {
+        // The master keeps no liveness table: its first detected death
+        // returns from the run, so the sweep that finds it is its last.
+        let (sim, _env, cfg) = faulty_cfg(4, 6);
+        let tracer = tracelog::Tracer::new(4);
+        sim.set_tracer(tracer.clone());
+        let plan = simcluster::FaultPlan::none().kill_after_sends(2, 3);
+        let out = sim.run_faulty(plan, |ctx| run_rank(&ctx, &cfg));
+        assert_eq!(out.killed, vec![2]);
+        assert_eq!(out.outputs[0], Some(Err(PioError::WorkerDied { rank: 2 })));
+        let trace = tracer.finish(out.elapsed.since(simcluster::SimTime::ZERO).0);
+        let swept: Vec<_> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "sweep.dead")
+            .map(|e| (e.rank, e.args.clone()))
+            .collect();
+        assert_eq!(swept, vec![(MASTER, vec![("rank", 2usize.into())])]);
     }
 
     #[test]

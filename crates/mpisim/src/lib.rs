@@ -23,4 +23,4 @@ pub use coll::Collectives;
 pub use comm::Comm;
 pub use fault::{RecvError, SendError};
 pub use net::NetProfile;
-pub use sched::{GrantQueue, Liveness, Polled, Pump};
+pub use sched::{GrantQueue, Polled, Pump};

@@ -1,17 +1,20 @@
 //! Shared scheduling substrate for master/worker protocols.
 //!
 //! Both the pioBLAST runtime (`crates/core/src/runtime/`) and the
-//! mpiBLAST baseline master loop are event pumps over the same three
-//! primitives: a liveness table swept against the simulator's ground
-//! truth, a fragment grant queue that records each fragment's owner and
-//! last holder, and a message pump that folds failure detection into
-//! receive. Keeping them here means fault detection behaves identically
-//! — same sweep cadence, same death-reporting order — in every protocol
-//! built on top. The grant queue is the pioBLAST master's only record of
-//! where a fragment stands; beside it the master keeps just the set of
-//! checkpointed orphans.
+//! mpiBLAST baseline master loop are event pumps over the same two
+//! primitives: a fragment grant queue that records each fragment's owner
+//! and last holder, and a message pump that folds failure detection into
+//! receive by sweeping the ranks its caller holds live against the
+//! simulator's ground truth. Keeping them here means fault detection
+//! behaves identically — same sweep cadence, same death-reporting order
+//! — in every protocol built on top. The caller keeps the liveness
+//! table and records each death the pump reports: pioBLAST's master
+//! machine holds the only one, and mpiBLAST's master needs none, since
+//! its first death ends the run. The grant queue is the pioBLAST
+//! master's only record of where a fragment stands; beside it the master
+//! keeps just the set of checkpointed orphans.
 
-use simcluster::{Message, RankCtx, SimDuration};
+use simcluster::{Message, SimDuration};
 
 use crate::comm::Comm;
 use crate::fault::RecvError;
@@ -39,88 +42,15 @@ pub fn chunk_evenly<T>(mut items: Vec<T>, workers: usize) -> Vec<Vec<T>> {
     out
 }
 
-/// Per-rank liveness, maintained by sweeping the simulator's ground
-/// truth: a worker is gone once it has left the run, killed or returned
-/// (a worker that returned its own error will never answer either).
-/// Rank 0 (the master) is tracked but never swept — master death is
-/// surfaced to workers through receive errors instead.
-#[derive(Debug, Clone)]
-pub struct Liveness {
-    live: Vec<bool>,
-}
-
-impl Liveness {
-    /// All `nranks` ranks presumed live.
-    pub fn all(nranks: usize) -> Liveness {
-        Liveness {
-            live: vec![true; nranks],
-        }
-    }
-
-    /// Start from an explicit per-rank table (e.g. built from the
-    /// bundle-distribution round, where dead workers already failed).
-    pub fn from_flags(live: Vec<bool>) -> Liveness {
-        Liveness { live }
-    }
-
-    /// Is `rank` still presumed live?
-    pub fn is_live(&self, rank: usize) -> bool {
-        self.live[rank]
-    }
-
-    /// Mark `rank` dead (e.g. after a failed checked send).
-    pub fn mark_dead(&mut self, rank: usize) {
-        self.live[rank] = false;
-    }
-
-    /// The raw per-rank table.
-    pub fn flags(&self) -> &[bool] {
-        &self.live
-    }
-
-    /// Worker ranks (1..) still presumed live, ascending.
-    pub fn live_workers(&self) -> impl Iterator<Item = usize> + '_ {
-        self.live
-            .iter()
-            .enumerate()
-            .skip(1)
-            .filter(|(_, l)| **l)
-            .map(|(r, _)| r)
-    }
-
-    /// Does any worker rank survive?
-    pub fn any_worker_live(&self) -> bool {
-        self.live_workers().next().is_some()
-    }
-
-    /// Compare the table against the simulator's ground truth and return
-    /// the worker ranks that left the run since the last sweep (now
-    /// marked dead), ascending. Costs no virtual time.
-    pub fn sweep(&mut self, ctx: &RankCtx) -> Vec<usize> {
-        let mut newly = Vec::new();
-        for r in 1..self.live.len() {
-            if self.live[r] && ctx.has_left(r) {
-                self.live[r] = false;
-                tracelog::instant(
-                    tracelog::Lane::Sched,
-                    "sweep.dead",
-                    vec![("rank", r.into())],
-                );
-                newly.push(r);
-            }
-        }
-        newly
-    }
-}
-
 /// What a [`Pump::poll`] produced: a message, or the deaths that were
 /// detected while waiting for one.
 #[derive(Debug)]
 pub enum Polled {
     /// A matching message arrived.
     Msg(Message),
-    /// These worker ranks were found dead (already marked in the
-    /// [`Liveness`] table). Only produced with detection enabled.
+    /// These worker ranks, live by the caller's account, have left the
+    /// run; the caller records their deaths. Only produced with
+    /// detection enabled.
     Dead(Vec<usize>),
 }
 
@@ -133,31 +63,47 @@ pub enum Polled {
 pub struct Pump<'a, 'b> {
     comm: &'a Comm<'b>,
     detect: bool,
-    sweep: SimDuration,
 }
 
 impl<'a, 'b> Pump<'a, 'b> {
-    /// Build a pump; `detect` enables sweeping at `sweep` cadence.
-    pub fn new(comm: &'a Comm<'b>, detect: bool, sweep: SimDuration) -> Pump<'a, 'b> {
-        Pump {
-            comm,
-            detect,
-            sweep,
-        }
+    /// Build a pump; `detect` enables sweeping at [`default_sweep`]
+    /// cadence.
+    pub fn new(comm: &'a Comm<'b>, detect: bool) -> Pump<'a, 'b> {
+        Pump { comm, detect }
     }
 
-    /// Master-side poll: wait for a matching message, reporting any
-    /// worker deaths found first. Without detection, blocks forever.
-    pub fn poll(&self, live: &mut Liveness, src: Option<usize>, tag: Option<u64>) -> Polled {
+    /// Master-side poll: wait for a matching message, first sweeping
+    /// the worker ranks `live` accepts against the simulator's ground
+    /// truth. A worker is gone once it has left the run, killed or
+    /// returned (one that returned its own error will never answer
+    /// either); the sweep costs no virtual time. Rank 0 (the master) is
+    /// never swept — its death reaches workers as receive errors.
+    /// Without detection, blocks forever.
+    pub fn poll(
+        &self,
+        live: impl Fn(usize) -> bool,
+        src: Option<usize>,
+        tag: Option<u64>,
+    ) -> Polled {
         if !self.detect {
             return Polled::Msg(self.comm.recv(src, tag));
         }
+        let ctx = self.comm.ctx();
         loop {
-            let dead = live.sweep(self.comm.ctx());
+            let dead: Vec<usize> = (1..ctx.nranks())
+                .filter(|&r| live(r) && ctx.has_left(r))
+                .collect();
             if !dead.is_empty() {
+                for &r in &dead {
+                    tracelog::instant(
+                        tracelog::Lane::Sched,
+                        "sweep.dead",
+                        vec![("rank", r.into())],
+                    );
+                }
                 return Polled::Dead(dead);
             }
-            match self.comm.recv_timeout(src, tag, self.sweep) {
+            match self.comm.recv_timeout(src, tag, default_sweep()) {
                 Ok(m) => return Polled::Msg(m),
                 // Timeout: sweep again. DeadPeer (specific-source waits):
                 // the next sweep reports the death.
@@ -174,7 +120,7 @@ impl<'a, 'b> Pump<'a, 'b> {
             return Ok(self.comm.recv(Some(src), tag));
         }
         loop {
-            match self.comm.recv_timeout(Some(src), tag, self.sweep) {
+            match self.comm.recv_timeout(Some(src), tag, default_sweep()) {
                 Ok(m) => return Ok(m),
                 Err(e @ RecvError::DeadPeer { .. }) => return Err(e),
                 Err(RecvError::Timeout { .. }) => {}
@@ -377,34 +323,47 @@ mod tests {
     }
 
     #[test]
-    fn liveness_sweep_reports_each_departure_once() {
+    fn a_detecting_poll_reports_departures_the_caller_holds_live() {
+        use crate::net::NetProfile;
         use simcluster::{FaultPlan, Sim, SimTime};
-        let sim = Sim::new(4);
+        let sim = Sim::new(5);
         let plan = FaultPlan::none().kill_at(2, SimTime(1_000));
-        let out = sim.run_faulty(plan, |ctx| {
-            match ctx.rank() {
-                0 => {
-                    let mut live = Liveness::all(4);
-                    ctx.charge(SimDuration::from_micros(10));
-                    let first = live.sweep(&ctx);
-                    let second = live.sweep(&ctx);
-                    assert!(!live.is_live(1) && !live.is_live(2));
-                    assert!(live.is_live(3));
-                    ctx.post(3, 0, bytes::Bytes::new(), SimDuration::ZERO);
-                    (first, second)
-                }
-                // Rank 1 returns at once: it has left the run too.
-                1 => (Vec::new(), Vec::new()),
-                // Rank 2 blocks forever and is killed; rank 3 waits for
-                // the master's word and is still live at the sweeps.
-                _ => {
-                    let _ = ctx.recv(Some(0), None);
-                    (Vec::new(), Vec::new())
-                }
+        let out = sim.run_faulty(plan, |ctx| match ctx.rank() {
+            0 => {
+                let comm = Comm::new(&ctx, NetProfile::altix_numalink());
+                let pump = Pump::new(&comm, true);
+                ctx.charge(SimDuration::from_micros(10));
+                let before = ctx.now();
+                // Rank 4 left too, but the caller already holds it dead.
+                let Polled::Dead(dead) = pump.poll(|r| r != 4, None, None) else {
+                    panic!("the sweep must report the departures before any message");
+                };
+                let swept_at = ctx.now();
+                // With the departed ranks recorded, rank 3's word arrives.
+                let Polled::Msg(m) = pump.poll(|r| r == 3, None, None) else {
+                    panic!("no rank the caller holds live has left");
+                };
+                comm.send(3, 0, bytes::Bytes::new());
+                (dead, swept_at - before, m.src)
+            }
+            // Ranks 1 and 4 return at once: they have left the run.
+            1 | 4 => Default::default(),
+            // Rank 2 blocks forever and is killed; rank 3 reports in and
+            // waits for the master's word, live at every sweep.
+            2 => {
+                let _ = ctx.recv(Some(0), None);
+                Default::default()
+            }
+            _ => {
+                let comm = Comm::new(&ctx, NetProfile::altix_numalink());
+                comm.send(0, 0, bytes::Bytes::new());
+                let _ = comm.recv(Some(0), None);
+                Default::default()
             }
         });
-        let (first, second) = out.outputs[0].clone().unwrap();
-        assert_eq!(first, vec![1, 2]);
-        assert_eq!(second, Vec::<usize>::new());
+        let (dead, cost, from) = out.outputs[0].clone().unwrap();
+        assert_eq!(dead, vec![1, 2]);
+        assert_eq!(cost, SimDuration::ZERO);
+        assert_eq!(from, 3);
     }
 }

@@ -203,10 +203,10 @@ pub fn export_chrome(trace: &Trace, filter: Option<&[Lane]>) -> String {
 
     // All other lanes: raw events in merged order, with begin/end
     // sanitized per (rank, lane). The stack remembers begin names so
-    // end events display matching names in the viewer.
+    // end events display matching names in the viewer. A lane's stack
+    // sits at its discriminant, which is its place in `Lane::ALL`.
     let mut stacks: Vec<Vec<Vec<String>>> =
         vec![Lane::ALL.map(|_| Vec::new()).to_vec(); trace.nranks];
-    let lane_idx = |lane: Lane| Lane::ALL.iter().position(|l| *l == lane).unwrap();
     // Slot slices awaiting their end event, keyed by the `(rank, seq)`
     // the end will carry (begin's seq + 1 — `closed_span` records the
     // pair adjacently). Slot ends can't use the lane stacks: slices on
@@ -227,7 +227,7 @@ pub fn export_chrome(trace: &Trace, filter: Option<&[Lane]>) -> String {
                         continue;
                     }
                 }
-                stacks[e.rank][lane_idx(e.lane)].push(e.name.to_string());
+                stacks[e.rank][e.lane as usize].push(e.name.to_string());
                 event_line(&e.name, 'B', e.rank, tid, e.t, &e.args, false, &mut lines);
             }
             EventKind::End => {
@@ -235,7 +235,7 @@ pub fn export_chrome(trace: &Trace, filter: Option<&[Lane]>) -> String {
                     event_line(&name, 'E', e.rank, tid, e.t, &e.args, false, &mut lines);
                     continue;
                 }
-                if let Some(name) = stacks[e.rank][lane_idx(e.lane)].pop() {
+                if let Some(name) = stacks[e.rank][e.lane as usize].pop() {
                     event_line(&name, 'E', e.rank, tid, e.t, &e.args, false, &mut lines);
                 }
             }

@@ -86,7 +86,7 @@ impl TraceDiff {
 
 impl RunProfile {
     /// Cluster busy-time totals per `(lane, name)`, summed over ranks —
-    /// the aggregate a committed [`Baseline`] pins down.
+    /// the aggregate a committed baseline file pins down.
     pub fn cluster_totals(&self) -> BTreeMap<(String, String), u64> {
         let mut agg = BTreeMap::new();
         for ((_, lane, name), ns) in &self.totals {
@@ -94,21 +94,6 @@ impl RunProfile {
         }
         agg
     }
-}
-
-/// A committed performance baseline: the cluster busy-ns profile of one
-/// deterministic traced run, one `(lane, name)` row per span kind.
-/// Rendered and parsed by [`render_baseline`]/[`parse_baseline`] so CI
-/// can keep it in the repository and gate growth with
-/// [`check_baseline`].
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct Baseline {
-    /// Rank count of the baseline run.
-    pub ranks: usize,
-    /// Wall clock of the baseline run (virtual ns).
-    pub wall_ns: u64,
-    /// Cluster busy ns per `(lane, name)`.
-    pub totals: BTreeMap<(String, String), u64>,
 }
 
 /// Render a profile as a committed baseline file: a header comment,
@@ -130,100 +115,28 @@ pub fn render_baseline(p: &RunProfile) -> String {
     out
 }
 
-/// Parse a baseline file written by [`render_baseline`]. Returns a
-/// message naming the first offending line on malformed input.
-pub fn parse_baseline(text: &str) -> Result<Baseline, String> {
-    let mut ranks = None;
-    let mut wall_ns = None;
-    let mut totals = BTreeMap::new();
-    for (idx, raw) in text.lines().enumerate() {
-        let lineno = idx + 1;
-        let line = raw.trim();
-        if line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        let fields: Vec<&str> = line.split('\t').collect();
-        match fields.as_slice() {
-            ["ranks", n] => {
-                ranks = Some(n.parse().map_err(|_| format!("line {lineno}: bad ranks"))?)
-            }
-            ["wall_ns", n] => {
-                wall_ns = Some(
-                    n.parse()
-                        .map_err(|_| format!("line {lineno}: bad wall_ns"))?,
-                )
-            }
-            [lane, name, ns] => {
-                let ns: u64 = ns
-                    .parse()
-                    .map_err(|_| format!("line {lineno}: bad busy ns"))?;
-                totals.insert((lane.to_string(), name.to_string()), ns);
-            }
-            _ => return Err(format!("line {lineno}: expected lane<TAB>name<TAB>ns")),
-        }
+/// Check a run against a committed baseline file: it passes only when
+/// [`render_baseline`] reproduces the file exactly — the DES is
+/// deterministic, so any difference is a change in simulated work, and
+/// a malformed file fails because it cannot equal a rendering. Returns
+/// every line only the baseline holds (`-`) and every line only the
+/// run renders (`+`); empty means the run matches.
+pub fn check_baseline(base: &str, current: &RunProfile) -> Vec<String> {
+    let rendered = render_baseline(current);
+    if base == rendered {
+        return Vec::new();
     }
-    Ok(Baseline {
-        ranks: ranks.ok_or("missing ranks line")?,
-        wall_ns: wall_ns.ok_or("missing wall_ns line")?,
-        totals,
-    })
-}
-
-/// Gate a profile against a committed baseline: every `(lane, name)`
-/// row whose busy time grew more than `max_growth_pct` percent (and by
-/// more than `min_delta_ns`, so sub-noise lanes cannot trip the gate),
-/// every row absent from the baseline, plus the wall clock under the
-/// same rule. Returns one human-readable message per regression —
-/// empty means the run is within budget. Shrinkage never fails.
-pub fn check_baseline(
-    base: &Baseline,
-    current: &RunProfile,
-    max_growth_pct: f64,
-    min_delta_ns: u64,
-) -> Vec<String> {
-    let mut failures = Vec::new();
-    let grew = |was: u64, now: u64| -> bool {
-        now > was + min_delta_ns && (now as f64) > (was as f64) * (1.0 + max_growth_pct / 100.0)
+    let only = |sign: char, of: &str, other: &str| {
+        let other: std::collections::BTreeSet<&str> = other.lines().collect();
+        let lines = of.lines().filter(|l| !other.contains(l));
+        lines.map(|l| format!("{sign}{l}")).collect::<Vec<_>>()
     };
-    if current.ranks != base.ranks {
-        failures.push(format!(
-            "rank count changed: baseline {}, run {} (regenerate the baseline)",
-            base.ranks, current.ranks
-        ));
-    }
-    if grew(base.wall_ns, current.wall_ns) {
-        failures.push(format!(
-            "wall clock grew {} -> {} (+{:.1}%)",
-            fmt_ns(base.wall_ns),
-            fmt_ns(current.wall_ns),
-            pct_growth(base.wall_ns, current.wall_ns),
-        ));
-    }
-    for ((lane, name), &now) in &current.cluster_totals() {
-        match base.totals.get(&(lane.clone(), name.clone())) {
-            Some(&was) if grew(was, now) => failures.push(format!(
-                "{lane} / {name}: busy {} -> {} (+{:.1}%)",
-                fmt_ns(was),
-                fmt_ns(now),
-                pct_growth(was, now),
-            )),
-            Some(_) => {}
-            None if now > min_delta_ns => failures.push(format!(
-                "{lane} / {name}: busy {} but absent from the baseline (regenerate it)",
-                fmt_ns(now),
-            )),
-            None => {}
-        }
+    let mut failures = only('-', base, &rendered);
+    failures.extend(only('+', &rendered, base));
+    if failures.is_empty() {
+        failures.push("the same lines in a different order or layout".into());
     }
     failures
-}
-
-fn pct_growth(was: u64, now: u64) -> f64 {
-    if was == 0 {
-        f64::INFINITY
-    } else {
-        (now as f64 / was as f64 - 1.0) * 100.0
-    }
 }
 
 /// Fold an exported Chrome trace into per-`(rank, lane, name)` busy
@@ -403,11 +316,13 @@ pub fn render_diff(d: &TraceDiff, top: usize) -> String {
             "\nper-rank rows ({} diverging, same rank space):",
             d.per_rank.len()
         );
-        for row in d.per_rank.iter().take(top) {
+        // Every per-rank row carries its rank.
+        let ranked = d.per_rank.iter().filter_map(|row| Some((row.rank?, row)));
+        for (rank, row) in ranked.take(top) {
             let _ = writeln!(
                 out,
                 "  rank {:<5} {:<18} {:<22} A {:>12}  B {:>12}  {}",
-                row.rank.expect("per-rank row"),
+                rank,
                 row.lane,
                 row.name,
                 fmt_ns(row.a_ns),
@@ -535,7 +450,7 @@ mod tests {
     }
 
     #[test]
-    fn baseline_roundtrips_and_gates_growth() {
+    fn a_baseline_passes_only_its_exact_rendering() {
         let build = |dur: u64| {
             move |t: &Tracer| {
                 t.record(0, 0, Lane::Io, EventKind::Begin, "read".into(), Vec::new());
@@ -545,30 +460,33 @@ mod tests {
             }
         };
         let base_profile = profile_chrome(&trace_json(build(10_000), 2, 20_000)).unwrap();
-        let base = parse_baseline(&render_baseline(&base_profile)).unwrap();
-        assert_eq!(base.ranks, 2);
-        assert_eq!(base.wall_ns, 20_000);
-        assert_eq!(base.totals[&("io".into(), "read".into())], 10_000);
+        let base = render_baseline(&base_profile);
+        assert!(base.contains("ranks\t2\nwall_ns\t20000\n"), "{base}");
+        assert!(base.contains("io\tread\t10000\n"), "{base}");
 
-        // The identical run passes; small growth under the threshold
-        // passes; growth past the threshold fails and names the lane.
-        assert!(check_baseline(&base, &base_profile, 25.0, 100).is_empty());
-        let slightly = profile_chrome(&trace_json(build(11_000), 2, 20_000)).unwrap();
-        assert!(check_baseline(&base, &slightly, 25.0, 100).is_empty());
-        let blown = profile_chrome(&trace_json(build(20_000), 2, 30_000)).unwrap();
-        let failures = check_baseline(&base, &blown, 25.0, 100);
-        assert!(
-            failures.iter().any(|f| f.contains("io / read")),
-            "{failures:?}"
+        // The identical run passes; any growth fails, however small, and
+        // names the row on both sides.
+        assert!(check_baseline(&base, &base_profile).is_empty());
+        let slightly = profile_chrome(&trace_json(build(10_001), 2, 20_000)).unwrap();
+        assert_eq!(
+            check_baseline(&base, &slightly),
+            vec!["-io\tread\t10000", "+io\tread\t10001"]
         );
-        assert!(failures.iter().any(|f| f.contains("wall")), "{failures:?}");
-        // Sub-noise growth never trips the gate even at huge percentages.
-        let tiny = profile_chrome(&trace_json(build(10_050), 2, 20_000)).unwrap();
-        assert!(check_baseline(&base, &tiny, 0.1, 100).is_empty());
+        // So does shrinkage.
+        let shrunk = profile_chrome(&trace_json(build(9_000), 2, 20_000)).unwrap();
+        assert_eq!(
+            check_baseline(&base, &shrunk),
+            vec!["-io\tread\t10000", "+io\tread\t9000"]
+        );
+        // Reordered lines are not the same text.
+        let mut lines: Vec<&str> = base.lines().collect();
+        lines.swap(2, 3);
+        let reordered = lines.join("\n") + "\n";
+        assert_eq!(check_baseline(&reordered, &base_profile).len(), 1);
     }
 
     #[test]
-    fn baseline_flags_new_lanes_and_rejects_malformed_files() {
+    fn a_baseline_mismatch_lists_new_and_missing_rows_and_malformed_files_fail() {
         let serial = |t: &Tracer| {
             t.record(0, 0, Lane::Io, EventKind::Begin, "read".into(), Vec::new());
             t.record(0, 5_000, Lane::Io, EventKind::End, "".into(), Vec::new());
@@ -586,19 +504,20 @@ mod tests {
             );
             t.record(0, 9_000, Lane::Io, EventKind::End, "".into(), Vec::new());
         };
-        let base_profile = profile_chrome(&trace_json(serial, 1, 10_000)).unwrap();
-        let base = parse_baseline(&render_baseline(&base_profile)).unwrap();
-        let current = profile_chrome(&trace_json(staged, 1, 10_000)).unwrap();
-        let failures = check_baseline(&base, &current, 25.0, 100);
-        assert!(
-            failures.iter().any(|f| f.contains("stage.put")),
-            "{failures:?}"
-        );
+        let serial = profile_chrome(&trace_json(serial, 1, 10_000)).unwrap();
+        let staged = profile_chrome(&trace_json(staged, 1, 10_000)).unwrap();
+        // A lane the baseline lacks, and one the run lost.
+        let added = check_baseline(&render_baseline(&serial), &staged);
+        assert_eq!(added, vec!["+io\tstage.put\t4000"]);
+        let lost = check_baseline(&render_baseline(&staged), &serial);
+        assert_eq!(lost, vec!["-io\tstage.put\t4000"]);
 
-        assert!(parse_baseline("ranks\t2\n").is_err());
-        assert!(parse_baseline("ranks\t2\nwall_ns\tx\n").is_err());
-        assert!(parse_baseline("ranks\t2\nwall_ns\t5\nio read 3\n").is_err());
-        assert!(parse_baseline("# comment\nranks\t2\nwall_ns\t5\nio\tread\t3\n").is_ok());
+        for malformed in ["", "ranks\t1\n", "ranks\t1\nwall_ns\tx\nio\tread\t5000\n"] {
+            assert!(
+                !check_baseline(malformed, &serial).is_empty(),
+                "{malformed:?}"
+            );
+        }
     }
 
     #[test]

@@ -39,6 +39,7 @@
 //! any event is stamped, so traces are deterministic for a fixed seed.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod analyze;
 pub mod check;

@@ -14,7 +14,7 @@
 
 use std::borrow::Cow;
 use std::cell::RefCell;
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, PoisonError};
 
 use crate::event::{ArgVal, Event, EventKind, Lane};
 
@@ -80,7 +80,11 @@ impl Tracer {
         name: Cow<'static, str>,
         args: Vec<(&'static str, ArgVal)>,
     ) {
-        let mut buf = self.inner.ranks[rank].lock().unwrap();
+        // Each update below leaves the buffer valid, so one poisoned by
+        // a panicking rank is used as it is.
+        let mut buf = self.inner.ranks[rank]
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner);
         let seq = buf.seq;
         buf.seq += 1;
         if buf.events.len() >= self.inner.cap {
@@ -105,7 +109,7 @@ impl Tracer {
         let mut events = Vec::new();
         let mut dropped = 0;
         for m in &self.inner.ranks {
-            let buf = std::mem::take(&mut *m.lock().unwrap());
+            let buf = std::mem::take(&mut *m.lock().unwrap_or_else(PoisonError::into_inner));
             dropped += buf.dropped;
             events.extend(buf.events);
         }

@@ -185,14 +185,21 @@ cargo test --release -q --test zero_copy
 # line, so every trace below stays byte-identical.
 cargo test --release -q -p pioblast-cli --lib trace_check_refuses_a_trace_whose_tracer_dropped_events
 # A worker that returns its own error has left the run like a killed one:
-# the liveness sweep reports both, so under the point-to-point lowering a
+# the pump's sweep reports both, so under the point-to-point lowering a
 # truncated `.seq` or a full file system ends in typed errors on every
 # rank (AllWorkersDied under Recover, WorkerDied + Aborted in a stream
 # without it) instead of a sweep that never ends. Each run arms a kill of
 # the master at t = 1000 s, so a regression fails rather than hangs.
-cargo test --release -q -p mpisim --lib liveness_sweep_reports_each_departure_once
+cargo test --release -q -p mpisim --lib a_detecting_poll_reports_departures_the_caller_holds_live
 cargo test --release -q --test fault_recovery recovery_ends_when_every_worker_returns
 cargo test --release -q --test service a_worker_that_returns_an_error_without_recover_fails_the_stream
+# One liveness table per master: the pump sweeps only the ranks its
+# caller holds live, so the caller must record each death it reports.
+# Two kills under Recover leave one sweep.dead and one worker_dead each
+# and the fault-free report; mpiBLAST's one death is swept once and
+# ends the run in WorkerDied.
+cargo test --release -q --test fault_recovery each_death_under_recovery_is_swept_and_handled_once
+cargo test --release -q -p mpiblast --lib a_detected_death_is_swept_once_and_ends_the_run
 # One failure vocabulary: mpiBLAST's setup failures are the PioError
 # variants pioBLAST's are (Input(Store) for a missing query file,
 # Input(Malformed) for a short or lying fragment index), every worker
@@ -338,23 +345,17 @@ cmp "$tracetmp/report.txt" "$tracetmp/report-mpi-detect.txt"
 "$cli" trace-diff --a "$tracetmp/trace-128.json" --b "$tracetmp/trace-128.json" \
   >"$tracetmp/diff-self.txt"
 grep -q "traces are equivalent" "$tracetmp/diff-self.txt"
-# Perf-regression gate: every traced run above is diffed against the
-# committed per-(lane,phase) busy-ns baselines. The DES is
-# deterministic, so any growth past --max-growth-pct on a lane/phase
-# is a real change in simulated work, not noise; shrinkage passes.
-# When a change legitimately moves a profile, regenerate it with
+# Regression gate: every traced run above is checked against its
+# committed per-(lane,phase) busy-ns baseline. The DES is deterministic,
+# so the profile must render to the committed file byte for byte; a
+# mismatch lists the baseline's rows (-) and the run's (+). When a
+# change legitimately moves a profile, regenerate it with
 #   target/release/pioblast-sim trace-diff --in <trace.json> \
 #     --write-baseline scripts/trace-baselines/<name>.tsv
 # and commit the result.
 for t in trace trace-async trace-async-frags trace-dynamic trace-hybrid trace-serve \
   trace-serve-async trace-128 trace-burst trace-recover trace-mpi trace-mpi-detect; do
-  "$cli" trace-diff --in "$tracetmp/$t.json" \
-    --baseline "scripts/trace-baselines/$t.tsv" --max-growth-pct 25
-  # Shrinkage passes the growth gate, so a refactor that dropped a span
-  # would stay green. The DES is deterministic: the profile must
-  # reproduce the committed one byte for byte.
-  "$cli" trace-diff --in "$tracetmp/$t.json" --write-baseline "$tracetmp/$t.tsv"
-  cmp "$tracetmp/$t.tsv" "scripts/trace-baselines/$t.tsv"
+  "$cli" trace-diff --in "$tracetmp/$t.json" --baseline "scripts/trace-baselines/$t.tsv"
 done
 
 # The frozen benchmark harness (benchmark/, BENCHMARK.json) builds what

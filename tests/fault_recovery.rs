@@ -24,6 +24,7 @@ use parafs::StoreError;
 use pioblast::{FaultMode, FragmentSchedule, InputError, PioError};
 use proptest::prelude::*;
 use simcluster::{FaultPlan, SimTime};
+use tracelog::ArgVal;
 
 fn run_recover_opts(
     nranks: usize,
@@ -119,6 +120,45 @@ fn recovery_ends_when_every_worker_returns_an_output_error() {
     assert_every_worker_returned(&done, |e| {
         matches!(e, PioError::Output(StoreError::NoSpace { .. }))
     });
+}
+
+/// The master machine's table is the only record of who is live, so
+/// each death must still be swept, traced and handled once: two workers
+/// killed at different points of a traced run leave one `sweep.dead`
+/// and one `worker_dead` instant each, and the report is the fault-free
+/// one.
+#[test]
+fn each_death_under_recovery_is_swept_and_handled_once() {
+    let plan = common::watchdog()
+        .kill_after_sends(2, 2)
+        .kill_after_sends(4, 5);
+    let opts = Opts {
+        nranks: 5,
+        plan,
+        traced: true,
+        ..Opts::default()
+    };
+    let done = run_opts(opts, |cfg| {
+        cfg.num_fragments = Some(9);
+        cfg.collective_output = false;
+        cfg.schedule = FragmentSchedule::Dynamic;
+        cfg.fault = FaultMode::Recover;
+    });
+    assert_eq!(done.killed, vec![2, 4]);
+    assert!(
+        matches!(done.outputs[0], Some(Ok(_))),
+        "{:?}",
+        done.outputs[0]
+    );
+    assert_eq!(done.report, reference_bytes());
+    let trace = done.trace.expect("traced run");
+    let instants = |name: &str| -> Vec<Vec<(&str, ArgVal)>> {
+        let named = trace.events.iter().filter(|e| e.name == name);
+        named.map(|e| e.args.clone()).collect()
+    };
+    let victims = |r: [usize; 2]| r.map(|r| vec![("rank", r.into())]).to_vec();
+    assert_eq!(instants("sweep.dead"), victims([2, 4]));
+    assert_eq!(instants("worker_dead"), victims([2, 4]));
 }
 
 proptest! {
