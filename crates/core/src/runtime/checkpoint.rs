@@ -1,19 +1,17 @@
 //! Fragment checkpointing (`Recover` + [`RunPolicy::checkpoint`]):
 //! workers persist each searched `(batch, fragment)` — submission
 //! metadata plus the formatted record bytes — before acknowledging the
-//! grant. When a worker dies, the master re-queues only the fragments no
-//! valid blob covers and adopts the checkpointed ones as orphans into its
-//! own [`ResultCache`]: their metadata is spliced into the merge and the
-//! master writes their records. A blob is deterministic in its key, so
-//! rewrites in retried epochs are idempotent. The master lets go of a
-//! batch's blobs when the batch seals; the run drops every file at the
-//! end.
+//! grant. When a worker dies, the master looks its fragments up here:
+//! probe, decode, validate, and adopt each valid blob's payload into its
+//! one orphan [`ResultCache`] at once, whose metadata is spliced into the
+//! merge and whose records the master writes. The machine requeues only
+//! the fragments no valid blob covers. A blob is deterministic in its
+//! key, so rewrites in retried epochs are idempotent. The master lets go
+//! of a batch's adopted payloads when the batch seals; the run drops
+//! every file at the end.
 //!
 //! [`RunPolicy::checkpoint`]: super::RunPolicy::checkpoint
 
-use std::collections::HashMap;
-
-use bytes::Bytes;
 use mpiblast::wire::{FragmentCheckpoint, MetaSubmission};
 use mpiio::IoPlane;
 use parafs::StoreError;
@@ -21,7 +19,6 @@ use seqfmt::Wire;
 
 use crate::app::PioBlastConfig;
 use crate::cache::{FragmentPayload, ResultCache};
-use crate::fault::PioError;
 
 /// Shared-file-system path of one `(batch, fragment)` checkpoint blob.
 fn path(cfg: &PioBlastConfig, batch: usize, fragment: usize) -> String {
@@ -78,65 +75,31 @@ pub(super) fn drop_all(io: &IoPlane<'_, '_>, cfg: &PioBlastConfig, nbatches: usi
     }
 }
 
-/// The master's side: the valid blobs found at deaths in the current
-/// batch, and the cache their orphans' payloads are adopted into.
-#[derive(Default)]
-pub(super) struct Orphans {
-    blobs: HashMap<usize, FragmentPayload>,
-    cache: ResultCache,
-}
-
-impl Orphans {
-    /// Which of the dead `(owner, fragment)` pairs have a valid blob for
-    /// `batch`; each is kept for the merge. A partial write (the owner
-    /// died mid-checkpoint) decodes as garbage and counts as absent; so
-    /// does a blob whose metadata does not `fit` the batch.
-    pub(super) fn find(
-        &mut self,
-        io: &IoPlane<'_, '_>,
-        cfg: &PioBlastConfig,
-        batch: usize,
-        owned: impl Iterator<Item = (usize, usize)>,
-        fits: impl Fn(usize, &MetaSubmission) -> bool,
-    ) -> Vec<usize> {
-        let mut found = Vec::new();
-        for (w, f) in owned {
-            let Ok(blob) = io.checkpoint_get(&path(cfg, batch, f)) else {
-                continue;
-            };
-            let Ok(ck) = FragmentCheckpoint::decode(&blob) else {
-                continue;
-            };
-            if fits(w, &ck.meta) && ck.batch as usize == batch && ck.fragment as usize == f {
-                self.blobs.insert(f, (ck.meta, ck.records));
-                found.push(f);
-            }
+/// The master's side: which of the dead `(owner, fragment)` pairs have a
+/// valid blob for `batch`, in the order given. Each valid blob's payload
+/// is adopted into `orphans`, the master's cache. A partial write (the
+/// owner died mid-checkpoint) decodes as garbage and counts as absent;
+/// so does a blob whose metadata does not `fit` the batch.
+pub(super) fn find(
+    io: &IoPlane<'_, '_>,
+    cfg: &PioBlastConfig,
+    batch: usize,
+    owned: impl Iterator<Item = (usize, usize)>,
+    fits: impl Fn(usize, &MetaSubmission) -> bool,
+    orphans: &mut ResultCache,
+) -> Vec<usize> {
+    let mut found = Vec::new();
+    for (w, f) in owned {
+        let Ok(blob) = io.checkpoint_get(&path(cfg, batch, f)) else {
+            continue;
+        };
+        let Ok(ck) = FragmentCheckpoint::decode(&blob) else {
+            continue;
+        };
+        if fits(w, &ck.meta) && ck.batch as usize == batch && ck.fragment as usize == f {
+            orphans.adopt((ck.meta, ck.records));
+            found.push(f);
         }
-        found
     }
-
-    /// Adopt the orphans' payloads (ascending fragment order) into a
-    /// fresh cache for the master's write, and return its metadata: the
-    /// orphan pseudo-submission.
-    pub(super) fn adopt(&mut self, orphans: &[usize]) -> Result<MetaSubmission, PioError> {
-        self.cache = ResultCache::default();
-        for &f in orphans {
-            let payload = self.blobs.get(&f).ok_or_else(|| {
-                PioError::Protocol(format!("fragment {f} orphaned without a checkpoint"))
-            })?;
-            self.cache.adopt(payload.clone());
-        }
-        Ok(self.cache.metadata())
-    }
-
-    /// The adopted records the merge assigned to the master, at their
-    /// offsets.
-    pub(super) fn assigned(
-        &self,
-        records: &[(u32, u32, u64)],
-    ) -> Result<Vec<(u64, Bytes)>, PioError> {
-        self.cache.assigned_records(records).map_err(|(q, oid)| {
-            PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
-        })
-    }
+    found
 }

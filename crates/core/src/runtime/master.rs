@@ -1,4 +1,5 @@
-//! The master's protocol state machine — pure transitions, no I/O.
+//! The master's protocol state machine: it sends no messages and does
+//! no file I/O, and it traces the decisions it makes.
 //!
 //! One machine drives every mode. The cycle per query batch is
 //! `Distribute -> Collect -> WaitWrites`, then either the next batch or
@@ -14,10 +15,9 @@
 //! * **WaitWrites** — offsets were assigned; the master waits for every
 //!   live worker's write acknowledgement before sealing the batch.
 //!
-//! Where each fragment stands is recorded once: the grant queue holds
-//! every fragment's owner (and last holder, which steers service-mode
-//! re-grants back to the data), and the machine keeps only the set of
-//! orphans beside it.
+//! Where each fragment stands is recorded once, in the grant queue: every
+//! fragment's owner (and last holder, which steers service-mode re-grants
+//! back to the data). The master's own row holds the orphans.
 //!
 //! A worker death is one event, and only the point-to-point lowering
 //! ever reports one (the collective lowering hangs, like MPI). Unless the
@@ -25,13 +25,14 @@
 //! victim owned that no valid checkpoint covers re-enters the queue,
 //! searched and acknowledged or not — its results lived only in the
 //! victim's cache — rewinding the phase to `Distribute`, while the
-//! checkpointed ones become orphans. If nothing needs re-searching, the
-//! machine only rewinds to `Collect` and re-merges with the orphans
-//! spliced in.
-
-use std::collections::BTreeSet;
+//! checkpointed ones become orphans: the master owns them, ascending,
+//! until the batch seals. If nothing needs re-searching, the machine only
+//! rewinds to `Collect` and re-merges with the orphans spliced in. The
+//! machine traces each victim's `worker_dead` and each fragment it
+//! requeues.
 
 use mpiblast::wire::MetaSubmission;
+use mpiblast::MASTER;
 use mpisim::sched::{chunk_evenly, GrantQueue};
 
 use super::RunPolicy;
@@ -159,11 +160,11 @@ pub struct MasterSm {
     /// acknowledged their last fragment) and got nothing, or the static
     /// scatter handed them their whole share.
     idle: Vec<bool>,
+    /// Every fragment's owner. `MASTER`'s row holds the current batch's
+    /// orphans, whose dead owner left a valid checkpoint: the merge
+    /// splices in their blobs, and they re-enter the queue when the batch
+    /// is sealed.
     queue: GrantQueue,
-    /// Fragments of the current batch whose dead owner left a valid
-    /// checkpoint: the merge adopts their blobs, and they re-enter the
-    /// queue when the batch is sealed.
-    orphans: BTreeSet<usize>,
     epoch: u64,
     batch: usize,
     subs: Vec<Option<MetaSubmission>>,
@@ -184,7 +185,6 @@ impl MasterSm {
             live,
             idle: vec![false; nranks],
             queue: GrantQueue::new(policy.nfrags, nranks),
-            orphans: BTreeSet::new(),
             epoch: 0,
             batch: 0,
             subs: vec![None; nranks],
@@ -212,6 +212,11 @@ impl MasterSm {
         (sm, acts)
     }
 
+    /// The policy the machine runs under.
+    pub fn policy(&self) -> &RunPolicy {
+        &self.policy
+    }
+
     /// Current phase.
     pub fn phase(&self) -> MasterPhase {
         self.phase
@@ -227,14 +232,10 @@ impl MasterSm {
         self.epoch
     }
 
-    /// Fragments currently owned by `rank`.
+    /// Fragments currently owned by `rank`; `MASTER`'s are the current
+    /// batch's orphans, ascending.
     pub fn owned(&self, rank: usize) -> &[usize] {
         self.queue.owned(rank)
-    }
-
-    /// The current batch's orphans: fragments a dead owner checkpointed.
-    pub fn orphans(&self) -> &BTreeSet<usize> {
-        &self.orphans
     }
 
     /// Is `rank` still presumed live?
@@ -326,7 +327,7 @@ impl MasterSm {
             batch: self.batch,
             epoch: self.epoch,
             subs,
-            orphans: self.orphans.iter().copied().collect(),
+            orphans: self.queue.owned(MASTER).to_vec(),
         }]
     }
 
@@ -349,18 +350,18 @@ impl MasterSm {
             return vec![MasterAction::Finish];
         }
         self.batch += 1;
-        // The orphans' blobs covered the sealed batch only.
-        for f in std::mem::take(&mut self.orphans) {
-            self.queue.push(f);
-        }
-        if self.policy.service {
-            // A stream batch searches the whole database again: every
-            // fragment re-enters circulation. Workers keep the *bytes*
-            // resident, and under affinity each fragment's re-grant goes
-            // back to its last holder so the read is skipped.
-            for w in 1..self.policy.nranks {
-                let _ = self.queue.release(w, false, |_| true);
-            }
+        // The orphans' blobs covered the sealed batch only, so they go
+        // back to the queue first. A stream batch searches the whole
+        // database again: every fragment re-enters circulation. Workers
+        // keep the *bytes* resident, and under affinity each fragment's
+        // re-grant goes back to its last holder so the read is skipped.
+        let ranks = if self.policy.service {
+            self.policy.nranks
+        } else {
+            MASTER + 1
+        };
+        for r in MASTER..ranks {
+            let _ = self.queue.release(r, false);
         }
         self.redistribute()
     }
@@ -416,11 +417,33 @@ impl MasterSm {
         if matches!(self.phase, MasterPhase::Finished | MasterPhase::Failed) {
             return Vec::new();
         }
+        let mut requeued_any = false;
         for &w in ranks {
             self.live[w] = false;
             self.idle[w] = false;
             self.subs[w] = None;
             self.done[w] = false;
+            let rank = ("rank", w.into());
+            tracelog::instant(tracelog::Lane::Runtime, "worker_dead", vec![rank]);
+            if !self.policy.recovers() {
+                continue;
+            }
+            // Recover: the checkpointed fragments become the master's
+            // orphans, and every other one is requeued. Service mode
+            // requeues at the *front*: a stream of batches keeps
+            // refilling the queue's tail, and a tail requeue would starve
+            // recovered fragments behind work that arrived after the
+            // death.
+            self.queue
+                .hand_over(w, MASTER, |f| checkpointed.contains(f));
+            for f in self.queue.release(w, self.policy.service) {
+                requeued_any = true;
+                tracelog::instant(
+                    tracelog::Lane::Runtime,
+                    "requeue",
+                    vec![("fragment", f.into()), ("owner", w.into())],
+                );
+            }
         }
         if !self.policy.recovers() {
             // Nobody asked to recover, so nobody posted the fences that
@@ -431,20 +454,6 @@ impl MasterSm {
                 error: PioError::WorkerDied { rank: ranks[0] },
                 abort_workers: true,
             }];
-        }
-        // Recover: requeue every fragment of the victims' that no
-        // checkpoint covers; the checkpointed ones become orphans.
-        let mut requeued_any = false;
-        for &w in ranks {
-            // Service mode requeues a victim's fragments at the *front*:
-            // a stream of batches keeps refilling the queue's tail, and a
-            // tail requeue would starve recovered fragments behind work
-            // that arrived after the death.
-            let (requeued, orphaned) = self
-                .queue
-                .release(w, self.policy.service, |f| !checkpointed.contains(f));
-            self.orphans.extend(orphaned);
-            requeued_any |= !requeued.is_empty();
         }
         if !self.any_worker_live() {
             self.phase = MasterPhase::Failed;
@@ -635,7 +644,7 @@ mod tests {
             ranks: vec![1],
             checkpointed: vec![0],
         });
-        assert_eq!(*sm.orphans(), BTreeSet::from([0]));
+        assert_eq!(sm.owned(MASTER), &[0]);
         // Fragment 2 must be re-granted — worker 2 is busy, so no grant
         // yet; its ack pulls the requeued fragment.
         assert!(acts.is_empty());

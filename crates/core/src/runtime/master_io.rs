@@ -20,14 +20,13 @@ use seqfmt::codec::Writer;
 use seqfmt::{AliasFile, VolumeIndex, Wire};
 use simcluster::{PhaseTimes, RankCtx, SimDuration, SimTime};
 
-use super::checkpoint::{self, Orphans};
+use super::checkpoint;
 use super::lowering::Lowering;
 use super::master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
 use super::output::{build_plane, fence_staging};
-use super::{
-    policy_of, Grant, RunPolicy, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT,
-};
+use super::{policy_of, Grant, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT};
 use crate::app::{query_batches, PioBlastConfig};
+use crate::cache::ResultCache;
 use crate::fault::PioError;
 use crate::merge::{merge_and_layout, MergeOutcome};
 use crate::proto::{FragmentAssignment, PartitionMessage};
@@ -53,19 +52,20 @@ pub(super) struct MasterIo<'a, 'b> {
     /// `FaultMode::Recover` and unconditionally before the run returns.
     pub(super) io: &'a IoPlane<'a, 'b>,
     pub(super) lowering: Lowering,
-    policy: RunPolicy,
     report_cfg: ReportConfig,
     molecule: blast_core::Molecule,
     pub(super) batches: Vec<Vec<SeqRecord>>,
     volumes: Vec<String>,
     assignments: Vec<FragmentAssignment>,
     /// The machine whose actions this performs: the master's only
-    /// record of fragments and of which workers are live.
+    /// record of its policy, of fragments and of which workers are live.
     pub(super) sm: MasterSm,
     pub(super) phase_times: PhaseTimes,
     prepared_cache: Vec<Option<Arc<PreparedQueries>>>,
     batch_offsets: Vec<u64>,
-    pub(super) orphans: Orphans,
+    /// The current batch's orphans' payloads, adopted as each death's
+    /// checkpoints are found.
+    pub(super) orphans: ResultCache,
     pub(super) outcome: Option<MergeOutcome>,
     input_mark: Option<SimTime>,
     pub(super) out_mark: Option<SimTime>,
@@ -172,7 +172,6 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             cfg,
             io,
             lowering,
-            policy,
             report_cfg,
             molecule: bundle.molecule,
             batches,
@@ -182,7 +181,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             phase_times,
             prepared_cache: (0..nbatches).map(|_| None).collect(),
             batch_offsets: vec![0; nbatches + 1],
-            orphans: Orphans::default(),
+            orphans: ResultCache::default(),
             outcome: None,
             input_mark: Some(input_mark),
             out_mark: None,
@@ -258,42 +257,21 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         }
     }
 
-    /// Deaths -> event, classifying each owned fragment of each victim
-    /// as checkpointed (a valid blob exists for the current batch) or
-    /// not.
+    /// Deaths -> event: each owned fragment of each victim with a valid
+    /// checkpoint blob for the current batch is reported, and its payload
+    /// adopted into the orphan cache.
     fn dead_event(&mut self, ranks: Vec<usize>) -> MasterEvent {
         let mut checkpointed = Vec::new();
         let sm = &self.sm;
-        if self.policy.checkpoint {
+        if sm.policy().checkpoint {
             let batch = sm.batch();
             let owned = ranks
                 .iter()
                 .flat_map(|&w| sm.owned(w).iter().map(move |&f| (w, f)));
             let queries = &self.batches[batch];
             let fits = |w, meta: &MetaSubmission| check_queries(queries, w, meta).is_ok();
-            checkpointed = self.orphans.find(self.io, self.cfg, batch, owned, fits);
-        }
-        // The machine will requeue exactly the victims' owned fragments
-        // that lack a checkpoint; mirror that decision into the trace so
-        // recovery runs leave a legible dead -> requeue -> re-collect
-        // record.
-        for &w in &ranks {
-            tracelog::instant(
-                tracelog::Lane::Runtime,
-                "worker_dead",
-                vec![("rank", w.into())],
-            );
-            if self.policy.recovers() {
-                for &f in sm.owned(w) {
-                    if !checkpointed.contains(&f) {
-                        tracelog::instant(
-                            tracelog::Lane::Runtime,
-                            "requeue",
-                            vec![("fragment", f.into()), ("owner", w.into())],
-                        );
-                    }
-                }
-            }
+            checkpointed =
+                checkpoint::find(self.io, self.cfg, batch, owned, fits, &mut self.orphans);
         }
         MasterEvent::Dead {
             ranks,
@@ -459,13 +437,11 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                 ("orphans", orphans.len().into()),
             ],
         );
-        if !orphans.is_empty() {
-            subs[MASTER] = self.orphans.adopt(orphans)?;
-        }
+        subs[MASTER] = self.orphans.metadata();
         let prepared = self.prepared(batch);
         // Service mode writes each stream batch to its own file, so
         // every report starts at offset zero.
-        let start_offset = if self.policy.service {
+        let start_offset = if self.sm.policy().service {
             0
         } else {
             self.batch_offsets[batch]
@@ -499,9 +475,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     /// Every live worker wrote: write the master's share, then seal.
     fn finish_batch(&mut self, batch: usize) -> Result<Vec<MasterEvent>, PioError> {
         self.write_master_share(batch)?;
-        // The sealed batch's blobs and adopted records are done with.
-        self.orphans = Orphans::default();
-        if self.policy.recovers() {
+        // The sealed batch's adopted records are done with.
+        self.orphans = ResultCache::default();
+        if self.sm.policy().recovers() {
             // Epoch fence: the sealed batch's staged output must be
             // durable before recovery can treat the batch as done — a
             // later death must never expose a report whose bytes still
@@ -543,8 +519,9 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         // Final fence: nothing joins a staged drain after the rank body
         // returns, so every absorbed byte must land now.
         fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
-        if self.policy.checkpoint {
-            let (nbatches, nfrags) = (self.policy.nbatches, self.policy.nfrags);
+        let policy = self.sm.policy();
+        if policy.checkpoint {
+            let (nbatches, nfrags) = (policy.nbatches, policy.nfrags);
             checkpoint::drop_all(self.io, self.cfg, nbatches, nfrags);
         }
     }

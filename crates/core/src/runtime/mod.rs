@@ -1,18 +1,21 @@
 //! The event-driven protocol runtime: one master/worker protocol for
 //! every mode.
 //!
-//! * [`MasterSm`] and [`WorkerSm`] are pure `event -> (state', actions)`
-//!   machines: the fragment queue (each fragment's owner and last
-//!   holder), the orphan set, the master's only liveness table and epoch
-//!   fencing; the worker's batch/search lifecycle.
+//! * [`MasterSm`] and [`WorkerSm`] are `event -> (state', actions)`
+//!   machines that send no messages and do no file I/O: the fragment
+//!   queue (each fragment's owner and last holder; the master's own row
+//!   holds the orphans), the master's only liveness table, its one
+//!   requeue-or-orphan decision per death, and epoch fencing; the
+//!   worker's batch/search lifecycle.
 //! * `lowering` is the one place that picks a transport: collectives for
 //!   a one-shot fault-free run, epoch-fenced point-to-point commands with
 //!   sweeps of the machine's live workers for `Recover` and service mode.
 //! * `master_io` and `worker_io` are each side's setup and its one loop
 //!   between its machine and the lowering; `search` ingests and searches
 //!   fragments, `output` writes the report, `checkpoint` persists
-//!   searched fragments and finds a dead worker's for the master, whose
-//!   [`ResultCache`](crate::cache::ResultCache) adopts them as orphans.
+//!   searched fragments and looks up a dead worker's for the master,
+//!   adopting each valid one into the master's one orphan
+//!   [`ResultCache`](crate::cache::ResultCache).
 //!
 //! [`FaultMode`] is a policy on the one machine, not a protocol: a death
 //! the point-to-point lowering hears of is recovered if the policy

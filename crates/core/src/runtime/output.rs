@@ -149,7 +149,12 @@ impl MasterIo<'_, '_> {
             PioError::Protocol(format!("batch {batch} finished before it was merged"))
         })?;
         let path = report_path(self.cfg, batch);
-        let orphans = self.orphans.assigned(&outcome.per_rank[MASTER].records)?;
+        let orphans = self
+            .orphans
+            .assigned_records(&outcome.per_rank[MASTER].records)
+            .map_err(|(q, oid)| {
+                PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
+            })?;
         if !orphans.is_empty() {
             flush_output(self.io, &path, orphans)?;
         }

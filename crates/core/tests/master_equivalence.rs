@@ -8,6 +8,7 @@
 //! equal.
 
 use mpiblast::wire::MetaSubmission;
+use mpiblast::MASTER;
 use pioblast::runtime::{MasterAction, MasterEvent, MasterPhase, MasterSm, RunPolicy};
 use pioblast::{
     ClusterEnv, FaultMode, FragmentSchedule, PioBlastConfig, Platform, QueryStreamPlan,
@@ -172,15 +173,19 @@ fn debug<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
 }
 
 /// Everything observable of the two machines, as text.
+/// The orphans are the master's own row: it renders in the orphan slot,
+/// and rank 0's row as the reference's empty one.
 fn state(sm: &MasterSm, nranks: usize) -> String {
-    let owned: Vec<&[usize]> = (0..nranks).map(|r| sm.owned(r)).collect();
+    let owned: Vec<&[usize]> = (0..nranks)
+        .map(|r| if r == MASTER { &[] } else { sm.owned(r) })
+        .collect();
     let live: Vec<usize> = sm.live_workers().collect();
     format!(
         "{:?} batch {} epoch {} owned {owned:?} live {live:?} orphans {:?}",
         sm.phase(),
         sm.batch(),
         sm.epoch(),
-        sm.orphans().iter().collect::<Vec<_>>(),
+        sm.owned(MASTER),
     )
 }
 

@@ -11,8 +11,9 @@
 //! table and records each death the pump reports: pioBLAST's master
 //! machine holds the only one, and mpiBLAST's master needs none, since
 //! its first death ends the run. The grant queue is the pioBLAST
-//! master's only record of where a fragment stands; beside it the master
-//! keeps just the set of checkpointed orphans.
+//! master's only record of where a fragment stands: a rank's row holds
+//! the fragments it owns, and the caller names the rank that inherits a
+//! dead owner's fragments when they are not requeued.
 
 use simcluster::{Message, SimDuration};
 
@@ -132,8 +133,9 @@ impl<'a, 'b> Pump<'a, 'b> {
 /// A fragment grant queue with per-worker ownership tracking.
 ///
 /// Fragments are identified by index. Grants record ownership so a
-/// worker's death can requeue (or orphan) exactly what it held, and each
-/// fragment's last holder so a re-grant can go back to its data.
+/// worker's death can requeue exactly what it held or hand it to another
+/// rank's row, and each fragment's last holder so a re-grant can go back
+/// to its data.
 #[derive(Debug, Clone)]
 pub struct GrantQueue {
     pending: std::collections::VecDeque<usize>,
@@ -205,38 +207,39 @@ impl GrantQueue {
         &self.owned[rank]
     }
 
-    /// Strip `rank` of its fragments, pushing those matching `requeue`
-    /// back onto the queue in grant order — at the *front* with `front`
-    /// set, else at the tail — and dropping the rest. Returns
-    /// `(requeued, dropped)` fragment lists. Under a long stream backlog
-    /// a tail requeue starves a dead worker's recovered fragments behind
-    /// every pending batch; service mode requeues at the front so
-    /// recovery work is granted next.
-    pub fn release(
-        &mut self,
-        rank: usize,
-        front: bool,
-        requeue: impl FnMut(&usize) -> bool,
-    ) -> (Vec<usize>, Vec<usize>) {
-        let (requeued, dropped): (Vec<usize>, Vec<usize>) = std::mem::take(&mut self.owned[rank])
+    /// Move the fragments of `rank` that `pred` accepts into `heir`'s
+    /// row, each at its place in ascending order, so a row that only ever
+    /// inherits stays sorted.
+    pub fn hand_over(&mut self, rank: usize, heir: usize, pred: impl FnMut(&usize) -> bool) {
+        let (moved, kept): (Vec<usize>, Vec<usize>) = std::mem::take(&mut self.owned[rank])
             .into_iter()
-            .partition(requeue);
+            .partition(pred);
+        self.owned[rank] = kept;
+        for f in moved {
+            let row = &mut self.owned[heir];
+            let at = row.partition_point(|&g| g < f);
+            row.insert(at, f);
+        }
+    }
+
+    /// Strip `rank` of its fragments and push them back onto the queue in
+    /// row order — at the *front* with `front` set, else at the tail.
+    /// Returns them. Under a long stream backlog a tail requeue starves a
+    /// dead worker's recovered fragments behind every pending batch;
+    /// service mode requeues at the front so recovery work is granted
+    /// next.
+    pub fn release(&mut self, rank: usize, front: bool) -> Vec<usize> {
+        let released = std::mem::take(&mut self.owned[rank]);
         if front {
-            // Reverse push_front keeps the requeued block in grant order
-            // at the head of the queue.
-            for &f in requeued.iter().rev() {
+            // Reverse push_front keeps the released block in row order at
+            // the head of the queue.
+            for &f in released.iter().rev() {
                 self.pending.push_front(f);
             }
         } else {
-            self.pending.extend(&requeued);
+            self.pending.extend(&released);
         }
-        (requeued, dropped)
-    }
-
-    /// Push a fragment back onto the queue tail (e.g. a previously
-    /// orphaned fragment re-entering circulation at a batch boundary).
-    pub fn push(&mut self, frag: usize) {
-        self.pending.push_back(frag);
+        released
     }
 }
 
@@ -259,9 +262,9 @@ mod tests {
         assert_eq!(q.grant_to(1), Some(0));
         assert_eq!(q.grant_chunk(2, 2), vec![1, 2]);
         assert_eq!(q.owned(2), &[1, 2]);
-        let (requeued, dropped) = q.release(2, false, |&f| f != 1);
-        assert_eq!(requeued, vec![2]);
-        assert_eq!(dropped, vec![1]);
+        q.hand_over(2, 0, |&f| f == 1);
+        assert_eq!(q.release(2, false), vec![2]);
+        assert_eq!(q.owned(0), &[1]);
         assert_eq!(q.owned(2), &[] as &[usize]);
         // Pending order: untouched tail first, then the requeue.
         assert_eq!(q.pending().collect::<Vec<_>>(), vec![3, 2]);
@@ -274,8 +277,8 @@ mod tests {
         assert_eq!(q.grant_to_preferring(1), Some(0));
         assert_eq!(q.grant_to(2), Some(1));
         assert_eq!(q.grant_to_preferring(1), Some(2));
-        let _ = q.release(1, false, |_| true);
-        let _ = q.release(2, false, |_| true);
+        let _ = q.release(1, false);
+        let _ = q.release(2, false);
         assert_eq!(q.pending().collect::<Vec<_>>(), vec![3, 4, 0, 2, 1]);
         // Rank 1 last held 0 and 2: affinity pulls them (frontmost
         // first), skipping over 3 and 4; then it steals from the front.
@@ -292,12 +295,12 @@ mod tests {
     fn the_last_grant_decides_which_rank_a_fragment_prefers() {
         let mut q = GrantQueue::new(3, 4);
         assert_eq!(q.grant_to(1), Some(0));
-        let _ = q.release(1, false, |_| true);
+        let _ = q.release(1, false);
         // Fragment 0 goes to rank 1, then to rank 2; 1 and 2 to rank 3.
         assert_eq!(q.grant_chunk(3, 2), vec![1, 2]);
         assert_eq!(q.grant_to(2), Some(0));
-        let _ = q.release(3, false, |_| true);
-        let _ = q.release(2, false, |_| true);
+        let _ = q.release(3, false);
+        let _ = q.release(2, false);
         assert_eq!(q.pending().collect::<Vec<_>>(), vec![1, 2, 0]);
         // Rank 1 no longer draws fragment 0 past the front; rank 2 does.
         assert_eq!(q.clone().grant_to_preferring(1), Some(1));
@@ -309,17 +312,40 @@ mod tests {
         let mut q = GrantQueue::new(6, 3);
         assert_eq!(q.grant_chunk(1, 3), vec![0, 1, 2]);
         // Backlog 3,4,5 is pending when rank 1 dies holding 0,1,2 with
-        // fragment 1 checkpointed (dropped). The recovered fragments must
-        // come out *before* the backlog, in grant order.
-        let (requeued, dropped) = q.release(1, true, |&f| f != 1);
-        assert_eq!(requeued, vec![0, 2]);
-        assert_eq!(dropped, vec![1]);
+        // fragment 1 checkpointed (handed over). The recovered fragments
+        // must come out *before* the backlog, in grant order.
+        q.hand_over(1, 0, |&f| f == 1);
+        assert_eq!(q.release(1, true), vec![0, 2]);
         assert_eq!(q.pending().collect::<Vec<_>>(), vec![0, 2, 3, 4, 5]);
         // Tail release, by contrast, starves them behind the backlog.
         let mut tail = GrantQueue::new(6, 3);
         assert_eq!(tail.grant_chunk(1, 3), vec![0, 1, 2]);
-        let _ = tail.release(1, false, |&f| f != 1);
+        tail.hand_over(1, 0, |&f| f == 1);
+        let _ = tail.release(1, false);
         assert_eq!(tail.pending().collect::<Vec<_>>(), vec![3, 4, 5, 0, 2]);
+    }
+
+    #[test]
+    fn an_heir_keeps_handed_fragments_ascending_and_releases_them_to_the_tail() {
+        let mut q = GrantQueue::new(7, 4);
+        assert_eq!(q.grant_chunk(2, 3), vec![0, 1, 2]);
+        assert_eq!(q.grant_to(3), Some(3));
+        assert_eq!(q.grant_to(2), Some(4));
+        assert_eq!(q.grant_to(3), Some(5));
+        // Rank 2 dies first and leaves {0, 2, 4} to the heir, rank 0;
+        // rank 3's {3, 5} land between them, not after.
+        q.hand_over(2, 0, |&f| f != 1);
+        assert_eq!(q.owned(2), &[1]);
+        q.hand_over(3, 0, |_| true);
+        assert_eq!(q.owned(0), &[0, 2, 3, 4, 5]);
+        assert_eq!(q.owned(3), &[] as &[usize]);
+        // The heir's row goes back to the queue's tail, ascending, and
+        // the heir holds nothing after.
+        assert_eq!(q.release(0, false), vec![0, 2, 3, 4, 5]);
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![6, 0, 2, 3, 4, 5]);
+        assert_eq!(q.owned(0), &[] as &[usize]);
+        // Handing over leaves the last holder: rank 2 still draws 0 first.
+        assert_eq!(q.grant_to_preferring(2), Some(0));
     }
 
     #[test]

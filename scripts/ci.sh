@@ -157,12 +157,13 @@ cargo test --release -q -p mpiblast --lib outside_the_set
 cargo test --release -q -p pioblast --lib a_hostile_master_gets_a_typed_error_from_a_real_worker
 cargo test --release -q -p pioblast --lib off_and_recover_lower_one_dynamic_cycle
 # One record per fragment on the master: with the grant queue (owner and
-# last holder) and one orphan set as its only fragment state, the master
-# machine acts and moves exactly as the ledger-and-hints machine kept in
-# crates/core/tests/reference/ does, on random event streams under every
-# policy the configuration accepts. A fragment is preferred by its last
-# holder only, and a checkpoint payload adopted into a ResultCache gives
-# the metadata and records of formatting the fragment directly.
+# last holder; its own row holds the orphans) as its only fragment
+# record, the master machine acts and moves exactly as the
+# ledger-and-hints machine kept in crates/core/tests/reference/ does, on
+# random event streams under every policy the configuration accepts. A
+# fragment is preferred by its last holder only, and a checkpoint
+# payload adopted into a ResultCache gives the metadata and records of
+# formatting the fragment directly.
 cargo test --release -q -p pioblast --test master_equivalence
 cargo test --release -q -p mpisim --lib the_last_grant_decides_which_rank_a_fragment_prefers
 cargo test --release -q -p pioblast --lib an_adopted_checkpoint_payload_equals_formatting_the_fragment
@@ -200,6 +201,16 @@ cargo test --release -q --test service a_worker_that_returns_an_error_without_re
 # ends the run in WorkerDied.
 cargo test --release -q --test fault_recovery each_death_under_recovery_is_swept_and_handled_once
 cargo test --release -q -p mpiblast --lib a_detected_death_is_swept_once_and_ends_the_run
+# One death decision on the master: the machine requeues what no
+# checkpoint covers and hands the rest to the master's own row of the
+# grant queue. Two workers dead at one instant: every requeued fragment
+# is one its owner never searched and is searched again on a live rank,
+# the searched ones are the merge's orphans, and the report is the
+# fault-free one. An heir's row stays ascending and releases to the
+# queue's tail. Both death tests run under a host-time deadline, so a
+# master that loops at one virtual instant fails instead of hanging.
+cargo test --release -q --test fault_recovery a_death_requeues_exactly_what_its_checkpoints_do_not_cover
+cargo test --release -q -p mpisim --lib an_heir_keeps_handed_fragments_ascending_and_releases_them_to_the_tail
 # One failure vocabulary: mpiBLAST's setup failures are the PioError
 # variants pioBLAST's are (Input(Store) for a missing query file,
 # Input(Malformed) for a short or lying fragment index), every worker

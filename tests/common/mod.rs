@@ -5,6 +5,9 @@
 // Every test binary compiles this module and uses its own subset.
 #![allow(dead_code)]
 
+use std::sync::mpsc::{self, RecvTimeoutError};
+use std::time::Duration;
+
 use blast_core::seq::SeqRecord;
 use mpiblast::setup::{stage_queries, stage_shared_db};
 use mpiblast::{ClusterEnv, Platform, RankReport};
@@ -59,6 +62,30 @@ pub fn staged(
 /// so the test fails rather than hangs.
 pub fn watchdog() -> FaultPlan {
     FaultPlan::none().kill_at(0, SimTime::ZERO + SimDuration::from_secs(1_000))
+}
+
+/// Run `job` on a thread of its own and return what it returns; fail if
+/// it has not finished after `secs` seconds of host time. A master that
+/// loops at one virtual instant never reaches [`watchdog`]'s kill, so a
+/// test that could loop that way runs under both. A panic in `job` is
+/// raised again here. On a timeout the job's thread is left running: a
+/// looping job can never be joined, and it ends with the test process.
+pub fn within_host_secs<T: Send + 'static>(
+    secs: u64,
+    job: impl FnOnce() -> T + Send + 'static,
+) -> T {
+    let (done, finished) = mpsc::channel();
+    let handle = std::thread::spawn(move || {
+        let out = job();
+        let _ = done.send(());
+        out
+    });
+    if let Err(RecvTimeoutError::Timeout) = finished.recv_timeout(Duration::from_secs(secs)) {
+        panic!("the job did not finish within {secs} s of host time");
+    }
+    handle
+        .join()
+        .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
 }
 
 /// Bytes `fs` holds right now — what a test caps it at

@@ -24,7 +24,7 @@ use parafs::StoreError;
 use pioblast::{FaultMode, FragmentSchedule, InputError, PioError};
 use proptest::prelude::*;
 use simcluster::{FaultPlan, SimTime};
-use tracelog::ArgVal;
+use tracelog::{ArgVal, Event};
 
 fn run_recover_opts(
     nranks: usize,
@@ -122,6 +122,10 @@ fn recovery_ends_when_every_worker_returns_an_output_error() {
     });
 }
 
+/// Host-time bound on a death test: far past its run in a debug build,
+/// and what ends it if the master loops at one virtual instant.
+const DEATH_TEST_SECS: u64 = 60;
+
 /// The master machine's table is the only record of who is live, so
 /// each death must still be swept, traced and handled once: two workers
 /// killed at different points of a traced run leave one `sweep.dead`
@@ -129,36 +133,144 @@ fn recovery_ends_when_every_worker_returns_an_output_error() {
 /// one.
 #[test]
 fn each_death_under_recovery_is_swept_and_handled_once() {
-    let plan = common::watchdog()
-        .kill_after_sends(2, 2)
-        .kill_after_sends(4, 5);
-    let opts = Opts {
-        nranks: 5,
-        plan,
-        traced: true,
-        ..Opts::default()
-    };
-    let done = run_opts(opts, |cfg| {
-        cfg.num_fragments = Some(9);
-        cfg.collective_output = false;
-        cfg.schedule = FragmentSchedule::Dynamic;
-        cfg.fault = FaultMode::Recover;
+    common::within_host_secs(DEATH_TEST_SECS, || {
+        let plan = common::watchdog()
+            .kill_after_sends(2, 2)
+            .kill_after_sends(4, 5);
+        let opts = Opts {
+            nranks: 5,
+            plan,
+            traced: true,
+            ..Opts::default()
+        };
+        let done = run_opts(opts, |cfg| {
+            cfg.num_fragments = Some(9);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+        });
+        assert_eq!(done.killed, vec![2, 4]);
+        assert!(
+            matches!(done.outputs[0], Some(Ok(_))),
+            "{:?}",
+            done.outputs[0]
+        );
+        assert_eq!(done.report, reference_bytes());
+        let trace = done.trace.expect("traced run");
+        let instants = |name: &str| -> Vec<Vec<(&str, ArgVal)>> {
+            let named = trace.events.iter().filter(|e| e.name == name);
+            named.map(|e| e.args.clone()).collect()
+        };
+        let victims = |r: [usize; 2]| r.map(|r| vec![("rank", r.into())]).to_vec();
+        assert_eq!(instants("sweep.dead"), victims([2, 4]));
+        assert_eq!(instants("worker_dead"), victims([2, 4]));
     });
-    assert_eq!(done.killed, vec![2, 4]);
-    assert!(
-        matches!(done.outputs[0], Some(Ok(_))),
-        "{:?}",
-        done.outputs[0]
-    );
-    assert_eq!(done.report, reference_bytes());
-    let trace = done.trace.expect("traced run");
-    let instants = |name: &str| -> Vec<Vec<(&str, ArgVal)>> {
-        let named = trace.events.iter().filter(|e| e.name == name);
-        named.map(|e| e.args.clone()).collect()
-    };
-    let victims = |r: [usize; 2]| r.map(|r| vec![("rank", r.into())]).to_vec();
-    assert_eq!(instants("sweep.dead"), victims([2, 4]));
-    assert_eq!(instants("worker_dead"), victims([2, 4]));
+}
+
+/// The `u64` argument `key` of a trace event.
+fn arg(e: &Event, key: &str) -> usize {
+    match e.args.iter().find(|(k, _)| *k == key) {
+        Some((_, ArgVal::U64(v))) => *v as usize,
+        other => panic!("{} has no u64 {key}: {other:?}", e.name),
+    }
+}
+
+/// Two workers die at one virtual instant, each midway through its
+/// second fragment with its first one checkpointed, and one sweep reports
+/// both. The ground truth is what each rank's `search.fragment` spans say
+/// was searched, not the master's bookkeeping: a death requeues exactly
+/// the victim's granted fragments it had not searched, and each of them
+/// is searched once more on a live rank; the ones it had searched are
+/// the merge's orphans and are never searched again.
+#[test]
+fn a_death_requeues_exactly_what_its_checkpoints_do_not_cover() {
+    common::within_host_secs(DEATH_TEST_SECS, || {
+        // The fault-free run searches its second round of fragments from
+        // about 30 ms to 50 ms of virtual time.
+        let at = SimTime::ZERO + simcluster::SimDuration::from_millis(40);
+        let plan = common::watchdog().kill_at(2, at).kill_at(3, at);
+        let opts = Opts {
+            nranks: 5,
+            plan,
+            traced: true,
+            ..Opts::default()
+        };
+        let done = run_opts(opts, |cfg| {
+            cfg.num_fragments = Some(9);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+            cfg.checkpoint = true;
+        });
+        assert_eq!(done.killed, vec![2, 3]);
+        assert!(
+            matches!(done.outputs[0], Some(Ok(_))),
+            "{:?}",
+            done.outputs[0]
+        );
+        assert_eq!(done.report, reference_bytes());
+        let trace = done.trace.expect("traced run");
+        let events = &trace.events;
+        let named = |name: &'static str| {
+            let idx = (0..events.len()).filter(move |&i| events[i].name == name);
+            idx.map(|i| (i, &events[i]))
+        };
+        let victim = |rank: usize| done.killed.contains(&rank);
+
+        // One sweep reports both deaths.
+        let deaths: Vec<_> = named("worker_dead").collect();
+        let ranks: Vec<usize> = deaths.iter().map(|(_, e)| arg(e, "rank")).collect();
+        assert_eq!(ranks, vec![2, 3]);
+        assert!(deaths.iter().all(|(_, e)| e.t == deaths[0].1.t));
+        assert_eq!(named("sweep.dead").count(), 2);
+
+        // Every completed search, by rank; each fragment completes once.
+        let searches: Vec<(usize, &Event)> = named("search.fragment")
+            .map(|(_, e)| (arg(e, "fragment"), e))
+            .collect();
+        let mut fragments: Vec<usize> = searches.iter().map(|&(f, _)| f).collect();
+        fragments.sort_unstable();
+        assert_eq!(fragments, (0..9).collect::<Vec<_>>());
+        let searched_by_victims: Vec<usize> = searches
+            .iter()
+            .filter(|(_, e)| victim(e.rank))
+            .map(|&(f, _)| f)
+            .collect();
+
+        // Each requeue follows its owner's death, names a fragment its
+        // owner never searched, and that fragment is searched afterwards
+        // on a live rank.
+        let requeues: Vec<_> = named("requeue").collect();
+        for &(i, e) in &requeues {
+            let (f, owner) = (arg(e, "fragment"), arg(e, "owner"));
+            assert!(
+                deaths
+                    .iter()
+                    .any(|&(d, de)| d < i && arg(de, "rank") == owner),
+                "requeue of {f} before rank {owner}'s death"
+            );
+            assert!(!searched_by_victims.contains(&f), "{f} was checkpointed");
+            assert!(
+                searches
+                    .iter()
+                    .any(|&(g, s)| g == f && !victim(s.rank) && s.t >= e.t),
+                "requeued fragment {f} is never searched again"
+            );
+        }
+        // ...and exactly the fragments its owner was granted and had not
+        // searched: one grant carries one fragment.
+        for &w in &done.killed {
+            let granted = named("grant").filter(|(_, e)| arg(e, "to") == w).count();
+            let searched = searches.iter().filter(|(_, e)| e.rank == w).count();
+            let requeued = requeues.iter().filter(|(_, e)| arg(e, "owner") == w);
+            assert_eq!((searched, requeued.count()), (1, granted - searched));
+        }
+
+        // The victims' searched fragments are the merge's orphans.
+        let (_, merge) = named("merge").next_back().expect("a merge");
+        assert_eq!(arg(merge, "orphans"), searched_by_victims.len());
+        assert_eq!(requeues.len(), 2);
+    });
 }
 
 proptest! {
