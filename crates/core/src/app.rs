@@ -229,8 +229,8 @@ pub(crate) fn query_batches(queries: &[SeqRecord], batch: Option<usize>) -> Vec<
 
 /// The per-rank body of a pioBLAST run.
 ///
-/// Every mode runs the same [`crate::runtime`] state machines; the
-/// configuration only changes how their actions are lowered. With
+/// Every mode runs the same [`crate::runtime`] protocol; the
+/// configuration only changes how its messages are lowered. With
 /// [`PioBlastConfig::fault`] at its default (`Off`) this cannot fail in a
 /// fault-free simulation; under the point-to-point lowering (`Recover`,
 /// service mode) it returns a typed [`PioError`] when the run cannot

@@ -112,23 +112,6 @@ pub(crate) fn format_fragment(
 }
 
 impl ResultCache {
-    /// Format every hit of one searched fragment into its payload and
-    /// [adopt](ResultCache::adopt) it. Returns the number of record bytes
-    /// formatted. A hit whose oid falls outside `fragment` fails with a
-    /// typed error, and nothing is cached.
-    pub fn add_fragment(
-        &mut self,
-        params: &SearchParams,
-        report_cfg: &ReportConfig,
-        prepared: &PreparedQueries,
-        fragment: &FragmentData,
-        per_query: Vec<Vec<SubjectHit>>,
-    ) -> Result<u64, PioError> {
-        let (bytes, payload) = format_fragment(params, report_cfg, prepared, fragment, per_query)?;
-        self.adopt(payload);
-        Ok(bytes)
-    }
-
     /// Take one fragment's payload in: its records join the cache, and
     /// its per-query metadata is appended to any list the cache already
     /// holds for that query (several fragments per rank).
@@ -152,7 +135,7 @@ impl ResultCache {
     }
 
     /// A cached record's bytes.
-    pub fn record(&self, query_idx: u32, oid: u32) -> Option<&Bytes> {
+    fn record(&self, query_idx: u32, oid: u32) -> Option<&Bytes> {
         self.records.get(&(query_idx, oid))
     }
 
@@ -169,21 +152,6 @@ impl ResultCache {
                 .ok_or((q, oid))
         };
         assignments.iter().map(record).collect()
-    }
-
-    /// Number of cached records.
-    pub fn len(&self) -> usize {
-        self.records.len()
-    }
-
-    /// Whether nothing is cached.
-    pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
-    }
-
-    /// Total cached bytes.
-    pub fn total_bytes(&self) -> u64 {
-        self.records.values().map(|r| r.len() as u64).sum()
     }
 }
 
@@ -213,17 +181,37 @@ mod tests {
         (params, report_cfg, prepared, frag)
     }
 
+    /// The worker's path: format one searched fragment and adopt its
+    /// payload into a fresh cache; returns the formatted byte count too.
+    fn cached(
+        (params, cfg, prepared, frag): &(SearchParams, ReportConfig, PreparedQueries, FragmentData),
+        per_query: Vec<Vec<SubjectHit>>,
+    ) -> Result<(u64, ResultCache), PioError> {
+        let (bytes, payload) = format_fragment(params, cfg, prepared, frag, per_query)?;
+        let mut cache = ResultCache::default();
+        cache.adopt(payload);
+        Ok((bytes, cache))
+    }
+
+    /// Total cached record bytes.
+    fn cached_bytes(cache: &ResultCache) -> u64 {
+        cache.records.values().map(|r| r.len() as u64).sum()
+    }
+
+    fn search(
+        (params, _, prepared, frag): &(SearchParams, ReportConfig, PreparedQueries, FragmentData),
+    ) -> Vec<Vec<SubjectHit>> {
+        let searcher = BlastSearcher::new(params, prepared);
+        searcher.search(frag, &mut SearchScratch::new()).per_query
+    }
+
     #[test]
     fn cache_holds_formatted_records_with_exact_sizes() {
-        let (params, cfg, prepared, frag) = setup();
-        let searcher = BlastSearcher::new(&params, &prepared);
-        let result = searcher.search(&frag, &mut SearchScratch::new());
-        let mut cache = ResultCache::default();
-        let bytes = cache
-            .add_fragment(&params, &cfg, &prepared, &frag, result.per_query.clone())
-            .expect("hits resolve in their own fragment");
-        assert!(!cache.is_empty());
-        assert_eq!(bytes, cache.total_bytes());
+        let run = setup();
+        let (bytes, cache) =
+            cached(&run, search(&run)).expect("hits resolve in their own fragment");
+        assert!(!cache.records.is_empty());
+        assert_eq!(bytes, cached_bytes(&cache));
         let meta = cache.metadata();
         assert_eq!(meta.per_query.len(), 1);
         for (q, hits) in &meta.per_query {
@@ -239,14 +227,10 @@ mod tests {
 
     #[test]
     fn metadata_best_hsp_matches_search_order() {
-        let (params, cfg, prepared, frag) = setup();
-        let searcher = BlastSearcher::new(&params, &prepared);
-        let result = searcher.search(&frag, &mut SearchScratch::new());
-        let best_score = result.per_query[0][0].hsps[0].score;
-        let mut cache = ResultCache::default();
-        cache
-            .add_fragment(&params, &cfg, &prepared, &frag, result.per_query)
-            .expect("hits resolve in their own fragment");
+        let run = setup();
+        let per_query = search(&run);
+        let best_score = per_query[0][0].hsps[0].score;
+        let (_, cache) = cached(&run, per_query).expect("hits resolve in their own fragment");
         let meta = cache.metadata();
         let max_meta = meta.per_query[0]
             .1
@@ -261,18 +245,15 @@ mod tests {
     fn an_adopted_checkpoint_payload_equals_formatting_the_fragment() {
         use mpiblast::wire::FragmentCheckpoint;
         use seqfmt::Wire;
-        let (params, cfg, prepared, frag) = setup();
-        let searcher = BlastSearcher::new(&params, &prepared);
-        let result = searcher.search(&frag, &mut SearchScratch::new());
-        let mut direct = ResultCache::default();
-        direct
-            .add_fragment(&params, &cfg, &prepared, &frag, result.per_query.clone())
-            .expect("hits resolve in their own fragment");
+        let run = setup();
+        let (params, cfg, prepared, frag) = &run;
+        let per_query = search(&run);
+        let (_, direct) =
+            cached(&run, per_query.clone()).expect("hits resolve in their own fragment");
         // The master's path: the worker's payload, through a checkpoint
         // blob's bytes, adopted into a fresh cache.
-        let (_, (meta, records)) =
-            format_fragment(&params, &cfg, &prepared, &frag, result.per_query)
-                .expect("hits resolve in their own fragment");
+        let (_, (meta, records)) = format_fragment(params, cfg, prepared, frag, per_query)
+            .expect("hits resolve in their own fragment");
         let blob = FragmentCheckpoint {
             batch: 1,
             fragment: 3,
@@ -295,7 +276,7 @@ mod tests {
             adopted.assigned_records(&assignments),
             direct.assigned_records(&assignments)
         );
-        assert_eq!(adopted.total_bytes(), direct.total_bytes());
+        assert_eq!(cached_bytes(&adopted), cached_bytes(&direct));
     }
 
     #[test]
@@ -307,20 +288,15 @@ mod tests {
 
     #[test]
     fn hit_outside_fragment_is_a_typed_error_not_a_panic() {
-        let (params, cfg, prepared, frag) = setup();
-        let searcher = BlastSearcher::new(&params, &prepared);
-        let result = searcher.search(&frag, &mut SearchScratch::new());
+        let run = setup();
         // Forge a hit whose oid lies past the fragment's last sequence —
         // the shape a corrupted grant or a stale resident fragment would
         // produce.
-        let mut forged = result.per_query.clone();
+        let mut forged = search(&run);
         let mut bogus = forged[0][0].clone();
-        bogus.oid = frag.num_seqs() as u32 + 7;
+        bogus.oid = run.3.num_seqs() as u32 + 7;
         forged[0].push(bogus);
-        let mut cache = ResultCache::default();
-        let err = cache
-            .add_fragment(&params, &cfg, &prepared, &frag, forged)
-            .expect_err("out-of-fragment oid must fail");
+        let err = cached(&run, forged).expect_err("out-of-fragment oid must fail");
         match err {
             PioError::Protocol(msg) => assert!(msg.contains("no defline"), "{msg}"),
             other => panic!("wrong error kind: {other:?}"),

@@ -21,12 +21,12 @@ use simcluster::{Message, SimTime};
 
 use super::master::MasterEvent;
 use super::master_io::{check_queries, MasterIo};
-use super::worker::WorkerEvent;
-use super::worker_io::WorkerIo;
+use super::worker_io::{WorkerEvent, WorkerIo};
 use super::{
-    Fenced, Grant, RunPolicy, TAG_ABORT, TAG_ASSIGN, TAG_BUNDLE, TAG_DONE, TAG_FINISH, TAG_GRANT,
+    p2p, Fenced, Grant, TAG_ABORT, TAG_ASSIGN, TAG_BUNDLE, TAG_DONE, TAG_FINISH, TAG_GRANT,
     TAG_QBATCH, TAG_READY, TAG_SUBMIT, TAG_SUBMIT_REQ,
 };
+use crate::app::PioBlastConfig;
 use crate::fault::{FaultMode, PioError};
 
 /// How a run's messages travel, settled by the configuration alone.
@@ -54,10 +54,10 @@ pub(super) enum Step {
 }
 
 impl Lowering {
-    pub(super) fn of(policy: &RunPolicy) -> Lowering {
+    pub(super) fn of(cfg: &PioBlastConfig) -> Lowering {
         Lowering {
-            p2p: policy.p2p(),
-            bcast_bundle: policy.fault == FaultMode::Off,
+            p2p: p2p(cfg.fault, cfg.service.is_some()),
+            bcast_bundle: cfg.fault == FaultMode::Off,
         }
     }
 

@@ -37,7 +37,7 @@ pub(crate) fn run_master(
     comm: &Comm<'_>,
     cfg: &PioBlastConfig,
 ) -> Result<RankReport, PioError> {
-    let lowering = Lowering::of(&policy_of(ctx, cfg, 0));
+    let lowering = Lowering::of(cfg);
     let io = build_plane(ctx, comm, cfg, lowering);
     let (master, init) = MasterIo::new(ctx, comm, cfg, &io, lowering)?;
     master.run(init)

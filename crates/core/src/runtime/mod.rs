@@ -1,21 +1,22 @@
 //! The event-driven protocol runtime: one master/worker protocol for
 //! every mode.
 //!
-//! * [`MasterSm`] and [`WorkerSm`] are `event -> (state', actions)`
-//!   machines that send no messages and do no file I/O: the fragment
-//!   queue (each fragment's owner and last holder; the master's own row
-//!   holds the orphans), the master's only liveness table, its one
-//!   requeue-or-orphan decision per death, and epoch fencing; the
-//!   worker's batch/search lifecycle.
+//! * [`MasterSm`] is an `event -> (state', actions)` machine that sends
+//!   no messages and does no file I/O: the fragment queue (each
+//!   fragment's owner and last holder; the master's own row holds the
+//!   orphans), the master's only liveness table, its one
+//!   requeue-or-orphan decision per death, and epoch fencing.
 //! * `lowering` is the one place that picks a transport: collectives for
 //!   a one-shot fault-free run, epoch-fenced point-to-point commands with
 //!   sweeps of the machine's live workers for `Recover` and service mode.
-//! * `master_io` and `worker_io` are each side's setup and its one loop
-//!   between its machine and the lowering; `search` ingests and searches
-//!   fragments, `output` writes the report, `checkpoint` persists
-//!   searched fragments and looks up a dead worker's for the master,
-//!   adopting each valid one into the master's one orphan
-//!   [`ResultCache`](crate::cache::ResultCache).
+//! * `master_io` is the master's setup and its one loop between the
+//!   machine and the lowering. `worker_io` is the worker's: passive, it
+//!   acts on each command as it arrives, and holds only its prepared
+//!   batch and whether its fragments are searched against it. `search`
+//!   ingests and searches fragments, `output` writes the report, and
+//!   `checkpoint` persists searched fragments and looks up a dead
+//!   worker's for the master, adopting each valid one into the master's
+//!   one orphan [`ResultCache`](crate::cache::ResultCache).
 //!
 //! [`FaultMode`] is a policy on the one machine, not a protocol: a death
 //! the point-to-point lowering hears of is recovered if the policy
@@ -29,11 +30,9 @@ mod master;
 mod master_io;
 mod output;
 mod search;
-mod worker;
 mod worker_io;
 
 pub use master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
-pub use worker::{WorkerAction, WorkerEvent, WorkerSm};
 
 pub(crate) use master_io::run_master;
 pub(crate) use worker_io::run_worker;
@@ -100,14 +99,20 @@ pub struct RunPolicy {
     pub affinity: bool,
 }
 
+/// Point-to-point command protocol vs collectives. Service mode always
+/// uses the command protocol — admission and per-batch re-grants cannot
+/// be expressed as matched collectives. Implies the dynamic schedule:
+/// `PioBlastConfig::validate` rejects recovery and service mode on the
+/// static one.
+fn p2p(fault: FaultMode, service: bool) -> bool {
+    fault != FaultMode::Off || service
+}
+
 impl RunPolicy {
-    /// Point-to-point command protocol vs collectives. Service mode
-    /// always uses the command protocol — admission and per-batch
-    /// re-grants cannot be expressed as matched collectives. Implies
-    /// [`Self::dynamic`]: `PioBlastConfig::validate` rejects recovery and
-    /// service mode on the static schedule.
+    /// Point-to-point commands vs collectives under this policy: the
+    /// one predicate the lowering is settled by, too.
     pub fn p2p(&self) -> bool {
-        self.fault != FaultMode::Off || self.service
+        p2p(self.fault, self.service)
     }
 
     /// Request-driven distribution: every grant carries one fragment,
@@ -165,8 +170,9 @@ fn policy_of(ctx: &RankCtx, cfg: &PioBlastConfig, nbatches: usize) -> RunPolicy 
 mod tests {
     use super::*;
     use crate::fault::PioError;
+    use blast_core::seq::SeqRecord;
     use bytes::Bytes;
-    use mpiblast::wire::OffsetAssignment;
+    use mpiblast::wire::{MetaSubmission, OffsetAssignment};
     use seqfmt::Wire;
 
     /// The lowering a hand-played master speaks.
@@ -181,21 +187,39 @@ mod tests {
         Service,
     }
 
-    /// What a hand-played master has to hand: the query bundle and the
-    /// database's first two virtual fragments as grant assignments.
+    /// What a hand-played master has to hand: the query bundle, each
+    /// batch's one query, and the database's first two virtual fragments
+    /// as grant assignments.
     struct Script {
         bundle: Bytes,
+        queries: Vec<SeqRecord>,
         part: PartitionMessage,
     }
 
     impl Script {
-        /// A `TAG_GRANT` payload: `batch`, the first `ids.len()` fragments.
+        /// A `TAG_GRANT` payload: `batch`, the fragments `ids` names.
         fn grant(&self, batch: u32, ids: Vec<u32>, tweak: impl Fn(&mut PartitionMessage)) -> Bytes {
             let mut part = self.part.clone();
-            part.fragments.truncate(ids.len());
-            assert_eq!(part.fragments.len(), ids.len());
+            part.fragments = ids
+                .iter()
+                .map(|&id| self.part.fragments[id as usize].clone())
+                .collect();
             tweak(&mut part);
             Bytes::from(Grant { batch, ids, part }.encode())
+        }
+
+        /// A `TAG_QBATCH` payload: stream batch `batch`'s one query.
+        fn qbatch(&self, batch: usize) -> Bytes {
+            let mut frame = seqfmt::codec::Writer::default();
+            (batch as u32).put(&mut frame);
+            mpiblast::wire::put_queries(&self.queries[batch..=batch], &mut frame);
+            Bytes::from(frame.finish())
+        }
+
+        /// How many subjects fragment `id` holds.
+        fn subjects(&self, id: usize) -> u64 {
+            let spec = &self.part.fragments[id].spec;
+            spec.last_seq - spec.first_seq
         }
     }
 
@@ -209,6 +233,45 @@ mod tests {
         plan: simcluster::FaultPlan,
         master: impl Fn(&mpisim::Comm<'_>, &Script) + Sync,
     ) -> Result<mpiblast::RankReport, PioError> {
+        worker_run(lowering, schedule, 1, plan, master).outcome
+    }
+
+    /// What one real worker made of a hand-played master.
+    struct WorkerRun {
+        outcome: Result<mpiblast::RankReport, PioError>,
+        /// `(start, batch, fragment)` of every search the worker ran.
+        searches: Vec<(u64, u64, u64)>,
+        /// How many subjects each of the two fragments holds.
+        subjects: [u64; 2],
+    }
+
+    impl WorkerRun {
+        /// The worker finished, having searched `(batch, fragment)` as
+        /// `expected` says, in that order, and its search stats count
+        /// exactly those searches' subjects.
+        fn searched(self, expected: &[(u64, u64)]) {
+            let got: Vec<(u64, u64)> = self.searches.iter().map(|&(_, b, f)| (b, f)).collect();
+            assert_eq!(got, expected);
+            let subjects: u64 = expected
+                .iter()
+                .map(|&(_, f)| self.subjects[f as usize])
+                .sum();
+            let report = self.outcome.expect("the worker finished");
+            assert_eq!(report.search_stats.subjects, subjects);
+        }
+    }
+
+    /// [`worker_outcome`] over `nbatches` one-query batches, recording
+    /// every search the worker ran. Query `b` is subject `13 b` of the
+    /// database. Report writes are independent, so a hand-played
+    /// collective master need only join the barrier that seals a batch.
+    fn worker_run(
+        lowering: Lowering,
+        schedule: FragmentSchedule,
+        nbatches: usize,
+        plan: simcluster::FaultPlan,
+        master: impl Fn(&mpisim::Comm<'_>, &Script) + Sync,
+    ) -> WorkerRun {
         use crate::proto::FragmentAssignment;
         use crate::service::{QueryStreamPlan, ServiceOptions};
         use crate::testutil::{sample_queries, small_db, OUTPUT};
@@ -217,14 +280,18 @@ mod tests {
         use mpisim::Comm;
 
         let db = small_db(None);
-        let queries = sample_queries(&db, 1);
+        let queries = sample_queries(&db, nbatches);
         let platform = Platform::altix();
         let sim = simcluster::Sim::new(2);
+        let tracer = tracelog::Tracer::new(2);
+        sim.set_tracer(tracer.clone());
         let env = ClusterEnv::new(&sim, &platform);
         let db_alias = stage_shared_db(&env.shared, &db);
         let query_path = stage_queries(&env.shared, &queries);
         let mut cfg = PioBlastConfig {
             schedule,
+            query_batch: Some(1),
+            collective_output: false,
             ..PioBlastConfig::new(&platform, &env, &db_alias, &query_path, OUTPUT)
         };
         match lowering {
@@ -232,8 +299,8 @@ mod tests {
             Lowering::Recover => cfg.fault = FaultMode::Recover,
             Lowering::Service => {
                 cfg.service = Some(ServiceOptions {
-                    plan: QueryStreamPlan::generate(1, 1, 1, 1_000, 7),
-                    resident_bytes: 0,
+                    plan: QueryStreamPlan::generate(1, nbatches, nbatches, 1_000, 7),
+                    resident_bytes: u64::MAX,
                     affinity: false,
                 })
             }
@@ -247,11 +314,12 @@ mod tests {
                     queries: if lowering == Lowering::Service {
                         Vec::new()
                     } else {
-                        queries
+                        queries.clone()
                     },
                 }
                 .encode(),
             ),
+            queries,
             part: PartitionMessage {
                 fragments: seqfmt::virtual_fragments(&[&db.volumes[0].index], 2)
                     .into_iter()
@@ -274,10 +342,195 @@ mod tests {
                 }
             })
             .expect("neither a rank panic nor a deadlock");
-        out.outputs
-            .remove(1)
-            .flatten()
-            .expect("the worker returned")
+        let searches = tracer
+            .finish(out.elapsed.0)
+            .rank_events(1)
+            .filter(|e| e.name == "search.fragment" && e.kind == tracelog::EventKind::Begin)
+            .map(|e| {
+                let arg = |key| match e.args.iter().find(|(k, _)| *k == key) {
+                    Some((_, tracelog::ArgVal::U64(v))) => *v,
+                    other => panic!("search.fragment {key}: {other:?}"),
+                };
+                (e.t, arg("batch"), arg("fragment"))
+            })
+            .collect();
+        WorkerRun {
+            outcome: out
+                .outputs
+                .remove(1)
+                .flatten()
+                .expect("the worker returned"),
+            searches,
+            subjects: [script.subjects(0), script.subjects(1)],
+        }
+    }
+
+    /// The worker's next message to the master, which must carry `tag`.
+    fn from_worker(comm: &mpisim::Comm<'_>, tag: u64) -> Bytes {
+        let m = comm.recv(Some(1), None);
+        assert_eq!(m.tag, tag, "the worker sent tag {}", m.tag);
+        m.payload
+    }
+
+    /// Grant fragment `id` for `batch` point-to-point; returns when the
+    /// worker's acknowledgement arrived.
+    fn grant_acked(comm: &mpisim::Comm<'_>, s: &Script, batch: u32, id: u32) -> u64 {
+        comm.send(1, TAG_GRANT, s.grant(batch, vec![id], |_| {}));
+        from_worker(comm, TAG_READY);
+        comm.ctx().now().0
+    }
+
+    /// Ask for `batch`'s submission under `epoch` and return it.
+    fn submission(comm: &mpisim::Comm<'_>, batch: u32, epoch: u64) -> MetaSubmission {
+        comm.send(1, TAG_SUBMIT_REQ, Bytes::from((epoch, batch).encode()));
+        let (echo, sub) = Fenced::<MetaSubmission>::decode(&from_worker(comm, TAG_SUBMIT))
+            .expect("a fenced submission");
+        assert_eq!(echo, epoch);
+        sub
+    }
+
+    /// Assign the worker nothing under `epoch`; take its acknowledgement.
+    fn assign_nothing(comm: &mpisim::Comm<'_>, epoch: u64) {
+        let assign = (epoch, OffsetAssignment::default()).encode();
+        comm.send(1, TAG_ASSIGN, Bytes::from(assign));
+        assert_eq!(u64::decode(&from_worker(comm, TAG_DONE)), Ok(epoch));
+    }
+
+    /// Does `sub` list a hit on subject `oid`?
+    fn hits(sub: &MetaSubmission, oid: u32) -> bool {
+        sub.per_query
+            .iter()
+            .flat_map(|(_, h)| h)
+            .any(|h| h.oid == oid)
+    }
+
+    /// A collective master's side of each batch after distribution: the
+    /// gather, whose submission must hit the batch's query's own subject,
+    /// an empty assignment scatter, and the barrier that seals the batch.
+    fn collect_batches(comm: &mpisim::Comm<'_>, nbatches: usize) {
+        use mpisim::Collectives;
+        for b in 0..nbatches {
+            let subs = comm.gather(0, Bytes::new()).expect("the root gathers");
+            let sub = MetaSubmission::decode(&subs[1]).expect("a submission");
+            assert!(hits(&sub, 13 * b as u32), "batch {b}: {sub:?}");
+            let none = Bytes::from(OffsetAssignment::default().encode());
+            comm.scatterv(0, vec![none.clone(), none]);
+            comm.barrier();
+        }
+    }
+
+    #[test]
+    fn a_static_worker_searches_its_share_at_each_submission_request() {
+        // The scatter hands the worker both fragments, and nothing
+        // acknowledges it. The worker searches them at batch 0's
+        // submission request, then again, in the same order, at batch
+        // 1's against the new batch's query.
+        use mpisim::Collectives;
+        let run = worker_run(
+            Lowering::Collective,
+            FragmentSchedule::Static,
+            2,
+            simcluster::FaultPlan::none(),
+            |comm, s| {
+                comm.bcast(0, s.bundle.clone());
+                let empty = Bytes::from(Grant::default().encode());
+                comm.scatterv(0, vec![empty, s.grant(0, vec![0, 1], |_| {})]);
+                collect_batches(comm, 2);
+            },
+        );
+        run.searched(&[(0, 0), (0, 1), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn a_dynamic_worker_searches_each_grant_before_acknowledging_it() {
+        // Under Recover: the grant is searched before its ack leaves.
+        // Resubmitting batch 0 under a new epoch, or answering a stale
+        // request for it once batch 1 is under way, searches nothing
+        // more. A grant for batch 1 re-searches the held fragment first,
+        // then the new one, both before its ack.
+        let acks = std::sync::Mutex::new(Vec::new());
+        let run = worker_run(
+            Lowering::Recover,
+            FragmentSchedule::Dynamic,
+            2,
+            simcluster::FaultPlan::none(),
+            |comm, s| {
+                comm.send(1, TAG_BUNDLE, s.bundle.clone());
+                from_worker(comm, TAG_READY);
+                let mut acked = vec![grant_acked(comm, s, 0, 0)];
+                let batch0 = submission(comm, 0, 1);
+                assert!(hits(&batch0, 0), "{batch0:?}");
+                assert_eq!(submission(comm, 0, 2), batch0);
+                acked.push(grant_acked(comm, s, 1, 1));
+                let batch1 = submission(comm, 1, 3);
+                assert!(hits(&batch1, 13), "{batch1:?}");
+                assert_eq!(submission(comm, 0, 4), batch1);
+                assign_nothing(comm, 5);
+                comm.send(1, TAG_FINISH, Bytes::new());
+                *acks.lock().expect("no other rank holds the lock") = acked;
+            },
+        );
+        let acks = acks.into_inner().expect("the master did not panic");
+        let began: Vec<u64> = run.searches.iter().map(|&(t, _, _)| t).collect();
+        assert!(began[0] < acks[0], "{began:?} vs acks {acks:?}");
+        assert!(
+            acks[0] < began[1] && began[2] < acks[1],
+            "{began:?} vs acks {acks:?}"
+        );
+        run.searched(&[(0, 0), (1, 0), (1, 1)]);
+    }
+
+    #[test]
+    fn a_service_worker_never_re_searches_its_residents() {
+        // Fragment 0 stays resident after stream batch 0. Batch 1's
+        // prepare and submission request leave it alone; only its
+        // re-grant, a cache hit, searches it again, once.
+        let run = worker_run(
+            Lowering::Service,
+            FragmentSchedule::Dynamic,
+            2,
+            simcluster::FaultPlan::none(),
+            |comm, s| {
+                use mpisim::Collectives;
+                comm.bcast(0, s.bundle.clone());
+                comm.send(1, TAG_QBATCH, s.qbatch(0));
+                from_worker(comm, TAG_READY);
+                grant_acked(comm, s, 0, 0);
+                submission(comm, 0, 1);
+                assign_nothing(comm, 2);
+                comm.send(1, TAG_QBATCH, s.qbatch(1));
+                grant_acked(comm, s, 1, 1);
+                submission(comm, 1, 3);
+                grant_acked(comm, s, 1, 0);
+                submission(comm, 1, 4);
+                assign_nothing(comm, 5);
+                comm.send(1, TAG_FINISH, Bytes::new());
+            },
+        );
+        run.searched(&[(0, 0), (1, 1), (1, 0)]);
+    }
+
+    #[test]
+    fn a_one_shot_worker_re_searches_its_fragments_in_grant_order() {
+        // Two grants, fragment 1 before fragment 0, then the drain: each
+        // is searched on arrival, and batch 1 re-searches both in the
+        // order they were granted.
+        let run = worker_run(
+            Lowering::Collective,
+            FragmentSchedule::Dynamic,
+            2,
+            simcluster::FaultPlan::none(),
+            |comm, s| {
+                use mpisim::Collectives;
+                comm.bcast(0, s.bundle.clone());
+                for ids in [vec![1], vec![0], Vec::new()] {
+                    from_worker(comm, TAG_READY);
+                    comm.send(1, TAG_GRANT, s.grant(0, ids, |_| {}));
+                }
+                collect_batches(comm, 2);
+            },
+        );
+        run.searched(&[(0, 1), (0, 0), (1, 1), (1, 0)]);
     }
 
     /// Grant a real dynamic worker under the collective lowering the
@@ -483,7 +736,7 @@ mod tests {
         use crate::testutil::{sample_queries, small_db, OUTPUT};
         use blast_core::hsp::Hsp;
         use mpiblast::setup::{stage_queries, stage_shared_db};
-        use mpiblast::wire::{MetaHit, MetaSubmission};
+        use mpiblast::wire::MetaHit;
         use mpiblast::{ClusterEnv, Platform, MASTER};
         use mpisim::{Collectives, Comm};
 

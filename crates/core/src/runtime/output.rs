@@ -173,7 +173,9 @@ impl MasterIo<'_, '_> {
 
 impl WorkerIo<'_, '_> {
     /// Write the records the master assigned this worker for `batch`,
-    /// then acknowledge under `epoch`.
+    /// then acknowledge under `epoch`. Out of line, like the worker's
+    /// other command handlers (see `WorkerIo::on_grant`).
+    #[inline(never)]
     pub(super) fn write_assigned(&mut self, batch: usize, epoch: u64) -> Result<(), PioError> {
         let t = self.ctx.now();
         let assignment = self.assign.take().ok_or_else(|| {

@@ -1,5 +1,5 @@
 //! Ingest and search: a worker takes granted fragments in — from its
-//! resident store or the plane — and searches them against the prepared
+//! fragment store or the plane — and searches them against the prepared
 //! batch, caching formatted records and checkpointing them.
 
 use blast_core::search::{BlastSearcher, SearchScratch};
@@ -14,14 +14,13 @@ use crate::proto::FragmentAssignment;
 
 impl WorkerIo<'_, '_> {
     /// Take `count` granted fragments in, one path for every mode. A
-    /// fragment comes from the resident [`FragmentStore`] when service
-    /// mode holds it — the cross-query cache hit that mode exists for —
-    /// and from the plane otherwise: one read set per non-resident
-    /// fragment where the plane posts reads (its three file reads in
-    /// flight together), one coalesced set for the whole grant
-    /// otherwise. It is then searched if the schedule
-    /// searches on arrival, and held. A one-shot run is the case with
-    /// nothing resident.
+    /// fragment comes from the worker's [`FragmentStore`] when it holds
+    /// it — service mode's cross-query cache hit — and from the plane
+    /// otherwise: one read set per fragment not held where the plane
+    /// posts reads (its three file reads in flight together), one
+    /// coalesced set for the whole grant otherwise. It is then searched
+    /// if the schedule searches on arrival, and held in the store. A
+    /// one-shot run never holds what it is granted, so it always reads.
     pub(super) fn ingest(
         &mut self,
         batch: usize,
@@ -84,18 +83,14 @@ impl WorkerIo<'_, '_> {
             if search {
                 self.search_one(batch, id, &frag)?;
             }
-            if self.policy.service {
-                // (Re)admit as most-recently-used, tracing each LRU
-                // eviction the insert forces.
-                for evicted in self.store.insert(id as usize, frag) {
-                    tracelog::instant(
-                        tracelog::Lane::Io,
-                        "store.evict",
-                        vec![("fragment", (evicted as u64).into())],
-                    );
-                }
-            } else {
-                self.frags.push((id, frag));
+            // (Re)admit as most-recently-used, tracing each eviction the
+            // insert forces (only service mode's store is bounded).
+            for evicted in self.store.insert(id as usize, frag) {
+                tracelog::instant(
+                    tracelog::Lane::Io,
+                    "store.evict",
+                    vec![("fragment", (evicted as u64).into())],
+                );
             }
         }
         Ok(())

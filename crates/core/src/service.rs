@@ -5,7 +5,7 @@
 //! users submitting query batches over virtual time. `pioblast serve`
 //! feeds the plan into an admission layer on the master: each stream
 //! batch becomes one distribute → collect → write cycle of the same
-//! runtime state machines, with every fragment re-granted per batch.
+//! runtime protocol, with every fragment re-granted per batch.
 //! What makes the stream cheaper than B independent one-shot runs:
 //!
 //! * workers keep a bounded resident [`FragmentStore`] (LRU by bytes),
@@ -151,8 +151,9 @@ pub struct ServiceOptions {
     pub affinity: bool,
 }
 
-/// A worker's bounded resident fragment store: fragments kept in memory
-/// across stream batches, evicted least-recently-used by data bytes.
+/// A worker's fragment store: every fragment it holds, evicted
+/// least-recently-used by data bytes. Service mode bounds it and keeps
+/// it across stream batches; a one-shot run's is unbounded (`u64::MAX`).
 ///
 /// `take` removes the entry (the caller searches it, then `insert`s it
 /// back, which refreshes recency); eviction happens on insert, oldest
@@ -182,9 +183,9 @@ impl FragmentStore {
         self.entries.iter().any(|(f, _)| *f == id)
     }
 
-    /// Resident fragment ids, least recently used first.
-    pub fn resident_ids(&self) -> Vec<usize> {
-        self.entries.iter().map(|(f, _)| *f).collect()
+    /// Resident fragments with their ids, least recently used first.
+    pub fn iter(&self) -> impl Iterator<Item = (usize, &FragmentData)> {
+        self.entries.iter().map(|(f, frag)| (*f, frag))
     }
 
     /// Remove and return fragment `id`'s data, if resident.
@@ -383,11 +384,11 @@ mod tests {
         let f3 = store.take(3).expect("resident");
         assert!(!store.contains(3));
         store.insert(3, f3);
-        let ids = store.resident_ids();
-        assert_eq!(*ids.last().unwrap(), 3, "re-insert is most recent");
+        let ids = |store: &FragmentStore| store.iter().map(|(id, _)| id).collect::<Vec<_>>();
+        assert_eq!(*ids(&store).last().unwrap(), 3, "re-insert is most recent");
         // Eviction order is LRU-first: fill until something evicts and
         // check it was the front entry.
-        let before = store.resident_ids();
+        let before = ids(&store);
         let evicted = store.insert(0, data[0].clone());
         for e in &evicted {
             assert!(

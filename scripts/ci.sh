@@ -156,6 +156,20 @@ cargo test --release -q -p mpiblast --lib outside_the_set
 # alike under Off and Recover; only Drain tells the lowerings apart.
 cargo test --release -q -p pioblast --lib a_hostile_master_gets_a_typed_error_from_a_real_worker
 cargo test --release -q -p pioblast --lib off_and_recover_lower_one_dynamic_cycle
+# The worker is its command loop, checked on a real worker against a
+# hand-played master through its search stats, its traced searches and
+# the messages the master receives: the static schedule searches its
+# share at each submission request; the dynamic one searches each grant
+# before acknowledging it, re-searches held fragments first on a
+# next-batch grant, and searches nothing on a resubmission; service mode
+# never re-searches residents; a one-shot worker re-searches its
+# fragments in grant order every batch.
+for t in a_static_worker_searches_its_share_at_each_submission_request \
+         a_dynamic_worker_searches_each_grant_before_acknowledging_it \
+         a_service_worker_never_re_searches_its_residents \
+         a_one_shot_worker_re_searches_its_fragments_in_grant_order; do
+  cargo test --release -q -p pioblast --lib "runtime::tests::$t" -- --exact
+done
 # One record per fragment on the master: with the grant queue (owner and
 # last holder; its own row holds the orphans) as its only fragment
 # record, the master machine acts and moves exactly as the
@@ -225,7 +239,7 @@ cargo bench --workspace --no-run
 # together; each asserts its own shape). `fig3a` stays compile-only —
 # its last assertion, "mpiBLAST must stop improving past ~31 workers",
 # is red (1.51 s at 32 -> 1.40 s at 62 processes) until the model is
-# calibrated: ROADMAP item 3.
+# calibrated: ROADMAP item 4.
 for exhibit in fig1a fig1b fig3b fig4 table1 table2; do
   cargo bench -q -p blast-bench --bench "$exhibit" >/dev/null
 done
