@@ -218,4 +218,45 @@ mod tests {
             "stale checkpoint blobs: {leftovers:?}"
         );
     }
+
+    #[test]
+    fn checkpoint_blobs_of_pieces_are_cleaned_up_after_a_killed_run() {
+        // One fragment per worker. Worker 3 dies right after
+        // acknowledging its fragment, whose checkpoint put is still in
+        // flight on the nonblocking plane and never lands: with every
+        // fragment granted, it is re-cut into one piece per survivor, and
+        // each piece is checkpointed under an id past the eight.
+        let job = Job {
+            nranks: 9,
+            plan: FaultPlan::none().kill_after_sends(3, 2),
+            traced: true,
+            ..Job::default()
+        };
+        let done = job.run(|cfg| {
+            cfg.num_fragments = Some(8);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+            cfg.checkpoint = true;
+            cfg.io.io_async = true;
+        });
+        assert_eq!(done.killed, vec![3]);
+        assert_eq!(done.report, reference_bytes());
+        let trace = done.trace.expect("traced");
+        let pieces: Vec<u64> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "search.fragment")
+            .filter_map(|e| match e.args.iter().find(|(k, _)| *k == "fragment") {
+                Some((_, tracelog::ArgVal::U64(f))) if *f >= 8 => Some(*f),
+                _ => None,
+            })
+            .collect();
+        assert_eq!(pieces.len(), 7, "one piece per survivor: {pieces:?}");
+        let leftovers: Vec<String> = done.env.shared.peek_list("results.txt.ckpt.");
+        assert!(
+            leftovers.is_empty(),
+            "stale checkpoint blobs: {leftovers:?}"
+        );
+    }
 }

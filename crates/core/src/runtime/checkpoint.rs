@@ -4,11 +4,13 @@
 //! grant. When a worker dies, the master looks its fragments up here:
 //! probe, decode, validate, and adopt each valid blob's payload into its
 //! one orphan [`ResultCache`] at once, whose metadata is spliced into the
-//! merge and whose records the master writes. The machine requeues only
-//! the fragments no valid blob covers. A blob is deterministic in its
-//! key, so rewrites in retried epochs are idempotent. The master lets go
-//! of a batch's adopted payloads when the batch seals; the run drops
-//! every file at the end.
+//! merge and whose records ride to the live workers with their own
+//! assignments. The machine requeues only the fragments no valid blob
+//! covers, re-cut into pieces when survivors would otherwise idle. A
+//! blob is deterministic in its key, so rewrites in retried epochs are
+//! idempotent. The master lets go of a batch's adopted payloads when the
+//! batch seals; the run drops every blob at the end, for every fragment
+//! id and piece id it created, in one posted set of deletes.
 //!
 //! [`RunPolicy::checkpoint`]: super::RunPolicy::checkpoint
 
@@ -66,13 +68,14 @@ pub(super) fn join_all(io: &IoPlane<'_, '_>) {
     }
 }
 
-/// Drop every blob the run may have written.
-pub(super) fn drop_all(io: &IoPlane<'_, '_>, cfg: &PioBlastConfig, nbatches: usize, nfrags: usize) {
-    for b in 0..nbatches {
-        for f in 0..nfrags {
-            let _ = io.checkpoint_drop(&path(cfg, b, f));
-        }
-    }
+/// Drop every blob the run may have written: each batch's blob of every
+/// fragment id the run created, pieces included, the deletes posted
+/// together behind one staging fence.
+pub(super) fn drop_all(io: &IoPlane<'_, '_>, cfg: &PioBlastConfig, nbatches: usize, nids: usize) {
+    let paths: Vec<String> = (0..nbatches)
+        .flat_map(|b| (0..nids).map(move |f| path(cfg, b, f)))
+        .collect();
+    let _ = io.checkpoint_drop_all(&paths);
 }
 
 /// The master's side: which of the dead `(owner, fragment)` pairs have a

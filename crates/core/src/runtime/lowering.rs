@@ -14,7 +14,7 @@ use bytes::Bytes;
 use mpiblast::wire::{MetaSubmission, OffsetAssignment, QueryBundle};
 use mpiblast::MASTER;
 use mpiio::IoPlane;
-use mpisim::sched::Pump;
+use mpisim::sched::{chunk_evenly, Pump};
 use mpisim::{Collectives, Comm};
 use seqfmt::Wire;
 use simcluster::{Message, SimTime};
@@ -23,7 +23,7 @@ use super::master::MasterEvent;
 use super::master_io::{check_queries, MasterIo};
 use super::worker_io::{WorkerEvent, WorkerIo};
 use super::{
-    p2p, Fenced, Grant, TAG_ABORT, TAG_ASSIGN, TAG_BUNDLE, TAG_DONE, TAG_FINISH, TAG_GRANT,
+    p2p, Assign, Fenced, Grant, TAG_ABORT, TAG_ASSIGN, TAG_BUNDLE, TAG_DONE, TAG_FINISH, TAG_GRANT,
     TAG_QBATCH, TAG_READY, TAG_SUBMIT, TAG_SUBMIT_REQ,
 };
 use crate::app::PioBlastConfig;
@@ -112,19 +112,26 @@ impl Lowering {
         }
     }
 
-    /// Hand each live worker its records. The scatter stands for every
-    /// live worker's `WriteDone` (`seal_output` fences the writes
-    /// themselves); a command is acknowledged once the worker wrote.
+    /// Hand each live worker its records, and under point-to-point one
+    /// contiguous block of the `orphans` too (the report ends at `end`):
+    /// only a recovering run has orphans, and only point-to-point
+    /// recovers. The scatter stands for every live worker's `WriteDone`
+    /// (`seal_output` fences the writes themselves); a command is
+    /// acknowledged once the worker wrote.
     pub(super) fn assign(
         &self,
         comm: &Comm<'_>,
         live: Vec<usize>,
         epoch: u64,
         per_rank: &[OffsetAssignment],
+        orphans: Vec<(u64, Bytes)>,
+        end: u64,
     ) -> Vec<MasterEvent> {
         if self.p2p {
-            for w in live {
-                let assign = (epoch, per_rank[w].clone()).encode();
+            let blocks = chunk_evenly(orphans, live.len().max(1));
+            for (w, shipped) in live.into_iter().zip(blocks) {
+                let own = per_rank[w].clone();
+                let assign = (epoch, Assign { own, shipped, end }).encode();
                 let _ = comm.send_checked(w, TAG_ASSIGN, Bytes::from(assign));
             }
             return Vec::new();
@@ -218,7 +225,7 @@ impl WorkerIo<'_, '_> {
                         WorkerEvent::SubmitReq { batch, epoch }
                     }
                     TAG_ASSIGN => {
-                        let (epoch, assign) = Fenced::<OffsetAssignment>::decode(&m.payload)?;
+                        let (epoch, assign) = Fenced::<Assign>::decode(&m.payload)?;
                         self.assign = Some(assign);
                         WorkerEvent::Assign { epoch }
                     }
@@ -250,8 +257,11 @@ impl WorkerIo<'_, '_> {
             }
             Step::Assign(batch) => {
                 self.step = Step::Submit(batch + 1);
-                let assign = OffsetAssignment::decode(&self.comm.scatterv(MASTER, Vec::new()))?;
-                self.assign = Some(assign);
+                let own = OffsetAssignment::decode(&self.comm.scatterv(MASTER, Vec::new()))?;
+                self.assign = Some(Assign {
+                    own,
+                    ..Assign::default()
+                });
                 WorkerEvent::Assign {
                     epoch: epoch(batch),
                 }

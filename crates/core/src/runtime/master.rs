@@ -26,18 +26,29 @@
 //! searched and acknowledged or not — its results lived only in the
 //! victim's cache — rewinding the phase to `Distribute`, while the
 //! checkpointed ones become orphans: the master owns them, ascending,
-//! until the batch seals. If nothing needs re-searching, the machine only
-//! rewinds to `Collect` and re-merges with the orphans spliced in. The
-//! machine traces each victim's `worker_dead` and each fragment it
-//! requeues.
+//! until the batch seals, and their records ride to the live workers
+//! with the next assignments. If nothing needs re-searching, the machine
+//! only rewinds to `Collect` and re-merges with the orphans spliced in.
+//!
+//! A requeued fragment need not go to one rank. Fragments are virtual —
+//! any record range of the shared database is one — so when there are
+//! more idle survivors than pending work, the run loop re-cuts each
+//! requeued fragment at record boundaries ([`MasterSm::recut`] says
+//! into how many pieces) and the death event names the pieces' fresh
+//! ids. The queue puts the pieces where the fragment was, and they stay
+//! fragments of their own for the rest of the run: granted, owned,
+//! checkpointed and re-cut by id like any other. The machine traces each
+//! victim's `worker_dead`, each fragment it requeues and each `split`.
 
 use mpiblast::wire::MetaSubmission;
 use mpiblast::MASTER;
 use mpisim::sched::{chunk_evenly, GrantQueue};
+use seqfmt::VolumeIndex;
 
 use super::RunPolicy;
 use crate::app::FragmentSchedule;
 use crate::fault::PioError;
+use crate::proto::FragmentAssignment;
 
 /// What the master's run loop reports to the machine.
 #[derive(Debug, Clone)]
@@ -64,12 +75,16 @@ pub enum MasterEvent {
         epoch: u64,
     },
     /// Workers were found dead. `checkpointed` is the subset of their
-    /// owned fragments with a valid checkpoint blob on the shared FS.
+    /// owned fragments with a valid checkpoint blob on the shared FS;
+    /// `pieces` re-cuts some of the others (see [`MasterSm::recut`]).
     Dead {
         /// The newly dead ranks.
         ranks: Vec<usize>,
         /// Their checkpoint-covered fragments.
         checkpointed: Vec<usize>,
+        /// `(fragment, piece ids)`: a requeued fragment and the fresh ids
+        /// of the pieces it was cut into, which requeue in its place.
+        pieces: Vec<(usize, Vec<usize>)>,
     },
     /// The static scatter completed: every worker holds its share.
     ScatterDone,
@@ -117,8 +132,9 @@ pub enum MasterAction {
         /// Checkpoint-adopted fragments to splice into the merge.
         orphans: Vec<usize>,
     },
-    /// All live workers wrote: write the master's own sections (and any
-    /// orphan records) for this batch.
+    /// All live workers wrote (their own and any shipped orphan
+    /// records): the batch is sealed once the master's own sections are
+    /// written too.
     FinishBatch {
         /// The sealed batch.
         batch: usize,
@@ -252,6 +268,30 @@ impl MasterSm {
         self.live_workers().next().is_some()
     }
 
+    /// What a death of `ranks` under `Recover` would requeue — their
+    /// owned fragments `checkpointed` does not cover — and into how many
+    /// pieces to re-cut each: the live workers left, shared over the
+    /// work then pending (the requeued fragments and the queue), and
+    /// never less than 1. A victim's leftover work thus goes to every
+    /// idle survivor instead of one; under a backlog the rule gives 1 and
+    /// whole fragments are requeued. It reads only what the machine
+    /// holds, and nothing requeues without `Recover`.
+    pub fn recut(&self, ranks: &[usize], checkpointed: &[usize]) -> (Vec<usize>, usize) {
+        if !self.policy.recovers() {
+            return (Vec::new(), 1);
+        }
+        let requeued: Vec<usize> = ranks
+            .iter()
+            .filter(|&&w| self.live[w])
+            .flat_map(|&w| self.queue.owned(w))
+            .filter(|f| !checkpointed.contains(f))
+            .copied()
+            .collect();
+        let left = self.live_workers().filter(|w| !ranks.contains(w)).count();
+        let work = requeued.len() + self.queue.pending().count();
+        (requeued, (left / work.max(1)).max(1))
+    }
+
     /// Apply one event; returns the actions to perform, in order.
     pub fn handle(&mut self, event: MasterEvent) -> Vec<MasterAction> {
         match event {
@@ -261,7 +301,8 @@ impl MasterSm {
             MasterEvent::Dead {
                 ranks,
                 checkpointed,
-            } => self.on_dead(&ranks, &checkpointed),
+                pieces,
+            } => self.on_dead(&ranks, &checkpointed, &pieces),
             MasterEvent::ScatterDone => {
                 // Every worker holds its whole share; the collective
                 // itself was the acknowledgement.
@@ -413,7 +454,12 @@ impl MasterSm {
         }
     }
 
-    fn on_dead(&mut self, ranks: &[usize], checkpointed: &[usize]) -> Vec<MasterAction> {
+    fn on_dead(
+        &mut self,
+        ranks: &[usize],
+        checkpointed: &[usize],
+        pieces: &[(usize, Vec<usize>)],
+    ) -> Vec<MasterAction> {
         if matches!(self.phase, MasterPhase::Finished | MasterPhase::Failed) {
             return Vec::new();
         }
@@ -429,11 +475,11 @@ impl MasterSm {
                 continue;
             }
             // Recover: the checkpointed fragments become the master's
-            // orphans, and every other one is requeued. Service mode
-            // requeues at the *front*: a stream of batches keeps
-            // refilling the queue's tail, and a tail requeue would starve
-            // recovered fragments behind work that arrived after the
-            // death.
+            // orphans, and every other one is requeued, as its pieces
+            // where it was re-cut. Service mode requeues at the *front*:
+            // a stream of batches keeps refilling the queue's tail, and a
+            // tail requeue would starve recovered fragments behind work
+            // that arrived after the death.
             self.queue
                 .hand_over(w, MASTER, |f| checkpointed.contains(f));
             for f in self.queue.release(w, self.policy.service) {
@@ -443,6 +489,16 @@ impl MasterSm {
                     "requeue",
                     vec![("fragment", f.into()), ("owner", w.into())],
                 );
+                let Some((_, ids)) = pieces.iter().find(|(g, _)| *g == f) else {
+                    continue;
+                };
+                if self.queue.split(f, ids) {
+                    tracelog::instant(
+                        tracelog::Lane::Runtime,
+                        "split",
+                        vec![("fragment", f.into()), ("pieces", ids.len().into())],
+                    );
+                }
             }
         }
         if !self.policy.recovers() {
@@ -488,6 +544,40 @@ impl MasterSm {
             MasterPhase::Finished | MasterPhase::Failed => unreachable!(),
         }
     }
+}
+
+/// Re-cut each fragment of `frags` into up to `k` pieces at record
+/// boundaries (`seqfmt::frag::split`), registering the pieces'
+/// assignments under fresh ids after every id in `assignments`. Returns
+/// `(fragment, piece ids)` for each fragment that was cut; one that
+/// cannot be (a single record, or `k == 1`) is left out and requeues
+/// whole.
+pub(super) fn cut_pieces(
+    assignments: &mut Vec<FragmentAssignment>,
+    indexes: &[VolumeIndex],
+    frags: &[usize],
+    k: usize,
+) -> Vec<(usize, Vec<usize>)> {
+    let mut pieces = Vec::new();
+    for &f in frags {
+        let Some(parent) = assignments.get(f).cloned() else {
+            continue;
+        };
+        let Some(idx) = indexes.get(parent.spec.volume) else {
+            continue;
+        };
+        let specs = seqfmt::frag::split(idx, &parent.spec, k);
+        if specs.len() < 2 {
+            continue;
+        }
+        let first = assignments.len();
+        assignments.extend(specs.into_iter().map(|spec| FragmentAssignment {
+            spec,
+            volume_name: parent.volume_name.clone(),
+        }));
+        pieces.push((f, (first..assignments.len()).collect()));
+    }
+    pieces
 }
 
 #[cfg(test)]
@@ -643,6 +733,7 @@ mod tests {
         let acts = sm.handle(MasterEvent::Dead {
             ranks: vec![1],
             checkpointed: vec![0],
+            pieces: Vec::new(),
         });
         assert_eq!(sm.owned(MASTER), &[0]);
         // Fragment 2 must be re-granted — worker 2 is busy, so no grant
@@ -686,6 +777,7 @@ mod tests {
         let acts = sm.handle(MasterEvent::Dead {
             ranks: vec![1],
             checkpointed: vec![],
+            pieces: Vec::new(),
         });
         let [MasterAction::Fail {
             error: PioError::WorkerDied { rank: 1 },
@@ -769,6 +861,7 @@ mod tests {
         let acts = sm.handle(MasterEvent::Dead {
             ranks: vec![1],
             checkpointed: vec![],
+            pieces: Vec::new(),
         });
         assert!(acts.is_empty(), "worker 2 is busy, nothing to grant yet");
         let acts = sm.handle(MasterEvent::Ready { from: 2 });
@@ -778,6 +871,152 @@ mod tests {
         assert_eq!(*frag, 0, "recovered fragment granted before the backlog");
     }
 
+    /// A `Recover` machine over `nranks` ranks and `nfrags` fragments in
+    /// which every worker asked once: worker `w` holds fragment `w - 1`.
+    fn one_grant_each(nranks: usize, nfrags: usize) -> MasterSm {
+        let mut p = policy(
+            FragmentSchedule::Dynamic,
+            FaultMode::Recover,
+            false,
+            nfrags,
+            1,
+        );
+        p.nranks = nranks;
+        let (mut sm, _) = MasterSm::new(p, vec![true; nranks]);
+        for w in 1..nranks {
+            let _ = sm.handle(MasterEvent::Ready { from: w });
+        }
+        sm
+    }
+
+    /// The `(to, frag)` of every grant among `acts`.
+    fn grants(acts: &[MasterAction]) -> Vec<(usize, usize)> {
+        let grant = |a: &MasterAction| match *a {
+            MasterAction::Grant { to, frag, .. } => Some((to, frag)),
+            _ => None,
+        };
+        acts.iter().filter_map(grant).collect()
+    }
+
+    #[test]
+    fn a_death_with_pieces_grants_every_piece_to_idle_survivors() {
+        // Six workers, one fragment each; all acknowledge, so collection
+        // opens. Worker 2 dies holding fragment 1: five survivors and no
+        // other work, so the fragment is re-cut five ways.
+        let mut sm = one_grant_each(7, 6);
+        for w in 1..7 {
+            let _ = sm.handle(MasterEvent::Ready { from: w });
+        }
+        assert_eq!(sm.phase(), MasterPhase::Collect);
+        assert_eq!(sm.recut(&[2], &[]), (vec![1], 5));
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![2],
+            checkpointed: vec![],
+            pieces: vec![(1, (6..11).collect())],
+        });
+        // Every piece goes out at once, one to each idle survivor.
+        assert_eq!(grants(&acts), vec![(1, 6), (3, 7), (4, 8), (5, 9), (6, 10)]);
+        assert_eq!(sm.phase(), MasterPhase::Distribute);
+        for w in [1, 3, 4, 5] {
+            assert!(sm.handle(MasterEvent::Ready { from: w }).is_empty());
+        }
+        let acts = sm.handle(MasterEvent::Ready { from: 6 });
+        assert!(
+            matches!(&acts[..], [MasterAction::Collect { .. }]),
+            "{acts:?}"
+        );
+        assert_eq!(sm.owned(4), &[3, 8]);
+        // Without `Recover` nothing is requeued, so nothing is cut.
+        let p = policy(FragmentSchedule::Dynamic, FaultMode::Off, false, 2, 1);
+        let (off, _) = MasterSm::new(p, vec![true; 3]);
+        assert_eq!(off.recut(&[1], &[]), (vec![], 1));
+    }
+
+    #[test]
+    fn a_piece_holders_death_re_cuts_that_piece() {
+        let mut sm = one_grant_each(7, 6);
+        for w in [1, 3, 4, 5, 6] {
+            let _ = sm.handle(MasterEvent::Ready { from: w });
+        }
+        // Worker 2 dies with its grant unacknowledged: fragment 1 becomes
+        // pieces 6..=10, one for each idle survivor.
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![2],
+            checkpointed: vec![],
+            pieces: vec![(1, (6..11).collect())],
+        });
+        assert_eq!(grants(&acts).len(), 5);
+        // Worker 4 dies holding fragment 3 and piece 8; one survivor
+        // acknowledged its piece. Four survivors for two requeued
+        // fragments: each is cut in two, the piece like any fragment.
+        let _ = sm.handle(MasterEvent::Ready { from: 1 });
+        assert_eq!(sm.recut(&[4], &[]), (vec![3, 8], 2));
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![4],
+            checkpointed: vec![],
+            pieces: vec![(3, vec![11, 12]), (8, vec![13, 14])],
+        });
+        assert_eq!(grants(&acts), vec![(1, 11)]);
+        let mut granted = vec![11];
+        for w in [3, 5, 6, 1, 3] {
+            granted.extend(
+                grants(&sm.handle(MasterEvent::Ready { from: w }))
+                    .iter()
+                    .map(|g| g.1),
+            );
+        }
+        assert_eq!(granted, vec![11, 12, 13, 14]);
+        // Neither retired id is ever granted again: the queue drains into
+        // collection once the last holders acknowledge.
+        for w in [5, 6] {
+            let _ = sm.handle(MasterEvent::Ready { from: w });
+        }
+        assert_eq!(sm.phase(), MasterPhase::Collect);
+    }
+
+    #[test]
+    fn a_one_record_fragment_is_requeued_whole() {
+        use blast_core::seq::SeqRecord;
+        use seqfmt::formatdb::{format_records, FormatDbConfig};
+        // Record 0 is long enough to be a fragment of its own; the other
+        // four make the second fragment.
+        let recs: Vec<SeqRecord> = [50, 7, 9, 11, 13]
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| SeqRecord {
+                defline: format!("s{i}"),
+                residues: vec![1; len],
+                molecule: blast_core::Molecule::Protein,
+            })
+            .collect();
+        let db = format_records(&recs, &FormatDbConfig::protein("t"));
+        let indexes = vec![db.volumes[0].index.clone()];
+        let mut assignments: Vec<FragmentAssignment> = seqfmt::virtual_fragments(&[&indexes[0]], 2)
+            .into_iter()
+            .map(|spec| FragmentAssignment {
+                spec,
+                volume_name: "t".into(),
+            })
+            .collect();
+        assert_eq!(assignments[0].spec.num_seqs(), 1);
+        // Workers 1 and 2 die holding one fragment each; the other four
+        // asked and wait. Two pieces each, but fragment 0 has one record;
+        // fragment 1 is cut where its residues pass half (27 of 40).
+        let mut sm = one_grant_each(7, 2);
+        let (requeued, k) = sm.recut(&[1, 2], &[]);
+        assert_eq!((&requeued[..], k), (&[0, 1][..], 2));
+        let pieces = cut_pieces(&mut assignments, &indexes, &requeued, k);
+        assert_eq!(pieces, vec![(1, vec![2, 3])]);
+        let halves: Vec<u64> = assignments[2..].iter().map(|a| a.spec.num_seqs()).collect();
+        assert_eq!(halves, vec![3, 1]);
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![1, 2],
+            checkpointed: vec![],
+            pieces,
+        });
+        assert_eq!(grants(&acts), vec![(3, 0), (4, 2), (5, 3)]);
+    }
+
     #[test]
     fn losing_every_worker_fails_without_aborts() {
         let p = policy(FragmentSchedule::Dynamic, FaultMode::Recover, false, 2, 1);
@@ -785,6 +1024,7 @@ mod tests {
         let acts = sm.handle(MasterEvent::Dead {
             ranks: vec![1],
             checkpointed: vec![],
+            pieces: Vec::new(),
         });
         assert!(matches!(
             &acts[..],

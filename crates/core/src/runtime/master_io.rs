@@ -1,6 +1,7 @@
 //! The master's side of the run: setup and bundle distribution, then
 //! [`MasterSm`]'s actions performed and its events gathered, in every
-//! mode.
+//! mode. Under `Recover` it also keeps the volume indexes, to re-cut a
+//! dead worker's requeued fragments into pieces at record boundaries.
 
 use std::collections::VecDeque;
 use std::sync::Arc;
@@ -22,13 +23,13 @@ use simcluster::{PhaseTimes, RankCtx, SimDuration, SimTime};
 
 use super::checkpoint;
 use super::lowering::Lowering;
-use super::master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
+use super::master::{cut_pieces, MasterAction, MasterEvent, MasterPhase, MasterSm};
 use super::output::{build_plane, fence_staging};
 use super::{policy_of, Grant, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT};
 use crate::app::{query_batches, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
-use crate::merge::{merge_and_layout, MergeOutcome};
+use crate::merge::merge_and_layout;
 use crate::proto::{FragmentAssignment, PartitionMessage};
 
 /// The master's side of the run (every mode).
@@ -56,7 +57,12 @@ pub(super) struct MasterIo<'a, 'b> {
     molecule: blast_core::Molecule,
     pub(super) batches: Vec<Vec<SeqRecord>>,
     volumes: Vec<String>,
+    /// Every fragment id's byte ranges: the virtual fragments, then the
+    /// pieces deaths re-cut them into, in id order.
     assignments: Vec<FragmentAssignment>,
+    /// The volume indexes the pieces are cut from; empty unless the
+    /// policy recovers.
+    indexes: Vec<VolumeIndex>,
     /// The machine whose actions this performs: the master's only
     /// record of its policy, of fragments and of which workers are live.
     pub(super) sm: MasterSm,
@@ -66,7 +72,11 @@ pub(super) struct MasterIo<'a, 'b> {
     /// The current batch's orphans' payloads, adopted as each death's
     /// checkpoints are found.
     pub(super) orphans: ResultCache,
-    pub(super) outcome: Option<MergeOutcome>,
+    /// The master's own report sections of the current merge.
+    pub(super) sections: Option<Vec<(u64, Bytes)>>,
+    /// Whether `sections` landed beside the workers' writes
+    /// (point-to-point), so the seal need not write them.
+    sections_written: bool,
     input_mark: Option<SimTime>,
     pub(super) out_mark: Option<SimTime>,
     /// Service mode: which stream batches' queries have been shipped
@@ -165,6 +175,11 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         policy.nfrags = assignments.len();
 
         let nbatches = batches.len();
+        let indexes = if policy.recovers() {
+            indexes
+        } else {
+            Vec::new()
+        };
         let (sm, init) = MasterSm::new(policy, live0);
         let master = MasterIo {
             ctx,
@@ -177,12 +192,14 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             batches,
             volumes: alias.volumes,
             assignments,
+            indexes,
             sm,
             phase_times,
             prepared_cache: (0..nbatches).map(|_| None).collect(),
             batch_offsets: vec![0; nbatches + 1],
             orphans: ResultCache::default(),
-            outcome: None,
+            sections: None,
+            sections_written: false,
             input_mark: Some(input_mark),
             out_mark: None,
             qbatch_sent: vec![false; nbatches],
@@ -259,7 +276,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
 
     /// Deaths -> event: each owned fragment of each victim with a valid
     /// checkpoint blob for the current batch is reported, and its payload
-    /// adopted into the orphan cache.
+    /// adopted into the orphan cache. Each fragment the death requeues is
+    /// re-cut into as many pieces as [`MasterSm::recut`] says.
     fn dead_event(&mut self, ranks: Vec<usize>) -> MasterEvent {
         let mut checkpointed = Vec::new();
         let sm = &self.sm;
@@ -273,9 +291,12 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             checkpointed =
                 checkpoint::find(self.io, self.cfg, batch, owned, fits, &mut self.orphans);
         }
+        let (requeued, k) = self.sm.recut(&ranks, &checkpointed);
+        let pieces = cut_pieces(&mut self.assignments, &self.indexes, &requeued, k);
         MasterEvent::Dead {
             ranks,
             checkpointed,
+            pieces,
         }
     }
 
@@ -463,18 +484,42 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         self.cfg
             .compute
             .run_merge(self.ctx, outcome.merged_items, || ());
-        self.batch_offsets[batch + 1] = start_offset + outcome.total_bytes;
+        let end = start_offset + outcome.total_bytes;
+        self.batch_offsets[batch + 1] = end;
+        // The orphan records the merge placed in the master's slot ride
+        // to the live workers, each writing a block beside its own.
+        let orphans = self
+            .orphans
+            .assigned_records(&outcome.per_rank[MASTER].records)
+            .map_err(|(q, oid)| {
+                PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
+            })?;
         let live = self.sm.live_workers().collect();
         let events = self
             .lowering
-            .assign(self.comm, live, epoch, &outcome.per_rank);
-        self.outcome = Some(outcome);
+            .assign(self.comm, live, epoch, &outcome.per_rank, orphans, end);
+        let sections = outcome.master_sections.into_iter();
+        self.sections = Some(sections.map(|(off, s)| (off, Bytes::from(s))).collect());
+        // Point-to-point: the master writes its sections now, while the
+        // workers write theirs. Offsets are deterministic, so a rewind
+        // rewrites the same bytes; a failed write is left to the seal,
+        // which writes them again and fails there, so it changes no
+        // run's outcome.
+        self.sections_written =
+            !self.lowering.writes_in_step() && self.write_master_share(batch).is_ok();
         Ok(events)
     }
 
-    /// Every live worker wrote: write the master's share, then seal.
+    /// Every live worker wrote: write the master's share unless it is
+    /// written already, then seal.
     fn finish_batch(&mut self, batch: usize) -> Result<Vec<MasterEvent>, PioError> {
-        self.write_master_share(batch)?;
+        if !std::mem::take(&mut self.sections_written) {
+            self.write_master_share(batch)?;
+        }
+        self.sections = None;
+        if let Some(mark) = self.out_mark.take() {
+            self.phase_times.add(phases::OUTPUT, self.ctx.now() - mark);
+        }
         // The sealed batch's adopted records are done with.
         self.orphans = ResultCache::default();
         if self.sm.policy().recovers() {
@@ -521,8 +566,8 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
         let policy = self.sm.policy();
         if policy.checkpoint {
-            let (nbatches, nfrags) = (policy.nbatches, policy.nfrags);
-            checkpoint::drop_all(self.io, self.cfg, nbatches, nfrags);
+            let nids = self.assignments.len();
+            checkpoint::drop_all(self.io, self.cfg, policy.nbatches, nids);
         }
     }
 }

@@ -16,7 +16,10 @@
 //!   ingests and searches fragments, `output` writes the report, and
 //!   `checkpoint` persists searched fragments and looks up a dead
 //!   worker's for the master, adopting each valid one into the master's
-//!   one orphan [`ResultCache`](crate::cache::ResultCache).
+//!   one orphan [`ResultCache`](crate::cache::ResultCache), whose records
+//!   ride to the live workers in their [`Assign`]ments. A dead worker's
+//!   other fragments are re-cut over the idle survivors
+//!   ([`MasterSm::recut`]).
 //!
 //! [`FaultMode`] is a policy on the one machine, not a protocol: a death
 //! the point-to-point lowering hears of is recovered if the policy
@@ -37,6 +40,9 @@ pub use master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
 pub(crate) use master_io::run_master;
 pub(crate) use worker_io::run_worker;
 
+use bytes::Bytes;
+use mpiblast::wire::OffsetAssignment;
+use seqfmt::codec::{CodecError, Reader, Wire, Writer};
 use seqfmt::wire_struct;
 use simcluster::RankCtx;
 
@@ -57,7 +63,8 @@ pub(crate) const TAG_BUNDLE: u64 = 10;
 pub(crate) const TAG_SUBMIT_REQ: u64 = 12;
 /// Worker -> master: [`Fenced`] `MetaSubmission`.
 pub(crate) const TAG_SUBMIT: u64 = 13;
-/// Master -> worker: [`Fenced`] `OffsetAssignment`.
+/// Master -> worker: [`Fenced`] [`Assign`] (point-to-point lowering; the
+/// collective one scatters bare `OffsetAssignment`s).
 pub(crate) const TAG_ASSIGN: u64 = 14;
 /// Worker -> master: write acknowledgement, the bare epoch.
 pub(crate) const TAG_DONE: u64 = 15;
@@ -151,6 +158,51 @@ wire_struct!(Grant {
     ids: Vec<u32>,
     part: PartitionMessage,
 });
+
+/// A `TAG_ASSIGN` payload: the offsets of the worker's own records, and
+/// the orphan records the master ships it to write beside them.
+#[derive(Debug, Clone, PartialEq, Eq, Default)]
+pub struct Assign {
+    /// `(query, oid, offset)` of the worker's own cached records.
+    pub own: OffsetAssignment,
+    /// `(offset, record)` of orphan records (a dead worker's
+    /// checkpointed results), ascending: one contiguous block of the
+    /// merge's orphan records.
+    pub shipped: Vec<(u64, Bytes)>,
+    /// One past the batch report's last byte: no record may run past it.
+    pub end: u64,
+}
+
+/// The fields in order; a shipped record travels as its offset and a
+/// length-prefixed byte string.
+impl Wire for Assign {
+    const MIN_SIZE: usize = OffsetAssignment::MIN_SIZE + 4 + 8;
+
+    fn put(&self, w: &mut Writer) {
+        self.own.put(w);
+        (self.shipped.len() as u32).put(w);
+        for (offset, record) in &self.shipped {
+            offset.put(w);
+            (record.len() as u32).put(w);
+            w.bytes(record);
+        }
+        self.end.put(w);
+    }
+
+    fn get(r: &mut Reader<'_>) -> Result<Assign, CodecError> {
+        Ok(Assign {
+            own: Wire::get(r.at("Assign.own"))?,
+            shipped: {
+                let n = u32::get(r.at("Assign.shipped"))?;
+                r.list_of(u64::from(n), 8 + 4, |r| {
+                    let offset = u64::get(r)?;
+                    Ok((offset, Bytes::copy_from_slice(r.blob()?)))
+                })?
+            },
+            end: Wire::get(r.at("Assign.end"))?,
+        })
+    }
+}
 
 /// Derive the runtime policy from a validated configuration.
 fn policy_of(ctx: &RankCtx, cfg: &PioBlastConfig, nbatches: usize) -> RunPolicy {
@@ -391,7 +443,7 @@ mod tests {
 
     /// Assign the worker nothing under `epoch`; take its acknowledgement.
     fn assign_nothing(comm: &mpisim::Comm<'_>, epoch: u64) {
-        let assign = (epoch, OffsetAssignment::default()).encode();
+        let assign = (epoch, Assign::default()).encode();
         comm.send(1, TAG_ASSIGN, Bytes::from(assign));
         assert_eq!(u64::decode(&from_worker(comm, TAG_DONE)), Ok(epoch));
     }
@@ -577,6 +629,29 @@ mod tests {
                 records: vec![(0, 5, 0)],
             }
         }
+        /// Fragment 0 granted, searched and acknowledged, and the
+        /// worker's submission for it under epoch 1, whose first hit the
+        /// worker holds a record of.
+        fn searched(comm: &Comm<'_>, s: &Script) -> (u32, u32, u64) {
+            ready(comm, s);
+            grant_acked(comm, s, 0, 0);
+            let sub = submission(comm, 0, 1);
+            let (q, hits) = &sub.per_query[0];
+            (*q, hits[0].oid, hits[0].record_size)
+        }
+        /// A point-to-point assignment under epoch 1 of the worker's own
+        /// record at offset 0 and `shipped` orphan records. The master
+        /// then stays until the kill at 1 s: a worker that wrongly writes
+        /// and acknowledges meets a dead master, not one that returned.
+        fn ship(comm: &Comm<'_>, own: (u32, u32, u64), shipped: Vec<(u64, Bytes)>, end: u64) {
+            let (q, oid, _) = own;
+            let own = OffsetAssignment {
+                records: vec![(q, oid, 0)],
+            };
+            let assign = (1u64, Assign { own, shipped, end }).encode();
+            comm.send(1, TAG_ASSIGN, Bytes::from(assign));
+            comm.recv(Some(1), Some(TAG_ABORT));
+        }
         /// The static collective choreography up to the assignment
         /// scatter, with nothing granted.
         fn collected(comm: &Comm<'_>, s: &Script) {
@@ -633,10 +708,44 @@ mod tests {
                 Dynamic,
                 |comm, s| {
                     ready(comm, s);
-                    let assign = (1u64, uncached()).encode();
+                    let own = uncached();
+                    let assign = (1u64, Assign { own, ..Assign::default() }).encode();
                     comm.send(1, TAG_ASSIGN, Bytes::from(assign));
                 },
                 "Err(Protocol(\"assigned record (0, 5) not cached\"))",
+            ),
+            (
+                "an assignment with no shipped-record list",
+                Recover,
+                Dynamic,
+                |comm, s| {
+                    ready(comm, s);
+                    let assign = (1u64, uncached()).encode();
+                    comm.send(1, TAG_ASSIGN, Bytes::from(assign));
+                },
+                "Err(Protocol(\"truncated input while reading Assign.shipped",
+            ),
+            (
+                "a shipped record overlapping the worker's own",
+                Recover,
+                Dynamic,
+                |comm, s| {
+                    let own = searched(comm, s);
+                    let orphan = (own.2 - 1, Bytes::from_static(b"orphan"));
+                    ship(comm, own, vec![orphan], u64::MAX);
+                },
+                "Err(Protocol(\"output layout is not writable: view regions must be sorted and disjoint\"))",
+            ),
+            (
+                "a shipped record past the report end",
+                Recover,
+                Dynamic,
+                |comm, s| {
+                    let own = searched(comm, s);
+                    let orphan = (own.2, Bytes::from_static(b"orphan"));
+                    ship(comm, own, vec![orphan], own.2 + 5);
+                },
+                "Err(Protocol(\"shipped record at ",
             ),
             (
                 "an assignment naming a record never cached",

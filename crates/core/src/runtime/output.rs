@@ -2,7 +2,7 @@
 //! and master, and the staging fences that make them durable.
 
 use bytes::Bytes;
-use mpiblast::{phases, MASTER};
+use mpiblast::phases;
 use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, Run, StagingStore};
 use mpisim::Comm;
 use parafs::IoClass;
@@ -110,8 +110,8 @@ fn report_path(cfg: &PioBlastConfig, batch: usize) -> String {
     }
 }
 
-/// The one output epilogue, shared by the master's section writes, the
-/// orphan rewrites, and every worker's assigned-record writes: build a
+/// The one output epilogue, shared by the master's section writes and
+/// every worker's writes of its assigned and shipped records: build a
 /// file view from the scattered `(offset, text)` records and hand it to
 /// the plane, each record's buffer one piece of the payload — nothing is
 /// concatenated. Always posts, even with nothing to write — on the
@@ -138,55 +138,51 @@ fn flush_output(
 }
 
 impl MasterIo<'_, '_> {
-    /// Write the master's share of a merged batch's report: the orphan
-    /// records (dead owners' checkpointed fragments) the merge assigned
-    /// to the master's slot, then the master's own sections. The orphan
-    /// write is posted only when there are orphans: only a recovering
-    /// run has any, and under two-phase output every rank must post the
-    /// same writes.
-    pub(super) fn write_master_share(&mut self, batch: usize) -> Result<(), PioError> {
-        let mut outcome = self.outcome.take().ok_or_else(|| {
+    /// Write the master's share of a merged batch's report: its own
+    /// sections (headers, summaries, footers). The orphan records of
+    /// dead owners' checkpointed fragments are not among them: they ride
+    /// to the live workers with the assignments.
+    pub(super) fn write_master_share(&self, batch: usize) -> Result<(), PioError> {
+        let sections = self.sections.clone().ok_or_else(|| {
             PioError::Protocol(format!("batch {batch} finished before it was merged"))
         })?;
-        let path = report_path(self.cfg, batch);
-        let orphans = self
-            .orphans
-            .assigned_records(&outcome.per_rank[MASTER].records)
-            .map_err(|(q, oid)| {
-                PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
-            })?;
-        if !orphans.is_empty() {
-            flush_output(self.io, &path, orphans)?;
-        }
-        let sections = std::mem::take(&mut outcome.master_sections)
-            .into_iter()
-            .map(|(off, text)| (off, Bytes::from(text)))
-            .collect();
-        flush_output(self.io, &path, sections)?;
+        flush_output(self.io, &report_path(self.cfg, batch), sections)?;
         self.lowering.seal_output(self.comm, self.io);
-        if let Some(mark) = self.out_mark.take() {
-            self.phase_times.add(phases::OUTPUT, self.ctx.now() - mark);
-        }
         Ok(())
     }
 }
 
 impl WorkerIo<'_, '_> {
     /// Write the records the master assigned this worker for `batch`,
-    /// then acknowledge under `epoch`. Out of line, like the worker's
-    /// other command handlers (see `WorkerIo::on_grant`).
+    /// and the orphan records it shipped along, then acknowledge under
+    /// `epoch`. Out of line, like the worker's other command handlers
+    /// (see `WorkerIo::on_grant`).
     #[inline(never)]
     pub(super) fn write_assigned(&mut self, batch: usize, epoch: u64) -> Result<(), PioError> {
         let t = self.ctx.now();
         let assignment = self.assign.take().ok_or_else(|| {
             PioError::Protocol(format!("batch {batch} written with no assignment"))
         })?;
-        let items = self
+        let mut items = self
             .cache
-            .assigned_records(&assignment.records)
+            .assigned_records(&assignment.own.records)
             .map_err(|(q, oid)| {
                 PioError::Protocol(format!("assigned record ({q}, {oid}) not cached"))
             })?;
+        // A shipped record must end inside the report; one that overlaps
+        // another record fails the view below.
+        let end = assignment.end;
+        if let Some((off, record)) = assignment
+            .shipped
+            .iter()
+            .find(|(off, r)| off.checked_add(r.len() as u64).is_none_or(|e| e > end))
+        {
+            return Err(PioError::Protocol(format!(
+                "shipped record at {off} ({} bytes) runs past the report end {end}",
+                record.len()
+            )));
+        }
+        items.extend(assignment.shipped);
         if !self.policy.recovers() {
             // The batch is written once: the records nobody assigned can
             // never reach the report, and the assigned ones now live in

@@ -17,7 +17,7 @@ use blast_core::search::{PreparedQueries, SearchStats};
 use blast_core::seq::SeqRecord;
 use bytes::Bytes;
 use mpiblast::phases;
-use mpiblast::wire::{get_queries, OffsetAssignment};
+use mpiblast::wire::get_queries;
 use mpiblast::{ComputeModel, RankReport, MASTER};
 use mpiio::IoPlane;
 use mpisim::Comm;
@@ -28,7 +28,7 @@ use simcluster::{PhaseTimes, RankCtx, SimTime};
 use super::checkpoint;
 use super::lowering::{Lowering, Step};
 use super::output::{build_plane, fence_staging};
-use super::{policy_of, Grant, RunPolicy, TAG_READY};
+use super::{policy_of, Assign, Grant, RunPolicy, TAG_READY};
 use crate::app::{query_batches, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
@@ -107,7 +107,7 @@ pub(super) struct WorkerIo<'a, 'b> {
     pub(super) cache: ResultCache,
     pub(super) pending: VecDeque<(u32, FragmentAssignment)>,
     pub(super) grant_volumes: Vec<String>,
-    pub(super) assign: Option<OffsetAssignment>,
+    pub(super) assign: Option<Assign>,
     pub(super) stats_total: SearchStats,
     pub(super) phase_times: PhaseTimes,
     pub(super) out_mark: Option<SimTime>,

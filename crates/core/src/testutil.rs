@@ -50,6 +50,8 @@ pub(crate) struct Job {
     pub cap: Option<u64>,
     pub n_queries: usize,
     pub plan: FaultPlan,
+    /// Install a tracer and hand the merged trace back.
+    pub traced: bool,
 }
 
 impl Default for Job {
@@ -60,6 +62,7 @@ impl Default for Job {
             cap: None,
             n_queries: 3,
             plan: FaultPlan::none(),
+            traced: false,
         }
     }
 }
@@ -73,6 +76,8 @@ pub(crate) struct Done {
     pub killed: Vec<usize>,
     pub elapsed: SimTime,
     pub env: ClusterEnv,
+    /// The merged trace, when [`Job::traced`].
+    pub trace: Option<tracelog::Trace>,
 }
 
 impl Done {
@@ -92,6 +97,10 @@ impl Job {
         let db = small_db(self.cap);
         let queries = sample_queries(&db, self.n_queries);
         let sim = Sim::new(self.nranks);
+        let tracer = self.traced.then(|| tracelog::Tracer::new(self.nranks));
+        if let Some(tracer) = &tracer {
+            sim.set_tracer(tracer.clone());
+        }
         let env = ClusterEnv::new(&sim, &self.platform);
         let db_alias = stage_shared_db(&env.shared, &db);
         let query_path = stage_queries(&env.shared, &queries);
@@ -104,6 +113,7 @@ impl Job {
             killed: out.killed,
             elapsed: out.elapsed,
             env,
+            trace: tracer.map(|t| t.finish(out.elapsed.0)),
         }
     }
 }

@@ -141,9 +141,11 @@ fn event(sm: &MasterSm, policy: &RunPolicy, (kind, pick, mask): (u8, u8, u16)) -
             } else {
                 Vec::new()
             };
+            // No re-cut: the reference knows no pieces.
             MasterEvent::Dead {
                 ranks,
                 checkpointed,
+                pieces: Vec::new(),
             }
         }
     }
@@ -160,6 +162,7 @@ fn reference_event(ev: &MasterEvent) -> refm::MasterEvent {
         MasterEvent::Dead {
             ranks,
             checkpointed,
+            pieces: _,
         } => refm::MasterEvent::Dead {
             ranks,
             checkpointed,

@@ -338,13 +338,15 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         self.read_whole(path)
     }
 
-    /// Drop a checkpoint blob, if present.
-    pub fn checkpoint_drop(&self, path: &str) -> Result<(), StoreError> {
+    /// Drop every checkpoint blob of `paths` that is present, the
+    /// deletes posted together ([`SimFs::delete_all`]). Returns how many
+    /// were present.
+    pub fn checkpoint_drop_all(&self, paths: &[String]) -> Result<usize, StoreError> {
         let _span = tracelog::span(tracelog::Lane::Io, "plane.ckpt.drop");
         // A staged blob whose drain is still in flight would land
-        // *after* the delete and resurrect it; fence first.
+        // *after* the delete and resurrect it; fence first, once.
         self.fence()?;
-        self.fs.delete(self.comm.ctx(), path)
+        Ok(self.fs.delete_all(self.comm.ctx(), paths))
     }
 
     // ---- shared by both policies ----
@@ -685,7 +687,11 @@ mod tests {
             let path = format!("ckpt.{me}");
             plane.checkpoint_put(&path, blob.clone()).unwrap();
             assert_eq!(plane.checkpoint_get(&path).unwrap(), blob);
-            plane.checkpoint_drop(&path).unwrap();
+            assert_eq!(
+                plane.checkpoint_drop_all(std::slice::from_ref(&path)),
+                Ok(1)
+            );
+            assert_eq!(plane.checkpoint_drop_all(&[path]), Ok(0));
         });
         let two_phase = fs.class_tally(IoClass::TwoPhase);
         assert_eq!(two_phase.requests, 4);

@@ -135,7 +135,8 @@ impl<'a, 'b> Pump<'a, 'b> {
 /// Fragments are identified by index. Grants record ownership so a
 /// worker's death can requeue exactly what it held or hand it to another
 /// rank's row, and each fragment's last holder so a re-grant can go back
-/// to its data.
+/// to its data. A pending fragment can be split into pieces with fresh
+/// ids, which take its place in the queue.
 #[derive(Debug, Clone)]
 pub struct GrantQueue {
     pending: std::collections::VecDeque<usize>,
@@ -220,6 +221,27 @@ impl GrantQueue {
             let at = row.partition_point(|&g| g < f);
             row.insert(at, f);
         }
+    }
+
+    /// Replace the pending fragment `frag` with `pieces`, in its place
+    /// and in order, and grow the last-holder table to fit them. The
+    /// pieces are fresh ids, past every id the queue has seen: `frag`
+    /// retires and is never granted again, and each piece is granted,
+    /// owned, released and handed over like any fragment. Returns
+    /// whether `frag` was pending (nothing changes if it was not).
+    pub fn split(&mut self, frag: usize, pieces: &[usize]) -> bool {
+        let Some(at) = self.pending.iter().position(|&f| f == frag) else {
+            return false;
+        };
+        self.pending.remove(at);
+        for (i, &p) in pieces.iter().enumerate() {
+            self.pending.insert(at + i, p);
+        }
+        let top = pieces.iter().map(|&p| p + 1).max().unwrap_or(0);
+        if self.last_holder.len() < top {
+            self.last_holder.resize(top, None);
+        }
+        true
     }
 
     /// Strip `rank` of its fragments and push them back onto the queue in
@@ -346,6 +368,41 @@ mod tests {
         assert_eq!(q.owned(0), &[] as &[usize]);
         // Handing over leaves the last holder: rank 2 still draws 0 first.
         assert_eq!(q.grant_to_preferring(2), Some(0));
+    }
+
+    #[test]
+    fn a_split_retires_a_pending_fragment_for_fresh_pieces_in_its_place() {
+        let mut q = GrantQueue::new(4, 4);
+        assert_eq!(q.grant_chunk(1, 2), vec![0, 1]);
+        assert_eq!(q.release(1, false), vec![0, 1]);
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![2, 3, 0, 1]);
+        // Fragment 0 is cut into ids 4, 5 and 6, appended after the
+        // four the queue was built with; the pieces take its place.
+        assert!(q.split(0, &[4, 5, 6]));
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![2, 3, 4, 5, 6, 1]);
+        // A fragment that is not pending is left alone.
+        assert!(!q.split(0, &[7, 8]));
+        assert!(!q.split(9, &[7, 8]));
+        assert_eq!(q.pending().count(), 6);
+        // The last-holder table grew: pieces are preferred by their last
+        // holder like any fragment, and fragment 0 never comes back.
+        assert_eq!(q.grant_chunk(2, 3), vec![2, 3, 4]);
+        assert_eq!(q.grant_to(3), Some(5));
+        let _ = q.release(3, false);
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![6, 1, 5]);
+        assert_eq!(q.grant_to_preferring(3), Some(5));
+        // Pieces hand over and release by id.
+        q.hand_over(2, 0, |&f| f == 4);
+        assert_eq!(q.owned(0), &[4]);
+        assert_eq!(q.release(2, true), vec![2, 3]);
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![2, 3, 6, 1]);
+        // A piece is cut again like any pending fragment.
+        assert!(q.split(6, &[7, 8]));
+        assert_eq!(q.pending().collect::<Vec<_>>(), vec![2, 3, 7, 8, 1]);
+        assert_eq!(q.grant_chunk(1, 5), vec![2, 3, 7, 8, 1]);
+        assert!(q.is_drained());
+        assert_eq!(q.release(0, false), vec![4]);
+        assert_eq!(q.grant_to_preferring(2), Some(4));
     }
 
     #[test]

@@ -273,10 +273,14 @@ impl SimFs {
         st.store.create(path);
     }
 
-    /// Delete a file. Charges one metadata op.
-    pub fn delete(&self, ctx: &RankCtx, path: &str) -> Result<(), StoreError> {
-        self.meta_op(ctx);
-        self.state.lock().store.delete(path)
+    /// Delete every file of `paths` that exists, the deletes posted
+    /// together: one metadata op per path, one operation latency for the
+    /// set. Returns how many files were removed.
+    pub fn delete_all(&self, ctx: &RankCtx, paths: &[String]) -> usize {
+        self.state.lock().counters.meta_ops += paths.len() as u64;
+        ctx.charge(SimDuration::from_secs_f64(self.profile.op_latency));
+        let mut st = self.state.lock();
+        paths.iter().filter(|p| st.store.delete(p).is_ok()).count()
     }
 
     /// List files with a prefix. Charges one metadata op.
@@ -577,6 +581,24 @@ mod tests {
     }
 
     #[test]
+    fn delete_all_posts_its_deletes_together() {
+        let sim = Sim::new(1);
+        let fs = SimFs::new(sim.handle(), "t", test_profile());
+        for f in ["a", "b", "c"] {
+            fs.preload(f, vec![1u8; 10]);
+        }
+        let paths: Vec<String> = ["a", "x", "c", "y"].map(String::from).to_vec();
+        let out = sim.run(|ctx| (fs.delete_all(&ctx, &paths), ctx.now()));
+        // Two of the four paths existed; one 1 ms latency for the set,
+        // one metadata op per path.
+        let (removed, t) = out.outputs[0];
+        assert_eq!(removed, 2);
+        assert_eq!(t, SimTime::ZERO + SimDuration::from_millis(1));
+        assert_eq!(fs.counters().meta_ops, 4);
+        assert_eq!(fs.peek_list(""), vec!["b".to_string()]);
+    }
+
+    #[test]
     fn solo_read_takes_latency_plus_bandwidth_time() {
         let sim = Sim::new(1);
         let fs = SimFs::new(sim.handle(), "t", test_profile());
@@ -703,7 +725,7 @@ mod tests {
             fs.create(&ctx, "a");
             assert_eq!(fs.stat(&ctx, "a"), Some(0));
             assert_eq!(fs.stat(&ctx, "b"), None);
-            fs.delete(&ctx, "a").unwrap();
+            assert_eq!(fs.delete_all(&ctx, &["a".into()]), 1);
             assert_eq!(fs.list(&ctx, "").len(), 0);
             ctx.now().as_secs_f64()
         });

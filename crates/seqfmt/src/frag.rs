@@ -119,25 +119,53 @@ pub fn virtual_fragments(indexes: &[&VolumeIndex], n: usize) -> Vec<FragmentSpec
 /// Split one volume into up to `k` residue-balanced fragments.
 fn partition_volume(vi: usize, idx: &VolumeIndex, k: usize, out: &mut Vec<FragmentSpec>) {
     let num_seqs = idx.num_seqs() as u64;
+    let total = idx.volume_stats.total_residues;
+    partition_range(vi, idx, (0, num_seqs), total, k, out);
+}
+
+/// Cut a fragment into up to `k` pieces at record boundaries, balanced
+/// by `.seq` bytes, in record order: at most one piece per record, and
+/// at least one. `idx` is the index of the spec's volume. The pieces
+/// partition the fragment's records and its `.seq` and `.hdr` ranges
+/// exactly; each piece's `.idx` table slices overlap the next one's by
+/// the one shared boundary entry, as every fragment's do.
+pub fn split(idx: &VolumeIndex, spec: &FragmentSpec, k: usize) -> Vec<FragmentSpec> {
+    let mut out = Vec::new();
+    let records = (spec.first_seq, spec.last_seq);
+    partition_range(spec.volume, idx, records, spec.residues, k, &mut out);
+    out
+}
+
+/// Cut records `[first, last)` of a volume into up to `k` fragments,
+/// cutting where the `.seq` offset passes each `1/k` share of `weight`
+/// past the range's start, but always leaving enough records for the
+/// remaining parts.
+fn partition_range(
+    vi: usize,
+    idx: &VolumeIndex,
+    (first, end): (u64, u64),
+    weight: u64,
+    k: usize,
+    out: &mut Vec<FragmentSpec>,
+) {
+    let num_seqs = end.saturating_sub(first);
     if num_seqs == 0 {
         return;
     }
-    let k = (k as u64).min(num_seqs);
-    let total = idx.volume_stats.total_residues;
-    let mut first = 0u64;
+    let k = (k.max(1) as u64).min(num_seqs);
+    let base = idx.seq_offsets[first as usize];
+    let mut first = first;
     for part in 0..k {
-        // Cut where cumulative residues reach the proportional target, but
-        // always leave enough sequences for the remaining parts.
-        let target = total.saturating_mul(part + 1) / k;
+        let target = base.saturating_add(weight.saturating_mul(part + 1) / k);
         let mut last = if part + 1 == k {
-            num_seqs
+            end
         } else {
             // seq_offsets is nondecreasing: binary search the cut point.
             let cut = idx
                 .seq_offsets
                 .partition_point(|&o| o < target)
                 .max(first as usize + 1) as u64;
-            cut.min(num_seqs - (k - part - 1))
+            cut.min(end - (k - part - 1))
         };
         if last < first + 1 {
             last = first + 1;
@@ -335,6 +363,56 @@ mod tests {
             // Each fragment's sequence range lies within its own volume.
             let vol_seqs = db.volumes[s.volume].index.num_seqs() as u64;
             assert!(s.last_seq <= vol_seqs);
+        }
+    }
+
+    #[test]
+    fn split_pieces_partition_the_records_and_byte_ranges_of_any_fragment() {
+        let db = make_db(&[5, 7, 11, 13, 17, 1, 0, 30, 2, 9, 4]);
+        let idx = &db.volumes[0].index;
+        for n in 1..=6 {
+            for spec in virtual_fragments(&[idx], n) {
+                for k in 1..=14 {
+                    let pieces = split(idx, &spec, k);
+                    let what = format!("{spec:?} into {k}");
+                    assert_eq!(
+                        pieces.len() as u64,
+                        (k as u64).min(spec.num_seqs()),
+                        "{what}"
+                    );
+                    // The pieces chain from the fragment's first record
+                    // and byte to its last, none empty.
+                    let (first, last) = (&pieces[0], &pieces[pieces.len() - 1]);
+                    assert_eq!(first.first_seq, spec.first_seq, "{what}");
+                    assert_eq!(last.last_seq, spec.last_seq, "{what}");
+                    assert_eq!(first.base_oid, spec.base_oid, "{what}");
+                    let ranges = |p: &FragmentSpec| {
+                        [p.seq_range, p.hdr_range, p.idx_seq_range, p.idx_hdr_range]
+                    };
+                    let whole = ranges(&spec).into_iter();
+                    let ends = ranges(first).into_iter().zip(ranges(last));
+                    for (range, (head, tail)) in whole.zip(ends) {
+                        assert_eq!((head.0, tail.1), range, "{what}");
+                    }
+                    for pair in pieces.windows(2) {
+                        let (a, b) = (&pair[0], &pair[1]);
+                        assert!(a.last_seq > a.first_seq, "{what}");
+                        assert_eq!(a.last_seq, b.first_seq, "{what}");
+                        assert_eq!(b.base_oid, a.base_oid + a.num_seqs(), "{what}");
+                        assert_eq!(a.seq_range.1, b.seq_range.0, "{what}");
+                        assert_eq!(a.hdr_range.1, b.hdr_range.0, "{what}");
+                        // The `.idx` slices share their boundary entry.
+                        assert_eq!(a.idx_seq_range.1 - 8, b.idx_seq_range.0, "{what}");
+                        assert_eq!(a.idx_hdr_range.1 - 8, b.idx_hdr_range.0, "{what}");
+                    }
+                    let residues: u64 = pieces.iter().map(|p| p.residues).sum();
+                    assert_eq!(residues, spec.residues, "{what}");
+                    // Each piece is the spec of its own records.
+                    for p in &pieces {
+                        assert_eq!(*p, make_spec(0, idx, p.first_seq, p.last_seq), "{what}");
+                    }
+                }
+            }
         }
     }
 

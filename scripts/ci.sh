@@ -149,7 +149,9 @@ cargo test --release -q -p pioblast --lib a_master_rejects_a_submission_for_a_qu
 cargo test --release -q -p mpiblast --lib outside_the_set
 # ...and a hostile master against a real worker, under both lowerings: a
 # first message that is not the bundle, an abort first, an unknown tag, a
-# truncated fenced request, an uncached or empty assignment, a grant for
+# truncated fenced request, an uncached or empty assignment, an
+# assignment with no shipped-record list, a shipped record overlapping
+# the worker's own or running past the report end, a grant for
 # a batch the bundle lacks, a non-QBATCH where stream queries are due, a
 # dead master — each the worker's typed error, never a panic or a
 # deadlock. And the master machine walks one fault-free dynamic cycle
@@ -225,6 +227,30 @@ cargo test --release -q -p mpiblast --lib a_detected_death_is_swept_once_and_end
 # master that loops at one virtual instant fails instead of hanging.
 cargo test --release -q --test fault_recovery a_death_requeues_exactly_what_its_checkpoints_do_not_cover
 cargo test --release -q -p mpisim --lib an_heir_keeps_handed_fragments_ascending_and_releases_them_to_the_tail
+# Recovery without a serial tail: a dead worker's leftover fragments are
+# re-cut at record boundaries over every idle survivor, and the records
+# of its checkpointed ones ride to the survivors with their assignments.
+# A cut partitions a fragment's records and byte ranges for any k; the
+# grant queue puts the pieces where the fragment was pending; the machine
+# grants every piece, re-cuts a dead piece holder's piece and requeues a
+# one-record fragment whole; one death's fragment is searched in seven
+# pieces on seven survivors; the kill matrices (batched, staged,
+# nonblocking, service) both split and ship and give fault-free reports;
+# the checkpoint deletes are posted together and reach every piece.
+cargo test --release -q -p seqfmt --lib split_pieces_partition_the_records_and_byte_ranges_of_any_fragment
+cargo test --release -q -p mpisim --lib a_split_retires_a_pending_fragment_for_fresh_pieces_in_its_place
+cargo test --release -q -p parafs --lib delete_all_posts_its_deletes_together
+for t in a_death_with_pieces_grants_every_piece_to_idle_survivors \
+         a_piece_holders_death_re_cuts_that_piece \
+         a_one_record_fragment_is_requeued_whole; do
+  cargo test --release -q -p pioblast --lib "runtime::master::tests::$t" -- --exact
+done
+cargo test --release -q -p pioblast --lib checkpoint_blobs_of_pieces_are_cleaned_up_after_a_killed_run
+cargo test --release -q --test fault_recovery a_death_spreads_its_leftover_fragment_over_every_survivor
+cargo test --release -q --test fault_recovery kills_that_split_fragments_and_ship_orphans_recover_byte_identically
+cargo test --release -q --test burst staged_kills_that_split_and_ship_recover_byte_identically
+cargo test --release -q --test async_io async_kills_that_split_and_ship_recover_byte_identically
+cargo test --release -q --test service stream_kills_that_split_fragments_recover_byte_identically
 # One failure vocabulary: mpiBLAST's setup failures are the PioError
 # variants pioBLAST's are (Input(Store) for a missing query file,
 # Input(Malformed) for a short or lying fragment index), every worker

@@ -235,6 +235,52 @@ fn full_file_system_degrades_output_to_typed_errors() {
     }
 }
 
+/// Kills that re-cut a leftover fragment over the survivors and ship
+/// checkpointed records to them, on the nonblocking plane: the pieces'
+/// reads are posted like any grant's, and their checkpoint puts and the
+/// shipped records' writes are joined at the epoch fences. With and
+/// without checkpoints and query batching, every report is the
+/// synchronous reference, and the matrix does both.
+#[test]
+fn async_kills_that_split_and_ship_recover_byte_identically() {
+    let (mut splits, mut shipped) = (0, 0);
+    for checkpoint in [false, true] {
+        for query_batch in [None, Some(1)] {
+            for kill_after in [2u64, 3, 4] {
+                let opts = Opts {
+                    nranks: 9,
+                    plan: FaultPlan::none().kill_after_sends(3, kill_after),
+                    traced: true,
+                    ..Opts::default()
+                };
+                let done = run_opts(opts, |cfg| {
+                    cfg.num_fragments = Some(16);
+                    cfg.collective_output = false;
+                    cfg.query_batch = query_batch;
+                    cfg.schedule = FragmentSchedule::Dynamic;
+                    cfg.fault = FaultMode::Recover;
+                    cfg.checkpoint = checkpoint;
+                    cfg.io.io_async = true;
+                });
+                let what = format!(
+                    "ckpt={checkpoint} batch={query_batch:?} kill_after={kill_after} \
+                     killed={:?}",
+                    done.killed
+                );
+                assert!(done.killed.is_empty() || done.killed == vec![3], "{what}");
+                assert_eq!(&done.report[..], reference_bytes(), "{what}");
+                let (s, o) = common::splits_and_shipments(&done.trace.expect("traced"));
+                splits += s;
+                shipped += o;
+            }
+        }
+    }
+    assert!(
+        splits > 0 && shipped > 0,
+        "{splits} splits, {shipped} shipments"
+    );
+}
+
 /// A checkpoint put that fails must degrade, not abort — and under
 /// `--io-async` the failure crosses the plane boundary late: the put is
 /// fired, parked in the plane and joined at the epoch fence. Either way

@@ -141,6 +141,55 @@ proptest! {
     }
 }
 
+/// Kills that re-cut a leftover fragment over seven survivors and ship
+/// checkpointed records to them, on staged output: bounded and unbounded
+/// staging, with and without `--io-async`, checkpoints and query
+/// batching. Staged pieces and shipped orphans are fenced before their
+/// acks like any output, so every report is the unstaged reference, and
+/// the matrix does both.
+#[test]
+fn staged_kills_that_split_and_ship_recover_byte_identically() {
+    let (mut splits, mut shipped) = (0, 0);
+    for capacity in [64 * 1024, BurstOptions::default().capacity] {
+        for io_async in [false, true] {
+            for checkpoint in [false, true] {
+                for kill_after in [2u64, 3] {
+                    let plan = FaultPlan::none().kill_after_sends(3, kill_after);
+                    let opts = Opts {
+                        traced: true,
+                        ..blade(9, plan)
+                    };
+                    let done = run_opts(opts, |cfg| {
+                        recover(cfg);
+                        cfg.num_fragments = Some(16);
+                        cfg.io.burst = Some(BurstOptions {
+                            capacity,
+                            ..Default::default()
+                        });
+                        cfg.io.io_async = io_async;
+                        cfg.checkpoint = checkpoint;
+                        cfg.query_batch = io_async.then_some(2);
+                    });
+                    let what = format!(
+                        "cap={capacity} async={io_async} ckpt={checkpoint} \
+                         kill_after={kill_after} killed={:?}",
+                        done.killed
+                    );
+                    assert!(done.killed.is_empty() || done.killed == vec![3], "{what}");
+                    assert_eq!(&done.report[..], reference_bytes(), "{what}");
+                    let (s, o) = common::splits_and_shipments(&done.trace.expect("traced"));
+                    splits += s;
+                    shipped += o;
+                }
+            }
+        }
+    }
+    assert!(
+        splits > 0 && shipped > 0,
+        "{splits} splits, {shipped} shipments"
+    );
+}
+
 /// Zero capacity refuses every put: the run completes entirely on the
 /// direct-write path and still matches the reference — the degradation
 /// contract in its pure form.

@@ -26,7 +26,7 @@ use mpiblast::wire::{
     MetaSubmission, OffsetAssignment, QueryBundle, ResultSubmission,
 };
 use pioblast::proto::{FragmentAssignment, PartitionMessage};
-use pioblast::runtime::{Fenced, Grant};
+use pioblast::runtime::{Assign, Fenced, Grant};
 use seqfmt::codec::{CodecError, Reader, Wire, Writer};
 use seqfmt::{AliasFile, FragmentData, FragmentSpec, VolumeIndex};
 
@@ -327,6 +327,20 @@ fn every_type(v: &mut impl Visitor) {
     let epoch = 7u64;
     v.visit::<Fenced<MetaSubmission>>(Some("EpochSubmit"), (epoch, meta()));
     v.visit::<Fenced<OffsetAssignment>>(Some("EpochAssign"), (epoch, offsets()));
+    // The point-to-point TAG_ASSIGN payload: its own offsets, then the
+    // orphan records shipped beside them.
+    v.visit::<Fenced<Assign>>(
+        None,
+        (
+            epoch,
+            Assign {
+                own: offsets(),
+                shipped: vec![(12_000, ">orphan\n".into()), (12_008, "".into())],
+                end: 123_456,
+            },
+        ),
+    );
+    v.visit(None, Assign::default());
     v.visit::<Fenced<u32>>(Some("EpochSubmitReq"), (epoch, 3));
     v.visit(Some("EpochDone"), epoch);
     v.visit(Some("QBatch"), QBatch(5, queries()));

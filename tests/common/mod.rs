@@ -147,6 +147,22 @@ pub fn run_frags(
     (done.report, done.killed)
 }
 
+/// What a traced `Recover` run did for its dead: how many requeued
+/// fragments it re-cut into pieces (`split` instants), and how many of
+/// its merges spliced in orphans, whose records ride to the live workers
+/// with their assignments.
+pub fn splits_and_shipments(trace: &Trace) -> (usize, usize) {
+    let named = |name: &'static str| trace.events.iter().filter(move |e| e.name == name);
+    let orphans = |e: &&tracelog::Event| {
+        let arg = e.args.iter().find(|(k, _)| *k == "orphans");
+        !matches!(arg, Some((_, tracelog::ArgVal::U64(0))))
+    };
+    (
+        named("split").count(),
+        named("merge").filter(orphans).count(),
+    )
+}
+
 /// Stage the workload, let `tweak` change the paper-design config (it
 /// may also touch the staged files through `cfg.env`), and run it.
 pub fn run_opts(opts: Opts, tweak: impl FnOnce(&mut PioBlastConfig)) -> Done {

@@ -273,6 +273,111 @@ fn a_death_requeues_exactly_what_its_checkpoints_do_not_cover() {
     });
 }
 
+/// One death with every other fragment granted: the victim's leftover
+/// fragment is re-cut into one piece per survivor, each piece is a new
+/// fragment id searched once on its own live rank, and the report is the
+/// fault-free one.
+#[test]
+fn a_death_spreads_its_leftover_fragment_over_every_survivor() {
+    common::within_host_secs(DEATH_TEST_SECS, || {
+        // One fragment per worker: rank 3 dies right after acknowledging
+        // its fragment, whose results lived only in its cache. Every
+        // fragment is granted by then.
+        let plan = common::watchdog().kill_after_sends(3, 2);
+        let opts = Opts {
+            nranks: 9,
+            plan,
+            traced: true,
+            ..Opts::default()
+        };
+        let done = run_opts(opts, |cfg| {
+            cfg.num_fragments = Some(8);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+        });
+        assert_eq!(done.killed, vec![3]);
+        assert_eq!(done.report, reference_bytes());
+        let trace = done.trace.expect("traced run");
+        let named = |name: &'static str| trace.events.iter().filter(move |e| e.name == name);
+        let [split] = named("split").collect::<Vec<_>>()[..] else {
+            panic!("one split expected");
+        };
+        let [requeue] = named("requeue").collect::<Vec<_>>()[..] else {
+            panic!("one requeue expected");
+        };
+        assert_eq!(arg(split, "fragment"), arg(requeue, "fragment"));
+        assert_eq!(arg(split, "pieces"), 7, "one piece per survivor");
+        // The pieces are ids 8..15: each searched once, after the
+        // split, on its own survivor; the cut fragment never again.
+        let cut = arg(split, "fragment");
+        let searched: Vec<(usize, usize)> = named("search.fragment")
+            .filter(|e| e.t >= split.t)
+            .map(|e| (arg(e, "fragment"), e.rank))
+            .collect();
+        let mut pieces: Vec<usize> = searched.iter().map(|&(f, _)| f).collect();
+        pieces.sort_unstable();
+        assert_eq!(pieces, (8..15).collect::<Vec<_>>());
+        let mut ranks: Vec<usize> = searched.iter().map(|&(_, r)| r).collect();
+        ranks.sort_unstable();
+        assert_eq!(ranks, vec![1, 2, 4, 5, 6, 7, 8]);
+        assert_eq!(
+            named("search.fragment")
+                .filter(|e| arg(e, "fragment") == cut && e.t >= split.t)
+                .count(),
+            0
+        );
+    });
+}
+
+/// Kills of one worker among eight, at several points of 8- and
+/// 16-fragment runs, with and without checkpoints and query batching. A
+/// death with every other fragment granted re-cuts the victim's leftover
+/// fragments over the survivors; with checkpoints, the records of the
+/// fragments it had searched ride to the survivors with their
+/// assignments. Every report is the fault-free one, and the matrix does
+/// both.
+#[test]
+fn kills_that_split_fragments_and_ship_orphans_recover_byte_identically() {
+    let (mut splits, mut shipped) = (0, 0);
+    for nfrags in [8, 16] {
+        for kill_after in [2u64, 3, 4] {
+            for checkpoint in [false, true] {
+                for query_batch in [None, Some(1)] {
+                    let opts = Opts {
+                        nranks: 9,
+                        plan: FaultPlan::none().kill_after_sends(3, kill_after),
+                        traced: true,
+                        ..Opts::default()
+                    };
+                    let done = run_opts(opts, |cfg| {
+                        cfg.num_fragments = Some(nfrags);
+                        cfg.collective_output = false;
+                        cfg.query_batch = query_batch;
+                        cfg.schedule = FragmentSchedule::Dynamic;
+                        cfg.fault = FaultMode::Recover;
+                        cfg.checkpoint = checkpoint;
+                    });
+                    let what = format!(
+                        "nfrags={nfrags} kill_after={kill_after} ckpt={checkpoint} \
+                         batch={query_batch:?} killed={:?}",
+                        done.killed
+                    );
+                    assert!(done.killed.is_empty() || done.killed == vec![3], "{what}");
+                    assert_eq!(done.report, reference_bytes(), "{what}");
+                    let (s, o) = common::splits_and_shipments(&done.trace.expect("traced"));
+                    splits += s;
+                    shipped += o;
+                }
+            }
+        }
+    }
+    assert!(
+        splits > 0 && shipped > 0,
+        "{splits} splits, {shipped} shipments"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(10))]
 

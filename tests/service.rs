@@ -305,6 +305,53 @@ fn a_worker_that_returns_an_error_without_recover_fails_the_stream() {
     }
 }
 
+/// A stream of four batches on eight workers, one worker killed at
+/// several points, with and without affinity: a death with every other
+/// fragment granted re-cuts the victim's fragments over the survivors,
+/// at the front of the queue, and the pieces stay fragments of their own
+/// for the rest of the stream. Every batch's report is its one-shot
+/// reference, and some kill does re-cut.
+#[test]
+fn stream_kills_that_split_fragments_recover_byte_identically() {
+    let plan = fixed_plan();
+    let refs = references(9, 8, &plan);
+    let mut splits = 0;
+    for affinity in [false, true] {
+        for kill_after in [2u64, 4, 6] {
+            let opts = Opts {
+                nranks: 9,
+                db_seed: DB_SEED,
+                n_queries: plan.total_queries(),
+                plan: FaultPlan::none().kill_after_sends(3, kill_after),
+                traced: true,
+                ..Opts::default()
+            };
+            let done = run_opts(opts, |cfg| {
+                cfg.num_fragments = Some(8);
+                cfg.collective_output = false;
+                cfg.schedule = FragmentSchedule::Dynamic;
+                cfg.fault = FaultMode::Recover;
+                cfg.service = Some(ServiceOptions {
+                    plan: plan.clone(),
+                    resident_bytes: if affinity { 64 << 20 } else { 0 },
+                    affinity,
+                });
+            });
+            let what = format!(
+                "affinity={affinity} kill_after={kill_after} killed={:?}",
+                done.killed
+            );
+            assert!(done.killed.is_empty() || done.killed == vec![3], "{what}");
+            for (b, want) in refs.iter().enumerate() {
+                let got = done.env.shared.peek(&format!("{OUTPUT}.q{b}"));
+                assert_eq!(got.as_ref(), Ok(want), "batch {b}: {what}");
+            }
+            splits += common::splits_and_shipments(&done.trace.expect("traced")).0;
+        }
+    }
+    assert!(splits > 0, "no kill re-cut a fragment");
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(12))]
 
