@@ -13,6 +13,7 @@
 //! therefore be computable worker-side, and identical input must format
 //! identically everywhere.
 
+use std::borrow::Cow;
 use std::fmt::Write as _;
 
 use crate::alphabet::{decode_letter, Molecule};
@@ -89,22 +90,42 @@ pub fn commas(n: u64) -> String {
 
 /// Format an E-value the way BLAST reports do.
 pub fn format_evalue(e: f64) -> String {
-    if e == 0.0 {
-        "0.0".to_string()
+    let mut out = String::new();
+    write_evalue(&mut out, e);
+    out
+}
+
+/// [`format_evalue`] written to any `fmt::Write` sink — a `String`, or a
+/// byte counter that measures the text without rendering it.
+fn write_evalue(out: &mut impl std::fmt::Write, e: f64) {
+    // Neither sink this module writes to can fail.
+    let _ = if e == 0.0 {
+        out.write_str("0.0")
     } else if e < 1e-99 {
         // NCBI drops the mantissa's "1." for tiny values: `e-120`.
         let exp = e.log10().floor() as i32;
-        format!("e{exp}")
+        write!(out, "e{exp}")
     } else if e < 0.001 {
         let exp = e.log10().floor() as i32;
         let mantissa = e / 10f64.powi(exp);
-        format!("{:.0}e-{:02}", mantissa, -exp)
+        write!(out, "{:.0}e-{:02}", mantissa, -exp)
     } else if e < 0.1 {
-        format!("{e:.3}")
+        write!(out, "{e:.3}")
     } else if e < 10.0 {
-        format!("{e:.2}")
+        write!(out, "{e:.2}")
     } else {
-        format!("{e:.1}")
+        write!(out, "{e:.1}")
+    };
+}
+
+/// A `fmt::Write` sink that only counts the bytes written to it.
+#[derive(Default)]
+struct ByteCount(usize);
+
+impl std::fmt::Write for ByteCount {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        self.0 += s.len();
+        Ok(())
     }
 }
 
@@ -121,34 +142,132 @@ pub fn query_header(cfg: &ReportConfig, query: &SeqRecord) -> String {
     )
 }
 
-/// One entry of the "Sequences producing significant alignments" section.
-///
-/// `defline` is the subject defline; it is truncated/padded to a fixed
-/// column so scores align.
-pub fn summary_line(defline: &str, bit_score: f64, evalue: f64) -> String {
-    const DEFLINE_COL: usize = 64;
-    let mut name: String = defline.chars().take(DEFLINE_COL).collect();
-    if defline.chars().count() > DEFLINE_COL {
-        name.truncate(DEFLINE_COL - 3);
-        name.push_str("...");
-    }
-    format!(
-        "{name:<DEFLINE_COL$} {:>7.1} {:>9}\n",
-        bit_score,
-        format_evalue(evalue)
-    )
+/// Width, in chars, of the defline column of a one-line summary.
+const DEFLINE_COL: usize = 64;
+
+/// The column preamble that opens a summary section.
+pub const SUMMARY_PREAMBLE: &str = "                                                                 Score    E\nSequences producing significant alignments:                     (bits)  Value\n\n";
+
+/// Where a defline too long for the summary's defline column is cut:
+/// the byte index of its 62nd char, if it has more than 64.
+fn summary_cut(defline: &str) -> Option<usize> {
+    let mut chars = defline.char_indices().skip(DEFLINE_COL - 3);
+    let cut = chars.next()?.0;
+    chars.nth(2).map(|_| cut)
 }
 
-/// The summary section header + entries.
-pub fn summary_section(lines: &[String]) -> String {
-    let mut out = String::from(
-        "                                                                 Score    E\nSequences producing significant alignments:                     (bits)  Value\n\n",
-    );
-    for l in lines {
-        out.push_str(l);
+/// `defline` cut to the summary's defline column: whole if it fits in
+/// 64 chars, else its first 61 chars and `...`. Cutting a cut name
+/// changes nothing, so a name can travel cut and be rendered elsewhere.
+pub fn summary_name(defline: &str) -> Cow<'_, str> {
+    match summary_cut(defline) {
+        None => Cow::Borrowed(defline),
+        Some(cut) => Cow::Owned(format!("{}...", &defline[..cut])),
     }
-    out.push('\n');
+}
+
+/// One entry of the "Sequences producing significant alignments" section.
+///
+/// `defline` is the subject defline; it is cut ([`summary_name`]) and
+/// padded to a fixed column so scores align.
+pub fn summary_line(defline: &str, bit_score: f64, evalue: f64) -> String {
+    let mut out = String::new();
+    push_summary_line(&mut out, defline, bit_score, evalue);
     out
+}
+
+/// [`summary_line`] appended to `out`, for a writer that renders a run
+/// of entries into one buffer.
+pub fn push_summary_line(out: &mut String, defline: &str, bit_score: f64, evalue: f64) {
+    let name = summary_name(defline);
+    let _ = writeln!(
+        out,
+        "{name:<DEFLINE_COL$} {bit_score:>7.1} {:>9}",
+        format_evalue(evalue)
+    );
+}
+
+/// The length of [`summary_line`]`(defline, bit_score, evalue)`, worked
+/// out without rendering the line: the pad to the defline column counts
+/// chars, so a multi-byte defline is measured by both.
+pub fn summary_len(defline: &str, bit_score: f64, evalue: f64) -> usize {
+    let (name_bytes, name_chars) = match summary_cut(defline) {
+        Some(cut) => (cut + 3, DEFLINE_COL),
+        None => (defline.len(), defline.chars().count()),
+    };
+    let mut bits = ByteCount::default();
+    let _ = write!(bits, "{bit_score:.1}");
+    let mut e = ByteCount::default();
+    write_evalue(&mut e, evalue);
+    name_bytes + DEFLINE_COL.saturating_sub(name_chars) + 1 + bits.0.max(7) + 1 + e.0.max(9) + 1
+}
+
+/// The blank line that closes a summary section after its last entry.
+pub const SUMMARY_CLOSE: &str = "\n";
+
+/// A query's summary lines as they stand in the report: the lines, then
+/// [`SUMMARY_CLOSE`] — or nothing for a query without lines, whose
+/// no-hits notice stands in the section's head instead.
+pub fn summary_region(lines: &[String]) -> String {
+    if lines.is_empty() {
+        return String::new();
+    }
+    let mut out = lines.concat();
+    out.push_str(SUMMARY_CLOSE);
+    out
+}
+
+/// One query's section of the report, laid out from the lengths of its
+/// one-line summaries without rendering them. In file order: `head`, the
+/// summary region ([`summary_region`], `summary_len` bytes), the
+/// alignment records, then `footer`.
+#[derive(Debug, Clone, PartialEq)]
+pub struct QuerySection {
+    /// The query header, then the [`SUMMARY_PREAMBLE`] — or, for a query
+    /// without summary lines, the no-hits notice.
+    pub head: String,
+    /// Bytes of the summary region.
+    pub summary_len: u64,
+    /// The statistics footer.
+    pub footer: String,
+}
+
+impl QuerySection {
+    /// The section of `query`, whose summary lines are `line_lens` bytes
+    /// long ([`summary_len`]), in report order.
+    pub fn new(
+        cfg: &ReportConfig,
+        params: &SearchParams,
+        query: &SeqRecord,
+        space: &SearchSpace,
+        line_lens: impl IntoIterator<Item = u64>,
+    ) -> QuerySection {
+        let mut head = query_header(cfg, query);
+        let mut lens = line_lens.into_iter().peekable();
+        let summary_len = if lens.peek().is_none() {
+            head.push_str(&no_hits_section());
+            0
+        } else {
+            head.push_str(SUMMARY_PREAMBLE);
+            lens.sum::<u64>() + SUMMARY_CLOSE.len() as u64
+        };
+        QuerySection {
+            head,
+            summary_len,
+            footer: query_footer(params, space),
+        }
+    }
+
+    /// Offset of the summary region, given the section's start offset.
+    pub fn summary_offset(&self, start: u64) -> u64 {
+        start + self.head.len() as u64
+    }
+
+    /// Offset of the first alignment record, given the section's start
+    /// offset.
+    pub fn records_offset(&self, start: u64) -> u64 {
+        self.summary_offset(start) + self.summary_len
+    }
 }
 
 /// Identity/positive/gap counts of a traceback alignment.

@@ -460,3 +460,51 @@ proptest! {
         }
     }
 }
+
+/// Deflines around every edge of the 64-char summary column: empty, 60
+/// to 66 ASCII chars, 200 chars, and multi-byte UTF-8 that fits, fills
+/// or overflows the column (with the cut falling inside a 2-, 3- or
+/// 4-byte char).
+fn summary_deflines() -> Vec<String> {
+    let mut out = vec![String::new(), "x".repeat(200)];
+    out.extend((60..=66).map(|n| "gi|1| d".chars().cycle().take(n).collect::<String>()));
+    for wide in ["é", "中", "🧬"] {
+        for n in [1, 60, 61, 62, 63, 64, 65, 66, 200] {
+            out.push(wide.repeat(n));
+            out.push(format!("{}{}", "a".repeat(60), wide.repeat(n)));
+        }
+    }
+    out
+}
+
+#[test]
+fn summary_len_equals_the_rendered_length_on_every_edge() {
+    use blast_core::format::{summary_len, summary_line, summary_name};
+    let bits = [0.0, 9_999_999.9, 1e9];
+    let evalues = [0.0, 1e-300, 1e-5, 0.5, 9.99, 1e5];
+    for d in summary_deflines() {
+        for &b in &bits {
+            for &e in &evalues {
+                let line = summary_line(&d, b, e);
+                assert_eq!(summary_len(&d, b, e), line.len(), "{d:?} {b} {e}: {line:?}");
+                // The cut name renders the same line: it may travel cut.
+                assert_eq!(summary_line(&summary_name(&d), b, e), line, "{d:?}");
+            }
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn summary_len_equals_the_rendered_length(
+        d in "[a-z|é中🧬 ]{0,80}",
+        b in (0usize..4, 0.0..1e4f64).prop_map(|(i, x)| [0.0, 9_999_999.9, 1e9, x][i]),
+        e in (0usize..7, 0.0..100f64)
+            .prop_map(|(i, x)| [0.0, 1e-300, 1e-5, 0.5, 9.99, 1e5, x][i]),
+    ) {
+        use blast_core::format::{summary_len, summary_line};
+        prop_assert_eq!(summary_len(&d, b, e), summary_line(&d, b, e).len());
+    }
+}

@@ -14,6 +14,12 @@
 //! once the master assigns offsets, the cache lets go of every record it
 //! was not asked to write.
 //!
+//! A hit's one-line summary is not formatted here: its defline travels
+//! in the metadata, the master measures the line when it lays the report
+//! out (`blast_core::format::summary_len`), and the live workers render
+//! the selected lines in contiguous blocks when they write
+//! ([`crate::merge::SummaryBlock`]), whoever's hits they are.
+//!
 //! Formatting a fragment yields its [`FragmentPayload`], and
 //! [`ResultCache::adopt`] is the one way in: a worker adopts what it
 //! formats (and checkpoints a copy under `Recover`), and the master adopts

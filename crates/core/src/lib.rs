@@ -20,7 +20,8 @@
 //! 4. **Metadata-only merging + collective output** — the master merges
 //!    scores and sizes, assigns absolute file offsets ([`merge`]), and
 //!    all ranks emit the report with one two-phase collective write
-//!    (`mpiio`), the master contributing headers/summaries/footers.
+//!    (`mpiio`): the master contributes headers and footers, the workers
+//!    their records and the one-line summaries they render.
 //!
 //! Given the same queries and database, the serial reference
 //! (`mpiblast::report::serial_report`), mpiBLAST, and pioBLAST produce

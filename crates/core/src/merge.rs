@@ -1,25 +1,143 @@
 //! Master-side metadata merging, global selection, and output layout.
 //!
 //! The master never touches sequence data or record bytes: it merges the
-//! workers' metadata, picks the global output set, renders only the
-//! per-query headers/summaries/footers (whose content is metadata), and
-//! assigns an absolute file offset to every selected record. Workers then
-//! write their own cached records at those offsets collectively.
+//! workers' metadata, picks the global output set, and lays the report
+//! out in the order [`QuerySection`] gives every query's section. It
+//! renders only what no worker holds — each query's header, the summary
+//! section's column preamble (or the no-hits notice) and the footer — and
+//! measures every one-line summary without rendering it
+//! ([`format::summary_len`]). Each selected record gets an absolute file
+//! offset, and each query's summary entries one [`SummaryBlock`], which
+//! the live workers split between them ([`SummaryBlock::split`]), render,
+//! and write beside their own cached records.
 
-use blast_core::format::ReportConfig;
+use blast_core::format::{self, QuerySection, ReportConfig};
 use blast_core::search::{PreparedQueries, SearchParams};
-use mpiblast::report::{build_layout, order_meta, ReportOptions};
+use mpiblast::report::{order_meta, ReportOptions};
 use mpiblast::wire::{MetaHit, MetaSubmission, OffsetAssignment};
+use mpisim::sched::chunk_evenly;
+use seqfmt::wire_struct;
+
+/// One one-line summary as it travels to the worker that renders it: the
+/// subject defline already cut to the summary column
+/// ([`format::summary_name`]), the bit score and the E-value.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SummaryEntry {
+    /// The cut defline.
+    pub name: String,
+    /// Bit score of the subject's best HSP.
+    pub bit_score: f64,
+    /// E-value of the subject's best HSP.
+    pub evalue: f64,
+}
+
+wire_struct!(SummaryEntry {
+    name: String,
+    bit_score: f64,
+    evalue: f64,
+});
+
+impl SummaryEntry {
+    /// The entry of a merged hit.
+    fn of(hit: &MetaHit) -> SummaryEntry {
+        SummaryEntry {
+            name: format::summary_name(&hit.defline).into_owned(),
+            bit_score: hit.best.bit_score,
+            evalue: hit.best.evalue,
+        }
+    }
+
+    /// The length of the rendered line.
+    fn len(&self) -> u64 {
+        format::summary_len(&self.name, self.bit_score, self.evalue) as u64
+    }
+}
+
+/// A contiguous run of one query's one-line summaries at an absolute
+/// file offset. The block that `closes` the query's summary section ends
+/// with the blank line after its last entry.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct SummaryBlock {
+    /// Absolute offset of the block's first byte.
+    pub offset: u64,
+    /// The entries, in report order.
+    pub entries: Vec<SummaryEntry>,
+    /// Whether the section's closing blank line follows the entries.
+    pub closes: bool,
+}
+
+wire_struct!(SummaryBlock {
+    offset: u64,
+    entries: Vec<SummaryEntry>,
+    closes: bool,
+});
+
+impl SummaryBlock {
+    /// The bytes the block renders to.
+    pub fn len(&self) -> u64 {
+        let close = if self.closes {
+            format::SUMMARY_CLOSE.len()
+        } else {
+            0
+        };
+        self.entries.iter().map(SummaryEntry::len).sum::<u64>() + close as u64
+    }
+
+    /// Whether the block renders to nothing.
+    pub fn is_empty(&self) -> bool {
+        self.entries.is_empty() && !self.closes
+    }
+
+    /// Render the block: its lines, then the closing blank line if it
+    /// closes the section.
+    pub fn render(&self) -> String {
+        let mut out = String::new();
+        for e in &self.entries {
+            format::push_summary_line(&mut out, &e.name, e.bit_score, e.evalue);
+        }
+        if self.closes {
+            out.push_str(format::SUMMARY_CLOSE);
+        }
+        out
+    }
+
+    /// Deal the entries out into `parts` contiguous blocks
+    /// ([`chunk_evenly`]), each at its own offset; the last one closes
+    /// the section if this one does. Blocks may be empty.
+    pub fn split(self, parts: usize) -> Vec<SummaryBlock> {
+        let mut offset = self.offset;
+        let mut blocks: Vec<SummaryBlock> = chunk_evenly(self.entries, parts)
+            .into_iter()
+            .map(|entries| {
+                let block = SummaryBlock {
+                    offset,
+                    entries,
+                    closes: false,
+                };
+                offset += block.len();
+                block
+            })
+            .collect();
+        if let Some(last) = blocks.last_mut() {
+            last.closes = self.closes;
+        }
+        blocks
+    }
+}
 
 /// The result of merging all workers' metadata.
 #[derive(Debug, Clone, Default)]
 pub struct MergeOutcome {
-    /// Per-rank offset assignments (index = rank; the master's entry is
-    /// always empty).
+    /// Per-rank offset assignments (index = rank; the master's entry
+    /// holds the records of the orphans it adopted).
     pub per_rank: Vec<OffsetAssignment>,
     /// The master's own file regions: `(absolute offset, text)` for each
-    /// query's header+summary block and footer.
+    /// query's header with the summary preamble (or the no-hits notice),
+    /// and its footer.
     pub master_sections: Vec<(u64, String)>,
+    /// Each query's one-line summaries, one closing block per query that
+    /// has hits, in file order: the workers render them.
+    pub summaries: Vec<SummaryBlock>,
     /// Total output-file size.
     pub total_bytes: u64,
     /// Items that passed through the merge (cost accounting).
@@ -60,36 +178,33 @@ pub fn merge_and_layout(
         order_meta(&mut hits);
         let n_desc = hits.len().min(opts.num_descriptions);
         let n_rec = hits.len().min(opts.num_alignments);
-        let summaries: Vec<(String, f64, f64)> = hits
+        let entries: Vec<SummaryEntry> = hits
             .iter()
             .take(n_desc)
-            .map(|(h, _)| (h.defline.clone(), h.best.bit_score, h.best.evalue))
+            .map(|(h, _)| SummaryEntry::of(h))
             .collect();
-        let layout = build_layout(
+        let section = QuerySection::new(
             report_cfg,
             params,
             &prepared.records[q],
             &prepared.spaces[q],
-            &summaries,
-            hits.iter()
-                .take(n_rec)
-                .map(|(h, _)| h.record_size)
-                .collect(),
+            entries.iter().map(SummaryEntry::len),
         );
-        for (i, (h, owner)) in hits.iter().take(n_rec).enumerate() {
-            out.per_rank[*owner].records.push((
-                q as u32,
-                h.oid,
-                layout.record_offset(section_start, i),
-            ));
+        let mut offset = section.records_offset(section_start);
+        for (h, owner) in hits.iter().take(n_rec) {
+            out.per_rank[*owner].records.push((q as u32, h.oid, offset));
+            offset += h.record_size;
         }
-        let mut head = layout.header.clone();
-        head.push_str(&layout.summary);
-        out.master_sections.push((section_start, head));
-        let footer_off = section_start + layout.total() - layout.footer.len() as u64;
-        out.master_sections
-            .push((footer_off, layout.footer.clone()));
-        section_start += layout.total();
+        if !entries.is_empty() {
+            out.summaries.push(SummaryBlock {
+                offset: section.summary_offset(section_start),
+                entries,
+                closes: true,
+            });
+        }
+        out.master_sections.push((section_start, section.head));
+        section_start = offset + section.footer.len() as u64;
+        out.master_sections.push((offset, section.footer));
     }
     out.total_bytes = section_start - start_offset;
     out
@@ -160,15 +275,19 @@ mod tests {
         assert_eq!(out.per_rank[1].records.len(), 2);
         assert_eq!(out.per_rank[2].records.len(), 1);
         // File order: 11 (90), 20 (70), 10 (50) — offsets must chain with
-        // the record sizes 200, 300, 100 after the header+summary block.
+        // the record sizes 200, 300, 100 after the header and summary.
         let (_, _, off11) = out.per_rank[1].records[0];
         let (_, _, off10) = out.per_rank[1].records[1];
         let (_, _, off20) = out.per_rank[2].records[0];
         assert_eq!(off20, off11 + 200);
         assert_eq!(off10, off20 + 300);
-        // Master's header+summary block starts at 0 and footer follows the
+        // The master's header starts at 0, the summary right after it,
+        // the first record right after that, and the footer follows the
         // last record.
         assert_eq!(out.master_sections[0].0, 0);
+        let summary = &out.summaries[0];
+        assert_eq!(summary.offset, out.master_sections[0].1.len() as u64);
+        assert_eq!(off11, summary.offset + summary.len());
         assert_eq!(out.master_sections[1].0, off10 + 100);
         assert_eq!(
             out.total_bytes,
@@ -192,9 +311,83 @@ mod tests {
         let out = merge_and_layout(&cfg, &params, &prepared, &subs, opts, 0);
         assert_eq!(out.per_rank[1].records.len(), 1);
         assert_eq!(out.per_rank[1].records[0].1, 1, "best oid kept");
-        // All three appear in the summary text.
-        assert!(out.master_sections[0].1.contains("gi|1|"));
-        assert!(out.master_sections[0].1.contains("gi|3|"));
+        // All three are in the query's summary block, best first.
+        let names: Vec<&str> = out.summaries[0]
+            .entries
+            .iter()
+            .map(|e| e.name.as_str())
+            .collect();
+        assert_eq!(names, ["gi|1| subject", "gi|2| subject", "gi|3| subject"]);
+        // The master renders none of them.
+        assert!(!out.master_sections[0].1.contains("gi|"));
+    }
+
+    #[test]
+    fn the_layout_renders_the_serial_sections_byte_for_byte() {
+        // Master sections, summary blocks split any way and records of
+        // their stated sizes tile the report; together they are exactly
+        // `build_layout`'s head, summary region, records and footer.
+        let (params, prepared, cfg) = prepared();
+        let hits = vec![meta(1, 90, 10), meta(2, 80, 20), meta(3, 70, 30)];
+        let subs = vec![
+            MetaSubmission::default(),
+            MetaSubmission {
+                per_query: vec![(0, hits.clone())],
+            },
+        ];
+        let summaries: Vec<(String, f64, f64)> = hits
+            .iter()
+            .map(|h| (h.defline.clone(), h.best.bit_score, h.best.evalue))
+            .collect();
+        let layout = mpiblast::report::build_layout(
+            &cfg,
+            &params,
+            &prepared.records[0],
+            &prepared.spaces[0],
+            &summaries,
+        );
+        let mut expected = layout.section.head + &layout.summary;
+        for (i, size) in [10, 20, 30].into_iter().enumerate() {
+            expected.push_str(&i.to_string().repeat(size));
+        }
+        expected.push_str(&layout.section.footer);
+        for parts in 1..=5 {
+            let start = 7;
+            let out = merge_and_layout(
+                &cfg,
+                &params,
+                &prepared,
+                &subs,
+                ReportOptions::default(),
+                start,
+            );
+            let mut report = vec![b'?'; out.total_bytes as usize];
+            let mut put = |off: u64, text: &[u8]| {
+                let at = (off - start) as usize;
+                report[at..at + text.len()].copy_from_slice(text);
+            };
+            for (off, text) in &out.master_sections {
+                put(*off, text.as_bytes());
+            }
+            for block in out
+                .summaries
+                .clone()
+                .into_iter()
+                .flat_map(|b| b.split(parts))
+            {
+                let text = block.render();
+                assert_eq!(text.len() as u64, block.len());
+                put(block.offset, text.as_bytes());
+            }
+            for (i, &(_, _, off)) in out.per_rank[1].records.iter().enumerate() {
+                put(off, i.to_string().repeat([10, 20, 30][i]).as_bytes());
+            }
+            assert_eq!(
+                String::from_utf8(report).unwrap(),
+                expected,
+                "{parts} parts"
+            );
+        }
     }
 
     #[test]
@@ -204,6 +397,7 @@ mod tests {
         let out = merge_and_layout(&cfg, &params, &prepared, &subs, ReportOptions::default(), 0);
         assert_eq!(out.master_sections.len(), 2);
         assert!(out.master_sections[0].1.contains("No hits found"));
+        assert!(out.summaries.is_empty(), "the notice stays on the master");
         assert!(out.total_bytes > 0);
         assert!(out.per_rank.iter().all(|a| a.records.is_empty()));
     }

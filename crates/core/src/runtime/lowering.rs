@@ -11,10 +11,10 @@
 //! fault mode, so service mode without `Recover` broadcasts it.
 
 use bytes::Bytes;
-use mpiblast::wire::{MetaSubmission, OffsetAssignment, QueryBundle};
+use mpiblast::wire::{MetaSubmission, QueryBundle};
 use mpiblast::MASTER;
 use mpiio::IoPlane;
-use mpisim::sched::{chunk_evenly, Pump};
+use mpisim::sched::Pump;
 use mpisim::{Collectives, Comm};
 use seqfmt::Wire;
 use simcluster::{Message, SimTime};
@@ -112,35 +112,31 @@ impl Lowering {
         }
     }
 
-    /// Hand each live worker its records, and under point-to-point one
-    /// contiguous block of the `orphans` too (the report ends at `end`):
-    /// only a recovering run has orphans, and only point-to-point
-    /// recovers. The scatter stands for every live worker's `WriteDone`
-    /// (`seal_output` fences the writes themselves); a command is
-    /// acknowledged once the worker wrote.
+    /// Hand each live worker its [`Assign`]ment, `assigns` naming the
+    /// worker of each. The scatter stands for every live worker's
+    /// `WriteDone` (`seal_output` fences the writes themselves); a
+    /// command is acknowledged once the worker wrote.
     pub(super) fn assign(
         &self,
         comm: &Comm<'_>,
-        live: Vec<usize>,
         epoch: u64,
-        per_rank: &[OffsetAssignment],
-        orphans: Vec<(u64, Bytes)>,
-        end: u64,
+        assigns: Vec<(usize, Assign)>,
     ) -> Vec<MasterEvent> {
         if self.p2p {
-            let blocks = chunk_evenly(orphans, live.len().max(1));
-            for (w, shipped) in live.into_iter().zip(blocks) {
-                let own = per_rank[w].clone();
-                let assign = (epoch, Assign { own, shipped, end }).encode();
-                let _ = comm.send_checked(w, TAG_ASSIGN, Bytes::from(assign));
+            for (w, assign) in assigns {
+                let frame = (epoch, assign).encode();
+                let _ = comm.send_checked(w, TAG_ASSIGN, Bytes::from(frame));
             }
             return Vec::new();
         }
-        let pieces = per_rank.iter().map(|a| Bytes::from(a.encode())).collect();
+        let mut pieces = vec![Bytes::from(Assign::default().encode()); comm.size()];
+        let mut done = Vec::with_capacity(assigns.len());
+        for (w, assign) in assigns {
+            pieces[w] = Bytes::from(assign.encode());
+            done.push(MasterEvent::WriteDone { from: w, epoch });
+        }
         comm.scatterv(MASTER, pieces);
-        live.into_iter()
-            .map(|from| MasterEvent::WriteDone { from, epoch })
-            .collect()
+        done
     }
 
     /// After a rank's report write: under collectives the batch is sealed
@@ -257,11 +253,8 @@ impl WorkerIo<'_, '_> {
             }
             Step::Assign(batch) => {
                 self.step = Step::Submit(batch + 1);
-                let own = OffsetAssignment::decode(&self.comm.scatterv(MASTER, Vec::new()))?;
-                self.assign = Some(Assign {
-                    own,
-                    ..Assign::default()
-                });
+                let assign = Assign::decode(&self.comm.scatterv(MASTER, Vec::new()))?;
+                self.assign = Some(assign);
                 WorkerEvent::Assign {
                     epoch: epoch(batch),
                 }

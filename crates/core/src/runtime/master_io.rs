@@ -24,12 +24,12 @@ use simcluster::{PhaseTimes, RankCtx, SimDuration, SimTime};
 use super::checkpoint;
 use super::lowering::Lowering;
 use super::master::{cut_pieces, MasterAction, MasterEvent, MasterPhase, MasterSm};
-use super::output::{build_plane, fence_staging};
+use super::output::{build_plane, deal, fence_staging};
 use super::{policy_of, Grant, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT};
 use crate::app::{query_batches, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
-use crate::merge::merge_and_layout;
+use crate::merge::{merge_and_layout, MergeOutcome};
 use crate::proto::{FragmentAssignment, PartitionMessage};
 
 /// The master's side of the run (every mode).
@@ -449,15 +449,6 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         orphans: &[usize],
     ) -> Result<Vec<MasterEvent>, PioError> {
         self.out_mark.get_or_insert(self.ctx.now());
-        tracelog::instant(
-            tracelog::Lane::Runtime,
-            "merge",
-            vec![
-                ("batch", batch.into()),
-                ("epoch", epoch.into()),
-                ("orphans", orphans.len().into()),
-            ],
-        );
         subs[MASTER] = self.orphans.metadata();
         let prepared = self.prepared(batch);
         // Service mode writes each stream batch to its own file, so
@@ -467,19 +458,33 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         } else {
             self.batch_offsets[batch]
         };
+        let rendered =
+            |o: &MergeOutcome| o.master_sections.iter().map(|(_, s)| s.len() as u64).sum();
         let outcome = self.cfg.compute.run_format(
             self.ctx,
             || {
-                merge_and_layout(
+                let outcome = merge_and_layout(
                     &self.report_cfg,
                     &self.cfg.params,
                     &prepared,
                     &subs,
                     self.cfg.report,
                     start_offset,
-                )
+                );
+                // Traced before the charge, so at the merge's start.
+                tracelog::instant(
+                    tracelog::Lane::Runtime,
+                    "merge",
+                    vec![
+                        ("batch", batch.into()),
+                        ("epoch", epoch.into()),
+                        ("orphans", orphans.len().into()),
+                        ("rendered_bytes", rendered(&outcome).into()),
+                    ],
+                );
+                outcome
             },
-            |o| o.master_sections.iter().map(|(_, s)| s.len() as u64).sum(),
+            rendered,
         );
         self.cfg
             .compute
@@ -487,17 +492,18 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         let end = start_offset + outcome.total_bytes;
         self.batch_offsets[batch + 1] = end;
         // The orphan records the merge placed in the master's slot ride
-        // to the live workers, each writing a block beside its own.
+        // to the live workers, each writing a block beside its own, and
+        // so do the one-line summaries.
         let orphans = self
             .orphans
             .assigned_records(&outcome.per_rank[MASTER].records)
             .map_err(|(q, oid)| {
                 PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
             })?;
-        let live = self.sm.live_workers().collect();
-        let events = self
-            .lowering
-            .assign(self.comm, live, epoch, &outcome.per_rank, orphans, end);
+        let live: Vec<usize> = self.sm.live_workers().collect();
+        let (per_rank, summaries) = (&outcome.per_rank, outcome.summaries);
+        let assigns = deal(&live, per_rank, orphans, summaries, end);
+        let events = self.lowering.assign(self.comm, epoch, assigns);
         let sections = outcome.master_sections.into_iter();
         self.sections = Some(sections.map(|(off, s)| (off, Bytes::from(s))).collect());
         // Point-to-point: the master writes its sections now, while the

@@ -48,6 +48,7 @@ use simcluster::RankCtx;
 
 use crate::app::{FragmentSchedule, PioBlastConfig};
 use crate::fault::FaultMode;
+use crate::merge::SummaryBlock;
 use crate::proto::PartitionMessage;
 
 // Unified protocol tags. `READY`/`GRANT` keep the fault-free dynamic
@@ -64,7 +65,7 @@ pub(crate) const TAG_SUBMIT_REQ: u64 = 12;
 /// Worker -> master: [`Fenced`] `MetaSubmission`.
 pub(crate) const TAG_SUBMIT: u64 = 13;
 /// Master -> worker: [`Fenced`] [`Assign`] (point-to-point lowering; the
-/// collective one scatters bare `OffsetAssignment`s).
+/// collective one scatters the bare `Assign`s).
 pub(crate) const TAG_ASSIGN: u64 = 14;
 /// Worker -> master: write acknowledgement, the bare epoch.
 pub(crate) const TAG_DONE: u64 = 15;
@@ -159,9 +160,10 @@ wire_struct!(Grant {
     part: PartitionMessage,
 });
 
-/// A `TAG_ASSIGN` payload: the offsets of the worker's own records, and
-/// the orphan records the master ships it to write beside them.
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// An assignment, the worker's share of writing a merged batch's report:
+/// the offsets of its own records, the orphan records the master ships
+/// it to write beside them, and the one-line summaries it renders.
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct Assign {
     /// `(query, oid, offset)` of the worker's own cached records.
     pub own: OffsetAssignment,
@@ -169,14 +171,16 @@ pub struct Assign {
     /// checkpointed results), ascending: one contiguous block of the
     /// merge's orphan records.
     pub shipped: Vec<(u64, Bytes)>,
-    /// One past the batch report's last byte: no record may run past it.
+    /// Blocks of one-line summaries to render, ascending.
+    pub summaries: Vec<SummaryBlock>,
+    /// One past the batch report's last byte: nothing may run past it.
     pub end: u64,
 }
 
 /// The fields in order; a shipped record travels as its offset and a
 /// length-prefixed byte string.
 impl Wire for Assign {
-    const MIN_SIZE: usize = OffsetAssignment::MIN_SIZE + 4 + 8;
+    const MIN_SIZE: usize = OffsetAssignment::MIN_SIZE + 4 + 4 + 8;
 
     fn put(&self, w: &mut Writer) {
         self.own.put(w);
@@ -186,6 +190,7 @@ impl Wire for Assign {
             (record.len() as u32).put(w);
             w.bytes(record);
         }
+        self.summaries.put(w);
         self.end.put(w);
     }
 
@@ -199,6 +204,7 @@ impl Wire for Assign {
                     Ok((offset, Bytes::copy_from_slice(r.blob()?)))
                 })?
             },
+            summaries: Wire::get(r.at("Assign.summaries"))?,
             end: Wire::get(r.at("Assign.end"))?,
         })
     }
@@ -222,6 +228,7 @@ fn policy_of(ctx: &RankCtx, cfg: &PioBlastConfig, nbatches: usize) -> RunPolicy 
 mod tests {
     use super::*;
     use crate::fault::PioError;
+    use crate::merge::SummaryBlock;
     use blast_core::seq::SeqRecord;
     use bytes::Bytes;
     use mpiblast::wire::{MetaSubmission, OffsetAssignment};
@@ -465,7 +472,7 @@ mod tests {
             let subs = comm.gather(0, Bytes::new()).expect("the root gathers");
             let sub = MetaSubmission::decode(&subs[1]).expect("a submission");
             assert!(hits(&sub, 13 * b as u32), "batch {b}: {sub:?}");
-            let none = Bytes::from(OffsetAssignment::default().encode());
+            let none = Bytes::from(Assign::default().encode());
             comm.scatterv(0, vec![none.clone(), none]);
             comm.barrier();
         }
@@ -640,17 +647,43 @@ mod tests {
             (*q, hits[0].oid, hits[0].record_size)
         }
         /// A point-to-point assignment under epoch 1 of the worker's own
-        /// record at offset 0 and `shipped` orphan records. The master
-        /// then stays until the kill at 1 s: a worker that wrongly writes
-        /// and acknowledges meets a dead master, not one that returned.
-        fn ship(comm: &Comm<'_>, own: (u32, u32, u64), shipped: Vec<(u64, Bytes)>, end: u64) {
+        /// record at offset 0, with `shipped` orphan records and
+        /// `summaries`. The master then stays until the kill at 1 s: a
+        /// worker that wrongly writes and acknowledges meets a dead
+        /// master, not one that returned.
+        fn ship(
+            comm: &Comm<'_>,
+            own: (u32, u32, u64),
+            shipped: Vec<(u64, Bytes)>,
+            summaries: Vec<SummaryBlock>,
+            end: u64,
+        ) {
             let (q, oid, _) = own;
             let own = OffsetAssignment {
                 records: vec![(q, oid, 0)],
             };
-            let assign = (1u64, Assign { own, shipped, end }).encode();
-            comm.send(1, TAG_ASSIGN, Bytes::from(assign));
+            let assign = Assign {
+                own,
+                shipped,
+                summaries,
+                end,
+            };
+            comm.send(1, TAG_ASSIGN, Bytes::from((1u64, assign).encode()));
             comm.recv(Some(1), Some(TAG_ABORT));
+        }
+        /// A closing summary block of one entry at `offset`.
+        fn summary_at(offset: u64) -> Vec<SummaryBlock> {
+            let entries = vec![crate::merge::SummaryEntry {
+                name: "gi|5| forged".into(),
+                bit_score: 50.0,
+                evalue: 1e-9,
+            }];
+            let closes = true;
+            vec![SummaryBlock {
+                offset,
+                entries,
+                closes,
+            }]
         }
         /// The static collective choreography up to the assignment
         /// scatter, with nothing granted.
@@ -732,7 +765,7 @@ mod tests {
                 |comm, s| {
                     let own = searched(comm, s);
                     let orphan = (own.2 - 1, Bytes::from_static(b"orphan"));
-                    ship(comm, own, vec![orphan], u64::MAX);
+                    ship(comm, own, vec![orphan], Vec::new(), u64::MAX);
                 },
                 "Err(Protocol(\"output layout is not writable: view regions must be sorted and disjoint\"))",
             ),
@@ -743,9 +776,29 @@ mod tests {
                 |comm, s| {
                     let own = searched(comm, s);
                     let orphan = (own.2, Bytes::from_static(b"orphan"));
-                    ship(comm, own, vec![orphan], own.2 + 5);
+                    ship(comm, own, vec![orphan], Vec::new(), own.2 + 5);
                 },
                 "Err(Protocol(\"shipped record at ",
+            ),
+            (
+                "a summary block overlapping the worker's own record",
+                Recover,
+                Dynamic,
+                |comm, s| {
+                    let own = searched(comm, s);
+                    ship(comm, own, Vec::new(), summary_at(own.2 - 1), u64::MAX);
+                },
+                "Err(Protocol(\"output layout is not writable: view regions must be sorted and disjoint\"))",
+            ),
+            (
+                "a summary block past the report end",
+                Recover,
+                Dynamic,
+                |comm, s| {
+                    let own = searched(comm, s);
+                    ship(comm, own, Vec::new(), summary_at(own.2), own.2 + 1);
+                },
+                "Err(Protocol(\"summary block at ",
             ),
             (
                 "an assignment naming a record never cached",
@@ -753,7 +806,8 @@ mod tests {
                 Static,
                 |comm, s| {
                     collected(comm, s);
-                    let piece = Bytes::from(uncached().encode());
+                    let own = uncached();
+                    let piece = Bytes::from(Assign { own, ..Assign::default() }.encode());
                     comm.scatterv(0, vec![piece.clone(), piece]);
                 },
                 "Err(Protocol(\"assigned record (0, 5) not cached\"))",
@@ -795,6 +849,16 @@ mod tests {
                 |comm, s| {
                     ready(comm, s);
                     comm.recv(Some(1), None);
+                },
+                "Err(MasterDied)",
+            ),
+            (
+                "a master that returned after its last send",
+                Recover,
+                Dynamic,
+                |comm, s| {
+                    ready(comm, s);
+                    comm.send(1, TAG_GRANT, s.grant(0, vec![0], |_| {}));
                 },
                 "Err(MasterDied)",
             ),

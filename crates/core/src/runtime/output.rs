@@ -1,9 +1,18 @@
-//! Report output: every rank's I/O plane, the record writes of workers
+//! Report output: every rank's I/O plane, the master's dealing of a
+//! merged batch's report among the live workers, the writes of workers
 //! and master, and the staging fences that make them durable.
+//!
+//! The master writes only its own sections (each query's header with the
+//! summary preamble or the no-hits notice, and its footer). A worker
+//! writes its cached records, the orphan records shipped to it, and the
+//! one-line summaries it renders from its blocks, each block one region
+//! of its view.
 
 use bytes::Bytes;
 use mpiblast::phases;
+use mpiblast::wire::OffsetAssignment;
 use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, Run, StagingStore};
+use mpisim::sched::chunk_evenly;
 use mpisim::Comm;
 use parafs::IoClass;
 use simcluster::{DeviceModel, PhaseTimes, RankCtx};
@@ -11,9 +20,11 @@ use simcluster::{DeviceModel, PhaseTimes, RankCtx};
 use super::lowering::Lowering;
 use super::master_io::MasterIo;
 use super::worker_io::WorkerIo;
+use super::Assign;
 use crate::app::{FragmentSchedule, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
+use crate::merge::SummaryBlock;
 
 /// This rank's I/O plane, built once: the access class of each request
 /// kind resolved from the run's context, plus the rank's burst-buffer
@@ -137,11 +148,66 @@ fn flush_output(
         .map_err(PioError::Output)
 }
 
+/// The fewest one-line summaries a block is split down to; a query with
+/// fewer goes out in one block. A block may cost its worker a file-system
+/// operation of its own, so a floor of one line (one block per worker
+/// for every query) trades formatting time for many small writes. The
+/// value is fixed, not derived from the platform: 64 lines are about
+/// 5 KB, 0.4 ms of formatting at the model's 80 ns/byte, near one
+/// operation on the fastest shared file system modeled (Altix XFS,
+/// 300 µs). Floors of 1, 16, 128 and 256 were tried on the benchmark's
+/// workloads (EXPERIMENTS.md): 1 to 128 lie within 1.3 ms of each other
+/// on each, and 256 is slower on all five.
+const MIN_BLOCK_LINES: usize = 64;
+
+/// Deal a merged batch's report out to the `live` workers: each gets
+/// its own records (`per_rank`) and one contiguous block of the
+/// `orphans`. Each query's `summaries` are split into blocks of at least
+/// [`MIN_BLOCK_LINES`] lines, up to one per worker, and each block goes
+/// to the worker with the fewest lines so far. Nothing may run past
+/// `end`.
+pub(super) fn deal(
+    live: &[usize],
+    per_rank: &[OffsetAssignment],
+    orphans: Vec<(u64, Bytes)>,
+    summaries: Vec<SummaryBlock>,
+    end: u64,
+) -> Vec<(usize, Assign)> {
+    let n = live.len().max(1);
+    // Each worker's lines so far and its blocks, in file order.
+    let mut dealt: Vec<(usize, Vec<SummaryBlock>)> = vec![(0, Vec::new()); n];
+    for query in summaries {
+        let parts = (query.entries.len() / MIN_BLOCK_LINES).clamp(1, n);
+        for block in query.split(parts) {
+            if let Some(fewest) = dealt.iter_mut().min_by_key(|share| share.0) {
+                fewest.0 += block.entries.len();
+                fewest.1.push(block);
+            }
+        }
+    }
+    let blocks = dealt.into_iter().map(|(_, mine)| mine);
+    let shares = chunk_evenly(orphans, n).into_iter().zip(blocks);
+    live.iter()
+        .zip(shares)
+        .map(|(&w, (shipped, summaries))| {
+            let own = per_rank[w].clone();
+            let assign = Assign {
+                own,
+                shipped,
+                summaries,
+                end,
+            };
+            (w, assign)
+        })
+        .collect()
+}
+
 impl MasterIo<'_, '_> {
     /// Write the master's share of a merged batch's report: its own
-    /// sections (headers, summaries, footers). The orphan records of
-    /// dead owners' checkpointed fragments are not among them: they ride
-    /// to the live workers with the assignments.
+    /// sections (headers with the summary preamble or the no-hits
+    /// notice, and footers). The one-line summaries and the orphan
+    /// records of dead owners' checkpointed fragments are not among
+    /// them: they ride to the live workers with the assignments.
     pub(super) fn write_master_share(&self, batch: usize) -> Result<(), PioError> {
         let sections = self.sections.clone().ok_or_else(|| {
             PioError::Protocol(format!("batch {batch} finished before it was merged"))
@@ -154,9 +220,9 @@ impl MasterIo<'_, '_> {
 
 impl WorkerIo<'_, '_> {
     /// Write the records the master assigned this worker for `batch`,
-    /// and the orphan records it shipped along, then acknowledge under
-    /// `epoch`. Out of line, like the worker's other command handlers
-    /// (see `WorkerIo::on_grant`).
+    /// the orphan records it shipped along and the summary blocks it
+    /// rendered, then acknowledge under `epoch`. Out of line, like the
+    /// worker's other command handlers (see `WorkerIo::on_grant`).
     #[inline(never)]
     pub(super) fn write_assigned(&mut self, batch: usize, epoch: u64) -> Result<(), PioError> {
         let t = self.ctx.now();
@@ -169,20 +235,26 @@ impl WorkerIo<'_, '_> {
             .map_err(|(q, oid)| {
                 PioError::Protocol(format!("assigned record ({q}, {oid}) not cached"))
             })?;
-        // A shipped record must end inside the report; one that overlaps
-        // another record fails the view below.
+        let rendered = self.render_summaries(&assignment.summaries);
+        // Shipped records and rendered blocks must end inside the report;
+        // one that overlaps another region fails the view below.
         let end = assignment.end;
-        if let Some((off, record)) = assignment
-            .shipped
-            .iter()
-            .find(|(off, r)| off.checked_add(r.len() as u64).is_none_or(|e| e > end))
-        {
-            return Err(PioError::Protocol(format!(
-                "shipped record at {off} ({} bytes) runs past the report end {end}",
-                record.len()
-            )));
+        let past_end = |&(off, ref text): &(u64, Bytes)| {
+            off.checked_add(text.len() as u64).is_none_or(|e| e > end)
+        };
+        for (what, placed) in [
+            ("shipped record", &assignment.shipped),
+            ("summary block", &rendered),
+        ] {
+            if let Some((off, text)) = placed.iter().find(|item| past_end(item)) {
+                return Err(PioError::Protocol(format!(
+                    "{what} at {off} ({} bytes) runs past the report end {end}",
+                    text.len()
+                )));
+            }
         }
         items.extend(assignment.shipped);
+        items.extend(rendered);
         if !self.policy.recovers() {
             // The batch is written once: the records nobody assigned can
             // never reach the report, and the assigned ones now live in
@@ -205,5 +277,82 @@ impl WorkerIo<'_, '_> {
         }
         self.lowering.ack_write(self.comm, epoch);
         Ok(())
+    }
+
+    /// Render this worker's summary blocks, each into one buffer,
+    /// charged as formatting and traced as one `format.summary` span.
+    fn render_summaries(&self, blocks: &[SummaryBlock]) -> Vec<(u64, Bytes)> {
+        if blocks.is_empty() {
+            return Vec::new();
+        }
+        let start = self.ctx.now();
+        let rendered = self.compute.run_format(
+            self.ctx,
+            || {
+                let render = |b: &SummaryBlock| (b.offset, Bytes::from(b.render()));
+                blocks.iter().map(render).collect::<Vec<_>>()
+            },
+            |r| r.iter().map(|(_, text)| text.len() as u64).sum(),
+        );
+        let lines: usize = blocks.iter().map(|b| b.entries.len()).sum();
+        let bytes: usize = rendered.iter().map(|(_, text)| text.len()).sum();
+        tracelog::closed_span(
+            tracelog::Lane::Runtime,
+            "format.summary",
+            start.0,
+            self.ctx.now().0,
+            vec![("lines", lines.into()), ("bytes", bytes.into())],
+        );
+        rendered
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::merge::SummaryEntry;
+
+    /// A closing summary of `lines` entries at `offset`.
+    fn summary(offset: u64, lines: usize) -> SummaryBlock {
+        let entry = SummaryEntry {
+            name: "gi|1| subject".into(),
+            bit_score: 50.0,
+            evalue: 1e-9,
+        };
+        SummaryBlock {
+            offset,
+            entries: vec![entry; lines],
+            closes: true,
+        }
+    }
+
+    #[test]
+    fn blocks_of_at_least_64_lines_go_to_the_fewest_lines() {
+        // Two queries over workers 1, 2 and 3 (rank 4 is dead). Query 0's
+        // 200 lines go out in three blocks, one per worker; query 1's 10
+        // lines go out whole, to the worker with the fewest lines so far.
+        let (q0, q1) = (summary(100, 200), summary(50_000, 10));
+        let per_rank = vec![OffsetAssignment::default(); 5];
+        let dealt = deal(&[1, 2, 3], &per_rank, Vec::new(), vec![q0, q1], 60_000);
+        assert!(dealt.iter().all(|(_, a)| a.end == 60_000));
+        let blocks: Vec<_> = dealt
+            .into_iter()
+            .map(|(w, a)| {
+                let blocks = a.summaries.iter();
+                let dealt: Vec<_> = blocks
+                    .map(|b| (b.offset, b.entries.len(), b.closes))
+                    .collect();
+                (w, dealt)
+            })
+            .collect();
+        let line = summary(0, 1).len() - 1;
+        assert_eq!(
+            blocks,
+            [
+                (1, vec![(100, 66, false), (50_000, 10, true)]),
+                (2, vec![(100 + 66 * line, 67, false)]),
+                (3, vec![(100 + 133 * line, 67, true)]),
+            ]
+        );
     }
 }

@@ -327,32 +327,28 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
         // stream-buffered, so the records are one piece of the section.
         let query = &prepared.records[q];
         let mut records = String::new();
-        let record_sizes: Vec<u64> = (0..n_rec)
-            .map(|i| {
-                let (hit, _) = &hits[i];
-                let f = &fetched[i];
-                cfg.compute.run_format(
-                    ctx,
-                    || {
-                        let start = records.len();
-                        let defline = String::from_utf8_lossy(&f.defline);
-                        let record = (&*defline, &f.residues[..], &hit.hsps[..]);
-                        SearchScratch::with_local(|scratch| {
-                            format::append_alignment_record(
-                                &cfg.params,
-                                &report_cfg,
-                                &query.residues,
-                                record,
-                                scratch.extend_scratch(),
-                                &mut records,
-                            )
-                        });
-                        (records.len() - start) as u64
-                    },
-                    |&bytes| bytes,
-                )
-            })
-            .collect();
+        for ((hit, _), f) in hits.iter().take(n_rec).zip(&fetched) {
+            cfg.compute.run_format(
+                ctx,
+                || {
+                    let start = records.len();
+                    let defline = String::from_utf8_lossy(&f.defline);
+                    let record = (&*defline, &f.residues[..], &hit.hsps[..]);
+                    SearchScratch::with_local(|scratch| {
+                        format::append_alignment_record(
+                            &cfg.params,
+                            &report_cfg,
+                            &query.residues,
+                            record,
+                            scratch.extend_scratch(),
+                            &mut records,
+                        )
+                    });
+                    (records.len() - start) as u64
+                },
+                |&bytes| bytes,
+            );
+        }
         let summaries: Vec<(String, f64, f64)> = (0..n_desc)
             .map(|i| {
                 let (hit, _) = &hits[i];
@@ -369,14 +365,14 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
             query,
             &prepared.spaces[q],
             &summaries,
-            record_sizes,
         );
 
         // The master writes the query's whole section with one serial
-        // call: header, summary, records and footer, each buffer a piece
-        // of the one run.
+        // call: head, summary, records and footer, each buffer a piece of
+        // the one run.
         let mut section = Run::default();
-        for text in [layout.header, layout.summary, records, layout.footer] {
+        let (head, footer) = (layout.section.head, layout.section.footer);
+        for text in [head, layout.summary, records, footer] {
             section.push(section.len(), Bytes::from(text));
         }
         let view = FileView::contiguous(file_off, section.len());

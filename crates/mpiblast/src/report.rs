@@ -8,7 +8,7 @@
 //! oracle in tests.
 
 use blast_core::extend::ExtendScratch;
-use blast_core::format::{self, ReportConfig};
+use blast_core::format::{self, QuerySection, ReportConfig};
 use blast_core::search::{BlastSearcher, PreparedQueries, SearchParams, SearchScratch, SubjectHit};
 use blast_core::seq::SeqRecord;
 use seqfmt::FormattedDb;
@@ -65,65 +65,33 @@ pub fn order_meta(hits: &mut [(MetaHit, usize)]) {
     hits.sort_by_key(|(hit, _)| hit.best.rank_key());
 }
 
-/// One query's fully determined output layout.
+/// One query's fully determined output: its section — head, summary
+/// length and footer ([`QuerySection`]) — and its rendered summary region.
 #[derive(Debug, Clone)]
 pub struct QueryLayout {
-    /// Header text.
-    pub header: String,
-    /// Summary section text (or the no-hits notice).
+    /// Head, summary length and footer.
+    pub section: QuerySection,
+    /// The summary region's text ([`format::summary_region`]).
     pub summary: String,
-    /// Footer text.
-    pub footer: String,
-    /// Sizes of the alignment records, in file order.
-    pub record_sizes: Vec<u64>,
-}
-
-impl QueryLayout {
-    /// Total bytes of this query's section.
-    pub fn total(&self) -> u64 {
-        self.header.len() as u64
-            + self.summary.len() as u64
-            + self.record_sizes.iter().sum::<u64>()
-            + self.footer.len() as u64
-    }
-
-    /// Absolute offset of record `i`, given the section's start offset.
-    pub fn record_offset(&self, section_start: u64, i: usize) -> u64 {
-        section_start
-            + self.header.len() as u64
-            + self.summary.len() as u64
-            + self.record_sizes[..i].iter().sum::<u64>()
-    }
 }
 
 /// Build a query's layout from already-ordered, already-selected summary
-/// entries and record sizes. `summaries` are `(defline, bit, evalue)` for
-/// the top `num_descriptions` hits; `record_sizes` covers the top
-/// `num_alignments`.
+/// entries: `(defline, bit, evalue)` for the top `num_descriptions` hits.
 pub fn build_layout(
     cfg: &ReportConfig,
     params: &SearchParams,
     query: &SeqRecord,
     space: &blast_core::stats::SearchSpace,
     summaries: &[(String, f64, f64)],
-    record_sizes: Vec<u64>,
 ) -> QueryLayout {
-    let header = format::query_header(cfg, query);
-    let summary = if summaries.is_empty() {
-        format::no_hits_section()
-    } else {
-        let lines: Vec<String> = summaries
-            .iter()
-            .map(|(d, b, e)| format::summary_line(d, *b, *e))
-            .collect();
-        format::summary_section(&lines)
-    };
-    let footer = format::query_footer(params, space);
+    let lines: Vec<String> = summaries
+        .iter()
+        .map(|(d, b, e)| format::summary_line(d, *b, *e))
+        .collect();
+    let lens = lines.iter().map(|l| l.len() as u64);
     QueryLayout {
-        header,
-        summary,
-        footer,
-        record_sizes,
+        section: QuerySection::new(cfg, params, query, space, lens),
+        summary: format::summary_region(&lines),
     }
 }
 
@@ -198,20 +166,13 @@ pub fn serial_report(
                 ))
             })
             .collect::<Result<_, ReportError>>()?;
-        let layout = build_layout(
-            &cfg,
-            params,
-            query,
-            space,
-            &summaries,
-            records.iter().map(|r| r.len() as u64).collect(),
-        );
-        out.extend_from_slice(layout.header.as_bytes());
+        let layout = build_layout(&cfg, params, query, space, &summaries);
+        out.extend_from_slice(layout.section.head.as_bytes());
         out.extend_from_slice(layout.summary.as_bytes());
         for r in &records {
             out.extend_from_slice(r.as_bytes());
         }
-        out.extend_from_slice(layout.footer.as_bytes());
+        out.extend_from_slice(layout.section.footer.as_bytes());
     }
     Ok(out)
 }
@@ -306,16 +267,32 @@ mod tests {
 
     #[test]
     fn layout_offsets_are_consistent() {
-        let layout = QueryLayout {
-            header: "HH".into(),
-            summary: "SSS".into(),
-            footer: "F".into(),
-            record_sizes: vec![10, 20, 30],
-        };
-        assert_eq!(layout.total(), 2 + 3 + 60 + 1);
-        assert_eq!(layout.record_offset(100, 0), 105);
-        assert_eq!(layout.record_offset(100, 1), 115);
-        assert_eq!(layout.record_offset(100, 2), 135);
+        // The head, the rendered summary region and the records chain in
+        // file order; without summaries the region is empty and the
+        // no-hits notice closes the head.
+        let db = tiny_db();
+        let params = SearchParams::blastp();
+        let cfg = ReportConfig::for_molecule(Molecule::Protein, "nr-tiny", db.stats());
+        let query = sample_queries(&db, 1).remove(0);
+        let prepared = PreparedQueries::prepare(&params, vec![query.clone()], db.stats());
+        let space = &prepared.spaces[0];
+        let summaries = vec![("gi|1| subject".to_string(), 50.0, 1e-9); 3];
+        let layout = build_layout(&cfg, &params, &query, space, &summaries);
+        let section = &layout.section;
+        assert!(section.head.ends_with(format::SUMMARY_PREAMBLE));
+        assert_eq!(section.summary_len, layout.summary.len() as u64);
+        assert_eq!(section.summary_offset(100), 100 + section.head.len() as u64);
+        assert_eq!(
+            section.records_offset(100),
+            section.summary_offset(100) + layout.summary.len() as u64
+        );
+        let none = build_layout(&cfg, &params, &query, space, &[]);
+        assert!(none.section.head.ends_with(&format::no_hits_section()));
+        assert_eq!((none.section.summary_len, none.summary.as_str()), (0, ""));
+        assert_eq!(
+            none.section.records_offset(7),
+            7 + none.section.head.len() as u64
+        );
     }
 
     #[test]

@@ -42,8 +42,9 @@ pub enum RecvError {
         /// The deadline that passed.
         deadline: SimTime,
     },
-    /// The awaited source rank is dead with no matching message queued
-    /// or in flight, so none can ever arrive.
+    /// The awaited source rank has left the run — killed, or its body
+    /// returned — with no matching message queued or in flight, so none
+    /// can ever arrive.
     DeadPeer {
         /// The dead source.
         rank: usize,
@@ -84,18 +85,22 @@ impl Comm<'_> {
 
     /// Receive with an absolute deadline. Fails with
     /// [`RecvError::DeadPeer`] as soon as a specifically-awaited source
-    /// dies (without waiting out the deadline), or with
-    /// [`RecvError::Timeout`] when the deadline passes.
+    /// dies (without waiting out the deadline), or at the deadline if it
+    /// returned with nothing matching still on its way; otherwise with
+    /// [`RecvError::Timeout`] when the deadline passes. A message still
+    /// in flight from a source that returned (a latency longer than the
+    /// wait) is a timeout: the next wait receives it.
     pub fn recv_deadline(
         &self,
         src: Option<usize>,
         tag: Option<u64>,
         deadline: SimTime,
     ) -> Result<Message, RecvError> {
-        match self.ctx().recv_until(src, tag, deadline) {
+        let ctx = self.ctx();
+        match ctx.recv_until(src, tag, deadline) {
             Some(m) => Ok(m),
             None => match src {
-                Some(s) if self.ctx().is_dead(s) => {
+                Some(s) if ctx.is_dead(s) || (ctx.has_left(s) && !ctx.has_pending(src, tag)) => {
                     tracelog::instant(tracelog::Lane::Sched, "peer.dead", vec![("rank", s.into())]);
                     Err(RecvError::DeadPeer { rank: s })
                 }
@@ -199,6 +204,76 @@ mod tests {
             }
         });
         assert_eq!(out.outputs[0], Some(SimTime(5_000)));
+    }
+
+    #[test]
+    fn a_source_that_returned_is_a_dead_peer_once_its_messages_are_in() {
+        // Rank 1 sends one message over a 35 ms link and returns at once.
+        // The receiver's 25 ms waits time out while the message is in
+        // flight, then take it, then report the departed sender — where
+        // they used to time out forever.
+        let sim = Sim::new(2);
+        let wan = NetProfile {
+            latency: 0.035,
+            bandwidth: 1e9,
+        };
+        let out = sim.run(|ctx| {
+            let comm = Comm::new(&ctx, wan);
+            if ctx.rank() == 1 {
+                comm.send(0, 3, Bytes::from_static(b"last"));
+                return Vec::new();
+            }
+            let mut got = Vec::new();
+            loop {
+                let r = comm.recv_timeout(Some(1), None, SimDuration::from_millis(25));
+                let dead = matches!(r, Err(RecvError::DeadPeer { .. }));
+                got.push((r.map(|m| m.tag), ctx.now()));
+                if dead {
+                    return got;
+                }
+            }
+        });
+        let arrival = SimTime(35_000_004);
+        assert_eq!(
+            out.outputs[0],
+            vec![
+                (
+                    Err(RecvError::Timeout {
+                        deadline: SimTime(25_000_000)
+                    }),
+                    SimTime(25_000_000)
+                ),
+                (Ok(3), arrival),
+                (
+                    Err(RecvError::DeadPeer { rank: 1 }),
+                    arrival + SimDuration::from_millis(25)
+                ),
+            ]
+        );
+    }
+
+    #[test]
+    fn a_detecting_receive_from_a_peer_that_returned_fails() {
+        // The worker side of the pump: a master that returned without a
+        // word is a dead peer at the first sweep, not an endless one (which
+        // the kill at 10 s would end with no output instead).
+        let sim = Sim::new(2);
+        let plan = FaultPlan::none().kill_at(0, SimTime(10_000_000_000));
+        let out = sim.run_faulty(plan, |ctx| {
+            let comm = Comm::new(&ctx, net());
+            if ctx.rank() == 1 {
+                return None;
+            }
+            let got = crate::sched::Pump::new(&comm, true).recv_from(1, None);
+            Some((got.map(|m| m.tag), ctx.now()))
+        });
+        assert_eq!(
+            out.outputs[0],
+            Some(Some((
+                Err(RecvError::DeadPeer { rank: 1 }),
+                SimTime(25_000_000)
+            )))
+        );
     }
 
     #[test]

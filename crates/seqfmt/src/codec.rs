@@ -210,6 +210,21 @@ impl Wire for u8 {
     }
 }
 
+/// One byte, `0` or `1`; any other is a bad value.
+impl Wire for bool {
+    const MIN_SIZE: usize = 1;
+    fn put(&self, w: &mut Writer) {
+        u8::from(*self).put(w);
+    }
+    fn get(r: &mut Reader<'_>) -> Result<bool, CodecError> {
+        match u8::get(r)? {
+            0 => Ok(false),
+            1 => Ok(true),
+            _ => Err(r.bad_value()),
+        }
+    }
+}
+
 /// Fixed-width little-endian numbers. `i32` travels as its two's
 /// complement `u32`, `f64` as its bit pattern.
 macro_rules! wire_le {

@@ -1001,6 +1001,13 @@ impl RankCtx {
         self.inner.state.lock().finished[rank]
     }
 
+    /// Whether a message matching `src`/`tag` is queued for this rank,
+    /// arrived or still in flight.
+    pub fn has_pending(&self, src: Option<usize>, tag: Option<u64>) -> bool {
+        let st = self.inner.state.lock();
+        st.earliest(self.rank, Filter { src, tag }).is_some()
+    }
+
     /// Non-blocking receive: the earliest already-arrived matching
     /// message, if any.
     pub fn try_recv(&self, src: Option<usize>, tag: Option<u64>) -> Option<Message> {

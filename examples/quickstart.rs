@@ -55,33 +55,31 @@ fn main() {
     // 4. Print an NCBI-style report.
     let cfg = ReportConfig::blastp("demo-db", db_stats);
     for (q, hits) in result.per_query.iter().enumerate() {
-        print!("{}", format::query_header(&cfg, &prepared.records[q]));
-        if hits.is_empty() {
-            print!("{}", format::no_hits_section());
-        } else {
-            let lines: Vec<String> = hits
-                .iter()
-                .map(|h| {
-                    let rec = &db_records[h.oid as usize];
-                    format::summary_line(&rec.defline, h.hsps[0].bit_score, h.hsps[0].evalue)
-                })
-                .collect();
-            print!("{}", format::summary_section(&lines));
-            for h in hits {
+        let lines: Vec<String> = hits
+            .iter()
+            .map(|h| {
                 let rec = &db_records[h.oid as usize];
-                print!(
-                    "{}",
-                    format::alignment_record(
-                        &params,
-                        &cfg,
-                        &prepared.records[q].residues,
-                        &rec.defline,
-                        &rec.residues,
-                        &h.hsps
-                    )
-                );
-            }
+                format::summary_line(&rec.defline, h.hsps[0].bit_score, h.hsps[0].evalue)
+            })
+            .collect();
+        let (query, space) = (&prepared.records[q], &prepared.spaces[q]);
+        let lens = lines.iter().map(|l| l.len() as u64);
+        let section = format::QuerySection::new(&cfg, &params, query, space, lens);
+        print!("{}{}", section.head, format::summary_region(&lines));
+        for h in hits {
+            let rec = &db_records[h.oid as usize];
+            print!(
+                "{}",
+                format::alignment_record(
+                    &params,
+                    &cfg,
+                    &query.residues,
+                    &rec.defline,
+                    &rec.residues,
+                    &h.hsps
+                )
+            );
         }
-        print!("{}", format::query_footer(&params, &prepared.spaces[q]));
+        print!("{}", section.footer);
     }
 }

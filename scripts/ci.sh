@@ -150,11 +150,11 @@ cargo test --release -q -p mpiblast --lib outside_the_set
 # ...and a hostile master against a real worker, under both lowerings: a
 # first message that is not the bundle, an abort first, an unknown tag, a
 # truncated fenced request, an uncached or empty assignment, an
-# assignment with no shipped-record list, a shipped record overlapping
-# the worker's own or running past the report end, a grant for
-# a batch the bundle lacks, a non-QBATCH where stream queries are due, a
-# dead master — each the worker's typed error, never a panic or a
-# deadlock. And the master machine walks one fault-free dynamic cycle
+# assignment with no shipped-record list, a shipped record or a summary
+# block overlapping the worker's own or running past the report end, a
+# grant for a batch the bundle lacks, a non-QBATCH where stream queries
+# are due, a dead master, a master that returned — each the worker's
+# typed error, never a panic or a deadlock. And the master machine walks one fault-free dynamic cycle
 # alike under Off and Recover; only Drain tells the lowerings apart.
 cargo test --release -q -p pioblast --lib a_hostile_master_gets_a_typed_error_from_a_real_worker
 cargo test --release -q -p pioblast --lib off_and_recover_lower_one_dynamic_cycle
@@ -251,6 +251,33 @@ cargo test --release -q --test fault_recovery kills_that_split_fragments_and_shi
 cargo test --release -q --test burst staged_kills_that_split_and_ship_recover_byte_identically
 cargo test --release -q --test async_io async_kills_that_split_and_ship_recover_byte_identically
 cargo test --release -q --test service stream_kills_that_split_fragments_recover_byte_identically
+# The master lays out the one-line summaries; the workers render them.
+# `summary_len` equals the rendered line's length on every column edge
+# (empty, 60-66 and 200 chars, multi-byte UTF-8) and score/E-value
+# extreme; the master's sections, summary blocks split any way and the
+# records tile the serial layout; blocks of at least 64 lines each go
+# to the worker with the fewest lines so far; every report equals
+# the serial oracle — one worker rendering every line, no empty block
+# sent, a hitless query's notice on the master, static, dynamic,
+# batched, Recover and service runs, a kill while rendering that
+# re-ships the blocks — and the master's merge renders only headers,
+# preambles, notices and footers. A worker whose master returned
+# without a word ends in MasterDied at its next sweep, and a message
+# still in flight over a 35 ms link is received first.
+cargo test --release -q -p blast-core --test properties summary_len
+cargo test --release -q -p pioblast --lib merge::tests
+cargo test --release -q -p pioblast --lib blocks_of_at_least_64_lines_go_to_the_fewest_lines
+for t in one_worker_renders_every_summary_line_of_a_two_rank_run \
+         more_workers_than_summary_lines_send_and_write_no_empty_block \
+         a_long_summary_is_split_over_the_workers_in_blocks_of_64_lines_or_more \
+         a_query_without_hits_keeps_its_notice_on_the_master \
+         every_schedule_renders_its_summaries_on_the_workers \
+         a_kill_during_the_write_re_ships_the_summary_blocks_to_the_survivors; do
+  cargo test --release -q --test output_equivalence "$t" -- --exact
+done
+cargo test --release -q --test trace the_master_renders_only_headers_preambles_notices_and_footers
+cargo test --release -q -p mpisim --lib a_source_that_returned_is_a_dead_peer_once_its_messages_are_in
+cargo test --release -q -p mpisim --lib a_detecting_receive_from_a_peer_that_returned_fails
 # One failure vocabulary: mpiBLAST's setup failures are the PioError
 # variants pioBLAST's are (Input(Store) for a missing query file,
 # Input(Malformed) for a short or lying fragment index), every worker

@@ -25,6 +25,7 @@ use mpiblast::wire::{
     get_queries, put_queries, FetchRequest, FetchResponse, FragmentCheckpoint, MetaHit,
     MetaSubmission, OffsetAssignment, QueryBundle, ResultSubmission,
 };
+use pioblast::merge::{SummaryBlock, SummaryEntry};
 use pioblast::proto::{FragmentAssignment, PartitionMessage};
 use pioblast::runtime::{Assign, Fenced, Grant};
 use seqfmt::codec::{CodecError, Reader, Wire, Writer};
@@ -94,6 +95,26 @@ trait Visitor {
     /// `golden` names the value's line in `wire_golden.txt`; the smallest
     /// value of each type is visited without one.
     fn visit<T: Wire + PartialEq + Debug>(&mut self, golden: Option<&'static str>, value: T);
+}
+
+/// A closing block of two one-line summaries, one name multi-byte.
+fn summaries() -> SummaryBlock {
+    SummaryBlock {
+        offset: 4_096,
+        entries: vec![
+            SummaryEntry {
+                name: "gi|77| something".into(),
+                bit_score: 60.25,
+                evalue: 2e-7,
+            },
+            SummaryEntry {
+                name: "gi|78| protéine 中".into(),
+                bit_score: 0.0,
+                evalue: 1e5,
+            },
+        ],
+        closes: true,
+    }
 }
 
 fn hsp() -> Hsp {
@@ -207,6 +228,8 @@ fn every_type(v: &mut impl Visitor) {
     // seqfmt::codec's own impls.
     v.visit(Some("String"), String::from("nr-sim"));
     v.visit(None, String::new());
+    v.visit(None, true);
+    v.visit(None, false);
     v.visit(Some("Molecule"), Molecule::Protein);
     v.visit(Some("DbStats"), stats);
     v.visit(Some("Hsp"), hsp());
@@ -327,8 +350,8 @@ fn every_type(v: &mut impl Visitor) {
     let epoch = 7u64;
     v.visit::<Fenced<MetaSubmission>>(Some("EpochSubmit"), (epoch, meta()));
     v.visit::<Fenced<OffsetAssignment>>(Some("EpochAssign"), (epoch, offsets()));
-    // The point-to-point TAG_ASSIGN payload: its own offsets, then the
-    // orphan records shipped beside them.
+    // The TAG_ASSIGN payload: its own offsets, the orphan records
+    // shipped beside them, and the summary blocks to render.
     v.visit::<Fenced<Assign>>(
         None,
         (
@@ -336,11 +359,16 @@ fn every_type(v: &mut impl Visitor) {
             Assign {
                 own: offsets(),
                 shipped: vec![(12_000, ">orphan\n".into()), (12_008, "".into())],
+                summaries: vec![summaries(), SummaryBlock::default()],
                 end: 123_456,
             },
         ),
     );
     v.visit(None, Assign::default());
+    v.visit(None, summaries());
+    v.visit(None, SummaryBlock::default());
+    v.visit(None, summaries().entries.remove(1));
+    v.visit(None, SummaryEntry::default());
     v.visit::<Fenced<u32>>(Some("EpochSubmitReq"), (epoch, 3));
     v.visit(Some("EpochDone"), epoch);
     v.visit(Some("QBatch"), QBatch(5, queries()));

@@ -186,3 +186,34 @@ pub fn run_opts(opts: Opts, tweak: impl FnOnce(&mut PioBlastConfig)) -> Done {
         env: cfg.env,
     }
 }
+
+/// The one-line-summary bytes of a report: after each summary section's
+/// column preamble, its lines and the blank line that closes them.
+pub fn summary_bytes(report: &[u8]) -> u64 {
+    let text = String::from_utf8_lossy(report);
+    text.match_indices(blast_core::format::SUMMARY_PREAMBLE)
+        .map(|(at, pre)| {
+            let lines = &text[at + pre.len()..];
+            lines.find("\n\n").expect("a closing blank line") as u64 + 2
+        })
+        .sum()
+}
+
+/// A `u64` argument of a trace event.
+pub fn arg(e: &tracelog::Event, key: &str) -> u64 {
+    match e.args.iter().find(|(k, _)| *k == key) {
+        Some((_, tracelog::ArgVal::U64(v))) => *v,
+        other => panic!("{} {key}: {other:?}", e.name),
+    }
+}
+
+/// `(rank, start, lines, bytes)` of every `format.summary` span: the
+/// one-line summaries each worker rendered.
+pub fn summary_spans(trace: &Trace) -> Vec<(usize, u64, u64, u64)> {
+    trace
+        .events
+        .iter()
+        .filter(|e| e.name == "format.summary" && e.kind == tracelog::EventKind::Begin)
+        .map(|e| (e.rank, e.t, arg(e, "lines"), arg(e, "bytes")))
+        .collect()
+}

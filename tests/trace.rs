@@ -171,3 +171,59 @@ fn blade_16_proc_trace_is_valid_and_matches_the_summary() {
     let fstats = tracelog::check::validate_chrome(&filtered).expect("filtered trace validates");
     assert!(fstats.events < stats.events);
 }
+
+#[test]
+fn the_master_renders_only_headers_preambles_notices_and_footers() {
+    // The merge instant counts the bytes the master renders. They are
+    // each query's header and footer, with the summary preamble or the
+    // no-hits notice between; every one-line summary is rendered by a
+    // worker, under a `format.summary` span.
+    use blast_core::format::{self, ReportConfig};
+    use blast_core::search::{PreparedQueries, SearchParams};
+    let db = common::small_db(21);
+    let queries = common::sample_queries(&db, 3);
+    for fault in [FaultMode::Off, FaultMode::Recover] {
+        let opts = Opts {
+            traced: true,
+            ..Opts::default()
+        };
+        let done = run_opts(opts, |cfg| {
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = fault;
+        });
+        let trace = done.trace.expect("traced");
+        let report = String::from_utf8(done.report).expect("a text report");
+        let cfg = ReportConfig::for_molecule(db.alias.molecule, db.alias.title.clone(), db.stats());
+        let params = SearchParams::blastp();
+        let prepared = PreparedQueries::prepare(&params, queries.clone(), db.stats());
+        let framing: usize = (0..queries.len())
+            .map(|q| {
+                format::query_header(&cfg, &prepared.records[q]).len()
+                    + format::query_footer(&params, &prepared.spaces[q]).len()
+            })
+            .sum();
+        let preambles = report.matches(format::SUMMARY_PREAMBLE).count();
+        let notices = report.matches(&format::no_hits_section()).count();
+        assert_eq!(preambles + notices, queries.len(), "{fault:?}");
+        let expected = framing
+            + preambles * format::SUMMARY_PREAMBLE.len()
+            + notices * format::no_hits_section().len();
+        let merges: Vec<u64> = trace
+            .rank_events(0)
+            .filter(|e| e.name == "merge")
+            .map(|e| common::arg(e, "rendered_bytes"))
+            .collect();
+        assert_eq!(merges, [expected as u64], "{fault:?}");
+        let spans = common::summary_spans(&trace);
+        assert!(
+            !spans.is_empty() && spans.iter().all(|s| s.0 != 0),
+            "{spans:?}"
+        );
+        let rendered: u64 = spans.iter().map(|s| s.3).sum();
+        assert_eq!(
+            rendered,
+            common::summary_bytes(report.as_bytes()),
+            "{fault:?}"
+        );
+    }
+}
