@@ -474,7 +474,7 @@ fn run_worker(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
         let searcher = BlastSearcher::new(&cfg.params, &prepared);
         // The thread's kernel scratch is query-agnostic, so it serves
         // the query set re-prepared per fragment too.
-        let (per_query, stats) = cfg.compute.run_search(ctx, || {
+        let (per_query, stats) = cfg.compute.run_search(ctx, true, || {
             let r = SearchScratch::with_local(|scratch| searcher.search(&frag, scratch));
             (r.per_query, r.stats)
         });

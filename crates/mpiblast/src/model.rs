@@ -130,15 +130,21 @@ impl ComputeModel {
         }
     }
 
-    /// Run a fragment search, charging by mode. `f` must return the
-    /// search's stats along with its result.
+    /// Run one scan of a fragment's subjects — all of them, or one
+    /// record-aligned piece of a fragment read ahead — charging by mode.
+    /// `f` must return the scan's stats along with its result. Only a
+    /// fragment's `first` scan carries the fixed `per_fragment` cost (in
+    /// `Modeled` mode), so the scans of a fragment's pieces are charged
+    /// what its one whole scan is, to a nanosecond per piece.
     pub fn run_search<T>(
         &self,
         ctx: &RankCtx,
+        first: bool,
         f: impl FnOnce() -> (T, SearchStats),
     ) -> (T, SearchStats) {
         self.charge(ctx, f, |p, (_, stats)| {
-            p.per_fragment
+            let fixed = if first { p.per_fragment } else { 0.0 };
+            fixed
                 + p.per_residue * stats.residues as f64
                 + p.per_seed * stats.seed_hits as f64
                 + p.per_ungapped * stats.ungapped_extensions as f64
@@ -154,11 +160,13 @@ impl ComputeModel {
     /// ([`ModelParams::per_fork_join`]; the default model's in `Measured`
     /// mode, scaled like the host time). In `Modeled` mode the fragment's
     /// fixed setup cost (`per_fragment`) is charged once, serially, before
-    /// the fork — kernel init does not replicate per shard. Returns the
-    /// shard values in shard order and the merged stats.
+    /// the fork — kernel init does not replicate per shard — and only on
+    /// a fragment's `first` scan, as in [`ComputeModel::run_search`].
+    /// Returns the shard values in shard order and the merged stats.
     pub fn run_search_sharded<T>(
         &self,
         ctx: &RankCtx,
+        first: bool,
         slots: usize,
         nshards: usize,
         mut shard: impl FnMut(usize) -> (T, SearchStats),
@@ -175,7 +183,9 @@ impl ComputeModel {
                 })
             }
             ComputeModel::Modeled(p) => {
-                ctx.charge(SimDuration::from_secs_f64(p.per_fragment));
+                if first {
+                    ctx.charge(SimDuration::from_secs_f64(p.per_fragment));
+                }
                 let fork_join = SimDuration::from_secs_f64(p.per_fork_join);
                 ctx.compute_parallel(slots, fork_join, nshards, |i| {
                     let (v, stats) = shard(i);
@@ -279,7 +289,7 @@ mod tests {
                     gapped_extensions: 50,
                     hsps_kept: 20,
                 };
-                model.run_search(&ctx, || ((), stats));
+                model.run_search(&ctx, true, || ((), stats));
                 model.run_format(&ctx, || "x".repeat(1000), |s| s.len() as u64);
                 model.run_merge(&ctx, 500, || ());
                 ctx.now().0
@@ -292,6 +302,45 @@ mod tests {
         // + 0.08ms format + 1ms merge ≈ 63 ms.
         let secs = a as f64 / 1e9;
         assert!((0.05..0.08).contains(&secs), "charged {secs}s");
+    }
+
+    #[test]
+    fn the_scans_of_a_fragments_pieces_carry_its_fixed_cost_once() {
+        let stats = |residues| SearchStats {
+            subjects: 3,
+            residues,
+            seed_hits: 7 * residues,
+            ungapped_extensions: residues / 100,
+            gapped_extensions: residues / 10_000,
+            hsps_kept: 2,
+        };
+        let run = |pieces: &'static [u64]| {
+            let sim = Sim::new(1);
+            sim.run(move |ctx| {
+                let model = ComputeModel::modeled();
+                for (i, &residues) in pieces.iter().enumerate() {
+                    model.run_search(&ctx, i == 0, || ((), stats(residues)));
+                }
+                ctx.now().0
+            })
+            .outputs[0]
+        };
+        let whole = run(&[300_000]);
+        for cut in [&[100_000, 200_000][..], &[50_000, 100_000, 150_000]] {
+            let pieces = run(cut);
+            assert!(
+                pieces.abs_diff(whole) <= cut.len() as u64,
+                "{pieces} vs {whole}"
+            );
+        }
+        // Without the first scan's fixed cost, the pieces are 20 ms short.
+        let sim = Sim::new(1);
+        let later = sim.run(move |ctx| {
+            let model = ComputeModel::modeled();
+            model.run_search(&ctx, false, || ((), stats(300_000)));
+            ctx.now().0
+        });
+        assert_eq!(whole - later.outputs[0], 20_000_000);
     }
 
     #[test]
@@ -308,7 +357,7 @@ mod tests {
                     gapped_extensions: 0,
                     hsps_kept: 0,
                 };
-                let (vals, total) = model.run_search_sharded(&ctx, slots, 4, |i| (i, stats));
+                let (vals, total) = model.run_search_sharded(&ctx, true, slots, 4, |i| (i, stats));
                 assert_eq!(vals, vec![0, 1, 2, 3], "shard values in shard order");
                 assert_eq!(total.residues, 4_000_000, "stats merge across shards");
                 ctx.now().0

@@ -29,6 +29,6 @@ pub mod view;
 
 pub use burstfs::{BurstError, BurstOptions, BurstStats, StagingStore};
 pub use fileio::{CollectiveHints, MpiFile};
-pub use plane::{IoOptions, IoPlane, PlaneConfig, SIEVE_HOLE_LIMIT};
+pub use plane::{IoOptions, IoPlane, PlaneConfig, PostedViews, SIEVE_HOLE_LIMIT};
 pub use runs::{cut, merge, merge_bytes, pieces, Cover, Run};
 pub use view::{FileView, ViewError};

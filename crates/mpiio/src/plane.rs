@@ -9,16 +9,17 @@
 //! kind under one access class ([`parafs::IoClass`]), fixed when the
 //! plane is built:
 //!
-//! * `Independent` issues one file-system operation per view region
-//!   (the paper's default input mode).
+//! * `Independent` issues one file-system operation per view region on
+//!   reads (the paper's default input mode), and one per stretch of
+//!   strictly adjacent regions on writes.
 //! * `Sieved` applies data sieving (Thakur et al., *Optimizing
 //!   Noncontiguous Accesses in MPI-IO*): on reads, regions whose holes
 //!   are at most [`SIEVE_HOLE_LIMIT`] bytes are serviced by one larger
-//!   read spanning the holes; on writes, only hole-free (strictly
-//!   adjacent) regions are coalesced — the classic read-modify-write
-//!   across holes is deliberately omitted, because in pioBLAST the
-//!   holes of one rank's output view are exactly the records other
-//!   ranks are writing concurrently.
+//!   read spanning the holes; on writes it joins only hole-free
+//!   (strictly adjacent) regions, as the independent class does — the
+//!   classic read-modify-write across holes is deliberately omitted,
+//!   because in pioBLAST the holes of one rank's output view are
+//!   exactly the records other ranks are writing concurrently.
 //! * `TwoPhase` uses the full two-phase collective path
 //!   ([`MpiFile::write_at_all`]/[`MpiFile::read_at_all`]): view
 //!   exchange, file-domain partitioning across aggregators, and large
@@ -154,6 +155,18 @@ enum HandleKind<'a, 'c> {
     },
 }
 
+/// Database views posted by [`IoPlane::post_views`], until
+/// [`IoPlane::wait_views`] joins them.
+#[must_use = "posted views are read by waiting on them"]
+pub struct PostedViews<'p, 'c>(Posted<'p, 'c>);
+
+enum Posted<'p, 'c> {
+    /// Serviced when posted, on a plane that does not post reads.
+    Done(Result<Vec<Cover>, StoreError>),
+    /// One handle per view, its runs in flight.
+    InFlight(Vec<IoHandle<'p, 'c>>),
+}
+
 /// The typed access plane over one communicator and file system.
 pub struct IoPlane<'a, 'c> {
     comm: &'a Comm<'c>,
@@ -235,11 +248,32 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// instead of summing; otherwise the views are serviced one after
     /// another.
     pub fn read_views(&self, files: &[(&str, &FileView)]) -> Result<Vec<Cover>, StoreError> {
+        self.wait_views(self.post_views(files))
+    }
+
+    /// The first half of [`IoPlane::read_views`]: where the plane posts
+    /// reads, every view's runs are in flight on return, and the caller
+    /// may compute before [`IoPlane::wait_views`] joins them — the
+    /// transfer proceeds in virtual time meanwhile, so only what is left
+    /// of it at the join is exposed. Otherwise the views are serviced
+    /// here, one after another, and the wait returns what they gave.
+    pub fn post_views<'p>(&'p self, files: &[(&str, &FileView)]) -> PostedViews<'p, 'c> {
         if !self.posts_reads() {
-            return files.iter().map(|(p, v)| self.read_view(p, v)).collect();
+            let read = files.iter().map(|(p, v)| self.read_view(p, v)).collect();
+            return PostedViews(Posted::Done(read));
         }
-        let handles: Vec<_> = files.iter().map(|(p, v)| self.begin_read(p, v)).collect();
-        handles.into_iter().map(|h| self.wait(h)).collect()
+        PostedViews(Posted::InFlight(
+            files.iter().map(|(p, v)| self.begin_read(p, v)).collect(),
+        ))
+    }
+
+    /// Join views posted by [`IoPlane::post_views`], returning a
+    /// [`Cover`] per view as [`IoPlane::read_views`] does.
+    pub fn wait_views(&self, posted: PostedViews<'_, 'c>) -> Result<Vec<Cover>, StoreError> {
+        match posted.0 {
+            Posted::Done(read) => read,
+            Posted::InFlight(handles) => handles.into_iter().map(|h| self.wait(h)).collect(),
+        }
     }
 
     /// Write scattered records at master-assigned offsets (`payload`
@@ -278,13 +312,10 @@ impl<'a, 'c> IoPlane<'a, 'c> {
                 Err(e) => HandleKind::Failed(e),
             }
         } else {
-            // One run per region, or — sieved — one per stretch of
-            // strictly adjacent regions: writing *through* a hole would
-            // clobber bytes other ranks own, so holes always split runs.
-            let mut runs = cut(view.absolute(), &payload);
-            if class == IoClass::Sieved {
-                runs = merge_bytes(runs);
-            }
+            // One run per stretch of strictly adjacent regions, on both
+            // per-rank classes: writing *through* a hole would clobber
+            // bytes other ranks own, so holes always split runs.
+            let runs = merge_bytes(cut(view.absolute(), &payload));
             HandleKind::Write(self.sink().issue(path, runs, !posted, false))
         };
         if posted {

@@ -120,7 +120,7 @@ pub fn virtual_fragments(indexes: &[&VolumeIndex], n: usize) -> Vec<FragmentSpec
 fn partition_volume(vi: usize, idx: &VolumeIndex, k: usize, out: &mut Vec<FragmentSpec>) {
     let num_seqs = idx.num_seqs() as u64;
     let total = idx.volume_stats.total_residues;
-    partition_range(vi, idx, (0, num_seqs), total, k, out);
+    IndexSlice::of_volume(vi, idx).partition((0, num_seqs), total, k, out);
 }
 
 /// Cut a fragment into up to `k` pieces at record boundaries, balanced
@@ -130,71 +130,180 @@ fn partition_volume(vi: usize, idx: &VolumeIndex, k: usize, out: &mut Vec<Fragme
 /// exactly; each piece's `.idx` table slices overlap the next one's by
 /// the one shared boundary entry, as every fragment's do.
 pub fn split(idx: &VolumeIndex, spec: &FragmentSpec, k: usize) -> Vec<FragmentSpec> {
-    let mut out = Vec::new();
-    let records = (spec.first_seq, spec.last_seq);
-    partition_range(spec.volume, idx, records, spec.residues, k, &mut out);
-    out
+    IndexSlice::of_volume(spec.volume, idx).split(spec, k)
 }
 
-/// Cut records `[first, last)` of a volume into up to `k` fragments,
-/// cutting where the `.seq` offset passes each `1/k` share of `weight`
-/// past the range's start, but always leaving enough records for the
-/// remaining parts.
-fn partition_range(
-    vi: usize,
-    idx: &VolumeIndex,
-    (first, end): (u64, u64),
-    weight: u64,
-    k: usize,
-    out: &mut Vec<FragmentSpec>,
-) {
-    let num_seqs = end.saturating_sub(first);
-    if num_seqs == 0 {
-        return;
-    }
-    let k = (k.max(1) as u64).min(num_seqs);
-    let base = idx.seq_offsets[first as usize];
-    let mut first = first;
-    for part in 0..k {
-        let target = base.saturating_add(weight.saturating_mul(part + 1) / k);
-        let mut last = if part + 1 == k {
-            end
-        } else {
-            // seq_offsets is nondecreasing: binary search the cut point.
-            let cut = idx
-                .seq_offsets
-                .partition_point(|&o| o < target)
-                .max(first as usize + 1) as u64;
-            cut.min(end - (k - part - 1))
-        };
-        if last < first + 1 {
-            last = first + 1;
+/// The offset tables of a run of one volume's records — the volume's
+/// whole index, or the slice of it a worker read for one fragment — and
+/// where they sit in the volume's `.idx` file: all that cutting records
+/// into [`FragmentSpec`]s takes.
+#[derive(Debug, Clone, Copy)]
+pub struct IndexSlice<'a> {
+    volume: usize,
+    /// Volume-local index of the record the tables' entry 0 starts.
+    first: u64,
+    /// Global oid of the volume's record 0.
+    volume_oid: u64,
+    /// `.idx` offsets of the two tables' entry for record 0.
+    seq_table: u64,
+    hdr_table: u64,
+    /// Absolute `.seq` and `.hdr` offsets of records `first..`, one more
+    /// entry than records: the last is where the run ends.
+    seq: &'a [u64],
+    hdr: &'a [u64],
+}
+
+impl<'a> IndexSlice<'a> {
+    /// All of volume `volume`'s records.
+    pub fn of_volume(volume: usize, idx: &'a VolumeIndex) -> IndexSlice<'a> {
+        IndexSlice {
+            volume,
+            first: 0,
+            volume_oid: idx.base_oid,
+            seq_table: idx.seq_table_start(),
+            hdr_table: idx.hdr_table_start(),
+            seq: &idx.seq_offsets,
+            hdr: &idx.hdr_offsets,
         }
-        out.push(make_spec(vi, idx, first, last));
-        first = last;
+    }
+
+    /// A fragment's own records, from the two `.idx` table slices its
+    /// spec names, decoded but not rebased (`spec.num_seqs() + 1`
+    /// entries each). `None` unless the tables are what the spec says:
+    /// of that length, nondecreasing, and spanning exactly its `.seq`
+    /// and `.hdr` ranges.
+    pub fn of_fragment(spec: &FragmentSpec, seq: &'a [u64], hdr: &'a [u64]) -> Option<Self> {
+        let records = usize::try_from(spec.last_seq.checked_sub(spec.first_seq)?).ok()?;
+        let entries = records.checked_add(1)?;
+        let spans = |table: &[u64], (lo, hi): (u64, u64)| {
+            table.len() == entries
+                && table.first() == Some(&lo)
+                && table.last() == Some(&hi)
+                && table.windows(2).all(|w| w[0] <= w[1])
+        };
+        if !spans(seq, spec.seq_range) || !spans(hdr, spec.hdr_range) {
+            return None;
+        }
+        let table = |(lo, _): (u64, u64)| lo.checked_sub(spec.first_seq.checked_mul(8)?);
+        Some(IndexSlice {
+            volume: spec.volume,
+            first: spec.first_seq,
+            volume_oid: spec.base_oid.checked_sub(spec.first_seq)?,
+            seq_table: table(spec.idx_seq_range)?,
+            hdr_table: table(spec.idx_hdr_range)?,
+            seq,
+            hdr,
+        })
+    }
+
+    /// `.seq` offset where record `rec` starts (the run's end for one
+    /// past its last record).
+    fn seq_at(&self, rec: u64) -> u64 {
+        self.seq[(rec - self.first) as usize]
+    }
+
+    /// The first record whose start is at least `offset`.
+    fn first_at(&self, offset: u64) -> u64 {
+        self.first + self.seq.partition_point(|&o| o < offset) as u64
+    }
+
+    /// The spec of records `[first, last)`, which must lie in the run.
+    pub fn spec(&self, first: u64, last: u64) -> FragmentSpec {
+        debug_assert!(self.first <= first && first <= last);
+        let (i, j) = ((first - self.first) as usize, (last - self.first) as usize);
+        let (seq_lo, seq_hi) = (self.seq[i], self.seq[j]);
+        FragmentSpec {
+            volume: self.volume,
+            first_seq: first,
+            last_seq: last,
+            base_oid: self.volume_oid + first,
+            seq_range: (seq_lo, seq_hi),
+            hdr_range: (self.hdr[i], self.hdr[j]),
+            idx_seq_range: (self.seq_table + 8 * first, self.seq_table + 8 * (last + 1)),
+            idx_hdr_range: (self.hdr_table + 8 * first, self.hdr_table + 8 * (last + 1)),
+            residues: seq_hi - seq_lo,
+        }
+    }
+
+    /// [`split`] over this run: `spec`'s records, which must lie in it,
+    /// cut into up to `k` pieces balanced by `.seq` bytes.
+    pub fn split(&self, spec: &FragmentSpec, k: usize) -> Vec<FragmentSpec> {
+        let mut out = Vec::new();
+        let records = (spec.first_seq, spec.last_seq);
+        self.partition(records, spec.residues, k, &mut out);
+        out
+    }
+
+    /// Cut `spec`'s records, which must lie in this run, into the pieces
+    /// a worker reads ahead through: the first is the smallest record
+    /// prefix holding at least `first` bytes of `.seq`, and each later
+    /// one the smallest that holds at least twice the piece before it —
+    /// or everything left, where what would remain after it could not
+    /// be twice its size. A fragment with less than `2 * first` bytes of
+    /// `.seq` is one piece. Like [`split`]'s, the pieces partition the
+    /// fragment's records and byte ranges exactly.
+    pub fn read_ahead(&self, spec: &FragmentSpec, first: u64) -> Vec<FragmentSpec> {
+        let (mut at, end) = (spec.first_seq, spec.last_seq);
+        let whole = self.seq_at(end) - self.seq_at(at);
+        if whole < first.saturating_mul(2) {
+            return vec![self.spec(at, end)];
+        }
+        let (mut out, mut want) = (Vec::new(), first);
+        while at < end {
+            let base = self.seq_at(at);
+            let cut = self.first_at(base.saturating_add(want)).clamp(at + 1, end);
+            let size = self.seq_at(cut) - base;
+            let cut = if self.seq_at(end) - self.seq_at(cut) < size.saturating_mul(2) {
+                end
+            } else {
+                cut
+            };
+            out.push(self.spec(at, cut));
+            (at, want) = (cut, size.saturating_mul(2));
+        }
+        out
+    }
+
+    /// Cut records `[first, end)` into up to `k` fragments, cutting
+    /// where the `.seq` offset passes each `1/k` share of `weight` past
+    /// the range's start, but always leaving enough records for the
+    /// remaining parts.
+    fn partition(
+        &self,
+        (first, end): (u64, u64),
+        weight: u64,
+        k: usize,
+        out: &mut Vec<FragmentSpec>,
+    ) {
+        let num_seqs = end.saturating_sub(first);
+        if num_seqs == 0 {
+            return;
+        }
+        let k = (k.max(1) as u64).min(num_seqs);
+        let base = self.seq_at(first);
+        let mut first = first;
+        for part in 0..k {
+            let target = base.saturating_add(weight.saturating_mul(part + 1) / k);
+            let mut last = if part + 1 == k {
+                end
+            } else {
+                // The offsets are nondecreasing: binary search the cut.
+                let cut = self.first_at(target).max(first + 1);
+                cut.min(end - (k - part - 1))
+            };
+            if last < first + 1 {
+                last = first + 1;
+            }
+            out.push(self.spec(first, last));
+            first = last;
+        }
     }
 }
 
 /// Build the byte ranges for sequences `[first, last)` of a volume.
 pub fn make_spec(vi: usize, idx: &VolumeIndex, first: u64, last: u64) -> FragmentSpec {
     debug_assert!(first <= last && last <= idx.num_seqs() as u64);
-    let seq_lo = idx.seq_offsets[first as usize];
-    let seq_hi = idx.seq_offsets[last as usize];
-    let hdr_lo = idx.hdr_offsets[first as usize];
-    let hdr_hi = idx.hdr_offsets[last as usize];
-    let st = idx.seq_table_start();
-    let ht = idx.hdr_table_start();
-    FragmentSpec {
-        volume: vi,
-        first_seq: first,
-        last_seq: last,
-        base_oid: idx.base_oid + first,
-        seq_range: (seq_lo, seq_hi),
-        hdr_range: (hdr_lo, hdr_hi),
-        idx_seq_range: (st + 8 * first, st + 8 * (last + 1)),
-        idx_hdr_range: (ht + 8 * first, ht + 8 * (last + 1)),
-        residues: seq_hi - seq_lo,
-    }
+    IndexSlice::of_volume(vi, idx).spec(first, last)
 }
 
 /// mpiBLAST's `mpiformatdb`: rewrite a formatted database as `n` physical
@@ -414,6 +523,58 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn read_ahead_pieces_start_small_and_at_least_double() {
+        let lens: Vec<usize> = (0..200).map(|i| 1 + (i * 37) % 90).collect();
+        let db = make_db(&lens);
+        let idx = &db.volumes[0].index;
+        let whole = IndexSlice::of_volume(0, idx);
+        for n in 1..=5 {
+            for spec in virtual_fragments(&[idx], n) {
+                // The fragment's own slice cuts as the volume's does.
+                let (a, b) = (spec.first_seq as usize, spec.last_seq as usize + 1);
+                let own =
+                    IndexSlice::of_fragment(&spec, &idx.seq_offsets[a..b], &idx.hdr_offsets[a..b])
+                        .expect("the volume's tables fit the spec");
+                for first in [16u64, 100, 700, 2_000, 1 << 20] {
+                    let pieces = own.read_ahead(&spec, first);
+                    assert_eq!(pieces, whole.read_ahead(&spec, first));
+                    let what = format!("{spec:?} from {first}");
+                    let size = |p: &FragmentSpec| p.seq_range.1 - p.seq_range.0;
+                    if size(&spec) < 2 * first {
+                        assert_eq!(pieces, vec![spec], "{what}");
+                        continue;
+                    }
+                    assert_eq!(pieces.iter().map(size).sum::<u64>(), size(&spec), "{what}");
+                    // The first piece is the smallest prefix of `first` bytes.
+                    let head = &pieces[0];
+                    assert!(size(head) >= first, "{what}");
+                    let shorter = make_spec(0, idx, head.first_seq, head.last_seq - 1);
+                    assert!(pieces.len() == 1 || size(&shorter) < first, "{what}");
+                    for pair in pieces.windows(2) {
+                        assert_eq!(pair[0].last_seq, pair[1].first_seq, "{what}");
+                        assert!(size(&pair[1]) >= 2 * size(&pair[0]), "{what}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn a_fragments_slice_must_be_the_tables_its_spec_names() {
+        let db = make_db(&[5, 7, 11, 13, 17]);
+        let idx = &db.volumes[0].index;
+        let spec = make_spec(0, idx, 1, 4);
+        let (seq, hdr) = (&idx.seq_offsets[1..5], &idx.hdr_offsets[1..5]);
+        assert!(IndexSlice::of_fragment(&spec, seq, hdr).is_some());
+        // One entry short, one too many, shifted, and decreasing.
+        assert!(IndexSlice::of_fragment(&spec, &seq[..3], hdr).is_none());
+        assert!(IndexSlice::of_fragment(&spec, seq, &idx.hdr_offsets[1..6]).is_none());
+        assert!(IndexSlice::of_fragment(&spec, &idx.seq_offsets[0..4], hdr).is_none());
+        let bent = [seq[0], seq[2], seq[1], seq[3]];
+        assert!(IndexSlice::of_fragment(&spec, &bent, hdr).is_none());
     }
 
     #[test]

@@ -20,15 +20,26 @@ use crate::volume::{EncodedVolume, VolumeIndex};
 /// mpiBLAST workers build it from whole fragment files they copied
 /// ([`FragmentData::from_file_bytes`]). The residue and defline buffers
 /// are taken as given — any owner of bytes, such as a view of what a
-/// file system read returned — and shared, never copied.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// file system read returned — and shared, never copied. A fragment read
+/// ahead in record-aligned pieces is those pieces [joined](FragmentData::join):
+/// one run of subjects over the pieces' own buffers.
+#[derive(Debug, Clone)]
 pub struct FragmentData {
     /// Molecule type.
     pub molecule: Molecule,
     /// Global ordinal id of the first sequence.
     pub base_oid: u64,
-    /// Residue offsets rebased to this fragment's `seq` buffer
-    /// (`num_seqs + 1` entries).
+    /// The runs of records the fragment's bytes arrived in, in oid order:
+    /// one, unless it was joined from pieces, and never none.
+    parts: Vec<Part>,
+}
+
+/// One run of a fragment's records over its own buffers.
+#[derive(Debug, Clone)]
+struct Part {
+    /// Fragment-local index of the run's first record.
+    first: usize,
+    /// Residue offsets rebased to `seq` (`num_seqs + 1` entries).
     seq_offsets: Vec<u64>,
     /// Defline offsets rebased to `hdr`.
     hdr_offsets: Vec<u64>,
@@ -36,6 +47,21 @@ pub struct FragmentData {
     seq: Shared,
     /// Concatenated defline bytes.
     hdr: Shared,
+}
+
+impl Part {
+    fn num_seqs(&self) -> usize {
+        self.seq_offsets.len().saturating_sub(1)
+    }
+
+    /// Residues and defline of the run's `i`-th record.
+    fn record(&self, i: usize) -> (&[u8], &[u8]) {
+        let (s, h) = (&self.seq_offsets, &self.hdr_offsets);
+        (
+            &self.seq[s[i] as usize..s[i + 1] as usize],
+            &self.hdr[h[i] as usize..h[i + 1] as usize],
+        )
+    }
 }
 
 /// Bytes kept alive by whatever owns them (a `Vec`, a shared view of a
@@ -101,14 +127,61 @@ impl FragmentData {
                 what: "offset table vs data length",
             });
         }
-        Ok(FragmentData {
+        Ok(FragmentData::one(
             molecule,
             base_oid,
             seq_offsets,
             hdr_offsets,
             seq,
             hdr,
-        })
+        ))
+    }
+
+    /// A fragment of one run of records.
+    fn one(
+        molecule: Molecule,
+        base_oid: u64,
+        seq_offsets: Vec<u64>,
+        hdr_offsets: Vec<u64>,
+        seq: Shared,
+        hdr: Shared,
+    ) -> FragmentData {
+        let part = Part {
+            first: 0,
+            seq_offsets,
+            hdr_offsets,
+            seq,
+            hdr,
+        };
+        FragmentData {
+            molecule,
+            base_oid,
+            parts: vec![part],
+        }
+    }
+
+    /// Join record-aligned pieces of one fragment, in oid order, into
+    /// the fragment: each piece's buffers are kept as they are, and the
+    /// subjects, oid lookups and byte counts are those of the fragment
+    /// read whole. Fails unless the pieces are of one molecule and each
+    /// starts at the oid where the one before it ends.
+    pub fn join(pieces: Vec<FragmentData>) -> Result<FragmentData, CodecError> {
+        let bad = CodecError::BadValue {
+            what: "pieces of a fragment",
+        };
+        let mut pieces = pieces.into_iter();
+        let mut whole = pieces.next().ok_or(bad.clone())?;
+        for piece in pieces {
+            let first = whole.num_seqs();
+            if piece.molecule != whole.molecule || piece.base_oid != whole.base_oid + first as u64 {
+                return Err(bad);
+            }
+            whole.parts.extend(piece.parts.into_iter().map(|mut part| {
+                part.first += first;
+                part
+            }));
+        }
+        Ok(whole)
     }
 
     /// Build from the raw bytes of a volume's three files, as read back
@@ -128,27 +201,27 @@ impl FragmentData {
                 what: "volume data length vs index",
             });
         }
-        Ok(FragmentData {
-            molecule: index.molecule,
-            base_oid: index.base_oid,
-            seq_offsets: index.seq_offsets,
-            hdr_offsets: index.hdr_offsets,
+        Ok(FragmentData::one(
+            index.molecule,
+            index.base_oid,
+            index.seq_offsets,
+            index.hdr_offsets,
             seq,
             hdr,
-        })
+        ))
     }
 
     /// Build from a whole in-memory volume (mpiBLAST fragment files, or a
     /// serial whole-database search).
     pub fn from_volume(vol: &EncodedVolume) -> FragmentData {
-        FragmentData {
-            molecule: vol.index.molecule,
-            base_oid: vol.index.base_oid,
-            seq_offsets: vol.index.seq_offsets.clone(),
-            hdr_offsets: vol.index.hdr_offsets.clone(),
-            seq: Shared::new(vol.seq.clone()),
-            hdr: Shared::new(vol.hdr.clone()),
-        }
+        FragmentData::one(
+            vol.index.molecule,
+            vol.index.base_oid,
+            vol.index.seq_offsets.clone(),
+            vol.index.hdr_offsets.clone(),
+            Shared::new(vol.seq.clone()),
+            Shared::new(vol.hdr.clone()),
+        )
     }
 
     /// Build by slicing a whole volume with a [`FragmentSpec`] (a virtual
@@ -157,70 +230,105 @@ impl FragmentData {
     pub fn from_volume_slice(vol: &EncodedVolume, spec: &FragmentSpec) -> FragmentData {
         let first = spec.first_seq as usize;
         let last = spec.last_seq as usize;
-        FragmentData {
-            molecule: vol.index.molecule,
-            base_oid: spec.base_oid,
-            seq_offsets: vol.index.seq_offsets[first..=last]
+        FragmentData::one(
+            vol.index.molecule,
+            spec.base_oid,
+            vol.index.seq_offsets[first..=last]
                 .iter()
                 .map(|&o| o - spec.seq_range.0)
                 .collect(),
-            hdr_offsets: vol.index.hdr_offsets[first..=last]
+            vol.index.hdr_offsets[first..=last]
                 .iter()
                 .map(|&o| o - spec.hdr_range.0)
                 .collect(),
-            seq: Shared::new(
-                vol.seq[spec.seq_range.0 as usize..spec.seq_range.1 as usize].to_vec(),
-            ),
-            hdr: Shared::new(
-                vol.hdr[spec.hdr_range.0 as usize..spec.hdr_range.1 as usize].to_vec(),
-            ),
-        }
+            Shared::new(vol.seq[spec.seq_range.0 as usize..spec.seq_range.1 as usize].to_vec()),
+            Shared::new(vol.hdr[spec.hdr_range.0 as usize..spec.hdr_range.1 as usize].to_vec()),
+        )
     }
 
     /// Number of sequences.
     pub fn num_seqs(&self) -> usize {
-        self.seq_offsets.len().saturating_sub(1)
+        self.parts.last().map_or(0, |p| p.first + p.num_seqs())
     }
 
     /// Total residues held.
     pub fn total_residues(&self) -> u64 {
-        self.seq.len() as u64
+        self.parts.iter().map(|p| p.seq.len() as u64).sum()
     }
 
     /// Total bytes of all buffers (equals the bytes read from the file
     /// system to build it, minus the index slices; a view counts its own
-    /// length, whoever else shares its allocation).
+    /// length, whoever else shares its allocation). Pieces count as the
+    /// fragment read whole.
     pub fn data_bytes(&self) -> u64 {
-        (self.seq.len() + self.hdr.len() + 16 * self.seq_offsets.len()) as u64
+        let buffers: usize = self.parts.iter().map(|p| p.seq.len() + p.hdr.len()).sum();
+        (buffers + 16 * (self.num_seqs() + 1)) as u64
+    }
+
+    /// The part fragment-local record `i` falls in, if the fragment
+    /// holds it: the last one starting at or before it.
+    fn part_of(&self, i: usize) -> &Part {
+        match self.parts.as_slice() {
+            [only] => only,
+            parts => &parts[parts.partition_point(|p| p.first <= i).saturating_sub(1)],
+        }
+    }
+
+    /// The part holding fragment-local record `i`, and `i` within it.
+    fn locate(&self, i: usize) -> Option<(&Part, usize)> {
+        let part = self.part_of(i);
+        let local = i.checked_sub(part.first)?;
+        (local < part.num_seqs()).then_some((part, local))
+    }
+
+    /// Residues and defline of a subject by *global* oid.
+    fn record_of(&self, oid: u32) -> Option<(&[u8], &[u8])> {
+        let local = usize::try_from((oid as u64).checked_sub(self.base_oid)?).ok()?;
+        let (part, i) = self.locate(local)?;
+        Some(part.record(i))
     }
 
     /// Residues of a subject by *global* oid.
     pub fn residues_of(&self, oid: u32) -> Option<&[u8]> {
-        let local = (oid as u64).checked_sub(self.base_oid)? as usize;
-        if local >= self.num_seqs() {
-            return None;
-        }
-        Some(&self.seq[self.seq_offsets[local] as usize..self.seq_offsets[local + 1] as usize])
+        self.record_of(oid).map(|(residues, _)| residues)
     }
 
     /// Defline bytes of a subject by global oid.
     pub fn defline_of(&self, oid: u32) -> Option<&[u8]> {
-        let local = (oid as u64).checked_sub(self.base_oid)? as usize;
-        if local >= self.num_seqs() {
-            return None;
-        }
-        Some(&self.hdr[self.hdr_offsets[local] as usize..self.hdr_offsets[local + 1] as usize])
+        self.record_of(oid).map(|(_, defline)| defline)
     }
+}
+
+/// Fragments are equal when they hold the same subjects under the same
+/// oids, however their bytes were read.
+impl PartialEq for FragmentData {
+    fn eq(&self, other: &FragmentData) -> bool {
+        self.molecule == other.molecule
+            && self.base_oid == other.base_oid
+            && self.num_seqs() == other.num_seqs()
+            && (0..self.num_seqs()).all(|i| {
+                let (a, b) = (self.locate(i), other.locate(i));
+                a.map(|(part, j)| part.record(j)) == b.map(|(part, j)| part.record(j))
+            })
+    }
+}
+
+impl Eq for FragmentData {}
+
+/// Decode a slice of a fixed-stride offset table as it stands in the
+/// file: absolute offsets, one per entry.
+pub fn decode_table(bytes: &[u8], what: &'static str) -> Result<Vec<u64>, CodecError> {
+    if !bytes.len().is_multiple_of(8) {
+        return Err(CodecError::BadValue { what });
+    }
+    Reader::new(bytes).at(what).list((bytes.len() / 8) as u64)
 }
 
 /// Decode a slice of the fixed-stride offset table, rebasing so the first
 /// entry is zero.
 fn decode_rebased_table(bytes: &[u8], what: &'static str) -> Result<Vec<u64>, CodecError> {
     let bad = || CodecError::BadValue { what };
-    if !bytes.len().is_multiple_of(8) {
-        return Err(bad());
-    }
-    let mut table: Vec<u64> = Reader::new(bytes).at(what).list((bytes.len() / 8) as u64)?;
+    let mut table = decode_table(bytes, what)?;
     let base = *table.first().ok_or_else(bad)?;
     for v in &mut table {
         *v = v.checked_sub(base).ok_or_else(bad)?;
@@ -234,10 +342,12 @@ impl SubjectSource for FragmentData {
     }
 
     fn subject(&self, i: usize) -> SubjectView<'_> {
+        let part = self.part_of(i);
+        let (residues, defline) = part.record(i - part.first);
         SubjectView {
             oid: (self.base_oid + i as u64) as u32,
-            residues: &self.seq[self.seq_offsets[i] as usize..self.seq_offsets[i + 1] as usize],
-            defline: &self.hdr[self.hdr_offsets[i] as usize..self.hdr_offsets[i + 1] as usize],
+            residues,
+            defline,
         }
     }
 }

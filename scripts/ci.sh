@@ -124,9 +124,11 @@ cargo test --release -q --test codec fasta_parser_survives_hostile_bytes
 cargo test --release -q -p mpiio --test properties
 # ...and every run list still comes out as the parent's binary issued
 # it: the fs.* operations of a holey and an adjacent view, per class x
-# issue policy at 4 ranks, are literal lists recorded from that binary.
-# A failed run stops nothing: serial and posted both attempt every run
-# and report the same first error.
+# issue policy at 4 ranks, are literal lists recorded from that binary
+# (independent writes since join strictly adjacent regions, never
+# through a hole, as sieved writes do). A failed run stops nothing:
+# serial and posted both attempt every run and report the same first
+# error.
 cargo test --release -q -p mpiio --test run_lists
 # A peer aggregator that serves a short chunk in a collective read is a
 # typed error after the closing barrier — release builds have no
@@ -278,6 +280,29 @@ done
 cargo test --release -q --test trace the_master_renders_only_headers_preambles_notices_and_footers
 cargo test --release -q -p mpisim --lib a_source_that_returned_is_a_dead_peer_once_its_messages_are_in
 cargo test --release -q -p mpisim --lib a_detecting_receive_from_a_peer_that_returned_fails
+# Read ahead inside a fragment: where a grant is searched on arrival and
+# the plane posts reads, the worker reads the fragment's index slices,
+# cuts it at record boundaries (the first piece the smallest prefix of
+# 64 KiB of .seq, each later one at least twice the one before) and
+# scans each piece while the next one is in flight. Any record-aligned
+# cut partitions the records, .seq and .hdr, searches and merges to the
+# whole fragment's result and stats, and formats, joined, to the whole
+# fragment's payload; a fragment's pieces carry its fixed search cost
+# once; reports equal the serial oracle under Off, Recover with
+# checkpoints, burst, serve with affinity and two threads, and after a
+# kill with a piece in flight; the next piece's read begins before this
+# one's scan ends; and each fragment's traced search time is the
+# modeled charge of its whole search.
+cargo test --release -q -p seqfmt --lib read_ahead_pieces_start_small_and_at_least_double
+cargo test --release -q -p seqfmt --lib a_fragments_slice_must_be_the_tables_its_spec_names
+cargo test --release -q -p pioblast --lib any_record_aligned_cut_searches_and_formats_as_the_whole_fragment
+cargo test --release -q -p mpiblast --lib the_scans_of_a_fragments_pieces_carry_its_fixed_cost_once
+for t in read_ahead_reports_equal_the_serial_report_in_every_mode \
+         a_kill_while_a_piece_is_in_flight_recovers_byte_identically \
+         the_next_piece_is_read_while_this_one_is_searched \
+         each_fragments_search_time_is_the_modeled_charge_of_its_search; do
+  cargo test --release -q --test read_ahead "$t" -- --exact
+done
 # One failure vocabulary: mpiBLAST's setup failures are the PioError
 # variants pioBLAST's are (Input(Store) for a missing query file,
 # Input(Malformed) for a short or lying fragment index), every worker
