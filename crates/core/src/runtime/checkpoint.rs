@@ -6,21 +6,23 @@
 //! one orphan [`ResultCache`] at once, whose metadata is spliced into the
 //! merge and whose records ride to the live workers with their own
 //! assignments. The machine requeues only the fragments no valid blob
-//! covers, re-cut into pieces when survivors would otherwise idle. A
-//! blob is deterministic in its key, so rewrites in retried epochs are
-//! idempotent. The master lets go of a batch's adopted payloads when the
-//! batch seals; the run drops every blob at the end, for every fragment
-//! id and piece id it created, in one posted set of deletes.
+//! covers, re-cut into pieces ([`cut_pieces`]) when survivors would
+//! otherwise idle. A blob is deterministic in its key, so rewrites in
+//! retried epochs are idempotent. The master lets go of a batch's
+//! adopted payloads when the batch seals; the run drops every blob at
+//! the end, for every fragment id and piece id it created, in one posted
+//! set of deletes.
 //!
 //! [`RunPolicy::checkpoint`]: super::RunPolicy::checkpoint
 
 use mpiblast::wire::{FragmentCheckpoint, MetaSubmission};
 use mpiio::IoPlane;
 use parafs::StoreError;
-use seqfmt::Wire;
+use seqfmt::{VolumeIndex, Wire};
 
 use crate::app::PioBlastConfig;
 use crate::cache::{FragmentPayload, ResultCache};
+use crate::proto::FragmentAssignment;
 
 /// Shared-file-system path of one `(batch, fragment)` checkpoint blob.
 fn path(cfg: &PioBlastConfig, batch: usize, fragment: usize) -> String {
@@ -105,4 +107,38 @@ pub(super) fn find(
         }
     }
     found
+}
+
+/// Re-cut each fragment of `frags` into up to `k` pieces at record
+/// boundaries (`seqfmt::frag::split`), registering the pieces'
+/// assignments under fresh ids after every id in `assignments`. Returns
+/// `(fragment, piece ids)` for each fragment that was cut; one that
+/// cannot be (a single record, or `k == 1`) is left out and requeues
+/// whole.
+pub(super) fn cut_pieces(
+    assignments: &mut Vec<FragmentAssignment>,
+    indexes: &[VolumeIndex],
+    frags: &[usize],
+    k: usize,
+) -> Vec<(usize, Vec<usize>)> {
+    let mut pieces = Vec::new();
+    for &f in frags {
+        let Some(parent) = assignments.get(f).cloned() else {
+            continue;
+        };
+        let Some(idx) = indexes.get(parent.spec.volume) else {
+            continue;
+        };
+        let specs = seqfmt::frag::split(idx, &parent.spec, k);
+        if specs.len() < 2 {
+            continue;
+        }
+        let first = assignments.len();
+        assignments.extend(specs.into_iter().map(|spec| FragmentAssignment {
+            spec,
+            volume_name: parent.volume_name.clone(),
+        }));
+        pieces.push((f, (first..assignments.len()).collect()));
+    }
+    pieces
 }

@@ -14,10 +14,10 @@ use bytes::Bytes;
 use mpiblast::wire::{MetaSubmission, QueryBundle};
 use mpiblast::MASTER;
 use mpiio::IoPlane;
-use mpisim::sched::Pump;
-use mpisim::{Collectives, Comm};
+use mpisim::sched::{default_sweep, Pump};
+use mpisim::{Collectives, Comm, RecvError};
 use seqfmt::Wire;
-use simcluster::{Message, SimTime};
+use simcluster::{Message, SimDuration, SimTime};
 
 use super::master::MasterEvent;
 use super::master_io::{check_queries, MasterIo};
@@ -192,6 +192,49 @@ impl Lowering {
             comm.send(MASTER, TAG_DONE, Bytes::from(epoch.encode()));
         }
     }
+
+    /// The acknowledgement of a parked write (point-to-point), for the
+    /// write's completion to send as an MPI library with asynchronous
+    /// progress would: it leaves when the write has landed, traced as
+    /// this rank's `send` and counted as one of its sends, and arrives a
+    /// [`NetProfile::delivery`](mpisim::NetProfile::delivery) later. Its
+    /// occupancy is charged when the rank joins the write
+    /// ([`Lowering::charge_ack`]).
+    pub(super) fn ack_on_landing(
+        &self,
+        comm: &Comm<'_>,
+        epoch: u64,
+    ) -> impl FnOnce() + Send + 'static {
+        let (handle, rank, net) = (comm.ctx().handle(), comm.rank(), comm.net());
+        let tracer = tracelog::installed();
+        let payload = Bytes::from(epoch.encode());
+        move || {
+            let bytes = payload.len() as u64;
+            if let Some((tracer, rank)) = tracer {
+                let t = handle.now().0;
+                let occupied = SimDuration::from_secs_f64(net.occupancy(bytes)).0;
+                let args = vec![
+                    ("dst", MASTER.into()),
+                    ("tag", TAG_DONE.into()),
+                    ("bytes", bytes.into()),
+                ];
+                let (lane, begin) = (tracelog::Lane::Net, tracelog::EventKind::Begin);
+                tracer.record(rank, t, lane, begin, "send".into(), args);
+                let end = tracelog::EventKind::End;
+                tracer.record(rank, t + occupied, lane, end, "".into(), Vec::new());
+            }
+            let delivery = SimDuration::from_secs_f64(net.delivery(bytes));
+            handle.post(rank, MASTER, TAG_DONE, payload, delivery);
+        }
+    }
+
+    /// Charge the occupancy of the acknowledgement a parked write sent
+    /// when it landed ([`Lowering::ack_on_landing`]).
+    pub(super) fn charge_ack(&self, comm: &Comm<'_>) {
+        let bytes = 0u64.encode().len() as u64;
+        let occupied = comm.net().occupancy(bytes);
+        comm.ctx().charge(SimDuration::from_secs_f64(occupied));
+    }
 }
 
 impl WorkerIo<'_, '_> {
@@ -206,7 +249,7 @@ impl WorkerIo<'_, '_> {
         let epoch = |batch: usize| batch as u64 + 1;
         Ok(match self.step {
             Step::Messages => loop {
-                let m = recv_master(self.comm)?;
+                let m = self.recv_command()?;
                 break match m.tag {
                     // A stream batch's queries, possibly prefetched well
                     // ahead of its first grant: stash and keep listening.
@@ -260,6 +303,22 @@ impl WorkerIo<'_, '_> {
                 }
             }
         })
+    }
+
+    /// The master's next point-to-point command. While a report write is
+    /// parked, the wait is cut into sweep intervals and the write is
+    /// joined once it has completed: a failed one ends the run here
+    /// instead of leaving the master waiting for its acknowledgement.
+    fn recv_command(&mut self) -> Result<Message, PioError> {
+        while !self.io.output_done() {
+            match self.comm.recv_timeout(Some(MASTER), None, default_sweep()) {
+                Ok(m) => return unless_abort(m),
+                Err(RecvError::DeadPeer { .. }) => return Err(PioError::MasterDied),
+                Err(RecvError::Timeout { .. }) => {}
+            }
+        }
+        self.join_output()?;
+        recv_master(self.comm)
     }
 
     /// Stash stream batches' queries until `batch`'s are in (service
@@ -360,6 +419,11 @@ fn recv_master(comm: &Comm<'_>) -> Result<Message, PioError> {
     let m = Pump::new(comm, true)
         .recv_from(MASTER, None)
         .map_err(|_| PioError::MasterDied)?;
+    unless_abort(m)
+}
+
+/// An abort from the master is a typed error.
+fn unless_abort(m: Message) -> Result<Message, PioError> {
     if m.tag == TAG_ABORT {
         return Err(PioError::Aborted);
     }

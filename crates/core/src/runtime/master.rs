@@ -3,7 +3,9 @@
 //!
 //! One machine drives every mode. The cycle per query batch is
 //! `Distribute -> Collect -> WaitWrites`, then either the next batch or
-//! `Finished`:
+//! `Finished`; where the policy [pipelines](RunPolicy::pipelines), a
+//! merged batch's `WaitWrites` runs beside the next batch's `Distribute`
+//! instead (see below):
 //!
 //! * **Distribute** — fragments flow from the grant queue to idle live
 //!   workers: one scatter of whole shares up front for the static
@@ -14,6 +16,16 @@
 //!   for its metadata submission. Stale-epoch submissions are discarded.
 //! * **WaitWrites** — offsets were assigned; the master waits for every
 //!   live worker's write acknowledgement before sealing the batch.
+//!
+//! Under the point-to-point lowering a death that fails the run needs
+//! nothing of a merged batch but its acknowledgements, so there the next
+//! batch opens at the merge: its grants follow the `Merge` at once, a
+//! sealing record (the merged batch and `done`) collects the merged
+//! batch's acknowledgements and emits its `FinishBatch` on the last one,
+//! and the next batch's `Collect` waits until that batch is sealed *and*
+//! the next one is fully distributed. The collective lowering and
+//! `Recover` — whose rewinds need the merged batch's state until the
+//! seal — open the next batch at the seal.
 //!
 //! Where each fragment stands is recorded once, in the grant queue: every
 //! fragment's owner (and last holder, which steers service-mode re-grants
@@ -43,12 +55,10 @@
 use mpiblast::wire::MetaSubmission;
 use mpiblast::MASTER;
 use mpisim::sched::{chunk_evenly, GrantQueue};
-use seqfmt::VolumeIndex;
 
 use super::RunPolicy;
 use crate::app::FragmentSchedule;
 use crate::fault::PioError;
-use crate::proto::FragmentAssignment;
 
 /// What the master's run loop reports to the machine.
 #[derive(Debug, Clone)]
@@ -185,6 +195,10 @@ pub struct MasterSm {
     batch: usize,
     subs: Vec<Option<MetaSubmission>>,
     done: Vec<bool>,
+    /// The merged batch whose acknowledgements `done` still collects
+    /// while `batch`, the next one, is distributed: only where the
+    /// policy pipelines.
+    sealing: Option<usize>,
 }
 
 impl MasterSm {
@@ -205,14 +219,11 @@ impl MasterSm {
             batch: 0,
             subs: vec![None; nranks],
             done: vec![false; nranks],
+            sealing: None,
         };
         if sm.policy.p2p() && !sm.any_worker_live() {
-            sm.phase = MasterPhase::Failed;
-            let fail = MasterAction::Fail {
-                error: PioError::AllWorkersDied,
-                abort_workers: false,
-            };
-            return (sm, vec![fail]);
+            let fail = sm.fail(PioError::AllWorkersDied, false);
+            return (sm, fail);
         }
         let mut acts = Vec::new();
         if sm.policy.schedule == FragmentSchedule::Static {
@@ -241,6 +252,13 @@ impl MasterSm {
     /// Current query batch.
     pub fn batch(&self) -> usize {
         self.batch
+    }
+
+    /// The merged batch still collecting write acknowledgements while
+    /// the current one is distributed, if any (a pipelining policy
+    /// only).
+    pub fn sealing(&self) -> Option<usize> {
+        self.sealing
     }
 
     /// Current fencing epoch.
@@ -341,6 +359,26 @@ impl MasterSm {
         self.queue.is_drained() && self.live_workers().all(|w| self.idle[w])
     }
 
+    /// Open collection once the batch is fully distributed and the one
+    /// before it is sealed.
+    fn collect_if_distributed(&mut self) -> Vec<MasterAction> {
+        if self.distribution_complete() && self.sealing.is_none() {
+            self.start_collect()
+        } else {
+            Vec::new()
+        }
+    }
+
+    /// End the run with `error`.
+    fn fail(&mut self, error: PioError, abort_workers: bool) -> Vec<MasterAction> {
+        self.phase = MasterPhase::Failed;
+        self.sealing = None;
+        vec![MasterAction::Fail {
+            error,
+            abort_workers,
+        }]
+    }
+
     /// Open a new fenced epoch and ask for submissions.
     fn start_collect(&mut self) -> Vec<MasterAction> {
         self.epoch += 1;
@@ -357,19 +395,27 @@ impl MasterSm {
         self.live_workers().all(|w| self.subs[w].is_some())
     }
 
+    /// Merge the batch; where the policy pipelines and a batch follows,
+    /// open it at once, keeping this one's seal in the sealing record.
     fn merge_actions(&mut self) -> Vec<MasterAction> {
-        self.phase = MasterPhase::WaitWrites;
         let subs = self
             .subs
             .iter_mut()
             .map(|s| s.take().unwrap_or_default())
             .collect();
-        vec![MasterAction::Merge {
+        let mut acts = vec![MasterAction::Merge {
             batch: self.batch,
             epoch: self.epoch,
             subs,
             orphans: self.queue.owned(MASTER).to_vec(),
-        }]
+        }];
+        if self.policy.pipelines() && self.batch + 1 < self.policy.nbatches {
+            self.sealing = Some(self.batch);
+            acts.extend(self.open_next_batch());
+        } else {
+            self.phase = MasterPhase::WaitWrites;
+        }
+        acts
     }
 
     /// Resume distribution (after a requeue or at a batch boundary) and
@@ -377,19 +423,22 @@ impl MasterSm {
     fn redistribute(&mut self) -> Vec<MasterAction> {
         self.phase = MasterPhase::Distribute;
         let mut acts = self.pump_grants();
-        if self.distribution_complete() {
-            acts.extend(self.start_collect());
-        }
+        acts.extend(self.collect_if_distributed());
         acts
     }
 
-    /// Seal the batch: either the run is over, or orphans re-enter the
-    /// queue and the next batch's cycle starts.
+    /// Seal the batch: either the run is over, or the next batch opens.
     fn advance_batch(&mut self) -> Vec<MasterAction> {
         if self.batch + 1 == self.policy.nbatches {
             self.phase = MasterPhase::Finished;
             return vec![MasterAction::Finish];
         }
+        self.open_next_batch()
+    }
+
+    /// Open the next batch: orphans re-enter the queue, and its
+    /// distribution starts.
+    fn open_next_batch(&mut self) -> Vec<MasterAction> {
         self.batch += 1;
         // The orphans' blobs covered the sealed batch only, so they go
         // back to the queue first. A stream batch searches the whole
@@ -422,9 +471,7 @@ impl MasterSm {
             // to leave its request loop for the gather.
             acts.push(MasterAction::Drain { to: from });
         }
-        if self.distribution_complete() {
-            acts.extend(self.start_collect());
-        }
+        acts.extend(self.collect_if_distributed());
         acts
     }
 
@@ -441,17 +488,24 @@ impl MasterSm {
     }
 
     fn on_write_done(&mut self, from: usize, epoch: u64) -> Vec<MasterAction> {
-        if self.phase != MasterPhase::WaitWrites || epoch != self.epoch || !self.live[from] {
+        let writing = self.phase == MasterPhase::WaitWrites || self.sealing.is_some();
+        if !writing || epoch != self.epoch || !self.live[from] {
             return Vec::new();
         }
         self.done[from] = true;
-        if self.live_workers().all(|w| self.done[w]) {
-            let mut acts = vec![MasterAction::FinishBatch { batch: self.batch }];
-            acts.extend(self.advance_batch());
-            acts
-        } else {
-            Vec::new()
+        if !self.live_workers().all(|w| self.done[w]) {
+            return Vec::new();
         }
+        // Where the next batch is open already, it collects once it is
+        // distributed too.
+        let sealed = self.sealing.take().unwrap_or(self.batch);
+        let mut acts = vec![MasterAction::FinishBatch { batch: sealed }];
+        acts.extend(if sealed < self.batch {
+            self.collect_if_distributed()
+        } else {
+            self.advance_batch()
+        });
+        acts
     }
 
     fn on_dead(
@@ -505,18 +559,10 @@ impl MasterSm {
             // Nobody asked to recover, so nobody posted the fences that
             // make a requeue safe (fence-before-ack, the epoch fence):
             // fail fast.
-            self.phase = MasterPhase::Failed;
-            return vec![MasterAction::Fail {
-                error: PioError::WorkerDied { rank: ranks[0] },
-                abort_workers: true,
-            }];
+            return self.fail(PioError::WorkerDied { rank: ranks[0] }, true);
         }
         if !self.any_worker_live() {
-            self.phase = MasterPhase::Failed;
-            return vec![MasterAction::Fail {
-                error: PioError::AllWorkersDied,
-                abort_workers: false,
-            }];
+            return self.fail(PioError::AllWorkersDied, false);
         }
         match self.phase {
             MasterPhase::Distribute => self.redistribute(),
@@ -546,44 +592,12 @@ impl MasterSm {
     }
 }
 
-/// Re-cut each fragment of `frags` into up to `k` pieces at record
-/// boundaries (`seqfmt::frag::split`), registering the pieces'
-/// assignments under fresh ids after every id in `assignments`. Returns
-/// `(fragment, piece ids)` for each fragment that was cut; one that
-/// cannot be (a single record, or `k == 1`) is left out and requeues
-/// whole.
-pub(super) fn cut_pieces(
-    assignments: &mut Vec<FragmentAssignment>,
-    indexes: &[VolumeIndex],
-    frags: &[usize],
-    k: usize,
-) -> Vec<(usize, Vec<usize>)> {
-    let mut pieces = Vec::new();
-    for &f in frags {
-        let Some(parent) = assignments.get(f).cloned() else {
-            continue;
-        };
-        let Some(idx) = indexes.get(parent.spec.volume) else {
-            continue;
-        };
-        let specs = seqfmt::frag::split(idx, &parent.spec, k);
-        if specs.len() < 2 {
-            continue;
-        }
-        let first = assignments.len();
-        assignments.extend(specs.into_iter().map(|spec| FragmentAssignment {
-            spec,
-            volume_name: parent.volume_name.clone(),
-        }));
-        pieces.push((f, (first..assignments.len()).collect()));
-    }
-    pieces
-}
-
 #[cfg(test)]
 mod tests {
+    use super::super::checkpoint::cut_pieces;
     use super::*;
     use crate::fault::FaultMode;
+    use crate::proto::FragmentAssignment;
 
     fn policy(
         schedule: FragmentSchedule,
@@ -810,18 +824,20 @@ mod tests {
         assert_eq!(sm.owned(1), &[0, 2]);
         assert_eq!(sm.owned(2), &[1, 3]);
         let epoch = *epoch;
-        for w in [1, 2] {
-            let _ = sm.handle(MasterEvent::Submission {
-                from: w,
-                epoch,
-                sub: sub(),
-            });
-        }
-        let _ = sm.handle(MasterEvent::WriteDone { from: 1, epoch });
-        let acts = sm.handle(MasterEvent::WriteDone { from: 2, epoch });
-        // Sealing the batch re-queues all four fragments and immediately
-        // re-grants one to each idle worker — the one it already holds.
-        let [MasterAction::FinishBatch { batch: 0 }, MasterAction::Grant {
+        let _ = sm.handle(MasterEvent::Submission {
+            from: 1,
+            epoch,
+            sub: sub(),
+        });
+        let acts = sm.handle(MasterEvent::Submission {
+            from: 2,
+            epoch,
+            sub: sub(),
+        });
+        // The merge opens batch 1 at once (point-to-point, fail-fast):
+        // all four fragments are re-queued and one is re-granted to each
+        // idle worker — the one it already holds.
+        let [MasterAction::Merge { batch: 0, .. }, MasterAction::Grant {
             to: 1,
             frag: 0,
             batch: 1,
@@ -831,8 +847,18 @@ mod tests {
             batch: 1,
         }] = &acts[..]
         else {
-            panic!("expected finish + affinity re-grants, got {acts:?}");
+            panic!("expected the merge + affinity re-grants, got {acts:?}");
         };
+        assert_eq!((sm.batch(), sm.sealing()), (1, Some(0)));
+        // Batch 0 seals on its last acknowledgement, beside batch 1.
+        assert!(sm
+            .handle(MasterEvent::WriteDone { from: 1, epoch })
+            .is_empty());
+        let acts = sm.handle(MasterEvent::WriteDone { from: 2, epoch });
+        assert!(
+            matches!(&acts[..], [MasterAction::FinishBatch { batch: 0 }]),
+            "{acts:?}"
+        );
         // The follow-up requests pull each worker's other resident
         // fragment, so batch 1 repeats batch 0's placement exactly.
         let acts = sm.handle(MasterEvent::Ready { from: 1 });
@@ -845,6 +871,70 @@ mod tests {
         };
         assert_eq!(sm.owned(1), &[0, 2]);
         assert_eq!(sm.owned(2), &[1, 3]);
+    }
+
+    #[test]
+    fn a_fail_fast_stream_grants_the_next_batch_at_the_merge_and_collects_it_after_the_seal() {
+        let mut p = policy(FragmentSchedule::Dynamic, FaultMode::Off, false, 2, 3);
+        p.service = true;
+        let (mut sm, _) = MasterSm::new(p, vec![true; 3]);
+        for w in [1, 2, 1, 2] {
+            let _ = sm.handle(MasterEvent::Ready { from: w });
+        }
+        let epoch = sm.epoch();
+        let _ = sm.handle(MasterEvent::Submission {
+            from: 1,
+            epoch,
+            sub: sub(),
+        });
+        let acts = sm.handle(MasterEvent::Submission {
+            from: 2,
+            epoch,
+            sub: sub(),
+        });
+        assert_eq!(grants(&acts), vec![(1, 0), (2, 1)]);
+        // Batch 1 is distributed before batch 0 seals: no collection yet,
+        // and a submission for it would be stale.
+        assert!(sm.handle(MasterEvent::Ready { from: 1 }).is_empty());
+        assert!(sm.handle(MasterEvent::Ready { from: 2 }).is_empty());
+        assert_eq!(sm.phase(), MasterPhase::Distribute);
+        let _ = sm.handle(MasterEvent::WriteDone { from: 2, epoch });
+        let stale = sm.handle(MasterEvent::WriteDone {
+            from: 2,
+            epoch: epoch + 1,
+        });
+        assert!(stale.is_empty());
+        let acts = sm.handle(MasterEvent::WriteDone { from: 1, epoch });
+        assert!(
+            matches!(
+                &acts[..],
+                [
+                    MasterAction::FinishBatch { batch: 0 },
+                    MasterAction::Collect { batch: 1, .. }
+                ]
+            ),
+            "{acts:?}"
+        );
+        // A death while batch 1 seals beside batch 2 fails the run.
+        let epoch = sm.epoch();
+        for from in [1, 2] {
+            let _ = sm.handle(MasterEvent::Submission {
+                from,
+                epoch,
+                sub: sub(),
+            });
+        }
+        assert_eq!(sm.sealing(), Some(1));
+        let acts = sm.handle(MasterEvent::Dead {
+            ranks: vec![2],
+            checkpointed: vec![],
+            pieces: Vec::new(),
+        });
+        assert!(matches!(&acts[..], [MasterAction::Fail { .. }]), "{acts:?}");
+        assert_eq!(sm.sealing(), None);
+        assert!(sm
+            .handle(MasterEvent::WriteDone { from: 1, epoch })
+            .is_empty());
     }
 
     #[test]

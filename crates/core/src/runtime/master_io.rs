@@ -12,20 +12,20 @@ use blast_core::search::{PreparedQueries, SearchStats};
 use blast_core::seq::SeqRecord;
 use bytes::Bytes;
 use mpiblast::phases;
-use mpiblast::wire::{put_queries, MetaSubmission, QueryBundle};
+use mpiblast::wire::{MetaSubmission, QueryBundle};
 use mpiblast::{RankReport, MASTER};
 use mpiio::IoPlane;
 use mpisim::sched::Polled;
 use mpisim::{Collectives, Comm};
-use seqfmt::codec::Writer;
 use seqfmt::{AliasFile, VolumeIndex, Wire};
 use simcluster::{PhaseTimes, RankCtx, SimDuration, SimTime};
 
 use super::checkpoint;
+use super::checkpoint::cut_pieces;
 use super::lowering::Lowering;
-use super::master::{cut_pieces, MasterAction, MasterEvent, MasterPhase, MasterSm};
+use super::master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
 use super::output::{build_plane, deal, fence_staging};
-use super::{policy_of, Grant, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_QBATCH, TAG_READY, TAG_SUBMIT};
+use super::{policy_of, Grant, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_READY, TAG_SUBMIT};
 use crate::app::{query_batches, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
@@ -81,7 +81,7 @@ pub(super) struct MasterIo<'a, 'b> {
     pub(super) out_mark: Option<SimTime>,
     /// Service mode: which stream batches' queries have been shipped
     /// (each batch goes out exactly once, gated on its arrival time).
-    qbatch_sent: Vec<bool>,
+    pub(super) qbatch_sent: Vec<bool>,
 }
 
 impl<'a, 'b> MasterIo<'a, 'b> {
@@ -215,6 +215,14 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         let mut actions: VecDeque<MasterAction> = init.into();
         loop {
             while let Some(act) = actions.pop_front() {
+                if let Some(event) = self.event_before(&act)? {
+                    // What the event calls for goes first.
+                    actions.push_front(act);
+                    for follow in self.sm.handle(event).into_iter().rev() {
+                        actions.push_front(follow);
+                    }
+                    continue;
+                }
                 // Action -> side effects (+ any synchronous follow-up
                 // events).
                 let events = match act {
@@ -255,23 +263,56 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     actions.extend(self.sm.handle(ev));
                 }
             }
-            // Quiescent: wait for the next message for this phase (the
-            // pump folds death detection into the wait).
-            let tag = match self.sm.phase() {
-                MasterPhase::Distribute => TAG_READY,
-                MasterPhase::Collect => TAG_SUBMIT,
-                MasterPhase::WaitWrites => TAG_DONE,
-                MasterPhase::Finished | MasterPhase::Failed => {
-                    unreachable!("terminal phases return from the action loop")
-                }
-            };
-            let pump = self.lowering.pump(self.comm);
-            let event = match pump.poll(|w| self.sm.is_live(w), None, Some(tag)) {
-                Polled::Msg(m) => self.translate(m).inspect_err(|_| self.abort_live())?,
-                Polled::Dead(ranks) => self.dead_event(ranks),
-            };
-            actions.extend(self.sm.handle(event));
+            // Quiescent: wait for the next event (with no deadline, one
+            // always comes).
+            if let Some(event) = self.next_event(None)? {
+                actions.extend(self.sm.handle(event));
+            }
         }
+    }
+
+    /// An event to handle before performing `act`, where a merged batch
+    /// seals beside the next one: a message that has already arrived,
+    /// before a grant, so the seal never waits behind the next batch's
+    /// grants; and any that arrives while the stream has not submitted
+    /// the batch `act` needs, so acknowledgements and deaths are not held
+    /// up behind admission. `None` once `act` may be performed.
+    fn event_before(&mut self, act: &MasterAction) -> Result<Option<MasterEvent>, PioError> {
+        if self.sm.sealing().is_some() && matches!(act, MasterAction::Grant { .. }) {
+            if let Some(m) = self.ctx.try_recv(None, None) {
+                return Ok(Some(self.translate(m).inspect_err(|_| self.abort_live())?));
+            }
+        }
+        while let Some(arrival) = self.unadmitted(act) {
+            if let Some(event) = self.next_event(Some(arrival))? {
+                return Ok(Some(event));
+            }
+        }
+        Ok(None)
+    }
+
+    /// Wait for the next message (the pump folds death detection into
+    /// the wait) until `deadline`, if there is one: the phase's own while
+    /// one batch is open, any while a merged batch seals beside the next
+    /// one's distribution. `None` when the deadline passed first.
+    fn next_event(&mut self, deadline: Option<SimTime>) -> Result<Option<MasterEvent>, PioError> {
+        let tag = match self.sm.phase() {
+            _ if self.sm.sealing().is_some() => None,
+            MasterPhase::Distribute => Some(TAG_READY),
+            MasterPhase::Collect => Some(TAG_SUBMIT),
+            MasterPhase::WaitWrites => Some(TAG_DONE),
+            MasterPhase::Finished | MasterPhase::Failed => {
+                unreachable!("terminal phases return from the action loop")
+            }
+        };
+        let pump = self.lowering.pump(self.comm);
+        Ok(
+            match pump.poll_until(|w| self.sm.is_live(w), None, tag, deadline) {
+                None => None,
+                Some(Polled::Msg(m)) => Some(self.translate(m).inspect_err(|_| self.abort_live())?),
+                Some(Polled::Dead(ranks)) => Some(self.dead_event(ranks)),
+            },
+        )
     }
 
     /// Deaths -> event: each owned fragment of each victim with a valid
@@ -303,58 +344,6 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     fn abort_live(&self) {
         for w in self.sm.live_workers() {
             let _ = self.comm.send_checked(w, TAG_ABORT, Bytes::new());
-        }
-    }
-
-    /// Service mode: deliver one stream batch's queries to every live
-    /// worker, gating on the plan's arrival time — the admission point
-    /// of the simulated query stream. Ships each batch exactly once;
-    /// a no-op for one-shot runs.
-    fn ensure_qbatch(&mut self, batch: usize) {
-        let Some(svc) = &self.cfg.service else { return };
-        if self.qbatch_sent[batch] {
-            return;
-        }
-        let sb = &svc.plan.batches[batch];
-        let (arrival_ns, user, nqueries) = (sb.arrival_ns, sb.user, sb.nqueries);
-        self.qbatch_sent[batch] = true;
-        let now = self.ctx.now().0;
-        if arrival_ns > now {
-            // The stream has not submitted this batch yet: wait for it.
-            self.ctx.charge(SimDuration(arrival_ns - now));
-        }
-        tracelog::instant(
-            tracelog::Lane::Runtime,
-            "service.admit",
-            vec![
-                ("query", batch.into()),
-                ("user", u64::from(user).into()),
-                ("queries", nqueries.into()),
-            ],
-        );
-        let mut frame = Writer::default();
-        (batch as u32).put(&mut frame);
-        put_queries(&self.batches[batch], &mut frame);
-        let payload = Bytes::from(frame.finish());
-        for w in self.sm.live_workers() {
-            let _ = self.comm.send_checked(w, TAG_QBATCH, payload.clone());
-        }
-    }
-
-    /// Ship the next stream batch's queries early when it has already
-    /// arrived — the delivery overlaps the current batch's searches, so
-    /// workers never stall on queries at the batch boundary.
-    fn prefetch_qbatch(&mut self, next: usize) {
-        let arrived = match &self.cfg.service {
-            Some(svc) => {
-                next < svc.plan.batches.len()
-                    && !self.qbatch_sent[next]
-                    && svc.plan.batches[next].arrival_ns <= self.ctx.now().0
-            }
-            None => false,
-        };
-        if arrived {
-            self.ensure_qbatch(next);
         }
     }
 
@@ -507,20 +496,27 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         let sections = outcome.master_sections.into_iter();
         self.sections = Some(sections.map(|(off, s)| (off, Bytes::from(s))).collect());
         // Point-to-point: the master writes its sections now, while the
-        // workers write theirs. Offsets are deterministic, so a rewind
+        // workers write theirs — posted, where the next batch opens at
+        // the merge, so its grants leave right behind the assignments,
+        // and joined at the seal. Offsets are deterministic, so a rewind
         // rewrites the same bytes; a failed write is left to the seal,
         // which writes them again and fails there, so it changes no
         // run's outcome.
-        self.sections_written =
-            !self.lowering.writes_in_step() && self.write_master_share(batch).is_ok();
+        self.sections_written = !self.lowering.writes_in_step()
+            && self
+                .write_master_share(batch, self.sm.policy().pipelines())
+                .is_ok();
         Ok(events)
     }
 
-    /// Every live worker wrote: write the master's share unless it is
-    /// written already, then seal.
+    /// Every live worker wrote: join the master's share where it was
+    /// posted, or write it unless it is written already, then seal.
     fn finish_batch(&mut self, batch: usize) -> Result<Vec<MasterEvent>, PioError> {
+        if let Some(landed) = self.io.output_join() {
+            landed.map_err(PioError::Output)?;
+        }
         if !std::mem::take(&mut self.sections_written) {
-            self.write_master_share(batch)?;
+            self.write_master_share(batch, false)?;
         }
         self.sections = None;
         if let Some(mark) = self.out_mark.take() {

@@ -10,7 +10,8 @@
 //!   a one-shot fault-free run, epoch-fenced point-to-point commands with
 //!   sweeps of the machine's live workers for `Recover` and service mode.
 //! * `master_io` is the master's setup and its one loop between the
-//!   machine and the lowering. `worker_io` is the worker's: passive, it
+//!   machine and the lowering, and `admission` its gate for service-mode
+//!   stream batches. `worker_io` is the worker's: passive, it
 //!   acts on each command as it arrives, and holds only its prepared
 //!   batch and whether its fragments are searched against it. `search`
 //!   ingests and searches fragments, `output` writes the report, and
@@ -23,10 +24,12 @@
 //!
 //! [`FaultMode`] is a policy on the one machine, not a protocol: a death
 //! the point-to-point lowering hears of is recovered if the policy
-//! [recovers](RunPolicy::recovers) and fails the run fast otherwise.
-//! DESIGN.md §8 lists the events, the actions and the lowering's
-//! decisions.
+//! [recovers](RunPolicy::recovers) and fails the run fast otherwise —
+//! where, with nothing to rewind, the next batch opens at the merge
+//! ([pipelines](RunPolicy::pipelines)). DESIGN.md §8 lists the events,
+//! the actions and the lowering's decisions.
 
+mod admission;
 mod checkpoint;
 mod lowering;
 mod master;
@@ -135,6 +138,14 @@ impl RunPolicy {
     /// Does a worker death re-queue its fragments instead of aborting?
     pub fn recovers(&self) -> bool {
         self.fault == FaultMode::Recover
+    }
+
+    /// Does the next batch open at the merge instead of at the seal?
+    /// Where commands are point-to-point and a death fails the run, no
+    /// rewind can need a merged batch's state, so the next batch is
+    /// granted while the merged one's report writes land.
+    pub fn pipelines(&self) -> bool {
+        self.p2p() && !self.recovers()
     }
 }
 

@@ -131,8 +131,31 @@ fn report_path(cfg: &PioBlastConfig, batch: usize) -> String {
 fn flush_output(
     plane: &IoPlane<'_, '_>,
     path: &str,
-    mut items: Vec<(u64, Bytes)>,
+    items: Vec<(u64, Bytes)>,
 ) -> Result<(), PioError> {
+    let (view, payload) = output_layout(items)?;
+    plane
+        .write_output(path, &view, payload)
+        .map_err(PioError::Output)
+}
+
+/// [`flush_output`] posted and parked where the plane posts writes
+/// ([`IoPlane::post_output`]): `on_landed` runs when the write has
+/// landed, and the plane's `output_join` reports its outcome.
+fn post_output(
+    plane: &IoPlane<'_, '_>,
+    path: &str,
+    items: Vec<(u64, Bytes)>,
+    on_landed: impl FnOnce() + Send + 'static,
+) -> Result<(), PioError> {
+    let (view, payload) = output_layout(items)?;
+    plane
+        .post_output(path, &view, payload, on_landed)
+        .map_err(PioError::Output)
+}
+
+/// The file view and payload of scattered `(offset, text)` records.
+fn output_layout(mut items: Vec<(u64, Bytes)>) -> Result<(FileView, Run), PioError> {
     items.retain(|(_, text)| !text.is_empty());
     items.sort_unstable_by_key(|&(off, _)| off);
     let mut regions = Vec::with_capacity(items.len());
@@ -143,9 +166,7 @@ fn flush_output(
     }
     let view = FileView::new(0, regions)
         .map_err(|e| PioError::Protocol(format!("output layout is not writable: {e}")))?;
-    plane
-        .write_output(path, &view, payload)
-        .map_err(PioError::Output)
+    Ok((view, payload))
 }
 
 /// The fewest one-line summaries a block is split down to; a query with
@@ -208,11 +229,17 @@ impl MasterIo<'_, '_> {
     /// notice, and footers). The one-line summaries and the orphan
     /// records of dead owners' checkpointed fragments are not among
     /// them: they ride to the live workers with the assignments.
-    pub(super) fn write_master_share(&self, batch: usize) -> Result<(), PioError> {
+    /// With `posted`, the write is parked ([`post_output`]) for the seal
+    /// to join.
+    pub(super) fn write_master_share(&self, batch: usize, posted: bool) -> Result<(), PioError> {
         let sections = self.sections.clone().ok_or_else(|| {
             PioError::Protocol(format!("batch {batch} finished before it was merged"))
         })?;
-        flush_output(self.io, &report_path(self.cfg, batch), sections)?;
+        let path = report_path(self.cfg, batch);
+        if posted {
+            return post_output(self.io, &path, sections, || ());
+        }
+        flush_output(self.io, &path, sections)?;
         self.lowering.seal_output(self.comm, self.io);
         Ok(())
     }
@@ -221,10 +248,18 @@ impl MasterIo<'_, '_> {
 impl WorkerIo<'_, '_> {
     /// Write the records the master assigned this worker for `batch`,
     /// the orphan records it shipped along and the summary blocks it
-    /// rendered, then acknowledge under `epoch`. Out of line, like the
-    /// worker's other command handlers (see `WorkerIo::on_grant`).
+    /// rendered, then acknowledge under `epoch`. Where the policy
+    /// pipelines and the plane posts writes, the write is parked instead
+    /// and its completion sends the acknowledgement
+    /// ([`Lowering::ack_on_landing`](super::lowering::Lowering)): the
+    /// worker searches the next batch's grants while it lands, and joins
+    /// it ([`WorkerIo::join_output`]) before its next submission. Out of
+    /// line, like the worker's other command handlers (see
+    /// `WorkerIo::on_grant`).
     #[inline(never)]
     pub(super) fn write_assigned(&mut self, batch: usize, epoch: u64) -> Result<(), PioError> {
+        // One write is parked at a time.
+        self.join_output()?;
         let t = self.ctx.now();
         let assignment = self.assign.take().ok_or_else(|| {
             PioError::Protocol(format!("batch {batch} written with no assignment"))
@@ -264,9 +299,16 @@ impl WorkerIo<'_, '_> {
             // until the next batch's prepare resets it.
             self.cache = ResultCache::default();
         }
-        flush_output(self.io, &report_path(self.cfg, batch), items)?;
-        self.lowering.seal_output(self.comm, self.io);
+        let path = report_path(self.cfg, batch);
         let start = self.out_mark.take().unwrap_or(t);
+        if self.policy.pipelines() && self.io.posts_writes() {
+            let ack = self.lowering.ack_on_landing(self.comm, epoch);
+            post_output(self.io, &path, items, ack)?;
+            self.phase_times.add(phases::OUTPUT, self.ctx.now() - start);
+            return Ok(());
+        }
+        flush_output(self.io, &path, items)?;
+        self.lowering.seal_output(self.comm, self.io);
         self.phase_times.add(phases::OUTPUT, self.ctx.now() - start);
         if self.policy.recovers() {
             // Fence-before-ack: TAG_DONE tells the master this worker's
@@ -276,6 +318,20 @@ impl WorkerIo<'_, '_> {
             fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
         }
         self.lowering.ack_write(self.comm, epoch);
+        Ok(())
+    }
+
+    /// Join the report write [`WorkerIo::write_assigned`] parked, if
+    /// any: block until it has landed, charging the wait as output and
+    /// the acknowledgement its completion sent as this rank's send.
+    pub(super) fn join_output(&mut self) -> Result<(), PioError> {
+        let t = self.ctx.now();
+        let Some(landed) = self.io.output_join() else {
+            return Ok(());
+        };
+        landed.map_err(PioError::Output)?;
+        self.lowering.charge_ack(self.comm);
+        self.phase_times.add(phases::OUTPUT, self.ctx.now() - t);
         Ok(())
     }
 

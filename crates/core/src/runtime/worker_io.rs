@@ -186,6 +186,7 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
                 WorkerEvent::Finish => break,
             }
         }
+        self.join_output()?;
         // Final fence: nothing joins a staged drain after the rank body
         // returns, so every absorbed byte must land now.
         fence_staging(self.ctx, self.cfg, self.io, &mut self.phase_times);
@@ -219,6 +220,9 @@ impl<'a, 'b> WorkerIo<'a, 'b> {
     /// fragments against it if that is still due.
     #[inline(never)]
     fn on_submit_req(&mut self, batch: usize, epoch: u64) -> Result<(), PioError> {
+        // The previous batch's report write, parked while this one's
+        // grants were searched, lands before this batch is submitted.
+        self.join_output()?;
         let batch = self.advance(batch)?;
         self.search_held(batch)?;
         // Epoch fence: checkpoint puts the plane still has in flight from

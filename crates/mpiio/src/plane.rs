@@ -44,8 +44,10 @@
 //! The plane also owns the *issue policy* ([`IoOptions::io_async`]):
 //! whether a request's runs go to the file system one after another or
 //! all at once, and whether a checkpoint put is joined before the verb
-//! returns or parked until [`IoPlane::checkpoint_join`]. Either way a
-//! run is the same file-system operation; no caller branches on it.
+//! returns or parked until [`IoPlane::checkpoint_join`] — as an output
+//! write posted with [`IoPlane::post_output`] is parked until
+//! [`IoPlane::output_join`]. Either way a run is the same file-system
+//! operation.
 //!
 //! And it owns the rank's burst-buffer staging sink, when there is
 //! one: output and checkpoint writes are absorbed into it and drain in
@@ -176,6 +178,9 @@ pub struct IoPlane<'a, 'c> {
     /// Checkpoint puts fired under `io_async` and not yet joined, oldest
     /// first: each blob's size and its issued write.
     parked: RefCell<VecDeque<(u64, Pending)>>,
+    /// The output write [`IoPlane::post_output`] left in flight and
+    /// [`IoPlane::output_join`] has not joined: its size and its runs.
+    output: RefCell<Option<(u64, Pending)>>,
 }
 
 impl<'a, 'c> IoPlane<'a, 'c> {
@@ -197,6 +202,7 @@ impl<'a, 'c> IoPlane<'a, 'c> {
             cfg,
             staging: staging.map(RefCell::new),
             parked: RefCell::default(),
+            output: RefCell::default(),
         }
     }
 
@@ -228,6 +234,13 @@ impl<'a, 'c> IoPlane<'a, 'c> {
     /// whole grant's, sizes its sets by this.
     pub fn posts_reads(&self) -> bool {
         self.cfg.options.io_async && !self.collective_reads()
+    }
+
+    /// Whether output writes are posted (`io_async`, writes not
+    /// collective): only then does [`IoPlane::post_output`] leave a
+    /// write in flight.
+    pub fn posts_writes(&self) -> bool {
+        self.cfg.options.io_async && !self.collective_writes()
     }
 
     // ---- the typed verbs ----
@@ -323,6 +336,66 @@ impl<'a, 'c> IoPlane<'a, 'c> {
         } else {
             self.join(kind).map(drop)
         }
+    }
+
+    /// Write scattered records as [`IoPlane::write_output`] does, but
+    /// where the plane posts writes ([`IoPlane::posts_writes`]) leave
+    /// every run in flight and park the write: it lands while the rank
+    /// works on, and its outcome — failures included — comes back from
+    /// [`IoPlane::output_join`], never from this call. `on_landed` runs
+    /// when the last run has landed, in its completion callback on the
+    /// engine (at once if every run was staged), and never if a run
+    /// fails or the rank is killed first — the point where an MPI
+    /// library with asynchronous progress would complete the request.
+    /// Elsewhere the write is serviced here, and `on_landed` runs once
+    /// it succeeded. One write is parked at a time.
+    pub fn post_output(
+        &self,
+        path: &str,
+        view: &FileView,
+        payload: impl Into<Run>,
+        on_landed: impl FnOnce() + Send + 'static,
+    ) -> Result<(), StoreError> {
+        if !self.posts_writes() {
+            self.write_output(path, view, payload)?;
+            on_landed();
+            return Ok(());
+        }
+        let payload = payload.into();
+        assert_eq!(
+            payload.len(),
+            view.total_bytes(),
+            "payload must exactly fill the view"
+        );
+        assert!(
+            self.output.borrow().is_none(),
+            "an output write is parked already"
+        );
+        let (op, bytes, class) = ("output_write", payload.len(), self.cfg.output);
+        self.open(true, "plane.write", op, class, view);
+        let runs = merge_bytes(cut(view.absolute(), &payload));
+        let pend = self.sink().issue(path, runs, false, false);
+        pend.on_landed(self.fs, on_landed);
+        *self.output.borrow_mut() = Some((bytes, pend));
+        Ok(())
+    }
+
+    /// Whether the parked output write has completed — its join would
+    /// not block — or none is parked.
+    pub fn output_done(&self) -> bool {
+        self.output
+            .borrow()
+            .as_ref()
+            .is_none_or(|(_, p)| p.is_done())
+    }
+
+    /// Join the output write [`IoPlane::post_output`] parked — block
+    /// until every run has landed or failed — or return `None` when none
+    /// is parked.
+    pub fn output_join(&self) -> Option<Result<(), StoreError>> {
+        let (bytes, pend) = self.output.borrow_mut().take()?;
+        let (op, kind) = ("output_write", HandleKind::Write(pend));
+        Some(self.wait(IoHandle { op, bytes, kind }).map(drop))
     }
 
     /// Persist a checkpoint blob (whole file, created or replaced).
@@ -950,6 +1023,50 @@ mod tests {
             plane.checkpoint_put("small", vec![7u8; 40]).unwrap();
         });
         assert_eq!(fs.peek("small").unwrap(), vec![7u8; 40]);
+    }
+
+    #[test]
+    fn a_parked_output_write_lands_while_the_rank_computes_and_reports_at_its_join() {
+        use std::sync::{Arc, Mutex};
+        let sim = Sim::new(1);
+        let fs = SimFs::new(sim.handle(), "xfs", fsprofile());
+        fs.set_capacity(300);
+        let (fs2, landed) = (fs.clone(), Arc::new(Mutex::new(Vec::new())));
+        let seen = Arc::clone(&landed);
+        sim.run(move |ctx| {
+            let comm = Comm::new(&ctx, net());
+            let plane = IoPlane::new(&comm, &fs2, posted_cfg(IoClass::Independent), None);
+            assert!(plane.posts_writes() && plane.output_done());
+            // Two runs of 100 bytes each: one latency, then both
+            // transfers; the hook runs once, when the second lands.
+            let view = FileView::new(0, vec![(0, 100), (200, 100)]).unwrap();
+            let (handle, when) = (ctx.handle(), Arc::clone(&seen));
+            let on_landed = move || when.lock().unwrap().push(handle.now().0);
+            plane
+                .post_output("out", &view, vec![1u8; 200], on_landed)
+                .unwrap();
+            assert!(!plane.output_done(), "the write is in flight");
+            ctx.charge(SimDuration::from_millis(1));
+            assert!(plane.output_done());
+            assert_eq!(plane.output_join(), Some(Ok(())));
+            assert!(plane.output_join().is_none(), "nothing left parked");
+            // A write that does not fit fails at its join, and its hook
+            // never runs.
+            let view = FileView::contiguous(400, 150);
+            let when = Arc::clone(&seen);
+            let on_landed = move || when.lock().unwrap().push(0);
+            plane
+                .post_output("out", &view, vec![2u8; 150], on_landed)
+                .unwrap();
+            assert!(matches!(
+                plane.output_join(),
+                Some(Err(StoreError::NoSpace { .. }))
+            ));
+        });
+        // 0.1 ms latency, then each run's 100 bytes at 100 MB/s (two
+        // streams on one 400 MB/s file system): 100 + 1 µs.
+        assert_eq!(*landed.lock().unwrap(), vec![101_000]);
+        assert_eq!(fs.peek_run("out", 200, 100).unwrap().len(), 100);
     }
 
     #[test]

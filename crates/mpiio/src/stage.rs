@@ -4,6 +4,7 @@
 //! aggregators all issue their runs here.
 
 use std::cell::RefCell;
+use std::sync::{Arc, Mutex, PoisonError};
 
 use burstfs::{BurstError, StagingStore};
 use parafs::{AsyncIo, Run, SimFs, StoreError};
@@ -31,6 +32,47 @@ impl Pending {
     /// nanoseconds (`None` when nothing is in flight).
     pub fn issued_ns(&self) -> Option<u64> {
         self.ops.iter().map(|op| op.issued_at().0).min()
+    }
+
+    /// Whether every write has completed: a join would not block.
+    pub fn is_done(&self) -> bool {
+        self.ops.iter().all(AsyncIo::is_done)
+    }
+
+    /// Run `hook` once the last write still in flight has landed, in its
+    /// completion callback (at once when nothing is in flight), unless a
+    /// run failed at issue, a write fails or the rank is killed first:
+    /// then never.
+    pub fn on_landed(&self, fs: &SimFs, hook: impl FnOnce() + Send + 'static) {
+        if self.err.is_some() {
+            return;
+        }
+        if self.ops.is_empty() {
+            hook();
+            return;
+        }
+        type Left = (usize, Option<Box<dyn FnOnce() + Send>>);
+        let left: Arc<Mutex<Left>> = Arc::new(Mutex::new((self.ops.len(), Some(Box::new(hook)))));
+        for op in &self.ops {
+            let left = Arc::clone(&left);
+            fs.on_complete(op, move |landed| {
+                let hook = {
+                    let mut left = left.lock().unwrap_or_else(PoisonError::into_inner);
+                    left.0 -= 1;
+                    if !landed {
+                        left.1 = None;
+                    }
+                    if left.0 == 0 {
+                        left.1.take()
+                    } else {
+                        None
+                    }
+                };
+                if let Some(hook) = hook {
+                    hook();
+                }
+            });
+        }
     }
 }
 

@@ -15,7 +15,7 @@
 //! the fragments it owns, and the caller names the rank that inherits a
 //! dead owner's fragments when they are not requeued.
 
-use simcluster::{Message, SimDuration};
+use simcluster::{Message, SimDuration, SimTime};
 
 use crate::comm::Comm;
 use crate::fault::RecvError;
@@ -86,10 +86,31 @@ impl<'a, 'b> Pump<'a, 'b> {
         src: Option<usize>,
         tag: Option<u64>,
     ) -> Polled {
-        if !self.detect {
-            return Polled::Msg(self.comm.recv(src, tag));
+        loop {
+            // Without a deadline the wait never gives up.
+            if let Some(polled) = self.poll_until(&live, src, tag, None) {
+                return polled;
+            }
         }
+    }
+
+    /// [`Pump::poll`] that gives up at `deadline`, if there is one:
+    /// `None` when it passed with no message and no departure. A sweep
+    /// interval that would run past the deadline is cut short at it.
+    pub fn poll_until(
+        &self,
+        live: impl Fn(usize) -> bool,
+        src: Option<usize>,
+        tag: Option<u64>,
+        deadline: Option<SimTime>,
+    ) -> Option<Polled> {
         let ctx = self.comm.ctx();
+        if !self.detect {
+            return match deadline {
+                None => Some(Polled::Msg(self.comm.recv(src, tag))),
+                Some(d) => self.comm.recv_deadline(src, tag, d).ok().map(Polled::Msg),
+            };
+        }
         loop {
             let dead: Vec<usize> = (1..ctx.nranks())
                 .filter(|&r| live(r) && ctx.has_left(r))
@@ -102,10 +123,17 @@ impl<'a, 'b> Pump<'a, 'b> {
                         vec![("rank", r.into())],
                     );
                 }
-                return Polled::Dead(dead);
+                return Some(Polled::Dead(dead));
             }
-            match self.comm.recv_timeout(src, tag, default_sweep()) {
-                Ok(m) => return Polled::Msg(m),
+            if deadline.is_some_and(|d| ctx.now() >= d) {
+                return None;
+            }
+            let sweep = ctx.now() + default_sweep();
+            match self
+                .comm
+                .recv_deadline(src, tag, deadline.map_or(sweep, |d| d.min(sweep)))
+            {
+                Ok(m) => return Some(Polled::Msg(m)),
                 // Timeout: sweep again. DeadPeer (specific-source waits):
                 // the next sweep reports the death.
                 Err(RecvError::Timeout { .. }) | Err(RecvError::DeadPeer { .. }) => {}

@@ -69,12 +69,19 @@ enum AsyncAction {
     },
 }
 
+/// What [`SimFs::on_complete`] runs when an operation completes: told
+/// whether the operation's effect landed.
+type Hook = Box<dyn FnOnce(bool) + Send>;
+
 /// The completion state shared between an [`AsyncIo`] token and the
 /// stream/callbacks driving it.
 struct AsyncState {
     result: Option<Result<Bytes, StoreError>>,
     /// Rank blocked in [`SimFs::io_wait`], woken on completion.
     waiter: Option<usize>,
+    /// Run by the completion callback, on the engine (see
+    /// [`SimFs::on_complete`]).
+    hook: Option<Hook>,
 }
 
 /// An in-flight asynchronous file-system operation.
@@ -395,6 +402,27 @@ impl SimFs {
         self.begin_write(ctx, path, offset, data)
     }
 
+    /// Run `hook` when `op` completes, in the completion callback on the
+    /// engine thread — while the owner rank computes on, as an I/O
+    /// library's progress engine would — telling it whether the
+    /// operation's effect landed: `false` for a failed operation and for
+    /// one whose owner was killed with it in flight. An operation that
+    /// has completed already runs the hook at once. One hook per
+    /// operation; a second replaces the first.
+    pub fn on_complete(&self, op: &AsyncIo, hook: impl FnOnce(bool) + Send + 'static) {
+        let landed = {
+            let mut a = op.shared.lock();
+            match &a.result {
+                Some(result) => result.is_ok(),
+                None => {
+                    a.hook = Some(Box::new(hook));
+                    return;
+                }
+            }
+        };
+        hook(landed);
+    }
+
     /// Block the calling rank until the op completes, returning the read
     /// bytes (empty for writes) or the completion error.
     pub fn io_wait(&self, ctx: &RankCtx, op: AsyncIo) -> Result<Bytes, StoreError> {
@@ -446,6 +474,7 @@ impl SimFs {
         let shared = Arc::new(Mutex::new(AsyncState {
             result: None,
             waiter: None,
+            hook: None,
         }));
         let now = self.handle.now();
         let start = now + SimDuration::from_secs_f64(self.profile.op_latency);
@@ -473,7 +502,7 @@ impl SimFs {
     /// (unless the owner died mid-flight — crash-stop semantics),
     /// retime the survivors, and wake any joined waiter.
     fn finish_async(&self, shared: &Arc<Mutex<AsyncState>>) {
-        let waiter = {
+        let (waiter, hook) = {
             let mut st = self.state.lock();
             let now = self.handle.now();
             self.settle(&mut st, now);
@@ -495,7 +524,8 @@ impl SimFs {
                 action,
                 ..
             } = st.streams.swap_remove(idx);
-            let result = if self.handle.is_dead(rank) {
+            let dead = self.handle.is_dead(rank);
+            let result = if dead {
                 // The owner was killed with the op in flight: discard the
                 // effect. A dead rank's write never lands.
                 Ok(Bytes::new())
@@ -515,13 +545,18 @@ impl SimFs {
                 }
             };
             self.retime(&mut st, now);
+            let landed = !dead && result.is_ok();
             let mut a = shared.lock();
             a.result = Some(result);
-            a.waiter.take()
+            (a.waiter.take(), a.hook.take().map(|hook| (hook, landed)))
         };
         if let Some(rank) = waiter {
             let now = self.handle.now();
             self.handle.schedule_wake(rank, now);
+        }
+        // With no lock held: a hook may post messages or schedule events.
+        if let Some((hook, landed)) = hook {
+            hook(landed);
         }
     }
 
@@ -870,6 +905,49 @@ mod tests {
         assert_eq!(fs.counters().bytes_written, 0);
     }
 
+    #[test]
+    fn a_completion_hook_runs_when_the_write_lands_and_says_whether_it_did() {
+        use simcluster::FaultPlan;
+        // Rank 1's 100 MB write completes at 1.001 s; rank 2's does too,
+        // but rank 2 is killed at 0.5 s; rank 0's does not fit.
+        let sim = Sim::new(3);
+        let fs = SimFs::new(sim.handle(), "t", test_profile());
+        fs.set_capacity(200_000_000);
+        let fired = Arc::new(Mutex::new(Vec::new()));
+        let plan = FaultPlan::none().kill_at(2, SimTime(500_000_000));
+        let (fsw, seen) = (fs.clone(), Arc::clone(&fired));
+        sim.run_faulty(plan, move |ctx| {
+            let len = if ctx.rank() == 0 {
+                300_000_000
+            } else {
+                100_000_000
+            };
+            let op = fsw.write_at_begin(&ctx, &format!("f{}", ctx.rank()), 0, vec![1u8; len]);
+            let (handle, hooked, rank) = (ctx.handle(), Arc::clone(&seen), ctx.rank());
+            fsw.on_complete(&op, move |landed| {
+                hooked
+                    .lock()
+                    .push((rank, landed, handle.now().as_secs_f64()));
+            });
+            ctx.charge(SimDuration::from_secs(10));
+            let _ = fsw.io_wait(&ctx, op);
+            // A hook on an operation that has completed runs at once.
+            let op = fsw.write_at_begin(&ctx, "late", 0, vec![1u8; 10]);
+            ctx.charge(SimDuration::from_secs(1));
+            let seen = Arc::clone(&seen);
+            fsw.on_complete(&op, move |landed| seen.lock().push((9, landed, 0.0)));
+        });
+        let mut fired = fired.lock().clone();
+        fired.sort_by_key(|f| f.0);
+        let when: Vec<(usize, bool)> = fired.iter().map(|f| (f.0, f.1)).collect();
+        assert_eq!(
+            when,
+            [(0, false), (1, true), (2, false), (9, true), (9, true)]
+        );
+        // Three concurrent streams on 200 MB/s until rank 0's fails.
+        assert!(fired[1].2 > 1.001, "rank 1's hook at {}", fired[1].2);
+    }
+
     /// Rank 2 runs `doomed` — one blocking 100 MB transfer from t = 0 —
     /// and, under `kill`, dies at 0.5 s inside it. Ranks 0 and 1 each
     /// read 100 MB from t = 3 s; returns how long those reads took.
@@ -982,6 +1060,7 @@ mod tests {
                     stray.finish_async(&Arc::new(Mutex::new(AsyncState {
                         result: None,
                         waiter: None,
+                        hook: None,
                     })));
                 });
             fsw.io_wait(&ctx, a).unwrap();

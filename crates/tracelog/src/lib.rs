@@ -52,6 +52,6 @@ mod sink;
 pub use counters::Counters;
 pub use event::{ArgVal, Event, EventKind, Lane};
 pub use sink::{
-    closed_span, counter, install, instant, is_installed, now, phase, rank_handle, span, span_args,
-    InstallGuard, RankHandle, Span, Trace, Tracer,
+    closed_span, counter, install, installed, instant, is_installed, now, phase, rank_handle, span,
+    span_args, InstallGuard, RankHandle, Span, Trace, Tracer,
 };

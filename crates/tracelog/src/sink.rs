@@ -218,6 +218,14 @@ pub fn is_installed() -> bool {
     CURRENT.with(|c| c.borrow().is_some())
 }
 
+/// The tracer installed on this thread and the rank it records for.
+/// Work a rank hands to the engine — a service callback, which runs with
+/// no rank installed — records on the rank's behalf through it
+/// ([`Tracer::record`]).
+pub fn installed() -> Option<(Tracer, usize)> {
+    CURRENT.with(|c| c.borrow().as_ref().map(|i| (i.tracer.clone(), i.rank)))
+}
+
 /// The installed clock's current virtual time, if a tracer is installed.
 pub fn now() -> Option<u64> {
     CURRENT.with(|c| c.borrow().as_ref().map(|i| (i.clock)()))

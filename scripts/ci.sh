@@ -31,6 +31,27 @@ cargo test --release -q --test hybrid
 # a killed worker fails the stream fast — WorkerDied on the master,
 # Aborted on the survivors — never Ok with wrong bytes.
 cargo test --release -q --test service
+# Pipelined stream batches: without --recover the next batch is granted
+# from the merge on while the merged batch's report writes land (parked
+# on the nonblocking plane, each acknowledged by its own completion).
+# A batch arriving 50 ms after the merge is granted only once admitted
+# while the merged batch seals at the parent commit's instant; a kill
+# with a write in flight fails fast, and under --recover keeps the
+# parent's grant order and reports; a report that does not fit ends in
+# a typed Output error on both planes; every pipelined batch equals its
+# one-shot job; the ack is traced as the worker's own send; a completion
+# hook says whether the write landed; the machine grants at the merge
+# and collects after the seal.
+for t in a_batch_arriving_after_the_merge_is_granted_once_admitted_while_the_last_one_seals \
+         a_kill_with_a_report_write_in_flight_fails_fast_or_recovers_as_before \
+         a_report_that_does_not_fit_ends_in_a_typed_output_error \
+         pipelined_stream_batches_equal_their_one_shot_jobs; do
+  cargo test --release -q --test service "$t" -- --exact
+done
+cargo test --release -q --test trace a_parked_writes_acknowledgement_is_traced_as_the_workers_send
+cargo test --release -q -p parafs --lib a_completion_hook_runs_when_the_write_lands_and_says_whether_it_did
+cargo test --release -q -p mpiio --lib a_parked_output_write_lands_while_the_rank_computes_and_reports_at_its_join
+cargo test --release -q -p pioblast --lib a_fail_fast_stream_grants_the_next_batch_at_the_merge_and_collects_it_after_the_seal
 # The engine thread: rank bodies, service callbacks and teardown all
 # run on one spawned thread per run (one OS thread at 16 and at 512
 # ranks), Sim::with_pool is an inert alias, and a rank-body panic or a
@@ -178,7 +199,9 @@ done
 # last holder; its own row holds the orphans) as its only fragment
 # record, the master machine acts and moves exactly as the
 # ledger-and-hints machine kept in crates/core/tests/reference/ does, on
-# random event streams under every policy the configuration accepts. A
+# random event streams under every policy the configuration accepts —
+# except the fail-fast service streams of more than one batch, which
+# pipeline and are held to the pipeline's invariants instead. A
 # fragment is preferred by its last holder only, and a checkpoint
 # payload adopted into a ResultCache gives the metadata and records of
 # formatting the fragment directly.

@@ -21,10 +21,10 @@ use common::{run_opts, Opts, OUTPUT};
 use mpiblast::setup::stage_queries;
 use pioblast::{
     BurstOptions, FaultMode, FragmentSchedule, InputError, PioError, QueryStreamPlan,
-    ServiceMetrics, ServiceOptions,
+    ServiceMetrics, ServiceOptions, StreamBatch,
 };
 use proptest::prelude::*;
-use simcluster::{FaultPlan, Sim};
+use simcluster::{FaultPlan, Sim, SimTime};
 
 /// Queries the whole stream consumes (kept tiny: every proptest case
 /// pays one one-shot reference run per stream batch).
@@ -37,6 +37,9 @@ struct ServiceRun {
     batches: Vec<Vec<u8>>,
     killed: Vec<usize>,
     metrics: ServiceMetrics,
+    outputs: Vec<Option<Result<mpiblast::RankReport, PioError>>>,
+    elapsed: SimTime,
+    trace: tracelog::Trace,
 }
 
 #[allow(clippy::too_many_arguments)]
@@ -80,10 +83,14 @@ fn run_service(
                 .unwrap_or_default()
         })
         .collect();
+    let trace = done.trace.expect("traced");
     ServiceRun {
         batches,
         killed: done.killed,
-        metrics: ServiceMetrics::from_trace(&done.trace.expect("traced")),
+        metrics: ServiceMetrics::from_trace(&trace),
+        outputs: done.outputs,
+        elapsed: done.elapsed,
+        trace,
     }
 }
 
@@ -350,6 +357,218 @@ fn stream_kills_that_split_fragments_recover_byte_identically() {
         }
     }
     assert!(splits > 0, "no kill re-cut a fragment");
+}
+
+/// Batch 0 (two queries, user 0) at t = 0, batch 1 (three queries,
+/// user 1) at `second_ns`.
+fn two_batch_plan(second_ns: u64) -> QueryStreamPlan {
+    let batch = |user, arrival_ns, nqueries| StreamBatch {
+        user,
+        arrival_ns,
+        nqueries,
+    };
+    QueryStreamPlan {
+        batches: vec![batch(0, 0, 2), batch(1, second_ns, 3)],
+    }
+}
+
+/// The virtual time of every master `name` instant whose `key` argument
+/// is `value`.
+fn master_instants(trace: &tracelog::Trace, name: &str, key: &str, value: u64) -> Vec<u64> {
+    let events = trace.rank_events(0).filter(|e| e.name == name);
+    events
+        .filter(|e| common::arg(e, key) == value)
+        .map(|e| e.t)
+        .collect()
+}
+
+/// Where the next stream batch opens at the merge, one that arrives
+/// 50 ms after the merge is still granted only once admitted, and the
+/// merged batch seals meanwhile exactly when it did while each batch
+/// was a closed distribute -> collect -> write cycle: the `merge` and
+/// `service.done` instants below were read off the parent commit's
+/// traces of these runs (on both planes). The master waits for the
+/// arrival by receiving, so the acknowledgements it gets meanwhile seal
+/// the batch on time.
+#[test]
+fn a_batch_arriving_after_the_merge_is_granted_once_admitted_while_the_last_one_seals() {
+    for (io_async, merge_ns, done_ns) in [
+        (false, 73_845_901, 76_471_639),
+        (true, 71_140_279, 71_818_704),
+    ] {
+        let arrival = merge_ns + 50_000_000;
+        let plan = two_batch_plan(arrival);
+        let run = run_service(
+            4,
+            9,
+            &plan,
+            64 << 20,
+            true,
+            io_async,
+            1,
+            FaultMode::Off,
+            FaultPlan::none(),
+        );
+        let what = format!("io_async={io_async}");
+        assert!(run.killed.is_empty(), "{what}");
+        assert_eq!(run.batches, references(4, 9, &plan), "{what}");
+        let trace = &run.trace;
+        assert_eq!(
+            master_instants(trace, "merge", "batch", 0),
+            [merge_ns],
+            "{what}"
+        );
+        let done = master_instants(trace, "service.done", "query", 0);
+        assert_eq!(done, [done_ns], "{what}");
+        assert_eq!(
+            master_instants(trace, "service.admit", "query", 1),
+            [arrival],
+            "{what}"
+        );
+        let grants = master_instants(trace, "grant", "batch", 1);
+        assert_eq!(grants.len(), 9, "{what}");
+        assert!(grants.iter().all(|&t| t >= arrival), "{what}: {grants:?}");
+    }
+}
+
+/// A worker killed with its batch-0 report write in flight (posted at
+/// 71.48 ms, landing at 71.82 ms on the nonblocking plane), batch 1 due
+/// at 121 ms. Without `--recover` the stream fails fast — `WorkerDied`
+/// on the master, `Aborted` on the survivors — at the first sweep after
+/// the kill, not after batch 1's admission: the killed write never
+/// sends its acknowledgement, and the master waits for the arrival by
+/// receiving. With `--recover`, which keeps the closed per-batch cycle,
+/// the same kill gives byte-identical reports and the grant order the
+/// parent commit gave, read off its trace.
+#[test]
+fn a_kill_with_a_report_write_in_flight_fails_fast_or_recovers_as_before() {
+    let plan = two_batch_plan(121_140_279);
+    let kill = || FaultPlan::none().kill_at(2, SimTime(71_600_000));
+    let fail_fast = common::within_host_secs(120, move || {
+        let plan = two_batch_plan(121_140_279);
+        let fplan = kill().kill_at(0, SimTime(1_000_000_000_000));
+        let run = run_service(4, 9, &plan, 64 << 20, true, true, 1, FaultMode::Off, fplan);
+        (run.killed, run.outputs, run.elapsed)
+    });
+    let (killed, outputs, elapsed) = fail_fast;
+    assert_eq!(killed, vec![2]);
+    assert_eq!(outputs[0], Some(Err(PioError::WorkerDied { rank: 2 })));
+    for w in [1, 3] {
+        assert_eq!(outputs[w], Some(Err(PioError::Aborted)), "worker {w}");
+    }
+    assert!(elapsed < SimTime(100_000_000), "ended at {elapsed}");
+
+    let run = run_service(
+        4,
+        9,
+        &plan,
+        64 << 20,
+        true,
+        true,
+        1,
+        FaultMode::Recover,
+        kill(),
+    );
+    assert_eq!(run.killed, vec![2]);
+    assert_eq!(run.batches, references(4, 9, &plan));
+    let grants: Vec<(u64, u64)> = run
+        .trace
+        .rank_events(0)
+        .filter(|e| e.name == "grant")
+        .map(|e| (common::arg(e, "to"), common::arg(e, "batch")))
+        .collect();
+    // The parent's grantees, batch by batch, in grant order.
+    let parent = [
+        (0, &[1, 2, 3, 2, 3, 1, 3, 1, 2, 1, 3, 1][..]),
+        (1, &[1, 3, 3, 1, 3, 1, 3, 1, 3][..]),
+    ];
+    let parent: Vec<(u64, u64)> = parent
+        .iter()
+        .flat_map(|&(batch, to)| to.iter().map(move |&w| (w, batch)))
+        .collect();
+    assert_eq!(grants, parent);
+}
+
+/// A shared file system with room for less than half of batch 0's
+/// 87 920-byte report: on both planes the stream ends in typed errors
+/// on every rank, at least one of them the writer's
+/// `PioError::Output(NoSpace)` — a posted write that fails sends no
+/// acknowledgement, and its worker joins it while it waits for its next
+/// command instead of leaving the master waiting for one.
+#[test]
+fn a_report_that_does_not_fit_ends_in_a_typed_output_error() {
+    for io_async in [false, true] {
+        let outputs = common::within_host_secs(120, move || {
+            let done = run_opts(
+                Opts {
+                    db_seed: DB_SEED,
+                    n_queries: N_QUERIES,
+                    plan: common::watchdog(),
+                    ..Opts::default()
+                },
+                |cfg| {
+                    let fs = &cfg.env.shared;
+                    fs.set_capacity(common::stored_bytes(fs) + 40_000);
+                    cfg.num_fragments = Some(9);
+                    cfg.collective_output = false;
+                    cfg.schedule = FragmentSchedule::Dynamic;
+                    cfg.io.io_async = io_async;
+                    cfg.service = Some(ServiceOptions {
+                        plan: two_batch_plan(0),
+                        resident_bytes: 64 << 20,
+                        affinity: true,
+                    });
+                },
+            );
+            assert!(done.killed.is_empty(), "the watchdog fired");
+            done.outputs
+        });
+        let no_space = |out: &Option<Result<_, PioError>>| {
+            matches!(
+                out,
+                Some(Err(PioError::Output(parafs::StoreError::NoSpace { .. })))
+            )
+        };
+        assert!(
+            outputs.iter().any(no_space),
+            "io_async={io_async}: {outputs:?}"
+        );
+        for (rank, out) in outputs.iter().enumerate() {
+            assert!(
+                matches!(out, Some(Err(_))),
+                "io_async={io_async}: rank {rank}: {out:?}"
+            );
+        }
+    }
+}
+
+/// Pipelined batches still write what their one-shot jobs write:
+/// affinity on and off, both planes, two compute slots per worker.
+#[test]
+fn pipelined_stream_batches_equal_their_one_shot_jobs() {
+    let plan = fixed_plan();
+    for affinity in [false, true] {
+        for io_async in [false, true] {
+            let resident = if affinity { 64 << 20 } else { 0 };
+            let run = run_service(
+                4,
+                9,
+                &plan,
+                resident,
+                affinity,
+                io_async,
+                2,
+                FaultMode::Off,
+                FaultPlan::none(),
+            );
+            assert!(run.killed.is_empty());
+            assert_eq!(
+                &run.batches,
+                fixed_references(),
+                "affinity={affinity} io_async={io_async}"
+            );
+        }
+    }
 }
 
 proptest! {

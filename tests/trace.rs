@@ -227,3 +227,53 @@ fn the_master_renders_only_headers_preambles_notices_and_footers() {
         );
     }
 }
+
+/// A parked report write's acknowledgement leaves from the write's
+/// completion callback, on the engine, yet is traced like any send of
+/// the worker's: a `send` span (dst 0, tag 15, 8 bytes) on its net lane,
+/// at the instant it leaves — after the worker posted that batch's
+/// write, before the master sealed the batch — in an export
+/// `trace-check` accepts.
+#[test]
+fn a_parked_writes_acknowledgement_is_traced_as_the_workers_send() {
+    let opts = Opts {
+        traced: true,
+        ..Opts::default()
+    };
+    let done = run_opts(opts, |cfg| {
+        cfg.num_fragments = Some(6);
+        cfg.collective_output = false;
+        cfg.schedule = FragmentSchedule::Dynamic;
+        cfg.io.io_async = true;
+        cfg.service = Some(pioblast::ServiceOptions {
+            plan: pioblast::QueryStreamPlan::generate(2, 3, 3, 1_000_000, 7),
+            resident_bytes: 64 << 20,
+            affinity: true,
+        });
+    });
+    let trace = done.trace.expect("traced");
+    let named = |rank: usize, name: &'static str| {
+        let events = trace.rank_events(rank).filter(move |e| e.name == name);
+        events.filter(|e| e.kind != tracelog::EventKind::End)
+    };
+    let seals: Vec<u64> = named(0, "service.done").map(|e| e.t).collect();
+    let output_write = tracelog::ArgVal::Str("output_write".into());
+    for w in 1..4 {
+        let posts: Vec<u64> = named(w, "plane.async.begin")
+            .filter(|e| e.args.contains(&("op", output_write.clone())))
+            .map(|e| e.t)
+            .collect();
+        let acks: Vec<u64> = named(w, "send")
+            .filter(|e| e.lane == Lane::Net && common::arg(e, "tag") == 15)
+            .inspect(|e| assert_eq!((common::arg(e, "dst"), common::arg(e, "bytes")), (0, 8)))
+            .map(|e| e.t)
+            .collect();
+        let landed = |(b, &ack): (usize, &u64)| posts[b] <= ack && ack < seals[b];
+        assert!(
+            acks.len() == 3 && posts.len() == 3 && acks.iter().enumerate().all(landed),
+            "worker {w}: posts {posts:?}, acks {acks:?}, seals {seals:?}"
+        );
+    }
+    let json = chrome::export_chrome(&trace, None);
+    tracelog::check::validate_chrome(&json).expect("exported trace validates");
+}
