@@ -49,7 +49,7 @@ pub use app::{run_rank, FragmentSchedule, PioBlastConfig};
 pub use cache::ResultCache;
 pub use fault::{FaultMode, PioError};
 pub use input::InputError;
-pub use merge::{merge_and_layout, MergeOutcome};
+pub use merge::{merge_and_layout, MergeOutcome, Merger};
 pub use service::{FragmentStore, QueryStreamPlan, ServiceMetrics, ServiceOptions, StreamBatch};
 
 // Re-export the pieces callers need to assemble a run.

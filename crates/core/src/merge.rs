@@ -2,18 +2,27 @@
 //!
 //! The master never touches sequence data or record bytes: it merges the
 //! workers' metadata, picks the global output set, and lays the report
-//! out in the order [`QuerySection`] gives every query's section. It
-//! renders only what no worker holds — each query's header, the summary
-//! section's column preamble (or the no-hits notice) and the footer — and
-//! measures every one-line summary without rendering it
-//! ([`format::summary_len`]). Each selected record gets an absolute file
-//! offset, and each query's summary entries one [`SummaryBlock`], which
-//! the live workers split between them ([`SummaryBlock::split`]), render,
-//! and write beside their own cached records.
+//! out in the order [`QuerySection`] gives every query's section. The
+//! merge follows the arrivals: a [`Merger`] absorbs each submission the
+//! moment the master accepts it, ordering its hits into per-query sets,
+//! so the ordering work is done while the other workers still format
+//! theirs; at the merge it absorbs only the orphans' metadata, and the
+//! layout is one in-order walk. It renders only what no worker holds —
+//! each query's header, the summary section's column preamble (or the
+//! no-hits notice) and the footer — and measures every one-line summary
+//! without rendering it ([`format::summary_len`]). Each selected record
+//! gets an absolute file offset, and each query's summary entries one
+//! [`SummaryBlock`], which the live workers split between them
+//! ([`SummaryBlock::split`]), render, and write beside their own cached
+//! records. [`merge_and_layout`] is the one-shot form over the same
+//! merger.
+
+use std::collections::BTreeSet;
 
 use blast_core::format::{self, QuerySection, ReportConfig};
+use blast_core::hsp::RankKey;
 use blast_core::search::{PreparedQueries, SearchParams};
-use mpiblast::report::{order_meta, ReportOptions};
+use mpiblast::report::ReportOptions;
 use mpiblast::wire::{MetaHit, MetaSubmission, OffsetAssignment};
 use mpisim::sched::chunk_evenly;
 use seqfmt::wire_struct;
@@ -126,7 +135,7 @@ impl SummaryBlock {
 }
 
 /// The result of merging all workers' metadata.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, PartialEq, Default)]
 pub struct MergeOutcome {
     /// Per-rank offset assignments (index = rank; the master's entry
     /// holds the records of the orphans it adopted).
@@ -144,10 +153,119 @@ pub struct MergeOutcome {
     pub merged_items: u64,
 }
 
+/// Where a hit sorts among its query's hits: its best HSP's rank key,
+/// then the rank owning its record, then its slot in the merger's hits.
+/// A rank's hits take ascending slots in submission order, so that is
+/// the order a stable sort by rank key over the rank-ordered
+/// concatenation of the submissions gives
+/// ([`order_meta`](mpiblast::report::order_meta)), whatever order the
+/// submissions arrive in.
+type MergeKey = (RankKey, usize, usize);
+
+/// The merge of one epoch's submissions, fed one submission at a time.
+#[derive(Debug, Clone, Default)]
+pub struct Merger {
+    /// Every absorbed hit, in arrival order.
+    hits: Vec<MetaHit>,
+    /// Per query, the keys of its absorbed hits, in report order.
+    per_query: Vec<BTreeSet<MergeKey>>,
+    nranks: usize,
+}
+
+impl Merger {
+    /// An empty merge of a `nqueries`-query batch over `nranks` ranks.
+    pub fn new(nqueries: usize, nranks: usize) -> Merger {
+        Merger {
+            hits: Vec::new(),
+            per_query: vec![BTreeSet::new(); nqueries],
+            nranks,
+        }
+    }
+
+    /// The hits a submission carries: the items its absorb is charged.
+    pub fn items(sub: &MetaSubmission) -> u64 {
+        sub.per_query
+            .iter()
+            .map(|(_, hits)| hits.len() as u64)
+            .sum()
+    }
+
+    /// Order `rank`'s submission into the merge. Each rank is absorbed
+    /// at most once; its query indexes must lie inside the batch.
+    pub fn absorb(&mut self, rank: usize, sub: MetaSubmission) {
+        for (q, hits) in sub.per_query {
+            for hit in hits {
+                let key = (hit.best.rank_key(), rank, self.hits.len());
+                self.per_query[q as usize].insert(key);
+                self.hits.push(hit);
+            }
+        }
+    }
+
+    /// Lay the report out from the absorbed hits of the ranks `counts`
+    /// accepts, starting at file offset `start_offset` (non-zero when
+    /// the run processes queries in batches: each batch's sections
+    /// append after the previous batch's).
+    pub fn layout(
+        self,
+        report_cfg: &ReportConfig,
+        params: &SearchParams,
+        prepared: &PreparedQueries,
+        opts: ReportOptions,
+        start_offset: u64,
+        counts: impl Fn(usize) -> bool,
+    ) -> MergeOutcome {
+        let mut out = MergeOutcome {
+            per_rank: vec![OffsetAssignment::default(); self.nranks],
+            ..Default::default()
+        };
+        let mut section_start = start_offset;
+        for (q, keys) in self.per_query.iter().enumerate() {
+            let hits: Vec<(&MetaHit, usize)> = keys
+                .iter()
+                .filter(|&&(_, owner, _)| counts(owner))
+                .map(|&(_, owner, slot)| (&self.hits[slot], owner))
+                .collect();
+            out.merged_items += hits.len() as u64;
+            let n_desc = hits.len().min(opts.num_descriptions);
+            let n_rec = hits.len().min(opts.num_alignments);
+            let entries: Vec<SummaryEntry> = hits
+                .iter()
+                .take(n_desc)
+                .map(|(h, _)| SummaryEntry::of(h))
+                .collect();
+            let section = QuerySection::new(
+                report_cfg,
+                params,
+                &prepared.records[q],
+                &prepared.spaces[q],
+                entries.iter().map(SummaryEntry::len),
+            );
+            let mut offset = section.records_offset(section_start);
+            for (h, owner) in hits.iter().take(n_rec) {
+                out.per_rank[*owner].records.push((q as u32, h.oid, offset));
+                offset += h.record_size;
+            }
+            if !entries.is_empty() {
+                out.summaries.push(SummaryBlock {
+                    offset: section.summary_offset(section_start),
+                    entries,
+                    closes: true,
+                });
+            }
+            out.master_sections.push((section_start, section.head));
+            section_start = offset + section.footer.len() as u64;
+            out.master_sections.push((offset, section.footer));
+        }
+        out.total_bytes = section_start - start_offset;
+        out
+    }
+}
+
 /// Merge `subs[rank]` (one [`MetaSubmission`] per rank, the master's
-/// empty) into the global output layout, starting at file offset
-/// `start_offset` (non-zero when the run processes queries in batches:
-/// each batch's sections append after the previous batch's).
+/// holding the orphans' metadata) into the global output layout at once,
+/// starting at file offset `start_offset`: every submission absorbed in
+/// rank order, then [`Merger::layout`] over all of them.
 pub fn merge_and_layout(
     report_cfg: &ReportConfig,
     params: &SearchParams,
@@ -156,58 +274,11 @@ pub fn merge_and_layout(
     opts: ReportOptions,
     start_offset: u64,
 ) -> MergeOutcome {
-    let nranks = subs.len();
-    let mut out = MergeOutcome {
-        per_rank: vec![OffsetAssignment::default(); nranks],
-        ..Default::default()
-    };
-
-    // Regroup metadata per query, remembering each hit's owner rank.
-    let mut per_query: Vec<Vec<(MetaHit, usize)>> = vec![Vec::new(); prepared.len()];
+    let mut merger = Merger::new(prepared.len(), subs.len());
     for (rank, sub) in subs.iter().enumerate() {
-        for (q, hits) in &sub.per_query {
-            for h in hits {
-                per_query[*q as usize].push((h.clone(), rank));
-            }
-        }
+        merger.absorb(rank, sub.clone());
     }
-
-    let mut section_start = start_offset;
-    for (q, mut hits) in per_query.into_iter().enumerate() {
-        out.merged_items += hits.len() as u64;
-        order_meta(&mut hits);
-        let n_desc = hits.len().min(opts.num_descriptions);
-        let n_rec = hits.len().min(opts.num_alignments);
-        let entries: Vec<SummaryEntry> = hits
-            .iter()
-            .take(n_desc)
-            .map(|(h, _)| SummaryEntry::of(h))
-            .collect();
-        let section = QuerySection::new(
-            report_cfg,
-            params,
-            &prepared.records[q],
-            &prepared.spaces[q],
-            entries.iter().map(SummaryEntry::len),
-        );
-        let mut offset = section.records_offset(section_start);
-        for (h, owner) in hits.iter().take(n_rec) {
-            out.per_rank[*owner].records.push((q as u32, h.oid, offset));
-            offset += h.record_size;
-        }
-        if !entries.is_empty() {
-            out.summaries.push(SummaryBlock {
-                offset: section.summary_offset(section_start),
-                entries,
-                closes: true,
-            });
-        }
-        out.master_sections.push((section_start, section.head));
-        section_start = offset + section.footer.len() as u64;
-        out.master_sections.push((offset, section.footer));
-    }
-    out.total_bytes = section_start - start_offset;
-    out
+    merger.layout(report_cfg, params, prepared, opts, start_offset, |_| true)
 }
 
 #[cfg(test)]
@@ -239,16 +310,23 @@ mod tests {
     }
 
     fn prepared() -> (SearchParams, PreparedQueries, ReportConfig) {
+        prepared_n(1)
+    }
+
+    /// A batch of `n` queries.
+    fn prepared_n(n: usize) -> (SearchParams, PreparedQueries, ReportConfig) {
         let params = SearchParams::blastp();
         let stats = DbStats {
             num_sequences: 100,
             total_residues: 50_000,
         };
-        let queries = vec![SeqRecord {
-            defline: "q0".into(),
-            residues: vec![0u8; 60],
-            molecule: Molecule::Protein,
-        }];
+        let queries = (0..n)
+            .map(|q| SeqRecord {
+                defline: format!("q{q}"),
+                residues: vec![0u8; 60 + q],
+                molecule: Molecule::Protein,
+            })
+            .collect();
         let prepared = PreparedQueries::prepare(&params, queries, stats);
         let cfg = ReportConfig::blastp("mdb", stats);
         (params, prepared, cfg)
@@ -400,5 +478,72 @@ mod tests {
         assert!(out.summaries.is_empty(), "the notice stays on the master");
         assert!(out.total_bytes > 0);
         assert!(out.per_rank.iter().all(|a| a.records.is_empty()));
+    }
+
+    /// One rank's submission as the property test draws it: per entry a
+    /// query index and its hits, each `(oid, score, record size)`.
+    type Drawn = Vec<(u32, Vec<(u32, i32, u64)>)>;
+
+    fn submission(drawn: &Drawn) -> MetaSubmission {
+        let per_query = drawn.iter().map(|(q, hits)| {
+            let hits = hits
+                .iter()
+                .map(|&(oid, score, size)| meta(oid, score, size));
+            (*q, hits.collect())
+        });
+        MetaSubmission {
+            per_query: per_query.collect(),
+        }
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::test_runner::ProptestConfig::with_cases(256))]
+
+        /// Absorb any set of submissions in any arrival order — the
+        /// orphans' (rank 0) last, as the master does, or empty — and
+        /// leave out any ranks: the layout equals the one-shot merge of
+        /// the same submissions with the left-out ranks' emptied. Oids
+        /// and scores are drawn from few values, so rank keys tie across
+        /// and within ranks.
+        #[test]
+        fn absorbing_in_any_arrival_order_lays_out_as_the_one_shot_merge(
+            ranks in proptest::collection::vec(
+                (
+                    proptest::collection::vec(
+                        (0u32..3, proptest::collection::vec((0u32..4, 0i32..3, 1u64..40), 0..5)),
+                        0..4,
+                    ),
+                    proptest::prelude::any::<u16>(),
+                    0u8..5,
+                ),
+                1..6,
+            ),
+            (num_descriptions, num_alignments, start) in (1usize..6, 0usize..6, 0u64..100),
+        ) {
+            let (params, prepared, cfg) = prepared_n(3);
+            let opts = ReportOptions {
+                num_descriptions,
+                num_alignments,
+            };
+            let subs: Vec<MetaSubmission> = ranks.iter().map(|(d, _, _)| submission(d)).collect();
+            // Rank 0 always counts, like the master; any other rank is
+            // left out one time in five, like a worker that died.
+            let counts = |r: usize| r == 0 || ranks[r].2 != 0;
+            let mut arrivals: Vec<usize> = (1..ranks.len()).collect();
+            arrivals.sort_by_key(|&r| ranks[r].1);
+            arrivals.push(0);
+            let mut merger = Merger::new(prepared.len(), subs.len());
+            for &r in &arrivals {
+                merger.absorb(r, subs[r].clone());
+            }
+            let got = merger.layout(&cfg, &params, &prepared, opts, start, counts);
+            let counted: Vec<MetaSubmission> = subs
+                .iter()
+                .enumerate()
+                .map(|(r, sub)| if counts(r) { sub.clone() } else { MetaSubmission::default() })
+                .collect();
+            let want = merge_and_layout(&cfg, &params, &prepared, &counted, opts, start);
+            proptest::prop_assert_eq!(got, want);
+        }
     }
 }

@@ -3,12 +3,14 @@
 //!
 //! A one-shot fault-free run lowers them onto collectives: every rank
 //! walks the same fixed sequence (the static scatter or the request
-//! loop, then per batch one gather, one assignment scatter and the
+//! loop, then per batch its submission, one assignment scatter and the
 //! report write), which is what lets two-phase output post the same
 //! request sequence on every rank. `Recover` and service mode lower
 //! them onto point-to-point commands, fenced by epoch, with liveness
-//! sweeps. One rule crosses that line: the query bundle follows the
-//! fault mode, so service mode without `Recover` broadcasts it.
+//! sweeps. Two rules cross that line: the query bundle follows the
+//! fault mode, so service mode without `Recover` broadcasts it; and
+//! every submission travels point-to-point, fenced, as its worker's
+//! share of the batch is done, so the master merges each as it lands.
 
 use bytes::Bytes;
 use mpiblast::wire::{MetaSubmission, QueryBundle};
@@ -47,7 +49,7 @@ pub(super) enum Step {
     Scatter,
     /// The dynamic schedule's request loop, until the master drains it.
     Grants,
-    /// This batch's gather, or the end of the run.
+    /// This batch's submission, or the end of the run.
     Submit(usize),
     /// This batch's assignment scatter.
     Assign(usize),
@@ -169,20 +171,26 @@ impl Lowering {
 
     /// Send this batch's submission; returns the instant the worker's
     /// output phase starts, if the submission starts it. A collective
-    /// worker waits from the gather on through the master's merge.
+    /// worker waits from its submission on through the master's merge.
     pub(super) fn submit(
         &self,
         comm: &Comm<'_>,
         epoch: u64,
         meta: MetaSubmission,
     ) -> Option<SimTime> {
-        if self.p2p {
-            comm.send(MASTER, TAG_SUBMIT, Bytes::from((epoch, meta).encode()));
-            return None;
-        }
         let mark = comm.ctx().now();
-        comm.gather(MASTER, Bytes::from(meta.encode()));
-        Some(mark)
+        comm.send(MASTER, TAG_SUBMIT, Bytes::from((epoch, meta).encode()));
+        (!self.p2p).then_some(mark)
+    }
+
+    /// Release the workers from a master that rejected a submission. A
+    /// collective worker waits in the assignment scatter, where empty
+    /// pieces fail its decode into a typed error instead of a hang; a
+    /// point-to-point one is aborted with the rest.
+    fn reject_submission(&self, comm: &Comm<'_>) {
+        if !self.p2p {
+            comm.scatterv(MASTER, vec![Bytes::new(); comm.size()]);
+        }
     }
 
     /// Acknowledge a finished write: a command is answered; the collective
@@ -342,45 +350,16 @@ impl WorkerIo<'_, '_> {
 }
 
 impl MasterIo<'_, '_> {
-    /// Ask the live workers for `batch`'s submissions. The gather yields
-    /// one checked `Submission` per worker; a request yields none until
-    /// the answers arrive.
-    pub(super) fn request_submissions(
-        &self,
-        batch: usize,
-        epoch: u64,
-    ) -> Result<Vec<MasterEvent>, PioError> {
-        let comm = self.comm;
+    /// Ask the live workers for `batch`'s submissions (point-to-point);
+    /// a collective worker submits unasked once its share is searched.
+    /// Either way the answers arrive as messages.
+    pub(super) fn request_submissions(&self, batch: usize, epoch: u64) {
         if self.lowering.p2p {
             let request = Bytes::from((epoch, batch as u32).encode());
             for w in self.sm.live_workers() {
-                let _ = comm.send_checked(w, TAG_SUBMIT_REQ, request.clone());
+                let _ = self.comm.send_checked(w, TAG_SUBMIT_REQ, request.clone());
             }
-            return Ok(Vec::new());
         }
-        // The gather blocks until every worker finished searching the
-        // batch; the wait is the workers' input+search epochs, not master
-        // output time.
-        let subs = comm
-            .gather(MASTER, Bytes::from(MetaSubmission::default().encode()))
-            .ok_or_else(|| {
-                PioError::Protocol("the gather's root received no submissions".into())
-            })?;
-        let decode = |(from, b): (usize, &Bytes)| {
-            let sub = MetaSubmission::decode(b)?;
-            check_queries(&self.batches[batch], from, &sub)?;
-            Ok(MasterEvent::Submission { from, epoch, sub })
-        };
-        subs.iter()
-            .enumerate()
-            .skip(1)
-            .map(decode)
-            .collect::<Result<_, _>>()
-            .inspect_err(|_| {
-                // The workers wait in the assignment scatter: empty pieces
-                // fail their decode into a typed error instead of a hang.
-                comm.scatterv(MASTER, vec![Bytes::new(); comm.size()]);
-            })
     }
 
     /// A point-to-point message to the master, as an event.
@@ -389,12 +368,18 @@ impl MasterIo<'_, '_> {
         match m.tag {
             TAG_READY => Ok(MasterEvent::Ready { from }),
             TAG_SUBMIT => {
-                let (epoch, sub) = Fenced::<MetaSubmission>::decode(&m.payload)?;
-                // A stale epoch's submission is discarded by the machine
-                // unread; the current one is the current batch's.
-                if epoch == self.sm.epoch() {
-                    check_queries(&self.batches[self.sm.batch()], from, &sub)?;
-                }
+                let checked = || -> Result<_, PioError> {
+                    let (epoch, sub) = Fenced::<MetaSubmission>::decode(&m.payload)?;
+                    // A stale epoch's submission is discarded by the
+                    // machine unread; the current one is the current
+                    // batch's.
+                    if epoch == self.sm.epoch() {
+                        check_queries(&self.batches[self.sm.batch()], from, &sub)?;
+                    }
+                    Ok((epoch, sub))
+                };
+                let (epoch, sub) =
+                    checked().inspect_err(|_| self.lowering.reject_submission(self.comm))?;
                 tracelog::instant(
                     tracelog::Lane::Runtime,
                     "submission",

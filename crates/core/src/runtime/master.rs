@@ -13,7 +13,9 @@
 //!   means the queue is drained and every live worker is idle — it has
 //!   acknowledged its last grant, or the scatter gave it its share.
 //! * **Collect** — a new epoch is fenced and every live worker is asked
-//!   for its metadata submission. Stale-epoch submissions are discarded.
+//!   for its metadata submission. Stale-epoch submissions are discarded;
+//!   each accepted one goes at once to the run loop's merger (`Absorb`),
+//!   which holds the payloads: the machine records only who submitted.
 //! * **WaitWrites** — offsets were assigned; the master waits for every
 //!   live worker's write acknowledgement before sealing the batch.
 //!
@@ -124,21 +126,28 @@ pub enum MasterAction {
         /// `chunks[rank]`; `chunks[0]` is empty (the master).
         chunks: Vec<Vec<usize>>,
     },
-    /// Ask every live worker for its batch submission under this epoch.
+    /// Ask every live worker for its batch submission under this epoch,
+    /// resetting the merge.
     Collect {
         /// Batch to collect.
         batch: usize,
         /// Fencing epoch.
         epoch: u64,
     },
-    /// Merge the submissions, assign offsets, start the writes.
+    /// Absorb an accepted submission into the current epoch's merge.
+    Absorb {
+        /// Sender.
+        from: usize,
+        /// The metadata.
+        sub: MetaSubmission,
+    },
+    /// Merge what the live workers' submissions absorbed and the
+    /// orphans, assign offsets, start the writes.
     Merge {
         /// Batch being merged.
         batch: usize,
         /// Fencing epoch.
         epoch: u64,
-        /// Rank-indexed submissions (dead ranks empty).
-        subs: Vec<MetaSubmission>,
         /// Checkpoint-adopted fragments to splice into the merge.
         orphans: Vec<usize>,
     },
@@ -193,7 +202,8 @@ pub struct MasterSm {
     queue: GrantQueue,
     epoch: u64,
     batch: usize,
-    subs: Vec<Option<MetaSubmission>>,
+    /// Which workers' submissions this epoch absorbed.
+    submitted: Vec<bool>,
     done: Vec<bool>,
     /// The merged batch whose acknowledgements `done` still collects
     /// while `batch`, the next one, is distributed: only where the
@@ -217,7 +227,7 @@ impl MasterSm {
             queue: GrantQueue::new(policy.nfrags, nranks),
             epoch: 0,
             batch: 0,
-            subs: vec![None; nranks],
+            submitted: vec![false; nranks],
             done: vec![false; nranks],
             sealing: None,
         };
@@ -382,7 +392,7 @@ impl MasterSm {
     /// Open a new fenced epoch and ask for submissions.
     fn start_collect(&mut self) -> Vec<MasterAction> {
         self.epoch += 1;
-        self.subs = vec![None; self.policy.nranks];
+        self.submitted = vec![false; self.policy.nranks];
         self.done = vec![false; self.policy.nranks];
         self.phase = MasterPhase::Collect;
         vec![MasterAction::Collect {
@@ -392,21 +402,15 @@ impl MasterSm {
     }
 
     fn collection_complete(&self) -> bool {
-        self.live_workers().all(|w| self.subs[w].is_some())
+        self.live_workers().all(|w| self.submitted[w])
     }
 
     /// Merge the batch; where the policy pipelines and a batch follows,
     /// open it at once, keeping this one's seal in the sealing record.
     fn merge_actions(&mut self) -> Vec<MasterAction> {
-        let subs = self
-            .subs
-            .iter_mut()
-            .map(|s| s.take().unwrap_or_default())
-            .collect();
         let mut acts = vec![MasterAction::Merge {
             batch: self.batch,
             epoch: self.epoch,
-            subs,
             orphans: self.queue.owned(MASTER).to_vec(),
         }];
         if self.policy.pipelines() && self.batch + 1 < self.policy.nbatches {
@@ -476,15 +480,16 @@ impl MasterSm {
     }
 
     fn on_submission(&mut self, from: usize, epoch: u64, sub: MetaSubmission) -> Vec<MasterAction> {
-        if self.phase != MasterPhase::Collect || epoch != self.epoch || !self.live[from] {
-            return Vec::new(); // stale epoch or stale sender: discard
+        let current = self.phase == MasterPhase::Collect && epoch == self.epoch;
+        if !current || !self.live[from] || self.submitted[from] {
+            return Vec::new(); // stale epoch, stale sender or a repeat: discard
         }
-        self.subs[from] = Some(sub);
+        self.submitted[from] = true;
+        let mut acts = vec![MasterAction::Absorb { from, sub }];
         if self.collection_complete() {
-            self.merge_actions()
-        } else {
-            Vec::new()
+            acts.extend(self.merge_actions());
         }
+        acts
     }
 
     fn on_write_done(&mut self, from: usize, epoch: u64) -> Vec<MasterAction> {
@@ -521,7 +526,7 @@ impl MasterSm {
         for &w in ranks {
             self.live[w] = false;
             self.idle[w] = false;
-            self.subs[w] = None;
+            self.submitted[w] = false;
             self.done[w] = false;
             let rank = ("rank", w.into());
             tracelog::instant(tracelog::Lane::Runtime, "worker_dead", vec![rank]);
@@ -622,14 +627,25 @@ mod tests {
         MetaSubmission::default()
     }
 
+    /// `from`'s submission under `epoch`, which the machine must accept
+    /// and hand to the merger first: the actions that follow the absorb.
+    fn submit(sm: &mut MasterSm, from: usize, epoch: u64) -> Vec<MasterAction> {
+        let sub = sub();
+        let mut acts = sm.handle(MasterEvent::Submission { from, epoch, sub });
+        let absorbed =
+            matches!(acts.first(), Some(MasterAction::Absorb { from: f, .. }) if *f == from);
+        assert!(absorbed, "{from}'s submission absorbed first: {acts:?}");
+        acts.split_off(1)
+    }
+
     /// Every live worker's submission for the current epoch, then every
-    /// live worker's write acknowledgement: the actions of each event.
+    /// live worker's write acknowledgement: the actions of each event
+    /// (after each submission's absorb).
     fn answer_batch(sm: &mut MasterSm, workers: &[usize]) -> Vec<Vec<MasterAction>> {
         let epoch = sm.epoch();
         let mut acts = Vec::new();
         for &from in workers {
-            let sub = sub();
-            acts.push(sm.handle(MasterEvent::Submission { from, epoch, sub }));
+            acts.push(submit(sm, from, epoch));
         }
         for &from in workers {
             acts.push(sm.handle(MasterEvent::WriteDone { from, epoch }));
@@ -762,11 +778,7 @@ mod tests {
         let [MasterAction::Collect { epoch, .. }] = &acts[..] else {
             panic!("expected collection, got {acts:?}");
         };
-        let acts = sm.handle(MasterEvent::Submission {
-            from: 2,
-            epoch: *epoch,
-            sub: sub(),
-        });
+        let acts = submit(&mut sm, 2, *epoch);
         let [MasterAction::Merge { orphans, .. }] = &acts[..] else {
             panic!("expected the merge, got {acts:?}");
         };
@@ -824,16 +836,8 @@ mod tests {
         assert_eq!(sm.owned(1), &[0, 2]);
         assert_eq!(sm.owned(2), &[1, 3]);
         let epoch = *epoch;
-        let _ = sm.handle(MasterEvent::Submission {
-            from: 1,
-            epoch,
-            sub: sub(),
-        });
-        let acts = sm.handle(MasterEvent::Submission {
-            from: 2,
-            epoch,
-            sub: sub(),
-        });
+        let _ = submit(&mut sm, 1, epoch);
+        let acts = submit(&mut sm, 2, epoch);
         // The merge opens batch 1 at once (point-to-point, fail-fast):
         // all four fragments are re-queued and one is re-granted to each
         // idle worker — the one it already holds.
@@ -882,16 +886,8 @@ mod tests {
             let _ = sm.handle(MasterEvent::Ready { from: w });
         }
         let epoch = sm.epoch();
-        let _ = sm.handle(MasterEvent::Submission {
-            from: 1,
-            epoch,
-            sub: sub(),
-        });
-        let acts = sm.handle(MasterEvent::Submission {
-            from: 2,
-            epoch,
-            sub: sub(),
-        });
+        let _ = submit(&mut sm, 1, epoch);
+        let acts = submit(&mut sm, 2, epoch);
         assert_eq!(grants(&acts), vec![(1, 0), (2, 1)]);
         // Batch 1 is distributed before batch 0 seals: no collection yet,
         // and a submission for it would be stale.

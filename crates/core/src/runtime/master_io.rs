@@ -24,12 +24,12 @@ use super::checkpoint;
 use super::checkpoint::cut_pieces;
 use super::lowering::Lowering;
 use super::master::{MasterAction, MasterEvent, MasterPhase, MasterSm};
-use super::output::{build_plane, deal, fence_staging};
+use super::output::{build_plane, fence_staging};
 use super::{policy_of, Grant, TAG_ABORT, TAG_DONE, TAG_GRANT, TAG_READY, TAG_SUBMIT};
 use crate::app::{query_batches, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
-use crate::merge::{merge_and_layout, MergeOutcome};
+use crate::merge::Merger;
 use crate::proto::{FragmentAssignment, PartitionMessage};
 
 /// The master's side of the run (every mode).
@@ -53,7 +53,7 @@ pub(super) struct MasterIo<'a, 'b> {
     /// `FaultMode::Recover` and unconditionally before the run returns.
     pub(super) io: &'a IoPlane<'a, 'b>,
     pub(super) lowering: Lowering,
-    report_cfg: ReportConfig,
+    pub(super) report_cfg: ReportConfig,
     molecule: blast_core::Molecule,
     pub(super) batches: Vec<Vec<SeqRecord>>,
     volumes: Vec<String>,
@@ -68,15 +68,18 @@ pub(super) struct MasterIo<'a, 'b> {
     pub(super) sm: MasterSm,
     pub(super) phase_times: PhaseTimes,
     prepared_cache: Vec<Option<Arc<PreparedQueries>>>,
-    batch_offsets: Vec<u64>,
+    pub(super) batch_offsets: Vec<u64>,
     /// The current batch's orphans' payloads, adopted as each death's
     /// checkpoints are found.
     pub(super) orphans: ResultCache,
+    /// The current epoch's merge: every submission the machine accepted,
+    /// absorbed as it arrived.
+    pub(super) merger: Merger,
     /// The master's own report sections of the current merge.
     pub(super) sections: Option<Vec<(u64, Bytes)>>,
     /// Whether `sections` landed beside the workers' writes
     /// (point-to-point), so the seal need not write them.
-    sections_written: bool,
+    pub(super) sections_written: bool,
     input_mark: Option<SimTime>,
     pub(super) out_mark: Option<SimTime>,
     /// Service mode: which stream batches' queries have been shipped
@@ -198,6 +201,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
             prepared_cache: (0..nbatches).map(|_| None).collect(),
             batch_offsets: vec![0; nbatches + 1],
             orphans: ResultCache::default(),
+            merger: Merger::default(),
             sections: None,
             sections_written: false,
             input_mark: Some(input_mark),
@@ -249,12 +253,12 @@ impl<'a, 'b> MasterIo<'a, 'b> {
                     }
                     MasterAction::Scatter { chunks } => self.scatter(&chunks),
                     MasterAction::Collect { batch, epoch } => self.collect(batch, epoch),
+                    MasterAction::Absorb { from, sub } => self.absorb(from, sub),
                     MasterAction::Merge {
                         batch,
                         epoch,
-                        subs,
                         orphans,
-                    } => self.merge(batch, epoch, subs, &orphans),
+                    } => self.merge(batch, epoch, &orphans),
                     MasterAction::FinishBatch { batch } => self.finish_batch(batch),
                 };
                 // Tell survivors to stop before bailing so nobody waits
@@ -348,7 +352,7 @@ impl<'a, 'b> MasterIo<'a, 'b> {
     }
 
     /// `batch`'s prepared queries, prepared on first use.
-    fn prepared(&mut self, batch: usize) -> Arc<PreparedQueries> {
+    pub(super) fn prepared(&mut self, batch: usize) -> Arc<PreparedQueries> {
         if let Some(prepared) = &self.prepared_cache[batch] {
             return prepared.clone();
         }
@@ -426,87 +430,10 @@ impl<'a, 'b> MasterIo<'a, 'b> {
         if let Some(mark) = self.input_mark.take() {
             self.phase_times.add(phases::INPUT, self.ctx.now() - mark);
         }
-        self.prepared(batch);
-        self.request_submissions(batch, epoch)
-    }
-
-    fn merge(
-        &mut self,
-        batch: usize,
-        epoch: u64,
-        mut subs: Vec<MetaSubmission>,
-        orphans: &[usize],
-    ) -> Result<Vec<MasterEvent>, PioError> {
-        self.out_mark.get_or_insert(self.ctx.now());
-        subs[MASTER] = self.orphans.metadata();
         let prepared = self.prepared(batch);
-        // Service mode writes each stream batch to its own file, so
-        // every report starts at offset zero.
-        let start_offset = if self.sm.policy().service {
-            0
-        } else {
-            self.batch_offsets[batch]
-        };
-        let rendered =
-            |o: &MergeOutcome| o.master_sections.iter().map(|(_, s)| s.len() as u64).sum();
-        let outcome = self.cfg.compute.run_format(
-            self.ctx,
-            || {
-                let outcome = merge_and_layout(
-                    &self.report_cfg,
-                    &self.cfg.params,
-                    &prepared,
-                    &subs,
-                    self.cfg.report,
-                    start_offset,
-                );
-                // Traced before the charge, so at the merge's start.
-                tracelog::instant(
-                    tracelog::Lane::Runtime,
-                    "merge",
-                    vec![
-                        ("batch", batch.into()),
-                        ("epoch", epoch.into()),
-                        ("orphans", orphans.len().into()),
-                        ("rendered_bytes", rendered(&outcome).into()),
-                    ],
-                );
-                outcome
-            },
-            rendered,
-        );
-        self.cfg
-            .compute
-            .run_merge(self.ctx, outcome.merged_items, || ());
-        let end = start_offset + outcome.total_bytes;
-        self.batch_offsets[batch + 1] = end;
-        // The orphan records the merge placed in the master's slot ride
-        // to the live workers, each writing a block beside its own, and
-        // so do the one-line summaries.
-        let orphans = self
-            .orphans
-            .assigned_records(&outcome.per_rank[MASTER].records)
-            .map_err(|(q, oid)| {
-                PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
-            })?;
-        let live: Vec<usize> = self.sm.live_workers().collect();
-        let (per_rank, summaries) = (&outcome.per_rank, outcome.summaries);
-        let assigns = deal(&live, per_rank, orphans, summaries, end);
-        let events = self.lowering.assign(self.comm, epoch, assigns);
-        let sections = outcome.master_sections.into_iter();
-        self.sections = Some(sections.map(|(off, s)| (off, Bytes::from(s))).collect());
-        // Point-to-point: the master writes its sections now, while the
-        // workers write theirs — posted, where the next batch opens at
-        // the merge, so its grants leave right behind the assignments,
-        // and joined at the seal. Offsets are deterministic, so a rewind
-        // rewrites the same bytes; a failed write is left to the seal,
-        // which writes them again and fails there, so it changes no
-        // run's outcome.
-        self.sections_written = !self.lowering.writes_in_step()
-            && self
-                .write_master_share(batch, self.sm.policy().pipelines())
-                .is_ok();
-        Ok(events)
+        self.merger = Merger::new(prepared.len(), self.comm.size());
+        self.request_submissions(batch, epoch);
+        Ok(Vec::new())
     }
 
     /// Every live worker wrote: join the master's share where it was

@@ -248,7 +248,8 @@ mod tests {
     /// The lowering a hand-played master speaks.
     #[derive(Debug, Clone, Copy, PartialEq, Eq)]
     enum Lowering {
-        /// A one-shot fault-free run: broadcast, scatter, gather.
+        /// A one-shot fault-free run: broadcast and scatters, with
+        /// point-to-point submissions.
         Collective,
         /// `Recover`: point-to-point commands after a `TAG_BUNDLE`.
         Recover,
@@ -475,13 +476,14 @@ mod tests {
     }
 
     /// A collective master's side of each batch after distribution: the
-    /// gather, whose submission must hit the batch's query's own subject,
-    /// an empty assignment scatter, and the barrier that seals the batch.
+    /// worker's unasked submission, which must hit the batch's query's own
+    /// subject, an empty assignment scatter, and the barrier that seals
+    /// the batch.
     fn collect_batches(comm: &mpisim::Comm<'_>, nbatches: usize) {
         use mpisim::Collectives;
         for b in 0..nbatches {
-            let subs = comm.gather(0, Bytes::new()).expect("the root gathers");
-            let sub = MetaSubmission::decode(&subs[1]).expect("a submission");
+            let frame = from_worker(comm, TAG_SUBMIT);
+            let (_, sub) = Fenced::<MetaSubmission>::decode(&frame).expect("a submission");
             assert!(hits(&sub, 13 * b as u32), "batch {b}: {sub:?}");
             let none = Bytes::from(Assign::default().encode());
             comm.scatterv(0, vec![none.clone(), none]);
@@ -697,12 +699,13 @@ mod tests {
             }]
         }
         /// The static collective choreography up to the assignment
-        /// scatter, with nothing granted.
+        /// scatter, with nothing granted: the bundle, the scatter, and
+        /// the worker's submission.
         fn collected(comm: &Comm<'_>, s: &Script) {
             comm.bcast(0, s.bundle.clone());
             let empty = Bytes::from(Grant::default().encode());
             comm.scatterv(0, vec![empty.clone(), empty]);
-            comm.gather(0, Bytes::new());
+            comm.recv(Some(1), Some(TAG_SUBMIT));
         }
         let cases: Vec<(&str, Lowering, FragmentSchedule, Master, &str)> = vec![
             (
@@ -966,7 +969,8 @@ mod tests {
                     if !p2p {
                         comm.bcast(MASTER, Bytes::new());
                         comm.scatterv(MASTER, Vec::new());
-                        comm.gather(MASTER, Bytes::from(forged.encode()));
+                        let sub = (1u64, forged.clone()).encode();
+                        comm.send(MASTER, TAG_SUBMIT, Bytes::from(sub));
                         assert!(comm.scatterv(MASTER, Vec::new()).is_empty(), "released");
                         return None;
                     }
@@ -997,6 +1001,57 @@ mod tests {
                 }
                 other => panic!("p2p={p2p}: expected a protocol error, got {other:?}"),
             }
+        }
+    }
+
+    #[test]
+    fn a_garbage_submission_under_collectives_ends_every_rank_in_a_typed_error() {
+        // A real master and a real worker under the collective lowering,
+        // beside a hand-played worker whose submission frame is garbage.
+        // The master's decode fails, so it fails with a protocol error
+        // and releases both workers from the assignment scatter with
+        // empty pieces: each worker's decode fails in turn. Every rank
+        // ends in a typed error, none in a hang (the master is killed at
+        // t = 1000 s if it ever waits that long).
+        use crate::testutil::{sample_queries, small_db, OUTPUT};
+        use mpiblast::setup::{stage_queries, stage_shared_db};
+        use mpiblast::{ClusterEnv, Platform, MASTER};
+        use mpisim::{Collectives, Comm};
+        use simcluster::{FaultPlan, SimDuration, SimTime};
+
+        let db = small_db(None);
+        let platform = Platform::altix();
+        let sim = simcluster::Sim::new(3);
+        let env = ClusterEnv::new(&sim, &platform);
+        let db_alias = stage_shared_db(&env.shared, &db);
+        let query_path = stage_queries(&env.shared, &sample_queries(&db, 1));
+        let cfg = PioBlastConfig::new(&platform, &env, &db_alias, &query_path, OUTPUT);
+        let watchdog =
+            FaultPlan::none().kill_at(MASTER, SimTime::ZERO + SimDuration::from_secs(1000));
+        let out = sim
+            .try_run_faulty(watchdog, |ctx| {
+                let comm = Comm::new(&ctx, cfg.platform.net);
+                match ctx.rank() {
+                    MASTER => run_master(&ctx, &comm, &cfg),
+                    1 => run_worker(&ctx, &comm, &cfg),
+                    _ => {
+                        comm.bcast(MASTER, Bytes::new());
+                        comm.scatterv(MASTER, Vec::new());
+                        comm.send(MASTER, TAG_SUBMIT, Bytes::from_static(&[0xff; 3]));
+                        let piece = comm.scatterv(MASTER, Vec::new());
+                        Assign::decode(&piece)
+                            .map(|_| mpiblast::RankReport::default())
+                            .map_err(PioError::from)
+                    }
+                }
+            })
+            .expect("neither a rank panic nor a deadlock");
+        for (rank, outcome) in out.outputs.iter().enumerate() {
+            let got = format!("{outcome:?}");
+            assert!(
+                got.starts_with("Some(Err(Protocol(\"truncated input while reading"),
+                "rank {rank}: {got}"
+            );
         }
     }
 

@@ -1,6 +1,7 @@
-//! Report output: every rank's I/O plane, the master's dealing of a
-//! merged batch's report among the live workers, the writes of workers
-//! and master, and the staging fences that make them durable.
+//! Report output: every rank's I/O plane, the master's merge of the
+//! submissions as they land and its dealing of a merged batch's report
+//! among the live workers, the writes of workers and master, and the
+//! staging fences that make them durable.
 //!
 //! The master writes only its own sections (each query's header with the
 //! summary preamble or the no-hits notice, and its footer). A worker
@@ -9,8 +10,8 @@
 //! of its view.
 
 use bytes::Bytes;
-use mpiblast::phases;
-use mpiblast::wire::OffsetAssignment;
+use mpiblast::wire::{MetaSubmission, OffsetAssignment};
+use mpiblast::{phases, MASTER};
 use mpiio::{CollectiveHints, FileView, IoPlane, PlaneConfig, Run, StagingStore};
 use mpisim::sched::chunk_evenly;
 use mpisim::Comm;
@@ -18,13 +19,14 @@ use parafs::IoClass;
 use simcluster::{DeviceModel, PhaseTimes, RankCtx};
 
 use super::lowering::Lowering;
+use super::master::MasterEvent;
 use super::master_io::MasterIo;
 use super::worker_io::WorkerIo;
 use super::Assign;
 use crate::app::{FragmentSchedule, PioBlastConfig};
 use crate::cache::ResultCache;
 use crate::fault::PioError;
-use crate::merge::SummaryBlock;
+use crate::merge::{MergeOutcome, Merger, SummaryBlock};
 
 /// This rank's I/O plane, built once: the access class of each request
 /// kind resolved from the run's context, plus the rank's burst-buffer
@@ -187,7 +189,7 @@ const MIN_BLOCK_LINES: usize = 64;
 /// [`MIN_BLOCK_LINES`] lines, up to one per worker, and each block goes
 /// to the worker with the fewest lines so far. Nothing may run past
 /// `end`.
-pub(super) fn deal(
+fn deal(
     live: &[usize],
     per_rank: &[OffsetAssignment],
     orphans: Vec<(u64, Bytes)>,
@@ -224,6 +226,111 @@ pub(super) fn deal(
 }
 
 impl MasterIo<'_, '_> {
+    /// Order a submission into the merge as it arrives, charged for its
+    /// hits then, while the other workers still format theirs. It is
+    /// output time, unless a rewound batch's output phase is open already.
+    pub(super) fn absorb(
+        &mut self,
+        from: usize,
+        sub: MetaSubmission,
+    ) -> Result<Vec<MasterEvent>, PioError> {
+        let (start, items) = (self.ctx.now(), Merger::items(&sub));
+        let args = vec![("from", from.into()), ("items", items.into())];
+        let span = tracelog::span_args(tracelog::Lane::Runtime, "merge.absorb", args);
+        let merger = &mut self.merger;
+        self.cfg
+            .compute
+            .run_merge(self.ctx, items, || merger.absorb(from, sub));
+        drop(span);
+        if self.out_mark.is_none() {
+            self.phase_times.add(phases::OUTPUT, self.ctx.now() - start);
+        }
+        Ok(Vec::new())
+    }
+
+    /// Lay the batch out from what was absorbed, the orphans' metadata
+    /// absorbed last and any rank that died since left out, and deal it:
+    /// the assignments go to the live workers at once.
+    pub(super) fn merge(
+        &mut self,
+        batch: usize,
+        epoch: u64,
+        orphans: &[usize],
+    ) -> Result<Vec<MasterEvent>, PioError> {
+        self.out_mark.get_or_insert(self.ctx.now());
+        let (mut merger, adopted) = (std::mem::take(&mut self.merger), self.orphans.metadata());
+        let orphan_items = Merger::items(&adopted);
+        let prepared = self.prepared(batch);
+        // Service mode writes each stream batch to its own file, so
+        // every report starts at offset zero.
+        let start_offset = if self.sm.policy().service {
+            0
+        } else {
+            self.batch_offsets[batch]
+        };
+        let rendered =
+            |o: &MergeOutcome| o.master_sections.iter().map(|(_, s)| s.len() as u64).sum();
+        let outcome = self.cfg.compute.run_format(
+            self.ctx,
+            || {
+                // The orphans' metadata, then one in-order walk over the
+                // live ranks' hits.
+                merger.absorb(MASTER, adopted);
+                let outcome = merger.layout(
+                    &self.report_cfg,
+                    &self.cfg.params,
+                    &prepared,
+                    self.cfg.report,
+                    start_offset,
+                    |rank| self.sm.is_live(rank),
+                );
+                // Traced before the charge, so at the merge's start.
+                tracelog::instant(
+                    tracelog::Lane::Runtime,
+                    "merge",
+                    vec![
+                        ("batch", batch.into()),
+                        ("epoch", epoch.into()),
+                        ("orphans", orphans.len().into()),
+                        ("rendered_bytes", rendered(&outcome).into()),
+                    ],
+                );
+                outcome
+            },
+            rendered,
+        );
+        self.cfg.compute.run_merge(self.ctx, orphan_items, || ());
+        let end = start_offset + outcome.total_bytes;
+        self.batch_offsets[batch + 1] = end;
+        // The orphan records the merge placed in the master's slot ride
+        // to the live workers, each writing a block beside its own, and
+        // so do the one-line summaries.
+        let orphans = self
+            .orphans
+            .assigned_records(&outcome.per_rank[MASTER].records)
+            .map_err(|(q, oid)| {
+                PioError::Protocol(format!("orphan record ({q}, {oid}) has no checkpoint"))
+            })?;
+        let live: Vec<usize> = self.sm.live_workers().collect();
+        let (per_rank, summaries) = (&outcome.per_rank, outcome.summaries);
+        let assigns = deal(&live, per_rank, orphans, summaries, end);
+        let events = self.lowering.assign(self.comm, epoch, assigns);
+        let sections = outcome.master_sections.into_iter();
+        self.sections = Some(sections.map(|(off, s)| (off, Bytes::from(s))).collect());
+        // Point-to-point: the master writes its sections now, while the
+        // workers write theirs — posted, where the next batch opens at
+        // the merge, so its grants leave right behind the assignments,
+        // and joined at the seal. Offsets are deterministic, so a rewind
+        // rewrites the same bytes; a failed write is left to the seal,
+        // which writes them again and fails there, so it changes no
+        // run's outcome.
+        self.sections_written = !self.lowering.writes_in_step()
+            && self
+                .write_master_share(batch, self.sm.policy().pipelines())
+                .is_ok();
+        Ok(events)
+    }
+
     /// Write the master's share of a merged batch's report: its own
     /// sections (headers with the summary preamble or the no-hits
     /// notice, and footers). The one-line summaries and the orphan

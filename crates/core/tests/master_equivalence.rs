@@ -7,6 +7,14 @@
 //! batch, epoch, per-rank ownership, live workers and orphan set must be
 //! equal.
 //!
+//! The live machine hands each accepted submission to the run loop's
+//! merger at once (`Absorb`) instead of holding it for the `Merge`, so
+//! the comparison translates: the absorbs are taken out of the live
+//! actions, and for each reference `Merge { subs }` the submissions the
+//! live machine absorbed since its epoch opened must equal `subs` for
+//! every rank that counts (the live workers), the other ranks' `subs`
+//! being empty; the rest of the `Merge` must match as text.
+//!
 //! Except where the live machine pipelines batches, which the reference
 //! never did: under a fail-fast service policy (point-to-point, no
 //! `Recover`) a stream of more than one batch opens each next batch at
@@ -188,6 +196,74 @@ fn debug<T: std::fmt::Debug>(items: &[T]) -> Vec<String> {
     items.iter().map(|a| format!("{a:?}")).collect()
 }
 
+/// Each rank's submission absorbed since the current epoch opened.
+type Absorbed = Vec<Option<MetaSubmission>>;
+
+/// The live machine's actions as text, without its absorbs: each
+/// `Collect` opens an epoch and resets `absorbed`, each `Absorb` records
+/// its submission there (once per rank and epoch), and each `Merge`
+/// takes a snapshot of it.
+fn live_actions(
+    acts: Vec<MasterAction>,
+    absorbed: &mut Absorbed,
+) -> Result<(Vec<String>, Vec<Absorbed>), TestCaseError> {
+    let (mut text, mut merged) = (Vec::new(), Vec::new());
+    for act in acts {
+        match act {
+            MasterAction::Absorb { from, sub } => {
+                prop_assert!(absorbed[from].is_none(), "{} absorbed twice", from);
+                absorbed[from] = Some(sub);
+                continue;
+            }
+            MasterAction::Collect { .. } => absorbed.iter_mut().for_each(|s| *s = None),
+            MasterAction::Merge { .. } => merged.push(absorbed.clone()),
+            _ => {}
+        }
+        text.push(format!("{act:?}"));
+    }
+    Ok((text, merged))
+}
+
+/// The reference machine's actions as the live machine's text: each
+/// `Merge`'s `subs` must be what the live machine absorbed for it
+/// (`merged`, in order) for each rank `counts` accepts, and empty for
+/// the others; the `Merge` then reads as the live one without them.
+fn reference_actions(
+    acts: Vec<refm::MasterAction>,
+    merged: Vec<Absorbed>,
+    counts: impl Fn(usize) -> bool,
+) -> Result<Vec<String>, TestCaseError> {
+    let mut merged = merged.into_iter();
+    let mut text = Vec::new();
+    for act in acts {
+        let refm::MasterAction::Merge {
+            batch,
+            epoch,
+            subs,
+            orphans,
+        } = act
+        else {
+            text.push(format!("{act:?}"));
+            continue;
+        };
+        let absorbed = merged.next().unwrap_or_else(|| vec![None; subs.len()]);
+        for (rank, sub) in subs.iter().enumerate() {
+            if counts(rank) {
+                prop_assert_eq!(absorbed[rank].as_ref(), Some(sub), "rank {}", rank);
+            } else {
+                prop_assert_eq!(sub, &MetaSubmission::default(), "rank {}", rank);
+            }
+        }
+        let live = MasterAction::Merge {
+            batch,
+            epoch,
+            orphans,
+        };
+        text.push(format!("{live:?}"));
+    }
+    Ok(text)
+}
+
 /// Everything observable of the two machines, as text.
 /// The orphans are the master's own row: it renders in the orphan slot,
 /// and rank 0's row as the reference's empty one.
@@ -264,6 +340,7 @@ fn replay(row: Row, stream: &Stream) -> Result<Reached, TestCaseError> {
         events.push(MasterEvent::ScatterDone);
     }
     let mut reached = Reached::default();
+    let mut absorbed: Absorbed = vec![None; nranks];
     let mut steps = script.iter();
     loop {
         let ev = match events.pop() {
@@ -274,9 +351,11 @@ fn replay(row: Row, stream: &Stream) -> Result<Reached, TestCaseError> {
             },
         };
         let what = format!("{ev:?}");
-        let acts: Vec<MasterAction> = sm.handle(ev.clone());
+        let (acts, merged) = live_actions(sm.handle(ev.clone()), &mut absorbed)?;
         let ref_acts = reference.handle(reference_event(&ev));
-        prop_assert_eq!(debug(&acts), debug(&ref_acts), "{}", context(&what));
+        let counts = |rank| rank != MASTER && sm.is_live(rank);
+        let ref_acts = reference_actions(ref_acts, merged, counts)?;
+        prop_assert_eq!(acts, ref_acts, "{}", context(&what));
         prop_assert_eq!(
             state(&sm, nranks),
             reference_state(&reference, nranks),
@@ -334,7 +413,9 @@ fn replay_pipelined(row: Row, stream: &Stream) -> Result<Reached, TestCaseError>
                 MasterAction::Finish => {
                     prop_assert_eq!(sealed, policy.nbatches, "{}", what);
                 }
-                MasterAction::Fail { .. } | MasterAction::Drain { .. } => {}
+                MasterAction::Fail { .. }
+                | MasterAction::Drain { .. }
+                | MasterAction::Absorb { .. } => {}
                 MasterAction::Scatter { .. } => prop_assert!(false, "{}", what),
             }
         }

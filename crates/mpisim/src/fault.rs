@@ -83,7 +83,8 @@ impl Comm<'_> {
         Ok(())
     }
 
-    /// Receive with an absolute deadline. Fails with
+    /// Receive with an absolute deadline, traced as [`Comm::recv`] traces
+    /// a receipt (a `recv.done` instant). Fails with
     /// [`RecvError::DeadPeer`] as soon as a specifically-awaited source
     /// dies (without waiting out the deadline), or at the deadline if it
     /// returned with nothing matching still on its way; otherwise with
@@ -98,7 +99,18 @@ impl Comm<'_> {
     ) -> Result<Message, RecvError> {
         let ctx = self.ctx();
         match ctx.recv_until(src, tag, deadline) {
-            Some(m) => Ok(m),
+            Some(m) => {
+                tracelog::instant(
+                    tracelog::Lane::Net,
+                    "recv.done",
+                    vec![
+                        ("src", m.src.into()),
+                        ("tag", m.tag.into()),
+                        ("bytes", m.payload.len().into()),
+                    ],
+                );
+                Ok(m)
+            }
             None => match src {
                 Some(s) if ctx.is_dead(s) || (ctx.has_left(s) && !ctx.has_pending(src, tag)) => {
                     tracelog::instant(tracelog::Lane::Sched, "peer.dead", vec![("rank", s.into())]);

@@ -201,7 +201,10 @@ done
 # ledger-and-hints machine kept in crates/core/tests/reference/ does, on
 # random event streams under every policy the configuration accepts —
 # except the fail-fast service streams of more than one batch, which
-# pipeline and are held to the pipeline's invariants instead. A
+# pipeline and are held to the pipeline's invariants instead. The live
+# machine hands each submission to the merger as it lands (`Absorb`);
+# each reference `Merge { subs }` must equal what it absorbed since the
+# epoch opened, for every live worker. A
 # fragment is preferred by its last holder only, and a checkpoint
 # payload adopted into a ResultCache gives the metadata and records of
 # formatting the fragment directly.
@@ -326,6 +329,18 @@ for t in read_ahead_reports_equal_the_serial_report_in_every_mode \
          each_fragments_search_time_is_the_modeled_charge_of_its_search; do
   cargo test --release -q --test read_ahead "$t" -- --exact
 done
+# The master merges each submission as it lands: every submission is
+# point-to-point under both lowerings, and the merger absorbs each one
+# on arrival. Any arrival order, with or without orphans, tied rank keys
+# and left-out (dead) ranks, lays out exactly as the one-shot
+# merge_and_layout; a garbage submission under collectives ends every
+# rank in a typed error (the workers released from the assignment
+# scatter), not a hang; and in --recover runs every worker's TAG_SUBMIT
+# send pairs with one traced master recv.done (recv_deadline traces
+# its receipts as recv does).
+cargo test --release -q -p pioblast --lib absorbing_in_any_arrival_order_lays_out_as_the_one_shot_merge
+cargo test --release -q -p pioblast --lib a_garbage_submission_under_collectives_ends_every_rank_in_a_typed_error
+cargo test --release -q --test trace every_submission_a_worker_sends_pairs_with_one_traced_receipt_on_the_master
 # One failure vocabulary: mpiBLAST's setup failures are the PioError
 # variants pioBLAST's are (Input(Store) for a missing query file,
 # Input(Malformed) for a short or lying fragment index), every worker
@@ -378,8 +393,8 @@ cmp "$tracetmp/report.txt" "$tracetmp/report-async.txt"
 "$cli" trace-check --in "$tracetmp/trace-async-frags.json"
 cmp "$tracetmp/report.txt" "$tracetmp/report-async-frags.txt"
 # The dynamic schedule under the collective lowering: the request /
-# grant / Drain loop (9 single-fragment grants, 111 messages), then the
-# same gather and collective write as the static run.
+# grant / Drain loop (9 single-fragment grants), then the same
+# point-to-point submissions and collective write as the static run.
 "$cli" run --program pio --procs 4 --frags 9 --dynamic \
   --db-dir "$tracetmp/db" --queries "$tracetmp/q.fa" \
   --out "$tracetmp/report-dynamic.txt" --trace "$tracetmp/trace-dynamic.json"

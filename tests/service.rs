@@ -386,15 +386,16 @@ fn master_instants(trace: &tracelog::Trace, name: &str, key: &str, value: u64) -
 /// 50 ms after the merge is still granted only once admitted, and the
 /// merged batch seals meanwhile exactly when it did while each batch
 /// was a closed distribute -> collect -> write cycle: the `merge` and
-/// `service.done` instants below were read off the parent commit's
-/// traces of these runs (on both planes). The master waits for the
-/// arrival by receiving, so the acknowledgements it gets meanwhile seal
-/// the batch on time.
+/// `service.done` instants below were read off the traces of these runs
+/// (on both planes) with the merge absorbing each submission as it
+/// arrives, so the merge begins after the last one's absorb. The master
+/// waits for the arrival by receiving, so the acknowledgements it gets
+/// meanwhile seal the batch on time.
 #[test]
 fn a_batch_arriving_after_the_merge_is_granted_once_admitted_while_the_last_one_seals() {
     for (io_async, merge_ns, done_ns) in [
-        (false, 73_845_901, 76_471_639),
-        (true, 71_140_279, 71_818_704),
+        (false, 73_915_824, 76_471_562),
+        (true, 71_210_202, 71_818_627),
     ] {
         let arrival = merge_ns + 50_000_000;
         let plan = two_batch_plan(arrival);

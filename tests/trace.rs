@@ -277,3 +277,47 @@ fn a_parked_writes_acknowledgement_is_traced_as_the_workers_send() {
     let json = chrome::export_chrome(&trace, None);
     tracelog::check::validate_chrome(&json).expect("exported trace validates");
 }
+
+/// In a `--recover` run — fault-free, and with a worker killed holding
+/// an unsearched fragment, which re-opens collection — every worker's
+/// `TAG_SUBMIT` send pairs with exactly one master `recv.done` carrying
+/// the same source and tag: the master's point-to-point receipts are
+/// traced like its blocking ones, in the order each worker sent.
+#[test]
+fn every_submission_a_worker_sends_pairs_with_one_traced_receipt_on_the_master() {
+    const TAG_SUBMIT: u64 = 13;
+    for plan in [FaultPlan::none(), plan_clone()] {
+        let (trace, killed) = run_pio_traced(4, 6, 21, FaultMode::Recover, plan);
+        let receipts = |w: usize| -> Vec<u64> {
+            let events = trace.rank_events(0).filter(|e| e.lane == Lane::Net);
+            events
+                .filter(|e| e.name == "recv.done" && common::arg(e, "tag") == TAG_SUBMIT)
+                .filter(|e| common::arg(e, "src") == w as u64)
+                .map(|e| e.t)
+                .collect()
+        };
+        let mut received = 0;
+        for w in 1..4 {
+            let sends: Vec<u64> = trace
+                .rank_events(w)
+                .filter(|e| e.lane == Lane::Net && e.name == "send")
+                .filter(|e| e.kind == tracelog::EventKind::Begin)
+                .filter(|e| common::arg(e, "tag") == TAG_SUBMIT)
+                .inspect(|e| assert_eq!(common::arg(e, "dst"), 0))
+                .map(|e| e.t)
+                .collect();
+            let got = receipts(w);
+            let paired = got.len() == sends.len() && sends.iter().zip(&got).all(|(s, r)| s < r);
+            assert!(
+                paired,
+                "killed {killed:?}, worker {w}: sent {sends:?}, received {got:?}"
+            );
+            received += got.len();
+        }
+        // Every live worker submitted at least once.
+        assert!(
+            received >= 3 - killed.len(),
+            "killed {killed:?}: {received}"
+        );
+    }
+}
