@@ -112,6 +112,11 @@ a file, --baseline checks the trace against a committed profile and
 exits nonzero, listing the differing rows, unless the profile renders
 to that file exactly — the CI regression gate.
 
+Data requests are posted: a request's file-system operations are all in
+flight at once, so their latencies overlap (a fragment's reads, a
+report write's runs, checkpoint puts). --io-async, which asked for
+that before it was the default, is still accepted and changes nothing.
+
 --burst-buffer stages output and checkpoint writes in a per-node burst
 buffer (the platform's staging profile, striped across four backing
 files), draining to the shared file system in the background; drains
@@ -270,9 +275,11 @@ fn parse_platform(args: &ParsedArgs) -> Result<Platform, CliError> {
     }
 }
 
-/// Parse `--io-async` / `--burst-buffer` / `--burst-capacity` into
-/// plane options.
+/// Parse `--burst-buffer` / `--burst-capacity` into plane options.
+/// Requests are always posted; `--io-async` is accepted and changes
+/// nothing.
 fn io_options(args: &ParsedArgs) -> Result<pioblast::IoOptions, CliError> {
+    args.flag("io-async");
     let burst = if args.flag("burst-buffer") {
         let d = pioblast::BurstOptions::default();
         let capacity = match args.get("burst-capacity") {
@@ -290,7 +297,7 @@ fn io_options(args: &ParsedArgs) -> Result<pioblast::IoOptions, CliError> {
         None
     };
     Ok(pioblast::IoOptions {
-        io_async: args.flag("io-async"),
+        io_async: true,
         burst,
     })
 }
@@ -581,7 +588,7 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
     fs::write(job.out, &report)?;
     let (_, trace_note) = job.finish_trace(o.elapsed)?;
     Ok(format!(
-        "{program}BLAST, {} processes on {}: {:.3}s virtual time, {} messages, {} events fired of {} scheduled, report {} bytes -> {}{trace_note}",
+        "{program}BLAST, {} processes on {}: {:.3}s virtual time, {} messages, {} events fired of {} scheduled, report {} bytes -> {}, file-system operations in flight per client: at most {}{trace_note}",
         job.nprocs,
         job.db.alias.title,
         o.elapsed.as_secs_f64(),
@@ -589,7 +596,8 @@ fn cmd_run(args: &ParsedArgs) -> Result<String, CliError> {
         o.stats.events,
         o.stats.scheduled,
         report.len(),
-        job.out
+        job.out,
+        job.env.shared.max_in_flight()
     ))
 }
 
@@ -1005,6 +1013,11 @@ mod tests {
         let (scheduled, _) = counts.split_once(" scheduled, report ").expect(&plain);
         let (fired, scheduled): (u64, u64) = (fired.parse().unwrap(), scheduled.parse().unwrap());
         assert!(fired <= scheduled && scheduled <= 2 * fired, "{plain}");
+        // Posted reads: a fragment's three files are in flight together.
+        let (_, window) = plain
+            .split_once(" in flight per client: at most ")
+            .expect(&plain);
+        assert!(window.parse::<u64>().unwrap() >= 3, "{plain}");
         let note = traced.strip_prefix(plain.as_str()).expect(&traced);
         assert!(note.starts_with(", trace "), "{traced}");
         let _ = fs::remove_dir_all(&dir);

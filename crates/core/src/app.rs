@@ -116,8 +116,8 @@ pub struct PioBlastConfig {
     /// host, so they take the engine thread's one `SearchScratch` in
     /// turn. Must be ≥ 1 and ≤ the platform's `cores_per_node`.
     pub threads: usize,
-    /// I/O-plane options: asynchronous servicing (`io_async`) and the
-    /// burst-buffer staging tier (`burst`). How noncontiguous requests
+    /// I/O-plane options: posted requests (`io_async`, on by default)
+    /// and the burst-buffer staging tier (`burst`). How noncontiguous requests
     /// are physically serviced — independent, sieved, two-phase — is not
     /// an option: each rank's plane resolves it from `collective_input`,
     /// `collective_output`, `schedule`, `fault` and `service`. Output
@@ -308,7 +308,7 @@ mod tests {
         assert_eq!(pio.rank_compute, None);
         assert_eq!(pio.threads, 1);
         assert_eq!(pio.io, mpiio::IoOptions::default());
-        assert!(!pio.io.io_async && pio.io.burst.is_none());
+        assert!(pio.io.io_async && pio.io.burst.is_none());
         assert!(pio.service.is_none());
 
         let names = vec!["frags/x.000".to_string(), "frags/x.001".to_string()];

@@ -116,7 +116,7 @@ pub(super) fn fence_staging(
 /// The report path of one batch. Service mode writes each stream
 /// batch's report to its own file, byte-identical to running the batch
 /// as a one-shot job.
-fn report_path(cfg: &PioBlastConfig, batch: usize) -> String {
+pub(super) fn report_path(cfg: &PioBlastConfig, batch: usize) -> String {
     match cfg.service {
         Some(_) => format!("{}.q{batch}", cfg.output_path),
         None => cfg.output_path.clone(),

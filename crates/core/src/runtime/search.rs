@@ -53,24 +53,12 @@ impl WorkerIo<'_, '_> {
             .filter(|(id, a)| !self.store.contains(*id as usize) && !read_ahead(a))
             .map(|(_, a)| a.clone())
             .collect();
-        // The coalesced set is read even when empty: on the two-phase
-        // class a rank with nothing of its own still joins the collective.
-        let sets: Vec<&[FragmentAssignment]> = if self.io.posts_reads() {
-            absent.chunks(1).collect()
-        } else {
-            vec![&absent]
-        };
-        let mut read = Vec::with_capacity(absent.len());
-        for set in sets {
-            let t = self.ctx.now();
-            read.extend(crate::input::read_fragments(
-                self.io,
-                &self.grant_volumes,
-                set,
-                self.molecule,
-            )?);
-            self.phase_times.add(phases::INPUT, self.ctx.now() - t);
-        }
+        // One coalesced set, read even when empty: on the two-phase class
+        // a rank with nothing of its own still joins the collective.
+        let t = self.ctx.now();
+        let read =
+            crate::input::read_fragments(self.io, &self.grant_volumes, &absent, self.molecule)?;
+        self.phase_times.add(phases::INPUT, self.ctx.now() - t);
         let mut read = read.into_iter();
         for (id, a) in granted {
             let resident = self.store.take(id as usize);

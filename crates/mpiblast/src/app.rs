@@ -282,7 +282,8 @@ fn run_master(ctx: &RankCtx, comm: &Comm, cfg: &MpiBlastConfig) -> Result<RankRe
     let out_start = now();
     shared.create(ctx, &cfg.output_path);
     // The baseline master writes alone: the default plane (independent,
-    // synchronous, unstaged) reproduces mpiBLAST's serial appends exactly.
+    // unstaged) reproduces mpiBLAST's serial appends exactly — each
+    // section is one contiguous run, joined before the next is formatted.
     let out_plane = IoPlane::new(comm, shared, PlaneConfig::default(), None);
     let mut file_off = 0u64;
     for (q, merged_slot) in merged.iter_mut().enumerate() {

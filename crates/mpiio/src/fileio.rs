@@ -64,6 +64,11 @@ impl<'a, 'c> MpiFile<'a, 'c> {
         }
     }
 
+    /// The path this handle was opened on.
+    pub fn path(&self) -> &str {
+        &self.path
+    }
+
     /// Replace the collective hints.
     pub fn with_hints(mut self, hints: CollectiveHints) -> Self {
         self.hints = hints;
@@ -657,6 +662,109 @@ mod tests {
                 "{payload:?} as {len} bytes at {off}"
             );
         }
+    }
+
+    /// Deterministic bytes (xorshift64*).
+    struct Noise(u64);
+
+    impl Noise {
+        fn next(&mut self) -> u64 {
+            self.0 ^= self.0 >> 12;
+            self.0 ^= self.0 << 25;
+            self.0 ^= self.0 >> 27;
+            self.0.wrapping_mul(0x2545_F491_4F6C_DD1D)
+        }
+
+        fn bytes(&mut self, len: usize) -> Vec<u8> {
+            (0..len).map(|_| (self.next() >> 32) as u8).collect()
+        }
+    }
+
+    /// Inputs a decoder has to survive, as `tests/codec.rs` draws them:
+    /// noise of every small length, and a valid encoding damaged every
+    /// way a count field can be — four `ff` bytes, one flipped byte, one
+    /// random byte — at every offset.
+    fn hostile_inputs(valid: &[u8], noise: &mut Noise) -> Vec<Vec<u8>> {
+        let mut inputs: Vec<Vec<u8>> = (0..48).map(|len| noise.bytes(len)).collect();
+        for at in 0..valid.len() {
+            let mut lying_count = valid.to_vec();
+            for b in lying_count.iter_mut().skip(at).take(4) {
+                *b = 0xff;
+            }
+            let mut flipped = valid.to_vec();
+            flipped[at] ^= 0x10;
+            let mut random = valid.to_vec();
+            random[at] = noise.next() as u8;
+            inputs.extend([lying_count, flipped, random]);
+        }
+        inputs
+    }
+
+    /// `valid` decodes, every strict prefix and the one-byte extension
+    /// are corrupt, and every hostile input either decodes or is
+    /// corrupt — the decoder returns, and with no other error.
+    fn survives_hostile_bytes<T>(
+        what: &str,
+        valid: &[u8],
+        noise: &mut Noise,
+        decode: impl Fn(&[u8]) -> Result<T, StoreError>,
+    ) {
+        let corrupt = |r: Result<T, StoreError>| matches!(r, Err(StoreError::Corrupt { .. }));
+        assert!(decode(valid).is_ok(), "{what}: valid bytes");
+        for cut in 0..valid.len() {
+            assert!(corrupt(decode(&valid[..cut])), "{what}: prefix {cut}");
+        }
+        let mut overlong = valid.to_vec();
+        overlong.push(0);
+        assert!(corrupt(decode(&overlong)), "{what}: trailing byte");
+        for input in hostile_inputs(valid, noise) {
+            let r = decode(&input);
+            assert!(r.is_ok() || corrupt(r), "{what}: {input:02x?}");
+        }
+    }
+
+    #[test]
+    fn view_decoders_turn_hostile_bytes_into_corrupt_errors() {
+        let mut noise = Noise(0x9E37_79B9_7F4A_7C15);
+        let views = [
+            FileView::new(7, vec![(0, 3), (10, 20), (30, 1)]).unwrap(),
+            FileView::contiguous(1 << 40, 9),
+            FileView::default(),
+        ];
+        for view in &views {
+            survives_hostile_bytes("FileView", &view.encode(), &mut noise, FileView::decode);
+        }
+        // The bundle the view exchange broadcasts: every rank's frame.
+        let mut bundle = (views.len() as u32).to_le_bytes().to_vec();
+        for view in &views {
+            let frame = view.encode();
+            bundle.extend_from_slice(&(frame.len() as u32).to_le_bytes());
+            bundle.extend_from_slice(&frame);
+        }
+        survives_hostile_bytes("ViewBundle", &bundle, &mut noise, |b| {
+            let parsed = ViewBundle::parse(Bytes::copy_from_slice(b))?;
+            // A bundle that parses is walked whole.
+            assert_eq!(
+                parsed.views().count(),
+                split_u32(b).map_or(0, |(n, _)| n) as usize
+            );
+            Ok(())
+        });
+    }
+
+    #[test]
+    fn the_chunk_frame_reader_turns_hostile_bytes_into_corrupt_errors() {
+        // A peer's write chunk `[offset u64][bytes]`, read for the
+        // 12-byte chunk at offset 4096 the exchanged views announced.
+        let mut noise = Noise(0x0123_4567_89AB_CDEF);
+        let mut frame = 4096u64.to_le_bytes().to_vec();
+        frame.extend_from_slice(b"twelve bytes");
+        survives_hostile_bytes("chunk frame", &frame, &mut noise, |b| {
+            let payload = Bytes::copy_from_slice(b);
+            let chunk = check_chunk("write", frame_bytes(&payload, 4096), 1, 4096, 12)?;
+            assert_eq!(chunk.len(), 12);
+            Ok(())
+        });
     }
 
     #[test]

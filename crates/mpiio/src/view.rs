@@ -1,5 +1,7 @@
 //! MPI-IO file views: the noncontiguous file regions one rank will access.
 
+use parafs::StoreError;
+
 /// A file view: a displacement plus an ordered list of `(offset, len)`
 /// regions relative to it. Mirrors `MPI_File_set_view` with an indexed
 /// filetype — exactly what pioBLAST builds so scattered result records
@@ -92,10 +94,14 @@ impl FileView {
         out
     }
 
-    /// Inverse of [`FileView::encode`].
-    pub fn decode(buf: &[u8]) -> Option<FileView> {
-        let frame = ViewFrame::parse(buf)?;
-        Some(FileView {
+    /// Inverse of [`FileView::encode`]. Bytes that are not exactly one
+    /// valid encoding — truncated, overlong, or holding regions
+    /// [`FileView::new`] would refuse — are [`StoreError::Corrupt`].
+    pub fn decode(buf: &[u8]) -> Result<FileView, StoreError> {
+        let frame = ViewFrame::parse(buf).ok_or_else(|| StoreError::Corrupt {
+            what: format!("file view: {} bytes are not one valid encoding", buf.len()),
+        })?;
+        Ok(FileView {
             displacement: frame.displacement,
             regions: frame.regions.iter().map(region).collect(),
         })
@@ -234,10 +240,10 @@ mod tests {
 
     #[test]
     fn decode_rejects_garbage() {
-        assert!(FileView::decode(b"short").is_none());
+        assert!(FileView::decode(b"short").is_err());
         let mut bad = FileView::contiguous(0, 5).encode();
         bad.pop();
-        assert!(FileView::decode(&bad).is_none());
+        assert!(FileView::decode(&bad).is_err());
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   `global_asm!` per architecture (x86-64 SysV and AArch64 AAPCS64),
 //!   saving exactly the callee-saved registers plus the FP control
 //!   words. There is no `libc` in this workspace, so stacks come from
-//!   [`std::alloc`] rather than `mmap`: large allocations are lazily
+//!   the global allocator rather than `mmap`: large allocations are lazily
 //!   committed by the allocator anyway, and a canary word at the low end
 //!   of each stack (checked on every switch back) substitutes for a
 //!   guard page. A clobbered canary aborts the process — a smashed
@@ -33,7 +33,6 @@
 //!   thread-locals of the resuming thread, and migrating a live stack
 //!   between threads would invalidate them.
 
-use std::alloc::{alloc, dealloc, Layout};
 use std::cell::Cell;
 use std::marker::PhantomData;
 use std::panic::{catch_unwind, AssertUnwindSafe};
@@ -62,6 +61,10 @@ const CANARY: u64 = 0x5afe_57ac_4ca8_a87e;
 
 /// Minimum stack size accepted by [`Fiber::new`].
 pub const MIN_STACK: usize = 16 * 1024;
+
+/// Largest stack [`Fiber::new`] allocates; larger requests are clamped,
+/// so a stack's size always fits an allocation.
+const MAX_STACK: usize = 1 << 30;
 
 // ---------------------------------------------------------------------
 // Context switch (x86-64 SysV).
@@ -177,36 +180,41 @@ extern "C" {
 // Stack memory.
 // ---------------------------------------------------------------------
 
+/// One `STACK_ALIGN`-byte unit of stack memory.
+#[repr(C, align(64))]
+struct Block([u8; STACK_ALIGN]);
+
 struct Stack {
+    /// The lowest byte of `mem`'s buffer.
     base: *mut u8,
-    layout: Layout,
+    /// Owns the stack: its capacity is the stack, and its length stays
+    /// zero (the switched-to code writes the memory, never the vector).
+    mem: Vec<Block>,
 }
 
 impl Stack {
     fn new(size: usize) -> Stack {
-        let size = size.max(MIN_STACK).next_multiple_of(STACK_ALIGN);
-        let layout = Layout::from_size_align(size, STACK_ALIGN).expect("valid stack layout");
+        let blocks = size.clamp(MIN_STACK, MAX_STACK).div_ceil(STACK_ALIGN);
         // Untouched pages of a large allocation are lazily committed, so
         // oversizing fiber stacks costs address space, not memory.
-        let base = unsafe { alloc(layout) };
-        assert!(!base.is_null(), "fiber stack allocation failed");
+        let mut mem = Vec::with_capacity(blocks);
+        let base = mem.as_mut_ptr() as *mut u8;
+        // SAFETY: `base` starts an allocation of at least MIN_STACK bytes
+        // aligned to STACK_ALIGN, so its first eight bytes are writable
+        // and aligned for a `u64`.
         unsafe { (base as *mut u64).write(CANARY) };
-        Stack { base, layout }
+        Stack { base, mem }
     }
 
     /// One past the highest usable byte; aligned to `STACK_ALIGN`.
     fn top(&self) -> *mut u8 {
-        unsafe { self.base.add(self.layout.size()) }
+        // SAFETY: one past the end of `mem`'s allocation, which never
+        // reallocates: its length stays zero and nothing pushes.
+        unsafe { self.base.add(self.mem.capacity() * STACK_ALIGN) }
     }
 
     fn canary_ok(&self) -> bool {
         unsafe { (self.base as *const u64).read() == CANARY }
-    }
-}
-
-impl Drop for Stack {
-    fn drop(&mut self) {
-        unsafe { dealloc(self.base, self.layout) };
     }
 }
 
@@ -244,7 +252,8 @@ pub struct Fiber<'a> {
 
 impl<'a> Fiber<'a> {
     /// Create a fiber that will run `entry` on a fresh stack of at least
-    /// `stack_size` bytes (clamped up to [`MIN_STACK`]). The first
+    /// `stack_size` bytes (clamped up to [`MIN_STACK`], and down to
+    /// 1 GiB). The first
     /// [`Fiber::resume`] argument is passed to `entry`; the entry's
     /// return value becomes the final resume's result. `entry` must not
     /// unwind: catch panics inside and map them to a code (an escaped
@@ -400,10 +409,11 @@ extern "C" fn pio_fiber_main(inner: *const FiberInner, first_arg: usize) -> ! {
     // The inner outlives the whole fiber execution: the resuming `Fiber`
     // owns it and cannot drop while the fiber is running.
     let inner = unsafe { &*inner };
-    let entry = inner
-        .entry
-        .take()
-        .expect("fiber entry present at first resume");
+    let Some(entry) = inner.entry.take() else {
+        // Only the first resume boots a fiber, and it finds the entry.
+        eprintln!("fatal: fiber booted without an entry; aborting");
+        std::process::abort();
+    };
     let code = match catch_unwind(AssertUnwindSafe(move || entry(first_arg))) {
         Ok(code) => code,
         Err(payload) if payload.is::<ForcedUnwind>() => UNWOUND,

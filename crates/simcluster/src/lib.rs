@@ -20,6 +20,7 @@
 //! operations as load changes.
 
 #![warn(missing_docs)]
+#![cfg_attr(not(test), deny(clippy::unwrap_used, clippy::expect_used))]
 
 pub mod device;
 pub mod engine;
