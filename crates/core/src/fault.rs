@@ -58,7 +58,7 @@ mod tests {
     use crate::app::FragmentSchedule;
     use crate::testutil::Job;
     use mpiblast::RankReport;
-    use simcluster::FaultPlan;
+    use simcluster::{FaultPlan, SimDuration, SimTime};
 
     type FaultyOutputs = Vec<Option<Result<RankReport, PioError>>>;
 
@@ -220,15 +220,57 @@ mod tests {
     }
 
     #[test]
-    fn checkpoint_blobs_of_pieces_are_cleaned_up_after_a_killed_run() {
-        // One fragment per worker. Worker 3 dies right after
-        // acknowledging its fragment, whose checkpoint put is still in
-        // flight on the nonblocking plane and never lands: with every
-        // fragment granted, it is re-cut into one piece per survivor, and
-        // each piece is checkpointed under an id past the eight.
+    fn a_grants_acknowledgement_waits_for_its_checkpoint() {
+        // One fragment per worker, checkpoint puts posted. Worker 3 dies
+        // right after acknowledging its fragment: the put was joined
+        // before the acknowledgement left, so the master adopts the blob
+        // and no fragment is searched twice or re-cut.
         let job = Job {
             nranks: 9,
             plan: FaultPlan::none().kill_after_sends(3, 2),
+            traced: true,
+            ..Job::default()
+        };
+        let done = job.run(|cfg| {
+            cfg.num_fragments = Some(8);
+            cfg.collective_output = false;
+            cfg.schedule = FragmentSchedule::Dynamic;
+            cfg.fault = FaultMode::Recover;
+            cfg.checkpoint = true;
+            cfg.io.io_async = true;
+        });
+        assert_eq!(done.killed, vec![3]);
+        assert_eq!(done.report, reference_bytes());
+        let trace = done.trace.expect("traced");
+        let mut searched: Vec<u64> = trace
+            .events
+            .iter()
+            .filter(|e| e.name == "search.fragment")
+            .filter_map(|e| match e.args.iter().find(|(k, _)| *k == "fragment") {
+                Some((_, tracelog::ArgVal::U64(f))) => Some(*f),
+                _ => None,
+            })
+            .collect();
+        searched.sort_unstable();
+        assert_eq!(
+            searched,
+            (0..8).collect::<Vec<u64>>(),
+            "each fragment searched once"
+        );
+    }
+
+    #[test]
+    fn checkpoint_blobs_of_pieces_are_cleaned_up_after_a_killed_run() {
+        // One fragment per worker. Worker 3 dies midway through searching
+        // its fragment (the fault-free run searches it from about 2 ms to
+        // 25 ms of virtual time), so the fragment has no checkpoint: with
+        // every fragment granted, it is re-cut into one piece per
+        // survivor, and each piece is checkpointed under an id past the
+        // eight.
+        let at = SimTime::ZERO + SimDuration::from_millis(14);
+        let job = Job {
+            nranks: 9,
+            plan: FaultPlan::none().kill_at(3, at),
             traced: true,
             ..Job::default()
         };

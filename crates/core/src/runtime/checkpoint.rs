@@ -43,9 +43,10 @@ fn landed(put: Result<(), StoreError>) {
     }
 }
 
-/// Persist one searched fragment. Joined here on the serial plane;
-/// fired and parked in the plane under `--io-async`, where the epoch
-/// fence ([`join_all`]) joins it.
+/// Persist one searched fragment. Fired and parked in the plane on the
+/// posted policy (the default), joined by [`join_all`] before the
+/// fragment is acknowledged: at the grant's ack on the dynamic schedule,
+/// at the epoch fence on the static one. Joined here on the serial plane.
 pub(super) fn put(
     io: &IoPlane<'_, '_>,
     cfg: &PioBlastConfig,
